@@ -145,25 +145,32 @@ impl Client {
         }
     }
 
-    /// Receives whatever is available, as host bytes.
+    /// Receives whatever is available into `out` (replacing its
+    /// contents; empty when nothing was), as host bytes.
     ///
     /// # Errors
     ///
     /// Returns [`ClientError`] on a machine fault while draining the
     /// staging buffer, or when the stack fails the receive for any
     /// reason other than an empty ring.
-    pub fn recv_bytes(&mut self, sid: SocketId, max: u64) -> Result<Vec<u8>, ClientError> {
+    pub fn recv_bytes(
+        &mut self,
+        sid: SocketId,
+        max: u64,
+        out: &mut Vec<u8>,
+    ) -> Result<(), ClientError> {
+        out.clear();
         let max = max.min(self.buf_len);
         match self
             .net
             .tcp_recv(&mut self.m, self.vcpu, sid, self.buf, max)
         {
             Ok(n) => {
-                let mut out = vec![0u8; n as usize];
-                self.m.read(self.vcpu, self.buf, &mut out)?;
-                Ok(out)
+                out.resize(n as usize, 0);
+                self.m.read(self.vcpu, self.buf, out)?;
+                Ok(())
             }
-            Err(NetError::WouldBlock) => Ok(Vec::new()),
+            Err(NetError::WouldBlock) => Ok(()),
             Err(e) => Err(e.into()),
         }
     }

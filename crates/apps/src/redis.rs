@@ -10,7 +10,9 @@
 use crate::client::{exchange, Client, ClientError, SERVER_IP};
 use crate::os::Os;
 use crate::profiles::{backend_tag, evaluation_image, harden, CompartmentModel, SchedKind};
-use crate::resp::{encode, encode_command, RespParser, RespValue};
+use crate::resp::{
+    self, put_bulk, put_command, put_error, put_integer, Command, RespError, RespParser,
+};
 use crate::smp::make_executor;
 use flexos::build::{plan, BackendChoice, Hypervisor};
 use flexos::gate::CompartmentId;
@@ -20,10 +22,9 @@ use flexos_machine::{Addr, ChaosConfig, ChaosPlan};
 use flexos_net::nic::Link;
 use flexos_net::stack::{NetError, SocketId};
 use flexos_trace::{SpanId, StatsSnapshot};
-use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::rc::Rc;
+use std::ops::Range;
 
 /// The Redis port.
 pub const REDIS_PORT: u16 = 6379;
@@ -160,139 +161,100 @@ impl From<ClientError> for RedisRunError {
     }
 }
 
-/// The in-image Redis server state.
-struct RedisServer {
-    store: HashMap<Vec<u8>, (Addr, u64)>,
-    parser: RespParser,
-    out_host: Vec<u8>,
-    c_app: CompartmentId,
-    rx_buf: Addr,
-    tx_buf: Addr,
-    io_buf_len: u64,
-    /// Commands executed.
-    ops: u64,
-    /// Backend tag for the request-latency key (`"mpk-shared"`, …).
-    backend: &'static str,
-    /// Plan-determined vCPU of the app compartment — the span shard key
-    /// (fixed at build time, hoisted out of the per-command hot path).
-    app_vcpu: u16,
+/// What [`ReplyStream::flush`] left behind.
+pub(crate) enum Flushed {
+    /// Everything staged went out.
+    Clean,
+    /// The transmit buffer filled; retry on WRITE readiness.
+    Parked,
+    /// The peer is gone.
+    Closed,
+    /// The stack refused the send.
+    Failed(NetError),
+}
+
+/// The reply side of one served connection: bytes staged for the socket
+/// and the request spans waiting for their last byte to leave.
+///
+/// Replies are staged only while the stream is drained — both servers
+/// flush before they execute — so `out` empties between bursts and the
+/// sent prefix is an offset, never a memmove.
+pub(crate) struct ReplyStream {
+    out: Vec<u8>,
+    /// Sent prefix of `out`.
+    head: usize,
     /// Open request spans, each paired with the cumulative staged-output
     /// offset at which its reply will have fully left the server.
     pending_spans: VecDeque<(SpanId, u64)>,
-    /// Reply bytes ever staged into `out_host`.
-    staged_total: u64,
-    /// Reply bytes ever drained out of `out_host` by completed sends.
+    /// Reply bytes ever handed to completed sends.
     sent_total: u64,
 }
 
-impl RedisServer {
-    fn execute(&mut self, os: &mut Os, args: &[Vec<u8>]) -> RespValue {
-        // Per-request application work (command dispatch, hashing).
-        let work = os.img.machine.costs().app_request;
-        os.app_compute(work);
-        self.ops += 1;
-        let cmd = args
-            .first()
-            .map(|c| c.to_ascii_uppercase())
-            .unwrap_or_default();
-        match (cmd.as_slice(), args.len()) {
-            (b"PING", 1) => RespValue::Simple("PONG".into()),
-            (b"SET", 3) => {
-                let value = &args[2];
-                match os.malloc_in(self.c_app, value.len().max(1) as u64) {
-                    Ok(addr) => {
-                        if let Err(f) = os.img.write(addr, value) {
-                            return RespValue::Error(format!("ERR fault: {f}"));
-                        }
-                        if let Some((old, _)) = self
-                            .store
-                            .insert(args[1].clone(), (addr, value.len() as u64))
-                        {
-                            let _ = os.free_in(self.c_app, old);
-                        }
-                        RespValue::Simple("OK".into())
-                    }
-                    Err(f) => RespValue::Error(format!("ERR oom: {f}")),
-                }
-            }
-            (b"GET", 2) => match self.store.get(&args[1]).copied() {
-                Some((addr, len)) => {
-                    // Redis builds the reply in a freshly allocated
-                    // object (sds string) — so GETs hit the allocator
-                    // too, instrumented or not.
-                    let reply = match os.malloc_in(self.c_app, len.max(1)) {
-                        Ok(r) => r,
-                        Err(f) => return RespValue::Error(format!("ERR oom: {f}")),
-                    };
-                    let mut value = vec![0u8; len as usize];
-                    let read = os
-                        .img
-                        .read(addr, &mut value)
-                        .and_then(|()| os.img.copy(reply, addr, len));
-                    let _ = os.free_in(self.c_app, reply);
-                    if let Err(f) = read {
-                        return RespValue::Error(format!("ERR fault: {f}"));
-                    }
-                    RespValue::Bulk(Some(value))
-                }
-                None => RespValue::Bulk(None),
-            },
-            (b"DEL", 2) => match self.store.remove(&args[1]) {
-                Some((addr, _)) => {
-                    let _ = os.free_in(self.c_app, addr);
-                    RespValue::Integer(1)
-                }
-                None => RespValue::Integer(0),
-            },
-            (b"EXISTS", 2) => RespValue::Integer(i64::from(self.store.contains_key(&args[1]))),
-            _ => RespValue::Error(format!(
-                "ERR unknown command '{}'",
-                String::from_utf8_lossy(&cmd)
-            )),
+impl ReplyStream {
+    pub(crate) fn new() -> Self {
+        Self {
+            out: Vec::new(),
+            head: 0,
+            pending_spans: VecDeque::new(),
+            sent_total: 0,
         }
     }
 
-    /// One service quantum on socket `sid`: drain input, execute, flush
-    /// replies. Returns `Ok(None)` to yield, `Ok(Some(step))` to return.
-    fn service(
+    /// Whether every staged byte has been sent.
+    pub(crate) fn is_drained(&self) -> bool {
+        self.head == self.out.len()
+    }
+
+    /// Where to encode the next reply; seal it with
+    /// [`ReplyStream::end_reply`].
+    pub(crate) fn buf(&mut self) -> &mut Vec<u8> {
+        &mut self.out
+    }
+
+    /// Marks everything staged so far as the reply to request `span`.
+    pub(crate) fn end_reply(&mut self, span: SpanId) {
+        let staged_total = self.sent_total + (self.out.len() - self.head) as u64;
+        self.pending_spans.push_back((span, staged_total));
+    }
+
+    /// Sends the backlog through `tx_buf`, issuing it as one batched
+    /// gate crossing per round: the `after` hook accounts what each send
+    /// moved and stages the next chunk, exactly as a sequential send
+    /// loop does between two crossings. `sqe_spans` is scratch.
+    pub(crate) fn flush(
         &mut self,
         os: &mut Os,
-        tid: ThreadId,
         sid: SocketId,
-    ) -> flexos_machine::Result<Step> {
-        // Flush pending replies first, issuing the whole backlog as one
-        // batched gate crossing per round: the `after` hook drains what
-        // each send moved and stages the next chunk, exactly as the old
-        // sequential send loop did between two crossings.
-        while !self.out_host.is_empty() {
-            let n = (self.out_host.len() as u64).min(self.io_buf_len);
-            os.img.write(self.tx_buf, &self.out_host[..n as usize])?;
-            let max = (self.out_host.len() as u64)
-                .div_ceil(self.io_buf_len)
-                .max(1) as usize;
-            let (tx_buf, io_buf_len) = (self.tx_buf, self.io_buf_len);
-            let app_vcpu = self.app_vcpu;
+        tx_buf: Addr,
+        io_buf_len: u64,
+        app_vcpu: u16,
+        sqe_spans: &mut Vec<SpanId>,
+    ) -> flexos_machine::Result<Flushed> {
+        while !self.is_drained() {
+            let unsent = &self.out[self.head..];
+            let n = (unsent.len() as u64).min(io_buf_len);
+            os.img.write(tx_buf, &unsent[..n as usize])?;
+            let max = (unsent.len() as u64).div_ceil(io_buf_len).max(1) as usize;
             // Tag ring descriptor `i` with the span of the i-th pending
             // request: the reply bytes a send ships belong to the oldest
             // requests still awaiting their last byte, so the causal
             // trace links each SQE to the command it answers.
-            let sqe_spans: Vec<SpanId> = self
-                .pending_spans
-                .iter()
-                .take(max)
-                .map(|&(span, _)| span)
-                .collect();
-            let out_host = &mut self.out_host;
-            let pending_spans = &mut self.pending_spans;
-            let sent_total = &mut self.sent_total;
-            let results = os.send_batch_spanned(sid, tx_buf, n, max, &sqe_spans, |m, rt, r| {
+            sqe_spans.clear();
+            sqe_spans.extend(self.pending_spans.iter().take(max).map(|&(span, _)| span));
+            let Self {
+                out,
+                head,
+                pending_spans,
+                sent_total,
+            } = self;
+            let results = os.send_batch_spanned(sid, tx_buf, n, max, sqe_spans, |m, rt, r| {
                 let Ok(sent) = r else { return Ok(None) };
-                out_host.drain(..*sent as usize);
+                *head += *sent as usize;
                 // A request span ends when the last byte of its reply
                 // has left the server — end every span whose staged
                 // offset the cumulative sent count just covered.
                 *sent_total += sent;
-                // The clock cannot advance inside this drain (no work is
+                // The clock cannot advance inside this hook (no work is
                 // charged), so every span completing here ends at the
                 // same instant — read it once.
                 let now = m.clock().cycles();
@@ -303,32 +265,165 @@ impl RedisServer {
                     let (span, _) = pending_spans.pop_front().expect("front checked");
                     m.span_trace_mut().end_request(span, app_vcpu, now);
                 }
-                if out_host.is_empty() {
+                let unsent = &out[*head..];
+                if unsent.is_empty() {
                     return Ok(None);
                 }
-                let next = (out_host.len() as u64).min(io_buf_len);
-                m.write(rt.current_ctx().vcpu, tx_buf, &out_host[..next as usize])?;
+                let next = (unsent.len() as u64).min(io_buf_len);
+                m.write(rt.current_ctx().vcpu, tx_buf, &unsent[..next as usize])?;
                 Ok(Some(next))
             })?;
+            if self.is_drained() {
+                self.out.clear();
+                self.head = 0;
+            }
             match results.last() {
-                Some(Err(NetError::WouldBlock)) => return Ok(Step::Yield),
-                Some(Err(NetError::Closed)) => return Ok(Step::Done),
-                Some(Err(e)) => {
-                    return Err(flexos_machine::Fault::HardeningAbort {
-                        mechanism: "redis",
-                        reason: format!("send failed: {e}"),
-                    })
-                }
+                Some(Err(NetError::WouldBlock)) => return Ok(Flushed::Parked),
+                Some(Err(NetError::Closed)) => return Ok(Flushed::Closed),
+                Some(Err(e)) => return Ok(Flushed::Failed(e.clone())),
                 _ => {}
             }
+        }
+        Ok(Flushed::Clean)
+    }
+}
+
+/// The key-value store: values live in the application compartment's
+/// simulated heap.
+struct Db {
+    store: HashMap<Vec<u8>, (Addr, u64)>,
+    c_app: CompartmentId,
+    /// Host staging for the value a GET reads back (reused).
+    value_buf: Vec<u8>,
+}
+
+impl Db {
+    /// Executes `cmd`, appending its reply to `out`.
+    fn execute(&mut self, os: &mut Os, cmd: &Command<'_>, out: &mut Vec<u8>) {
+        // Per-request application work (command dispatch, hashing).
+        let work = os.img.machine.costs().app_request;
+        os.app_compute(work);
+        match (cmd.verb(&mut [0; 8]), cmd.len()) {
+            (b"PING", 1) => out.extend_from_slice(resp::PONG),
+            (b"SET", 3) => {
+                let (key, value) = (cmd.arg(1), cmd.arg(2));
+                match os.malloc_in(self.c_app, value.len().max(1) as u64) {
+                    Ok(addr) => {
+                        if let Err(f) = os.img.write(addr, value) {
+                            return put_error(out, format_args!("fault: {f}"));
+                        }
+                        let entry = (addr, value.len() as u64);
+                        let old = match self.store.get_mut(key) {
+                            Some(slot) => Some(std::mem::replace(slot, entry)),
+                            None => self.store.insert(key.to_vec(), entry),
+                        };
+                        if let Some((old, _)) = old {
+                            let _ = os.free_in(self.c_app, old);
+                        }
+                        out.extend_from_slice(resp::OK);
+                    }
+                    Err(f) => put_error(out, format_args!("oom: {f}")),
+                }
+            }
+            (b"GET", 2) => match self.store.get(cmd.arg(1)).copied() {
+                Some((addr, len)) => {
+                    // Redis builds the reply in a freshly allocated
+                    // object (sds string) — so GETs hit the allocator
+                    // too, instrumented or not.
+                    let reply = match os.malloc_in(self.c_app, len.max(1)) {
+                        Ok(r) => r,
+                        Err(f) => return put_error(out, format_args!("oom: {f}")),
+                    };
+                    self.value_buf.resize(len as usize, 0);
+                    let read = os
+                        .img
+                        .read(addr, &mut self.value_buf)
+                        .and_then(|()| os.img.copy(reply, addr, len));
+                    let _ = os.free_in(self.c_app, reply);
+                    if let Err(f) = read {
+                        return put_error(out, format_args!("fault: {f}"));
+                    }
+                    put_bulk(out, &self.value_buf);
+                }
+                None => out.extend_from_slice(resp::NIL),
+            },
+            (b"DEL", 2) => match self.store.remove(cmd.arg(1)) {
+                Some((addr, _)) => {
+                    let _ = os.free_in(self.c_app, addr);
+                    put_integer(out, 1);
+                }
+                None => put_integer(out, 0),
+            },
+            (b"EXISTS", 2) => put_integer(out, i64::from(self.store.contains_key(cmd.arg(1)))),
+            _ => put_error(out, format_args!("unknown command '{}'", cmd.verb_lossy())),
+        }
+    }
+}
+
+/// The in-image Redis server state.
+struct RedisServer {
+    db: Db,
+    parser: RespParser,
+    replies: ReplyStream,
+    /// The client sent something that is not RESP: the error reply is
+    /// staged, the connection closes once it has left.
+    closing: bool,
+    rx_buf: Addr,
+    tx_buf: Addr,
+    io_buf_len: u64,
+    /// Backend tag for the request-latency key (`"mpk-shared"`, …).
+    backend: &'static str,
+    /// Plan-determined vCPU of the app compartment — the span shard key
+    /// (fixed at build time, hoisted out of the per-command hot path).
+    app_vcpu: u16,
+    /// Scratch reused across quanta: received bytes on their way to the
+    /// parser, the argument spans of the command being executed, the
+    /// span tags of a send batch.
+    rx_host: Vec<u8>,
+    cmd_spans: Vec<Range<usize>>,
+    sqe_spans: Vec<SpanId>,
+}
+
+fn abort(reason: String) -> flexos_machine::Fault {
+    flexos_machine::Fault::HardeningAbort {
+        mechanism: "redis",
+        reason,
+    }
+}
+
+impl RedisServer {
+    /// One service quantum on socket `sid`: flush replies, drain input,
+    /// execute.
+    fn service(
+        &mut self,
+        os: &mut Os,
+        tid: ThreadId,
+        sid: SocketId,
+    ) -> flexos_machine::Result<Step> {
+        match self.replies.flush(
+            os,
+            sid,
+            self.tx_buf,
+            self.io_buf_len,
+            self.app_vcpu,
+            &mut self.sqe_spans,
+        )? {
+            Flushed::Clean => {}
+            Flushed::Parked => return Ok(Step::Yield),
+            Flushed::Closed => return Ok(Step::Done),
+            Flushed::Failed(e) => return Err(abort(format!("send failed: {e}"))),
+        }
+        if self.closing {
+            let _ = os.sock_close(sid);
+            return Ok(Step::Done);
         }
         // Pull in new request bytes.
         match os.recv(sid, self.rx_buf, self.io_buf_len) {
             Ok(0) => return Ok(Step::Done),
             Ok(n) => {
-                let mut host = vec![0u8; n as usize];
-                os.img.read(self.rx_buf, &mut host)?;
-                self.parser.feed(&host);
+                self.rx_host.resize(n as usize, 0);
+                os.img.read(self.rx_buf, &mut self.rx_host)?;
+                self.parser.feed(&self.rx_host);
             }
             Err(NetError::WouldBlock) => {
                 if self.parser.pending() == 0 {
@@ -338,16 +433,16 @@ impl RedisServer {
                     };
                 }
             }
-            Err(e) => {
-                return Err(flexos_machine::Fault::HardeningAbort {
-                    mechanism: "redis",
-                    reason: format!("recv failed: {e}"),
-                })
-            }
+            Err(e) => return Err(abort(format!("recv failed: {e}"))),
         }
         // Execute everything parseable. Each command opens a request
         // span (ended later, when its reply's last byte is sent).
-        while let Some(args) = self.parser.parse_command() {
+        while !self.closing {
+            let cmd = match self.parser.next_command(&mut self.cmd_spans) {
+                Ok(cmd) => Some(cmd),
+                Err(RespError::Incomplete) => break,
+                Err(RespError::Malformed { .. }) => None,
+            };
             let t0 = os.img.machine.clock().cycles();
             let span = os.img.machine.span_trace_mut().begin_request(
                 "redis",
@@ -355,14 +450,12 @@ impl RedisServer {
                 self.app_vcpu,
                 t0,
             );
-            let reply = if args.is_empty() {
-                RespValue::Error("ERR protocol error".into())
-            } else {
-                self.execute(os, &args)
-            };
-            self.out_host.extend_from_slice(&encode(&reply));
-            self.staged_total = self.sent_total + self.out_host.len() as u64;
-            self.pending_spans.push_back((span, self.staged_total));
+            match cmd {
+                Some(cmd) if !cmd.is_empty() => self.db.execute(os, &cmd, self.replies.buf()),
+                _ => self.replies.buf().extend_from_slice(resp::PROTOCOL_ERROR),
+            }
+            self.closing = cmd.is_none();
+            self.replies.end_reply(span);
         }
         Ok(Step::Yield)
     }
@@ -409,30 +502,37 @@ impl LoadGen {
         }
     }
 
-    fn batch(&mut self) -> Vec<u8> {
-        let mut out = Vec::new();
+    /// Fills `out` with the commands that top the pipeline up.
+    fn batch(&mut self, out: &mut Vec<u8>) {
+        out.clear();
         while self.inflight < self.pipeline as u64 {
             let key = &self.keys[self.next % self.keys.len()];
             self.next += 1;
             match self.mix {
-                Mix::Set => out.extend_from_slice(&encode_command(&[b"SET", key, &self.payload])),
-                Mix::Get => out.extend_from_slice(&encode_command(&[b"GET", key])),
+                Mix::Set => put_command(out, &[b"SET", key, &self.payload]),
+                Mix::Get => put_command(out, &[b"GET", key]),
             }
             self.inflight += 1;
         }
-        out
     }
 
     fn consume(&mut self, bytes: &[u8]) -> Result<(), RedisRunError> {
         self.replies.feed(bytes);
-        while let Some(v) = self.replies.parse_value() {
-            if let RespValue::Error(e) = &v {
-                return Err(RedisRunError::Reply(e.clone()));
+        loop {
+            match self.replies.skip_reply() {
+                Ok(None) => {
+                    self.completed += 1;
+                    self.inflight = self.inflight.saturating_sub(1);
+                }
+                Ok(Some(e)) => {
+                    return Err(RedisRunError::Reply(
+                        String::from_utf8_lossy(e).into_owned(),
+                    ))
+                }
+                Err(RespError::Incomplete) => return Ok(()),
+                Err(e) => return Err(RedisRunError::server(e)),
             }
-            self.completed += 1;
-            self.inflight = self.inflight.saturating_sub(1);
         }
-        Ok(())
     }
 }
 
@@ -470,110 +570,135 @@ pub fn run_redis_traced(
     run_redis_inner(params, true).map(|(r, s, t)| (r, s, t.expect("trace requested")))
 }
 
-#[allow(clippy::type_complexity)]
-fn run_redis_inner(
-    params: &RedisParams,
-    want_trace: bool,
-) -> Result<(RedisResult, StatsSnapshot, Option<String>), RedisRunError> {
-    let image = plan(redis_image(params)).expect("redis image plans");
-    let mut os = Os::boot(image, SERVER_IP, 1).expect("redis image boots");
-    if let Some(chaos) = params.machine_chaos {
-        os.img.machine.set_chaos(ChaosPlan::new(chaos));
-    }
-    let mut exec = make_executor(params.sched, params.vcpus);
-    let mut client = Client::new(2)?;
-    let mut link = Link::new();
+/// A booted server image with its task spawned, and one external client
+/// connected to it over a link.
+struct Rig {
+    os: Os,
+    exec: Executor<Os>,
+    client: Client,
+    link: Link,
+    csid: SocketId,
+    /// Wire scratch reused across rounds: the outgoing batch, the
+    /// incoming replies.
+    tx: Vec<u8>,
+    rx: Vec<u8>,
+}
 
-    let io_buf_len = 16 * 1024u64;
-    let rx_buf = os
-        .alloc_shared_buf(io_buf_len)
-        .map_err(RedisRunError::server)?;
-    let tx_buf = os
-        .alloc_shared_buf(io_buf_len)
-        .map_err(RedisRunError::server)?;
-    let c_app = os.roles.app;
-    let listener = os
-        .listen(REDIS_PORT)
-        .map_err(|e| RedisRunError::server(format!("listen failed: {e}")))?;
+impl Rig {
+    fn boot(params: &RedisParams) -> Result<Self, RedisRunError> {
+        let image = plan(redis_image(params)).expect("redis image plans");
+        let mut os = Os::boot(image, SERVER_IP, 1).expect("redis image boots");
+        if let Some(chaos) = params.machine_chaos {
+            os.img.machine.set_chaos(ChaosPlan::new(chaos));
+        }
+        let mut exec = make_executor(params.sched, params.vcpus);
+        let mut client = Client::new(2)?;
+        let mut link = Link::new();
 
-    let server = Rc::new(RefCell::new(RedisServer {
-        store: HashMap::new(),
-        parser: RespParser::new(),
-        out_host: Vec::new(),
-        c_app,
-        rx_buf,
-        tx_buf,
-        io_buf_len,
-        ops: 0,
-        backend: backend_tag(params.model, params.backend),
-        app_vcpu: os.img.gates.ctx(c_app).vcpu.0 as u16,
-        pending_spans: VecDeque::new(),
-        staged_total: 0,
-        sent_total: 0,
-    }));
-    let server_task = Rc::clone(&server);
-    let mut sid: Option<SocketId> = None;
-    let task = move |os: &mut Os, tid| {
-        if sid.is_none() {
-            match os.accept(listener) {
-                Ok(Some(s)) => sid = Some(s),
-                Ok(None) => return Ok(Step::Yield),
-                Err(e) => {
-                    return Err(flexos_machine::Fault::HardeningAbort {
-                        mechanism: "redis",
-                        reason: format!("accept failed: {e}"),
-                    })
+        let io_buf_len = 16 * 1024u64;
+        let rx_buf = os
+            .alloc_shared_buf(io_buf_len)
+            .map_err(RedisRunError::server)?;
+        let tx_buf = os
+            .alloc_shared_buf(io_buf_len)
+            .map_err(RedisRunError::server)?;
+        let c_app = os.roles.app;
+        let listener = os
+            .listen(REDIS_PORT)
+            .map_err(|e| RedisRunError::server(format!("listen failed: {e}")))?;
+
+        let mut server = RedisServer {
+            db: Db {
+                store: HashMap::new(),
+                c_app,
+                value_buf: Vec::new(),
+            },
+            parser: RespParser::new(),
+            replies: ReplyStream::new(),
+            closing: false,
+            rx_buf,
+            tx_buf,
+            io_buf_len,
+            backend: backend_tag(params.model, params.backend),
+            app_vcpu: os.img.gates.ctx(c_app).vcpu.0 as u16,
+            rx_host: Vec::new(),
+            cmd_spans: Vec::new(),
+            sqe_spans: Vec::new(),
+        };
+        let mut sid: Option<SocketId> = None;
+        let task = move |os: &mut Os, tid| {
+            if sid.is_none() {
+                match os.accept(listener) {
+                    Ok(Some(s)) => sid = Some(s),
+                    Ok(None) => return Ok(Step::Yield),
+                    Err(e) => return Err(abort(format!("accept failed: {e}"))),
                 }
             }
+            server.service(os, tid, sid.expect("accepted"))
+        };
+        exec.spawn(c_app, Box::new(task))
+            .expect("spawn redis server");
+
+        let csid = client
+            .connect(REDIS_PORT)
+            .map_err(|e| RedisRunError::Client(ClientError::Net(e)))?;
+        for _ in 0..8 {
+            client.poll()?;
+            exchange(&mut link, &mut client, &mut os);
+            os.poll_net().map_err(RedisRunError::server)?;
+            exec.run(&mut os, 16).map_err(RedisRunError::server)?;
+            exchange(&mut link, &mut client, &mut os);
         }
-        server_task
-            .borrow_mut()
-            .service(os, tid, sid.expect("accepted"))
-    };
-    exec.spawn(c_app, Box::new(task))
-        .expect("spawn redis server");
-
-    let csid = client
-        .connect(REDIS_PORT)
-        .map_err(|e| RedisRunError::Client(ClientError::Net(e)))?;
-    for _ in 0..8 {
-        client.poll()?;
-        exchange(&mut link, &mut client, &mut os);
-        os.poll_net().map_err(RedisRunError::server)?;
-        exec.run(&mut os, 16).map_err(RedisRunError::server)?;
-        exchange(&mut link, &mut client, &mut os);
+        assert!(client.established(csid), "handshake did not complete");
+        Ok(Self {
+            os,
+            exec,
+            client,
+            link,
+            csid,
+            tx: Vec::new(),
+            rx: Vec::new(),
+        })
     }
-    assert!(client.established(csid), "handshake did not complete");
 
-    let mut load = LoadGen::new(params.payload, params.mix, params.pipeline);
-    let drive = |os: &mut Os,
-                 exec: &mut Executor<Os>,
-                 client: &mut Client,
-                 link: &mut Link,
-                 load: &mut LoadGen,
-                 target: u64|
-     -> Result<(), RedisRunError> {
+    /// One round trip: sends `self.tx` (if any), lets both sides run,
+    /// and leaves whatever the server answered in `self.rx`.
+    fn round(&mut self) -> Result<(), RedisRunError> {
+        let Self {
+            os,
+            exec,
+            client,
+            link,
+            ..
+        } = self;
+        if !self.tx.is_empty() {
+            client.send_bytes(self.csid, &self.tx)?;
+        }
+        client.poll()?;
+        exchange(link, client, os);
+        os.poll_net().map_err(RedisRunError::server)?;
+        exec.run(os, 64).map_err(RedisRunError::server)?;
+        os.poll_net().map_err(RedisRunError::server)?;
+        exchange(link, client, os);
+        client.poll()?;
+        client.recv_bytes(self.csid, 64 * 1024, &mut self.rx)?;
+        Ok(())
+    }
+
+    /// Runs `load` against the server until it has completed `target`
+    /// requests.
+    fn drive(&mut self, load: &mut LoadGen, target: u64) -> Result<(), RedisRunError> {
         let mut idle = 0u32;
         while load.completed < target {
-            let batch = load.batch();
-            if !batch.is_empty() {
-                client.send_bytes(csid, &batch)?;
-            }
-            client.poll()?;
-            exchange(link, client, os);
-            os.poll_net().map_err(RedisRunError::server)?;
-            exec.run(os, 64).map_err(RedisRunError::server)?;
-            os.poll_net().map_err(RedisRunError::server)?;
-            exchange(link, client, os);
-            client.poll()?;
-            let replies = client.recv_bytes(csid, 64 * 1024)?;
+            load.batch(&mut self.tx);
+            self.round()?;
             let before = load.completed;
-            load.consume(&replies)?;
+            load.consume(&self.rx)?;
             if load.completed == before {
                 idle += 1;
                 if idle > 200 {
-                    client.advance(30_000_000);
-                    os.img.machine.charge(30_000_000);
+                    self.client.advance(30_000_000);
+                    self.os.img.machine.charge(30_000_000);
                 }
                 assert!(idle < 5_000, "redis made no progress");
             } else {
@@ -581,40 +706,42 @@ fn run_redis_inner(
             }
         }
         Ok(())
-    };
+    }
+}
+
+#[allow(clippy::type_complexity)]
+fn run_redis_inner(
+    params: &RedisParams,
+    want_trace: bool,
+) -> Result<(RedisResult, StatsSnapshot, Option<String>), RedisRunError> {
+    let mut rig = Rig::boot(params)?;
+    let mut load = LoadGen::new(params.payload, params.mix, params.pipeline);
 
     // Preload phase (GET mixes need populated keys); not measured.
     if params.mix == Mix::Get {
         let mut preload = LoadGen::new(params.payload, Mix::Set, 16);
-        drive(&mut os, &mut exec, &mut client, &mut link, &mut preload, 16)?;
+        rig.drive(&mut preload, 16)?;
     }
 
     // Measured phase. A live migration, if requested, splits it in
     // two: drive to the trigger point, run the quiescence protocol and
     // swap every pair, then finish on the new backend.
-    let start_cycles = os.img.machine.clock().cycles();
-    let start_crossings = os.img.gates.stats().crossings;
+    let start_cycles = rig.os.img.machine.clock().cycles();
+    let start_crossings = rig.os.img.gates.stats().crossings;
     if let Some((after, to)) = params.migrate_to {
-        let mid = after.min(params.ops);
-        drive(&mut os, &mut exec, &mut client, &mut link, &mut load, mid)?;
+        rig.drive(&mut load, after.min(params.ops))?;
+        let img = &mut rig.os.img;
         let (_, deferred) =
-            flexos_backends::migrate_all(&mut os.img, to, flexos::gate::MigrationReason::Manual)
+            flexos_backends::migrate_all(img, to, flexos::gate::MigrationReason::Manual)
                 .map_err(RedisRunError::server)?;
         if deferred > 0 {
-            os.img
-                .gates
-                .poll_migrations(&mut os.img.machine)
+            img.gates
+                .poll_migrations(&mut img.machine)
                 .map_err(RedisRunError::server)?;
         }
     }
-    drive(
-        &mut os,
-        &mut exec,
-        &mut client,
-        &mut link,
-        &mut load,
-        params.ops,
-    )?;
+    rig.drive(&mut load, params.ops)?;
+    let os = &rig.os;
     let cycles = os.img.machine.clock().cycles() - start_cycles;
     let ops = load.completed;
     let result = RedisResult {
@@ -624,7 +751,7 @@ fn run_redis_inner(
         crossings: os.img.gates.stats().crossings - start_crossings,
     };
     let trace = want_trace.then(|| os.trace_json());
-    Ok((result, os.stats_snapshot(Some(&exec)), trace))
+    Ok((result, os.stats_snapshot(Some(&rig.exec)), trace))
 }
 
 #[cfg(test)]
@@ -658,6 +785,40 @@ mod tests {
             "expected a server-side gate failure, got: {err}"
         );
         assert!(err.to_string().contains("timed out"), "{err}");
+    }
+
+    /// Sends `wire` as it is and collects what the server answers;
+    /// also reports whether the server then closed the connection.
+    fn raw_exchange(wire: &[u8]) -> (Vec<u8>, bool) {
+        let mut rig = Rig::boot(&RedisParams::default()).expect("rig boots");
+        rig.tx.extend_from_slice(wire);
+        let mut answer = Vec::new();
+        for _ in 0..8 {
+            rig.round().expect("server survives");
+            rig.tx.clear();
+            answer.extend_from_slice(&rig.rx);
+        }
+        let c = &mut rig.client;
+        let eof = c.net.tcp_recv(&mut c.m, c.vcpu, rig.csid, c.buf, 16);
+        (answer, eof == Ok(0))
+    }
+
+    #[test]
+    fn input_that_is_not_resp_is_answered_and_the_connection_closed() {
+        let closed = (resp::PROTOCOL_ERROR.to_vec(), true);
+        // Used to read as "incomplete" forever: the buffer grew without
+        // bound and the run died in "redis made no progress".
+        assert_eq!(raw_exchange(b"hello\r\n*1\r\n$4\r\nPING\r\n"), closed);
+        // Used to panic the server with "capacity overflow".
+        assert_eq!(raw_exchange(b"*9223372036854775807\r\n"), closed);
+        // What precedes the damage is still served.
+        let (answer, eof) = raw_exchange(b"*1\r\n$4\r\nping\r\n$3\r\nabcXY");
+        assert_eq!(answer, b"+PONG\r\n-ERR protocol error\r\n");
+        assert!(eof);
+        // A well-formed value that is no command keeps the connection.
+        let (answer, eof) = raw_exchange(b"+OK\r\n*1\r\n$4\r\nPING\r\n");
+        assert_eq!(answer, b"-ERR protocol error\r\n+PONG\r\n");
+        assert!(!eof);
     }
 
     #[test]

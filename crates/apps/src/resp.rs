@@ -4,8 +4,44 @@
 //! command arrays of bulk strings in, simple strings / errors / integers
 //! / bulk strings out — with an incremental parser that tolerates
 //! partial input (TCP delivers byte streams, not messages).
+//!
+//! There is one codec. The request path of the servers and load
+//! generators uses it without allocating: replies and commands are
+//! appended to a caller's buffer ([`put_bulk`], [`put_command`], …),
+//! commands are read as a borrowed [`Command`] view into the parser's
+//! buffer ([`RespParser::next_command`]) and replies are skipped in
+//! place ([`RespParser::skip_reply`]). The owning API ([`RespValue`],
+//! [`encode`], [`encode_command`], [`RespParser::parse_value`],
+//! [`RespParser::parse_command`]) is a thin layer over the same
+//! tokenizer, kept for tests and tools.
 
 use std::fmt;
+use std::ops::Range;
+
+/// Largest bulk string accepted (Redis' `proto-max-bulk-len`).
+pub const MAX_BULK_LEN: usize = 512 * 1024 * 1024;
+
+/// Largest array arity accepted (Redis caps a multibulk at 1 Mi items).
+pub const MAX_ARRAY_LEN: usize = 1024 * 1024;
+
+/// Longest header or simple-string line accepted (Redis' inline limit).
+pub const MAX_LINE_LEN: usize = 64 * 1024;
+
+/// Deepest array nesting accepted.
+pub const MAX_DEPTH: usize = 32;
+
+/// `+OK\r\n`
+pub const OK: &[u8] = b"+OK\r\n";
+
+/// `+PONG\r\n`
+pub const PONG: &[u8] = b"+PONG\r\n";
+
+/// The nil bulk string, `$-1\r\n`.
+pub const NIL: &[u8] = b"$-1\r\n";
+
+/// What both servers answer before closing a connection whose input is
+/// not RESP.
+pub const PROTOCOL_ERROR: &[u8] = b"-ERR protocol error\r\n";
 
 /// A RESP reply value.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -35,14 +71,66 @@ impl fmt::Display for RespValue {
     }
 }
 
-/// Encodes a reply value to wire bytes.
-pub fn encode(v: &RespValue) -> Vec<u8> {
-    let mut out = Vec::new();
-    encode_into(v, &mut out);
-    out
+// --- encoding --------------------------------------------------------------------
+
+/// Appends `tag`, the decimal digits of `n` and `\r\n`, formatting on
+/// the stack.
+fn put_header(out: &mut Vec<u8>, tag: u8, n: i64) {
+    // tag + '-' + the 19 digits of i64::MIN + "\r\n"
+    let mut line = [0u8; 24];
+    let mut at = line.len() - 2;
+    line[at..].copy_from_slice(b"\r\n");
+    let mut rest = n.unsigned_abs();
+    loop {
+        at -= 1;
+        line[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    if n < 0 {
+        at -= 1;
+        line[at] = b'-';
+    }
+    at -= 1;
+    line[at] = tag;
+    out.extend_from_slice(&line[at..]);
 }
 
-fn encode_into(v: &RespValue, out: &mut Vec<u8>) {
+/// Appends the integer reply `:n\r\n`.
+pub fn put_integer(out: &mut Vec<u8>, n: i64) {
+    put_header(out, b':', n);
+}
+
+/// Appends the bulk string `$len\r\nbytes\r\n`.
+pub fn put_bulk(out: &mut Vec<u8>, bytes: &[u8]) {
+    // One growth step at most, for header, payload and trailer together.
+    out.reserve(bytes.len() + 24);
+    put_header(out, b'$', bytes.len() as i64);
+    out.extend_from_slice(bytes);
+    out.extend_from_slice(b"\r\n");
+}
+
+/// Appends the error reply `-ERR <msg>\r\n`, formatting `msg` straight
+/// into `out`.
+pub fn put_error(out: &mut Vec<u8>, msg: fmt::Arguments<'_>) {
+    use std::io::Write;
+    out.extend_from_slice(b"-ERR ");
+    out.write_fmt(msg).expect("writing to a Vec cannot fail");
+    out.extend_from_slice(b"\r\n");
+}
+
+/// Appends a client command (array of bulk strings).
+pub fn put_command(out: &mut Vec<u8>, args: &[&[u8]]) {
+    put_header(out, b'*', args.len() as i64);
+    for arg in args {
+        put_bulk(out, arg);
+    }
+}
+
+/// Appends the wire form of `v`.
+pub fn encode_into(v: &RespValue, out: &mut Vec<u8>) {
     match v {
         RespValue::Simple(s) => {
             out.push(b'+');
@@ -54,23 +142,11 @@ fn encode_into(v: &RespValue, out: &mut Vec<u8>) {
             out.extend_from_slice(e.as_bytes());
             out.extend_from_slice(b"\r\n");
         }
-        RespValue::Integer(i) => {
-            out.push(b':');
-            out.extend_from_slice(i.to_string().as_bytes());
-            out.extend_from_slice(b"\r\n");
-        }
-        RespValue::Bulk(Some(b)) => {
-            out.push(b'$');
-            out.extend_from_slice(b.len().to_string().as_bytes());
-            out.extend_from_slice(b"\r\n");
-            out.extend_from_slice(b);
-            out.extend_from_slice(b"\r\n");
-        }
-        RespValue::Bulk(None) => out.extend_from_slice(b"$-1\r\n"),
+        RespValue::Integer(i) => put_integer(out, *i),
+        RespValue::Bulk(Some(b)) => put_bulk(out, b),
+        RespValue::Bulk(None) => out.extend_from_slice(NIL),
         RespValue::Array(items) => {
-            out.push(b'*');
-            out.extend_from_slice(items.len().to_string().as_bytes());
-            out.extend_from_slice(b"\r\n");
+            put_header(out, b'*', items.len() as i64);
             for item in items {
                 encode_into(item, out);
             }
@@ -78,19 +154,287 @@ fn encode_into(v: &RespValue, out: &mut Vec<u8>) {
     }
 }
 
+/// Encodes a reply value to wire bytes.
+pub fn encode(v: &RespValue) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_into(v, &mut out);
+    out
+}
+
 /// Encodes a client command (array of bulk strings).
 pub fn encode_command(args: &[&[u8]]) -> Vec<u8> {
-    let items: Vec<RespValue> = args
-        .iter()
-        .map(|a| RespValue::Bulk(Some(a.to_vec())))
-        .collect();
-    encode(&RespValue::Array(items))
+    let mut out = Vec::new();
+    put_command(&mut out, args);
+    out
+}
+
+// --- decoding --------------------------------------------------------------------
+
+/// Why input is not RESP.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Malformed {
+    /// A value starts with a byte that is none of `+ - : $ *`.
+    Tag(u8),
+    /// A length, count or integer line is not a decimal `i64`.
+    Number,
+    /// A simple string or error line is not UTF-8.
+    Utf8,
+    /// A bulk longer than [`MAX_BULK_LEN`], an array longer than
+    /// [`MAX_ARRAY_LEN`] or a line longer than [`MAX_LINE_LEN`].
+    TooLong,
+    /// Arrays nested deeper than [`MAX_DEPTH`].
+    TooDeep,
+    /// A bulk string's payload is not followed by `\r\n`.
+    Trailer,
+}
+
+/// Why the parser did not produce a value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RespError {
+    /// The buffered bytes are a proper prefix of a value: feed more.
+    Incomplete,
+    /// The buffered bytes can never become a value. Nothing is consumed;
+    /// the connection is beyond resynchronisation.
+    Malformed {
+        /// Offset of the offending token from the first unconsumed byte.
+        at: usize,
+        /// What is wrong with it.
+        kind: Malformed,
+    },
+}
+
+impl fmt::Display for RespError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RespError::Incomplete => write!(f, "incomplete RESP value"),
+            RespError::Malformed { at, kind } => {
+                write!(f, "malformed RESP at byte {at}: {kind:?}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for RespError {}
+
+/// One RESP token: a whole scalar, or the header of an array. Text and
+/// payload are ranges into the tokenized buffer.
+enum Token {
+    Simple(Range<usize>),
+    Error(Range<usize>),
+    Integer(i64),
+    Bulk(Option<Range<usize>>),
+    Array(usize),
+}
+
+/// Index of the first `\r` at or after `from` that a `\n` follows.
+fn find_crlf(buf: &[u8], from: usize) -> Option<usize> {
+    let mut at = from;
+    loop {
+        let cr = at + buf.get(at..)?.iter().position(|&b| b == b'\r')?;
+        match buf.get(cr + 1) {
+            Some(b'\n') => return Some(cr),
+            Some(_) => at = cr + 1,
+            None => return None,
+        }
+    }
+}
+
+/// Reads the token at `from`; returns it with the offset just past it
+/// (for an array: past its header line). The one place input is
+/// validated — every parser entry point below is built on it.
+fn token(buf: &[u8], from: usize) -> Result<(Token, usize), RespError> {
+    let malformed = |kind| Err(RespError::Malformed { at: from, kind });
+    let Some(&tag) = buf.get(from) else {
+        return Err(RespError::Incomplete);
+    };
+    if !matches!(tag, b'+' | b'-' | b':' | b'$' | b'*') {
+        return malformed(Malformed::Tag(tag));
+    }
+    let cr = match find_crlf(buf, from + 1) {
+        Some(cr) if cr - from <= MAX_LINE_LEN => cr,
+        None if buf.len() - from <= MAX_LINE_LEN => return Err(RespError::Incomplete),
+        _ => return malformed(Malformed::TooLong),
+    };
+    let (line, after) = (from + 1..cr, cr + 2);
+    let Ok(text) = std::str::from_utf8(&buf[line.clone()]) else {
+        return malformed(match tag {
+            b'+' | b'-' => Malformed::Utf8,
+            _ => Malformed::Number,
+        });
+    };
+    match tag {
+        b'+' => return Ok((Token::Simple(line), after)),
+        b'-' => return Ok((Token::Error(line), after)),
+        _ => {}
+    }
+    let Ok(n) = text.parse::<i64>() else {
+        return malformed(Malformed::Number);
+    };
+    let token = match (tag, usize::try_from(n)) {
+        (b':', _) => Token::Integer(n),
+        // Negative lengths are the nil bulk and the nil array (which the
+        // owning API has always read as the empty array).
+        (b'$', Err(_)) => Token::Bulk(None),
+        (b'*', Err(_)) => Token::Array(0),
+        (b'$', Ok(len)) if len <= MAX_BULK_LEN => {
+            let end = after + len;
+            return match buf.get(end..end + 2) {
+                None => Err(RespError::Incomplete),
+                Some(b"\r\n") => Ok((Token::Bulk(Some(after..end)), end + 2)),
+                Some(_) => malformed(Malformed::Trailer),
+            };
+        }
+        (b'*', Ok(len)) if len <= MAX_ARRAY_LEN => Token::Array(len),
+        _ => return malformed(Malformed::TooLong),
+    };
+    Ok((token, after))
+}
+
+/// Walks the whole value at the start of `buf` — iteratively, so hostile
+/// nesting cannot exhaust the stack — calling `visit(depth, &token)` for
+/// each token, and returns the value's length.
+fn walk(buf: &[u8], mut visit: impl FnMut(usize, &Token)) -> Result<usize, RespError> {
+    // Elements still owed to each open array.
+    let mut open = [0usize; MAX_DEPTH];
+    let mut depth = 0;
+    let mut cur = 0;
+    loop {
+        let (tok, after) = token(buf, cur)?;
+        visit(depth, &tok);
+        match tok {
+            Token::Array(n) if n > 0 => {
+                if depth == MAX_DEPTH {
+                    return Err(RespError::Malformed {
+                        at: cur,
+                        kind: Malformed::TooDeep,
+                    });
+                }
+                open[depth] = n;
+                depth += 1;
+            }
+            // A value ended: close every array it completes.
+            _ => loop {
+                if depth == 0 {
+                    return Ok(after);
+                }
+                open[depth - 1] -= 1;
+                if open[depth - 1] > 0 {
+                    break;
+                }
+                depth -= 1;
+            },
+        }
+        cur = after;
+    }
+}
+
+/// Walks the value at the start of `buf` as a client command — a
+/// top-level array whose every element is a non-nil bulk — handing each
+/// such element to `arg`; returns the value's length and whether it was
+/// a command.
+fn walk_command(
+    buf: &[u8],
+    mut arg: impl FnMut(&Range<usize>),
+) -> Result<(usize, bool), RespError> {
+    let mut is_command = true;
+    let len = walk(buf, |depth, tok| match (depth, tok) {
+        (0, Token::Array(_)) => {}
+        (1, Token::Bulk(Some(r))) => arg(r),
+        _ => is_command = false,
+    })?;
+    Ok((len, is_command))
+}
+
+/// Builds the owning tree of a value [`walk`] has accepted (so arity is
+/// backed by bytes in the buffer and nesting is bounded).
+fn build(buf: &[u8], from: usize) -> Result<(RespValue, usize), RespError> {
+    let text = |r: Range<usize>| String::from_utf8_lossy(&buf[r]).into_owned();
+    let (tok, mut cur) = token(buf, from)?;
+    let value = match tok {
+        Token::Simple(r) => RespValue::Simple(text(r)),
+        Token::Error(r) => RespValue::Error(text(r)),
+        Token::Integer(n) => RespValue::Integer(n),
+        Token::Bulk(r) => RespValue::Bulk(r.map(|r| buf[r].to_vec())),
+        Token::Array(n) => {
+            let mut items = Vec::with_capacity(n);
+            for _ in 0..n {
+                let (item, next) = build(buf, cur)?;
+                items.push(item);
+                cur = next;
+            }
+            RespValue::Array(items)
+        }
+    };
+    Ok((value, cur))
+}
+
+/// A client command borrowed from the buffer it was parsed out of: the
+/// arguments of an array of bulk strings. Anything else a client may
+/// send as one well-formed value (a scalar, an array holding a non-bulk
+/// or nil element) reads as the empty command.
+#[derive(Debug, Clone, Copy)]
+pub struct Command<'a> {
+    buf: &'a [u8],
+    args: &'a [Range<usize>],
+}
+
+impl<'a> Command<'a> {
+    /// A command whose `args` are ranges into `buf`.
+    pub fn new(buf: &'a [u8], args: &'a [Range<usize>]) -> Self {
+        Self { buf, args }
+    }
+
+    /// Number of arguments, the verb included.
+    pub fn len(&self) -> usize {
+        self.args.len()
+    }
+
+    /// Whether this is the empty command.
+    pub fn is_empty(&self) -> bool {
+        self.args.is_empty()
+    }
+
+    /// Argument `i` (0 is the verb).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.len()`.
+    pub fn arg(&self, i: usize) -> &'a [u8] {
+        &self.buf[self.args[i].clone()]
+    }
+
+    /// The arguments in order.
+    pub fn args(&self) -> impl Iterator<Item = &'a [u8]> + '_ {
+        self.args.iter().map(|r| &self.buf[r.clone()])
+    }
+
+    /// The verb upper-cased into `scratch` — or the empty slice when
+    /// there is no verb or it is longer than any command the servers
+    /// know, so that it matches none.
+    pub fn verb<'s>(&self, scratch: &'s mut [u8; 8]) -> &'s [u8] {
+        match self.args.first().map(|r| &self.buf[r.clone()]) {
+            Some(verb) if verb.len() <= scratch.len() => {
+                let upper = &mut scratch[..verb.len()];
+                upper.copy_from_slice(verb);
+                upper.make_ascii_uppercase();
+                upper
+            }
+            _ => &[],
+        }
+    }
+
+    /// The verb as the servers name it in `unknown command` errors.
+    pub fn verb_lossy(&self) -> String {
+        let verb = self.args.first().map_or(&[][..], |r| &self.buf[r.clone()]);
+        String::from_utf8_lossy(&verb.to_ascii_uppercase()).into_owned()
+    }
 }
 
 /// An incremental RESP parser over a growing byte buffer.
 #[derive(Debug, Default)]
 pub struct RespParser {
     buf: Vec<u8>,
+    /// Consumed prefix of `buf`.
     pos: usize,
 }
 
@@ -100,8 +444,19 @@ impl RespParser {
         Self::default()
     }
 
-    /// Appends newly received bytes.
+    /// Appends newly received bytes. Consumed bytes are reclaimed here,
+    /// and only when that is free (nothing pending) or pays for itself
+    /// (the dead prefix is the larger part), so a pipeline of n values
+    /// costs O(n) moves, not O(n²).
     pub fn feed(&mut self, bytes: &[u8]) {
+        if self.pos == self.buf.len() {
+            self.buf.clear();
+            self.pos = 0;
+        } else if self.pos > self.buf.len() / 2 {
+            self.buf.copy_within(self.pos.., 0);
+            self.buf.truncate(self.buf.len() - self.pos);
+            self.pos = 0;
+        }
         self.buf.extend_from_slice(bytes);
     }
 
@@ -110,91 +465,79 @@ impl RespParser {
         self.buf.len() - self.pos
     }
 
-    fn compact(&mut self) {
-        if self.pos > 0 {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
+    /// Consumes one client command, its arguments borrowed from the
+    /// parser's buffer through `spans` (caller-owned scratch, so that a
+    /// parser per connection stays two words).
+    ///
+    /// # Errors
+    ///
+    /// [`RespError::Incomplete`] until a whole value is buffered,
+    /// [`RespError::Malformed`] when one never will be.
+    pub fn next_command<'a>(
+        &'a mut self,
+        spans: &'a mut Vec<Range<usize>>,
+    ) -> Result<Command<'a>, RespError> {
+        spans.clear();
+        let unconsumed = &self.buf[self.pos..];
+        let (len, is_command) = walk_command(unconsumed, |arg| spans.push(arg.clone()))?;
+        if !is_command {
+            spans.clear();
         }
+        self.pos += len;
+        Ok(Command::new(unconsumed, spans))
     }
 
-    fn line(&self, from: usize) -> Option<(&[u8], usize)> {
-        let rest = &self.buf[from..];
-        let nl = rest.windows(2).position(|w| w == b"\r\n")?;
-        Some((&rest[..nl], from + nl + 2))
-    }
-
-    fn parse_value_at(&self, from: usize) -> Option<(RespValue, usize)> {
-        let (line, after) = self.line(from)?;
-        let (tag, body) = line.split_first()?;
-        let text = std::str::from_utf8(body).ok()?;
-        match tag {
-            b'+' => Some((RespValue::Simple(text.to_string()), after)),
-            b'-' => Some((RespValue::Error(text.to_string()), after)),
-            b':' => Some((RespValue::Integer(text.parse().ok()?), after)),
-            b'$' => {
-                let n: i64 = text.parse().ok()?;
-                if n < 0 {
-                    return Some((RespValue::Bulk(None), after));
-                }
-                let n = n as usize;
-                if self.buf.len() < after + n + 2 {
-                    return None; // partial
-                }
-                if &self.buf[after + n..after + n + 2] != b"\r\n" {
-                    return None;
-                }
-                Some((
-                    RespValue::Bulk(Some(self.buf[after..after + n].to_vec())),
-                    after + n + 2,
-                ))
+    /// Consumes one reply without materialising it; returns the text of
+    /// a top-level `-ERR ...` reply, `None` for any other reply.
+    ///
+    /// # Errors
+    ///
+    /// As [`RespParser::next_command`].
+    pub fn skip_reply(&mut self) -> Result<Option<&[u8]>, RespError> {
+        let unconsumed = &self.buf[self.pos..];
+        let mut error = None;
+        let len = walk(unconsumed, |depth, tok| {
+            if let (0, Token::Error(r)) = (depth, tok) {
+                error = Some(r.clone());
             }
-            b'*' => {
-                let n: i64 = text.parse().ok()?;
-                if n < 0 {
-                    return Some((RespValue::Array(Vec::new()), after));
-                }
-                let mut items = Vec::with_capacity(n as usize);
-                let mut cursor = after;
-                for _ in 0..n {
-                    let (item, next) = self.parse_value_at(cursor)?;
-                    items.push(item);
-                    cursor = next;
-                }
-                Some((RespValue::Array(items), cursor))
-            }
-            _ => None,
-        }
+        })?;
+        self.pos += len;
+        Ok(error.map(|r| &unconsumed[r]))
     }
 
-    /// Parses one complete value, if buffered.
+    /// Consumes one value into an owning tree.
+    ///
+    /// # Errors
+    ///
+    /// As [`RespParser::next_command`].
+    pub fn next_value(&mut self) -> Result<RespValue, RespError> {
+        let unconsumed = &self.buf[self.pos..];
+        walk(unconsumed, |_, _| {})?;
+        let (value, len) = build(unconsumed, 0)?;
+        self.pos += len;
+        Ok(value)
+    }
+
+    /// Parses one complete value, if buffered (`None` also for input
+    /// that is not RESP; [`RespParser::next_value`] tells the two apart).
     pub fn parse_value(&mut self) -> Option<RespValue> {
-        let (v, next) = self.parse_value_at(self.pos)?;
-        self.pos = next;
-        self.compact();
-        Some(v)
+        self.next_value().ok()
     }
 
     /// Parses one complete client *command* (array of bulk strings) into
-    /// its argument list.
+    /// its argument list; the empty list for any other value.
     pub fn parse_command(&mut self) -> Option<Vec<Vec<u8>>> {
-        let start = self.pos;
-        match self.parse_value()? {
-            RespValue::Array(items) => {
-                let mut args = Vec::with_capacity(items.len());
-                for item in items {
-                    match item {
-                        RespValue::Bulk(Some(b)) => args.push(b),
-                        _ => {
-                            // Malformed command: rewind and drop the value.
-                            let _ = start;
-                            return Some(Vec::new());
-                        }
-                    }
-                }
-                Some(args)
-            }
-            _ => Some(Vec::new()),
+        let unconsumed = &self.buf[self.pos..];
+        let mut args = Vec::new();
+        let (len, is_command) = walk_command(unconsumed, |arg| {
+            args.push(unconsumed[arg.clone()].to_vec())
+        })
+        .ok()?;
+        if !is_command {
+            args.clear();
         }
+        self.pos += len;
+        Some(args)
     }
 }
 
@@ -208,6 +551,7 @@ mod tests {
             RespValue::Simple("OK".into()),
             RespValue::Error("ERR no such key".into()),
             RespValue::Integer(-42),
+            RespValue::Integer(i64::MIN),
             RespValue::Bulk(Some(b"hello\r\nworld".to_vec())),
             RespValue::Bulk(None),
             RespValue::Array(vec![
@@ -274,5 +618,58 @@ mod tests {
         let mut p = RespParser::new();
         p.feed(b"$-1\r\n");
         assert_eq!(p.parse_value().unwrap(), RespValue::Bulk(None));
+    }
+
+    #[test]
+    fn borrowed_command_reads_out_of_the_parser_buffer() {
+        let mut p = RespParser::new();
+        let mut spans = Vec::new();
+        p.feed(b"*2\r\n$3\r\nget\r\n$3\r\nkey\r\n+OK\r\n*2\r\n$1\r\nx\r\n:1\r\n");
+        let cmd = p.next_command(&mut spans).unwrap();
+        assert_eq!(cmd.len(), 2);
+        assert_eq!(cmd.verb(&mut [0; 8]), b"GET");
+        assert_eq!(cmd.arg(1), b"key");
+        // A scalar, then an array with a non-bulk element: both are
+        // consumed whole and read as the empty command.
+        assert!(p.next_command(&mut spans).unwrap().is_empty());
+        assert!(p.next_command(&mut spans).unwrap().is_empty());
+        assert_eq!(p.pending(), 0);
+        assert_eq!(
+            p.next_command(&mut spans).err(),
+            Some(RespError::Incomplete)
+        );
+    }
+
+    #[test]
+    fn skip_reply_surfaces_only_top_level_errors() {
+        let mut p = RespParser::new();
+        p.feed(b"$3\r\nabc\r\n*2\r\n-ERR inner\r\n:7\r\n-ERR outer\r\n$-1\r\n");
+        assert_eq!(p.skip_reply(), Ok(None));
+        assert_eq!(p.skip_reply(), Ok(None));
+        assert_eq!(p.skip_reply(), Ok(Some(&b"ERR outer"[..])));
+        assert_eq!(p.skip_reply(), Ok(None));
+        assert_eq!(p.skip_reply(), Err(RespError::Incomplete));
+    }
+
+    #[test]
+    fn consumed_prefix_is_reclaimed_on_feed() {
+        let get = encode_command(&[b"GET", b"key:0001"]);
+        let half = get.len() / 2;
+        let rotated = [&get[half..], &get[..half]].concat();
+        let mut p = RespParser::new();
+        let mut spans = Vec::new();
+        // Half a command is always pending at feed time, so the buffer is
+        // never empty there: only the shift can bound it.
+        p.feed(&get[..half]);
+        for _ in 0..1000 {
+            p.feed(&rotated);
+            assert_eq!(p.next_command(&mut spans).unwrap().len(), 2);
+            assert_eq!(p.pending(), half);
+            assert!(
+                p.buf.len() <= 2 * get.len(),
+                "buffer grew to {}",
+                p.buf.len()
+            );
+        }
     }
 }

@@ -42,8 +42,10 @@
 use crate::client::SERVER_IP;
 use crate::os::Os;
 use crate::profiles::{backend_tag, evaluation_image, lib_app, CompartmentModel, SchedKind};
-use crate::redis::Mix;
-use crate::resp::{encode, encode_command, RespParser, RespValue};
+use crate::redis::{Flushed, Mix, ReplyStream};
+use crate::resp::{
+    self, put_bulk, put_command, put_error, put_integer, Command, RespError, RespParser,
+};
 use flexos::build::{plan, BackendChoice, ImageConfig};
 use flexos::gate::{CompartmentId, Sqe};
 use flexos_backends::BootOptions;
@@ -59,6 +61,7 @@ use flexos_net::Interest;
 use flexos_trace::{SpanId, SpanKind, StatsSnapshot};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
+use std::ops::Range;
 
 /// The proxy's listening port.
 pub const SERVE_PORT: u16 = 7379;
@@ -213,6 +216,18 @@ fn fnv1a(key: &[u8]) -> u64 {
     h
 }
 
+/// Key `k` of the load generator's keyspace, `key:0000` … `key:1023`.
+fn key_name(k: usize) -> [u8; 8] {
+    debug_assert!(k < KEYSPACE);
+    let mut key = *b"key:0000";
+    let mut rest = k;
+    for digit in key[4..].iter_mut().rev() {
+        *digit = b'0' + (rest % 10) as u8;
+        rest /= 10;
+    }
+    key
+}
+
 /// Builds the image config: the evaluation image for the proxy, plus
 /// one `shardK` application micro-library per shard. Under the
 /// multi-compartment models each shard gets its own protection domain
@@ -243,11 +258,16 @@ pub fn serve_image(params: &ServeParams) -> ImageConfig {
 struct ShardOp {
     span: SpanId,
     shard: usize,
-    args: Vec<Vec<u8>>,
+    /// Its arguments, as a range of `ServeWorld::arg_spans`.
+    args: Range<usize>,
+    /// Its reply, as a range of `ServeWorld::reply_bytes` (empty until
+    /// the shard has answered).
+    reply: Range<usize>,
 }
 
 /// The context every [`ConnTask`] steps with: the OS image plus the
-/// shard stores and the scratch the fan-out path reuses.
+/// shard stores and the scratch the fan-out path reuses — one set for
+/// the world, not one per connection.
 struct ServeWorld {
     os: Os,
     /// Per-shard key-value stores (host-side; the simulated cost of an
@@ -262,62 +282,66 @@ struct ServeWorld {
     io_buf_len: u64,
     backend: &'static str,
     app_vcpu: u16,
-    /// Fan-out scratch: parsed ops of the burst being served.
+    /// Fan-out scratch: the ops of the burst being served, and the
+    /// arenas their arguments and replies live in while it is.
     ops_scratch: Vec<ShardOp>,
-    /// Fan-out scratch: replies indexed by op, reassembled in order.
-    replies: Vec<Option<RespValue>>,
+    arg_bytes: Vec<u8>,
+    arg_spans: Vec<Range<usize>>,
+    reply_bytes: Vec<u8>,
+    /// Parse scratch: argument spans of the command being routed.
+    cmd_spans: Vec<Range<usize>>,
+    /// Flush scratch: span tags of a send batch.
+    sqe_spans: Vec<SpanId>,
     /// Host copy scratch for recv.
     host_buf: Vec<u8>,
     /// Fatal task errors (drained by the driver after each round).
     errors: Vec<String>,
 }
 
-/// Executes one command inside shard compartment code: the simulated
-/// cost (dispatch + value copy) is charged on `m` while the host-side
-/// store does the bookkeeping.
+/// Executes one command inside shard compartment code, appending its
+/// reply to `out`: the simulated cost (dispatch + value copy) is charged
+/// on `m` while the host-side store does the bookkeeping. Returns
+/// whether the reply is anything but an error.
 fn exec_shard_cmd(
     m: &mut Machine,
     store: &mut HashMap<Vec<u8>, Vec<u8>>,
-    args: &[Vec<u8>],
-) -> RespValue {
+    cmd: &Command<'_>,
+    out: &mut Vec<u8>,
+) -> bool {
     let dispatch = m.costs().app_request;
     m.charge(dispatch);
-    let cmd = args
-        .first()
-        .map(|c| c.to_ascii_uppercase())
-        .unwrap_or_default();
-    match (cmd.as_slice(), args.len()) {
-        (b"PING", 1) => RespValue::Simple("PONG".into()),
+    match (cmd.verb(&mut [0; 8]), cmd.len()) {
+        (b"PING", 1) => out.extend_from_slice(resp::PONG),
         (b"SET", 3) => {
-            let cost = m.costs().copy_cost(args[2].len() as u64);
+            let (key, value) = (cmd.arg(1), cmd.arg(2));
+            let cost = m.costs().copy_cost(value.len() as u64);
             m.charge(cost);
-            store.insert(args[1].clone(), args[2].clone());
-            RespValue::Simple("OK".into())
+            match store.get_mut(key) {
+                Some(slot) => {
+                    slot.clear();
+                    slot.extend_from_slice(value);
+                }
+                None => {
+                    store.insert(key.to_vec(), value.to_vec());
+                }
+            }
+            out.extend_from_slice(resp::OK);
         }
-        (b"GET", 2) => match store.get(&args[1]) {
+        (b"GET", 2) => match store.get(cmd.arg(1)) {
             Some(v) => {
                 let cost = m.costs().copy_cost(v.len() as u64);
                 m.charge(cost);
-                RespValue::Bulk(Some(v.clone()))
+                put_bulk(out, v);
             }
-            None => RespValue::Bulk(None),
+            None => out.extend_from_slice(resp::NIL),
         },
-        (b"DEL", 2) => RespValue::Integer(i64::from(store.remove(&args[1]).is_some())),
-        _ => RespValue::Error(format!(
-            "ERR unknown command '{}'",
-            String::from_utf8_lossy(&cmd)
-        )),
+        (b"DEL", 2) => put_integer(out, i64::from(store.remove(cmd.arg(1)).is_some())),
+        _ => {
+            put_error(out, format_args!("unknown command '{}'", cmd.verb_lossy()));
+            return false;
+        }
     }
-}
-
-/// What a flush attempt left behind.
-enum FlushState {
-    /// Everything staged went out.
-    Clean,
-    /// The transmit buffer filled; park until WRITE readiness.
-    Parked,
-    /// The peer is gone.
-    Closed,
+    true
 }
 
 /// The per-connection cooperative task: drain requests, fan out to
@@ -326,15 +350,13 @@ enum FlushState {
 struct ConnTask {
     sid: SocketId,
     parser: RespParser,
-    out_host: Vec<u8>,
-    /// Open request spans with the staged-output offset at which each
-    /// reply will have fully left the server.
-    pending_spans: VecDeque<(SpanId, u64)>,
-    staged_total: u64,
-    sent_total: u64,
+    replies: ReplyStream,
     /// WRITE interest is armed (restored to READ-only once drained, so
     /// an idle writable socket does not wake the task forever).
     write_armed: bool,
+    /// The client sent something that is not RESP: the error reply is
+    /// staged, the connection closes once it has left.
+    closing: bool,
 }
 
 impl ConnTask {
@@ -342,64 +364,10 @@ impl ConnTask {
         Self {
             sid,
             parser: RespParser::new(),
-            out_host: Vec::new(),
-            pending_spans: VecDeque::new(),
-            staged_total: 0,
-            sent_total: 0,
+            replies: ReplyStream::new(),
             write_armed: false,
+            closing: false,
         }
-    }
-
-    /// Flushes `out_host` as batched spanned sends (the redis service
-    /// idiom: each request span ends when the cumulative sent count
-    /// covers its staged offset).
-    fn flush(&mut self, w: &mut ServeWorld) -> Result<FlushState, String> {
-        while !self.out_host.is_empty() {
-            let n = (self.out_host.len() as u64).min(w.io_buf_len);
-            w.os.img
-                .write(w.tx_buf, &self.out_host[..n as usize])
-                .map_err(|f| f.to_string())?;
-            let max = (self.out_host.len() as u64).div_ceil(w.io_buf_len).max(1) as usize;
-            let (tx_buf, io_buf_len) = (w.tx_buf, w.io_buf_len);
-            let app_vcpu = w.app_vcpu;
-            let sqe_spans: Vec<SpanId> = self
-                .pending_spans
-                .iter()
-                .take(max)
-                .map(|&(span, _)| span)
-                .collect();
-            let out_host = &mut self.out_host;
-            let pending_spans = &mut self.pending_spans;
-            let sent_total = &mut self.sent_total;
-            let results =
-                w.os.send_batch_spanned(self.sid, tx_buf, n, max, &sqe_spans, |m, rt, r| {
-                    let Ok(sent) = r else { return Ok(None) };
-                    out_host.drain(..*sent as usize);
-                    *sent_total += sent;
-                    let now = m.clock().cycles();
-                    while pending_spans
-                        .front()
-                        .is_some_and(|&(_, end)| end <= *sent_total)
-                    {
-                        let (span, _) = pending_spans.pop_front().expect("front checked");
-                        m.span_trace_mut().end_request(span, app_vcpu, now);
-                    }
-                    if out_host.is_empty() {
-                        return Ok(None);
-                    }
-                    let next = (out_host.len() as u64).min(io_buf_len);
-                    m.write(rt.current_ctx().vcpu, tx_buf, &out_host[..next as usize])?;
-                    Ok(Some(next))
-                })
-                .map_err(|f| f.to_string())?;
-            match results.last() {
-                Some(Err(NetError::WouldBlock)) => return Ok(FlushState::Parked),
-                Some(Err(NetError::Closed)) => return Ok(FlushState::Closed),
-                Some(Err(e)) => return Err(format!("send failed: {e}")),
-                _ => {}
-            }
-        }
-        Ok(FlushState::Clean)
     }
 
     /// Parses everything buffered, routes each command to its shard over
@@ -407,7 +375,18 @@ impl ConnTask {
     fn fan_out(&mut self, w: &mut ServeWorld) -> Result<(), String> {
         let nshards = w.shards.len();
         w.ops_scratch.clear();
-        while let Some(args) = self.parser.parse_command() {
+        w.arg_bytes.clear();
+        w.arg_spans.clear();
+        w.reply_bytes.clear();
+        while !self.closing {
+            let cmd = match self.parser.next_command(&mut w.cmd_spans) {
+                Ok(cmd) => cmd,
+                Err(RespError::Incomplete) => break,
+                Err(RespError::Malformed { .. }) => {
+                    self.closing = true;
+                    break;
+                }
+            };
             // Proxy-side routing work (dispatch + key hash).
             let work = w.os.img.machine.costs().app_request;
             let t0 = w.os.img.machine.clock().cycles();
@@ -417,18 +396,25 @@ impl ConnTask {
                     .span_trace_mut()
                     .begin_request("serve", w.backend, w.app_vcpu, t0);
             w.os.app_compute(work);
-            let shard = args
-                .get(1)
-                .map(|k| (fnv1a(k) % nshards as u64) as usize)
-                .unwrap_or(0);
-            w.ops_scratch.push(ShardOp { span, shard, args });
+            let shard = match cmd.len() {
+                0 | 1 => 0,
+                _ => (fnv1a(cmd.arg(1)) % nshards as u64) as usize,
+            };
+            // The parser's buffer is only good until the next command:
+            // the arguments wait for their shard in the world's arena.
+            let first_arg = w.arg_spans.len();
+            for arg in cmd.args() {
+                let at = w.arg_bytes.len();
+                w.arg_bytes.extend_from_slice(arg);
+                w.arg_spans.push(at..w.arg_bytes.len());
+            }
+            w.ops_scratch.push(ShardOp {
+                span,
+                shard,
+                args: first_arg..w.arg_spans.len(),
+                reply: 0..0,
+            });
         }
-        if w.ops_scratch.is_empty() {
-            return Ok(());
-        }
-        let nops = w.ops_scratch.len();
-        w.replies.clear();
-        w.replies.resize(nops, None);
         for k in 0..nshards {
             let count = w.ops_scratch.iter().filter(|o| o.shard == k).count();
             if count == 0 {
@@ -452,7 +438,9 @@ impl ConnTask {
                 shard_ops,
                 shard_vcpus,
                 ops_scratch,
-                replies,
+                arg_bytes,
+                arg_spans,
+                reply_bytes,
                 app_vcpu,
                 ..
             } = w;
@@ -461,9 +449,12 @@ impl ConnTask {
             let (shard_vcpu, proxy_vcpu) = (shard_vcpus[k], *app_vcpu);
             os.img
                 .call_lib_async(SHARD_NAMES[k], |m, _rt, sqe| {
-                    let idx = sqe.user_data as usize;
+                    let op = &mut ops_scratch[sqe.user_data as usize];
+                    let cmd = Command::new(arg_bytes, &arg_spans[op.args.clone()]);
                     let t0 = m.clock().cycles();
-                    let reply = exec_shard_cmd(m, store, &ops_scratch[idx].args);
+                    let at = reply_bytes.len();
+                    let ok = exec_shard_cmd(m, store, &cmd, reply_bytes);
+                    op.reply = at..reply_bytes.len();
                     *sops += 1;
                     let t1 = m.clock().cycles();
                     // The hop probe: attributed to the request span the
@@ -477,9 +468,7 @@ impl ConnTask {
                         t0,
                         t1,
                     );
-                    let code = i64::from(!matches!(reply, RespValue::Error(_)));
-                    replies[idx] = Some(reply);
-                    Ok(code)
+                    Ok(i64::from(ok))
                 })
                 .map_err(|f| f.to_string())?;
             // Drain the completions; the replies already live host-side.
@@ -487,33 +476,59 @@ impl ConnTask {
         }
         // Reassemble in request order, ending each span only when its
         // reply's last byte leaves the server (in `flush`).
-        for idx in 0..nops {
-            let reply = w.replies[idx]
-                .take()
-                .unwrap_or_else(|| RespValue::Error("ERR shard reply lost".into()));
-            self.out_host.extend_from_slice(&encode(&reply));
-            self.staged_total = self.sent_total + self.out_host.len() as u64;
-            self.pending_spans
-                .push_back((w.ops_scratch[idx].span, self.staged_total));
+        for op in &w.ops_scratch {
+            if op.reply.is_empty() {
+                put_error(self.replies.buf(), format_args!("shard reply lost"));
+            } else {
+                let reply = &w.reply_bytes[op.reply.clone()];
+                self.replies.buf().extend_from_slice(reply);
+            }
+            self.replies.end_reply(op.span);
+        }
+        if self.closing {
+            let t0 = w.os.img.machine.clock().cycles();
+            let span =
+                w.os.img
+                    .machine
+                    .span_trace_mut()
+                    .begin_request("serve", w.backend, w.app_vcpu, t0);
+            self.replies.buf().extend_from_slice(resp::PROTOCOL_ERROR);
+            self.replies.end_reply(span);
         }
         Ok(())
     }
 
     fn drive(&mut self, w: &mut ServeWorld) -> Result<CoPoll, String> {
         loop {
-            match self.flush(w)? {
-                FlushState::Parked => {
+            let flushed = self
+                .replies
+                .flush(
+                    &mut w.os,
+                    self.sid,
+                    w.tx_buf,
+                    w.io_buf_len,
+                    w.app_vcpu,
+                    &mut w.sqe_spans,
+                )
+                .map_err(|f| f.to_string())?;
+            match flushed {
+                Flushed::Parked => {
                     w.os.net
                         .events_mut()
                         .set_interest(self.sid, Interest::READ | Interest::WRITE);
                     self.write_armed = true;
                     return Ok(CoPoll::Pending);
                 }
-                FlushState::Closed => {
+                Flushed::Closed => {
                     let _ = w.os.sock_close(self.sid);
                     return Ok(CoPoll::Ready);
                 }
-                FlushState::Clean => {}
+                Flushed::Failed(e) => return Err(format!("send failed: {e}")),
+                Flushed::Clean => {}
+            }
+            if self.closing {
+                let _ = w.os.sock_close(self.sid);
+                return Ok(CoPoll::Ready);
             }
             if self.write_armed {
                 w.os.net.events_mut().set_interest(self.sid, Interest::READ);
@@ -543,7 +558,7 @@ impl ConnTask {
                 Err(e) => return Err(format!("recv failed: {e}")),
             }
             self.fan_out(w)?;
-            if self.out_host.is_empty() {
+            if self.replies.is_drained() {
                 return Ok(CoPoll::Pending);
             }
         }
@@ -603,6 +618,8 @@ struct SimClients {
     /// Connections whose burst completed with arrivals still queued.
     pending_starts: Vec<usize>,
     reply_errors: Vec<String>,
+    /// Wire scratch: the burst being framed.
+    req_buf: Vec<u8>,
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -680,6 +697,7 @@ impl SimClients {
             ack_pending: Vec::new(),
             pending_starts: Vec::new(),
             reply_errors: Vec::new(),
+            req_buf: Vec::new(),
         }
     }
 
@@ -750,6 +768,12 @@ impl SimClients {
             }
             return;
         }
+        if hdr.flags.fin {
+            // The fleet never closes first: a FIN is the server giving up
+            // on the connection, and its replies will never come.
+            self.reply_errors
+                .push(format!("connection {i} closed by server"));
+        }
         if payload.is_empty() {
             return; // pure ACK / window update
         }
@@ -762,9 +786,18 @@ impl SimClients {
         c.rcv_nxt = c.rcv_nxt.wrapping_add(payload.len() as u32);
         c.parser.feed(payload);
         let mut finished_burst = false;
-        while let Some(v) = c.parser.parse_value() {
-            if let RespValue::Error(e) = &v {
-                self.reply_errors.push(e.clone());
+        loop {
+            match c.parser.skip_reply() {
+                Ok(None) => {}
+                Ok(Some(e)) => self
+                    .reply_errors
+                    .push(String::from_utf8_lossy(e).into_owned()),
+                Err(RespError::Incomplete) => break,
+                Err(e) => {
+                    self.reply_errors
+                        .push(format!("connection {i}: unreadable reply: {e}"));
+                    break;
+                }
             }
             self.completed_reqs += 1;
             if c.expected > 0 {
@@ -789,26 +822,30 @@ impl SimClients {
     fn start_burst(&mut self, i: usize, t_arrival: u64, out: &mut Vec<Vec<u8>>) {
         let b = self.bursts_started;
         self.bursts_started += 1;
-        let mut req = Vec::new();
+        self.req_buf.clear();
         for j in 0..self.pipeline {
             let k = (b as usize)
                 .wrapping_mul(7)
                 .wrapping_add(j.wrapping_mul(3))
                 .wrapping_add(i)
                 % KEYSPACE;
-            let key = format!("key:{k:04}").into_bytes();
+            let key = key_name(k);
             match self.mix {
-                Mix::Set => {
-                    req.extend_from_slice(&encode_command(&[b"SET", &key, &self.payload]));
-                }
-                Mix::Get => req.extend_from_slice(&encode_command(&[b"GET", &key])),
+                Mix::Set => put_command(&mut self.req_buf, &[b"SET", &key, &self.payload]),
+                Mix::Get => put_command(&mut self.req_buf, &[b"GET", &key]),
             }
         }
         let c = &mut self.conns[i];
         c.expected = self.pipeline as u32;
         c.t_arrival = t_arrival;
+        self.send_request(i, out);
+    }
+
+    /// Frames `req_buf` as the next in-order data of connection `i`.
+    fn send_request(&mut self, i: usize, out: &mut Vec<Vec<u8>>) {
+        let c = &mut self.conns[i];
         c.need_ack = false; // data frames carry the cumulative ack
-        for chunk in req.chunks(MSS) {
+        for chunk in self.req_buf.chunks(MSS) {
             let f = client_frame(
                 self.server_mac,
                 self.client_mac,
@@ -957,178 +994,169 @@ fn nearest_rank(sorted: &[u64], q: f64) -> u64 {
     sorted[rank - 1]
 }
 
-#[allow(clippy::type_complexity)]
-fn run_serve_inner(
-    params: &ServeParams,
-    want_trace: bool,
-) -> Result<(ServeResult, StatsSnapshot, Option<String>), ServeRunError> {
-    let shards = params.shards.clamp(1, MAX_SHARDS);
-    let conns = params.conns.max(1);
-    let nic_id = 1u8;
-    let image = plan(serve_image(params)).expect("serve image plans");
-    let ncomp = image.num_compartments as u64;
+/// The booted serving tier: the proxy image with every client connected
+/// and a task spawned per connection.
+struct Tier {
+    world: ServeWorld,
+    exec: CoExecutor<ServeWorld>,
+    clients: SimClients,
+    /// The task serving each socket, by socket id.
+    task_of: Vec<Option<CoTaskId>>,
+    /// Frame scratch between the clients and the server NIC.
+    frames: Vec<Vec<u8>>,
+}
 
-    // Boot sizing: the socket-ring pool must hold every connection's
-    // ring; heaps and physical frames scale with it.
-    let net_pool_bytes = (conns as u64 + 64) * CONN_RING_BYTES + (1 << 20);
-    let heap_per_compartment = net_pool_bytes + (2 << 20);
-    let phys_frames = ((ncomp + 1) * heap_per_compartment + (16 << 20)).div_ceil(PAGE_SIZE);
-    let opts = BootOptions {
-        phys_frames,
-        heap_per_compartment,
-        shared_heap: 1 << 20,
-        stack_size: 64 * 1024,
-        net_pool_bytes,
-    };
-    let mut os = Os::boot_with(image, SERVER_IP, nic_id, opts).map_err(ServeRunError::server)?;
-    os.net.set_sock_ring_bytes(CONN_RING_BYTES);
+impl Tier {
+    fn boot(params: &ServeParams) -> Result<Self, ServeRunError> {
+        let shards = params.shards.clamp(1, MAX_SHARDS);
+        let conns = params.conns.max(1);
+        let nic_id = 1u8;
+        let image = plan(serve_image(params)).expect("serve image plans");
+        let ncomp = image.num_compartments as u64;
 
-    let io_buf_len = 16 * 1024u64;
-    let rx_buf = os
-        .alloc_shared_buf(io_buf_len)
-        .map_err(ServeRunError::server)?;
-    let tx_buf = os
-        .alloc_shared_buf(io_buf_len)
-        .map_err(ServeRunError::server)?;
-    let listener = os
-        .listen(SERVE_PORT)
-        .map_err(|e| ServeRunError::server(format!("listen failed: {e}")))?;
-    let backend = backend_tag(params.model, params.backend);
-    let app_vcpu = os.img.gates.ctx(os.roles.app).vcpu.0 as u16;
-    let shard_comps: Vec<CompartmentId> = (0..shards)
-        .map(|k| {
-            os.img
-                .compartment_of_lib(SHARD_NAMES[k])
-                .expect("shard library placed")
-        })
-        .collect();
-    let shard_vcpus: Vec<u16> = shard_comps
-        .iter()
-        .map(|&c| os.img.gates.ctx(c).vcpu.0 as u16)
-        .collect();
+        // Boot sizing: the socket-ring pool must hold every connection's
+        // ring; heaps and physical frames scale with it.
+        let net_pool_bytes = (conns as u64 + 64) * CONN_RING_BYTES + (1 << 20);
+        let heap_per_compartment = net_pool_bytes + (2 << 20);
+        let phys_frames = ((ncomp + 1) * heap_per_compartment + (16 << 20)).div_ceil(PAGE_SIZE);
+        let opts = BootOptions {
+            phys_frames,
+            heap_per_compartment,
+            shared_heap: 1 << 20,
+            stack_size: 64 * 1024,
+            net_pool_bytes,
+        };
+        let mut os =
+            Os::boot_with(image, SERVER_IP, nic_id, opts).map_err(ServeRunError::server)?;
+        os.net.set_sock_ring_bytes(CONN_RING_BYTES);
 
-    let mut world = ServeWorld {
-        os,
-        shards: vec![HashMap::new(); shards],
-        shard_ops: vec![0; shards],
-        shard_comps,
-        shard_vcpus,
-        rx_buf,
-        tx_buf,
-        io_buf_len,
-        backend,
-        app_vcpu,
-        ops_scratch: Vec::new(),
-        replies: Vec::new(),
-        host_buf: Vec::new(),
-        errors: Vec::new(),
-    };
-
-    // Preload the keyspace host-side so GET mixes hit (the measured
-    // phase then exercises only the serving path).
-    if params.mix == Mix::Get {
-        let value = vec![b'v'; params.payload.max(1)];
-        for k in 0..KEYSPACE {
-            let key = format!("key:{k:04}").into_bytes();
-            let shard = (fnv1a(&key) % shards as u64) as usize;
-            world.shards[shard].insert(key, value.clone());
-        }
-    }
-
-    let mut exec: CoExecutor<ServeWorld> = CoExecutor::new();
-    let mut clients = SimClients::new(conns, params.payload, params.mix, params.pipeline, nic_id);
-    let mut task_of: Vec<Option<CoTaskId>> = Vec::new();
-    let mut accepted = 0usize;
-
-    // Establishment, in waves that stay under the accept-backlog cap.
-    let mut frames: Vec<Vec<u8>> = Vec::new();
-    for start in (0..conns).step_by(ESTABLISH_WAVE) {
-        let end = (start + ESTABLISH_WAVE).min(conns);
-        for i in start..end {
-            let syn = clients.syn_frame(i);
-            world.os.net.nic.push_rx(syn);
-        }
-        let mut spins = 0u32;
-        while clients.established_count < end || accepted < end {
-            world.os.poll_net().map_err(ServeRunError::server)?;
-            let now = world.os.img.machine.clock().cycles();
-            while let Some(f) = world.os.net.nic.pop_tx() {
-                clients.on_frame(now, &f);
-            }
-            frames.clear();
-            clients.emit(&mut frames);
-            for f in frames.drain(..) {
-                world.os.net.nic.push_rx(f);
-            }
-            world.os.poll_net().map_err(ServeRunError::server)?;
-            loop {
-                match world.os.accept(listener) {
-                    Ok(Some(sid)) => {
-                        let tid = exec.spawn(Box::new(ConnTask::new(sid)));
-                        if task_of.len() <= sid.0 {
-                            task_of.resize(sid.0 + 1, None);
-                        }
-                        task_of[sid.0] = Some(tid);
-                        accepted += 1;
-                    }
-                    Ok(None) => break,
-                    Err(e) => return Err(ServeRunError::server(format!("accept failed: {e}"))),
-                }
-            }
-            exec.run_until_idle(&mut world, 1_000_000);
-            spins += 1;
-            assert!(spins < 10_000, "serve handshake wave stalled");
-        }
-    }
-    if !clients.reply_errors.is_empty() {
-        return Err(ServeRunError::Server(clients.reply_errors.remove(0)));
-    }
-
-    // Measured phase: open-loop Poisson arrivals over simulated cycles.
-    let bursts = (params.ops / params.pipeline.max(1) as u64).max(1);
-    let t_base = world.os.img.machine.clock().cycles();
-    let arrivals: Vec<(u64, usize)> =
-        gen_arrivals(bursts, conns, params.arrival_gap_cycles, params.seed)
-            .into_iter()
-            .map(|(t, c)| (t_base + t, c))
+        let io_buf_len = 16 * 1024u64;
+        let rx_buf = os
+            .alloc_shared_buf(io_buf_len)
+            .map_err(ServeRunError::server)?;
+        let tx_buf = os
+            .alloc_shared_buf(io_buf_len)
+            .map_err(ServeRunError::server)?;
+        let listener = os
+            .listen(SERVE_PORT)
+            .map_err(|e| ServeRunError::server(format!("listen failed: {e}")))?;
+        let backend = backend_tag(params.model, params.backend);
+        let app_vcpu = os.img.gates.ctx(os.roles.app).vcpu.0 as u16;
+        let shard_comps: Vec<CompartmentId> = (0..shards)
+            .map(|k| {
+                os.img
+                    .compartment_of_lib(SHARD_NAMES[k])
+                    .expect("shard library placed")
+            })
             .collect();
-    let start_cycles = t_base;
-    let start_crossings = world.os.img.gates.stats().crossings;
-    let mut arr_idx = 0usize;
-    let mut idle = 0u32;
-    let mut pending_migration = params.migrate_to;
-    while clients.completed_bursts < bursts {
-        // Live migration: once enough bursts completed, swap every
-        // compartment pair to the target backend while traffic is
-        // still in flight. `migrate_all` requests the swaps; pairs
-        // that are quiescent right now swap immediately, busy ones
-        // defer to their next safe point, which `poll_migrations`
-        // below keeps pumping between executor slices.
-        if let Some((after, to)) = pending_migration {
-            if clients.completed_bursts >= after {
-                let img = &mut world.os.img;
-                flexos_backends::migrate_all(img, to, flexos::gate::MigrationReason::Manual)
-                    .map_err(|e| ServeRunError::server(format!("live migration failed: {e}")))?;
-                pending_migration = None;
+        let shard_vcpus: Vec<u16> = shard_comps
+            .iter()
+            .map(|&c| os.img.gates.ctx(c).vcpu.0 as u16)
+            .collect();
+
+        let mut world = ServeWorld {
+            os,
+            shards: vec![HashMap::new(); shards],
+            shard_ops: vec![0; shards],
+            shard_comps,
+            shard_vcpus,
+            rx_buf,
+            tx_buf,
+            io_buf_len,
+            backend,
+            app_vcpu,
+            ops_scratch: Vec::new(),
+            arg_bytes: Vec::new(),
+            arg_spans: Vec::new(),
+            reply_bytes: Vec::new(),
+            cmd_spans: Vec::new(),
+            sqe_spans: Vec::new(),
+            host_buf: Vec::new(),
+            errors: Vec::new(),
+        };
+
+        // Preload the keyspace host-side so GET mixes hit (the measured
+        // phase then exercises only the serving path).
+        if params.mix == Mix::Get {
+            let value = vec![b'v'; params.payload.max(1)];
+            for k in 0..KEYSPACE {
+                let key = key_name(k);
+                let shard = (fnv1a(&key) % shards as u64) as usize;
+                world.shards[shard].insert(key.to_vec(), value.clone());
             }
         }
-        if params.migrate_to.is_some() {
-            let img = &mut world.os.img;
-            img.gates
-                .poll_migrations(&mut img.machine)
-                .map_err(|e| ServeRunError::server(format!("migration drain failed: {e}")))?;
+
+        let mut exec: CoExecutor<ServeWorld> = CoExecutor::new();
+        let mut clients =
+            SimClients::new(conns, params.payload, params.mix, params.pipeline, nic_id);
+        let mut task_of: Vec<Option<CoTaskId>> = Vec::new();
+        let mut accepted = 0usize;
+
+        // Establishment, in waves that stay under the accept-backlog cap.
+        let mut frames: Vec<Vec<u8>> = Vec::new();
+        for start in (0..conns).step_by(ESTABLISH_WAVE) {
+            let end = (start + ESTABLISH_WAVE).min(conns);
+            for i in start..end {
+                let syn = clients.syn_frame(i);
+                world.os.net.nic.push_rx(syn);
+            }
+            let mut spins = 0u32;
+            while clients.established_count < end || accepted < end {
+                world.os.poll_net().map_err(ServeRunError::server)?;
+                let now = world.os.img.machine.clock().cycles();
+                while let Some(f) = world.os.net.nic.pop_tx() {
+                    clients.on_frame(now, &f);
+                }
+                frames.clear();
+                clients.emit(&mut frames);
+                for f in frames.drain(..) {
+                    world.os.net.nic.push_rx(f);
+                }
+                world.os.poll_net().map_err(ServeRunError::server)?;
+                loop {
+                    match world.os.accept(listener) {
+                        Ok(Some(sid)) => {
+                            let tid = exec.spawn(Box::new(ConnTask::new(sid)));
+                            if task_of.len() <= sid.0 {
+                                task_of.resize(sid.0 + 1, None);
+                            }
+                            task_of[sid.0] = Some(tid);
+                            accepted += 1;
+                        }
+                        Ok(None) => break,
+                        Err(e) => return Err(ServeRunError::server(format!("accept failed: {e}"))),
+                    }
+                }
+                exec.run_until_idle(&mut world, 1_000_000);
+                spins += 1;
+                assert!(spins < 10_000, "serve handshake wave stalled");
+            }
         }
-        let now = world.os.img.machine.clock().cycles();
-        frames.clear();
-        while arr_idx < arrivals.len() && arrivals[arr_idx].0 <= now {
-            let (t, ci) = arrivals[arr_idx];
-            clients.arrival(ci, t, &mut frames);
-            arr_idx += 1;
+        if !clients.reply_errors.is_empty() {
+            return Err(ServeRunError::Server(clients.reply_errors.remove(0)));
         }
-        let mut moved = !frames.is_empty();
-        for f in frames.drain(..) {
-            world.os.net.nic.push_rx(f);
-        }
+        Ok(Self {
+            world,
+            exec,
+            clients,
+            task_of,
+            frames,
+        })
+    }
+
+    /// One serving round: the stack takes in what the clients put on the
+    /// NIC, every task whose socket became ready runs, and the clients
+    /// consume what the server sent, answering with ACKs and queued
+    /// bursts. Returns whether any frame moved in either direction.
+    fn pump(&mut self) -> Result<bool, ServeRunError> {
+        let Self {
+            world,
+            exec,
+            clients,
+            task_of,
+            frames,
+        } = self;
+        let mut moved = false;
         world.os.poll_net().map_err(ServeRunError::server)?;
         for ev in world.os.ready_events() {
             if ev.ready.contains(Interest::READ) || ev.ready.contains(Interest::WRITE) {
@@ -1137,27 +1165,85 @@ fn run_serve_inner(
                 }
             }
         }
-        exec.run_until_idle(&mut world, 10_000_000);
+        exec.run_until_idle(world, 10_000_000);
         world.os.poll_net().map_err(ServeRunError::server)?;
         let now = world.os.img.machine.clock().cycles();
-        let before = clients.completed_bursts;
         while let Some(f) = world.os.net.nic.pop_tx() {
             moved = true;
             clients.on_frame(now, &f);
         }
         frames.clear();
-        clients.emit(&mut frames);
+        clients.emit(frames);
         for f in frames.drain(..) {
             moved = true;
             world.os.net.nic.push_rx(f);
         }
-        if let Some(e) = world.errors.first() {
+        Ok(moved)
+    }
+}
+
+#[allow(clippy::type_complexity)]
+fn run_serve_inner(
+    params: &ServeParams,
+    want_trace: bool,
+) -> Result<(ServeResult, StatsSnapshot, Option<String>), ServeRunError> {
+    let conns = params.conns.max(1);
+    let mut tier = Tier::boot(params)?;
+
+    // Measured phase: open-loop Poisson arrivals over simulated cycles.
+    let bursts = (params.ops / params.pipeline.max(1) as u64).max(1);
+    let t_base = tier.world.os.img.machine.clock().cycles();
+    let arrivals: Vec<(u64, usize)> =
+        gen_arrivals(bursts, conns, params.arrival_gap_cycles, params.seed)
+            .into_iter()
+            .map(|(t, c)| (t_base + t, c))
+            .collect();
+    let start_cycles = t_base;
+    let start_crossings = tier.world.os.img.gates.stats().crossings;
+    let mut arr_idx = 0usize;
+    let mut idle = 0u32;
+    let mut pending_migration = params.migrate_to;
+    while tier.clients.completed_bursts < bursts {
+        // Live migration: once enough bursts completed, swap every
+        // compartment pair to the target backend while traffic is
+        // still in flight. `migrate_all` requests the swaps; pairs
+        // that are quiescent right now swap immediately, busy ones
+        // defer to their next safe point, which `poll_migrations`
+        // below keeps pumping between executor slices.
+        if let Some((after, to)) = pending_migration {
+            if tier.clients.completed_bursts >= after {
+                let img = &mut tier.world.os.img;
+                flexos_backends::migrate_all(img, to, flexos::gate::MigrationReason::Manual)
+                    .map_err(|e| ServeRunError::server(format!("live migration failed: {e}")))?;
+                pending_migration = None;
+            }
+        }
+        if params.migrate_to.is_some() {
+            let img = &mut tier.world.os.img;
+            img.gates
+                .poll_migrations(&mut img.machine)
+                .map_err(|e| ServeRunError::server(format!("migration drain failed: {e}")))?;
+        }
+        let now = tier.world.os.img.machine.clock().cycles();
+        tier.frames.clear();
+        while arr_idx < arrivals.len() && arrivals[arr_idx].0 <= now {
+            let (t, ci) = arrivals[arr_idx];
+            tier.clients.arrival(ci, t, &mut tier.frames);
+            arr_idx += 1;
+        }
+        let arrived = !tier.frames.is_empty();
+        for f in tier.frames.drain(..) {
+            tier.world.os.net.nic.push_rx(f);
+        }
+        let before = tier.clients.completed_bursts;
+        let moved = tier.pump()? || arrived;
+        if let Some(e) = tier.world.errors.first() {
             return Err(ServeRunError::Server(e.clone()));
         }
-        if let Some(e) = clients.reply_errors.first() {
+        if let Some(e) = tier.clients.reply_errors.first() {
             return Err(ServeRunError::Reply(e.clone()));
         }
-        if moved || clients.completed_bursts > before {
+        if moved || tier.clients.completed_bursts > before {
             idle = 0;
             continue;
         }
@@ -1165,15 +1251,22 @@ fn run_serve_inner(
         // bounded well under the RTO, and every in-flight byte has been
         // delivered and acked before a jump, so nothing retransmits.
         idle += 1;
+        let now = tier.world.os.img.machine.clock().cycles();
         if arr_idx < arrivals.len() && arrivals[arr_idx].0 > now {
             let jump = (arrivals[arr_idx].0 - now).min(5_000_000);
-            world.os.img.machine.charge(jump);
+            tier.world.os.img.machine.charge(jump);
         } else {
-            world.os.img.machine.charge(10_000);
+            tier.world.os.img.machine.charge(10_000);
         }
         assert!(idle < 10_000, "serve made no progress");
     }
 
+    let Tier {
+        mut world,
+        exec,
+        mut clients,
+        ..
+    } = tier;
     let cycles = world.os.img.machine.clock().cycles() - start_cycles;
     let crossings = world.os.img.gates.stats().crossings - start_crossings;
     let ops_done = clients.completed_reqs;
@@ -1390,6 +1483,51 @@ mod tests {
             migrated.cycles,
             stayed.cycles
         );
+    }
+
+    /// Sends `wire` as it is on connection 0 of a small tier and serves
+    /// until the wire falls silent; returns the error replies and closed
+    /// connections the client fleet saw.
+    fn raw_exchange(wire: &[u8]) -> Vec<String> {
+        let mut tier = Tier::boot(&ServeParams {
+            conns: 2,
+            ..ServeParams::default()
+        })
+        .expect("tier boots");
+        tier.clients.req_buf.clear();
+        tier.clients.req_buf.extend_from_slice(wire);
+        tier.clients.send_request(0, &mut tier.frames);
+        for f in tier.frames.drain(..) {
+            tier.world.os.net.nic.push_rx(f);
+        }
+        let mut rounds = 0;
+        while tier.pump().expect("server survives") {
+            rounds += 1;
+            assert!(rounds < 64, "the wire never fell silent");
+        }
+        assert_eq!(tier.world.errors, Vec::<String>::new());
+        tier.clients.reply_errors
+    }
+
+    #[test]
+    fn input_that_is_not_resp_is_answered_and_the_connection_closed() {
+        let closed = ["ERR protocol error", "connection 0 closed by server"];
+        // Used to read as "incomplete" forever, wedging the connection.
+        assert_eq!(raw_exchange(b"hello\r\n*1\r\n$4\r\nPING\r\n"), closed);
+        // Used to panic the proxy with "capacity overflow".
+        assert_eq!(raw_exchange(b"*9223372036854775807\r\n"), closed);
+        // What precedes the damage is still served.
+        let wire = b"*2\r\n$3\r\nGET\r\n$8\r\nkey:0001\r\n*1\r\n$4\r\nNOPE\r\n$x\r\n";
+        assert_eq!(
+            raw_exchange(wire),
+            [
+                "ERR unknown command 'NOPE'",
+                "ERR protocol error",
+                "connection 0 closed by server"
+            ]
+        );
+        // A well-formed value that is no command keeps the connection.
+        assert_eq!(raw_exchange(b":1\r\n"), ["ERR unknown command ''"]);
     }
 
     #[test]

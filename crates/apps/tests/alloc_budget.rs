@@ -1,0 +1,129 @@
+//! The host-allocation budget of the request path.
+//!
+//! The servers and load generators stage RESP through reused buffers, so
+//! a request costs (almost) no host heap allocation in steady state; what
+//! remains is frame building in `flexos-net` and the result vectors of
+//! `Os::sock_data_op_batch`. This binary counts allocations with its own
+//! `#[global_allocator]` and pins the per-request figure: a run of N and
+//! a run of 2N requests differ only in N steady-state requests, so the
+//! difference of their counts cancels set-up exactly. The counts are
+//! deterministic — the bounds are asserted, the measured values printed
+//! (`--nocapture`).
+
+use flexos::build::BackendChoice;
+use flexos_apps::redis::{run_redis, Mix, RedisParams};
+use flexos_apps::serve::{run_serve, ServeParams};
+use flexos_apps::CompartmentModel;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Allocations made by this thread. Each test runs, single-threaded,
+    /// on a thread of its own, so tests do not see each other.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the counter is a const-initialised
+// thread-local `Cell` (no lazy initialisation, no destructor), so
+// touching it never allocates or re-enters the allocator.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's obligations are passed through as they are.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc`/`realloc` with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's obligations are passed through as they are.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn allocations_during(run: impl FnOnce()) -> u64 {
+    let before = ALLOCS.with(Cell::get);
+    run();
+    ALLOCS.with(Cell::get) - before
+}
+
+/// Steady-state allocations per request: `run(ops)` serves `ops`
+/// requests, set-up included.
+fn per_request(name: &str, n: u64, run: impl Fn(u64)) -> f64 {
+    let small = allocations_during(|| run(n));
+    let large = allocations_during(|| run(2 * n));
+    let per_request = (large - small) as f64 / n as f64;
+    println!(
+        "{name}: {per_request:.2} allocations/request ({small} for {n}, {large} for {})",
+        2 * n
+    );
+    per_request
+}
+
+#[test]
+fn redis_get_pipelined_allocates_at_most_once_per_request() {
+    let per_request = per_request("redis GET p16 x mpk-shared", 4_000, |ops| {
+        let r = run_redis(&RedisParams {
+            model: CompartmentModel::NwSchedRest,
+            backend: BackendChoice::MpkShared,
+            mix: Mix::Get,
+            pipeline: 16,
+            ops,
+            ..RedisParams::default()
+        })
+        .expect("redis run succeeds");
+        assert!(r.ops >= ops);
+    });
+    assert!(
+        per_request <= 1.0,
+        "{per_request} > 1 (was 21.3 before the streaming codec)"
+    );
+}
+
+#[test]
+fn redis_set_unpipelined_allocates_only_for_net_frames() {
+    let per_request = per_request("redis SET p1 x vmrpc", 1_000, |ops| {
+        let r = run_redis(&RedisParams {
+            model: CompartmentModel::NwSchedRest,
+            backend: BackendChoice::VmRpc,
+            mix: Mix::Set,
+            pipeline: 1,
+            ops,
+            ..RedisParams::default()
+        })
+        .expect("redis run succeeds");
+        assert!(r.ops >= ops);
+    });
+    assert!(
+        per_request <= 14.0,
+        "{per_request} > 14 (was 40.0 before the streaming codec)"
+    );
+}
+
+#[test]
+fn serve_10k_connections_allocates_only_for_net_frames() {
+    let per_request = per_request("serve 10k conns x 4 shards", 4_000, |ops| {
+        let r = run_serve(&ServeParams {
+            conns: 10_000,
+            shards: 4,
+            ops,
+            ..ServeParams::default()
+        })
+        .expect("serve run succeeds");
+        assert_eq!(r.ops, ops);
+    });
+    assert!(
+        per_request <= 10.0,
+        "{per_request} > 10 (was 25.2 before the streaming codec)"
+    );
+}
