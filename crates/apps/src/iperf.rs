@@ -159,7 +159,7 @@ pub fn run_iperf(params: &IperfParams) -> IperfResult {
             let counter = &received_task;
             let burst_t0 = os.img.machine.clock().cycles();
             let burst_before = counter.get();
-            let results = os.recv_batch(s, app_buf, recv_buf_len, budget, |m, _rt, r| {
+            let done = os.recv_batch(s, app_buf, recv_buf_len, budget, |m, _rt, r| {
                 Ok(match r {
                     Ok(n) if *n > 0 => {
                         counter.set(counter.get() + n);
@@ -184,8 +184,8 @@ pub fn run_iperf(params: &IperfParams) -> IperfResult {
                     .span_trace_mut()
                     .end_request(span, burst_vcpu, t1);
             }
-            budget -= results.len();
-            match results.last() {
+            budget -= done.issued;
+            match done.last {
                 Some(Ok(0)) => return Ok(Step::Done), // EOF
                 Some(Err(NetError::WouldBlock)) => match os.wait_readable(tid, s)? {
                     Some(ch) => return Ok(Step::Block(ch)),

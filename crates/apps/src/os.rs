@@ -23,7 +23,7 @@
 use crate::profiles::SchedKind;
 use flexos::build::{ImagePlan, LibRole};
 use flexos::explore::sh_overhead_percent;
-use flexos::gate::{CompartmentId, GateRuntime, Sqe};
+use flexos::gate::{CompartmentId, Cqe, GateRuntime, Sqe};
 use flexos_backends::{instantiate_with, BootImage, BootOptions};
 use flexos_kernel::alloc::AllocMode;
 use flexos_kernel::exec::{Executor, KernelHal};
@@ -72,6 +72,16 @@ pub struct ComponentTax {
     pub driver: u64,
 }
 
+/// What a batched socket operation did ([`Os::recv_batch`] and the
+/// `send_batch_*` family).
+#[derive(Debug, Clone, PartialEq)]
+pub struct BatchOutcome {
+    /// Operations issued, the stopping one included.
+    pub issued: usize,
+    /// Result of the last operation issued (`None` when none was).
+    pub last: Option<NetResult<u64>>,
+}
+
 /// OS-level counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OsStats {
@@ -107,9 +117,13 @@ pub struct Os {
     /// "redesign of the components" §4 calls for after observing that
     /// merging NW+sched does not help.
     sem_home: CompartmentId,
-    sock_sems: BTreeMap<SocketId, SemId>,
+    /// The semaphore of each socket slot that ever blocked or was
+    /// accepted, by socket id. Never removed: a reused slot inherits it.
+    sock_sems: Vec<Option<SemId>>,
     wakes: Vec<ThreadId>,
     stats: OsStats,
+    /// Completion scratch of [`Os::sock_data_op_batch`].
+    cqe_scratch: Vec<Cqe>,
     /// Readiness events drained by the last [`Os::poll_net`] (reused
     /// scratch; serve drivers read them via [`Os::ready_events`]).
     ready_scratch: Vec<ReadyEvent>,
@@ -262,9 +276,10 @@ impl Os {
             sched_kind,
             alloc_instrumented,
             sem_home: roles.libc,
-            sock_sems: BTreeMap::new(),
+            sock_sems: Vec::new(),
             wakes: Vec::new(),
             stats: OsStats::default(),
+            cqe_scratch: Vec::new(),
             ready_scratch: Vec::new(),
             serve_exec: ExecutorTrace::new(),
         })
@@ -608,8 +623,9 @@ impl Os {
     /// between two socket calls (per-reply bookkeeping, staging the next
     /// chunk via `m`/`rt`) and returns `Ok(Some(next_len))` to issue the
     /// next operation with that length or `Ok(None)` to stop — e.g. on
-    /// `WouldBlock`, EOF, or an emptied output buffer. Results of all
-    /// issued operations, including the stopping one, are returned.
+    /// `WouldBlock`, EOF, or an emptied output buffer. The count of
+    /// issued operations and the result of the last (stopping) one are
+    /// returned.
     ///
     /// With overlap disabled this degrades to the sequential loop it
     /// replaces; either way the simulated cycles, faults and trace are
@@ -625,21 +641,26 @@ impl Os {
         max: usize,
         spans: &[SpanId],
         mut after: impl FnMut(&mut Machine, &mut GateRuntime, &NetResult<u64>) -> Result<Option<u64>>,
-    ) -> Result<Vec<NetResult<u64>>> {
+    ) -> Result<BatchOutcome> {
         let (c_libc, c_net, c_sched) = (self.roles.libc, self.roles.net, self.roles.sched);
         let c_sem = self.sem_home;
         let (net_tax, libc_tax) = (self.tax.net, self.tax.libc);
         let sched_cycles = self.sched_peek_cycles();
         let cur_len = Cell::new(first_len);
-        // The exact results ride next to the ring: a CQE's i64 `res`
+        // The exact result rides next to the ring: a CQE's i64 `res`
         // cannot carry a full `Fault` payload, so the ring transports
-        // the io_uring-style code and this vec keeps the real value.
-        let out: RefCell<Vec<NetResult<u64>>> = RefCell::new(Vec::with_capacity(max));
+        // the io_uring-style code and this cell keeps the real value of
+        // the operation that just completed.
+        let done = RefCell::new(BatchOutcome {
+            issued: 0,
+            last: None,
+        });
         let Os {
             img,
             net,
             sh,
             stats,
+            cqe_scratch,
             ..
         } = self;
         let BootImage { machine, gates, .. } = img;
@@ -678,12 +699,14 @@ impl Os {
                     Ok(res)
                 })?;
                 let code = Self::net_res_code(&res);
-                out.borrow_mut().push(res);
+                let mut done = done.borrow_mut();
+                done.issued += 1;
+                done.last = Some(res);
                 Ok(code)
             },
             |m, rt, _sqe, _code| {
-                let held = out.borrow();
-                let r = held.last().expect("between hook follows its call");
+                let held = done.borrow();
+                let r = held.last.as_ref().expect("between hook follows its call");
                 if let Ok(n) = r {
                     // libc's user-space memcpy of the payload — charged
                     // after the crossing returns, exactly where the
@@ -706,20 +729,20 @@ impl Os {
         );
         // A sequential driver has no notion of "still queued": whatever
         // an early stop (or an enter fault) left unissued is cancelled,
-        // and the completions are drained — their payload already lives
-        // in `out`, the CQEs carry the summary codes.
+        // and the completions are drained — the one result a caller acts
+        // on already lives in `done`, the CQEs carry the summary codes.
         gates.cancel_pending(c_libc);
-        let mut cqes = Vec::new();
-        gates.poll_completions(c_libc, &mut cqes);
-        let out = out.into_inner();
+        cqe_scratch.clear();
+        gates.poll_completions(c_libc, cqe_scratch);
+        let done = done.into_inner();
+        // (A fault on a call's way back leaves it without a completion.)
         debug_assert!(
-            cqes.iter()
-                .zip(out.iter())
-                .all(|(c, r)| c.res == Self::net_res_code(r)),
+            cqe_scratch.len() != done.issued
+                || cqe_scratch.last().map(|c| c.res) == done.last.as_ref().map(Self::net_res_code),
             "CQE codes diverged from the socket results"
         );
         flushed?;
-        Ok(out)
+        Ok(done)
     }
 
     /// Batched `recv()`: up to `max` receives of `len` bytes into `dst`
@@ -732,7 +755,7 @@ impl Os {
         len: u64,
         max: usize,
         after: impl FnMut(&mut Machine, &mut GateRuntime, &NetResult<u64>) -> Result<Option<u64>>,
-    ) -> Result<Vec<NetResult<u64>>> {
+    ) -> Result<BatchOutcome> {
         self.sock_data_op_batch(sid, dst, len, Access::Write, max, &[], after)
     }
 
@@ -748,7 +771,7 @@ impl Os {
         first_len: u64,
         max: usize,
         after: impl FnMut(&mut Machine, &mut GateRuntime, &NetResult<u64>) -> Result<Option<u64>>,
-    ) -> Result<Vec<NetResult<u64>>> {
+    ) -> Result<BatchOutcome> {
         self.sock_data_op_batch(sid, src, first_len, Access::Read, max, &[], after)
     }
 
@@ -764,7 +787,7 @@ impl Os {
         max: usize,
         spans: &[SpanId],
         after: impl FnMut(&mut Machine, &mut GateRuntime, &NetResult<u64>) -> Result<Option<u64>>,
-    ) -> Result<Vec<NetResult<u64>>> {
+    ) -> Result<BatchOutcome> {
         self.sock_data_op_batch(sid, src, first_len, Access::Read, max, spans, after)
     }
 
@@ -863,12 +886,11 @@ impl Os {
     // --- blocking / wakeup (the Figure 5 path) ---------------------------------------
 
     fn ensure_sem(&mut self, sid: SocketId) -> SemId {
-        if let Some(&s) = self.sock_sems.get(&sid) {
-            return s;
+        if self.sock_sems.len() <= sid.0 {
+            self.sock_sems.resize(sid.0 + 1, None);
         }
-        let s = self.sems.create(0);
-        self.sock_sems.insert(sid, s);
-        s
+        let sems = &mut self.sems;
+        *self.sock_sems[sid.0].get_or_insert_with(|| sems.create(0))
     }
 
     /// Prepares to block until `sid` is readable. Crosses into libc for
@@ -930,7 +952,7 @@ impl Os {
                 continue; // ACCEPT/WRITE readiness wakes no sem waiters
             }
             let sid = ev.sid;
-            let Some(&sem) = self.sock_sems.get(&sid) else {
+            let Some(&Some(sem)) = self.sock_sems.get(sid.0) else {
                 continue;
             };
             if self.sems.get(sem).waiter_count() == 0 {

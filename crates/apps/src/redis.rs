@@ -21,8 +21,9 @@ use flexos_kernel::sched::ThreadId;
 use flexos_machine::{Addr, ChaosConfig, ChaosPlan};
 use flexos_net::nic::Link;
 use flexos_net::stack::{NetError, SocketId};
+use flexos_net::FixedMap;
 use flexos_trace::{SpanId, StatsSnapshot};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::ops::Range;
 
@@ -247,7 +248,7 @@ impl ReplyStream {
                 pending_spans,
                 sent_total,
             } = self;
-            let results = os.send_batch_spanned(sid, tx_buf, n, max, sqe_spans, |m, rt, r| {
+            let done = os.send_batch_spanned(sid, tx_buf, n, max, sqe_spans, |m, rt, r| {
                 let Ok(sent) = r else { return Ok(None) };
                 *head += *sent as usize;
                 // A request span ends when the last byte of its reply
@@ -277,10 +278,10 @@ impl ReplyStream {
                 self.out.clear();
                 self.head = 0;
             }
-            match results.last() {
+            match done.last {
                 Some(Err(NetError::WouldBlock)) => return Ok(Flushed::Parked),
                 Some(Err(NetError::Closed)) => return Ok(Flushed::Closed),
-                Some(Err(e)) => return Ok(Flushed::Failed(e.clone())),
+                Some(Err(e)) => return Ok(Flushed::Failed(e)),
                 _ => {}
             }
         }
@@ -291,7 +292,7 @@ impl ReplyStream {
 /// The key-value store: values live in the application compartment's
 /// simulated heap.
 struct Db {
-    store: HashMap<Vec<u8>, (Addr, u64)>,
+    store: FixedMap<Vec<u8>, (Addr, u64)>,
     c_app: CompartmentId,
     /// Host staging for the value a GET reads back (reused).
     value_buf: Vec<u8>,
@@ -609,7 +610,7 @@ impl Rig {
 
         let mut server = RedisServer {
             db: Db {
-                store: HashMap::new(),
+                store: FixedMap::default(),
                 c_app,
                 value_buf: Vec::new(),
             },

@@ -52,14 +52,15 @@ use flexos_backends::BootOptions;
 use flexos_kernel::smp::run_on_threads;
 use flexos_kernel::{CoExecutor, CoPoll, CoTask, CoTaskId, WorkStealQueue};
 use flexos_machine::{Addr, Machine, PAGE_SIZE};
+use flexos_net::nic::Nic;
 use flexos_net::stack::{NetError, SocketId};
 use flexos_net::wire::{
-    build_tcp_frame, EthHeader, Ipv4Header, Mac, TcpFlags, TcpHeader, ETHERTYPE_IPV4, ETH_LEN,
+    build_tcp_frame_into, EthHeader, Ipv4Header, Mac, TcpFlags, TcpHeader, ETHERTYPE_IPV4, ETH_LEN,
     IPV4_LEN, MSS, PROTO_TCP, TCP_LEN,
 };
-use flexos_net::Interest;
+use flexos_net::{FixedMap, Interest};
 use flexos_trace::{SpanId, SpanKind, StatsSnapshot};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::ops::Range;
 
@@ -187,7 +188,21 @@ pub enum ServeRunError {
     Reply(String),
     /// The server image failed outside a reply.
     Server(String),
+    /// Nothing moved for 10 000 rounds in a row although work was still
+    /// owed: clients that stopped answering, or a lost wakeup.
+    NoProgress {
+        /// What the run was waiting for.
+        phase: &'static str,
+        /// How much of it had happened.
+        done: u64,
+        /// How much was wanted.
+        wanted: u64,
+    },
 }
+
+/// Consecutive rounds without progress (rounds in all, for one handshake
+/// wave) after which a run gives up.
+const MAX_IDLE_ROUNDS: u32 = 10_000;
 
 impl ServeRunError {
     fn server(e: impl fmt::Display) -> Self {
@@ -200,6 +215,14 @@ impl fmt::Display for ServeRunError {
         match self {
             ServeRunError::Reply(e) => write!(f, "serve reply error: {e}"),
             ServeRunError::Server(e) => write!(f, "serve server failed: {e}"),
+            ServeRunError::NoProgress {
+                phase,
+                done,
+                wanted,
+            } => write!(
+                f,
+                "serve made no progress: {phase} stuck at {done}/{wanted}"
+            ),
         }
     }
 }
@@ -272,7 +295,7 @@ struct ServeWorld {
     os: Os,
     /// Per-shard key-value stores (host-side; the simulated cost of an
     /// access is charged inside the shard's compartment).
-    shards: Vec<HashMap<Vec<u8>, Vec<u8>>>,
+    shards: Vec<FixedMap<Vec<u8>, Vec<u8>>>,
     /// Commands executed per shard.
     shard_ops: Vec<u64>,
     shard_comps: Vec<CompartmentId>,
@@ -304,7 +327,7 @@ struct ServeWorld {
 /// whether the reply is anything but an error.
 fn exec_shard_cmd(
     m: &mut Machine,
-    store: &mut HashMap<Vec<u8>, Vec<u8>>,
+    store: &mut FixedMap<Vec<u8>, Vec<u8>>,
     cmd: &Command<'_>,
     out: &mut Vec<u8>,
 ) -> bool {
@@ -476,6 +499,7 @@ impl ConnTask {
         }
         // Reassemble in request order, ending each span only when its
         // reply's last byte leaves the server (in `flush`).
+        self.replies.buf().reserve(w.reply_bytes.len());
         for op in &w.ops_scratch {
             if op.reply.is_empty() {
                 put_error(self.replies.buf(), format_args!("shard reply lost"));
@@ -600,7 +624,6 @@ struct SimConn {
 /// The frame-level simulation of up to 10⁵ clients.
 struct SimClients {
     conns: Vec<SimConn>,
-    by_addr: HashMap<(u32, u16), usize>,
     server_mac: Mac,
     client_mac: Mac,
     ident: u16,
@@ -622,8 +645,11 @@ struct SimClients {
     req_buf: Vec<u8>,
 }
 
+/// Builds one client frame in a buffer from the server NIC's pool and
+/// puts it on that NIC's receive queue.
 #[allow(clippy::too_many_arguments)]
 fn client_frame(
+    nic: &mut Nic,
     server_mac: Mac,
     client_mac: Mac,
     ident: &mut u16,
@@ -633,7 +659,7 @@ fn client_frame(
     flags: TcpFlags,
     seq: u32,
     payload: &[u8],
-) -> Vec<u8> {
+) {
     *ident = ident.wrapping_add(1);
     let eth = EthHeader {
         dst: server_mac,
@@ -656,17 +682,18 @@ fn client_frame(
         flags,
         window: 65_535,
     };
-    build_tcp_frame(&eth, &iph, &tcp, payload).expect("client frame within wire limits")
+    let mut frame = nic.frame_buf();
+    build_tcp_frame_into(&eth, &iph, &tcp, payload, &mut frame)
+        .expect("client frame within wire limits");
+    nic.push_rx(frame);
 }
 
 impl SimClients {
     fn new(conns: usize, payload: usize, mix: Mix, pipeline: usize, nic_id: u8) -> Self {
         let mut list = Vec::with_capacity(conns);
-        let mut by_addr = HashMap::with_capacity(conns);
         for i in 0..conns {
             let ip = CLIENT_IP_BASE + (i / PORTS_PER_IP) as u32;
             let port = CLIENT_PORT_BASE + (i % PORTS_PER_IP) as u16;
-            by_addr.insert((ip, port), i);
             list.push(SimConn {
                 ip,
                 port,
@@ -682,7 +709,6 @@ impl SimClients {
         }
         Self {
             conns: list,
-            by_addr,
             server_mac: Mac::of_nic(nic_id),
             client_mac: Mac::of_nic(200),
             ident: 0,
@@ -706,11 +732,21 @@ impl SimClients {
         0x1000_0000u32.wrapping_add((i as u32).wrapping_mul(0x1001))
     }
 
-    fn syn_frame(&mut self, i: usize) -> Vec<u8> {
+    /// The connection owning client address `ip:port` — the inverse of
+    /// the assignment in [`SimClients::new`].
+    fn conn_at(&self, ip: u32, port: u16) -> Option<usize> {
+        let block = ip.checked_sub(CLIENT_IP_BASE)? as usize;
+        let offset = usize::from(port.checked_sub(CLIENT_PORT_BASE)?);
+        let i = block.checked_mul(PORTS_PER_IP)?.checked_add(offset)?;
+        (offset < PORTS_PER_IP && i < self.conns.len()).then_some(i)
+    }
+
+    fn send_syn(&mut self, i: usize, nic: &mut Nic) {
         let iss = Self::iss(i);
         let c = &mut self.conns[i];
         c.snd_nxt = iss.wrapping_add(1);
         client_frame(
+            nic,
             self.server_mac,
             self.client_mac,
             &mut self.ident,
@@ -750,7 +786,7 @@ impl SimClients {
             return;
         };
         let payload = &l4[off..];
-        let Some(&i) = self.by_addr.get(&(ip.dst, hdr.dst_port)) else {
+        let Some(i) = self.conn_at(ip.dst, hdr.dst_port) else {
             return;
         };
         if hdr.flags.rst {
@@ -819,7 +855,7 @@ impl SimClients {
 
     /// Starts a burst on idle connection `i`; its latency clock starts
     /// at the burst's *scheduled* arrival.
-    fn start_burst(&mut self, i: usize, t_arrival: u64, out: &mut Vec<Vec<u8>>) {
+    fn start_burst(&mut self, i: usize, t_arrival: u64, nic: &mut Nic) {
         let b = self.bursts_started;
         self.bursts_started += 1;
         self.req_buf.clear();
@@ -838,15 +874,16 @@ impl SimClients {
         let c = &mut self.conns[i];
         c.expected = self.pipeline as u32;
         c.t_arrival = t_arrival;
-        self.send_request(i, out);
+        self.send_request(i, nic);
     }
 
     /// Frames `req_buf` as the next in-order data of connection `i`.
-    fn send_request(&mut self, i: usize, out: &mut Vec<Vec<u8>>) {
+    fn send_request(&mut self, i: usize, nic: &mut Nic) {
         let c = &mut self.conns[i];
         c.need_ack = false; // data frames carry the cumulative ack
         for chunk in self.req_buf.chunks(MSS) {
-            let f = client_frame(
+            client_frame(
+                nic,
                 self.server_mac,
                 self.client_mac,
                 &mut self.ident,
@@ -858,42 +895,46 @@ impl SimClients {
                 chunk,
             );
             c.snd_nxt = c.snd_nxt.wrapping_add(chunk.len() as u32);
-            out.push(f);
         }
     }
 
     /// Records an arrival: starts the burst if the connection is idle,
     /// queues it (open-loop) otherwise.
-    fn arrival(&mut self, i: usize, t: u64, out: &mut Vec<Vec<u8>>) {
+    fn arrival(&mut self, i: usize, t: u64, nic: &mut Nic) {
         let c = &mut self.conns[i];
         if c.expected == 0 && c.queued.is_empty() {
-            self.start_burst(i, t, out);
+            self.start_burst(i, t, nic);
         } else {
             c.queued.push_back(t);
         }
     }
 
     /// Emits queued burst starts and batched ACKs.
-    fn emit(&mut self, out: &mut Vec<Vec<u8>>) {
-        let starts = std::mem::take(&mut self.pending_starts);
-        for i in starts {
+    fn emit(&mut self, nic: &mut Nic) {
+        // Both lists keep their allocation: entries re-queued below land
+        // behind the `due` ones being served.
+        let due = self.pending_starts.len();
+        for k in 0..due {
+            let i = self.pending_starts[k];
             if self.conns[i].expected == 0 {
                 if let Some(t) = self.conns[i].queued.pop_front() {
-                    self.start_burst(i, t, out);
+                    self.start_burst(i, t, nic);
                 }
                 if !self.conns[i].queued.is_empty() {
                     self.pending_starts.push(i);
                 }
             }
         }
-        let acks = std::mem::take(&mut self.ack_pending);
-        for i in acks {
+        self.pending_starts.drain(..due);
+        let mut acks = std::mem::take(&mut self.ack_pending);
+        for i in acks.drain(..) {
             let c = &mut self.conns[i];
             if !c.need_ack {
                 continue;
             }
             c.need_ack = false;
-            out.push(client_frame(
+            client_frame(
+                nic,
                 self.server_mac,
                 self.client_mac,
                 &mut self.ident,
@@ -903,8 +944,9 @@ impl SimClients {
                 TcpFlags::ACK,
                 c.snd_nxt,
                 &[],
-            ));
+            );
         }
+        self.ack_pending = acks;
     }
 }
 
@@ -963,8 +1005,9 @@ fn gen_arrivals(bursts: u64, conns: usize, mean_gap: u64, seed: u64) -> Vec<(u64
 ///
 /// # Errors
 ///
-/// Returns [`ServeRunError`] when a shard answers with a RESP error or
-/// the server image fails, so sweeps degrade instead of aborting.
+/// Returns [`ServeRunError`] when a shard answers with a RESP error, the
+/// server image fails or the run stops making progress, so sweeps degrade
+/// instead of aborting.
 pub fn run_serve(params: &ServeParams) -> Result<ServeResult, ServeRunError> {
     run_serve_inner(params, false).map(|(r, _, _)| r)
 }
@@ -1002,8 +1045,6 @@ struct Tier {
     clients: SimClients,
     /// The task serving each socket, by socket id.
     task_of: Vec<Option<CoTaskId>>,
-    /// Frame scratch between the clients and the server NIC.
-    frames: Vec<Vec<u8>>,
 }
 
 impl Tier {
@@ -1056,7 +1097,7 @@ impl Tier {
 
         let mut world = ServeWorld {
             os,
-            shards: vec![HashMap::new(); shards],
+            shards: vec![FixedMap::default(); shards],
             shard_ops: vec![0; shards],
             shard_comps,
             shard_vcpus,
@@ -1093,12 +1134,10 @@ impl Tier {
         let mut accepted = 0usize;
 
         // Establishment, in waves that stay under the accept-backlog cap.
-        let mut frames: Vec<Vec<u8>> = Vec::new();
         for start in (0..conns).step_by(ESTABLISH_WAVE) {
             let end = (start + ESTABLISH_WAVE).min(conns);
             for i in start..end {
-                let syn = clients.syn_frame(i);
-                world.os.net.nic.push_rx(syn);
+                clients.send_syn(i, &mut world.os.net.nic);
             }
             let mut spins = 0u32;
             while clients.established_count < end || accepted < end {
@@ -1106,12 +1145,9 @@ impl Tier {
                 let now = world.os.img.machine.clock().cycles();
                 while let Some(f) = world.os.net.nic.pop_tx() {
                     clients.on_frame(now, &f);
+                    world.os.net.nic.recycle(f);
                 }
-                frames.clear();
-                clients.emit(&mut frames);
-                for f in frames.drain(..) {
-                    world.os.net.nic.push_rx(f);
-                }
+                clients.emit(&mut world.os.net.nic);
                 world.os.poll_net().map_err(ServeRunError::server)?;
                 loop {
                     match world.os.accept(listener) {
@@ -1129,7 +1165,13 @@ impl Tier {
                 }
                 exec.run_until_idle(&mut world, 1_000_000);
                 spins += 1;
-                assert!(spins < 10_000, "serve handshake wave stalled");
+                if spins >= MAX_IDLE_ROUNDS {
+                    return Err(ServeRunError::NoProgress {
+                        phase: "handshake wave",
+                        done: accepted.min(clients.established_count) as u64,
+                        wanted: end as u64,
+                    });
+                }
             }
         }
         if !clients.reply_errors.is_empty() {
@@ -1140,7 +1182,6 @@ impl Tier {
             exec,
             clients,
             task_of,
-            frames,
         })
     }
 
@@ -1154,7 +1195,6 @@ impl Tier {
             exec,
             clients,
             task_of,
-            frames,
         } = self;
         let mut moved = false;
         world.os.poll_net().map_err(ServeRunError::server)?;
@@ -1168,17 +1208,102 @@ impl Tier {
         exec.run_until_idle(world, 10_000_000);
         world.os.poll_net().map_err(ServeRunError::server)?;
         let now = world.os.img.machine.clock().cycles();
-        while let Some(f) = world.os.net.nic.pop_tx() {
+        let nic = &mut world.os.net.nic;
+        while let Some(f) = nic.pop_tx() {
             moved = true;
             clients.on_frame(now, &f);
+            nic.recycle(f);
         }
-        frames.clear();
-        clients.emit(frames);
-        for f in frames.drain(..) {
-            moved = true;
-            world.os.net.nic.push_rx(f);
+        let rx_before = nic.stats().rx_frames;
+        clients.emit(nic);
+        Ok(moved || nic.stats().rx_frames != rx_before)
+    }
+
+    /// The measured phase: open-loop Poisson arrivals over simulated
+    /// cycles until every burst has been answered. Returns the cycles and
+    /// gate crossings it took.
+    fn measure(&mut self, params: &ServeParams) -> Result<(u64, u64), ServeRunError> {
+        let bursts = (params.ops / params.pipeline.max(1) as u64).max(1);
+        let t_base = self.world.os.img.machine.clock().cycles();
+        let arrivals: Vec<(u64, usize)> = gen_arrivals(
+            bursts,
+            self.clients.conns.len(),
+            params.arrival_gap_cycles,
+            params.seed,
+        )
+        .into_iter()
+        .map(|(t, c)| (t_base + t, c))
+        .collect();
+        let start_crossings = self.world.os.img.gates.stats().crossings;
+        let mut arr_idx = 0usize;
+        let mut idle = 0u32;
+        let mut pending_migration = params.migrate_to;
+        while self.clients.completed_bursts < bursts {
+            // Live migration: once enough bursts completed, swap every
+            // compartment pair to the target backend while traffic is
+            // still in flight. `migrate_all` requests the swaps; pairs
+            // that are quiescent right now swap immediately, busy ones
+            // defer to their next safe point, which `poll_migrations`
+            // below keeps pumping between executor slices.
+            if let Some((after, to)) = pending_migration {
+                if self.clients.completed_bursts >= after {
+                    let img = &mut self.world.os.img;
+                    flexos_backends::migrate_all(img, to, flexos::gate::MigrationReason::Manual)
+                        .map_err(|e| {
+                            ServeRunError::server(format!("live migration failed: {e}"))
+                        })?;
+                    pending_migration = None;
+                }
+            }
+            if params.migrate_to.is_some() {
+                let img = &mut self.world.os.img;
+                img.gates
+                    .poll_migrations(&mut img.machine)
+                    .map_err(|e| ServeRunError::server(format!("migration drain failed: {e}")))?;
+            }
+            let now = self.world.os.img.machine.clock().cycles();
+            let nic = &mut self.world.os.net.nic;
+            let rx_before = nic.stats().rx_frames;
+            while arr_idx < arrivals.len() && arrivals[arr_idx].0 <= now {
+                let (t, ci) = arrivals[arr_idx];
+                self.clients.arrival(ci, t, nic);
+                arr_idx += 1;
+            }
+            let arrived = nic.stats().rx_frames != rx_before;
+            let before = self.clients.completed_bursts;
+            let moved = self.pump()? || arrived;
+            if let Some(e) = self.world.errors.first() {
+                return Err(ServeRunError::Server(e.clone()));
+            }
+            if let Some(e) = self.clients.reply_errors.first() {
+                return Err(ServeRunError::Reply(e.clone()));
+            }
+            if moved || self.clients.completed_bursts > before {
+                idle = 0;
+                continue;
+            }
+            // Quiescent: jump the clock toward the next arrival. Jumps are
+            // bounded well under the RTO, and every in-flight byte has been
+            // delivered and acked before a jump, so nothing retransmits.
+            idle += 1;
+            let now = self.world.os.img.machine.clock().cycles();
+            if arr_idx < arrivals.len() && arrivals[arr_idx].0 > now {
+                let jump = (arrivals[arr_idx].0 - now).min(5_000_000);
+                self.world.os.img.machine.charge(jump);
+            } else {
+                self.world.os.img.machine.charge(10_000);
+            }
+            if idle >= MAX_IDLE_ROUNDS {
+                return Err(ServeRunError::NoProgress {
+                    phase: "measured bursts",
+                    done: self.clients.completed_bursts,
+                    wanted: bursts,
+                });
+            }
         }
-        Ok(moved)
+        let cycles = self.world.os.img.machine.clock().cycles() - t_base;
+        let crossings = self.world.os.img.gates.stats().crossings - start_crossings;
+        Ok((cycles, crossings))
     }
 }
 
@@ -1189,77 +1314,7 @@ fn run_serve_inner(
 ) -> Result<(ServeResult, StatsSnapshot, Option<String>), ServeRunError> {
     let conns = params.conns.max(1);
     let mut tier = Tier::boot(params)?;
-
-    // Measured phase: open-loop Poisson arrivals over simulated cycles.
-    let bursts = (params.ops / params.pipeline.max(1) as u64).max(1);
-    let t_base = tier.world.os.img.machine.clock().cycles();
-    let arrivals: Vec<(u64, usize)> =
-        gen_arrivals(bursts, conns, params.arrival_gap_cycles, params.seed)
-            .into_iter()
-            .map(|(t, c)| (t_base + t, c))
-            .collect();
-    let start_cycles = t_base;
-    let start_crossings = tier.world.os.img.gates.stats().crossings;
-    let mut arr_idx = 0usize;
-    let mut idle = 0u32;
-    let mut pending_migration = params.migrate_to;
-    while tier.clients.completed_bursts < bursts {
-        // Live migration: once enough bursts completed, swap every
-        // compartment pair to the target backend while traffic is
-        // still in flight. `migrate_all` requests the swaps; pairs
-        // that are quiescent right now swap immediately, busy ones
-        // defer to their next safe point, which `poll_migrations`
-        // below keeps pumping between executor slices.
-        if let Some((after, to)) = pending_migration {
-            if tier.clients.completed_bursts >= after {
-                let img = &mut tier.world.os.img;
-                flexos_backends::migrate_all(img, to, flexos::gate::MigrationReason::Manual)
-                    .map_err(|e| ServeRunError::server(format!("live migration failed: {e}")))?;
-                pending_migration = None;
-            }
-        }
-        if params.migrate_to.is_some() {
-            let img = &mut tier.world.os.img;
-            img.gates
-                .poll_migrations(&mut img.machine)
-                .map_err(|e| ServeRunError::server(format!("migration drain failed: {e}")))?;
-        }
-        let now = tier.world.os.img.machine.clock().cycles();
-        tier.frames.clear();
-        while arr_idx < arrivals.len() && arrivals[arr_idx].0 <= now {
-            let (t, ci) = arrivals[arr_idx];
-            tier.clients.arrival(ci, t, &mut tier.frames);
-            arr_idx += 1;
-        }
-        let arrived = !tier.frames.is_empty();
-        for f in tier.frames.drain(..) {
-            tier.world.os.net.nic.push_rx(f);
-        }
-        let before = tier.clients.completed_bursts;
-        let moved = tier.pump()? || arrived;
-        if let Some(e) = tier.world.errors.first() {
-            return Err(ServeRunError::Server(e.clone()));
-        }
-        if let Some(e) = tier.clients.reply_errors.first() {
-            return Err(ServeRunError::Reply(e.clone()));
-        }
-        if moved || tier.clients.completed_bursts > before {
-            idle = 0;
-            continue;
-        }
-        // Quiescent: jump the clock toward the next arrival. Jumps are
-        // bounded well under the RTO, and every in-flight byte has been
-        // delivered and acked before a jump, so nothing retransmits.
-        idle += 1;
-        let now = tier.world.os.img.machine.clock().cycles();
-        if arr_idx < arrivals.len() && arrivals[arr_idx].0 > now {
-            let jump = (arrivals[arr_idx].0 - now).min(5_000_000);
-            tier.world.os.img.machine.charge(jump);
-        } else {
-            tier.world.os.img.machine.charge(10_000);
-        }
-        assert!(idle < 10_000, "serve made no progress");
-    }
+    let (cycles, crossings) = tier.measure(params)?;
 
     let Tier {
         mut world,
@@ -1267,8 +1322,6 @@ fn run_serve_inner(
         mut clients,
         ..
     } = tier;
-    let cycles = world.os.img.machine.clock().cycles() - start_cycles;
-    let crossings = world.os.img.gates.stats().crossings - start_crossings;
     let ops_done = clients.completed_reqs;
     let mut lat = std::mem::take(&mut clients.latencies);
     lat.sort_unstable();
@@ -1496,10 +1549,7 @@ mod tests {
         .expect("tier boots");
         tier.clients.req_buf.clear();
         tier.clients.req_buf.extend_from_slice(wire);
-        tier.clients.send_request(0, &mut tier.frames);
-        for f in tier.frames.drain(..) {
-            tier.world.os.net.nic.push_rx(f);
-        }
+        tier.clients.send_request(0, &mut tier.world.os.net.nic);
         let mut rounds = 0;
         while tier.pump().expect("server survives") {
             rounds += 1;
@@ -1528,6 +1578,29 @@ mod tests {
         );
         // A well-formed value that is no command keeps the connection.
         assert_eq!(raw_exchange(b":1\r\n"), ["ERR unknown command ''"]);
+    }
+
+    #[test]
+    fn clients_that_never_answer_are_an_error_not_a_panic() {
+        let params = ServeParams {
+            conns: 2,
+            ops: 8,
+            ..ServeParams::default()
+        };
+        let mut tier = Tier::boot(&params).expect("tier boots");
+        // Every connection believes a burst is already in flight, so each
+        // arrival queues behind replies that will never come.
+        for c in &mut tier.clients.conns {
+            c.expected = 1;
+        }
+        assert_eq!(
+            tier.measure(&params),
+            Err(ServeRunError::NoProgress {
+                phase: "measured bursts",
+                done: 0,
+                wanted: 2,
+            })
+        );
     }
 
     #[test]

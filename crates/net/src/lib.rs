@@ -11,13 +11,16 @@
 //! * [`nic`] — simulated NICs and a point-to-point link with
 //!   deterministic fault injection: nth-frame drops/reordering plus
 //!   seeded probabilistic chaos (loss, corruption, duplication,
-//!   reordering) via [`LinkChaos`];
+//!   reordering) via [`LinkChaos`]; each NIC owns the pool its frame
+//!   buffers are recycled through;
 //! * [`ring`] — socket receive rings living in *simulated* memory, so
 //!   every payload byte is protection-checked and cycle-charged;
 //! * [`stack`] — the socket API (`listen`/`accept`/`connect`/`send`/
 //!   `recv`, plus UDP) and the poll loop, with per-packet cost
 //!   accounting (including the Xen hypervisor tax used by Figure 3's
-//!   Xen curves).
+//!   Xen curves);
+//! * [`hash`] — the one fixed, unkeyed hasher behind the demux table
+//!   and the serving tier's stores (never iterated, so never an output).
 //!
 //! The iperf and Redis workloads of the paper's §4 run over this stack
 //! in the `flexos-apps` crate, with the stack placed in its own
@@ -27,6 +30,7 @@
 #![warn(missing_docs)]
 
 pub mod event;
+pub mod hash;
 pub mod nic;
 pub mod ring;
 pub mod stack;
@@ -34,6 +38,7 @@ pub mod tcp;
 pub mod wire;
 
 pub use event::{EventQueue, Interest, ReadyEvent, Trigger};
+pub use hash::{FixedHasher, FixedMap};
 pub use nic::{Link, LinkChaos, LinkFaults, Nic, NicStats};
 pub use ring::SimRing;
 pub use stack::{NetError, NetResult, NetStack, SocketId, StackStats};

@@ -29,8 +29,15 @@ pub struct Nic {
     pub mac: Mac,
     rx: VecDeque<Vec<u8>>,
     tx: VecDeque<Vec<u8>>,
+    /// Consumed frame buffers awaiting reuse ([`Nic::frame_buf`]).
+    pool: Vec<Vec<u8>>,
     stats: NicStats,
 }
+
+/// Buffers the pool keeps — a few rounds' worth of frames in flight.
+/// Beyond it a recycled buffer is freed, so a NIC that receives more
+/// frames than it sends cannot hoard memory.
+const FRAME_POOL_CAP: usize = 128;
 
 impl Nic {
     /// Creates a NIC with the given MAC.
@@ -39,7 +46,23 @@ impl Nic {
             mac,
             rx: VecDeque::new(),
             tx: VecDeque::new(),
+            pool: Vec::new(),
             stats: NicStats::default(),
+        }
+    }
+
+    /// An empty buffer to build a frame in: a recycled one (keeping the
+    /// capacity of the largest frame it has carried) when the pool has
+    /// any, else a new one.
+    pub fn frame_buf(&mut self) -> Vec<u8> {
+        self.pool.pop().unwrap_or_default()
+    }
+
+    /// Hands a consumed frame's buffer back for reuse.
+    pub fn recycle(&mut self, mut frame: Vec<u8>) {
+        if self.pool.len() < FRAME_POOL_CAP {
+            frame.clear();
+            self.pool.push(frame);
         }
     }
 

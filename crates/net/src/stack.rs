@@ -13,12 +13,13 @@
 //! is charged (and protection-checked) there.
 
 use crate::event::{EventQueue, Interest, ReadyEvent, Trigger};
+use crate::hash::FixedMap;
 use crate::nic::Nic;
 use crate::ring::SimRing;
 use crate::tcp::{SegmentOut, TcpConfig, TcpConn};
 use crate::wire::{
-    build_tcp_frame, build_udp_frame, EthHeader, Ipv4Header, Mac, TcpFlags, TcpHeader, UdpHeader,
-    WireError, ETHERTYPE_IPV4, ETH_LEN, IPV4_LEN, PROTO_TCP, PROTO_UDP, UDP_LEN,
+    build_tcp_frame_into, build_udp_frame, EthHeader, Ipv4Header, Mac, TcpFlags, TcpHeader,
+    UdpHeader, WireError, ETHERTYPE_IPV4, ETH_LEN, IPV4_LEN, PROTO_TCP, PROTO_UDP, UDP_LEN,
 };
 use flexos_machine::{Addr, Fault, Machine, VcpuId};
 use flexos_trace::{NetTrace, SpanKind};
@@ -175,10 +176,13 @@ pub struct NetStack {
     /// first-`None` scan) so slot assignment stays deterministic.
     free_slots: BTreeSet<usize>,
     /// Stream sockets that may produce output or deliverable bytes on
-    /// the next pump. Everything outside this set is guaranteed idle
-    /// ([`TcpConn::needs_pump`] false, nothing staged for its ring), so
-    /// the pump is O(active), never O(open).
-    active: BTreeSet<usize>,
+    /// the next pump, in no order (the pump sorts its snapshot, so it
+    /// still visits them by ascending slot). Everything outside this set
+    /// is guaranteed idle ([`TcpConn::needs_pump`] false, nothing staged
+    /// for its ring), so the pump is O(active), never O(open).
+    active: Vec<usize>,
+    /// Membership of `active` (or of the snapshot being pumped), by slot.
+    in_active: Vec<bool>,
     /// Readiness index fed by O(1) hooks at state transitions.
     events: EventQueue,
     /// Accept-backlog bound; SYNs beyond it are shed.
@@ -189,7 +193,9 @@ pub struct NetStack {
     /// [`NetStack::retransmits`] is stable across churn.
     closed_retransmits: u64,
     listeners: BTreeMap<u16, SocketId>,
-    conns: BTreeMap<(u16, u32, u16), SocketId>,
+    /// Stream demux, keyed by [`conn_key`]. Probed per segment, never
+    /// iterated.
+    conns: FixedMap<u64, SocketId>,
     udp_ports: BTreeMap<u16, SocketId>,
     pool: BufPool,
     tcp_cfg: TcpConfig,
@@ -212,8 +218,17 @@ pub struct NetStack {
     /// Reusable segment scratch for the pump and demux paths (the
     /// PR-4 zero-alloc doctrine applied to `TcpConn::poll_into`).
     seg_scratch: Vec<SegmentOut>,
+    /// Payload buffers of emitted data segments, for the next ones.
+    payload_spare: Vec<Vec<u8>>,
     /// Reusable active-set snapshot for the pump.
     active_scratch: Vec<usize>,
+}
+
+/// The demux key of a stream: what remains of the 4-tuple once the local
+/// address is fixed, packed into one word so a lookup hashes one `u64`.
+#[inline]
+pub fn conn_key(local_port: u16, remote_ip: u32, remote_port: u16) -> u64 {
+    u64::from(local_port) << 48 | u64::from(remote_ip) << 16 | u64::from(remote_port)
 }
 
 impl NetStack {
@@ -226,13 +241,14 @@ impl NetStack {
             nic,
             socks: Vec::new(),
             free_slots: BTreeSet::new(),
-            active: BTreeSet::new(),
+            active: Vec::new(),
+            in_active: Vec::new(),
             events: EventQueue::new(),
             backlog_cap: DEFAULT_BACKLOG_CAP,
             sock_ring_bytes: SOCK_RX_RING,
             closed_retransmits: 0,
             listeners: BTreeMap::new(),
-            conns: BTreeMap::new(),
+            conns: FixedMap::default(),
             udp_ports: BTreeMap::new(),
             pool: BufPool {
                 base: pool_base,
@@ -251,6 +267,7 @@ impl NetStack {
             trace: NetTrace::new(),
             tx_scratch: Vec::new(),
             seg_scratch: Vec::new(),
+            payload_spare: Vec::new(),
             active_scratch: Vec::new(),
         }
     }
@@ -329,13 +346,21 @@ impl NetStack {
             return SocketId(i);
         }
         self.socks.push(Some(s));
+        self.in_active.push(false);
         SocketId(self.socks.len() - 1)
     }
 
     /// Marks a stream as needing pump attention on the next poll.
     #[inline]
     fn mark_active(&mut self, idx: usize) {
-        self.active.insert(idx);
+        if !std::mem::replace(&mut self.in_active[idx], true) {
+            self.active.push(idx);
+        }
+    }
+
+    /// Open stream connections (the demux table's size).
+    pub fn conn_count(&self) -> usize {
+        self.conns.len()
     }
 
     fn sock(&mut self, id: SocketId) -> NetResult<&mut Sock> {
@@ -368,7 +393,7 @@ impl NetStack {
             } else {
                 port + 1
             };
-            if !self.conns.contains_key(&(port, dst_ip, dst_port)) {
+            if !self.conns.contains_key(&conn_key(port, dst_ip, dst_port)) {
                 return Ok(port);
             }
         }
@@ -421,7 +446,8 @@ impl NetStack {
             rx: SimRing::new(rx_base, ring),
             remote: (dst_ip, dst_port),
         });
-        self.conns.insert((local_port, dst_ip, dst_port), id);
+        self.conns
+            .insert(conn_key(local_port, dst_ip, dst_port), id);
         self.events.register(id, Interest::READ, Trigger::Level);
         self.mark_active(id.0);
         self.emit_tcp(dst_ip, &syn);
@@ -446,16 +472,6 @@ impl NetStack {
             Sock::TcpListen { backlog, .. } => Ok(!backlog.is_empty()),
             _ => Err(NetError::InvalidSocket),
         }
-    }
-
-    /// Every open TCP stream socket id (used by the OS layer to scan for
-    /// newly-readable sockets after a poll).
-    pub fn tcp_stream_ids(&self) -> Vec<SocketId> {
-        self.socks
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| matches!(s, Some(Sock::TcpStream { .. })).then_some(SocketId(i)))
-            .collect()
     }
 
     /// Whether a stream socket is fully closed.
@@ -711,13 +727,17 @@ impl NetStack {
             return;
         };
         let eth = self.eth_header();
-        match build_tcp_frame(&eth, &ip, &seg.hdr, &seg.payload) {
-            Ok(frame) => {
+        let mut frame = self.nic.frame_buf();
+        match build_tcp_frame_into(&eth, &ip, &seg.hdr, &seg.payload, &mut frame) {
+            Ok(()) => {
                 self.nic.push_tx(frame);
                 self.stats.tx_segments += 1;
                 self.trace.on_tx_segment();
             }
-            Err(_) => debug_assert!(false, "TCP segment exceeded wire limits"),
+            Err(_) => {
+                self.nic.recycle(frame);
+                debug_assert!(false, "TCP segment exceeded wire limits");
+            }
         }
     }
 
@@ -741,6 +761,7 @@ impl NetStack {
                     + self.packet_tax(frame.len() as u64),
             );
             self.handle_frame(m, &frame);
+            self.nic.recycle(frame);
         }
         if rx_frames {
             let t1 = m.clock().cycles();
@@ -762,29 +783,33 @@ impl NetStack {
         // skipping it keeps the cycle stream byte-identical while the
         // pump drops from O(open) to O(active).
         let now = m.clock().cycles();
-        let mut act = std::mem::take(&mut self.active_scratch);
-        act.clear();
-        act.extend(self.active.iter().copied());
+        // The snapshot to pump; sockets that stay active (and any marked
+        // meanwhile) collect in the emptied `self.active`.
+        let mut act = std::mem::replace(&mut self.active, std::mem::take(&mut self.active_scratch));
+        act.sort_unstable();
         for k in 0..act.len() {
             let i = act[k];
             let mut segs = std::mem::take(&mut self.seg_scratch);
-            segs.clear();
             let dst_ip = {
                 let Some(Sock::TcpStream { conn, rx, remote }) = self.socks[i].as_mut() else {
-                    self.active.remove(&i);
+                    self.in_active[i] = false;
                     self.seg_scratch = segs;
                     continue;
                 };
                 // Pump protocol output into the reusable scratch.
-                conn.poll_into(now, &mut segs);
-                // Move in-order payload into the socket's receive ring.
+                conn.poll_reusing(now, &mut segs, &mut self.payload_spare);
+                // Move in-order payload into the socket's receive ring,
+                // straight out of the connection's FIFO.
                 let room = rx.free();
                 if room > 0 && conn.ready_len() > 0 {
-                    let data = conn.take_ready(room as usize);
-                    if let Err(f) = rx.push(m, vcpu, &data) {
-                        self.seg_scratch = segs;
-                        self.active_scratch = act;
-                        return Err(f.into());
+                    match rx.push(m, vcpu, conn.ready_slice(room as usize)) {
+                        Ok(n) => conn.consume_ready(n as usize),
+                        Err(f) => {
+                            self.seg_scratch = segs;
+                            self.active.extend_from_slice(&act[k..]);
+                            self.active_scratch = act;
+                            return Err(f.into());
+                        }
                     }
                 }
                 remote.0
@@ -809,7 +834,11 @@ impl NetStack {
                     t1,
                 );
             }
-            segs.clear();
+            self.payload_spare.extend(
+                segs.drain(..)
+                    .map(|s| s.payload)
+                    .filter(|p| p.capacity() > 0),
+            );
             self.seg_scratch = segs;
             // Readiness sync at the exact transition, then retain or
             // retire the socket from the active set.
@@ -832,31 +861,35 @@ impl NetStack {
                     // nothing can ever touch this socket again.
                     reap = Some((conn.local_port, *remote));
                 } else if !conn.needs_pump() && conn.ready_len() == 0 {
-                    self.active.remove(&i);
+                    self.in_active[i] = false;
+                } else {
+                    self.active.push(i);
                 }
             }
             if let Some((local_port, (rip, rport))) = reap {
                 self.reap_stream(i, local_port, rip, rport);
             }
         }
+        act.clear();
         self.active_scratch = act;
         Ok(())
     }
 
-    /// Tears down a fully-quiesced stream: table entries out, ring back
-    /// to the pool, slot onto the free list, readiness registration
-    /// dropped (queued stale events die by generation), retransmit count
-    /// folded into the stable total.
+    /// Tears down the fully-quiesced stream the pump is looking at (so it
+    /// is in the pump's snapshot, not in `active`): table entries out,
+    /// ring back to the pool, slot onto the free list, readiness
+    /// registration dropped (queued stale events die by generation),
+    /// retransmit count folded into the stable total.
     fn reap_stream(&mut self, i: usize, local_port: u16, rip: u32, rport: u16) {
         let Some(Sock::TcpStream { conn, rx, .. }) = self.socks[i].take() else {
             return;
         };
-        self.conns.remove(&(local_port, rip, rport));
+        self.conns.remove(&conn_key(local_port, rip, rport));
         let (base, cap) = rx.region();
         self.pool.release(base, cap);
         self.closed_retransmits += conn.retransmits;
         self.events.deregister(SocketId(i));
-        self.active.remove(&i);
+        self.in_active[i] = false;
         self.free_slots.insert(i);
     }
 
@@ -891,7 +924,6 @@ impl NetStack {
             _ => {
                 self.stats.demux_drops += 1;
                 self.trace.on_drop(now);
-                self.trace.on_drop(now);
             }
         }
     }
@@ -904,7 +936,7 @@ impl NetStack {
             return;
         };
         let payload = &l4[off..];
-        let key = (hdr.dst_port, ip.src, hdr.src_port);
+        let key = conn_key(hdr.dst_port, ip.src, hdr.src_port);
         if let Some(&sid) = self.conns.get(&key) {
             let mut segs = std::mem::take(&mut self.seg_scratch);
             segs.clear();
@@ -1023,6 +1055,7 @@ impl NetStack {
 mod tests {
     use super::*;
     use crate::nic::Link;
+    use crate::wire::build_tcp_frame;
     use flexos_machine::{PageFlags, ProtKey, VmId};
 
     const SERVER_IP: u32 = 0x0a00_0001;
@@ -1273,6 +1306,32 @@ mod tests {
     }
 
     #[test]
+    fn unknown_ip_protocol_is_one_drop_in_stats_and_trace() {
+        let mut w = world();
+        let eth = EthHeader {
+            dst: Mac::of_nic(1),
+            src: Mac::of_nic(9),
+            ethertype: ETHERTYPE_IPV4,
+        };
+        let ip = Ipv4Header {
+            src: CLIENT_IP,
+            dst: SERVER_IP,
+            proto: 1, // ICMP: neither TCP nor UDP
+            total_len: (IPV4_LEN + 8) as u16,
+            ttl: 64,
+            ident: 1,
+        };
+        let mut frame = vec![0u8; ETH_LEN + IPV4_LEN + 8];
+        eth.write(&mut frame[..ETH_LEN]);
+        ip.write(&mut frame[ETH_LEN..ETH_LEN + IPV4_LEN]);
+        w.server.nic.push_rx(frame);
+        w.server.poll(&mut w.m, VcpuId(0)).unwrap();
+        assert_eq!(w.server.stats().demux_drops, 1);
+        assert_eq!(w.server.trace().drops(), 1);
+        assert_eq!(w.server.trace().ring().len(), 1);
+    }
+
+    #[test]
     fn syn_to_closed_port_gets_rst() {
         let mut w = world();
         let cs = w.client.tcp_connect(SERVER_IP, 81).unwrap(); // nobody listens
@@ -1372,7 +1431,9 @@ mod tests {
             assert!(p >= EPHEMERAL_BASE);
             assert!(seen.insert(p), "port {p} reused at connect {i}");
             // Pin the 4-tuple as live, as tcp_connect would.
-            w.client.conns.insert((p, SERVER_IP, 80), SocketId(0));
+            w.client
+                .conns
+                .insert(conn_key(p, SERVER_IP, 80), SocketId(0));
         }
         // Every port in the dynamic range is now live: the next connect
         // to the same destination fails cleanly instead of reusing one.
@@ -1394,13 +1455,15 @@ mod tests {
             w.client
                 .conns
                 .iter()
-                .find_map(|(k, &v)| (v == sid).then_some(k.0))
+                .find_map(|(&k, &v)| (v == sid).then_some((k >> 48) as u16))
                 .unwrap()
         };
         assert_eq!(port_of(&w, a), u16::MAX);
         // The wrapped rotor lands on a port still bound to a live
         // connection; the allocator must skip it.
-        w.client.conns.insert((EPHEMERAL_BASE, SERVER_IP, 80), a);
+        w.client
+            .conns
+            .insert(conn_key(EPHEMERAL_BASE, SERVER_IP, 80), a);
         let b = w.client.tcp_connect(SERVER_IP, 80).unwrap();
         assert_eq!(port_of(&w, b), EPHEMERAL_BASE + 1);
     }

@@ -4,8 +4,15 @@
 //! One [`TcpConn`] is one connection endpoint. The stack feeds it
 //! received segments ([`TcpConn::on_segment`]) and pumps it for output
 //! ([`TcpConn::poll`]); the socket layer moves application bytes in and
-//! out ([`TcpConn::send`], [`TcpConn::take_ready`]). Time is the
-//! machine's cycle clock, so retransmission behaviour is deterministic.
+//! out ([`TcpConn::send`], [`TcpConn::ready_slice`] +
+//! [`TcpConn::consume_ready`]). Time is the machine's cycle clock, so
+//! retransmission behaviour is deterministic.
+//!
+//! Payload bytes are not copied between queues: sent-but-unacknowledged
+//! bytes stay at the head of the send FIFO (the `snd_una..snd_nxt`
+//! window) until the ACK that covers them, retransmission entries name
+//! ranges of it, and received bytes are lent to the socket layer out of
+//! the receive FIFO.
 //!
 //! Deliberate simplifications (documented in DESIGN.md): no congestion
 //! control, no SACK, no delayed ACKs, fixed RTO — none of which the
@@ -15,9 +22,9 @@
 use crate::wire::{TcpFlags, TcpHeader, MSS};
 use std::collections::{BTreeMap, VecDeque};
 
-/// A byte FIFO over a flat `Vec`: bulk `extend_from_slice` on push, one
-/// `memcpy` on pop, amortized compaction of the dead prefix. Replaces
-/// `VecDeque<u8>` on the per-segment hot path, where the deque's
+/// A byte FIFO over a flat `Vec`: bulk `extend_from_slice` on push,
+/// borrow-then-consume on pop, amortized compaction of the dead prefix.
+/// Replaces `VecDeque<u8>` on the per-segment hot path, where the deque's
 /// per-element iteration was the simulator's top host-time cost.
 #[derive(Debug, Clone, Default)]
 struct ByteFifo {
@@ -44,16 +51,18 @@ impl ByteFifo {
         self.buf.extend_from_slice(data);
     }
 
-    /// Removes and returns the first `n` queued bytes (clamped).
-    fn take(&mut self, n: usize) -> Vec<u8> {
-        let n = n.min(self.len());
-        let out = self.buf[self.head..self.head + n].to_vec();
-        self.head += n;
+    /// The queued bytes, oldest first.
+    fn peek(&self) -> &[u8] {
+        &self.buf[self.head..]
+    }
+
+    /// Drops the first `n` queued bytes (clamped).
+    fn consume(&mut self, n: usize) {
+        self.head += n.min(self.len());
         if self.head == self.buf.len() {
             self.buf.clear();
             self.head = 0;
         }
-        out
     }
 }
 
@@ -132,10 +141,13 @@ pub struct SegmentOut {
     pub payload: Vec<u8>,
 }
 
+/// One unacknowledged segment. Entries tile `snd_una..snd_nxt` in order,
+/// so the front entry's `len` data bytes are the head of the send FIFO.
 #[derive(Debug, Clone)]
 struct RetxSeg {
     seq: u32,
-    data: Vec<u8>,
+    /// Data bytes (0 for a SYN, SYN-ACK or bare FIN).
+    len: u32,
     fin: bool,
     sent_at: u64,
     retries: u32,
@@ -143,7 +155,7 @@ struct RetxSeg {
 
 impl RetxSeg {
     fn seq_len(&self) -> u32 {
-        self.data.len() as u32 + u32::from(self.fin)
+        self.len + u32::from(self.fin)
     }
 }
 
@@ -163,7 +175,11 @@ pub struct TcpConn {
     rcv_nxt: u32,
     snd_wnd: u32,
 
+    /// Unacknowledged then unsent application bytes: the first
+    /// `in_flight` are out (one `retx` entry per segment), the rest
+    /// await segmentation.
     tx: ByteFifo,
+    in_flight: u32,
     retx: VecDeque<RetxSeg>,
     rx_ready: ByteFifo,
     ooo: BTreeMap<u32, Vec<u8>>,
@@ -190,6 +206,7 @@ impl TcpConn {
             rcv_nxt: 0,
             snd_wnd: 0,
             tx: ByteFifo::default(),
+            in_flight: 0,
             retx: VecDeque::new(),
             rx_ready: ByteFifo::default(),
             ooo: BTreeMap::new(),
@@ -199,6 +216,11 @@ impl TcpConn {
             last_adv_wnd: cfg_rcv_wnd_u16,
             retransmits: 0,
         }
+    }
+
+    /// Queued bytes not yet segmented.
+    fn unsent(&self) -> usize {
+        self.tx.len() - self.in_flight as usize
     }
 
     fn window(&self) -> u16 {
@@ -233,7 +255,7 @@ impl TcpConn {
         // Track the SYN for retransmission (zero data, consumes 1 seq).
         c.retx.push_back(RetxSeg {
             seq: iss,
-            data: Vec::new(),
+            len: 0,
             fin: false,
             sent_at: 0,
             retries: 0,
@@ -260,7 +282,7 @@ impl TcpConn {
         c.snd_nxt = iss.wrapping_add(1);
         c.retx.push_back(RetxSeg {
             seq: iss,
-            data: Vec::new(),
+            len: 0,
             fin: false,
             sent_at: 0,
             retries: 0,
@@ -306,20 +328,35 @@ impl TcpConn {
         {
             return 0;
         }
-        let room = self.cfg.max_tx_buf - self.tx.len().min(self.cfg.max_tx_buf);
-        let n = data.len().min(room);
+        let n = data.len().min(self.tx_room());
         self.tx.extend(&data[..n]);
         n
     }
 
-    /// Bytes queued but not yet segmented.
+    /// Bytes queued but not yet acknowledged.
     pub fn tx_pending(&self) -> usize {
-        self.tx.len() + self.retx.iter().map(|r| r.data.len()).sum::<usize>()
+        self.tx.len()
     }
 
-    /// Takes up to `max` in-order received bytes.
+    /// Up to `max` in-order received bytes, lent in place; follow with
+    /// [`TcpConn::consume_ready`] for as many as were used.
+    pub fn ready_slice(&self, max: usize) -> &[u8] {
+        let ready = self.rx_ready.peek();
+        &ready[..ready.len().min(max)]
+    }
+
+    /// Drops the first `n` in-order received bytes (clamped).
+    pub fn consume_ready(&mut self, n: usize) {
+        self.rx_ready.consume(n);
+    }
+
+    /// Takes up to `max` in-order received bytes. The owning form of
+    /// [`TcpConn::ready_slice`] + [`TcpConn::consume_ready`], for tests
+    /// and tools.
     pub fn take_ready(&mut self, max: usize) -> Vec<u8> {
-        self.rx_ready.take(max)
+        let out = self.ready_slice(max).to_vec();
+        self.consume_ready(out.len());
+        out
     }
 
     /// Bytes ready for the application.
@@ -341,7 +378,7 @@ impl TcpConn {
     /// Transmit-buffer room available to `send` (the write-readiness
     /// condition the event queue reports).
     pub fn tx_room(&self) -> usize {
-        self.cfg.max_tx_buf - self.tx.len().min(self.cfg.max_tx_buf)
+        self.cfg.max_tx_buf - self.unsent().min(self.cfg.max_tx_buf)
     }
 
     /// Processes a received segment; returns any immediate responses
@@ -407,21 +444,26 @@ impl TcpConn {
         // --- ACK processing -----------------------------------------------
         if hdr.flags.ack && seq_lt(self.snd_una, hdr.ack) && seq_le(hdr.ack, self.snd_nxt) {
             self.snd_una = hdr.ack;
-            // Drop fully-acked retransmission entries; trim partial ones.
-            while let Some(front) = self.retx.front() {
+            // Drop fully-acked retransmission entries; trim a partial
+            // one. Their data leaves the head of the send FIFO.
+            let mut acked = 0u32;
+            while let Some(front) = self.retx.front_mut() {
                 let end = front.seq.wrapping_add(front.seq_len());
                 if seq_le(end, self.snd_una) {
+                    acked += front.len;
                     self.retx.pop_front();
                 } else if seq_lt(front.seq, self.snd_una) {
-                    let front = self.retx.front_mut().expect("nonempty");
-                    let cut = self.snd_una.wrapping_sub(front.seq) as usize;
-                    front.data.drain(..cut.min(front.data.len()));
+                    let cut = self.snd_una.wrapping_sub(front.seq).min(front.len);
+                    acked += cut;
+                    front.len -= cut;
                     front.seq = self.snd_una;
                     break;
                 } else {
                     break;
                 }
             }
+            self.tx.consume(acked as usize);
+            self.in_flight -= acked;
             // Our FIN acked?
             if self.fin_queued && self.snd_una == self.snd_nxt {
                 match self.state {
@@ -508,7 +550,7 @@ impl TcpConn {
             return true;
         }
         let sending = matches!(self.state, TcpState::Established | TcpState::CloseWait);
-        if sending && (!self.tx.is_empty() || (self.app_closed && !self.fin_queued)) {
+        if sending && (self.unsent() > 0 || (self.app_closed && !self.fin_queued)) {
             return true;
         }
         self.is_established()
@@ -530,7 +572,25 @@ impl TcpConn {
     /// hot path reuses one scratch allocation instead of allocating a
     /// fresh `Vec` per connection per poll.
     pub fn poll_into(&mut self, now: u64, out: &mut Vec<SegmentOut>) {
+        self.poll_reusing(now, out, &mut Vec::new());
+    }
+
+    /// [`TcpConn::poll_into`] drawing the payload buffer of each data
+    /// segment from `spare` (a fresh one when it runs dry): a caller that
+    /// returns the payloads of the segments it has emitted allocates
+    /// nothing at steady state. Each payload byte is copied once, out of
+    /// the send FIFO.
+    pub fn poll_reusing(&mut self, now: u64, out: &mut Vec<SegmentOut>, spare: &mut Vec<Vec<u8>>) {
         let start = out.len();
+        let mut payload_of = |fifo: &ByteFifo, at: usize, n: usize| {
+            if n == 0 {
+                return Vec::new();
+            }
+            let mut payload = spare.pop().unwrap_or_default();
+            payload.clear();
+            payload.extend_from_slice(&fifo.peek()[at..at + n]);
+            payload
+        };
 
         // Window update: if the application drained the receive buffer
         // enough to reopen a closed-down window by at least one MSS,
@@ -546,23 +606,22 @@ impl TcpConn {
             loop {
                 let in_flight = self.snd_nxt.wrapping_sub(self.snd_una);
                 let wnd_room = self.snd_wnd.saturating_sub(in_flight) as usize;
-                if self.tx.is_empty() || wnd_room == 0 {
+                if self.unsent() == 0 || wnd_room == 0 {
                     break;
                 }
-                let n = self.tx.len().min(self.cfg.mss).min(wnd_room);
-                let data = self.tx.take(n);
-                let flags = TcpFlags::ACK;
+                let n = self.unsent().min(self.cfg.mss).min(wnd_room);
                 out.push(SegmentOut {
-                    hdr: self.hdr(flags, self.snd_nxt),
-                    payload: data.clone(),
+                    hdr: self.hdr(TcpFlags::ACK, self.snd_nxt),
+                    payload: payload_of(&self.tx, self.in_flight as usize, n),
                 });
                 self.retx.push_back(RetxSeg {
                     seq: self.snd_nxt,
-                    data,
+                    len: n as u32,
                     fin: false,
                     sent_at: now,
                     retries: 0,
                 });
+                self.in_flight += n as u32;
                 self.snd_nxt = self.snd_nxt.wrapping_add(n as u32);
                 self.need_ack = false; // data segments carry the ACK
             }
@@ -571,7 +630,7 @@ impl TcpConn {
         // FIN when the application closed and everything is out.
         if self.app_closed
             && !self.fin_queued
-            && self.tx.is_empty()
+            && self.unsent() == 0
             && matches!(self.state, TcpState::Established | TcpState::CloseWait)
         {
             let fin = SegmentOut {
@@ -581,7 +640,7 @@ impl TcpConn {
             out.push(fin);
             self.retx.push_back(RetxSeg {
                 seq: self.snd_nxt,
-                data: Vec::new(),
+                len: 0,
                 fin: true,
                 sent_at: now,
                 retries: 0,
@@ -608,7 +667,7 @@ impl TcpConn {
                 }
                 let flags = if front.fin {
                     TcpFlags::FIN_ACK
-                } else if front.data.is_empty() {
+                } else if front.len == 0 {
                     // An unacked zero-length entry is a SYN (or SYN-ACK).
                     if self.state == TcpState::SynSent {
                         TcpFlags::SYN
@@ -618,11 +677,10 @@ impl TcpConn {
                 } else {
                     TcpFlags::ACK
                 };
-                let seq = front.seq;
-                let payload = front.data.clone();
+                let (seq, len) = (front.seq, front.len as usize);
                 out.push(SegmentOut {
                     hdr: self.hdr(flags, seq),
-                    payload,
+                    payload: payload_of(&self.tx, 0, len),
                 });
             }
         }

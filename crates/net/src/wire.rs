@@ -380,24 +380,39 @@ impl UdpHeader {
     }
 }
 
-/// Builds a full Ethernet+IPv4+TCP frame. Fails rather than emitting a
-/// frame whose headers misdescribe an oversized payload.
+/// Builds a full Ethernet+IPv4+TCP frame in a fresh vector. The owning
+/// form of [`build_tcp_frame_into`], for tests and tools.
 pub fn build_tcp_frame(
     eth: &EthHeader,
     ip: &Ipv4Header,
     tcp: &TcpHeader,
     payload: &[u8],
 ) -> Result<Vec<u8>, WireError> {
-    let mut out = vec![0u8; ETH_LEN + IPV4_LEN + TCP_LEN + payload.len()];
+    let mut out = Vec::new();
+    build_tcp_frame_into(eth, ip, tcp, payload, &mut out)?;
+    Ok(out)
+}
+
+/// Builds a full Ethernet+IPv4+TCP frame into `out` (whatever it held is
+/// replaced; its capacity is what a frame pool recycles). The payload is
+/// copied once. Fails rather than emitting a frame whose headers
+/// misdescribe an oversized payload.
+pub fn build_tcp_frame_into(
+    eth: &EthHeader,
+    ip: &Ipv4Header,
+    tcp: &TcpHeader,
+    payload: &[u8],
+    out: &mut Vec<u8>,
+) -> Result<(), WireError> {
+    const HEADERS: usize = ETH_LEN + IPV4_LEN + TCP_LEN;
+    out.clear();
+    out.reserve(HEADERS + payload.len());
+    out.resize(HEADERS, 0);
     eth.write(&mut out[..ETH_LEN]);
     ip.write(&mut out[ETH_LEN..ETH_LEN + IPV4_LEN]);
-    tcp.write(
-        ip,
-        payload,
-        &mut out[ETH_LEN + IPV4_LEN..ETH_LEN + IPV4_LEN + TCP_LEN],
-    )?;
-    out[ETH_LEN + IPV4_LEN + TCP_LEN..].copy_from_slice(payload);
-    Ok(out)
+    tcp.write(ip, payload, &mut out[ETH_LEN + IPV4_LEN..])?;
+    out.extend_from_slice(payload);
+    Ok(())
 }
 
 /// Builds a full Ethernet+IPv4+UDP frame. Fails rather than emitting a
