@@ -29,7 +29,7 @@ use flexos_kernel::alloc::AllocMode;
 use flexos_kernel::exec::{Executor, KernelHal};
 use flexos_kernel::sched::ThreadId;
 use flexos_kernel::sync::{SemId, SemTable, WaitChannel};
-use flexos_machine::{Access, Addr, Machine, Result, VcpuId};
+use flexos_machine::{Access, Addr, Machine, Result};
 use flexos_net::event::{Interest, ReadyEvent};
 use flexos_net::nic::Nic;
 use flexos_net::stack::{NetError, NetResult, NetStack, SocketId};
@@ -1019,11 +1019,6 @@ impl KernelHal for Os {
     fn drain_wakes(&mut self) -> Vec<ThreadId> {
         std::mem::take(&mut self.wakes)
     }
-}
-
-/// The vCPU the network compartment executes on (helper for tests).
-pub fn net_vcpu(os: &Os) -> VcpuId {
-    os.img.gates.ctx(os.roles.net).vcpu
 }
 
 #[cfg(test)]

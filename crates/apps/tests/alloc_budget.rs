@@ -4,7 +4,8 @@
 //! a request costs (almost) no host heap allocation in steady state, and
 //! `flexos-net` recycles its frame and segment buffers; what remains is
 //! the first touch of a connection's own buffers and the wake list the
-//! executor takes by value. This binary counts allocations with its own
+//! executor takes by value; the bulk path (iperf) pays per pump round,
+//! never per segment. This binary counts allocations with its own
 //! `#[global_allocator]` and pins the per-request figure: a run of N and
 //! a run of 2N requests differ only in N steady-state requests, so the
 //! difference of their counts cancels set-up exactly. The counts are
@@ -12,6 +13,7 @@
 //! (`--nocapture`).
 
 use flexos::build::BackendChoice;
+use flexos_apps::iperf::{run_iperf, IperfParams};
 use flexos_apps::redis::{run_redis, Mix, RedisParams};
 use flexos_apps::serve::{run_serve, ServeParams};
 use flexos_apps::CompartmentModel;
@@ -126,5 +128,36 @@ fn serve_10k_connections_allocates_only_on_a_connections_first_burst() {
     assert!(
         per_request <= 2.0,
         "{per_request} > 2 (was 25.2 before the streaming codec, 4.22 before frames were recycled)"
+    );
+}
+
+#[test]
+fn iperf_16k_allocates_per_pump_round_never_per_segment() {
+    // Units of 64 KiB: 45 MSS segments out and their ACKs back, in two
+    // client pump rounds of 32 KiB. A round costs three allocations — the
+    // wake list the executor takes by value, and one frame buffer on each
+    // side (the server emits one more frame a round than it receives, so
+    // its pool runs dry by one; the client's pool hands that ACK-sized
+    // buffer to a data frame, which grows it). A segment costs none:
+    // frames are cut from the send FIFO into pooled NIC buffers. One
+    // allocation per segment would read 51, not 6.
+    const UNIT: u64 = 64 * 1024;
+    let per_unit = per_request(
+        "iperf 16 KiB recv x mpk-shared (per 64 KiB)",
+        128,
+        |units| {
+            let r = run_iperf(&IperfParams {
+                model: CompartmentModel::NwSchedRest,
+                backend: BackendChoice::MpkShared,
+                recv_buf: 16 * 1024,
+                total_bytes: units * UNIT,
+                ..IperfParams::default()
+            });
+            assert!(r.bytes >= units * UNIT);
+        },
+    );
+    assert!(
+        per_unit <= 6.5,
+        "{per_unit} allocations per 64 KiB > 6.5 (3 per pump round, 0 per segment)"
     );
 }

@@ -86,33 +86,6 @@ impl SimRing {
         self.head += n;
         Ok(n)
     }
-
-    /// Copies up to `max` buffered bytes into a host buffer (used by the
-    /// stack to segment outgoing data); returns bytes moved.
-    pub fn pop_to_host(
-        &mut self,
-        m: &mut Machine,
-        vcpu: VcpuId,
-        out: &mut Vec<u8>,
-        max: u64,
-    ) -> Result<u64> {
-        let n = max.min(self.len());
-        let start = out.len();
-        out.resize(start + n as usize, 0);
-        let mut moved = 0u64;
-        while moved < n {
-            let off = (self.head + moved) % self.cap;
-            let run = (n - moved).min(self.cap - off);
-            m.read(
-                vcpu,
-                Addr(self.base.0 + off),
-                &mut out[start + moved as usize..start + (moved + run) as usize],
-            )?;
-            moved += run;
-        }
-        self.head += n;
-        Ok(n)
-    }
 }
 
 #[cfg(test)]
@@ -126,6 +99,19 @@ mod tests {
             .alloc_region(VmId(0), cap.max(1), ProtKey(0), PageFlags::RW)
             .unwrap();
         (m, SimRing::new(base, cap))
+    }
+
+    /// Pops up to `max` bytes through a scratch region onto `out`;
+    /// returns bytes moved.
+    fn pop_host(m: &mut Machine, r: &mut SimRing, out: &mut Vec<u8>, max: u64) -> u64 {
+        let dst = m
+            .alloc_region(VmId(0), max.max(1), ProtKey(0), PageFlags::RW)
+            .unwrap();
+        let n = r.pop_to(m, VcpuId(0), dst, max).unwrap();
+        let start = out.len();
+        out.resize(start + n as usize, 0);
+        m.read(VcpuId(0), dst, &mut out[start..]).unwrap();
+        n
     }
 
     #[test]
@@ -153,7 +139,7 @@ mod tests {
                 r.push(&mut m, VcpuId(0), chunk).unwrap(),
                 chunk.len() as u64
             );
-            r.pop_to_host(&mut m, VcpuId(0), &mut out, 16).unwrap();
+            pop_host(&mut m, &mut r, &mut out, 16);
         }
         assert_eq!(&out, b"abcdefghijklm");
     }
@@ -171,7 +157,7 @@ mod tests {
         let (mut m, mut r) = ring(16);
         r.push(&mut m, VcpuId(0), b"abc").unwrap();
         let mut out = Vec::new();
-        assert_eq!(r.pop_to_host(&mut m, VcpuId(0), &mut out, 100).unwrap(), 3);
+        assert_eq!(pop_host(&mut m, &mut r, &mut out, 100), 3);
         assert_eq!(out, b"abc");
     }
 
@@ -180,7 +166,7 @@ mod tests {
         let (mut m, mut r) = ring(16);
         r.push(&mut m, VcpuId(0), b"abcdef").unwrap();
         let mut out = Vec::new();
-        r.pop_to_host(&mut m, VcpuId(0), &mut out, 2).unwrap();
+        pop_host(&mut m, &mut r, &mut out, 2);
         assert_eq!(out, b"ab");
         assert_eq!(r.len(), 4);
     }

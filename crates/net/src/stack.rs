@@ -16,10 +16,11 @@ use crate::event::{EventQueue, Interest, ReadyEvent, Trigger};
 use crate::hash::FixedMap;
 use crate::nic::Nic;
 use crate::ring::SimRing;
-use crate::tcp::{SegmentOut, TcpConfig, TcpConn};
+use crate::tcp::{SegDesc, Segment, TcpConfig, TcpConn};
 use crate::wire::{
     build_tcp_frame_into, build_udp_frame, EthHeader, Ipv4Header, Mac, TcpFlags, TcpHeader,
-    UdpHeader, WireError, ETHERTYPE_IPV4, ETH_LEN, IPV4_LEN, PROTO_TCP, PROTO_UDP, UDP_LEN,
+    UdpHeader, WireError, ETHERTYPE_IPV4, ETH_LEN, IPV4_LEN, PROTO_TCP, PROTO_UDP, TCP_LEN,
+    UDP_LEN,
 };
 use flexos_machine::{Addr, Fault, Machine, VcpuId};
 use flexos_trace::{NetTrace, SpanKind};
@@ -217,9 +218,7 @@ pub struct NetStack {
     tx_scratch: Vec<u8>,
     /// Reusable segment scratch for the pump and demux paths (the
     /// PR-4 zero-alloc doctrine applied to `TcpConn::poll_into`).
-    seg_scratch: Vec<SegmentOut>,
-    /// Payload buffers of emitted data segments, for the next ones.
-    payload_spare: Vec<Vec<u8>>,
+    seg_scratch: Vec<SegDesc>,
     /// Reusable active-set snapshot for the pump.
     active_scratch: Vec<usize>,
 }
@@ -229,6 +228,11 @@ pub struct NetStack {
 #[inline]
 pub fn conn_key(local_port: u16, remote_ip: u32, remote_port: u16) -> u64 {
     u64::from(local_port) << 48 | u64::from(remote_ip) << 16 | u64::from(remote_port)
+}
+
+/// A segment without payload.
+fn bare(hdr: TcpHeader) -> SegDesc {
+    SegDesc::cut(hdr, &[], 0, 0)
 }
 
 impl NetStack {
@@ -267,7 +271,6 @@ impl NetStack {
             trace: NetTrace::new(),
             tx_scratch: Vec::new(),
             seg_scratch: Vec::new(),
-            payload_spare: Vec::new(),
             active_scratch: Vec::new(),
         }
     }
@@ -450,7 +453,7 @@ impl NetStack {
             .insert(conn_key(local_port, dst_ip, dst_port), id);
         self.events.register(id, Interest::READ, Trigger::Level);
         self.mark_active(id.0);
-        self.emit_tcp(dst_ip, &syn);
+        self.emit_tcp(dst_ip, &bare(syn.hdr), None);
         Ok(id)
     }
 
@@ -496,16 +499,18 @@ impl NetStack {
         // Stage through the reusable scratch buffer (taken out of `self`
         // so the socket table can be borrowed mutably below).
         let mut buf = std::mem::take(&mut self.tx_scratch);
-        buf.clear();
-        buf.resize(len as usize, 0);
-        let out = match m.read(vcpu, src, &mut buf) {
+        // Grow-only: the read overwrites every staged byte, so none is
+        // zeroed again on the way.
+        let len = len as usize;
+        buf.resize(buf.len().max(len), 0);
+        let out = match m.read(vcpu, src, &mut buf[..len]) {
             Err(f) => Err(f.into()),
             Ok(()) => match self.sock(id) {
                 Ok(Sock::TcpStream { conn, .. }) => {
                     if conn.is_closed() {
                         Err(NetError::Closed)
                     } else {
-                        let n = conn.send(&buf) as u64;
+                        let n = conn.send(&buf[..len]) as u64;
                         if n == 0 && len > 0 {
                             Err(NetError::WouldBlock)
                         } else {
@@ -716,19 +721,25 @@ impl NetStack {
         })
     }
 
-    fn emit_tcp(&mut self, dst_ip: u32, seg: &SegmentOut) {
+    /// Emits one segment in a pooled NIC buffer, its payload (if any) cut
+    /// straight from the send FIFO of the stream in slot `from`: each
+    /// byte is copied once.
+    fn emit_tcp(&mut self, dst_ip: u32, seg: &SegDesc, from: Option<usize>) {
         // TCP payloads are MSS-bounded by the state machine, so neither
         // the header construction nor the builder can fail here; if they
         // ever did, dropping the segment (and letting the RTO resend it)
         // beats emitting a lying header.
-        let Ok(ip) = self.ip_header(dst_ip, PROTO_TCP, crate::wire::TCP_LEN + seg.payload.len())
-        else {
+        let Ok(ip) = self.ip_header(dst_ip, PROTO_TCP, TCP_LEN + seg.len as usize) else {
             debug_assert!(false, "TCP segment exceeded wire limits");
             return;
         };
         let eth = self.eth_header();
+        let payload = match from.and_then(|i| self.socks[i].as_ref()) {
+            Some(Sock::TcpStream { conn, .. }) => conn.payload(seg),
+            _ => &[],
+        };
         let mut frame = self.nic.frame_buf();
-        match build_tcp_frame_into(&eth, &ip, &seg.hdr, &seg.payload, &mut frame) {
+        match build_tcp_frame_into(&eth, &ip, &seg.hdr, payload, &mut frame) {
             Ok(()) => {
                 self.nic.push_tx(frame);
                 self.stats.tx_segments += 1;
@@ -796,8 +807,9 @@ impl NetStack {
                     self.seg_scratch = segs;
                     continue;
                 };
-                // Pump protocol output into the reusable scratch.
-                conn.poll_reusing(now, &mut segs, &mut self.payload_spare);
+                // Pump protocol output (headers and send-FIFO ranges, no
+                // payload bytes) into the reusable scratch.
+                conn.poll_into(now, &mut segs);
                 // Move in-order payload into the socket's receive ring,
                 // straight out of the connection's FIFO.
                 let room = rx.free();
@@ -805,6 +817,9 @@ impl NetStack {
                     match rx.push(m, vcpu, conn.ready_slice(room as usize)) {
                         Ok(n) => conn.consume_ready(n as usize),
                         Err(f) => {
+                            // Descriptors must not outlive this pump:
+                            // the RTO resends what they named.
+                            segs.clear();
                             self.seg_scratch = segs;
                             self.active.extend_from_slice(&act[k..]);
                             self.active_scratch = act;
@@ -819,10 +834,10 @@ impl NetStack {
                 m.charge(
                     m.costs().stack_per_packet
                         + m.costs().nic_per_packet
-                        + self.packet_tax(seg.payload.len() as u64)
-                        + m.costs().copy_cost(seg.payload.len() as u64),
+                        + self.packet_tax(u64::from(seg.len))
+                        + m.costs().copy_cost(u64::from(seg.len)),
                 );
-                self.emit_tcp(dst_ip, seg);
+                self.emit_tcp(dst_ip, seg, Some(i));
                 let t1 = m.clock().cycles();
                 m.span_trace_mut().record(
                     vcpu.0 as u16,
@@ -834,11 +849,7 @@ impl NetStack {
                     t1,
                 );
             }
-            self.payload_spare.extend(
-                segs.drain(..)
-                    .map(|s| s.payload)
-                    .filter(|p| p.capacity() > 0),
-            );
+            segs.clear();
             self.seg_scratch = segs;
             // Readiness sync at the exact transition, then retain or
             // retire the socket from the active set.
@@ -895,27 +906,23 @@ impl NetStack {
 
     fn handle_frame(&mut self, m: &mut Machine, frame: &[u8]) {
         let now = m.clock().cycles();
-        let Some(eth) = EthHeader::parse(frame) else {
+        // One drop for a frame that is not ours or does not parse — a
+        // checksum-valid IPv4 header included whose `total_len` runs past
+        // the frame or falls short of the header itself.
+        let ours = EthHeader::parse(frame)
+            .filter(|eth| eth.ethertype == ETHERTYPE_IPV4)
+            .filter(|eth| eth.dst == self.mac || eth.dst == Mac::BROADCAST)
+            .and_then(|_| Ipv4Header::parse(&frame[ETH_LEN..]))
+            .filter(|ip| ip.dst == self.ip)
+            .and_then(|ip| {
+                let l4 = frame.get(ETH_LEN + IPV4_LEN..ETH_LEN + ip.total_len as usize)?;
+                Some((ip, l4))
+            });
+        let Some((ip, l4)) = ours else {
             self.stats.demux_drops += 1;
             self.trace.on_drop(now);
             return;
         };
-        if eth.ethertype != ETHERTYPE_IPV4 || (eth.dst != self.mac && eth.dst != Mac::BROADCAST) {
-            self.stats.demux_drops += 1;
-            self.trace.on_drop(now);
-            return;
-        }
-        let Some(ip) = Ipv4Header::parse(&frame[ETH_LEN..]) else {
-            self.stats.demux_drops += 1;
-            self.trace.on_drop(now);
-            return;
-        };
-        if ip.dst != self.ip {
-            self.stats.demux_drops += 1;
-            self.trace.on_drop(now);
-            return;
-        }
-        let l4 = &frame[ETH_LEN + IPV4_LEN..ETH_LEN + ip.total_len as usize];
         // Checksum verification touches every byte.
         m.charge(m.costs().copy_cost(l4.len() as u64));
         match ip.proto {
@@ -954,7 +961,7 @@ impl NetStack {
                 m.charge(
                     m.costs().stack_per_packet + m.costs().nic_per_packet + self.packet_tax(0),
                 );
-                self.emit_tcp(dst_ip, seg);
+                self.emit_tcp(dst_ip, seg, None);
             }
             segs.clear();
             self.seg_scratch = segs;
@@ -1005,25 +1012,21 @@ impl NetStack {
                     m.costs().stack_per_packet + m.costs().nic_per_packet + self.packet_tax(0),
                 );
                 let dst_ip = ip.src;
-                self.emit_tcp(dst_ip, &syn_ack);
+                self.emit_tcp(dst_ip, &bare(syn_ack.hdr), None);
                 return;
             }
         }
         // No socket: answer anything but RST with RST.
         if !hdr.flags.rst {
-            let rst = SegmentOut {
-                hdr: TcpHeader {
-                    src_port: hdr.dst_port,
-                    dst_port: hdr.src_port,
-                    seq: hdr.ack,
-                    ack: 0,
-                    flags: TcpFlags::RST,
-                    window: 0,
-                },
-                payload: Vec::new(),
-            };
-            let dst_ip = ip.src;
-            self.emit_tcp(dst_ip, &rst);
+            let rst = bare(TcpHeader {
+                src_port: hdr.dst_port,
+                dst_port: hdr.src_port,
+                seq: hdr.ack,
+                ack: 0,
+                flags: TcpFlags::RST,
+                window: 0,
+            });
+            self.emit_tcp(ip.src, &rst, None);
         }
         self.stats.demux_drops += 1;
         self.trace.on_drop(now);
@@ -1055,8 +1058,10 @@ impl NetStack {
 mod tests {
     use super::*;
     use crate::nic::Link;
+    use crate::tcp::SegmentOut;
     use crate::wire::build_tcp_frame;
     use flexos_machine::{PageFlags, ProtKey, VmId};
+    use proptest::{prop_assert, prop_assert_eq};
 
     const SERVER_IP: u32 = 0x0a00_0001;
     const CLIENT_IP: u32 = 0x0a00_0002;
@@ -1070,7 +1075,10 @@ mod tests {
     }
 
     fn world() -> World {
-        let mut m = Machine::with_defaults();
+        world_on(Machine::with_defaults())
+    }
+
+    fn world_on(mut m: Machine) -> World {
         let pool_s = m
             .alloc_region(VmId(0), 1 << 20, ProtKey(0), PageFlags::RW)
             .unwrap();
@@ -1331,6 +1339,53 @@ mod tests {
         assert_eq!(w.server.trace().ring().len(), 1);
     }
 
+    /// A TCP-length frame to the server whose IPv4 header (checksum valid)
+    /// claims `total_len`.
+    fn frame_claiming(total_len: u16) -> Vec<u8> {
+        let eth = EthHeader {
+            dst: Mac::of_nic(1),
+            src: Mac::of_nic(9),
+            ethertype: ETHERTYPE_IPV4,
+        };
+        let ip = Ipv4Header {
+            src: CLIENT_IP,
+            dst: SERVER_IP,
+            proto: PROTO_TCP,
+            total_len,
+            ttl: 64,
+            ident: 1,
+        };
+        let mut frame = vec![0u8; ETH_LEN + IPV4_LEN + TCP_LEN];
+        eth.write(&mut frame[..ETH_LEN]);
+        ip.write(&mut frame[ETH_LEN..ETH_LEN + IPV4_LEN]);
+        assert!(Ipv4Header::parse(&frame[ETH_LEN..]).is_some());
+        frame
+    }
+
+    #[test]
+    fn total_len_past_the_frame_is_one_drop_not_a_panic() {
+        let mut w = world();
+        for claimed in [(IPV4_LEN + TCP_LEN + 1) as u16, 1500, u16::MAX] {
+            w.server.nic.push_rx(frame_claiming(claimed));
+        }
+        w.server.poll(&mut w.m, VcpuId(0)).unwrap();
+        assert_eq!(w.server.stats().demux_drops, 3);
+        assert_eq!(w.server.trace().drops(), 3);
+        assert!(!w.server.nic.has_tx(), "a lying frame was answered");
+    }
+
+    #[test]
+    fn total_len_short_of_the_ip_header_is_one_drop_not_a_panic() {
+        let mut w = world();
+        for claimed in [0, 1, (IPV4_LEN - 1) as u16] {
+            w.server.nic.push_rx(frame_claiming(claimed));
+        }
+        w.server.poll(&mut w.m, VcpuId(0)).unwrap();
+        assert_eq!(w.server.stats().demux_drops, 3);
+        assert_eq!(w.server.trace().drops(), 3);
+        assert!(!w.server.nic.has_tx(), "a lying frame was answered");
+    }
+
     #[test]
     fn syn_to_closed_port_gets_rst() {
         let mut w = world();
@@ -1579,6 +1634,236 @@ mod tests {
         // The port allocator still has its full range: nothing pinned.
         assert!(w.client.alloc_ephemeral(SERVER_IP, 5201).is_ok());
         assert!(w.client.udp_ports.is_empty() && w.server.udp_ports.is_empty());
+    }
+
+    /// A world whose machine charges nothing for what the stack does, so
+    /// the clock reads the same before, during and after a poll: a test
+    /// knows the `now` a pump ran at.
+    fn still_world() -> World {
+        let costs = flexos_machine::CostTable {
+            mem_access: 0,
+            copy_per_4bytes: 0,
+            nic_per_packet: 0,
+            stack_per_packet: 0,
+            socket_call: 0,
+            ..Default::default()
+        };
+        world_on(Machine::new(flexos_machine::MachineConfig {
+            costs,
+            ..Default::default()
+        }))
+    }
+
+    fn conn_of(stack: &NetStack, id: SocketId) -> &TcpConn {
+        match stack.socks[id.0].as_ref() {
+            Some(Sock::TcpStream { conn, .. }) => conn,
+            other => panic!("{id:?} is not a stream: {other:?}"),
+        }
+    }
+
+    /// Byte `off` of the stream the equivalence test sends.
+    fn pattern(off: usize) -> u8 {
+        (off * 7 + (off >> 8)) as u8
+    }
+
+    /// One client poll, checked: the frames the stack cuts from
+    /// descriptors must be, byte for byte, what the owning path
+    /// (`SegmentOut` + `build_tcp_frame`) yields on a clone of the
+    /// connection fed the same segments at the same time — and both
+    /// connections must end in the same state. Returns the frames.
+    fn checked_client_poll(w: &mut World, cs: SocketId, inbox: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
+        let mut model = conn_of(&w.client, cs).clone();
+        let now = w.m.clock().cycles();
+        let mut segs: Vec<SegmentOut> = Vec::new();
+        for frame in &inbox {
+            let ip = Ipv4Header::parse(&frame[ETH_LEN..]).expect("server frame");
+            let l4 = &frame[ETH_LEN + IPV4_LEN..];
+            let (hdr, off) = TcpHeader::parse(&ip, l4).expect("server segment");
+            model.on_segment_into(&hdr, &l4[off..], now, &mut segs);
+        }
+        model.poll_into(now, &mut segs);
+        let eth = w.client.eth_header();
+        let mut ident = w.client.ip_ident;
+        let expected: Vec<Vec<u8>> = segs
+            .iter()
+            .map(|seg| {
+                ident = ident.wrapping_add(1);
+                let ip = Ipv4Header {
+                    src: CLIENT_IP,
+                    dst: SERVER_IP,
+                    proto: PROTO_TCP,
+                    total_len: (IPV4_LEN + TCP_LEN + seg.payload.len()) as u16,
+                    ttl: 64,
+                    ident,
+                };
+                build_tcp_frame(&eth, &ip, &seg.hdr, &seg.payload).unwrap()
+            })
+            .collect();
+
+        for frame in inbox {
+            w.client.nic.push_rx(frame);
+        }
+        w.client.poll(&mut w.m, VcpuId(0)).unwrap();
+        assert_eq!(w.m.clock().cycles(), now, "the still world moved");
+        let got: Vec<Vec<u8>> = std::iter::from_fn(|| w.client.nic.pop_tx()).collect();
+        assert_eq!(got.len(), expected.len(), "frames emitted");
+        for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
+            assert!(g == e, "frame {i} diverged from the owning path");
+        }
+        assert_eq!(
+            format!("{:?}", conn_of(&w.client, cs)),
+            format!("{model:?}"),
+            "connection state diverged"
+        );
+        got
+    }
+
+    /// A batch after loss: a `draw` under 96 loses every eighth frame,
+    /// starting with frame `draw % 8`.
+    fn survivors(frames: Vec<Vec<u8>>, draw: u8) -> impl Iterator<Item = Vec<u8>> {
+        frames
+            .into_iter()
+            .enumerate()
+            .filter(move |(i, _)| draw >= 96 || i % 8 != usize::from(draw % 8))
+            .map(|(_, f)| f)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(24))]
+
+        /// Random schedules of send / receive (a 4 KiB peer window, so
+        /// the sender keeps running into its edge) / loss both ways / RTO
+        /// jumps. Retransmissions are cut from the FIFO head while new
+        /// data is cut from behind the in-flight bytes: a range bug would
+        /// show as a byte difference here.
+        #[test]
+        fn descriptor_path_equals_owning_path(
+            rounds in proptest::prelude::prop::collection::vec(
+                (0usize..20_000, 0u64..6_000, proptest::any::<u8>(), proptest::any::<u8>(), 0u8..4),
+                20..60,
+            )
+        ) {
+            let mut w = still_world();
+            w.server.set_tcp_config(TcpConfig { rcv_wnd: 4096, ..TcpConfig::default() });
+            w.server.set_sock_ring_bytes(2048);
+            w.client.set_tcp_config(TcpConfig { max_tx_buf: 32 * 1024, ..TcpConfig::default() });
+            let (cs, ss) = w.establish(5201);
+            let recv_dst = Addr(w.app_buf.0 + (1 << 19));
+            let (mut sent, mut received, mut retransmits) = (0usize, 0usize, 0u64);
+            let mut inbox: Vec<Vec<u8>> = Vec::new();
+            let mut blackout_due = false;
+            let close_at = rounds.len() * 3 / 4;
+            for (round, (send, recv, drop_out, drop_back, jump)) in rounds.into_iter().enumerate() {
+                blackout_due |= round == close_at / 2;
+                if round == close_at {
+                    w.client.close(cs).unwrap();
+                } else if round < close_at && send > 0 {
+                    let chunk: Vec<u8> = (sent..sent + send).map(pattern).collect();
+                    w.m.write(VcpuId(0), w.app_buf, &chunk).unwrap();
+                    match w.client.tcp_send(&mut w.m, VcpuId(0), cs, w.app_buf, send as u64) {
+                        Ok(n) => sent += n as usize,
+                        Err(NetError::WouldBlock) => {}
+                        Err(e) => panic!("send failed: {e}"),
+                    }
+                }
+                let out = checked_client_poll(&mut w, cs, std::mem::take(&mut inbox));
+                // Once per schedule a batch carrying data is lost whole and
+                // the RTO passes: at least one retransmission.
+                let data = |f: &Vec<u8>| f.len() > ETH_LEN + IPV4_LEN + TCP_LEN;
+                let blackout = blackout_due && out.iter().any(data);
+                blackout_due &= !blackout;
+                for frame in survivors(out, drop_out).filter(|_| !blackout) {
+                    w.server.nic.push_rx(frame);
+                }
+                w.server.poll(&mut w.m, VcpuId(0)).unwrap();
+                if recv > 0 {
+                    if let Ok(n) = w.server.tcp_recv(&mut w.m, VcpuId(0), ss, recv_dst, recv) {
+                        let mut got = vec![0u8; n as usize];
+                        w.m.read(VcpuId(0), recv_dst, &mut got).unwrap();
+                        for (i, b) in got.iter().enumerate() {
+                            prop_assert_eq!(*b, pattern(received + i), "byte {} corrupted", received + i);
+                        }
+                        received += n as usize;
+                    }
+                    // The drained ring reopens the window: let the server say so.
+                    w.server.poll(&mut w.m, VcpuId(0)).unwrap();
+                }
+                let back: Vec<Vec<u8>> = std::iter::from_fn(|| w.server.nic.pop_tx()).collect();
+                inbox.extend(survivors(back, drop_back));
+                if jump == 0 || blackout {
+                    w.m.charge(TcpConfig::default().rto_cycles + 1);
+                } else {
+                    w.m.charge(1000);
+                }
+                retransmits = w.client.retransmits();
+            }
+            prop_assert!(received <= sent);
+            prop_assert!(sent > 0 && (retransmits > 0 || blackout_due), "nothing exercised: {sent} B");
+        }
+    }
+
+    #[test]
+    fn descriptors_of_a_faulted_pump_are_dropped_not_replayed() {
+        // Two streams on the server; the pump of the second faults (a
+        // spurious protection-key violation on its ring write) after its
+        // data segments were polled. Those descriptors name ranges of
+        // *its* send FIFO: replayed on the next pump, which starts with
+        // the first stream, they would be cut from the wrong FIFO.
+        let mut w = world();
+        let (ca, sa) = w.establish(5201);
+        let cb = w.client.tcp_connect(SERVER_IP, 5201).unwrap();
+        for _ in 0..4 {
+            w.step();
+        }
+        let l = *w.server.listeners.get(&5201).unwrap();
+        let sb = w.server.tcp_accept(l).unwrap().expect("second stream");
+        assert!(sa < sb);
+        let data: Vec<u8> = (0..3000).map(pattern).collect();
+        w.m.write(VcpuId(0), w.app_buf, &data).unwrap();
+        // Stream b: 3000 bytes queued to send, and bytes arriving for its ring.
+        w.server
+            .tcp_send(&mut w.m, VcpuId(0), sb, w.app_buf, 3000)
+            .unwrap();
+        w.client
+            .tcp_send(&mut w.m, VcpuId(0), cb, w.app_buf, 100)
+            .unwrap();
+        w.client.poll(&mut w.m, VcpuId(0)).unwrap();
+        w.link.transfer(&mut w.client.nic, &mut w.server.nic);
+        w.m.set_chaos(flexos_machine::ChaosPlan::new(
+            flexos_machine::ChaosConfig {
+                seed: 1,
+                spurious_pkey: flexos_machine::Schedule::EveryNth(1),
+                ..Default::default()
+            },
+        ));
+        assert!(matches!(
+            w.server.poll(&mut w.m, VcpuId(0)),
+            Err(NetError::Fault(_))
+        ));
+        w.m.clear_chaos();
+        // Stream a now has 10 bytes to send and is pumped first.
+        w.server
+            .tcp_send(&mut w.m, VcpuId(0), sa, w.app_buf, 10)
+            .unwrap();
+        w.server.poll(&mut w.m, VcpuId(0)).unwrap();
+        // The RTO resends what the dropped descriptors named.
+        w.m.charge(TcpConfig::default().rto_cycles + 1);
+        let dst = Addr(w.app_buf.0 + (1 << 19));
+        let mut got = Vec::new();
+        for _ in 0..16 {
+            w.step();
+            if let Ok(n) = w.client.tcp_recv(&mut w.m, VcpuId(0), cb, dst, 4096) {
+                let at = got.len();
+                got.resize(at + n as usize, 0);
+                w.m.read(VcpuId(0), dst, &mut got[at..]).unwrap();
+            }
+        }
+        assert_eq!(got, data, "stream b lost or corrupted bytes");
+        let n = w
+            .client
+            .tcp_recv(&mut w.m, VcpuId(0), ca, dst, 4096)
+            .unwrap();
+        assert_eq!(n, 10);
     }
 
     #[test]

@@ -2,17 +2,17 @@
 //! out-of-order reassembly, retransmission, flow control, teardown.
 //!
 //! One [`TcpConn`] is one connection endpoint. The stack feeds it
-//! received segments ([`TcpConn::on_segment`]) and pumps it for output
-//! ([`TcpConn::poll`]); the socket layer moves application bytes in and
-//! out ([`TcpConn::send`], [`TcpConn::ready_slice`] +
+//! received segments ([`TcpConn::on_segment_into`]) and pumps it for
+//! output ([`TcpConn::poll_into`]); the socket layer moves application
+//! bytes in and out ([`TcpConn::send`], [`TcpConn::ready_slice`] +
 //! [`TcpConn::consume_ready`]). Time is the machine's cycle clock, so
 //! retransmission behaviour is deterministic.
 //!
 //! Payload bytes are not copied between queues: sent-but-unacknowledged
 //! bytes stay at the head of the send FIFO (the `snd_una..snd_nxt`
-//! window) until the ACK that covers them, retransmission entries name
-//! ranges of it, and received bytes are lent to the socket layer out of
-//! the receive FIFO.
+//! window) until the ACK that covers them, retransmission entries and
+//! outgoing segments ([`SegDesc`]) name ranges of it, and received bytes
+//! are lent to the socket layer out of the receive FIFO.
 //!
 //! Deliberate simplifications (documented in DESIGN.md): no congestion
 //! control, no SACK, no delayed ACKs, fixed RTO — none of which the
@@ -132,13 +132,55 @@ impl Default for TcpConfig {
     }
 }
 
-/// An outgoing segment (the stack adds IP/Ethernet).
+/// The form an outgoing segment takes (the stack adds IP/Ethernet): the
+/// pump is one routine, generic over it.
+pub trait Segment {
+    /// The segment with header `hdr` carrying `fifo[at..at + len]`, where
+    /// `fifo` is the connection's send FIFO.
+    fn cut(hdr: TcpHeader, fifo: &[u8], at: u32, len: u32) -> Self;
+    /// Its header.
+    fn hdr(&self) -> &TcpHeader;
+}
+
+/// An outgoing segment that owns a copy of its payload: the form tests
+/// and tools take.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SegmentOut {
     /// TCP header.
     pub hdr: TcpHeader,
     /// Payload bytes.
     pub payload: Vec<u8>,
+}
+
+impl Segment for SegmentOut {
+    fn cut(hdr: TcpHeader, fifo: &[u8], at: u32, len: u32) -> Self {
+        let payload = fifo[at as usize..][..len as usize].to_vec();
+        Self { hdr, payload }
+    }
+    fn hdr(&self) -> &TcpHeader {
+        &self.hdr
+    }
+}
+
+/// An outgoing segment as a descriptor, the form the stack takes: the
+/// header, and where the payload lies in the connection's send FIFO
+/// ([`TcpConn::payload`]). It holds until the connection next processes
+/// a segment, whose ACK may trim the FIFO head.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SegDesc {
+    /// TCP header.
+    pub hdr: TcpHeader,
+    pub(crate) at: u32,
+    pub(crate) len: u32,
+}
+
+impl Segment for SegDesc {
+    fn cut(hdr: TcpHeader, _fifo: &[u8], at: u32, len: u32) -> Self {
+        Self { hdr, at, len }
+    }
+    fn hdr(&self) -> &TcpHeader {
+        &self.hdr
+    }
 }
 
 /// One unacknowledged segment. Entries tile `snd_una..snd_nxt` in order,
@@ -160,7 +202,7 @@ impl RetxSeg {
 }
 
 /// One TCP connection endpoint.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct TcpConn {
     /// Current state.
     pub state: TcpState,
@@ -237,6 +279,16 @@ impl TcpConn {
             flags,
             window: self.window(),
         }
+    }
+
+    /// The payload bytes `seg` names.
+    pub fn payload(&self, seg: &SegDesc) -> &[u8] {
+        &self.tx.peek()[seg.at as usize..][..seg.len as usize]
+    }
+
+    /// One outgoing segment carrying `len` send-FIFO bytes from `at`.
+    fn seg<S: Segment>(&self, flags: TcpFlags, seq: u32, at: u32, len: u32) -> S {
+        S::cut(self.hdr(flags, seq), self.tx.peek(), at, len)
     }
 
     /// Active open: returns the endpoint and its SYN.
@@ -391,14 +443,15 @@ impl TcpConn {
     }
 
     /// [`TcpConn::on_segment`] with a caller-owned output vector:
-    /// responses are appended to `out` (existing entries untouched), so
-    /// the per-segment hot path reuses one scratch allocation.
-    pub fn on_segment_into(
+    /// responses (none carries payload) are appended to `out` (existing
+    /// entries untouched), so the per-segment hot path reuses one
+    /// scratch allocation.
+    pub fn on_segment_into<S: Segment>(
         &mut self,
         hdr: &TcpHeader,
         payload: &[u8],
         now: u64,
-        out: &mut Vec<SegmentOut>,
+        out: &mut Vec<S>,
     ) {
         let start = out.len();
         if hdr.flags.rst {
@@ -428,10 +481,7 @@ impl TcpConn {
                     // fall through: the ACK may carry data.
                 } else if hdr.flags.syn {
                     // Duplicate SYN: re-answer with SYN-ACK.
-                    out.push(SegmentOut {
-                        hdr: self.hdr(TcpFlags::SYN_ACK, self.snd_una),
-                        payload: Vec::new(),
-                    });
+                    out.push(self.seg(TcpFlags::SYN_ACK, self.snd_una, 0, 0));
                     return;
                 }
             }
@@ -526,16 +576,13 @@ impl TcpConn {
     /// Appends a pending pure ACK and records the window advertised by
     /// the last segment this call appended (entries before `start`
     /// belong to earlier calls sharing the scratch vector).
-    fn flush_ack_into(&mut self, out: &mut Vec<SegmentOut>, start: usize) {
+    fn flush_ack_into<S: Segment>(&mut self, out: &mut Vec<S>, start: usize) {
         if self.need_ack {
             self.need_ack = false;
-            out.push(SegmentOut {
-                hdr: self.hdr(TcpFlags::ACK, self.snd_nxt),
-                payload: Vec::new(),
-            });
+            out.push(self.seg(TcpFlags::ACK, self.snd_nxt, 0, 0));
         }
         if out.len() > start {
-            self.last_adv_wnd = out[out.len() - 1].hdr.window;
+            self.last_adv_wnd = out[out.len() - 1].hdr().window;
         }
     }
 
@@ -568,29 +615,12 @@ impl TcpConn {
     }
 
     /// [`TcpConn::poll`] with a caller-owned output vector: segments are
-    /// appended to `out` (existing entries untouched), so the per-tick
-    /// hot path reuses one scratch allocation instead of allocating a
-    /// fresh `Vec` per connection per poll.
-    pub fn poll_into(&mut self, now: u64, out: &mut Vec<SegmentOut>) {
-        self.poll_reusing(now, out, &mut Vec::new());
-    }
-
-    /// [`TcpConn::poll_into`] drawing the payload buffer of each data
-    /// segment from `spare` (a fresh one when it runs dry): a caller that
-    /// returns the payloads of the segments it has emitted allocates
-    /// nothing at steady state. Each payload byte is copied once, out of
-    /// the send FIFO.
-    pub fn poll_reusing(&mut self, now: u64, out: &mut Vec<SegmentOut>, spare: &mut Vec<Vec<u8>>) {
+    /// appended to `out` (existing entries untouched) in order — new
+    /// data, the FIN, the head retransmission, a pending pure ACK — so
+    /// the per-tick hot path reuses one scratch allocation. As
+    /// [`SegDesc`]s nothing is copied: payloads stay in the send FIFO.
+    pub fn poll_into<S: Segment>(&mut self, now: u64, out: &mut Vec<S>) {
         let start = out.len();
-        let mut payload_of = |fifo: &ByteFifo, at: usize, n: usize| {
-            if n == 0 {
-                return Vec::new();
-            }
-            let mut payload = spare.pop().unwrap_or_default();
-            payload.clear();
-            payload.extend_from_slice(&fifo.peek()[at..at + n]);
-            payload
-        };
 
         // Window update: if the application drained the receive buffer
         // enough to reopen a closed-down window by at least one MSS,
@@ -610,10 +640,7 @@ impl TcpConn {
                     break;
                 }
                 let n = self.unsent().min(self.cfg.mss).min(wnd_room);
-                out.push(SegmentOut {
-                    hdr: self.hdr(TcpFlags::ACK, self.snd_nxt),
-                    payload: payload_of(&self.tx, self.in_flight as usize, n),
-                });
+                out.push(self.seg(TcpFlags::ACK, self.snd_nxt, self.in_flight, n as u32));
                 self.retx.push_back(RetxSeg {
                     seq: self.snd_nxt,
                     len: n as u32,
@@ -633,11 +660,7 @@ impl TcpConn {
             && self.unsent() == 0
             && matches!(self.state, TcpState::Established | TcpState::CloseWait)
         {
-            let fin = SegmentOut {
-                hdr: self.hdr(TcpFlags::FIN_ACK, self.snd_nxt),
-                payload: Vec::new(),
-            };
-            out.push(fin);
+            out.push(self.seg(TcpFlags::FIN_ACK, self.snd_nxt, 0, 0));
             self.retx.push_back(RetxSeg {
                 seq: self.snd_nxt,
                 len: 0,
@@ -677,11 +700,8 @@ impl TcpConn {
                 } else {
                     TcpFlags::ACK
                 };
-                let (seq, len) = (front.seq, front.len as usize);
-                out.push(SegmentOut {
-                    hdr: self.hdr(flags, seq),
-                    payload: payload_of(&self.tx, 0, len),
-                });
+                let (seq, len) = (front.seq, front.len);
+                out.push(self.seg(flags, seq, 0, len));
             }
         }
 

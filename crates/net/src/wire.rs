@@ -107,33 +107,40 @@ impl EthHeader {
 }
 
 /// The Internet checksum (RFC 1071) over `data`, with an initial sum for
-/// pseudo-header folding.
+/// pseudo-header folding. The workspace's one checksum routine: headers,
+/// pseudo-headers and payloads on both the build and verify sides.
 pub fn checksum(data: &[u8], initial: u32) -> u16 {
-    // One's-complement addition is associative, so words can be summed
-    // in any grouping: take 16 bytes per outer step (wide enough for the
-    // compiler to vectorize — this runs over every payload byte on both
-    // the build and verify sides) and accumulate in u64, which cannot
-    // overflow for any frame the stack can produce.
-    let mut sum = u64::from(initial);
-    let mut wide = data.chunks_exact(16);
-    for c in &mut wide {
-        let mut i = 0;
-        while i < 16 {
-            sum += u64::from(u16::from_be_bytes([c[i], c[i + 1]]));
-            i += 2;
+    // The one's-complement sum is byte-order independent (RFC 1071
+    // §2(B)), so sum native-endian words and swap the folded 16 bits
+    // once at the end: 64-bit loads split into their 32-bit halves (a
+    // u64 accumulator cannot overflow below 16 GiB of input), four
+    // independent accumulators so the adds pipeline and vectorize.
+    let mut acc = [0u64; 4];
+    let mut blocks = data.chunks_exact(32);
+    for block in &mut blocks {
+        for (a, w) in acc.iter_mut().zip(block.chunks_exact(8)) {
+            let w = u64::from_ne_bytes(w.try_into().expect("8 bytes"));
+            *a += (w & 0xffff_ffff) + (w >> 32);
         }
     }
-    let mut chunks = wide.remainder().chunks_exact(2);
-    for c in &mut chunks {
-        sum += u64::from(u16::from_be_bytes([c[0], c[1]]));
+    let mut sum: u64 = acc.iter().sum();
+    let mut pairs = blocks.remainder().chunks_exact(2);
+    for p in &mut pairs {
+        sum += u64::from(u16::from_ne_bytes([p[0], p[1]]));
     }
-    if let [last] = chunks.remainder() {
-        sum += u64::from(u16::from_be_bytes([*last, 0]));
+    if let [last] = pairs.remainder() {
+        sum += u64::from(u16::from_ne_bytes([*last, 0]));
     }
+    let swapped = u16::from_be_bytes(fold(sum).to_ne_bytes());
+    !fold(u64::from(swapped) + u64::from(initial))
+}
+
+/// Folds a one's-complement sum to 16 bits, end-around carries included.
+fn fold(mut sum: u64) -> u16 {
     while sum > 0xffff {
         sum = (sum & 0xffff) + (sum >> 16);
     }
-    !(sum as u16)
+    sum as u16
 }
 
 /// IPv4 header (no options).
@@ -188,15 +195,14 @@ impl Ipv4Header {
         })
     }
 
+    /// The folded sum of the pseudo-header, an `initial` for [`checksum`].
     fn pseudo_sum(&self, l4_len: u16) -> u32 {
-        let src = self.src.to_be_bytes();
-        let dst = self.dst.to_be_bytes();
-        u32::from(u16::from_be_bytes([src[0], src[1]]))
-            + u32::from(u16::from_be_bytes([src[2], src[3]]))
-            + u32::from(u16::from_be_bytes([dst[0], dst[1]]))
-            + u32::from(u16::from_be_bytes([dst[2], dst[3]]))
-            + u32::from(self.proto)
-            + u32::from(l4_len)
+        let mut pseudo = [0u8; 12];
+        pseudo[0..4].copy_from_slice(&self.src.to_be_bytes());
+        pseudo[4..8].copy_from_slice(&self.dst.to_be_bytes());
+        pseudo[9] = self.proto;
+        pseudo[10..12].copy_from_slice(&l4_len.to_be_bytes());
+        u32::from(!checksum(&pseudo, 0))
     }
 }
 
@@ -306,13 +312,11 @@ impl TcpHeader {
         out[16..18].copy_from_slice(&[0, 0]); // checksum placeholder
         out[18..20].copy_from_slice(&[0, 0]); // urgent pointer
         let l4_len = (TCP_LEN + payload.len()) as u16;
-        let mut sum = ip.pseudo_sum(l4_len);
-        // Fold the header (with zero checksum) then the payload.
-        let mut chunks = out[..TCP_LEN].chunks_exact(2);
-        for c in &mut chunks {
-            sum += u32::from(u16::from_be_bytes([c[0], c[1]]));
-        }
-        let csum = checksum(payload, sum);
+        // The header (with zero checksum) over the pseudo-header, then
+        // the payload over both: the header is an even number of bytes,
+        // so the payload's 16-bit words keep their alignment.
+        let head = !checksum(&out[..TCP_LEN], ip.pseudo_sum(l4_len));
+        let csum = checksum(payload, u32::from(head));
         out[16..18].copy_from_slice(&csum.to_be_bytes());
         Ok(())
     }
