@@ -132,6 +132,81 @@ pub struct Os {
     serve_exec: ExecutorTrace,
 }
 
+/// One socket data operation (`recv` or `send` on `sid` through `buf`)
+/// with its route and costs below the libc wrapper — the one spelling of
+/// the libc → network stack → semaphore → scheduler body that the sync
+/// call ([`Os::sock_data_op`]) and the ring flush
+/// ([`Os::sock_data_op_batch`]) both run.
+#[derive(Debug, Clone, Copy)]
+struct SockOp {
+    sid: SocketId,
+    buf: Addr,
+    access: Access,
+    c_net: CompartmentId,
+    c_sem: CompartmentId,
+    c_sched: CompartmentId,
+    net_tax: u64,
+    libc_tax: u64,
+    sched_cycles: u64,
+}
+
+impl SockOp {
+    /// The body of a `len`-byte operation as it runs inside libc: cross
+    /// into the network stack, do the socket-layer work there, and signal
+    /// lwIP's `sys_mbox` semaphore through its home compartment and the
+    /// scheduler's wait queue. The outer `Result` carries machine faults,
+    /// the inner one the socket layer's answer.
+    fn in_libc(
+        &self,
+        m: &mut Machine,
+        rt: &mut GateRuntime,
+        net: &mut NetStack,
+        sh: &mut ShRuntime,
+        stats: &mut OsStats,
+        len: u64,
+    ) -> Result<NetResult<u64>> {
+        let (sid, buf, access) = (self.sid, self.buf, self.access);
+        rt.cross(m, self.c_net, 32, 8, |m, rt| {
+            let vcpu = rt.current_ctx().vcpu;
+            if self.net_tax > 0 {
+                // Hardened socket layer: KASAN-instrumented lock/
+                // pbuf-chain work per call + a shadow check on the user
+                // buffer it touches.
+                let extra = m.costs().socket_call * m.costs().sh_net_socket_pct * self.net_tax
+                    / (GCC_PCT * 100);
+                m.charge(extra);
+                if let Err(f) = sh.check_access(m, self.c_net, buf, len, access) {
+                    return Ok(Err(NetError::from(f)));
+                }
+            }
+            let res = match access {
+                Access::Write => net.tcp_recv(m, vcpu, sid, buf, len),
+                Access::Read => net.tcp_send(m, vcpu, sid, buf, len),
+            };
+            // lwIP's sys_mbox semaphore (in `sem_home`, libc by default)
+            // + its wait queue (scheduler).
+            stats.sem_ops += 1;
+            rt.cross(m, self.c_sem, 8, 8, |m, rt| {
+                m.charge(m.costs().func_call);
+                rt.cross(m, self.c_sched, 8, 8, |m, _rt| {
+                    m.charge(self.sched_cycles);
+                    Ok(())
+                })
+            })?;
+            Ok(res)
+        })
+    }
+
+    /// libc's user-space memcpy of an `n`-byte payload, with the
+    /// ASAN-interceptor tax when libc is hardened.
+    fn charge_libc_copy(&self, m: &mut Machine, n: u64) {
+        let costs = m.costs();
+        let base = n.div_ceil(4) * costs.libc_copy_per_4bytes;
+        let pct = costs.sh_asan_memcpy_pct * self.libc_tax / GCC_PCT;
+        m.charge(base + base * pct / 100);
+    }
+}
+
 /// `sh_overhead_percent` of the GCC hardening set
 /// (ASAN + stack protector + UBSAN): the reference point the cost
 /// table's component-level SH percentages are calibrated against.
@@ -512,6 +587,23 @@ impl Os {
         Ok(sid)
     }
 
+    /// A data operation on `sid` with where it goes and what it costs on
+    /// the way: the compartments of its nested crossings and the
+    /// per-library taxes of the current hardening configuration.
+    fn sock_op(&self, sid: SocketId, buf: Addr, access: Access) -> SockOp {
+        SockOp {
+            sid,
+            buf,
+            access,
+            c_net: self.roles.net,
+            c_sem: self.sem_home,
+            c_sched: self.roles.sched,
+            net_tax: self.tax.net,
+            libc_tax: self.tax.libc,
+            sched_cycles: self.sched_peek_cycles(),
+        }
+    }
+
     /// One socket data operation (`recv` or `send`), with the paper's
     /// full crossing structure:
     ///
@@ -534,60 +626,24 @@ impl Os {
         len: u64,
         access: Access,
     ) -> NetResult<u64> {
-        let (c_libc, c_net, c_sched) = (self.roles.libc, self.roles.net, self.roles.sched);
-        let c_sem = self.sem_home;
-        let (net_tax, libc_tax) = (self.tax.net, self.tax.libc);
-        let sched_cycles = self.sched_peek_cycles();
-        let r = {
-            let Os {
-                img,
-                net,
-                sh,
-                stats,
-                ..
-            } = self;
-            let BootImage { machine, gates, .. } = img;
-            gates
-                .cross(machine, c_libc, 32, 8, |m, rt| {
-                    rt.cross(m, c_net, 32, 8, |m, rt| {
-                        let vcpu = rt.current_ctx().vcpu;
-                        if net_tax > 0 {
-                            // Hardened socket layer: KASAN-instrumented
-                            // lock/pbuf-chain work per call + a shadow
-                            // check on the user buffer it touches.
-                            let extra =
-                                m.costs().socket_call * m.costs().sh_net_socket_pct * net_tax
-                                    / (GCC_PCT * 100);
-                            m.charge(extra);
-                            if let Err(f) = sh.check_access(m, c_net, buf, len, access) {
-                                return Ok(Err(NetError::from(f)));
-                            }
-                        }
-                        let res = match access {
-                            Access::Write => net.tcp_recv(m, vcpu, sid, buf, len),
-                            Access::Read => net.tcp_send(m, vcpu, sid, buf, len),
-                        };
-                        // lwIP's sys_mbox semaphore (in `sem_home`,
-                        // libc by default) + its wait queue (scheduler).
-                        stats.sem_ops += 1;
-                        rt.cross(m, c_sem, 8, 8, |m, rt| {
-                            m.charge(m.costs().func_call);
-                            rt.cross(m, c_sched, 8, 8, |m, _rt| {
-                                m.charge(sched_cycles);
-                                Ok(())
-                            })
-                        })?;
-                        Ok(res)
-                    })
-                })
-                .map_err(NetError::from)?
-        }?;
-        // libc's user-space memcpy of the payload, with the
-        // ASAN-interceptor tax when libc is hardened.
-        let costs = self.img.machine.costs();
-        let base = r.div_ceil(4) * costs.libc_copy_per_4bytes;
-        let pct = costs.sh_asan_memcpy_pct * libc_tax / GCC_PCT;
-        self.img.machine.charge(base + base * pct / 100);
+        let c_libc = self.roles.libc;
+        let op = self.sock_op(sid, buf, access);
+        let Os {
+            img,
+            net,
+            sh,
+            stats,
+            ..
+        } = self;
+        let BootImage { machine, gates, .. } = img;
+        // A plain sync crossing, not a ring of one: the ring would add
+        // submission/flush/batch-histogram entries to `--stats`.
+        let r = gates
+            .cross(machine, c_libc, 32, 8, |m, rt| {
+                op.in_libc(m, rt, net, sh, stats, len)
+            })
+            .map_err(NetError::from)??;
+        op.charge_libc_copy(machine, r);
         Ok(r)
     }
 
@@ -627,10 +683,9 @@ impl Os {
     /// issued operations and the result of the last (stopping) one are
     /// returned.
     ///
-    /// With overlap disabled this degrades to the sequential loop it
-    /// replaces; either way the simulated cycles, faults and trace are
-    /// bit-identical (see `tests/backend_equiv.rs` and
-    /// `tests/async_gate.rs`).
+    /// The simulated cycles, faults and trace are bit-identical to the
+    /// sequential loop of [`Os::sock_data_op`] this replaces (see
+    /// `tests/backend_equiv.rs` and `tests/async_gate.rs`).
     #[allow(clippy::too_many_arguments)] // one private fn backs 3 public wrappers
     fn sock_data_op_batch(
         &mut self,
@@ -642,10 +697,8 @@ impl Os {
         spans: &[SpanId],
         mut after: impl FnMut(&mut Machine, &mut GateRuntime, &NetResult<u64>) -> Result<Option<u64>>,
     ) -> Result<BatchOutcome> {
-        let (c_libc, c_net, c_sched) = (self.roles.libc, self.roles.net, self.roles.sched);
-        let c_sem = self.sem_home;
-        let (net_tax, libc_tax) = (self.tax.net, self.tax.libc);
-        let sched_cycles = self.sched_peek_cycles();
+        let c_libc = self.roles.libc;
+        let op = self.sock_op(sid, buf, access);
         let cur_len = Cell::new(first_len);
         // The exact result rides next to the ring: a CQE's i64 `res`
         // cannot carry a full `Fault` payload, so the ring transports
@@ -673,31 +726,7 @@ impl Os {
             machine,
             c_libc,
             |m, rt, _sqe| {
-                let len = cur_len.get();
-                let res = rt.cross(m, c_net, 32, 8, |m, rt| {
-                    let vcpu = rt.current_ctx().vcpu;
-                    if net_tax > 0 {
-                        let extra = m.costs().socket_call * m.costs().sh_net_socket_pct * net_tax
-                            / (GCC_PCT * 100);
-                        m.charge(extra);
-                        if let Err(f) = sh.check_access(m, c_net, buf, len, access) {
-                            return Ok(Err(NetError::from(f)));
-                        }
-                    }
-                    let res = match access {
-                        Access::Write => net.tcp_recv(m, vcpu, sid, buf, len),
-                        Access::Read => net.tcp_send(m, vcpu, sid, buf, len),
-                    };
-                    stats.sem_ops += 1;
-                    rt.cross(m, c_sem, 8, 8, |m, rt| {
-                        m.charge(m.costs().func_call);
-                        rt.cross(m, c_sched, 8, 8, |m, _rt| {
-                            m.charge(sched_cycles);
-                            Ok(())
-                        })
-                    })?;
-                    Ok(res)
-                })?;
+                let res = op.in_libc(m, rt, net, sh, stats, cur_len.get())?;
                 let code = Self::net_res_code(&res);
                 let mut done = done.borrow_mut();
                 done.issued += 1;
@@ -708,13 +737,9 @@ impl Os {
                 let held = done.borrow();
                 let r = held.last.as_ref().expect("between hook follows its call");
                 if let Ok(n) = r {
-                    // libc's user-space memcpy of the payload — charged
-                    // after the crossing returns, exactly where the
-                    // sequential path charges it.
-                    let costs = m.costs();
-                    let base = n.div_ceil(4) * costs.libc_copy_per_4bytes;
-                    let pct = costs.sh_asan_memcpy_pct * libc_tax / GCC_PCT;
-                    m.charge(base + base * pct / 100);
+                    // Charged after the crossing returns, exactly where
+                    // the sequential path charges it.
+                    op.charge_libc_copy(m, *n);
                 }
                 let next = after(m, rt, r)?;
                 drop(held);

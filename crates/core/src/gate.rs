@@ -13,6 +13,12 @@
 //! analogue of the `uk_gate_r(rc, listen, sockfd, 5)` placeholder) and
 //! the runtime either performs a plain function call (same compartment)
 //! or drives the configured backend's enter/exit sequence.
+//!
+//! That per-call sequence is written once, in `GateRuntime::cross_one`:
+//! `cross` runs it once, a `cross_batch` and an async-ring flush once
+//! per call over one hoisted gate lookup (DESIGN.md §6.10). No option
+//! changes how a crossing is issued; the reference a batch or a flush
+//! is held to — a loop of `cross` — lives in the tests.
 
 use crate::spec::transform::ShSet;
 use flexos_machine::{Addr, Fault, Machine, Pkru, ProtKey, Result, VcpuId, VmId};
@@ -156,42 +162,6 @@ struct PendingMigration {
     reason: MigrationReason,
     reestablish: Option<ReestablishFn>,
     requested_at: u64,
-}
-
-/// Tunable gate-runtime behaviour (per image).
-///
-/// `batch_enabled` selects the vectored fast path for
-/// [`GateRuntime::cross_batch`]: on, batched crossings hoist the gate
-/// lookup and let backends elide host-side work that repeats across the
-/// batch (doorbell queue churn, split PKRU writes); off, every batched
-/// call degrades to a plain [`GateRuntime::cross`] — the reference path
-/// the differential suite compares against. Either way the *simulated*
-/// cycles, faults, and trace events are bit-identical: batching is a
-/// host-time optimisation only.
-///
-/// `overlap_enabled` does the same for the async gate rings: on, a
-/// [`GateRuntime::flush_async`] drains the submission ring through the
-/// vectored fast path (one hoisted gate + the backend's batch hooks, so
-/// VM-RPC posts a single coalesced doorbell per flush); off, the flush
-/// degrades to a loop of plain [`GateRuntime::cross`] — the reference
-/// path the sync-vs-async differential suite compares against. The same
-/// invariant holds: overlap is a host-time optimisation only.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GateConfig {
-    /// Use the vectored fast path in `cross_batch` (default: on).
-    pub batch_enabled: bool,
-    /// Use the overlapped fast path when flushing async rings
-    /// (default: on).
-    pub overlap_enabled: bool,
-}
-
-impl Default for GateConfig {
-    fn default() -> Self {
-        Self {
-            batch_enabled: true,
-            overlap_enabled: true,
-        }
-    }
 }
 
 /// A builder for the per-call marshalling sizes of one batched crossing.
@@ -339,7 +309,7 @@ pub struct AsyncGateStats {
 /// One (caller, target) pair's submission/completion ring state.
 ///
 /// Host-side bookkeeping only: no simulated cycles are charged until a
-/// flush replays the queued calls through `cross_batch_until`, so the
+/// flush replays the queued calls through the batch loop, so the
 /// simulated instruction stream is exactly what a sequential driver
 /// would have issued.
 #[derive(Debug)]
@@ -540,7 +510,6 @@ pub struct GateRuntime {
     stack: Vec<CompartmentId>,
     stats: GateStats,
     trace: GateTrace,
-    config: GateConfig,
     rings: BTreeMap<(CompartmentId, CompartmentId), AsyncRing>,
     async_stats: AsyncGateStats,
     /// Pairs (normalized `a <= b`) whose backend swap is waiting for
@@ -594,7 +563,6 @@ impl GateRuntime {
             stack: vec![initial],
             stats: GateStats::default(),
             trace: GateTrace::new(),
-            config: GateConfig::default(),
             rings: BTreeMap::new(),
             async_stats: AsyncGateStats::default(),
             draining: BTreeMap::new(),
@@ -602,25 +570,6 @@ impl GateRuntime {
             post_swap: BTreeSet::new(),
             migration_stats: MigrationStats::default(),
         }
-    }
-
-    /// The runtime's configuration.
-    pub fn config(&self) -> GateConfig {
-        self.config
-    }
-
-    /// Toggles the vectored `cross_batch` fast path. Off means batched
-    /// entry points degrade to loops of plain [`GateRuntime::cross`] —
-    /// the reference path for equivalence testing.
-    pub fn set_batch_enabled(&mut self, on: bool) {
-        self.config.batch_enabled = on;
-    }
-
-    /// Toggles the overlapped flush path for async gate rings. Off means
-    /// every flush degrades to a loop of plain [`GateRuntime::cross`] —
-    /// the reference path for the sync-vs-async differential suite.
-    pub fn set_overlap_enabled(&mut self, on: bool) {
-        self.config.overlap_enabled = on;
     }
 
     /// Normalized (both-directions) key for a compartment pair.
@@ -727,9 +676,12 @@ impl GateRuntime {
     /// the drain window, `swap` at the switch, and `first-crossing` on
     /// the pair's next crossing — all [`SpanKind::Migrate`].
     ///
+    /// An unknown `a` or `b` is a typed `HardeningAbort`, recorded
+    /// nowhere.
+    ///
     /// # Panics
     ///
-    /// Panics if `a` or `b` is unknown or `a == b`.
+    /// Panics if `a == b`.
     pub fn request_migration(
         &mut self,
         m: &mut Machine,
@@ -739,8 +691,8 @@ impl GateRuntime {
         reason: MigrationReason,
         reestablish: Option<ReestablishFn>,
     ) -> Result<bool> {
-        assert!((a.0 as usize) < self.compartments.len(), "unknown {a}");
-        assert!((b.0 as usize) < self.compartments.len(), "unknown {b}");
+        self.check_target(a)?;
+        self.check_target(b)?;
         assert_ne!(a, b, "a gate pair has two distinct compartments");
         let key = Self::pair_key(a, b);
         let now = m.clock().cycles();
@@ -878,6 +830,30 @@ impl GateRuntime {
         &self.trace
     }
 
+    /// Refuses a `target` that names no compartment of this image — a
+    /// typed fault, never a panic: compartment ids reach the runtime
+    /// from callers' tables, and a bad one must not take the image down.
+    fn check_target(&self, target: CompartmentId) -> Result<()> {
+        if (target.0 as usize) < self.compartments.len() {
+            return Ok(());
+        }
+        Err(Fault::HardeningAbort {
+            mechanism: "gate",
+            reason: format!("unknown {target}"),
+        })
+    }
+
+    /// How a call `from → target` is routed: `None` within one
+    /// compartment (FlexOS replaces the placeholder with a plain call at
+    /// link time), else the pair's gate.
+    fn route(&self, from: CompartmentId, target: CompartmentId) -> Result<Option<Arc<dyn Gate>>> {
+        if from == target {
+            return Ok(None);
+        }
+        self.check_target(target)?;
+        Ok(Some(self.gate_for(from, target)))
+    }
+
     /// The gate-call placeholder: runs `f` inside `target`.
     ///
     /// If `target` is the current compartment this is a direct function
@@ -897,26 +873,50 @@ impl GateRuntime {
         ret_bytes: u64,
         f: impl FnOnce(&mut Machine, &mut GateRuntime) -> Result<R>,
     ) -> Result<R> {
-        let from = self.current();
-        if from == target {
+        let gate = self.route(self.current(), target)?;
+        self.cross_one(m, gate.as_deref(), target, (arg_bytes, ret_bytes), None, f)
+    }
+
+    /// The one crossing body: every call the runtime issues — a sync
+    /// [`GateRuntime::cross`] (`nth` is `None`), call `idx` of a batch or
+    /// of a ring flush (`Some(idx)`) — runs exactly this sequence, so the
+    /// entry points cannot drift apart in cycles, counters, spans or
+    /// fault handling. `gate` is `None` for a same-compartment call,
+    /// else the pair's gate, looked up by the caller so that a batch
+    /// hoists it out of its loop; a backend varies the sequence only
+    /// through its [`Gate`] hooks.
+    ///
+    /// Error precedence: an enter fault returns before `f` runs; `f`'s
+    /// error still runs the exit path and the stats/trace updates; an
+    /// exit fault takes precedence over `f`'s result, and a fault from
+    /// the migration safe point over both.
+    #[inline]
+    fn cross_one<R>(
+        &mut self,
+        m: &mut Machine,
+        gate: Option<&dyn Gate>,
+        target: CompartmentId,
+        (arg_bytes, ret_bytes): (u64, u64),
+        nth: Option<usize>,
+        f: impl FnOnce(&mut Machine, &mut GateRuntime) -> Result<R>,
+    ) -> Result<R> {
+        let Some(gate) = gate else {
             m.charge(m.costs().func_call);
             self.stats.direct_calls += 1;
             self.trace.record_direct();
             return f(m, self);
-        }
-        assert!(
-            (target.0 as usize) < self.compartments.len(),
-            "unknown {target}"
-        );
-
-        let gate = self.gate_for(from, target);
+        };
+        let from = self.current();
         let t0 = m.clock().cycles();
         {
             let (from_ctx, to_ctx) = (
                 &self.compartments[from.0 as usize],
                 &self.compartments[target.0 as usize],
             );
-            gate.enter(m, from_ctx, to_ctx, arg_bytes)?;
+            match nth {
+                None => gate.enter(m, from_ctx, to_ctx, arg_bytes)?,
+                Some(idx) => gate.enter_nth(m, from_ctx, to_ctx, arg_bytes, idx)?,
+            }
         }
         let enter_cycles = m.clock().cycles() - t0;
         self.stats.gate_cycles += enter_cycles;
@@ -931,7 +931,10 @@ impl GateRuntime {
                 &self.compartments[target.0 as usize],
                 &self.compartments[from.0 as usize],
             );
-            gate.exit(m, callee_ctx, caller_ctx, ret_bytes)?;
+            match nth {
+                None => gate.exit(m, callee_ctx, caller_ctx, ret_bytes)?,
+                Some(idx) => gate.exit_nth(m, callee_ctx, caller_ctx, ret_bytes, idx)?,
+            }
         }
         let exit_cycles = m.clock().cycles() - t1;
         let label = gate.mechanism().label();
@@ -958,6 +961,8 @@ impl GateRuntime {
             t1 + exit_cycles,
         );
         self.record_post_swap(m, from, target, t0, t1 + exit_cycles);
+        // The end of a crossing is a migration safe point (a batch's own
+        // pair stays guarded by `active_batches` until the batch ends).
         self.apply_ready_migrations(m)?;
         result
     }
@@ -992,15 +997,13 @@ impl GateRuntime {
     /// Vectored gate crossing: runs `calls.len()` calls into `target`,
     /// call `idx` executing `f(m, rt, idx)`.
     ///
-    /// With [`GateConfig::batch_enabled`] on, the gate lookup is hoisted
-    /// out of the loop and each call goes through the backend's
-    /// [`Gate::enter_nth`]/[`Gate::exit_nth`] batch hooks, which may
-    /// skip host-side work that repeats across the batch. Off, this is
-    /// exactly a loop of [`GateRuntime::cross`]. Both paths issue the
-    /// identical sequence of simulated operations: cycles charged,
-    /// chaos decisions drawn, faults raised and trace events recorded
-    /// are bit-identical, and the per-mechanism batch-size histogram is
-    /// recorded either way.
+    /// The gate lookup is hoisted out of the loop and each call goes
+    /// through the backend's [`Gate::enter_nth`]/[`Gate::exit_nth`] batch
+    /// hooks, which may skip host-side work that repeats across the
+    /// batch. The simulated operations are those of a loop of
+    /// [`GateRuntime::cross`] — cycles charged, chaos decisions drawn,
+    /// faults raised and trace events recorded are bit-identical — plus
+    /// one entry in the per-mechanism batch-size histogram.
     ///
     /// The batch stops at the first call error, which is returned after
     /// that call's exit path has run (same contract as `cross`).
@@ -1033,7 +1036,7 @@ impl GateRuntime {
         mut between: impl FnMut(&mut Machine, &mut GateRuntime, usize, &R) -> Result<bool>,
     ) -> Result<Vec<R>> {
         let mut out = Vec::with_capacity(calls.len());
-        self.cross_batch_core(
+        self.cross_each(
             m,
             target,
             calls.len(),
@@ -1049,7 +1052,8 @@ impl GateRuntime {
     }
 
     /// The batch loop behind [`GateRuntime::cross_batch_until`] and
-    /// [`GateRuntime::flush_async_until`], generic over where the
+    /// [`GateRuntime::flush_async_until`]: [`GateRuntime::cross_one`]
+    /// `len` times over one hoisted gate lookup, generic over where the
     /// marshalling sizes live (`desc(idx)` returns call `idx`'s
     /// `(arg_bytes, ret_bytes)`): a `CallVec` for the sync API, the
     /// submission ring itself for a flush — which therefore never copies
@@ -1057,37 +1061,7 @@ impl GateRuntime {
     /// handed to `sink` by value (the sync API collects, a flush posts a
     /// CQE — neither pays for a result buffer it doesn't want); `sink`
     /// returning `Ok(false)` stops the batch after the current call.
-    fn cross_batch_core<R>(
-        &mut self,
-        m: &mut Machine,
-        target: CompartmentId,
-        len: usize,
-        desc: impl Fn(usize) -> (u64, u64),
-        f: impl FnMut(&mut Machine, &mut GateRuntime, usize) -> Result<R>,
-        sink: impl FnMut(&mut Machine, &mut GateRuntime, usize, R) -> Result<bool>,
-    ) -> Result<()> {
-        if len == 0 {
-            return Ok(());
-        }
-        let from = self.current();
-        if from == target {
-            return self.cross_batch_core_inner(m, target, len, desc, f, sink);
-        }
-        // The whole batch holds the pair non-quiescent — a migration
-        // requested from inside any call (reference or fast path alike)
-        // defers to the batch's end, keeping batch on/off bit-identical.
-        self.active_batches.push(Self::pair_key(from, target));
-        let result = self.cross_batch_core_inner(m, target, len, desc, f, sink);
-        self.active_batches.pop();
-        // The batch boundary is a safe point, even when the batch
-        // itself errored out.
-        let mig = self.apply_ready_migrations(m);
-        result.and(mig)
-    }
-
-    /// The batch loop proper; `cross_batch_core` wraps it with the
-    /// active-batch quiescence guard.
-    fn cross_batch_core_inner<R>(
+    fn cross_each<R>(
         &mut self,
         m: &mut Machine,
         target: CompartmentId,
@@ -1100,163 +1074,42 @@ impl GateRuntime {
             return Ok(());
         }
         let from = self.current();
-        let label = if from == target {
-            GateMechanism::DirectCall.label()
-        } else {
-            assert!(
-                (target.0 as usize) < self.compartments.len(),
-                "unknown {target}"
-            );
-            self.gate_for(from, target).mechanism().label()
-        };
+        let gate = self.route(from, target)?;
+        let label = gate
+            .as_ref()
+            .map_or(GateMechanism::DirectCall, |g| g.mechanism())
+            .label();
+        // The whole batch holds the pair non-quiescent — a migration
+        // requested from inside any call defers to the batch's end, so
+        // the hoisted gate serves every call of the batch.
+        if gate.is_some() {
+            self.active_batches.push(Self::pair_key(from, target));
+        }
         let mut issued: u64 = 0;
-
-        if !self.config.batch_enabled {
-            // Reference path: a plain loop of `cross` plus the hook.
-            for idx in 0..len {
-                let (arg_bytes, ret_bytes) = desc(idx);
-                issued += 1;
-                let r = match self.cross(m, target, arg_bytes, ret_bytes, |m, rt| f(m, rt, idx)) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        self.trace.record_batch(label, issued);
-                        return Err(e);
-                    }
-                };
-                let more = match sink(m, self, idx, r) {
-                    Ok(more) => more,
-                    Err(e) => {
-                        self.trace.record_batch(label, issued);
-                        return Err(e);
-                    }
-                };
-                if !more {
-                    break;
-                }
-            }
-            self.trace.record_batch(label, issued);
-            return Ok(());
-        }
-
-        if from == target {
-            // Direct-call loop: only the cost lookup is hoisted (the
-            // cost table is immutable for the life of the machine).
-            let func_call = m.costs().func_call;
-            for idx in 0..len {
-                issued += 1;
-                m.charge(func_call);
-                self.stats.direct_calls += 1;
-                self.trace.record_direct();
-                let r = match f(m, self, idx) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        self.trace.record_batch(label, issued);
-                        return Err(e);
-                    }
-                };
-                let more = match sink(m, self, idx, r) {
-                    Ok(more) => more,
-                    Err(e) => {
-                        self.trace.record_batch(label, issued);
-                        return Err(e);
-                    }
-                };
-                if !more {
-                    break;
-                }
-            }
-            self.trace.record_batch(label, issued);
-            return Ok(());
-        }
-
-        // Fast path: the gate lookup (BTreeMap probe + `Arc` clone) is
-        // hoisted out of the loop, and each call runs the backend's
-        // batch hooks. The per-call body below mirrors `cross` exactly —
-        // including running the exit path and the stats/trace updates
-        // when `f` fails, with the exit's own error taking precedence.
-        let gate = self.gate_for(from, target);
+        let mut result = Ok(());
         for idx in 0..len {
-            let (arg_bytes, ret_bytes) = desc(idx);
             issued += 1;
-            let t0 = m.clock().cycles();
-            {
-                let (from_ctx, to_ctx) = (
-                    &self.compartments[from.0 as usize],
-                    &self.compartments[target.0 as usize],
-                );
-                if let Err(e) = gate.enter_nth(m, from_ctx, to_ctx, arg_bytes, idx) {
-                    self.trace.record_batch(label, issued);
-                    return Err(e);
-                }
-            }
-            let enter_cycles = m.clock().cycles() - t0;
-            self.stats.gate_cycles += enter_cycles;
-            self.stack.push(target);
-
-            let result = f(m, self, idx);
-
-            self.stack.pop();
-            let t1 = m.clock().cycles();
-            {
-                let (callee_ctx, caller_ctx) = (
-                    &self.compartments[target.0 as usize],
-                    &self.compartments[from.0 as usize],
-                );
-                if let Err(e) = gate.exit_nth(m, callee_ctx, caller_ctx, ret_bytes, idx) {
-                    self.trace.record_batch(label, issued);
-                    return Err(e);
-                }
-            }
-            let exit_cycles = m.clock().cycles() - t1;
-            self.stats.gate_cycles += exit_cycles;
-            self.stats.crossings += 1;
-            self.stats.bytes_marshalled += arg_bytes + ret_bytes;
-            self.trace.record_crossing(
-                label,
-                from.0,
-                target.0,
-                enter_cycles + exit_cycles,
-                arg_bytes + ret_bytes,
-                t1 + exit_cycles,
-            );
-            // Span probe mirroring `cross` exactly, so the batched fast
-            // path emits the byte-identical span stream.
-            m.span_trace_mut().record(
-                self.compartments[from.0 as usize].vcpu.0 as u16,
-                SpanKind::Gate,
-                label,
-                from.0,
-                target.0,
-                t0,
-                t1 + exit_cycles,
-            );
-            // Migration safe point mirroring `cross` (the batch's own
-            // pair stays guarded by `active_batches`).
-            self.record_post_swap(m, from, target, t0, t1 + exit_cycles);
-            if let Err(e) = self.apply_ready_migrations(m) {
-                self.trace.record_batch(label, issued);
-                return Err(e);
-            }
-            let r = match result {
-                Ok(r) => r,
+            let call = |m: &mut Machine, rt: &mut GateRuntime| f(m, rt, idx);
+            let step = self
+                .cross_one(m, gate.as_deref(), target, desc(idx), Some(idx), call)
+                .and_then(|r| sink(m, self, idx, r));
+            match step {
+                Ok(true) => {}
+                Ok(false) => break,
                 Err(e) => {
-                    self.trace.record_batch(label, issued);
-                    return Err(e);
+                    result = Err(e);
+                    break;
                 }
-            };
-            let more = match sink(m, self, idx, r) {
-                Ok(more) => more,
-                Err(e) => {
-                    self.trace.record_batch(label, issued);
-                    return Err(e);
-                }
-            };
-            if !more {
-                break;
             }
         }
         self.trace.record_batch(label, issued);
-        Ok(())
+        if gate.is_some() {
+            self.active_batches.pop();
+            // The batch boundary is a safe point, even when the batch
+            // itself errored out.
+            result = result.and(self.apply_ready_migrations(m));
+        }
+        result
     }
 
     /// Queues one gate-call descriptor on the `(current → target)`
@@ -1268,10 +1121,7 @@ impl GateRuntime {
     /// latency is pending. A full ring returns [`Fault::RingFull`] (the
     /// caller must flush or cancel first) — never a panic.
     pub fn submit(&mut self, target: CompartmentId, sqe: Sqe) -> Result<()> {
-        assert!(
-            (target.0 as usize) < self.compartments.len(),
-            "unknown {target}"
-        );
+        self.check_target(target)?;
         let from = self.current();
         self.check_admission(from, target)?;
         let ring = self.rings.entry((from, target)).or_default();
@@ -1294,10 +1144,7 @@ impl GateRuntime {
     /// compare it against `sqes.len()`), so a partial burst is visible,
     /// never silent.
     pub fn submit_many(&mut self, target: CompartmentId, sqes: &[Sqe]) -> Result<usize> {
-        assert!(
-            (target.0 as usize) < self.compartments.len(),
-            "unknown {target}"
-        );
+        self.check_target(target)?;
         let from = self.current();
         self.check_admission(from, target)?;
         let ring = self.rings.entry((from, target)).or_default();
@@ -1415,14 +1262,14 @@ impl GateRuntime {
     /// inside the target once per queued descriptor (oldest first) and
     /// posting each successful result to the completion ring.
     ///
-    /// The flush is [`GateRuntime::cross_batch_until`] over the queued
-    /// descriptors, so its simulated behaviour is *identical* to a
-    /// sequential driver issuing the same calls: cycles charged, chaos
-    /// decisions drawn, faults raised, span probes and batch histograms
-    /// recorded are all bit-for-bit the same, and with
-    /// [`GateConfig::overlap_enabled`] on the backend's batch hooks elide
-    /// repeated host-side work (VM-RPC posts one coalesced doorbell per
-    /// flush via the hot-page descriptor cache; direct/MPK complete
+    /// The flush runs the batch loop of [`GateRuntime::cross_batch_until`]
+    /// over the queued descriptors, so its simulated behaviour is
+    /// *identical* to a sequential driver issuing the same calls: cycles
+    /// charged, chaos decisions drawn, faults raised and span probes
+    /// recorded are all bit-for-bit the same, and the batch histogram is
+    /// that of the equivalent `cross_batch`. The backend's batch hooks
+    /// elide repeated host-side work (VM-RPC posts one coalesced doorbell
+    /// per flush via the hot-page descriptor cache; direct/MPK complete
     /// inline) — the overlap is host-time only.
     ///
     /// `between(m, rt, &sqe, res)` runs after each completion lands, in
@@ -1462,30 +1309,23 @@ impl GateRuntime {
         // The pair stays non-quiescent until the ring is merged back:
         // a migration completed mid-flush would otherwise count (and
         // requeue) the placeholder ring instead of the real one. The
-        // inner `cross_batch_core` pushes and pops its own guard; this
-        // outer one outlives it.
-        let flush_guard = if from == target {
-            None
-        } else {
-            let key = Self::pair_key(from, target);
-            self.active_batches.push(key);
-            Some(key)
-        };
+        // inner `cross_each` pushes and pops its own guard; this outer
+        // one outlives it.
+        let guarded = from != target;
+        if guarded {
+            self.active_batches.push(Self::pair_key(from, target));
+        }
         let mut ring = std::mem::take(slot);
-        // Overlap-off maps onto the batch choice for this one internal
-        // call: the flush degrades to a loop of plain `cross`.
-        let saved_batch = self.config.batch_enabled;
-        self.config.batch_enabled = saved_batch && self.config.overlap_enabled;
         // `idx + 1` descriptors have been issued once `f` runs for `idx`;
         // a fault before `f` (enter path) leaves the descriptor queued.
         let issued = Cell::new(0usize);
         ring.cq_compact();
         let cq_before = ring.cq.len();
         ring.cq.reserve(ring.sq.len());
-        let result = {
+        let mut result = {
             let sq = ring.sq.as_slice();
             let cq = &mut ring.cq;
-            self.cross_batch_core(
+            self.cross_each(
                 m,
                 target,
                 sq.len(),
@@ -1508,7 +1348,6 @@ impl GateRuntime {
                 },
             )
         };
-        self.config.batch_enabled = saved_batch;
         // A faulting call is consumed only once it crossed (its `f` ran);
         // keep everything from the first unissued descriptor onwards.
         ring.sq.drain(..issued.get());
@@ -1525,14 +1364,13 @@ impl GateRuntime {
         ring.sq.append(&mut slot.sq);
         ring.cq.extend_from_slice(&slot.cq[slot.cq_head..]);
         *slot = ring;
-        if flush_guard.is_some() {
+        if guarded {
             self.active_batches.pop();
             // With the ring back in place the flush boundary is a safe
             // point: a swap here carries the leftover descriptors.
-            let mig = self.apply_ready_migrations(m);
-            return result.and(mig).map(|_| posted);
+            result = result.and(self.apply_ready_migrations(m));
         }
-        result.map(|_| posted)
+        result.map(|()| posted)
     }
 
     /// Restores the current compartment's protection view on the machine.
@@ -1542,7 +1380,7 @@ impl GateRuntime {
     /// saved PKRU must be loaded — "the scheduler holds the value of the
     /// PKRU for threads that are not currently running" (paper §3).
     pub fn resume_in(&mut self, m: &mut Machine, id: CompartmentId) -> Result<()> {
-        assert!((id.0 as usize) < self.compartments.len(), "unknown {id}");
+        self.check_target(id)?;
         let ctx = &self.compartments[id.0 as usize];
         let tok = m.gate_token();
         let vcpu = ctx.vcpu;
@@ -1604,6 +1442,13 @@ mod tests {
                 heap_size: 4096,
             },
         ]
+    }
+
+    fn fresh_rt() -> (Machine, GateRuntime) {
+        let mut m = Machine::with_defaults();
+        let cpts = two_compartments(&mut m);
+        let rt = GateRuntime::new(cpts, Arc::new(DirectGate), CompartmentId(0));
+        (m, rt)
     }
 
     #[test]
@@ -1681,108 +1526,93 @@ mod tests {
         assert!(v.is_empty());
     }
 
-    /// Runs the same batch with the fast path on and off and returns
-    /// `(cycles, stats)` for each, so tests can assert bit-identity.
-    fn run_both_modes(calls: &CallVec, target: CompartmentId) -> [(u64, GateStats, Vec<i32>); 2] {
-        [true, false].map(|on| {
-            let mut m = Machine::with_defaults();
-            let cpts = two_compartments(&mut m);
-            let mut rt = GateRuntime::new(cpts, Arc::new(DirectGate), CompartmentId(0));
-            rt.set_batch_enabled(on);
-            let before = m.clock().cycles();
-            let out = rt
-                .cross_batch(&mut m, target, calls, |m, _, idx| {
-                    m.charge(10 + idx as u64);
-                    Ok(idx as i32)
-                })
-                .unwrap();
-            (m.clock().cycles() - before, rt.stats(), out)
-        })
-    }
-
-    #[test]
-    fn batch_on_and_off_are_cycle_identical() {
-        for target in [CompartmentId(0), CompartmentId(1)] {
-            let calls = CallVec::uniform(5, 32, 8);
-            let [on, off] = run_both_modes(&calls, target);
-            assert_eq!(on, off, "batch fast path diverged for {target}");
-        }
-    }
-
+    /// The batch contract, against the reference it is defined by: a
+    /// sequential loop of the public `cross` — for a real crossing and
+    /// for a same-compartment (direct-call) batch, with a body that
+    /// charges.
     #[test]
     fn batch_equals_sequential_crossings() {
         let mut calls = CallVec::new();
-        calls.push(16, 8).push(100, 28).push(0, 0);
-
-        let mut m1 = Machine::with_defaults();
-        let cpts = two_compartments(&mut m1);
-        let mut rt1 = GateRuntime::new(cpts, Arc::new(DirectGate), CompartmentId(0));
-        let out = rt1
-            .cross_batch(&mut m1, CompartmentId(1), &calls, |_, _, idx| Ok(idx))
-            .unwrap();
-        assert_eq!(out, vec![0, 1, 2]);
-
-        let mut m2 = Machine::with_defaults();
-        let cpts = two_compartments(&mut m2);
-        let mut rt2 = GateRuntime::new(cpts, Arc::new(DirectGate), CompartmentId(0));
-        for (idx, &(a, r)) in calls.as_slice().iter().enumerate() {
-            rt2.cross(&mut m2, CompartmentId(1), a, r, |_, _| Ok(idx))
+        calls
+            .push(16, 8)
+            .push(100, 28)
+            .push(0, 0)
+            .push_uniform(2, 32, 8);
+        for target in [CompartmentId(0), CompartmentId(1)] {
+            let (mut m1, mut rt1) = fresh_rt();
+            let batched = rt1
+                .cross_batch(&mut m1, target, &calls, |m, _, idx| {
+                    m.charge(10 + idx as u64);
+                    Ok(idx)
+                })
                 .unwrap();
+
+            let (mut m2, mut rt2) = fresh_rt();
+            let mut looped = Vec::new();
+            for (idx, &(a, r)) in calls.as_slice().iter().enumerate() {
+                looped.push(
+                    rt2.cross(&mut m2, target, a, r, |m, _| {
+                        m.charge(10 + idx as u64);
+                        Ok(idx)
+                    })
+                    .unwrap(),
+                );
+            }
+            assert_eq!(batched, looped, "{target}");
+            assert_eq!(m1.clock().cycles(), m2.clock().cycles(), "{target}");
+            assert_eq!(rt1.stats(), rt2.stats(), "{target}");
+            let st = rt1.stats();
+            let want = if target == CompartmentId(1) {
+                (5, 0, 232)
+            } else {
+                (0, 5, 0)
+            };
+            assert_eq!(
+                (st.crossings, st.direct_calls, st.bytes_marshalled),
+                want,
+                "{target}"
+            );
         }
-        assert_eq!(m1.clock().cycles(), m2.clock().cycles());
-        assert_eq!(rt1.stats(), rt2.stats());
-        assert_eq!(rt1.stats().crossings, 3);
-        assert_eq!(rt1.stats().bytes_marshalled, 152);
     }
 
     #[test]
     fn batch_stops_at_first_error_and_restores_caller() {
-        for on in [true, false] {
-            let mut m = Machine::with_defaults();
-            let cpts = two_compartments(&mut m);
-            let mut rt = GateRuntime::new(cpts, Arc::new(DirectGate), CompartmentId(0));
-            rt.set_batch_enabled(on);
-            let err = rt
-                .cross_batch(
-                    &mut m,
-                    CompartmentId(1),
-                    &CallVec::uniform(4, 8, 8),
-                    |_, _, idx| {
-                        if idx == 2 {
-                            Err(Fault::OutOfMemory { requested_pages: 1 })
-                        } else {
-                            Ok(idx)
-                        }
-                    },
-                )
-                .unwrap_err();
-            assert!(matches!(err, Fault::OutOfMemory { .. }));
-            assert_eq!(rt.current(), CompartmentId(0));
-            // The failing call still completed its exit path, like `cross`.
-            assert_eq!(rt.stats().crossings, 3);
-        }
+        let (mut m, mut rt) = fresh_rt();
+        let err = rt
+            .cross_batch(
+                &mut m,
+                CompartmentId(1),
+                &CallVec::uniform(4, 8, 8),
+                |_, _, idx| {
+                    if idx == 2 {
+                        Err(Fault::OutOfMemory { requested_pages: 1 })
+                    } else {
+                        Ok(idx)
+                    }
+                },
+            )
+            .unwrap_err();
+        assert!(matches!(err, Fault::OutOfMemory { .. }));
+        assert_eq!(rt.current(), CompartmentId(0));
+        // The failing call still completed its exit path, like `cross`.
+        assert_eq!(rt.stats().crossings, 3);
     }
 
     #[test]
     fn batch_until_early_stop_keeps_stopping_result() {
-        for on in [true, false] {
-            let mut m = Machine::with_defaults();
-            let cpts = two_compartments(&mut m);
-            let mut rt = GateRuntime::new(cpts, Arc::new(DirectGate), CompartmentId(0));
-            rt.set_batch_enabled(on);
-            let out = rt
-                .cross_batch_until(
-                    &mut m,
-                    CompartmentId(1),
-                    &CallVec::uniform(8, 4, 4),
-                    |_, _, idx| Ok(idx),
-                    |_, _, idx, _| Ok(idx < 2),
-                )
-                .unwrap();
-            assert_eq!(out, vec![0, 1, 2]);
-            assert_eq!(rt.stats().crossings, 3);
-            assert_eq!(rt.current(), CompartmentId(0));
-        }
+        let (mut m, mut rt) = fresh_rt();
+        let out = rt
+            .cross_batch_until(
+                &mut m,
+                CompartmentId(1),
+                &CallVec::uniform(8, 4, 4),
+                |_, _, idx| Ok(idx),
+                |_, _, idx, _| Ok(idx < 2),
+            )
+            .unwrap();
+        assert_eq!(out, vec![0, 1, 2]);
+        assert_eq!(rt.stats().crossings, 3);
+        assert_eq!(rt.current(), CompartmentId(0));
     }
 
     #[test]
@@ -1847,13 +1677,6 @@ mod tests {
         assert_eq!(rt.stats().crossings, 8);
     }
 
-    fn fresh_rt() -> (Machine, GateRuntime) {
-        let mut m = Machine::with_defaults();
-        let cpts = two_compartments(&mut m);
-        let rt = GateRuntime::new(cpts, Arc::new(DirectGate), CompartmentId(0));
-        (m, rt)
-    }
-
     #[test]
     fn async_submit_flush_reap_roundtrip() {
         let (mut m, mut rt) = fresh_rt();
@@ -1891,7 +1714,7 @@ mod tests {
 
     /// The PR-5 invariant extended to async: a submit+flush must charge
     /// the byte-identical simulated cycles (and gate stats) as the
-    /// sequential loop of `cross` it replaces — with overlap on or off.
+    /// sequential loop of `cross` it replaces.
     #[test]
     fn async_flush_is_cycle_identical_to_sync_loop() {
         let run_sync = || {
@@ -1908,9 +1731,8 @@ mod tests {
             }
             (m.clock().cycles(), rt.stats(), out)
         };
-        let run_async = |overlap: bool| {
+        let run_async = || {
             let (mut m, mut rt) = fresh_rt();
-            rt.set_overlap_enabled(overlap);
             for idx in 0..5u64 {
                 rt.submit(CompartmentId(1), Sqe::new(32, 8, idx)).unwrap();
             }
@@ -1924,9 +1746,7 @@ mod tests {
             let out: Vec<i64> = cqes.iter().map(|c| c.res).collect();
             (m.clock().cycles(), rt.stats(), out)
         };
-        let sync = run_sync();
-        assert_eq!(sync, run_async(true), "overlapped flush diverged");
-        assert_eq!(sync, run_async(false), "degraded flush diverged");
+        assert_eq!(run_sync(), run_async(), "flush diverged from the loop");
     }
 
     #[test]
@@ -1992,38 +1812,35 @@ mod tests {
     /// consumed without a completion; descriptors behind it stay queued.
     #[test]
     fn async_fault_consumes_only_the_faulting_descriptor() {
-        for overlap in [true, false] {
-            let (mut m, mut rt) = fresh_rt();
-            rt.set_overlap_enabled(overlap);
-            let t = CompartmentId(1);
-            for i in 0..4u64 {
-                rt.submit(t, Sqe::new(8, 8, i)).unwrap();
-            }
-            let err = rt
-                .flush_async(&mut m, t, |_, _, sqe| {
-                    if sqe.user_data == 2 {
-                        Err(Fault::HardeningAbort {
-                            mechanism: "async-test",
-                            reason: "synthetic".into(),
-                        })
-                    } else {
-                        Ok(sqe.user_data as i64)
-                    }
-                })
-                .unwrap_err();
-            assert!(matches!(err, Fault::HardeningAbort { .. }));
-            assert_eq!(rt.current(), CompartmentId(0));
-            // Calls 0 and 1 completed; 2 was consumed by the fault; 3 is
-            // still pending and can be cancelled.
-            assert_eq!(rt.cq_ready(t), 2);
-            assert_eq!(rt.reap(t).unwrap().user_data, 0);
-            assert_eq!(rt.reap(t).unwrap().user_data, 1);
-            assert_eq!(rt.sq_pending(t), 1);
-            assert_eq!(rt.cancel_pending(t), 1);
-            assert_eq!(rt.sq_pending(t), 0);
-            assert_eq!(rt.async_stats().completed, 2);
-            assert_eq!(rt.async_stats().cancelled, 1);
+        let (mut m, mut rt) = fresh_rt();
+        let t = CompartmentId(1);
+        for i in 0..4u64 {
+            rt.submit(t, Sqe::new(8, 8, i)).unwrap();
         }
+        let err = rt
+            .flush_async(&mut m, t, |_, _, sqe| {
+                if sqe.user_data == 2 {
+                    Err(Fault::HardeningAbort {
+                        mechanism: "async-test",
+                        reason: "synthetic".into(),
+                    })
+                } else {
+                    Ok(sqe.user_data as i64)
+                }
+            })
+            .unwrap_err();
+        assert!(matches!(err, Fault::HardeningAbort { .. }));
+        assert_eq!(rt.current(), CompartmentId(0));
+        // Calls 0 and 1 completed; 2 was consumed by the fault; 3 is
+        // still pending and can be cancelled.
+        assert_eq!(rt.cq_ready(t), 2);
+        assert_eq!(rt.reap(t).unwrap().user_data, 0);
+        assert_eq!(rt.reap(t).unwrap().user_data, 1);
+        assert_eq!(rt.sq_pending(t), 1);
+        assert_eq!(rt.cancel_pending(t), 1);
+        assert_eq!(rt.sq_pending(t), 0);
+        assert_eq!(rt.async_stats().completed, 2);
+        assert_eq!(rt.async_stats().cancelled, 1);
     }
 
     #[test]
@@ -2127,6 +1944,95 @@ mod tests {
         })
     }
 
+    /// Records which [`Gate`] hook served each leg of each crossing.
+    #[derive(Debug, Default)]
+    struct SpyGate {
+        legs: std::sync::Mutex<Vec<(&'static str, Option<usize>)>>,
+    }
+
+    impl SpyGate {
+        fn leg(&self, leg: &'static str, nth: Option<usize>) -> Result<()> {
+            self.legs.lock().unwrap().push((leg, nth));
+            Ok(())
+        }
+    }
+
+    impl Gate for SpyGate {
+        fn mechanism(&self) -> GateMechanism {
+            GateMechanism::VmRpc
+        }
+        fn enter(
+            &self,
+            _: &mut Machine,
+            _: &CompartmentCtx,
+            _: &CompartmentCtx,
+            _: u64,
+        ) -> Result<()> {
+            self.leg("enter", None)
+        }
+        fn exit(
+            &self,
+            _: &mut Machine,
+            _: &CompartmentCtx,
+            _: &CompartmentCtx,
+            _: u64,
+        ) -> Result<()> {
+            self.leg("exit", None)
+        }
+        fn enter_nth(
+            &self,
+            _: &mut Machine,
+            _: &CompartmentCtx,
+            _: &CompartmentCtx,
+            _: u64,
+            idx: usize,
+        ) -> Result<()> {
+            self.leg("enter", Some(idx))
+        }
+        fn exit_nth(
+            &self,
+            _: &mut Machine,
+            _: &CompartmentCtx,
+            _: &CompartmentCtx,
+            _: u64,
+            idx: usize,
+        ) -> Result<()> {
+            self.leg("exit", Some(idx))
+        }
+    }
+
+    /// The entry points differ in one thing only: which `Gate` hooks the
+    /// shared body hands the two legs to. The simulation cannot see that
+    /// (the `_nth` hooks are contracted to be cycle-identical), so it is
+    /// pinned here: a sync call takes the plain hooks, call `idx` of a
+    /// batch or of a ring flush takes the `_nth` hooks with its index.
+    #[test]
+    fn sync_calls_take_the_plain_hooks_batches_and_flushes_the_nth_ones() {
+        let (mut m, mut rt) = fresh_rt();
+        let t = CompartmentId(1);
+        let spy = Arc::new(SpyGate::default());
+        rt.set_pair_gate(CompartmentId(0), t, spy.clone());
+        let legs = || std::mem::take(&mut *spy.legs.lock().unwrap());
+        let nth = vec![
+            ("enter", Some(0)),
+            ("exit", Some(0)),
+            ("enter", Some(1)),
+            ("exit", Some(1)),
+        ];
+
+        rt.cross(&mut m, t, 8, 8, |_, _| Ok(())).unwrap();
+        assert_eq!(legs(), vec![("enter", None), ("exit", None)]);
+
+        rt.cross_batch(&mut m, t, &CallVec::uniform(2, 8, 8), |_, _, _| Ok(()))
+            .unwrap();
+        assert_eq!(legs(), nth);
+
+        rt.submit_many(t, &[Sqe::new(8, 8, 0), Sqe::new(8, 8, 1)])
+            .unwrap();
+        rt.flush_async(&mut m, t, |_, _, _| Ok(0)).unwrap();
+        assert_eq!(legs(), nth);
+    }
+
     #[test]
     fn isolation_rank_orders_the_ladder() {
         use GateMechanism::*;
@@ -2192,24 +2098,23 @@ mod tests {
     }
 
     #[test]
-    fn migration_mid_batch_defers_in_both_batch_modes() {
-        for on in [true, false] {
-            let (mut m, mut rt) = fresh_rt();
-            rt.set_batch_enabled(on);
-            let (a, b) = (CompartmentId(0), CompartmentId(1));
-            rt.cross_batch(&mut m, b, &CallVec::uniform(3, 4, 4), |m, rt, idx| {
-                if idx == 1 {
-                    let applied =
-                        rt.request_migration(m, a, b, mpk_gate(), MigrationReason::Relax, None)?;
-                    assert!(!applied, "mid-batch request must defer (batch on={on})");
-                }
-                Ok(())
-            })
-            .unwrap();
-            assert!(!rt.migration_pending(a, b));
-            assert_eq!(rt.pair_mechanism(a, b), GateMechanism::MpkSharedStack);
-            assert_eq!(rt.migration_stats().relaxations, 1);
-        }
+    fn migration_mid_batch_defers_to_the_batch_end() {
+        let (mut m, mut rt) = fresh_rt();
+        let (a, b) = (CompartmentId(0), CompartmentId(1));
+        rt.cross_batch(&mut m, b, &CallVec::uniform(3, 4, 4), |m, rt, idx| {
+            if idx == 1 {
+                let applied =
+                    rt.request_migration(m, a, b, mpk_gate(), MigrationReason::Relax, None)?;
+                assert!(!applied, "mid-batch request must defer");
+            }
+            // The hoisted gate serves the whole batch.
+            assert_eq!(rt.pair_mechanism(a, b), GateMechanism::DirectCall);
+            Ok(())
+        })
+        .unwrap();
+        assert!(!rt.migration_pending(a, b));
+        assert_eq!(rt.pair_mechanism(a, b), GateMechanism::MpkSharedStack);
+        assert_eq!(rt.migration_stats().relaxations, 1);
     }
 
     #[test]
@@ -2307,5 +2212,53 @@ mod tests {
         assert_eq!(rt.pair_mechanism(a, b), GateMechanism::MpkSharedStack);
         rt.resume_in(&mut m, a).unwrap();
         assert_eq!(rt.current(), a);
+    }
+
+    /// The no-panic boundary: an out-of-range `CompartmentId` through
+    /// any entry point is a typed `HardeningAbort` that changed nothing
+    /// — not the current compartment, not the clock, no ring, no
+    /// counter, no pending migration.
+    #[test]
+    fn unknown_compartment_is_a_typed_error_at_every_entry_point() {
+        let (mut m, mut rt) = fresh_rt();
+        let (a, bad) = (CompartmentId(0), CompartmentId(7));
+        let unknown = |r: Result<()>| match r {
+            Err(Fault::HardeningAbort {
+                mechanism: "gate",
+                reason,
+            }) => assert_eq!(reason, "unknown compartment7"),
+            other => panic!("expected the gate's typed refusal, got {other:?}"),
+        };
+        let calls = CallVec::uniform(2, 8, 8);
+        unknown(rt.cross(&mut m, bad, 8, 8, |_, _| -> Result<()> {
+            unreachable!("the body must not run")
+        }));
+        unknown(
+            rt.cross_batch(&mut m, bad, &calls, |_, _, _| -> Result<()> {
+                unreachable!("the body must not run")
+            })
+            .map(drop),
+        );
+        unknown(rt.submit(bad, Sqe::new(8, 8, 0)));
+        unknown(rt.submit_many(bad, &[Sqe::new(8, 8, 0)]).map(drop));
+        for (x, y) in [(a, bad), (bad, a)] {
+            unknown(
+                rt.request_migration(&mut m, x, y, mpk_gate(), MigrationReason::Manual, None)
+                    .map(drop),
+            );
+        }
+        unknown(rt.resume_in(&mut m, bad));
+        // Nothing to flush, reap or cancel either.
+        assert_eq!(rt.flush_async(&mut m, bad, |_, _, _| Ok(0)).unwrap(), 0);
+        assert_eq!(rt.cancel_pending(bad), 0);
+
+        assert_eq!(rt.current(), a);
+        assert_eq!(m.clock().cycles(), 0, "nothing was charged");
+        assert!(rt.rings.is_empty(), "no ring was created");
+        assert_eq!(rt.stats(), GateStats::default());
+        assert_eq!(rt.async_stats(), AsyncGateStats::default());
+        assert_eq!(rt.migration_stats(), MigrationStats::default());
+        assert!(rt.trace().batch_hist("function call").is_none());
+        assert!(m.span_trace().merged_events().is_empty());
     }
 }

@@ -157,9 +157,9 @@ impl GateTrace {
     /// Records one batched crossing of `size` calls through `mechanism`
     /// (sizes land in a per-mechanism log2 histogram).
     ///
-    /// `GateRuntime::cross_batch` records this in both the vectored and
-    /// the reference (`batch_enabled = false`) path, with the identical
-    /// size, so snapshots stay byte-identical across the two modes.
+    /// The gate runtime's one batch loop records this once per
+    /// `cross_batch` or ring flush, on every way out, with the number of
+    /// calls it issued.
     #[inline]
     pub fn record_batch(&mut self, mechanism: &'static str, size: u64) {
         #[cfg(not(feature = "trace-off"))]

@@ -3,12 +3,14 @@
 //! The same random call sequences `tests/backend_equiv.rs` pushes
 //! through `call_lib_batch` are replayed here as submission-ring
 //! descriptors (`submit_lib` → `call_lib_async` → `reap_lib`) on every
-//! gate mechanism. The contract the rings ship under:
+//! gate mechanism; the drivers live in `tests/common/mod.rs`. The
+//! contract the rings ship under:
 //!
 //! * **Host-time only.** Submitting, flushing and reaping must cost the
-//!   exact simulated cycles of the synchronous batched loop they
-//!   replace — with overlap enabled *and* disabled — and must leave
-//!   every gate counter and the batch histogram identical.
+//!   exact simulated cycles of the sequential loop of sync calls they
+//!   replace, and of the batched loop, and must leave every gate
+//!   counter, per-pair trace counter and span identical; the batch
+//!   histogram is that of the equivalent `call_lib_batch`.
 //! * **Same fault fates.** A call whose body faults consumes its
 //!   descriptor without a completion (the sync path loses the return
 //!   value too); completions posted before the fault stay reapable —
@@ -19,331 +21,57 @@
 //! * **SMP-invisible.** Extra idle vCPUs change nothing, cycles
 //!   included, at any `--vcpus` width.
 
-use flexos::build::{plan, BackendChoice, ImageConfig, LibRole, LibraryConfig};
-use flexos::gate::{GateMechanism, Sqe};
-use flexos::spec::LibSpec;
-use flexos_backends::{instantiate, BootImage};
+mod common;
+
+use common::{arb_chaos, arb_ops, image, run, Driver, BACKENDS};
+use flexos::build::BackendChoice;
+use flexos::gate::Sqe;
 use flexos_kernel::{GateRing, WireCqe, WireSqe};
 use flexos_machine::{ChaosConfig, ChaosPlan, Fault, Schedule, VcpuId};
 use proptest::prelude::*;
 
-/// Every gate mechanism the build system can target.
-const BACKENDS: &[BackendChoice] = &[
-    BackendChoice::None,
-    BackendChoice::MpkShared,
-    BackendChoice::MpkSwitched,
-    BackendChoice::VmRpc,
-    BackendChoice::Cheri,
-];
-
-/// One call in a generated sequence (same shape as `backend_equiv`).
-#[derive(Debug, Clone)]
-struct CallOp {
-    /// Cross into the scheduler compartment (a real gate crossing) or
-    /// into lwip (same compartment as the app — a direct call).
-    sched: bool,
-    arg: u64,
-    ret: u64,
-    /// The call body returns a synthetic typed fault.
-    fail: bool,
-    /// The call body issues a nested crossing back the other way.
-    nested: bool,
-}
-
-fn arb_ops() -> impl Strategy<Value = Vec<CallOp>> {
-    prop::collection::vec(
-        (any::<bool>(), 0u64..48, 0u64..24, 0u32..6, 0u32..4).prop_map(
-            |(sched, arg, ret, fail, nested)| CallOp {
-                sched,
-                arg,
-                ret,
-                fail: fail == 0,
-                nested: nested == 0,
-            },
-        ),
-        1..10,
-    )
-}
-
-/// Optional chaos: doorbell loss `EveryNth(2..=4)` and/or duplication
-/// `EveryNth(2..=3)` — under 100% loss so the retry budget recovers.
-fn arb_chaos() -> impl Strategy<Value = Option<(u64, u64)>> {
-    prop::option::of((2u64..=4, 0u64..=3))
-}
-
-fn image(backend: BackendChoice) -> BootImage {
-    image_smp(backend, 0)
-}
-
-fn image_smp(backend: BackendChoice, extra_vcpus: usize) -> BootImage {
-    let cfg = ImageConfig::new("async-equiv", backend)
-        .with_library(LibraryConfig::new(
-            LibSpec::verified_scheduler(),
-            LibRole::Scheduler,
-        ))
-        .with_library(LibraryConfig::new(
-            LibSpec::unsafe_c("lwip"),
-            LibRole::NetStack,
-        ))
-        .with_library(LibraryConfig::new(LibSpec::unsafe_c("app"), LibRole::App));
-    let mut img = instantiate(plan(cfg).expect("plans")).expect("boots");
-    img.machine.add_vcpus(flexos_machine::VmId(0), extra_vcpus);
-    img
-}
-
-fn set_chaos(img: &mut BootImage, chaos: Option<(u64, u64)>) {
-    if let Some((drop_nth, dup_nth)) = chaos {
-        img.machine.set_chaos(ChaosPlan::new(ChaosConfig {
-            seed: 11,
-            notify_drop: Schedule::EveryNth(drop_nth),
-            notify_dup: if dup_nth >= 2 {
-                Schedule::EveryNth(dup_nth)
-            } else {
-                Schedule::Off
-            },
-            ..Default::default()
-        }));
-    }
-}
-
-/// Deterministic per-call value so every backend must compute the same
-/// answer from the same inputs.
-fn call_value(op: &CallOp, idx: usize) -> i64 {
-    (op.arg * 31 + op.ret * 7) as i64 + idx as i64
-}
-
-/// Splits `ops` into maximal same-target runs — the chunk shape RESP
-/// pipelining and iperf bursts produce.
-fn chunks(ops: &[CallOp]) -> Vec<&[CallOp]> {
-    let mut out = Vec::new();
-    let mut i = 0usize;
-    while i < ops.len() {
-        let sched = ops[i].sched;
-        let mut end = i + 1;
-        while end < ops.len() && ops[end].sched == sched {
-            end += 1;
-        }
-        out.push(&ops[i..end]);
-        i = end;
-    }
-    out
-}
-
-/// What the ring path should observably do per chunk, derived from the
-/// ops alone: the values of every call before the first failing one
-/// (those completions are posted and stay reapable), plus the fault
-/// kind that consumed the failing descriptor, if any.
-fn predict(ops: &[CallOp]) -> Vec<(Vec<i64>, Option<&'static str>)> {
-    chunks(ops)
-        .into_iter()
-        .map(|chunk| {
-            let cut = chunk.iter().position(|op| op.fail);
-            let vals = chunk[..cut.unwrap_or(chunk.len())]
-                .iter()
-                .enumerate()
-                .map(|(i, op)| call_value(op, i))
-                .collect();
-            (vals, cut.map(|_| "hardening-abort"))
-        })
-        .collect()
-}
-
-/// Counters that must not move between the sync and async drivers.
-#[derive(Debug, Clone, PartialEq)]
-struct Counters {
-    crossings: u64,
-    direct_calls: u64,
-    bytes_marshalled: u64,
-    batches: u64,
-    batched_calls: u64,
-}
-
-fn counters(img: &BootImage) -> Counters {
-    let stats = img.gates.stats();
-    let (mut batches, mut batched_calls) = (0u64, 0u64);
-    for mech in [
-        GateMechanism::DirectCall,
-        GateMechanism::MpkSharedStack,
-        GateMechanism::MpkSwitchedStack,
-        GateMechanism::VmRpc,
-        GateMechanism::Cheri,
-    ] {
-        if let Some(h) = img.gates.trace().batch_hist(mech.label()) {
-            batches += h.count();
-            batched_calls += h.sum();
-        }
-    }
-    Counters {
-        crossings: stats.crossings,
-        direct_calls: stats.direct_calls,
-        bytes_marshalled: stats.bytes_marshalled,
-        batches,
-        batched_calls,
-    }
-}
-
-/// The chunk body every driver runs: identical nested crossings,
-/// synthetic faults, charges and return values.
-fn chunk_body(
-    m: &mut flexos_machine::Machine,
-    rt: &mut flexos::gate::GateRuntime,
-    op: &CallOp,
-    idx: usize,
-    nested_target: flexos::gate::CompartmentId,
-) -> flexos_machine::Result<i64> {
-    if op.nested {
-        rt.cross(m, nested_target, 8, 8, |m, _| {
-            m.charge(3);
-            Ok(())
-        })?;
-    }
-    if op.fail {
-        return Err(Fault::HardeningAbort {
-            mechanism: "async-equiv-test",
-            reason: format!("synthetic fault at call {idx}"),
-        });
-    }
-    m.charge(op.arg + 1);
-    Ok(call_value(op, idx))
-}
-
-/// Runs `ops` through the synchronous batched path (`call_lib_batch`),
-/// returning per-chunk fault kinds, the final counters and cycles —
-/// the reference the ring path must cost exactly.
-fn run_sync(
-    backend: BackendChoice,
-    ops: &[CallOp],
-    chaos: Option<(u64, u64)>,
-) -> (Vec<Option<&'static str>>, Counters, u64) {
-    let mut img = image(backend);
-    set_chaos(&mut img, chaos);
-    let sched_c = img.compartment_of_lib("uksched_verified").expect("sched");
-    let lwip_c = img.compartment_of_lib("lwip").expect("lwip");
-    let t0 = img.machine.clock().cycles();
-    let mut fates = Vec::new();
-    for chunk in chunks(ops) {
-        let mut calls = flexos::gate::CallVec::new();
-        for op in chunk {
-            calls.push(op.arg, op.ret);
-        }
-        let lib = if chunk[0].sched {
-            "uksched_verified"
-        } else {
-            "lwip"
-        };
-        let nested_target = if chunk[0].sched { lwip_c } else { sched_c };
-        let r = img.call_lib_batch(lib, &calls, |m, rt, idx| {
-            chunk_body(m, rt, &chunk[idx], idx, nested_target)
-        });
-        fates.push(r.err().map(|e| e.kind()));
-    }
-    let cycles = img.machine.clock().cycles() - t0;
-    let c = counters(&img);
-    (fates, c, cycles)
-}
-
-/// Runs `ops` through the submission/completion rings: every chunk is
-/// submitted whole, flushed once, and reaped. Returns the per-chunk
-/// `(reaped values, fault kind)`, the final counters and cycles.
-#[allow(clippy::type_complexity)]
-fn run_async(
-    backend: BackendChoice,
-    ops: &[CallOp],
-    chaos: Option<(u64, u64)>,
-    overlap: bool,
-    extra_vcpus: usize,
-) -> (Vec<(Vec<i64>, Option<&'static str>)>, Counters, u64) {
-    let mut img = image_smp(backend, extra_vcpus);
-    set_chaos(&mut img, chaos);
-    img.gates.set_overlap_enabled(overlap);
-    let sched_c = img.compartment_of_lib("uksched_verified").expect("sched");
-    let lwip_c = img.compartment_of_lib("lwip").expect("lwip");
-    let t0 = img.machine.clock().cycles();
-    let mut out = Vec::new();
-    for chunk in chunks(ops) {
-        let lib = if chunk[0].sched {
-            "uksched_verified"
-        } else {
-            "lwip"
-        };
-        let target = if chunk[0].sched { sched_c } else { lwip_c };
-        let nested_target = if chunk[0].sched { lwip_c } else { sched_c };
-        for (i, op) in chunk.iter().enumerate() {
-            img.submit_lib(lib, Sqe::new(op.arg, op.ret, i as u64))
-                .expect("ring has room");
-        }
-        let r = img.call_lib_async(lib, |m, rt, sqe| {
-            let idx = sqe.user_data as usize;
-            chunk_body(m, rt, &chunk[idx], idx, nested_target)
-        });
-        let mut vals = Vec::new();
-        while let Ok(cqe) = img.reap_lib(lib) {
-            // Completions arrive in submission order with the original
-            // descriptor cookie attached.
-            assert_eq!(cqe.user_data, vals.len() as u64, "CQE order");
-            vals.push(cqe.res);
-        }
-        // A sequential driver has no notion of "still queued" — drop
-        // whatever the fault left pending before the next chunk.
-        img.gates.cancel_pending(target);
-        out.push((vals, r.err().map(|e| e.kind())));
-    }
-    let cycles = img.machine.clock().cycles() - t0;
-    let c = counters(&img);
-    (out, c, cycles)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The ring path is bit-identical in simulated time to the sync
-    /// batched loop on every backend — overlap on AND off — while
-    /// additionally delivering the completions a mid-chunk fault would
-    /// have cost a sequential caller. Counters and the batch histogram
-    /// must not move either.
+    /// The ring path is bit-identical in simulated time to the
+    /// reference loop of sync calls AND to the sync batched loop on
+    /// every backend, while additionally delivering the completions a
+    /// mid-chunk fault would have cost a sequential caller (`run` holds
+    /// all three drivers to the predicted per-call fates). Counters,
+    /// per-pair trace counters and spans must not move; the batch
+    /// histogram is the batched loop's, and only the rings flush.
     #[test]
     fn async_rings_cost_exactly_the_sync_batch(ops in arb_ops(), chaos in arb_chaos()) {
-        let expected = predict(&ops);
         for &backend in BACKENDS {
-            let (fates, sync_counters, sync_cycles) = run_sync(backend, &ops, chaos);
-            for overlap in [true, false] {
-                let (chunks, async_counters, async_cycles) =
-                    run_async(backend, &ops, chaos, overlap, 0);
-                prop_assert_eq!(
-                    &chunks, &expected,
-                    "{:?} overlap={} reaped values/fates diverged", backend, overlap
-                );
-                let async_fates: Vec<_> = chunks.iter().map(|(_, f)| *f).collect();
-                prop_assert_eq!(
-                    &async_fates, &fates,
-                    "{:?} overlap={} fault fates diverged from sync", backend, overlap
-                );
-                prop_assert_eq!(
-                    &async_counters, &sync_counters,
-                    "{:?} overlap={} gate counters diverged from sync", backend, overlap
-                );
-                prop_assert_eq!(
-                    async_cycles, sync_cycles,
-                    "{:?} overlap={} simulated cycles diverged from sync", backend, overlap
-                );
-            }
+            let ring = run(backend, &ops, chaos, Driver::Ring, 0);
+            let batch = run(backend, &ops, chaos, Driver::Batch, 0);
+            let reference = run(backend, &ops, chaos, Driver::Loop, 0);
+            prop_assert_eq!(ring.flushes as usize, ring.chunks.len(), "one flush per chunk");
+            prop_assert_eq!(batch.flushes, 0, "only rings flush");
+            prop_assert_eq!(
+                ring.batches, batch.batches,
+                "{:?} batch histogram diverged from the batched loop", backend
+            );
+            prop_assert_eq!(
+                ring.clone().sequential(), batch.sequential(),
+                "{:?} ring diverged from the batched loop", backend
+            );
+            prop_assert_eq!(
+                ring.sequential(), reference,
+                "{:?} ring diverged from the loop of sync calls", backend
+            );
         }
     }
 
     /// Extra idle vCPUs are invisible to the ring path: same reaped
-    /// values, fault fates, counters AND simulated cycles at any
+    /// values, fault fates, counters, spans AND simulated cycles at any
     /// `--vcpus` width.
     #[test]
     fn extra_vcpus_are_invisible_to_async_rings(ops in arb_ops(), chaos in arb_chaos()) {
         for &backend in BACKENDS {
-            let (base, base_c, base_cycles) = run_async(backend, &ops, chaos, true, 0);
-            let (smp, smp_c, smp_cycles) = run_async(backend, &ops, chaos, true, 1);
-            prop_assert_eq!(&base, &smp, "{:?} outcome diverged with an extra vCPU", backend);
-            prop_assert_eq!(&base_c, &smp_c, "{:?} counters diverged with an extra vCPU", backend);
-            prop_assert_eq!(
-                base_cycles, smp_cycles,
-                "{:?} cycles diverged with an extra vCPU", backend
-            );
+            let base = run(backend, &ops, chaos, Driver::Ring, 0);
+            let smp = run(backend, &ops, chaos, Driver::Ring, 1);
+            prop_assert_eq!(&base, &smp, "{:?} diverged with an extra vCPU", backend);
         }
     }
 }

@@ -6,211 +6,19 @@
 //! call, MPK shared/switched stacks, VM RPC, CHERI). The backends must
 //! agree on everything except cycle cost: per-call return values, fault
 //! kinds, crossing/direct-call/marshalled-byte counters and the
-//! batch-size histogram. Separately, each backend must be *bit*
-//! identical — cycles included — between `batch_enabled` on and off,
-//! which is the equivalence contract the batching fast path ships
-//! under (ISSUE: figure output and `--stats` counters may not move).
+//! batch-size histogram. Separately, on each backend a batch must be
+//! *bit* identical — cycles, `GateStats`, per-pair trace counters and
+//! spans included — to the reference it is defined by: a sequential
+//! loop of the public `call_lib` (figure output and `--stats` counters
+//! may not move). The scaffold lives in `tests/common/mod.rs`.
 
-use flexos::build::{plan, BackendChoice, ImageConfig, LibRole, LibraryConfig};
-use flexos::gate::{CallVec, GateMechanism};
-use flexos::spec::LibSpec;
-use flexos_backends::{instantiate, BootImage};
+mod common;
+
+use common::{arb_chaos, arb_ops, image, run, Driver, BACKENDS};
+use flexos::build::BackendChoice;
+use flexos::gate::CallVec;
 use flexos_machine::{ChaosConfig, ChaosPlan, Fault, Schedule};
 use proptest::prelude::*;
-
-/// Every gate mechanism the build system can target.
-const BACKENDS: &[BackendChoice] = &[
-    BackendChoice::None,
-    BackendChoice::MpkShared,
-    BackendChoice::MpkSwitched,
-    BackendChoice::VmRpc,
-    BackendChoice::Cheri,
-];
-
-/// One call in a generated sequence.
-#[derive(Debug, Clone)]
-struct CallOp {
-    /// Cross into the scheduler compartment (a real gate crossing) or
-    /// into lwip (same compartment as the app — a direct call).
-    sched: bool,
-    arg: u64,
-    ret: u64,
-    /// The call body returns a synthetic typed fault.
-    fail: bool,
-    /// The call body issues a nested crossing back the other way.
-    nested: bool,
-}
-
-fn arb_ops() -> impl Strategy<Value = Vec<CallOp>> {
-    prop::collection::vec(
-        (any::<bool>(), 0u64..48, 0u64..24, 0u32..6, 0u32..4).prop_map(
-            |(sched, arg, ret, fail, nested)| CallOp {
-                sched,
-                arg,
-                ret,
-                fail: fail == 0,
-                nested: nested == 0,
-            },
-        ),
-        1..10,
-    )
-}
-
-/// Optional chaos: doorbell loss `EveryNth(2..=4)` and/or duplication
-/// `EveryNth(2..=3)`. Loss rates are kept under 100% so the PR-3 retry
-/// budget (5 attempts) always recovers; backends that never ring
-/// doorbells simply never draw from the schedule.
-fn arb_chaos() -> impl Strategy<Value = Option<(u64, u64)>> {
-    prop::option::of((2u64..=4, 0u64..=3))
-}
-
-/// What a sequence observably did, minus cycle costs.
-#[derive(Debug, Clone, PartialEq)]
-struct Outcome {
-    /// Per chunk: the per-call values, or the fault kind that ended it.
-    chunks: Vec<Result<Vec<i64>, &'static str>>,
-    crossings: u64,
-    direct_calls: u64,
-    bytes_marshalled: u64,
-    /// Batch-size histogram totals summed over all mechanisms.
-    batches: u64,
-    batched_calls: u64,
-}
-
-fn image(backend: BackendChoice) -> BootImage {
-    image_smp(backend, 0)
-}
-
-/// Boots the standard equivalence image, then attaches `extra_vcpus`
-/// additional vCPUs to the boot VM — the SMP topology `--vcpus 2` runs
-/// on. Gate crossings address compartments by their *assigned* vCPU, so
-/// the extra ones must be observably inert (the property
-/// `extra_vcpus_are_invisible_to_every_backend` checks, cycles
-/// included).
-fn image_smp(backend: BackendChoice, extra_vcpus: usize) -> BootImage {
-    let cfg = ImageConfig::new("equiv", backend)
-        .with_library(LibraryConfig::new(
-            LibSpec::verified_scheduler(),
-            LibRole::Scheduler,
-        ))
-        .with_library(LibraryConfig::new(
-            LibSpec::unsafe_c("lwip"),
-            LibRole::NetStack,
-        ))
-        .with_library(LibraryConfig::new(LibSpec::unsafe_c("app"), LibRole::App));
-    let mut img = instantiate(plan(cfg).expect("plans")).expect("boots");
-    img.machine.add_vcpus(flexos_machine::VmId(0), extra_vcpus);
-    img
-}
-
-/// Deterministic per-call value so every backend must compute the same
-/// answer from the same inputs.
-fn call_value(op: &CallOp, idx: usize) -> i64 {
-    (op.arg * 31 + op.ret * 7) as i64 + idx as i64
-}
-
-/// Runs `ops` through one backend, batching runs of consecutive calls
-/// with the same target (the shape RESP pipelining and iperf TX
-/// produce), and collects the observable outcome plus total cycles.
-fn run(
-    backend: BackendChoice,
-    ops: &[CallOp],
-    chaos: Option<(u64, u64)>,
-    batch: bool,
-) -> (Outcome, u64) {
-    run_smp(backend, ops, chaos, batch, 0)
-}
-
-/// [`run`], on an image with `extra_vcpus` additional vCPUs attached.
-fn run_smp(
-    backend: BackendChoice,
-    ops: &[CallOp],
-    chaos: Option<(u64, u64)>,
-    batch: bool,
-    extra_vcpus: usize,
-) -> (Outcome, u64) {
-    let mut img = image_smp(backend, extra_vcpus);
-    if let Some((drop_nth, dup_nth)) = chaos {
-        img.machine.set_chaos(ChaosPlan::new(ChaosConfig {
-            seed: 11,
-            notify_drop: Schedule::EveryNth(drop_nth),
-            notify_dup: if dup_nth >= 2 {
-                Schedule::EveryNth(dup_nth)
-            } else {
-                Schedule::Off
-            },
-            ..Default::default()
-        }));
-    }
-    img.gates.set_batch_enabled(batch);
-    let sched_c = img.compartment_of_lib("uksched_verified").expect("sched");
-    let lwip_c = img.compartment_of_lib("lwip").expect("lwip");
-    let t0 = img.machine.clock().cycles();
-
-    let mut chunks = Vec::new();
-    let mut i = 0usize;
-    while i < ops.len() {
-        // A chunk is a maximal run of calls into the same target.
-        let sched = ops[i].sched;
-        let mut end = i + 1;
-        while end < ops.len() && ops[end].sched == sched {
-            end += 1;
-        }
-        let chunk = &ops[i..end];
-        let mut calls = CallVec::new();
-        for op in chunk {
-            calls.push(op.arg, op.ret);
-        }
-        let lib = if sched { "uksched_verified" } else { "lwip" };
-        let nested_target = if sched { lwip_c } else { sched_c };
-        let r = img.call_lib_batch(lib, &calls, |m, rt, idx| {
-            let op = &chunk[idx];
-            if op.nested {
-                rt.cross(m, nested_target, 8, 8, |m, _| {
-                    m.charge(3);
-                    Ok(())
-                })?;
-            }
-            if op.fail {
-                return Err(Fault::HardeningAbort {
-                    mechanism: "equiv-test",
-                    reason: format!("synthetic fault at call {idx}"),
-                });
-            }
-            m.charge(op.arg + 1);
-            Ok(call_value(op, idx))
-        });
-        chunks.push(r.map_err(|e| e.kind()));
-        i = end;
-    }
-
-    let cycles = img.machine.clock().cycles() - t0;
-    let stats = img.gates.stats();
-    let (mut batches, mut batched_calls) = (0u64, 0u64);
-    for mech in [
-        GateMechanism::DirectCall,
-        GateMechanism::MpkSharedStack,
-        GateMechanism::MpkSwitchedStack,
-        GateMechanism::VmRpc,
-        GateMechanism::Cheri,
-    ] {
-        if let Some(h) = img.gates.trace().batch_hist(mech.label()) {
-            batches += h.count();
-            batched_calls += h.sum();
-        }
-    }
-    (
-        Outcome {
-            chunks,
-            crossings: stats.crossings,
-            direct_calls: stats.direct_calls,
-            bytes_marshalled: stats.bytes_marshalled,
-            batches,
-            batched_calls,
-        },
-        cycles,
-    )
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -223,32 +31,31 @@ proptest! {
     /// nothing is marshalled.
     #[test]
     fn backends_agree_on_everything_but_cycles(ops in arb_ops(), chaos in arb_chaos()) {
-        let (reference, _) = run(BackendChoice::MpkShared, &ops, chaos, true);
+        let reference = run(BackendChoice::MpkShared, &ops, chaos, Driver::Batch, 0);
         for &backend in BACKENDS {
             if backend == BackendChoice::MpkShared {
                 continue;
             }
-            let (outcome, _) = run(backend, &ops, chaos, true);
+            let seen = run(backend, &ops, chaos, Driver::Batch, 0);
             if backend == BackendChoice::None {
                 prop_assert_eq!(
-                    &outcome.chunks, &reference.chunks,
+                    &seen.chunks, &reference.chunks,
                     "{:?} returns/faults diverged", backend
                 );
                 prop_assert_eq!(
-                    (outcome.batches, outcome.batched_calls),
-                    (reference.batches, reference.batched_calls),
+                    seen.batches, reference.batches,
                     "{:?} batch shape diverged", backend
                 );
                 prop_assert_eq!(
-                    outcome.crossings + outcome.direct_calls,
-                    reference.crossings + reference.direct_calls,
+                    seen.stats.crossings + seen.stats.direct_calls,
+                    reference.stats.crossings + reference.stats.direct_calls,
                     "{:?} total call count diverged", backend
                 );
-                prop_assert_eq!(outcome.crossings, 0, "ptr gates never isolate");
-                prop_assert_eq!(outcome.bytes_marshalled, 0, "ptr gates never marshal");
+                prop_assert_eq!(seen.stats.crossings, 0, "ptr gates never isolate");
+                prop_assert_eq!(seen.stats.bytes_marshalled, 0, "ptr gates never marshal");
             } else {
                 prop_assert_eq!(
-                    &outcome, &reference,
+                    seen.counters(), reference.counters(),
                     "backend {:?} diverged from MpkShared", backend
                 );
             }
@@ -257,38 +64,35 @@ proptest! {
 
     /// The `--vcpus 2` machine topology: extra vCPUs attached to the
     /// boot VM are observably inert for every backend — same returns,
-    /// faults, counters AND the same simulated cycle count. Gates
+    /// faults, counters, spans AND the same simulated cycle count. Gates
     /// address compartments by their assigned vCPU, so an idle sibling
     /// must never perturb a crossing (notably VM RPC, whose doorbells
     /// target a vCPU's VM).
     #[test]
     fn extra_vcpus_are_invisible_to_every_backend(ops in arb_ops(), chaos in arb_chaos()) {
         for &backend in BACKENDS {
-            let (base, base_cycles) = run_smp(backend, &ops, chaos, true, 0);
-            let (smp, smp_cycles) = run_smp(backend, &ops, chaos, true, 1);
-            prop_assert_eq!(
-                &base, &smp,
-                "{:?} outcome diverged with an extra vCPU", backend
-            );
-            prop_assert_eq!(
-                base_cycles, smp_cycles,
-                "{:?} cycles diverged with an extra vCPU", backend
-            );
+            let base = run(backend, &ops, chaos, Driver::Batch, 0);
+            let smp = run(backend, &ops, chaos, Driver::Batch, 1);
+            prop_assert_eq!(&base, &smp, "{:?} diverged with an extra vCPU", backend);
         }
     }
 
-    /// Within one backend, `batch_enabled` on vs off is bit-identical:
-    /// same outcome AND the same simulated cycle count.
+    /// Within one backend, a batch is bit-identical to the reference
+    /// loop of sync calls: same outcome, same simulated cycle count,
+    /// same `GateStats`, per-pair trace counters and spans — with and
+    /// without an extra vCPU.
     #[test]
     fn batching_is_cycle_identical_per_backend(ops in arb_ops(), chaos in arb_chaos()) {
         for &backend in BACKENDS {
-            let (on, cycles_on) = run(backend, &ops, chaos, true);
-            let (off, cycles_off) = run(backend, &ops, chaos, false);
-            prop_assert_eq!(&on, &off, "{:?} outcome diverged", backend);
-            prop_assert_eq!(
-                cycles_on, cycles_off,
-                "{:?} cycles diverged between batch on/off", backend
-            );
+            for extra_vcpus in [0, 1] {
+                let batch = run(backend, &ops, chaos, Driver::Batch, extra_vcpus);
+                let reference = run(backend, &ops, chaos, Driver::Loop, extra_vcpus);
+                prop_assert_eq!(reference.batches, (0, 0), "a loop records no batch");
+                prop_assert_eq!(
+                    batch.sequential(), reference,
+                    "{:?} batch diverged from the loop of sync calls", backend
+                );
+            }
         }
     }
 }
@@ -304,11 +108,14 @@ fn total_doorbell_loss_times_out_identically_batched_or_not() {
             notify_drop: Schedule::EveryNth(1),
             ..Default::default()
         }));
-        img.gates.set_batch_enabled(batch);
-        let calls = CallVec::uniform(4, 16, 8);
-        let err = img
-            .call_lib_batch("uksched_verified", &calls, |_, _, _| Ok(()))
-            .unwrap_err();
+        let err = if batch {
+            let calls = CallVec::uniform(4, 16, 8);
+            img.call_lib_batch("uksched_verified", &calls, |_, _, _| Ok(()))
+                .map(drop)
+        } else {
+            img.call_lib("uksched_verified", 16, 8, |_, _| Ok(()))
+        }
+        .unwrap_err();
         assert!(
             matches!(err, Fault::GateTimeout { attempts: 5, .. }),
             "batch={batch}: {err:?}"

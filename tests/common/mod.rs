@@ -1,0 +1,423 @@
+//! The one scaffold of the gate differential suites (`backend_equiv`,
+//! `async_gate`, `migrate_equiv`): the generated call sequences, the
+//! three-library equivalence image, and the three drivers that push a
+//! sequence through the public crossing API —
+//!
+//! * [`Driver::Loop`] — a sequential loop of `call_lib`, stopping at the
+//!   first error. This is the **reference**: a batch and a ring flush
+//!   are *defined* as costing exactly what this loop costs;
+//! * [`Driver::Batch`] — one `call_lib_batch` per chunk;
+//! * [`Driver::Ring`] — submit the chunk, `call_lib_async`, `reap_lib`.
+//!
+//! Every driver runs the conservation checks after every chunk, on every
+//! backend, chaos or not: control is back in the app compartment, the
+//! PKRU register holds that compartment's view, the runtime's and the
+//! trace's ledgers agree, and no ring descriptor was lost or invented.
+
+#![allow(dead_code)] // each suite uses its own subset
+
+use flexos::build::{plan, BackendChoice, ImageConfig, LibRole, LibraryConfig};
+use flexos::gate::{CallVec, CompartmentId, GateMechanism, GateRuntime, GateStats, Sqe};
+use flexos::spec::LibSpec;
+use flexos_backends::{instantiate, instantiate_migratable, BootImage};
+use flexos_machine::{ChaosConfig, ChaosPlan, Fault, Machine, Schedule, VmId};
+use flexos_trace::SpanEvent;
+use proptest::prelude::*;
+
+/// Every gate mechanism the build system can target.
+pub const BACKENDS: &[BackendChoice] = &[
+    BackendChoice::None,
+    BackendChoice::MpkShared,
+    BackendChoice::MpkSwitched,
+    BackendChoice::VmRpc,
+    BackendChoice::Cheri,
+];
+
+const MECHANISMS: [GateMechanism; 5] = [
+    GateMechanism::DirectCall,
+    GateMechanism::MpkSharedStack,
+    GateMechanism::MpkSwitchedStack,
+    GateMechanism::VmRpc,
+    GateMechanism::Cheri,
+];
+
+const SCHED: &str = "uksched_verified";
+const LWIP: &str = "lwip";
+
+/// One call in a generated sequence.
+#[derive(Debug, Clone)]
+pub struct CallOp {
+    /// Cross into the scheduler compartment (a real gate crossing) or
+    /// into lwip (same compartment as the app — a direct call).
+    pub sched: bool,
+    pub arg: u64,
+    pub ret: u64,
+    /// The call body returns a synthetic typed fault.
+    pub fail: bool,
+    /// The call body issues a nested crossing back the other way.
+    pub nested: bool,
+}
+
+pub fn arb_ops() -> impl Strategy<Value = Vec<CallOp>> {
+    prop::collection::vec(
+        (any::<bool>(), 0u64..48, 0u64..24, 0u32..6, 0u32..4).prop_map(
+            |(sched, arg, ret, fail, nested)| CallOp {
+                sched,
+                arg,
+                ret,
+                fail: fail == 0,
+                nested: nested == 0,
+            },
+        ),
+        1..10,
+    )
+}
+
+/// Optional chaos: doorbell loss `EveryNth(2..=4)` and/or duplication
+/// `EveryNth(2..=3)`, seeded so every compared run draws the same
+/// schedule. Loss rates are kept under 100% so the PR-3 retry budget
+/// (5 attempts) always recovers; backends that never ring doorbells
+/// simply never draw from the schedule.
+pub fn arb_chaos() -> impl Strategy<Value = Option<(u64, u64)>> {
+    prop::option::of((2u64..=4, 0u64..=3))
+}
+
+pub fn set_chaos(img: &mut BootImage, chaos: Option<(u64, u64)>) {
+    if let Some((drop_nth, dup_nth)) = chaos {
+        img.machine.set_chaos(ChaosPlan::new(ChaosConfig {
+            seed: 11,
+            notify_drop: Schedule::EveryNth(drop_nth),
+            notify_dup: if dup_nth >= 2 {
+                Schedule::EveryNth(dup_nth)
+            } else {
+                Schedule::Off
+            },
+            ..Default::default()
+        }));
+    }
+}
+
+/// The equivalence image: a verified scheduler in its own compartment,
+/// lwip colocated with the app.
+fn config(backend: BackendChoice) -> ImageConfig {
+    ImageConfig::new("equiv", backend)
+        .with_library(LibraryConfig::new(
+            LibSpec::verified_scheduler(),
+            LibRole::Scheduler,
+        ))
+        .with_library(LibraryConfig::new(
+            LibSpec::unsafe_c(LWIP),
+            LibRole::NetStack,
+        ))
+        .with_library(LibraryConfig::new(LibSpec::unsafe_c("app"), LibRole::App))
+}
+
+pub fn image(backend: BackendChoice) -> BootImage {
+    image_smp(backend, 0)
+}
+
+/// Boots the equivalence image, then attaches `extra_vcpus` additional
+/// vCPUs to the boot VM — the SMP topology `--vcpus 2` runs on. Gate
+/// crossings address compartments by their *assigned* vCPU, so the extra
+/// ones must be observably inert, cycles included.
+pub fn image_smp(backend: BackendChoice, extra_vcpus: usize) -> BootImage {
+    let mut img = instantiate(plan(config(backend)).expect("plans")).expect("boots");
+    img.machine.add_vcpus(VmId(0), extra_vcpus);
+    img
+}
+
+/// The migratable equivalence image: identical layout for every boot
+/// backend (single VM, keys and the VM-RPC inbox always present).
+pub fn image_migratable(from: BackendChoice, chaos: Option<(u64, u64)>) -> BootImage {
+    let planned = plan(config(BackendChoice::MpkShared)).expect("plans");
+    let mut img = instantiate_migratable(planned, from).expect("boots");
+    set_chaos(&mut img, chaos);
+    img
+}
+
+/// Deterministic per-call value so every configuration must compute the
+/// same answer from the same inputs.
+pub fn call_value(op: &CallOp, idx: usize) -> i64 {
+    (op.arg * 31 + op.ret * 7) as i64 + idx as i64
+}
+
+/// Splits `ops` into maximal same-target runs — the chunk shape RESP
+/// pipelining and iperf bursts produce.
+pub fn chunks(ops: &[CallOp]) -> Vec<&[CallOp]> {
+    ops.chunk_by(|a, b| a.sched == b.sched).collect()
+}
+
+/// What one chunk observably did: the values of the calls that
+/// completed, and the kind of the fault that ended it, if any.
+pub type Chunk = (Vec<i64>, Option<&'static str>);
+
+/// What every driver must observe per chunk, derived from the ops
+/// alone: the values of every call before the first failing one, plus
+/// the fault kind of the failing one, if any.
+pub fn predict(ops: &[CallOp]) -> Vec<Chunk> {
+    chunks(ops)
+        .into_iter()
+        .map(|chunk| {
+            let cut = chunk.iter().position(|op| op.fail);
+            let vals = chunk[..cut.unwrap_or(chunk.len())]
+                .iter()
+                .enumerate()
+                .map(|(i, op)| call_value(op, i))
+                .collect();
+            (vals, cut.map(|_| "hardening-abort"))
+        })
+        .collect()
+}
+
+/// The `(crossings, direct_calls, bytes_marshalled)` the sequence must
+/// leave in [`GateStats`], derived from the ops alone. Every call up to
+/// and including a chunk's first failing one runs (a failing call still
+/// completes its exit path). On an isolating backend a scheduler call
+/// and every nested call cross a gate; calls into lwip stay in the app's
+/// compartment. Without isolation everything is a direct call and
+/// nothing is marshalled.
+pub fn predict_stats(ops: &[CallOp], isolating: bool) -> (u64, u64, u64) {
+    let (mut crossings, mut direct, mut bytes) = (0, 0, 0);
+    for chunk in chunks(ops) {
+        let cut = chunk.iter().position(|op| op.fail);
+        for op in &chunk[..cut.map_or(chunk.len(), |c| c + 1)] {
+            if op.sched {
+                crossings += 1;
+                bytes += op.arg + op.ret;
+            } else {
+                direct += 1;
+            }
+            if op.nested {
+                crossings += 1;
+                bytes += 16;
+            }
+        }
+    }
+    if isolating {
+        (crossings, direct, bytes)
+    } else {
+        (0, crossings + direct, 0)
+    }
+}
+
+/// How a chunk is pushed through the crossing API.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Driver {
+    /// Sequential loop of `call_lib`: the reference.
+    Loop,
+    /// One `call_lib_batch` per chunk.
+    Batch,
+    /// `submit_lib` × n → `call_lib_async` → `reap_lib`.
+    Ring,
+}
+
+/// The body every driver runs for call `idx` of a chunk: identical
+/// nested crossings, synthetic faults, charges and return values.
+fn body(
+    m: &mut Machine,
+    rt: &mut GateRuntime,
+    op: &CallOp,
+    idx: usize,
+    nested_target: CompartmentId,
+) -> flexos_machine::Result<i64> {
+    if op.nested {
+        rt.cross(m, nested_target, 8, 8, |m, _| {
+            m.charge(3);
+            Ok(())
+        })?;
+    }
+    if op.fail {
+        return Err(Fault::HardeningAbort {
+            mechanism: "equiv-test",
+            reason: format!("synthetic fault at call {idx}"),
+        });
+    }
+    m.charge(op.arg + 1);
+    Ok(call_value(op, idx))
+}
+
+/// Runs `ops` through `img` chunk by chunk with `driver`, checking the
+/// conservation laws after every chunk.
+pub fn run_ops(img: &mut BootImage, ops: &[CallOp], driver: Driver) -> Vec<Chunk> {
+    let app = img.gates.current();
+    let sched_c = img.compartment_of_lib(SCHED).expect("sched");
+    let lwip_c = img.compartment_of_lib(LWIP).expect("lwip");
+    let mut out = Vec::new();
+    for chunk in chunks(ops) {
+        let (lib, target, nested_target) = if chunk[0].sched {
+            (SCHED, sched_c, lwip_c)
+        } else {
+            (LWIP, lwip_c, sched_c)
+        };
+        let before = img.gates.async_stats();
+        let mut vals = Vec::new();
+        // Ring descriptors a faulting call consumed without a completion.
+        let mut consumed = 0u64;
+        let fault = match driver {
+            Driver::Loop => chunk.iter().enumerate().find_map(|(idx, op)| {
+                img.call_lib(lib, op.arg, op.ret, |m, rt| {
+                    body(m, rt, op, idx, nested_target)
+                })
+                .map(|v| vals.push(v))
+                .err()
+            }),
+            Driver::Batch => {
+                let mut calls = CallVec::new();
+                for op in chunk {
+                    calls.push(op.arg, op.ret);
+                }
+                let r = img.call_lib_batch(lib, &calls, |m, rt, idx| {
+                    let v = body(m, rt, &chunk[idx], idx, nested_target)?;
+                    vals.push(v);
+                    Ok(v)
+                });
+                if let Ok(returned) = &r {
+                    assert_eq!(returned, &vals, "batch results out of order");
+                }
+                r.err()
+            }
+            Driver::Ring => {
+                for (i, op) in chunk.iter().enumerate() {
+                    img.submit_lib(lib, Sqe::new(op.arg, op.ret, i as u64))
+                        .expect("ring has room");
+                }
+                let mut ran = 0u64;
+                let r = img.call_lib_async(lib, |m, rt, sqe| {
+                    ran += 1;
+                    let idx = sqe.user_data as usize;
+                    body(m, rt, &chunk[idx], idx, nested_target)
+                });
+                while let Ok(cqe) = img.reap_lib(lib) {
+                    // Completions arrive in submission order with the
+                    // original descriptor cookie attached.
+                    assert_eq!(cqe.user_data, vals.len() as u64, "CQE order");
+                    vals.push(cqe.res);
+                }
+                consumed = ran - vals.len() as u64;
+                assert!(consumed <= u64::from(r.is_err()), "a descriptor vanished");
+                // A sequential driver has no notion of "still queued" —
+                // drop whatever the fault left pending before the next
+                // chunk.
+                img.gates.cancel_pending(target);
+                r.err()
+            }
+        };
+        out.push((vals, fault.map(|e| e.kind())));
+
+        assert_eq!(img.gates.current(), app, "control is back in the app");
+        let ctx = img.gates.current_ctx();
+        assert_eq!(img.machine.rdpkru(ctx.vcpu), ctx.pkru, "PKRU is the app's");
+        let (stats, trace) = (img.gates.stats(), img.gates.trace());
+        assert_eq!(trace.total_crossings(), stats.crossings, "ledgers agree");
+        assert_eq!(trace.direct_calls(), stats.direct_calls, "ledgers agree");
+        let after = img.gates.async_stats();
+        assert_eq!(
+            after.submitted - before.submitted,
+            (after.completed - before.completed)
+                + (after.cancelled - before.cancelled)
+                + img.gates.sq_pending(target) as u64
+                + consumed,
+            "ring descriptors are conserved"
+        );
+    }
+    out
+}
+
+/// Everything a run left behind that a differential property compares.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Observed {
+    pub chunks: Vec<Chunk>,
+    pub cycles: u64,
+    pub stats: GateStats,
+    /// Per-(mechanism, caller, callee) crossing counts from the trace.
+    pub pairs: Vec<(&'static str, u16, u16, u64)>,
+    /// Per-mechanism `(crossings, gate cycles)` from the trace.
+    pub mechanisms: Vec<(&'static str, u64, u64)>,
+    pub spans: Vec<(usize, SpanEvent)>,
+    /// Batch-size histogram `(batches, batched calls)` over all
+    /// mechanisms, and ring flushes: the two things a sequential caller
+    /// by definition does not produce.
+    pub batches: (u64, u64),
+    pub flushes: u64,
+}
+
+impl Observed {
+    /// Captures what `img` observably did since cycle `t0`.
+    pub fn of(img: &BootImage, chunks: Vec<Chunk>, t0: u64) -> Self {
+        let trace = img.gates.trace();
+        let n = img.gates.len() as u16;
+        let mut pairs = Vec::new();
+        let mut mechanisms = Vec::new();
+        let mut batches = (0, 0);
+        for label in MECHANISMS.map(GateMechanism::label) {
+            for (src, dst) in (0..n).flat_map(|s| (0..n).map(move |d| (s, d))) {
+                match trace.crossings(label, src, dst) {
+                    0 => {}
+                    c => pairs.push((label, src, dst, c)),
+                }
+            }
+            if let Some(h) = trace.mechanism_hist(label) {
+                mechanisms.push((label, h.count(), h.sum()));
+            }
+            if let Some(h) = trace.batch_hist(label) {
+                batches = (batches.0 + h.count(), batches.1 + h.sum());
+            }
+        }
+        Self {
+            chunks,
+            cycles: img.machine.clock().cycles() - t0,
+            stats: img.gates.stats(),
+            pairs,
+            mechanisms,
+            spans: img.machine.span_trace().merged_events(),
+            batches,
+            flushes: img.gates.async_stats().flushes,
+        }
+    }
+
+    /// The run as a sequential caller could have produced it: everything
+    /// except the batch-size histogram and the flush count.
+    pub fn sequential(mut self) -> Self {
+        self.batches = (0, 0);
+        self.flushes = 0;
+        self
+    }
+
+    /// What backends must agree on although their cycle costs differ.
+    pub fn counters(&self) -> (&[Chunk], u64, u64, u64, (u64, u64)) {
+        let s = self.stats;
+        (
+            &self.chunks,
+            s.crossings,
+            s.direct_calls,
+            s.bytes_marshalled,
+            self.batches,
+        )
+    }
+}
+
+/// Boots `backend` (± chaos, ± extra vCPUs), runs `ops` through
+/// `driver`, and holds the result to the two predictions every run must
+/// meet whatever the driver: per-call values/fault fates and the gate
+/// counters.
+pub fn run(
+    backend: BackendChoice,
+    ops: &[CallOp],
+    chaos: Option<(u64, u64)>,
+    driver: Driver,
+    extra_vcpus: usize,
+) -> Observed {
+    let mut img = image_smp(backend, extra_vcpus);
+    set_chaos(&mut img, chaos);
+    let t0 = img.machine.clock().cycles();
+    let chunks = run_ops(&mut img, ops, driver);
+    let seen = Observed::of(&img, chunks, t0);
+    assert_eq!(seen.chunks, predict(ops), "{backend:?} {driver:?} fates");
+    let s = seen.stats;
+    assert_eq!(
+        (s.crossings, s.direct_calls, s.bytes_marshalled),
+        predict_stats(ops, backend != BackendChoice::None),
+        "{backend:?} {driver:?} gate counters"
+    );
+    seen
+}

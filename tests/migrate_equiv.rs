@@ -13,153 +13,65 @@
 //!   point (the migrated pair is indistinguishable from a booted one).
 //!
 //! Cycle costs legitimately differ across backends, so the cross-pair
-//! claims exclude them; within one (from, to) pair, batching on vs off
-//! must stay bit-identical — cycles included — across the mid-sequence
-//! swap, and the async ring must carry its queued descriptors through
-//! the swap without loss, duplication or reordering. A drain-starvation
-//! regression test pins the admission stop: a continuous submitter
-//! hammering a draining pair is refused with `GateDraining` and cannot
-//! stall the swap.
+//! claims exclude them; within one (from, to) pair, a batched run must
+//! stay bit-identical — cycles included — to the reference loop of sync
+//! calls across the mid-sequence swap, and the async ring must carry
+//! its queued descriptors through the swap without loss, duplication or
+//! reordering. A drain-starvation regression test pins the admission
+//! stop: a continuous submitter hammering a draining pair is refused
+//! with `GateDraining` and cannot stall the swap.
 //!
 //! All images boot through `instantiate_migratable`, whose superset
 //! topology (keys, VM-RPC inbox area, dedicated allocators) is
 //! byte-identical regardless of the boot backend — which is what makes
-//! the head/tail stat comparison exact rather than approximate.
+//! the head/tail stat comparison exact rather than approximate. The
+//! call sequences, image and drivers live in `tests/common/mod.rs`.
 
-use flexos::build::{plan, BackendChoice, ImageConfig, LibRole, LibraryConfig};
-use flexos::gate::{CallVec, MigrationReason, Sqe};
-use flexos::spec::LibSpec;
-use flexos_backends::{instantiate_migratable, migrate_all, prepare_pair_migration, BootImage};
-use flexos_machine::{ChaosConfig, ChaosPlan, Fault, Schedule};
+mod common;
+
+use common::{
+    arb_chaos, arb_ops, image_migratable as image, predict, predict_stats, run_ops, CallOp, Chunk,
+    Driver, BACKENDS,
+};
+use flexos::build::BackendChoice;
+use flexos::gate::{MigrationReason, Sqe};
+use flexos_backends::{migrate_all, prepare_pair_migration, BootImage};
+use flexos_machine::Fault;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-
-/// Every gate mechanism the build system can target.
-const BACKENDS: &[BackendChoice] = &[
-    BackendChoice::None,
-    BackendChoice::MpkShared,
-    BackendChoice::MpkSwitched,
-    BackendChoice::VmRpc,
-    BackendChoice::Cheri,
-];
-
-/// One call in a generated sequence (see `tests/backend_equiv.rs`).
-#[derive(Debug, Clone)]
-struct CallOp {
-    /// Cross into the scheduler compartment (a real gate crossing) or
-    /// into the netstack lib colocated with the app (a direct call).
-    sched: bool,
-    arg: u64,
-    ret: u64,
-    /// The call body returns a synthetic typed fault.
-    fail: bool,
-}
-
-fn arb_ops() -> impl Strategy<Value = Vec<CallOp>> {
-    prop::collection::vec(
-        (any::<bool>(), 0u64..48, 0u64..24, 0u32..6).prop_map(|(sched, arg, ret, fail)| CallOp {
-            sched,
-            arg,
-            ret,
-            fail: fail == 0,
-        }),
-        1..10,
-    )
-}
-
-/// Optional chaos: doorbell loss `EveryNth(2..=4)` and/or duplication
-/// `EveryNth(2..=3)`, seeded so every compared run draws the same
-/// schedule. Loss stays under 100% so the retry budget recovers.
-fn arb_chaos() -> impl Strategy<Value = Option<(u64, u64)>> {
-    prop::option::of((2u64..=4, 0u64..=3))
-}
 
 /// What one segment (head or tail) of a run observably did, minus
 /// cycles: per-chunk results/fault kinds plus the stat *deltas* the
 /// segment produced.
 #[derive(Debug, Clone, PartialEq)]
 struct SegOutcome {
-    chunks: Vec<Result<Vec<i64>, &'static str>>,
+    chunks: Vec<Chunk>,
     crossings: u64,
     direct_calls: u64,
     bytes_marshalled: u64,
 }
 
-/// The migratable equivalence image: identical layout for every boot
-/// backend (single VM, keys and the VM-RPC inbox always present).
-fn image(from: BackendChoice, chaos: Option<(u64, u64)>, batch: bool) -> BootImage {
-    let cfg = ImageConfig::new("migrate-equiv", BackendChoice::MpkShared)
-        .with_library(LibraryConfig::new(
-            LibSpec::verified_scheduler(),
-            LibRole::Scheduler,
-        ))
-        .with_library(LibraryConfig::new(
-            LibSpec::unsafe_c("lwip"),
-            LibRole::NetStack,
-        ))
-        .with_library(LibraryConfig::new(LibSpec::unsafe_c("app"), LibRole::App));
-    let mut img = instantiate_migratable(plan(cfg).expect("plans"), from).expect("boots");
-    if let Some((drop_nth, dup_nth)) = chaos {
-        img.machine.set_chaos(ChaosPlan::new(ChaosConfig {
-            seed: 11,
-            notify_drop: Schedule::EveryNth(drop_nth),
-            notify_dup: if dup_nth >= 2 {
-                Schedule::EveryNth(dup_nth)
-            } else {
-                Schedule::Off
-            },
-            ..Default::default()
-        }));
-    }
-    img.gates.set_batch_enabled(batch);
-    img
-}
-
-/// Deterministic per-call value so every configuration must compute the
-/// same answer from the same inputs.
-fn call_value(op: &CallOp, idx: usize) -> i64 {
-    (op.arg * 31 + op.ret * 7) as i64 + idx as i64
-}
-
-/// Runs `ops` through `img` (batching maximal same-target runs, the
-/// shape RESP pipelining produces) and returns the segment's outcome.
-fn run_segment(img: &mut BootImage, ops: &[CallOp]) -> SegOutcome {
+/// Runs `ops` through `img` and returns the segment's outcome — held to
+/// what the ops alone predict. The migratable image keeps the scheduler
+/// in its own compartment whatever the backend, so even a function-call
+/// gate counts as a crossing and marshals.
+fn run_segment(img: &mut BootImage, ops: &[CallOp], driver: Driver) -> SegOutcome {
     let s0 = img.gates.stats();
-    let mut chunks = Vec::new();
-    let mut i = 0usize;
-    while i < ops.len() {
-        let sched = ops[i].sched;
-        let mut end = i + 1;
-        while end < ops.len() && ops[end].sched == sched {
-            end += 1;
-        }
-        let chunk = &ops[i..end];
-        let mut calls = CallVec::new();
-        for op in chunk {
-            calls.push(op.arg, op.ret);
-        }
-        let lib = if sched { "uksched_verified" } else { "lwip" };
-        let r = img.call_lib_batch(lib, &calls, |m, _, idx| {
-            let op = &chunk[idx];
-            if op.fail {
-                return Err(Fault::HardeningAbort {
-                    mechanism: "migrate-equiv",
-                    reason: format!("synthetic fault at call {idx}"),
-                });
-            }
-            m.charge(op.arg + 1);
-            Ok(call_value(op, idx))
-        });
-        chunks.push(r.map_err(|e| e.kind()));
-        i = end;
-    }
+    let chunks = run_ops(img, ops, driver);
     let s1 = img.gates.stats();
-    SegOutcome {
+    let seg = SegOutcome {
         chunks,
         crossings: s1.crossings - s0.crossings,
         direct_calls: s1.direct_calls - s0.direct_calls,
         bytes_marshalled: s1.bytes_marshalled - s0.bytes_marshalled,
-    }
+    };
+    assert_eq!(seg.chunks, predict(ops), "{driver:?} fates");
+    assert_eq!(
+        (seg.crossings, seg.direct_calls, seg.bytes_marshalled),
+        predict_stats(ops, true),
+        "{driver:?} gate counters"
+    );
+    seg
 }
 
 /// Boots on `from`, runs `ops[..k]`, live-migrates every pair to `to`,
@@ -173,14 +85,14 @@ fn run_migrated(
     ops: &[CallOp],
     k: usize,
     chaos: Option<(u64, u64)>,
-    batch: bool,
+    driver: Driver,
 ) -> (SegOutcome, SegOutcome, u64) {
-    let mut img = image(from, chaos, batch);
+    let mut img = image(from, chaos);
     let t0 = img.machine.clock().cycles();
-    let head = run_segment(&mut img, &ops[..k]);
+    let head = run_segment(&mut img, &ops[..k], driver);
     let (_, deferred) = migrate_all(&mut img, to, MigrationReason::Manual).expect("migrates");
     assert_eq!(deferred, 0, "quiescent between chunks: swaps are immediate");
-    let tail = run_segment(&mut img, &ops[k..]);
+    let tail = run_segment(&mut img, &ops[k..], driver);
     let cycles = img.machine.clock().cycles() - t0;
     (head, tail, cycles)
 }
@@ -202,11 +114,11 @@ proptest! {
         for &from in BACKENDS {
             for &to in BACKENDS {
                 let k = split.min(ops.len());
-                let (head, tail, _) = run_migrated(from, to, &ops, k, chaos, true);
+                let (head, tail, _) = run_migrated(from, to, &ops, k, chaos, Driver::Batch);
                 // Reference runs: never actually change backend, but go
                 // through the same (self-)migration at the same point.
-                let (from_head, _, _) = run_migrated(from, from, &ops, k, chaos, true);
-                let (_, to_tail, _) = run_migrated(to, to, &ops, k, chaos, true);
+                let (from_head, _, _) = run_migrated(from, from, &ops, k, chaos, Driver::Batch);
+                let (_, to_tail, _) = run_migrated(to, to, &ops, k, chaos, Driver::Batch);
                 prop_assert_eq!(
                     &head, &from_head,
                     "{:?}->{:?}: pre-swap head diverged from a {:?}-built run",
@@ -221,8 +133,9 @@ proptest! {
         }
     }
 
-    /// Batching on vs off stays bit-identical — cycles included —
-    /// across a mid-sequence backend swap, for every ordered pair.
+    /// A batched run stays bit-identical — cycles included — to the
+    /// reference loop of sync calls across a mid-sequence backend swap,
+    /// for every ordered pair.
     #[test]
     fn batching_stays_cycle_identical_across_a_swap(
         ops in arb_ops(),
@@ -232,13 +145,13 @@ proptest! {
         for &from in BACKENDS {
             for &to in BACKENDS {
                 let k = split.min(ops.len());
-                let (h_on, t_on, c_on) = run_migrated(from, to, &ops, k, chaos, true);
-                let (h_off, t_off, c_off) = run_migrated(from, to, &ops, k, chaos, false);
+                let (h_on, t_on, c_on) = run_migrated(from, to, &ops, k, chaos, Driver::Batch);
+                let (h_off, t_off, c_off) = run_migrated(from, to, &ops, k, chaos, Driver::Loop);
                 prop_assert_eq!(&h_on, &h_off, "{:?}->{:?} head diverged", from, to);
                 prop_assert_eq!(&t_on, &t_off, "{:?}->{:?} tail diverged", from, to);
                 prop_assert_eq!(
                     c_on, c_off,
-                    "{:?}->{:?} cycles diverged between batch on/off", from, to
+                    "{:?}->{:?} cycles diverged between the batch and the loop", from, to
                 );
             }
         }
@@ -256,7 +169,7 @@ proptest! {
         for &from in BACKENDS {
             for &to in BACKENDS {
                 let run_async = |boot: BackendChoice, migrate: bool| {
-                    let mut img = image(boot, chaos, true);
+                    let mut img = image(boot, chaos);
                     for (i, &ud) in uds.iter().enumerate() {
                         img.submit_lib("uksched_verified", Sqe::new(16, 8, ud))
                             .expect("pre-swap submission admitted");
@@ -300,7 +213,7 @@ proptest! {
 /// submission storm.
 #[test]
 fn continuous_submission_cannot_stall_quiescence() {
-    let mut img = image(BackendChoice::MpkShared, None, true);
+    let mut img = image(BackendChoice::MpkShared, None);
     let caller = img.gates.current();
     let target = img.compartment_of_lib("uksched_verified").expect("sched");
     let pair = if caller.0 <= target.0 {
@@ -362,7 +275,7 @@ fn continuous_submission_cannot_stall_quiescence() {
 fn every_pair_preserves_ready_cqes_and_requeues_pending_sqes() {
     for &from in BACKENDS {
         for &to in BACKENDS {
-            let mut img = image(from, None, true);
+            let mut img = image(from, None);
             for ud in 0..4u64 {
                 img.submit_lib("uksched_verified", Sqe::new(8, 8, ud))
                     .expect("submits");
