@@ -36,9 +36,7 @@ use flexos_net::stack::{NetError, NetResult, NetStack, SocketId};
 use flexos_net::wire::Mac;
 use flexos_sh::runtime::ShRuntime;
 use flexos_sh::shadow::REDZONE;
-use flexos_trace::{
-    AsyncGatesSnapshot, ExecutorTrace, MigrationsSnapshot, SpanId, StatsSnapshot, TraceRegistry,
-};
+use flexos_trace::{ExecutorTrace, SpanId, StatsSnapshot, TraceRegistry};
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 
@@ -406,28 +404,8 @@ impl Os {
         reg.add_allocs(self.img.heaps.trace(), &names);
         reg.add_faults(self.img.machine.fault_trace(), |k| owners.get(&k).cloned());
         reg.add_tlb(self.img.machine.tlb_trace());
-        let ag = self.img.gates.async_stats();
-        reg.add_async_gates(AsyncGatesSnapshot {
-            submitted: ag.submitted,
-            completed: ag.completed,
-            flushes: ag.flushes,
-            cancelled: ag.cancelled,
-            sq_full: ag.sq_full,
-            cq_empty: ag.cq_empty,
-        });
-        let mg = self.img.gates.migration_stats();
-        reg.add_migrations(MigrationsSnapshot {
-            requested: mg.requested,
-            completed: mg.completed,
-            deferred: mg.deferred,
-            rejected_submits: mg.rejected_submits,
-            requeued_sqes: mg.requeued_sqes,
-            preserved_cqes: mg.preserved_cqes,
-            drain_cycles_total: mg.drain_cycles_total,
-            drain_cycles_max: mg.drain_cycles_max,
-            escalations: mg.escalations,
-            relaxations: mg.relaxations,
-        });
+        reg.add_async_gates(self.img.gates.async_stats());
+        reg.add_migrations(self.img.gates.migration_stats());
         reg.add_net(self.net.trace(), self.net.retransmits(), self.roles.net.0);
         reg.add_serving(self.net.events().trace(), &self.serve_exec);
         reg.add_spans(self.img.machine.span_trace());

@@ -59,7 +59,7 @@ use flexos_net::wire::{
     IPV4_LEN, MSS, PROTO_TCP, TCP_LEN,
 };
 use flexos_net::{FixedMap, Interest};
-use flexos_trace::{SpanId, SpanKind, StatsSnapshot};
+use flexos_trace::{percentile, SpanId, SpanKind, StatsSnapshot};
 use std::collections::VecDeque;
 use std::fmt;
 use std::ops::Range;
@@ -1028,15 +1028,6 @@ pub fn run_serve_traced(
     run_serve_inner(params, true).map(|(r, s, t)| (r, s, t.expect("trace requested")))
 }
 
-/// Nearest-rank percentile of a sorted sample.
-fn nearest_rank(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
-}
-
 /// The booted serving tier: the proxy image with every client connected
 /// and a task spawned per connection.
 struct Tier {
@@ -1333,9 +1324,9 @@ fn run_serve_inner(
         cycles_per_op: cycles / ops_done.max(1),
         mreq_per_s: ops_done as f64 / (cycles as f64 / flexos_machine::CPU_FREQ_HZ as f64) / 1e6,
         crossings,
-        p50_cycles: nearest_rank(&lat, 0.50),
-        p99_cycles: nearest_rank(&lat, 0.99),
-        p999_cycles: nearest_rank(&lat, 0.999),
+        p50_cycles: percentile(&lat, 50, 100),
+        p99_cycles: percentile(&lat, 99, 100),
+        p999_cycles: percentile(&lat, 999, 1000),
         shard_ops: world.shard_ops.clone(),
         backlog_overflows: world.os.net.stats().backlog_overflows,
         steals: 0,

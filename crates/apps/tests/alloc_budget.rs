@@ -6,59 +6,20 @@
 //! the first touch of a connection's own buffers and the wake list the
 //! executor takes by value; the bulk path (iperf) pays per pump round,
 //! never per segment. This binary counts allocations with its own
-//! `#[global_allocator]` and pins the per-request figure: a run of N and
-//! a run of 2N requests differ only in N steady-state requests, so the
-//! difference of their counts cancels set-up exactly. The counts are
-//! deterministic — the bounds are asserted, the measured values printed
-//! (`--nocapture`).
+//! `#[global_allocator]` (`counting/mod.rs`) and pins the per-request
+//! figure: a run of N and a run of 2N requests differ only in N
+//! steady-state requests, so the difference of their counts cancels
+//! set-up exactly. The counts are deterministic — the bounds are
+//! asserted, the measured values printed (`--nocapture`).
 
 use flexos::build::BackendChoice;
 use flexos_apps::iperf::{run_iperf, IperfParams};
 use flexos_apps::redis::{run_redis, Mix, RedisParams};
 use flexos_apps::serve::{run_serve, ServeParams};
 use flexos_apps::CompartmentModel;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 
-thread_local! {
-    /// Allocations made by this thread. Each test runs, single-threaded,
-    /// on a thread of its own, so tests do not see each other.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-struct Counting;
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the counter is a const-initialised
-// thread-local `Cell` (no lazy initialisation, no destructor), so
-// touching it never allocates or re-enters the allocator.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-        // SAFETY: the caller's obligations are passed through as they are.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System.alloc`/`realloc` with `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-        // SAFETY: the caller's obligations are passed through as they are.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
-fn allocations_during(run: impl FnOnce()) -> u64 {
-    let before = ALLOCS.with(Cell::get);
-    run();
-    ALLOCS.with(Cell::get) - before
-}
+mod counting;
+use counting::allocations_during;
 
 /// Steady-state allocations per request: `run(ops)` serves `ops`
 /// requests, set-up included.

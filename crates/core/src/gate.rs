@@ -24,7 +24,7 @@ use crate::spec::transform::ShSet;
 use flexos_machine::{Addr, Fault, Machine, Pkru, ProtKey, Result, VcpuId, VmId};
 use flexos_trace::{GateTrace, SpanId, SpanKind};
 use std::cell::Cell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -116,35 +116,12 @@ impl MigrationReason {
     }
 }
 
-/// Cumulative live-migration counters (additive `--stats` block since
-/// PR 10). Host-side bookkeeping: the drain/swap machinery charges no
-/// simulated cycles of its own, so a run in which no migration triggers
-/// is bit-identical to one without the machinery.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MigrationStats {
-    /// Migrations requested (applied immediately or deferred).
-    pub requested: u64,
-    /// Migrations whose backend swap completed.
-    pub completed: u64,
-    /// Requests that had to wait for in-flight work to drain.
-    pub deferred: u64,
-    /// SQE submissions refused with [`Fault::GateDraining`] while the
-    /// pair was draining (the admission stop that bounds the drain).
-    pub rejected_submits: u64,
-    /// Pending SQEs carried across a swap — they re-issue through the
-    /// incoming backend on the next flush.
-    pub requeued_sqes: u64,
-    /// Ready CQEs preserved (still reapable) across a swap.
-    pub preserved_cqes: u64,
-    /// Total drain latency (request → swap), simulated cycles.
-    pub drain_cycles_total: u64,
-    /// Worst single drain latency, simulated cycles.
-    pub drain_cycles_max: u64,
-    /// Completed migrations requested as [`MigrationReason::Escalate`].
-    pub escalations: u64,
-    /// Completed migrations requested as [`MigrationReason::Relax`].
-    pub relaxations: u64,
-}
+/// Cumulative live-migration counters — the `--stats` block itself, so
+/// a snapshot takes them as they are. Host-side bookkeeping: the
+/// drain/swap machinery charges no simulated cycles of its own, so a run
+/// in which no migration triggers is bit-identical to one without the
+/// machinery.
+pub type MigrationStats = flexos_trace::MigrationsSnapshot;
 
 /// Backend-state re-establishment hook a migration runs at swap time,
 /// once the pair is quiescent: pkey retags (driving the machine's
@@ -289,22 +266,8 @@ pub struct Cqe {
     pub span: SpanId,
 }
 
-/// Cumulative async-ring counters (additive `--stats` block since PR 8).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AsyncGateStats {
-    /// Descriptors accepted by [`GateRuntime::submit`].
-    pub submitted: u64,
-    /// Completions delivered (CQEs produced by flushes).
-    pub completed: u64,
-    /// Flushes that drained at least one descriptor.
-    pub flushes: u64,
-    /// Pending submissions dropped by [`GateRuntime::cancel_pending`].
-    pub cancelled: u64,
-    /// Submissions rejected with [`Fault::RingFull`].
-    pub sq_full: u64,
-    /// Reaps rejected with [`Fault::RingEmpty`].
-    pub cq_empty: u64,
-}
+/// Cumulative async-ring counters — the `--stats` block itself.
+pub type AsyncGateStats = flexos_trace::AsyncGatesSnapshot;
 
 /// One (caller, target) pair's submission/completion ring state.
 ///
@@ -486,6 +449,8 @@ impl Gate for DirectGate {
 }
 
 /// Cumulative gate-crossing statistics (reported by the bench harness).
+/// All four describe completed calls: a crossing whose enter or exit
+/// faulted is in none of them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GateStats {
     /// Cross-compartment crossings (round trips).
@@ -494,8 +459,19 @@ pub struct GateStats {
     pub direct_calls: u64,
     /// Total argument + return bytes moved through gates.
     pub bytes_marshalled: u64,
-    /// Cycles spent inside gate enter/exit sequences.
+    /// Cycles spent inside the crossings' enter/exit sequences.
     pub gate_cycles: u64,
+}
+
+/// One ordered pair's entry in the runtime's dense gate table.
+struct PairSlot {
+    gate: Arc<dyn Gate>,
+    /// The pair's [`GateTrace`] row under `gate`'s mechanism, once it
+    /// has crossed.
+    row: Option<usize>,
+    /// A live migration swapped `gate` in and the pair has not crossed
+    /// since: its next crossing records the `first-crossing` probe.
+    swapped: bool,
 }
 
 /// The per-image gate dispatcher.
@@ -505,10 +481,11 @@ pub struct GateStats {
 /// coexist in one image), and the current call stack of compartments.
 pub struct GateRuntime {
     compartments: Vec<CompartmentCtx>,
-    default_gate: Arc<dyn Gate>,
-    pair_gates: BTreeMap<(CompartmentId, CompartmentId), Arc<dyn Gate>>,
+    /// The gate of every ordered pair, row-major `n × n`: a crossing
+    /// resolves its gate with one index, not a tree walk.
+    pairs: Vec<PairSlot>,
     stack: Vec<CompartmentId>,
-    stats: GateStats,
+    /// The one per-crossing ledger; [`GateStats`] is a fold over it.
     trace: GateTrace,
     rings: BTreeMap<(CompartmentId, CompartmentId), AsyncRing>,
     async_stats: AsyncGateStats,
@@ -520,9 +497,6 @@ pub struct GateRuntime {
     /// pairs are not quiescent even when no call is on the compartment
     /// stack (between two calls of a batch).
     active_batches: Vec<(CompartmentId, CompartmentId)>,
-    /// Pairs that swapped but have not crossed since: the next crossing
-    /// records the post-swap span probe.
-    post_swap: BTreeSet<(CompartmentId, CompartmentId)>,
     migration_stats: MigrationStats,
 }
 
@@ -531,7 +505,7 @@ impl fmt::Debug for GateRuntime {
         f.debug_struct("GateRuntime")
             .field("compartments", &self.compartments.len())
             .field("current", &self.current())
-            .field("stats", &self.stats)
+            .field("stats", &self.stats())
             .finish()
     }
 }
@@ -556,18 +530,22 @@ impl GateRuntime {
             (initial.0 as usize) < compartments.len(),
             "unknown initial compartment"
         );
+        let pairs = (0..compartments.len() * compartments.len())
+            .map(|_| PairSlot {
+                gate: Arc::clone(&default_gate),
+                row: None,
+                swapped: false,
+            })
+            .collect();
         Self {
             compartments,
-            default_gate,
-            pair_gates: BTreeMap::new(),
+            pairs,
             stack: vec![initial],
-            stats: GateStats::default(),
             trace: GateTrace::new(),
             rings: BTreeMap::new(),
             async_stats: AsyncGateStats::default(),
             draining: BTreeMap::new(),
             active_batches: Vec::new(),
-            post_swap: BTreeSet::new(),
             migration_stats: MigrationStats::default(),
         }
     }
@@ -581,24 +559,48 @@ impl GateRuntime {
         }
     }
 
-    /// Overrides the gate used between `a` and `b` (both directions).
-    pub fn set_pair_gate(&mut self, a: CompartmentId, b: CompartmentId, gate: Arc<dyn Gate>) {
-        self.pair_gates.insert(Self::pair_key(a, b), gate);
+    /// Index of the ordered pair in `pairs`. Checked, because an id past
+    /// the image would otherwise alias another pair's slot.
+    #[inline]
+    fn slot(&self, from: CompartmentId, to: CompartmentId) -> usize {
+        let n = self.compartments.len();
+        let (from, to) = (from.0 as usize, to.0 as usize);
+        assert!(from < n && to < n, "unknown compartment");
+        from * n + to
     }
 
-    fn gate_for(&self, a: CompartmentId, b: CompartmentId) -> Arc<dyn Gate> {
-        self.pair_gates
-            .get(&Self::pair_key(a, b))
-            .cloned()
-            .unwrap_or_else(|| Arc::clone(&self.default_gate))
+    /// Overrides the gate used between `a` and `b` (both directions).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` or `b` names no compartment of this image.
+    pub fn set_pair_gate(&mut self, a: CompartmentId, b: CompartmentId, gate: Arc<dyn Gate>) {
+        for slot in [self.slot(a, b), self.slot(b, a)] {
+            self.pairs[slot] = PairSlot {
+                gate: Arc::clone(&gate),
+                row: None,
+                swapped: false,
+            };
+        }
+    }
+
+    /// The gate currently serving the `(a, b)` pair.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` or `b` names no compartment of this image.
+    #[inline]
+    pub fn pair_gate(&self, a: CompartmentId, b: CompartmentId) -> Arc<dyn Gate> {
+        Arc::clone(&self.pairs[self.slot(a, b)].gate)
     }
 
     /// The mechanism currently serving the `(a, b)` pair.
     pub fn pair_mechanism(&self, a: CompartmentId, b: CompartmentId) -> GateMechanism {
-        self.gate_for(a, b).mechanism()
+        self.pair_gate(a, b).mechanism()
     }
 
     /// The compartment currently executing.
+    #[inline]
     pub fn current(&self) -> CompartmentId {
         *self.stack.last().expect("compartment stack never empty")
     }
@@ -623,17 +625,25 @@ impl GateRuntime {
         self.compartments.is_empty()
     }
 
-    /// Cumulative statistics.
+    /// Cumulative statistics: the trace rows' always-on counters, summed.
     pub fn stats(&self) -> GateStats {
-        self.stats
+        let (crossings, bytes_marshalled, gate_cycles) = self.trace.totals();
+        GateStats {
+            crossings,
+            direct_calls: self.trace.direct_calls(),
+            bytes_marshalled,
+            gate_cycles,
+        }
     }
 
     /// Resets statistics (benchmark warm-up support).
     pub fn reset_stats(&mut self) {
-        self.stats = GateStats::default();
         self.async_stats = AsyncGateStats::default();
         self.migration_stats = MigrationStats::default();
         self.trace.reset();
+        for slot in &mut self.pairs {
+            slot.row = None;
+        }
     }
 
     /// Cumulative async-ring counters.
@@ -808,8 +818,10 @@ impl GateRuntime {
         );
         m.span_trace_mut()
             .record(shard, SpanKind::Migrate, "swap", a.0, b.0, now, now);
-        self.pair_gates.insert(key, pending.gate);
-        self.post_swap.insert(key);
+        self.set_pair_gate(a, b, pending.gate);
+        for slot in [self.slot(a, b), self.slot(b, a)] {
+            self.pairs[slot].swapped = true;
+        }
         let st = &mut self.migration_stats;
         st.completed += 1;
         st.requeued_sqes += requeued;
@@ -833,6 +845,7 @@ impl GateRuntime {
     /// Refuses a `target` that names no compartment of this image — a
     /// typed fault, never a panic: compartment ids reach the runtime
     /// from callers' tables, and a bad one must not take the image down.
+    #[inline]
     fn check_target(&self, target: CompartmentId) -> Result<()> {
         if (target.0 as usize) < self.compartments.len() {
             return Ok(());
@@ -846,12 +859,13 @@ impl GateRuntime {
     /// How a call `from → target` is routed: `None` within one
     /// compartment (FlexOS replaces the placeholder with a plain call at
     /// link time), else the pair's gate.
+    #[inline]
     fn route(&self, from: CompartmentId, target: CompartmentId) -> Result<Option<Arc<dyn Gate>>> {
         if from == target {
             return Ok(None);
         }
         self.check_target(target)?;
-        Ok(Some(self.gate_for(from, target)))
+        Ok(Some(self.pair_gate(from, target)))
     }
 
     /// The gate-call placeholder: runs `f` inside `target`.
@@ -902,7 +916,6 @@ impl GateRuntime {
     ) -> Result<R> {
         let Some(gate) = gate else {
             m.charge(m.costs().func_call);
-            self.stats.direct_calls += 1;
             self.trace.record_direct();
             return f(m, self);
         };
@@ -919,79 +932,52 @@ impl GateRuntime {
             }
         }
         let enter_cycles = m.clock().cycles() - t0;
-        self.stats.gate_cycles += enter_cycles;
         self.stack.push(target);
 
         let result = f(m, self);
 
         self.stack.pop();
         let t1 = m.clock().cycles();
+        let caller_ctx = &self.compartments[from.0 as usize];
         {
-            let (callee_ctx, caller_ctx) = (
-                &self.compartments[target.0 as usize],
-                &self.compartments[from.0 as usize],
-            );
+            let callee_ctx = &self.compartments[target.0 as usize];
             match nth {
                 None => gate.exit(m, callee_ctx, caller_ctx, ret_bytes)?,
                 Some(idx) => gate.exit_nth(m, callee_ctx, caller_ctx, ret_bytes, idx)?,
             }
         }
-        let exit_cycles = m.clock().cycles() - t1;
+        let now = m.clock().cycles();
+        let (gate_cycles, bytes) = (enter_cycles + now - t1, arg_bytes + ret_bytes);
         let label = gate.mechanism().label();
-        self.stats.gate_cycles += exit_cycles;
-        self.stats.crossings += 1;
-        self.stats.bytes_marshalled += arg_bytes + ret_bytes;
-        self.trace.record_crossing(
-            label,
-            from.0,
-            target.0,
-            enter_cycles + exit_cycles,
-            arg_bytes + ret_bytes,
-            t1 + exit_cycles,
-        );
-        // Span probe: the whole crossing window [enter, exit], sharded
-        // by the caller's plan-determined vCPU (run-queue-invisible).
-        m.span_trace_mut().record(
-            self.compartments[from.0 as usize].vcpu.0 as u16,
-            SpanKind::Gate,
-            label,
-            from.0,
-            target.0,
-            t0,
-            t1 + exit_cycles,
-        );
-        self.record_post_swap(m, from, target, t0, t1 + exit_cycles);
+        // The crossing's one record — the window [enter, exit], sharded
+        // by the caller's plan-determined vCPU (run-queue-invisible) —
+        // and its one accumulator update; every other view of it folds
+        // from these two.
+        let shard = caller_ctx.vcpu.0 as u16;
+        m.span_trace_mut()
+            .record_gate(shard, label, from.0, target.0, t0, now, gate_cycles, bytes);
+        let slot = self.slot(from, target);
+        let row = match self.pairs[slot].row {
+            Some(row) => row,
+            None => *self.pairs[slot]
+                .row
+                .insert(self.trace.row(label, from.0, target.0)),
+        };
+        self.trace.record_crossing(row, gate_cycles, bytes);
+        if self.pairs[slot].swapped {
+            for slot in [slot, self.slot(target, from)] {
+                self.pairs[slot].swapped = false;
+            }
+            let (kind, label) = (SpanKind::Migrate, "first-crossing");
+            m.span_trace_mut()
+                .record(shard, kind, label, from.0, target.0, t0, now);
+        }
         // The end of a crossing is a migration safe point (a batch's own
         // pair stays guarded by `active_batches` until the batch ends).
-        self.apply_ready_migrations(m)?;
+        if !self.draining.is_empty() {
+            self.apply_ready_migrations(m)?;
+        }
         result
-    }
-
-    /// Records the `first-crossing` migration span probe if this was the
-    /// pair's first crossing since a backend swap.
-    fn record_post_swap(
-        &mut self,
-        m: &mut Machine,
-        from: CompartmentId,
-        target: CompartmentId,
-        t0: u64,
-        t1: u64,
-    ) {
-        if self.post_swap.is_empty() {
-            return;
-        }
-        let key = Self::pair_key(from, target);
-        if self.post_swap.remove(&key) {
-            m.span_trace_mut().record(
-                self.compartments[from.0 as usize].vcpu.0 as u16,
-                SpanKind::Migrate,
-                "first-crossing",
-                from.0,
-                target.0,
-                t0,
-                t1,
-            );
-        }
     }
 
     /// Vectored gate crossing: runs `calls.len()` calls into `target`,
@@ -1168,7 +1154,7 @@ impl GateRuntime {
         }
         self.migration_stats.rejected_submits += 1;
         Err(Fault::GateDraining {
-            mechanism: self.gate_for(from, target).mechanism().label(),
+            mechanism: self.pair_gate(from, target).mechanism().label(),
         })
     }
 
@@ -1615,6 +1601,7 @@ mod tests {
         assert_eq!(rt.current(), CompartmentId(0));
     }
 
+    #[cfg(not(feature = "trace-off"))]
     #[test]
     fn batch_records_size_histogram_per_mechanism() {
         let mut m = Machine::with_defaults();
@@ -2063,13 +2050,15 @@ mod tests {
             .span_trace()
             .merged_events()
             .iter()
-            .filter(|(_, ev)| ev.kind == SpanKind::Migrate)
-            .map(|(_, ev)| ev.label)
+            .filter(|(_, _, ev)| ev.kind == SpanKind::Migrate)
+            .map(|(_, _, ev)| ev.label)
             .collect();
-        assert_eq!(
-            labels,
-            vec!["drain-start", "drain-end", "swap", "first-crossing"]
-        );
+        if cfg!(not(feature = "trace-off")) {
+            assert_eq!(
+                labels,
+                vec!["drain-start", "drain-end", "swap", "first-crossing"]
+            );
+        }
     }
 
     #[test]

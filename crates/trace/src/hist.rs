@@ -76,10 +76,6 @@ impl CycleHist {
             self.min = self.min.min(value);
             self.max = self.max.max(value);
         }
-        #[cfg(feature = "trace-off")]
-        {
-            let _ = value;
-        }
     }
 
     /// Number of recorded samples.

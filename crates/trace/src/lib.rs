@@ -12,6 +12,10 @@
 //! no-op while keeping struct layouts and APIs identical, so the
 //! instrumented call sites need no `cfg` of their own.
 
+// A compiled-out probe ignores its arguments, and what only probe
+// bodies touch goes unused with them.
+#![cfg_attr(feature = "trace-off", allow(unused_variables, dead_code))]
+
 pub mod hist;
 pub mod ring;
 pub mod shard;
@@ -27,8 +31,7 @@ pub use snapshot::{
     SchedSnapshot, ServingSnapshot, StatsSnapshot, TlbSnapshot,
 };
 pub use span::{
-    SpanEvent, SpanId, SpanKind, SpanLatencyRow, SpanRing, SpanRingStats, SpanTrace,
-    DEFAULT_SPAN_RING_CAP,
+    percentile, SpanEvent, SpanId, SpanKind, SpanRing, SpanTrace, DEFAULT_SPAN_RING_CAP,
 };
 
 use std::collections::BTreeMap;
@@ -36,32 +39,36 @@ use std::collections::BTreeMap;
 /// Events kept in the final snapshot after merging all rings.
 pub const SNAPSHOT_EVENT_CAP: usize = 64;
 
-/// Per-(mechanism, src, dst) accumulator inside [`GateTrace`].
-#[derive(Debug, Clone, Copy, Default)]
-struct PairStat {
+/// One `(mechanism, src, dst)` accumulator row of [`GateTrace`].
+#[derive(Debug, Clone)]
+struct GateRow {
+    mechanism: &'static str,
+    src: u16,
+    dst: u16,
+    // Always on: `GateStats` is their sum, `trace-off` or not.
     crossings: u64,
     bytes: u64,
     gate_cycles: u64,
+    /// The probe: crossing cost, log2-bucketed.
+    hist: CycleHist,
 }
 
-/// Telemetry owned by the gate runtime: per-pair crossing counters, a
-/// per-mechanism crossing-cycle histogram, and one event ring per
-/// compartment (gate enter/exit and fault events).
+/// Telemetry owned by the gate runtime: one accumulator row per
+/// `(mechanism, src, dst)` — crossings, bytes, gate cycles and a
+/// crossing-cycle histogram — plus the direct-call count and a
+/// per-mechanism batch-size histogram.
 ///
-/// Pair and mechanism lookups are linear over tiny vectors with a
-/// last-hit index cache: real images have a handful of (mechanism, src,
-/// dst) pairs and crossings overwhelmingly repeat the previous pair, so
-/// this beats a map on the hot path.
+/// A crossing updates exactly one row, addressed by the index
+/// [`GateTrace::row`] handed out (the runtime keeps it beside the pair's
+/// gate, so the hot path does no lookup). Everything per-pair,
+/// per-mechanism or per-compartment in a snapshot is a fold over the
+/// rows; per-event views come from the crossing's one span record
+/// ([`SpanTrace::record_gate`]).
 #[derive(Debug, Clone, Default)]
 pub struct GateTrace {
-    pairs: Vec<((&'static str, u16, u16), PairStat)>,
-    hists: Vec<(&'static str, CycleHist)>,
-    batch_hists: Vec<(&'static str, CycleHist)>,
+    rows: Vec<GateRow>,
     direct_calls: u64,
-    rings: Vec<EventRing>,
-    last_pair: usize,
-    last_hist: usize,
-    last_batch: usize,
+    batch_hists: Vec<(&'static str, CycleHist)>,
 }
 
 /// Packs a (src, dst) compartment pair into an event `detail` word.
@@ -75,83 +82,49 @@ impl GateTrace {
         Self::default()
     }
 
-    #[cfg(not(feature = "trace-off"))]
-    fn ring_mut(&mut self, cpt: u16) -> &mut EventRing {
-        let idx = cpt as usize;
-        while self.rings.len() <= idx {
-            self.rings.push(EventRing::default());
-        }
-        &mut self.rings[idx]
-    }
-
     /// Records a same-compartment call that compiled to a direct call.
     #[inline]
     pub fn record_direct(&mut self) {
-        #[cfg(not(feature = "trace-off"))]
-        {
-            self.direct_calls += 1;
-        }
+        self.direct_calls += 1;
     }
 
-    /// Records one completed round-trip crossing: `src` called into `dst`
-    /// through `mechanism`, spending `gate_cycles` in enter+exit and
-    /// marshalling `bytes`. `now` is the machine clock after the exit.
+    /// The index of the `(mechanism, src, dst)` row, created on first
+    /// use — rows therefore sit in first-crossing order, which breaks
+    /// ties in the snapshot's busiest-first tables.
+    pub fn row(&mut self, mechanism: &'static str, src: u16, dst: u16) -> usize {
+        self.find(mechanism, src, dst).unwrap_or_else(|| {
+            self.rows.push(GateRow {
+                mechanism,
+                src,
+                dst,
+                crossings: 0,
+                bytes: 0,
+                gate_cycles: 0,
+                hist: CycleHist::new(),
+            });
+            self.rows.len() - 1
+        })
+    }
+
+    fn find(&self, mechanism: &'static str, src: u16, dst: u16) -> Option<usize> {
+        let at = |r: &GateRow| (r.mechanism, r.src, r.dst) == (mechanism, src, dst);
+        self.rows.iter().position(at)
+    }
+
+    /// Records one completed round-trip crossing in `row`: `gate_cycles`
+    /// spent in enter + exit, `bytes` marshalled.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` did not come from [`GateTrace::row`] since the
+    /// last [`GateTrace::reset`].
     #[inline]
-    pub fn record_crossing(
-        &mut self,
-        mechanism: &'static str,
-        src: u16,
-        dst: u16,
-        gate_cycles: u64,
-        bytes: u64,
-        now: u64,
-    ) {
-        #[cfg(not(feature = "trace-off"))]
-        {
-            // Labels come from `GateMechanism::label()` statics, so the
-            // cached-hit path compares fat pointers, not contents.
-            let key = (mechanism, src, dst);
-            let i = match self.pairs.get(self.last_pair) {
-                Some(((m, s, d), _)) if std::ptr::eq(*m, mechanism) && *s == src && *d == dst => {
-                    self.last_pair
-                }
-                _ => match self.pairs.iter().position(|(k, _)| *k == key) {
-                    Some(i) => i,
-                    None => {
-                        self.pairs.push((key, PairStat::default()));
-                        self.pairs.len() - 1
-                    }
-                },
-            };
-            self.last_pair = i;
-            let p = &mut self.pairs[i].1;
-            p.crossings += 1;
-            p.bytes += bytes;
-            p.gate_cycles += gate_cycles;
-            let h = match self.hists.get(self.last_hist) {
-                Some((m, _)) if std::ptr::eq(*m, mechanism) => self.last_hist,
-                _ => match self.hists.iter().position(|(m, _)| *m == mechanism) {
-                    Some(i) => i,
-                    None => {
-                        self.hists.push((mechanism, CycleHist::new()));
-                        self.hists.len() - 1
-                    }
-                },
-            };
-            self.last_hist = h;
-            self.hists[h].1.record(gate_cycles);
-            let detail = pack_pair(src, dst);
-            let hi = src.max(dst) as usize;
-            if self.rings.len() <= hi {
-                self.rings.resize_with(hi + 1, EventRing::default);
-            }
-            self.rings[dst as usize].push(EventKind::GateEnter, now, detail);
-            self.rings[src as usize].push(EventKind::GateExit, now, detail);
-        }
-        #[cfg(feature = "trace-off")]
-        {
-            let _ = (mechanism, src, dst, gate_cycles, bytes, now);
-        }
+    pub fn record_crossing(&mut self, row: usize, gate_cycles: u64, bytes: u64) {
+        let r = &mut self.rows[row];
+        r.crossings += 1;
+        r.bytes += bytes;
+        r.gate_cycles += gate_cycles;
+        r.hist.record(gate_cycles);
     }
 
     /// Records one batched crossing of `size` calls through `mechanism`
@@ -160,42 +133,20 @@ impl GateTrace {
     /// The gate runtime's one batch loop records this once per
     /// `cross_batch` or ring flush, on every way out, with the number of
     /// calls it issued.
-    #[inline]
     pub fn record_batch(&mut self, mechanism: &'static str, size: u64) {
         #[cfg(not(feature = "trace-off"))]
         {
             if size == 0 {
                 return;
             }
-            let h = match self.batch_hists.get(self.last_batch) {
-                Some((m, _)) if std::ptr::eq(*m, mechanism) => self.last_batch,
-                _ => match self.batch_hists.iter().position(|(m, _)| *m == mechanism) {
-                    Some(i) => i,
-                    None => {
-                        self.batch_hists.push((mechanism, CycleHist::new()));
-                        self.batch_hists.len() - 1
-                    }
-                },
+            let i = match self.batch_hists.iter().position(|(m, _)| *m == mechanism) {
+                Some(i) => i,
+                None => {
+                    self.batch_hists.push((mechanism, CycleHist::new()));
+                    self.batch_hists.len() - 1
+                }
             };
-            self.last_batch = h;
-            self.batch_hists[h].1.record(size);
-        }
-        #[cfg(feature = "trace-off")]
-        {
-            let _ = (mechanism, size);
-        }
-    }
-
-    /// Records an arbitrary event in compartment `cpt`'s ring.
-    #[inline]
-    pub fn event(&mut self, cpt: u16, kind: EventKind, now: u64, detail: u64) {
-        #[cfg(not(feature = "trace-off"))]
-        {
-            self.ring_mut(cpt).push(kind, now, detail);
-        }
-        #[cfg(feature = "trace-off")]
-        {
-            let _ = (cpt, kind, now, detail);
+            self.batch_hists[i].1.record(size);
         }
     }
 
@@ -206,25 +157,41 @@ impl GateTrace {
 
     /// Total crossings for one (mechanism, src, dst) pair.
     pub fn crossings(&self, mechanism: &'static str, src: u16, dst: u16) -> u64 {
-        let key = (mechanism, src, dst);
-        self.pairs
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map_or(0, |(_, p)| p.crossings)
+        self.find(mechanism, src, dst)
+            .map_or(0, |row| self.rows[row].crossings)
+    }
+
+    /// `(crossings, bytes marshalled, gate cycles)` summed over all rows.
+    pub fn totals(&self) -> (u64, u64, u64) {
+        self.rows.iter().fold((0, 0, 0), |(c, b, g), r| {
+            (c + r.crossings, b + r.bytes, g + r.gate_cycles)
+        })
     }
 
     /// Total crossings summed over all pairs.
     pub fn total_crossings(&self) -> u64 {
-        self.pairs.iter().map(|(_, p)| p.crossings).sum()
+        self.totals().0
+    }
+
+    /// Per-mechanism crossing-cycle histograms — the rows' histograms
+    /// merged by mechanism, in first-use order. Mechanisms that recorded
+    /// no sample (every one, under `trace-off`) are absent.
+    fn mechanism_hists(&self) -> Vec<(&'static str, CycleHist)> {
+        let mut out: Vec<(&'static str, CycleHist)> = Vec::new();
+        for r in self.rows.iter().filter(|r| r.hist.count() > 0) {
+            match out.iter_mut().find(|(m, _)| *m == r.mechanism) {
+                Some((_, h)) => h.merge(&r.hist),
+                None => out.push((r.mechanism, r.hist.clone())),
+            }
+        }
+        out
     }
 
     /// The crossing-cycle histogram for one mechanism, if any crossing
     /// used it.
-    pub fn mechanism_hist(&self, mechanism: &'static str) -> Option<&CycleHist> {
-        self.hists
-            .iter()
-            .find(|(m, _)| *m == mechanism)
-            .map(|(_, h)| h)
+    pub fn mechanism_hist(&self, mechanism: &'static str) -> Option<CycleHist> {
+        let mut hists = self.mechanism_hists().into_iter();
+        hists.find(|(m, _)| *m == mechanism).map(|(_, h)| h)
     }
 
     /// The batch-size histogram for one mechanism, if it ever issued a
@@ -236,13 +203,25 @@ impl GateTrace {
             .map(|(_, h)| h)
     }
 
-    /// Per-compartment event rings (index = compartment id; may be
-    /// shorter than the compartment count if a compartment saw no event).
-    pub fn rings(&self) -> &[EventRing] {
-        &self.rings
+    /// Gate events each compartment saw — one `gate-enter` per crossing
+    /// into it, one `gate-exit` per crossing out of it (index =
+    /// compartment id). Counted off the probe half of the rows, so all
+    /// zero under `trace-off`, like the records the events fold from.
+    fn events_per_compartment(&self) -> Vec<u64> {
+        let mut per = Vec::new();
+        for r in &self.rows {
+            let hi = r.src.max(r.dst) as usize;
+            if per.len() <= hi {
+                per.resize(hi + 1, 0);
+            }
+            per[r.src as usize] += r.hist.count();
+            per[r.dst as usize] += r.hist.count();
+        }
+        per
     }
 
-    /// Clears all counters, histograms and rings (benchmark warm-up).
+    /// Clears all rows and histograms (benchmark warm-up). Row indices
+    /// handed out before are void.
     pub fn reset(&mut self) {
         *self = Self::default();
     }
@@ -276,10 +255,6 @@ impl SchedTrace {
             self.switches += 1;
             self.ring.push(EventKind::CtxSwitch, now, tid as u64);
         }
-        #[cfg(feature = "trace-off")]
-        {
-            let _ = (now, tid);
-        }
     }
 
     /// Records one executor step of thread `tid` costing `cycles`,
@@ -306,10 +281,6 @@ impl SchedTrace {
             };
             self.last_task = i;
             self.task_cycles[i].1 += cycles;
-        }
-        #[cfg(feature = "trace-off")]
-        {
-            let _ = (tid, cycles, depth);
         }
     }
 
@@ -398,10 +369,6 @@ impl AllocTrace {
             s.bytes_in_use += bytes;
             s.peak_bytes = s.peak_bytes.max(s.bytes_in_use);
         }
-        #[cfg(feature = "trace-off")]
-        {
-            let _ = (cpt, bytes);
-        }
     }
 
     /// Records a free of `bytes` for compartment `cpt`.
@@ -413,10 +380,6 @@ impl AllocTrace {
             s.frees += 1;
             s.bytes_in_use = s.bytes_in_use.saturating_sub(bytes);
         }
-        #[cfg(feature = "trace-off")]
-        {
-            let _ = (cpt, bytes);
-        }
     }
 
     /// Records a failed allocation of `bytes` for compartment `cpt` at
@@ -427,10 +390,6 @@ impl AllocTrace {
         {
             self.slot(cpt).failures += 1;
             self.ring.push(EventKind::AllocFail, now, bytes);
-        }
-        #[cfg(feature = "trace-off")]
-        {
-            let _ = (cpt, bytes, now);
         }
     }
 
@@ -472,7 +431,9 @@ impl FaultTrace {
 
     /// Records a fault of class `kind` at machine time `now`;
     /// `key` is the protection key involved, for pkey violations.
-    #[inline]
+    /// Faults are the rare path: kept out of line so the checks that
+    /// raise them stay small enough to inline.
+    #[cold]
     pub fn record(&mut self, kind: &'static str, key: Option<u16>, now: u64) {
         #[cfg(not(feature = "trace-off"))]
         {
@@ -486,10 +447,6 @@ impl FaultTrace {
             };
             self.ring.push(EventKind::Fault, now, detail);
         }
-        #[cfg(feature = "trace-off")]
-        {
-            let _ = (kind, key, now);
-        }
     }
 
     /// Records a fault deliberately injected by the chaos layer at
@@ -497,16 +454,12 @@ impl FaultTrace {
     /// like any other class, but the ring event carries the `Injected`
     /// kind so post-hoc analysis can separate injected faults from
     /// enforcement faults.
-    #[inline]
+    #[cold]
     pub fn record_injected(&mut self, kind: &'static str, now: u64) {
         #[cfg(not(feature = "trace-off"))]
         {
             *self.by_kind.entry(kind).or_default() += 1;
             self.ring.push(EventKind::Injected, now, u64::MAX);
-        }
-        #[cfg(feature = "trace-off")]
-        {
-            let _ = (kind, now);
         }
     }
 
@@ -682,10 +635,6 @@ impl NetTrace {
             self.drops += 1;
             self.ring.push(EventKind::PacketDrop, now, 0);
         }
-        #[cfg(feature = "trace-off")]
-        {
-            let _ = now;
-        }
     }
 
     /// Records a SYN dropped because the listener's accept backlog was
@@ -696,10 +645,6 @@ impl NetTrace {
         {
             self.backlog_overflows += 1;
             self.ring.push(EventKind::PacketDrop, now, 1);
-        }
-        #[cfg(feature = "trace-off")]
-        {
-            let _ = now;
         }
     }
 
@@ -792,10 +737,6 @@ impl EventQueueTrace {
         {
             self.polls += 1;
             self.delivered += n;
-        }
-        #[cfg(feature = "trace-off")]
-        {
-            let _ = n;
         }
     }
 
@@ -927,10 +868,22 @@ impl ExecutorTrace {
 /// context it has — compartment names, key ownership) and then calls
 /// [`TraceRegistry::finish`], which sorts rows, merges every event ring
 /// into one time-ordered tail, and returns the snapshot.
+///
+/// Gates keep no event ring of their own. Their rows of the tail are a
+/// fold, done in `finish`, over what [`TraceRegistry::add_gates`] (event
+/// counts per compartment) and [`TraceRegistry::add_spans`] (the newest
+/// crossing records) left here — as if every compartment owned a
+/// [`DEFAULT_RING_CAP`]-deep ring that took a `gate-enter` per crossing
+/// into it and a `gate-exit` per crossing out of it.
 #[derive(Debug, Default)]
 pub struct TraceRegistry {
     snap: StatsSnapshot,
     events: Vec<EventRow>,
+    /// Where in `events` the gate rows belong (rings merge in
+    /// registration order, and the sort by time is stable).
+    gate_events_at: usize,
+    gate_events_per_compartment: Vec<u64>,
+    gate_tail: Vec<SpanEvent>,
 }
 
 impl TraceRegistry {
@@ -952,7 +905,6 @@ impl TraceRegistry {
     }
 
     fn merge_ring(&mut self, subsystem: &'static str, cpt: u16, ring: &EventRing) {
-        self.snap.events_overwritten += ring.overwritten();
         self.note_ring(subsystem, cpt, ring.pushed(), ring.overwritten());
         for e in ring.iter() {
             self.events.push(EventRow {
@@ -965,10 +917,11 @@ impl TraceRegistry {
         }
     }
 
-    /// Records one ring's push/drop accounting for the `--stats`
+    /// Records one event ring's push/drop accounting for the `--stats`
     /// dropped-events report. Rings that never recorded are skipped so
     /// the table stays workload-shaped.
     fn note_ring(&mut self, subsystem: &'static str, owner: u16, pushed: u64, dropped: u64) {
+        self.snap.events_overwritten += dropped;
         if pushed == 0 {
             return;
         }
@@ -983,19 +936,19 @@ impl TraceRegistry {
     /// Registers the gate runtime's trace. `names[i]` names compartment `i`.
     pub fn add_gates(&mut self, gt: &GateTrace, names: &[String]) {
         self.snap.direct_calls += gt.direct_calls();
-        for &((mech, src, dst), ref p) in gt.pairs.iter() {
+        for r in &gt.rows {
             self.snap.gate_pairs.push(GatePairRow {
-                mechanism: mech,
-                src,
-                dst,
-                src_name: Self::name_of(names, src),
-                dst_name: Self::name_of(names, dst),
-                crossings: p.crossings,
-                bytes: p.bytes,
-                gate_cycles: p.gate_cycles,
+                mechanism: r.mechanism,
+                src: r.src,
+                dst: r.dst,
+                src_name: Self::name_of(names, r.src),
+                dst_name: Self::name_of(names, r.dst),
+                crossings: r.crossings,
+                bytes: r.bytes,
+                gate_cycles: r.gate_cycles,
             });
         }
-        for &(mech, ref h) in gt.hists.iter() {
+        for (mech, h) in gt.mechanism_hists() {
             let (p50, p90, p99) = h.quantiles();
             self.snap.mechanisms.push(MechanismRow {
                 mechanism: mech,
@@ -1016,9 +969,13 @@ impl TraceRegistry {
                 max: h.max(),
             });
         }
-        for (i, ring) in gt.rings().iter().enumerate() {
-            self.merge_ring("gates", i as u16, ring);
+        let per_compartment = gt.events_per_compartment();
+        for (cpt, &pushed) in per_compartment.iter().enumerate() {
+            let dropped = pushed.saturating_sub(DEFAULT_RING_CAP as u64);
+            self.note_ring("gates", cpt as u16, pushed, dropped);
         }
+        self.gate_events_at = self.events.len();
+        self.gate_events_per_compartment = per_compartment;
     }
 
     /// Registers the executor's trace; switch events are attributed to
@@ -1074,7 +1031,6 @@ impl TraceRegistry {
         }
         // Fault events are attributed to the owning compartment when the
         // key maps to one, else to compartment 0.
-        self.snap.events_overwritten += ft.ring().overwritten();
         self.note_ring("faults", 0, ft.ring().pushed(), ft.ring().overwritten());
         for e in ft.ring().iter() {
             let cpt = if e.detail == u64::MAX {
@@ -1097,16 +1053,12 @@ impl TraceRegistry {
         self.snap.tlb = tt.snapshot();
     }
 
-    /// Registers the gate runtime's async-ring counters. The caller
-    /// converts from its own stats type — this crate sits below the
-    /// gate layer in the dependency graph.
+    /// Registers the gate runtime's async-ring counters.
     pub fn add_async_gates(&mut self, a: AsyncGatesSnapshot) {
         self.snap.async_gates = a;
     }
 
-    /// Registers the gate runtime's live-migration counters. Same
-    /// layering as [`TraceRegistry::add_async_gates`]: the caller
-    /// converts from the gate layer's stats type.
+    /// Registers the gate runtime's live-migration counters.
     pub fn add_migrations(&mut self, mg: MigrationsSnapshot) {
         self.snap.migrations = mg;
     }
@@ -1140,23 +1092,44 @@ impl TraceRegistry {
     /// accounting. Span events stay in their own shard rings (they are
     /// exported via the Chrome trace, not the snapshot event tail).
     pub fn add_spans(&mut self, sp: &SpanTrace) {
-        for row in sp.latency_rows() {
-            self.snap.latency.push(LatencyRow {
-                app: row.app,
-                backend: row.backend,
-                count: row.count,
-                p50: row.p50,
-                p99: row.p99,
-                p999: row.p999,
-            });
-        }
-        for s in sp.ring_stats() {
-            self.note_ring("spans", s.shard as u16, s.pushed, s.dropped);
-        }
+        self.snap.latency.extend(sp.latency_rows());
+        self.snap.ring_drops.extend(sp.ring_stats());
+        self.gate_tail = sp.gate_tail();
     }
 
-    /// Sorts rows (busiest first), merges the collected events into one
-    /// time-ordered tail of at most [`SNAPSHOT_EVENT_CAP`] entries, and
+    /// The gate rows of the event tail: walks the newest crossings back
+    /// from each compartment's final event count, so every row carries
+    /// the sequence number its compartment's ring would have given it.
+    /// A crossing gives a compartment at most one row and the walk
+    /// covers [`span::GATE_TAIL`] crossings, fewer than a ring holds, so
+    /// every row is one the ring would still have. Returned in
+    /// ring-merge order: by compartment, then seq.
+    fn gate_events(&self) -> Vec<EventRow> {
+        const _: () = assert!(span::GATE_TAIL <= DEFAULT_RING_CAP);
+        let mut next = self.gate_events_per_compartment.clone();
+        let mut rows = Vec::new();
+        for r in self.gate_tail.iter().rev() {
+            // A crossing pushes `gate-enter` first; backwards, `gate-exit`.
+            for (cpt, kind) in [(r.src, EventKind::GateExit), (r.dst, EventKind::GateEnter)] {
+                let Some(n) = next.get_mut(cpt as usize).filter(|n| **n > 0) else {
+                    continue;
+                };
+                *n -= 1;
+                rows.push(EventRow {
+                    seq: *n,
+                    cycles: r.t1,
+                    compartment: cpt,
+                    kind: kind.label(),
+                    detail: pack_pair(r.src, r.dst),
+                });
+            }
+        }
+        rows.sort_by_key(|e| (e.compartment, e.seq));
+        rows
+    }
+
+    /// Sorts rows (busiest first), folds the gate events in, merges the
+    /// collected events into one time-ordered tail of at most [`SNAPSHOT_EVENT_CAP`] entries, and
     /// returns the snapshot.
     pub fn finish(mut self) -> StatsSnapshot {
         self.snap
@@ -1170,6 +1143,8 @@ impl TraceRegistry {
             .sort_by_key(|r| std::cmp::Reverse(r.batches));
         self.snap.latency.sort_by_key(|r| (r.app, r.backend));
         self.snap.ring_drops.sort_by_key(|r| (r.subsystem, r.owner));
+        let at = self.gate_events_at;
+        self.events.splice(at..at, self.gate_events());
         self.events.sort_by_key(|e| e.cycles);
         if self.events.len() > SNAPSHOT_EVENT_CAP {
             let drop = self.events.len() - SNAPSHOT_EVENT_CAP;
@@ -1184,30 +1159,109 @@ impl TraceRegistry {
 mod tests {
     use super::*;
 
+    /// Records one crossing the way the gate runtime does: one row
+    /// update, one span record.
+    fn cross(
+        gt: &mut GateTrace,
+        sp: &mut SpanTrace,
+        (mech, src, dst): (&'static str, u16, u16),
+        (cycles, bytes): (u64, u64),
+        now: u64,
+    ) {
+        let row = gt.row(mech, src, dst);
+        gt.record_crossing(row, cycles, bytes);
+        sp.record_gate(0, mech, src, dst, now - cycles, now, cycles, bytes);
+    }
+
     #[test]
     fn gate_trace_accumulates_pairs_and_hists() {
-        let mut gt = GateTrace::new();
+        let (mut gt, mut sp) = (GateTrace::new(), SpanTrace::new());
         gt.record_direct();
-        gt.record_crossing("MPK (shared stack)", 0, 1, 180, 64, 1000);
-        gt.record_crossing("MPK (shared stack)", 0, 1, 200, 64, 2000);
-        gt.record_crossing("VM RPC (EPT)", 1, 2, 7000, 0, 3000);
+        cross(
+            &mut gt,
+            &mut sp,
+            ("MPK (shared stack)", 0, 1),
+            (180, 64),
+            1000,
+        );
+        cross(
+            &mut gt,
+            &mut sp,
+            ("MPK (shared stack)", 0, 1),
+            (200, 64),
+            2000,
+        );
+        cross(&mut gt, &mut sp, ("VM RPC (EPT)", 1, 2), (7000, 0), 9000);
         assert_eq!(gt.direct_calls(), 1);
         assert_eq!(gt.crossings("MPK (shared stack)", 0, 1), 2);
         assert_eq!(gt.crossings("VM RPC (EPT)", 1, 2), 1);
-        assert_eq!(gt.total_crossings(), 3);
+        assert_eq!(gt.totals(), (3, 128, 7380));
         let h = gt.mechanism_hist("MPK (shared stack)").unwrap();
-        assert_eq!(h.count(), 2);
-        // Compartment 1 saw one enter (from 0) and one exit (to 2)… plus
-        // the second 0→1 enter.
-        assert_eq!(gt.rings()[1].len(), 3);
+        assert_eq!((h.count(), h.min(), h.max()), (2, 180, 200));
+        // Compartment 1 saw two enters (from 0) and one exit (to 2).
+        assert_eq!(gt.events_per_compartment(), vec![2, 3, 1]);
+    }
+
+    #[test]
+    fn gate_events_fold_out_of_the_newest_records() {
+        let (mut gt, mut sp) = (GateTrace::new(), SpanTrace::new());
+        // 200 crossings 0 -> 1, then one 1 -> 2: compartment 1's ring
+        // would hold 201 events, compartment 0's 200, compartment 2's 1.
+        for i in 0..200 {
+            cross(&mut gt, &mut sp, ("a", 0, 1), (10, 0), 100 + i);
+        }
+        cross(&mut gt, &mut sp, ("b", 1, 2), (10, 0), 1000);
+        // Far more mq spans than the ring holds: every crossing record
+        // is evicted, the newest stay reachable.
+        for i in 0..3 * DEFAULT_SPAN_RING_CAP as u64 {
+            sp.record(0, SpanKind::MqHop, "mq-send", 0, 0, 2000 + i, 2001 + i);
+        }
+        let mut reg = TraceRegistry::new();
+        reg.add_gates(&gt, &[]);
+        reg.add_spans(&sp);
+        let snap = reg.finish();
+        assert_eq!(snap.events.len(), SNAPSHOT_EVENT_CAP);
+        let last: Vec<_> = snap.events[SNAPSHOT_EVENT_CAP - 3..]
+            .iter()
+            .map(|e| (e.seq, e.cycles, e.compartment, e.kind, e.detail))
+            .collect();
+        assert_eq!(
+            last,
+            vec![
+                (199, 299, 1, "gate-enter", pack_pair(0, 1)),
+                (200, 1000, 1, "gate-exit", pack_pair(1, 2)),
+                (0, 1000, 2, "gate-enter", pack_pair(1, 2)),
+            ]
+        );
+        let gates: Vec<_> = snap
+            .ring_drops
+            .iter()
+            .filter(|r| r.subsystem == "gates")
+            .map(|r| (r.owner, r.pushed, r.dropped))
+            .collect();
+        assert_eq!(gates, vec![(0, 200, 0), (1, 201, 0), (2, 1, 0)]);
+    }
+
+    #[test]
+    fn gate_rings_report_what_a_256_deep_ring_would_drop() {
+        let (mut gt, mut sp) = (GateTrace::new(), SpanTrace::new());
+        for i in 0..300 {
+            cross(&mut gt, &mut sp, ("a", 0, 1), (10, 0), 100 + i);
+        }
+        let mut reg = TraceRegistry::new();
+        reg.add_gates(&gt, &[]);
+        reg.add_spans(&sp);
+        let snap = reg.finish();
+        assert_eq!(snap.events_overwritten, 2 * 44);
+        assert_eq!(snap.events.last().map(|e| e.seq), Some(299));
     }
 
     #[test]
     fn registry_builds_sorted_snapshot() {
-        let mut gt = GateTrace::new();
-        gt.record_crossing("a", 0, 1, 10, 0, 10);
-        gt.record_crossing("b", 1, 0, 20, 0, 20);
-        gt.record_crossing("b", 1, 0, 30, 0, 30);
+        let (mut gt, mut sp) = (GateTrace::new(), SpanTrace::new());
+        cross(&mut gt, &mut sp, ("a", 0, 1), (10, 0), 10);
+        cross(&mut gt, &mut sp, ("b", 1, 0), (20, 0), 20);
+        cross(&mut gt, &mut sp, ("b", 1, 0), (30, 0), 30);
         let mut st = SchedTrace::new();
         st.record_switch(40, 7);
         st.record_step(7, 100, 2);
@@ -1227,6 +1281,7 @@ mod tests {
         reg.add_allocs(&at, &names);
         reg.add_faults(&ft, |k| (k == 2).then(|| (1, "net".to_string())));
         reg.add_net(&nt, 3, 1);
+        reg.add_spans(&sp);
         let snap = reg.finish();
 
         assert_eq!(snap.gate_pairs[0].crossings, 2); // busiest first

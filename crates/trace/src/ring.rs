@@ -1,4 +1,4 @@
-//! Bounded per-compartment event rings with overwrite-oldest semantics.
+//! Bounded event rings with overwrite-oldest semantics.
 //!
 //! Each recorded [`Event`] carries a monotonically increasing sequence
 //! number, so a reader can tell how many events were overwritten
@@ -54,20 +54,65 @@ pub struct Event {
     pub detail: u64,
 }
 
-/// Default ring capacity (events kept per compartment).
+/// Default ring capacity (events kept per ring).
 pub const DEFAULT_RING_CAP: usize = 256;
 
+/// The bounded overwrite-oldest store under [`EventRing`] and
+/// [`crate::SpanRing`]: a flat `Vec` allocated once, plus a head index
+/// rather than a deque, so a push on a full ring is a single indexed
+/// store and never allocates.
+#[derive(Debug, Clone)]
+pub(crate) struct Ring<T> {
+    cap: usize,
+    head: usize,
+    buf: Vec<T>,
+}
+
+impl<T: Copy> Ring<T> {
+    pub(crate) fn with_capacity(cap: usize) -> Self {
+        let cap = cap.max(1);
+        Self {
+            cap,
+            head: 0,
+            buf: Vec::with_capacity(cap),
+        }
+    }
+
+    /// Stores `v`, overwriting the oldest entry when full; `evict` sees
+    /// that entry first. Always inlined: the caller's value is built
+    /// straight into its slot.
+    #[inline(always)]
+    pub(crate) fn push(&mut self, v: T, evict: impl FnOnce(&T)) {
+        if self.buf.len() < self.cap {
+            self.buf.push(v);
+        } else {
+            // `head` is the oldest slot; overwrite and advance.
+            let slot = &mut self.buf[self.head];
+            evict(slot);
+            *slot = v;
+            self.head += 1;
+            if self.head == self.cap {
+                self.head = 0;
+            }
+        }
+    }
+
+    /// Entries held, oldest first.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &T> {
+        let (tail, head) = self.buf.split_at(self.head);
+        head.iter().chain(tail.iter())
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.buf.len()
+    }
+}
+
 /// A bounded event ring. When full, pushing overwrites the oldest event.
-///
-/// Backed by a flat `Vec` with a head index rather than a deque: a push
-/// on a full ring is a single indexed store, which keeps the probe cheap
-/// enough for per-crossing use.
 #[derive(Debug, Clone)]
 pub struct EventRing {
-    cap: usize,
     next_seq: u64,
-    head: usize,
-    buf: Vec<Event>,
+    ring: Ring<Event>,
 }
 
 impl Default for EventRing {
@@ -79,12 +124,9 @@ impl Default for EventRing {
 impl EventRing {
     /// A ring holding at most `cap` events.
     pub fn with_capacity(cap: usize) -> Self {
-        let cap = cap.max(1);
         Self {
-            cap,
             next_seq: 0,
-            head: 0,
-            buf: Vec::with_capacity(cap),
+            ring: Ring::with_capacity(cap),
         }
     }
 
@@ -96,50 +138,31 @@ impl EventRing {
         let seq = self.next_seq;
         #[cfg(not(feature = "trace-off"))]
         {
-            let e = Event {
+            let event = Event {
                 seq,
                 cycles,
                 kind,
                 detail,
             };
-            if self.buf.len() < self.cap {
-                self.buf.push(e);
-            } else {
-                // `head` is the oldest slot; overwrite and advance.
-                self.buf[self.head] = e;
-                self.head += 1;
-                if self.head == self.cap {
-                    self.head = 0;
-                }
-            }
+            self.ring.push(event, |_| {});
             self.next_seq += 1;
-        }
-        #[cfg(feature = "trace-off")]
-        {
-            let _ = (kind, cycles, detail);
         }
         seq
     }
 
-    /// Maximum events the ring can hold.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
     /// Events currently held, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = &Event> {
-        let (tail, head) = self.buf.split_at(self.head);
-        head.iter().chain(tail.iter())
+        self.ring.iter()
     }
 
     /// Number of events currently held.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.ring.len()
     }
 
     /// Whether the ring holds no events.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.ring.len() == 0
     }
 
     /// Total events ever pushed (held + overwritten).
@@ -149,13 +172,7 @@ impl EventRing {
 
     /// Events lost to overwriting.
     pub fn overwritten(&self) -> u64 {
-        self.next_seq - self.buf.len() as u64
-    }
-
-    /// Drops all held events (sequence numbers keep increasing).
-    pub fn clear(&mut self) {
-        self.buf.clear();
-        self.head = 0;
+        self.next_seq - self.ring.len() as u64
     }
 }
 
@@ -180,11 +197,11 @@ mod tests {
     #[test]
     fn push_never_reallocates() {
         let mut r = EventRing::with_capacity(8);
-        let cap0 = r.buf.capacity();
+        let cap0 = r.ring.buf.capacity();
         for i in 0..100 {
             r.push(EventKind::Fault, i, 0);
         }
-        assert_eq!(r.buf.capacity(), cap0);
+        assert_eq!(r.ring.buf.capacity(), cap0);
     }
 }
 

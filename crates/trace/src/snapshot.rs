@@ -330,7 +330,8 @@ pub struct StatsSnapshot {
     pub events_overwritten: u64,
 }
 
-fn esc(s: &str, out: &mut String) {
+/// Appends `s` as a quoted, escaped JSON string.
+pub(crate) fn esc(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {

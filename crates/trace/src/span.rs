@@ -25,6 +25,10 @@
 //! so simulated cycles are identical with tracing on or off by
 //! construction.
 
+use crate::ring::Ring;
+use crate::snapshot::{esc, LatencyRow, RingDropRow};
+use std::fmt::Write as _;
+
 /// A request-scoped trace identifier. `SpanId(0)` means "no span".
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SpanId(pub u64);
@@ -77,42 +81,61 @@ impl SpanKind {
     }
 }
 
-/// One recorded interval, attributed to a span.
+/// One recorded interval, attributed to a span — the one fixed-size
+/// record every probe writes (64 bytes; a gate crossing writes exactly
+/// one). Its sequence number is its position in the shard's push order
+/// and is not stored: [`SpanRing::events`] derives it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanEvent {
-    /// Sequence number within the shard ring.
-    pub seq: u64,
     /// Owning request span (may be [`SpanId::NONE`] for unattributed
     /// background work, e.g. scheduler switches between requests).
     pub span: SpanId,
-    /// Work class.
-    pub kind: SpanKind,
     /// Mechanism or subsystem label (`"MPK (shared stack)"`, …).
     pub label: &'static str,
-    /// Source compartment / thread id (kind-specific).
-    pub src: u16,
-    /// Destination compartment id (kind-specific).
-    pub dst: u16,
     /// Interval start, simulated cycles.
     pub t0: u64,
     /// Interval end, simulated cycles (`>= t0`).
     pub t1: u64,
+    /// Gate crossings: cycles spent in the enter + exit sequences
+    /// (0 for every other kind).
+    pub gate_cycles: u64,
+    /// Gate crossings: argument + return bytes marshalled (0 otherwise).
+    pub bytes: u64,
+    /// Source compartment / thread id (kind-specific).
+    pub src: u16,
+    /// Destination compartment id (kind-specific).
+    pub dst: u16,
+    /// Work class.
+    pub kind: SpanKind,
 }
 
 /// Default per-vCPU span ring capacity. Sized so a shard's buffer
-/// (~56 B/event) stays around 57 KiB — inside a typical L2 — because the
+/// (64 B/event) stays at 64 KiB — inside a typical L2 — because the
 /// overwrite path cycles through the whole buffer and every event write
 /// lands on a cold line once the ring outgrows the cache.
 pub const DEFAULT_SPAN_RING_CAP: usize = 1024;
 
+/// Gate records a shard keeps reachable whatever else is pushed: the
+/// `--stats` event tail is a fold over the newest crossings, and mq, net
+/// and sched spans share the ring with them.
+pub const GATE_TAIL: usize = crate::SNAPSHOT_EVENT_CAP;
+
 /// A bounded per-vCPU span ring with overwrite-oldest semantics,
 /// mirroring [`crate::EventRing`]: `pushed() - len()` events were lost.
+///
+/// One exception to overwrite-oldest: a gate record evicted while it is
+/// still among the shard's newest [`GATE_TAIL`] crossings moves to a
+/// small side ring, so [`SpanRing::gate_records`] always ends with those
+/// crossings. Dense crossings never take that path — the ring then holds
+/// far more than [`GATE_TAIL`] of them — so it costs the evicting mq, net
+/// or sched probe a copy, not the crossing.
 #[derive(Debug, Clone)]
 pub struct SpanRing {
-    cap: usize,
     next_seq: u64,
-    head: usize,
-    buf: Vec<SpanEvent>,
+    ring: Ring<SpanEvent>,
+    /// Gate records currently in `ring`.
+    gates_held: usize,
+    rescued: Ring<SpanEvent>,
 }
 
 impl Default for SpanRing {
@@ -122,35 +145,35 @@ impl Default for SpanRing {
 }
 
 impl SpanRing {
-    /// A ring holding at most `cap` events.
+    /// A ring holding at most `cap` events, allocated up front.
     pub fn with_capacity(cap: usize) -> Self {
         Self {
-            cap: cap.max(1),
             next_seq: 0,
-            head: 0,
-            buf: Vec::new(),
+            ring: Ring::with_capacity(cap),
+            gates_held: 0,
+            rescued: Ring::with_capacity(GATE_TAIL),
         }
     }
 
     /// Records an event, overwriting the oldest when full. No-op under
     /// `trace-off` (the sequence counter does not advance either, so
     /// `pushed()` stays 0 — same contract as [`crate::EventRing`]).
-    #[allow(unused_variables, unused_mut)]
-    #[inline]
-    pub fn push(&mut self, mut ev: SpanEvent) {
+    #[inline(always)]
+    pub fn push(&mut self, ev: SpanEvent) {
         #[cfg(not(feature = "trace-off"))]
         {
-            ev.seq = self.next_seq;
             self.next_seq += 1;
-            if self.buf.len() < self.cap {
-                self.buf.push(ev);
-            } else {
-                self.buf[self.head] = ev;
-                self.head += 1;
-                if self.head == self.cap {
-                    self.head = 0;
+            let (held, rescued) = (&mut self.gates_held, &mut self.rescued);
+            *held += usize::from(ev.kind == SpanKind::Gate);
+            self.ring.push(ev, |old| {
+                if old.kind == SpanKind::Gate {
+                    // Every gate record still held is newer than `old`.
+                    *held -= 1;
+                    if *held < GATE_TAIL {
+                        rescued.push(*old, |_| {});
+                    }
                 }
-            }
+            });
         }
     }
 
@@ -161,15 +184,19 @@ impl SpanRing {
 
     /// Events lost to overwrite.
     pub fn dropped(&self) -> u64 {
-        self.next_seq - self.buf.len() as u64
+        self.next_seq - self.ring.len() as u64
     }
 
-    /// Events currently held, oldest first.
-    pub fn events(&self) -> Vec<SpanEvent> {
-        let mut out = Vec::with_capacity(self.buf.len());
-        out.extend_from_slice(&self.buf[self.head..]);
-        out.extend_from_slice(&self.buf[..self.head]);
-        out
+    /// Events currently held with their sequence numbers, oldest first.
+    pub fn events(&self) -> impl Iterator<Item = (u64, &SpanEvent)> {
+        (self.dropped()..).zip(self.ring.iter())
+    }
+
+    /// Gate records reachable in this shard, oldest first; the newest
+    /// `GATE_TAIL.min(crossings recorded)` of them are contiguous.
+    fn gate_records(&self) -> impl Iterator<Item = &SpanEvent> {
+        let held = self.ring.iter().filter(|e| e.kind == SpanKind::Gate);
+        self.rescued.iter().chain(held)
     }
 }
 
@@ -179,43 +206,17 @@ struct LatencySamples {
     cycles: Vec<u64>,
 }
 
-/// Exact percentile over a sorted slice: the smallest sample `x` such
-/// that at least `p` of the distribution is `<= x` (nearest-rank).
-fn percentile(sorted: &[u64], num: u64, den: u64) -> u64 {
+/// Exact nearest-rank percentile `num/den` over a sorted slice: the
+/// smallest sample `x` such that at least that share of the samples is
+/// `<= x` (0 for an empty slice). The rank is computed in integers, so
+/// the result never depends on floating-point rounding.
+pub fn percentile(sorted: &[u64], num: u64, den: u64) -> u64 {
     if sorted.is_empty() {
         return 0;
     }
     let n = sorted.len() as u64;
     let rank = (n * num).div_ceil(den).max(1);
     sorted[(rank - 1) as usize]
-}
-
-/// Exact per-`(app, backend)` request-latency percentiles.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpanLatencyRow {
-    /// Application that issued the requests (`"redis"`, `"iperf"`).
-    pub app: &'static str,
-    /// Isolation backend label the image was built with.
-    pub backend: &'static str,
-    /// Completed requests measured.
-    pub count: u64,
-    /// Median end-to-end latency, simulated cycles.
-    pub p50: u64,
-    /// 99th-percentile latency, simulated cycles.
-    pub p99: u64,
-    /// 99.9th-percentile latency, simulated cycles.
-    pub p999: u64,
-}
-
-/// Per-shard ring accounting, for the `--stats` dropped-events report.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpanRingStats {
-    /// Shard (vCPU) index.
-    pub shard: usize,
-    /// Events ever pushed to the shard.
-    pub pushed: u64,
-    /// Events lost to overwrite.
-    pub dropped: u64,
 }
 
 /// An open (begun, not yet ended) request span.
@@ -250,10 +251,17 @@ impl SpanTrace {
     #[inline]
     fn shard_mut(&mut self, vcpu: u16) -> &mut SpanRing {
         let idx = vcpu as usize;
-        while self.shards.len() <= idx {
-            self.shards.push(SpanRing::default());
+        if self.shards.len() <= idx {
+            self.grow_shards(idx);
         }
         &mut self.shards[idx]
+    }
+
+    /// Creates the rings up to shard `idx` — once per vCPU, so kept out
+    /// of every probe site.
+    #[cold]
+    fn grow_shards(&mut self, idx: usize) {
+        self.shards.resize_with(idx + 1, SpanRing::default);
     }
 
     /// The span currently attributed to new events ([`SpanId::NONE`]
@@ -264,7 +272,6 @@ impl SpanTrace {
     }
 
     /// Sets the span attributed to subsequent events.
-    #[allow(unused_variables)]
     #[inline]
     pub fn set_current(&mut self, span: SpanId) {
         #[cfg(not(feature = "trace-off"))]
@@ -275,7 +282,7 @@ impl SpanTrace {
 
     /// Opens a request span at `t0` and makes it current. Returns
     /// [`SpanId::NONE`] under `trace-off`.
-    #[allow(unused_variables)]
+    #[allow(unused_variables)] // `vcpu`: the closing probe picks the shard
     #[inline]
     pub fn begin_request(
         &mut self,
@@ -306,7 +313,6 @@ impl SpanTrace {
     /// Closes a request span at `t1`: records the end-to-end interval in
     /// the vCPU's shard ring and folds `t1 - t0` into the exact latency
     /// accumulator for the request's `(app, backend)` key.
-    #[allow(unused_variables)]
     #[inline]
     pub fn end_request(&mut self, span: SpanId, vcpu: u16, t1: u64) {
         #[cfg(not(feature = "trace-off"))]
@@ -325,14 +331,15 @@ impl SpanTrace {
             };
             samples.cycles.push(t1.saturating_sub(o.t0));
             self.shard_mut(vcpu).push(SpanEvent {
-                seq: 0,
                 span,
-                kind: SpanKind::Request,
                 label: o.app,
-                src: vcpu,
-                dst: vcpu,
                 t0: o.t0,
                 t1,
+                gate_cycles: 0,
+                bytes: 0,
+                src: vcpu,
+                dst: vcpu,
+                kind: SpanKind::Request,
             });
             if self.current == span {
                 self.current = SpanId::NONE;
@@ -343,7 +350,6 @@ impl SpanTrace {
     /// Records a work interval against the current span on `vcpu`'s
     /// shard. Never touches a clock — callers pass the timestamps they
     /// already have, so the probe adds zero simulated cycles.
-    #[allow(unused_variables)]
     #[allow(clippy::too_many_arguments)]
     #[inline]
     pub fn record(
@@ -360,14 +366,51 @@ impl SpanTrace {
         {
             let span = self.current;
             self.shard_mut(vcpu).push(SpanEvent {
-                seq: 0,
                 span,
-                kind,
                 label,
-                src,
-                dst,
                 t0,
                 t1,
+                gate_cycles: 0,
+                bytes: 0,
+                src,
+                dst,
+                kind,
+            });
+        }
+    }
+
+    /// Records one completed gate crossing `src → dst` through
+    /// `mechanism` over `[t0, t1]` — the only ring write a crossing
+    /// makes. `gate_cycles` of the window went to the enter + exit
+    /// sequences, which marshalled `bytes`. Every per-event view of the
+    /// crossing (the `--stats` `gate-enter`/`gate-exit` tail, the
+    /// Perfetto slice and its flow arrow) is folded from this record.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    pub fn record_gate(
+        &mut self,
+        vcpu: u16,
+        mechanism: &'static str,
+        src: u16,
+        dst: u16,
+        t0: u64,
+        t1: u64,
+        gate_cycles: u64,
+        bytes: u64,
+    ) {
+        #[cfg(not(feature = "trace-off"))]
+        {
+            let span = self.current;
+            self.shard_mut(vcpu).push(SpanEvent {
+                span,
+                label: mechanism,
+                t0,
+                t1,
+                gate_cycles,
+                bytes,
+                src,
+                dst,
+                kind: SpanKind::Gate,
             });
         }
     }
@@ -379,13 +422,13 @@ impl SpanTrace {
 
     /// Per-shard push/drop accounting, shard order (rows only for shards
     /// that ever recorded, so the report stays workload-shaped).
-    pub fn ring_stats(&self) -> Vec<SpanRingStats> {
-        self.shards
-            .iter()
-            .enumerate()
+    pub fn ring_stats(&self) -> Vec<RingDropRow> {
+        let rings = (0u16..).zip(&self.shards);
+        rings
             .filter(|(_, r)| r.pushed() > 0)
-            .map(|(shard, r)| SpanRingStats {
-                shard,
+            .map(|(owner, r)| RingDropRow {
+                subsystem: "spans",
+                owner,
                 pushed: r.pushed(),
                 dropped: r.dropped(),
             })
@@ -393,15 +436,15 @@ impl SpanTrace {
     }
 
     /// Exact latency percentiles per `(app, backend)`, key order.
-    pub fn latency_rows(&self) -> Vec<SpanLatencyRow> {
-        let mut rows: Vec<SpanLatencyRow> = self
+    pub fn latency_rows(&self) -> Vec<LatencyRow> {
+        let mut rows: Vec<LatencyRow> = self
             .latency
             .iter()
             .filter(|(_, s)| !s.cycles.is_empty())
             .map(|&((app, backend), ref s)| {
                 let mut sorted = s.cycles.clone();
                 sorted.sort_unstable();
-                SpanLatencyRow {
+                LatencyRow {
                     app,
                     backend,
                     count: sorted.len() as u64,
@@ -415,19 +458,37 @@ impl SpanTrace {
         rows
     }
 
-    /// All retained events merged across shards in deterministic order:
-    /// stable-sorted by `(t0, t1, shard, seq)`. Shard assignment is
-    /// plan-determined, so this stream is byte-identical at any
-    /// `--vcpus` width in deterministic mode.
-    pub fn merged_events(&self) -> Vec<(usize, SpanEvent)> {
-        let mut all: Vec<(usize, SpanEvent)> = Vec::new();
+    /// All retained events as `(shard, seq, event)`, merged across
+    /// shards in deterministic order: sorted by `(t0, t1, shard, seq)`.
+    /// Shard assignment is plan-determined, so this stream is
+    /// byte-identical at any `--vcpus` width in deterministic mode.
+    pub fn merged_events(&self) -> Vec<(usize, u64, SpanEvent)> {
+        let mut all: Vec<(usize, u64, SpanEvent)> = Vec::new();
         for (shard, ring) in self.shards.iter().enumerate() {
-            for ev in ring.events() {
-                all.push((shard, ev));
-            }
+            all.extend(ring.events().map(|(seq, ev)| (shard, seq, *ev)));
         }
-        all.sort_by_key(|(shard, ev)| (ev.t0, ev.t1, *shard, ev.seq));
+        all.sort_by_key(|&(shard, seq, ev)| (ev.t0, ev.t1, shard, seq));
         all
+    }
+
+    /// The newest [`GATE_TAIL`] gate crossings across all shards, in
+    /// completion order (oldest first). Within a shard that is push
+    /// order; across shards the one machine clock orders them by exit
+    /// time, and of two crossings that returned in the same cycle (a
+    /// nested return through a zero-cost exit) the inner one — which
+    /// entered later — completed first.
+    pub fn gate_tail(&self) -> Vec<SpanEvent> {
+        let mut all: Vec<(usize, usize, &SpanEvent)> = Vec::new();
+        for (shard, ring) in self.shards.iter().enumerate() {
+            all.extend(
+                ring.gate_records()
+                    .enumerate()
+                    .map(|(i, ev)| (shard, i, ev)),
+            );
+        }
+        all.sort_by_key(|&(shard, i, ev)| (ev.t1, std::cmp::Reverse(ev.t0), shard, i));
+        let skip = all.len().saturating_sub(GATE_TAIL);
+        all[skip..].iter().map(|&(_, _, ev)| *ev).collect()
     }
 
     /// Renders the merged stream as Chrome trace-event JSON (loadable in
@@ -444,135 +505,64 @@ impl SpanTrace {
     /// raw simulated cycles.
     pub fn to_chrome_json(&self, names: &[(u16, String)]) -> String {
         let mut out = String::with_capacity(16 * 1024);
-        out.push_str("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
-        let mut first = true;
-        let push = |out: &mut String, first: &mut bool, ev: String| {
-            if !*first {
-                out.push(',');
-            }
-            *first = false;
-            out.push_str(&ev);
-        };
-        // Metadata: name the two processes and their threads.
-        push(
-            &mut out,
-            &mut first,
-            "{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"process_name\",\
-             \"args\":{\"name\":\"vCPUs\"}}"
-                .into(),
+        // Metadata first — the two processes, then their threads — so
+        // every later event is written with its separating comma.
+        out.push_str(
+            "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\
+             {\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"process_name\",\
+             \"args\":{\"name\":\"vCPUs\"}},\
+             {\"ph\":\"M\",\"pid\":2,\"tid\":0,\"name\":\"process_name\",\
+             \"args\":{\"name\":\"compartments\"}}",
         );
-        push(
-            &mut out,
-            &mut first,
-            "{\"ph\":\"M\",\"pid\":2,\"tid\":0,\"name\":\"process_name\",\
-             \"args\":{\"name\":\"compartments\"}}"
-                .into(),
-        );
-        for shard in 0..self.shards.len() {
-            push(
-                &mut out,
-                &mut first,
-                format!(
-                    "{{\"ph\":\"M\",\"pid\":1,\"tid\":{shard},\"name\":\"thread_name\",\
-                     \"args\":{{\"name\":\"vcpu{shard}\"}}}}"
-                ),
+        let threads = (0..self.shards.len()).map(|shard| (1, shard, format!("vcpu{shard}")));
+        let compartments = names
+            .iter()
+            .map(|(id, name)| (2, *id as usize, name.clone()));
+        for (pid, tid, name) in threads.chain(compartments) {
+            let _ = write!(
+                out,
+                ",{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"name\":\"thread_name\",\
+                 \"args\":{{\"name\":"
             );
-        }
-        for (id, name) in names {
-            let mut esc = String::new();
-            json_escape(name, &mut esc);
-            push(
-                &mut out,
-                &mut first,
-                format!(
-                    "{{\"ph\":\"M\",\"pid\":2,\"tid\":{id},\"name\":\"thread_name\",\
-                     \"args\":{{\"name\":\"{esc}\"}}}}"
-                ),
-            );
+            esc(&name, &mut out);
+            out.push_str("}}");
         }
         let mut flow_id = 0u64;
-        for (shard, ev) in self.merged_events() {
-            let cat = ev.kind.label();
-            let mut label = String::new();
-            json_escape(ev.label, &mut label);
-            match ev.kind {
-                SpanKind::Request => {
-                    // Async begin/end pair on the owning compartment
-                    // track, id'd by the span so nested requests nest.
-                    push(
-                        &mut out,
-                        &mut first,
-                        format!(
-                            "{{\"ph\":\"b\",\"cat\":\"{cat}\",\"name\":\"{label}\",\
-                             \"id\":{},\"pid\":2,\"tid\":{},\"ts\":{}}}",
-                            ev.span.0, ev.src, ev.t0
-                        ),
-                    );
-                    push(
-                        &mut out,
-                        &mut first,
-                        format!(
-                            "{{\"ph\":\"e\",\"cat\":\"{cat}\",\"name\":\"{label}\",\
-                             \"id\":{},\"pid\":2,\"tid\":{},\"ts\":{}}}",
-                            ev.span.0, ev.src, ev.t1
-                        ),
+        let mut head = String::new();
+        for (shard, _, ev) in self.merged_events() {
+            let (span, src, dst, t0, t1) = (ev.span.0, ev.src, ev.dst, ev.t0, ev.t1);
+            // `"cat":…,"name":…`, shared by every event of the interval.
+            head.clear();
+            let _ = write!(head, "\"cat\":\"{}\",\"name\":", ev.kind.label());
+            esc(ev.label, &mut head);
+            if ev.kind == SpanKind::Request {
+                // Async begin/end pair on the owning compartment track,
+                // id'd by the span so nested requests nest.
+                for (ph, ts) in [("b", t0), ("e", t1)] {
+                    let _ = write!(
+                        out,
+                        ",{{\"ph\":\"{ph}\",{head},\"id\":{span},\"pid\":2,\"tid\":{src},\"ts\":{ts}}}"
                     );
                 }
-                _ => {
-                    push(
-                        &mut out,
-                        &mut first,
-                        format!(
-                            "{{\"ph\":\"X\",\"cat\":\"{cat}\",\"name\":\"{label}\",\
-                             \"pid\":1,\"tid\":{shard},\"ts\":{},\"dur\":{},\
-                             \"args\":{{\"span\":{},\"src\":{},\"dst\":{}}}}}",
-                            ev.t0,
-                            ev.t1.saturating_sub(ev.t0).max(1),
-                            ev.span.0,
-                            ev.src,
-                            ev.dst
-                        ),
-                    );
-                    if matches!(ev.kind, SpanKind::Gate | SpanKind::Doorbell) && ev.src != ev.dst {
-                        flow_id += 1;
-                        push(
-                            &mut out,
-                            &mut first,
-                            format!(
-                                "{{\"ph\":\"s\",\"cat\":\"{cat}\",\"name\":\"{label}\",\
-                                 \"id\":{flow_id},\"pid\":2,\"tid\":{},\"ts\":{}}}",
-                                ev.src, ev.t0
-                            ),
-                        );
-                        push(
-                            &mut out,
-                            &mut first,
-                            format!(
-                                "{{\"ph\":\"f\",\"cat\":\"{cat}\",\"name\":\"{label}\",\
-                                 \"bp\":\"e\",\"id\":{flow_id},\"pid\":2,\"tid\":{},\"ts\":{}}}",
-                                ev.dst, ev.t1
-                            ),
-                        );
-                    }
-                }
+                continue;
+            }
+            let _ = write!(
+                out,
+                ",{{\"ph\":\"X\",{head},\"pid\":1,\"tid\":{shard},\"ts\":{t0},\"dur\":{},\
+                 \"args\":{{\"span\":{span},\"src\":{src},\"dst\":{dst}}}}}",
+                t1.saturating_sub(t0).max(1)
+            );
+            if matches!(ev.kind, SpanKind::Gate | SpanKind::Doorbell) && src != dst {
+                flow_id += 1;
+                let _ = write!(
+                    out,
+                    ",{{\"ph\":\"s\",{head},\"id\":{flow_id},\"pid\":2,\"tid\":{src},\"ts\":{t0}}}\
+                     ,{{\"ph\":\"f\",{head},\"bp\":\"e\",\"id\":{flow_id},\"pid\":2,\"tid\":{dst},\"ts\":{t1}}}"
+                );
             }
         }
         out.push_str("]}");
         out
-    }
-}
-
-/// Minimal JSON string escape (mirrors `snapshot::esc`).
-fn json_escape(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
     }
 }
 
@@ -606,27 +596,94 @@ mod tests {
         assert_eq!(percentile(&[], 50, 100), 0);
     }
 
+    /// The float-rank formula `--serve` used before it shared
+    /// [`percentile`]; kept here as the reference the merge was held to.
+    fn float_nearest_rank(sorted: &[u64], q: f64) -> u64 {
+        let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+        sorted[rank - 1]
+    }
+
+    #[test]
+    fn rational_and_float_ranks_agree_up_to_400k_samples() {
+        let s: Vec<u64> = (1..=400_000).collect();
+        for n in 1..=s.len() {
+            for (num, den, q) in [(50, 100, 0.50), (99, 100, 0.99), (999, 1000, 0.999)] {
+                assert_eq!(
+                    percentile(&s[..n], num, den),
+                    float_nearest_rank(&s[..n], q),
+                    "n = {n}, q = {q}"
+                );
+            }
+        }
+    }
+
+    fn ev(kind: SpanKind, t: u64) -> SpanEvent {
+        SpanEvent {
+            span: SpanId::NONE,
+            label: kind.label(),
+            t0: t,
+            t1: t + 1,
+            gate_cycles: 0,
+            bytes: 0,
+            src: 0,
+            dst: 1,
+            kind,
+        }
+    }
+
     #[test]
     fn rings_overwrite_oldest_and_count_drops() {
         let mut r = SpanRing::with_capacity(2);
         for i in 0..5u64 {
-            r.push(SpanEvent {
-                seq: 0,
-                span: SpanId::NONE,
-                kind: SpanKind::Net,
-                label: "net",
-                src: 0,
-                dst: 0,
-                t0: i,
-                t1: i + 1,
-            });
+            r.push(ev(SpanKind::Net, i));
         }
         assert_eq!(r.pushed(), 5);
         assert_eq!(r.dropped(), 3);
-        let evs = r.events();
-        assert_eq!(evs.len(), 2);
-        assert_eq!((evs[0].t0, evs[1].t0), (3, 4));
-        assert!(evs[0].seq < evs[1].seq);
+        let evs: Vec<(u64, u64)> = r.events().map(|(seq, e)| (seq, e.t0)).collect();
+        assert_eq!(evs, vec![(3, 3), (4, 4)]);
+    }
+
+    /// Whatever mix of kinds shares the ring, a shard can always
+    /// produce its newest `GATE_TAIL` crossings, gap-free.
+    #[test]
+    fn the_newest_gate_records_survive_any_interleaving() {
+        // A deterministic xorshift mix of gate and non-gate pushes with
+        // bursts long enough to evict every gate record from the ring.
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut r = SpanRing::with_capacity(2 * GATE_TAIL);
+        let mut gates: Vec<u64> = Vec::new();
+        for t in 0..20_000u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let burst = (t / 500) % 3; // gate-dense, sparse, none
+            let gate = match burst {
+                0 => !x.is_multiple_of(8),
+                1 => x.is_multiple_of(8),
+                _ => false,
+            };
+            if gate {
+                gates.push(t);
+                r.push(ev(SpanKind::Gate, t));
+            } else {
+                r.push(ev(SpanKind::MqHop, t));
+            }
+            let got: Vec<u64> = r.gate_records().map(|e| e.t0).collect();
+            let want = &gates[gates.len().saturating_sub(GATE_TAIL)..];
+            assert!(got.ends_with(want), "after push {t}");
+        }
+    }
+
+    #[test]
+    fn gate_tail_merges_shards_in_completion_order() {
+        let mut t = SpanTrace::new();
+        // An outer crossing on shard 0 wraps an inner one on shard 1;
+        // both return in cycle 40 (zero-cost exits).
+        t.record_gate(1, "g", 1, 2, 20, 40, 5, 0);
+        t.record_gate(0, "g", 0, 1, 10, 40, 5, 0);
+        t.record_gate(0, "g", 0, 1, 50, 60, 5, 0);
+        let tail: Vec<(u16, u64)> = t.gate_tail().iter().map(|e| (e.src, e.t0)).collect();
+        assert_eq!(tail, vec![(1, 20), (0, 10), (0, 50)]);
     }
 
     #[test]
@@ -636,7 +693,7 @@ mod tests {
         t.record(0, SpanKind::Gate, "g", 0, 1, 10, 20);
         t.record(0, SpanKind::Gate, "g", 1, 0, 70, 80);
         let m = t.merged_events();
-        let t0s: Vec<u64> = m.iter().map(|(_, e)| e.t0).collect();
+        let t0s: Vec<u64> = m.iter().map(|(_, _, e)| e.t0).collect();
         assert_eq!(t0s, vec![10, 50, 70]);
     }
 
@@ -669,7 +726,7 @@ mod tests {
         t.end_request(s, 0, 5);
         t.record(0, SpanKind::Sched, "switch", 0, 0, 6, 7);
         let m = t.merged_events();
-        let spans: Vec<u64> = m.iter().map(|(_, e)| e.span.0).collect();
+        let spans: Vec<u64> = m.iter().map(|(_, _, e)| e.span.0).collect();
         assert_eq!(spans, vec![0, 1, 1, 0]);
     }
 }

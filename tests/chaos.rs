@@ -64,6 +64,9 @@ fn injected_doorbell_loss_is_recovered_and_traced() {
     assert!(ok > 190, "only {ok}/200 crossings recovered");
     let stats = m.chaos_stats().unwrap();
     assert!(stats.dropped_notifications > 0);
+    if cfg!(feature = "trace-off") {
+        return; // the chaos ledger above is the always-on one
+    }
     // Injected faults are counted in the machine's fault trace...
     assert_eq!(
         m.fault_trace().count("injected-notify-drop"),

@@ -17,12 +17,18 @@
 #![allow(dead_code)] // each suite uses its own subset
 
 use flexos::build::{plan, BackendChoice, ImageConfig, LibRole, LibraryConfig};
-use flexos::gate::{CallVec, CompartmentId, GateMechanism, GateRuntime, GateStats, Sqe};
+use flexos::gate::{
+    CallVec, CompartmentCtx, CompartmentId, Gate, GateMechanism, GateRuntime, GateStats, Sqe,
+};
 use flexos::spec::LibSpec;
 use flexos_backends::{instantiate, instantiate_migratable, BootImage};
 use flexos_machine::{ChaosConfig, ChaosPlan, Fault, Machine, Schedule, VmId};
-use flexos_trace::SpanEvent;
+use flexos_trace::{
+    pack_pair, CycleHist, EventKind, EventRing, EventRow, GatePairRow, MechanismRow, RingDropRow,
+    SpanEvent, SpanKind, StatsSnapshot, DEFAULT_SPAN_RING_CAP, SNAPSHOT_EVENT_CAP,
+};
 use proptest::prelude::*;
+use std::sync::{Arc, Mutex};
 
 /// Every gate mechanism the build system can target.
 pub const BACKENDS: &[BackendChoice] = &[
@@ -333,7 +339,7 @@ pub struct Observed {
     pub pairs: Vec<(&'static str, u16, u16, u64)>,
     /// Per-mechanism `(crossings, gate cycles)` from the trace.
     pub mechanisms: Vec<(&'static str, u64, u64)>,
-    pub spans: Vec<(usize, SpanEvent)>,
+    pub spans: Vec<(usize, u64, SpanEvent)>,
     /// Batch-size histogram `(batches, batched calls)` over all
     /// mechanisms, and ring flushes: the two things a sequential caller
     /// by definition does not produce.
@@ -420,4 +426,344 @@ pub fn run(
         "{backend:?} {driver:?} gate counters"
     );
     seen
+}
+
+// ---- the reference ledgers ---------------------------------------------
+//
+// Until PR 16 a crossing wrote three ledgers: `GateStats`, the trace's
+// pair row + mechanism histogram + a `gate-enter`/`gate-exit` pair of
+// ring events, and a span. The runtime now writes one record and one
+// accumulator row and folds every view from them; the old ledgers live
+// on here, fed from outside the runtime, as what those folds are held to.
+
+/// One completed crossing as a gate saw it from the inside.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SeenCrossing {
+    pub mechanism: &'static str,
+    pub src: u16,
+    pub dst: u16,
+    pub t0: u64,
+    pub now: u64,
+    pub gate_cycles: u64,
+    pub bytes: u64,
+}
+
+#[derive(Debug, Default)]
+pub struct SpyLog {
+    /// Entered, not yet exited: `(src, dst, t0, enter cycles, arg bytes)`.
+    open: Vec<(u16, u16, u64, u64, u64)>,
+    pub done: Vec<SeenCrossing>,
+}
+
+/// A gate that forwards to `inner` and logs what each round trip cost,
+/// timed on the machine clock around the very calls the runtime times.
+#[derive(Debug)]
+pub struct SpyGate {
+    inner: Arc<dyn Gate>,
+    log: Arc<Mutex<SpyLog>>,
+}
+
+impl SpyGate {
+    pub fn wrap(inner: Arc<dyn Gate>, log: &Arc<Mutex<SpyLog>>) -> Arc<dyn Gate> {
+        Arc::new(Self {
+            inner,
+            log: Arc::clone(log),
+        })
+    }
+
+    fn entered(&self, m: &Machine, from: &CompartmentCtx, to: &CompartmentCtx, t0: u64, arg: u64) {
+        let spent = m.clock().cycles() - t0;
+        let mut log = self.log.lock().expect("spy log");
+        log.open.push((from.id.0, to.id.0, t0, spent, arg));
+    }
+
+    fn exited(&self, m: &Machine, t1: u64, ret: u64, ok: bool) {
+        let mut log = self.log.lock().expect("spy log");
+        let (src, dst, t0, enter, arg) = log.open.pop().expect("an exit follows an enter");
+        if ok {
+            let now = m.clock().cycles();
+            log.done.push(SeenCrossing {
+                mechanism: self.inner.mechanism().label(),
+                src,
+                dst,
+                t0,
+                now,
+                gate_cycles: enter + now - t1,
+                bytes: arg + ret,
+            });
+        }
+    }
+}
+
+impl Gate for SpyGate {
+    fn mechanism(&self) -> GateMechanism {
+        self.inner.mechanism()
+    }
+
+    fn enter(
+        &self,
+        m: &mut Machine,
+        from: &CompartmentCtx,
+        to: &CompartmentCtx,
+        arg: u64,
+    ) -> flexos_machine::Result<()> {
+        let t0 = m.clock().cycles();
+        self.inner.enter(m, from, to, arg)?;
+        self.entered(m, from, to, t0, arg);
+        Ok(())
+    }
+
+    fn exit(
+        &self,
+        m: &mut Machine,
+        callee: &CompartmentCtx,
+        caller: &CompartmentCtx,
+        ret: u64,
+    ) -> flexos_machine::Result<()> {
+        let t1 = m.clock().cycles();
+        let r = self.inner.exit(m, callee, caller, ret);
+        self.exited(m, t1, ret, r.is_ok());
+        r
+    }
+
+    fn enter_nth(
+        &self,
+        m: &mut Machine,
+        from: &CompartmentCtx,
+        to: &CompartmentCtx,
+        arg: u64,
+        idx: usize,
+    ) -> flexos_machine::Result<()> {
+        let t0 = m.clock().cycles();
+        self.inner.enter_nth(m, from, to, arg, idx)?;
+        self.entered(m, from, to, t0, arg);
+        Ok(())
+    }
+
+    fn exit_nth(
+        &self,
+        m: &mut Machine,
+        callee: &CompartmentCtx,
+        caller: &CompartmentCtx,
+        ret: u64,
+        idx: usize,
+    ) -> flexos_machine::Result<()> {
+        let t1 = m.clock().cycles();
+        let r = self.inner.exit_nth(m, callee, caller, ret, idx);
+        self.exited(m, t1, ret, r.is_ok());
+        r
+    }
+}
+
+/// Wraps the gate of every pair of `img` in a [`SpyGate`].
+pub fn install_spies(img: &mut BootImage, log: &Arc<Mutex<SpyLog>>) {
+    let n = img.gates.len() as u16;
+    for (a, b) in (0..n).flat_map(|a| (a + 1..n).map(move |b| (a, b))) {
+        let (a, b) = (CompartmentId(a), CompartmentId(b));
+        let spied = SpyGate::wrap(img.gates.pair_gate(a, b), log);
+        img.gates.set_pair_gate(a, b, spied);
+    }
+}
+
+/// The old per-pair accumulator: `(crossings, bytes, gate cycles)`.
+type PairStat = (u64, u64, u64);
+
+/// The pre-PR-16 ledgers: the gate trace (pair rows, per-mechanism
+/// histograms, one 256-deep event ring per compartment) and the span
+/// rings (every event ever pushed, per shard; the newest
+/// [`DEFAULT_SPAN_RING_CAP`] count as held).
+#[derive(Debug, Default)]
+pub struct ReferenceLedgers {
+    pairs: Vec<((&'static str, u16, u16), PairStat)>,
+    hists: Vec<(&'static str, CycleHist)>,
+    rings: Vec<EventRing>,
+    spans: Vec<Vec<SpanEvent>>,
+}
+
+impl ReferenceLedgers {
+    /// The old `GateTrace::record_crossing`, minus its last-hit caches.
+    pub fn record_crossing(&mut self, c: &SeenCrossing) {
+        let key = (c.mechanism, c.src, c.dst);
+        let i = self
+            .pairs
+            .iter()
+            .position(|(k, _)| *k == key)
+            .unwrap_or_else(|| {
+                self.pairs.push((key, (0, 0, 0)));
+                self.pairs.len() - 1
+            });
+        let p = &mut self.pairs[i].1;
+        *p = (p.0 + 1, p.1 + c.bytes, p.2 + c.gate_cycles);
+        let h = self
+            .hists
+            .iter()
+            .position(|(m, _)| *m == c.mechanism)
+            .unwrap_or_else(|| {
+                self.hists.push((c.mechanism, CycleHist::new()));
+                self.hists.len() - 1
+            });
+        self.hists[h].1.record(c.gate_cycles);
+        let hi = c.src.max(c.dst) as usize;
+        if self.rings.len() <= hi {
+            self.rings.resize_with(hi + 1, EventRing::default);
+        }
+        let detail = pack_pair(c.src, c.dst);
+        self.rings[c.dst as usize].push(EventKind::GateEnter, c.now, detail);
+        self.rings[c.src as usize].push(EventKind::GateExit, c.now, detail);
+    }
+
+    /// The old `SpanRing::push` on `shard`.
+    pub fn record_span(&mut self, shard: usize, ev: SpanEvent) {
+        if self.spans.len() <= shard {
+            self.spans.resize_with(shard + 1, Vec::new);
+        }
+        self.spans[shard].push(ev);
+    }
+
+    /// Events ever pushed to `shard`.
+    pub fn spans_pushed(&self, shard: usize) -> u64 {
+        self.spans.get(shard).map_or(0, |s| s.len() as u64)
+    }
+
+    /// What the old `SpanTrace::merged_events` returned.
+    pub fn merged_spans(&self) -> Vec<(usize, u64, SpanEvent)> {
+        let mut all = Vec::new();
+        for (shard, evs) in self.spans.iter().enumerate() {
+            let skip = evs.len().saturating_sub(DEFAULT_SPAN_RING_CAP);
+            all.extend(
+                (skip..)
+                    .zip(&evs[skip..])
+                    .map(|(seq, ev)| (shard, seq as u64, *ev)),
+            );
+        }
+        all.sort_by_key(|&(shard, seq, ev)| (ev.t0, ev.t1, shard, seq));
+        all
+    }
+
+    /// `real` with every gate-derived part replaced by what the old
+    /// `TraceRegistry::add_gates` + `finish` made of these ledgers.
+    /// `others` are the event rings `real` merged besides the gates',
+    /// as `(compartment, ring)` in registration order.
+    pub fn snapshot(
+        &self,
+        real: &StatsSnapshot,
+        names: &[String],
+        others: &[(u16, &EventRing)],
+    ) -> StatsSnapshot {
+        let mut snap = real.clone();
+        let name = |c: u16| names[c as usize].clone();
+        snap.gate_pairs = self
+            .pairs
+            .iter()
+            .map(
+                |&((mechanism, src, dst), (crossings, bytes, gate_cycles))| GatePairRow {
+                    mechanism,
+                    src,
+                    dst,
+                    src_name: name(src),
+                    dst_name: name(dst),
+                    crossings,
+                    bytes,
+                    gate_cycles,
+                },
+            )
+            .collect();
+        snap.gate_pairs
+            .sort_by_key(|r| std::cmp::Reverse(r.crossings));
+        snap.mechanisms = self
+            .hists
+            .iter()
+            .map(|(mechanism, h)| {
+                let (p50, p90, p99) = h.quantiles();
+                MechanismRow {
+                    mechanism,
+                    count: h.count(),
+                    p50,
+                    p90,
+                    p99,
+                    mean: h.mean(),
+                    max: h.max(),
+                }
+            })
+            .collect();
+        snap.mechanisms.sort_by_key(|r| std::cmp::Reverse(r.count));
+        snap.ring_drops.retain(|r| r.subsystem != "gates");
+        snap.events_overwritten = 0;
+        let mut events = Vec::new();
+        let gates = (0u16..).zip(&self.rings);
+        for (gate_ring, (owner, ring)) in gates
+            .map(|r| (true, r))
+            .chain(others.iter().map(|&r| (false, r)))
+        {
+            snap.events_overwritten += ring.overwritten();
+            if gate_ring && ring.pushed() > 0 {
+                snap.ring_drops.push(RingDropRow {
+                    subsystem: "gates",
+                    owner,
+                    pushed: ring.pushed(),
+                    dropped: ring.overwritten(),
+                });
+            }
+            events.extend(ring.iter().map(|e| EventRow {
+                seq: e.seq,
+                cycles: e.cycles,
+                compartment: owner,
+                kind: e.kind.label(),
+                detail: e.detail,
+            }));
+        }
+        snap.ring_drops.sort_by_key(|r| (r.subsystem, r.owner));
+        events.sort_by_key(|e| e.cycles);
+        snap.events = events.split_off(events.len().saturating_sub(SNAPSHOT_EVENT_CAP));
+        snap
+    }
+
+    /// The old `SpanTrace::to_chrome_json` over these rings.
+    pub fn chrome_json(&self, names: &[(u16, String)]) -> String {
+        let mut evs = vec![
+            r#"{"ph":"M","pid":1,"tid":0,"name":"process_name","args":{"name":"vCPUs"}}"#.into(),
+            r#"{"ph":"M","pid":2,"tid":0,"name":"process_name","args":{"name":"compartments"}}"#
+                .into(),
+        ];
+        for shard in 0..self.spans.len() {
+            evs.push(format!(
+                r#"{{"ph":"M","pid":1,"tid":{shard},"name":"thread_name","args":{{"name":"vcpu{shard}"}}}}"#
+            ));
+        }
+        for (id, name) in names {
+            evs.push(format!(
+                r#"{{"ph":"M","pid":2,"tid":{id},"name":"thread_name","args":{{"name":"{name}"}}}}"#
+            ));
+        }
+        let mut flow = 0u64;
+        for (shard, _, ev) in self.merged_spans() {
+            let (cat, name, span) = (ev.kind.label(), ev.label, ev.span.0);
+            let (src, dst, t0, t1) = (ev.src, ev.dst, ev.t0, ev.t1);
+            if ev.kind == SpanKind::Request {
+                for (ph, ts) in [("b", t0), ("e", t1)] {
+                    evs.push(format!(
+                        r#"{{"ph":"{ph}","cat":"{cat}","name":"{name}","id":{span},"pid":2,"tid":{src},"ts":{ts}}}"#
+                    ));
+                }
+                continue;
+            }
+            let dur = (t1 - t0).max(1);
+            evs.push(format!(
+                r#"{{"ph":"X","cat":"{cat}","name":"{name}","pid":1,"tid":{shard},"ts":{t0},"dur":{dur},"args":{{"span":{span},"src":{src},"dst":{dst}}}}}"#
+            ));
+            if matches!(ev.kind, SpanKind::Gate | SpanKind::Doorbell) && src != dst {
+                flow += 1;
+                evs.push(format!(
+                    r#"{{"ph":"s","cat":"{cat}","name":"{name}","id":{flow},"pid":2,"tid":{src},"ts":{t0}}}"#
+                ));
+                evs.push(format!(
+                    r#"{{"ph":"f","cat":"{cat}","name":"{name}","bp":"e","id":{flow},"pid":2,"tid":{dst},"ts":{t1}}}"#
+                ));
+            }
+        }
+        format!(
+            r#"{{"displayTimeUnit":"ns","traceEvents":[{}]}}"#,
+            evs.join(",")
+        )
+    }
 }
