@@ -1022,6 +1022,10 @@ impl KernelHal for Os {
     fn drain_wakes(&mut self) -> Vec<ThreadId> {
         std::mem::take(&mut self.wakes)
     }
+
+    fn drain_wakes_into(&mut self, out: &mut Vec<ThreadId>) {
+        out.append(&mut self.wakes);
+    }
 }
 
 #[cfg(test)]

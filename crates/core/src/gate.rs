@@ -465,7 +465,8 @@ pub struct GateStats {
 
 /// One ordered pair's entry in the runtime's dense gate table.
 struct PairSlot {
-    gate: Arc<dyn Gate>,
+    /// Index of the pair's gate in [`GateRuntime::gates`].
+    gate: usize,
     /// The pair's [`GateTrace`] row under `gate`'s mechanism, once it
     /// has crossed.
     row: Option<usize>,
@@ -484,6 +485,11 @@ pub struct GateRuntime {
     /// The gate of every ordered pair, row-major `n × n`: a crossing
     /// resolves its gate with one index, not a tree walk.
     pairs: Vec<PairSlot>,
+    /// Every gate ever installed, append-only: a crossing holds its
+    /// gate's index and re-borrows the slab for enter, exit and label, so
+    /// it touches no refcount and still exits through the gate it
+    /// entered when the pair is re-pointed while it runs.
+    gates: Vec<Arc<dyn Gate>>,
     stack: Vec<CompartmentId>,
     /// The one per-crossing ledger; [`GateStats`] is a fold over it.
     trace: GateTrace,
@@ -532,7 +538,7 @@ impl GateRuntime {
         );
         let pairs = (0..compartments.len() * compartments.len())
             .map(|_| PairSlot {
-                gate: Arc::clone(&default_gate),
+                gate: 0,
                 row: None,
                 swapped: false,
             })
@@ -540,6 +546,7 @@ impl GateRuntime {
         Self {
             compartments,
             pairs,
+            gates: vec![default_gate],
             stack: vec![initial],
             trace: GateTrace::new(),
             rings: BTreeMap::new(),
@@ -575,9 +582,11 @@ impl GateRuntime {
     ///
     /// Panics if `a` or `b` names no compartment of this image.
     pub fn set_pair_gate(&mut self, a: CompartmentId, b: CompartmentId, gate: Arc<dyn Gate>) {
-        for slot in [self.slot(a, b), self.slot(b, a)] {
+        let slots = [self.slot(a, b), self.slot(b, a)];
+        self.gates.push(gate);
+        for slot in slots {
             self.pairs[slot] = PairSlot {
-                gate: Arc::clone(&gate),
+                gate: self.gates.len() - 1,
                 row: None,
                 swapped: false,
             };
@@ -591,12 +600,12 @@ impl GateRuntime {
     /// Panics if `a` or `b` names no compartment of this image.
     #[inline]
     pub fn pair_gate(&self, a: CompartmentId, b: CompartmentId) -> Arc<dyn Gate> {
-        Arc::clone(&self.pairs[self.slot(a, b)].gate)
+        Arc::clone(&self.gates[self.pairs[self.slot(a, b)].gate])
     }
 
     /// The mechanism currently serving the `(a, b)` pair.
     pub fn pair_mechanism(&self, a: CompartmentId, b: CompartmentId) -> GateMechanism {
-        self.pair_gate(a, b).mechanism()
+        self.gates[self.pairs[self.slot(a, b)].gate].mechanism()
     }
 
     /// The compartment currently executing.
@@ -858,14 +867,14 @@ impl GateRuntime {
 
     /// How a call `from → target` is routed: `None` within one
     /// compartment (FlexOS replaces the placeholder with a plain call at
-    /// link time), else the pair's gate.
+    /// link time), else the slab index of the pair's gate.
     #[inline]
-    fn route(&self, from: CompartmentId, target: CompartmentId) -> Result<Option<Arc<dyn Gate>>> {
+    fn route(&self, from: CompartmentId, target: CompartmentId) -> Result<Option<usize>> {
         if from == target {
             return Ok(None);
         }
         self.check_target(target)?;
-        Ok(Some(self.pair_gate(from, target)))
+        Ok(Some(self.pairs[self.slot(from, target)].gate))
     }
 
     /// The gate-call placeholder: runs `f` inside `target`.
@@ -888,7 +897,7 @@ impl GateRuntime {
         f: impl FnOnce(&mut Machine, &mut GateRuntime) -> Result<R>,
     ) -> Result<R> {
         let gate = self.route(self.current(), target)?;
-        self.cross_one(m, gate.as_deref(), target, (arg_bytes, ret_bytes), None, f)
+        self.cross_one(m, gate, target, (arg_bytes, ret_bytes), None, f)
     }
 
     /// The one crossing body: every call the runtime issues — a sync
@@ -896,9 +905,9 @@ impl GateRuntime {
     /// of a ring flush (`Some(idx)`) — runs exactly this sequence, so the
     /// entry points cannot drift apart in cycles, counters, spans or
     /// fault handling. `gate` is `None` for a same-compartment call,
-    /// else the pair's gate, looked up by the caller so that a batch
-    /// hoists it out of its loop; a backend varies the sequence only
-    /// through its [`Gate`] hooks.
+    /// else the pair's gate as [`GateRuntime::route`] found it, looked
+    /// up by the caller so that a batch hoists it out of its loop; a
+    /// backend varies the sequence only through its [`Gate`] hooks.
     ///
     /// Error precedence: an enter fault returns before `f` runs; `f`'s
     /// error still runs the exit path and the stats/trace updates; an
@@ -908,7 +917,7 @@ impl GateRuntime {
     fn cross_one<R>(
         &mut self,
         m: &mut Machine,
-        gate: Option<&dyn Gate>,
+        gate: Option<usize>,
         target: CompartmentId,
         (arg_bytes, ret_bytes): (u64, u64),
         nth: Option<usize>,
@@ -926,6 +935,7 @@ impl GateRuntime {
                 &self.compartments[from.0 as usize],
                 &self.compartments[target.0 as usize],
             );
+            let gate = &*self.gates[gate];
             match nth {
                 None => gate.enter(m, from_ctx, to_ctx, arg_bytes)?,
                 Some(idx) => gate.enter_nth(m, from_ctx, to_ctx, arg_bytes, idx)?,
@@ -938,7 +948,7 @@ impl GateRuntime {
 
         self.stack.pop();
         let t1 = m.clock().cycles();
-        let caller_ctx = &self.compartments[from.0 as usize];
+        let (gate, caller_ctx) = (&*self.gates[gate], &self.compartments[from.0 as usize]);
         {
             let callee_ctx = &self.compartments[target.0 as usize];
             match nth {
@@ -1062,8 +1072,7 @@ impl GateRuntime {
         let from = self.current();
         let gate = self.route(from, target)?;
         let label = gate
-            .as_ref()
-            .map_or(GateMechanism::DirectCall, |g| g.mechanism())
+            .map_or(GateMechanism::DirectCall, |g| self.gates[g].mechanism())
             .label();
         // The whole batch holds the pair non-quiescent — a migration
         // requested from inside any call defers to the batch's end, so
@@ -1077,7 +1086,7 @@ impl GateRuntime {
             issued += 1;
             let call = |m: &mut Machine, rt: &mut GateRuntime| f(m, rt, idx);
             let step = self
-                .cross_one(m, gate.as_deref(), target, desc(idx), Some(idx), call)
+                .cross_one(m, gate, target, desc(idx), Some(idx), call)
                 .and_then(|r| sink(m, self, idx, r));
             match step {
                 Ok(true) => {}
@@ -1154,7 +1163,7 @@ impl GateRuntime {
         }
         self.migration_stats.rejected_submits += 1;
         Err(Fault::GateDraining {
-            mechanism: self.pair_gate(from, target).mechanism().label(),
+            mechanism: self.pair_mechanism(from, target).label(),
         })
     }
 
@@ -1999,7 +2008,7 @@ mod tests {
         let t = CompartmentId(1);
         let spy = Arc::new(SpyGate::default());
         rt.set_pair_gate(CompartmentId(0), t, spy.clone());
-        let legs = || std::mem::take(&mut *spy.legs.lock().unwrap());
+        let legs = || legs_of(&spy);
         let nth = vec![
             ("enter", Some(0)),
             ("exit", Some(0)),
@@ -2018,6 +2027,69 @@ mod tests {
             .unwrap();
         rt.flush_async(&mut m, t, |_, _, _| Ok(0)).unwrap();
         assert_eq!(legs(), nth);
+    }
+
+    /// Two spies on the `(0, 1)` pair: `old` installed, `new` at hand.
+    fn two_spies(rt: &mut GateRuntime) -> (Arc<SpyGate>, Arc<SpyGate>) {
+        let old = Arc::new(SpyGate::default());
+        rt.set_pair_gate(CompartmentId(0), CompartmentId(1), old.clone());
+        (old, Arc::new(SpyGate::default()))
+    }
+
+    fn legs_of(spy: &SpyGate) -> Vec<(&'static str, Option<usize>)> {
+        std::mem::take(&mut *spy.legs.lock().unwrap())
+    }
+
+    /// The gate-identity contract: a crossing exits through the gate it
+    /// entered, even when the pair is re-pointed while it runs; the next
+    /// crossing takes the new gate for both legs.
+    #[test]
+    fn a_sync_crossing_exits_through_the_gate_it_entered() {
+        let (mut m, mut rt) = fresh_rt();
+        let (a, b) = (CompartmentId(0), CompartmentId(1));
+        let (old, new) = two_spies(&mut rt);
+        rt.cross(&mut m, b, 8, 8, |_, rt| {
+            rt.set_pair_gate(a, b, new.clone());
+            assert!(Arc::ptr_eq(
+                &rt.pair_gate(a, b),
+                &(new.clone() as Arc<dyn Gate>)
+            ));
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(legs_of(&old), vec![("enter", None), ("exit", None)]);
+        assert_eq!(legs_of(&new), vec![]);
+        rt.cross(&mut m, b, 8, 8, |_, _| Ok(())).unwrap();
+        assert_eq!(legs_of(&old), vec![]);
+        assert_eq!(legs_of(&new), vec![("enter", None), ("exit", None)]);
+    }
+
+    /// The sync twin of `migration_mid_batch_defers_to_the_batch_end`, by
+    /// gate identity (`migration_mid_call_defers_to_the_crossing_end`
+    /// pins the counters): a migration requested from inside a sync
+    /// crossing over its own pair defers to that crossing's end, which
+    /// therefore still exits through the outgoing gate.
+    #[test]
+    fn migration_mid_sync_call_exits_through_the_outgoing_gate() {
+        let (mut m, mut rt) = fresh_rt();
+        let (a, b) = (CompartmentId(0), CompartmentId(1));
+        let (old, new) = two_spies(&mut rt);
+        rt.cross(&mut m, b, 8, 8, |m, rt| {
+            let applied =
+                rt.request_migration(m, a, b, new.clone(), MigrationReason::Manual, None)?;
+            assert!(!applied, "pair is on the call stack; must defer");
+            assert!(Arc::ptr_eq(
+                &rt.pair_gate(a, b),
+                &(old.clone() as Arc<dyn Gate>)
+            ));
+            Ok(())
+        })
+        .unwrap();
+        assert!(!rt.migration_pending(a, b));
+        assert_eq!(legs_of(&old), vec![("enter", None), ("exit", None)]);
+        rt.cross(&mut m, b, 8, 8, |_, _| Ok(())).unwrap();
+        assert_eq!(legs_of(&old), vec![]);
+        assert_eq!(legs_of(&new), vec![("enter", None), ("exit", None)]);
     }
 
     #[test]

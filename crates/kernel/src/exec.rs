@@ -56,6 +56,13 @@ pub trait KernelHal {
     /// Drains the thread-ids that became runnable since the last step
     /// (semaphore `up`s performed by tasks).
     fn drain_wakes(&mut self) -> Vec<ThreadId>;
+
+    /// [`KernelHal::drain_wakes`] appended to `out`, which the executor
+    /// reuses across steps: a context that keeps its wake list in a `Vec`
+    /// overrides this to hand the ids over without allocating.
+    fn drain_wakes_into(&mut self, out: &mut Vec<ThreadId>) {
+        out.extend(self.drain_wakes());
+    }
 }
 
 struct ThreadSlot<C> {
@@ -85,6 +92,8 @@ pub struct Executor<C> {
     last_running: Option<ThreadId>,
     summary: ExecSummary,
     trace: SchedTrace,
+    /// Scratch for [`KernelHal::drain_wakes_into`] (empty between steps).
+    wakes: Vec<ThreadId>,
 }
 
 impl<C> std::fmt::Debug for Executor<C> {
@@ -107,6 +116,7 @@ impl<C: KernelHal> Executor<C> {
             last_running: None,
             summary: ExecSummary::default(),
             trace: SchedTrace::new(),
+            wakes: Vec::new(),
         }
     }
 
@@ -151,7 +161,8 @@ impl<C: KernelHal> Executor<C> {
     }
 
     fn apply_wakes(&mut self, ctx: &mut C) -> Result<()> {
-        for tid in ctx.drain_wakes() {
+        ctx.drain_wakes_into(&mut self.wakes);
+        for tid in self.wakes.drain(..) {
             if let Some(slot) = self.threads.get_mut(&tid) {
                 if slot.blocked_on.take().is_some() {
                     self.rq.wake(tid)?;

@@ -87,72 +87,9 @@ struct SharedRegion {
     entries: Vec<PageEntry>,
 }
 
-/// Chunks held inline by a [`ChunkList`] before spilling to the heap.
-/// Eight pages cover every access up to 28 KiB + change — in practice
-/// all packet, ring and copy traffic — without allocating.
-const INLINE_CHUNKS: usize = 8;
-
-/// Inline list of `(phys_base, run_len)` chunks produced by translating
-/// a virtual range. Replaces the per-access `Vec` the hot paths used to
-/// allocate: short accesses (the overwhelming majority) stay entirely on
-/// the stack.
-#[derive(Debug)]
-struct ChunkList {
-    inline: [(PhysAddr, u64); INLINE_CHUNKS],
-    inline_len: usize,
-    spill: Vec<(PhysAddr, u64)>,
-}
-
-impl ChunkList {
-    fn new() -> Self {
-        Self {
-            inline: [(PhysAddr(0), 0); INLINE_CHUNKS],
-            inline_len: 0,
-            spill: Vec::new(),
-        }
-    }
-
-    #[inline]
-    fn push(&mut self, pa: PhysAddr, run: u64) {
-        if self.inline_len < INLINE_CHUNKS {
-            self.inline[self.inline_len] = (pa, run);
-            self.inline_len += 1;
-        } else {
-            self.spill.push((pa, run));
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.inline_len + self.spill.len()
-    }
-
-    fn get(&self, i: usize) -> (PhysAddr, u64) {
-        if i < self.inline_len {
-            self.inline[i]
-        } else {
-            self.spill[i - self.inline_len]
-        }
-    }
-
-    #[inline]
-    fn iter(&self) -> impl Iterator<Item = (PhysAddr, u64)> + '_ {
-        self.inline[..self.inline_len]
-            .iter()
-            .copied()
-            .chain(self.spill.iter().copied())
-    }
-
-    /// Whether any physical byte range in `self` intersects one in
-    /// `other` (used by `Machine::copy` to decide if it must bounce
-    /// through scratch for memmove semantics).
-    fn overlaps(&self, other: &ChunkList) -> bool {
-        self.iter().any(|(sa, sl)| {
-            other
-                .iter()
-                .any(|(da, dl)| sa.0 < da.0 + dl && da.0 < sa.0 + sl)
-        })
-    }
-}
+/// One physically contiguous piece of a translated virtual range:
+/// `(phys_base, len)`, never crossing a page boundary.
+type Run = (PhysAddr, u64);
 
 /// The simulated machine.
 #[derive(Debug)]
@@ -181,6 +118,10 @@ pub struct Machine {
     hot_pages: [Option<HotPage>; 2],
     /// The `hot_pages` slot to evict next (round-robin on fill misses).
     hot_evict: usize,
+    /// The runs after the first of the last range translated on each
+    /// side (0: the only or source side, 1: `copy`'s destination).
+    /// Grow-only scratch: empty whenever the range stayed in one page.
+    runs: [Vec<Run>; 2],
     /// Reusable bounce buffer for the rare overlapping-`copy` case.
     scratch: Vec<u8>,
 }
@@ -224,6 +165,9 @@ impl Machine {
             tlb_trace: TlbTrace::new(),
             hot_pages: [None, None],
             hot_evict: 0,
+            // Room for nine pages a side: packet, ring and copy traffic
+            // never grows them, so no access allocates after boot.
+            runs: [Vec::with_capacity(8), Vec::with_capacity(8)],
             scratch: Vec::new(),
         }
     }
@@ -463,66 +407,45 @@ impl Machine {
 
     // ---- enforcement pipeline -------------------------------------------
 
-    /// Walks (or TLB-hits) one page and runs the permission checks.
+    /// Walks (or TLB-hits) one page as `vcpu_id` and runs the permission
+    /// checks.
     ///
-    /// Split-borrow associated fn so callers can keep `&self.vms`,
-    /// `&mut self.tlbs[i]` and `&mut self.tlb_trace` live at once
-    /// without cloning the vCPU. The TLB caches the *translation* only:
-    /// the W-bit and PKRU checks below run on every access against
-    /// current vCPU state, so faults are identical hot or cold, and a
-    /// PKRU change takes effect on the very next access with no flush.
+    /// The TLB caches the *translation* only: the W-bit and PKRU checks
+    /// below run on every access against current vCPU state, so faults
+    /// are identical hot or cold, and a PKRU change takes effect on the
+    /// very next access with no flush.
     ///
     /// A miss returns a plain `PageNotPresent`; the cross-VM diagnostic
     /// scan that may upgrade it to `VmViolation` lives in
     /// [`Machine::raise`], off the translation fast path.
-    #[inline]
-    fn check_one_page(
-        vms: &[Vm],
-        tlb: Option<&mut Tlb>,
-        tlb_trace: &mut TlbTrace,
-        vm_id: VmId,
-        pkru: Pkru,
-        addr: Addr,
-        access: Access,
-    ) -> Result<PhysAddr> {
-        let vm = &vms[vm_id.0 as usize];
+    #[inline(always)]
+    fn translate_page(&mut self, vcpu_id: VcpuId, addr: Addr, access: Access) -> Result<PhysAddr> {
+        let v = &self.vcpus[vcpu_id.0 as usize];
+        let (vm_id, pkru) = (v.vm, v.pkru);
+        let vm = &self.vms[vm_id.0 as usize];
         let vpn = addr.vpn();
-        let entry = match tlb {
-            Some(tlb) => {
-                let generation = vm.page_table.generation();
-                match tlb.lookup(vm_id, vpn, generation) {
-                    Some(e) => {
-                        tlb_trace.hit();
-                        e
-                    }
-                    None => {
-                        tlb_trace.miss();
-                        match vm.page_table.walk(vpn) {
-                            Some(e) => {
-                                tlb.insert(vm_id, vpn, generation, e);
-                                e
-                            }
-                            None => {
-                                return Err(Fault::PageNotPresent {
-                                    addr,
-                                    vm: vm_id,
-                                    access,
-                                })
-                            }
-                        }
-                    }
+        let not_present = || Fault::PageNotPresent {
+            addr,
+            vm: vm_id,
+            access,
+        };
+        let entry = if self.tlb_enabled {
+            let tlb = &mut self.tlbs[vcpu_id.0 as usize];
+            let generation = vm.page_table.generation();
+            match tlb.lookup(vm_id, vpn, generation) {
+                Some(e) => {
+                    self.tlb_trace.hit();
+                    e
+                }
+                None => {
+                    self.tlb_trace.miss();
+                    let e = vm.page_table.walk(vpn).ok_or_else(not_present)?;
+                    tlb.insert(vm_id, vpn, generation, e);
+                    e
                 }
             }
-            None => match vm.page_table.walk(vpn) {
-                Some(e) => e,
-                None => {
-                    return Err(Fault::PageNotPresent {
-                        addr,
-                        vm: vm_id,
-                        access,
-                    })
-                }
-            },
+        } else {
+            vm.page_table.walk(vpn).ok_or_else(not_present)?
         };
         if access == Access::Write && !entry.flags.writable {
             return Err(Fault::WriteToReadOnly { addr, vm: vm_id });
@@ -537,187 +460,164 @@ impl Machine {
         Ok(PhysAddr(entry.pfn.base().0 + addr.page_offset()))
     }
 
-    /// Translates and checks a single-page access (the fast path: no
-    /// chunk list at all). Callers must have ruled out page straddle
-    /// and address overflow.
-    #[inline]
-    fn translate_page(&mut self, vcpu_id: VcpuId, addr: Addr, access: Access) -> Result<PhysAddr> {
-        let v = &self.vcpus[vcpu_id.0 as usize];
-        let (vm_id, pkru) = (v.vm, v.pkru);
-        let tlb = if self.tlb_enabled {
-            Some(&mut self.tlbs[vcpu_id.0 as usize])
-        } else {
-            None
-        };
-        Self::check_one_page(
-            &self.vms,
-            tlb,
-            &mut self.tlb_trace,
-            vm_id,
-            pkru,
-            addr,
-            access,
-        )
-    }
-
-    /// Translates and checks a `[addr, addr+len)` access, splitting at page
-    /// boundaries into `(phys_base, run_len)` chunks.
-    fn translate_range(
+    /// Translates and checks `[addr, addr+len)` page by page. Returns the
+    /// first run; the runs of any further pages are pushed on
+    /// `self.runs[side]`, so a range inside one page touches no list.
+    #[inline(always)]
+    fn translate(
         &mut self,
-        vcpu_id: VcpuId,
+        vcpu: VcpuId,
         addr: Addr,
         len: u64,
         access: Access,
-    ) -> Result<ChunkList> {
+        side: usize,
+    ) -> Result<Run> {
         let end = addr
             .checked_add(len)
             .ok_or(Fault::AddressOverflow { addr, len })?;
-        let v = &self.vcpus[vcpu_id.0 as usize];
-        let (vm_id, pkru) = (v.vm, v.pkru);
-        let mut tlb = if self.tlb_enabled {
-            Some(&mut self.tlbs[vcpu_id.0 as usize])
-        } else {
-            None
-        };
-        let mut out = ChunkList::new();
-        let mut cur = addr;
-        while cur.0 < end.0 {
-            let page_end = cur.page_align_down().0 + PAGE_SIZE;
-            let run = page_end.min(end.0) - cur.0;
-            let pa = Self::check_one_page(
-                &self.vms,
-                tlb.as_deref_mut(),
-                &mut self.tlb_trace,
-                vm_id,
-                pkru,
-                cur,
-                access,
-            )?;
-            out.push(pa, run);
-            cur = Addr(cur.0 + run);
+        // An empty range translates nothing (and so cannot fault).
+        if len == 0 {
+            return Ok((PhysAddr(0), 0));
         }
-        Ok(out)
+        let first = (PAGE_SIZE - addr.page_offset()).min(len);
+        let pa = self.translate_page(vcpu, addr, access)?;
+        if first < len {
+            self.translate_rest(vcpu, Addr(addr.0 + first), end, access, side)?;
+        }
+        Ok((pa, first))
     }
 
-    /// Whether `[addr, addr+len)` stays within one page and does not
-    /// wrap the address space — the single-translation fast path.
+    /// The pages of a range after its first. Out of line: most accesses
+    /// have none, and the loop's state must not weigh on them.
+    #[inline(never)]
+    fn translate_rest(
+        &mut self,
+        vcpu: VcpuId,
+        mut cur: Addr,
+        end: Addr,
+        access: Access,
+        side: usize,
+    ) -> Result<()> {
+        while cur.0 < end.0 {
+            let run = PAGE_SIZE.min(end.0 - cur.0);
+            let pa = self.translate_page(vcpu, cur, access)?;
+            self.runs[side].push((pa, run));
+            cur = Addr(cur.0 + run);
+        }
+        Ok(())
+    }
+
+    /// The enforcement pipeline of one access, shared by every accessor:
+    /// chaos draw, translation and checks of the whole range (a fault is
+    /// raised before any byte moves), then the cycle charge. Returns the
+    /// range's runs as [`Machine::translate`] leaves them.
+    ///
+    /// Forced inline, like the two routines under it, so that each
+    /// accessor holds the whole one-page pipeline with `len`, `access` and
+    /// `side` folded in; left to the hint, a call per access stays (a
+    /// 64-byte write + read pair reads 20 % slower, EXPERIMENTS.md E25).
+    #[inline(always)]
+    fn access(
+        &mut self,
+        vcpu: VcpuId,
+        addr: Addr,
+        len: u64,
+        access: Access,
+        side: usize,
+    ) -> Result<Run> {
+        self.chaos_access(addr, access)?;
+        self.runs[side].clear();
+        match self.translate(vcpu, addr, len, access, side) {
+            Ok(first) => {
+                self.clock
+                    .advance(self.costs.mem_access + self.costs.copy_cost(len));
+                Ok(first)
+            }
+            Err(f) => Err(self.raise(f)),
+        }
+    }
+
+    /// The runs of a translated range, in address order.
     #[inline]
-    fn single_page(addr: Addr, len: u64) -> bool {
-        addr.page_offset() + len <= PAGE_SIZE && addr.0.checked_add(len).is_some()
+    fn runs(first: Run, rest: &[Run]) -> impl Iterator<Item = Run> + Clone + '_ {
+        std::iter::once(first).chain(rest.iter().copied())
+    }
+
+    /// Calls `f(phys_base, offset, len)` for each run of a translated
+    /// range, `offset` counting the bytes of the runs before it.
+    #[inline]
+    fn each_run(
+        first: Run,
+        rest: &[Run],
+        mut f: impl FnMut(PhysAddr, usize, usize) -> Result<()>,
+    ) -> Result<()> {
+        f(first.0, 0, first.1 as usize)?;
+        let mut off = first.1 as usize;
+        for &(pa, run) in rest {
+            f(pa, off, run as usize)?;
+            off += run as usize;
+        }
+        Ok(())
     }
 
     /// Reads `dst.len()` bytes from `addr` as `vcpu`, enforcing paging and
     /// protection keys, charging cycle costs.
     pub fn read(&mut self, vcpu: VcpuId, addr: Addr, dst: &mut [u8]) -> Result<()> {
-        self.chaos_access(addr, Access::Read)?;
-        let len = dst.len() as u64;
-        if len == 0 {
-            self.clock.advance(self.costs.mem_access);
-            return Ok(());
-        }
-        if Self::single_page(addr, len) {
-            let pa = match self.translate_page(vcpu, addr, Access::Read) {
-                Ok(pa) => pa,
-                Err(f) => return Err(self.raise(f)),
-            };
-            self.clock
-                .advance(self.costs.mem_access + self.costs.copy_cost(len));
-            return self.phys.read(pa, dst);
-        }
-        let chunks = match self.translate_range(vcpu, addr, len, Access::Read) {
-            Ok(c) => c,
-            Err(f) => return Err(self.raise(f)),
-        };
-        self.clock
-            .advance(self.costs.mem_access + self.costs.copy_cost(len));
-        let mut off = 0usize;
-        for (pa, run) in chunks.iter() {
-            self.phys.read(pa, &mut dst[off..off + run as usize])?;
-            off += run as usize;
-        }
-        Ok(())
+        let first = self.access(vcpu, addr, dst.len() as u64, Access::Read, 0)?;
+        Self::each_run(first, &self.runs[0], |pa, off, n| {
+            self.phys.read(pa, &mut dst[off..off + n])
+        })
     }
 
     /// Writes `src` to `addr` as `vcpu`, enforcing paging and protection
     /// keys, charging cycle costs.
     pub fn write(&mut self, vcpu: VcpuId, addr: Addr, src: &[u8]) -> Result<()> {
-        self.chaos_access(addr, Access::Write)?;
-        let len = src.len() as u64;
-        if len == 0 {
-            self.clock.advance(self.costs.mem_access);
-            return Ok(());
-        }
-        if Self::single_page(addr, len) {
-            let pa = match self.translate_page(vcpu, addr, Access::Write) {
-                Ok(pa) => pa,
-                Err(f) => return Err(self.raise(f)),
-            };
-            self.clock
-                .advance(self.costs.mem_access + self.costs.copy_cost(len));
-            return self.phys.write(pa, src);
-        }
-        let chunks = match self.translate_range(vcpu, addr, len, Access::Write) {
-            Ok(c) => c,
-            Err(f) => return Err(self.raise(f)),
-        };
-        self.clock
-            .advance(self.costs.mem_access + self.costs.copy_cost(len));
-        let mut off = 0usize;
-        for (pa, run) in chunks.iter() {
-            self.phys.write(pa, &src[off..off + run as usize])?;
-            off += run as usize;
-        }
-        Ok(())
+        let first = self.access(vcpu, addr, src.len() as u64, Access::Write, 0)?;
+        Self::each_run(first, &self.runs[0], |pa, off, n| {
+            self.phys.write(pa, &src[off..off + n])
+        })
     }
 
     /// Fills `[addr, addr+len)` with `value` as `vcpu`.
     pub fn fill(&mut self, vcpu: VcpuId, addr: Addr, len: u64, value: u8) -> Result<()> {
-        self.chaos_access(addr, Access::Write)?;
-        if len == 0 {
-            self.clock.advance(self.costs.mem_access);
-            return Ok(());
-        }
-        if Self::single_page(addr, len) {
-            let pa = match self.translate_page(vcpu, addr, Access::Write) {
-                Ok(pa) => pa,
-                Err(f) => return Err(self.raise(f)),
-            };
-            self.clock
-                .advance(self.costs.mem_access + self.costs.copy_cost(len));
-            return self.phys.fill(pa, len, value);
-        }
-        let chunks = match self.translate_range(vcpu, addr, len, Access::Write) {
-            Ok(c) => c,
-            Err(f) => return Err(self.raise(f)),
-        };
-        self.clock
-            .advance(self.costs.mem_access + self.costs.copy_cost(len));
-        for (pa, run) in chunks.iter() {
-            self.phys.fill(pa, run, value)?;
-        }
-        Ok(())
+        let first = self.access(vcpu, addr, len, Access::Write, 0)?;
+        Self::each_run(first, &self.runs[0], |pa, _, n| {
+            self.phys.fill(pa, n as u64, value)
+        })
     }
 
-    /// Reads a little-endian `u64` at `addr`. An aligned (or merely
-    /// non-straddling) load takes the single-page fast path in
-    /// [`Machine::read`]: one translation, no chunk list.
+    /// Reads a little-endian `u64` at `addr`: unless it straddles a page,
+    /// one translation and one fixed-width load.
     pub fn read_u64(&mut self, vcpu: VcpuId, addr: Addr) -> Result<u64> {
+        let first = self.access(vcpu, addr, 8, Access::Read, 0)?;
+        if first.1 == 8 {
+            return self.phys.read_u64(first.0);
+        }
         let mut b = [0u8; 8];
-        self.read(vcpu, addr, &mut b)?;
+        Self::each_run(first, &self.runs[0], |pa, off, n| {
+            self.phys.read(pa, &mut b[off..off + n])
+        })?;
         Ok(u64::from_le_bytes(b))
     }
 
-    /// Writes a little-endian `u64` at `addr` (single-page fast path,
-    /// see [`Machine::read_u64`]).
+    /// Writes a little-endian `u64` at `addr` (one fixed-width store, see
+    /// [`Machine::read_u64`]).
     pub fn write_u64(&mut self, vcpu: VcpuId, addr: Addr, v: u64) -> Result<()> {
-        self.write(vcpu, addr, &v.to_le_bytes())
+        let first = self.access(vcpu, addr, 8, Access::Write, 0)?;
+        if first.1 == 8 {
+            return self.phys.write_u64(first.0, v);
+        }
+        let b = v.to_le_bytes();
+        Self::each_run(first, &self.runs[0], |pa, off, n| {
+            self.phys.write(pa, &b[off..off + n])
+        })
     }
 
     /// [`Machine::write_u64`] for stores that repeatedly hit the same
     /// page — batched gates rewriting an RPC descriptor every call.
     ///
-    /// A one-slot cache keeps the last validated (vcpu, page) → physical
-    /// translation; while the VM's page table generation and the vCPU's
+    /// A two-slot cache keeps the last validated (vcpu, page) → physical
+    /// translations; while the VM's page table generation and the vCPU's
     /// PKRU are unchanged, repeat stores skip the walk and the
     /// permission re-checks, which the fill-time success already proved
     /// and the generation/PKRU match proves still hold. Cycle charges,
@@ -727,115 +627,99 @@ impl Machine {
     pub fn write_u64_hot(&mut self, vcpu: VcpuId, addr: Addr, v: u64) -> Result<()> {
         if addr.page_offset() + 8 > PAGE_SIZE {
             // Straddling store: no single translation to cache.
-            return self.write(vcpu, addr, &v.to_le_bytes());
+            return self.write_u64(vcpu, addr, v);
         }
-        self.chaos_access(addr, Access::Write)?;
-        let vpn = addr.vpn().0;
-        for slot in &self.hot_pages {
-            let Some(c) = slot else { continue };
-            let vc = &self.vcpus[vcpu.0 as usize];
-            if c.vcpu == vcpu
-                && c.vm == vc.vm
+        let vc = &self.vcpus[vcpu.0 as usize];
+        let (vm, pkru, vpn) = (vc.vm, vc.pkru, addr.vpn().0);
+        let generation = self.vms[vm.0 as usize].page_table.generation();
+        // The lookup has no side effect, so it may precede the chaos draw.
+        let hit = self.hot_pages.iter().flatten().find(|c| {
+            c.vcpu == vcpu
+                && c.vm == vm
                 && c.vpn == vpn
-                && c.pkru == vc.pkru
-                && c.generation == self.vms[vc.vm.0 as usize].page_table.generation()
-            {
-                // The entry this store would walk to is unchanged since
-                // the fill-time store succeeded through it.
+                && c.pkru == pkru
+                && c.generation == generation
+        });
+        let pa = match hit.map(|c| c.pa_base) {
+            // The entry this store would walk to is unchanged since the
+            // fill-time store succeeded through it.
+            Some(base) => {
+                let pa = PhysAddr(base.0 + addr.page_offset());
+                self.chaos_access(addr, Access::Write)?;
                 if self.tlb_enabled {
                     self.tlb_trace.hit();
                 }
-                let pa = PhysAddr(c.pa_base.0 + addr.page_offset());
                 self.clock
                     .advance(self.costs.mem_access + self.costs.copy_cost(8));
-                return self.phys.write(pa, &v.to_le_bytes());
+                pa
             }
-        }
-        // Miss: the exact single-page `write` body, then fill the slot.
-        let pa = match self.translate_page(vcpu, addr, Access::Write) {
-            Ok(pa) => pa,
-            Err(f) => return Err(self.raise(f)),
+            // Miss: the `write_u64` pipeline, then fill the slot.
+            None => {
+                let (pa, _) = self.access(vcpu, addr, 8, Access::Write, 0)?;
+                self.hot_pages[self.hot_evict] = Some(HotPage {
+                    vcpu,
+                    vm,
+                    vpn,
+                    generation,
+                    pkru,
+                    pa_base: PhysAddr(pa.0 - addr.page_offset()),
+                });
+                self.hot_evict = (self.hot_evict + 1) % 2;
+                pa
+            }
         };
-        self.clock
-            .advance(self.costs.mem_access + self.costs.copy_cost(8));
-        self.phys.write(pa, &v.to_le_bytes())?;
-        let vc = &self.vcpus[vcpu.0 as usize];
-        self.hot_pages[self.hot_evict] = Some(HotPage {
-            vcpu,
-            vm: vc.vm,
-            vpn: addr.vpn().0,
-            generation: self.vms[vc.vm.0 as usize].page_table.generation(),
-            pkru: vc.pkru,
-            pa_base: PhysAddr(pa.0 - addr.page_offset()),
-        });
-        self.hot_evict = (self.hot_evict + 1) % 2;
-        Ok(())
+        self.phys.write_u64(pa, v)
     }
 
     /// Copies `len` bytes from `src` to `dst` within the simulated memory,
     /// checking read rights on the source and write rights on the
-    /// destination. Charges the load half and the store half exactly as a
-    /// `read` followed by a `write` would, but moves the bytes inside
-    /// physical memory ([`PhysMem::copy_within`]) instead of bouncing
-    /// them through a temporary host buffer. Overlapping physical ranges
-    /// fall back to a reusable scratch bounce (memmove semantics).
+    /// destination. Checks, chaos draws and charges are those of a `read`
+    /// of the source followed by a `write` of the destination, but the
+    /// bytes move inside physical memory ([`PhysMem::copy_within`])
+    /// instead of bouncing through a temporary host buffer. Physically
+    /// overlapping ranges copy with memmove semantics.
     pub fn copy(&mut self, vcpu: VcpuId, dst: Addr, src: Addr, len: u64) -> Result<()> {
-        // Checks and charges mirror `read(src)` then `write(dst)` so the
-        // chaos draw order, fault identity and cycle timestamps are
-        // unchanged from the bounce implementation this replaces.
-        self.chaos_access(src, Access::Read)?;
-        let sc = match self.translate_range(vcpu, src, len, Access::Read) {
-            Ok(c) => c,
-            Err(f) => return Err(self.raise(f)),
-        };
-        self.clock
-            .advance(self.costs.mem_access + self.costs.copy_cost(len));
-        self.chaos_access(dst, Access::Write)?;
-        let dc = match self.translate_range(vcpu, dst, len, Access::Write) {
-            Ok(c) => c,
-            Err(f) => return Err(self.raise(f)),
-        };
-        self.clock
-            .advance(self.costs.mem_access + self.costs.copy_cost(len));
-        if sc.overlaps(&dc) {
-            // Rare aliased case: snapshot the source through a reusable
-            // scratch buffer so the destination sees the pre-copy bytes.
+        let s = self.access(vcpu, src, len, Access::Read, 0)?;
+        let d = self.access(vcpu, dst, len, Access::Write, 1)?;
+        if s.1 == len && d.1 == len {
+            // One page per side: one move, which is a memmove.
+            return self.phys.copy_within(d.0, s.0, len);
+        }
+        let mut sruns = Self::runs(s, &self.runs[0]);
+        let mut druns = Self::runs(d, &self.runs[1]);
+        let aliased = sruns.clone().any(|(sa, sl)| {
+            druns
+                .clone()
+                .any(|(da, dl)| sa.0 < da.0 + dl && da.0 < sa.0 + sl)
+        });
+        if aliased {
+            // Rare: snapshot the source through a reusable scratch buffer
+            // so the destination sees the pre-copy bytes.
             self.scratch.clear();
             self.scratch.resize(len as usize, 0);
-            let mut off = 0usize;
-            for (pa, run) in sc.iter() {
-                let run = run as usize;
-                self.phys.read(pa, &mut self.scratch[off..off + run])?;
-                off += run;
-            }
-            let mut off = 0usize;
-            for (pa, run) in dc.iter() {
-                let run = run as usize;
-                self.phys.write(pa, &self.scratch[off..off + run])?;
-                off += run;
-            }
-        } else {
-            // Disjoint chunks: walk both chunk lists in lockstep and move
-            // each common run directly inside physical memory.
-            let (mut si, mut di) = (0usize, 0usize);
-            let (mut s_off, mut d_off) = (0u64, 0u64);
-            while si < sc.len() && di < dc.len() {
-                let (spa, srun) = sc.get(si);
-                let (dpa, drun) = dc.get(di);
-                let n = (srun - s_off).min(drun - d_off);
-                self.phys
-                    .copy_within(PhysAddr(dpa.0 + d_off), PhysAddr(spa.0 + s_off), n)?;
-                s_off += n;
-                d_off += n;
-                if s_off == srun {
-                    si += 1;
-                    s_off = 0;
-                }
-                if d_off == drun {
-                    di += 1;
-                    d_off = 0;
-                }
-            }
+            Self::each_run(s, &self.runs[0], |pa, off, n| {
+                self.phys.read(pa, &mut self.scratch[off..off + n])
+            })?;
+            return Self::each_run(d, &self.runs[1], |pa, off, n| {
+                self.phys.write(pa, &self.scratch[off..off + n])
+            });
+        }
+        // Disjoint: walk both sides in lockstep and move each common run
+        // directly inside physical memory.
+        let (mut sr, mut dr) = (sruns.next(), druns.next());
+        while let (Some((spa, sl)), Some((dpa, dl))) = (sr, dr) {
+            let n = sl.min(dl);
+            self.phys.copy_within(dpa, spa, n)?;
+            sr = if n == sl {
+                sruns.next()
+            } else {
+                Some((PhysAddr(spa.0 + n), sl - n))
+            };
+            dr = if n == dl {
+                druns.next()
+            } else {
+                Some((PhysAddr(dpa.0 + n), dl - n))
+            };
         }
         Ok(())
     }
@@ -1449,6 +1333,120 @@ mod tests {
         let mut buf = [0u8; 7];
         m.read(VcpuId(0), dst, &mut buf).unwrap();
         assert_eq!(&buf, b"payload");
+    }
+
+    /// Three virtually contiguous pages of VM 0 whose frames are not
+    /// adjacent (a frame of VM 1 sits between each two), the third
+    /// unmapped again.
+    fn scattered_pages(m: &mut Machine) -> Addr {
+        let vm1 = m.add_vm(true);
+        let page = |m: &mut Machine| {
+            m.alloc_region(vm1, PAGE_SIZE, ProtKey(0), PageFlags::RW)
+                .unwrap();
+            m.alloc_region(VmId(0), PAGE_SIZE, ProtKey(0), PageFlags::RW)
+                .unwrap()
+        };
+        let base = page(m);
+        page(m);
+        let third = page(m);
+        m.unmap_region(VmId(0), third, PAGE_SIZE).unwrap();
+        base
+    }
+
+    #[test]
+    fn a_range_is_checked_whole_before_a_byte_moves_or_its_cycles_are_charged() {
+        let mut m = machine();
+        let base = scattered_pages(&mut m);
+        let v = VcpuId(0);
+        let (second, third) = (Addr(base.0 + PAGE_SIZE), Addr(base.0 + 2 * PAGE_SIZE));
+        m.fill(v, second, PAGE_SIZE, 0x5a).unwrap();
+        // Every accessor, over a range whose tail is the unmapped page.
+        let at = Addr(third.0 - 3);
+        type Access<'a> = &'a dyn Fn(&mut Machine) -> Result<()>;
+        let accesses: [Access; 7] = [
+            &|m| m.read(v, at, &mut [0u8; 6]),
+            &|m| m.write(v, at, b"abcdef"),
+            &|m| m.fill(v, at, 6, 1),
+            &|m| m.copy(v, at, base, 6),
+            &|m| m.copy(v, base, at, 6),
+            &|m| m.write_u64(v, at, u64::MAX),
+            &|m| m.read_u64(v, at).map(|_| ()),
+        ];
+        for (i, access) in accesses.iter().enumerate() {
+            let t0 = m.clock().cycles();
+            let fault = access(&mut m).unwrap_err();
+            let at_third = matches!(fault, Fault::PageNotPresent { addr, .. } if addr == third);
+            assert!(at_third, "access {i}: {fault:?}");
+            // Only `copy(at, base)` got anywhere: its source half.
+            let charged = if i == 3 {
+                m.costs().mem_access + m.costs().copy_cost(6)
+            } else {
+                0
+            };
+            assert_eq!(m.clock().cycles() - t0, charged, "access {i}");
+        }
+        let mut page = vec![0u8; PAGE_SIZE as usize];
+        m.read(v, second, &mut page).unwrap();
+        assert!(page.iter().all(|&b| b == 0x5a), "a faulting access wrote");
+    }
+
+    #[test]
+    fn a_straddling_access_follows_the_page_table_not_the_frame_order() {
+        let mut m = machine();
+        let base = scattered_pages(&mut m);
+        let v = VcpuId(0);
+        let at = Addr(base.0 + PAGE_SIZE - 3);
+        let tail = |m: &mut Machine| {
+            let (mut head, mut tail) = ([0u8; 3], [0u8; 5]);
+            m.read(v, at, &mut head).unwrap();
+            m.read(v, Addr(base.0 + PAGE_SIZE), &mut tail).unwrap();
+            [head.as_slice(), tail.as_slice()].concat()
+        };
+        m.write(v, at, b"abcdefgh").unwrap();
+        assert_eq!(tail(&mut m), b"abcdefgh");
+        m.write_u64(v, at, 0x0807_0605_0403_0201).unwrap();
+        assert_eq!(tail(&mut m), [1, 2, 3, 4, 5, 6, 7, 8]);
+        assert_eq!(m.read_u64(v, at).unwrap(), 0x0807_0605_0403_0201);
+        m.write_u64_hot(v, at, 0x1817_1615_1413_1211).unwrap();
+        assert_eq!(m.read_u64(v, at).unwrap(), 0x1817_1615_1413_1211);
+        m.write(v, base, b"ABCDEFGH").unwrap();
+        m.copy(v, at, base, 8).unwrap();
+        assert_eq!(tail(&mut m), b"ABCDEFGH");
+        m.fill(v, at, 8, 7).unwrap();
+        assert_eq!(tail(&mut m), [7; 8]);
+    }
+
+    /// The one case `tests/copy_equiv.rs` cannot build through the public
+    /// API: two pages of one VM on one frame, so source and destination
+    /// differ virtually and overlap physically.
+    #[test]
+    fn copy_between_two_views_of_one_frame_is_a_memmove() {
+        for pages in [1, 2] {
+            let mut m = machine();
+            let v = VcpuId(0);
+            let bytes = pages * PAGE_SIZE;
+            let a = m
+                .alloc_region(VmId(0), bytes, ProtKey(0), PageFlags::RW)
+                .unwrap();
+            let vm = &mut m.vms[0];
+            let alias = Vpn(vm.reserve_vpns(pages));
+            for i in 0..pages {
+                let entry = vm.page_table.walk(Vpn(a.vpn().0 + i)).unwrap();
+                assert!(vm.page_table.map(Vpn(alias.0 + i), entry));
+            }
+            let pattern: Vec<u8> = (0..bytes).map(|i| (i * 7 + i / 256) as u8).collect();
+            let len = bytes - 100;
+            for (dst_off, src_off) in [(10, 0), (0, 10)] {
+                m.write(v, a, &pattern).unwrap();
+                let (dst, src) = (Addr(alias.base().0 + dst_off), Addr(a.0 + src_off));
+                m.copy(v, dst, src, len).unwrap();
+                let mut want = pattern.clone();
+                want.copy_within(src_off as usize..(src_off + len) as usize, dst_off as usize);
+                let mut got = vec![0u8; bytes as usize];
+                m.read(v, a, &mut got).unwrap();
+                assert_eq!(got, want, "{pages} page(s), dst +{dst_off}, src +{src_off}");
+            }
+        }
     }
 
     #[test]

@@ -61,6 +61,23 @@ impl PhysMem {
         Ok(())
     }
 
+    /// Reads the little-endian `u64` at `at`: a fixed-width load.
+    pub fn read_u64(&self, at: PhysAddr) -> Result<u64> {
+        let r = self.range(at, 8)?;
+        let b: [u8; 8] = self.bytes[r].try_into().expect("range() returned 8 bytes");
+        Ok(u64::from_le_bytes(b))
+    }
+
+    /// Writes `v` little-endian at `at`: a fixed-width store.
+    pub fn write_u64(&mut self, at: PhysAddr, v: u64) -> Result<()> {
+        let r = self.range(at, 8)?;
+        let b: &mut [u8; 8] = (&mut self.bytes[r])
+            .try_into()
+            .expect("range() returned 8 bytes");
+        *b = v.to_le_bytes();
+        Ok(())
+    }
+
     /// Fills `len` bytes starting at `at` with `value`.
     pub fn fill(&mut self, at: PhysAddr, len: u64, value: u8) -> Result<()> {
         let r = self.range(at, len)?;
