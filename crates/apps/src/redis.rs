@@ -311,6 +311,8 @@ impl Db {
                 match os.malloc_in(self.c_app, value.len().max(1) as u64) {
                     Ok(addr) => {
                         if let Err(f) = os.img.write(addr, value) {
+                            // The block never reached the store.
+                            let _ = os.free_in(self.c_app, addr);
                             return put_error(out, format_args!("fault: {f}"));
                         }
                         let entry = (addr, value.len() as u64);
@@ -820,6 +822,48 @@ mod tests {
         let (answer, eof) = raw_exchange(b"+OK\r\n*1\r\n$4\r\nPING\r\n");
         assert_eq!(answer, b"-ERR protocol error\r\n+PONG\r\n");
         assert!(!eof);
+    }
+
+    #[test]
+    fn set_whose_store_faults_gives_its_block_back() {
+        let mut rig = Rig::boot(&RedisParams::default()).expect("rig boots");
+        let os = &mut rig.os;
+        let c_app = os.roles.app;
+        let mut db = Db {
+            store: FixedMap::default(),
+            c_app,
+            value_buf: Vec::new(),
+        };
+        let set = |db: &mut Db, os: &mut Os, value: &[u8]| {
+            let wire = [b"SETk", value].concat();
+            let mut out = Vec::new();
+            db.execute(
+                os,
+                &Command::new(&wire, &[0..3, 3..4, 4..wire.len()]),
+                &mut out,
+            );
+            out
+        };
+        let live = |os: &Os| os.img.heaps.allocator_for(c_app).stats().live_bytes;
+
+        assert_eq!(set(&mut db, os, b"first"), resp::OK);
+        let before = live(os);
+        os.img.machine.set_chaos(ChaosPlan::new(ChaosConfig {
+            spurious_pkey: Schedule::EveryNth(1),
+            ..ChaosConfig::with_seed(1)
+        }));
+        let reply = set(&mut db, os, b"a longer second value");
+        assert!(
+            reply.starts_with(b"-ERR fault:"),
+            "{:?}",
+            String::from_utf8_lossy(&reply)
+        );
+        assert_eq!(live(os), before, "the faulted SET leaked its block");
+        os.img.machine.clear_chaos();
+        // The key still holds what the last successful SET stored.
+        assert_eq!(db.store.get(&b"k"[..]).map(|&(_, len)| len), Some(5));
+        assert_eq!(set(&mut db, os, b"third"), resp::OK);
+        assert_eq!(live(os), before);
     }
 
     #[test]

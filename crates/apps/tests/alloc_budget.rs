@@ -48,9 +48,13 @@ fn redis_get_pipelined_allocates_less_than_once_per_two_requests() {
         .expect("redis run succeeds");
         assert!(r.ops >= ops);
     });
+    // Measured 0.00025 (one allocation in the second 4000 requests): the
+    // simulated heap's live table and free vector grow during the preload
+    // and never on a request.
     assert!(
-        per_request <= 0.5,
-        "{per_request} > 0.5 (was 21.3 before the streaming codec, 0.81 before frames were recycled)"
+        per_request <= 0.01,
+        "{per_request} > 0.01 (was 21.3 before the streaming codec, 0.81 before frames were \
+         recycled; the bound was 0.5 until PR 18)"
     );
 }
 

@@ -124,7 +124,7 @@ impl BootImage {
 
     /// Frees shared data.
     pub fn free_shared(&mut self, addr: Addr) -> Result<()> {
-        self.shared_alloc.free(&mut self.machine, addr)
+        self.shared_alloc.free(&mut self.machine, addr).map(drop)
     }
 
     /// Writes as the current compartment.

@@ -2,9 +2,12 @@
 //!
 //! Compares the three allocator implementations under a mixed workload,
 //! and the global-vs-per-compartment topology under instrumentation —
-//! the mechanism behind Figure 4's allocator result.
+//! the mechanism behind Figure 4's allocator result. `freelist_fragmented`
+//! is the free list's worst case: the booted heaps never hold more than
+//! two free blocks (DESIGN.md §6.13), this group shows what a sorted
+//! vector costs when a heap holds thousands.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use flexos::build::BackendChoice;
 use flexos_apps::redis::{run_redis, Mix, RedisParams};
 use flexos_apps::CompartmentModel;
@@ -61,6 +64,46 @@ fn bench_allocators(c: &mut Criterion) {
     g.finish();
 }
 
+/// A 1 MiB heap with `free_blocks` free blocks: a checkerboard of
+/// 64-byte holes from the bottom up, then the untouched tail.
+fn checkerboard(m: &mut Machine, free_blocks: usize) -> FreeListAllocator {
+    let base = m
+        .alloc_region(VmId(0), 1 << 20, ProtKey(0), PageFlags::RW)
+        .unwrap();
+    let mut a = FreeListAllocator::new(base, 1 << 20);
+    let blocks: Vec<_> = (0..2 * (free_blocks - 1))
+        .map(|_| a.alloc(m, 64, 16).unwrap())
+        .collect();
+    for &p in blocks.iter().step_by(2) {
+        a.free(m, p).unwrap();
+    }
+    assert_eq!(a.free_blocks(), free_blocks);
+    a
+}
+
+/// 10 000 alloc/free pairs per iteration. A 64-byte pair takes and
+/// returns the lowest hole (every later slot shifts, twice); a 4 KiB
+/// pair scans past every hole to the tail and edits it in place.
+fn bench_fragmented(c: &mut Criterion) {
+    let mut g = c.benchmark_group("freelist_fragmented");
+    for free_blocks in [1usize, 64, 4096] {
+        for (name, size) in [("pairs_64b", 64u64), ("pairs_4k", 4096)] {
+            let mut m = Machine::with_defaults();
+            let mut a = checkerboard(&mut m, free_blocks);
+            g.bench_function(BenchmarkId::new(name, free_blocks), |b| {
+                b.iter(|| {
+                    for _ in 0..10_000 {
+                        let p = a.alloc(&mut m, size, 16).unwrap();
+                        a.free(&mut m, p).unwrap();
+                    }
+                })
+            });
+            assert_eq!(a.free_blocks(), free_blocks);
+        }
+    }
+    g.finish();
+}
+
 fn bench_topology(c: &mut Criterion) {
     let mut g = c.benchmark_group("allocator_topology_under_sh");
     g.sample_size(10);
@@ -84,5 +127,5 @@ fn bench_topology(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_allocators, bench_topology);
+criterion_group!(benches, bench_allocators, bench_fragmented, bench_topology);
 criterion_main!(benches);

@@ -79,6 +79,7 @@ impl BuddyAllocator {
 impl Allocator for BuddyAllocator {
     fn alloc(&mut self, m: &mut Machine, size: u64, align: u64) -> Result<Addr> {
         m.charge(m.costs().alloc_op);
+        let size = size.max(1);
         // Buddy blocks are naturally aligned to their size; bump the order
         // until alignment is satisfied.
         let mut order = self.order_for(size.max(align));
@@ -109,7 +110,7 @@ impl Allocator for BuddyAllocator {
         Ok(Addr(self.base.0 + off))
     }
 
-    fn free(&mut self, m: &mut Machine, addr: Addr) -> Result<()> {
+    fn free(&mut self, m: &mut Machine, addr: Addr) -> Result<u64> {
         m.charge(m.costs().alloc_op);
         let mut off = addr.0.wrapping_sub(self.base.0);
         let Some((mut order, size)) = self.live.remove(&off) else {
@@ -129,7 +130,7 @@ impl Allocator for BuddyAllocator {
             order += 1;
         }
         self.free[order as usize].insert(off);
-        Ok(())
+        Ok(size)
     }
 
     fn size_of(&self, addr: Addr) -> Option<u64> {

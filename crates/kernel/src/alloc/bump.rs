@@ -62,13 +62,13 @@ impl Allocator for BumpAllocator {
         Ok(Addr(self.base.0 + start))
     }
 
-    fn free(&mut self, m: &mut Machine, addr: Addr) -> Result<()> {
+    fn free(&mut self, m: &mut Machine, addr: Addr) -> Result<u64> {
         m.charge(m.costs().alloc_op / 2);
         let off = addr.0.wrapping_sub(self.base.0);
         match self.live.remove(&off) {
             Some(size) => {
                 self.stats.on_free(size);
-                Ok(())
+                Ok(size)
             }
             None => Err(Fault::HardeningAbort {
                 mechanism: "alloc",

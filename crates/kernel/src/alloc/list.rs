@@ -1,9 +1,16 @@
 //! First-fit free-list allocator with coalescing — the general-purpose
 //! heap (the role Unikraft's default allocator plays).
+//!
+//! Host-side bookkeeping is flat (DESIGN.md §6.13): the free blocks are
+//! a vector sorted by offset and the live blocks a hashed table, because
+//! every heap this workspace boots holds a handful of each. `alloc` is an
+//! O(free blocks) scan over contiguous memory with at most one element
+//! shifted in or out; `free` is an O(1) lookup, an O(log n) search and at
+//! most one O(n) shift. `tests/alloc_equiv.rs` holds the ordered-map
+//! reference the decisions are differenced against.
 
 use super::{align_up, heap_exhausted, AllocStats, Allocator};
-use flexos_machine::{Addr, Fault, Machine, Result};
-use std::collections::BTreeMap;
+use flexos_machine::{Addr, Fault, FixedMap, Machine, Result};
 
 /// Minimum block granularity (keeps fragmentation bookkeeping sane).
 const GRAIN: u64 = 16;
@@ -18,26 +25,24 @@ const GRAIN: u64 = 16;
 pub struct FreeListAllocator {
     base: Addr,
     len: u64,
-    /// Free blocks: offset → length; disjoint and coalesced.
-    free: BTreeMap<u64, u64>,
+    /// Free blocks `(offset, length)`, sorted by offset; disjoint and
+    /// coalesced.
+    free: Vec<(u64, u64)>,
     /// Live blocks: payload offset → (block offset, block length,
-    /// requested size).
-    live: BTreeMap<u64, (u64, u64, u64)>,
+    /// requested size). Probed and, in `audit`, sorted — never iterated
+    /// for an output.
+    live: FixedMap<u64, (u64, u64, u64)>,
     stats: AllocStats,
 }
 
 impl FreeListAllocator {
     /// Creates an allocator over the region.
     pub fn new(base: Addr, len: u64) -> Self {
-        let mut free = BTreeMap::new();
-        if len > 0 {
-            free.insert(0, len);
-        }
         Self {
             base,
             len,
-            free,
-            live: BTreeMap::new(),
+            free: if len > 0 { vec![(0, len)] } else { Vec::new() },
+            live: FixedMap::default(),
             stats: AllocStats::default(),
         }
     }
@@ -49,7 +54,7 @@ impl FreeListAllocator {
 
     /// Total free bytes.
     pub fn free_bytes(&self) -> u64 {
-        self.free.values().sum()
+        self.free.iter().map(|&(_, len)| len).sum()
     }
 
     /// Checks internal invariants: free and live blocks are disjoint,
@@ -58,7 +63,7 @@ impl FreeListAllocator {
         let mut blocks: Vec<(u64, u64, bool)> = self
             .free
             .iter()
-            .map(|(&o, &l)| (o, l, true))
+            .map(|&(o, l)| (o, l, true))
             .chain(self.live.values().map(|&(o, l, _)| (o, l, false)))
             .collect();
         blocks.sort_unstable();
@@ -77,21 +82,21 @@ impl FreeListAllocator {
         cursor == self.len
     }
 
-    fn insert_free_coalescing(&mut self, mut start: u64, mut len: u64) {
-        if let Some((&poff, &plen)) = self.free.range(..start).next_back() {
-            if poff + plen == start {
-                self.free.remove(&poff);
-                start = poff;
-                len += plen;
+    /// Returns `[start, start+len)` to the free list, merging it with a
+    /// free neighbour on either side.
+    fn insert_free_coalescing(&mut self, start: u64, len: u64) {
+        let i = self.free.partition_point(|&(off, _)| off < start);
+        let joins_left = i > 0 && self.free[i - 1].0 + self.free[i - 1].1 == start;
+        let joins_right = i < self.free.len() && self.free[i].0 == start + len;
+        match (joins_left, joins_right) {
+            (true, true) => {
+                self.free[i - 1].1 += len + self.free[i].1;
+                self.free.remove(i);
             }
+            (true, false) => self.free[i - 1].1 += len,
+            (false, true) => self.free[i] = (start, len + self.free[i].1),
+            (false, false) => self.free.insert(i, (start, len)),
         }
-        if let Some((&noff, &nlen)) = self.free.range(start..).next() {
-            if noff == start + len {
-                self.free.remove(&noff);
-                len += nlen;
-            }
-        }
-        self.free.insert(start, len);
     }
 }
 
@@ -99,46 +104,44 @@ impl Allocator for FreeListAllocator {
     fn alloc(&mut self, m: &mut Machine, size: u64, align: u64) -> Result<Addr> {
         m.charge(m.costs().alloc_op);
         let size = size.max(1);
+        let base = self.base.0;
         // First fit: the lowest free block that can host an aligned payload.
-        let mut found: Option<(u64, u64, u64)> = None; // (block_off, block_len, payload_off)
-        for (&off, &blen) in &self.free {
-            let payload = align_up(self.base.0 + off, align) - self.base.0;
+        let fit = self.free.iter().enumerate().find_map(|(i, &(off, blen))| {
+            let payload = align_up(base + off, align) - base;
             let head_pad = payload - off;
-            if head_pad <= blen && blen - head_pad >= size {
-                found = Some((off, blen, payload));
-                break;
-            }
-        }
-        let Some((off, blen, payload)) = found else {
+            (head_pad <= blen && blen - head_pad >= size).then_some((i, off, blen, payload))
+        });
+        let Some((i, off, blen, payload)) = fit else {
             return Err(heap_exhausted(size));
         };
-        self.free.remove(&off);
 
-        // Return a head split if it is big enough to be useful.
+        // A head or tail split goes back to the free list if it is big
+        // enough to be useful; otherwise it stays in the block. The slot
+        // found is edited in place: `off < used_end < next block`, so
+        // the order holds.
         let head_pad = payload - off;
-        let block_off = if head_pad >= GRAIN {
-            self.free.insert(off, head_pad);
-            payload
-        } else {
-            off
-        };
-        // Return a tail split if big enough; otherwise keep it in the block.
         let used_end = payload + size;
         let tail = off + blen - used_end;
-        let block_end = if tail >= GRAIN {
-            self.free.insert(used_end, tail);
-            used_end
-        } else {
-            off + blen
-        };
+        let (keep_head, keep_tail) = (head_pad >= GRAIN, tail >= GRAIN);
+        let block_off = if keep_head { payload } else { off };
+        let block_end = if keep_tail { used_end } else { off + blen };
+        match (keep_head, keep_tail) {
+            (true, true) => {
+                self.free[i].1 = head_pad;
+                self.free.insert(i + 1, (used_end, tail));
+            }
+            (true, false) => self.free[i].1 = head_pad,
+            (false, true) => self.free[i] = (used_end, tail),
+            (false, false) => drop(self.free.remove(i)),
+        }
 
         self.live
             .insert(payload, (block_off, block_end - block_off, size));
         self.stats.on_alloc(size);
-        Ok(Addr(self.base.0 + payload))
+        Ok(Addr(base + payload))
     }
 
-    fn free(&mut self, m: &mut Machine, addr: Addr) -> Result<()> {
+    fn free(&mut self, m: &mut Machine, addr: Addr) -> Result<u64> {
         m.charge(m.costs().alloc_op);
         let payload = addr.0.wrapping_sub(self.base.0);
         let Some((block_off, block_len, size)) = self.live.remove(&payload) else {
@@ -149,7 +152,7 @@ impl Allocator for FreeListAllocator {
         };
         self.stats.on_free(size);
         self.insert_free_coalescing(block_off, block_len);
-        Ok(())
+        Ok(size)
     }
 
     fn size_of(&self, addr: Addr) -> Option<u64> {

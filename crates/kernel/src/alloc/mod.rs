@@ -61,11 +61,15 @@ impl AllocStats {
 /// pressure shows up in throughput numbers.
 pub trait Allocator: std::fmt::Debug {
     /// Allocates `size` bytes aligned to `align` (a power of two).
-    /// Returns the payload address.
+    /// Returns the payload address. A zero-size request is a valid
+    /// allocation accounted as one byte (`size.max(1)`) by `size_of`,
+    /// `stats` and `free` alike.
     fn alloc(&mut self, m: &mut Machine, size: u64, align: u64) -> Result<Addr>;
 
-    /// Frees an allocation previously returned by [`Allocator::alloc`].
-    fn free(&mut self, m: &mut Machine, addr: Addr) -> Result<()>;
+    /// Frees an allocation previously returned by [`Allocator::alloc`],
+    /// returning the size it was accounted at (what [`Allocator::size_of`]
+    /// said and what leaves `stats().live_bytes`).
+    fn free(&mut self, m: &mut Machine, addr: Addr) -> Result<u64>;
 
     /// Size of the live allocation at `addr`, if any (used by hardening
     /// layers for bounds metadata).

@@ -92,7 +92,8 @@ impl HeapService {
         let i = self.index(c);
         match self.allocators[i].alloc(m, size, align) {
             Ok(a) => {
-                self.trace.on_alloc(c.0, size);
+                // What the allocator accounted and `free` will hand back.
+                self.trace.on_alloc(c.0, size.max(1));
                 Ok(a)
             }
             Err(f) => {
@@ -105,9 +106,7 @@ impl HeapService {
     /// Frees into the allocator serving compartment `c`.
     pub fn free(&mut self, m: &mut Machine, c: CompartmentId, addr: Addr) -> Result<()> {
         let i = self.index(c);
-        let before = self.allocators[i].stats().live_bytes;
-        self.allocators[i].free(m, addr)?;
-        let freed = before.saturating_sub(self.allocators[i].stats().live_bytes);
+        let freed = self.allocators[i].free(m, addr)?;
         self.trace.on_free(c.0, freed);
         Ok(())
     }
@@ -189,6 +188,28 @@ mod tests {
         // Freeing into the wrong compartment's allocator is caught.
         let b = svc.alloc(&mut m, CompartmentId(0), 64, 8).unwrap();
         assert!(svc.free(&mut m, CompartmentId(1), b).is_err());
+    }
+
+    #[test]
+    fn zero_size_pair_leaves_bytes_in_use_where_it_was() {
+        let (mut m, mut svc) = two_heaps();
+        let c = CompartmentId(1);
+        let held = svc.alloc(&mut m, c, 64, 8).unwrap();
+        let before = svc.trace().counters(1).bytes_in_use;
+        for _ in 0..3 {
+            let z = svc.alloc(&mut m, c, 0, 8).unwrap();
+            // The trace and the allocator account the same byte.
+            if cfg!(not(feature = "trace-off")) {
+                assert_eq!(
+                    svc.trace().counters(1).bytes_in_use,
+                    svc.allocator_for(c).stats().live_bytes
+                );
+            }
+            svc.free(&mut m, c, z).unwrap();
+        }
+        assert_eq!(svc.trace().counters(1).bytes_in_use, before);
+        svc.free(&mut m, c, held).unwrap();
+        assert_eq!(svc.trace().counters(1).bytes_in_use, 0);
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! The workspace's one non-SipHash hasher, for tables on a per-segment
-//! or per-request path whose iteration order nothing consumes (the TCP
-//! demux table, the Redis store, the serving tier's shard stores).
+//! or per-request path whose iteration order nothing consumes (the
+//! kernel heap's live-block table, the TCP demux table, the Redis store,
+//! the serving tier's shard stores). It lives in this crate because it is
+//! the lowest one all of those see; `flexos_net` re-exports it.
 //!
 //! Fixed and unkeyed on purpose: the simulator is fed by its own load
 //! generators, so a crafted-collision attack has no attacker, a

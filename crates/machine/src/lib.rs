@@ -21,6 +21,10 @@
 //!   charges a calibrated cost; throughput numbers in the benchmark
 //!   harness are derived purely from this clock, making every experiment
 //!   bit-for-bit reproducible.
+//! * **Host-side utility** ([`hash`]) — the workspace's one fixed,
+//!   unkeyed hasher, here because every crate that keeps a probed-only
+//!   table on a hot path (the kernel heap, the TCP demux, the stores)
+//!   sees this one.
 //!
 //! The enforcement is real within the model: data lives in simulated
 //! physical memory and every access is translated and permission-checked,
@@ -58,6 +62,7 @@ pub mod clock;
 pub mod cpu;
 pub mod fault;
 pub mod frame;
+pub mod hash;
 pub mod machine;
 pub mod mem;
 pub mod page;
@@ -72,6 +77,7 @@ pub use chaos::{ChaosConfig, ChaosPlan, ChaosStats, NotifyFate, Schedule, SplitM
 pub use clock::{cycles_to_nanos, nanos_to_cycles, throughput_mbps, Clock, CostTable, CPU_FREQ_HZ};
 pub use cpu::{PkruGuard, Vcpu, VcpuId};
 pub use fault::{Fault, Result};
+pub use hash::{FixedHasher, FixedMap};
 pub use machine::{GateToken, Machine, MachineConfig};
 pub use page::PageFlags;
 pub use pkey::{Access, Pkru, ProtKey};

@@ -19,8 +19,9 @@
 //!   `recv`, plus UDP) and the poll loop, with per-packet cost
 //!   accounting (including the Xen hypervisor tax used by Figure 3's
 //!   Xen curves);
-//! * [`hash`] — the one fixed, unkeyed hasher behind the demux table
-//!   and the serving tier's stores (never iterated, so never an output).
+//! * [`hash`] — the workspace's one fixed, unkeyed hasher (it lives in
+//!   `flexos-machine` so the kernel heap can share it; re-exported here
+//!   for the demux table and the serving tier's stores).
 //!
 //! The iperf and Redis workloads of the paper's §4 run over this stack
 //! in the `flexos-apps` crate, with the stack placed in its own
@@ -30,7 +31,6 @@
 #![warn(missing_docs)]
 
 pub mod event;
-pub mod hash;
 pub mod nic;
 pub mod ring;
 pub mod stack;
@@ -38,7 +38,7 @@ pub mod tcp;
 pub mod wire;
 
 pub use event::{EventQueue, Interest, ReadyEvent, Trigger};
-pub use hash::{FixedHasher, FixedMap};
+pub use flexos_machine::hash::{self, FixedHasher, FixedMap};
 pub use nic::{Link, LinkChaos, LinkFaults, Nic, NicStats};
 pub use ring::SimRing;
 pub use stack::{NetError, NetResult, NetStack, SocketId, StackStats};
