@@ -48,7 +48,7 @@ use crate::resp::{
 };
 use flexos::build::{plan, BackendChoice, ImageConfig};
 use flexos::gate::{CompartmentId, Sqe};
-use flexos_backends::BootOptions;
+use flexos_backends::{BootImage, BootOptions};
 use flexos_kernel::smp::run_on_threads;
 use flexos_kernel::{CoExecutor, CoPoll, CoTask, CoTaskId, WorkStealQueue};
 use flexos_machine::{Addr, Machine, PAGE_SIZE};
@@ -443,16 +443,17 @@ impl ConnTask {
             if count == 0 {
                 continue;
             }
-            w.os.img.gates.ensure_ring_depth(w.shard_comps[k], count);
+            // Routed by the compartment id resolved at boot, not by a
+            // scan of the library list per call.
+            let target = w.shard_comps[k];
+            w.os.img.gates.ensure_ring_depth(target, count);
             for (idx, op) in w.ops_scratch.iter().enumerate() {
                 if op.shard != k {
                     continue;
                 }
                 w.os.img
-                    .submit_lib(
-                        SHARD_NAMES[k],
-                        Sqe::new(32, 8, idx as u64).with_span(op.span),
-                    )
+                    .gates
+                    .submit(target, Sqe::new(32, 8, idx as u64).with_span(op.span))
                     .map_err(|f| f.to_string())?;
             }
             let ServeWorld {
@@ -470,8 +471,9 @@ impl ConnTask {
             let store = &mut shards[k];
             let sops = &mut shard_ops[k];
             let (shard_vcpu, proxy_vcpu) = (shard_vcpus[k], *app_vcpu);
-            os.img
-                .call_lib_async(SHARD_NAMES[k], |m, _rt, sqe| {
+            let BootImage { machine, gates, .. } = &mut os.img;
+            gates
+                .flush_async(machine, target, |m, _rt, sqe| {
                     let op = &mut ops_scratch[sqe.user_data as usize];
                     let cmd = Command::new(arg_bytes, &arg_spans[op.args.clone()]);
                     let t0 = m.clock().cycles();
@@ -495,7 +497,7 @@ impl ConnTask {
                 })
                 .map_err(|f| f.to_string())?;
             // Drain the completions; the replies already live host-side.
-            while os.img.reap_lib(SHARD_NAMES[k]).is_ok() {}
+            while gates.reap(target).is_ok() {}
         }
         // Reassemble in request order, ending each span only when its
         // reply's last byte leaves the server (in `flush`).

@@ -10,6 +10,7 @@
 //! allocators, maps the shared window, and installs the backend's gate
 //! into a [`GateRuntime`].
 
+use crate::cheri::CheriGate;
 use crate::mpk::{MpkSharedGate, MpkSwitchedGate};
 use crate::vmrpc::VmRpcGate;
 use flexos::build::{BackendChoice, ImagePlan, LibRole};
@@ -18,7 +19,7 @@ use flexos::gate::{
 };
 use flexos_kernel::alloc::{Allocator, FreeListAllocator, HeapService};
 use flexos_machine::{
-    Addr, Fault, Machine, MachineConfig, PageFlags, Pkru, ProtKey, Result, VcpuId, VmId,
+    Addr, Fault, GateToken, Machine, MachineConfig, PageFlags, Pkru, ProtKey, Result, VcpuId, VmId,
 };
 use std::sync::Arc;
 
@@ -239,6 +240,25 @@ impl BootImage {
     }
 }
 
+/// Wires the one gate of `backend` over `compartments` — the loader's
+/// step shared by both boots and by live migration. This is where the
+/// CHERI gate's sealed entry capabilities are minted; `rpc_base` is read
+/// by the VM-RPC gate only.
+pub(crate) fn wire_gate(
+    backend: BackendChoice,
+    token: GateToken,
+    rpc_base: Addr,
+    compartments: &[CompartmentCtx],
+) -> Result<Arc<dyn Gate>> {
+    Ok(match backend {
+        BackendChoice::None => Arc::new(DirectGate),
+        BackendChoice::MpkShared => Arc::new(MpkSharedGate::new(token)),
+        BackendChoice::MpkSwitched => Arc::new(MpkSwitchedGate::new(token)),
+        BackendChoice::VmRpc => Arc::new(VmRpcGate::new(rpc_base, compartments.len() as u16)),
+        BackendChoice::Cheri => Arc::new(CheriGate::new(token, compartments)?),
+    })
+}
+
 /// Boots `plan` with default sizing.
 pub fn instantiate(plan: ImagePlan) -> Result<BootImage> {
     instantiate_with(plan, BootOptions::default())
@@ -346,14 +366,7 @@ pub fn instantiate_with(plan: ImagePlan, opts: BootOptions) -> Result<BootImage>
     };
 
     // --- gates ---------------------------------------------------------------
-    let token = machine.gate_token();
-    let gate: Arc<dyn Gate> = match backend {
-        BackendChoice::None => Arc::new(DirectGate),
-        BackendChoice::MpkShared => Arc::new(MpkSharedGate::new(token)),
-        BackendChoice::MpkSwitched => Arc::new(MpkSwitchedGate::new(token)),
-        BackendChoice::VmRpc => Arc::new(VmRpcGate::new(rpc_base, n as u16)),
-        BackendChoice::Cheri => Arc::new(crate::cheri::CheriGate::new(token)),
-    };
+    let gate = wire_gate(backend, machine.gate_token(), rpc_base, &compartments)?;
     let initial = plan
         .compartment_of_role(LibRole::App)
         .map(|c| CompartmentId(c as u16))
@@ -469,14 +482,7 @@ pub fn instantiate_migratable_with(
     }
     let heaps = HeapService::per_compartment(allocators);
 
-    let token = machine.gate_token();
-    let gate: Arc<dyn Gate> = match from {
-        BackendChoice::None => Arc::new(DirectGate),
-        BackendChoice::MpkShared => Arc::new(MpkSharedGate::new(token)),
-        BackendChoice::MpkSwitched => Arc::new(MpkSwitchedGate::new(token)),
-        BackendChoice::VmRpc => Arc::new(VmRpcGate::new(rpc_base, n as u16)),
-        BackendChoice::Cheri => Arc::new(crate::cheri::CheriGate::new(token)),
-    };
+    let gate = wire_gate(from, machine.gate_token(), rpc_base, &compartments)?;
     plan.config.backend = from;
     let initial = plan
         .compartment_of_role(LibRole::App)

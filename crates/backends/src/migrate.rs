@@ -30,14 +30,10 @@
 //! [`boot::instantiate_migratable`]: crate::boot::instantiate_migratable
 //! [`Machine::set_region_key`]: flexos_machine::Machine::set_region_key
 
-use crate::boot::BootImage;
-use crate::cheri::CheriGate;
-use crate::mpk::{MpkSharedGate, MpkSwitchedGate};
+use crate::boot::{wire_gate, BootImage};
 use crate::vmrpc::VmRpcGate;
 use flexos::build::BackendChoice;
-use flexos::gate::{
-    CompartmentId, DirectGate, Gate, GateMechanism, MigrationReason, ReestablishFn,
-};
+use flexos::gate::{CompartmentId, Gate, GateMechanism, MigrationReason, ReestablishFn};
 use flexos_machine::{Addr, Fault, Pkru, ProtKey, Result};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -75,17 +71,12 @@ pub fn ensure_rpc_base(img: &mut BootImage) -> Result<Addr> {
 }
 
 fn make_gate(img: &mut BootImage, to: BackendChoice) -> Result<Arc<dyn Gate>> {
+    let rpc_base = match to {
+        BackendChoice::VmRpc => ensure_rpc_base(img)?,
+        _ => Addr(0),
+    };
     let token = img.machine.gate_token();
-    Ok(match to {
-        BackendChoice::None => Arc::new(DirectGate),
-        BackendChoice::MpkShared => Arc::new(MpkSharedGate::new(token)),
-        BackendChoice::MpkSwitched => Arc::new(MpkSwitchedGate::new(token)),
-        BackendChoice::Cheri => Arc::new(CheriGate::new(token)),
-        BackendChoice::VmRpc => {
-            let base = ensure_rpc_base(img)?;
-            Arc::new(VmRpcGate::new(base, img.gates.len() as u16))
-        }
-    })
+    wire_gate(to, token, rpc_base, img.gates.compartments())
 }
 
 /// What one endpoint should look like after the swaps in `planned` land.
@@ -298,6 +289,46 @@ mod tests {
                 assert_eq!(v, 7, "{from:?}→{to:?}");
                 assert_eq!(img.gates.migration_stats().completed, applied as u64);
             }
+        }
+    }
+
+    /// From the current compartment, crosses into every other one and
+    /// from there into every third: each id is invoked as a callee and
+    /// as a returning caller, and every crossing costs two CHERI gates.
+    fn cross_into_every_compartment(img: &mut BootImage) {
+        let n = img.gates.len() as u16;
+        let cur = img.gates.current();
+        let round_trip = 2 * img.machine.costs().cheri_gate;
+        let BootImage { machine, gates, .. } = img;
+        for b in (0..n).map(CompartmentId).filter(|&b| b != cur) {
+            assert_eq!(gates.pair_mechanism(cur, b), GateMechanism::Cheri);
+            let t0 = machine.clock().cycles();
+            gates
+                .cross(machine, b, 0, 0, |m, rt| {
+                    for c in (0..n).map(CompartmentId).filter(|&c| c != b) {
+                        rt.cross(m, c, 0, 0, |_, _| Ok(()))?;
+                    }
+                    Ok(())
+                })
+                .unwrap();
+            assert_eq!(
+                machine.clock().cycles() - t0,
+                u64::from(n) * round_trip,
+                "into {b}"
+            );
+        }
+    }
+
+    #[test]
+    fn every_compartment_has_a_cheri_entry_after_boot_and_after_migration() {
+        // Booted on CHERI: the table is minted by the boot.
+        cross_into_every_compartment(&mut migratable(BackendChoice::Cheri));
+        // Arriving by live migration: `make_gate` mints it from the
+        // runtime's contexts, whatever the image was booted on.
+        for from in ALL {
+            let mut img = migratable(from);
+            migrate_all(&mut img, BackendChoice::Cheri, MigrationReason::Manual).unwrap();
+            cross_into_every_compartment(&mut img);
         }
     }
 

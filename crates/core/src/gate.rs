@@ -624,6 +624,11 @@ impl GateRuntime {
         &self.compartments[id.0 as usize]
     }
 
+    /// Every compartment's context, indexed by id.
+    pub fn compartments(&self) -> &[CompartmentCtx] {
+        &self.compartments
+    }
+
     /// Number of compartments.
     pub fn len(&self) -> usize {
         self.compartments.len()

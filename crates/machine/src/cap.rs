@@ -67,6 +67,16 @@ pub struct Capability {
     sealed: Option<OType>,
 }
 
+/// Every capability violation is the same typed fault; built out of
+/// line so the checks that raise it stay small enough to inline.
+#[cold]
+fn violation(reason: impl Into<String>) -> Fault {
+    Fault::HardeningAbort {
+        mechanism: "cheri",
+        reason: reason.into(),
+    }
+}
+
 impl Capability {
     /// Mints a root capability. This is the privileged boot-time
     /// operation (the almighty initial capability register state);
@@ -109,21 +119,15 @@ impl Capability {
     /// greater, unsealed input only. Monotone privilege reduction.
     pub fn derive(&self, offset: u64, len: u64, perms: CapPerms) -> Result<Capability, Fault> {
         if self.is_sealed() {
-            return Err(Fault::HardeningAbort {
-                mechanism: "cheri",
-                reason: "derive from sealed capability".into(),
-            });
+            return Err(violation("derive from sealed capability"));
         }
         let end = offset.checked_add(len);
         if end.is_none() || end.expect("checked") > self.len || !perms.subset_of(self.perms) {
-            return Err(Fault::HardeningAbort {
-                mechanism: "cheri",
-                reason: format!(
-                    "monotonicity violation: derive [{offset}+{len}) perms {perms:?} from \
-                     [0+{}) perms {:?}",
-                    self.len, self.perms
-                ),
-            });
+            return Err(violation(format!(
+                "monotonicity violation: derive [{offset}+{len}) perms {perms:?} from \
+                 [0+{}) perms {:?}",
+                self.len, self.perms
+            )));
         }
         Ok(Capability {
             base: Addr(self.base.0 + offset),
@@ -137,10 +141,7 @@ impl Capability {
     /// opaque: no deref, no derive, until unsealed with the same type.
     pub fn seal(&self, otype: OType) -> Result<Capability, Fault> {
         if self.is_sealed() {
-            return Err(Fault::HardeningAbort {
-                mechanism: "cheri",
-                reason: "double seal".into(),
-            });
+            return Err(violation("double seal"));
         }
         Ok(Capability {
             sealed: Some(otype),
@@ -148,21 +149,17 @@ impl Capability {
         })
     }
 
-    /// Unseals with the matching object type (the `CInvoke` half).
+    /// Unseals with the matching object type (the `CInvoke` half). A
+    /// gate runs this on every crossing, hence the inline hint.
+    #[inline]
     pub fn unseal(&self, otype: OType) -> Result<Capability, Fault> {
         match self.sealed {
             Some(t) if t == otype => Ok(Capability {
                 sealed: None,
                 ..*self
             }),
-            Some(_) => Err(Fault::HardeningAbort {
-                mechanism: "cheri",
-                reason: "unseal with wrong object type".into(),
-            }),
-            None => Err(Fault::HardeningAbort {
-                mechanism: "cheri",
-                reason: "unseal of unsealed capability".into(),
-            }),
+            Some(_) => Err(violation("unseal with wrong object type")),
+            None => Err(violation("unseal of unsealed capability")),
         }
     }
 
@@ -170,23 +167,20 @@ impl Capability {
     /// concrete address on success.
     pub fn check_access(&self, offset: u64, len: u64, write: bool) -> Result<Addr, Fault> {
         if self.is_sealed() {
-            return Err(Fault::HardeningAbort {
-                mechanism: "cheri",
-                reason: "dereference of sealed capability".into(),
-            });
+            return Err(violation("dereference of sealed capability"));
         }
         if (write && !self.perms.write) || (!write && !self.perms.read) {
-            return Err(Fault::HardeningAbort {
-                mechanism: "cheri",
-                reason: format!("permission violation ({:?})", self.perms),
-            });
+            return Err(violation(format!(
+                "permission violation ({:?})",
+                self.perms
+            )));
         }
         let end = offset.checked_add(len.max(1));
         if end.is_none() || end.expect("checked") > self.len {
-            return Err(Fault::HardeningAbort {
-                mechanism: "cheri",
-                reason: format!("bounds violation: [{offset}+{len}) of {}", self.len),
-            });
+            return Err(violation(format!(
+                "bounds violation: [{offset}+{len}) of {}",
+                self.len
+            )));
         }
         Ok(Addr(self.base.0 + offset))
     }

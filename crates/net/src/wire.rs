@@ -163,6 +163,19 @@ pub struct Ipv4Header {
 impl Ipv4Header {
     /// Serializes (with checksum) into the first [`IPV4_LEN`] bytes.
     pub fn write(&self, out: &mut [u8]) {
+        // The checksum comes from the fields, not from the bytes just
+        // stored: reading single-byte stores back as 16-bit words stalls
+        // on store forwarding. Ten big-endian words, the checksum's own
+        // as zero (a 32-bit field goes in whole: `fold`'s end-around carry
+        // adds its halves); `checksum` stays the verify side and the oracle.
+        let sum = 0x4500
+            + u64::from(self.total_len)
+            + u64::from(self.ident)
+            + 0x4000
+            + ((u64::from(self.ttl) << 8) | u64::from(self.proto))
+            + u64::from(self.src)
+            + u64::from(self.dst);
+        let csum = !fold(sum);
         out[0] = 0x45; // version 4, IHL 5
         out[1] = 0; // DSCP/ECN
         out[2..4].copy_from_slice(&self.total_len.to_be_bytes());
@@ -170,11 +183,10 @@ impl Ipv4Header {
         out[6..8].copy_from_slice(&[0x40, 0]); // DF, no fragment offset
         out[8] = self.ttl;
         out[9] = self.proto;
-        out[10..12].copy_from_slice(&[0, 0]);
+        out[10..12].copy_from_slice(&csum.to_be_bytes());
         out[12..16].copy_from_slice(&self.src.to_be_bytes());
         out[16..20].copy_from_slice(&self.dst.to_be_bytes());
-        let csum = checksum(&out[..IPV4_LEN], 0);
-        out[10..12].copy_from_slice(&csum.to_be_bytes());
+        debug_assert_eq!(checksum(&out[..IPV4_LEN], 0), 0);
     }
 
     /// Parses and verifies the checksum; `None` on malformed input.
@@ -197,12 +209,9 @@ impl Ipv4Header {
 
     /// The folded sum of the pseudo-header, an `initial` for [`checksum`].
     fn pseudo_sum(&self, l4_len: u16) -> u32 {
-        let mut pseudo = [0u8; 12];
-        pseudo[0..4].copy_from_slice(&self.src.to_be_bytes());
-        pseudo[4..8].copy_from_slice(&self.dst.to_be_bytes());
-        pseudo[9] = self.proto;
-        pseudo[10..12].copy_from_slice(&l4_len.to_be_bytes());
-        u32::from(!checksum(&pseudo, 0))
+        let sum =
+            u64::from(self.src) + u64::from(self.dst) + u64::from(self.proto) + u64::from(l4_len);
+        u32::from(fold(sum))
     }
 }
 
@@ -302,22 +311,37 @@ impl TcpHeader {
                 max: TCP_MAX_PAYLOAD,
             });
         }
+        let l4_len = (TCP_LEN + payload.len()) as u16;
+        // Data offset: 5 words.
+        let off_flags = (5 << 12) | u16::from(self.flags.to_byte());
+        // As in `Ipv4Header::write`, the header's sum comes from the
+        // fields (checksum and urgent pointer are zero), over the
+        // pseudo-header's; the payload is summed over both: the header
+        // is an even number of bytes, so the payload's 16-bit words keep
+        // their alignment.
+        let head = u64::from(ip.pseudo_sum(l4_len))
+            + u64::from(self.src_port)
+            + u64::from(self.dst_port)
+            + u64::from(self.seq)
+            + u64::from(self.ack)
+            + u64::from(off_flags)
+            + u64::from(self.window);
+        let csum = checksum(payload, u32::from(fold(head)));
         out[0..2].copy_from_slice(&self.src_port.to_be_bytes());
         out[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
         out[4..8].copy_from_slice(&self.seq.to_be_bytes());
         out[8..12].copy_from_slice(&self.ack.to_be_bytes());
-        out[12] = 5 << 4; // data offset: 5 words
-        out[13] = self.flags.to_byte();
+        out[12..14].copy_from_slice(&off_flags.to_be_bytes());
         out[14..16].copy_from_slice(&self.window.to_be_bytes());
-        out[16..18].copy_from_slice(&[0, 0]); // checksum placeholder
-        out[18..20].copy_from_slice(&[0, 0]); // urgent pointer
-        let l4_len = (TCP_LEN + payload.len()) as u16;
-        // The header (with zero checksum) over the pseudo-header, then
-        // the payload over both: the header is an even number of bytes,
-        // so the payload's 16-bit words keep their alignment.
-        let head = !checksum(&out[..TCP_LEN], ip.pseudo_sum(l4_len));
-        let csum = checksum(payload, u32::from(head));
         out[16..18].copy_from_slice(&csum.to_be_bytes());
+        out[18..20].copy_from_slice(&[0, 0]); // urgent pointer
+        debug_assert_eq!(
+            checksum(
+                payload,
+                u32::from(!checksum(&out[..TCP_LEN], ip.pseudo_sum(l4_len)))
+            ),
+            0
+        );
         Ok(())
     }
 

@@ -7,7 +7,9 @@
 //! arbitrary bytes at every length up to a full IPv4 datagram, every
 //! alignment of the slice's start, and every `initial`. On top of that,
 //! what the checksum is for: a built header or frame sums to zero, and no
-//! single flipped bit of a TCP segment gets past `TcpHeader::parse`.
+//! single flipped bit of a TCP segment gets past `TcpHeader::parse`. The
+//! IPv4 and TCP headers' checksums are computed from their fields, not
+//! their bytes, so both are held to the reference over arbitrary fields.
 
 use flexos_net::wire::{
     build_tcp_frame, checksum, EthHeader, Ipv4Header, Mac, TcpFlags, TcpHeader, ETHERTYPE_IPV4,
@@ -132,6 +134,71 @@ proptest! {
         prop_assert_eq!(reference(l4, pseudo), 0);
         prop_assert!(Ipv4Header::parse(&frame[ETH_LEN..]) == Some(ip));
         prop_assert!(TcpHeader::parse(&ip, l4).is_some());
+    }
+
+    #[test]
+    fn ipv4_write_sums_its_fields_as_the_reference_sums_its_bytes(
+        src in any::<u32>(),
+        dst in any::<u32>(),
+        proto in any::<u8>(),
+        total_len in any::<u16>(),
+        ttl in any::<u8>(),
+        ident in any::<u16>(),
+    ) {
+        // `Ipv4Header::write` computes the checksum from the fields; the
+        // reference computes it from the bytes with the field zeroed.
+        let h = Ipv4Header { src, dst, proto, total_len, ttl, ident };
+        let mut out = [0xa5u8; IPV4_LEN];
+        h.write(&mut out);
+        let mut zeroed = out;
+        zeroed[10..12].copy_from_slice(&[0, 0]);
+        prop_assert_eq!(u16::from_be_bytes([out[10], out[11]]), reference(&zeroed, 0));
+        prop_assert_eq!(checksum(&out, 0), 0);
+        prop_assert_eq!(reference(&out, 0), 0);
+        prop_assert!(Ipv4Header::parse(&out) == Some(h));
+    }
+
+    #[test]
+    fn tcp_write_sums_its_fields_as_the_reference_sums_its_bytes(
+        payload in prop::collection::vec(any::<u8>(), 0..=64),
+        src in any::<u32>(),
+        dst in any::<u32>(),
+        ports in any::<u32>(),
+        seq in any::<u32>(),
+        ack in any::<u32>(),
+        window in any::<u16>(),
+        flag_bits in 0u8..16,
+    ) {
+        // Same for `TcpHeader::write`: header and pseudo-header are summed
+        // from the fields, the reference sums the bytes on the wire.
+        let l4_len = TCP_LEN + payload.len();
+        let ip = Ipv4Header {
+            src,
+            dst,
+            proto: PROTO_TCP,
+            total_len: (IPV4_LEN + l4_len) as u16,
+            ttl: 64,
+            ident: 0,
+        };
+        let flags = TcpFlags {
+            fin: flag_bits & 1 != 0,
+            syn: flag_bits & 2 != 0,
+            rst: flag_bits & 4 != 0,
+            ack: flag_bits & 8 != 0,
+        };
+        let h = TcpHeader {
+            src_port: (ports >> 16) as u16,
+            dst_port: ports as u16,
+            seq,
+            ack,
+            flags,
+            window,
+        };
+        let mut l4 = vec![0xa5u8; TCP_LEN];
+        h.write(&ip, &payload, &mut l4).unwrap();
+        l4.extend_from_slice(&payload);
+        prop_assert_eq!(reference(&l4, pseudo_initial(&ip, l4_len)), 0);
+        prop_assert!(TcpHeader::parse(&ip, &l4) == Some((h, TCP_LEN)));
     }
 
     #[test]
