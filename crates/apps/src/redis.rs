@@ -21,6 +21,7 @@ use flexos_kernel::sched::ThreadId;
 use flexos_machine::{Addr, ChaosConfig, ChaosPlan};
 use flexos_net::nic::Link;
 use flexos_net::stack::{NetError, SocketId};
+use flexos_net::tcp::SpareList;
 use flexos_net::FixedMap;
 use flexos_trace::{SpanId, StatsSnapshot};
 use std::collections::VecDeque;
@@ -174,6 +175,9 @@ pub(crate) enum Flushed {
     Failed(NetError),
 }
 
+/// Spare storage for [`ReplyStream`]'s open-span queue.
+pub(crate) type SpareSpans = SpareList<VecDeque<(SpanId, u64)>>;
+
 /// The reply side of one served connection: bytes staged for the socket
 /// and the request spans waiting for their last byte to leave.
 ///
@@ -204,6 +208,24 @@ impl ReplyStream {
     /// Whether every staged byte has been sent.
     pub(crate) fn is_drained(&self) -> bool {
         self.head == self.out.len()
+    }
+
+    /// Borrows whatever storage the stream lacks (see
+    /// [`ReplyStream::retire`]).
+    pub(crate) fn adopt(&mut self, bytes: &mut SpareList<Vec<u8>>, spans: &mut SpareSpans) {
+        spans.adopt(&mut self.pending_spans);
+        bytes.adopt(&mut self.out);
+    }
+
+    /// Hands the storage back once everything staged has left: where one
+    /// stream per connection exists, only those with replies in flight
+    /// hold any.
+    pub(crate) fn retire(&mut self, bytes: &mut SpareList<Vec<u8>>, spans: &mut SpareSpans) {
+        if self.is_drained() && self.pending_spans.is_empty() {
+            self.head = 0;
+            bytes.retire(&mut self.out);
+            spans.retire(&mut self.pending_spans);
+        }
     }
 
     /// Where to encode the next reply; seal it with
@@ -764,6 +786,26 @@ mod tests {
 
     fn quick(params: RedisParams) -> RedisResult {
         run_redis(&RedisParams { ops: 300, ..params }).expect("redis run succeeds")
+    }
+
+    #[test]
+    fn a_reply_stream_keeps_its_storage_while_replies_are_unsent() {
+        let (mut bytes, mut spans) = (SpareList::default(), SpareSpans::default());
+        let mut replies = ReplyStream::new();
+        replies.adopt(&mut bytes, &mut spans);
+        replies.buf().extend_from_slice(resp::OK);
+        replies.end_reply(SpanId(7));
+        // A parked flush: the step ends with the reply still staged.
+        replies.retire(&mut bytes, &mut spans);
+        assert_eq!((bytes.held(), spans.held()), (0, 0));
+        assert_eq!(replies.buf().as_slice(), resp::OK);
+        assert_eq!(replies.pending_spans.front(), Some(&(SpanId(7), 5)));
+        // Once it has left, both go back.
+        replies.head = resp::OK.len();
+        replies.pending_spans.clear();
+        replies.retire(&mut bytes, &mut spans);
+        assert_eq!((bytes.held(), spans.held()), (1, 1));
+        assert!(replies.is_drained() && replies.buf().capacity() == 0);
     }
 
     /// The chaos-sweep contract: with *every* doorbell dropped, the VM

@@ -15,6 +15,7 @@
 //! [`RespParser::parse_command`]) is a thin layer over the same
 //! tokenizer, kept for tests and tools.
 
+use flexos_net::tcp::SpareList;
 use std::fmt;
 use std::ops::Range;
 
@@ -463,6 +464,26 @@ impl RespParser {
     /// Bytes buffered and not yet consumed.
     pub fn pending(&self) -> usize {
         self.buf.len() - self.pos
+    }
+
+    /// Heap bytes behind the parser's buffer.
+    pub(crate) fn capacity(&self) -> usize {
+        self.buf.capacity()
+    }
+
+    /// Borrows a buffer from `spare` if the parser holds none: call
+    /// before [`RespParser::feed`] where parsers outnumber the streams
+    /// that are talking.
+    pub(crate) fn adopt(&mut self, spare: &mut SpareList<Vec<u8>>) {
+        spare.adopt(&mut self.buf);
+    }
+
+    /// Hands the buffer back, unless part of a value is waiting in it.
+    pub(crate) fn retire(&mut self, spare: &mut SpareList<Vec<u8>>) {
+        if self.pending() == 0 {
+            self.pos = 0;
+            spare.retire(&mut self.buf);
+        }
     }
 
     /// Consumes one client command, its arguments borrowed from the

@@ -42,7 +42,7 @@
 use crate::client::SERVER_IP;
 use crate::os::Os;
 use crate::profiles::{backend_tag, evaluation_image, lib_app, CompartmentModel, SchedKind};
-use crate::redis::{Flushed, Mix, ReplyStream};
+use crate::redis::{Flushed, Mix, ReplyStream, SpareSpans};
 use crate::resp::{
     self, put_bulk, put_command, put_error, put_integer, Command, RespError, RespParser,
 };
@@ -54,6 +54,7 @@ use flexos_kernel::{CoExecutor, CoPoll, CoTask, CoTaskId, WorkStealQueue};
 use flexos_machine::{Addr, Machine, PAGE_SIZE};
 use flexos_net::nic::Nic;
 use flexos_net::stack::{NetError, SocketId};
+use flexos_net::tcp::SpareList;
 use flexos_net::wire::{
     build_tcp_frame_into, EthHeader, Ipv4Header, Mac, TcpFlags, TcpHeader, ETHERTYPE_IPV4, ETH_LEN,
     IPV4_LEN, MSS, PROTO_TCP, TCP_LEN,
@@ -319,6 +320,11 @@ struct ServeWorld {
     host_buf: Vec<u8>,
     /// Fatal task errors (drained by the driver after each round).
     errors: Vec<String>,
+    /// Parser and reply storage of the tasks that are not stepping: a
+    /// task borrows it for the length of a step and keeps only what
+    /// still holds a partial command or unsent replies.
+    spare_bytes: SpareList<Vec<u8>>,
+    spare_spans: SpareSpans,
 }
 
 /// Executes one command inside shard compartment code, appending its
@@ -593,14 +599,19 @@ impl ConnTask {
 
 impl CoTask<ServeWorld> for ConnTask {
     fn step(&mut self, w: &mut ServeWorld, _id: CoTaskId) -> CoPoll {
-        match self.drive(w) {
+        self.parser.adopt(&mut w.spare_bytes);
+        self.replies.adopt(&mut w.spare_bytes, &mut w.spare_spans);
+        let polled = match self.drive(w) {
             Ok(p) => p,
             Err(e) => {
                 w.errors.push(e);
                 let _ = w.os.sock_close(self.sid);
                 CoPoll::Ready
             }
-        }
+        };
+        self.replies.retire(&mut w.spare_bytes, &mut w.spare_spans);
+        self.parser.retire(&mut w.spare_bytes);
+        polled
     }
 }
 
@@ -645,6 +656,8 @@ struct SimClients {
     reply_errors: Vec<String>,
     /// Wire scratch: the burst being framed.
     req_buf: Vec<u8>,
+    /// Reply-parser storage of the connections with no reply half-read.
+    spare: SpareList<Vec<u8>>,
 }
 
 /// Builds one client frame in a buffer from the server NIC's pool and
@@ -726,6 +739,7 @@ impl SimClients {
             pending_starts: Vec::new(),
             reply_errors: Vec::new(),
             req_buf: Vec::new(),
+            spare: SpareList::default(),
         }
     }
 
@@ -822,6 +836,7 @@ impl SimClients {
             return;
         }
         c.rcv_nxt = c.rcv_nxt.wrapping_add(payload.len() as u32);
+        c.parser.adopt(&mut self.spare);
         c.parser.feed(payload);
         let mut finished_burst = false;
         loop {
@@ -845,6 +860,7 @@ impl SimClients {
                 }
             }
         }
+        c.parser.retire(&mut self.spare);
         if finished_burst {
             self.latencies.push(now.saturating_sub(c.t_arrival));
             self.completed_bursts += 1;
@@ -1031,8 +1047,10 @@ pub fn run_serve_traced(
 }
 
 /// The booted serving tier: the proxy image with every client connected
-/// and a task spawned per connection.
-struct Tier {
+/// and a task spawned per connection. [`run_serve`] is `boot` then
+/// `measure`; the phases are public so that a test can look at the tier
+/// between them (`tests/idle_budget.rs`).
+pub struct Tier {
     world: ServeWorld,
     exec: CoExecutor<ServeWorld>,
     clients: SimClients,
@@ -1041,7 +1059,12 @@ struct Tier {
 }
 
 impl Tier {
-    fn boot(params: &ServeParams) -> Result<Self, ServeRunError> {
+    /// Boots the image and establishes `params.conns` connections.
+    ///
+    /// # Errors
+    ///
+    /// As [`run_serve`].
+    pub fn boot(params: &ServeParams) -> Result<Self, ServeRunError> {
         let shards = params.shards.clamp(1, MAX_SHARDS);
         let conns = params.conns.max(1);
         let nic_id = 1u8;
@@ -1107,6 +1130,8 @@ impl Tier {
             sqe_spans: Vec::new(),
             host_buf: Vec::new(),
             errors: Vec::new(),
+            spare_bytes: SpareList::default(),
+            spare_spans: SpareSpans::default(),
         };
 
         // Preload the keyspace host-side so GET mixes hit (the measured
@@ -1212,11 +1237,59 @@ impl Tier {
         Ok(moved || nic.stats().rx_frames != rx_before)
     }
 
+    /// Pumps until no frame moves in either direction: every reply is
+    /// acknowledged and every socket has left the stack's active set.
+    ///
+    /// # Errors
+    ///
+    /// As [`run_serve`].
+    pub fn settle(&mut self) -> Result<(), ServeRunError> {
+        for _ in 0..MAX_IDLE_ROUNDS {
+            if !self.pump()? {
+                return Ok(());
+            }
+        }
+        Err(ServeRunError::NoProgress {
+            phase: "settling",
+            done: 0,
+            wanted: 0,
+        })
+    }
+
+    /// Checks that storage follows work on a settled tier: no idle
+    /// socket, client connection or spare list holds a buffer it should
+    /// have handed back or freed.
+    ///
+    /// # Errors
+    ///
+    /// The first holder found, in words.
+    pub fn idle_storage_audit(&self) -> Result<(), String> {
+        self.world.os.net.idle_storage_audit()?;
+        for (i, c) in self.clients.conns.iter().enumerate() {
+            if c.parser.pending() == 0 && c.parser.capacity() != 0 {
+                return Err(format!("idle client {i} holds a reply buffer"));
+            }
+        }
+        let bounded = self.world.spare_bytes.is_bounded()
+            && self.world.spare_spans.is_bounded()
+            && self.clients.spare.is_bounded();
+        if bounded {
+            Ok(())
+        } else {
+            Err("a spare list outgrew its bounds".into())
+        }
+    }
+
     /// The measured phase: open-loop Poisson arrivals over simulated
-    /// cycles until every burst has been answered. Returns the cycles and
-    /// gate crossings it took.
-    fn measure(&mut self, params: &ServeParams) -> Result<(u64, u64), ServeRunError> {
+    /// cycles until `params.ops` more requests have been answered.
+    /// Returns the cycles and gate crossings it took.
+    ///
+    /// # Errors
+    ///
+    /// As [`run_serve`].
+    pub fn measure(&mut self, params: &ServeParams) -> Result<(u64, u64), ServeRunError> {
         let bursts = (params.ops / params.pipeline.max(1) as u64).max(1);
+        let done_before = self.clients.completed_bursts;
         let t_base = self.world.os.img.machine.clock().cycles();
         let arrivals: Vec<(u64, usize)> = gen_arrivals(
             bursts,
@@ -1231,7 +1304,7 @@ impl Tier {
         let mut arr_idx = 0usize;
         let mut idle = 0u32;
         let mut pending_migration = params.migrate_to;
-        while self.clients.completed_bursts < bursts {
+        while self.clients.completed_bursts - done_before < bursts {
             // Live migration: once enough bursts completed, swap every
             // compartment pair to the target backend while traffic is
             // still in flight. `migrate_all` requests the swaps; pairs
@@ -1289,7 +1362,7 @@ impl Tier {
             if idle >= MAX_IDLE_ROUNDS {
                 return Err(ServeRunError::NoProgress {
                     phase: "measured bursts",
-                    done: self.clients.completed_bursts,
+                    done: self.clients.completed_bursts - done_before,
                     wanted: bursts,
                 });
             }
@@ -1571,6 +1644,34 @@ mod tests {
         );
         // A well-formed value that is no command keeps the connection.
         assert_eq!(raw_exchange(b":1\r\n"), ["ERR unknown command ''"]);
+    }
+
+    #[test]
+    fn a_buffer_that_grew_for_one_large_request_is_freed_not_kept() {
+        // One 1 MiB SET used to pin 2 MiB (receive FIFO and parser) on
+        // its connection for life.
+        let big = ServeParams {
+            conns: 4,
+            mix: Mix::Set,
+            payload: 1 << 20,
+            pipeline: 1,
+            ops: 1,
+            ..ServeParams::default()
+        };
+        let mut tier = Tier::boot(&big).expect("tier boots");
+        tier.measure(&big).expect("the large SET is served");
+        tier.settle().expect("tier settles");
+        assert_eq!(tier.world.shard_ops.iter().sum::<u64>(), 1);
+        // Idle sockets and clients hold nothing; no list pooled a buffer
+        // above `SPARE_MAX_BYTES`.
+        assert_eq!(tier.idle_storage_audit(), Ok(()));
+        // The connections still serve, from small buffers again.
+        tier.clients.payload.truncate(50);
+        let small = ServeParams { ops: 16, ..big };
+        tier.measure(&small).expect("small SETs are served");
+        tier.settle().expect("tier settles");
+        assert_eq!(tier.world.shard_ops.iter().sum::<u64>(), 17);
+        assert_eq!(tier.idle_storage_audit(), Ok(()));
     }
 
     #[test]

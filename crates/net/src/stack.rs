@@ -16,7 +16,7 @@ use crate::event::{EventQueue, Interest, ReadyEvent, Trigger};
 use crate::hash::FixedMap;
 use crate::nic::Nic;
 use crate::ring::SimRing;
-use crate::tcp::{SegDesc, Segment, TcpConfig, TcpConn};
+use crate::tcp::{SegDesc, Segment, SpareList, TcpConfig, TcpConn};
 use crate::wire::{
     build_tcp_frame_into, build_udp_frame, EthHeader, Ipv4Header, Mac, TcpFlags, TcpHeader,
     UdpHeader, WireError, ETHERTYPE_IPV4, ETH_LEN, IPV4_LEN, PROTO_TCP, PROTO_UDP, TCP_LEN,
@@ -221,6 +221,11 @@ pub struct NetStack {
     seg_scratch: Vec<SegDesc>,
     /// Reusable active-set snapshot for the pump.
     active_scratch: Vec<usize>,
+    /// FIFO storage of the streams outside the active set: a FIFO
+    /// borrows a buffer where bytes are about to be queued on it (both
+    /// places mark the stream active) and hands it back where the pump
+    /// retires or reaps the stream, so an idle connection holds none.
+    spare: SpareList<Vec<u8>>,
 }
 
 /// The demux key of a stream: what remains of the 4-tuple once the local
@@ -272,6 +277,7 @@ impl NetStack {
             tx_scratch: Vec::new(),
             seg_scratch: Vec::new(),
             active_scratch: Vec::new(),
+            spare: SpareList::default(),
         }
     }
 
@@ -359,6 +365,26 @@ impl NetStack {
         if !std::mem::replace(&mut self.in_active[idx], true) {
             self.active.push(idx);
         }
+    }
+
+    /// Checks that storage follows work: every stream outside the active
+    /// set holds no FIFO capacity, and the spare list is within its
+    /// bounds. O(open) — for tests and debugging.
+    pub fn idle_storage_audit(&self) -> Result<(), String> {
+        if !self.spare.is_bounded() {
+            return Err("the stack's spare list outgrew its bounds".into());
+        }
+        for (i, s) in self.socks.iter().enumerate() {
+            if let Some(Sock::TcpStream { conn, .. }) = s {
+                if !self.in_active[i] && conn.fifo_capacity() != 0 {
+                    return Err(format!(
+                        "idle socket {i} holds {} FIFO bytes",
+                        conn.fifo_capacity()
+                    ));
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Open stream connections (the demux table's size).
@@ -505,12 +531,13 @@ impl NetStack {
         buf.resize(buf.len().max(len), 0);
         let out = match m.read(vcpu, src, &mut buf[..len]) {
             Err(f) => Err(f.into()),
-            Ok(()) => match self.sock(id) {
-                Ok(Sock::TcpStream { conn, .. }) => {
+            // (Not `self.sock`: the spare list is borrowed beside it.)
+            Ok(()) => match self.socks.get_mut(id.0).and_then(Option::as_mut) {
+                Some(Sock::TcpStream { conn, .. }) => {
                     if conn.is_closed() {
                         Err(NetError::Closed)
                     } else {
-                        let n = conn.send(&buf[..len]) as u64;
+                        let n = conn.send_lent(&buf[..len], &mut self.spare) as u64;
                         if n == 0 && len > 0 {
                             Err(NetError::WouldBlock)
                         } else {
@@ -518,8 +545,7 @@ impl NetStack {
                         }
                     }
                 }
-                Ok(_) => Err(NetError::InvalidSocket),
-                Err(e) => Err(e),
+                Some(_) | None => Err(NetError::InvalidSocket),
             },
         };
         self.tx_scratch = buf;
@@ -873,6 +899,7 @@ impl NetStack {
                     reap = Some((conn.local_port, *remote));
                 } else if !conn.needs_pump() && conn.ready_len() == 0 {
                     self.in_active[i] = false;
+                    conn.retire_storage(&mut self.spare);
                 } else {
                     self.active.push(i);
                 }
@@ -892,9 +919,10 @@ impl NetStack {
     /// registration dropped (queued stale events die by generation),
     /// retransmit count folded into the stable total.
     fn reap_stream(&mut self, i: usize, local_port: u16, rip: u32, rport: u16) {
-        let Some(Sock::TcpStream { conn, rx, .. }) = self.socks[i].take() else {
+        let Some(Sock::TcpStream { mut conn, rx, .. }) = self.socks[i].take() else {
             return;
         };
+        conn.retire_storage(&mut self.spare);
         self.conns.remove(&conn_key(local_port, rip, rport));
         let (base, cap) = rx.region();
         self.pool.release(base, cap);
@@ -954,7 +982,7 @@ impl NetStack {
                 };
                 self.stats.rx_segments += 1;
                 self.trace.on_rx_segment();
-                conn.on_segment_into(&hdr, payload, now, &mut segs);
+                conn.on_segment_lent(&hdr, payload, now, &mut segs, &mut self.spare);
             }
             let dst_ip = ip.src;
             for seg in &segs {
@@ -1111,6 +1139,9 @@ mod tests {
                 .transfer(&mut self.server.nic, &mut self.client.nic);
             self.client.poll(&mut self.m, VcpuId(0)).unwrap();
             self.server.poll(&mut self.m, VcpuId(0)).unwrap();
+            // Storage follows work, whatever the test is about.
+            self.client.idle_storage_audit().unwrap();
+            self.server.idle_storage_audit().unwrap();
         }
 
         fn establish(&mut self, port: u16) -> (SocketId, SocketId) {
@@ -1549,6 +1580,60 @@ mod tests {
     }
 
     #[test]
+    fn fifo_storage_is_lent_while_active_and_handed_back_when_idle() {
+        let mut w = world();
+        let (cs, ss) = w.establish(5201);
+        let fifo_bytes = |stack: &NetStack, id| conn_of(stack, id).fifo_capacity();
+        let data: Vec<u8> = (0..3000).map(pattern).collect();
+        w.m.write(VcpuId(0), w.app_buf, &data).unwrap();
+        for round in 0..3 {
+            assert_eq!(fifo_bytes(&w.client, cs) + fifo_bytes(&w.server, ss), 0);
+            w.client
+                .tcp_send(&mut w.m, VcpuId(0), cs, w.app_buf, 3000)
+                .unwrap();
+            // Bytes are queued: the socket is active and holds storage.
+            assert!(w.client.in_active[cs.0] && fifo_bytes(&w.client, cs) >= 3000);
+            for _ in 0..4 {
+                w.step();
+            }
+            let n = w
+                .server
+                .tcp_recv(&mut w.m, VcpuId(0), ss, w.app_buf, 4096)
+                .unwrap();
+            assert_eq!(n, 3000);
+            w.step();
+            assert!(w.client.active.is_empty() && w.server.active.is_empty());
+            // Each side's buffers wait on its list, and after the first
+            // round the same ones go out and come back.
+            assert_eq!(w.client.spare.held(), 1, "round {round}");
+            assert_eq!(w.server.spare.held(), 1, "round {round}");
+        }
+    }
+
+    #[test]
+    fn a_stream_reaped_with_storage_in_hand_returns_it() {
+        // The server answers a half-closed client and closes: the ACK that
+        // covers its data and FIN closes the connection in the same pump
+        // that empties the send FIFO, so the reap is the only hand-back.
+        let mut w = world();
+        let (cs, ss) = w.establish(5201);
+        w.client.close(cs).unwrap();
+        for _ in 0..3 {
+            w.step();
+        }
+        assert_eq!(w.server.spare.held(), 0);
+        w.server
+            .tcp_send(&mut w.m, VcpuId(0), ss, w.app_buf, 1000)
+            .unwrap();
+        w.server.close(ss).unwrap();
+        for _ in 0..4 {
+            w.step();
+        }
+        assert!(w.server.conns.is_empty(), "the stream was reaped");
+        assert_eq!(w.server.spare.held(), 1, "with its send buffer");
+    }
+
+    #[test]
     fn readiness_events_fire_on_data_and_clear_on_drain() {
         let mut w = world();
         let (cs, ss) = w.establish(5201);
@@ -1804,6 +1889,8 @@ mod tests {
                     w.m.charge(1000);
                 }
                 retransmits = w.client.retransmits();
+                prop_assert_eq!(w.client.idle_storage_audit(), Ok(()));
+                prop_assert_eq!(w.server.idle_storage_audit(), Ok(()));
             }
             prop_assert!(received <= sent);
             prop_assert!(sent > 0 && (retransmits > 0 || blackout_due), "nothing exercised: {sent} B");

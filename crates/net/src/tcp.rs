@@ -12,7 +12,11 @@
 //! bytes stay at the head of the send FIFO (the `snd_una..snd_nxt`
 //! window) until the ACK that covers them, retransmission entries and
 //! outgoing segments ([`SegDesc`]) name ranges of it, and received bytes
-//! are lent to the socket layer out of the receive FIFO.
+//! are lent to the socket layer out of the receive FIFO. The FIFOs'
+//! storage is itself on loan: each borrows a buffer from its stack's
+//! [`SpareList`] where bytes are about to enter it, and the stack hands
+//! the buffers back when the connection goes idle, so an idle connection
+//! holds none (DESIGN.md §6.15).
 //!
 //! Deliberate simplifications (documented in DESIGN.md): no congestion
 //! control, no SACK, no delayed ACKs, fixed RTO — none of which the
@@ -62,6 +66,101 @@ impl ByteFifo {
         if self.head == self.buf.len() {
             self.buf.clear();
             self.head = 0;
+        }
+    }
+
+    /// Hands the storage back once nothing is queued in it.
+    fn retire(&mut self, spare: &mut SpareList<Vec<u8>>) {
+        if self.is_empty() {
+            spare.retire(&mut self.buf);
+        }
+    }
+}
+
+/// Most buffers a [`SpareList`] keeps: past it a retired buffer is freed.
+/// A list needs no more than the most owners that work at once — 14
+/// FIFOs on the steepest rung of `serve_c100k`'s rate ladder, two on
+/// every other workload. When 50 000 bursts are offered in one instant
+/// (the saturated run) it fills and the other 99 540 buffers are freed:
+/// memory follows the work in hand, not its high-water mark.
+pub const SPARE_MAX_COUNT: usize = 64;
+
+/// Largest buffer a [`SpareList`] keeps: a retired buffer that outgrew it
+/// is freed, so one large request does not pin its high-water mark on a
+/// connection (or on the list) for life. Twice the 64 KiB receive window:
+/// a FIFO the window bounds, grown by doubling, never exceeds it (iperf's
+/// reaches 46 720 B, serve's 284 B), so the bulk path always gets its own
+/// buffer back; a parser that took a 1 MiB `SET` does not.
+pub const SPARE_MAX_BYTES: usize = 128 * 1024;
+
+/// Storage a [`SpareList`] can lend: emptied without freeing, and sized.
+pub trait Lend: Default {
+    /// Drops the contents, keeps the allocation.
+    fn clear(&mut self);
+    /// Bytes of heap behind it.
+    fn capacity_bytes(&self) -> usize;
+}
+
+impl<T> Lend for Vec<T> {
+    fn clear(&mut self) {
+        Vec::clear(self);
+    }
+    fn capacity_bytes(&self) -> usize {
+        self.capacity() * std::mem::size_of::<T>()
+    }
+}
+
+impl<T> Lend for VecDeque<T> {
+    fn clear(&mut self) {
+        VecDeque::clear(self);
+    }
+    fn capacity_bytes(&self) -> usize {
+        self.capacity() * std::mem::size_of::<T>()
+    }
+}
+
+/// Storage is held only while there is work: a LIFO of cleared buffers
+/// that owners [`adopt`](SpareList::adopt) from when work arrives and
+/// [`retire`](SpareList::retire) to when it is done, so an idle owner
+/// holds no heap and a busy one allocates nothing in steady state.
+#[derive(Debug, Default)]
+pub struct SpareList<B> {
+    free: Vec<B>,
+}
+
+impl<B: Lend> SpareList<B> {
+    /// Buffers waiting on the list.
+    pub fn held(&self) -> usize {
+        self.free.len()
+    }
+
+    /// Whether the list is within both of its bounds (for audits).
+    pub fn is_bounded(&self) -> bool {
+        let small = |b: &B| b.capacity_bytes() <= SPARE_MAX_BYTES;
+        self.free.len() <= SPARE_MAX_COUNT && self.free.iter().all(small)
+    }
+
+    /// Gives `slot` a spare buffer if it has no storage of its own.
+    pub fn adopt(&mut self, slot: &mut B) {
+        if slot.capacity_bytes() == 0 {
+            if let Some(b) = self.free.pop() {
+                *slot = b;
+            }
+        }
+    }
+
+    /// Takes `slot`'s storage, leaving it with none. The buffer comes back
+    /// cleared — the next owner can read no byte of this one's — and is
+    /// kept only within [`SPARE_MAX_COUNT`] and [`SPARE_MAX_BYTES`].
+    pub fn retire(&mut self, slot: &mut B) {
+        let bytes = slot.capacity_bytes();
+        if bytes == 0 {
+            return;
+        }
+        let mut b = std::mem::take(slot);
+        b.clear();
+        if bytes <= SPARE_MAX_BYTES && self.free.len() < SPARE_MAX_COUNT {
+            self.free.push(b);
         }
     }
 }
@@ -372,17 +471,62 @@ impl TcpConn {
     /// Queues application data; returns bytes accepted (bounded by the
     /// transmit buffer).
     pub fn send(&mut self, data: &[u8]) -> usize {
-        if self.app_closed
-            || !matches!(
-                self.state,
-                TcpState::Established | TcpState::CloseWait | TcpState::SynSent | TcpState::SynRcvd
-            )
-        {
-            return 0;
-        }
-        let n = data.len().min(self.tx_room());
+        let n = data.len().min(self.send_room());
         self.tx.extend(&data[..n]);
         n
+    }
+
+    /// Bytes [`TcpConn::send`] would accept right now.
+    fn send_room(&self) -> usize {
+        let open = !self.app_closed
+            && matches!(
+                self.state,
+                TcpState::Established | TcpState::CloseWait | TcpState::SynSent | TcpState::SynRcvd
+            );
+        if open {
+            self.tx_room()
+        } else {
+            0
+        }
+    }
+
+    /// [`TcpConn::send`] for a connection whose FIFOs hold storage only
+    /// while it has work: the send FIFO borrows from `spare` first if it
+    /// is about to take bytes and has none.
+    pub(crate) fn send_lent(&mut self, data: &[u8], spare: &mut SpareList<Vec<u8>>) -> usize {
+        if !data.is_empty() && self.send_room() > 0 {
+            spare.adopt(&mut self.tx.buf);
+        }
+        self.send(data)
+    }
+
+    /// [`TcpConn::on_segment_into`] likewise: the receive FIFO borrows
+    /// from `spare` before a payload lands in it.
+    pub(crate) fn on_segment_lent<S: Segment>(
+        &mut self,
+        hdr: &TcpHeader,
+        payload: &[u8],
+        now: u64,
+        out: &mut Vec<S>,
+        spare: &mut SpareList<Vec<u8>>,
+    ) {
+        if !payload.is_empty() {
+            spare.adopt(&mut self.rx_ready.buf);
+        }
+        self.on_segment_into(hdr, payload, now, out);
+    }
+
+    /// Hands the storage of each empty FIFO back: the stack calls this
+    /// where the socket leaves its active set or is torn down.
+    pub(crate) fn retire_storage(&mut self, spare: &mut SpareList<Vec<u8>>) {
+        self.tx.retire(spare);
+        self.rx_ready.retire(spare);
+    }
+
+    /// Heap bytes behind the two FIFOs (what an idle connection must not
+    /// hold; see `NetStack::idle_storage_audit`).
+    pub(crate) fn fifo_capacity(&self) -> usize {
+        self.tx.buf.capacity() + self.rx_ready.buf.capacity()
     }
 
     /// Bytes queued but not yet acknowledged.
@@ -1024,6 +1168,75 @@ mod tests {
         assert!(c.needs_pump(), "queued tx data requires a pump");
         c.poll(0);
         assert!(c.needs_pump(), "unacked segment keeps the RTO armed");
+    }
+
+    #[test]
+    fn spare_list_frees_what_is_over_either_bound() {
+        let mut spare = SpareList::default();
+        for _ in 0..SPARE_MAX_COUNT + 8 {
+            spare.retire(&mut Vec::<u8>::with_capacity(64));
+        }
+        assert_eq!(spare.free.len(), SPARE_MAX_COUNT);
+        let mut slot = Vec::<u8>::with_capacity(SPARE_MAX_BYTES + 1);
+        spare.free.clear();
+        spare.retire(&mut slot);
+        assert_eq!(slot.capacity(), 0, "retiring leaves the owner nothing");
+        assert!(spare.free.is_empty(), "an outgrown buffer is freed");
+        assert!(spare.is_bounded());
+        // An owner that still has storage keeps it: nothing is swapped in.
+        spare.retire(&mut Vec::<u8>::with_capacity(64));
+        let mut own = Vec::<u8>::with_capacity(8);
+        spare.adopt(&mut own);
+        assert_eq!((own.capacity(), spare.free.len()), (8, 1));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// Four FIFOs share one spare list with an owner that, like a
+        /// parser, retires its buffer with bytes still in it. Each FIFO
+        /// must read as a private `VecDeque` does: order kept, and no
+        /// byte of another owner ever visible — storage moves between
+        /// them, contents never do.
+        #[test]
+        fn fifos_sharing_a_spare_list_read_as_private_deques(
+            ops in proptest::prelude::prop::collection::vec((0usize..4, 0u8..6, 0usize..3000), 50..300)
+        ) {
+            let mut spare = SpareList::default();
+            let mut fifos: [ByteFifo; 4] = Default::default();
+            let mut models: [VecDeque<u8>; 4] = Default::default();
+            let mut dirty = Vec::new();
+            for (who, op, n) in ops {
+                let (f, model) = (&mut fifos[who], &mut models[who]);
+                match op {
+                    0 | 1 => {
+                        // Bytes tagged with their owner in the top bits.
+                        let data: Vec<u8> = (0..n).map(|i| (who as u8) << 6 | (i % 61) as u8).collect();
+                        f.extend(&data);
+                        model.extend(&data);
+                    }
+                    2 => {
+                        f.consume(n);
+                        model.drain(..n.min(model.len()));
+                    }
+                    3 => {
+                        f.retire(&mut spare);
+                        // An empty FIFO gives its storage up; any other
+                        // keeps its bytes (checked below).
+                        proptest::prop_assert!(!model.is_empty() || f.buf.capacity() == 0);
+                    }
+                    4 => spare.adopt(&mut f.buf),
+                    _ => {
+                        spare.adopt(&mut dirty);
+                        dirty.resize(n, 0xff);
+                        spare.retire(&mut dirty);
+                    }
+                }
+                proptest::prop_assert_eq!(f.len(), model.len());
+                proptest::prop_assert!(f.peek().iter().eq(model.iter()), "fifo {} diverged from its model", who);
+            }
+            proptest::prop_assert!(spare.is_bounded());
+        }
     }
 
     #[test]
