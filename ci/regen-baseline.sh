@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Regenerate ci/stats-baseline.json — the recorded telemetry snapshot
-# that the bench-smoke and smp-determinism CI jobs compare every run
-# against (minus the host-cache-dependent `tlb` block).
+# that the `artefacts` CI job compares every run against (minus the
+# `tlb` block, popped by policy).
 #
 # Run this ONLY when a drift is intentional: a deliberate change to
 # deterministic costs, counters or report shape. Commit the regenerated

@@ -16,8 +16,8 @@
 //!   whose sockets changed state, and a scheduling round steps exactly
 //!   the woken tasks. Nothing ever scans the open-connection set, so
 //!   the per-request cost at 10⁵ mostly-idle connections stays within
-//!   a small factor of the 10³ figure (asserted by the bench-smoke CI
-//!   job on `BENCH_10.json`).
+//!   a few percent of the 10⁴ figure (`sim_cycles_per_op` of
+//!   `serve_c10k` and `serve_c100k`, `benchmark/run.sh`).
 //! * The **load generator** is open-loop: burst arrivals are paced by a
 //!   seeded Poisson process over *simulated* cycles (fixed-point
 //!   exponential sampling — no libm, no wall clock), and a burst whose
@@ -34,10 +34,8 @@
 //!
 //! Everything is deterministic: one simulated machine, a canonical FIFO
 //! executor, seeded arrivals. A serve run's figures are byte-identical
-//! at any `--vcpus` width (the serve-smoke CI job compares the JSON of
-//! `--vcpus 1/2/4` runs); `run_serve_free` shards *sub-instances*
-//! across host threads via work stealing for a host-parallel mode whose
-//! per-shard figures remain deterministic.
+//! at any `--vcpus` width (the `artefacts` CI job compares the JSON of
+//! `--vcpus 1/2/4` runs).
 
 use crate::client::SERVER_IP;
 use crate::os::Os;
@@ -49,8 +47,7 @@ use crate::resp::{
 use flexos::build::{plan, BackendChoice, ImageConfig};
 use flexos::gate::{CompartmentId, Sqe};
 use flexos_backends::{BootImage, BootOptions};
-use flexos_kernel::smp::run_on_threads;
-use flexos_kernel::{CoExecutor, CoPoll, CoTask, CoTaskId, WorkStealQueue};
+use flexos_kernel::{CoExecutor, CoPoll, CoTask, CoTaskId};
 use flexos_machine::{Addr, Machine, PAGE_SIZE};
 use flexos_net::nic::Nic;
 use flexos_net::stack::{NetError, SocketId};
@@ -159,8 +156,8 @@ pub struct ServeResult {
     pub ops: u64,
     /// Server cycles spent (measured phase).
     pub cycles: u64,
-    /// Cycles per completed request — the scaling figure the bench
-    /// asserts stays flat from 10³ to 10⁵ connections.
+    /// Cycles per completed request. Below saturation this is the
+    /// offered load (arrival gap ÷ pipeline), not the server's cost.
     pub cycles_per_op: u64,
     /// Throughput in mega-requests per second.
     pub mreq_per_s: f64,
@@ -177,8 +174,6 @@ pub struct ServeResult {
     pub shard_ops: Vec<u64>,
     /// SYNs shed by the bounded accept backlog.
     pub backlog_overflows: u64,
-    /// Work-steal count (free-running mode only; 0 in deterministic).
-    pub steals: u64,
 }
 
 /// A failure during a serve run, propagated rather than panicked so a
@@ -1404,50 +1399,9 @@ fn run_serve_inner(
         p999_cycles: percentile(&lat, 999, 1000),
         shard_ops: world.shard_ops.clone(),
         backlog_overflows: world.os.net.stats().backlog_overflows,
-        steals: 0,
     };
     let trace = want_trace.then(|| world.os.trace_json());
     Ok((result, world.os.stats_snapshot(None), trace))
-}
-
-/// Free-running mode: shards the run into `2 × threads` independent
-/// sub-instances (connections and ops split evenly) distributed over
-/// host threads through a work-stealing queue, the repo's established
-/// SMP idiom. Each sub-instance is itself deterministic; the
-/// distribution (and the steal count) is host-dependent, so figures
-/// from this mode are informational, never baselines.
-pub fn run_serve_free(
-    params: &ServeParams,
-    threads: usize,
-) -> Result<Vec<ServeResult>, ServeRunError> {
-    let threads = threads.max(1);
-    let chunks = threads * 2;
-    let q: WorkStealQueue<ServeParams> = WorkStealQueue::new(threads);
-    for c in 0..chunks {
-        let sub = ServeParams {
-            conns: (params.conns / chunks).max(1),
-            ops: (params.ops / chunks as u64).max(params.pipeline as u64),
-            seed: params.seed.wrapping_add(c as u64),
-            ..params.clone()
-        };
-        q.push(c % threads, sub);
-    }
-    let q = &q;
-    let results: Vec<Vec<Result<ServeResult, ServeRunError>>> = run_on_threads(threads, |w| {
-        let mut out = Vec::new();
-        while let Some(p) = q.pop(w) {
-            out.push(run_serve(&p));
-        }
-        out
-    });
-    let steals = q.steals();
-    let mut flat = Vec::new();
-    for r in results.into_iter().flatten() {
-        let mut r = r?;
-        r.steals = steals;
-        flat.push(r);
-    }
-    Ok(flat)
 }
 
 #[cfg(test)]
@@ -1532,22 +1486,6 @@ mod tests {
         });
         assert!(mpk.crossings > base.crossings);
         assert!(mpk.mreq_per_s < base.mreq_per_s);
-    }
-
-    #[test]
-    fn free_running_mode_serves_all_chunks() {
-        let rs = run_serve_free(
-            &ServeParams {
-                conns: 64,
-                ops: 320,
-                ..ServeParams::default()
-            },
-            2,
-        )
-        .expect("free-running serve succeeds");
-        assert_eq!(rs.len(), 4);
-        let total: u64 = rs.iter().map(|r| r.ops).sum();
-        assert_eq!(total, 320);
     }
 
     #[test]

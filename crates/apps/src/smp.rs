@@ -11,7 +11,7 @@
 //! the canonical global order, so outcomes, simulated cycles, crossing
 //! counts and fault traces are identical to the single-queue run — the
 //! property `tests/smp_equiv.rs` proves over random workloads and the
-//! `smp-determinism` CI job enforces end-to-end. The switch cost charged
+//! `artefacts` CI job enforces end-to-end. The switch cost charged
 //! per context switch is the same for both paths (plain or verified), so
 //! the simulated clock cannot diverge either.
 

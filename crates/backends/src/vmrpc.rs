@@ -12,15 +12,8 @@
 //! inter-VM notification cost), and hands execution to the callee vCPU.
 //!
 //! The gate itself is stateless (`Copy`, no interior mutability): all
-//! crossing state lives in the [`Machine`] it is handed. That is what
-//! lets free-running SMP share one gate object across host threads, each
-//! thread driving its own machine shard — cross-shard doorbells ride the
-//! `flexos_kernel::smp` primitives ([`SpscRing`]/[`Doorbell`]), which
-//! mirror the head/tail publication protocol of the in-machine message
-//! queues.
-//!
-//! [`SpscRing`]: flexos_kernel::smp::SpscRing
-//! [`Doorbell`]: flexos_kernel::smp::Doorbell
+//! crossing state lives in the [`Machine`] it is handed, which is how it
+//! meets the `Gate: Send + Sync` bound without a lock.
 
 use flexos::gate::{CompartmentCtx, Gate, GateMechanism};
 use flexos_machine::{Addr, Fault, Machine, NotifyFate, Result};
@@ -653,25 +646,32 @@ mod tests {
 
     #[test]
     fn gate_object_is_shareable_across_host_threads() {
-        // Free-running SMP shares one booted image's gate objects across
-        // host threads, each driving its own machine shard. `Gate` is
-        // `Send + Sync` by trait bound; this test exercises the claim on
-        // the stateless `VmRpcGate`: four threads hammer the same gate
-        // through an `Arc` against private machines and must all charge
+        // `Gate` is `Send + Sync` by trait bound; this test exercises the
+        // claim on the stateless `VmRpcGate`: four threads hammer the same
+        // gate object against private machines and must all charge
         // exactly the cycles a sequential run charges.
         let (mut seq_m, seq_gate, seq_c0, seq_c1) = setup();
         let expected = run_exact(&mut seq_m, &seq_gate, &seq_c0, &seq_c1, 16);
 
-        let shared: std::sync::Arc<dyn Gate> = std::sync::Arc::new(setup().1);
-        let charged = flexos_kernel::smp::run_on_threads(4, |_vcpu| {
-            let (mut m, _, c0, c1) = setup();
-            let gate = std::sync::Arc::clone(&shared);
-            let t0 = m.clock().cycles();
-            for _ in 0..16 {
-                gate.enter(&mut m, &c0, &c1, 16).unwrap();
-                gate.exit(&mut m, &c1, &c0, 8).unwrap();
-            }
-            m.clock().cycles() - t0
+        let shared: &dyn Gate = &setup().1;
+        let charged: Vec<u64> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(move || {
+                        let (mut m, _, c0, c1) = setup();
+                        let t0 = m.clock().cycles();
+                        for _ in 0..16 {
+                            shared.enter(&mut m, &c0, &c1, 16).unwrap();
+                            shared.exit(&mut m, &c1, &c0, 8).unwrap();
+                        }
+                        m.clock().cycles() - t0
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().expect("gate worker panicked"))
+                .collect()
         });
         assert_eq!(charged, vec![expected; 4]);
     }

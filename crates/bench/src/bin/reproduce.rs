@@ -1,18 +1,24 @@
 //! `reproduce` — regenerate the paper's tables and figures.
 //!
 //! ```text
-//! Usage: reproduce [fig3|table1|fig4|fig5|ctxswitch|coloring|explore|stats|chaos|bench|serve|migrate|all]
-//!                  [--quick] [--stats] [--chaos] [--bench] [--serve] [--migrate] [--seed=S]
-//!                  [--vcpus=N] [--conns=N] [--migrate-at=BURSTS[:backend]]
+//! Usage: reproduce [coloring|explore|ctxswitch|fig3|table1|fig4|fig5|cheri|stats|chaos|serve|migrate|all]
+//!                  [--quick] [--stats] [--chaos] [--serve] [--migrate]
+//!                  [--seed=S] [--vcpus=N] [--conns=N] [--migrate-at=BURSTS[:backend]]
 //!                  [--json[=PATH]] [--trace-out=PATH]
 //! ```
+//!
+//! The command line is parsed once, against one table of reports
+//! (`MODES`); an unknown flag, an unknown experiment or a second
+//! experiment prints the usage and exits 2, so a misspelt `--vcpu=2`
+//! cannot quietly run the default report at one vCPU.
 //!
 //! `--vcpus=N` (default 1) selects the run-queue topology for the
 //! scheduler-driven workloads: 1 is the legacy single queue, more is the
 //! deterministic SMP queue (one deque per logical vCPU, popped in the
 //! canonical global order). Outputs are byte-identical for every value —
-//! the `smp-determinism` CI job diffs `--vcpus 1/2/4` runs of this very
-//! binary. Wall-clock SMP scaling is the `--bench` smp-* matrix instead.
+//! the `artefacts` CI job diffs `--vcpus 1/2/4` runs of this very
+//! binary. Host time is not measured here at all: that is
+//! `benchmark/run.sh`.
 //!
 //! `--stats` (or the `stats` experiment) runs the Redis/MPK profile from
 //! Figure 5 and prints the per-compartment telemetry report: gate
@@ -36,22 +42,6 @@
 //! `flexos-chaos.json`). The chaos sweeps run standalone: they never
 //! touch the figure experiments, whose outputs stay bit-identical.
 //!
-//! `--bench` (or the `bench` experiment) measures **host** wall-clock
-//! throughput of the simulator itself (memcpy, iperf, Redis,
-//! gate-crossing microbenches, including the batched-crossing matrix of
-//! every backend at batch sizes 1/8/32, the async gate-ring matrix at
-//! ring depth 128, and the free-running SMP matrix splitting
-//! iperf/Redis over 1/2/4 host threads) and compares against
-//! the recorded pre-optimization baseline; `--json[=PATH]` writes the
-//! report (default `BENCH_10.json`). Host time is machine-dependent and
-//! not part of the reproducibility contract — see EXPERIMENTS.md E13,
-//! E14 and E15. The report's `serving` block is the exception: it runs
-//! the serving-tier scaling matrix (same offered load at 10³/10⁴/10⁵
-//! open connections through the sharded cluster proxy) in simulated
-//! cycles, fully deterministic, and carries the flat-ratio figure CI
-//! asserts on (per-request cost at 10⁵ idle connections must stay
-//! within 1.3x of 10³ — the O(ready) contract; see EXPERIMENTS.md E18).
-//!
 //! `--serve` (or the `serve` experiment) runs one serving-tier workload
 //! — N established connections (default 10 000, `--conns=N` overrides)
 //! served by the sharded Redis cluster proxy under open-loop Poisson
@@ -59,14 +49,14 @@
 //! per-shard request counts and the readiness/executor counters.
 //! `--json[=PATH]` writes the figures (default `flexos-serve.json`).
 //! Everything is simulated cycles: the JSON is byte-identical for every
-//! `--vcpus` value (the serve-smoke CI job diffs 1/2/4) and across
+//! `--vcpus` value (the `artefacts` CI job diffs 1/2/4) and across
 //! hosts. `--trace-out=PATH` records the span trace, showing each
 //! request's proxy → shard → proxy hops. `--migrate-at=BURSTS[:backend]`
 //! arms a live migration: after that many completed request bursts,
 //! every gate pair swaps to the named backend (default `vmrpc`) through
 //! the quiescence protocol while traffic keeps flowing; the report's
 //! `stats.migrations` block records the swap and the JSON stays
-//! byte-identical across repeats (the serve-smoke CI job diffs two
+//! byte-identical across repeats (the `artefacts` CI job diffs two
 //! migrating runs).
 //!
 //! `--migrate` (or the `migrate` experiment) sweeps the live
@@ -97,6 +87,14 @@ use flexos_bench::experiments::{
 };
 use flexos_bench::report::{fmt_mbps, fmt_slowdown, JsonWriter, Table};
 use flexos_machine::CostTable;
+
+/// A report file that cannot be written fails the run.
+fn write_or_exit(path: &str, contents: &str) {
+    if let Err(e) = std::fs::write(path, contents) {
+        eprintln!("failed to write {path}: {e}");
+        std::process::exit(1);
+    }
+}
 
 fn run_fig3(quick: bool) {
     println!("Running Figure 3 (iperf throughput, various configs)...");
@@ -668,15 +666,8 @@ fn run_stats(quick: bool, vcpus: usize, json: Option<&str>, trace_out: Option<&s
     }
 
     if let (Some(path), Some(trace)) = (trace_out, &trace) {
-        match std::fs::write(path, trace) {
-            Ok(()) => {
-                println!("\nWrote Chrome trace-event JSON to {path} (open in ui.perfetto.dev)")
-            }
-            Err(e) => {
-                eprintln!("failed to write {path}: {e}");
-                std::process::exit(1);
-            }
-        }
+        write_or_exit(path, trace);
+        println!("\nWrote Chrome trace-event JSON to {path} (open in ui.perfetto.dev)");
     }
 
     if let Some(path) = json {
@@ -692,13 +683,8 @@ fn run_stats(quick: bool, vcpus: usize, json: Option<&str>, trace_out: Option<&s
             .raw_field("stats", &snap.to_json())
             .end_obj();
         let doc = w.finish();
-        match std::fs::write(path, &doc) {
-            Ok(()) => println!("\nWrote JSON stats to {path}"),
-            Err(e) => {
-                eprintln!("failed to write {path}: {e}");
-                std::process::exit(1);
-            }
-        }
+        write_or_exit(path, &doc);
+        println!("\nWrote JSON stats to {path}");
     }
 }
 
@@ -823,15 +809,8 @@ fn run_serve_exp(
     print_serving_counters(&snap);
 
     if let (Some(path), Some(trace)) = (trace_out, &trace) {
-        match std::fs::write(path, trace) {
-            Ok(()) => {
-                println!("\nWrote Chrome trace-event JSON to {path} (open in ui.perfetto.dev)")
-            }
-            Err(e) => {
-                eprintln!("failed to write {path}: {e}");
-                std::process::exit(1);
-            }
-        }
+        write_or_exit(path, trace);
+        println!("\nWrote Chrome trace-event JSON to {path} (open in ui.perfetto.dev)");
     }
 
     if let Some(path) = json {
@@ -853,13 +832,8 @@ fn run_serve_exp(
             .raw_field("stats", &snap.to_json())
             .end_obj();
         let doc = w.finish();
-        match std::fs::write(path, &doc) {
-            Ok(()) => println!("\nWrote JSON serve report to {path}"),
-            Err(e) => {
-                eprintln!("failed to write {path}: {e}");
-                std::process::exit(1);
-            }
-        }
+        write_or_exit(path, &doc);
+        println!("\nWrote JSON serve report to {path}");
     }
 }
 
@@ -958,216 +932,8 @@ fn run_chaos(quick: bool, seed: u64, vcpus: usize, json: Option<&str>) {
 
     if let Some(path) = json {
         let doc = chaos_json(seed, quick, &tcp, &vmrpc, &alloc, &pkey);
-        match std::fs::write(path, &doc) {
-            Ok(()) => println!("\nWrote JSON chaos report to {path}"),
-            Err(e) => {
-                eprintln!("failed to write {path}: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-}
-
-fn run_bench(quick: bool, json: Option<&str>) {
-    use flexos_bench::hostbench::{
-        async_speedup, batch32_speedup, bench_json, latency_points, migration_points,
-        run_bench as run_points, serving_flat_ratio, serving_free_points, serving_points,
-        smp_speedup, speedup_vs_baseline, ASYNC_RING_DEPTH, BASELINE_NOTE,
-    };
-
-    println!(
-        "Running the host wall-clock microbenches{}...",
-        if quick { " (quick)" } else { "" }
-    );
-    println!(
-        "(host time of the simulator itself — NOT simulated time; figures\n\
-         elsewhere in this binary are unaffected and stay bit-identical)\n"
-    );
-    let points = run_points(quick);
-    let mut t = Table::new(
-        "Host wall-clock microbenches",
-        &[
-            "bench",
-            "iters",
-            "bytes",
-            "host ms",
-            "host Mb/s",
-            "ns/iter",
-            "sim cycles",
-            "speedup vs pre-PR4",
-        ],
-    );
-    for p in &points {
-        let speedup = match speedup_vs_baseline(p) {
-            Some(s) => format!("{s:.2}x"),
-            None => "-".into(),
-        };
-        t.row(vec![
-            p.name.to_string(),
-            p.iters.to_string(),
-            p.bytes.to_string(),
-            format!("{:.2}", p.host_nanos as f64 / 1e6),
-            if p.bytes > 0 {
-                format!("{:.0}", p.host_mbps())
-            } else {
-                "-".into()
-            },
-            format!("{:.0}", p.ns_per_iter()),
-            p.sim_cycles.to_string(),
-            speedup,
-        ]);
-    }
-    println!("{}", t.render());
-    println!("Baseline: {BASELINE_NOTE}.");
-    println!("(speedups shown for --quick runs only, where workloads match the recording)");
-
-    let mut bt = Table::new(
-        "Batched-crossing speedup (per-call host ns, batch=32 vs batch=1)",
-        &["backend", "speedup"],
-    );
-    for backend in ["direct", "mpk-shared", "vmrpc", "cheri"] {
-        if let Some(s) = batch32_speedup(&points, backend) {
-            bt.row(vec![backend.to_string(), format!("{s:.2}x")]);
-        }
-    }
-    println!("{}", bt.render());
-
-    let mut at = Table::new(
-        "Async gate-ring speedup (per-call host ns, submit+flush+reap vs sync b1)",
-        &["backend", "speedup"],
-    );
-    for backend in ["direct", "mpk-shared", "vmrpc", "cheri"] {
-        if let Some(s) = async_speedup(&points, backend) {
-            at.row(vec![backend.to_string(), format!("{s:.2}x")]);
-        }
-    }
-    println!("{}", at.render());
-    println!(
-        "(submission ring depth {ASYNC_RING_DEPTH}: descriptors overlap with the\n\
-         crossing latency, so VM RPC pays one coalesced doorbell per flush)"
-    );
-
-    let mut st = Table::new(
-        "Free-running SMP scaling (identical per-shard workload per host thread)",
-        &["workload", "threads", "aggregate throughput vs 1 thread"],
-    );
-    for workload in ["iperf", "redis"] {
-        for threads in [2usize, 4] {
-            if let Some(s) = smp_speedup(&points, workload, threads) {
-                st.row(vec![
-                    workload.to_string(),
-                    threads.to_string(),
-                    format!("{s:.2}x"),
-                ]);
-            }
-        }
-    }
-    println!("{}", st.render());
-    println!(
-        "(each thread drives its own machine shard; ratios are host-dependent\n\
-         and informational — the determinism contract lives in the\n\
-         deterministic interleaver, exercised by --vcpus elsewhere)"
-    );
-
-    let latency = latency_points(quick);
-    let mut lt = Table::new(
-        "Per-request latency across isolation backends (simulated cycles, exact)",
-        &["app", "backend", "requests", "p50", "p99", "p999"],
-    );
-    for r in &latency {
-        lt.row(vec![
-            r.app.to_string(),
-            r.backend.to_string(),
-            r.count.to_string(),
-            r.p50.to_string(),
-            r.p99.to_string(),
-            r.p999.to_string(),
-        ]);
-    }
-    println!("{}", lt.render());
-    println!(
-        "(span-tracer percentiles are simulated time and deterministic —\n\
-         the one bench section that IS byte-reproducible across hosts)"
-    );
-
-    let mut serving = serving_points(quick);
-    serving.extend(serving_free_points(quick));
-    let mut sv = Table::new(
-        "Serving-tier scaling (same offered load, growing open-connection count)",
-        &[
-            "point",
-            "conns",
-            "requests",
-            "cycles/req",
-            "MTps",
-            "p50",
-            "p99",
-            "p999",
-            "steals",
-        ],
-    );
-    for p in &serving {
-        let r = &p.result;
-        sv.row(vec![
-            p.name.to_string(),
-            r.conns.to_string(),
-            r.ops.to_string(),
-            r.cycles_per_op.to_string(),
-            format!("{:.3}", r.mreq_per_s),
-            r.p50_cycles.to_string(),
-            r.p99_cycles.to_string(),
-            r.p999_cycles.to_string(),
-            r.steals.to_string(),
-        ]);
-    }
-    println!("{}", sv.render());
-    match serving_flat_ratio(&serving) {
-        Some(r) => println!(
-            "Per-request cost at 100k idle conns vs 1k: {r:.3}x (O(ready) \
-             contract: CI asserts <= 1.3x; simulated cycles, deterministic)"
-        ),
-        None => println!("(serving flat ratio unavailable: a scaling point failed)"),
-    }
-
-    let migration = migration_points(quick);
-    let mut mt = Table::new(
-        "Live migration under load (swap requested mid-crossing; simulated cycles)",
-        &[
-            "point",
-            "pairs",
-            "drain max",
-            "first cross",
-            "steady cross",
-            "SQEs requeued",
-            "host ms",
-        ],
-    );
-    for p in &migration {
-        mt.row(vec![
-            p.name.to_string(),
-            p.pairs.to_string(),
-            p.drain_cycles_max.to_string(),
-            p.first_cross_cycles.to_string(),
-            p.steady_cross_cycles.to_string(),
-            p.requeued_sqes.to_string(),
-            format!("{:.2}", p.host_nanos as f64 / 1e6),
-        ]);
-    }
-    println!("{}", mt.render());
-    println!(
-        "(the swap is requested inside a crossing, so the drain waits out\n\
-         the in-flight call and carries the parked ring descriptors across)"
-    );
-
-    if let Some(path) = json {
-        let doc = bench_json(quick, &points, &latency, &serving, &migration);
-        match std::fs::write(path, &doc) {
-            Ok(()) => println!("\nWrote JSON bench report to {path}"),
-            Err(e) => {
-                eprintln!("failed to write {path}: {e}");
-                std::process::exit(1);
-            }
-        }
+        write_or_exit(path, &doc);
+        println!("\nWrote JSON chaos report to {path}");
     }
 }
 
@@ -1309,79 +1075,30 @@ fn run_migrate(quick: bool, json: Option<&str>) {
     // Policy ladder demo: hostile windows escalate one rung at a time,
     // sustained benign load relaxes after a streak.
     let mut pol = MigrationPolicy::new(GateMechanism::MpkSharedStack);
-    let windows: &[(&str, PolicySignals)] = &[
-        (
-            "benign, loaded",
-            PolicySignals {
-                hardening_aborts: 0,
-                chaos_events: 0,
-                window_ops: 512,
-            },
-        ),
-        (
-            "chaos event",
-            PolicySignals {
-                hardening_aborts: 0,
-                chaos_events: 2,
-                window_ops: 512,
-            },
-        ),
-        (
-            "hardening abort",
-            PolicySignals {
-                hardening_aborts: 1,
-                chaos_events: 0,
-                window_ops: 512,
-            },
-        ),
-        (
-            "benign, loaded",
-            PolicySignals {
-                hardening_aborts: 0,
-                chaos_events: 0,
-                window_ops: 512,
-            },
-        ),
-        (
-            "benign, loaded",
-            PolicySignals {
-                hardening_aborts: 0,
-                chaos_events: 0,
-                window_ops: 512,
-            },
-        ),
-        (
-            "benign, loaded",
-            PolicySignals {
-                hardening_aborts: 0,
-                chaos_events: 0,
-                window_ops: 512,
-            },
-        ),
-        (
-            "benign, loaded",
-            PolicySignals {
-                hardening_aborts: 0,
-                chaos_events: 0,
-                window_ops: 512,
-            },
-        ),
-        (
-            "benign, loaded",
-            PolicySignals {
-                hardening_aborts: 0,
-                chaos_events: 0,
-                window_ops: 512,
-            },
-        ),
-    ];
+    let benign = PolicySignals {
+        hardening_aborts: 0,
+        chaos_events: 0,
+        window_ops: 512,
+    };
+    let chaos = PolicySignals {
+        chaos_events: 2,
+        ..benign
+    };
+    let abort = PolicySignals {
+        hardening_aborts: 1,
+        ..benign
+    };
+    let calm = ("benign, loaded", benign);
+    let windows = [calm, ("chaos event", chaos), ("hardening abort", abort)]
+        .into_iter()
+        .chain([calm; 5]);
     let mut pt = Table::new(
         "MigrationPolicy ladder (escalate on hostile window, relax after a benign streak)",
         &["window", "signals", "decision", "mechanism after"],
     );
     let mut pol_rows: Vec<(String, String)> = Vec::new();
     for (what, s) in windows {
-        let decision = pol.observe(*s);
+        let decision = pol.observe(s);
         let d = match decision {
             PolicyDecision::Hold => "hold".to_string(),
             PolicyDecision::Escalate { to } => {
@@ -1394,7 +1111,7 @@ fn run_migrate(quick: bool, json: Option<&str>) {
             }
         };
         pt.row(vec![
-            (*what).to_string(),
+            what.to_string(),
             format!(
                 "aborts={} chaos={} ops={}",
                 s.hardening_aborts, s.chaos_events, s.window_ops
@@ -1402,7 +1119,7 @@ fn run_migrate(quick: bool, json: Option<&str>) {
             d.clone(),
             tag(backend_of(pol.current())).to_string(),
         ]);
-        pol_rows.push(((*what).to_string(), d));
+        pol_rows.push((what.to_string(), d));
     }
     println!("{}", pt.render());
 
@@ -1431,190 +1148,191 @@ fn run_migrate(quick: bool, json: Option<&str>) {
                 .end_obj();
         }
         w.end_arr().end_obj();
-        match std::fs::write(path, w.finish()) {
-            Ok(()) => println!("Wrote JSON migration report to {path}"),
-            Err(e) => eprintln!("could not write {path}: {e}"),
+        write_or_exit(path, &w.finish());
+        println!("Wrote JSON migration report to {path}");
+    }
+}
+
+/// What one invocation asked for: the reports to run and their knobs.
+struct Opts {
+    /// Which rows of [`MODES`] run (in table order).
+    run: [bool; MODES.len()],
+    quick: bool,
+    seed: u64,
+    vcpus: usize,
+    conns: Option<usize>,
+    migrate_at: Option<(u64, BackendChoice)>,
+    trace_out: Option<String>,
+    /// `--json=PATH`; wins over a bare `--json`.
+    json_path: Option<String>,
+    /// Bare `--json`: each report writes its default file.
+    json_default: bool,
+}
+
+/// One report `reproduce` can run.
+struct Mode {
+    name: &'static str,
+    /// Part of `all` (and of a bare `reproduce`).
+    in_all: bool,
+    /// The file a bare `--json` writes. A report that has one is also
+    /// selectable as `--name`, on top of whatever else was selected.
+    json: Option<&'static str>,
+    run: fn(&Opts, Option<&str>),
+}
+
+const fn mode(
+    name: &'static str,
+    in_all: bool,
+    json: Option<&'static str>,
+    run: fn(&Opts, Option<&str>),
+) -> Mode {
+    Mode {
+        name,
+        in_all,
+        json,
+        run,
+    }
+}
+
+/// Every report, in the order they run.
+const MODES: &[Mode] = &[
+    mode("coloring", true, None, |_, _| run_coloring()),
+    mode("explore", true, None, |_, _| run_explore()),
+    mode("ctxswitch", true, None, |_, _| run_ctxswitch()),
+    mode("fig3", true, None, |o, _| run_fig3(o.quick)),
+    mode("table1", true, None, |o, _| run_table1(o.quick)),
+    mode("fig4", true, None, |o, _| run_fig4(o.quick)),
+    mode("fig5", true, None, |o, _| run_fig5(o.quick)),
+    mode("cheri", true, None, |o, _| run_cheri(o.quick)),
+    mode("stats", true, Some("flexos-stats.json"), |o, json| {
+        run_stats(o.quick, o.vcpus, json, o.trace_out.as_deref())
+    }),
+    mode("chaos", false, Some("flexos-chaos.json"), |o, json| {
+        run_chaos(o.quick, o.seed, o.vcpus, json)
+    }),
+    mode("serve", false, Some("flexos-serve.json"), |o, json| {
+        run_serve_exp(o.quick, o.conns, json, o.trace_out.as_deref(), o.migrate_at)
+    }),
+    mode("migrate", false, Some("flexos-migrate.json"), |o, json| {
+        run_migrate(o.quick, json)
+    }),
+];
+
+fn usage() -> String {
+    let names: Vec<&str> = MODES.iter().map(|m| m.name).collect();
+    let flags: Vec<String> = MODES
+        .iter()
+        .filter(|m| m.json.is_some())
+        .map(|m| format!("[--{}]", m.name))
+        .collect();
+    format!(
+        "usage: reproduce [{}|all]\n\
+         \x20                [--quick] {}\n\
+         \x20                [--seed=S] [--vcpus=N] [--conns=N] [--migrate-at=BURSTS[:backend]]\n\
+         \x20                [--json[=PATH]] [--trace-out=PATH]",
+        names.join("|"),
+        flags.join(" "),
+    )
+}
+
+fn number<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String> {
+    v.parse()
+        .map_err(|_| format!("{flag} must be an unsigned integer, got `{v}`"))
+}
+
+fn parse_migrate_at(s: &str) -> Result<(u64, BackendChoice), String> {
+    let (n, b) = s.split_once(':').unwrap_or((s, "vmrpc"));
+    let after = n
+        .parse()
+        .map_err(|_| format!("--migrate-at must be BURSTS[:backend], got `{s}`"))?;
+    let to = match b {
+        "direct" | "none" => BackendChoice::None,
+        "mpk-shared" => BackendChoice::MpkShared,
+        "mpk-switched" => BackendChoice::MpkSwitched,
+        "vmrpc" => BackendChoice::VmRpc,
+        "cheri" => BackendChoice::Cheri,
+        _ => {
+            return Err(format!(
+                "--migrate-at backend must be \
+                 direct|mpk-shared|mpk-switched|vmrpc|cheri, got `{b}`"
+            ))
+        }
+    };
+    Ok((after, to))
+}
+
+/// Parses the whole command line; anything it does not know is an error,
+/// so a misspelt flag cannot silently run the default report.
+fn parse(args: &[String]) -> Result<Opts, String> {
+    let mut o = Opts {
+        run: [false; MODES.len()],
+        quick: false,
+        seed: 42,
+        vcpus: 1,
+        conns: None,
+        migrate_at: None,
+        trace_out: None,
+        json_path: None,
+        json_default: false,
+    };
+    let mut what: Option<&str> = None;
+    for arg in args {
+        let Some(flag) = arg.strip_prefix("--") else {
+            if let Some(first) = what {
+                return Err(format!("two experiments given: `{first}` and `{arg}`"));
+            }
+            what = Some(arg);
+            continue;
+        };
+        match flag.split_once('=').unwrap_or((flag, "")) {
+            ("quick", "") => o.quick = true,
+            ("json", "") => o.json_default = true,
+            ("json", path) => o.json_path = Some(path.to_string()),
+            ("trace-out", path) if !path.is_empty() => o.trace_out = Some(path.to_string()),
+            ("seed", v) => o.seed = number("--seed", v)?,
+            ("vcpus", v) => o.vcpus = number::<usize>("--vcpus", v)?.max(1),
+            ("conns", v) => o.conns = Some(number("--conns", v)?),
+            ("migrate-at", v) => o.migrate_at = Some(parse_migrate_at(v)?),
+            (name, "") => match MODES
+                .iter()
+                .position(|m| m.name == name && m.json.is_some())
+            {
+                Some(i) => o.run[i] = true,
+                None => return Err(format!("unknown flag `{arg}`")),
+            },
+            _ => return Err(format!("unknown flag `{arg}`")),
         }
     }
+    // No experiment and no report flag: everything `all` covers.
+    match what.or((!o.run.contains(&true)).then_some("all")) {
+        Some("all") => MODES
+            .iter()
+            .zip(&mut o.run)
+            .for_each(|(m, on)| *on |= m.in_all),
+        Some(name) => match MODES.iter().position(|m| m.name == name) {
+            Some(i) => o.run[i] = true,
+            None => return Err(format!("unknown experiment `{name}`")),
+        },
+        None => {}
+    }
+    Ok(o)
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let stats_flag = args.iter().any(|a| a == "--stats");
-    let chaos_flag = args.iter().any(|a| a == "--chaos");
-    let bench_flag = args.iter().any(|a| a == "--bench");
-    let serve_flag = args.iter().any(|a| a == "--serve");
-    let migrate_flag = args.iter().any(|a| a == "--migrate");
-    let conns: Option<usize> = args
-        .iter()
-        .find_map(|a| a.strip_prefix("--conns="))
-        .map(|s| {
-            s.parse().unwrap_or_else(|_| {
-                eprintln!("--conns must be a positive integer, got `{s}`");
-                std::process::exit(2);
-            })
-        });
-    let seed: u64 = args
-        .iter()
-        .find_map(|a| a.strip_prefix("--seed="))
-        .map(|s| {
-            s.parse().unwrap_or_else(|_| {
-                eprintln!("--seed must be an unsigned integer, got `{s}`");
-                std::process::exit(2);
-            })
-        })
-        .unwrap_or(42);
-    let vcpus: usize = args
-        .iter()
-        .find_map(|a| a.strip_prefix("--vcpus="))
-        .map(|s| {
-            s.parse().unwrap_or_else(|_| {
-                eprintln!("--vcpus must be a positive integer, got `{s}`");
-                std::process::exit(2);
-            })
-        })
-        .unwrap_or(1)
-        .max(1);
-    let migrate_at: Option<(u64, flexos::build::BackendChoice)> = args
-        .iter()
-        .find_map(|a| a.strip_prefix("--migrate-at="))
-        .map(|s| {
-            use flexos::build::BackendChoice;
-            let (n, b) = s.split_once(':').unwrap_or((s, "vmrpc"));
-            let after: u64 = n.parse().unwrap_or_else(|_| {
-                eprintln!("--migrate-at must be BURSTS[:backend], got `{s}`");
-                std::process::exit(2);
-            });
-            let to = match b {
-                "direct" | "none" => BackendChoice::None,
-                "mpk-shared" => BackendChoice::MpkShared,
-                "mpk-switched" => BackendChoice::MpkSwitched,
-                "vmrpc" => BackendChoice::VmRpc,
-                "cheri" => BackendChoice::Cheri,
-                _ => {
-                    eprintln!(
-                        "--migrate-at backend must be \
-                         direct|mpk-shared|mpk-switched|vmrpc|cheri, got `{b}`"
-                    );
-                    std::process::exit(2);
-                }
-            };
-            (after, to)
-        });
-    let trace_out: Option<String> = args
-        .iter()
-        .find_map(|a| a.strip_prefix("--trace-out=").map(str::to_string));
-    let json_explicit: Option<String> = args
-        .iter()
-        .find_map(|a| a.strip_prefix("--json=").map(str::to_string));
-    let json_bare = args.iter().any(|a| a == "--json");
-    // Bare `--json` picks a per-report default filename.
-    let json: Option<String> = json_explicit
-        .clone()
-        .or_else(|| json_bare.then(|| "flexos-stats.json".to_string()));
-    let chaos_json_path: Option<String> = json_explicit
-        .clone()
-        .or_else(|| json_bare.then(|| "flexos-chaos.json".to_string()));
-    let bench_json_path: Option<String> = json_explicit
-        .clone()
-        .or_else(|| json_bare.then(|| "BENCH_10.json".to_string()));
-    let migrate_json_path: Option<String> = json_explicit
-        .clone()
-        .or_else(|| json_bare.then(|| "flexos-migrate.json".to_string()));
-    let serve_json_path: Option<String> =
-        json_explicit.or_else(|| json_bare.then(|| "flexos-serve.json".to_string()));
-    let what = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| {
-            if stats_flag {
-                "stats".into()
-            } else if chaos_flag {
-                "chaos".into()
-            } else if bench_flag {
-                "bench".into()
-            } else if serve_flag {
-                "serve".into()
-            } else if migrate_flag {
-                "migrate".into()
-            } else {
-                "all".into()
-            }
-        });
-    let all = what == "all";
+    let opts = parse(&args).unwrap_or_else(|e| {
+        eprintln!("error: {e}\n{}", usage());
+        std::process::exit(2);
+    });
     println!(
         "FlexOS-rs reproduction harness (deterministic cycle simulation @2.1 GHz{})",
-        if quick { ", quick mode" } else { "" }
+        if opts.quick { ", quick mode" } else { "" }
     );
-    if all || what == "coloring" {
-        run_coloring();
-    }
-    if all || what == "explore" {
-        run_explore();
-    }
-    if all || what == "ctxswitch" {
-        run_ctxswitch();
-    }
-    if all || what == "fig3" {
-        run_fig3(quick);
-    }
-    if all || what == "table1" {
-        run_table1(quick);
-    }
-    if all || what == "fig4" {
-        run_fig4(quick);
-    }
-    if all || what == "fig5" {
-        run_fig5(quick);
-    }
-    if all || what == "cheri" {
-        run_cheri(quick);
-    }
-    if all || what == "stats" || stats_flag {
-        run_stats(quick, vcpus, json.as_deref(), trace_out.as_deref());
-    }
-    if what == "chaos" || chaos_flag {
-        run_chaos(quick, seed, vcpus, chaos_json_path.as_deref());
-    }
-    if what == "bench" || bench_flag {
-        run_bench(quick, bench_json_path.as_deref());
-    }
-    if what == "serve" || serve_flag {
-        run_serve_exp(
-            quick,
-            conns,
-            serve_json_path.as_deref(),
-            trace_out.as_deref(),
-            migrate_at,
-        );
-    }
-    if what == "migrate" || migrate_flag {
-        run_migrate(quick, migrate_json_path.as_deref());
-    }
-    if !all
-        && ![
-            "fig3",
-            "table1",
-            "fig4",
-            "fig5",
-            "cheri",
-            "ctxswitch",
-            "coloring",
-            "explore",
-            "stats",
-            "chaos",
-            "bench",
-            "serve",
-            "migrate",
-        ]
-        .contains(&what.as_str())
-    {
-        eprintln!(
-            "unknown experiment `{what}`; expected \
-             fig3|table1|fig4|fig5|cheri|ctxswitch|coloring|explore|stats|chaos|bench|serve|migrate|all"
-        );
-        std::process::exit(2);
+    for (mode, _) in MODES.iter().zip(opts.run).filter(|(_, on)| *on) {
+        let json = opts
+            .json_path
+            .as_deref()
+            .or(mode.json.filter(|_| opts.json_default));
+        (mode.run)(&opts, json);
     }
 }

@@ -47,7 +47,7 @@ pub struct TcpChaosPoint {
 /// `vcpus` selects the run-queue topology (1 = legacy single queue,
 /// more = the deterministic SMP queue). The canonical interleave makes
 /// the sweep byte-identical for every `vcpus` value — the property the
-/// `smp-determinism` CI job checks on this very report. The other three
+/// `artefacts` CI job checks on this very report. The other three
 /// chaos sweeps drive the machine directly, without a scheduler, so they
 /// take no `vcpus` parameter.
 pub fn tcp_goodput_vs_loss(quick: bool, seed: u64, vcpus: usize) -> Vec<TcpChaosPoint> {

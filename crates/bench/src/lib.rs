@@ -14,14 +14,12 @@
 //! paper-style tables; `--quick` shrinks workload sizes.
 //!
 //! Beyond the paper: `reproduce -- --serve` drives the sharded-proxy
-//! serving tier (open-loop Poisson load, p50/p99/p999 latency), and
-//! `reproduce -- --bench` records the host-time + serving scaling
-//! matrices ([`hostbench`]) into `BENCH_10.json`.
+//! serving tier (open-loop Poisson load, p50/p99/p999 latency). Host
+//! time is measured by the repo benchmark (`benchmark/run.sh`), not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod chaos;
 pub mod experiments;
-pub mod hostbench;
 pub mod report;

@@ -351,12 +351,12 @@ pub struct CompartmentCtx {
 /// machine clock and perform the actual domain switch (PKRU write, vCPU
 /// handoff, notification, …) so that enforcement matches the mechanism.
 ///
-/// `Send + Sync` is a supertrait since true SMP: gates are stateless
-/// behind `&self` (all mutable state — clock, PKRU, doorbells — lives in
-/// the `Machine` passed in), and the runtime shares them via `Arc` so a
-/// booted image can move to, or be driven from, another host thread in
-/// free-running mode. A backend needing interior state must use atomics,
-/// not `Cell` — the compiler now enforces that.
+/// `Send + Sync` is a supertrait: gates are stateless behind `&self`
+/// (all mutable state — clock, PKRU, doorbells — lives in the `Machine`
+/// passed in), and the runtime shares them via `Arc` so a booted image
+/// can move to, or be driven from, another host thread. A backend
+/// needing interior state must use atomics, not `Cell` — the compiler
+/// enforces that.
 pub trait Gate: fmt::Debug + Send + Sync {
     /// The mechanism this gate implements.
     fn mechanism(&self) -> GateMechanism;

@@ -12,13 +12,9 @@
 //!
 //! Scheduling is deterministic by construction: the run queue is a
 //! canonical FIFO, wakes are recorded in call order, and nothing here
-//! reads host time or thread identity. In free-running SMP mode the
-//! bench harness shards *connections* across executors (one
-//! `CoExecutor` per host thread, stealing via
-//! [`crate::smp::WorkStealQueue`]), while deterministic mode drives a
-//! single executor on the canonical interleave — the same task code runs
-//! in both, and the deterministic run is byte-identical at any
-//! `--vcpus`.
+//! reads host time or thread identity. A serving tier drives a single
+//! executor on the canonical interleave, so a run is byte-identical at
+//! any `--vcpus`.
 //!
 //! Unlike [`crate::exec::Executor`] (which owns threads and gate
 //! crossings for whole compartment images), a `CoExecutor` is a plain
@@ -189,12 +185,6 @@ impl<C> CoExecutor<C> {
     /// The executor's probe counters.
     pub fn trace(&self) -> &ExecutorTrace {
         &self.trace
-    }
-
-    /// Mutable probe access (the free-running harness folds steal
-    /// counts in before aggregating shards).
-    pub fn trace_mut(&mut self) -> &mut ExecutorTrace {
-        &mut self.trace
     }
 }
 

@@ -26,9 +26,6 @@
 //!   threat evidence, relax under sustained load) driving the core
 //!   quiescence protocol from the reproduce and serve harnesses.
 //! * [`mq`] — a message-queue micro-library in simulated shared memory.
-//! * [`smp`] — host-side SMP primitives (work-stealing deques, SPSC
-//!   doorbell rings) for the free-running bench mode; the deterministic
-//!   per-vCPU run queue lives in [`sched::smp`].
 //! * [`timer`] — the `uktime` deadline queue (one-shot and periodic
 //!   timers over the simulated cycle clock).
 //! * [`contract`] — the runtime pre/post-condition layer standing in for
@@ -44,7 +41,6 @@ pub mod exec;
 pub mod migrate;
 pub mod mq;
 pub mod sched;
-pub mod smp;
 pub mod sync;
 pub mod timer;
 
@@ -56,6 +52,5 @@ pub use exec::{ExecSummary, Executor, KernelHal, Step, Task};
 pub use migrate::{MigrationPolicy, PolicyDecision, PolicySignals};
 pub use mq::{GateRing, MsgQueue, WireCqe, WireSqe, CQE_BYTES, SQE_BYTES};
 pub use sched::{CoopScheduler, RunQueue, SmpRunQueue, ThreadId, VerifiedScheduler};
-pub use smp::{Doorbell, DrainBarrier, SpscRing, WorkStealQueue};
 pub use sync::{Mutex, SemId, SemTable, Semaphore, WaitChannel, WaitQueue};
 pub use timer::{TimerAction, TimerId, TimerWheel};

@@ -12,20 +12,16 @@
 //! is FIFO in stamp order, the global pop order equals the single-queue
 //! round-robin order of [`CoopScheduler`](crate::sched::coop::CoopScheduler)
 //! — *regardless of how many vCPUs the threads are spread over*. That is
-//! the property the `smp-determinism` CI job enforces: `--stats`,
-//! `--chaos` and every figure are byte-identical for `--vcpus 1/2/4`.
+//! the property the `artefacts` CI job enforces: `--stats`, `--chaos`
+//! and every figure are byte-identical for `--vcpus 1/2/4`.
 //!
 //! Work stealing exists but is observable only through a counter: when the
 //! globally-next thread does not live on the vCPU that last ran (the
 //! "local" queue), the pop is accounted as a steal. The *order* never
-//! changes — in deterministic mode, stealing rebalances which queue a
-//! thread is popped from, not when it runs. (The free-running host-thread
-//! queue in [`crate::smp`] is where stealing changes real execution.)
-//!
-//! The seed-driven interleaver the free-running mode uses for shard
-//! assignment deliberately does **not** influence this order: any
-//! seed-dependent choice here would make `--vcpus 2` output differ from
-//! `--vcpus 1`, which is exactly what the determinism matrix forbids.
+//! changes — stealing rebalances which queue a thread is popped from, not
+//! when it runs. Nothing here is seeded either: any seed-dependent choice
+//! would make `--vcpus 2` output differ from `--vcpus 1`, which is
+//! exactly what the determinism matrix forbids.
 
 use super::{RunQueue, ThreadId};
 use flexos_machine::{CostTable, Fault, Result};
@@ -79,7 +75,7 @@ impl SmpRunQueue {
         self.queues.len()
     }
 
-    /// Pops served from a non-local deque (deterministic-mode "steals").
+    /// Pops served from a non-local deque ("steals").
     pub fn steals(&self) -> u64 {
         self.steals
     }

@@ -67,7 +67,6 @@ pub mod machine;
 pub mod mem;
 pub mod page;
 pub mod pkey;
-pub mod smp;
 pub mod tlb;
 pub mod vm;
 
@@ -81,6 +80,5 @@ pub use hash::{FixedHasher, FixedMap};
 pub use machine::{GateToken, Machine, MachineConfig};
 pub use page::PageFlags;
 pub use pkey::{Access, Pkru, ProtKey};
-pub use smp::{SmpConfig, SmpMode};
 pub use tlb::{Tlb, TLB_ENTRIES};
 pub use vm::VmId;

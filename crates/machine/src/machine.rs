@@ -1039,6 +1039,15 @@ mod tests {
         Machine::with_defaults()
     }
 
+    // `Machine: Send` is a kept bound (a harness may move a whole machine
+    // to another host thread); this fails to compile if any field
+    // regresses to a non-Send type.
+    #[test]
+    fn machine_is_send() {
+        fn assert_send<T: Send>() {}
+        assert_send::<Machine>();
+    }
+
     #[test]
     fn boot_creates_vm0_and_vcpu0() {
         let m = machine();

@@ -53,13 +53,13 @@ pub struct PageTable {
     /// counter, so any edit lazily invalidates every cached translation
     /// of the VM without an eager flush.
     ///
-    /// Atomic since true SMP: the generation bump is the page table's
-    /// *publication point*. Mutators bump with `Release` after the edit,
-    /// TLB-tag readers load with `Acquire`, so a vCPU on another host
-    /// thread that observes the new generation also observes the edit
-    /// that caused it. (Mutation itself still goes through `&mut self` —
-    /// the MM capability keeps edits exclusive; the atomic makes
-    /// cross-thread *reads* of the counter well-defined.)
+    /// The generation bump is the page table's *publication point*:
+    /// mutators bump with `Release` after the edit, TLB-tag readers load
+    /// with `Acquire`. Every shipped path drives a machine from one host
+    /// thread (logical vCPUs are interleaved, not threaded), so today the
+    /// atomic only keeps a shared `&PageTable` well-defined to read;
+    /// mutation still goes through `&mut self` — the MM capability keeps
+    /// edits exclusive.
     generation: AtomicU64,
 }
 

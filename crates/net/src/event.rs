@@ -277,11 +277,6 @@ impl EventQueue {
     pub fn trace(&self) -> &EventQueueTrace {
         &self.trace
     }
-
-    /// Mutable probe access (for shard aggregation).
-    pub fn trace_mut(&mut self) -> &mut EventQueueTrace {
-        &mut self.trace
-    }
 }
 
 #[cfg(test)]

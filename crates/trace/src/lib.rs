@@ -18,13 +18,11 @@
 
 pub mod hist;
 pub mod ring;
-pub mod shard;
 pub mod snapshot;
 pub mod span;
 
 pub use hist::{CycleHist, HIST_BUCKETS};
 pub use ring::{Event, EventKind, EventRing, DEFAULT_RING_CAP};
-pub use shard::{MergeTrace, SchedSummaryShard, VcpuShards};
 pub use snapshot::{
     AllocRow, AsyncGatesSnapshot, EventRow, FaultCompartmentRow, FaultKindRow, GateBatchRow,
     GatePairRow, LatencyRow, MechanismRow, MigrationsSnapshot, NetSnapshot, RingDropRow,
@@ -559,14 +557,6 @@ impl TlbTrace {
         self.flushes
     }
 
-    /// Adds `other`'s counters into `self` (per-vCPU shard aggregation;
-    /// see [`crate::shard`]).
-    pub fn merge_counters(&mut self, other: &Self) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.flushes += other.flushes;
-    }
-
     /// The serializable view.
     pub fn snapshot(&self) -> TlbSnapshot {
         TlbSnapshot {
@@ -656,17 +646,6 @@ impl NetTrace {
     /// Backlog-overflow SYN drops recorded.
     pub fn backlog_overflows(&self) -> u64 {
         self.backlog_overflows
-    }
-
-    /// Adds `other`'s packet counters into `self` (per-vCPU shard
-    /// aggregation; drop *events* stay in their shard's ring — see
-    /// [`crate::shard`]).
-    pub fn merge_counters(&mut self, other: &Self) {
-        self.rx_segments += other.rx_segments;
-        self.tx_segments += other.tx_segments;
-        self.rx_datagrams += other.rx_datagrams;
-        self.drops += other.drops;
-        self.backlog_overflows += other.backlog_overflows;
     }
 
     /// The drop-event ring.
@@ -760,14 +739,6 @@ impl EventQueueTrace {
         self.delivered
     }
 
-    /// Adds `other`'s counters into `self` (per-vCPU shard aggregation).
-    pub fn merge_counters(&mut self, other: &Self) {
-        self.posted += other.posted;
-        self.coalesced += other.coalesced;
-        self.polls += other.polls;
-        self.delivered += other.delivered;
-    }
-
     /// Clears everything.
     pub fn reset(&mut self) {
         *self = Self::default();
@@ -775,7 +746,7 @@ impl EventQueueTrace {
 }
 
 /// Telemetry owned by the cooperative per-connection executor
-/// (`CoExecutor` in `flexos-kernel`): task spawn/run/wake/steal
+/// (`CoExecutor` in `flexos-kernel`): task spawn/run/wake
 /// counters. Same additive, host-side-only contract as
 /// [`EventQueueTrace`].
 #[derive(Debug, Clone, Copy, Default)]
@@ -783,7 +754,6 @@ pub struct ExecutorTrace {
     spawned: u64,
     tasks_run: u64,
     wakeups: u64,
-    steals: u64,
 }
 
 impl ExecutorTrace {
@@ -819,15 +789,6 @@ impl ExecutorTrace {
         }
     }
 
-    /// Counts a task stolen across shards in free-running mode.
-    #[inline]
-    pub fn on_steal(&mut self) {
-        #[cfg(not(feature = "trace-off"))]
-        {
-            self.steals += 1;
-        }
-    }
-
     /// Tasks spawned.
     pub fn spawned(&self) -> u64 {
         self.spawned
@@ -843,17 +804,12 @@ impl ExecutorTrace {
         self.wakeups
     }
 
-    /// Cross-shard steals.
-    pub fn steals(&self) -> u64 {
-        self.steals
-    }
-
-    /// Adds `other`'s counters into `self` (per-vCPU shard aggregation).
+    /// Adds `other`'s counters into `self`: the image's serving block
+    /// takes in the counters of the executor the serve harness owned.
     pub fn merge_counters(&mut self, other: &Self) {
         self.spawned += other.spawned;
         self.tasks_run += other.tasks_run;
         self.wakeups += other.wakeups;
-        self.steals += other.steals;
     }
 
     /// Clears everything.
@@ -1072,8 +1028,7 @@ impl TraceRegistry {
 
     /// Registers the serving tier's counters: the readiness layer's
     /// [`EventQueueTrace`] plus the cooperative executor's
-    /// [`ExecutorTrace`] (pre-aggregated across vCPU shards by the
-    /// caller — see [`crate::shard`]).
+    /// [`ExecutorTrace`].
     pub fn add_serving(&mut self, eq: &EventQueueTrace, ex: &ExecutorTrace) {
         self.snap.serving = ServingSnapshot {
             events_posted: eq.posted(),
@@ -1083,7 +1038,7 @@ impl TraceRegistry {
             tasks_spawned: ex.spawned(),
             tasks_run: ex.tasks_run(),
             wakeups: ex.wakeups(),
-            steals: ex.steals(),
+            steals: 0,
         };
     }
 

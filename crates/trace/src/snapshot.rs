@@ -234,7 +234,9 @@ pub struct ServingSnapshot {
     pub tasks_run: u64,
     /// Task wakeups delivered.
     pub wakeups: u64,
-    /// Cross-shard task steals (free-running mode only).
+    /// Always 0: one executor serves a tier, so no task is ever stolen.
+    /// The key stays because the report shape is pinned byte for byte
+    /// (`ci/stats-baseline.json`, the artefact set).
     pub steals: u64,
 }
 

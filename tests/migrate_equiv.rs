@@ -210,10 +210,15 @@ proptest! {
 /// draining pair is refused (`GateDraining`) on every attempt, cannot
 /// delay the swap past the in-flight call it was waiting for, and the
 /// drain's cycle cost stays bounded by that call's work — not by the
-/// submission storm.
+/// submission storm. Descriptors parked on the ring before the request
+/// ride the deferred swap and complete, in order, through the new gate.
 #[test]
 fn continuous_submission_cannot_stall_quiescence() {
     let mut img = image(BackendChoice::MpkShared, None);
+    for ud in 0..4u64 {
+        img.submit_lib("uksched_verified", Sqe::new(8, 8, ud))
+            .expect("parked before the drain");
+    }
     let caller = img.gates.current();
     let target = img.compartment_of_lib("uksched_verified").expect("sched");
     let pair = if caller.0 <= target.0 {
@@ -249,6 +254,7 @@ fn continuous_submission_cannot_stall_quiescence() {
     let st = img.gates.migration_stats();
     assert_eq!(st.completed, 1, "the storm stalled the swap");
     assert_eq!(st.rejected_submits, STORM);
+    assert_eq!(st.requeued_sqes, 4, "the deferred swap lost ring work");
     // Bounded drain: request → swap covers the in-flight call's own
     // work (charge + return leg), not anything proportional to STORM.
     assert!(
@@ -265,7 +271,11 @@ fn continuous_submission_cannot_stall_quiescence() {
             Ok(1)
         })
         .expect("post-swap flush completes");
-    assert_eq!(flushed, 1);
+    assert_eq!(flushed, 5);
+    let order: Vec<u64> = std::iter::from_fn(|| img.reap_lib("uksched_verified").ok())
+        .map(|cqe| cqe.user_data)
+        .collect();
+    assert_eq!(order, [0, 1, 2, 3, 7]);
 }
 
 /// Migration is exact about what it carries: completions already posted

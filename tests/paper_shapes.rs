@@ -321,3 +321,53 @@ fn context_switch_latencies_match_the_paper() {
         "verified: {verified_ns:.1} ns"
     );
 }
+
+// --- per-request latency across the isolation ladder -------------------------------
+
+/// Isolation costs latency, not only throughput: the same Redis GET
+/// workload on no isolation, MPK shared stacks and VM RPC must order
+/// `direct <= mpk-shared <= vmrpc` at p50, p99 and p999 of the span
+/// tracer's exact per-request percentiles (simulated cycles).
+#[cfg(not(feature = "trace-off"))]
+#[test]
+fn request_latency_grows_along_the_isolation_ladder() {
+    use flexos_apps::redis::run_redis_with_stats;
+    let ladder = [
+        (CompartmentModel::Baseline, BackendChoice::None, "direct"),
+        (
+            CompartmentModel::NwSchedRest,
+            BackendChoice::MpkShared,
+            "mpk-shared",
+        ),
+        (CompartmentModel::NwSchedRest, BackendChoice::VmRpc, "vmrpc"),
+    ];
+    let rows: Vec<_> = ladder
+        .iter()
+        .map(|&(model, backend, tag)| {
+            let (_, snap) = run_redis_with_stats(&RedisParams {
+                model,
+                backend,
+                mix: Mix::Get,
+                ops: 500,
+                ..RedisParams::default()
+            })
+            .expect("redis run");
+            let [row] = snap.latency[..] else {
+                panic!("{tag}: one latency row expected, got {:?}", snap.latency);
+            };
+            assert_eq!((row.app, row.backend), ("redis", tag));
+            assert!(row.count > 0, "{row:?}");
+            assert!(0 < row.p50 && row.p50 <= row.p99 && row.p99 <= row.p999);
+            row
+        })
+        .collect();
+    for pair in rows.windows(2) {
+        let (lo, hi) = (&pair[0], &pair[1]);
+        assert!(
+            lo.p50 <= hi.p50 && lo.p99 <= hi.p99 && lo.p999 <= hi.p999,
+            "{} must not be slower than {}: {lo:?} vs {hi:?}",
+            lo.backend,
+            hi.backend
+        );
+    }
+}

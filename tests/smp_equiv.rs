@@ -6,7 +6,7 @@
 //! global sequence number; pop always takes the minimum across per-vCPU
 //! deques) makes this provable per-step; this suite checks it
 //! end-to-end over randomised iperf and Redis runs, with and without
-//! injected chaos, at `vcpus` 2 and 4. The `smp-determinism` CI job
+//! injected chaos, at `vcpus` 2 and 4. The `artefacts` CI job
 //! enforces the same contract on the shipped `reproduce` binary.
 
 use flexos::build::BackendChoice;
@@ -314,7 +314,7 @@ fn ci_migration_profile_is_bit_identical_at_vcpus_4() {
     );
 }
 
-/// The exact profile the `smp-determinism` CI job pins with its recorded
+/// The exact profile the `artefacts` CI job pins with its recorded
 /// baseline, asserted here at unit-test speed so a violation is caught
 /// before CI: Redis GET / MPK shared / NW+sched-vs-rest, vcpus 1 vs 4.
 #[test]
