@@ -21,7 +21,7 @@ use flexos_kernel::sched::ThreadId;
 use flexos_machine::{Addr, ChaosConfig, ChaosPlan};
 use flexos_net::nic::Link;
 use flexos_net::stack::{NetError, SocketId};
-use flexos_net::tcp::SpareList;
+use flexos_net::tcp::Lend;
 use flexos_net::FixedMap;
 use flexos_trace::{SpanId, StatsSnapshot};
 use std::collections::VecDeque;
@@ -175,15 +175,13 @@ pub(crate) enum Flushed {
     Failed(NetError),
 }
 
-/// Spare storage for [`ReplyStream`]'s open-span queue.
-pub(crate) type SpareSpans = SpareList<VecDeque<(SpanId, u64)>>;
-
 /// The reply side of one served connection: bytes staged for the socket
 /// and the request spans waiting for their last byte to leave.
 ///
 /// Replies are staged only while the stream is drained — both servers
 /// flush before they execute — so `out` empties between bursts and the
 /// sent prefix is an offset, never a memmove.
+#[derive(Default)]
 pub(crate) struct ReplyStream {
     out: Vec<u8>,
     /// Sent prefix of `out`.
@@ -195,37 +193,31 @@ pub(crate) struct ReplyStream {
     sent_total: u64,
 }
 
-impl ReplyStream {
-    pub(crate) fn new() -> Self {
-        Self {
-            out: Vec::new(),
-            head: 0,
-            pending_spans: VecDeque::new(),
-            sent_total: 0,
-        }
+/// A stream is part of the record its connection holds while a burst is
+/// in flight (DESIGN.md §6.15): it changes hands once everything staged
+/// has left, so where one stream per connection exists only those with
+/// replies in flight hold any storage.
+impl Lend for ReplyStream {
+    fn is_idle(&self) -> bool {
+        self.is_drained() && self.pending_spans.is_empty()
     }
 
+    fn clear(&mut self) {
+        self.out.clear();
+        self.head = 0;
+        self.pending_spans.clear();
+        self.sent_total = 0;
+    }
+
+    fn capacity_bytes(&self) -> usize {
+        self.out.capacity() + self.pending_spans.capacity() * std::mem::size_of::<(SpanId, u64)>()
+    }
+}
+
+impl ReplyStream {
     /// Whether every staged byte has been sent.
     pub(crate) fn is_drained(&self) -> bool {
         self.head == self.out.len()
-    }
-
-    /// Borrows whatever storage the stream lacks (see
-    /// [`ReplyStream::retire`]).
-    pub(crate) fn adopt(&mut self, bytes: &mut SpareList<Vec<u8>>, spans: &mut SpareSpans) {
-        spans.adopt(&mut self.pending_spans);
-        bytes.adopt(&mut self.out);
-    }
-
-    /// Hands the storage back once everything staged has left: where one
-    /// stream per connection exists, only those with replies in flight
-    /// hold any.
-    pub(crate) fn retire(&mut self, bytes: &mut SpareList<Vec<u8>>, spans: &mut SpareSpans) {
-        if self.is_drained() && self.pending_spans.is_empty() {
-            self.head = 0;
-            bytes.retire(&mut self.out);
-            spans.retire(&mut self.pending_spans);
-        }
     }
 
     /// Where to encode the next reply; seal it with
@@ -639,7 +631,7 @@ impl Rig {
                 value_buf: Vec::new(),
             },
             parser: RespParser::new(),
-            replies: ReplyStream::new(),
+            replies: ReplyStream::default(),
             closing: false,
             rx_buf,
             tx_buf,
@@ -783,6 +775,7 @@ fn run_redis_inner(
 mod tests {
     use super::*;
     use flexos_machine::Schedule;
+    use flexos_net::tcp::SpareList;
 
     fn quick(params: RedisParams) -> RedisResult {
         run_redis(&RedisParams { ops: 300, ..params }).expect("redis run succeeds")
@@ -790,22 +783,32 @@ mod tests {
 
     #[test]
     fn a_reply_stream_keeps_its_storage_while_replies_are_unsent() {
-        let (mut bytes, mut spans) = (SpareList::default(), SpareSpans::default());
-        let mut replies = ReplyStream::new();
-        replies.adopt(&mut bytes, &mut spans);
+        let (mut spare, mut slot) = (SpareList::<ReplyStream>::default(), None);
+        let replies = spare.lend(&mut slot);
         replies.buf().extend_from_slice(resp::OK);
         replies.end_reply(SpanId(7));
         // A parked flush: the step ends with the reply still staged.
-        replies.retire(&mut bytes, &mut spans);
-        assert_eq!((bytes.held(), spans.held()), (0, 0));
+        spare.retire(&mut slot);
+        assert_eq!(spare.held(), 0);
+        let replies = slot.as_mut().expect("kept");
         assert_eq!(replies.buf().as_slice(), resp::OK);
         assert_eq!(replies.pending_spans.front(), Some(&(SpanId(7), 5)));
-        // Once it has left, both go back.
+        // Unsent bytes keep it, and so does a span that is still open.
+        let span = replies.pending_spans.pop_front().expect("checked");
+        spare.retire(&mut slot);
+        let replies = slot.as_mut().expect("kept: not drained");
+        replies.pending_spans.push_back(span);
         replies.head = resp::OK.len();
-        replies.pending_spans.clear();
-        replies.retire(&mut bytes, &mut spans);
-        assert_eq!((bytes.held(), spans.held()), (1, 1));
-        assert!(replies.is_drained() && replies.buf().capacity() == 0);
+        spare.retire(&mut slot);
+        // Once it has left, it goes back, and nothing of it shows.
+        slot.as_mut()
+            .expect("kept: a span is open")
+            .pending_spans
+            .clear();
+        spare.retire(&mut slot);
+        assert!(slot.is_none() && spare.held() == 1);
+        let next = spare.lend(&mut slot);
+        assert!(next.is_drained() && next.buf().is_empty() && next.buf().capacity() > 0);
     }
 
     /// The chaos-sweep contract: with *every* doorbell dropped, the VM

@@ -15,7 +15,7 @@
 //! [`RespParser::parse_command`]) is a thin layer over the same
 //! tokenizer, kept for tests and tools.
 
-use flexos_net::tcp::SpareList;
+use flexos_net::tcp::Lend;
 use std::fmt;
 use std::ops::Range;
 
@@ -439,6 +439,24 @@ pub struct RespParser {
     pos: usize,
 }
 
+/// A parser is part of the record its connection holds while a burst is
+/// in flight (DESIGN.md §6.15): it changes hands unless part of a value
+/// is waiting in it.
+impl Lend for RespParser {
+    fn is_idle(&self) -> bool {
+        self.pending() == 0
+    }
+
+    fn clear(&mut self) {
+        self.buf.clear();
+        self.pos = 0;
+    }
+
+    fn capacity_bytes(&self) -> usize {
+        self.buf.capacity()
+    }
+}
+
 impl RespParser {
     /// Creates an empty parser.
     pub fn new() -> Self {
@@ -464,26 +482,6 @@ impl RespParser {
     /// Bytes buffered and not yet consumed.
     pub fn pending(&self) -> usize {
         self.buf.len() - self.pos
-    }
-
-    /// Heap bytes behind the parser's buffer.
-    pub(crate) fn capacity(&self) -> usize {
-        self.buf.capacity()
-    }
-
-    /// Borrows a buffer from `spare` if the parser holds none: call
-    /// before [`RespParser::feed`] where parsers outnumber the streams
-    /// that are talking.
-    pub(crate) fn adopt(&mut self, spare: &mut SpareList<Vec<u8>>) {
-        spare.adopt(&mut self.buf);
-    }
-
-    /// Hands the buffer back, unless part of a value is waiting in it.
-    pub(crate) fn retire(&mut self, spare: &mut SpareList<Vec<u8>>) {
-        if self.pending() == 0 {
-            self.pos = 0;
-            spare.retire(&mut self.buf);
-        }
     }
 
     /// Consumes one client command, its arguments borrowed from the

@@ -40,7 +40,7 @@
 use crate::client::SERVER_IP;
 use crate::os::Os;
 use crate::profiles::{backend_tag, evaluation_image, lib_app, CompartmentModel, SchedKind};
-use crate::redis::{Flushed, Mix, ReplyStream, SpareSpans};
+use crate::redis::{Flushed, Mix, ReplyStream};
 use crate::resp::{
     self, put_bulk, put_command, put_error, put_integer, Command, RespError, RespParser,
 };
@@ -51,7 +51,7 @@ use flexos_kernel::{CoExecutor, CoPoll, CoTask, CoTaskId};
 use flexos_machine::{Addr, Machine, PAGE_SIZE};
 use flexos_net::nic::Nic;
 use flexos_net::stack::{NetError, SocketId};
-use flexos_net::tcp::SpareList;
+use flexos_net::tcp::{Lend, SpareList};
 use flexos_net::wire::{
     build_tcp_frame_into, EthHeader, Ipv4Header, Mac, TcpFlags, TcpHeader, ETHERTYPE_IPV4, ETH_LEN,
     IPV4_LEN, MSS, PROTO_TCP, TCP_LEN,
@@ -315,11 +315,12 @@ struct ServeWorld {
     host_buf: Vec<u8>,
     /// Fatal task errors (drained by the driver after each round).
     errors: Vec<String>,
-    /// Parser and reply storage of the tasks that are not stepping: a
-    /// task borrows it for the length of a step and keeps only what
-    /// still holds a partial command or unsent replies.
-    spare_bytes: SpareList<Vec<u8>>,
-    spare_spans: SpareSpans,
+    /// Records of the tasks that are not stepping: a task borrows one for
+    /// the length of a step and keeps it only while it holds a partial
+    /// command or unsent replies.
+    spare: SpareList<Burst>,
+    /// Tasks parked with a record in hand.
+    bursts_kept: usize,
 }
 
 /// Executes one command inside shard compartment code, appending its
@@ -368,13 +369,42 @@ fn exec_shard_cmd(
     true
 }
 
+/// What a task holds only while a burst is in flight on its connection
+/// (DESIGN.md §6.15): the commands received and the replies staged.
+#[derive(Default)]
+struct Burst {
+    parser: RespParser,
+    replies: ReplyStream,
+}
+
+impl Lend for Burst {
+    fn is_idle(&self) -> bool {
+        self.parser.is_idle() && self.replies.is_idle()
+    }
+
+    fn clear(&mut self) {
+        self.parser.clear();
+        self.replies.clear();
+    }
+
+    fn capacity_bytes(&self) -> usize {
+        self.parser.capacity_bytes() + self.replies.capacity_bytes()
+    }
+}
+
 /// The per-connection cooperative task: drain requests, fan out to
 /// shards, stream replies — parking on readiness whenever the socket
 /// has nothing for it.
 struct ConnTask {
+    conn: Conn,
+    /// Lent for the length of a step; kept between steps only with
+    /// something in it.
+    burst: Option<Box<Burst>>,
+}
+
+/// What a served connection is, burst or no burst.
+struct Conn {
     sid: SocketId,
-    parser: RespParser,
-    replies: ReplyStream,
     /// WRITE interest is armed (restored to READ-only once drained, so
     /// an idle writable socket does not wake the task forever).
     write_armed: bool,
@@ -385,25 +415,26 @@ struct ConnTask {
 
 impl ConnTask {
     fn new(sid: SocketId) -> Self {
-        Self {
+        let conn = Conn {
             sid,
-            parser: RespParser::new(),
-            replies: ReplyStream::new(),
             write_armed: false,
             closing: false,
-        }
+        };
+        Self { conn, burst: None }
     }
+}
 
+impl Conn {
     /// Parses everything buffered, routes each command to its shard over
     /// the async gate rings, and reassembles replies in request order.
-    fn fan_out(&mut self, w: &mut ServeWorld) -> Result<(), String> {
+    fn fan_out(&mut self, b: &mut Burst, w: &mut ServeWorld) -> Result<(), String> {
         let nshards = w.shards.len();
         w.ops_scratch.clear();
         w.arg_bytes.clear();
         w.arg_spans.clear();
         w.reply_bytes.clear();
         while !self.closing {
-            let cmd = match self.parser.next_command(&mut w.cmd_spans) {
+            let cmd = match b.parser.next_command(&mut w.cmd_spans) {
                 Ok(cmd) => cmd,
                 Err(RespError::Incomplete) => break,
                 Err(RespError::Malformed { .. }) => {
@@ -502,15 +533,15 @@ impl ConnTask {
         }
         // Reassemble in request order, ending each span only when its
         // reply's last byte leaves the server (in `flush`).
-        self.replies.buf().reserve(w.reply_bytes.len());
+        b.replies.buf().reserve(w.reply_bytes.len());
         for op in &w.ops_scratch {
             if op.reply.is_empty() {
-                put_error(self.replies.buf(), format_args!("shard reply lost"));
+                put_error(b.replies.buf(), format_args!("shard reply lost"));
             } else {
                 let reply = &w.reply_bytes[op.reply.clone()];
-                self.replies.buf().extend_from_slice(reply);
+                b.replies.buf().extend_from_slice(reply);
             }
-            self.replies.end_reply(op.span);
+            b.replies.end_reply(op.span);
         }
         if self.closing {
             let t0 = w.os.img.machine.clock().cycles();
@@ -519,15 +550,15 @@ impl ConnTask {
                     .machine
                     .span_trace_mut()
                     .begin_request("serve", w.backend, w.app_vcpu, t0);
-            self.replies.buf().extend_from_slice(resp::PROTOCOL_ERROR);
-            self.replies.end_reply(span);
+            b.replies.buf().extend_from_slice(resp::PROTOCOL_ERROR);
+            b.replies.end_reply(span);
         }
         Ok(())
     }
 
-    fn drive(&mut self, w: &mut ServeWorld) -> Result<CoPoll, String> {
+    fn drive(&mut self, b: &mut Burst, w: &mut ServeWorld) -> Result<CoPoll, String> {
         loop {
-            let flushed = self
+            let flushed = b
                 .replies
                 .flush(
                     &mut w.os,
@@ -571,10 +602,10 @@ impl ConnTask {
                     w.host_buf.resize(n as usize, 0);
                     let ServeWorld { os, host_buf, .. } = w;
                     os.img.read(rx_buf, host_buf).map_err(|f| f.to_string())?;
-                    self.parser.feed(host_buf);
+                    b.parser.feed(host_buf);
                 }
                 Err(NetError::WouldBlock) => {
-                    if self.parser.pending() == 0 {
+                    if b.parser.pending() == 0 {
                         return Ok(CoPoll::Pending);
                     }
                 }
@@ -584,8 +615,8 @@ impl ConnTask {
                 }
                 Err(e) => return Err(format!("recv failed: {e}")),
             }
-            self.fan_out(w)?;
-            if self.replies.is_drained() {
+            self.fan_out(b, w)?;
+            if b.replies.is_drained() {
                 return Ok(CoPoll::Pending);
             }
         }
@@ -594,18 +625,23 @@ impl ConnTask {
 
 impl CoTask<ServeWorld> for ConnTask {
     fn step(&mut self, w: &mut ServeWorld, _id: CoTaskId) -> CoPoll {
-        self.parser.adopt(&mut w.spare_bytes);
-        self.replies.adopt(&mut w.spare_bytes, &mut w.spare_spans);
-        let polled = match self.drive(w) {
+        w.bursts_kept -= usize::from(self.burst.is_some());
+        let burst = w.spare.lend(&mut self.burst);
+        let polled = match self.conn.drive(burst, w) {
             Ok(p) => p,
             Err(e) => {
                 w.errors.push(e);
-                let _ = w.os.sock_close(self.sid);
+                let _ = w.os.sock_close(self.conn.sid);
                 CoPoll::Ready
             }
         };
-        self.replies.retire(&mut w.spare_bytes, &mut w.spare_spans);
-        self.parser.retire(&mut w.spare_bytes);
+        if polled == CoPoll::Ready {
+            // The connection is gone, and with it whoever would have
+            // read what is still staged.
+            burst.clear();
+        }
+        w.spare.retire(&mut self.burst);
+        w.bursts_kept += usize::from(self.burst.is_some());
         polled
     }
 }
@@ -618,15 +654,45 @@ struct SimConn {
     snd_nxt: u32,
     rcv_nxt: u32,
     established: bool,
-    parser: RespParser,
     /// Replies awaited for the in-flight burst (0 = idle).
     expected: u32,
     /// Scheduled arrival cycle of the in-flight burst.
     t_arrival: u64,
+    need_ack: bool,
+    /// Lent while a reply is half-read or an arrival waits.
+    burst: Option<Box<ClientBurst>>,
+}
+
+impl SimConn {
+    /// Arrivals waiting behind the burst in flight.
+    fn backlog(&self) -> usize {
+        self.burst.as_ref().map_or(0, |b| b.queued.len())
+    }
+}
+
+/// What a client connection holds only while its bursts are in flight
+/// (DESIGN.md §6.15).
+#[derive(Default)]
+struct ClientBurst {
+    parser: RespParser,
     /// Arrivals that landed while a burst was in flight (open-loop
     /// queueing; their latency clocks started at their scheduled time).
     queued: VecDeque<u64>,
-    need_ack: bool,
+}
+
+impl Lend for ClientBurst {
+    fn is_idle(&self) -> bool {
+        self.parser.is_idle() && self.queued.is_empty()
+    }
+
+    fn clear(&mut self) {
+        self.parser.clear();
+        self.queued.clear();
+    }
+
+    fn capacity_bytes(&self) -> usize {
+        self.parser.capacity_bytes() + self.queued.capacity() * std::mem::size_of::<u64>()
+    }
 }
 
 /// The frame-level simulation of up to 10⁵ clients.
@@ -651,8 +717,9 @@ struct SimClients {
     reply_errors: Vec<String>,
     /// Wire scratch: the burst being framed.
     req_buf: Vec<u8>,
-    /// Reply-parser storage of the connections with no reply half-read.
-    spare: SpareList<Vec<u8>>,
+    /// Records of the connections with no reply half-read and no arrival
+    /// waiting.
+    spare: SpareList<ClientBurst>,
 }
 
 /// Builds one client frame in a buffer from the server NIC's pool and
@@ -710,11 +777,10 @@ impl SimClients {
                 snd_nxt: 0,
                 rcv_nxt: 0,
                 established: false,
-                parser: RespParser::new(),
                 expected: 0,
                 t_arrival: 0,
-                queued: VecDeque::new(),
                 need_ack: false,
+                burst: None,
             });
         }
         Self {
@@ -831,11 +897,11 @@ impl SimClients {
             return;
         }
         c.rcv_nxt = c.rcv_nxt.wrapping_add(payload.len() as u32);
-        c.parser.adopt(&mut self.spare);
-        c.parser.feed(payload);
+        let b = self.spare.lend(&mut c.burst);
+        b.parser.feed(payload);
         let mut finished_burst = false;
         loop {
-            match c.parser.skip_reply() {
+            match b.parser.skip_reply() {
                 Ok(None) => {}
                 Ok(Some(e)) => self
                     .reply_errors
@@ -855,14 +921,14 @@ impl SimClients {
                 }
             }
         }
-        c.parser.retire(&mut self.spare);
         if finished_burst {
             self.latencies.push(now.saturating_sub(c.t_arrival));
             self.completed_bursts += 1;
-            if !c.queued.is_empty() {
+            if !b.queued.is_empty() {
                 self.pending_starts.push(i);
             }
         }
+        self.spare.retire(&mut c.burst);
         self.mark_ack(i);
     }
 
@@ -915,10 +981,10 @@ impl SimClients {
     /// queues it (open-loop) otherwise.
     fn arrival(&mut self, i: usize, t: u64, nic: &mut Nic) {
         let c = &mut self.conns[i];
-        if c.expected == 0 && c.queued.is_empty() {
+        if c.expected == 0 && c.backlog() == 0 {
             self.start_burst(i, t, nic);
         } else {
-            c.queued.push_back(t);
+            self.spare.lend(&mut c.burst).queued.push_back(t);
         }
     }
 
@@ -930,10 +996,11 @@ impl SimClients {
         for k in 0..due {
             let i = self.pending_starts[k];
             if self.conns[i].expected == 0 {
-                if let Some(t) = self.conns[i].queued.pop_front() {
+                let waiting = self.conns[i].burst.as_mut();
+                if let Some(t) = waiting.and_then(|b| b.queued.pop_front()) {
                     self.start_burst(i, t, nic);
                 }
-                if !self.conns[i].queued.is_empty() {
+                if self.conns[i].backlog() != 0 {
                     self.pending_starts.push(i);
                 }
             }
@@ -1081,6 +1148,9 @@ impl Tier {
         let mut os =
             Os::boot_with(image, SERVER_IP, nic_id, opts).map_err(ServeRunError::server)?;
         os.net.set_sock_ring_bytes(CONN_RING_BYTES);
+        // The tables a connection has an entry in are sized once (the
+        // listener's socket is the `+ 1`), not grown by doubling.
+        os.net.reserve(conns + 1);
 
         let io_buf_len = 16 * 1024u64;
         let rx_buf = os
@@ -1125,8 +1195,8 @@ impl Tier {
             sqe_spans: Vec::new(),
             host_buf: Vec::new(),
             errors: Vec::new(),
-            spare_bytes: SpareList::default(),
-            spare_spans: SpareSpans::default(),
+            spare: SpareList::default(),
+            bursts_kept: 0,
         };
 
         // Preload the keyspace host-side so GET mixes hit (the measured
@@ -1141,9 +1211,10 @@ impl Tier {
         }
 
         let mut exec: CoExecutor<ServeWorld> = CoExecutor::new();
+        exec.reserve(conns);
         let mut clients =
             SimClients::new(conns, params.payload, params.mix, params.pipeline, nic_id);
-        let mut task_of: Vec<Option<CoTaskId>> = Vec::new();
+        let mut task_of: Vec<Option<CoTaskId>> = Vec::with_capacity(conns + 1);
         let mut accepted = 0usize;
 
         // Establishment, in waves that stay under the accept-backlog cap.
@@ -1252,8 +1323,9 @@ impl Tier {
     }
 
     /// Checks that storage follows work on a settled tier: no idle
-    /// socket, client connection or spare list holds a buffer it should
-    /// have handed back or freed.
+    /// socket or client connection and no parked task holds a record it
+    /// should have handed back, and no spare list one it should have
+    /// freed.
     ///
     /// # Errors
     ///
@@ -1261,14 +1333,15 @@ impl Tier {
     pub fn idle_storage_audit(&self) -> Result<(), String> {
         self.world.os.net.idle_storage_audit()?;
         for (i, c) in self.clients.conns.iter().enumerate() {
-            if c.parser.pending() == 0 && c.parser.capacity() != 0 {
-                return Err(format!("idle client {i} holds a reply buffer"));
+            if c.burst.as_ref().is_some_and(|b| b.is_idle()) {
+                return Err(format!("idle client {i} holds an empty record"));
             }
         }
-        let bounded = self.world.spare_bytes.is_bounded()
-            && self.world.spare_spans.is_bounded()
-            && self.clients.spare.is_bounded();
-        if bounded {
+        if self.world.bursts_kept != 0 {
+            let kept = self.world.bursts_kept;
+            return Err(format!("{kept} parked tasks hold a record"));
+        }
+        if self.world.spare.is_bounded() && self.clients.spare.is_bounded() {
             Ok(())
         } else {
             Err("a spare list outgrew its bounds".into())
@@ -1410,6 +1483,36 @@ mod tests {
 
     fn quick(params: ServeParams) -> ServeResult {
         run_serve(&params).expect("serve run succeeds")
+    }
+
+    #[test]
+    fn layout_budget_of_an_idle_connection() {
+        // One of each per open connection, burst or no burst (DESIGN.md
+        // §6.15).
+        let (task, client) = (
+            std::mem::size_of::<ConnTask>(),
+            std::mem::size_of::<SimConn>(),
+        );
+        assert!(task <= 32, "ConnTask grew to {task} B (budget 32)");
+        assert!(client <= 64, "SimConn grew to {client} B (budget 64)");
+    }
+
+    #[test]
+    fn a_task_keeps_its_record_over_a_half_received_command_or_an_unsent_reply() {
+        let (mut spare, mut slot) = (SpareList::<Burst>::default(), None);
+        spare.lend(&mut slot).parser.feed(b"*1\r\n$4\r\nPI");
+        spare.retire(&mut slot);
+        let burst = slot.as_mut().expect("half a command is waiting in it");
+        burst.parser.feed(b"NG\r\n");
+        assert_eq!(
+            burst.parser.next_command(&mut Vec::new()).map(|c| c.len()),
+            Ok(1)
+        );
+        burst.replies.buf().extend_from_slice(resp::PONG);
+        burst.replies.end_reply(SpanId(1));
+        spare.retire(&mut slot);
+        assert!(slot.is_some(), "its reply has not left");
+        assert_eq!(spare.held(), 0);
     }
 
     #[test]
@@ -1560,6 +1663,8 @@ mod tests {
             assert!(rounds < 64, "the wire never fell silent");
         }
         assert_eq!(tier.world.errors, Vec::<String>::new());
+        // A task that ended took nothing with it.
+        assert_eq!(tier.idle_storage_audit(), Ok(()));
         tier.clients.reply_errors
     }
 
@@ -1609,6 +1714,23 @@ mod tests {
         tier.measure(&small).expect("small SETs are served");
         tier.settle().expect("tier settles");
         assert_eq!(tier.world.shard_ops.iter().sum::<u64>(), 17);
+        assert_eq!(tier.idle_storage_audit(), Ok(()));
+    }
+
+    #[test]
+    fn a_reply_read_across_frames_keeps_the_clients_record_between_them() {
+        // Four 4 KiB values a burst: a reply is three segments long, so
+        // the client's parser holds part of one from frame to frame.
+        let params = ServeParams {
+            conns: 8,
+            ops: 64,
+            payload: 4096,
+            ..ServeParams::default()
+        };
+        let mut tier = Tier::boot(&params).expect("tier boots");
+        tier.measure(&params).expect("large GETs are served");
+        tier.settle().expect("tier settles");
+        assert_eq!(tier.clients.completed_reqs, 64);
         assert_eq!(tier.idle_storage_audit(), Ok(()));
     }
 

@@ -96,6 +96,12 @@ impl<C> CoExecutor<C> {
         }
     }
 
+    /// Sizes the task slab for `tasks` tasks at once, where the number to
+    /// come is known: a capacity hint only.
+    pub fn reserve(&mut self, tasks: usize) {
+        self.slots.reserve(tasks);
+    }
+
     /// Spawns a task; it is immediately runnable (first step happens on
     /// the next [`CoExecutor::run_until_idle`]).
     pub fn spawn(&mut self, task: Box<dyn CoTask<C>>) -> CoTaskId {

@@ -127,6 +127,12 @@ impl EventQueue {
         Self::default()
     }
 
+    /// Sizes the registration table for `socks` sockets at once: a
+    /// capacity hint only.
+    pub fn reserve(&mut self, socks: usize) {
+        self.entries.reserve(socks);
+    }
+
     /// Registers (or re-registers) `sid` with `interest`. Re-registering
     /// bumps the slot generation, invalidating any queued stale event.
     pub fn register(&mut self, sid: SocketId, interest: Interest, trigger: Trigger) {

@@ -16,7 +16,7 @@ use crate::event::{EventQueue, Interest, ReadyEvent, Trigger};
 use crate::hash::FixedMap;
 use crate::nic::Nic;
 use crate::ring::SimRing;
-use crate::tcp::{SegDesc, Segment, SpareList, TcpConfig, TcpConn};
+use crate::tcp::{Flight, Lend, SegDesc, Segment, SpareList, TcpConfig, TcpConn};
 use crate::wire::{
     build_tcp_frame_into, build_udp_frame, EthHeader, Ipv4Header, Mac, TcpFlags, TcpHeader,
     UdpHeader, WireError, ETHERTYPE_IPV4, ETH_LEN, IPV4_LEN, PROTO_TCP, PROTO_UDP, TCP_LEN,
@@ -26,6 +26,7 @@ use flexos_machine::{Addr, Fault, Machine, VcpuId};
 use flexos_trace::{NetTrace, SpanKind};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
+use std::sync::Arc;
 
 /// Socket-layer errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -199,7 +200,8 @@ pub struct NetStack {
     conns: FixedMap<u64, SocketId>,
     udp_ports: BTreeMap<u16, SocketId>,
     pool: BufPool,
-    tcp_cfg: TcpConfig,
+    /// One copy, shared by every connection.
+    tcp_cfg: Arc<TcpConfig>,
     next_ephemeral: u16,
     iss: u32,
     ip_ident: u16,
@@ -221,11 +223,11 @@ pub struct NetStack {
     seg_scratch: Vec<SegDesc>,
     /// Reusable active-set snapshot for the pump.
     active_scratch: Vec<usize>,
-    /// FIFO storage of the streams outside the active set: a FIFO
-    /// borrows a buffer where bytes are about to be queued on it (both
-    /// places mark the stream active) and hands it back where the pump
-    /// retires or reaps the stream, so an idle connection holds none.
-    spare: SpareList<Vec<u8>>,
+    /// Flight records of the streams outside the active set: a stream
+    /// borrows one where something is about to be queued on it (every
+    /// such place marks it active) and hands it back where the pump
+    /// retires or reaps it, so a stream that is merely open holds none.
+    spare: SpareList<Flight>,
 }
 
 /// The demux key of a stream: what remains of the 4-tuple once the local
@@ -265,7 +267,7 @@ impl NetStack {
                 next: 0,
                 free: BTreeMap::new(),
             },
-            tcp_cfg: TcpConfig::default(),
+            tcp_cfg: Arc::default(),
             next_ephemeral: EPHEMERAL_BASE,
             iss: 0x1000,
             ip_ident: 1,
@@ -321,7 +323,16 @@ impl NetStack {
 
     /// Overrides the TCP configuration used for new connections.
     pub fn set_tcp_config(&mut self, cfg: TcpConfig) {
-        self.tcp_cfg = cfg;
+        self.tcp_cfg = Arc::new(cfg);
+    }
+
+    /// Sizes the socket, demux and readiness tables for `socks` sockets at
+    /// once, where the number to come is known: a capacity hint only.
+    pub fn reserve(&mut self, socks: usize) {
+        self.socks.reserve(socks);
+        self.in_active.reserve(socks);
+        self.conns.reserve(socks);
+        self.events.reserve(socks);
     }
 
     /// Counters.
@@ -367,20 +378,17 @@ impl NetStack {
         }
     }
 
-    /// Checks that storage follows work: every stream outside the active
-    /// set holds no FIFO capacity, and the spare list is within its
-    /// bounds. O(open) — for tests and debugging.
+    /// Checks that storage follows work: no stream outside the active
+    /// set holds a flight record with nothing queued in it, and the
+    /// spare list is within its bounds. O(open) — for tests and debugging.
     pub fn idle_storage_audit(&self) -> Result<(), String> {
         if !self.spare.is_bounded() {
             return Err("the stack's spare list outgrew its bounds".into());
         }
         for (i, s) in self.socks.iter().enumerate() {
             if let Some(Sock::TcpStream { conn, .. }) = s {
-                if !self.in_active[i] && conn.fifo_capacity() != 0 {
-                    return Err(format!(
-                        "idle socket {i} holds {} FIFO bytes",
-                        conn.fifo_capacity()
-                    ));
+                if !self.in_active[i] && conn.record().is_some_and(Lend::is_idle) {
+                    return Err(format!("idle socket {i} holds an empty flight record"));
                 }
             }
         }
@@ -467,9 +475,10 @@ impl NetStack {
     pub fn tcp_connect(&mut self, dst_ip: u32, dst_port: u16) -> NetResult<SocketId> {
         let local_port = self.alloc_ephemeral(dst_ip, dst_port)?;
         let iss = self.next_iss();
-        let (conn, syn) = TcpConn::connect(local_port, dst_port, iss, self.tcp_cfg.clone());
         let ring = self.sock_ring_bytes;
         let rx_base = self.pool.carve(ring).ok_or(NetError::NoBuffers)?;
+        let cfg = self.tcp_cfg.clone();
+        let (conn, syn) = TcpConn::open(local_port, dst_port, iss, None, cfg, &mut self.spare);
         let id = self.insert(Sock::TcpStream {
             conn,
             rx: SimRing::new(rx_base, ring),
@@ -835,7 +844,7 @@ impl NetStack {
                 };
                 // Pump protocol output (headers and send-FIFO ranges, no
                 // payload bytes) into the reusable scratch.
-                conn.poll_into(now, &mut segs);
+                conn.poll_lent(now, &mut segs, &mut self.spare);
                 // Move in-order payload into the socket's receive ring,
                 // straight out of the connection's FIFO.
                 let room = rx.free();
@@ -1021,7 +1030,8 @@ impl NetStack {
                     self.trace.on_drop(now);
                     return;
                 };
-                let (conn, syn_ack) = TcpConn::accept(hdr.dst_port, hdr.src_port, iss, &hdr, cfg);
+                let (lport, rport, spare) = (hdr.dst_port, hdr.src_port, &mut self.spare);
+                let (conn, syn_ack) = TcpConn::open(lport, rport, iss, Some(&hdr), cfg, spare);
                 let sid = self.insert(Sock::TcpStream {
                     conn,
                     rx: SimRing::new(rx_base, ring),
@@ -1066,10 +1076,11 @@ impl NetStack {
             self.trace.on_drop(now);
             return;
         };
-        let payload = l4[UDP_LEN..hdr.len as usize].to_vec();
         if let Some(&sid) = self.udp_ports.get(&hdr.dst_port) {
             if let Some(Sock::Udp { rx, .. }) = self.socks[sid.0].as_mut() {
                 if rx.len() < UDP_QUEUE_DEPTH {
+                    // Copied only now that it will be queued.
+                    let payload = l4[UDP_LEN..hdr.len as usize].to_vec();
                     rx.push_back((ip.src, hdr.src_port, payload));
                     self.stats.rx_datagrams += 1;
                     self.trace.on_rx_datagram();
@@ -1158,6 +1169,13 @@ mod tests {
             assert!(self.client.tcp_is_established(cs).unwrap());
             (cs, ss)
         }
+    }
+
+    #[test]
+    fn layout_budget_of_a_socket_slot() {
+        // 10⁵ of these are the serving tier's socket table.
+        let slot = std::mem::size_of::<Option<Sock>>();
+        assert!(slot <= 104, "Option<Sock> grew to {slot} B (budget 104)");
     }
 
     #[test]
@@ -1583,16 +1601,16 @@ mod tests {
     fn fifo_storage_is_lent_while_active_and_handed_back_when_idle() {
         let mut w = world();
         let (cs, ss) = w.establish(5201);
-        let fifo_bytes = |stack: &NetStack, id| conn_of(stack, id).fifo_capacity();
         let data: Vec<u8> = (0..3000).map(pattern).collect();
         w.m.write(VcpuId(0), w.app_buf, &data).unwrap();
         for round in 0..3 {
-            assert_eq!(fifo_bytes(&w.client, cs) + fifo_bytes(&w.server, ss), 0);
+            assert!(conn_of(&w.client, cs).record().is_none());
+            assert!(conn_of(&w.server, ss).record().is_none());
             w.client
                 .tcp_send(&mut w.m, VcpuId(0), cs, w.app_buf, 3000)
                 .unwrap();
-            // Bytes are queued: the socket is active and holds storage.
-            assert!(w.client.in_active[cs.0] && fifo_bytes(&w.client, cs) >= 3000);
+            // Bytes are queued: the socket is active and holds a record.
+            assert!(w.client.in_active[cs.0] && conn_of(&w.client, cs).record().is_some());
             for _ in 0..4 {
                 w.step();
             }
@@ -1603,8 +1621,8 @@ mod tests {
             assert_eq!(n, 3000);
             w.step();
             assert!(w.client.active.is_empty() && w.server.active.is_empty());
-            // Each side's buffers wait on its list, and after the first
-            // round the same ones go out and come back.
+            // Each side's record waits on its list — the one the
+            // handshake used — and the same one goes out and comes back.
             assert_eq!(w.client.spare.held(), 1, "round {round}");
             assert_eq!(w.server.spare.held(), 1, "round {round}");
         }
@@ -1621,7 +1639,7 @@ mod tests {
         for _ in 0..3 {
             w.step();
         }
-        assert_eq!(w.server.spare.held(), 0);
+        assert_eq!(w.server.spare.held(), 1, "the handshake's record");
         w.server
             .tcp_send(&mut w.m, VcpuId(0), ss, w.app_buf, 1000)
             .unwrap();
@@ -1630,7 +1648,7 @@ mod tests {
             w.step();
         }
         assert!(w.server.conns.is_empty(), "the stream was reaped");
-        assert_eq!(w.server.spare.held(), 1, "with its send buffer");
+        assert_eq!(w.server.spare.held(), 1, "with its record");
     }
 
     #[test]
@@ -1803,8 +1821,12 @@ mod tests {
         for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
             assert!(g == e, "frame {i} diverged from the owning path");
         }
+        // The stack may have taken the record back; the model kept its own.
+        let mut conn = conn_of(&w.client, cs).clone();
+        conn.retire_storage(&mut SpareList::default());
+        model.retire_storage(&mut SpareList::default());
         assert_eq!(
-            format!("{:?}", conn_of(&w.client, cs)),
+            format!("{conn:?}"),
             format!("{model:?}"),
             "connection state diverged"
         );

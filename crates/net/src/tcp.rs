@@ -12,11 +12,14 @@
 //! bytes stay at the head of the send FIFO (the `snd_una..snd_nxt`
 //! window) until the ACK that covers them, retransmission entries and
 //! outgoing segments ([`SegDesc`]) name ranges of it, and received bytes
-//! are lent to the socket layer out of the receive FIFO. The FIFOs'
-//! storage is itself on loan: each borrows a buffer from its stack's
-//! [`SpareList`] where bytes are about to enter it, and the stack hands
-//! the buffers back when the connection goes idle, so an idle connection
-//! holds none (DESIGN.md §6.15).
+//! are lent to the socket layer out of the receive FIFO.
+//!
+//! A connection is split into what it *is* — state, ports, sequence
+//! numbers, flags — and what it *holds while bytes are in flight*: both
+//! FIFOs, the retransmission queue and the reassembly map, one [`Flight`]
+//! record. The record is on loan from its stack's [`SpareList`] from the
+//! moment something enters it until the stack finds it empty again, so a
+//! connection that is merely open is a few words (DESIGN.md §6.15).
 //!
 //! Deliberate simplifications (documented in DESIGN.md): no congestion
 //! control, no SACK, no delayed ACKs, fixed RTO — none of which the
@@ -25,6 +28,7 @@
 
 use crate::wire::{TcpFlags, TcpHeader, MSS};
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 /// A byte FIFO over a flat `Vec`: bulk `extend_from_slice` on push,
 /// borrow-then-consume on pop, amortized compaction of the dead prefix.
@@ -37,6 +41,16 @@ struct ByteFifo {
 }
 
 impl ByteFifo {
+    const EMPTY: Self = Self {
+        buf: Vec::new(),
+        head: 0,
+    };
+
+    fn clear(&mut self) {
+        self.buf.clear();
+        self.head = 0;
+    }
+
     fn len(&self) -> usize {
         self.buf.len() - self.head
     }
@@ -68,99 +82,74 @@ impl ByteFifo {
             self.head = 0;
         }
     }
-
-    /// Hands the storage back once nothing is queued in it.
-    fn retire(&mut self, spare: &mut SpareList<Vec<u8>>) {
-        if self.is_empty() {
-            spare.retire(&mut self.buf);
-        }
-    }
 }
 
-/// Most buffers a [`SpareList`] keeps: past it a retired buffer is freed.
+/// Most records a [`SpareList`] keeps: past it a retired record is freed.
 /// A list needs no more than the most owners that work at once — 14
-/// FIFOs on the steepest rung of `serve_c100k`'s rate ladder, two on
+/// streams on the steepest rung of `serve_c100k`'s rate ladder, two on
 /// every other workload. When 50 000 bursts are offered in one instant
-/// (the saturated run) it fills and the other 99 540 buffers are freed:
-/// memory follows the work in hand, not its high-water mark.
+/// (the saturated run) it fills and the other records are freed: memory
+/// follows the work in hand, not its high-water mark.
 pub const SPARE_MAX_COUNT: usize = 64;
 
-/// Largest buffer a [`SpareList`] keeps: a retired buffer that outgrew it
-/// is freed, so one large request does not pin its high-water mark on a
-/// connection (or on the list) for life. Twice the 64 KiB receive window:
-/// a FIFO the window bounds, grown by doubling, never exceeds it (iperf's
-/// reaches 46 720 B, serve's 284 B), so the bulk path always gets its own
-/// buffer back; a parser that took a 1 MiB `SET` does not.
+/// Largest record a [`SpareList`] keeps, by the heap behind it: a retired
+/// record that outgrew it is freed, so one large request does not pin its
+/// high-water mark on a connection (or on the list) for life. Twice the
+/// 64 KiB receive window: a FIFO the window bounds, grown by doubling,
+/// never exceeds it (iperf's reaches 46 720 B, serve's 284 B), so the
+/// bulk path always gets its own record back; a parser that took a 1 MiB
+/// `SET` does not.
 pub const SPARE_MAX_BYTES: usize = 128 * 1024;
 
-/// Storage a [`SpareList`] can lend: emptied without freeing, and sized.
+/// What an owner holds only while it has work, and a [`SpareList`] lends.
 pub trait Lend: Default {
-    /// Drops the contents, keeps the allocation.
+    /// Whether nothing is queued in it: only then may it change hands.
+    fn is_idle(&self) -> bool;
+    /// Drops the contents, keeps the allocations.
     fn clear(&mut self);
     /// Bytes of heap behind it.
     fn capacity_bytes(&self) -> usize;
 }
 
-impl<T> Lend for Vec<T> {
-    fn clear(&mut self) {
-        Vec::clear(self);
-    }
-    fn capacity_bytes(&self) -> usize {
-        self.capacity() * std::mem::size_of::<T>()
-    }
-}
-
-impl<T> Lend for VecDeque<T> {
-    fn clear(&mut self) {
-        VecDeque::clear(self);
-    }
-    fn capacity_bytes(&self) -> usize {
-        self.capacity() * std::mem::size_of::<T>()
-    }
-}
-
-/// Storage is held only while there is work: a LIFO of cleared buffers
-/// that owners [`adopt`](SpareList::adopt) from when work arrives and
-/// [`retire`](SpareList::retire) to when it is done, so an idle owner
-/// holds no heap and a busy one allocates nothing in steady state.
+/// Flight state is held only while there is work: a LIFO of cleared
+/// records that an owner's slot is filled from where work arrives
+/// ([`lend`](SpareList::lend)) and emptied into when the work is done
+/// ([`retire`](SpareList::retire)), so an idle owner is its slot — one
+/// pointer — and a busy one allocates nothing in steady state.
 #[derive(Debug, Default)]
-pub struct SpareList<B> {
-    free: Vec<B>,
+pub struct SpareList<R> {
+    free: Vec<Box<R>>,
 }
 
-impl<B: Lend> SpareList<B> {
-    /// Buffers waiting on the list.
+impl<R: Lend> SpareList<R> {
+    /// Records waiting on the list.
     pub fn held(&self) -> usize {
         self.free.len()
     }
 
     /// Whether the list is within both of its bounds (for audits).
     pub fn is_bounded(&self) -> bool {
-        let small = |b: &B| b.capacity_bytes() <= SPARE_MAX_BYTES;
-        self.free.len() <= SPARE_MAX_COUNT && self.free.iter().all(small)
+        let mut kept = self.free.iter();
+        self.free.len() <= SPARE_MAX_COUNT && kept.all(|r| r.capacity_bytes() <= SPARE_MAX_BYTES)
     }
 
-    /// Gives `slot` a spare buffer if it has no storage of its own.
-    pub fn adopt(&mut self, slot: &mut B) {
-        if slot.capacity_bytes() == 0 {
-            if let Some(b) = self.free.pop() {
-                *slot = b;
-            }
-        }
+    /// The record in `slot`, which is given one first if it has none: the
+    /// one retired last, or a new one when the list is empty.
+    pub fn lend<'a>(&mut self, slot: &'a mut Option<Box<R>>) -> &'a mut R {
+        slot.get_or_insert_with(|| self.free.pop().unwrap_or_default())
     }
 
-    /// Takes `slot`'s storage, leaving it with none. The buffer comes back
-    /// cleared — the next owner can read no byte of this one's — and is
-    /// kept only within [`SPARE_MAX_COUNT`] and [`SPARE_MAX_BYTES`].
-    pub fn retire(&mut self, slot: &mut B) {
-        let bytes = slot.capacity_bytes();
-        if bytes == 0 {
+    /// Takes the record out of `slot` unless something is still queued in
+    /// it. The record is cleared — the next owner can read nothing of this
+    /// one's — and kept only within [`SPARE_MAX_COUNT`] and
+    /// [`SPARE_MAX_BYTES`].
+    pub fn retire(&mut self, slot: &mut Option<Box<R>>) {
+        let Some(mut r) = slot.take_if(|r| r.is_idle()) else {
             return;
-        }
-        let mut b = std::mem::take(slot);
-        b.clear();
-        if bytes <= SPARE_MAX_BYTES && self.free.len() < SPARE_MAX_COUNT {
-            self.free.push(b);
+        };
+        if r.capacity_bytes() <= SPARE_MAX_BYTES && self.free.len() < SPARE_MAX_COUNT {
+            r.clear();
+            self.free.push(r);
         }
     }
 }
@@ -300,6 +289,53 @@ impl RetxSeg {
     }
 }
 
+/// What a connection holds only while bytes are in flight (DESIGN.md
+/// §6.15): lent by a [`SpareList`] where the first of them arrives, taken
+/// back once every field is empty again.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Flight {
+    /// Unacknowledged then unsent application bytes: the first
+    /// `in_flight` are out (one `retx` entry per segment), the rest
+    /// await segmentation.
+    tx: ByteFifo,
+    in_flight: u32,
+    retx: VecDeque<RetxSeg>,
+    rx_ready: ByteFifo,
+    ooo: BTreeMap<u32, Vec<u8>>,
+}
+
+/// What a connection without a record reads.
+static NO_FLIGHT: Flight = Flight {
+    tx: ByteFifo::EMPTY,
+    in_flight: 0,
+    retx: VecDeque::new(),
+    rx_ready: ByteFifo::EMPTY,
+    ooo: BTreeMap::new(),
+};
+
+impl Lend for Flight {
+    fn is_idle(&self) -> bool {
+        self.tx.is_empty()
+            && self.retx.is_empty()
+            && self.rx_ready.is_empty()
+            && self.ooo.is_empty()
+    }
+
+    fn clear(&mut self) {
+        self.tx.clear();
+        self.in_flight = 0;
+        self.retx.clear();
+        self.rx_ready.clear();
+        self.ooo.clear();
+    }
+
+    fn capacity_bytes(&self) -> usize {
+        self.tx.buf.capacity()
+            + self.rx_ready.buf.capacity()
+            + self.retx.capacity() * std::mem::size_of::<RetxSeg>()
+    }
+}
+
 /// One TCP connection endpoint.
 #[derive(Debug, Clone)]
 pub struct TcpConn {
@@ -309,21 +345,13 @@ pub struct TcpConn {
     pub local_port: u16,
     /// Peer port.
     pub remote_port: u16,
-    cfg: TcpConfig,
+    /// Shared by every connection of a stack.
+    cfg: Arc<TcpConfig>,
 
     snd_una: u32,
     snd_nxt: u32,
     rcv_nxt: u32,
     snd_wnd: u32,
-
-    /// Unacknowledged then unsent application bytes: the first
-    /// `in_flight` are out (one `retx` entry per segment), the rest
-    /// await segmentation.
-    tx: ByteFifo,
-    in_flight: u32,
-    retx: VecDeque<RetxSeg>,
-    rx_ready: ByteFifo,
-    ooo: BTreeMap<u32, Vec<u8>>,
 
     need_ack: bool,
     app_closed: bool,
@@ -332,40 +360,24 @@ pub struct TcpConn {
     last_adv_wnd: u16,
     /// Statistics: segments retransmitted.
     pub retransmits: u64,
+
+    /// `None` while nothing is queued either way.
+    flight: Option<Box<Flight>>,
 }
 
 impl TcpConn {
-    fn new(state: TcpState, local_port: u16, remote_port: u16, iss: u32, cfg: TcpConfig) -> Self {
-        let cfg_rcv_wnd_u16 = cfg.rcv_wnd.min(65535) as u16;
-        Self {
-            state,
-            local_port,
-            remote_port,
-            cfg,
-            snd_una: iss,
-            snd_nxt: iss,
-            rcv_nxt: 0,
-            snd_wnd: 0,
-            tx: ByteFifo::default(),
-            in_flight: 0,
-            retx: VecDeque::new(),
-            rx_ready: ByteFifo::default(),
-            ooo: BTreeMap::new(),
-            need_ack: false,
-            app_closed: false,
-            fin_queued: false,
-            last_adv_wnd: cfg_rcv_wnd_u16,
-            retransmits: 0,
-        }
+    fn flight(&self) -> &Flight {
+        self.flight.as_deref().unwrap_or(&NO_FLIGHT)
     }
 
     /// Queued bytes not yet segmented.
     fn unsent(&self) -> usize {
-        self.tx.len() - self.in_flight as usize
+        let f = self.flight();
+        f.tx.len() - f.in_flight as usize
     }
 
     fn window(&self) -> u16 {
-        let used = self.rx_ready.len() as u32;
+        let used = self.flight().rx_ready.len() as u32;
         self.cfg.rcv_wnd.saturating_sub(used).min(65535) as u16
     }
 
@@ -382,12 +394,12 @@ impl TcpConn {
 
     /// The payload bytes `seg` names.
     pub fn payload(&self, seg: &SegDesc) -> &[u8] {
-        &self.tx.peek()[seg.at as usize..][..seg.len as usize]
+        &self.flight().tx.peek()[seg.at as usize..][..seg.len as usize]
     }
 
     /// One outgoing segment carrying `len` send-FIFO bytes from `at`.
     fn seg<S: Segment>(&self, flags: TcpFlags, seq: u32, at: u32, len: u32) -> S {
-        S::cut(self.hdr(flags, seq), self.tx.peek(), at, len)
+        S::cut(self.hdr(flags, seq), self.flight().tx.peek(), at, len)
     }
 
     /// Active open: returns the endpoint and its SYN.
@@ -397,21 +409,8 @@ impl TcpConn {
         iss: u32,
         cfg: TcpConfig,
     ) -> (Self, SegmentOut) {
-        let mut c = Self::new(TcpState::SynSent, local_port, remote_port, iss, cfg);
-        let syn = SegmentOut {
-            hdr: c.hdr(TcpFlags::SYN, iss),
-            payload: Vec::new(),
-        };
-        c.snd_nxt = iss.wrapping_add(1);
-        // Track the SYN for retransmission (zero data, consumes 1 seq).
-        c.retx.push_back(RetxSeg {
-            seq: iss,
-            len: 0,
-            fin: false,
-            sent_at: 0,
-            retries: 0,
-        });
-        (c, syn)
+        let own = &mut SpareList::default();
+        Self::open(local_port, remote_port, iss, None, Arc::new(cfg), own)
     }
 
     /// Passive open from a received SYN: returns the endpoint and its
@@ -423,22 +422,63 @@ impl TcpConn {
         peer_syn: &TcpHeader,
         cfg: TcpConfig,
     ) -> (Self, SegmentOut) {
-        let mut c = Self::new(TcpState::SynRcvd, local_port, remote_port, iss, cfg);
-        c.rcv_nxt = peer_syn.seq.wrapping_add(1);
-        c.snd_wnd = u32::from(peer_syn.window);
-        let syn_ack = SegmentOut {
-            hdr: c.hdr(TcpFlags::SYN_ACK, iss),
+        let own = &mut SpareList::default();
+        Self::open(
+            local_port,
+            remote_port,
+            iss,
+            Some(peer_syn),
+            Arc::new(cfg),
+            own,
+        )
+    }
+
+    /// [`TcpConn::accept`] in answer to `peer_syn`, [`TcpConn::connect`]
+    /// without one, for a connection of a stack. As with every `*_lent`
+    /// method, the record a connection needs comes from `spare`; the plain
+    /// forms pass an empty list, so a connection on its own allocates one.
+    pub(crate) fn open(
+        local_port: u16,
+        remote_port: u16,
+        iss: u32,
+        peer_syn: Option<&TcpHeader>,
+        cfg: Arc<TcpConfig>,
+        spare: &mut SpareList<Flight>,
+    ) -> (Self, SegmentOut) {
+        let (state, flags) = match peer_syn {
+            None => (TcpState::SynSent, TcpFlags::SYN),
+            Some(_) => (TcpState::SynRcvd, TcpFlags::SYN_ACK),
+        };
+        let mut c = Self {
+            state,
+            local_port,
+            remote_port,
+            snd_una: iss,
+            snd_nxt: iss.wrapping_add(1),
+            rcv_nxt: peer_syn.map_or(0, |syn| syn.seq.wrapping_add(1)),
+            snd_wnd: peer_syn.map_or(0, |syn| u32::from(syn.window)),
+            need_ack: false,
+            app_closed: false,
+            fin_queued: false,
+            last_adv_wnd: cfg.rcv_wnd.min(65535) as u16,
+            retransmits: 0,
+            flight: None,
+            cfg,
+        };
+        let opening = SegmentOut {
+            hdr: c.hdr(flags, iss),
             payload: Vec::new(),
         };
-        c.snd_nxt = iss.wrapping_add(1);
-        c.retx.push_back(RetxSeg {
+        // Tracked for retransmission: zero data, consumes one sequence
+        // number.
+        spare.lend(&mut c.flight).retx.push_back(RetxSeg {
             seq: iss,
             len: 0,
             fin: false,
             sent_at: 0,
             retries: 0,
         });
-        (c, syn_ack)
+        (c, opening)
     }
 
     /// Whether the connection is in a state where data flows.
@@ -457,7 +497,7 @@ impl TcpConn {
     /// Whether the peer has closed its direction and everything the peer
     /// sent has been consumed (EOF condition for `recv`).
     pub fn at_eof(&self) -> bool {
-        self.rx_ready.is_empty()
+        self.flight().rx_ready.is_empty()
             && matches!(
                 self.state,
                 TcpState::CloseWait
@@ -471,9 +511,7 @@ impl TcpConn {
     /// Queues application data; returns bytes accepted (bounded by the
     /// transmit buffer).
     pub fn send(&mut self, data: &[u8]) -> usize {
-        let n = data.len().min(self.send_room());
-        self.tx.extend(&data[..n]);
-        n
+        self.send_lent(data, &mut SpareList::default())
     }
 
     /// Bytes [`TcpConn::send`] would accept right now.
@@ -490,60 +528,46 @@ impl TcpConn {
         }
     }
 
-    /// [`TcpConn::send`] for a connection whose FIFOs hold storage only
-    /// while it has work: the send FIFO borrows from `spare` first if it
-    /// is about to take bytes and has none.
-    pub(crate) fn send_lent(&mut self, data: &[u8], spare: &mut SpareList<Vec<u8>>) -> usize {
-        if !data.is_empty() && self.send_room() > 0 {
-            spare.adopt(&mut self.tx.buf);
+    /// [`TcpConn::send`], the record lent from `spare` if bytes are about
+    /// to be queued and the connection has none.
+    pub(crate) fn send_lent(&mut self, data: &[u8], spare: &mut SpareList<Flight>) -> usize {
+        let n = data.len().min(self.send_room());
+        if n > 0 {
+            spare.lend(&mut self.flight).tx.extend(&data[..n]);
         }
-        self.send(data)
+        n
     }
 
-    /// [`TcpConn::on_segment_into`] likewise: the receive FIFO borrows
-    /// from `spare` before a payload lands in it.
-    pub(crate) fn on_segment_lent<S: Segment>(
-        &mut self,
-        hdr: &TcpHeader,
-        payload: &[u8],
-        now: u64,
-        out: &mut Vec<S>,
-        spare: &mut SpareList<Vec<u8>>,
-    ) {
-        if !payload.is_empty() {
-            spare.adopt(&mut self.rx_ready.buf);
-        }
-        self.on_segment_into(hdr, payload, now, out);
+    /// Hands the record back if nothing is queued in it: the stack calls
+    /// this where the socket leaves its active set or is torn down.
+    pub(crate) fn retire_storage(&mut self, spare: &mut SpareList<Flight>) {
+        spare.retire(&mut self.flight);
     }
 
-    /// Hands the storage of each empty FIFO back: the stack calls this
-    /// where the socket leaves its active set or is torn down.
-    pub(crate) fn retire_storage(&mut self, spare: &mut SpareList<Vec<u8>>) {
-        self.tx.retire(spare);
-        self.rx_ready.retire(spare);
-    }
-
-    /// Heap bytes behind the two FIFOs (what an idle connection must not
-    /// hold; see `NetStack::idle_storage_audit`).
-    pub(crate) fn fifo_capacity(&self) -> usize {
-        self.tx.buf.capacity() + self.rx_ready.buf.capacity()
+    /// The record the connection holds, if any (one outside the active
+    /// set must hold none that is idle; see
+    /// `NetStack::idle_storage_audit`).
+    pub(crate) fn record(&self) -> Option<&Flight> {
+        self.flight.as_deref()
     }
 
     /// Bytes queued but not yet acknowledged.
     pub fn tx_pending(&self) -> usize {
-        self.tx.len()
+        self.flight().tx.len()
     }
 
     /// Up to `max` in-order received bytes, lent in place; follow with
     /// [`TcpConn::consume_ready`] for as many as were used.
     pub fn ready_slice(&self, max: usize) -> &[u8] {
-        let ready = self.rx_ready.peek();
+        let ready = self.flight().rx_ready.peek();
         &ready[..ready.len().min(max)]
     }
 
     /// Drops the first `n` in-order received bytes (clamped).
     pub fn consume_ready(&mut self, n: usize) {
-        self.rx_ready.consume(n);
+        if let Some(f) = &mut self.flight {
+            f.rx_ready.consume(n);
+        }
     }
 
     /// Takes up to `max` in-order received bytes. The owning form of
@@ -557,7 +581,7 @@ impl TcpConn {
 
     /// Bytes ready for the application.
     pub fn ready_len(&self) -> usize {
-        self.rx_ready.len()
+        self.flight().rx_ready.len()
     }
 
     /// Application close: a FIN is emitted once the transmit queue
@@ -597,6 +621,19 @@ impl TcpConn {
         now: u64,
         out: &mut Vec<S>,
     ) {
+        self.on_segment_lent(hdr, payload, now, out, &mut SpareList::default());
+    }
+
+    /// [`TcpConn::on_segment_into`], the record lent from `spare` if the
+    /// payload is about to be queued and the connection has none.
+    pub(crate) fn on_segment_lent<S: Segment>(
+        &mut self,
+        hdr: &TcpHeader,
+        payload: &[u8],
+        now: u64,
+        out: &mut Vec<S>,
+        spare: &mut SpareList<Flight>,
+    ) {
         let start = out.len();
         if hdr.flags.rst {
             self.state = TcpState::Closed;
@@ -610,7 +647,9 @@ impl TcpConn {
                 if hdr.flags.syn && hdr.flags.ack && hdr.ack == self.snd_nxt {
                     self.rcv_nxt = hdr.seq.wrapping_add(1);
                     self.snd_una = hdr.ack;
-                    self.retx.clear(); // the SYN is acked
+                    if let Some(f) = &mut self.flight {
+                        f.retx.clear(); // the SYN is acked
+                    }
                     self.state = TcpState::Established;
                     self.need_ack = true;
                 }
@@ -620,7 +659,9 @@ impl TcpConn {
             TcpState::SynRcvd => {
                 if hdr.flags.ack && hdr.ack == self.snd_nxt {
                     self.snd_una = hdr.ack;
-                    self.retx.clear();
+                    if let Some(f) = &mut self.flight {
+                        f.retx.clear();
+                    }
                     self.state = TcpState::Established;
                     // fall through: the ACK may carry data.
                 } else if hdr.flags.syn {
@@ -640,24 +681,26 @@ impl TcpConn {
             self.snd_una = hdr.ack;
             // Drop fully-acked retransmission entries; trim a partial
             // one. Their data leaves the head of the send FIFO.
-            let mut acked = 0u32;
-            while let Some(front) = self.retx.front_mut() {
-                let end = front.seq.wrapping_add(front.seq_len());
-                if seq_le(end, self.snd_una) {
-                    acked += front.len;
-                    self.retx.pop_front();
-                } else if seq_lt(front.seq, self.snd_una) {
-                    let cut = self.snd_una.wrapping_sub(front.seq).min(front.len);
-                    acked += cut;
-                    front.len -= cut;
-                    front.seq = self.snd_una;
-                    break;
-                } else {
-                    break;
+            if let Some(f) = &mut self.flight {
+                let mut acked = 0u32;
+                while let Some(front) = f.retx.front_mut() {
+                    let end = front.seq.wrapping_add(front.seq_len());
+                    if seq_le(end, self.snd_una) {
+                        acked += front.len;
+                        f.retx.pop_front();
+                    } else if seq_lt(front.seq, self.snd_una) {
+                        let cut = self.snd_una.wrapping_sub(front.seq).min(front.len);
+                        acked += cut;
+                        front.len -= cut;
+                        front.seq = self.snd_una;
+                        break;
+                    } else {
+                        break;
+                    }
                 }
+                f.tx.consume(acked as usize);
+                f.in_flight -= acked;
             }
-            self.tx.consume(acked as usize);
-            self.in_flight -= acked;
             // Our FIN acked?
             if self.fin_queued && self.snd_una == self.snd_nxt {
                 match self.state {
@@ -673,19 +716,21 @@ impl TcpConn {
         if !payload.is_empty() {
             let seg_seq = hdr.seq;
             if seg_seq == self.rcv_nxt {
-                self.rx_ready.extend(payload);
+                let f = spare.lend(&mut self.flight);
+                f.rx_ready.extend(payload);
                 self.rcv_nxt = self.rcv_nxt.wrapping_add(payload.len() as u32);
                 // Drain contiguous out-of-order segments.
-                while let Some(data) = self.ooo.remove(&self.rcv_nxt) {
+                while let Some(data) = f.ooo.remove(&self.rcv_nxt) {
                     self.rcv_nxt = self.rcv_nxt.wrapping_add(data.len() as u32);
-                    self.rx_ready.extend(&data);
+                    f.rx_ready.extend(&data);
                 }
                 self.need_ack = true;
             } else if seq_lt(self.rcv_nxt, seg_seq) {
                 // Future data: stash (bounded by the advertised window).
                 let limit = self.rcv_nxt.wrapping_add(self.cfg.rcv_wnd);
                 if seq_lt(seg_seq, limit) {
-                    self.ooo.entry(seg_seq).or_insert_with(|| payload.to_vec());
+                    let f = spare.lend(&mut self.flight);
+                    f.ooo.entry(seg_seq).or_insert_with(|| payload.to_vec());
                 }
                 self.need_ack = true; // duplicate ACK hints at the gap
             } else {
@@ -737,7 +782,7 @@ impl TcpConn {
     /// guaranteed no-op — the readiness pump uses that to skip idle
     /// connections without perturbing the simulated cycle stream.
     pub fn needs_pump(&self) -> bool {
-        if self.need_ack || !self.retx.is_empty() {
+        if self.need_ack || !self.flight().retx.is_empty() {
             return true;
         }
         let sending = matches!(self.state, TcpState::Established | TcpState::CloseWait);
@@ -764,6 +809,17 @@ impl TcpConn {
     /// the per-tick hot path reuses one scratch allocation. As
     /// [`SegDesc`]s nothing is copied: payloads stay in the send FIFO.
     pub fn poll_into<S: Segment>(&mut self, now: u64, out: &mut Vec<S>) {
+        self.poll_lent(now, out, &mut SpareList::default());
+    }
+
+    /// [`TcpConn::poll_into`], the record lent from `spare` if a FIN is
+    /// about to be tracked and the connection has none.
+    pub(crate) fn poll_lent<S: Segment>(
+        &mut self,
+        now: u64,
+        out: &mut Vec<S>,
+        spare: &mut SpareList<Flight>,
+    ) {
         let start = out.len();
 
         // Window update: if the application drained the receive buffer
@@ -784,15 +840,18 @@ impl TcpConn {
                     break;
                 }
                 let n = self.unsent().min(self.cfg.mss).min(wnd_room);
-                out.push(self.seg(TcpFlags::ACK, self.snd_nxt, self.in_flight, n as u32));
-                self.retx.push_back(RetxSeg {
+                let at = self.flight().in_flight;
+                out.push(self.seg(TcpFlags::ACK, self.snd_nxt, at, n as u32));
+                // Unsent bytes are queued, so the record is there.
+                let f = spare.lend(&mut self.flight);
+                f.retx.push_back(RetxSeg {
                     seq: self.snd_nxt,
                     len: n as u32,
                     fin: false,
                     sent_at: now,
                     retries: 0,
                 });
-                self.in_flight += n as u32;
+                f.in_flight += n as u32;
                 self.snd_nxt = self.snd_nxt.wrapping_add(n as u32);
                 self.need_ack = false; // data segments carry the ACK
             }
@@ -805,7 +864,7 @@ impl TcpConn {
             && matches!(self.state, TcpState::Established | TcpState::CloseWait)
         {
             out.push(self.seg(TcpFlags::FIN_ACK, self.snd_nxt, 0, 0));
-            self.retx.push_back(RetxSeg {
+            spare.lend(&mut self.flight).retx.push_back(RetxSeg {
                 seq: self.snd_nxt,
                 len: 0,
                 fin: true,
@@ -823,7 +882,7 @@ impl TcpConn {
         }
 
         // Retransmissions.
-        if let Some(front) = self.retx.front_mut() {
+        if let Some(front) = self.flight.as_mut().and_then(|f| f.retx.front_mut()) {
             if now.saturating_sub(front.sent_at) >= self.cfg.rto_cycles {
                 front.sent_at = now;
                 front.retries += 1;
@@ -1171,71 +1230,287 @@ mod tests {
     }
 
     #[test]
+    fn layout_budget_of_a_connection_that_is_merely_open() {
+        // What every open connection costs (DESIGN.md §6.15): identity
+        // only, the rest behind one pointer.
+        let conn = std::mem::size_of::<TcpConn>();
+        assert!(conn <= 64, "TcpConn grew to {conn} B (budget 64)");
+    }
+
+    /// An idle record with `bytes` of heap behind it.
+    fn record(bytes: usize) -> Option<Box<Flight>> {
+        let mut f = Box::<Flight>::default();
+        f.tx.buf.reserve_exact(bytes);
+        Some(f)
+    }
+
+    #[test]
     fn spare_list_frees_what_is_over_either_bound() {
         let mut spare = SpareList::default();
         for _ in 0..SPARE_MAX_COUNT + 8 {
-            spare.retire(&mut Vec::<u8>::with_capacity(64));
+            spare.retire(&mut record(64));
         }
         assert_eq!(spare.free.len(), SPARE_MAX_COUNT);
-        let mut slot = Vec::<u8>::with_capacity(SPARE_MAX_BYTES + 1);
+        let mut slot = record(SPARE_MAX_BYTES + 1);
         spare.free.clear();
         spare.retire(&mut slot);
-        assert_eq!(slot.capacity(), 0, "retiring leaves the owner nothing");
-        assert!(spare.free.is_empty(), "an outgrown buffer is freed");
+        assert!(slot.is_none(), "retiring leaves the owner nothing");
+        assert!(spare.free.is_empty(), "an outgrown record is freed");
         assert!(spare.is_bounded());
-        // An owner that still has storage keeps it: nothing is swapped in.
-        spare.retire(&mut Vec::<u8>::with_capacity(64));
-        let mut own = Vec::<u8>::with_capacity(8);
-        spare.adopt(&mut own);
-        assert_eq!((own.capacity(), spare.free.len()), (8, 1));
+        // An owner that still has a record keeps it: nothing is swapped in.
+        spare.retire(&mut record(64));
+        let mut own = record(8);
+        spare.lend(&mut own);
+        assert_eq!((own.unwrap().tx.buf.capacity(), spare.free.len()), (8, 1));
+    }
+
+    #[test]
+    fn a_record_changes_hands_only_empty_and_comes_back_cleared() {
+        /// Idle whatever it holds, as a parser with consumed bytes is.
+        #[derive(Default)]
+        struct Scrap(Vec<u8>);
+        impl Lend for Scrap {
+            fn is_idle(&self) -> bool {
+                true
+            }
+            fn clear(&mut self) {
+                self.0.clear();
+            }
+            fn capacity_bytes(&self) -> usize {
+                self.0.capacity()
+            }
+        }
+        let (mut spare, mut slot) = (SpareList::<Scrap>::default(), None);
+        spare
+            .lend(&mut slot)
+            .0
+            .extend_from_slice(b"the last owner's");
+        spare.retire(&mut slot);
+        assert!(slot.is_none() && spare.held() == 1);
+        let next = spare.lend(&mut slot);
+        assert!(next.0.is_empty() && next.0.capacity() >= 16);
+
+        // Each field of a flight record keeps it where it is.
+        let fin = |seq| RetxSeg {
+            seq,
+            len: 0,
+            fin: true,
+            sent_at: 0,
+            retries: 0,
+        };
+        let fill: [&dyn Fn(&mut Flight); 4] = [
+            &|f| f.tx.extend(b"t"),
+            &|f| f.retx.push_back(fin(7)),
+            &|f| f.rx_ready.extend(b"r"),
+            &|f| drop(f.ooo.insert(9, vec![0])),
+        ];
+        for fill in fill {
+            let (mut spare, mut slot) = (SpareList::<Flight>::default(), None);
+            fill(spare.lend(&mut slot));
+            spare.retire(&mut slot);
+            assert!(slot.is_some() && spare.held() == 0);
+        }
+    }
+
+    /// One endpoint twice: `lent` borrows its record from the list the
+    /// test shares out, `own` allocates its own, and every call goes to
+    /// both.
+    struct Twin {
+        lent: TcpConn,
+        own: TcpConn,
+    }
+
+    impl Twin {
+        /// Whether the two are in the same state, a record with nothing
+        /// in it counting as none.
+        fn agree(&self) -> bool {
+            let (a, b) = (&self.lent, &self.own);
+            let (fa, fb) = (a.flight(), b.flight());
+            (a.state, a.snd_una, a.snd_nxt, a.rcv_nxt, a.snd_wnd)
+                == (b.state, b.snd_una, b.snd_nxt, b.rcv_nxt, b.snd_wnd)
+                && (a.need_ack, a.app_closed, a.fin_queued, a.last_adv_wnd)
+                    == (b.need_ack, b.app_closed, b.fin_queued, b.last_adv_wnd)
+                && a.retransmits == b.retransmits
+                && (fa.tx.peek(), fa.in_flight, fa.rx_ready.peek())
+                    == (fb.tx.peek(), fb.in_flight, fb.rx_ready.peek())
+                && format!("{:?}{:?}", fa.retx, fa.ooo) == format!("{:?}{:?}", fb.retx, fb.ooo)
+        }
+
+        fn send(&mut self, data: &[u8], spare: &mut SpareList<Flight>) -> usize {
+            let n = self.lent.send_lent(data, spare);
+            assert_eq!(self.own.send(data), n);
+            n
+        }
+
+        fn poll(&mut self, now: u64, spare: &mut SpareList<Flight>) -> Vec<SegmentOut> {
+            let mut out = Vec::new();
+            self.lent.poll_lent(now, &mut out, spare);
+            assert_eq!(self.own.poll(now), out, "segments pumped");
+            out
+        }
+
+        fn on_segment(
+            &mut self,
+            seg: &SegmentOut,
+            now: u64,
+            spare: &mut SpareList<Flight>,
+        ) -> Vec<SegmentOut> {
+            let mut out = Vec::new();
+            self.lent
+                .on_segment_lent(&seg.hdr, &seg.payload, now, &mut out, spare);
+            assert_eq!(self.own.on_segment(&seg.hdr, &seg.payload, now), out);
+            out
+        }
+    }
+
+    /// Two twinned endpoints, what is on the wire towards each, and what
+    /// each is still owed by the other's application.
+    struct Pair {
+        ends: [Twin; 2],
+        wire: [Vec<SegmentOut>; 2],
+        owed: [VecDeque<u8>; 2],
+    }
+
+    impl Pair {
+        fn open(k: u16, spare: &mut SpareList<Flight>) -> Self {
+            let cfg = Arc::new(TcpConfig::default());
+            let (lent, syn) = TcpConn::open(40_000 + k, 5201, 1000, None, cfg.clone(), spare);
+            let (own, syn2) = TcpConn::connect(40_000 + k, 5201, 1000, TcpConfig::default());
+            assert_eq!(syn, syn2);
+            let client = Twin { lent, own };
+            let (lent, syn_ack) = TcpConn::open(5201, 40_000 + k, 9000, Some(&syn.hdr), cfg, spare);
+            let (own, syn_ack2) =
+                TcpConn::accept(5201, 40_000 + k, 9000, &syn.hdr, TcpConfig::default());
+            assert_eq!(syn_ack, syn_ack2);
+            let mut pair = Self {
+                ends: [client, Twin { lent, own }],
+                wire: [vec![syn_ack], Vec::new()],
+                owed: Default::default(),
+            };
+            pair.deliver(0, 0, spare, |segs| segs);
+            pair.deliver(1, 0, spare, |segs| segs);
+            assert!(pair.ends.iter().all(|t| t.lent.is_established()));
+            pair
+        }
+
+        /// Hands end `to` what is on the wire towards it, as `order`
+        /// leaves it; the answers go on the wire back.
+        fn deliver(
+            &mut self,
+            to: usize,
+            now: u64,
+            spare: &mut SpareList<Flight>,
+            order: impl FnOnce(Vec<SegmentOut>) -> Vec<SegmentOut>,
+        ) {
+            for seg in order(std::mem::take(&mut self.wire[to])) {
+                let back = self.ends[to].on_segment(&seg, now, spare);
+                self.wire[1 - to].extend(back);
+            }
+        }
+
+        /// Pumps end `end`; what it emits goes on the wire to the other.
+        fn pump(&mut self, end: usize, now: u64, spare: &mut SpareList<Flight>) {
+            let out = self.ends[end].poll(now, spare);
+            self.wire[1 - end].extend(out);
+        }
+
+        /// The application of end `end` reads up to `max` bytes: what the
+        /// other end sent, in order.
+        fn read(&mut self, end: usize, max: usize) -> Result<(), String> {
+            let got = self.ends[end].lent.take_ready(max);
+            proptest::prop_assert_eq!(&self.ends[end].own.take_ready(max), &got);
+            let model: Vec<u8> = self.owed[end].drain(..got.len()).collect();
+            proptest::prop_assert!(got == model, "end {} read another's bytes", end);
+            Ok(())
+        }
+    }
+
+    /// Nothing of an owner is left in a record on the list.
+    fn pristine(f: &Flight) -> bool {
+        let fifo = |q: &ByteFifo| q.buf.is_empty() && q.head == 0;
+        fifo(&f.tx)
+            && fifo(&f.rx_ready)
+            && f.in_flight == 0
+            && f.retx.is_empty()
+            && f.ooo.is_empty()
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(64))]
 
-        /// Four FIFOs share one spare list with an owner that, like a
-        /// parser, retires its buffer with bytes still in it. Each FIFO
-        /// must read as a private `VecDeque` does: order kept, and no
-        /// byte of another owner ever visible — storage moves between
-        /// them, contents never do.
+        /// Three connections — six endpoints — share one spare list, which
+        /// takes each endpoint's record back whenever it will go. Each
+        /// endpoint must behave as a twin that owns its record and is
+        /// never asked for it: same segments out, same retransmissions,
+        /// same state; and the application must read each direction as a
+        /// private `VecDeque` of what the other end sent — order kept, no
+        /// byte of another owner ever visible. Records move between the
+        /// connections, contents never do.
         #[test]
         fn fifos_sharing_a_spare_list_read_as_private_deques(
-            ops in proptest::prelude::prop::collection::vec((0usize..4, 0u8..6, 0usize..3000), 50..300)
+            ops in proptest::prelude::prop::collection::vec((0usize..3, 0u8..10, 0usize..3000), 50..300)
         ) {
             let mut spare = SpareList::default();
-            let mut fifos: [ByteFifo; 4] = Default::default();
-            let mut models: [VecDeque<u8>; 4] = Default::default();
-            let mut dirty = Vec::new();
+            let mut pairs: Vec<Pair> = (0..3).map(|k| Pair::open(k, &mut spare)).collect();
+            let (mut now, mut lent) = (0u64, 0usize);
             for (who, op, n) in ops {
-                let (f, model) = (&mut fifos[who], &mut models[who]);
+                now += 1000;
+                let (p, end) = (&mut pairs[who], n % 2);
                 match op {
-                    0 | 1 => {
+                    0 => {
                         // Bytes tagged with their owner in the top bits.
-                        let data: Vec<u8> = (0..n).map(|i| (who as u8) << 6 | (i % 61) as u8).collect();
-                        f.extend(&data);
-                        model.extend(&data);
+                        let tag = (who as u8) << 6 | (end as u8) << 5;
+                        let data: Vec<u8> = (0..n).map(|i| tag | (i % 31) as u8).collect();
+                        let took = p.ends[end].send(&data, &mut spare);
+                        p.owed[1 - end].extend(&data[..took]);
                     }
-                    2 => {
-                        f.consume(n);
-                        model.drain(..n.min(model.len()));
+                    1 | 2 => p.pump(end, now, &mut spare),
+                    3 => p.deliver(end, now, &mut spare, |segs| segs),
+                    // Out of order, and every segment twice.
+                    4 => p.deliver(end, now, &mut spare, |mut segs| {
+                        segs.reverse();
+                        segs
+                    }),
+                    5 => p.deliver(end, now, &mut spare, |segs| {
+                        segs.iter().flat_map(|s| [s.clone(), s.clone()]).collect()
+                    }),
+                    // Lost, and the RTO passes.
+                    6 => {
+                        p.wire[end].clear();
+                        now += TcpConfig::default().rto_cycles + 1;
                     }
-                    3 => {
-                        f.retire(&mut spare);
-                        // An empty FIFO gives its storage up; any other
-                        // keeps its bytes (checked below).
-                        proptest::prop_assert!(!model.is_empty() || f.buf.capacity() == 0);
+                    7 => p.read(end, n)?,
+                    // A burst answered: everything is delivered, acknowledged
+                    // and read (what was lost, after its RTO), so both
+                    // records can go to other connections.
+                    8 => {
+                        for _ in 0..64 {
+                            for end in 0..2 {
+                                p.pump(end, now, &mut spare);
+                                p.deliver(1 - end, now, &mut spare, |segs| segs);
+                                p.read(end, usize::MAX)?;
+                            }
+                            now += TcpConfig::default().rto_cycles + 1;
+                        }
                     }
-                    4 => spare.adopt(&mut f.buf),
-                    _ => {
-                        spare.adopt(&mut dirty);
-                        dirty.resize(n, 0xff);
-                        spare.retire(&mut dirty);
+                    // One draw in thirty: the end closes, its FIN follows its data.
+                    _ if n < 100 => {
+                        p.ends[end].lent.close();
+                        p.ends[end].own.close();
                     }
+                    _ => {}
                 }
-                proptest::prop_assert_eq!(f.len(), model.len());
-                proptest::prop_assert!(f.peek().iter().eq(model.iter()), "fifo {} diverged from its model", who);
+                // The stack asks where a stream leaves its active set;
+                // here every record is asked for after every call.
+                for t in pairs.iter_mut().flat_map(|p| &mut p.ends) {
+                    lent += usize::from(t.lent.flight.is_some());
+                    t.lent.retire_storage(&mut spare);
+                    proptest::prop_assert!(!t.lent.record().is_some_and(Lend::is_idle));
+                    proptest::prop_assert!(t.agree(), "a lent endpoint diverged from its twin");
+                }
+                proptest::prop_assert!(spare.free.iter().all(|f| pristine(f)));
             }
-            proptest::prop_assert!(spare.is_bounded());
+            proptest::prop_assert!(spare.is_bounded() && lent > 0);
         }
     }
 
