@@ -1517,13 +1517,26 @@ mod tests {
 
     #[test]
     fn small_serve_run_completes_and_spreads_shards() {
-        let r = quick(ServeParams {
+        let (r, snap) = run_serve_with_stats(&ServeParams {
             conns: 64,
             ops: 400,
             ..ServeParams::default()
-        });
+        })
+        .expect("serve run succeeds");
         assert_eq!(r.ops, 400);
-        assert!(r.mreq_per_s > 0.0);
+        assert!(r.mreq_per_s > 0.0 && r.cycles_per_op > 0 && r.crossings > 0);
+        assert_eq!(r.backlog_overflows, 0, "connections shed at accept");
+        // The readiness layer and the executor registered their work.
+        let sv = snap.serving;
+        assert!(
+            cfg!(feature = "trace-off")
+                || (sv.tasks_spawned > 0
+                    && sv.tasks_run > 0
+                    && sv.events_posted > 0
+                    && sv.polls > 0
+                    && sv.wakeups > 0),
+            "{sv:?}"
+        );
         assert!(r.p50_cycles > 0 && r.p99_cycles >= r.p50_cycles);
         assert!(r.p999_cycles >= r.p99_cycles);
         let active = r.shard_ops.iter().filter(|&&n| n > 0).count();
@@ -1602,13 +1615,11 @@ mod tests {
         let (a, sa) = run_serve_with_stats(&params).expect("migrating serve run succeeds");
         let (b, sb) = run_serve_with_stats(&params).expect("migrating serve run succeeds");
         assert_eq!(a.ops, 240);
+        let m = sa.migrations;
         assert!(
-            sa.migrations.completed >= 1,
-            "the mid-serve swap never landed: {:?}",
-            sa.migrations
+            m.requested >= 1 && m.completed == m.requested && m.deferred == 0,
+            "the mid-serve swap never landed: {m:?}"
         );
-        // Traffic was in flight, so at least the request had to wait for
-        // a safe point or refuse a submission at some pair.
         assert_eq!(
             a.cycles, b.cycles,
             "migrating serve must stay deterministic"
@@ -1632,6 +1643,7 @@ mod tests {
             ..ServeParams::default()
         });
         assert_eq!(migrated.ops, 120);
+        assert_eq!(migrated.backlog_overflows, 0);
         let stayed = quick(ServeParams {
             conns: 16,
             ops: 120,

@@ -85,8 +85,9 @@ use flexos::spec::{print as print_spec, Analysis, FuncRef, LibSpec};
 use flexos_bench::experiments::{
     ctx_switch, ext_cheri, fig3, fig3_buffer_sizes, fig4, fig5, table1, Fig3Config, Fig4Config,
 };
-use flexos_bench::report::{fmt_mbps, fmt_slowdown, JsonWriter, Table};
+use flexos_bench::report::{fmt_mbps, fmt_slowdown, Table};
 use flexos_machine::CostTable;
+use flexos_trace::JsonWriter;
 
 /// A report file that cannot be written fails the run.
 fn write_or_exit(path: &str, contents: &str) {
@@ -679,11 +680,10 @@ fn run_stats(quick: bool, vcpus: usize, json: Option<&str>, trace_out: Option<&s
             .u64_field("cycles", result.cycles)
             .f64_field("mreq_per_s", result.mreq_per_s)
             .u64_field("crossings", result.crossings)
-            .end_obj()
-            .raw_field("stats", &snap.to_json())
             .end_obj();
-        let doc = w.finish();
-        write_or_exit(path, &doc);
+        snap.write_json(&mut w, Some("stats"));
+        w.end_obj();
+        write_or_exit(path, &w.finish());
         println!("\nWrote JSON stats to {path}");
     }
 }
@@ -705,7 +705,6 @@ fn print_serving_counters(snap: &flexos_trace::StatsSnapshot) {
             "tasks spawned",
             "task steps",
             "wakeups",
-            "steals",
         ],
     );
     t.row(vec![
@@ -716,7 +715,6 @@ fn print_serving_counters(snap: &flexos_trace::StatsSnapshot) {
         sv.tasks_spawned.to_string(),
         sv.tasks_run.to_string(),
         sv.wakeups.to_string(),
-        sv.steals.to_string(),
     ]);
     println!("{}", t.render());
 }
@@ -828,11 +826,10 @@ fn run_serve_exp(
             .u64_field("p99_cycles", result.p99_cycles)
             .u64_field("p999_cycles", result.p999_cycles)
             .u64_field("backlog_overflows", result.backlog_overflows)
-            .end_obj()
-            .raw_field("stats", &snap.to_json())
             .end_obj();
-        let doc = w.finish();
-        write_or_exit(path, &doc);
+        snap.write_json(&mut w, Some("stats"));
+        w.end_obj();
+        write_or_exit(path, &w.finish());
         println!("\nWrote JSON serve report to {path}");
     }
 }
@@ -1128,26 +1125,24 @@ fn run_migrate(quick: bool, json: Option<&str>) {
         w.begin_obj(None)
             .str_field("experiment", "live-migration-sweep")
             .u64_field("steady_calls", calls)
-            .begin_arr(Some("pairs"));
-        for (from, to, applied, before, first, after, requeued) in &rows {
-            w.begin_obj(None)
-                .str_field("from", from)
-                .str_field("to", to)
-                .u64_field("applied", *applied)
-                .u64_field("steady_before", *before)
-                .u64_field("first_after", *first)
-                .u64_field("steady_after", *after)
-                .u64_field("requeued_sqes", *requeued)
-                .end_obj();
-        }
-        w.end_arr().begin_arr(Some("policy"));
-        for (window, decision) in &pol_rows {
-            w.begin_obj(None)
-                .str_field("window", window)
-                .str_field("decision", decision)
-                .end_obj();
-        }
-        w.end_arr().end_obj();
+            .obj_arr(
+                "pairs",
+                &rows,
+                |w, (from, to, applied, before, first, after, requeued)| {
+                    w.str_field("from", from)
+                        .str_field("to", to)
+                        .u64_field("applied", *applied)
+                        .u64_field("steady_before", *before)
+                        .u64_field("first_after", *first)
+                        .u64_field("steady_after", *after)
+                        .u64_field("requeued_sqes", *requeued);
+                },
+            )
+            .obj_arr("policy", &pol_rows, |w, (window, decision)| {
+                w.str_field("window", window)
+                    .str_field("decision", decision);
+            })
+            .end_obj();
         write_or_exit(path, &w.finish());
         println!("Wrote JSON migration report to {path}");
     }

@@ -28,6 +28,8 @@ use flexos_machine::{
     ChaosConfig, ChaosPlan, Machine, PageFlags, Pkru, ProtKey, Schedule, VcpuId, VmId,
 };
 use flexos_net::nic::LinkChaos;
+use flexos_trace::JsonWriter;
+use std::fmt::Write as _;
 
 /// One point of the TCP goodput-vs-loss sweep.
 #[derive(Debug, Clone, Copy)]
@@ -296,53 +298,40 @@ pub fn chaos_json(
     alloc: &[AllocChaosPoint],
     pkey: &[PkeyChaosPoint],
 ) -> String {
-    let mut s = String::new();
-    s.push_str(&format!(
-        "{{\"chaos\":{{\"seed\":{seed},\"quick\":{quick},\"tcp\":["
-    ));
-    for (i, p) in tcp.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
-            "{{\"loss_per_mille\":{},\"bytes\":{},\"mbps\":{:.3},\"frames_dropped\":{}}}",
-            p.loss_per_mille, p.bytes, p.mbps, p.frames_dropped
-        ));
-    }
-    s.push_str("],\"vmrpc\":[");
-    for (i, p) in vmrpc.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
-            "{{\"drop_per_mille\":{},\"attempts\":{},\"ok\":{},\"timeouts\":{},\
-             \"doorbells_dropped\":{},\"mean_cycles_ok\":{}}}",
-            p.drop_per_mille, p.attempts, p.ok, p.timeouts, p.doorbells_dropped, p.mean_cycles_ok
-        ));
-    }
-    s.push_str("],\"alloc\":[");
-    for (i, p) in alloc.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
-            "{{\"fail_per_mille\":{},\"attempts\":{},\"injected_oom\":{},\
-             \"success_per_mille\":{}}}",
-            p.fail_per_mille, p.attempts, p.injected_oom, p.success_per_mille
-        ));
-    }
-    s.push_str("],\"pkey\":[");
-    for (i, p) in pkey.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
-            "{{\"fault_per_mille\":{},\"writes\":{},\"spurious_faults\":{},\"completed\":{}}}",
-            p.fault_per_mille, p.writes, p.spurious_faults, p.completed
-        ));
-    }
-    s.push_str("]}}");
-    s
+    let mut w = JsonWriter::new();
+    w.begin_obj(None)
+        .begin_obj(Some("chaos"))
+        .u64_field("seed", seed);
+    let _ = write!(w.raw(Some("quick")), "{quick}");
+    w.obj_arr("tcp", tcp, |w, p| {
+        w.u64_field("loss_per_mille", p.loss_per_mille.into())
+            .u64_field("bytes", p.bytes);
+        let _ = write!(w.raw(Some("mbps")), "{:.3}", p.mbps);
+        w.u64_field("frames_dropped", p.frames_dropped);
+    })
+    .obj_arr("vmrpc", vmrpc, |w, p| {
+        w.u64_field("drop_per_mille", p.drop_per_mille.into())
+            .u64_field("attempts", p.attempts)
+            .u64_field("ok", p.ok)
+            .u64_field("timeouts", p.timeouts)
+            .u64_field("doorbells_dropped", p.doorbells_dropped)
+            .u64_field("mean_cycles_ok", p.mean_cycles_ok);
+    })
+    .obj_arr("alloc", alloc, |w, p| {
+        w.u64_field("fail_per_mille", p.fail_per_mille.into())
+            .u64_field("attempts", p.attempts)
+            .u64_field("injected_oom", p.injected_oom)
+            .u64_field("success_per_mille", p.success_per_mille);
+    })
+    .obj_arr("pkey", pkey, |w, p| {
+        w.u64_field("fault_per_mille", p.fault_per_mille.into())
+            .u64_field("writes", p.writes)
+            .u64_field("spurious_faults", p.spurious_faults)
+            .u64_field("completed", p.completed);
+    })
+    .end_obj()
+    .end_obj();
+    w.finish()
 }
 
 #[cfg(test)]
@@ -357,6 +346,7 @@ mod tests {
         assert_eq!(points[0].doorbells_dropped, 0);
         // Heavy loss: retries charge cycles, some crossings time out.
         let heavy = points.last().unwrap();
+        assert!(heavy.doorbells_dropped > 0, "chaos never fired");
         assert!(heavy.timeouts > 0);
         assert!(heavy.mean_cycles_ok > points[0].mean_cycles_ok);
     }
@@ -387,10 +377,13 @@ mod tests {
     #[test]
     fn chaos_json_is_deterministic() {
         let mk = || {
+            let tcp = tcp_goodput_vs_loss(true, 7, 1);
+            // Frames are lost, bytes are not: every transfer completes.
+            assert!(tcp.iter().all(|p| p.bytes >= 128 * 1024), "{tcp:?}");
             let vmrpc = vmrpc_under_notify_loss(true, 7);
             let alloc = alloc_under_injected_oom(true, 7);
             let pkey = writes_under_spurious_pkey(true, 7);
-            chaos_json(7, true, &[], &vmrpc, &alloc, &pkey)
+            chaos_json(7, true, &tcp, &vmrpc, &alloc, &pkey)
         };
         assert_eq!(mk(), mk());
     }

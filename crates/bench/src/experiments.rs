@@ -1,9 +1,8 @@
 //! The experiment drivers: one function per table/figure in the paper.
 //!
-//! Each returns structured results so both the `reproduce` binary (which
-//! prints paper-style tables) and the Criterion benches (which track the
-//! same workloads over time) share one implementation. `quick` variants
-//! shrink transfer sizes for CI.
+//! Each returns structured results for the `reproduce` binary, which
+//! prints them as paper-style tables. `quick` variants shrink transfer
+//! sizes for CI.
 
 use flexos::build::{BackendChoice, Hypervisor};
 use flexos_apps::iperf::{run_iperf, IperfParams};

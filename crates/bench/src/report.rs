@@ -25,29 +25,10 @@ impl Table {
     ///
     /// Arity is checked with a `debug_assert!` — a mismatched row in a
     /// release-mode report run pads (or truncates at render time) instead
-    /// of aborting a long benchmark session. Use [`Table::try_row`] to
-    /// handle the mismatch explicitly.
+    /// of aborting a long benchmark session.
     pub fn row(&mut self, cells: Vec<String>) {
         debug_assert_eq!(cells.len(), self.headers.len(), "row arity mismatch");
         self.rows.push(cells);
-    }
-
-    /// Appends a row, returning an error instead of asserting when the
-    /// cell count does not match the header count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RowArityError`] (and leaves the table unchanged) when
-    /// `cells.len() != self.headers.len()`.
-    pub fn try_row(&mut self, cells: Vec<String>) -> Result<(), RowArityError> {
-        if cells.len() != self.headers.len() {
-            return Err(RowArityError {
-                expected: self.headers.len(),
-                got: cells.len(),
-            });
-        }
-        self.rows.push(cells);
-        Ok(())
     }
 
     /// Renders with aligned columns. Ragged rows (possible in release
@@ -83,62 +64,7 @@ impl Table {
         }
         out
     }
-
-    /// Renders as RFC-4180-style CSV: a header line then one line per
-    /// row. Cells containing commas, quotes or newlines are quoted, with
-    /// embedded quotes doubled.
-    pub fn render_csv(&self) -> String {
-        fn csv_cell(c: &str) -> String {
-            if c.contains(',') || c.contains('"') || c.contains('\n') {
-                format!("\"{}\"", c.replace('"', "\"\""))
-            } else {
-                c.to_string()
-            }
-        }
-        let mut out = String::new();
-        out.push_str(
-            &self
-                .headers
-                .iter()
-                .map(|h| csv_cell(h))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(
-                &row.iter()
-                    .map(|c| csv_cell(c))
-                    .collect::<Vec<_>>()
-                    .join(","),
-            );
-            out.push('\n');
-        }
-        out
-    }
 }
-
-/// A row was appended with a cell count different from the table's
-/// header count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RowArityError {
-    /// Number of headers (expected cells per row).
-    pub expected: usize,
-    /// Number of cells actually supplied.
-    pub got: usize,
-}
-
-impl std::fmt::Display for RowArityError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "row arity mismatch: expected {} cells, got {}",
-            self.expected, self.got
-        )
-    }
-}
-
-impl std::error::Error for RowArityError {}
 
 /// Formats a throughput in Mb/s the way the paper prints it
 /// (`496 Mb/s` / `2.94 Gb/s`).
@@ -156,142 +82,6 @@ pub fn fmt_slowdown(baseline: f64, value: f64) -> String {
         return "n/a".into();
     }
     format!("{:.2}x", baseline / value)
-}
-
-/// A minimal streaming JSON writer (the build environment has no serde):
-/// tracks nesting and comma placement so report code emits fields in
-/// order without hand-managing separators. Output is deterministic —
-/// byte-identical for identical call sequences — which the CI baseline
-/// and SMP-determinism `cmp` jobs rely on.
-#[derive(Debug, Default)]
-pub struct JsonWriter {
-    buf: String,
-    /// One entry per open object/array: whether a value was already
-    /// written at that level (so the next one needs a comma).
-    has_value: Vec<bool>,
-}
-
-impl JsonWriter {
-    /// An empty writer. Open a root object or array first.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn pad(&mut self) {
-        if let Some(top) = self.has_value.last_mut() {
-            if *top {
-                self.buf.push(',');
-            }
-            *top = true;
-        }
-    }
-
-    fn key_prefix(&mut self, key: &str) {
-        self.pad();
-        self.buf.push('"');
-        Self::escape_into(key, &mut self.buf);
-        self.buf.push_str("\":");
-    }
-
-    /// Opens an object — as a named field when `key` is given, as an
-    /// array element / root value otherwise.
-    pub fn begin_obj(&mut self, key: Option<&str>) -> &mut Self {
-        match key {
-            Some(k) => self.key_prefix(k),
-            None => self.pad(),
-        }
-        self.buf.push('{');
-        self.has_value.push(false);
-        self
-    }
-
-    /// Closes the innermost object.
-    pub fn end_obj(&mut self) -> &mut Self {
-        self.has_value.pop();
-        self.buf.push('}');
-        self
-    }
-
-    /// Opens an array — named or positional, like [`JsonWriter::begin_obj`].
-    pub fn begin_arr(&mut self, key: Option<&str>) -> &mut Self {
-        match key {
-            Some(k) => self.key_prefix(k),
-            None => self.pad(),
-        }
-        self.buf.push('[');
-        self.has_value.push(false);
-        self
-    }
-
-    /// Closes the innermost array.
-    pub fn end_arr(&mut self) -> &mut Self {
-        self.has_value.pop();
-        self.buf.push(']');
-        self
-    }
-
-    /// Writes a string field (escaped).
-    pub fn str_field(&mut self, key: &str, v: &str) -> &mut Self {
-        self.key_prefix(key);
-        self.buf.push('"');
-        Self::escape_into(v, &mut self.buf);
-        self.buf.push('"');
-        self
-    }
-
-    /// Writes an unsigned integer field.
-    pub fn u64_field(&mut self, key: &str, v: u64) -> &mut Self {
-        self.key_prefix(key);
-        let _ = std::fmt::Write::write_fmt(&mut self.buf, format_args!("{v}"));
-        self
-    }
-
-    /// Writes a float field with `Display` formatting (shortest
-    /// round-trippable form, matching the historical hand-rolled output).
-    pub fn f64_field(&mut self, key: &str, v: f64) -> &mut Self {
-        self.key_prefix(key);
-        let _ = std::fmt::Write::write_fmt(&mut self.buf, format_args!("{v}"));
-        self
-    }
-
-    /// Splices a pre-serialized JSON value as a field (e.g. a
-    /// `StatsSnapshot::to_json` document). The caller vouches that `raw`
-    /// is valid JSON.
-    pub fn raw_field(&mut self, key: &str, raw: &str) -> &mut Self {
-        self.key_prefix(key);
-        self.buf.push_str(raw);
-        self
-    }
-
-    /// Returns the accumulated document.
-    ///
-    /// # Panics
-    ///
-    /// Panics if objects/arrays are still open (a writer bug at the call
-    /// site, not a data condition).
-    pub fn finish(self) -> String {
-        assert!(
-            self.has_value.is_empty(),
-            "JsonWriter finished with {} unclosed scopes",
-            self.has_value.len()
-        );
-        self.buf
-    }
-
-    fn escape_into(s: &str, out: &mut String) {
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => {
-                    let _ = std::fmt::Write::write_fmt(out, format_args!("\\u{:04x}", c as u32));
-                }
-                c => out.push(c),
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -331,74 +121,5 @@ mod tests {
     fn row_arity_is_checked_in_debug() {
         let mut t = Table::new("x", &["a", "b"]);
         t.row(vec!["only-one".into()]);
-    }
-
-    #[test]
-    fn try_row_reports_arity_mismatch() {
-        let mut t = Table::new("x", &["a", "b"]);
-        let err = t.try_row(vec!["only-one".into()]).unwrap_err();
-        assert_eq!(
-            err,
-            RowArityError {
-                expected: 2,
-                got: 1
-            }
-        );
-        assert!(err.to_string().contains("expected 2"));
-        assert!(t.rows.is_empty());
-        t.try_row(vec!["1".into(), "2".into()]).unwrap();
-        assert_eq!(t.rows.len(), 1);
-    }
-
-    #[test]
-    fn json_writer_builds_nested_documents() {
-        let mut w = JsonWriter::new();
-        w.begin_obj(None);
-        w.begin_obj(Some("workload"))
-            .str_field("experiment", "redis")
-            .u64_field("ops", 5000)
-            .f64_field("mreq", 1.25)
-            .end_obj();
-        w.begin_arr(Some("rows"));
-        for i in 0..2u64 {
-            w.begin_obj(None).u64_field("i", i).end_obj();
-        }
-        w.end_arr();
-        w.raw_field("stats", "{\"x\":1}");
-        w.end_obj();
-        assert_eq!(
-            w.finish(),
-            "{\"workload\":{\"experiment\":\"redis\",\"ops\":5000,\"mreq\":1.25},\
-             \"rows\":[{\"i\":0},{\"i\":1}],\"stats\":{\"x\":1}}"
-        );
-    }
-
-    #[test]
-    fn json_writer_escapes_strings() {
-        let mut w = JsonWriter::new();
-        w.begin_obj(None)
-            .str_field("k\"1", "a\\b\nc\u{1}")
-            .end_obj();
-        assert_eq!(w.finish(), "{\"k\\\"1\":\"a\\\\b\\nc\\u0001\"}");
-    }
-
-    #[test]
-    #[should_panic(expected = "unclosed")]
-    fn json_writer_panics_on_unclosed_scope() {
-        let mut w = JsonWriter::new();
-        w.begin_obj(None);
-        let _ = w.finish();
-    }
-
-    #[test]
-    fn csv_escapes_commas_and_quotes() {
-        let mut t = Table::new("Demo", &["name", "note"]);
-        t.row(vec!["a,b".into(), "say \"hi\"".into()]);
-        t.row(vec!["plain".into(), "ok".into()]);
-        let csv = t.render_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "name,note");
-        assert_eq!(lines[1], "\"a,b\",\"say \"\"hi\"\"\"");
-        assert_eq!(lines[2], "plain,ok");
     }
 }

@@ -3,12 +3,14 @@
 //! cache must never change a verdict, and thread counts {1, 2, 8} must
 //! all agree.
 
-use flexos::build::BackendChoice;
+use flexos::build::{plan, BackendChoice, ImageConfig};
 use flexos::compat::{
     enumerate_deployments, enumerate_deployments_with, violations, CompatCache, IncompatGraph,
 };
-use flexos::explore::{explore, Candidate, ExploreOptions};
-use flexos::spec::{Analysis, LibSpec};
+use flexos::explore::{
+    estimate_request_cycles, explore, security_score, CallProfile, Candidate, ExploreOptions,
+};
+use flexos::spec::{suggest_sh, Analysis, LibSpec};
 use flexos::synth::synthetic_image;
 use flexos_machine::CostTable;
 use proptest::prelude::*;
@@ -43,6 +45,53 @@ fn fingerprint(cands: &[Candidate]) -> String {
     out
 }
 
+/// The exploration engine before memoization, rebuilt from the public
+/// API as the reference: a serial nested loop in which every candidate
+/// re-runs every pairwise compatibility check from scratch (`plan` +
+/// `security_score`, no shared cache). Label, cycles and security bits
+/// per candidate, in enumeration order.
+fn uncached_serial(
+    base: &ImageConfig,
+    profile: &CallProfile,
+    costs: &CostTable,
+) -> Vec<(String, u64, u64)> {
+    let suggestions: Vec<_> = base
+        .libraries
+        .iter()
+        .map(|l| {
+            let s = suggest_sh(&l.spec);
+            (!s.is_empty()).then_some(s)
+        })
+        .collect();
+    let toggleable: Vec<usize> = (0..base.libraries.len())
+        .filter(|&i| suggestions[i].is_some())
+        .collect();
+    let mut out = Vec::new();
+    for &backend in BACKENDS {
+        for mask in 0..(1u32 << toggleable.len()) {
+            let mut cfg = base.clone();
+            cfg.backend = backend;
+            let mut hardened = Vec::new();
+            for (bit, &i) in toggleable.iter().enumerate() {
+                if mask & (1 << bit) != 0 {
+                    cfg.libraries[i].sh = suggestions[i].clone().expect("toggleable");
+                    hardened.push(cfg.libraries[i].spec.name.clone());
+                }
+            }
+            let Ok(p) = plan(cfg) else { continue };
+            let cycles = estimate_request_cycles(&p, profile, costs);
+            let security = security_score(&p).to_bits();
+            let label = if hardened.is_empty() {
+                format!("{backend}")
+            } else {
+                format!("{backend} + SH({})", hardened.join(","))
+            };
+            out.push((label, cycles, security));
+        }
+    }
+    out
+}
+
 #[test]
 fn parallel_exploration_is_byte_identical_across_thread_counts() {
     let img = synthetic_image(16, 5, 42);
@@ -56,6 +105,14 @@ fn parallel_exploration_is_byte_identical_across_thread_counts() {
     );
     // 5 backends x 2^5 masks, every combination plans.
     assert_eq!(serial.candidates.len(), 5 * 32);
+    // The cache never changes a visible result: the uncached walk
+    // yields the same candidates in the same order.
+    let visible: Vec<_> = serial
+        .candidates
+        .iter()
+        .map(|c| (c.label.clone(), c.cycles, c.security.to_bits()))
+        .collect();
+    assert_eq!(uncached_serial(&img.config, &img.profile, &costs), visible);
     let want = fingerprint(&serial.candidates);
     for threads in [2, 8, 0] {
         let par = explore(

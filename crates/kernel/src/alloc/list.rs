@@ -276,4 +276,31 @@ mod tests {
             assert!(a.audit(), "invariant broken at step {i}");
         }
     }
+
+    /// A checkerboard of 64-byte holes from the bottom up, then the
+    /// untouched tail, is exactly that many free blocks — and stays so
+    /// under alloc/free pairs, whether a pair takes and returns the
+    /// lowest hole or scans past every hole to carve the tail.
+    #[test]
+    fn a_fragmented_heap_keeps_its_free_block_count_under_alloc_free_pairs() {
+        for free_blocks in [1usize, 64, 4096] {
+            let (mut m, base) = region(1 << 20);
+            let mut a = FreeListAllocator::new(base, 1 << 20);
+            let blocks: Vec<_> = (0..2 * (free_blocks - 1))
+                .map(|_| a.alloc(&mut m, 64, 16).unwrap())
+                .collect();
+            for &p in blocks.iter().step_by(2) {
+                a.free(&mut m, p).unwrap();
+            }
+            assert_eq!(a.free_blocks(), free_blocks);
+            for size in [64u64, 4096] {
+                for _ in 0..100 {
+                    let p = a.alloc(&mut m, size, 16).unwrap();
+                    a.free(&mut m, p).unwrap();
+                }
+                assert_eq!(a.free_blocks(), free_blocks, "{size}-byte pairs");
+            }
+            assert!(a.audit());
+        }
+    }
 }

@@ -17,11 +17,13 @@
 #![cfg_attr(feature = "trace-off", allow(unused_variables, dead_code))]
 
 pub mod hist;
+pub mod json;
 pub mod ring;
 pub mod snapshot;
 pub mod span;
 
 pub use hist::{CycleHist, HIST_BUCKETS};
+pub use json::JsonWriter;
 pub use ring::{Event, EventKind, EventRing, DEFAULT_RING_CAP};
 pub use snapshot::{
     AllocRow, AsyncGatesSnapshot, EventRow, FaultCompartmentRow, FaultKindRow, GateBatchRow,
@@ -1038,7 +1040,6 @@ impl TraceRegistry {
             tasks_spawned: ex.spawned(),
             tasks_run: ex.tasks_run(),
             wakeups: ex.wakeups(),
-            steals: 0,
         };
     }
 

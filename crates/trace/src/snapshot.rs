@@ -1,11 +1,10 @@
 //! The aggregated, serializable view of a run's telemetry.
 //!
 //! A [`StatsSnapshot`] is plain data: every row type is public and the
-//! whole thing serializes to JSON with a hand-rolled writer (the build
-//! environment has no serde). Aggregation from the live trace structs is
-//! done by [`crate::TraceRegistry`].
+//! whole thing serializes to JSON through [`JsonWriter`]. Aggregation
+//! from the live trace structs is done by [`crate::TraceRegistry`].
 
-use std::fmt::Write as _;
+use crate::json::JsonWriter;
 
 /// One (mechanism, src, dst) gate-pair row.
 #[derive(Debug, Clone, PartialEq)]
@@ -234,10 +233,6 @@ pub struct ServingSnapshot {
     pub tasks_run: u64,
     /// Task wakeups delivered.
     pub wakeups: u64,
-    /// Always 0: one executor serves a tier, so no task is ever stolen.
-    /// The key stays because the report shape is pinned byte for byte
-    /// (`ci/stats-baseline.json`, the artefact set).
-    pub steals: u64,
 }
 
 /// One event row, merged across all rings.
@@ -332,239 +327,160 @@ pub struct StatsSnapshot {
     pub events_overwritten: u64,
 }
 
-/// Appends `s` as a quoted, escaped JSON string.
-pub(crate) fn esc(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 impl StatsSnapshot {
     /// Serializes the snapshot as a self-contained JSON object.
     pub fn to_json(&self) -> String {
-        let mut o = String::with_capacity(4096);
-        o.push('{');
-        let _ = write!(o, "\"elapsed_cycles\":{},", self.elapsed_cycles);
-        let _ = write!(o, "\"direct_calls\":{},", self.direct_calls);
+        let mut w = JsonWriter::new();
+        self.write_json(&mut w, None);
+        w.finish()
+    }
 
-        o.push_str("\"gate_pairs\":[");
-        for (i, r) in self.gate_pairs.iter().enumerate() {
-            if i > 0 {
-                o.push(',');
-            }
-            o.push_str("{\"mechanism\":");
-            esc(r.mechanism, &mut o);
-            let _ = write!(o, ",\"src\":{},\"dst\":{},", r.src, r.dst);
-            o.push_str("\"src_name\":");
-            esc(&r.src_name, &mut o);
-            o.push_str(",\"dst_name\":");
-            esc(&r.dst_name, &mut o);
-            let _ = write!(
-                o,
-                ",\"crossings\":{},\"bytes\":{},\"gate_cycles\":{}}}",
-                r.crossings, r.bytes, r.gate_cycles
-            );
-        }
-        o.push_str("],");
+    /// Writes the snapshot as one object of the document `w` is building:
+    /// the field `key` of the open object, or the next array element /
+    /// the root value when `key` is `None`.
+    pub fn write_json(&self, w: &mut JsonWriter, key: Option<&str>) {
+        w.begin_obj(key)
+            .u64_field("elapsed_cycles", self.elapsed_cycles)
+            .u64_field("direct_calls", self.direct_calls);
 
-        o.push_str("\"mechanisms\":[");
-        for (i, r) in self.mechanisms.iter().enumerate() {
-            if i > 0 {
-                o.push(',');
-            }
-            o.push_str("{\"mechanism\":");
-            esc(r.mechanism, &mut o);
-            let _ = write!(
-                o,
-                ",\"count\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"mean\":{},\"max\":{}}}",
-                r.count, r.p50, r.p90, r.p99, r.mean, r.max
-            );
-        }
-        o.push_str("],");
+        w.obj_arr("gate_pairs", &self.gate_pairs, |w, r| {
+            w.str_field("mechanism", r.mechanism)
+                .u64_field("src", r.src.into())
+                .u64_field("dst", r.dst.into())
+                .str_field("src_name", &r.src_name)
+                .str_field("dst_name", &r.dst_name)
+                .u64_field("crossings", r.crossings)
+                .u64_field("bytes", r.bytes)
+                .u64_field("gate_cycles", r.gate_cycles);
+        });
 
-        o.push_str("\"gate_batch\":[");
-        for (i, r) in self.gate_batch.iter().enumerate() {
-            if i > 0 {
-                o.push(',');
-            }
-            o.push_str("{\"mechanism\":");
-            esc(r.mechanism, &mut o);
-            let _ = write!(
-                o,
-                ",\"batches\":{},\"calls\":{},\"p50\":{},\"max\":{}}}",
-                r.batches, r.calls, r.p50, r.max
-            );
-        }
-        o.push_str("],");
+        w.obj_arr("mechanisms", &self.mechanisms, |w, r| {
+            w.str_field("mechanism", r.mechanism)
+                .u64_field("count", r.count)
+                .u64_field("p50", r.p50)
+                .u64_field("p90", r.p90)
+                .u64_field("p99", r.p99)
+                .u64_field("mean", r.mean)
+                .u64_field("max", r.max);
+        });
+
+        w.obj_arr("gate_batch", &self.gate_batch, |w, r| {
+            w.str_field("mechanism", r.mechanism)
+                .u64_field("batches", r.batches)
+                .u64_field("calls", r.calls)
+                .u64_field("p50", r.p50)
+                .u64_field("max", r.max);
+        });
 
         let a = &self.async_gates;
-        let _ = write!(
-            o,
-            "\"async_gates\":{{\"submitted\":{},\"completed\":{},\"flushes\":{},\"cancelled\":{},\"sq_full\":{},\"cq_empty\":{}}},",
-            a.submitted, a.completed, a.flushes, a.cancelled, a.sq_full, a.cq_empty
-        );
+        w.begin_obj(Some("async_gates"))
+            .u64_field("submitted", a.submitted)
+            .u64_field("completed", a.completed)
+            .u64_field("flushes", a.flushes)
+            .u64_field("cancelled", a.cancelled)
+            .u64_field("sq_full", a.sq_full)
+            .u64_field("cq_empty", a.cq_empty)
+            .end_obj();
 
         let mg = &self.migrations;
-        let _ = write!(
-            o,
-            "\"migrations\":{{\"requested\":{},\"completed\":{},\"deferred\":{},\"rejected_submits\":{},\"requeued_sqes\":{},\"preserved_cqes\":{},\"drain_cycles_total\":{},\"drain_cycles_max\":{},\"escalations\":{},\"relaxations\":{}}},",
-            mg.requested,
-            mg.completed,
-            mg.deferred,
-            mg.rejected_submits,
-            mg.requeued_sqes,
-            mg.preserved_cqes,
-            mg.drain_cycles_total,
-            mg.drain_cycles_max,
-            mg.escalations,
-            mg.relaxations
-        );
+        w.begin_obj(Some("migrations"))
+            .u64_field("requested", mg.requested)
+            .u64_field("completed", mg.completed)
+            .u64_field("deferred", mg.deferred)
+            .u64_field("rejected_submits", mg.rejected_submits)
+            .u64_field("requeued_sqes", mg.requeued_sqes)
+            .u64_field("preserved_cqes", mg.preserved_cqes)
+            .u64_field("drain_cycles_total", mg.drain_cycles_total)
+            .u64_field("drain_cycles_max", mg.drain_cycles_max)
+            .u64_field("escalations", mg.escalations)
+            .u64_field("relaxations", mg.relaxations)
+            .end_obj();
 
         let s = &self.sched;
-        let _ = write!(
-            o,
-            "\"sched\":{{\"switches\":{},\"steps\":{},\"avg_depth_milli\":{},\"depth_max\":{},\"task_cycles\":[",
-            s.switches,
-            s.steps,
-            s.avg_depth_milli(),
-            s.depth_max
-        );
-        for (i, (tid, cy)) in s.task_cycles.iter().enumerate() {
-            if i > 0 {
-                o.push(',');
-            }
-            let _ = write!(o, "{{\"tid\":{tid},\"cycles\":{cy}}}");
-        }
-        o.push_str("]},");
+        w.begin_obj(Some("sched"))
+            .u64_field("switches", s.switches)
+            .u64_field("steps", s.steps)
+            .u64_field("avg_depth_milli", s.avg_depth_milli())
+            .u64_field("depth_max", s.depth_max)
+            .obj_arr("task_cycles", &s.task_cycles, |w, &(tid, cycles)| {
+                w.u64_field("tid", tid.into()).u64_field("cycles", cycles);
+            })
+            .end_obj();
 
-        o.push_str("\"allocs\":[");
-        for (i, r) in self.allocs.iter().enumerate() {
-            if i > 0 {
-                o.push(',');
-            }
-            let _ = write!(o, "{{\"compartment\":{},\"name\":", r.compartment);
-            esc(&r.name, &mut o);
-            let _ = write!(
-                o,
-                ",\"allocs\":{},\"frees\":{},\"bytes_in_use\":{},\"peak_bytes\":{},\"failures\":{}}}",
-                r.allocs, r.frees, r.bytes_in_use, r.peak_bytes, r.failures
-            );
-        }
-        o.push_str("],");
+        w.obj_arr("allocs", &self.allocs, |w, r| {
+            w.u64_field("compartment", r.compartment.into())
+                .str_field("name", &r.name)
+                .u64_field("allocs", r.allocs)
+                .u64_field("frees", r.frees)
+                .u64_field("bytes_in_use", r.bytes_in_use)
+                .u64_field("peak_bytes", r.peak_bytes)
+                .u64_field("failures", r.failures);
+        });
 
-        o.push_str("\"fault_kinds\":[");
-        for (i, r) in self.fault_kinds.iter().enumerate() {
-            if i > 0 {
-                o.push(',');
-            }
-            o.push_str("{\"kind\":");
-            esc(r.kind, &mut o);
-            let _ = write!(o, ",\"count\":{}}}", r.count);
-        }
-        o.push_str("],");
+        w.obj_arr("fault_kinds", &self.fault_kinds, |w, r| {
+            w.str_field("kind", r.kind).u64_field("count", r.count);
+        });
 
-        o.push_str("\"fault_compartments\":[");
-        for (i, r) in self.fault_compartments.iter().enumerate() {
-            if i > 0 {
-                o.push(',');
-            }
-            let _ = write!(o, "{{\"compartment\":{},\"name\":", r.compartment);
-            esc(&r.name, &mut o);
-            let _ = write!(o, ",\"count\":{}}}", r.count);
-        }
-        o.push_str("],");
+        w.obj_arr("fault_compartments", &self.fault_compartments, |w, r| {
+            w.u64_field("compartment", r.compartment.into())
+                .str_field("name", &r.name)
+                .u64_field("count", r.count);
+        });
 
         let t = &self.tlb;
-        let _ = write!(
-            o,
-            "\"tlb\":{{\"hits\":{},\"misses\":{},\"flushes\":{},\"hit_rate_milli\":{}}},",
-            t.hits,
-            t.misses,
-            t.flushes,
-            t.hit_rate_milli()
-        );
+        w.begin_obj(Some("tlb"))
+            .u64_field("hits", t.hits)
+            .u64_field("misses", t.misses)
+            .u64_field("flushes", t.flushes)
+            .u64_field("hit_rate_milli", t.hit_rate_milli())
+            .end_obj();
 
         let n = &self.net;
-        let _ = write!(
-            o,
-            "\"net\":{{\"rx_segments\":{},\"tx_segments\":{},\"rx_datagrams\":{},\"drops\":{},\"backlog_overflows\":{},\"retransmits\":{}}},",
-            n.rx_segments, n.tx_segments, n.rx_datagrams, n.drops, n.backlog_overflows, n.retransmits
-        );
+        w.begin_obj(Some("net"))
+            .u64_field("rx_segments", n.rx_segments)
+            .u64_field("tx_segments", n.tx_segments)
+            .u64_field("rx_datagrams", n.rx_datagrams)
+            .u64_field("drops", n.drops)
+            .u64_field("backlog_overflows", n.backlog_overflows)
+            .u64_field("retransmits", n.retransmits)
+            .end_obj();
 
         let sv = &self.serving;
-        let _ = write!(
-            o,
-            "\"serving\":{{\"events_posted\":{},\"events_coalesced\":{},\"polls\":{},\"events_delivered\":{},\"tasks_spawned\":{},\"tasks_run\":{},\"wakeups\":{},\"steals\":{}}},",
-            sv.events_posted,
-            sv.events_coalesced,
-            sv.polls,
-            sv.events_delivered,
-            sv.tasks_spawned,
-            sv.tasks_run,
-            sv.wakeups,
-            sv.steals
-        );
+        w.begin_obj(Some("serving"))
+            .u64_field("events_posted", sv.events_posted)
+            .u64_field("events_coalesced", sv.events_coalesced)
+            .u64_field("polls", sv.polls)
+            .u64_field("events_delivered", sv.events_delivered)
+            .u64_field("tasks_spawned", sv.tasks_spawned)
+            .u64_field("tasks_run", sv.tasks_run)
+            .u64_field("wakeups", sv.wakeups)
+            .end_obj();
 
-        o.push_str("\"latency\":[");
-        for (i, r) in self.latency.iter().enumerate() {
-            if i > 0 {
-                o.push(',');
-            }
-            o.push_str("{\"app\":");
-            esc(r.app, &mut o);
-            o.push_str(",\"backend\":");
-            esc(r.backend, &mut o);
-            let _ = write!(
-                o,
-                ",\"count\":{},\"p50\":{},\"p99\":{},\"p999\":{}}}",
-                r.count, r.p50, r.p99, r.p999
-            );
-        }
-        o.push_str("],");
+        w.obj_arr("latency", &self.latency, |w, r| {
+            w.str_field("app", r.app)
+                .str_field("backend", r.backend)
+                .u64_field("count", r.count)
+                .u64_field("p50", r.p50)
+                .u64_field("p99", r.p99)
+                .u64_field("p999", r.p999);
+        });
 
-        o.push_str("\"ring_drops\":[");
-        for (i, r) in self.ring_drops.iter().enumerate() {
-            if i > 0 {
-                o.push(',');
-            }
-            o.push_str("{\"subsystem\":");
-            esc(r.subsystem, &mut o);
-            let _ = write!(
-                o,
-                ",\"owner\":{},\"pushed\":{},\"dropped\":{}}}",
-                r.owner, r.pushed, r.dropped
-            );
-        }
-        o.push_str("],");
+        w.obj_arr("ring_drops", &self.ring_drops, |w, r| {
+            w.str_field("subsystem", r.subsystem)
+                .u64_field("owner", r.owner.into())
+                .u64_field("pushed", r.pushed)
+                .u64_field("dropped", r.dropped);
+        });
 
-        o.push_str("\"events\":[");
-        for (i, e) in self.events.iter().enumerate() {
-            if i > 0 {
-                o.push(',');
-            }
-            let _ = write!(
-                o,
-                "{{\"seq\":{},\"cycles\":{},\"compartment\":{},\"kind\":",
-                e.seq, e.cycles, e.compartment
-            );
-            esc(e.kind, &mut o);
-            let _ = write!(o, ",\"detail\":{}}}", e.detail);
-        }
-        o.push_str("],");
-        let _ = write!(o, "\"events_overwritten\":{}", self.events_overwritten);
-        o.push('}');
-        o
+        w.obj_arr("events", &self.events, |w, e| {
+            w.u64_field("seq", e.seq)
+                .u64_field("cycles", e.cycles)
+                .u64_field("compartment", e.compartment.into())
+                .str_field("kind", e.kind)
+                .u64_field("detail", e.detail);
+        });
+        w.u64_field("events_overwritten", self.events_overwritten)
+            .end_obj();
     }
 }
 
@@ -572,44 +488,200 @@ impl StatsSnapshot {
 mod tests {
     use super::*;
 
-    #[test]
-    fn json_is_well_formed_and_carries_rows() {
-        let snap = StatsSnapshot {
+    /// Every vector non-empty, every counter distinct, names that need
+    /// escaping.
+    fn full() -> StatsSnapshot {
+        StatsSnapshot {
             elapsed_cycles: 1000,
             direct_calls: 3,
-            gate_pairs: vec![GatePairRow {
-                mechanism: "MPK (shared stack)",
-                src: 0,
-                dst: 1,
-                src_name: "rest".into(),
-                dst_name: "net \"quoted\"".into(),
-                crossings: 42,
-                bytes: 128,
-                gate_cycles: 9000,
-            }],
+            gate_pairs: vec![
+                GatePairRow {
+                    mechanism: "MPK (shared stack)",
+                    src: 0,
+                    dst: 1,
+                    src_name: "rest".into(),
+                    dst_name: "net \"quoted\"\n\\tab\t\u{1}".into(),
+                    crossings: 42,
+                    bytes: 128,
+                    gate_cycles: 9000,
+                },
+                GatePairRow {
+                    mechanism: "VM RPC (EPT)",
+                    src: 1,
+                    dst: 0,
+                    src_name: "net".into(),
+                    dst_name: "rest".into(),
+                    crossings: 7,
+                    bytes: 64,
+                    gate_cycles: 51_688,
+                },
+            ],
             mechanisms: vec![MechanismRow {
                 mechanism: "MPK (shared stack)",
                 count: 42,
                 p50: 255,
-                p90: 255,
+                p90: 256,
                 p99: 511,
                 mean: 214,
                 max: 400,
             }],
-            ..Default::default()
-        };
-        let j = snap.to_json();
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        assert!(j.contains("\"crossings\":42"));
-        assert!(j.contains("\"p99\":511"));
-        assert!(j.contains("net \\\"quoted\\\""));
-        // Balanced braces/brackets (no string content to confuse this
-        // beyond the escaped quotes handled above).
-        let depth = j.chars().fold(0i64, |d, c| match c {
-            '{' | '[' => d + 1,
-            '}' | ']' => d - 1,
-            _ => d,
-        });
-        assert_eq!(depth, 0);
+            gate_batch: vec![GateBatchRow {
+                mechanism: "MPK (shared stack)",
+                batches: 5,
+                calls: 80,
+                p50: 15,
+                max: 16,
+            }],
+            async_gates: AsyncGatesSnapshot {
+                submitted: 11,
+                completed: 12,
+                flushes: 13,
+                cancelled: 14,
+                sq_full: 15,
+                cq_empty: 16,
+            },
+            migrations: MigrationsSnapshot {
+                requested: 21,
+                completed: 22,
+                deferred: 23,
+                rejected_submits: 24,
+                requeued_sqes: 25,
+                preserved_cqes: 26,
+                drain_cycles_total: 27,
+                drain_cycles_max: 28,
+                escalations: 29,
+                relaxations: 30,
+            },
+            sched: SchedSnapshot {
+                switches: 31,
+                steps: 32,
+                depth_sum: 7,
+                depth_samples: 2,
+                depth_max: 4,
+                task_cycles: vec![(1, 100), (2, 200)],
+            },
+            allocs: vec![AllocRow {
+                compartment: 1,
+                name: "net".into(),
+                allocs: 41,
+                frees: 42,
+                bytes_in_use: 43,
+                peak_bytes: 44,
+                failures: 45,
+            }],
+            fault_kinds: vec![
+                FaultKindRow {
+                    kind: "pkey-violation",
+                    count: 2,
+                },
+                FaultKindRow {
+                    kind: "gate-timeout",
+                    count: 1,
+                },
+            ],
+            fault_compartments: vec![FaultCompartmentRow {
+                compartment: 1,
+                name: "net".into(),
+                count: 2,
+            }],
+            tlb: TlbSnapshot {
+                hits: 51,
+                misses: 17,
+                flushes: 53,
+            },
+            net: NetSnapshot {
+                rx_segments: 61,
+                tx_segments: 62,
+                rx_datagrams: 63,
+                drops: 64,
+                backlog_overflows: 65,
+                retransmits: 66,
+            },
+            serving: ServingSnapshot {
+                events_posted: 71,
+                events_coalesced: 72,
+                polls: 73,
+                events_delivered: 74,
+                tasks_spawned: 75,
+                tasks_run: 76,
+                wakeups: 77,
+            },
+            latency: vec![LatencyRow {
+                app: "redis",
+                backend: "mpk-shared",
+                count: 81,
+                p50: 82,
+                p99: 83,
+                p999: 84,
+            }],
+            ring_drops: vec![
+                RingDropRow {
+                    subsystem: "gates",
+                    owner: 0,
+                    pushed: 91,
+                    dropped: 92,
+                },
+                RingDropRow {
+                    subsystem: "spans",
+                    owner: 1,
+                    pushed: 93,
+                    dropped: 0,
+                },
+            ],
+            events: vec![
+                EventRow {
+                    seq: 0,
+                    cycles: 10,
+                    compartment: 0,
+                    kind: "gate-enter",
+                    detail: 1,
+                },
+                EventRow {
+                    seq: 1,
+                    cycles: 20,
+                    compartment: 1,
+                    kind: "fault",
+                    detail: 65_537,
+                },
+            ],
+            events_overwritten: 99,
+        }
+    }
+
+    /// The bytes the parent of PR 23 wrote for `full()` with its
+    /// hand-placed commas and its own escaper (less the `steals` key,
+    /// which went with its field): any separator, escape or field-order
+    /// slip in the writer-based emitter fails here, before
+    /// `ci/artefacts.sh` has to find it.
+    const FULL_JSON: &str = concat!(
+        r#"{"elapsed_cycles":1000,"#,
+        r#""direct_calls":3,"#,
+        r#""gate_pairs":[{"mechanism":"MPK (shared stack)","src":0,"dst":1,"src_name":"rest","dst_name":"net \"quoted\"\n\\tab\t\u0001","crossings":42,"bytes":128,"gate_cycles":9000},{"mechanism":"VM RPC (EPT)","src":1,"dst":0,"src_name":"net","dst_name":"rest","crossings":7,"bytes":64,"gate_cycles":51688}],"#,
+        r#""mechanisms":[{"mechanism":"MPK (shared stack)","count":42,"p50":255,"p90":256,"p99":511,"mean":214,"max":400}],"#,
+        r#""gate_batch":[{"mechanism":"MPK (shared stack)","batches":5,"calls":80,"p50":15,"max":16}],"#,
+        r#""async_gates":{"submitted":11,"completed":12,"flushes":13,"cancelled":14,"sq_full":15,"cq_empty":16},"#,
+        r#""migrations":{"requested":21,"completed":22,"deferred":23,"rejected_submits":24,"requeued_sqes":25,"preserved_cqes":26,"drain_cycles_total":27,"drain_cycles_max":28,"escalations":29,"relaxations":30},"#,
+        r#""sched":{"switches":31,"steps":32,"avg_depth_milli":3500,"depth_max":4,"task_cycles":[{"tid":1,"cycles":100},{"tid":2,"cycles":200}]},"#,
+        r#""allocs":[{"compartment":1,"name":"net","allocs":41,"frees":42,"bytes_in_use":43,"peak_bytes":44,"failures":45}],"#,
+        r#""fault_kinds":[{"kind":"pkey-violation","count":2},{"kind":"gate-timeout","count":1}],"#,
+        r#""fault_compartments":[{"compartment":1,"name":"net","count":2}],"#,
+        r#""tlb":{"hits":51,"misses":17,"flushes":53,"hit_rate_milli":750},"#,
+        r#""net":{"rx_segments":61,"tx_segments":62,"rx_datagrams":63,"drops":64,"backlog_overflows":65,"retransmits":66},"#,
+        r#""serving":{"events_posted":71,"events_coalesced":72,"polls":73,"events_delivered":74,"tasks_spawned":75,"tasks_run":76,"wakeups":77},"#,
+        r#""latency":[{"app":"redis","backend":"mpk-shared","count":81,"p50":82,"p99":83,"p999":84}],"#,
+        r#""ring_drops":[{"subsystem":"gates","owner":0,"pushed":91,"dropped":92},{"subsystem":"spans","owner":1,"pushed":93,"dropped":0}],"#,
+        r#""events":[{"seq":0,"cycles":10,"compartment":0,"kind":"gate-enter","detail":1},{"seq":1,"cycles":20,"compartment":1,"kind":"fault","detail":65537}],"#,
+        r#""events_overwritten":99}"#,
+    );
+
+    #[test]
+    fn json_is_well_formed_and_carries_rows() {
+        assert_eq!(full().to_json(), FULL_JSON);
+        // Embedded in another document, the snapshot is the same bytes.
+        let mut w = JsonWriter::new();
+        w.begin_obj(None);
+        full().write_json(&mut w, Some("stats"));
+        w.end_obj();
+        assert_eq!(w.finish(), format!("{{\"stats\":{FULL_JSON}}}"));
     }
 }

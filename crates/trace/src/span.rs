@@ -25,8 +25,9 @@
 //! so simulated cycles are identical with tracing on or off by
 //! construction.
 
+use crate::json::JsonWriter;
 use crate::ring::Ring;
-use crate::snapshot::{esc, LatencyRow, RingDropRow};
+use crate::snapshot::{LatencyRow, RingDropRow};
 use std::fmt::Write as _;
 
 /// A request-scoped trace identifier. `SpanId(0)` means "no span".
@@ -504,29 +505,32 @@ impl SpanTrace {
     /// `"b"`/`"e"` pairs on the owning compartment track. Timestamps are
     /// raw simulated cycles.
     pub fn to_chrome_json(&self, names: &[(u16, String)]) -> String {
-        let mut out = String::with_capacity(16 * 1024);
-        // Metadata first — the two processes, then their threads — so
-        // every later event is written with its separating comma.
-        out.push_str(
-            "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\
-             {\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"process_name\",\
-             \"args\":{\"name\":\"vCPUs\"}},\
-             {\"ph\":\"M\",\"pid\":2,\"tid\":0,\"name\":\"process_name\",\
-             \"args\":{\"name\":\"compartments\"}}",
-        );
-        let threads = (0..self.shards.len()).map(|shard| (1, shard, format!("vcpu{shard}")));
-        let compartments = names
-            .iter()
-            .map(|(id, name)| (2, *id as usize, name.clone()));
-        for (pid, tid, name) in threads.chain(compartments) {
-            let _ = write!(
-                out,
-                ",{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"name\":\"thread_name\",\
-                 \"args\":{{\"name\":"
-            );
-            esc(&name, &mut out);
-            out.push_str("}}");
+        let mut w = JsonWriter::new();
+        w.begin_obj(None)
+            .str_field("displayTimeUnit", "ns")
+            .begin_arr(Some("traceEvents"));
+        // Metadata first: the two processes, then their threads.
+        let mut meta = |pid: u64, tid: u64, what: &str, name: &str| {
+            w.begin_obj(None)
+                .str_field("ph", "M")
+                .u64_field("pid", pid)
+                .u64_field("tid", tid)
+                .str_field("name", what)
+                .begin_obj(Some("args"))
+                .str_field("name", name)
+                .end_obj()
+                .end_obj();
+        };
+        meta(1, 0, "process_name", "vCPUs");
+        meta(2, 0, "process_name", "compartments");
+        for shard in 0..self.shards.len() {
+            meta(1, shard as u64, "thread_name", &format!("vcpu{shard}"));
         }
+        for (id, name) in names {
+            meta(2, (*id).into(), "thread_name", name);
+        }
+        // The events are fixed-shape templates, handed to the writer as
+        // raw array elements: it places the commas, they fill the slots.
         let mut flow_id = 0u64;
         let mut head = String::new();
         for (shard, _, ev) in self.merged_events() {
@@ -534,35 +538,38 @@ impl SpanTrace {
             // `"cat":…,"name":…`, shared by every event of the interval.
             head.clear();
             let _ = write!(head, "\"cat\":\"{}\",\"name\":", ev.kind.label());
-            esc(ev.label, &mut head);
+            JsonWriter::quote_into(ev.label, &mut head);
             if ev.kind == SpanKind::Request {
                 // Async begin/end pair on the owning compartment track,
                 // id'd by the span so nested requests nest.
                 for (ph, ts) in [("b", t0), ("e", t1)] {
                     let _ = write!(
-                        out,
-                        ",{{\"ph\":\"{ph}\",{head},\"id\":{span},\"pid\":2,\"tid\":{src},\"ts\":{ts}}}"
+                        w.raw(None),
+                        "{{\"ph\":\"{ph}\",{head},\"id\":{span},\"pid\":2,\"tid\":{src},\"ts\":{ts}}}"
                     );
                 }
                 continue;
             }
             let _ = write!(
-                out,
-                ",{{\"ph\":\"X\",{head},\"pid\":1,\"tid\":{shard},\"ts\":{t0},\"dur\":{},\
+                w.raw(None),
+                "{{\"ph\":\"X\",{head},\"pid\":1,\"tid\":{shard},\"ts\":{t0},\"dur\":{},\
                  \"args\":{{\"span\":{span},\"src\":{src},\"dst\":{dst}}}}}",
                 t1.saturating_sub(t0).max(1)
             );
             if matches!(ev.kind, SpanKind::Gate | SpanKind::Doorbell) && src != dst {
                 flow_id += 1;
                 let _ = write!(
-                    out,
-                    ",{{\"ph\":\"s\",{head},\"id\":{flow_id},\"pid\":2,\"tid\":{src},\"ts\":{t0}}}\
-                     ,{{\"ph\":\"f\",{head},\"bp\":\"e\",\"id\":{flow_id},\"pid\":2,\"tid\":{dst},\"ts\":{t1}}}"
+                    w.raw(None),
+                    "{{\"ph\":\"s\",{head},\"id\":{flow_id},\"pid\":2,\"tid\":{src},\"ts\":{t0}}}"
+                );
+                let _ = write!(
+                    w.raw(None),
+                    "{{\"ph\":\"f\",{head},\"bp\":\"e\",\"id\":{flow_id},\"pid\":2,\"tid\":{dst},\"ts\":{t1}}}"
                 );
             }
         }
-        out.push_str("]}");
-        out
+        w.end_arr().end_obj();
+        w.finish()
     }
 }
 
@@ -697,6 +704,25 @@ mod tests {
         assert_eq!(t0s, vec![10, 50, 70]);
     }
 
+    /// What the parent of PR 23 rendered for the trace of the next test,
+    /// byte for byte.
+    const SMALL_TRACE_JSON: &str = concat!(
+        r#"{"displayTimeUnit":"ns","traceEvents":["#,
+        r#"{"ph":"M","pid":1,"tid":0,"name":"process_name","args":{"name":"vCPUs"}},"#,
+        r#"{"ph":"M","pid":2,"tid":0,"name":"process_name","args":{"name":"compartments"}},"#,
+        r#"{"ph":"M","pid":1,"tid":0,"name":"thread_name","args":{"name":"vcpu0"}},"#,
+        r#"{"ph":"M","pid":2,"tid":0,"name":"thread_name","args":{"name":"app"}},"#,
+        r#"{"ph":"M","pid":2,"tid":2,"name":"thread_name","args":{"name":"net \"rx\"\n"}},"#,
+        r#"{"ph":"b","cat":"request","name":"redis","id":1,"pid":2,"tid":0,"ts":0},"#,
+        r#"{"ph":"e","cat":"request","name":"redis","id":1,"pid":2,"tid":0,"ts":20},"#,
+        r#"{"ph":"X","cat":"gate","name":"MPK (shared stack)","pid":1,"tid":0,"ts":5,"dur":4,"args":{"span":1,"src":0,"dst":2}},"#,
+        r#"{"ph":"s","cat":"gate","name":"MPK (shared stack)","id":1,"pid":2,"tid":0,"ts":5},"#,
+        r#"{"ph":"f","cat":"gate","name":"MPK (shared stack)","bp":"e","id":1,"pid":2,"tid":2,"ts":9},"#,
+        r#"{"ph":"X","cat":"doorbell","name":"doorbell","pid":1,"tid":0,"ts":12,"dur":2,"args":{"span":1,"src":0,"dst":3}},"#,
+        r#"{"ph":"s","cat":"doorbell","name":"doorbell","id":2,"pid":2,"tid":0,"ts":12},"#,
+        r#"{"ph":"f","cat":"doorbell","name":"doorbell","bp":"e","id":2,"pid":2,"tid":3,"ts":14}]}"#,
+    );
+
     #[test]
     fn chrome_json_pairs_every_flow_start_with_a_finish() {
         let mut t = SpanTrace::new();
@@ -704,17 +730,14 @@ mod tests {
         t.record(0, SpanKind::Gate, "MPK (shared stack)", 0, 2, 5, 9);
         t.record(0, SpanKind::Doorbell, "doorbell", 0, 3, 12, 14);
         t.end_request(s, 0, 20);
-        let j = t.to_chrome_json(&[(0, "app".into()), (2, "net".into())]);
-        assert!(j.starts_with("{\"displayTimeUnit\""));
-        assert!(j.ends_with("]}"));
+        let j = t.to_chrome_json(&[(0, "app".into()), (2, "net \"rx\"\n".into())]);
+        assert_eq!(j, SMALL_TRACE_JSON);
         let starts = j.matches("\"ph\":\"s\"").count();
         let finishes = j.matches("\"ph\":\"f\"").count();
         assert_eq!(starts, 2);
         assert_eq!(starts, finishes);
         assert_eq!(j.matches("\"ph\":\"b\"").count(), 1);
         assert_eq!(j.matches("\"ph\":\"e\"").count(), 1);
-        assert!(j.contains("\"name\":\"vcpu0\""));
-        assert!(j.contains("\"name\":\"net\""));
     }
 
     #[test]

@@ -322,6 +322,58 @@ fn context_switch_latencies_match_the_paper() {
     );
 }
 
+// --- the who-wins story does not hang on the calibration (DESIGN.md §6.1) ----------
+
+/// Sweep the two calibration constants the gate ladder is most sensitive
+/// to — `wrpkru` 2x down and 4x up, `vm_notify` 4x down and up — and
+/// demand `direct < MPK shared < MPK switched < VM RPC` for the estimated
+/// request at every point.
+#[test]
+fn gate_ordering_survives_a_sweep_of_the_calibration_constants() {
+    use flexos::build::{plan, ImageConfig, LibRole, LibraryConfig};
+    use flexos::explore::{estimate_request_cycles, CallProfile};
+    use flexos::spec::{Analysis, LibSpec};
+    use flexos_machine::CostTable;
+    let ladder = [
+        BackendChoice::None,
+        BackendChoice::MpkShared,
+        BackendChoice::MpkSwitched,
+        BackendChoice::VmRpc,
+    ]
+    .map(|backend| {
+        let cfg = ImageConfig::new("ablate", backend)
+            .with_library(LibraryConfig::new(
+                LibSpec::verified_scheduler(),
+                LibRole::Scheduler,
+            ))
+            .with_library(
+                LibraryConfig::new(LibSpec::unsafe_c("lwip"), LibRole::NetStack)
+                    .with_analysis(Analysis::well_behaved()),
+            );
+        plan(cfg).expect("plans")
+    });
+    let profile = CallProfile::default()
+        .with_calls("lwip", "uksched_verified", 6)
+        .with_work("lwip", 3000)
+        .with_work("uksched_verified", 500);
+    for wrpkru in [15u64, 30, 60, 120] {
+        for vm_notify in [875u64, 3500, 14000] {
+            let costs = CostTable {
+                wrpkru,
+                vm_notify,
+                ..CostTable::default()
+            };
+            let cycles = ladder
+                .each_ref()
+                .map(|image| estimate_request_cycles(image, &profile, &costs));
+            assert!(
+                cycles.windows(2).all(|w| w[0] < w[1]),
+                "gate ordering broke at wrpkru={wrpkru}, vm_notify={vm_notify}: {cycles:?}"
+            );
+        }
+    }
+}
+
 // --- per-request latency across the isolation ladder -------------------------------
 
 /// Isolation costs latency, not only throughput: the same Redis GET

@@ -333,6 +333,17 @@ fn ci_profile_is_bit_identical_at_vcpus_4() {
         (r4.ops, r4.cycles, r4.crossings)
     );
     assert_eq!(s1.to_json(), s4.to_json());
+    // And it is a profile worth pinning: every pair crossed, the
+    // mechanism and batch histograms filled, the software TLB was used.
+    #[cfg(not(feature = "trace-off"))]
+    assert!(
+        !s4.gate_pairs.is_empty()
+            && s4.gate_pairs.iter().all(|p| p.crossings > 0)
+            && !s4.mechanisms.is_empty()
+            && !s4.gate_batch.is_empty()
+            && s4.tlb.hits > 0,
+        "{s4:?}"
+    );
 }
 
 /// With `trace-off`, every span probe compiles to a no-op: the workload
