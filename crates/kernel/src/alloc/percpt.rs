@@ -96,7 +96,8 @@ impl HeapService {
                 Ok(a)
             }
             Err(f) => {
-                self.trace.on_fail(c.0, size, m.clock().cycles());
+                let now = m.clock().cycles();
+                self.trace.on_fail(m.span_trace_mut(), c.0, size, now);
                 Err(f)
             }
         }

@@ -13,7 +13,7 @@ use crate::sched::{RunQueue, ThreadId};
 use crate::sync::WaitChannel;
 use flexos::gate::CompartmentId;
 use flexos_machine::{Machine, Result};
-use flexos_trace::{SchedTrace, SpanKind};
+use flexos_trace::SchedTrace;
 use std::collections::BTreeMap;
 
 /// What a task reports after one scheduling quantum.
@@ -188,20 +188,11 @@ impl<C: KernelHal> Executor<C> {
                 ctx.resume_compartment(slot.compartment)?;
                 self.summary.switches += 1;
                 let t1 = ctx.machine_mut().clock().cycles();
-                self.trace.record_switch(t1, tid.0);
-                // Span probe: the switch window (cost charge + PKRU
-                // restore), attributed to the incoming thread and its
-                // compartment. Shard 0: the switch sequence belongs to
-                // the one run queue, not to any vCPU.
-                ctx.machine_mut().span_trace_mut().record(
-                    0,
-                    SpanKind::Sched,
-                    "ctx-switch",
-                    tid.0 as u16,
-                    slot.compartment.0,
-                    t0,
-                    t1,
-                );
+                // The switch window (cost charge + PKRU restore),
+                // attributed to the incoming thread and its compartment.
+                let spans = ctx.machine_mut().span_trace_mut();
+                self.trace
+                    .record_switch(spans, tid.0, slot.compartment.0, t0, t1);
                 self.last_running = Some(tid);
             }
 

@@ -76,6 +76,7 @@ fn injected_doorbell_loss_is_recovered_and_traced() {
     let mut reg = TraceRegistry::new();
     reg.set_elapsed(m.clock().cycles());
     reg.add_faults(m.fault_trace(), |_| None);
+    reg.add_spans(m.span_trace());
     let snap = reg.finish();
     assert!(snap
         .fault_kinds
