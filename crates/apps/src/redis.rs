@@ -131,7 +131,22 @@ pub enum RedisRunError {
     /// The server image failed outside a reply: a gate timeout under
     /// injected doorbell loss, an allocation fault, a stack error.
     Server(String),
+    /// Nothing moved although work was still owed: the handshake did not
+    /// complete in its rounds, or [`MAX_IDLE_ROUNDS`] rounds in a row
+    /// completed no request (a link or client that stopped answering).
+    NoProgress {
+        /// What the run was waiting for.
+        phase: &'static str,
+        /// How much of it had happened.
+        done: u64,
+        /// How much was wanted.
+        wanted: u64,
+    },
 }
+
+/// Consecutive rounds without a completed request after which a run
+/// gives up.
+const MAX_IDLE_ROUNDS: u32 = 5_000;
 
 impl RedisRunError {
     fn server(e: impl fmt::Display) -> Self {
@@ -147,6 +162,14 @@ impl fmt::Display for RedisRunError {
             }
             RedisRunError::Client(e) => write!(f, "redis client failed: {e}"),
             RedisRunError::Server(e) => write!(f, "redis server failed: {e}"),
+            RedisRunError::NoProgress {
+                phase,
+                done,
+                wanted,
+            } => write!(
+                f,
+                "redis made no progress: {phase} stuck at {done}/{wanted}"
+            ),
         }
     }
 }
@@ -554,13 +577,8 @@ impl LoadGen {
 /// # Errors
 ///
 /// Returns [`RedisRunError`] when the server answers a request with a
-/// RESP error (e.g. a faulting compartment), so callers can degrade a
-/// benchmark run instead of aborting.
-///
-/// # Panics
-///
-/// Panics if the run makes no progress (a harness bug, not a recoverable
-/// condition).
+/// RESP error (e.g. a faulting compartment) or the run stops making
+/// progress, so callers can degrade a benchmark run instead of aborting.
 pub fn run_redis(params: &RedisParams) -> Result<RedisResult, RedisRunError> {
     run_redis_with_stats(params).map(|(r, _)| r)
 }
@@ -662,7 +680,13 @@ impl Rig {
             exec.run(&mut os, 16).map_err(RedisRunError::server)?;
             exchange(&mut link, &mut client, &mut os);
         }
-        assert!(client.established(csid), "handshake did not complete");
+        if !client.established(csid) {
+            return Err(RedisRunError::NoProgress {
+                phase: "handshake",
+                done: 0,
+                wanted: 1,
+            });
+        }
         Ok(Self {
             os,
             exec,
@@ -713,7 +737,13 @@ impl Rig {
                     self.client.advance(30_000_000);
                     self.os.img.machine.charge(30_000_000);
                 }
-                assert!(idle < 5_000, "redis made no progress");
+                if idle >= MAX_IDLE_ROUNDS {
+                    return Err(RedisRunError::NoProgress {
+                        phase: "requests",
+                        done: load.completed,
+                        wanted: target,
+                    });
+                }
             } else {
                 idle = 0;
             }
@@ -829,6 +859,28 @@ mod tests {
             "expected a server-side gate failure, got: {err}"
         );
         assert!(err.to_string().contains("timed out"), "{err}");
+    }
+
+    /// A link that stops carrying frames after the handshake: the run
+    /// comes back as a typed error naming how far it got.
+    #[test]
+    fn a_link_that_never_answers_is_no_progress_not_a_panic() {
+        let mut rig = Rig::boot(&RedisParams::default()).expect("rig boots");
+        rig.link.faults.drop_every = Some(1);
+        let mut load = LoadGen::new(50, Mix::Set, 4);
+        let err = rig.drive(&mut load, 8).unwrap_err();
+        assert_eq!(
+            err,
+            RedisRunError::NoProgress {
+                phase: "requests",
+                done: 0,
+                wanted: 8,
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "redis made no progress: requests stuck at 0/8"
+        );
     }
 
     /// Sends `wire` as it is and collects what the server answers;

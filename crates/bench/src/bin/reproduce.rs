@@ -20,8 +20,9 @@
 //! Figure 5 and prints the per-compartment telemetry report: gate
 //! crossings per (src, dst) pair, cycle-latency percentiles per gate
 //! mechanism, scheduler activity, allocator pressure, faults and the
-//! tail of the event rings. `--json[=PATH]` additionally writes the same
-//! numbers as a JSON document (default `flexos-stats.json`).
+//! event tail folded from the span rings. `--json[=PATH]` additionally
+//! writes the same numbers as a JSON document (default
+//! `flexos-stats.json`).
 //! `--trace-out=PATH` additionally records a causal span trace of the
 //! run — one slice per gate crossing, doorbell, context switch, mq hop
 //! and net poll, with flow arrows stitching each request across

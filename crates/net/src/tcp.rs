@@ -28,7 +28,7 @@
 
 use crate::wire::{TcpFlags, TcpHeader, MSS};
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// A byte FIFO over a flat `Vec`: bulk `extend_from_slice` on push,
 /// borrow-then-consume on pop, amortized compaction of the dead prefix.
@@ -346,7 +346,7 @@ pub struct TcpConn {
     /// Peer port.
     pub remote_port: u16,
     /// Shared by every connection of a stack.
-    cfg: Arc<TcpConfig>,
+    cfg: Rc<TcpConfig>,
 
     snd_una: u32,
     snd_nxt: u32,
@@ -410,7 +410,7 @@ impl TcpConn {
         cfg: TcpConfig,
     ) -> (Self, SegmentOut) {
         let own = &mut SpareList::default();
-        Self::open(local_port, remote_port, iss, None, Arc::new(cfg), own)
+        Self::open(local_port, remote_port, iss, None, Rc::new(cfg), own)
     }
 
     /// Passive open from a received SYN: returns the endpoint and its
@@ -428,7 +428,7 @@ impl TcpConn {
             remote_port,
             iss,
             Some(peer_syn),
-            Arc::new(cfg),
+            Rc::new(cfg),
             own,
         )
     }
@@ -442,7 +442,7 @@ impl TcpConn {
         remote_port: u16,
         iss: u32,
         peer_syn: Option<&TcpHeader>,
-        cfg: Arc<TcpConfig>,
+        cfg: Rc<TcpConfig>,
         spare: &mut SpareList<Flight>,
     ) -> (Self, SegmentOut) {
         let (state, flags) = match peer_syn {
@@ -1373,7 +1373,7 @@ mod tests {
 
     impl Pair {
         fn open(k: u16, spare: &mut SpareList<Flight>) -> Self {
-            let cfg = Arc::new(TcpConfig::default());
+            let cfg = Rc::new(TcpConfig::default());
             let (lent, syn) = TcpConn::open(40_000 + k, 5201, 1000, None, cfg.clone(), spare);
             let (own, syn2) = TcpConn::connect(40_000 + k, 5201, 1000, TcpConfig::default());
             assert_eq!(syn, syn2);
