@@ -12,7 +12,7 @@
 //! baseline; and §4 "Safe iperf"'s two-compartment MPK/VM images.
 
 use crate::os::Os;
-use flexos::build::{BackendChoice, Hypervisor, ImageConfig, LibRole, LibraryConfig};
+use flexos::build::{BackendChoice, ImageConfig, LibRole, LibraryConfig};
 use flexos::spec::{
     parse_with_name, Analysis, ApiFunc, CallBehavior, Grant, GrantKind, LibSpec, MemBehavior,
     Region, Requires, ShMechanism, ShSet,
@@ -237,11 +237,6 @@ pub fn harden_all(mut cfg: ImageConfig) -> ImageConfig {
         lib.sh = gcc_sh();
     }
     cfg
-}
-
-/// Selects the hypervisor (Figure 3 runs KVM and Xen curves).
-pub fn on_hypervisor(cfg: ImageConfig, hv: Hypervisor) -> ImageConfig {
-    cfg.on(hv)
 }
 
 #[cfg(test)]

@@ -123,11 +123,6 @@ impl BootImage {
         self.shared_alloc.alloc(&mut self.machine, size, align)
     }
 
-    /// Frees shared data.
-    pub fn free_shared(&mut self, addr: Addr) -> Result<()> {
-        self.shared_alloc.free(&mut self.machine, addr).map(drop)
-    }
-
     /// Writes as the current compartment.
     pub fn write(&mut self, addr: Addr, data: &[u8]) -> Result<()> {
         let vcpu = self.gates.current_ctx().vcpu;

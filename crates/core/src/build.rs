@@ -15,7 +15,7 @@
 //! Isolation backends then *instantiate* the plan on a simulated machine
 //! (see the `flexos-backends` crate).
 
-use crate::compat::{color, violations, CompatCache, IncompatGraph};
+use crate::compat::{color, violations, Graph, IncompatGraph};
 use crate::gate::GateMechanism;
 use crate::spec::model::LibSpec;
 use crate::spec::transform::{apply_sh, Analysis, ShSet};
@@ -193,13 +193,6 @@ impl ImageConfig {
         self
     }
 
-    /// Enables per-compartment allocators.
-    #[must_use]
-    pub fn with_dedicated_allocators(mut self) -> Self {
-        self.dedicated_allocators = true;
-        self
-    }
-
     /// Index of the first library with `role`, if any.
     pub fn find_role(&self, role: LibRole) -> Option<usize> {
         self.libraries.iter().position(|l| l.role == role)
@@ -258,11 +251,6 @@ impl ImagePlan {
             .collect()
     }
 
-    /// Whether any compartment needs an instrumented allocator.
-    pub fn any_instrumented_allocator(&self) -> bool {
-        self.compartment_sh.iter().any(ShSet::instruments_malloc)
-    }
-
     /// Renders a human-readable build report (what `make menuconfig`-era
     /// tooling would print at the end of a FlexOS build).
     pub fn render_report(&self) -> String {
@@ -311,66 +299,42 @@ pub const MPK_MAX_COMPARTMENTS: usize = 15;
 /// *effective* (SH-rewritten) specs, using colors disjoint from the
 /// manual ones. With `BackendChoice::None`, everything collapses into a
 /// single compartment (there is no protection domain to split over) and
-/// incompatibilities surface as warnings.
+/// incompatibilities surface as warnings. An image of no library, or of
+/// more than [`Graph::MAX_VERTICES`] (the graph's bound), is an error.
 pub fn plan(config: ImageConfig) -> Result<ImagePlan, BuildError> {
-    plan_impl(config, None)
-}
-
-/// [`plan`] with pairwise compatibility checks answered from a shared
-/// [`CompatCache`]. Exploration drivers that plan many closely related
-/// configurations (same libraries, different hardening toggles or
-/// backends) pass one cache through every call so each distinct
-/// effective-spec pair is checked once. The resulting plan is identical
-/// to [`plan`]'s.
-pub fn plan_with_cache(config: ImageConfig, cache: &CompatCache) -> Result<ImagePlan, BuildError> {
+    admit(config.libraries.len())?;
     let effective: Vec<LibSpec> = config
         .libraries
         .iter()
-        .map(|l| l.effective_spec())
+        .map(LibraryConfig::effective_spec)
         .collect();
-    let fps: Vec<u64> = effective.iter().map(CompatCache::fingerprint).collect();
-    plan_core(config, &effective, &fps, Some(cache))
+    let graph = IncompatGraph::build(&effective);
+    place(config, &graph, &effective.iter().collect::<Vec<_>>())
 }
 
-/// [`plan_with_cache`] for callers that already hold the effective specs
-/// and their fingerprints (the exploration engine assembles them from a
-/// small per-library variant table instead of re-deriving them per
-/// candidate). `effective`/`fps` MUST be index-aligned with
-/// `config.libraries` and equal to what [`plan_with_cache`] would
-/// compute.
-pub(crate) fn plan_prepared(
-    config: ImageConfig,
-    effective: &[LibSpec],
-    fps: &[u64],
-    cache: &CompatCache,
-) -> Result<ImagePlan, BuildError> {
-    plan_core(config, effective, fps, Some(cache))
-}
-
-fn plan_impl(config: ImageConfig, cache: Option<&CompatCache>) -> Result<ImagePlan, BuildError> {
-    debug_assert!(cache.is_none(), "cached callers go through plan_with_cache");
-    let effective: Vec<LibSpec> = config
-        .libraries
-        .iter()
-        .map(|l| l.effective_spec())
-        .collect();
-    plan_core(config, &effective, &[], cache)
-}
-
-fn plan_core(
-    config: ImageConfig,
-    effective: &[LibSpec],
-    fps: &[u64],
-    cache: Option<&CompatCache>,
-) -> Result<ImagePlan, BuildError> {
-    if config.libraries.is_empty() {
+/// Whether an image of `n` libraries can be planned at all.
+pub(crate) fn admit(n: usize) -> Result<(), BuildError> {
+    if n == 0 {
         return Err(BuildError("an image needs at least one library".into()));
     }
+    if n > Graph::MAX_VERTICES {
+        return Err(BuildError(format!(
+            "an image of {n} libraries exceeds the {} an incompatibility graph holds",
+            Graph::MAX_VERTICES
+        )));
+    }
+    Ok(())
+}
+
+/// The placement body behind [`plan`] and the explorer: places `config`'s
+/// libraries on `graph`, the incompatibility graph of their effective
+/// specs `effective`, and validates the result against the backend.
+pub(crate) fn place(
+    config: ImageConfig,
+    graph: &IncompatGraph,
+    effective: &[&LibSpec],
+) -> Result<ImagePlan, BuildError> {
     let n = config.libraries.len();
-    let graph = match cache {
-        Some(cache) => cache.graph_keyed(effective, fps),
-        None => std::sync::Arc::new(IncompatGraph::build(effective)),
-    };
     let mut warnings = Vec::new();
 
     let mut compartment_of = vec![usize::MAX; n];
@@ -434,7 +398,7 @@ fn plan_core(
             .filter(|&i| compartment_of[i] == usize::MAX)
             .collect();
         if !auto.is_empty() {
-            let mut sub = crate::compat::Graph::new(auto.len());
+            let mut sub = Graph::new(auto.len());
             for (a, &i) in auto.iter().enumerate() {
                 for (b, &j) in auto.iter().enumerate().take(a) {
                     if graph.graph.has_edge(i, j) {
@@ -442,10 +406,7 @@ fn plan_core(
                     }
                 }
             }
-            let coloring = match cache {
-                Some(cache) => cache.coloring(&sub),
-                None => color(&sub),
-            };
+            let coloring = color(&sub);
             // Try to fold each auto color class into an existing manual
             // compartment if every member is compatible with every manual
             // member of that compartment.
@@ -714,27 +675,15 @@ mod tests {
     }
 
     #[test]
-    fn cached_plan_matches_uncached() {
-        let cache = CompatCache::new();
-        for backend in [
-            BackendChoice::None,
-            BackendChoice::MpkShared,
-            BackendChoice::VmRpc,
-        ] {
-            let cfg = ImageConfig::new("cmp", backend)
-                .with_library(sched_lib())
-                .with_library(raw_lib("rawlib"))
-                .with_library(raw_lib("other").with_sh(ShSet::of([ShMechanism::Asan])));
-            let plain = plan(cfg.clone()).unwrap();
-            let cached = plan_with_cache(cfg, &cache).unwrap();
-            assert_eq!(cached.compartment_of, plain.compartment_of);
-            assert_eq!(cached.num_compartments, plain.num_compartments);
-            assert_eq!(cached.compartment_names, plain.compartment_names);
-            assert_eq!(cached.compartment_sh, plain.compartment_sh);
-            assert_eq!(cached.report, plain.report);
+    fn more_libraries_than_the_graph_holds_is_a_build_error() {
+        for backend in [BackendChoice::None, BackendChoice::MpkShared] {
+            let mut cfg = ImageConfig::new("huge", backend);
+            for i in 0..=Graph::MAX_VERTICES {
+                cfg = cfg.with_library(raw_lib(&format!("lib{i}")));
+            }
+            let err = plan(cfg).unwrap_err();
+            assert!(err.0.contains("65 libraries"), "{err}");
         }
-        // Three backends over the same specs: later plans reuse verdicts.
-        assert!(cache.stats().hits > 0);
     }
 
     #[test]

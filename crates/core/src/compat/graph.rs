@@ -5,8 +5,7 @@
 //! classical graph coloring problem: each library is a vertex, and an edge
 //! connects two incompatible libraries." (paper §2)
 
-use super::cache::CompatCache;
-use super::check::{incompatibilities, Violation};
+use super::check::{violations, Violation};
 use crate::spec::model::LibSpec;
 use std::collections::BTreeMap;
 
@@ -93,66 +92,14 @@ pub struct IncompatGraph {
 }
 
 impl IncompatGraph {
-    /// Builds the graph by checking every pair of specs.
+    /// Builds the graph by checking every pair of specs: the verdict
+    /// table of one variant per library.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are more than [`Graph::MAX_VERTICES`] specs.
     pub fn build(specs: &[LibSpec]) -> Self {
-        Self::build_with(specs, incompatibilities)
-    }
-
-    /// Like [`IncompatGraph::build`], but answers pairwise checks from
-    /// `cache`, so repeated builds over overlapping spec sets (SH-variant
-    /// enumeration, candidate exploration) check each distinct pair once.
-    pub fn build_cached(specs: &[LibSpec], cache: &CompatCache) -> Self {
-        let fps: Vec<u64> = specs.iter().map(CompatCache::fingerprint).collect();
-        Self::build_keyed(specs, &fps, cache)
-    }
-
-    /// [`IncompatGraph::build_cached`] with caller-precomputed spec
-    /// fingerprints (`fps[i] == CompatCache::fingerprint(&specs[i])`), so
-    /// each spec is hashed once instead of once per pair.
-    pub(crate) fn build_keyed(specs: &[LibSpec], fps: &[u64], cache: &CompatCache) -> Self {
-        let n = specs.len();
-        let mut graph = Graph::new(n);
-        let mut reasons = BTreeMap::new();
-        for i in 0..n {
-            for j in i + 1..n {
-                let ab = cache.violations_keyed(fps[i], &specs[i], fps[j], &specs[j]);
-                let ba = cache.violations_keyed(fps[j], &specs[j], fps[i], &specs[i]);
-                if !(ab.is_empty() && ba.is_empty()) {
-                    graph.add_edge(i, j);
-                    let mut v = ab.as_ref().clone();
-                    v.extend(ba.iter().cloned());
-                    reasons.insert((i, j), v);
-                }
-            }
-        }
-        Self {
-            names: specs.iter().map(|s| s.name.clone()).collect(),
-            graph,
-            reasons,
-        }
-    }
-
-    fn build_with(
-        specs: &[LibSpec],
-        mut check: impl FnMut(&LibSpec, &LibSpec) -> Vec<Violation>,
-    ) -> Self {
-        let n = specs.len();
-        let mut graph = Graph::new(n);
-        let mut reasons = BTreeMap::new();
-        for i in 0..n {
-            for j in i + 1..n {
-                let v = check(&specs[i], &specs[j]);
-                if !v.is_empty() {
-                    graph.add_edge(i, j);
-                    reasons.insert((i, j), v);
-                }
-            }
-        }
-        Self {
-            names: specs.iter().map(|s| s.name.clone()).collect(),
-            graph,
-            reasons,
-        }
+        VerdictTable::new(specs.iter().map(std::slice::from_ref)).graph(&vec![0; specs.len()])
     }
 
     /// The violations that put the edge `(a, b)` in the graph, if any.
@@ -162,9 +109,108 @@ impl IncompatGraph {
     }
 }
 
+/// Every directional [`violations`] verdict among libraries that come in
+/// one or more variants each: the dense (library × variant)² memo of a
+/// design-space walk, where a variant is the plain or the hardened spec.
+/// Verdicts are checked once, up front; the graph of any one choice of
+/// variants is then assembled without another check.
+pub(crate) struct VerdictTable<'a> {
+    /// The variant specs, library by library.
+    specs: Vec<&'a LibSpec>,
+    /// `specs[first[i] + v]` is library `i`'s variant `v`.
+    first: Vec<usize>,
+    /// `verdicts[a * specs.len() + b]`: what `specs[b]` may do to
+    /// `specs[a]`. Left empty between variants of one library, which
+    /// never share an image.
+    verdicts: Vec<Vec<Violation>>,
+}
+
+impl<'a> VerdictTable<'a> {
+    /// Checks every ordered pair of variants of distinct libraries.
+    pub(crate) fn new<V: IntoIterator<Item = &'a LibSpec>>(
+        libs: impl IntoIterator<Item = V>,
+    ) -> Self {
+        let (mut specs, mut first, mut lib_of) = (Vec::new(), Vec::new(), Vec::new());
+        for (i, variants) in libs.into_iter().enumerate() {
+            first.push(specs.len());
+            for spec in variants {
+                specs.push(spec);
+                lib_of.push(i);
+            }
+        }
+        let m = specs.len();
+        let mut verdicts = Vec::with_capacity(m * m);
+        for a in 0..m {
+            for b in 0..m {
+                verdicts.push(if lib_of[a] == lib_of[b] {
+                    Vec::new()
+                } else {
+                    violations(specs[a], specs[b])
+                });
+            }
+        }
+        Self {
+            specs,
+            first,
+            verdicts,
+        }
+    }
+
+    /// Library `i`'s spec in the variant `selection[i]`.
+    pub(crate) fn spec(&self, selection: &[usize], i: usize) -> &'a LibSpec {
+        self.specs[self.first[i] + selection[i]]
+    }
+
+    /// What `offender` may do to `victim`, each library in its variant
+    /// under `selection`.
+    pub(crate) fn verdict(
+        &self,
+        selection: &[usize],
+        victim: usize,
+        offender: usize,
+    ) -> &[Violation] {
+        let a = self.first[victim] + selection[victim];
+        let b = self.first[offender] + selection[offender];
+        &self.verdicts[a * self.specs.len() + b]
+    }
+
+    /// The incompatibility graph of one variant per library, library `i`
+    /// in variant `selection[i]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are more than [`Graph::MAX_VERTICES`] libraries.
+    pub(crate) fn graph(&self, selection: &[usize]) -> IncompatGraph {
+        let n = self.first.len();
+        let mut graph = Graph::new(n);
+        let mut reasons = BTreeMap::new();
+        for i in 0..n {
+            for j in i + 1..n {
+                let ab = self.verdict(selection, i, j);
+                let ba = self.verdict(selection, j, i);
+                if !(ab.is_empty() && ba.is_empty()) {
+                    graph.add_edge(i, j);
+                    reasons.insert((i, j), [ab, ba].concat());
+                }
+            }
+        }
+        IncompatGraph {
+            names: (0..n)
+                .map(|i| self.spec(selection, i).name.clone())
+                .collect(),
+            graph,
+            reasons,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compat::check::incompatibilities;
+    use crate::spec::model::{FuncRef, Grant, GrantKind, Region, Requires};
+    use crate::spec::transform::{variants_for, Analysis, ShVariant};
+    use proptest::prelude::*;
 
     #[test]
     fn graph_edges_are_undirected() {
@@ -212,23 +258,99 @@ mod tests {
         assert!(g.why(1, 2).is_none());
     }
 
-    #[test]
-    fn cached_build_matches_uncached() {
-        let specs = vec![
-            LibSpec::verified_scheduler(),
-            LibSpec::unsafe_c("rawlib"),
-            LibSpec::unsafe_c("x"),
+    /// A library and the analysis its hardening rewrites with. The arms
+    /// reach every shape of edge: one-way (a scheduler and an unsafe
+    /// library), two-way (two strict schedulers that each write shared
+    /// memory the other does not grant), call grants by name, and none.
+    fn arb_lib() -> impl Strategy<Value = (LibSpec, Analysis)> {
+        let strict = |name: String| {
+            let mut s = LibSpec::verified_scheduler();
+            s.name = name;
+            s.requires = Requires::granting(vec![
+                Grant::any(GrantKind::Read(Region::Own)),
+                Grant::any(GrantKind::Read(Region::Shared)),
+            ]);
+            s
+        };
+        let analysis = prop_oneof![
+            Just(Analysis::default()),
+            Just(Analysis::well_behaved()),
+            Just(Analysis {
+                call_targets: Some(
+                    [
+                        FuncRef::new("uksched_verified", "yield"),
+                        FuncRef::new("uksched_verified", "internal_requeue"),
+                    ]
+                    .into(),
+                ),
+                ..Analysis::well_behaved()
+            }),
         ];
-        let cache = CompatCache::new();
-        let plain = IncompatGraph::build(&specs);
-        let cached = IncompatGraph::build_cached(&specs, &cache);
-        let warm = IncompatGraph::build_cached(&specs, &cache);
-        for g in [&cached, &warm] {
-            assert_eq!(g.names, plain.names);
-            assert_eq!(g.graph, plain.graph);
-            assert_eq!(g.reasons, plain.reasons);
+        let spec = prop_oneof![
+            "[a-z]{1,4}".prop_map(LibSpec::unsafe_c),
+            "[a-z]{1,4}".prop_map(strict),
+            Just(LibSpec::verified_scheduler()),
+        ];
+        (spec, analysis)
+    }
+
+    /// The graph as `IncompatGraph::build` made it before the table: one
+    /// `incompatibilities` call per unordered pair.
+    fn reference(specs: &[LibSpec]) -> IncompatGraph {
+        let mut graph = Graph::new(specs.len());
+        let mut reasons = BTreeMap::new();
+        for i in 0..specs.len() {
+            for j in i + 1..specs.len() {
+                let v = incompatibilities(&specs[i], &specs[j]);
+                if !v.is_empty() {
+                    graph.add_edge(i, j);
+                    reasons.insert((i, j), v);
+                }
+            }
         }
-        // The second build was answered entirely from the cache.
-        assert!(cache.stats().hits >= cache.stats().misses);
+        IncompatGraph {
+            names: specs.iter().map(|s| s.name.clone()).collect(),
+            graph,
+            reasons,
+        }
+    }
+
+    proptest! {
+        /// For any libraries and any choice of variants, the graph
+        /// assembled from the table equals the graph of the chosen specs,
+        /// built by `IncompatGraph::build` and by the pairwise reference:
+        /// names, edges, and every edge's reasons in order.
+        #[test]
+        fn table_graph_equals_the_graph_of_the_selected_specs(
+            libs in prop::collection::vec(arb_lib(), 1..7),
+            bits in any::<u64>(),
+        ) {
+            let variants: Vec<Vec<ShVariant>> = libs
+                .iter()
+                .enumerate()
+                .map(|(i, (spec, analysis))| {
+                    let mut spec = spec.clone();
+                    spec.name = format!("{}{i}", spec.name);
+                    variants_for(&spec, analysis)
+                })
+                .collect();
+            let table = VerdictTable::new(variants.iter().map(|vs| vs.iter().map(|v| &v.spec)));
+            let selection: Vec<usize> = variants
+                .iter()
+                .enumerate()
+                .map(|(i, vs)| (bits >> i) as usize % vs.len())
+                .collect();
+            let chosen: Vec<LibSpec> = selection
+                .iter()
+                .zip(&variants)
+                .map(|(&v, vs)| vs[v].spec.clone())
+                .collect();
+            let got = table.graph(&selection);
+            for want in [IncompatGraph::build(&chosen), reference(&chosen)] {
+                prop_assert_eq!(&got.names, &want.names);
+                prop_assert_eq!(&got.graph, &want.graph);
+                prop_assert_eq!(&got.reasons, &want.reasons);
+            }
+        }
     }
 }

@@ -1,16 +1,13 @@
 //! Compatibility analysis: pairwise checks, the incompatibility graph,
 //! graph coloring, and SH-variant enumeration (paper §2).
 
-pub mod cache;
 pub mod check;
 pub mod coloring;
 pub mod graph;
 pub mod variants;
 
-pub use cache::{CacheStats, CompatCache};
 pub use check::{compatible, incompatibilities, violations, Violation, ViolationKind};
 pub use coloring::{color, dsatur, exact, is_valid, Coloring, EXACT_THRESHOLD};
+pub(crate) use graph::VerdictTable;
 pub use graph::{Graph, IncompatGraph};
-pub use variants::{
-    enumerate_deployments, enumerate_deployments_with, Deployment, MAX_COMBINATIONS,
-};
+pub use variants::{enumerate_deployments, Deployment, MAX_COMBINATIONS};

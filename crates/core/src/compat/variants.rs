@@ -5,11 +5,8 @@
 //! as many colorings as there are possible combinations of libraries."
 //! (paper §2)
 
-use super::cache::CompatCache;
 use super::coloring::{color, Coloring};
-use super::graph::IncompatGraph;
-use crate::explore::ExploreOptions;
-use crate::parallel::{effective_threads, par_map_indexed};
+use super::graph::{IncompatGraph, VerdictTable};
 use crate::spec::model::LibSpec;
 use crate::spec::transform::{variants_for, Analysis, ShSet, ShVariant};
 
@@ -51,35 +48,19 @@ pub const MAX_COMBINATIONS: usize = 4096;
 /// incompatibility graph. Results are sorted by ascending compartment
 /// count, then ascending hardened-library count (cheapest first).
 ///
+/// Every variant pair is checked once, into one verdict table, and each
+/// combination's graph is assembled from it. Combination `k` decodes
+/// to per-library variant indices in odometer order (library 0 varies
+/// fastest); the final sort is stable, so ties keep that order.
+///
 /// Returns an empty vector if the input is empty.
 ///
 /// # Panics
 ///
-/// Panics if the combination space exceeds [`MAX_COMBINATIONS`].
+/// Panics if the combination space exceeds [`MAX_COMBINATIONS`], or if
+/// there are more than [`MAX_VERTICES`](super::Graph::MAX_VERTICES)
+/// libraries.
 pub fn enumerate_deployments(libs: &[(LibSpec, Analysis)]) -> Vec<Deployment> {
-    enumerate_deployments_with(libs, &CompatCache::new(), &ExploreOptions::default())
-}
-
-/// [`enumerate_deployments`] with an explicit shared [`CompatCache`] and
-/// [`ExploreOptions`]. Every combination reuses `cache` (each distinct
-/// variant pair is checked once across the whole enumeration — and
-/// across callers sharing the cache), and combinations are colored on
-/// `opts.threads` workers.
-///
-/// Combination `k` decodes to per-library variant indices in the same
-/// mixed-radix order the serial odometer walks (library 0 varies
-/// fastest); results are re-sorted by `k` before the final stable
-/// cheapest-first sort, so the output is byte-identical to the serial
-/// enumeration for any thread count.
-///
-/// # Panics
-///
-/// Panics if the combination space exceeds [`MAX_COMBINATIONS`].
-pub fn enumerate_deployments_with(
-    libs: &[(LibSpec, Analysis)],
-    cache: &CompatCache,
-    opts: &ExploreOptions,
-) -> Vec<Deployment> {
     let per_lib: Vec<Vec<ShVariant>> = libs
         .iter()
         .map(|(spec, analysis)| variants_for(spec, analysis))
@@ -93,29 +74,31 @@ pub fn enumerate_deployments_with(
         return Vec::new();
     }
 
-    let threads = effective_threads(opts.threads, combos);
-    let mut out = par_map_indexed(combos, threads, |k| {
-        // Mixed-radix decode of k, library 0 fastest (odometer order).
-        let mut rem = k;
-        let variants: Vec<ShVariant> = per_lib
-            .iter()
-            .map(|vs| {
-                let v = vs[rem % vs.len()].clone();
-                rem /= vs.len();
-                v
-            })
-            .collect();
-        let specs: Vec<LibSpec> = variants.iter().map(|v| v.spec.clone()).collect();
-        let graph = IncompatGraph::build_cached(&specs, cache);
-        let coloring = color(&graph.graph);
-        Deployment {
-            variants,
-            graph,
-            coloring,
-        }
-    });
-    // Stable sort over the enumeration order: identical tie-breaking to
-    // the serial path.
+    let table = VerdictTable::new(per_lib.iter().map(|vs| vs.iter().map(|v| &v.spec)));
+    let mut out: Vec<Deployment> = (0..combos)
+        .map(|k| {
+            let mut rem = k;
+            let selection: Vec<usize> = per_lib
+                .iter()
+                .map(|vs| {
+                    let v = rem % vs.len();
+                    rem /= vs.len();
+                    v
+                })
+                .collect();
+            let graph = table.graph(&selection);
+            let coloring = color(&graph.graph);
+            Deployment {
+                variants: selection
+                    .iter()
+                    .zip(&per_lib)
+                    .map(|(&v, vs)| vs[v].clone())
+                    .collect(),
+                graph,
+                coloring,
+            }
+        })
+        .collect();
     out.sort_by_key(|d| (d.num_compartments(), d.hardened_count()));
     out
 }

@@ -20,11 +20,10 @@
 //!   either by a protection-domain boundary or by hardening that rewrites
 //!   the offender's spec into compatibility.
 
-use crate::build::{plan_prepared, BackendChoice, ImageConfig, ImagePlan};
-use crate::compat::{violations, CacheStats, CompatCache};
-use crate::parallel::{effective_threads, par_map_indexed};
+use crate::build::{admit, place, BackendChoice, ImageConfig, ImagePlan, LibraryConfig};
+use crate::compat::{violations, IncompatGraph, VerdictTable};
 use crate::spec::model::LibSpec;
-use crate::spec::transform::{suggest_sh, ShMechanism, ShSet};
+use crate::spec::transform::{apply_sh, suggest_sh, ShMechanism, ShSet};
 use flexos_machine::CostTable;
 use std::collections::BTreeMap;
 
@@ -130,51 +129,27 @@ pub fn estimate_request_cycles(plan: &ImagePlan, profile: &CallProfile, costs: &
 /// into compatibility. The score is the mitigated fraction (1.0 when
 /// there are no threats).
 pub fn security_score(plan: &ImagePlan) -> f64 {
-    security_score_impl(plan, None)
-}
-
-/// [`security_score`] with pairwise checks answered from a shared
-/// [`CompatCache`]. Scores are identical to the uncached function's.
-pub fn security_score_cached(plan: &ImagePlan, cache: &CompatCache) -> f64 {
-    security_score_impl(plan, Some(cache))
-}
-
-fn security_score_impl(plan: &ImagePlan, cache: Option<&CompatCache>) -> f64 {
-    let plain: Vec<LibSpec> = plan
-        .config
-        .libraries
-        .iter()
-        .map(|l| l.spec.clone())
-        .collect();
-    let effective: Vec<LibSpec> = plan
-        .config
-        .libraries
-        .iter()
-        .map(|l| l.effective_spec())
-        .collect();
-    let clear = |victim: &LibSpec, offender: &LibSpec| match cache {
-        Some(c) => c.violations(victim, offender).is_empty(),
-        None => violations(victim, offender).is_empty(),
-    };
+    let libs = &plan.config.libraries;
+    let effective: Vec<LibSpec> = libs.iter().map(LibraryConfig::effective_spec).collect();
     let mut threats = 0u32;
     let mut mitigated = 0u32;
-    for v in 0..plain.len() {
-        for o in 0..plain.len() {
-            if v == o {
-                continue;
-            }
-            if clear(&plain[v], &plain[o]) {
+    for v in 0..libs.len() {
+        for o in 0..libs.len() {
+            if v == o || violations(&libs[v].spec, &libs[o].spec).is_empty() {
                 continue;
             }
             threats += 1;
             let separated =
                 plan.config.backend.isolates() && plan.compartment_of[v] != plan.compartment_of[o];
-            let hardened_away = clear(&effective[v], &effective[o]);
-            if separated || hardened_away {
+            if separated || violations(&effective[v], &effective[o]).is_empty() {
                 mitigated += 1;
             }
         }
     }
+    mitigated_fraction(mitigated, threats)
+}
+
+fn mitigated_fraction(mitigated: u32, threats: u32) -> f64 {
     if threats == 0 {
         1.0
     } else {
@@ -195,117 +170,37 @@ pub struct Candidate {
     pub label: String,
 }
 
-/// Options controlling how the design space is walked.
-///
-/// The only knob today is `threads`. Determinism is unconditional: for
-/// any thread count the candidate list is byte-identical to the serial
-/// one (work items are index-tagged and re-sorted into enumeration
-/// order), so parallelism is purely a wall-clock optimization.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExploreOptions {
-    /// Worker threads for candidate evaluation. `1` (the default) runs
-    /// serially on the calling thread; `0` means "auto" — use the
-    /// machine's available parallelism. Counts above the number of work
-    /// items are clamped.
-    pub threads: usize,
-}
-
-impl Default for ExploreOptions {
-    fn default() -> Self {
-        Self { threads: 1 }
-    }
-}
-
-impl ExploreOptions {
-    /// Serial exploration (the default).
-    pub fn serial() -> Self {
-        Self::default()
-    }
-
-    /// Auto-sized parallel exploration.
-    pub fn auto() -> Self {
-        Self { threads: 0 }
-    }
-
-    /// Sets the worker thread count (`0` = auto).
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-}
-
-/// The outcome of [`explore`]: the evaluated candidates (in the
-/// deterministic enumeration order) plus the compatibility cache's
-/// counters for that run.
-#[derive(Debug, Clone)]
-pub struct Exploration {
-    /// Every planable candidate, ordered by `(backend index, SH mask)`.
-    pub candidates: Vec<Candidate>,
-    /// Hit/miss/occupancy of the run's shared [`CompatCache`].
-    pub cache_stats: CacheStats,
-}
-
-impl Exploration {
-    /// Objective A over this exploration's candidates.
-    pub fn max_security_within_budget(&self, budget_cycles: u64) -> Option<Candidate> {
-        max_security_within_budget(self.candidates.clone(), budget_cycles)
-    }
-
-    /// Objective B over this exploration's candidates.
-    pub fn fastest_meeting_security(&self, floor: f64) -> Option<Candidate> {
-        fastest_meeting_security(self.candidates.clone(), floor)
-    }
-
-    /// The Pareto frontier over this exploration's candidates.
-    pub fn pareto_frontier(&self) -> Vec<Candidate> {
-        pareto_frontier(self.candidates.clone())
-    }
-}
-
 /// Generates the candidate space for a base configuration: every backend
 /// in `backends` × every subset of `{no SH, suggested SH}` per library
-/// that has a suggestion (bounded like the paper's variant enumeration).
+/// that has a suggestion (bounded like the paper's variant enumeration),
+/// ordered by `(backend index, SH mask)`, unplanable combinations
+/// dropped.
 ///
-/// Serial convenience wrapper over [`explore`]; one fresh cache per call.
+/// The walk follows the shape of the space, a product of small
+/// ingredients:
+///
+/// * a library comes in one or two variants, its spec as configured and
+///   its spec under the suggested hardening, and every verdict between
+///   variants of two libraries is checked once, up front, into one dense
+///   table;
+/// * an SH mask picks one variant per library, so the mask's
+///   incompatibility graph, and which threats its hardening clears, are
+///   read from the table once per mask: neither depends on the backend;
+/// * threats are judged on the declared specs, so they are found once.
+///
+/// A candidate then only places its libraries on its mask's graph (the
+/// body behind [`plan`](crate::build::plan)) and counts what its
+/// compartments separate; its score equals [`security_score`] of its plan.
+///
+/// # Panics
+///
+/// Panics if more than 12 libraries have a hardening suggestion.
 pub fn candidates(
     base: &ImageConfig,
     backends: &[BackendChoice],
     profile: &CallProfile,
     costs: &CostTable,
 ) -> Vec<Candidate> {
-    explore(base, backends, profile, costs, &ExploreOptions::default()).candidates
-}
-
-/// The exploration engine behind [`candidates`]: walks the
-/// backend × SH-mask space on `opts.threads` workers, evaluating every
-/// combination against one shared [`CompatCache`].
-///
-/// The per-candidate work is hoisted aggressively, because the design
-/// space is a product of a *small* set of ingredients:
-///
-/// * each library has exactly two possible effective specs (plain and
-///   suggested-SH), computed and fingerprinted once up front, so a
-///   candidate's spec set is assembled by table lookup;
-/// * the *threat* pairs of the security model depend only on the plain
-///   specs, so they are computed once for the whole exploration;
-/// * graphs, colorings, and pairwise verdicts are memoized in the cache
-///   across candidates (the same SH mask yields the same graph under
-///   every backend).
-///
-/// Work item `idx = backend_index * 2^|toggleable| + mask` is evaluated
-/// independently; results are collected, sorted by `idx`, and unplanable
-/// combinations dropped — exactly what a serial nested loop over
-/// `(backend, mask)` produces, so parallel and serial runs return
-/// byte-identical candidate lists.
-pub fn explore(
-    base: &ImageConfig,
-    backends: &[BackendChoice],
-    profile: &CallProfile,
-    costs: &CostTable,
-    opts: &ExploreOptions,
-) -> Exploration {
-    // Which libraries have a meaningful SH suggestion?
     let suggestions: Vec<Option<ShSet>> = base
         .libraries
         .iter()
@@ -318,138 +213,129 @@ pub fn explore(
         .filter(|&i| suggestions[i].is_some())
         .collect();
     assert!(toggleable.len() <= 12, "SH toggle space too large");
-
-    let cache = CompatCache::new();
-
-    // Per-library variant table: the effective spec (and fingerprint)
-    // with and without the suggested hardening.
-    struct LibVariants {
-        plain: LibSpec,
-        plain_fp: u64,
-        hardened: Option<(LibSpec, u64)>,
+    if admit(base.libraries.len()).is_err() {
+        return Vec::new();
     }
-    let variants: Vec<LibVariants> = base
-        .libraries
+
+    let libs = &base.libraries;
+    let variants: Vec<Vec<LibSpec>> = libs
         .iter()
         .zip(&suggestions)
         .map(|(l, sugg)| {
-            let plain = l.effective_spec();
-            let plain_fp = CompatCache::fingerprint(&plain);
-            let hardened = sugg.as_ref().map(|sh| {
-                let mut cfg = l.clone();
-                cfg.sh = sh.clone();
-                let spec = cfg.effective_spec();
-                let fp = CompatCache::fingerprint(&spec);
-                (spec, fp)
-            });
-            LibVariants {
-                plain,
-                plain_fp,
+            let mut v = vec![l.effective_spec()];
+            v.extend(sugg.iter().map(|sh| apply_sh(&l.spec, sh, &l.analysis)));
+            v
+        })
+        .collect();
+    let table = VerdictTable::new(&variants);
+    let threats: Vec<(usize, usize)> = (0..libs.len())
+        .flat_map(|v| (0..libs.len()).map(move |o| (v, o)))
+        .filter(|&(v, o)| v != o && !violations(&libs[v].spec, &libs[o].spec).is_empty())
+        .collect();
+
+    // What a candidate shares with every other candidate of its mask.
+    struct Mask<'a> {
+        config: ImageConfig,
+        hardened: Vec<&'a str>,
+        graph: IncompatGraph,
+        effective: Vec<&'a LibSpec>,
+        hardened_away: Vec<bool>,
+    }
+    let masks: Vec<Mask> = (0..1u32 << toggleable.len())
+        .map(|mask| {
+            let mut config = base.clone();
+            let mut selection = vec![0; libs.len()];
+            let mut hardened = Vec::new();
+            for (bit, &i) in toggleable.iter().enumerate() {
+                if mask & (1 << bit) != 0 {
+                    config.libraries[i].sh = suggestions[i].clone().expect("toggleable");
+                    selection[i] = 1;
+                    hardened.push(libs[i].spec.name.as_str());
+                }
+            }
+            Mask {
+                config,
                 hardened,
+                graph: table.graph(&selection),
+                effective: (0..libs.len()).map(|i| table.spec(&selection, i)).collect(),
+                hardened_away: threats
+                    .iter()
+                    .map(|&(v, o)| table.verdict(&selection, v, o).is_empty())
+                    .collect(),
             }
         })
         .collect();
 
-    // Threats depend only on the declared (pre-SH) specs, so the pair
-    // list is shared by every candidate.
-    let declared: Vec<&LibSpec> = base.libraries.iter().map(|l| &l.spec).collect();
-    let declared_fps: Vec<u64> = declared
-        .iter()
-        .map(|s| CompatCache::fingerprint(s))
-        .collect();
-    let mut threats: Vec<(usize, usize)> = Vec::new();
-    for v in 0..declared.len() {
-        for o in 0..declared.len() {
-            if v != o
-                && !cache
-                    .violations_keyed(declared_fps[v], declared[v], declared_fps[o], declared[o])
-                    .is_empty()
-            {
-                threats.push((v, o));
-            }
+    let mut out = Vec::new();
+    for &backend in backends {
+        for m in &masks {
+            let mut config = m.config.clone();
+            config.backend = backend;
+            let Ok(plan) = place(config, &m.graph, &m.effective) else {
+                continue;
+            };
+            let separated = |&(v, o): &(usize, usize)| {
+                backend.isolates() && plan.compartment_of[v] != plan.compartment_of[o]
+            };
+            let mitigated = threats
+                .iter()
+                .zip(&m.hardened_away)
+                .filter(|&(t, &away)| away || separated(t))
+                .count();
+            let label = if m.hardened.is_empty() {
+                format!("{backend}")
+            } else {
+                format!("{backend} + SH({})", m.hardened.join(","))
+            };
+            out.push(Candidate {
+                cycles: estimate_request_cycles(&plan, profile, costs),
+                security: mitigated_fraction(mitigated as u32, threats.len() as u32),
+                plan,
+                label,
+            });
         }
     }
+    out
+}
 
-    let n_masks = 1usize << toggleable.len();
-    let work = backends.len() * n_masks;
-    let threads = effective_threads(opts.threads, work);
+/// The options of [`explore`], of which none is left: the walk runs on
+/// the calling thread. Kept only because the benchmark's layer ladder
+/// (`benchmark/src/layers.rs`) passes `ExploreOptions::serial()`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ExploreOptions;
 
-    let evaluated = par_map_indexed(work, threads, |idx| {
-        let backend = backends[idx / n_masks];
-        let mask = (idx % n_masks) as u32;
-        let mut cfg = base.clone();
-        cfg.backend = backend;
-        let mut hardened_names = Vec::new();
-        for (bit, &i) in toggleable.iter().enumerate() {
-            if mask & (1 << bit) != 0 {
-                cfg.libraries[i].sh = suggestions[i].clone().expect("toggleable");
-                hardened_names.push(cfg.libraries[i].spec.name.clone());
-            }
-        }
-        // Assemble the candidate's effective specs from the table.
-        let on = |i: usize| {
-            toggleable
-                .iter()
-                .position(|&t| t == i)
-                .is_some_and(|bit| mask & (1 << bit) != 0)
-        };
-        let (effective, fps): (Vec<LibSpec>, Vec<u64>) = variants
-            .iter()
-            .enumerate()
-            .map(|(i, v)| match (&v.hardened, on(i)) {
-                (Some((spec, fp)), true) => (spec.clone(), *fp),
-                _ => (v.plain.clone(), v.plain_fp),
-            })
-            .unzip();
-        let p = plan_prepared(cfg, &effective, &fps, &cache).ok()?;
-        let cycles = estimate_request_cycles(&p, profile, costs);
-        let security = hoisted_security_score(&p, &threats, &effective, &fps, &cache);
-        let label = if hardened_names.is_empty() {
-            format!("{backend}")
-        } else {
-            format!("{backend} + SH({})", hardened_names.join(","))
-        };
-        Some(Candidate {
-            plan: p,
-            cycles,
-            security,
-            label,
-        })
-    });
-
-    Exploration {
-        candidates: evaluated.into_iter().flatten().collect(),
-        cache_stats: cache.stats(),
+impl ExploreOptions {
+    /// The one way to walk the design space.
+    pub fn serial() -> Self {
+        Self
     }
 }
 
-/// [`security_score`] specialized to the exploration hot loop: the
-/// threat pairs are precomputed (they depend only on declared specs) and
-/// the per-candidate effective specs arrive pre-fingerprinted. Produces
-/// bit-identical scores to [`security_score`] on the same plan.
-fn hoisted_security_score(
-    plan: &ImagePlan,
-    threats: &[(usize, usize)],
-    effective: &[LibSpec],
-    fps: &[u64],
-    cache: &CompatCache,
-) -> f64 {
-    if threats.is_empty() {
-        return 1.0;
+/// The outcome of [`explore`]. Kept only because the benchmark's layer
+/// ladder (`benchmark/src/layers.rs`) reads `candidates` from it.
+#[derive(Debug, Clone)]
+pub struct Exploration {
+    /// What [`candidates`] returns.
+    pub candidates: Vec<Candidate>,
+}
+
+/// [`candidates`] under the signature the benchmark's layer ladder
+/// (`benchmark/src/layers.rs`) times as `core.explore_synth_ms`; kept
+/// only for it.
+///
+/// # Panics
+///
+/// Panics if more than 12 libraries have a hardening suggestion.
+pub fn explore(
+    base: &ImageConfig,
+    backends: &[BackendChoice],
+    profile: &CallProfile,
+    costs: &CostTable,
+    _opts: &ExploreOptions,
+) -> Exploration {
+    Exploration {
+        candidates: candidates(base, backends, profile, costs),
     }
-    let isolates = plan.config.backend.isolates();
-    let mut mitigated = 0u32;
-    for &(v, o) in threats {
-        let separated = isolates && plan.compartment_of[v] != plan.compartment_of[o];
-        if separated
-            || cache
-                .violations_keyed(fps[v], &effective[v], fps[o], &effective[o])
-                .is_empty()
-        {
-            mitigated += 1;
-        }
-    }
-    f64::from(mitigated) / f64::from(threats.len() as u32)
 }
 
 /// Objective A: the most secure candidate whose predicted cost fits in

@@ -1393,14 +1393,6 @@ impl GateRuntime {
     }
 }
 
-/// A convenience error for gate misuse surfaced to library authors.
-pub fn not_an_entry_point(lib: &str, func: &str) -> Fault {
-    Fault::HardeningAbort {
-        mechanism: "gate",
-        reason: format!("{func} is not an exposed entry point of {lib}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

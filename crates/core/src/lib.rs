@@ -56,14 +56,11 @@ pub mod build;
 pub mod compat;
 pub mod explore;
 pub mod gate;
-pub(crate) mod parallel;
 pub mod spec;
 pub mod synth;
 pub mod wrappers;
 
-pub use build::{
-    plan, plan_with_cache, BackendChoice, ImageConfig, ImagePlan, LibRole, LibraryConfig,
-};
+pub use build::{plan, BackendChoice, ImageConfig, ImagePlan, LibRole, LibraryConfig};
 pub use explore::{explore, Exploration, ExploreOptions};
 pub use gate::{CompartmentCtx, CompartmentId, DirectGate, Gate, GateMechanism, GateRuntime};
 pub use spec::{LibSpec, ShMechanism, ShSet};

@@ -211,11 +211,6 @@ impl Machine {
         (0..n).map(|_| self.add_vcpu(vm)).collect()
     }
 
-    /// Number of vCPUs.
-    pub fn vcpu_count(&self) -> usize {
-        self.vcpus.len()
-    }
-
     /// Number of VMs.
     pub fn vm_count(&self) -> usize {
         self.vms.len()
@@ -1009,11 +1004,6 @@ impl Machine {
     /// The machine's cost table.
     pub fn costs(&self) -> &CostTable {
         &self.costs
-    }
-
-    /// Remaining free physical frames.
-    pub fn free_frames(&self) -> u64 {
-        self.frames.free()
     }
 }
 

@@ -101,11 +101,6 @@ impl Vm {
     pub fn peek_notification(&self) -> Option<&Notification> {
         self.doorbell.front()
     }
-
-    /// Number of pending notifications.
-    pub fn pending_notifications(&self) -> usize {
-        self.doorbell.len()
-    }
 }
 
 #[cfg(test)]

@@ -200,11 +200,6 @@ impl EventQueue {
         self.stale = 0;
     }
 
-    /// Whether `sid` has a live (interested) registration.
-    pub fn is_registered(&self, sid: SocketId) -> bool {
-        matches!(self.entries.get(sid.0), Some(Some(e)) if !e.interest.is_empty())
-    }
-
     /// Posts readiness `what` for `sid`. Masked by the registered
     /// interest; coalesces with an already-queued event. O(1).
     pub fn post(&mut self, sid: SocketId, what: Interest) {

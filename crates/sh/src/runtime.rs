@@ -127,16 +127,6 @@ impl ShRuntime {
 
     // --- allocator instrumentation ------------------------------------------
 
-    /// Extra bytes the instrumented allocator needs around a `size`-byte
-    /// payload (0 when `c` is not instrumented).
-    pub fn alloc_padding(&self, c: CompartmentId) -> u64 {
-        if self.instruments_malloc(c) {
-            2 * REDZONE
-        } else {
-            0
-        }
-    }
-
     /// Records an instrumented allocation: `outer` is the raw block, the
     /// payload starts `REDZONE` inside. Charges the instrumentation cost.
     pub fn on_alloc(&mut self, m: &mut Machine, c: CompartmentId, outer: Addr, size: u64) -> Addr {

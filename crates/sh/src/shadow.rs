@@ -158,11 +158,6 @@ impl Shadow {
             .filter(|b| b.state == BlockState::Live)
             .map(|b| b.size)
     }
-
-    /// Number of tracked blocks (live + quarantined).
-    pub fn tracked_blocks(&self) -> usize {
-        self.blocks.len()
-    }
 }
 
 #[cfg(test)]
