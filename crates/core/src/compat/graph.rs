@@ -258,6 +258,30 @@ mod tests {
         assert!(g.why(1, 2).is_none());
     }
 
+    /// The verdict table is the graph's memo: a graph assembled from it,
+    /// first or again, equals one checked pair by pair without it.
+    #[test]
+    fn cached_build_matches_uncached() {
+        // The scheduler in the middle is the victim of one edge from each
+        // side, so both halves of a pair's verdicts are exercised.
+        let specs = vec![
+            LibSpec::unsafe_c("rawlib"),
+            LibSpec::verified_scheduler(),
+            LibSpec::unsafe_c("x"),
+        ];
+        let plain = reference(&specs);
+        let table = VerdictTable::new(specs.iter().map(std::slice::from_ref));
+        let selection = vec![0; specs.len()];
+        let cached = table.graph(&selection);
+        let warm = table.graph(&selection);
+        for g in [&cached, &warm, &IncompatGraph::build(&specs)] {
+            assert_eq!(g.names, plain.names);
+            assert_eq!(g.graph, plain.graph);
+            assert_eq!(g.reasons, plain.reasons);
+        }
+        assert_eq!(plain.graph.edge_count(), 2);
+    }
+
     /// A library and the analysis its hardening rewrites with. The arms
     /// reach every shape of edge: one-way (a scheduler and an unsafe
     /// library), two-way (two strict schedulers that each write shared

@@ -11,7 +11,9 @@
 //! differing candidate or deployment.
 
 use flexos::build::{plan, BackendChoice, ImageConfig, LibRole, LibraryConfig};
-use flexos::compat::{color, enumerate_deployments, Deployment, IncompatGraph};
+use flexos::compat::{
+    color, enumerate_deployments, incompatibilities, Deployment, Graph, IncompatGraph,
+};
 use flexos::explore::{
     candidates, estimate_request_cycles, explore, security_score, CallProfile, Candidate,
     ExploreOptions,
@@ -19,6 +21,7 @@ use flexos::explore::{
 use flexos::spec::{suggest_sh, variants_for, Analysis, LibSpec, ShMechanism, ShSet};
 use flexos::synth::synthetic_image;
 use flexos_machine::CostTable;
+use proptest::prelude::*;
 
 const BACKENDS: &[BackendChoice] = &[
     BackendChoice::None,
@@ -324,4 +327,69 @@ fn enumerate_deployments_equals_the_per_combination_reference() {
         ),
     ]);
     assert_same_deployments(&[]);
+}
+
+/// The graph of `specs` with no table: one `incompatibilities` call per
+/// unordered pair.
+fn uncached_graph(specs: &[LibSpec]) -> IncompatGraph {
+    let mut graph = Graph::new(specs.len());
+    let mut reasons = std::collections::BTreeMap::new();
+    for i in 0..specs.len() {
+        for j in i + 1..specs.len() {
+            let v = incompatibilities(&specs[i], &specs[j]);
+            if !v.is_empty() {
+                graph.add_edge(i, j);
+                reasons.insert((i, j), v);
+            }
+        }
+    }
+    IncompatGraph {
+        names: specs.iter().map(|s| s.name.clone()).collect(),
+        graph,
+        reasons,
+    }
+}
+
+fn arb_spec() -> impl Strategy<Value = LibSpec> {
+    // The paper's two archetypes plus renames, so pairs range from fully
+    // compatible to mutually violating.
+    prop_oneof![
+        "[a-z]{1,6}".prop_map(LibSpec::unsafe_c),
+        "[a-z]{1,6}".prop_map(|n| renamed(LibSpec::verified_scheduler(), n)),
+        Just(LibSpec::verified_scheduler()),
+    ]
+}
+
+proptest! {
+    /// Every graph the enumeration assembles from its verdict table, and
+    /// `IncompatGraph::build`, equal the graph checked pair by pair
+    /// without a table, for arbitrary specs with and without a hardened
+    /// variant.
+    #[test]
+    fn cached_graph_equals_uncached(
+        libs in prop::collection::vec((arb_spec(), any::<bool>()), 2..6),
+    ) {
+        let libs: Vec<(LibSpec, Analysis)> = libs
+            .into_iter()
+            .enumerate()
+            .map(|(i, (s, hardenable))| {
+                let name = format!("{}{i}", s.name);
+                let analysis = if hardenable {
+                    Analysis::well_behaved()
+                } else {
+                    Analysis::default()
+                };
+                (renamed(s, name), analysis)
+            })
+            .collect();
+        for d in enumerate_deployments(&libs) {
+            let specs: Vec<LibSpec> = d.variants.iter().map(|v| v.spec.clone()).collect();
+            let plain = uncached_graph(&specs);
+            for g in [&d.graph, &IncompatGraph::build(&specs)] {
+                prop_assert_eq!(&g.names, &plain.names);
+                prop_assert_eq!(&g.graph, &plain.graph);
+                prop_assert_eq!(&g.reasons, &plain.reasons);
+            }
+        }
+    }
 }
