@@ -1,9 +1,9 @@
 //! The telemetry budget of the dense probes: what one gate crossing,
-//! one message-queue hop and one scheduler switch may cost in span-ring
-//! writes and host heap allocations. Exact counts, not timings — the
-//! always-on probes stay cheap enough to leave on only while a crossing
-//! writes ONE record (every other view of it is folded at snapshot
-//! time) and no probe allocates once its ring exists.
+//! one message-queue hop, one scheduler switch and one completed request
+//! may cost in span-ring writes and host heap allocations. Exact counts,
+//! not timings — the always-on probes stay cheap enough to leave on only
+//! while a crossing writes ONE record (every other view of it is folded
+//! at snapshot time) and no probe allocates once its ring exists.
 
 #![cfg(not(feature = "trace-off"))]
 
@@ -16,7 +16,7 @@ use flexos_machine::{Machine, PageFlags, ProtKey, VcpuId, VmId};
 use flexos_trace::{SpanEvent, SpanKind, SpanTrace};
 
 mod counting;
-use counting::allocations_during;
+use counting::{allocations_during, live_bytes};
 
 const TARGET: &str = "uksched_verified";
 
@@ -186,6 +186,31 @@ fn an_mq_hop_writes_one_record_and_allocates_nothing() {
     );
     assert!(kinds.iter().all(|k| *k == SpanKind::MqHop));
     assert_eq!(allocs, 0);
+}
+
+/// A completed request is one more count beside a latency already seen:
+/// once a key's distinct latencies have all occurred, further requests
+/// allocate nothing and hold no more heap, however many there are.
+#[test]
+fn a_request_latency_is_a_count_not_a_sample() {
+    let mut spans = SpanTrace::new();
+    let mut t = 0;
+    let mut requests = |spans: &mut SpanTrace, n: u64| {
+        for i in 0..n {
+            let span = spans.begin_request("redis", "mpk-shared", 0, t);
+            // 32 distinct latencies, as many as `redis_get_mpk` has.
+            t += 5_000 + i % 32;
+            spans.end_request(span, 0, t);
+        }
+    };
+    requests(&mut spans, 32);
+    let live = live_bytes();
+    let allocs = allocations_during(|| requests(&mut spans, 10_000));
+    assert_eq!(allocs, 0, "allocations in 10 000 requests");
+    assert_eq!(live_bytes(), live, "heap held by 10 000 more requests");
+    let rows = spans.latency_rows();
+    assert_eq!(rows.len(), 1);
+    assert_eq!((rows[0].count, rows[0].p50), (10_032, 5_015));
 }
 
 /// The least an [`Executor`] needs from its context.

@@ -16,9 +16,12 @@
 //!   compartment, `s`/`f` flow arrows across gate crossings and
 //!   doorbells, async `b`/`e` pairs for whole requests.
 //! * [`SpanTrace::latency_rows`] folds completed requests into exact
-//!   per-`(app, backend)` p50/p99/p999 end-to-end latency — every sample
-//!   is kept and sorted on demand, so the percentiles are exact and
-//!   deterministic, not bucketed like the PR-2 histograms.
+//!   per-`(app, backend)` p50/p99/p999 end-to-end latency. Each key keeps
+//!   a count per distinct latency, and a percentile walks the cumulative
+//!   counts to its nearest rank — the value a sort of every sample would
+//!   give, exact and deterministic, not bucketed like the PR-2
+//!   histograms, in memory that grows with the distinct latencies (tens
+//!   per workload), not with the requests.
 //!
 //! Like every probe since PR 2, the whole module compiles to no-ops
 //! under the `trace-off` feature: probes never touch the machine clock,
@@ -28,6 +31,7 @@
 use crate::json::JsonWriter;
 use crate::ring::Ring;
 use crate::snapshot::{LatencyRow, RingDropRow};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// A request-scoped trace identifier. `SpanId(0)` means "no span".
@@ -230,23 +234,63 @@ impl SpanRing {
     }
 }
 
-/// A completed-request latency sample set for one `(app, backend)` key.
+/// The completed-request latencies of one `(app, backend)` key, as an
+/// exact multiset: how many requests took each distinct latency. A
+/// workload's latencies take a few dozen values over any run length
+/// (DESIGN.md §6.17), so this stays a few hundred bytes where a sample
+/// vector grew by 8 bytes a request. A tree, not a sorted `Vec`: a new
+/// value costs O(log d), so all-distinct latencies do not go quadratic.
 #[derive(Debug, Clone, Default)]
-struct LatencySamples {
-    cycles: Vec<u64>,
+struct LatencyCounts {
+    /// Requests per distinct latency, in cycles.
+    counts: BTreeMap<u64, u64>,
+    /// Requests counted: the sum of `counts`' values.
+    total: u64,
+}
+
+impl LatencyCounts {
+    /// Counts one request of `cycles`. Out of line, so that
+    /// `end_request`, which every request site inlines, stays as small as
+    /// with the push this replaced; inlined, a prototype read +1…+11 %
+    /// host time on `redis_get_mpk`, which looked like code placement (E35).
+    #[cfg(not(feature = "trace-off"))]
+    #[inline(never)]
+    fn add(&mut self, cycles: u64) {
+        *self.counts.entry(cycles).or_insert(0) += 1;
+        self.total += 1;
+    }
+
+    /// [`percentile`] of the counted samples: the first latency, in
+    /// ascending order, at which the cumulative count reaches the rank.
+    fn percentile(&self, num: u64, den: u64) -> u64 {
+        let rank = nearest_rank(self.total, num, den);
+        let mut seen = 0;
+        for (&cycles, &n) in &self.counts {
+            seen += n;
+            if seen >= rank {
+                return cycles;
+            }
+        }
+        0
+    }
+}
+
+/// The 1-based nearest rank of percentile `num/den` among `n` samples:
+/// the smallest rank whose share of the samples is at least `num/den`,
+/// and at least 1. Computed in integers, so it never depends on
+/// floating-point rounding.
+fn nearest_rank(n: u64, num: u64, den: u64) -> u64 {
+    (n * num).div_ceil(den).max(1)
 }
 
 /// Exact nearest-rank percentile `num/den` over a sorted slice: the
 /// smallest sample `x` such that at least that share of the samples is
-/// `<= x` (0 for an empty slice). The rank is computed in integers, so
-/// the result never depends on floating-point rounding.
+/// `<= x` (0 for an empty slice).
 pub fn percentile(sorted: &[u64], num: u64, den: u64) -> u64 {
     if sorted.is_empty() {
         return 0;
     }
-    let n = sorted.len() as u64;
-    let rank = (n * num).div_ceil(den).max(1);
-    sorted[(rank - 1) as usize]
+    sorted[(nearest_rank(sorted.len() as u64, num, den) - 1) as usize]
 }
 
 /// An open (begun, not yet ended) request span.
@@ -269,7 +313,7 @@ pub struct SpanTrace {
     // A flat association list, not a map: one workload uses one or two
     // `(app, backend)` keys, and the linear scan on the request-complete
     // path is far cheaper than tree/hash lookups at that cardinality.
-    latency: Vec<((&'static str, &'static str), LatencySamples)>,
+    latency: Vec<((&'static str, &'static str), LatencyCounts)>,
 }
 
 impl SpanTrace {
@@ -343,14 +387,14 @@ impl SpanTrace {
             };
             let o = self.open.remove(pos);
             let key = (o.app, o.backend);
-            let samples = match self.latency.iter_mut().position(|(k, _)| *k == key) {
+            let counts = match self.latency.iter_mut().position(|(k, _)| *k == key) {
                 Some(i) => &mut self.latency[i].1,
                 None => {
-                    self.latency.push((key, LatencySamples::default()));
+                    self.latency.push((key, LatencyCounts::default()));
                     &mut self.latency.last_mut().expect("just pushed").1
                 }
             };
-            samples.cycles.push(t1.saturating_sub(o.t0));
+            counts.add(t1.saturating_sub(o.t0));
             self.shard_mut(vcpu).push(SpanEvent {
                 span,
                 label: o.app,
@@ -482,23 +526,19 @@ impl SpanTrace {
             .collect()
     }
 
-    /// Exact latency percentiles per `(app, backend)`, key order.
+    /// Exact latency percentiles per `(app, backend)` that completed a
+    /// request, key order.
     pub fn latency_rows(&self) -> Vec<LatencyRow> {
         let mut rows: Vec<LatencyRow> = self
             .latency
             .iter()
-            .filter(|(_, s)| !s.cycles.is_empty())
-            .map(|&((app, backend), ref s)| {
-                let mut sorted = s.cycles.clone();
-                sorted.sort_unstable();
-                LatencyRow {
-                    app,
-                    backend,
-                    count: sorted.len() as u64,
-                    p50: percentile(&sorted, 50, 100),
-                    p99: percentile(&sorted, 99, 100),
-                    p999: percentile(&sorted, 999, 1000),
-                }
+            .map(|&((app, backend), ref c)| LatencyRow {
+                app,
+                backend,
+                count: c.total,
+                p50: c.percentile(50, 100),
+                p99: c.percentile(99, 100),
+                p999: c.percentile(999, 1000),
             })
             .collect();
         rows.sort_by_key(|r| (r.app, r.backend));
@@ -618,6 +658,7 @@ impl SpanTrace {
 #[cfg(all(test, not(feature = "trace-off")))]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn request_latency_is_exact() {
@@ -641,8 +682,101 @@ mod tests {
         assert_eq!(percentile(&s, 50, 100), 50);
         assert_eq!(percentile(&s, 99, 100), 99);
         assert_eq!(percentile(&s, 999, 1000), 100);
+        assert_eq!(percentile(&s, 0, 1), 1);
         assert_eq!(percentile(&[7], 50, 100), 7);
         assert_eq!(percentile(&[], 50, 100), 0);
+    }
+
+    /// Distinct sample values in an arbitrary order, `n` of them: a
+    /// bijection of `0..n` (odd multiplier, then xor).
+    fn distinct(n: usize, seed: u64) -> Vec<u64> {
+        let mix = |i: u64| i.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ seed;
+        (0..n as u64).map(mix).collect()
+    }
+
+    /// A sample set: at most 40 distinct values, repeated, or all distinct.
+    fn samples() -> impl Strategy<Value = Vec<u64>> {
+        prop_oneof![
+            (1u64..=40, any::<u32>()).prop_flat_map(|(k, base)| {
+                let base = u64::from(base);
+                prop::collection::vec(base..base + k, 0..4000)
+            }),
+            (0usize..4000, any::<u64>()).prop_map(|(n, seed)| distinct(n, seed)),
+        ]
+    }
+
+    /// `(num, den)` with `0 ≤ num ≤ den ≤ 10⁶` (`num` 0: the minimum).
+    fn rank() -> impl Strategy<Value = (u64, u64)> {
+        (1u64..=1_000_000).prop_flat_map(|den| (0..=den, Just(den)))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Counting is sorting: fed through `end_request` in any order,
+        /// the counts give every percentile a sort of the same samples
+        /// gives, and the row counts every request.
+        #[test]
+        fn counted_percentiles_equal_the_sorted_samples(
+            samples in samples(),
+            random in prop::collection::vec(rank(), 8),
+        ) {
+            let mut t = SpanTrace::new();
+            for &lat in &samples {
+                let s = t.begin_request("redis", "mpk", 0, 0);
+                t.end_request(s, 0, lat);
+            }
+            let mut sorted = samples.clone();
+            sorted.sort_unstable();
+            let rows = t.latency_rows();
+            if sorted.is_empty() {
+                prop_assert!(rows.is_empty());
+                return Ok(());
+            }
+            prop_assert_eq!(rows.len(), 1);
+            let row = &rows[0];
+            prop_assert_eq!(row.count, sorted.len() as u64);
+            prop_assert_eq!(row.p50, percentile(&sorted, 50, 100));
+            prop_assert_eq!(row.p99, percentile(&sorted, 99, 100));
+            prop_assert_eq!(row.p999, percentile(&sorted, 999, 1000));
+            let counts = &t.latency[0].1;
+            let fixed = [(50, 100), (99, 100), (999, 1000), (1, 1), (1, 1000), (0, 1)];
+            for (num, den) in fixed.into_iter().chain(random) {
+                prop_assert_eq!(
+                    counts.percentile(num, den),
+                    percentile(&sorted, num, den),
+                    "{}/{} of {} samples", num, den, sorted.len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn rows_come_out_in_key_order_and_only_for_completed_requests() {
+        let mut t = SpanTrace::new();
+        // `("redis", "vmrpc")` completes first, `("iperf", "mpk")` second;
+        // `("redis", "direct")` begins but never ends.
+        let mut clock = 0;
+        for i in 0..6u64 {
+            let a = t.begin_request("redis", "vmrpc", 0, clock);
+            let b = t.begin_request("iperf", "mpk", 1, clock + 1);
+            t.end_request(a, 0, clock + 10 + i);
+            t.end_request(b, 1, clock + 101 + 2 * i);
+            clock += 1_000;
+        }
+        t.begin_request("redis", "direct", 0, clock);
+        let rows: Vec<_> = t
+            .latency_rows()
+            .into_iter()
+            .map(|r| (r.app, r.backend, r.count, r.p50, r.p99, r.p999))
+            .collect();
+        assert_eq!(
+            rows,
+            vec![
+                ("iperf", "mpk", 6, 104, 110, 110),
+                ("redis", "vmrpc", 6, 12, 15, 15),
+            ]
+        );
     }
 
     /// The float-rank formula `--serve` used before it shared
