@@ -37,20 +37,6 @@ impl MpkSharedGate {
         m.charge(m.costs().pkru_guard_check + m.costs().mpk_gate_overhead);
         m.wrpkru(to.vcpu, to.pkru, Some(self.token))
     }
-
-    /// The batched crossing path: the guard-check/trampoline charge and
-    /// the PKRU write are fused into one machine call. The clock is
-    /// additive and neither half draws chaos, so the simulated cost and
-    /// fault behaviour are identical to `switch_to` — only the host-side
-    /// double dispatch is elided.
-    fn switch_to_fused(&self, m: &mut Machine, to: &CompartmentCtx) -> Result<()> {
-        m.wrpkru_with_overhead(
-            to.vcpu,
-            to.pkru,
-            Some(self.token),
-            m.costs().pkru_guard_check + m.costs().mpk_gate_overhead,
-        )
-    }
 }
 
 impl Gate for MpkSharedGate {
@@ -76,28 +62,6 @@ impl Gate for MpkSharedGate {
         _ret_bytes: u64,
     ) -> Result<()> {
         self.switch_to(m, caller)
-    }
-
-    fn enter_nth(
-        &self,
-        m: &mut Machine,
-        _from: &CompartmentCtx,
-        to: &CompartmentCtx,
-        _arg_bytes: u64,
-        _idx: usize,
-    ) -> Result<()> {
-        self.switch_to_fused(m, to)
-    }
-
-    fn exit_nth(
-        &self,
-        m: &mut Machine,
-        _callee: &CompartmentCtx,
-        caller: &CompartmentCtx,
-        _ret_bytes: u64,
-        _idx: usize,
-    ) -> Result<()> {
-        self.switch_to_fused(m, caller)
     }
 }
 
@@ -213,7 +177,7 @@ mod tests {
     /// moment its crossing returns, and the PKRU is already back in the
     /// submitter's domain when the flush hands control to the between
     /// hook. This is the uniform-API half of the ring contract (VM RPC
-    /// coalesces doorbells instead; the caller code is identical).
+    /// rings a doorbell per leg instead; the caller code is identical).
     #[test]
     fn async_ring_flush_completes_inline_over_mpk() {
         use flexos::gate::{GateRuntime, Sqe};

@@ -111,6 +111,16 @@ impl VmRpcGate {
     /// and consumes the notification on the callee side (the synchronous
     /// closure model of [`GateRuntime::cross`]).
     ///
+    /// Each delivery attempt first looks at the target's doorbell queue.
+    /// Empty — every crossing but one into a planted doorbell — posting
+    /// our doorbell and taking it straight back would leave the queue as
+    /// it was whatever the chaos fate, so the attempt only draws and
+    /// honours the fate ([`Machine::notify_coalesced`]). Not empty, the
+    /// attempt posts for real and takes the oldest entry, so a forged or
+    /// stale word raises [`Fault::DoorbellMismatch`] as the callee would
+    /// see it. Either way a lost doorbell is re-rung with bounded
+    /// exponential backoff before the gate is declared dead.
+    ///
     /// [`GateRuntime::cross`]: flexos::gate::GateRuntime::cross
     fn rpc(
         &self,
@@ -139,108 +149,45 @@ impl VmRpcGate {
         let inbox = self.inbox(to.id.0);
         m.write_u64(from.vcpu, inbox, u64::from(from.id.0))?;
         m.write_u64(from.vcpu, Addr(inbox.0 + 8), bytes)?;
-        // Ring the doorbell (charges `vm_notify`) and let the callee vCPU
-        // consume it. Notifications can be lost, so re-ring with bounded
-        // exponential backoff before declaring the gate dead.
         let expected = u64::from(from.id.0);
         let mut attempt = 0u32;
         loop {
             attempt += 1;
-            m.notify(from.vcpu, to.vm, expected)?;
-            match m.take_notification(to.vm) {
-                Some(n) => {
-                    if n.word != expected {
+            let delivered = if m.peek_notification(to.vm).is_none() {
+                m.notify_coalesced(from.vcpu, to.vm)? != NotifyFate::Drop
+            } else {
+                m.notify(from.vcpu, to.vm, expected)?;
+                match m.take_notification(to.vm) {
+                    Some(n) if n.word != expected => {
                         return Err(Fault::DoorbellMismatch {
                             expected,
                             got: n.word,
                         });
                     }
-                    // Absorb duplicate deliveries of our own doorbell so a
-                    // stale copy can't be misread as the next crossing.
-                    while m
-                        .peek_notification(to.vm)
-                        .is_some_and(|d| d.word == expected && d.from == from.vm)
-                    {
-                        m.take_notification(to.vm);
+                    Some(_) => {
+                        // Absorb duplicate deliveries of our own doorbell so
+                        // a stale copy can't be misread as the next crossing.
+                        while m
+                            .peek_notification(to.vm)
+                            .is_some_and(|d| d.word == expected && d.from == from.vm)
+                        {
+                            m.take_notification(to.vm);
+                        }
+                        true
                     }
-                    return Ok(());
+                    None => false,
                 }
-                None => {
-                    if attempt >= self.retry.max_attempts.max(1) {
-                        return Err(Fault::GateTimeout {
-                            mechanism: "vmrpc",
-                            attempts: attempt,
-                        });
-                    }
-                    m.charge(self.retry.backoff_cycles(attempt));
-                }
+            };
+            if delivered {
+                return Ok(());
             }
-        }
-    }
-
-    /// [`VmRpcGate::rpc`] with the doorbell coalesced away.
-    ///
-    /// Calls 1…N−1 of a batch use this path: the batch head already rang
-    /// the target's doorbell for real, and the synchronous crossing model
-    /// means posting another notification and immediately consuming it is
-    /// pure host-side queue churn. [`Machine::notify_coalesced`] charges
-    /// the identical `vm_notify` cost, draws the identical chaos fate and
-    /// records the identical injected-fault telemetry per message — only
-    /// the post/take round trip on the queue is elided — and the retry /
-    /// backoff / timeout discipline below mirrors `rpc` decision for
-    /// decision.
-    ///
-    /// If anything is already queued on the target (e.g. a forged
-    /// doorbell posted by an attacker between calls), this falls back to
-    /// the exact path so the take-and-check sequence still raises
-    /// [`Fault::DoorbellMismatch`].
-    fn rpc_coalesced(
-        &self,
-        m: &mut Machine,
-        from: &CompartmentCtx,
-        to: &CompartmentCtx,
-        bytes: u64,
-    ) -> Result<()> {
-        if m.peek_notification(to.vm).is_some() {
-            return self.rpc(m, from, to, bytes);
-        }
-        if to.id.0 >= self.compartments {
-            return Err(Fault::HardeningAbort {
-                mechanism: "vmrpc",
-                reason: format!("no RPC inbox for {}", to.id),
-            });
-        }
-        if bytes > RPC_INBOX_BYTES - 16 {
-            return Err(Fault::HardeningAbort {
-                mechanism: "vmrpc",
-                reason: format!("RPC frame of {bytes} bytes exceeds inbox"),
-            });
-        }
-        m.charge(m.costs().vm_rpc_marshal + m.costs().copy_cost(bytes));
-        // Descriptor stores hit the same validated inbox page every call
-        // of the batch; `write_u64_hot` caches that one translation.
-        let inbox = self.inbox(to.id.0);
-        m.write_u64_hot(from.vcpu, inbox, u64::from(from.id.0))?;
-        m.write_u64_hot(from.vcpu, Addr(inbox.0 + 8), bytes)?;
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
-            match m.notify_coalesced(from.vcpu, to.vm)? {
-                // Deliver: the exact path would take its own doorbell
-                // straight back off the queue. Duplicate: it would take
-                // one copy and absorb the other. Either way the queue is
-                // unchanged and the crossing succeeds.
-                NotifyFate::Deliver | NotifyFate::Duplicate => return Ok(()),
-                NotifyFate::Drop => {
-                    if attempt >= self.retry.max_attempts.max(1) {
-                        return Err(Fault::GateTimeout {
-                            mechanism: "vmrpc",
-                            attempts: attempt,
-                        });
-                    }
-                    m.charge(self.retry.backoff_cycles(attempt));
-                }
+            if attempt >= self.retry.max_attempts.max(1) {
+                return Err(Fault::GateTimeout {
+                    mechanism: "vmrpc",
+                    attempts: attempt,
+                });
             }
+            m.charge(self.retry.backoff_cycles(attempt));
         }
     }
 }
@@ -270,40 +217,6 @@ impl Gate for VmRpcGate {
         // The response travels the same path in reverse.
         self.rpc(m, callee, caller, ret_bytes)
     }
-
-    // Batched crossings ring each direction's doorbell for real once, on
-    // the batch head; the remaining messages coalesce theirs (see
-    // `rpc_coalesced` for the equivalence argument).
-
-    fn enter_nth(
-        &self,
-        m: &mut Machine,
-        from: &CompartmentCtx,
-        to: &CompartmentCtx,
-        arg_bytes: u64,
-        idx: usize,
-    ) -> Result<()> {
-        if idx == 0 {
-            self.rpc(m, from, to, arg_bytes)
-        } else {
-            self.rpc_coalesced(m, from, to, arg_bytes)
-        }
-    }
-
-    fn exit_nth(
-        &self,
-        m: &mut Machine,
-        callee: &CompartmentCtx,
-        caller: &CompartmentCtx,
-        ret_bytes: u64,
-        idx: usize,
-    ) -> Result<()> {
-        if idx == 0 {
-            self.rpc(m, callee, caller, ret_bytes)
-        } else {
-            self.rpc_coalesced(m, callee, caller, ret_bytes)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -311,7 +224,9 @@ mod tests {
     use super::*;
     use flexos::gate::CompartmentId;
     use flexos::spec::ShSet;
-    use flexos_machine::{PageFlags, Pkru, ProtKey, VcpuId, VmId};
+    use flexos_machine::{
+        ChaosConfig, ChaosPlan, PageFlags, Pkru, ProtKey, Schedule, VcpuId, VmId,
+    };
 
     fn setup() -> (Machine, VmRpcGate, CompartmentCtx, CompartmentCtx) {
         let mut m = Machine::with_defaults();
@@ -410,9 +325,38 @@ mod tests {
         assert!(err.is_protection_fault());
     }
 
+    /// A doorbell forged between two calls of a batch is still caught:
+    /// call 0's body plants it on the callee's queue, so call 1's enter
+    /// finds the queue busy, takes the forged word and faults before its
+    /// body runs.
+    #[test]
+    fn forged_doorbell_mid_batch_is_still_rejected() {
+        use flexos::gate::{CallVec, GateRuntime};
+        use std::rc::Rc;
+        let (mut m, gate, c0, c1) = setup();
+        let (attacker, victim) = (c0.vcpu, c1.vm);
+        let mut rt = GateRuntime::new(vec![c0, c1], Rc::new(gate), CompartmentId(0));
+        let mut bodies = 0;
+        let calls = CallVec::uniform(2, 16, 8);
+        let err = rt
+            .cross_batch(&mut m, CompartmentId(1), &calls, |m, _, idx| {
+                bodies += 1;
+                if idx == 0 {
+                    m.notify(attacker, victim, 0xbad)?;
+                }
+                Ok(())
+            })
+            .unwrap_err();
+        assert!(
+            matches!(err, Fault::DoorbellMismatch { got: 0xbad, .. }),
+            "{err:?}"
+        );
+        assert_eq!(bodies, 1, "call 1 must fault before its body");
+        assert_eq!(rt.current(), CompartmentId(0));
+    }
+
     #[test]
     fn lost_doorbell_is_retried_with_backoff() {
-        use flexos_machine::{ChaosConfig, ChaosPlan, Schedule};
         // Baseline: the cost of one clean crossing.
         let t_nochaos = {
             let (mut m2, gate2, b0, b1) = setup();
@@ -442,7 +386,6 @@ mod tests {
 
     #[test]
     fn all_doorbells_lost_times_out_with_typed_fault() {
-        use flexos_machine::{ChaosConfig, ChaosPlan, Schedule};
         let (mut m, gate, c0, c1) = setup();
         m.set_chaos(ChaosPlan::new(ChaosConfig {
             seed: 1,
@@ -462,34 +405,29 @@ mod tests {
     /// Regression: a retry budget past 64 attempts used to shift the
     /// backoff base by ≥ 64 bits — a debug-build panic (and a wrapped,
     /// near-zero backoff in release) — once 100% doorbell loss pushed
-    /// the exponent that far. Both the exact and the coalesced path must
-    /// now exhaust the whole budget and return the typed timeout.
+    /// the exponent that far. The gate must now exhaust the whole budget
+    /// and return the typed timeout.
     #[test]
     fn huge_retry_budget_under_total_loss_times_out_without_overflow() {
-        use flexos_machine::{ChaosConfig, ChaosPlan, Schedule};
         let policy = RetryPolicy {
             max_attempts: 80,
             backoff_base_cycles: 2,
         };
-        // idx 0 exercises `rpc`; idx > 0 exercises `rpc_coalesced`.
-        for idx in [0usize, 3] {
-            let (mut m, default_gate, c0, c1) = setup();
-            let gate = VmRpcGate::with_retry(default_gate.rpc_base, 2, policy);
-            m.set_chaos(ChaosPlan::new(ChaosConfig {
-                seed: 1,
-                notify_drop: Schedule::EveryNth(1), // 100% loss
-                ..Default::default()
-            }));
-            let err = gate.enter_nth(&mut m, &c0, &c1, 16, idx).unwrap_err();
-            assert_eq!(
-                err,
-                Fault::GateTimeout {
-                    mechanism: "vmrpc",
-                    attempts: 80,
-                },
-                "idx={idx}"
-            );
-        }
+        let (mut m, default_gate, c0, c1) = setup();
+        let gate = VmRpcGate::with_retry(default_gate.rpc_base, 2, policy);
+        m.set_chaos(ChaosPlan::new(ChaosConfig {
+            seed: 1,
+            notify_drop: Schedule::EveryNth(1), // 100% loss
+            ..Default::default()
+        }));
+        let err = gate.enter(&mut m, &c0, &c1, 16).unwrap_err();
+        assert_eq!(
+            err,
+            Fault::GateTimeout {
+                mechanism: "vmrpc",
+                attempts: 80,
+            }
+        );
     }
 
     #[test]
@@ -518,7 +456,6 @@ mod tests {
 
     #[test]
     fn duplicated_doorbells_are_absorbed() {
-        use flexos_machine::{ChaosConfig, ChaosPlan, Schedule};
         let (mut m, gate, c0, c1) = setup();
         m.set_chaos(ChaosPlan::new(ChaosConfig {
             seed: 1,
@@ -532,114 +469,110 @@ mod tests {
         assert!(m.peek_notification(c1.vm).is_none());
     }
 
-    /// Drives `n` batched crossings (enter + exit per call, like
-    /// `cross_batch`) and returns the cycles they charged.
-    fn run_batched(
+    /// The reference the gate's doorbell is held to: every attempt posts
+    /// for real, takes the oldest entry off the target's queue, checks
+    /// its word and absorbs duplicates of our own, whatever the queue
+    /// held before.
+    fn post_take_check(
         m: &mut Machine,
         gate: &VmRpcGate,
-        c0: &CompartmentCtx,
-        c1: &CompartmentCtx,
-        n: usize,
-    ) -> u64 {
-        let t0 = m.clock().cycles();
-        for idx in 0..n {
-            gate.enter_nth(m, c0, c1, 16, idx).unwrap();
-            gate.exit_nth(m, c1, c0, 8, idx).unwrap();
-        }
-        m.clock().cycles() - t0
-    }
-
-    /// Same crossings through the exact single-call path.
-    fn run_exact(
-        m: &mut Machine,
-        gate: &VmRpcGate,
-        c0: &CompartmentCtx,
-        c1: &CompartmentCtx,
-        n: usize,
-    ) -> u64 {
-        let t0 = m.clock().cycles();
-        for _ in 0..n {
-            gate.enter(m, c0, c1, 16).unwrap();
-            gate.exit(m, c1, c0, 8).unwrap();
-        }
-        m.clock().cycles() - t0
-    }
-
-    #[test]
-    fn coalesced_batch_is_cycle_identical_to_exact_path() {
-        let (mut m1, gate1, a0, a1) = setup();
-        let (mut m2, gate2, b0, b1) = setup();
-        let batched = run_batched(&mut m1, &gate1, &a0, &a1, 8);
-        let exact = run_exact(&mut m2, &gate2, &b0, &b1, 8);
-        assert_eq!(batched, exact);
-        // Both leave the doorbell queues drained and the same descriptor
-        // in each inbox.
-        assert!(m1.peek_notification(a1.vm).is_none());
-        assert!(m2.peek_notification(b1.vm).is_none());
-        let inbox = Addr(gate1.rpc_base.0 + RPC_INBOX_BYTES);
-        assert_eq!(
-            m1.read_u64(a1.vcpu, inbox).unwrap(),
-            m2.read_u64(b1.vcpu, inbox).unwrap()
-        );
-    }
-
-    #[test]
-    fn coalesced_batch_matches_exact_path_under_chaos() {
-        use flexos_machine::{ChaosConfig, ChaosPlan, Schedule};
-        for (drop, dup) in [
-            (Schedule::EveryNth(2), Schedule::Off),
-            (Schedule::Off, Schedule::EveryNth(1)),
-            (Schedule::EveryNth(3), Schedule::EveryNth(2)),
-        ] {
-            let cfg = ChaosConfig {
-                seed: 7,
-                notify_drop: drop,
-                notify_dup: dup,
-                ..Default::default()
-            };
-            let (mut m1, gate1, a0, a1) = setup();
-            m1.set_chaos(ChaosPlan::new(cfg));
-            let (mut m2, gate2, b0, b1) = setup();
-            m2.set_chaos(ChaosPlan::new(cfg));
-            let batched = run_batched(&mut m1, &gate1, &a0, &a1, 6);
-            let exact = run_exact(&mut m2, &gate2, &b0, &b1, 6);
-            assert_eq!(batched, exact, "cycles diverged under {drop:?}/{dup:?}");
-            assert_eq!(
-                m1.chaos_stats().unwrap().dropped_notifications,
-                m2.chaos_stats().unwrap().dropped_notifications
-            );
-            assert!(m1.peek_notification(a1.vm).is_none());
-        }
-    }
-
-    #[test]
-    fn forged_doorbell_mid_batch_is_still_rejected() {
-        let (mut m, gate, c0, c1) = setup();
-        gate.enter_nth(&mut m, &c0, &c1, 16, 0).unwrap();
-        // An attacker rings the callee's doorbell between two batched
-        // calls: the coalesced path must fall back to take-and-check and
-        // raise the same mismatch fault as the exact path.
-        m.notify(c0.vcpu, c1.vm, 0xbad).unwrap();
-        let err = gate.enter_nth(&mut m, &c0, &c1, 16, 1).unwrap_err();
-        assert!(matches!(err, Fault::DoorbellMismatch { got: 0xbad, .. }));
-    }
-
-    #[test]
-    fn coalesced_tail_times_out_like_exact_path() {
-        use flexos_machine::{ChaosConfig, ChaosPlan, Schedule};
-        let (mut m, gate, c0, c1) = setup();
-        m.set_chaos(ChaosPlan::new(ChaosConfig {
-            seed: 1,
-            notify_drop: Schedule::EveryNth(1), // 100% loss
-            ..Default::default()
-        }));
-        let err = gate.enter_nth(&mut m, &c0, &c1, 16, 3).unwrap_err();
-        assert_eq!(
-            err,
-            Fault::GateTimeout {
-                mechanism: "vmrpc",
-                attempts: RetryPolicy::default().max_attempts,
+        from: &CompartmentCtx,
+        to: &CompartmentCtx,
+        bytes: u64,
+    ) -> Result<()> {
+        m.charge(m.costs().vm_rpc_marshal + m.costs().copy_cost(bytes));
+        let inbox = gate.inbox(to.id.0);
+        m.write_u64(from.vcpu, inbox, u64::from(from.id.0))?;
+        m.write_u64(from.vcpu, Addr(inbox.0 + 8), bytes)?;
+        let expected = u64::from(from.id.0);
+        let mut attempt = 0u32;
+        loop {
+            attempt += 1;
+            m.notify(from.vcpu, to.vm, expected)?;
+            if let Some(n) = m.take_notification(to.vm) {
+                if n.word != expected {
+                    return Err(Fault::DoorbellMismatch {
+                        expected,
+                        got: n.word,
+                    });
+                }
+                while m
+                    .peek_notification(to.vm)
+                    .is_some_and(|d| d.word == expected && d.from == from.vm)
+                {
+                    m.take_notification(to.vm);
+                }
+                return Ok(());
             }
-        );
+            if attempt >= gate.retry.max_attempts {
+                return Err(Fault::GateTimeout {
+                    mechanism: "vmrpc",
+                    attempts: attempt,
+                });
+            }
+            m.charge(gate.retry.backoff_cycles(attempt));
+        }
+    }
+
+    /// The queue the gate observes decides each delivery attempt, and
+    /// both branches are held to the post-take-check reference: for each
+    /// chaos fate, from an empty doorbell queue, one holding a forged
+    /// word and one holding a stale copy of our own, a sync round trip
+    /// returns, charges, leaves on both queues, counts as faults and
+    /// records as spans exactly what the reference does. From an empty
+    /// queue that is an empty queue again.
+    #[test]
+    fn a_sync_crossing_leaves_the_doorbell_queue_as_the_exact_path_does() {
+        let fates = [
+            ("deliver", Schedule::Off, Schedule::Off),
+            ("drop", Schedule::EveryNth(1), Schedule::Off),
+            ("drop-then-deliver", Schedule::EveryNth(2), Schedule::Off),
+            ("duplicate", Schedule::Off, Schedule::EveryNth(1)),
+        ];
+        for (fate, notify_drop, notify_dup) in fates {
+            for planted in [None, Some(0xbad), Some(0)] {
+                let run = |reference: bool| {
+                    let (mut m, gate, c0, c1) = setup();
+                    if let Some(word) = planted {
+                        m.notify(c0.vcpu, c1.vm, word).unwrap();
+                    }
+                    m.set_chaos(ChaosPlan::new(ChaosConfig {
+                        seed: 3,
+                        notify_drop,
+                        notify_dup,
+                        ..Default::default()
+                    }));
+                    let mut rpc = |from: &CompartmentCtx, to: &CompartmentCtx, bytes| {
+                        if reference {
+                            post_take_check(&mut m, &gate, from, to, bytes)
+                        } else {
+                            gate.enter(&mut m, from, to, bytes)
+                        }
+                    };
+                    let result = rpc(&c0, &c1, 16).and_then(|()| rpc(&c1, &c0, 8));
+                    let mut queued = Vec::new();
+                    for vm in [c1.vm, c0.vm] {
+                        while let Some(n) = m.take_notification(vm) {
+                            queued.push((vm, n));
+                        }
+                    }
+                    let faults = m.fault_trace().by_kind().clone();
+                    let spans = m.span_trace().merged_events();
+                    (result, m.clock().cycles(), queued, faults, spans)
+                };
+                let (gate, reference) = (run(false), run(true));
+                let at = format!("{fate}, planted {planted:?}");
+                assert_eq!(gate, reference, "{at}");
+                if planted.is_none() {
+                    assert!(gate.2.is_empty(), "{at}: the queues are as found");
+                }
+                if planted == Some(0xbad) {
+                    assert!(
+                        matches!(gate.0, Err(Fault::DoorbellMismatch { got: 0xbad, .. })),
+                        "{at}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -352,6 +352,10 @@ pub struct CompartmentCtx {
 /// handoff, notification, …) so that enforcement matches the mechanism.
 /// Gates are stateless behind `&self`: all mutable state — clock, PKRU,
 /// doorbells — lives in the `Machine` passed in.
+///
+/// These two methods are a backend's whole crossing sequence: sync
+/// calls, batches and ring flushes all run them, so what a backend skips
+/// it decides from machine state, never from the entry point.
 pub trait Gate: fmt::Debug {
     /// The mechanism this gate implements.
     fn mechanism(&self) -> GateMechanism;
@@ -373,42 +377,6 @@ pub trait Gate: fmt::Debug {
         caller: &CompartmentCtx,
         ret_bytes: u64,
     ) -> Result<()>;
-
-    /// Like [`Gate::enter`], for call `idx` (0-based) of a batched
-    /// crossing into the same target.
-    ///
-    /// The default forwards to `enter`. Backends override this to elide
-    /// *host-side* work that repeats across a batch (doorbell queue
-    /// churn, split register writes). Overrides MUST charge exactly the
-    /// same simulated cycles, draw exactly the same chaos decisions and
-    /// raise exactly the same faults as `enter` would — the differential
-    /// suite in `crates/backends/tests/backend_equiv.rs` holds them to
-    /// that contract.
-    fn enter_nth(
-        &self,
-        m: &mut Machine,
-        from: &CompartmentCtx,
-        to: &CompartmentCtx,
-        arg_bytes: u64,
-        idx: usize,
-    ) -> Result<()> {
-        let _ = idx;
-        self.enter(m, from, to, arg_bytes)
-    }
-
-    /// Like [`Gate::exit`], for call `idx` of a batched crossing. Same
-    /// equivalence contract as [`Gate::enter_nth`].
-    fn exit_nth(
-        &self,
-        m: &mut Machine,
-        callee: &CompartmentCtx,
-        caller: &CompartmentCtx,
-        ret_bytes: u64,
-        idx: usize,
-    ) -> Result<()> {
-        let _ = idx;
-        self.exit(m, callee, caller, ret_bytes)
-    }
 }
 
 /// The trivial gate: a plain function call. Used within a compartment and
@@ -897,17 +865,17 @@ impl GateRuntime {
         f: impl FnOnce(&mut Machine, &mut GateRuntime) -> Result<R>,
     ) -> Result<R> {
         let gate = self.route(self.current(), target)?;
-        self.cross_one(m, gate, target, (arg_bytes, ret_bytes), None, f)
+        self.cross_one(m, gate, target, (arg_bytes, ret_bytes), f)
     }
 
     /// The one crossing body: every call the runtime issues — a sync
-    /// [`GateRuntime::cross`] (`nth` is `None`), call `idx` of a batch or
-    /// of a ring flush (`Some(idx)`) — runs exactly this sequence, so the
-    /// entry points cannot drift apart in cycles, counters, spans or
-    /// fault handling. `gate` is `None` for a same-compartment call,
-    /// else the pair's gate as [`GateRuntime::route`] found it, looked
-    /// up by the caller so that a batch hoists it out of its loop; a
-    /// backend varies the sequence only through its [`Gate`] hooks.
+    /// [`GateRuntime::cross`], each call of a batch or of a ring flush —
+    /// runs exactly this sequence, so the entry points cannot drift apart
+    /// in cycles, counters, spans or fault handling. `gate` is `None` for
+    /// a same-compartment call, else the pair's gate as
+    /// [`GateRuntime::route`] found it, looked up by the caller so that a
+    /// batch hoists it out of its loop; a backend varies the sequence
+    /// only through [`Gate::enter`] and [`Gate::exit`].
     ///
     /// Error precedence: an enter fault returns before `f` runs; `f`'s
     /// error still runs the exit path and the stats/trace updates; an
@@ -920,7 +888,6 @@ impl GateRuntime {
         gate: Option<usize>,
         target: CompartmentId,
         (arg_bytes, ret_bytes): (u64, u64),
-        nth: Option<usize>,
         f: impl FnOnce(&mut Machine, &mut GateRuntime) -> Result<R>,
     ) -> Result<R> {
         let Some(gate) = gate else {
@@ -935,11 +902,7 @@ impl GateRuntime {
                 &self.compartments[from.0 as usize],
                 &self.compartments[target.0 as usize],
             );
-            let gate = &*self.gates[gate];
-            match nth {
-                None => gate.enter(m, from_ctx, to_ctx, arg_bytes)?,
-                Some(idx) => gate.enter_nth(m, from_ctx, to_ctx, arg_bytes, idx)?,
-            }
+            self.gates[gate].enter(m, from_ctx, to_ctx, arg_bytes)?;
         }
         let enter_cycles = m.clock().cycles() - t0;
         self.stack.push(target);
@@ -949,13 +912,8 @@ impl GateRuntime {
         self.stack.pop();
         let t1 = m.clock().cycles();
         let (gate, caller_ctx) = (&*self.gates[gate], &self.compartments[from.0 as usize]);
-        {
-            let callee_ctx = &self.compartments[target.0 as usize];
-            match nth {
-                None => gate.exit(m, callee_ctx, caller_ctx, ret_bytes)?,
-                Some(idx) => gate.exit_nth(m, callee_ctx, caller_ctx, ret_bytes, idx)?,
-            }
-        }
+        let callee_ctx = &self.compartments[target.0 as usize];
+        gate.exit(m, callee_ctx, caller_ctx, ret_bytes)?;
         let now = m.clock().cycles();
         let (gate_cycles, bytes) = (enter_cycles + now - t1, arg_bytes + ret_bytes);
         let label = gate.mechanism().label();
@@ -993,13 +951,12 @@ impl GateRuntime {
     /// Vectored gate crossing: runs `calls.len()` calls into `target`,
     /// call `idx` executing `f(m, rt, idx)`.
     ///
-    /// The gate lookup is hoisted out of the loop and each call goes
-    /// through the backend's [`Gate::enter_nth`]/[`Gate::exit_nth`] batch
-    /// hooks, which may skip host-side work that repeats across the
-    /// batch. The simulated operations are those of a loop of
-    /// [`GateRuntime::cross`] — cycles charged, chaos decisions drawn,
-    /// faults raised and trace events recorded are bit-identical — plus
-    /// one entry in the per-mechanism batch-size histogram.
+    /// The gate lookup is hoisted out of the loop and the pair is held
+    /// non-quiescent for the whole batch; each call then runs the body of
+    /// [`GateRuntime::cross`]. The simulated operations are those of a
+    /// loop of `cross` — cycles charged, chaos decisions drawn, faults
+    /// raised and trace events recorded are bit-identical — plus one
+    /// entry in the per-mechanism batch-size histogram.
     ///
     /// The batch stops at the first call error, which is returned after
     /// that call's exit path has run (same contract as `cross`).
@@ -1086,7 +1043,7 @@ impl GateRuntime {
             issued += 1;
             let call = |m: &mut Machine, rt: &mut GateRuntime| f(m, rt, idx);
             let step = self
-                .cross_one(m, gate, target, desc(idx), Some(idx), call)
+                .cross_one(m, gate, target, desc(idx), call)
                 .and_then(|r| sink(m, self, idx, r));
             match step {
                 Ok(true) => {}
@@ -1262,10 +1219,8 @@ impl GateRuntime {
     /// *identical* to a sequential driver issuing the same calls: cycles
     /// charged, chaos decisions drawn, faults raised and span probes
     /// recorded are all bit-for-bit the same, and the batch histogram is
-    /// that of the equivalent `cross_batch`. The backend's batch hooks
-    /// elide repeated host-side work (VM-RPC posts one coalesced doorbell
-    /// per flush via the hot-page descriptor cache; direct/MPK complete
-    /// inline) — the overlap is host-time only.
+    /// that of the equivalent `cross_batch`; the overlap with the
+    /// caller's own work is host-time only.
     ///
     /// `between(m, rt, &sqe, res)` runs after each completion lands, in
     /// the caller's compartment; returning `Ok(false)` stops the flush
@@ -1932,15 +1887,15 @@ mod tests {
         })
     }
 
-    /// Records which [`Gate`] hook served each leg of each crossing.
+    /// Records each leg of each crossing it serves.
     #[derive(Debug, Default)]
     struct SpyGate {
-        legs: std::cell::RefCell<Vec<(&'static str, Option<usize>)>>,
+        legs: std::cell::RefCell<Vec<&'static str>>,
     }
 
     impl SpyGate {
-        fn leg(&self, leg: &'static str, nth: Option<usize>) -> Result<()> {
-            self.legs.borrow_mut().push((leg, nth));
+        fn leg(&self, leg: &'static str) -> Result<()> {
+            self.legs.borrow_mut().push(leg);
             Ok(())
         }
     }
@@ -1956,7 +1911,7 @@ mod tests {
             _: &CompartmentCtx,
             _: u64,
         ) -> Result<()> {
-            self.leg("enter", None)
+            self.leg("enter")
         }
         fn exit(
             &self,
@@ -1965,60 +1920,8 @@ mod tests {
             _: &CompartmentCtx,
             _: u64,
         ) -> Result<()> {
-            self.leg("exit", None)
+            self.leg("exit")
         }
-        fn enter_nth(
-            &self,
-            _: &mut Machine,
-            _: &CompartmentCtx,
-            _: &CompartmentCtx,
-            _: u64,
-            idx: usize,
-        ) -> Result<()> {
-            self.leg("enter", Some(idx))
-        }
-        fn exit_nth(
-            &self,
-            _: &mut Machine,
-            _: &CompartmentCtx,
-            _: &CompartmentCtx,
-            _: u64,
-            idx: usize,
-        ) -> Result<()> {
-            self.leg("exit", Some(idx))
-        }
-    }
-
-    /// The entry points differ in one thing only: which `Gate` hooks the
-    /// shared body hands the two legs to. The simulation cannot see that
-    /// (the `_nth` hooks are contracted to be cycle-identical), so it is
-    /// pinned here: a sync call takes the plain hooks, call `idx` of a
-    /// batch or of a ring flush takes the `_nth` hooks with its index.
-    #[test]
-    fn sync_calls_take_the_plain_hooks_batches_and_flushes_the_nth_ones() {
-        let (mut m, mut rt) = fresh_rt();
-        let t = CompartmentId(1);
-        let spy = Rc::new(SpyGate::default());
-        rt.set_pair_gate(CompartmentId(0), t, spy.clone());
-        let legs = || legs_of(&spy);
-        let nth = vec![
-            ("enter", Some(0)),
-            ("exit", Some(0)),
-            ("enter", Some(1)),
-            ("exit", Some(1)),
-        ];
-
-        rt.cross(&mut m, t, 8, 8, |_, _| Ok(())).unwrap();
-        assert_eq!(legs(), vec![("enter", None), ("exit", None)]);
-
-        rt.cross_batch(&mut m, t, &CallVec::uniform(2, 8, 8), |_, _, _| Ok(()))
-            .unwrap();
-        assert_eq!(legs(), nth);
-
-        rt.submit_many(t, &[Sqe::new(8, 8, 0), Sqe::new(8, 8, 1)])
-            .unwrap();
-        rt.flush_async(&mut m, t, |_, _, _| Ok(0)).unwrap();
-        assert_eq!(legs(), nth);
     }
 
     /// Two spies on the `(0, 1)` pair: `old` installed, `new` at hand.
@@ -2028,7 +1931,7 @@ mod tests {
         (old, Rc::new(SpyGate::default()))
     }
 
-    fn legs_of(spy: &SpyGate) -> Vec<(&'static str, Option<usize>)> {
+    fn legs_of(spy: &SpyGate) -> Vec<&'static str> {
         spy.legs.take()
     }
 
@@ -2049,11 +1952,11 @@ mod tests {
             Ok(())
         })
         .unwrap();
-        assert_eq!(legs_of(&old), vec![("enter", None), ("exit", None)]);
-        assert_eq!(legs_of(&new), vec![]);
+        assert_eq!(legs_of(&old), vec!["enter", "exit"]);
+        assert!(legs_of(&new).is_empty());
         rt.cross(&mut m, b, 8, 8, |_, _| Ok(())).unwrap();
-        assert_eq!(legs_of(&old), vec![]);
-        assert_eq!(legs_of(&new), vec![("enter", None), ("exit", None)]);
+        assert!(legs_of(&old).is_empty());
+        assert_eq!(legs_of(&new), vec!["enter", "exit"]);
     }
 
     /// The sync twin of `migration_mid_batch_defers_to_the_batch_end`, by
@@ -2078,10 +1981,10 @@ mod tests {
         })
         .unwrap();
         assert!(!rt.migration_pending(a, b));
-        assert_eq!(legs_of(&old), vec![("enter", None), ("exit", None)]);
+        assert_eq!(legs_of(&old), vec!["enter", "exit"]);
         rt.cross(&mut m, b, 8, 8, |_, _| Ok(())).unwrap();
-        assert_eq!(legs_of(&old), vec![]);
-        assert_eq!(legs_of(&new), vec![("enter", None), ("exit", None)]);
+        assert!(legs_of(&old).is_empty());
+        assert_eq!(legs_of(&new), vec!["enter", "exit"]);
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub use alloc::{AllocMode, Allocator, FreeListAllocator, HeapService};
 pub use cotask::{CoExecutor, CoPoll, CoTask, CoTaskId};
 pub use exec::{ExecSummary, Executor, KernelHal, Step, Task};
 pub use migrate::{MigrationPolicy, PolicyDecision, PolicySignals};
-pub use mq::{GateRing, MsgQueue, WireCqe, WireSqe, CQE_BYTES, SQE_BYTES};
+pub use mq::MsgQueue;
 pub use sched::{CoopScheduler, RunQueue, ThreadId, VerifiedScheduler};
 pub use sync::{Mutex, SemId, SemTable, Semaphore, WaitChannel, WaitQueue};
 pub use timer::{TimerAction, TimerId, TimerWheel};

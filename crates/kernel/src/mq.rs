@@ -299,201 +299,6 @@ impl MsgQueue {
     }
 }
 
-/// Wire size of one submission descriptor: four u64 words
-/// (`user_data`, `arg_bytes`, `ret_bytes`, `span`).
-pub const SQE_BYTES: usize = 32;
-
-/// Wire size of one completion descriptor: three u64 words
-/// (`user_data`, `res`, `span`).
-pub const CQE_BYTES: usize = 24;
-
-const SQE_SLOT: u64 = SQE_BYTES as u64 + 8;
-const CQE_SLOT: u64 = CQE_BYTES as u64 + 8;
-
-fn ring_abort(reason: String) -> Fault {
-    Fault::HardeningAbort {
-        mechanism: "gate-ring",
-        reason,
-    }
-}
-
-/// A submission descriptor in its shared-memory wire form. The `span`
-/// word carries the PR-7 request-span id as a raw u64, so the kernel
-/// layer stays independent of the gate runtime's types.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WireSqe {
-    /// Opaque caller cookie, echoed in the matching completion.
-    pub user_data: u64,
-    /// Marshalled argument bytes.
-    pub arg_bytes: u64,
-    /// Marshalled return bytes.
-    pub ret_bytes: u64,
-    /// Request-span id (0 = none).
-    pub span: u64,
-}
-
-impl WireSqe {
-    /// Serialises to the fixed little-endian wire layout.
-    pub fn encode(&self) -> [u8; SQE_BYTES] {
-        let mut b = [0u8; SQE_BYTES];
-        b[..8].copy_from_slice(&self.user_data.to_le_bytes());
-        b[8..16].copy_from_slice(&self.arg_bytes.to_le_bytes());
-        b[16..24].copy_from_slice(&self.ret_bytes.to_le_bytes());
-        b[24..].copy_from_slice(&self.span.to_le_bytes());
-        b
-    }
-
-    /// Parses a descriptor read out of shared memory. The length is
-    /// untrusted (a peer can enqueue a short message): anything but an
-    /// exact descriptor is corruption, surfaced as a [`Fault`].
-    pub fn decode(b: &[u8]) -> Result<Self> {
-        if b.len() != SQE_BYTES {
-            return Err(ring_abort(format!(
-                "corrupted submission descriptor: {} bytes, expected {SQE_BYTES}",
-                b.len()
-            )));
-        }
-        let word = |i: usize| u64::from_le_bytes(b[i * 8..(i + 1) * 8].try_into().unwrap());
-        Ok(Self {
-            user_data: word(0),
-            arg_bytes: word(1),
-            ret_bytes: word(2),
-            span: word(3),
-        })
-    }
-}
-
-/// A completion descriptor in its shared-memory wire form.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WireCqe {
-    /// The cookie from the matching [`WireSqe`].
-    pub user_data: u64,
-    /// io_uring-style result value.
-    pub res: i64,
-    /// Request-span id (0 = none).
-    pub span: u64,
-}
-
-impl WireCqe {
-    /// Serialises to the fixed little-endian wire layout.
-    pub fn encode(&self) -> [u8; CQE_BYTES] {
-        let mut b = [0u8; CQE_BYTES];
-        b[..8].copy_from_slice(&self.user_data.to_le_bytes());
-        b[8..16].copy_from_slice(&self.res.to_le_bytes());
-        b[16..].copy_from_slice(&self.span.to_le_bytes());
-        b
-    }
-
-    /// Parses a completion read out of shared memory; same corruption
-    /// contract as [`WireSqe::decode`].
-    pub fn decode(b: &[u8]) -> Result<Self> {
-        if b.len() != CQE_BYTES {
-            return Err(ring_abort(format!(
-                "corrupted completion descriptor: {} bytes, expected {CQE_BYTES}",
-                b.len()
-            )));
-        }
-        Ok(Self {
-            user_data: u64::from_le_bytes(b[..8].try_into().unwrap()),
-            res: i64::from_le_bytes(b[8..16].try_into().unwrap()),
-            span: u64::from_le_bytes(b[16..].try_into().unwrap()),
-        })
-    }
-}
-
-/// An io_uring-style submission/completion ring pair in simulated shared
-/// memory: the descriptor transport an async gate uses between two
-/// compartments that only share a window.
-///
-/// Both sides are [`MsgQueue`]s, so every multi-slot operation inherits
-/// the corruption validation (`head > tail`, impossible depths, slot
-/// lengths beyond capacity all fault instead of panicking) and pays its
-/// copy costs on the simulated clock. Multi-slot submit/reap publish the
-/// ring index **once** per batch — the shared-memory analogue of the
-/// coalesced doorbell the in-process fast path posts per flush.
-#[derive(Debug, Clone)]
-pub struct GateRing {
-    sq: MsgQueue,
-    cq: MsgQueue,
-}
-
-impl GateRing {
-    /// Bytes of backing memory for a ring pair of `depth` slots each.
-    pub fn bytes_needed(depth: u64) -> u64 {
-        MsgQueue::bytes_needed(depth, SQE_SLOT) + MsgQueue::bytes_needed(depth, CQE_SLOT)
-    }
-
-    /// Creates a ring pair over pre-allocated memory at `base`.
-    pub fn init(m: &mut Machine, vcpu: VcpuId, base: Addr, depth: u64) -> Result<Self> {
-        let sq = MsgQueue::init(m, vcpu, base, depth, SQE_SLOT)?;
-        let cq_base = Addr(base.0 + MsgQueue::bytes_needed(depth, SQE_SLOT));
-        let cq = MsgQueue::init(m, vcpu, cq_base, depth, CQE_SLOT)?;
-        Ok(Self { sq, cq })
-    }
-
-    /// Enqueues up to `sqes.len()` submissions with a single tail
-    /// publication; returns how many fit (the rest need a later flush).
-    pub fn submit_many(&self, m: &mut Machine, vcpu: VcpuId, sqes: &[WireSqe]) -> Result<usize> {
-        let encoded: Vec<[u8; SQE_BYTES]> = sqes.iter().map(WireSqe::encode).collect();
-        let refs: Vec<&[u8]> = encoded.iter().map(|e| e.as_slice()).collect();
-        self.sq.enqueue_batch(m, vcpu, &refs)
-    }
-
-    /// Dequeues up to `max` submissions (the target side's drain),
-    /// appending to `out` and publishing the head once.
-    pub fn drain_submissions(
-        &self,
-        m: &mut Machine,
-        vcpu: VcpuId,
-        max: usize,
-        out: &mut Vec<WireSqe>,
-    ) -> Result<usize> {
-        let mut raw = Vec::new();
-        let n = self.sq.dequeue_batch(m, vcpu, max, &mut raw);
-        // Decode whatever was consumed even if the dequeue faulted
-        // midway, matching `dequeue_batch`'s publish-then-fault contract.
-        for msg in &raw {
-            out.push(WireSqe::decode(msg)?);
-        }
-        n
-    }
-
-    /// Enqueues up to `cqes.len()` completions with a single tail
-    /// publication; returns how many fit.
-    pub fn complete_many(&self, m: &mut Machine, vcpu: VcpuId, cqes: &[WireCqe]) -> Result<usize> {
-        let encoded: Vec<[u8; CQE_BYTES]> = cqes.iter().map(WireCqe::encode).collect();
-        let refs: Vec<&[u8]> = encoded.iter().map(|e| e.as_slice()).collect();
-        self.cq.enqueue_batch(m, vcpu, &refs)
-    }
-
-    /// Dequeues up to `max` completions (the submitter's reap), appending
-    /// to `out` and publishing the head once.
-    pub fn reap_many(
-        &self,
-        m: &mut Machine,
-        vcpu: VcpuId,
-        max: usize,
-        out: &mut Vec<WireCqe>,
-    ) -> Result<usize> {
-        let mut raw = Vec::new();
-        let n = self.cq.dequeue_batch(m, vcpu, max, &mut raw);
-        for msg in &raw {
-            out.push(WireCqe::decode(msg)?);
-        }
-        n
-    }
-
-    /// Number of submissions waiting to be drained.
-    pub fn sq_len(&self, m: &mut Machine, vcpu: VcpuId) -> Result<u64> {
-        self.sq.len(m, vcpu)
-    }
-
-    /// Number of completions waiting to be reaped.
-    pub fn cq_len(&self, m: &mut Machine, vcpu: VcpuId) -> Result<u64> {
-        self.cq.len(m, vcpu)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -692,152 +497,6 @@ mod tests {
         // The message before the corruption was consumed and published.
         assert_eq!(out, vec![b"one".to_vec()]);
         assert_eq!(q.len(&mut m, VcpuId(0)).unwrap(), 2);
-    }
-
-    fn gate_ring(depth: u64) -> (Machine, GateRing) {
-        let mut m = Machine::with_defaults();
-        let base = m
-            .alloc_region(
-                VmId(0),
-                GateRing::bytes_needed(depth),
-                ProtKey(0),
-                PageFlags::RW,
-            )
-            .unwrap();
-        let r = GateRing::init(&mut m, VcpuId(0), base, depth).unwrap();
-        (m, r)
-    }
-
-    #[test]
-    fn gate_ring_descriptor_round_trip() {
-        let (mut m, r) = gate_ring(8);
-        let sqes: Vec<WireSqe> = (0..5)
-            .map(|i| WireSqe {
-                user_data: 0x1000 + i,
-                arg_bytes: 32,
-                ret_bytes: 8,
-                span: 7 + i,
-            })
-            .collect();
-        assert_eq!(r.submit_many(&mut m, VcpuId(0), &sqes).unwrap(), 5);
-        assert_eq!(r.sq_len(&mut m, VcpuId(0)).unwrap(), 5);
-
-        // Target side drains, executes, completes.
-        let mut drained = Vec::new();
-        assert_eq!(
-            r.drain_submissions(&mut m, VcpuId(0), 16, &mut drained)
-                .unwrap(),
-            5
-        );
-        assert_eq!(drained, sqes);
-        let cqes: Vec<WireCqe> = drained
-            .iter()
-            .map(|s| WireCqe {
-                user_data: s.user_data,
-                res: s.arg_bytes as i64 * 2,
-                span: s.span,
-            })
-            .collect();
-        assert_eq!(r.complete_many(&mut m, VcpuId(0), &cqes).unwrap(), 5);
-
-        // Submitter reaps in FIFO order with spans intact.
-        let mut reaped = Vec::new();
-        assert_eq!(r.reap_many(&mut m, VcpuId(0), 16, &mut reaped).unwrap(), 5);
-        assert_eq!(reaped, cqes);
-        assert_eq!(r.cq_len(&mut m, VcpuId(0)).unwrap(), 0);
-    }
-
-    #[test]
-    fn gate_ring_full_sq_takes_partial_batch() {
-        let (mut m, r) = gate_ring(2);
-        let sqes = vec![
-            WireSqe {
-                user_data: 1,
-                arg_bytes: 0,
-                ret_bytes: 0,
-                span: 0
-            };
-            4
-        ];
-        assert_eq!(r.submit_many(&mut m, VcpuId(0), &sqes).unwrap(), 2);
-        let mut out = Vec::new();
-        r.drain_submissions(&mut m, VcpuId(0), 16, &mut out)
-            .unwrap();
-        assert_eq!(out.len(), 2);
-    }
-
-    #[test]
-    fn gate_ring_corrupted_descriptor_faults_instead_of_panicking() {
-        let (mut m, r) = gate_ring(4);
-        // A compromised peer enqueues a short message: the slot passes the
-        // MsgQueue length validation but fails descriptor decode.
-        assert!(r.sq.try_send(&mut m, VcpuId(0), b"short").unwrap());
-        let mut out = Vec::new();
-        assert!(matches!(
-            r.drain_submissions(&mut m, VcpuId(0), 16, &mut out),
-            Err(Fault::HardeningAbort {
-                mechanism: "gate-ring",
-                ..
-            })
-        ));
-        // Slot-header corruption is still caught one layer down.
-        let (mut m, r) = gate_ring(4);
-        r.submit_many(
-            &mut m,
-            VcpuId(0),
-            &[WireSqe {
-                user_data: 1,
-                arg_bytes: 2,
-                ret_bytes: 3,
-                span: 4,
-            }],
-        )
-        .unwrap();
-        m.write_u64(VcpuId(0), Addr(r.sq.base.0 + 16), u64::MAX)
-            .unwrap();
-        assert!(matches!(
-            r.drain_submissions(&mut m, VcpuId(0), 16, &mut out),
-            Err(Fault::HardeningAbort {
-                mechanism: "mq",
-                ..
-            })
-        ));
-    }
-
-    #[test]
-    fn gate_ring_respects_protection_keys() {
-        // A ring in a key-3 region is unreachable once PKRU denies key 3 —
-        // descriptors get the same enforcement as any shared data.
-        let mut m = Machine::with_defaults();
-        let base = m
-            .alloc_region(
-                VmId(0),
-                GateRing::bytes_needed(2),
-                ProtKey(3),
-                PageFlags::RW,
-            )
-            .unwrap();
-        let r = GateRing::init(&mut m, VcpuId(0), base, 2).unwrap();
-        let tok = m.gate_token();
-        m.wrpkru(
-            VcpuId(0),
-            flexos_machine::Pkru::deny_all_except(&[ProtKey(0)], &[]),
-            Some(tok),
-        )
-        .unwrap();
-        assert!(matches!(
-            r.submit_many(
-                &mut m,
-                VcpuId(0),
-                &[WireSqe {
-                    user_data: 0,
-                    arg_bytes: 0,
-                    ret_bytes: 0,
-                    span: 0
-                }]
-            ),
-            Err(Fault::PkeyViolation { .. })
-        ));
     }
 
     #[test]

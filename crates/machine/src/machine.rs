@@ -111,34 +111,12 @@ pub struct Machine {
     tlbs: Vec<Tlb>,
     tlb_enabled: bool,
     tlb_trace: TlbTrace,
-    /// Two pre-validated pages for batched descriptor stores (see
-    /// [`Machine::write_u64_hot`]). Two slots because a batched VM-RPC
-    /// call alternates between the callee's and the caller's inbox
-    /// pages (enter, then exit), which would thrash a single slot.
-    hot_pages: [Option<HotPage>; 2],
-    /// The `hot_pages` slot to evict next (round-robin on fill misses).
-    hot_evict: usize,
     /// The runs after the first of the last range translated on each
     /// side (0: the only or source side, 1: `copy`'s destination).
     /// Grow-only scratch: empty whenever the range stayed in one page.
     runs: [Vec<Run>; 2],
     /// Reusable bounce buffer for the rare overlapping-`copy` case.
     scratch: Vec<u8>,
-}
-
-/// A validated (vcpu, page) → physical translation for repeated 8-byte
-/// descriptor stores. Like the software TLB, coherence is generational:
-/// the entry is dead the moment the VM's page table mutates or the
-/// vCPU's PKRU no longer matches the value it was validated under, so a
-/// hit can never succeed where the full enforcement walk would fault.
-#[derive(Debug, Clone, Copy)]
-struct HotPage {
-    vcpu: VcpuId,
-    vm: VmId,
-    vpn: u64,
-    generation: u64,
-    pkru: Pkru,
-    pa_base: PhysAddr,
 }
 
 impl Machine {
@@ -163,8 +141,6 @@ impl Machine {
             tlbs: vec![Tlb::new()],
             tlb_enabled: cfg.tlb_enabled,
             tlb_trace: TlbTrace::new(),
-            hot_pages: [None, None],
-            hot_evict: 0,
             // Room for nine pages a side: packet, ring and copy traffic
             // never grows them, so no access allocates after boot.
             runs: [Vec::with_capacity(8), Vec::with_capacity(8)],
@@ -605,64 +581,6 @@ impl Machine {
         })
     }
 
-    /// [`Machine::write_u64`] for stores that repeatedly hit the same
-    /// page — batched gates rewriting an RPC descriptor every call.
-    ///
-    /// A two-slot cache keeps the last validated (vcpu, page) → physical
-    /// translations; while the VM's page table generation and the vCPU's
-    /// PKRU are unchanged, repeat stores skip the walk and the
-    /// permission re-checks, which the fill-time success already proved
-    /// and the generation/PKRU match proves still hold. Cycle charges,
-    /// chaos draws and fault behaviour are byte-identical to
-    /// `write_u64`; only host time differs (the point of the batch fast
-    /// path).
-    pub fn write_u64_hot(&mut self, vcpu: VcpuId, addr: Addr, v: u64) -> Result<()> {
-        if addr.page_offset() + 8 > PAGE_SIZE {
-            // Straddling store: no single translation to cache.
-            return self.write_u64(vcpu, addr, v);
-        }
-        let vc = &self.vcpus[vcpu.0 as usize];
-        let (vm, pkru, vpn) = (vc.vm, vc.pkru, addr.vpn().0);
-        let generation = self.vms[vm.0 as usize].page_table.generation();
-        // The lookup has no side effect, so it may precede the chaos draw.
-        let hit = self.hot_pages.iter().flatten().find(|c| {
-            c.vcpu == vcpu
-                && c.vm == vm
-                && c.vpn == vpn
-                && c.pkru == pkru
-                && c.generation == generation
-        });
-        let pa = match hit.map(|c| c.pa_base) {
-            // The entry this store would walk to is unchanged since the
-            // fill-time store succeeded through it.
-            Some(base) => {
-                let pa = PhysAddr(base.0 + addr.page_offset());
-                self.chaos_access(addr, Access::Write)?;
-                if self.tlb_enabled {
-                    self.tlb_trace.hit();
-                }
-                self.clock
-                    .advance(self.costs.mem_access + self.costs.copy_cost(8));
-                pa
-            }
-            // Miss: the `write_u64` pipeline, then fill the slot.
-            None => {
-                let (pa, _) = self.access(vcpu, addr, 8, Access::Write, 0)?;
-                self.hot_pages[self.hot_evict] = Some(HotPage {
-                    vcpu,
-                    vm,
-                    vpn,
-                    generation,
-                    pkru,
-                    pa_base: PhysAddr(pa.0 - addr.page_offset()),
-                });
-                self.hot_evict = (self.hot_evict + 1) % 2;
-                pa
-            }
-        };
-        self.phys.write_u64(pa, v)
-    }
-
     /// Copies `len` bytes from `src` to `dst` within the simulated memory,
     /// checking read rights on the source and write rights on the
     /// destination. Checks, chaos draws and charges are those of a `read`
@@ -842,25 +760,6 @@ impl Machine {
         Ok(())
     }
 
-    /// `wrpkru` fused with a preceding flat charge of `overhead_cycles`.
-    ///
-    /// Batching gates use this to fold their guard-check/trampoline
-    /// charge and the PKRU write into one machine call per crossing. The
-    /// clock is additive and neither `charge` nor `wrpkru` draws chaos,
-    /// so `wrpkru_with_overhead(v, p, t, c)` is cycle- and
-    /// fault-identical to `charge(c)` followed by `wrpkru(v, p, t)`.
-    #[inline]
-    pub fn wrpkru_with_overhead(
-        &mut self,
-        vcpu: VcpuId,
-        pkru: Pkru,
-        token: Option<GateToken>,
-        overhead_cycles: u64,
-    ) -> Result<()> {
-        self.clock.advance(overhead_cycles);
-        self.wrpkru(vcpu, pkru, token)
-    }
-
     /// Reads `vcpu`'s PKRU (free: `rdpkru` is cheap and off the hot path).
     pub fn rdpkru(&self, vcpu: VcpuId) -> Pkru {
         self.vcpus[vcpu.0 as usize].pkru
@@ -881,75 +780,38 @@ impl Machine {
     /// charging the one-way notification cost. With a chaos plan
     /// installed the doorbell may be silently lost (the send cost is
     /// still charged — the interrupt just never arrives) or delivered
-    /// twice; callers with delivery requirements must retry.
+    /// twice; callers with delivery requirements must retry. This is
+    /// [`Machine::notify_coalesced`] plus the post.
     pub fn notify(&mut self, from: VcpuId, target: VmId, word: u64) -> Result<()> {
-        assert!((target.0 as usize) < self.vms.len(), "unknown {target}");
-        let from_vm = self.vcpus[from.0 as usize].vm;
-        self.clock.advance(self.costs.vm_notify);
-        let fate = self
-            .chaos
-            .as_mut()
-            .map_or(NotifyFate::Deliver, ChaosPlan::notify_fate);
+        let fate = self.notify_coalesced(from, target)?;
         let n = Notification {
-            from: from_vm,
+            from: self.vcpus[from.0 as usize].vm,
             word,
         };
+        let queue = &mut self.vms[target.0 as usize];
         match fate {
-            NotifyFate::Deliver => self.vms[target.0 as usize].post(n),
-            NotifyFate::Drop => {
-                self.record_injected("injected-notify-drop");
-            }
+            NotifyFate::Deliver => queue.post(n),
+            NotifyFate::Drop => {}
             NotifyFate::Duplicate => {
-                self.record_injected("injected-notify-dup");
-                self.vms[target.0 as usize].post(n.clone());
-                self.vms[target.0 as usize].post(n);
+                queue.post(n.clone());
+                queue.post(n);
             }
         }
-        self.record_doorbell_span(from, from_vm, target, fate);
         Ok(())
     }
 
-    /// Span probe shared by [`Machine::notify`] and
-    /// [`Machine::notify_coalesced`]: both record the identical event
-    /// for the identical fate, preserving the coalescing equivalence
-    /// (PR 5) down to the span stream.
-    fn record_doorbell_span(
-        &mut self,
-        from: VcpuId,
-        from_vm: VmId,
-        target: VmId,
-        fate: NotifyFate,
-    ) {
-        let label = match fate {
-            NotifyFate::Deliver => "doorbell",
-            NotifyFate::Drop => "doorbell-drop",
-            NotifyFate::Duplicate => "doorbell-dup",
-        };
-        let t1 = self.clock.cycles();
-        self.spans.record(
-            from.0 as u16,
-            SpanKind::Doorbell,
-            label,
-            from_vm.0 as u16,
-            target.0 as u16,
-            t1 - self.costs.vm_notify,
-            t1,
-        );
-    }
-
-    /// Sends a notification that a batching gate has already proven
-    /// redundant: the receiver is synchronously waiting on the same
-    /// doorbell, so posting to the queue and immediately consuming the
-    /// entry is pure host-side churn. This charges the identical
-    /// notification cost, draws the identical chaos fate and records the
-    /// identical injected-fault telemetry as [`Machine::notify`], but
-    /// never touches the receiver's queue — callers get the fate back
-    /// and must honour it (retry on [`NotifyFate::Drop`]) exactly as if
-    /// they had posted and polled for real.
+    /// A notification whose post its caller has proven redundant: the
+    /// receiver's queue is empty and the caller consumes the doorbell
+    /// synchronously, so posting to the queue and immediately consuming
+    /// the entry is pure host-side churn. This charges the notification
+    /// cost, draws the chaos fate and records the injected fault and the
+    /// doorbell span — everything [`Machine::notify`] does but the post —
+    /// and hands the fate back; callers must honour it (retry on
+    /// [`NotifyFate::Drop`]) exactly as if they had posted and polled.
     ///
     /// Equivalence argument, per fate, against `notify` + an immediate
     /// `take_notification` of our own doorbell on an **empty** queue
-    /// (callers must fall back to the real path when the queue is not
+    /// (callers look first, and take the real path when the queue is not
     /// empty): Deliver posts one entry and takes it back (queue
     /// unchanged, word always matches the sender's own); Drop posts
     /// nothing either way; Duplicate posts two identical entries of
@@ -963,16 +825,27 @@ impl Machine {
             .chaos
             .as_mut()
             .map_or(NotifyFate::Deliver, ChaosPlan::notify_fate);
-        match fate {
-            NotifyFate::Deliver => {}
+        let label = match fate {
+            NotifyFate::Deliver => "doorbell",
             NotifyFate::Drop => {
                 self.record_injected("injected-notify-drop");
+                "doorbell-drop"
             }
             NotifyFate::Duplicate => {
                 self.record_injected("injected-notify-dup");
+                "doorbell-dup"
             }
-        }
-        self.record_doorbell_span(from, from_vm, target, fate);
+        };
+        let t1 = self.clock.cycles();
+        self.spans.record(
+            from.0 as u16,
+            SpanKind::Doorbell,
+            label,
+            from_vm.0 as u16,
+            target.0 as u16,
+            t1 - self.costs.vm_notify,
+            t1,
+        );
         Ok(fate)
     }
 
@@ -1101,99 +974,6 @@ mod tests {
         });
         // Attacker escalates without the token.
         m.wrpkru(VcpuId(0), Pkru::ALLOW_ALL, None).unwrap();
-    }
-
-    #[test]
-    fn hot_write_is_cycle_identical_to_exact_write() {
-        let mut m1 = machine();
-        let mut m2 = machine();
-        let a1 = m1
-            .alloc_region(VmId(0), 4096, ProtKey(0), PageFlags::RW)
-            .unwrap();
-        let a2 = m2
-            .alloc_region(VmId(0), 4096, ProtKey(0), PageFlags::RW)
-            .unwrap();
-        assert_eq!(a1, a2);
-        let (t1, t2) = (m1.clock().cycles(), m2.clock().cycles());
-        // Alternate between two descriptor words on the same page, like
-        // a batched RPC gate does.
-        for i in 0..8 {
-            let off = 8 * (i % 2);
-            m1.write_u64_hot(VcpuId(0), Addr(a1.0 + off), i).unwrap();
-            m2.write_u64(VcpuId(0), Addr(a2.0 + off), i).unwrap();
-        }
-        assert_eq!(m1.clock().cycles() - t1, m2.clock().cycles() - t2);
-        for off in [0, 8] {
-            assert_eq!(
-                m1.read_u64(VcpuId(0), Addr(a1.0 + off)).unwrap(),
-                m2.read_u64(VcpuId(0), Addr(a2.0 + off)).unwrap()
-            );
-        }
-    }
-
-    #[test]
-    fn hot_write_never_survives_table_mutation() {
-        let mut m = machine();
-        let a = m
-            .alloc_region(VmId(0), 4096, ProtKey(0), PageFlags::RW)
-            .unwrap();
-        m.write_u64_hot(VcpuId(0), a, 1).unwrap(); // fills the slot
-        m.unmap_region(VmId(0), a, 4096).unwrap();
-        let err = m.write_u64_hot(VcpuId(0), a, 2).unwrap_err();
-        assert!(matches!(err, Fault::PageNotPresent { .. }));
-    }
-
-    #[test]
-    fn hot_write_never_survives_pkru_restriction() {
-        let mut m = machine();
-        let a = m
-            .alloc_region(VmId(0), 4096, ProtKey(3), PageFlags::RW)
-            .unwrap();
-        m.write_u64_hot(VcpuId(0), a, 1).unwrap(); // fills the slot
-        let tok = m.gate_token();
-        let restrictive = Pkru::deny_all_except(&[ProtKey(0)], &[]);
-        m.wrpkru(VcpuId(0), restrictive, Some(tok)).unwrap();
-        let err = m.write_u64_hot(VcpuId(0), a, 2).unwrap_err();
-        assert!(matches!(
-            err,
-            Fault::PkeyViolation {
-                key: ProtKey(3),
-                ..
-            }
-        ));
-    }
-
-    #[test]
-    fn hot_write_draws_identical_chaos_fates() {
-        use crate::chaos::{ChaosConfig, ChaosPlan, Schedule};
-        // Spurious pkey faults fire on the same access index through
-        // either path, and cycles stay identical across the mix of
-        // clean and faulting stores.
-        let run = |hot: bool| {
-            let mut m = machine();
-            let a = m
-                .alloc_region(VmId(0), 4096, ProtKey(0), PageFlags::RW)
-                .unwrap();
-            m.set_chaos(ChaosPlan::new(ChaosConfig {
-                seed: 3,
-                spurious_pkey: Schedule::EveryNth(3),
-                ..Default::default()
-            }));
-            let t0 = m.clock().cycles();
-            let mut faults = Vec::new();
-            for i in 0..12 {
-                let r = if hot {
-                    m.write_u64_hot(VcpuId(0), a, i)
-                } else {
-                    m.write_u64(VcpuId(0), a, i)
-                };
-                if let Err(e) = r {
-                    faults.push((i, e.kind()));
-                }
-            }
-            (m.clock().cycles() - t0, faults)
-        };
-        assert_eq!(run(true), run(false));
     }
 
     #[test]
@@ -1383,7 +1163,7 @@ mod tests {
         m.write_u64(v, at, 0x0807_0605_0403_0201).unwrap();
         assert_eq!(tail(&mut m), [1, 2, 3, 4, 5, 6, 7, 8]);
         assert_eq!(m.read_u64(v, at).unwrap(), 0x0807_0605_0403_0201);
-        m.write_u64_hot(v, at, 0x1817_1615_1413_1211).unwrap();
+        m.write_u64(v, at, 0x1817_1615_1413_1211).unwrap();
         assert_eq!(m.read_u64(v, at).unwrap(), 0x1817_1615_1413_1211);
         m.write(v, base, b"ABCDEFGH").unwrap();
         m.copy(v, at, base, 8).unwrap();
@@ -1473,6 +1253,19 @@ mod tests {
         assert_eq!(m.peek_notification(vm1).unwrap().word, 9);
         assert_eq!(m.take_notification(vm1).unwrap().word, 9);
         assert_eq!(m.chaos_stats().unwrap().duplicated_notifications, 1);
+        // One span per doorbell, labelled by its fate; one injected fault
+        // per lost or doubled one.
+        if cfg!(not(feature = "trace-off")) {
+            let events = m.span_trace().merged_events();
+            let doorbells: Vec<_> = events
+                .iter()
+                .filter(|(_, _, ev)| ev.kind == SpanKind::Doorbell)
+                .map(|(_, _, ev)| ev.label)
+                .collect();
+            assert_eq!(doorbells, ["doorbell", "doorbell-drop", "doorbell-dup"]);
+            assert_eq!(m.fault_trace().count("injected-notify-drop"), 1);
+            assert_eq!(m.fault_trace().count("injected-notify-dup"), 1);
+        }
     }
 
     #[test]

@@ -26,8 +26,7 @@ mod common;
 use common::{arb_chaos, arb_ops, image, run, Driver, BACKENDS};
 use flexos::build::BackendChoice;
 use flexos::gate::Sqe;
-use flexos_kernel::{GateRing, WireCqe, WireSqe};
-use flexos_machine::{ChaosConfig, ChaosPlan, Fault, Schedule, VcpuId};
+use flexos_machine::{ChaosConfig, ChaosPlan, Fault, Schedule};
 use proptest::prelude::*;
 
 proptest! {
@@ -200,56 +199,4 @@ fn doorbell_loss_leaves_the_ring_intact_for_retry() {
         let cqe = img.reap_lib("uksched_verified").unwrap();
         assert_eq!((cqe.user_data, cqe.res), (i as u64, i));
     }
-}
-
-/// End-to-end shared-memory descriptor ring: the kernel `GateRing`
-/// (SQ/CQ `MsgQueue` pair in the boot image's shared heap) round-trips
-/// wire descriptors — span cookies included — between producer and
-/// consumer with one tail publication per batch.
-#[test]
-fn kernel_gate_ring_round_trips_descriptors_in_shared_memory() {
-    let mut img = image(BackendChoice::MpkShared);
-    let depth = 8u64;
-    let base = img
-        .malloc_shared(GateRing::bytes_needed(depth), 8)
-        .expect("shared ring fits");
-    let ring = GateRing::init(&mut img.machine, VcpuId(0), base, depth).expect("ring init");
-    let sqes: Vec<WireSqe> = (0..5)
-        .map(|i| WireSqe {
-            user_data: i,
-            arg_bytes: 16 + i,
-            ret_bytes: 8,
-            span: 100 + i,
-        })
-        .collect();
-    assert_eq!(
-        ring.submit_many(&mut img.machine, VcpuId(0), &sqes)
-            .unwrap(),
-        5
-    );
-    let mut drained = Vec::new();
-    let n = ring
-        .drain_submissions(&mut img.machine, VcpuId(0), 16, &mut drained)
-        .unwrap();
-    assert_eq!(n, 5);
-    assert_eq!(drained, sqes);
-    let cqes: Vec<WireCqe> = drained
-        .iter()
-        .map(|s| WireCqe {
-            user_data: s.user_data,
-            res: s.arg_bytes as i64,
-            span: s.span,
-        })
-        .collect();
-    assert_eq!(
-        ring.complete_many(&mut img.machine, VcpuId(0), &cqes)
-            .unwrap(),
-        5
-    );
-    let mut reaped = Vec::new();
-    ring.reap_many(&mut img.machine, VcpuId(0), 16, &mut reaped)
-        .unwrap();
-    assert_eq!(reaped, cqes);
-    assert_eq!(ring.sq_len(&mut img.machine, VcpuId(0)).unwrap(), 0);
-    assert_eq!(ring.cq_len(&mut img.machine, VcpuId(0)).unwrap(), 0);
 }

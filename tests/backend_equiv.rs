@@ -79,8 +79,8 @@ proptest! {
 
     /// Within one backend, a batch is bit-identical to the reference
     /// loop of sync calls: same outcome, same simulated cycle count,
-    /// same `GateStats`, per-pair trace counters and spans — with and
-    /// without an extra vCPU.
+    /// same `GateStats`, per-pair trace counters, spans, TLB counters and
+    /// fault counts — with and without an extra vCPU.
     #[test]
     fn batching_is_cycle_identical_per_backend(ops in arb_ops(), chaos in arb_chaos()) {
         for &backend in BACKENDS {

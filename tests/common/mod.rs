@@ -331,6 +331,9 @@ pub fn run_ops(img: &mut BootImage, ops: &[CallOp], driver: Driver) -> Vec<Chunk
     out
 }
 
+/// Fault counts by class, as the machine's `FaultTrace` keeps them.
+pub type FaultCounts = Vec<(&'static str, u64)>;
+
 /// Everything a run left behind that a differential property compares.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Observed {
@@ -347,12 +350,17 @@ pub struct Observed {
     /// by definition does not produce.
     pub batches: (u64, u64),
     pub flushes: u64,
+    /// The machine's software-TLB `(hits, misses, flushes)`.
+    pub tlb: (u64, u64, u64),
+    /// The machine's fault counts by class, injected ones included.
+    pub faults: FaultCounts,
 }
 
 impl Observed {
     /// Captures what `img` observably did since cycle `t0`.
     pub fn of(img: &BootImage, chunks: Vec<Chunk>, t0: u64) -> Self {
         let trace = img.gates.trace();
+        let (tlb, faults) = (img.machine.tlb_trace(), img.machine.fault_trace().by_kind());
         let n = img.gates.len() as u16;
         let mut pairs = Vec::new();
         let mut mechanisms = Vec::new();
@@ -380,6 +388,8 @@ impl Observed {
             spans: img.machine.span_trace().merged_events(),
             batches,
             flushes: img.gates.async_stats().flushes,
+            tlb: (tlb.hits(), tlb.misses(), tlb.flushes()),
+            faults: faults.iter().map(|(&kind, &n)| (kind, n)).collect(),
         }
     }
 
@@ -392,14 +402,19 @@ impl Observed {
     }
 
     /// What backends must agree on although their cycle costs differ.
-    pub fn counters(&self) -> (&[Chunk], u64, u64, u64, (u64, u64)) {
+    /// Enforcement faults are among it; injected faults and TLB traffic
+    /// are not — only VM-RPC rings doorbells and stores descriptors.
+    pub fn counters(&self) -> (&[Chunk], u64, u64, u64, (u64, u64), FaultCounts) {
         let s = self.stats;
+        let mut enforced = self.faults.clone();
+        enforced.retain(|(kind, _)| !kind.starts_with("injected-"));
         (
             &self.chunks,
             s.crossings,
             s.direct_calls,
             s.bytes_marshalled,
             self.batches,
+            enforced,
         )
     }
 }
@@ -524,34 +539,6 @@ impl Gate for SpyGate {
     ) -> flexos_machine::Result<()> {
         let t1 = m.clock().cycles();
         let r = self.inner.exit(m, callee, caller, ret);
-        self.exited(m, t1, ret, r.is_ok());
-        r
-    }
-
-    fn enter_nth(
-        &self,
-        m: &mut Machine,
-        from: &CompartmentCtx,
-        to: &CompartmentCtx,
-        arg: u64,
-        idx: usize,
-    ) -> flexos_machine::Result<()> {
-        let t0 = m.clock().cycles();
-        self.inner.enter_nth(m, from, to, arg, idx)?;
-        self.entered(m, from, to, t0, arg);
-        Ok(())
-    }
-
-    fn exit_nth(
-        &self,
-        m: &mut Machine,
-        callee: &CompartmentCtx,
-        caller: &CompartmentCtx,
-        ret: u64,
-        idx: usize,
-    ) -> flexos_machine::Result<()> {
-        let t1 = m.clock().cycles();
-        let r = self.inner.exit_nth(m, callee, caller, ret, idx);
         self.exited(m, t1, ret, r.is_ok());
         r
     }
