@@ -81,9 +81,17 @@ use flexos::spec::{print as print_spec, Analysis, FuncRef, LibSpec};
 use flexos_bench::experiments::{
     ctx_switch, ext_cheri, fig3, fig3_buffer_sizes, fig4, fig5, table1, Fig3Config, Fig4Config,
 };
-use flexos_bench::report::{fmt_mbps, fmt_slowdown, Table};
+use flexos_bench::report::{fmt_mbps, fmt_slowdown};
 use flexos_machine::CostTable;
-use flexos_trace::JsonWriter;
+use flexos_trace::{Cell, Sheet, Table};
+
+/// A failed run fails the report.
+fn or_exit<T>(what: &str, run: Result<T, impl std::fmt::Display>) -> T {
+    run.unwrap_or_else(|e| {
+        eprintln!("{what} run failed: {e}");
+        std::process::exit(1)
+    })
+}
 
 /// A report file that cannot be written fails the run.
 fn write_or_exit(path: &str, contents: &str) {
@@ -93,204 +101,162 @@ fn write_or_exit(path: &str, contents: &str) {
     }
 }
 
-fn run_fig3(quick: bool) {
+fn run_fig3(quick: bool) -> Sheet {
     println!("Running Figure 3 (iperf throughput, various configs)...");
     let points = fig3(quick);
-    let sizes = fig3_buffer_sizes(quick);
-    let mut headers = vec!["config".to_string()];
-    headers.extend(sizes.iter().map(|s| format!("{s}B")));
-    let mut t = Table::new(
+    let mut t = Table::text(
         "Figure 3: iperf throughput vs recv buffer size (Mb/s)",
-        &headers.iter().map(String::as_str).collect::<Vec<_>>(),
-    );
-    for config in Fig3Config::ALL {
-        let mut row = vec![config.label().to_string()];
-        for &s in &sizes {
-            let p = points
-                .iter()
-                .find(|p| p.config == config && p.recv_buf == s)
-                .expect("point exists");
-            row.push(format!("{:.0}", p.mbps));
-        }
-        t.row(row);
+        Fig3Config::ALL,
+    )
+    .text("config", |c| c.label());
+    for s in fig3_buffer_sizes(quick) {
+        t = t.text(format!("{s}B"), |&c| {
+            let p = points.iter().find(|p| p.config == c && p.recv_buf == s);
+            format!("{:.0}", p.expect("point exists").mbps)
+        });
     }
-    println!("{}", t.render());
-    println!(
+    Sheet::new().table(t).line(
         "Paper shape: SH/MPK 2-3x slower at small buffers, converging by ~1KiB;\n\
-         VM RPC needs far larger buffers to catch up; Xen trails KVM.\n"
-    );
+         VM RPC needs far larger buffers to catch up; Xen trails KVM.\n",
+    )
 }
 
-fn run_table1(quick: bool) {
+fn run_table1(quick: bool) -> Sheet {
     println!("Running Table 1 (iperf with SH per component)...");
     let t1 = table1(quick);
-    let mut t = Table::new(
-        "Table 1: iperf throughput with SH on various components",
-        &[
-            "Component C",
-            "SH: all but C",
-            "SH: C only",
-            "slowdown (C only)",
-        ],
-    );
-    for row in &t1.rows {
-        t.row(vec![
-            row.component.clone(),
-            fmt_mbps(row.all_but_c_mbps),
-            fmt_mbps(row.c_only_mbps),
-            fmt_slowdown(t1.baseline_mbps, row.c_only_mbps),
-        ]);
-    }
-    t.row(vec![
-        "Entire system".into(),
+    let entire = (
+        "Entire system".to_string(),
         format!("{} (baseline)", fmt_mbps(t1.baseline_mbps)),
-        fmt_mbps(t1.all_sh_mbps),
-        fmt_slowdown(t1.baseline_mbps, t1.all_sh_mbps),
-    ]);
-    println!("{}", t.render());
-    println!(
-        "Paper shape: scheduler-only SH ~1% overhead, NW stack ~6%, LibC ~2.3x,\n\
-         entire system ~6x (baseline 2.94 Gb/s on their testbed).\n"
+        t1.all_sh_mbps,
     );
+    let rows = t1.rows.iter().map(|r| {
+        (
+            r.component.clone(),
+            fmt_mbps(r.all_but_c_mbps),
+            r.c_only_mbps,
+        )
+    });
+    Sheet::new()
+        .table(
+            Table::text(
+                "Table 1: iperf throughput with SH on various components",
+                rows.chain([entire]),
+            )
+            .text("Component C", |r| r.0.clone())
+            .text("SH: all but C", |r| r.1.clone())
+            .text("SH: C only", |r| fmt_mbps(r.2))
+            .text("slowdown (C only)", |r| fmt_slowdown(t1.baseline_mbps, r.2)),
+        )
+        .line(
+            "Paper shape: scheduler-only SH ~1% overhead, NW stack ~6%, LibC ~2.3x,\n\
+             entire system ~6x (baseline 2.94 Gb/s on their testbed).\n",
+        )
 }
 
-fn run_fig4(quick: bool) {
+/// The distinct payload sizes of a figure's points, ascending.
+fn payloads(mut p: Vec<usize>) -> Vec<usize> {
+    p.sort_unstable();
+    p.dedup();
+    p
+}
+
+fn run_fig4(quick: bool) -> Sheet {
+    use flexos_apps::redis::Mix;
     println!("Running Figure 4 (Redis under SH configs + verified scheduler)...");
     let points = fig4(quick);
-    let payloads: Vec<usize> = {
-        let mut p: Vec<usize> = points.iter().map(|p| p.payload).collect();
-        p.sort_unstable();
-        p.dedup();
-        p
-    };
-    let mut headers = vec!["config".to_string()];
-    for &pl in &payloads {
-        headers.push(format!("SET {pl}B"));
-        headers.push(format!("GET {pl}B"));
-    }
-    let mut t = Table::new(
+    let mut t = Table::text(
         "Figure 4: Redis throughput (MTps) for SH configs and the verified scheduler",
-        &headers.iter().map(String::as_str).collect::<Vec<_>>(),
-    );
-    for config in Fig4Config::ALL {
-        let mut row = vec![config.label().to_string()];
-        for &pl in &payloads {
-            for mix in [flexos_apps::redis::Mix::Set, flexos_apps::redis::Mix::Get] {
+        Fig4Config::ALL,
+    )
+    .text("config", |c| c.label());
+    for pl in payloads(points.iter().map(|p| p.payload).collect()) {
+        for (mix, name) in [(Mix::Set, "SET"), (Mix::Get, "GET")] {
+            t = t.text(format!("{name} {pl}B"), |&c| {
                 let p = points
                     .iter()
-                    .find(|p| p.config == config && p.payload == pl && p.mix == mix)
-                    .expect("point exists");
-                row.push(format!("{:.3}", p.mreq_per_s));
-            }
+                    .find(|p| p.config == c && p.payload == pl && p.mix == mix);
+                format!("{:.3}", p.expect("point exists").mreq_per_s)
+            });
         }
-        t.row(row);
     }
-    println!("{}", t.render());
-    println!(
+    Sheet::new().table(t).line(
         "Paper shape: SH(NW)+global allocator ~1.45x slowdown, local allocator\n\
-         ~1.24x; verified scheduler within 6% of the C scheduler.\n"
-    );
+         ~1.24x; verified scheduler within 6% of the C scheduler.\n",
+    )
 }
 
-fn run_fig5(quick: bool) {
+fn run_fig5(quick: bool) -> Sheet {
+    use flexos_apps::CompartmentModel as M;
     println!("Running Figure 5 (Redis with MPK isolation)...");
     let points = fig5(quick);
-    let payloads: Vec<usize> = {
-        let mut p: Vec<usize> = points.iter().map(|p| p.payload).collect();
-        p.sort_unstable();
-        p.dedup();
-        p
-    };
-    let mut headers = vec!["model".to_string(), "stacks".to_string()];
-    headers.extend(payloads.iter().map(|p| format!("{p}B payload")));
-    let mut t = Table::new(
+    let mut rows = vec![(M::Baseline, BackendChoice::None, "-")];
+    for model in [M::NwOnly, M::NwSchedRest, M::NwAndSchedRest] {
+        rows.push((model, BackendChoice::MpkShared, "Sh."));
+        rows.push((model, BackendChoice::MpkSwitched, "Sw."));
+    }
+    let mut t = Table::text(
         "Figure 5: Redis GET throughput (MTps) with MPK isolation",
-        &headers.iter().map(String::as_str).collect::<Vec<_>>(),
-    );
-    let mut emit = |model: flexos_apps::CompartmentModel, backend: BackendChoice, label: &str| {
-        let mut row = vec![model.label().to_string(), label.to_string()];
-        for &pl in &payloads {
+        rows,
+    )
+    .text("model", |r| r.0.label())
+    .text("stacks", |r| r.2);
+    for pl in payloads(points.iter().map(|p| p.payload).collect()) {
+        t = t.text(format!("{pl}B payload"), |&(model, backend, _)| {
             let p = points
                 .iter()
-                .find(|p| p.model == model && p.backend == backend && p.payload == pl)
-                .expect("point exists");
-            row.push(format!("{:.3}", p.mreq_per_s));
-        }
-        t.row(row);
-    };
-    emit(
-        flexos_apps::CompartmentModel::Baseline,
-        BackendChoice::None,
-        "-",
-    );
-    for model in [
-        flexos_apps::CompartmentModel::NwOnly,
-        flexos_apps::CompartmentModel::NwSchedRest,
-        flexos_apps::CompartmentModel::NwAndSchedRest,
-    ] {
-        emit(model, BackendChoice::MpkShared, "Sh.");
-        emit(model, BackendChoice::MpkSwitched, "Sw.");
+                .find(|p| p.model == model && p.backend == backend && p.payload == pl);
+            format!("{:.3}", p.expect("point exists").mreq_per_s)
+        });
     }
-    println!("{}", t.render());
-    println!(
+    Sheet::new().table(t).line(
         "Paper shape: NW-only ~17% slowdown; +scheduler 1.4x (shared) / 2.25x\n\
          (switched); merging NW+sched does NOT help (semaphores live in LibC);\n\
-         overhead shrinks as the payload grows.\n"
-    );
+         overhead shrinks as the payload grows.\n",
+    )
 }
 
-fn run_cheri(quick: bool) {
+fn run_cheri(quick: bool) -> Sheet {
     println!("Running the CHERI-backend extension (heterogeneous hardware)...");
     let points = ext_cheri(quick);
-    let sizes = fig3_buffer_sizes(quick);
-    let mut headers = vec!["backend".to_string()];
-    headers.extend(sizes.iter().map(|s| format!("{s}B")));
-    let mut t = Table::new(
-        "Extension: iperf throughput when retargeting the gate primitive (Mb/s)",
-        &headers.iter().map(String::as_str).collect::<Vec<_>>(),
-    );
     let mut labels: Vec<&str> = points.iter().map(|p| p.label).collect();
     labels.dedup();
-    for label in labels {
-        let mut row = vec![label.to_string()];
-        for &s in &sizes {
-            let p = points
-                .iter()
-                .find(|p| p.label == label && p.recv_buf == s)
-                .expect("point exists");
-            row.push(format!("{:.0}", p.mbps));
-        }
-        t.row(row);
+    let mut t = Table::text(
+        "Extension: iperf throughput when retargeting the gate primitive (Mb/s)",
+        labels,
+    )
+    .text("backend", |&l| l);
+    for s in fig3_buffer_sizes(quick) {
+        t = t.text(format!("{s}B"), |&l| {
+            let p = points.iter().find(|p| p.label == l && p.recv_buf == s);
+            format!("{:.0}", p.expect("point exists").mbps)
+        });
     }
-    println!("{}", t.render());
-    println!(
+    Sheet::new().table(t).line(
         "The same image, retargeted at build time: capability gates cost less\n\
          than MPK (no PKRU serialization), both dwarf VM RPC — the §1 pitch\n\
-         (\"hardware becomes heterogeneous (MPK, CHERI)\") made concrete.\n"
-    );
+         (\"hardware becomes heterogeneous (MPK, CHERI)\") made concrete.\n",
+    )
 }
 
-fn run_ctxswitch() {
+fn run_ctxswitch() -> Sheet {
     println!("Running the context-switch microbenchmark...");
     let r = ctx_switch(10_000);
-    let mut t = Table::new(
-        "Context-switch latency (paper §4: 76.6 ns C vs 218.6 ns verified)",
-        &["scheduler", "latency", "ratio"],
-    );
-    t.row(vec![
-        "C (coop)".into(),
-        format!("{:.1} ns", r.coop_ns),
-        "1.0x".into(),
-    ]);
-    t.row(vec![
-        "Verified (Dafny port)".into(),
-        format!("{:.1} ns", r.verified_ns),
-        format!("{:.1}x", r.verified_ns / r.coop_ns),
-    ]);
-    println!("{}", t.render());
+    let rows = [
+        ("C (coop)", r.coop_ns),
+        ("Verified (Dafny port)", r.verified_ns),
+    ];
+    Sheet::new().table(
+        Table::text(
+            "Context-switch latency (paper §4: 76.6 ns C vs 218.6 ns verified)",
+            rows,
+        )
+        .text("scheduler", |r| r.0)
+        .text("latency", |r| format!("{:.1} ns", r.1))
+        .text("ratio", |r| format!("{:.1}x", r.1 / rows[0].1)),
+    )
 }
 
-fn run_coloring() {
+fn run_coloring() -> Sheet {
     println!("Running the §2 compatibility/coloring example...");
     let sched = LibSpec::verified_scheduler();
     let raw = LibSpec::unsafe_c("rawlib");
@@ -313,30 +279,30 @@ fn run_coloring() {
         ..Analysis::well_behaved()
     };
     let deployments = enumerate_deployments(&[(sched, Analysis::default()), (raw, analysis)]);
-    let mut t = Table::new(
-        "Enumerated deployments (SH variants x graph coloring)",
-        &["variant choice", "compartments", "hardened libs"],
-    );
-    for d in &deployments {
-        let choice: Vec<String> = d
-            .variants
-            .iter()
-            .map(|v| format!("{}[{}]", v.spec.name, v.sh))
-            .collect();
-        t.row(vec![
-            choice.join(" + "),
-            d.num_compartments().to_string(),
-            d.hardened_count().to_string(),
-        ]);
-    }
-    println!("{}", t.render());
-    println!(
-        "Paper shape: the SH version of the unsafe library shares a compartment\n\
-         with the scheduler; the original requires a separate compartment.\n"
-    );
+    Sheet::new()
+        .table(
+            Table::text(
+                "Enumerated deployments (SH variants x graph coloring)",
+                &deployments,
+            )
+            .text("variant choice", |d| {
+                let choice: Vec<String> = d
+                    .variants
+                    .iter()
+                    .map(|v| format!("{}[{}]", v.spec.name, v.sh))
+                    .collect();
+                choice.join(" + ")
+            })
+            .text("compartments", |d| d.num_compartments())
+            .text("hardened libs", |d| d.hardened_count()),
+        )
+        .line(
+            "Paper shape: the SH version of the unsafe library shares a compartment\n\
+             with the scheduler; the original requires a separate compartment.\n",
+        )
 }
 
-fn run_explore() {
+fn run_explore() -> Sheet {
     println!("Running the §2 design-space-exploration objectives...");
     let base = ImageConfig::new("explore", BackendChoice::None)
         .with_library(LibraryConfig::new(
@@ -371,46 +337,42 @@ fn run_explore() {
     );
     println!("Candidate space: {} configurations", cands.len());
 
-    let mut t = Table::new(
+    let frontier = Table::text(
         "Pareto frontier (predicted cycles/request vs security score)",
-        &["configuration", "cycles/req", "security"],
-    );
-    for c in pareto_frontier(cands.clone()) {
-        t.row(vec![
-            c.label.clone(),
-            c.cycles.to_string(),
-            format!("{:.2}", c.security),
-        ]);
-    }
-    println!("{}", t.render());
-
+        pareto_frontier(cands.clone()),
+    )
+    .text("configuration", |c| c.label.clone())
+    .text("cycles/req", |c| c.cycles)
+    .text("security", |c| Cell::Fixed(c.security, 2));
     let budget = 8_000;
-    match max_security_within_budget(cands.clone(), budget) {
-        Some(best) => println!(
-            "Objective A (max security within {budget} cycles/req): {} -> security {:.2}, {} cycles",
-            best.label, best.security, best.cycles
-        ),
-        None => println!("Objective A: nothing fits in {budget} cycles"),
-    }
-    match fastest_meeting_security(cands, 1.0) {
-        Some(best) => println!(
-            "Objective B (fastest fully-mitigated config): {} -> {} cycles/req",
-            best.label, best.cycles
-        ),
-        None => println!("Objective B: no fully-mitigated configuration"),
-    }
+    let mut sheet = Sheet::new()
+        .table(frontier)
+        .line(match max_security_within_budget(cands.clone(), budget) {
+            Some(best) => format!(
+                "Objective A (max security within {budget} cycles/req): {} -> security {:.2}, {} cycles",
+                best.label, best.security, best.cycles
+            ),
+            None => format!("Objective A: nothing fits in {budget} cycles"),
+        })
+        .line(match fastest_meeting_security(cands, 1.0) {
+            Some(best) => format!(
+                "Objective B (fastest fully-mitigated config): {} -> {} cycles/req",
+                best.label, best.cycles
+            ),
+            None => "Objective B: no fully-mitigated configuration".to_string(),
+        });
     // Show the audit trail for a sample plan.
     let p = plan(base).expect("plans");
     if !p.report.warnings.is_empty() {
-        println!("\nBuild warnings for the unprotected baseline:");
+        sheet = sheet.line("\nBuild warnings for the unprotected baseline:");
         for w in &p.report.warnings {
-            println!("  - {w}");
+            sheet = sheet.line(format!("  - {w}"));
         }
     }
-    println!();
+    sheet.line("")
 }
 
-fn run_stats(quick: bool, json: Option<&str>, trace_out: Option<&str>) {
+fn run_stats(quick: bool, trace_out: Option<&str>) -> Sheet {
     use flexos_apps::redis::{run_redis_traced, run_redis_with_stats, Mix, RedisParams};
     use flexos_machine::CPU_FREQ_HZ;
 
@@ -422,305 +384,55 @@ fn run_stats(quick: bool, json: Option<&str>, trace_out: Option<&str>) {
         ops: if quick { 1_000 } else { 5_000 },
         ..RedisParams::default()
     };
-    let (result, snap, trace) = if trace_out.is_some() {
-        match run_redis_traced(&params) {
-            Ok((r, s, t)) => (r, s, Some(t)),
-            Err(e) => {
-                eprintln!("stats run failed: {e}");
-                std::process::exit(1);
-            }
-        }
-    } else {
-        match run_redis_with_stats(&params) {
-            Ok((r, s)) => (r, s, None),
-            Err(e) => {
-                eprintln!("stats run failed: {e}");
-                std::process::exit(1);
-            }
-        }
-    };
+    let (result, snap, trace) = or_exit(
+        "stats",
+        match trace_out {
+            Some(_) => run_redis_traced(&params).map(|(r, s, t)| (r, s, Some(t))),
+            None => run_redis_with_stats(&params).map(|(r, s)| (r, s, None)),
+        },
+    );
 
     let secs = snap.elapsed_cycles as f64 / CPU_FREQ_HZ as f64;
-    println!(
-        "\nWorkload: {} GET requests, {:.3} MTps, {} gate crossings, \
-         {} cycles ({:.3} ms simulated)",
-        result.ops,
-        result.mreq_per_s,
-        result.crossings,
-        result.cycles,
-        secs * 1e3,
-    );
-    println!(
-        "Same-compartment calls compiled to direct calls: {}",
-        snap.direct_calls
-    );
-
-    let mut pairs = Table::new(
-        "Gate crossings per (src -> dst) compartment pair",
-        &[
-            "mechanism",
-            "src -> dst",
-            "crossings",
-            "crossings/s",
-            "bytes",
-            "gate cycles",
-        ],
-    );
-    for r in &snap.gate_pairs {
-        pairs.row(vec![
-            r.mechanism.to_string(),
-            format!("{} -> {}", r.src_name, r.dst_name),
-            r.crossings.to_string(),
-            format!("{:.0}", r.crossings as f64 / secs.max(f64::MIN_POSITIVE)),
-            r.bytes.to_string(),
-            r.gate_cycles.to_string(),
-        ]);
-    }
-    println!("{}", pairs.render());
-
-    let mut mechs = Table::new(
-        "Crossing latency per gate mechanism (cycles, log2-bucket bounds)",
-        &["mechanism", "count", "p50", "p90", "p99", "mean", "max"],
-    );
-    for r in &snap.mechanisms {
-        mechs.row(vec![
-            r.mechanism.to_string(),
-            r.count.to_string(),
-            r.p50.to_string(),
-            r.p90.to_string(),
-            r.p99.to_string(),
-            r.mean.to_string(),
-            r.max.to_string(),
-        ]);
-    }
-    println!("{}", mechs.render());
-
-    if !snap.gate_batch.is_empty() {
-        let mut gb = Table::new(
-            "Batched crossings per gate mechanism (batch-size histogram)",
-            &["mechanism", "batches", "calls", "p50 size", "max size"],
-        );
-        for r in &snap.gate_batch {
-            gb.row(vec![
-                r.mechanism.to_string(),
-                r.batches.to_string(),
-                r.calls.to_string(),
-                r.p50.to_string(),
-                r.max.to_string(),
-            ]);
-        }
-        println!("{}", gb.render());
-    }
-
-    let mut sched = Table::new(
-        "Scheduler",
-        &["ctx switches", "steps", "avg rq depth", "max rq depth"],
-    );
-    sched.row(vec![
-        snap.sched.switches.to_string(),
-        snap.sched.steps.to_string(),
-        format!("{:.3}", snap.sched.avg_depth_milli() as f64 / 1000.0),
-        snap.sched.depth_max.to_string(),
-    ]);
-    println!("{}", sched.render());
-    if !snap.sched.task_cycles.is_empty() {
-        let mut tasks = Table::new("Per-task run time", &["thread", "cycles"]);
-        for &(tid, cy) in &snap.sched.task_cycles {
-            tasks.row(vec![format!("tid {tid}"), cy.to_string()]);
-        }
-        println!("{}", tasks.render());
-    }
-
-    let mut allocs = Table::new(
-        "Allocator pressure per compartment",
-        &[
-            "compartment",
-            "allocs",
-            "frees",
-            "bytes in use",
-            "peak bytes",
-            "failures",
-        ],
-    );
-    for r in &snap.allocs {
-        allocs.row(vec![
-            r.name.clone(),
-            r.allocs.to_string(),
-            r.frees.to_string(),
-            r.bytes_in_use.to_string(),
-            r.peak_bytes.to_string(),
-            r.failures.to_string(),
-        ]);
-    }
-    println!("{}", allocs.render());
-
-    if snap.fault_kinds.is_empty() {
-        println!("\nFaults: none recorded.");
-    } else {
-        let mut faults = Table::new("Faults by class", &["kind", "count"]);
-        for r in &snap.fault_kinds {
-            faults.row(vec![r.kind.to_string(), r.count.to_string()]);
-        }
-        println!("{}", faults.render());
-        if !snap.fault_compartments.is_empty() {
-            let mut fc = Table::new(
-                "Pkey violations by owning compartment",
-                &["compartment", "count"],
-            );
-            for r in &snap.fault_compartments {
-                fc.row(vec![r.name.clone(), r.count.to_string()]);
-            }
-            println!("{}", fc.render());
-        }
-    }
-
-    let mut tlb = Table::new("Software TLB", &["hits", "misses", "flushes", "hit rate"]);
-    tlb.row(vec![
-        snap.tlb.hits.to_string(),
-        snap.tlb.misses.to_string(),
-        snap.tlb.flushes.to_string(),
-        format!("{:.1}%", snap.tlb.hit_rate_milli() as f64 / 10.0),
-    ]);
-    println!("{}", tlb.render());
-
-    let mut net = Table::new(
-        "Network stack",
-        &[
-            "rx segments",
-            "tx segments",
-            "rx datagrams",
-            "demux drops",
-            "backlog drops",
-            "retransmits",
-        ],
-    );
-    net.row(vec![
-        snap.net.rx_segments.to_string(),
-        snap.net.tx_segments.to_string(),
-        snap.net.rx_datagrams.to_string(),
-        snap.net.drops.to_string(),
-        snap.net.backlog_overflows.to_string(),
-        snap.net.retransmits.to_string(),
-    ]);
-    println!("{}", net.render());
-
-    print_serving_counters(&snap);
-
-    if !snap.latency.is_empty() {
-        let mut lat = Table::new(
-            "Request latency percentiles (cycles, exact nearest-rank)",
-            &["app", "backend", "requests", "p50", "p99", "p999"],
-        );
-        for r in &snap.latency {
-            lat.row(vec![
-                r.app.to_string(),
-                r.backend.to_string(),
-                r.count.to_string(),
-                r.p50.to_string(),
-                r.p99.to_string(),
-                r.p999.to_string(),
-            ]);
-        }
-        println!("{}", lat.render());
-    }
-
-    if !snap.ring_drops.is_empty() {
-        let mut rd = Table::new(
-            "Bounded-ring occupancy (events pushed vs overwritten)",
-            &["subsystem", "owner", "pushed", "dropped"],
-        );
-        for r in &snap.ring_drops {
-            rd.row(vec![
-                r.subsystem.to_string(),
-                r.owner.to_string(),
-                r.pushed.to_string(),
-                r.dropped.to_string(),
-            ]);
-        }
-        println!("{}", rd.render());
-    }
-
-    if !snap.events.is_empty() {
-        let mut ev = Table::new(
-            "Event-ring tail (most recent, all compartments)",
-            &["cycles", "compartment", "kind", "detail", "seq"],
-        );
-        for e in &snap.events {
-            ev.row(vec![
-                e.cycles.to_string(),
-                format!("cpt {}", e.compartment),
-                e.kind.to_string(),
-                e.detail.to_string(),
-                e.seq.to_string(),
-            ]);
-        }
-        println!("{}", ev.render());
-        println!(
-            "({} older events overwritten in bounded rings)",
-            snap.events_overwritten
-        );
-    }
-
-    if let (Some(path), Some(trace)) = (trace_out, &trace) {
-        write_or_exit(path, trace);
-        println!("\nWrote Chrome trace-event JSON to {path} (open in ui.perfetto.dev)");
-    }
-
-    if let Some(path) = json {
-        let mut w = JsonWriter::new();
-        w.begin_obj(None)
-            .begin_obj(Some("workload"))
-            .str_field("experiment", "redis-get-mpk-shared")
-            .u64_field("ops", result.ops)
-            .u64_field("cycles", result.cycles)
-            .f64_field("mreq_per_s", result.mreq_per_s)
-            .u64_field("crossings", result.crossings)
-            .end_obj();
-        snap.write_json(&mut w, Some("stats"));
-        w.end_obj();
-        write_or_exit(path, &w.finish());
-        println!("\nWrote JSON stats to {path}");
-    }
+    let sheet = Sheet::new()
+        .line(format!(
+            "\nWorkload: {} GET requests, {:.3} MTps, {} gate crossings, \
+             {} cycles ({:.3} ms simulated)",
+            result.ops,
+            result.mreq_per_s,
+            result.crossings,
+            result.cycles,
+            secs * 1e3,
+        ))
+        .table(
+            Table::row("workload", &result)
+                .json("experiment", |_| "redis-get-mpk-shared")
+                .json("ops", |r| r.ops)
+                .json("cycles", |r| r.cycles)
+                .json("mreq_per_s", |r| r.mreq_per_s)
+                .json("crossings", |r| r.crossings),
+        )
+        .sheet("stats", snap.sheet());
+    with_trace(sheet, trace_out, trace)
 }
 
-/// Prints the readiness-layer + cooperative-executor counters (the
-/// `--stats` serving block), when the run exercised them.
-fn print_serving_counters(snap: &flexos_trace::StatsSnapshot) {
-    let sv = &snap.serving;
-    if *sv == flexos_trace::ServingSnapshot::default() {
-        return;
-    }
-    let mut t = Table::new(
-        "Serving tier: readiness layer + cooperative executor",
-        &[
-            "events posted",
-            "coalesced",
-            "polls",
-            "delivered",
-            "tasks spawned",
-            "task steps",
-            "wakeups",
-        ],
-    );
-    t.row(vec![
-        sv.events_posted.to_string(),
-        sv.events_coalesced.to_string(),
-        sv.polls.to_string(),
-        sv.events_delivered.to_string(),
-        sv.tasks_spawned.to_string(),
-        sv.tasks_run.to_string(),
-        sv.wakeups.to_string(),
-    ]);
-    println!("{}", t.render());
+/// Writes the span trace where `--trace-out` asked, and says so after
+/// the report.
+fn with_trace(sheet: Sheet, path: Option<&str>, trace: Option<String>) -> Sheet {
+    let (Some(path), Some(trace)) = (path, trace) else {
+        return sheet;
+    };
+    write_or_exit(path, &trace);
+    sheet.line(format!(
+        "\nWrote Chrome trace-event JSON to {path} (open in ui.perfetto.dev)"
+    ))
 }
 
 fn run_serve_exp(
     quick: bool,
     conns: Option<usize>,
-    json: Option<&str>,
     trace_out: Option<&str>,
     migrate_at: Option<(u64, flexos::build::BackendChoice)>,
-) {
+) -> Sheet {
     use flexos_apps::serve::{run_serve_traced, run_serve_with_stats, ServeParams};
     use flexos_machine::CPU_FREQ_HZ;
 
@@ -741,97 +453,55 @@ fn run_serve_exp(
              {after} completed bursts (quiescence protocol, mid-traffic)."
         );
     }
-    let (result, snap, trace) = if trace_out.is_some() {
-        match run_serve_traced(&params) {
-            Ok((r, s, t)) => (r, s, Some(t)),
-            Err(e) => {
-                eprintln!("serve run failed: {e}");
-                std::process::exit(1);
-            }
-        }
-    } else {
-        match run_serve_with_stats(&params) {
-            Ok((r, s)) => (r, s, None),
-            Err(e) => {
-                eprintln!("serve run failed: {e}");
-                std::process::exit(1);
-            }
-        }
-    };
+    let (result, snap, trace) = or_exit(
+        "serve",
+        match trace_out {
+            Some(_) => run_serve_traced(&params).map(|(r, s, t)| (r, s, Some(t))),
+            None => run_serve_with_stats(&params).map(|(r, s)| (r, s, None)),
+        },
+    );
 
     let secs = result.cycles as f64 / CPU_FREQ_HZ as f64;
-    let mut t = Table::new(
-        "Serving tier: sharded Redis behind the async cluster proxy",
-        &[
-            "conns",
-            "requests",
-            "MTps",
-            "cycles/req",
-            "crossings",
-            "p50",
-            "p99",
-            "p999",
-            "backlog drops",
-        ],
-    );
-    t.row(vec![
-        result.conns.to_string(),
-        result.ops.to_string(),
-        format!("{:.3}", result.mreq_per_s),
-        result.cycles_per_op.to_string(),
-        result.crossings.to_string(),
-        result.p50_cycles.to_string(),
-        result.p99_cycles.to_string(),
-        result.p999_cycles.to_string(),
-        result.backlog_overflows.to_string(),
-    ]);
-    println!("{}", t.render());
-    println!(
-        "({} cycles measured, {:.3} ms simulated; burst percentiles are \
-         arrival-to-last-reply, open-loop)",
-        result.cycles,
-        secs * 1e3
-    );
-
-    let mut st = Table::new("Requests per shard compartment", &["shard", "requests"]);
-    for (k, n) in result.shard_ops.iter().enumerate() {
-        st.row(vec![format!("shard{k}"), n.to_string()]);
-    }
-    println!("{}", st.render());
-
-    print_serving_counters(&snap);
-
-    if let (Some(path), Some(trace)) = (trace_out, &trace) {
-        write_or_exit(path, trace);
-        println!("\nWrote Chrome trace-event JSON to {path} (open in ui.perfetto.dev)");
-    }
-
-    if let Some(path) = json {
-        let mut w = JsonWriter::new();
-        w.begin_obj(None)
-            .begin_obj(Some("workload"))
-            .str_field("experiment", "serve-sharded-proxy")
-            .u64_field("conns", result.conns as u64)
-            .u64_field("ops", result.ops)
-            .u64_field("cycles", result.cycles)
-            .u64_field("cycles_per_op", result.cycles_per_op)
-            .f64_field("mreq_per_s", result.mreq_per_s)
-            .u64_field("crossings", result.crossings)
-            .u64_field("p50_cycles", result.p50_cycles)
-            .u64_field("p99_cycles", result.p99_cycles)
-            .u64_field("p999_cycles", result.p999_cycles)
-            .u64_field("backlog_overflows", result.backlog_overflows)
-            .end_obj();
-        snap.write_json(&mut w, Some("stats"));
-        w.end_obj();
-        write_or_exit(path, &w.finish());
-        println!("\nWrote JSON serve report to {path}");
-    }
+    let sheet = Sheet::new()
+        .table(
+            Table::row("workload", &result)
+                .title("Serving tier: sharded Redis behind the async cluster proxy")
+                .json("experiment", |_| "serve-sharded-proxy")
+                .col("conns", |r| r.conns)
+                .both("ops", "requests", |r| r.ops)
+                .json("cycles", |r| r.cycles)
+                .text("MTps", |r| Cell::Fixed(r.mreq_per_s, 3))
+                .both("cycles_per_op", "cycles/req", |r| r.cycles_per_op)
+                .json("mreq_per_s", |r| r.mreq_per_s)
+                .col("crossings", |r| r.crossings)
+                .both("p50_cycles", "p50", |r| r.p50_cycles)
+                .both("p99_cycles", "p99", |r| r.p99_cycles)
+                .both("p999_cycles", "p999", |r| r.p999_cycles)
+                .both("backlog_overflows", "backlog drops", |r| {
+                    r.backlog_overflows
+                }),
+        )
+        .line(format!(
+            "({} cycles measured, {:.3} ms simulated; burst percentiles are \
+             arrival-to-last-reply, open-loop)",
+            result.cycles,
+            secs * 1e3
+        ))
+        .table(
+            Table::text(
+                "Requests per shard compartment",
+                result.shard_ops.iter().enumerate(),
+            )
+            .text("shard", |(k, _)| format!("shard{k}"))
+            .text("requests", |&(_, &n)| n),
+        )
+        .sheet("stats", snap.sheet().text_of("serving"));
+    with_trace(sheet, trace_out, trace)
 }
 
-fn run_chaos(quick: bool, seed: u64, json: Option<&str>) {
+fn run_chaos(quick: bool, seed: u64) -> Sheet {
     use flexos_bench::chaos::{
-        alloc_under_injected_oom, chaos_json, tcp_goodput_vs_loss, vmrpc_under_notify_loss,
+        alloc_under_injected_oom, chaos_sheet, tcp_goodput_vs_loss, vmrpc_under_notify_loss,
         writes_under_spurious_pkey,
     };
 
@@ -841,92 +511,7 @@ fn run_chaos(quick: bool, seed: u64, json: Option<&str>) {
     let alloc = alloc_under_injected_oom(quick, seed);
     let pkey = writes_under_spurious_pkey(quick, seed);
 
-    let mut t = Table::new(
-        "TCP goodput vs injected frame loss (iperf, baseline image)",
-        &[
-            "loss \u{2030}",
-            "bytes delivered",
-            "goodput Mb/s",
-            "frames dropped",
-        ],
-    );
-    for p in &tcp {
-        t.row(vec![
-            p.loss_per_mille.to_string(),
-            p.bytes.to_string(),
-            format!("{:.1}", p.mbps),
-            p.frames_dropped.to_string(),
-        ]);
-    }
-    println!("{}", t.render());
-    println!("Every byte stream completes; goodput degrades, never deadlocks.\n");
-
-    let mut t = Table::new(
-        "VM RPC vs injected doorbell loss (retry + exponential backoff)",
-        &[
-            "drop \u{2030}",
-            "crossings",
-            "ok",
-            "timeouts",
-            "doorbells lost",
-            "mean cycles/ok",
-        ],
-    );
-    for p in &vmrpc {
-        t.row(vec![
-            p.drop_per_mille.to_string(),
-            p.attempts.to_string(),
-            p.ok.to_string(),
-            p.timeouts.to_string(),
-            p.doorbells_dropped.to_string(),
-            p.mean_cycles_ok.to_string(),
-        ]);
-    }
-    println!("{}", t.render());
-    println!(
-        "Lost doorbells are re-rung with bounded backoff; only exhausted retry\n\
-         budgets surface as typed GateTimeout faults.\n"
-    );
-
-    let mut t = Table::new(
-        "Allocation under injected OOM",
-        &[
-            "fail \u{2030}",
-            "attempts",
-            "injected OOM",
-            "success \u{2030}",
-        ],
-    );
-    for p in &alloc {
-        t.row(vec![
-            p.fail_per_mille.to_string(),
-            p.attempts.to_string(),
-            p.injected_oom.to_string(),
-            p.success_per_mille.to_string(),
-        ]);
-    }
-    println!("{}", t.render());
-
-    let mut t = Table::new(
-        "Writes under spurious pkey faults (retried until they land)",
-        &["fault \u{2030}", "writes", "spurious faults", "completed"],
-    );
-    for p in &pkey {
-        t.row(vec![
-            p.fault_per_mille.to_string(),
-            p.writes.to_string(),
-            p.spurious_faults.to_string(),
-            p.completed.to_string(),
-        ]);
-    }
-    println!("{}", t.render());
-    println!("Deterministic: the same --seed reproduces this report byte-for-byte.");
-
-    if let Some(path) = json {
-        let doc = chaos_json(seed, quick, &tcp, &vmrpc, &alloc, &pkey);
-        write_or_exit(path, &doc);
-        println!("\nWrote JSON chaos report to {path}");
-    }
+    chaos_sheet(seed, quick, &tcp, &vmrpc, &alloc, &pkey)
 }
 
 /// `--migrate`: the live gate-backend migration sweep. Boots a
@@ -937,7 +522,7 @@ fn run_chaos(quick: bool, seed: u64, json: Option<&str>) {
 /// (requeued SQEs). A second table demonstrates the kernel's
 /// [`MigrationPolicy`] ladder: escalate one rung per hostile window,
 /// relax after sustained benign load.
-fn run_migrate(quick: bool, json: Option<&str>) {
+fn run_migrate(quick: bool) -> Sheet {
     use flexos::gate::{GateMechanism, MigrationReason, Sqe};
     use flexos::spec::LibSpec;
     use flexos_backends::{instantiate_migratable, migrate_all, BootImage};
@@ -996,18 +581,17 @@ fn run_migrate(quick: bool, json: Option<&str>) {
 
     println!("Running the live gate-backend migration sweep (5x5 ordered pairs)...");
     let calls = if quick { 4 } else { 16 };
-    let mut t = Table::new(
-        "Live migration: runtime backend swap, per ordered (from, to) pair",
-        &[
-            "from \\ to",
-            "pairs",
-            "steady before",
-            "first after",
-            "steady after",
-            "SQEs requeued",
-        ],
-    );
-    let mut rows: Vec<(String, String, u64, u64, u64, u64, u64)> = Vec::new();
+    /// One ordered (from, to) swap of the sweep.
+    struct Pair {
+        from: &'static str,
+        to: &'static str,
+        applied: usize,
+        before: u64,
+        first: u64,
+        after: u64,
+        requeued: u64,
+    }
+    let mut pairs = Vec::new();
     for from in ALL {
         for to in ALL {
             let mut img = migratable(from);
@@ -1021,13 +605,7 @@ fn run_migrate(quick: bool, json: Option<&str>) {
             let (applied, deferred) = migrate_all(&mut img, to, MigrationReason::Manual)
                 .expect("quiescent sweep image migrates");
             assert_eq!(deferred, 0, "sweep image is quiescent between calls");
-            let t0 = img.machine.clock().cycles();
-            img.call_lib("uksched_verified", 64, 16, |m, _| {
-                m.charge(100);
-                Ok(0)
-            })
-            .expect("first post-swap crossing succeeds");
-            let first = img.machine.clock().cycles() - t0;
+            let first = steady(&mut img, 1);
             let after = steady(&mut img, calls);
             // The requeued descriptors complete through the new backend.
             let flushed = img
@@ -1037,32 +615,17 @@ fn run_migrate(quick: bool, json: Option<&str>) {
                 })
                 .expect("requeued SQEs flush");
             assert_eq!(flushed, 3, "{from:?}->{to:?} lost a requeued SQE");
-            let st = img.gates.migration_stats();
-            t.row(vec![
-                format!("{} -> {}", tag(from), tag(to)),
-                applied.to_string(),
-                format!("{before}"),
-                format!("{first}"),
-                format!("{after}"),
-                st.requeued_sqes.to_string(),
-            ]);
-            rows.push((
-                tag(from).to_string(),
-                tag(to).to_string(),
-                applied as u64,
+            pairs.push(Pair {
+                from: tag(from),
+                to: tag(to),
+                applied,
                 before,
                 first,
                 after,
-                st.requeued_sqes,
-            ));
+                requeued: img.gates.migration_stats().requeued_sqes,
+            });
         }
     }
-    println!("{}", t.render());
-    println!(
-        "Shape: swaps toward VM RPC multiply the steady crossing cost, swaps\n\
-         toward direct collapse it; the first post-swap crossing equals the\n\
-         steady cost (re-establishment is charged at swap time, not lazily).\n"
-    );
 
     // Policy ladder demo: hostile windows escalate one rung at a time,
     // sustained benign load relaxes after a streak.
@@ -1084,14 +647,9 @@ fn run_migrate(quick: bool, json: Option<&str>) {
     let windows = [calm, ("chaos event", chaos), ("hardening abort", abort)]
         .into_iter()
         .chain([calm; 5]);
-    let mut pt = Table::new(
-        "MigrationPolicy ladder (escalate on hostile window, relax after a benign streak)",
-        &["window", "signals", "decision", "mechanism after"],
-    );
-    let mut pol_rows: Vec<(String, String)> = Vec::new();
+    let mut ladder = Vec::new();
     for (what, s) in windows {
-        let decision = pol.observe(s);
-        let d = match decision {
+        let decision = match pol.observe(s) {
             PolicyDecision::Hold => "hold".to_string(),
             PolicyDecision::Escalate { to } => {
                 pol.applied(to);
@@ -1102,45 +660,44 @@ fn run_migrate(quick: bool, json: Option<&str>) {
                 format!("relax -> {}", tag(backend_of(to)))
             }
         };
-        pt.row(vec![
-            what.to_string(),
-            format!(
-                "aborts={} chaos={} ops={}",
-                s.hardening_aborts, s.chaos_events, s.window_ops
-            ),
-            d.clone(),
-            tag(backend_of(pol.current())).to_string(),
-        ]);
-        pol_rows.push((what.to_string(), d));
+        ladder.push((what, s, decision, tag(backend_of(pol.current()))));
     }
-    println!("{}", pt.render());
 
-    if let Some(path) = json {
-        let mut w = JsonWriter::new();
-        w.begin_obj(None)
-            .str_field("experiment", "live-migration-sweep")
-            .u64_field("steady_calls", calls)
-            .obj_arr(
-                "pairs",
-                &rows,
-                |w, (from, to, applied, before, first, after, requeued)| {
-                    w.str_field("from", from)
-                        .str_field("to", to)
-                        .u64_field("applied", *applied)
-                        .u64_field("steady_before", *before)
-                        .u64_field("first_after", *first)
-                        .u64_field("steady_after", *after)
-                        .u64_field("requeued_sqes", *requeued);
-                },
-            )
-            .obj_arr("policy", &pol_rows, |w, (window, decision)| {
-                w.str_field("window", window)
-                    .str_field("decision", decision);
-            })
-            .end_obj();
-        write_or_exit(path, &w.finish());
-        println!("Wrote JSON migration report to {path}");
-    }
+    Sheet::new()
+        .field("experiment", "live-migration-sweep")
+        .field("steady_calls", calls)
+        .table(
+            Table::rows("pairs", &pairs)
+                .title("Live migration: runtime backend swap, per ordered (from, to) pair")
+                .json("from", |p| p.from)
+                .json("to", |p| p.to)
+                .text("from \\ to", |p| format!("{} -> {}", p.from, p.to))
+                .both("applied", "pairs", |p| p.applied)
+                .both("steady_before", "steady before", |p| p.before)
+                .both("first_after", "first after", |p| p.first)
+                .both("steady_after", "steady after", |p| p.after)
+                .both("requeued_sqes", "SQEs requeued", |p| p.requeued),
+        )
+        .line(
+            "Shape: swaps toward VM RPC multiply the steady crossing cost, swaps\n\
+             toward direct collapse it; the first post-swap crossing equals the\n\
+             steady cost (re-establishment is charged at swap time, not lazily).\n",
+        )
+        .table(
+            Table::rows("policy", &ladder)
+                .title(
+                    "MigrationPolicy ladder (escalate on hostile window, relax after a benign streak)",
+                )
+                .col("window", |l| l.0)
+                .text("signals", |(_, s, ..)| {
+                    format!(
+                        "aborts={} chaos={} ops={}",
+                        s.hardening_aborts, s.chaos_events, s.window_ops
+                    )
+                })
+                .col("decision", |l| l.2.clone())
+                .text("mechanism after", |l| l.3),
+        )
 }
 
 /// What one invocation asked for: the reports to run and their knobs.
@@ -1163,17 +720,19 @@ struct Mode {
     name: &'static str,
     /// Part of `all` (and of a bare `reproduce`).
     in_all: bool,
-    /// The file a bare `--json` writes. A report that has one is also
-    /// selectable as `--name`, on top of whatever else was selected.
-    json: Option<&'static str>,
-    run: fn(&Opts, Option<&str>),
+    /// The file a bare `--json` writes, and how the report announces
+    /// it. A report that has one is also selectable as `--name`, on top
+    /// of whatever else was selected.
+    json: Option<(&'static str, &'static str)>,
+    /// Runs the report; its text is printed, its JSON written on request.
+    run: fn(&Opts) -> Sheet,
 }
 
 const fn mode(
     name: &'static str,
     in_all: bool,
-    json: Option<&'static str>,
-    run: fn(&Opts, Option<&str>),
+    json: Option<(&'static str, &'static str)>,
+    run: fn(&Opts) -> Sheet,
 ) -> Mode {
     Mode {
         name,
@@ -1185,26 +744,38 @@ const fn mode(
 
 /// Every report, in the order they run.
 const MODES: &[Mode] = &[
-    mode("coloring", true, None, |_, _| run_coloring()),
-    mode("explore", true, None, |_, _| run_explore()),
-    mode("ctxswitch", true, None, |_, _| run_ctxswitch()),
-    mode("fig3", true, None, |o, _| run_fig3(o.quick)),
-    mode("table1", true, None, |o, _| run_table1(o.quick)),
-    mode("fig4", true, None, |o, _| run_fig4(o.quick)),
-    mode("fig5", true, None, |o, _| run_fig5(o.quick)),
-    mode("cheri", true, None, |o, _| run_cheri(o.quick)),
-    mode("stats", true, Some("flexos-stats.json"), |o, json| {
-        run_stats(o.quick, json, o.trace_out.as_deref())
-    }),
-    mode("chaos", false, Some("flexos-chaos.json"), |o, json| {
-        run_chaos(o.quick, o.seed, json)
-    }),
-    mode("serve", false, Some("flexos-serve.json"), |o, json| {
-        run_serve_exp(o.quick, o.conns, json, o.trace_out.as_deref(), o.migrate_at)
-    }),
-    mode("migrate", false, Some("flexos-migrate.json"), |o, json| {
-        run_migrate(o.quick, json)
-    }),
+    mode("coloring", true, None, |_| run_coloring()),
+    mode("explore", true, None, |_| run_explore()),
+    mode("ctxswitch", true, None, |_| run_ctxswitch()),
+    mode("fig3", true, None, |o| run_fig3(o.quick)),
+    mode("table1", true, None, |o| run_table1(o.quick)),
+    mode("fig4", true, None, |o| run_fig4(o.quick)),
+    mode("fig5", true, None, |o| run_fig5(o.quick)),
+    mode("cheri", true, None, |o| run_cheri(o.quick)),
+    mode(
+        "stats",
+        true,
+        Some(("flexos-stats.json", "\nWrote JSON stats")),
+        |o| run_stats(o.quick, o.trace_out.as_deref()),
+    ),
+    mode(
+        "chaos",
+        false,
+        Some(("flexos-chaos.json", "\nWrote JSON chaos report")),
+        |o| run_chaos(o.quick, o.seed),
+    ),
+    mode(
+        "serve",
+        false,
+        Some(("flexos-serve.json", "\nWrote JSON serve report")),
+        |o| run_serve_exp(o.quick, o.conns, o.trace_out.as_deref(), o.migrate_at),
+    ),
+    mode(
+        "migrate",
+        false,
+        Some(("flexos-migrate.json", "Wrote JSON migration report")),
+        |o| run_migrate(o.quick),
+    ),
 ];
 
 fn usage() -> String {
@@ -1272,15 +843,22 @@ fn parse(args: &[String]) -> Result<Opts, String> {
             what = Some(arg);
             continue;
         };
-        match flag.split_once('=').unwrap_or((flag, "")) {
-            ("quick", "") => o.quick = true,
-            ("json", "") => o.json_default = true,
-            ("json", path) => o.json_path = Some(path.to_string()),
-            ("trace-out", path) if !path.is_empty() => o.trace_out = Some(path.to_string()),
-            ("seed", v) => o.seed = number("--seed", v)?,
-            ("conns", v) => o.conns = Some(number("--conns", v)?),
-            ("migrate-at", v) => o.migrate_at = Some(parse_migrate_at(v)?),
-            (name, "") => match MODES
+        // `--flag` is `(flag, None)`, `--flag=` is `(flag, Some(""))`.
+        match flag
+            .split_once('=')
+            .map_or((flag, None), |(k, v)| (k, Some(v)))
+        {
+            ("quick", None) => o.quick = true,
+            ("json", None) => o.json_default = true,
+            ("json", Some(path)) if !path.is_empty() => o.json_path = Some(path.to_string()),
+            ("trace-out", Some(path)) if !path.is_empty() => o.trace_out = Some(path.to_string()),
+            ("seed", Some(v)) => o.seed = number("--seed", v)?,
+            ("conns", Some(v)) => match number("--conns", v)? {
+                0 => return Err("--conns must be at least 1".to_string()),
+                n => o.conns = Some(n),
+            },
+            ("migrate-at", Some(v)) => o.migrate_at = Some(parse_migrate_at(v)?),
+            (name, None) => match MODES
                 .iter()
                 .position(|m| m.name == name && m.json.is_some())
             {
@@ -1316,10 +894,15 @@ fn main() {
         if opts.quick { ", quick mode" } else { "" }
     );
     for (mode, _) in MODES.iter().zip(opts.run).filter(|(_, on)| *on) {
-        let json = opts
-            .json_path
-            .as_deref()
-            .or(mode.json.filter(|_| opts.json_default));
-        (mode.run)(&opts, json);
+        let sheet = (mode.run)(&opts);
+        print!("{sheet}");
+        let Some((default, what)) = mode.json else {
+            continue;
+        };
+        let json = opts.json_path.as_deref();
+        if let Some(path) = json.or(opts.json_default.then_some(default)) {
+            write_or_exit(path, &sheet.to_json());
+            println!("{what} to {path}");
+        }
     }
 }

@@ -28,8 +28,7 @@ use flexos_machine::{
     ChaosConfig, ChaosPlan, Machine, PageFlags, Pkru, ProtKey, Schedule, VcpuId, VmId,
 };
 use flexos_net::nic::LinkChaos;
-use flexos_trace::JsonWriter;
-use std::fmt::Write as _;
+use flexos_trace::{Cell, Sheet, Table};
 
 /// One point of the TCP goodput-vs-loss sweep.
 #[derive(Debug, Clone, Copy)]
@@ -281,49 +280,65 @@ pub fn writes_under_spurious_pkey(quick: bool, seed: u64) -> Vec<PkeyChaosPoint>
         .collect()
 }
 
-/// Renders the whole chaos report as a deterministic JSON document.
-pub fn chaos_json(
+/// The whole chaos report: each sweep's table, with its JSON key and
+/// text header declared together, inside the JSON object `chaos`.
+pub fn chaos_sheet(
     seed: u64,
     quick: bool,
     tcp: &[TcpChaosPoint],
     vmrpc: &[VmRpcChaosPoint],
     alloc: &[AllocChaosPoint],
     pkey: &[PkeyChaosPoint],
-) -> String {
-    let mut w = JsonWriter::new();
-    w.begin_obj(None)
-        .begin_obj(Some("chaos"))
-        .u64_field("seed", seed);
-    let _ = write!(w.raw(Some("quick")), "{quick}");
-    w.obj_arr("tcp", tcp, |w, p| {
-        w.u64_field("loss_per_mille", p.loss_per_mille.into())
-            .u64_field("bytes", p.bytes);
-        let _ = write!(w.raw(Some("mbps")), "{:.3}", p.mbps);
-        w.u64_field("frames_dropped", p.frames_dropped);
-    })
-    .obj_arr("vmrpc", vmrpc, |w, p| {
-        w.u64_field("drop_per_mille", p.drop_per_mille.into())
-            .u64_field("attempts", p.attempts)
-            .u64_field("ok", p.ok)
-            .u64_field("timeouts", p.timeouts)
-            .u64_field("doorbells_dropped", p.doorbells_dropped)
-            .u64_field("mean_cycles_ok", p.mean_cycles_ok);
-    })
-    .obj_arr("alloc", alloc, |w, p| {
-        w.u64_field("fail_per_mille", p.fail_per_mille.into())
-            .u64_field("attempts", p.attempts)
-            .u64_field("injected_oom", p.injected_oom)
-            .u64_field("success_per_mille", p.success_per_mille);
-    })
-    .obj_arr("pkey", pkey, |w, p| {
-        w.u64_field("fault_per_mille", p.fault_per_mille.into())
-            .u64_field("writes", p.writes)
-            .u64_field("spurious_faults", p.spurious_faults)
-            .u64_field("completed", p.completed);
-    })
-    .end_obj()
-    .end_obj();
-    w.finish()
+) -> Sheet {
+    let sweeps = Sheet::new()
+        .field("seed", seed)
+        .field("quick", quick)
+        .table(
+            Table::rows("tcp", tcp)
+                .title("TCP goodput vs injected frame loss (iperf, baseline image)")
+                .both("loss_per_mille", "loss \u{2030}", |p| p.loss_per_mille)
+                .both("bytes", "bytes delivered", |p| p.bytes)
+                .json("mbps", |p| Cell::Fixed(p.mbps, 3))
+                .text("goodput Mb/s", |p| Cell::Fixed(p.mbps, 1))
+                .both("frames_dropped", "frames dropped", |p| p.frames_dropped),
+        )
+        .line("Every byte stream completes; goodput degrades, never deadlocks.\n")
+        .table(
+            Table::rows("vmrpc", vmrpc)
+                .title("VM RPC vs injected doorbell loss (retry + exponential backoff)")
+                .both("drop_per_mille", "drop \u{2030}", |p| p.drop_per_mille)
+                .both("attempts", "crossings", |p| p.attempts)
+                .col("ok", |p| p.ok)
+                .col("timeouts", |p| p.timeouts)
+                .both("doorbells_dropped", "doorbells lost", |p| {
+                    p.doorbells_dropped
+                })
+                .both("mean_cycles_ok", "mean cycles/ok", |p| p.mean_cycles_ok),
+        )
+        .line(
+            "Lost doorbells are re-rung with bounded backoff; only exhausted retry\n\
+             budgets surface as typed GateTimeout faults.\n",
+        )
+        .table(
+            Table::rows("alloc", alloc)
+                .title("Allocation under injected OOM")
+                .both("fail_per_mille", "fail \u{2030}", |p| p.fail_per_mille)
+                .col("attempts", |p| p.attempts)
+                .both("injected_oom", "injected OOM", |p| p.injected_oom)
+                .both("success_per_mille", "success \u{2030}", |p| {
+                    p.success_per_mille
+                }),
+        )
+        .table(
+            Table::rows("pkey", pkey)
+                .title("Writes under spurious pkey faults (retried until they land)")
+                .both("fault_per_mille", "fault \u{2030}", |p| p.fault_per_mille)
+                .col("writes", |p| p.writes)
+                .both("spurious_faults", "spurious faults", |p| p.spurious_faults)
+                .col("completed", |p| p.completed),
+        )
+        .line("Deterministic: the same --seed reproduces this report byte-for-byte.");
+    Sheet::new().sheet("chaos", sweeps)
 }
 
 #[cfg(test)]
@@ -375,8 +390,96 @@ mod tests {
             let vmrpc = vmrpc_under_notify_loss(true, 7);
             let alloc = alloc_under_injected_oom(true, 7);
             let pkey = writes_under_spurious_pkey(true, 7);
-            chaos_json(7, true, &tcp, &vmrpc, &alloc, &pkey)
+            chaos_sheet(7, true, &tcp, &vmrpc, &alloc, &pkey).to_json()
         };
         assert_eq!(mk(), mk());
+    }
+
+    /// Two TCP points and one of each other sweep, with goodputs that
+    /// round differently at one and three decimals.
+    fn fixed_points() -> Sheet {
+        let tcp = |loss_per_mille, mbps, frames_dropped| TcpChaosPoint {
+            loss_per_mille,
+            bytes: 131_072,
+            mbps,
+            frames_dropped,
+        };
+        chaos_sheet(
+            7,
+            true,
+            &[tcp(0, 1234.5678, 0), tcp(100, 98.76549, 17)],
+            &[VmRpcChaosPoint {
+                drop_per_mille: 250,
+                attempts: 200,
+                ok: 199,
+                timeouts: 1,
+                doorbells_dropped: 61,
+                mean_cycles_ok: 1234,
+            }],
+            &[AllocChaosPoint {
+                fail_per_mille: 100,
+                attempts: 200,
+                injected_oom: 21,
+                success_per_mille: 895,
+            }],
+            &[PkeyChaosPoint {
+                fault_per_mille: 50,
+                writes: 500,
+                spurious_faults: 26,
+                completed: 500,
+            }],
+        )
+    }
+
+    /// The bytes the code that `chaos_sheet` replaced printed and wrote for
+    /// `fixed_points()`: its four text tables and its JSON writer.
+    #[test]
+    fn chaos_sheet_is_the_recorded_text_and_json() {
+        assert_eq!(
+            fixed_points().to_string(),
+            concat!(
+                "\n",
+                "== TCP goodput vs injected frame loss (iperf, baseline image) ==\n",
+                "loss \u{2030}    bytes delivered  goodput Mb/s  frames dropped\n",
+                "-------------------------------------------------------\n",
+                "0         131072           1234.6        0             \n",
+                "100       131072           98.8          17            \n",
+                "\n",
+                "Every byte stream completes; goodput degrades, never deadlocks.\n",
+                "\n",
+                "\n",
+                "== VM RPC vs injected doorbell loss (retry + exponential backoff) ==\n",
+                "drop \u{2030}    crossings  ok   timeouts  doorbells lost  mean cycles/ok\n",
+                "------------------------------------------------------------------\n",
+                "250       200        199  1         61              1234          \n",
+                "\n",
+                "Lost doorbells are re-rung with bounded backoff; only exhausted retry\n",
+                "budgets surface as typed GateTimeout faults.\n",
+                "\n",
+                "\n",
+                "== Allocation under injected OOM ==\n",
+                "fail \u{2030}    attempts  injected OOM  success \u{2030}  \n",
+                "---------------------------------------------\n",
+                "100       200       21            895        \n",
+                "\n",
+                "\n",
+                "== Writes under spurious pkey faults (retried until they land) ==\n",
+                "fault \u{2030}    writes  spurious faults  completed\n",
+                "---------------------------------------------\n",
+                "50         500     26               500      \n",
+                "\n",
+                "Deterministic: the same --seed reproduces this report byte-for-byte.\n",
+            )
+        );
+        assert_eq!(
+            fixed_points().to_json(),
+            concat!(
+                r#"{"chaos":{"seed":7,"quick":true,"#,
+                r#""tcp":[{"loss_per_mille":0,"bytes":131072,"mbps":1234.568,"frames_dropped":0},{"loss_per_mille":100,"bytes":131072,"mbps":98.765,"frames_dropped":17}],"#,
+                r#""vmrpc":[{"drop_per_mille":250,"attempts":200,"ok":199,"timeouts":1,"doorbells_dropped":61,"mean_cycles_ok":1234}],"#,
+                r#""alloc":[{"fail_per_mille":100,"attempts":200,"injected_oom":21,"success_per_mille":895}],"#,
+                r#""pkey":[{"fault_per_mille":50,"writes":500,"spurious_faults":26,"completed":500}]}}"#,
+            )
+        );
     }
 }

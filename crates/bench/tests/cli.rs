@@ -18,6 +18,8 @@ fn unknown_input_is_refused_with_usage() {
         &["--vcpus=2"],                        // the run-queue width that was removed
         &["--quick=1"],
         &["--trace-out"],
+        &["--json="],                         // an empty path is not a bare `--json`
+        &["--serve", "--quick", "--conns=0"], // zero connections would serve one
         &["--seed=x"],
         &["bench"],
         &["fig3", "fig4"],

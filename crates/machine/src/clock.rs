@@ -13,8 +13,8 @@
 //! thousands of cycles. Benchmarks in `flexos-bench` sweep these constants
 //! (ablation) to show the paper's conclusions are robust to calibration.
 
-/// Simulated core frequency in Hz (Xeon Silver 4110: 2.1 GHz).
-pub const CPU_FREQ_HZ: u64 = 2_100_000_000;
+// Defined beside the telemetry that turns cycles into rates.
+pub use flexos_trace::CPU_FREQ_HZ;
 
 /// A monotonically increasing cycle counter.
 #[derive(Debug, Clone, Default)]

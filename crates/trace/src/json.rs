@@ -1,7 +1,7 @@
 //! The workspace's one JSON writer (the build environment has no serde).
 //!
-//! Every document the repo emits — the [`crate::StatsSnapshot`], the
-//! Chrome trace, the `reproduce` reports — is written through
+//! Every document the repo emits — the [`crate::Sheet`]s of the
+//! `reproduce` reports and the Chrome trace — is written through
 //! [`JsonWriter`], which alone places separators, tracks nesting and
 //! escapes strings. Output is byte-identical for identical call
 //! sequences, which the CI baseline and the artefact `cmp`s rely on.
@@ -96,23 +96,6 @@ impl JsonWriter {
         self
     }
 
-    /// Writes the field `key` as an array with one object per row, `f`
-    /// writing each row's fields — the one array shape the reports use.
-    pub fn obj_arr<T>(
-        &mut self,
-        key: &str,
-        rows: impl IntoIterator<Item = T>,
-        mut f: impl FnMut(&mut Self, T),
-    ) -> &mut Self {
-        self.begin_arr(Some(key));
-        for row in rows {
-            self.begin_obj(None);
-            f(self, row);
-            self.end_obj();
-        }
-        self.end_arr()
-    }
-
     /// Writes a string field (escaped).
     pub fn str_field(&mut self, key: &str, v: &str) -> &mut Self {
         Self::quote_into(v, self.raw(Some(key)));
@@ -121,13 +104,6 @@ impl JsonWriter {
 
     /// Writes an unsigned integer field.
     pub fn u64_field(&mut self, key: &str, v: u64) -> &mut Self {
-        let _ = write!(self.raw(Some(key)), "{v}");
-        self
-    }
-
-    /// Writes a float field with `Display` formatting (shortest
-    /// round-trippable form).
-    pub fn f64_field(&mut self, key: &str, v: f64) -> &mut Self {
         let _ = write!(self.raw(Some(key)), "{v}");
         self
     }
@@ -158,12 +134,13 @@ mod tests {
         w.begin_obj(None);
         w.begin_obj(Some("workload"))
             .str_field("experiment", "redis")
-            .u64_field("ops", 5000)
-            .f64_field("mreq", 1.25)
-            .end_obj();
-        w.obj_arr("rows", 0..2u64, |w, i| {
-            w.u64_field("i", i);
-        });
+            .u64_field("ops", 5000);
+        let _ = write!(w.raw(Some("mreq")), "{}", 1.25);
+        w.end_obj().begin_arr(Some("rows"));
+        for i in 0..2u64 {
+            w.begin_obj(None).u64_field("i", i).end_obj();
+        }
+        w.end_arr();
         let _ = write!(w.raw(Some("mbps")), "{:.3}", 2.5);
         w.end_obj();
         assert_eq!(

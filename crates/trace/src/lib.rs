@@ -22,11 +22,13 @@
 pub mod hist;
 pub mod json;
 mod ring;
+pub mod sheet;
 pub mod snapshot;
 pub mod span;
 
 pub use hist::{CycleHist, HIST_BUCKETS};
 pub use json::JsonWriter;
+pub use sheet::{Cell, Columns, Difference, Rule, Sheet, Table};
 pub use snapshot::{
     AllocRow, AsyncGatesSnapshot, EventRow, FaultCompartmentRow, FaultKindRow, GateBatchRow,
     GatePairRow, LatencyRow, MechanismRow, MigrationsSnapshot, NetSnapshot, RingDropRow,
@@ -37,6 +39,9 @@ pub use span::{
 };
 
 use std::collections::BTreeMap;
+
+/// Simulated core frequency in Hz (Xeon Silver 4110: 2.1 GHz).
+pub const CPU_FREQ_HZ: u64 = 2_100_000_000;
 
 /// Events kept in the final snapshot's tail.
 pub const SNAPSHOT_EVENT_CAP: usize = 64;

@@ -1,10 +1,12 @@
 //! The aggregated, serializable view of a run's telemetry.
 //!
-//! A [`StatsSnapshot`] is plain data: every row type is public and the
-//! whole thing serializes to JSON through [`JsonWriter`]. Aggregation
-//! from the live trace structs is done by [`crate::TraceRegistry`].
+//! A [`StatsSnapshot`] is plain data: every row type is public, and
+//! [`StatsSnapshot::sheet`] is the one place that knows how it renders,
+//! as `--stats` text and as JSON. Aggregation from the live trace
+//! structs is done by [`crate::TraceRegistry`].
 
-use crate::json::JsonWriter;
+use crate::sheet::{Cell, Rule, Sheet, Table};
+use crate::CPU_FREQ_HZ;
 
 /// One (mechanism, src, dst) gate-pair row.
 #[derive(Debug, Clone, PartialEq)]
@@ -127,15 +129,6 @@ pub struct SchedSnapshot {
     pub task_cycles: Vec<(u32, u64)>,
 }
 
-impl SchedSnapshot {
-    /// Mean run-queue depth ×1000 (integer, avoids float plumbing).
-    pub fn avg_depth_milli(&self) -> u64 {
-        (self.depth_sum * 1000)
-            .checked_div(self.depth_samples)
-            .unwrap_or(0)
-    }
-}
-
 /// Per-compartment allocator pressure.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct AllocRow {
@@ -184,15 +177,6 @@ pub struct TlbSnapshot {
     pub misses: u64,
     /// Generation-bumping page-table mutations (lazy whole-VM flushes).
     pub flushes: u64,
-}
-
-impl TlbSnapshot {
-    /// Hit rate ×1000 (integer, avoids float plumbing).
-    pub fn hit_rate_milli(&self) -> u64 {
-        (self.hits * 1000)
-            .checked_div(self.hits + self.misses)
-            .unwrap_or(0)
-    }
 }
 
 /// Network stack summary.
@@ -330,163 +314,217 @@ pub struct StatsSnapshot {
 impl StatsSnapshot {
     /// Serializes the snapshot as a self-contained JSON object.
     pub fn to_json(&self) -> String {
-        let mut w = JsonWriter::new();
-        self.write_json(&mut w, None);
-        w.finish()
+        self.sheet().to_json()
     }
 
-    /// Writes the snapshot as one object of the document `w` is building:
-    /// the field `key` of the open object, or the next array element /
-    /// the root value when `key` is `None`.
-    pub fn write_json(&self, w: &mut JsonWriter, key: Option<&str>) {
-        w.begin_obj(key)
-            .u64_field("elapsed_cycles", self.elapsed_cycles)
-            .u64_field("direct_calls", self.direct_calls);
-
-        w.obj_arr("gate_pairs", &self.gate_pairs, |w, r| {
-            w.str_field("mechanism", r.mechanism)
-                .u64_field("src", r.src.into())
-                .u64_field("dst", r.dst.into())
-                .str_field("src_name", &r.src_name)
-                .str_field("dst_name", &r.dst_name)
-                .u64_field("crossings", r.crossings)
-                .u64_field("bytes", r.bytes)
-                .u64_field("gate_cycles", r.gate_cycles);
-        });
-
-        w.obj_arr("mechanisms", &self.mechanisms, |w, r| {
-            w.str_field("mechanism", r.mechanism)
-                .u64_field("count", r.count)
-                .u64_field("p50", r.p50)
-                .u64_field("p90", r.p90)
-                .u64_field("p99", r.p99)
-                .u64_field("mean", r.mean)
-                .u64_field("max", r.max);
-        });
-
-        w.obj_arr("gate_batch", &self.gate_batch, |w, r| {
-            w.str_field("mechanism", r.mechanism)
-                .u64_field("batches", r.batches)
-                .u64_field("calls", r.calls)
-                .u64_field("p50", r.p50)
-                .u64_field("max", r.max);
-        });
-
-        let a = &self.async_gates;
-        w.begin_obj(Some("async_gates"))
-            .u64_field("submitted", a.submitted)
-            .u64_field("completed", a.completed)
-            .u64_field("flushes", a.flushes)
-            .u64_field("cancelled", a.cancelled)
-            .u64_field("sq_full", a.sq_full)
-            .u64_field("cq_empty", a.cq_empty)
-            .end_obj();
-
-        let mg = &self.migrations;
-        w.begin_obj(Some("migrations"))
-            .u64_field("requested", mg.requested)
-            .u64_field("completed", mg.completed)
-            .u64_field("deferred", mg.deferred)
-            .u64_field("rejected_submits", mg.rejected_submits)
-            .u64_field("requeued_sqes", mg.requeued_sqes)
-            .u64_field("preserved_cqes", mg.preserved_cqes)
-            .u64_field("drain_cycles_total", mg.drain_cycles_total)
-            .u64_field("drain_cycles_max", mg.drain_cycles_max)
-            .u64_field("escalations", mg.escalations)
-            .u64_field("relaxations", mg.relaxations)
-            .end_obj();
-
-        let s = &self.sched;
-        w.begin_obj(Some("sched"))
-            .u64_field("switches", s.switches)
-            .u64_field("steps", s.steps)
-            .u64_field("avg_depth_milli", s.avg_depth_milli())
-            .u64_field("depth_max", s.depth_max)
-            .obj_arr("task_cycles", &s.task_cycles, |w, &(tid, cycles)| {
-                w.u64_field("tid", tid.into()).u64_field("cycles", cycles);
-            })
-            .end_obj();
-
-        w.obj_arr("allocs", &self.allocs, |w, r| {
-            w.u64_field("compartment", r.compartment.into())
-                .str_field("name", &r.name)
-                .u64_field("allocs", r.allocs)
-                .u64_field("frees", r.frees)
-                .u64_field("bytes_in_use", r.bytes_in_use)
-                .u64_field("peak_bytes", r.peak_bytes)
-                .u64_field("failures", r.failures);
-        });
-
-        w.obj_arr("fault_kinds", &self.fault_kinds, |w, r| {
-            w.str_field("kind", r.kind).u64_field("count", r.count);
-        });
-
-        w.obj_arr("fault_compartments", &self.fault_compartments, |w, r| {
-            w.u64_field("compartment", r.compartment.into())
-                .str_field("name", &r.name)
-                .u64_field("count", r.count);
-        });
-
-        let t = &self.tlb;
-        w.begin_obj(Some("tlb"))
-            .u64_field("hits", t.hits)
-            .u64_field("misses", t.misses)
-            .u64_field("flushes", t.flushes)
-            .u64_field("hit_rate_milli", t.hit_rate_milli())
-            .end_obj();
-
-        let n = &self.net;
-        w.begin_obj(Some("net"))
-            .u64_field("rx_segments", n.rx_segments)
-            .u64_field("tx_segments", n.tx_segments)
-            .u64_field("rx_datagrams", n.rx_datagrams)
-            .u64_field("drops", n.drops)
-            .u64_field("backlog_overflows", n.backlog_overflows)
-            .u64_field("retransmits", n.retransmits)
-            .end_obj();
-
-        let sv = &self.serving;
-        w.begin_obj(Some("serving"))
-            .u64_field("events_posted", sv.events_posted)
-            .u64_field("events_coalesced", sv.events_coalesced)
-            .u64_field("polls", sv.polls)
-            .u64_field("events_delivered", sv.events_delivered)
-            .u64_field("tasks_spawned", sv.tasks_spawned)
-            .u64_field("tasks_run", sv.tasks_run)
-            .u64_field("wakeups", sv.wakeups)
-            .end_obj();
-
-        w.obj_arr("latency", &self.latency, |w, r| {
-            w.str_field("app", r.app)
-                .str_field("backend", r.backend)
-                .u64_field("count", r.count)
-                .u64_field("p50", r.p50)
-                .u64_field("p99", r.p99)
-                .u64_field("p999", r.p999);
-        });
-
-        w.obj_arr("ring_drops", &self.ring_drops, |w, r| {
-            w.str_field("subsystem", r.subsystem)
-                .u64_field("owner", r.owner.into())
-                .u64_field("pushed", r.pushed)
-                .u64_field("dropped", r.dropped);
-        });
-
-        w.obj_arr("events", &self.events, |w, e| {
-            w.u64_field("seq", e.seq)
-                .u64_field("cycles", e.cycles)
-                .u64_field("compartment", e.compartment.into())
-                .str_field("kind", e.kind)
-                .u64_field("detail", e.detail);
-        });
-        w.u64_field("events_overwritten", self.events_overwritten)
-            .end_obj();
+    /// The `--stats` report: every table of the snapshot with its JSON
+    /// key and text header declared together, in JSON field order.
+    pub fn sheet(&self) -> Sheet {
+        let secs = self.elapsed_cycles as f64 / CPU_FREQ_HZ as f64;
+        let per_sec = |n: u64| format!("{:.0}", n as f64 / secs.max(f64::MIN_POSITIVE));
+        // Ratios ×1000 as integers in JSON, as decimals in text.
+        let milli = |n: u64, d: u64| (n * 1000).checked_div(d).unwrap_or(0);
+        let depth_milli = milli(self.sched.depth_sum, self.sched.depth_samples);
+        let hit_milli = milli(self.tlb.hits, self.tlb.hits + self.tlb.misses);
+        Sheet::new()
+            .field("elapsed_cycles", self.elapsed_cycles)
+            .line(format!(
+                "Same-compartment calls compiled to direct calls: {}",
+                self.direct_calls
+            ))
+            .field("direct_calls", self.direct_calls)
+            .table(
+                Table::rows("gate_pairs", &self.gate_pairs)
+                    .title("Gate crossings per (src -> dst) compartment pair")
+                    .col("mechanism", |r| r.mechanism)
+                    .json("src", |r| r.src)
+                    .json("dst", |r| r.dst)
+                    .json("src_name", |r| r.src_name.clone())
+                    .json("dst_name", |r| r.dst_name.clone())
+                    .text("src -> dst", |r| {
+                        format!("{} -> {}", r.src_name, r.dst_name)
+                    })
+                    .col("crossings", |r| r.crossings)
+                    .text("crossings/s", |r| per_sec(r.crossings))
+                    .col("bytes", |r| r.bytes)
+                    .both("gate_cycles", "gate cycles", |r| r.gate_cycles),
+            )
+            .table(
+                Table::rows("mechanisms", &self.mechanisms)
+                    .title("Crossing latency per gate mechanism (cycles, log2-bucket bounds)")
+                    .col("mechanism", |r| r.mechanism)
+                    .col("count", |r| r.count)
+                    .col("p50", |r| r.p50)
+                    .col("p90", |r| r.p90)
+                    .col("p99", |r| r.p99)
+                    .col("mean", |r| r.mean)
+                    .col("max", |r| r.max),
+            )
+            .table(
+                Table::rows("gate_batch", &self.gate_batch)
+                    .title("Batched crossings per gate mechanism (batch-size histogram)")
+                    .rule(Rule::NonEmpty)
+                    .col("mechanism", |r| r.mechanism)
+                    .col("batches", |r| r.batches)
+                    .col("calls", |r| r.calls)
+                    .both("p50", "p50 size", |r| r.p50)
+                    .both("max", "max size", |r| r.max),
+            )
+            .table(
+                Table::row("async_gates", self.async_gates)
+                    .json("submitted", |a| a.submitted)
+                    .json("completed", |a| a.completed)
+                    .json("flushes", |a| a.flushes)
+                    .json("cancelled", |a| a.cancelled)
+                    .json("sq_full", |a| a.sq_full)
+                    .json("cq_empty", |a| a.cq_empty),
+            )
+            .table(
+                Table::row("migrations", self.migrations)
+                    .json("requested", |m| m.requested)
+                    .json("completed", |m| m.completed)
+                    .json("deferred", |m| m.deferred)
+                    .json("rejected_submits", |m| m.rejected_submits)
+                    .json("requeued_sqes", |m| m.requeued_sqes)
+                    .json("preserved_cqes", |m| m.preserved_cqes)
+                    .json("drain_cycles_total", |m| m.drain_cycles_total)
+                    .json("drain_cycles_max", |m| m.drain_cycles_max)
+                    .json("escalations", |m| m.escalations)
+                    .json("relaxations", |m| m.relaxations),
+            )
+            .table(
+                Table::row("sched", &self.sched)
+                    .title("Scheduler")
+                    .both("switches", "ctx switches", |s| s.switches)
+                    .col("steps", |s| s.steps)
+                    .json("avg_depth_milli", |_| depth_milli)
+                    .text("avg rq depth", |_| {
+                        Cell::Fixed(depth_milli as f64 / 1000.0, 3)
+                    })
+                    .both("depth_max", "max rq depth", |s| s.depth_max)
+                    .then(
+                        Sheet::new().table(
+                            Table::rows("task_cycles", &self.sched.task_cycles)
+                                .title("Per-task run time")
+                                .rule(Rule::NonEmpty)
+                                .json("tid", |&&(tid, _)| tid)
+                                .text("thread", |(tid, _)| format!("tid {tid}"))
+                                .col("cycles", |&&(_, cycles)| cycles),
+                        ),
+                    ),
+            )
+            .table(
+                Table::rows("allocs", &self.allocs)
+                    .title("Allocator pressure per compartment")
+                    .json("compartment", |r| r.compartment)
+                    .both("name", "compartment", |r| r.name.clone())
+                    .col("allocs", |r| r.allocs)
+                    .col("frees", |r| r.frees)
+                    .both("bytes_in_use", "bytes in use", |r| r.bytes_in_use)
+                    .both("peak_bytes", "peak bytes", |r| r.peak_bytes)
+                    .col("failures", |r| r.failures),
+            )
+            .table(
+                Table::rows("fault_kinds", &self.fault_kinds)
+                    .title("Faults by class")
+                    .rule(Rule::Else("\nFaults: none recorded."))
+                    .col("kind", |r| r.kind)
+                    .col("count", |r| r.count),
+            )
+            .table(
+                Table::rows("fault_compartments", &self.fault_compartments)
+                    .title("Pkey violations by owning compartment")
+                    .rule(Rule::NonEmpty)
+                    .json("compartment", |r| r.compartment)
+                    .both("name", "compartment", |r| r.name.clone())
+                    .col("count", |r| r.count),
+            )
+            .table(
+                Table::row("tlb", self.tlb)
+                    .title("Software TLB")
+                    .col("hits", |t| t.hits)
+                    .col("misses", |t| t.misses)
+                    .col("flushes", |t| t.flushes)
+                    .json("hit_rate_milli", |_| hit_milli)
+                    .text("hit rate", |_| format!("{:.1}%", hit_milli as f64 / 10.0)),
+            )
+            .table(
+                Table::row("net", self.net)
+                    .title("Network stack")
+                    .both("rx_segments", "rx segments", |n| n.rx_segments)
+                    .both("tx_segments", "tx segments", |n| n.tx_segments)
+                    .both("rx_datagrams", "rx datagrams", |n| n.rx_datagrams)
+                    .both("drops", "demux drops", |n| n.drops)
+                    .both("backlog_overflows", "backlog drops", |n| {
+                        n.backlog_overflows
+                    })
+                    .col("retransmits", |n| n.retransmits),
+            )
+            .table(
+                Table::row("serving", self.serving)
+                    .title("Serving tier: readiness layer + cooperative executor")
+                    .rule(Rule::NonZero)
+                    .both("events_posted", "events posted", |s| s.events_posted)
+                    .both("events_coalesced", "coalesced", |s| s.events_coalesced)
+                    .col("polls", |s| s.polls)
+                    .both("events_delivered", "delivered", |s| s.events_delivered)
+                    .both("tasks_spawned", "tasks spawned", |s| s.tasks_spawned)
+                    .both("tasks_run", "task steps", |s| s.tasks_run)
+                    .col("wakeups", |s| s.wakeups),
+            )
+            .table(
+                Table::rows("latency", &self.latency)
+                    .title("Request latency percentiles (cycles, exact nearest-rank)")
+                    .rule(Rule::NonEmpty)
+                    .col("app", |r| r.app)
+                    .col("backend", |r| r.backend)
+                    .both("count", "requests", |r| r.count)
+                    .col("p50", |r| r.p50)
+                    .col("p99", |r| r.p99)
+                    .col("p999", |r| r.p999),
+            )
+            .table(
+                Table::rows("ring_drops", &self.ring_drops)
+                    .title("Bounded-ring occupancy (events pushed vs overwritten)")
+                    .rule(Rule::NonEmpty)
+                    .col("subsystem", |r| r.subsystem)
+                    .col("owner", |r| r.owner)
+                    .col("pushed", |r| r.pushed)
+                    .col("dropped", |r| r.dropped),
+            )
+            .table(
+                Table::rows("events", &self.events)
+                    .title("Event-ring tail (most recent, all compartments)")
+                    .rule(Rule::NonEmpty)
+                    .json("seq", |e| e.seq)
+                    .col("cycles", |e| e.cycles)
+                    .json("compartment", |e| e.compartment)
+                    .text("compartment", |e| format!("cpt {}", e.compartment))
+                    .col("kind", |e| e.kind)
+                    .col("detail", |e| e.detail)
+                    .text("seq", |e| e.seq)
+                    .then(Sheet::new().line(format!(
+                        "({} older events overwritten in bounded rings)",
+                        self.events_overwritten
+                    ))),
+            )
+            .field("events_overwritten", self.events_overwritten)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::JsonWriter;
+    use crate::sheet::Difference;
+
+    impl StatsSnapshot {
+        /// The embedding the golden test drives: the sheet, as the field
+        /// `key` of `w`'s open object (or its root).
+        fn write_json(&self, w: &mut JsonWriter, key: Option<&str>) {
+            self.sheet().write_json(w, key);
+        }
+    }
 
     /// Every vector non-empty, every counter distinct, names that need
     /// escaping.
@@ -683,5 +721,199 @@ mod tests {
         full().write_json(&mut w, Some("stats"));
         w.end_obj();
         assert_eq!(w.finish(), format!("{{\"stats\":{FULL_JSON}}}"));
+    }
+
+    /// What the table code that `sheet()` replaced printed for `full()`
+    /// (its `run_stats` table code over this snapshot, the lines between
+    /// the workload line and the end of the event tail): every cell
+    /// padded to its column, the last one too.
+    const FULL_TEXT: &str = concat!(
+        "Same-compartment calls compiled to direct calls: 3\n",
+        "\n",
+        "== Gate crossings per (src -> dst) compartment pair ==\n",
+        "mechanism           src -> dst                   crossings  crossings/s  bytes  gate cycles\n",
+        "-------------------------------------------------------------------------------------------\n",
+        "MPK (shared stack)  rest -> net \"quoted\"\n",
+        "\\tab\t\u{1}  42         88200000     128    9000       \n",
+        "VM RPC (EPT)        net -> rest                  7          14700000     64     51688      \n",
+        "\n",
+        "\n",
+        "== Crossing latency per gate mechanism (cycles, log2-bucket bounds) ==\n",
+        "mechanism           count  p50  p90  p99  mean  max\n",
+        "---------------------------------------------------\n",
+        "MPK (shared stack)  42     255  256  511  214   400\n",
+        "\n",
+        "\n",
+        "== Batched crossings per gate mechanism (batch-size histogram) ==\n",
+        "mechanism           batches  calls  p50 size  max size\n",
+        "------------------------------------------------------\n",
+        "MPK (shared stack)  5        80     15        16      \n",
+        "\n",
+        "\n",
+        "== Scheduler ==\n",
+        "ctx switches  steps  avg rq depth  max rq depth\n",
+        "-----------------------------------------------\n",
+        "31            32     3.500         4           \n",
+        "\n",
+        "\n",
+        "== Per-task run time ==\n",
+        "thread  cycles\n",
+        "--------------\n",
+        "tid 1   100   \n",
+        "tid 2   200   \n",
+        "\n",
+        "\n",
+        "== Allocator pressure per compartment ==\n",
+        "compartment  allocs  frees  bytes in use  peak bytes  failures\n",
+        "--------------------------------------------------------------\n",
+        "net          41      42     43            44          45      \n",
+        "\n",
+        "\n",
+        "== Faults by class ==\n",
+        "kind            count\n",
+        "---------------------\n",
+        "pkey-violation  2    \n",
+        "gate-timeout    1    \n",
+        "\n",
+        "\n",
+        "== Pkey violations by owning compartment ==\n",
+        "compartment  count\n",
+        "------------------\n",
+        "net          2    \n",
+        "\n",
+        "\n",
+        "== Software TLB ==\n",
+        "hits  misses  flushes  hit rate\n",
+        "-------------------------------\n",
+        "51    17      53       75.0%   \n",
+        "\n",
+        "\n",
+        "== Network stack ==\n",
+        "rx segments  tx segments  rx datagrams  demux drops  backlog drops  retransmits\n",
+        "-------------------------------------------------------------------------------\n",
+        "61           62           63            64           65             66         \n",
+        "\n",
+        "\n",
+        "== Serving tier: readiness layer + cooperative executor ==\n",
+        "events posted  coalesced  polls  delivered  tasks spawned  task steps  wakeups\n",
+        "------------------------------------------------------------------------------\n",
+        "71             72         73     74         75             76          77     \n",
+        "\n",
+        "\n",
+        "== Request latency percentiles (cycles, exact nearest-rank) ==\n",
+        "app    backend     requests  p50  p99  p999\n",
+        "-------------------------------------------\n",
+        "redis  mpk-shared  81        82   83   84  \n",
+        "\n",
+        "\n",
+        "== Bounded-ring occupancy (events pushed vs overwritten) ==\n",
+        "subsystem  owner  pushed  dropped\n",
+        "---------------------------------\n",
+        "gates      0      91      92     \n",
+        "spans      1      93      0      \n",
+        "\n",
+        "\n",
+        "== Event-ring tail (most recent, all compartments) ==\n",
+        "cycles  compartment  kind        detail  seq\n",
+        "--------------------------------------------\n",
+        "10      cpt 0        gate-enter  1       0  \n",
+        "20      cpt 1        fault       65537   1  \n",
+        "\n",
+        "(99 older events overwritten in bounded rings)\n",
+    );
+
+    /// The same for an empty snapshot: the fallback line, no row-less
+    /// optional table, no serving block.
+    const EMPTY_TEXT: &str = concat!(
+        "Same-compartment calls compiled to direct calls: 0\n",
+        "\n",
+        "== Gate crossings per (src -> dst) compartment pair ==\n",
+        "mechanism  src -> dst  crossings  crossings/s  bytes  gate cycles\n",
+        "-----------------------------------------------------------------\n",
+        "\n",
+        "\n",
+        "== Crossing latency per gate mechanism (cycles, log2-bucket bounds) ==\n",
+        "mechanism  count  p50  p90  p99  mean  max\n",
+        "------------------------------------------\n",
+        "\n",
+        "\n",
+        "== Scheduler ==\n",
+        "ctx switches  steps  avg rq depth  max rq depth\n",
+        "-----------------------------------------------\n",
+        "0             0      0.000         0           \n",
+        "\n",
+        "\n",
+        "== Allocator pressure per compartment ==\n",
+        "compartment  allocs  frees  bytes in use  peak bytes  failures\n",
+        "--------------------------------------------------------------\n",
+        "\n",
+        "\n",
+        "Faults: none recorded.\n",
+        "\n",
+        "== Software TLB ==\n",
+        "hits  misses  flushes  hit rate\n",
+        "-------------------------------\n",
+        "0     0       0        0.0%    \n",
+        "\n",
+        "\n",
+        "== Network stack ==\n",
+        "rx segments  tx segments  rx datagrams  demux drops  backlog drops  retransmits\n",
+        "-------------------------------------------------------------------------------\n",
+        "0            0            0             0            0              0          \n",
+        "\n",
+    );
+
+    #[test]
+    fn stats_text_is_the_recorded_rendering() {
+        assert_eq!(full().sheet().to_string(), FULL_TEXT);
+        assert_eq!(StatsSnapshot::default().sheet().to_string(), EMPTY_TEXT);
+    }
+
+    #[test]
+    fn first_difference_names_every_perturbed_cell() {
+        let cells = crate::sheet::tests::every_perturbed_cell_is_named(&full().sheet());
+        // Every JSON value of `FULL_JSON` that is not an array or object.
+        assert_eq!(cells, 110);
+        // A perturbed row field is named under its table, row and key.
+        let named = |f: fn(&mut StatsSnapshot)| {
+            let mut other = full();
+            f(&mut other);
+            full().sheet().first_difference(&other.sheet())
+        };
+        let cell = |table: &str, row, column, left: u64, right: u64| Difference::Cell {
+            table: table.to_string(),
+            row,
+            column,
+            left: Cell::U64(left),
+            right: Cell::U64(right),
+        };
+        type Perturb = fn(&mut StatsSnapshot);
+        let cases: [(Perturb, Difference); 5] = [
+            (
+                |s| s.gate_pairs[1].gate_cycles += 1,
+                cell("gate_pairs", 1, "gate_cycles", 51_688, 51_689),
+            ),
+            (
+                |s| s.sched.task_cycles[1].1 = 7,
+                cell("sched.task_cycles", 1, "cycles", 200, 7),
+            ),
+            (|s| s.tlb.misses = 0, cell("tlb", 0, "misses", 17, 0)),
+            (
+                |s| s.events_overwritten = 0,
+                cell("", 0, "events_overwritten", 99, 0),
+            ),
+            (
+                |s| s.latency.clear(),
+                Difference::Row {
+                    table: "latency".into(),
+                    row: 0,
+                    left: true,
+                },
+            ),
+        ];
+        for (f, want) in cases {
+            assert_eq!(named(f), Some(want));
+        }
+        assert_eq!(named(|_| {}), None);
     }
 }

@@ -8,7 +8,15 @@ use flexos_backends::vmrpc::{RetryPolicy, VmRpcGate};
 use flexos_machine::{
     ChaosConfig, ChaosPlan, Fault, Machine, PageFlags, Pkru, ProtKey, Schedule, VcpuId, VmId,
 };
-use flexos_trace::TraceRegistry;
+use flexos_trace::{StatsSnapshot, TraceRegistry};
+
+/// Names the first cell where two replays' `--stats` part, ahead of the
+/// byte comparison that fails on it.
+fn report_first_difference(a: &StatsSnapshot, b: &StatsSnapshot) {
+    if let Some(d) = a.sheet().first_difference(&b.sheet()) {
+        eprintln!("replays part at {d:?}");
+    }
+}
 
 fn rpc_world() -> (Machine, VmRpcGate, CompartmentCtx, CompartmentCtx) {
     let mut m = Machine::with_defaults();
@@ -123,7 +131,7 @@ fn total_doorbell_loss_times_out_instead_of_hanging() {
 
 #[test]
 fn chaos_pipeline_is_a_pure_function_of_the_seed() {
-    let run = |seed: u64| -> (u64, u64, String) {
+    let run = |seed: u64| -> ((u64, u64, String), StatsSnapshot) {
         let (mut m, gate, c0, c1) = rpc_world();
         m.set_chaos(ChaosPlan::new(ChaosConfig {
             seed,
@@ -140,12 +148,14 @@ fn chaos_pipeline_is_a_pure_function_of_the_seed() {
         let mut reg = TraceRegistry::new();
         reg.set_elapsed(m.clock().cycles());
         reg.add_faults(m.fault_trace(), |_| None);
-        (ok, m.clock().cycles(), reg.finish().to_json())
+        let snap = reg.finish();
+        ((ok, m.clock().cycles(), snap.to_json()), snap)
     };
-    let a = run(1234);
-    let b = run(1234);
+    let (a, sa) = run(1234);
+    let (b, sb) = run(1234);
+    report_first_difference(&sa, &sb);
     assert_eq!(a, b, "same seed must replay the same world");
-    let c = run(5678);
+    let (c, _) = run(5678);
     assert_ne!(a.1, c.1, "different seeds should diverge");
 }
 
@@ -178,7 +188,7 @@ fn migration_under_chaos_is_byte_identical_for_the_same_seed() {
     use flexos_backends::{instantiate_migratable, migrate_all};
     use flexos_trace::MigrationsSnapshot;
 
-    let run = |seed: u64| -> String {
+    let run = |seed: u64| -> StatsSnapshot {
         let cfg = ImageConfig::new("chaos-mig", BackendChoice::MpkShared)
             .with_library(LibraryConfig::new(
                 LibSpec::verified_scheduler(),
@@ -229,17 +239,18 @@ fn migration_under_chaos_is_byte_identical_for_the_same_seed() {
             escalations: mg.escalations,
             relaxations: mg.relaxations,
         });
-        reg.finish().to_json()
+        reg.finish()
     };
-    let a = run(42);
-    let b = run(42);
+    let (sa, sb) = (run(42), run(42));
+    report_first_difference(&sa, &sb);
+    let (a, b) = (sa.to_json(), sb.to_json());
     assert_eq!(
         a, b,
         "same seed + same migration must replay byte-identically"
     );
     assert!(a.contains("\"migrations\":{"));
     assert!(a.contains("\"escalations\":1"));
-    let c = run(5678);
+    let c = run(5678).to_json();
     assert_ne!(a, c, "different seeds should diverge");
 }
 

@@ -311,6 +311,9 @@ impl Harness {
             },
         ];
         let reference = self.ledgers.snapshot(&real, &self.names(), &rings);
+        if let Some(d) = real.sheet().first_difference(&reference.sheet()) {
+            eprintln!("--stats JSON: first difference (real vs reference) {d:?}");
+        }
         assert_eq!(real.to_json(), reference.to_json(), "--stats JSON");
         let names: Vec<(u16, String)> = (0u16..).zip(self.names()).collect();
         assert_eq!(
