@@ -803,6 +803,42 @@ mod tests {
     use flexos_machine::Schedule;
     use flexos_net::tcp::SpareList;
 
+    /// The booted `redis_get_mpk` image (NW/Sched/Rest over MPK with
+    /// shared stacks, as the benchmark boots it) holds one extent per
+    /// region in every VM, so its page tables cost what its regions do,
+    /// not what its pages do. A region here is what the table can tell
+    /// apart: a maximal span of virtually adjacent pages of one key and
+    /// flags (regions allocated back to back under one key form one).
+    #[test]
+    fn the_booted_mpk_image_maps_one_extent_per_region() {
+        let rig = Rig::boot(&RedisParams {
+            model: CompartmentModel::NwSchedRest,
+            backend: BackendChoice::MpkShared,
+            ..RedisParams::default()
+        })
+        .expect("image boots");
+        let m = &rig.os.img.machine;
+        let shape: Vec<(usize, usize, usize)> = (0..m.vm_count())
+            .map(|vm| {
+                let pt = m.page_table(flexos_machine::VmId(vm as u8));
+                let mut prev = None;
+                let regions = pt
+                    .iter()
+                    .filter(|&(vpn, e)| {
+                        let starts = !prev.is_some_and(|(p, k): (u64, _)| {
+                            p + 1 == vpn.0 && k == (e.key, e.flags)
+                        });
+                        prev = Some((vpn.0, (e.key, e.flags)));
+                        starts
+                    })
+                    .count();
+                (regions, pt.extents(), pt.len())
+            })
+            .collect();
+        println!("(regions, extents, pages) per VM: {shape:?}");
+        assert_eq!(shape, [(4, 4, 1792)]);
+    }
+
     fn quick(params: RedisParams) -> RedisResult {
         run_redis(&RedisParams { ops: 300, ..params }).expect("redis run succeeds")
     }

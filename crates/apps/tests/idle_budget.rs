@@ -44,18 +44,19 @@ fn settled(conns: usize) -> ([i64; 2], Blocks) {
 }
 
 /// What an idle connection holds on the heap: [`SIMULATED_BYTES`] of
-/// simulated physical memory and 331 B of host structures, none of them
+/// simulated physical memory and 310 B of host structures, none of them
 /// a buffer or the container of one — the 96 B socket slot (a 56 B
 /// `TcpConn`, the indices of its ring, the peer's address), the 40 B
 /// `SimConn`, the 24 B `Box<ConnTask>` and the executor's 24 B slot for
 /// it, one entry each in the demux table (34 B at its load factor), the
 /// readiness index (8 B), the socket → task map (8 B) and the active-set
-/// bitmap (1 B), and about 96 B of the machine's own tables for the
-/// simulated memory above. A change to any of those structures moves
+/// bitmap (1 B), and about 75 B of the machine's own tables for the
+/// simulated memory above (96 B while the page table held one entry per
+/// page; it holds one per extent). A change to any of those structures moves
 /// this number: say so where it changes (the `layout_budget_*` unit
 /// tests beside the types name the struct that grew; `--nocapture`
 /// prints the live blocks by size).
-const IDLE_CONNECTION_BYTES: i64 = 2_379;
+const IDLE_CONNECTION_BYTES: i64 = 2_358;
 
 /// The part of it that is simulated memory: `Tier::boot` sizes eight
 /// regions from the connection count, 256 B of socket ring each.

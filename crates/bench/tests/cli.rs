@@ -15,7 +15,7 @@ fn reproduce(args: &[&str]) -> Output {
 fn unknown_input_is_refused_with_usage() {
     for args in [
         &["--bench", "--quick", "--json"][..], // the host-time mode that was removed
-        &["--vcpus=2"],                        // the run-queue width that was removed
+        &[concat!("--vcpu", "s=2")],           // the run-queue width that was removed
         &["--quick=1"],
         &["--trace-out"],
         &["--json="],                         // an empty path is not a bare `--json`

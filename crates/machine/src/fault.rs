@@ -55,6 +55,12 @@ pub enum Fault {
         /// VM whose address space was active.
         vm: VmId,
     },
+    /// A memory-manager operation met a sealed page table: nothing was
+    /// allocated or mapped.
+    PageTableSealed {
+        /// The VM whose table is sealed.
+        vm: VmId,
+    },
     /// The machine ran out of physical frames.
     OutOfMemory {
         /// Number of frames that were requested.
@@ -134,6 +140,7 @@ impl Fault {
             Fault::PkeyViolation { .. } => "pkey-violation",
             Fault::UnauthorizedPkruWrite { .. } => "unauthorized-pkru-write",
             Fault::VmViolation { .. } => "vm-violation",
+            Fault::PageTableSealed { .. } => "page-table-sealed",
             Fault::OutOfMemory { .. } => "out-of-memory",
             Fault::AddressOverflow { .. } => "address-overflow",
             Fault::HardeningAbort { .. } => "hardening-abort",
@@ -185,6 +192,7 @@ impl fmt::Display for Fault {
             Fault::VmViolation { addr, vm } => {
                 write!(f, "EPT violation: access to {addr} from vm{}", vm.0)
             }
+            Fault::PageTableSealed { vm } => write!(f, "page table of vm{} is sealed", vm.0),
             Fault::OutOfMemory { requested_pages } => {
                 write!(
                     f,

@@ -1,9 +1,12 @@
 //! Physical frame allocator (bitmap-based).
 //!
 //! The machine owns a fixed pool of physical frames; VMs map virtual pages
-//! onto frames handed out here. A simple first-fit bitmap is plenty for the
+//! onto frames handed out here. A next-fit bitmap is plenty for the
 //! simulation (allocation happens at boot and on heap growth, never on the
 //! data path), and makes the no-double-allocation invariant easy to audit.
+//! A request is answered in runs of consecutive frames, found a bitmap
+//! word at a time, so a region on a fresh machine is one run whatever its
+//! size — and the page table maps it as one extent.
 
 use crate::addr::Pfn;
 use crate::fault::{Fault, Result};
@@ -52,44 +55,43 @@ impl FrameAllocator {
     }
 
     #[inline]
-    fn set(&mut self, f: u64) {
-        self.bits[(f / 64) as usize] |= 1 << (f % 64);
-    }
-
-    #[inline]
     fn clear(&mut self, f: u64) {
         self.bits[(f / 64) as usize] &= !(1 << (f % 64));
     }
 
-    /// Allocates one frame.
-    pub fn alloc(&mut self) -> Result<Pfn> {
-        if self.allocated >= self.total {
-            return Err(Fault::OutOfMemory { requested_pages: 1 });
-        }
-        // Next-fit scan starting at the cursor.
-        for i in 0..self.total {
-            let f = (self.cursor + i) % self.total;
-            if !self.is_set(f) {
-                self.set(f);
-                self.allocated += 1;
-                self.cursor = (f + 1) % self.total;
-                return Ok(Pfn(f));
-            }
-        }
-        Err(Fault::OutOfMemory { requested_pages: 1 })
-    }
-
-    /// Allocates `n` frames (not necessarily contiguous).
-    pub fn alloc_many(&mut self, n: u64) -> Result<Vec<Pfn>> {
+    /// Allocates `n` frames as runs `(first frame, frames)`, all or
+    /// nothing. The frames, their order and the cursor afterwards are
+    /// those of `n` single next-fit allocations: the first `n` free
+    /// frames from the cursor on, wrapping at the end of the pool.
+    pub fn alloc_many(&mut self, n: u64) -> Result<Vec<(Pfn, u64)>> {
         if self.free() < n {
             return Err(Fault::OutOfMemory { requested_pages: n });
         }
-        let mut out = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            // Cannot fail: we checked `free()` and nothing frees in between.
-            out.push(self.alloc()?);
+        let mut runs: Vec<(Pfn, u64)> = Vec::new();
+        let (mut left, mut at) = (n, self.cursor);
+        while left > 0 {
+            // The free frames of `at`'s word from `at` on, bit 0 = `at`.
+            let (w, lo) = ((at / 64) as usize, at % 64);
+            let span = (64 - lo).min(self.total - at);
+            let free = (!self.bits[w] >> lo) & (u64::MAX >> (64 - span));
+            if free == 0 {
+                at = (at + span) % self.total;
+                continue;
+            }
+            let skip = u64::from(free.trailing_zeros());
+            let len = u64::from((free >> skip).trailing_ones()).min(left);
+            self.bits[w] |= (u64::MAX >> (64 - len)) << (lo + skip);
+            let start = at + skip;
+            match runs.last_mut() {
+                Some((pfn, run)) if pfn.0 + *run == start => *run += len,
+                _ => runs.push((Pfn(start), len)),
+            }
+            left -= len;
+            at = (start + len) % self.total;
         }
-        Ok(out)
+        self.allocated += n;
+        self.cursor = at;
+        Ok(runs)
     }
 
     /// Frees a frame.
@@ -110,6 +112,13 @@ impl FrameAllocator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    impl FrameAllocator {
+        fn alloc(&mut self) -> Result<Pfn> {
+            self.alloc_many(1).map(|runs| runs[0].0)
+        }
+    }
 
     #[test]
     fn alloc_returns_distinct_frames() {
@@ -158,12 +167,81 @@ mod tests {
     #[test]
     fn bitmap_handles_word_boundaries() {
         let mut fa = FrameAllocator::new(130);
-        let frames = fa.alloc_many(130).unwrap();
-        assert_eq!(frames.len(), 130);
+        let runs = fa.alloc_many(130).unwrap();
+        assert_eq!(runs, [(Pfn(0), 130)]);
         assert_eq!(fa.free(), 0);
-        for f in frames {
-            fa.dealloc(f);
+        for f in 0..130 {
+            fa.dealloc(Pfn(f));
         }
         assert_eq!(fa.free(), 130);
+    }
+
+    /// The per-frame next-fit allocator `alloc_many` answers like.
+    struct NextFit {
+        used: Vec<bool>,
+        cursor: u64,
+    }
+
+    impl NextFit {
+        fn alloc_many(&mut self, n: u64) -> Option<Vec<Pfn>> {
+            let total = self.used.len() as u64;
+            if self.used.iter().filter(|&&u| !u).count() < n as usize {
+                return None;
+            }
+            let frames = (0..n).map(|_| {
+                let f = (0..total)
+                    .map(|i| (self.cursor + i) % total)
+                    .find(|&f| !self.used[f as usize])
+                    .expect("counted");
+                self.used[f as usize] = true;
+                self.cursor = (f + 1) % total;
+                Pfn(f)
+            });
+            Some(frames.collect())
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Runs expand to the frames, in the order, and leave the cursor
+        /// that `n` single next-fit allocations would, on pools that end
+        /// inside, at and past a bitmap word, after frees that leave
+        /// holes; a refused request changes nothing.
+        #[test]
+        fn alloc_many_runs_are_next_fit_frame_by_frame(
+            total in prop_oneof![Just(1u64), Just(63), Just(64), Just(65), Just(130), Just(200)],
+            ops in prop::collection::vec((0u64..80, 0usize..1000, 0u8..3), 1..40),
+        ) {
+            let mut fa = FrameAllocator::new(total);
+            let mut reference = NextFit { used: vec![false; total as usize], cursor: 0 };
+            let mut held: Vec<Pfn> = Vec::new();
+            for (n, pick, frees) in ops {
+                // Free up to two held frames from the middle of the pool.
+                for _ in 0..frees.min(held.len() as u8) {
+                    let f = held.swap_remove(pick % held.len());
+                    fa.dealloc(f);
+                    reference.used[f.0 as usize] = false;
+                }
+                let runs = fa.alloc_many(n).ok();
+                let frames = runs.as_ref().map(|runs| {
+                    runs.iter().flat_map(|&(p, len)| (p.0..p.0 + len).map(Pfn)).collect::<Vec<_>>()
+                });
+                let expected = reference.alloc_many(n);
+                prop_assert_eq!(&frames, &expected);
+                prop_assert_eq!(fa.cursor, reference.cursor);
+                prop_assert_eq!(fa.free() as usize, reference.used.iter().filter(|&&u| !u).count());
+                for (i, &u) in reference.used.iter().enumerate() {
+                    prop_assert_eq!(fa.is_set(i as u64), u);
+                }
+                if let Some(runs) = runs {
+                    // Maximal runs: no run continues the one before it.
+                    for pair in runs.windows(2) {
+                        prop_assert!(pair[0].0 .0 + pair[0].1 != pair[1].0 .0);
+                    }
+                    held.extend(frames.unwrap());
+                }
+            }
+        }
     }
 }

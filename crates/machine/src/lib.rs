@@ -8,7 +8,7 @@
 //! It provides, faithfully to the mechanisms the paper builds on:
 //!
 //! * **Paged memory** ([`mem`], [`page`], [`frame`], [`addr`]) — 4 KiB
-//!   pages, sparse per-VM page tables, a physical frame allocator, and a
+//!   pages, per-VM extent page tables, a run-based frame allocator, and a
 //!   flat physical byte store that actually holds all simulated data.
 //! * **Memory Protection Keys** ([`pkey`]) — 16 keys, PKRU with AD/WD bits
 //!   per the Intel SDM, checked on every modelled access; `wrpkru` guarded

@@ -17,14 +17,14 @@
 //! call-site vetting that ERIM does by binary inspection and Hodor by
 //! runtime checking.
 
-use crate::addr::{pages_for, Addr, PhysAddr, Vpn, PAGE_SIZE};
+use crate::addr::{pages_for, Addr, Pfn, PhysAddr, Vpn, PAGE_SIZE};
 use crate::chaos::{ChaosPlan, ChaosStats, NotifyFate};
 use crate::clock::{Clock, CostTable};
 use crate::cpu::{PkruGuard, Vcpu, VcpuId};
 use crate::fault::{Fault, Result};
 use crate::frame::FrameAllocator;
 use crate::mem::PhysMem;
-use crate::page::{PageEntry, PageFlags};
+use crate::page::{PageEntry, PageFlags, PageTable};
 use crate::pkey::{Access, Pkru, ProtKey};
 use crate::tlb::Tlb;
 use crate::vm::{Notification, Vm, VmId};
@@ -84,7 +84,28 @@ impl Default for MachineConfig {
 #[derive(Debug, Clone)]
 struct SharedRegion {
     first_vpn: u64,
-    entries: Vec<PageEntry>,
+    key: ProtKey,
+    /// Its frames, as `(first frame, frames)` runs in address order.
+    runs: Vec<(Pfn, u64)>,
+}
+
+/// Maps `runs` one after the other from `vpn` on into an unsealed
+/// table: one range operation per run.
+fn map_runs(pt: &mut PageTable, mut vpn: u64, runs: &[(Pfn, u64)], flags: PageFlags, key: ProtKey) {
+    for &(pfn, pages) in runs {
+        pt.map_range(Vpn(vpn), pages, PageEntry { pfn, flags, key });
+        vpn += pages;
+    }
+}
+
+/// The fault of a range operation in `vm` that met a hole (or a sealed
+/// table) at a page.
+fn hole_fault(vm: VmId) -> impl Fn(Vpn) -> Fault {
+    move |hole| Fault::PageNotPresent {
+        addr: hole.base(),
+        vm,
+        access: Access::Write,
+    }
 }
 
 /// One physically contiguous piece of a translated virtual range:
@@ -163,10 +184,9 @@ impl Machine {
         // The shared window lives above every VM's private range by
         // construction, so mapping it does not perturb the private bump
         // cursor.
-        for region in &self.shared_regions {
-            for (i, entry) in region.entries.iter().enumerate() {
-                vm.page_table.map(Vpn(region.first_vpn + i as u64), *entry);
-            }
+        let pt = &mut vm.page_table;
+        for r in &self.shared_regions {
+            map_runs(pt, r.first_vpn, &r.runs, PageFlags::RW, r.key);
         }
         self.vms.push(vm);
         id
@@ -257,32 +277,17 @@ impl Machine {
         key: ProtKey,
         flags: PageFlags,
     ) -> Result<Addr> {
-        let pages = pages_for(bytes.max(1));
-        if let Some(plan) = self.chaos.as_mut() {
-            if plan.alloc_should_fail() {
-                self.record_injected("injected-oom");
-                return Err(Fault::OutOfMemory {
-                    requested_pages: pages,
-                });
-            }
+        if self.vms[vm.0 as usize].page_table.is_sealed() {
+            return Err(Fault::PageTableSealed { vm });
         }
-        let pfns = self.frames.alloc_many(pages).inspect_err(|f| {
+        let pages = self.chaos_alloc(bytes)?;
+        let runs = self.frames.alloc_many(pages).inspect_err(|f| {
             let now = self.clock.cycles();
             self.faults.record(&mut self.spans, f.kind(), None, now);
         })?;
         let vmref = &mut self.vms[vm.0 as usize];
         let first = vmref.reserve_vpns(pages);
-        for (i, pfn) in pfns.iter().enumerate() {
-            let ok = vmref.page_table.map(
-                Vpn(first + i as u64),
-                PageEntry {
-                    pfn: *pfn,
-                    flags,
-                    key,
-                },
-            );
-            assert!(ok, "page table for {vm} is sealed");
-        }
+        map_runs(&mut vmref.page_table, first, &runs, flags, key);
         self.tlb_trace.flush();
         Ok(Vpn(first).base())
     }
@@ -294,24 +299,15 @@ impl Machine {
     /// sealed; pages unmapped before the failure stay unmapped.
     pub fn unmap_region(&mut self, vm: VmId, base: Addr, bytes: u64) -> Result<()> {
         let pages = pages_for(bytes.max(1));
-        let vmref = &mut self.vms[vm.0 as usize];
-        for i in 0..pages {
-            let vpn = Vpn(base.vpn().0 + i);
-            if vmref.page_table.unmap(vpn).is_none() {
-                return Err(Fault::PageNotPresent {
-                    addr: vpn.base(),
-                    vm,
-                    access: Access::Write,
-                });
-            }
-        }
+        let pt = &mut self.vms[vm.0 as usize].page_table;
+        pt.unmap_range(base.vpn(), pages).map_err(hole_fault(vm))?;
         self.tlb_trace.flush();
         Ok(())
     }
 
-    /// Allocates `bytes` of memory mapped at the *same* address in every
-    /// VM (the shared window), tagged with `key`.
-    pub fn alloc_shared_region(&mut self, bytes: u64, key: ProtKey) -> Result<Addr> {
+    /// The pages `bytes` takes, or the out-of-memory fault an installed
+    /// chaos plan injects in its place.
+    fn chaos_alloc(&mut self, bytes: u64) -> Result<u64> {
         let pages = pages_for(bytes.max(1));
         if let Some(plan) = self.chaos.as_mut() {
             if plan.alloc_should_fail() {
@@ -321,26 +317,26 @@ impl Machine {
                 });
             }
         }
-        let pfns = self.frames.alloc_many(pages)?;
+        Ok(pages)
+    }
+
+    /// Allocates `bytes` of memory mapped at the *same* address in every
+    /// VM (the shared window), tagged with `key`.
+    pub fn alloc_shared_region(&mut self, bytes: u64, key: ProtKey) -> Result<Addr> {
+        if let Some(vm) = self.vms.iter().find(|vm| vm.page_table.is_sealed()) {
+            return Err(Fault::PageTableSealed { vm: vm.id });
+        }
+        let pages = self.chaos_alloc(bytes)?;
+        let runs = self.frames.alloc_many(pages)?;
         let first = self.shared_next_vpn;
         self.shared_next_vpn += pages;
-        let entries: Vec<PageEntry> = pfns
-            .iter()
-            .map(|&pfn| PageEntry {
-                pfn,
-                flags: PageFlags::RW,
-                key,
-            })
-            .collect();
         for vm in &mut self.vms {
-            for (i, entry) in entries.iter().enumerate() {
-                let ok = vm.page_table.map(Vpn(first + i as u64), *entry);
-                assert!(ok, "page table for {} is sealed", vm.id);
-            }
+            map_runs(&mut vm.page_table, first, &runs, PageFlags::RW, key);
         }
         self.shared_regions.push(SharedRegion {
             first_vpn: first,
-            entries,
+            key,
+            runs,
         });
         self.tlb_trace.flush();
         Ok(Vpn(first).base())
@@ -349,20 +345,16 @@ impl Machine {
     /// Re-tags an existing region with a new protection key (memory-manager
     /// operation; fails if the page table is sealed or pages are unmapped).
     pub fn set_region_key(&mut self, vm: VmId, base: Addr, bytes: u64, key: ProtKey) -> Result<()> {
-        let pages = pages_for(bytes.max(1));
-        let vmref = &mut self.vms[vm.0 as usize];
-        for i in 0..pages {
-            let vpn = Vpn(base.vpn().0 + i);
-            if !vmref.page_table.set_key(vpn, key) {
-                return Err(Fault::PageNotPresent {
-                    addr: vpn.base(),
-                    vm,
-                    access: Access::Write,
-                });
-            }
-        }
+        let (vpn, pages) = (base.vpn(), pages_for(bytes.max(1)));
+        let pt = &mut self.vms[vm.0 as usize].page_table;
+        pt.set_key_range(vpn, pages, key).map_err(hole_fault(vm))?;
         self.tlb_trace.flush();
         Ok(())
+    }
+
+    /// `vm`'s page table, read-only.
+    pub fn page_table(&self, vm: VmId) -> &PageTable {
+        &self.vms[vm.0 as usize].page_table
     }
 
     /// Seals every VM's page table (the paper's page-table-sealing defense).
@@ -1073,6 +1065,58 @@ mod tests {
             .unwrap();
         m.seal_page_tables();
         assert!(m.set_region_key(VmId(0), a, 4096, ProtKey(2)).is_err());
+    }
+
+    #[test]
+    fn sealed_page_tables_refuse_allocation_with_a_typed_fault() {
+        let mut m = machine();
+        let vm1 = m.add_vm(false);
+        m.seal_page_tables();
+        let free = m.frames.free();
+        let sealed = |vm| Err(Fault::PageTableSealed { vm });
+        assert_eq!(
+            m.alloc_region(VmId(0), 4096, ProtKey(1), PageFlags::RW),
+            sealed(VmId(0))
+        );
+        assert_eq!(
+            m.alloc_region(vm1, 8192, ProtKey(0), PageFlags::RO),
+            sealed(vm1)
+        );
+        assert_eq!(m.alloc_shared_region(4096, ProtKey(0)), sealed(VmId(0)));
+        assert_eq!(
+            m.frames.free(),
+            free,
+            "no frame is taken for a refused region"
+        );
+    }
+
+    /// A range operation that meets a hole changes the pages before it,
+    /// names the hole, and does not count as a flush.
+    #[test]
+    fn a_hole_stops_a_region_retag_or_unmap_where_it_is() {
+        let mut m = machine();
+        let a = m
+            .alloc_region(VmId(0), 4 * PAGE_SIZE, ProtKey(1), PageFlags::RW)
+            .unwrap();
+        let page = |i: u64| Addr(a.0 + i * PAGE_SIZE);
+        m.unmap_region(VmId(0), page(2), PAGE_SIZE).unwrap();
+        let flushes = m.tlb_trace().flushes();
+        let hole = Err(hole_fault(VmId(0))(page(2).vpn()));
+        assert_eq!(
+            m.set_region_key(VmId(0), page(1), 3 * PAGE_SIZE, ProtKey(2)),
+            hole
+        );
+        let key = |m: &Machine, i| m.page_table(VmId(0)).walk(page(i).vpn()).map(|e| e.key);
+        assert_eq!(
+            [0, 1, 3].map(|i| key(&m, i)),
+            [1, 2, 1].map(|k| Some(ProtKey(k)))
+        );
+        assert_eq!(m.unmap_region(VmId(0), page(0), 3 * PAGE_SIZE), hole);
+        assert_eq!(
+            [0, 1, 3].map(|i| key(&m, i)),
+            [None, None, Some(ProtKey(1))]
+        );
+        assert_eq!(m.tlb_trace().flushes(), flushes);
     }
 
     #[test]

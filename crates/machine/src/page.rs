@@ -1,9 +1,14 @@
 //! Per-VM page tables: virtual page → physical frame + permissions + key.
 //!
-//! The table is sparse (a `BTreeMap` keyed by virtual page number). This
-//! stands in for the x86-64 four-level structure: what matters for FlexOS
-//! is *what the walk yields* — frame, writability, and the page's
-//! protection key — not the radix layout.
+//! The table holds extents, not pages: a `BTreeMap` from an extent's
+//! first virtual page number to its length and first entry, where page
+//! `i` of the extent maps frame `first.pfn + i`. A region backed by one
+//! run of frames is one entry, so booting, unmapping and re-keying cost
+//! O(extents), not O(pages), and a walk is one range lookup. This stands
+//! in for the x86-64 four-level structure: what matters for FlexOS is
+//! *what the walk yields* — frame, writability, and the page's protection
+//! key — not the radix layout. Every range operation behaves exactly as
+//! the per-page loop over it would, down to whether the generation moves.
 //!
 //! The MPK backend's trust argument (paper §3) hinges on who may edit this
 //! structure: the memory manager's domain includes the page table, so the
@@ -40,17 +45,39 @@ pub struct PageEntry {
     pub key: ProtKey,
 }
 
-/// A sparse per-VM page table.
+/// A run of virtually contiguous pages mapped onto physically contiguous
+/// frames with one flags/key pair: page `i` of it maps `first.pfn + i`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Extent {
+    pages: u64,
+    first: PageEntry,
+}
+
+impl Extent {
+    #[inline]
+    fn entry(&self, i: u64) -> PageEntry {
+        PageEntry {
+            pfn: Pfn(self.first.pfn.0 + i),
+            ..self.first
+        }
+    }
+}
+
+/// A per-VM page table of maximal extents.
 #[derive(Debug, Clone, Default)]
 pub struct PageTable {
-    entries: BTreeMap<u64, PageEntry>,
+    /// First vpn → extent. Extents never overlap, and no extent continues
+    /// its predecessor (adjacent pages, next frame, same flags and key):
+    /// every edit merges such neighbours, so the map is canonical.
+    extents: BTreeMap<u64, Extent>,
     /// When sealed, no further modifications are accepted (the paper's
     /// "page-table sealing" defense for PKRU integrity).
     sealed: bool,
-    /// Bumped on every successful mutation (and on sealing). The
-    /// machine's software TLB tags cached walk results with this
-    /// counter, so any edit lazily invalidates every cached translation
-    /// of the VM without an eager flush.
+    /// Bumped by every operation that changes at least one page (a
+    /// `map` counts even when it writes an identical entry) and by
+    /// sealing. The machine's software TLB tags cached walk results with
+    /// this counter, so any edit lazily invalidates every cached
+    /// translation of the VM without an eager flush.
     generation: u64,
 }
 
@@ -60,48 +87,138 @@ impl PageTable {
         Self::default()
     }
 
-    /// Walks the table for `vpn`.
+    /// Walks the table for `vpn`: one range lookup.
     #[inline]
     pub fn walk(&self, vpn: Vpn) -> Option<PageEntry> {
-        self.entries.get(&vpn.0).copied()
+        let (&first, e) = self.extents.range(..=vpn.0).next_back()?;
+        let i = vpn.0 - first;
+        (i < e.pages).then(|| e.entry(i))
     }
 
     /// Installs or replaces a mapping. Returns `false` (and does nothing)
     /// if the table is sealed.
     pub fn map(&mut self, vpn: Vpn, entry: PageEntry) -> bool {
+        self.map_range(vpn, 1, entry)
+    }
+
+    /// Maps `pages` pages from `vpn` on onto consecutive frames from
+    /// `first.pfn` on, replacing what was there: as many `map` calls, one
+    /// generation step. Returns `false` (and does nothing) if sealed.
+    pub fn map_range(&mut self, vpn: Vpn, pages: u64, first: PageEntry) -> bool {
         if self.sealed {
             return false;
         }
-        self.entries.insert(vpn.0, entry);
-        self.generation += 1;
+        if pages > 0 {
+            let end = vpn.0 + pages;
+            self.split(vpn.0);
+            self.split(end);
+            self.remove(vpn.0, end);
+            self.extents.insert(vpn.0, Extent { pages, first });
+            self.merge(end);
+            self.merge(vpn.0);
+            self.generation += 1;
+        }
         true
     }
 
     /// Removes a mapping, returning it. Returns `None` if absent or sealed.
     pub fn unmap(&mut self, vpn: Vpn) -> Option<PageEntry> {
-        if self.sealed {
-            return None;
-        }
-        let e = self.entries.remove(&vpn.0);
-        if e.is_some() {
-            self.generation += 1;
-        }
-        e
+        let e = self.walk(vpn)?;
+        self.unmap_range(vpn, 1).ok().map(|()| e)
+    }
+
+    /// Removes `pages` mappings from `vpn` on, as a per-page `unmap`
+    /// loop would: the pages before the first hole go, and the hole is
+    /// the error. A sealed table refuses with `Err(vpn)` and changes
+    /// nothing.
+    pub fn unmap_range(&mut self, vpn: Vpn, pages: u64) -> Result<(), Vpn> {
+        let stop = self.mapped_until(vpn, pages)?;
+        self.remove(vpn.0, stop);
+        (stop == vpn.0 + pages).then_some(()).ok_or(Vpn(stop))
     }
 
     /// Re-tags an existing mapping with a new protection key.
     /// Returns `false` if the page is unmapped or the table is sealed.
     pub fn set_key(&mut self, vpn: Vpn, key: ProtKey) -> bool {
-        if self.sealed {
-            return false;
+        self.set_key_range(vpn, 1, key).is_ok()
+    }
+
+    /// Re-tags `pages` mappings from `vpn` on with `key`, as a per-page
+    /// `set_key` loop would: the pages before the first hole change, and
+    /// the hole is the error. A sealed table refuses with `Err(vpn)` and
+    /// changes nothing.
+    pub fn set_key_range(&mut self, vpn: Vpn, pages: u64, key: ProtKey) -> Result<(), Vpn> {
+        let stop = self.mapped_until(vpn, pages)?;
+        let mut at = vpn.0;
+        while at < stop {
+            let e = self.extents.get_mut(&at).expect("mapped up to the hole");
+            e.first.key = key;
+            let next = at + e.pages;
+            self.merge(at);
+            at = next;
         }
-        match self.entries.get_mut(&vpn.0) {
-            Some(e) => {
-                e.key = key;
-                self.generation += 1;
-                true
+        self.merge(stop);
+        (stop == vpn.0 + pages).then_some(()).ok_or(Vpn(stop))
+    }
+
+    /// Where a per-page loop over `pages` pages from `vpn` on would stop:
+    /// at the first hole, or at the end. If that is past `vpn`, the pages
+    /// before it are about to change: the generation moves, and extents
+    /// are split to start at `vpn` and at the stop. `Err(vpn)` if sealed.
+    fn mapped_until(&mut self, vpn: Vpn, pages: u64) -> Result<u64, Vpn> {
+        if self.sealed {
+            return Err(vpn);
+        }
+        let (end, mut stop) = (vpn.0 + pages, vpn.0);
+        while let Some((&first, e)) = self.extents.range(..=stop).next_back() {
+            if stop >= end || first + e.pages <= stop {
+                break;
             }
-            None => false,
+            stop = first + e.pages;
+        }
+        let stop = stop.min(end);
+        if stop > vpn.0 {
+            self.split(vpn.0);
+            self.split(stop);
+            self.generation += 1;
+        }
+        Ok(stop)
+    }
+
+    /// Splits the extent covering `vpn`, if it starts before it, so that
+    /// an extent starts at `vpn`.
+    fn split(&mut self, vpn: u64) {
+        if let Some((&first, e)) = self.extents.range_mut(..vpn).next_back() {
+            let i = vpn - first;
+            if i < e.pages {
+                let tail = Extent {
+                    pages: e.pages - i,
+                    first: e.entry(i),
+                };
+                e.pages = i;
+                self.extents.insert(vpn, tail);
+            }
+        }
+    }
+
+    /// Removes the extents that start in `[vpn, end)`.
+    fn remove(&mut self, vpn: u64, end: u64) {
+        while let Some((&first, _)) = self.extents.range(vpn..end).next() {
+            self.extents.remove(&first);
+        }
+    }
+
+    /// Folds the extent starting at `vpn` into its predecessor if it
+    /// continues it.
+    fn merge(&mut self, vpn: u64) {
+        let Some(&next) = self.extents.get(&vpn) else {
+            return;
+        };
+        if let Some((&first, prev)) = self.extents.range_mut(..vpn).next_back() {
+            if first + prev.pages == vpn && prev.entry(prev.pages) == next.first {
+                prev.pages += next.pages;
+                self.extents.remove(&vpn);
+            }
         }
     }
 
@@ -124,17 +241,24 @@ impl PageTable {
 
     /// Number of mapped pages.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.extents.values().map(|e| e.pages as usize).sum()
     }
 
     /// Whether no pages are mapped.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.extents.is_empty()
+    }
+
+    /// Number of extents the mapped pages form.
+    pub fn extents(&self) -> usize {
+        self.extents.len()
     }
 
     /// Iterates over `(vpn, entry)` pairs in address order.
     pub fn iter(&self) -> impl Iterator<Item = (Vpn, PageEntry)> + '_ {
-        self.entries.iter().map(|(&v, &e)| (Vpn(v), e))
+        self.extents
+            .iter()
+            .flat_map(|(&first, e)| (0..e.pages).map(move |i| (Vpn(first + i), e.entry(i))))
     }
 }
 

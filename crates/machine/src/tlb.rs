@@ -4,7 +4,7 @@
 //! speed from the hardware TLB caching virtual→physical translations
 //! while PKRU is checked architecturally on *every* access. This module
 //! models that split for the simulator's own benefit: the cache holds
-//! [`PageEntry`] results of the `BTreeMap` page-table walk — translation
+//! [`PageEntry`] results of the extent page-table walk — translation
 //! only — while the writable-bit and PKRU checks still run per access in
 //! `Machine` against current vCPU state. Faults and simulated cycle
 //! charges are therefore byte-for-byte identical with the cache hot,

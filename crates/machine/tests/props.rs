@@ -93,3 +93,170 @@ proptest! {
         }
     }
 }
+
+// ---- the extent page table against a per-page reference -----------------
+
+use flexos_machine::addr::{Pfn, Vpn};
+use flexos_machine::page::{PageEntry, PageTable};
+use std::collections::BTreeMap;
+
+/// Pages the random sequences touch: small, so ranges overlap, leave
+/// holes and continue each other often.
+const SPACE: u64 = 40;
+
+/// The page table one entry per page, every range operation a loop over
+/// its pages. Each operation returns what the per-page table returned and
+/// whether it changed a page, which is when that table bumped its
+/// generation (a `map` changes its page even when the entry is identical;
+/// so does a `set_key` to the same key).
+#[derive(Default)]
+struct RefTable {
+    pages: BTreeMap<u64, PageEntry>,
+    sealed: bool,
+}
+
+impl RefTable {
+    fn map_range(&mut self, vpn: u64, pages: u64, first: PageEntry) -> (bool, bool) {
+        if self.sealed {
+            return (false, false);
+        }
+        for i in 0..pages {
+            let pfn = Pfn(first.pfn.0 + i);
+            self.pages.insert(vpn + i, PageEntry { pfn, ..first });
+        }
+        (true, pages > 0)
+    }
+
+    /// Applies `edit` to each page from `vpn` on until the first hole.
+    fn each_page(
+        &mut self,
+        vpn: u64,
+        pages: u64,
+        mut edit: impl FnMut(&mut BTreeMap<u64, PageEntry>, u64),
+    ) -> (Result<(), Vpn>, bool) {
+        if self.sealed {
+            return (Err(Vpn(vpn)), false);
+        }
+        for v in vpn..vpn + pages {
+            if !self.pages.contains_key(&v) {
+                return (Err(Vpn(v)), v > vpn);
+            }
+            edit(&mut self.pages, v);
+        }
+        (Ok(()), pages > 0)
+    }
+
+    /// Maximal runs of adjacent pages on consecutive frames with one
+    /// flags/key pair: the extents a canonical table holds.
+    fn runs(&self) -> usize {
+        let mut prev: Option<(u64, PageEntry)> = None;
+        self.pages
+            .iter()
+            .filter(|&(&v, &e)| {
+                let continues = prev.is_some_and(|(pv, pe)| {
+                    pv + 1 == v && pe.pfn.0 + 1 == e.pfn.0 && (pe.flags, pe.key) == (e.flags, e.key)
+                });
+                prev = Some((v, e));
+                !continues
+            })
+            .count()
+    }
+}
+
+#[derive(Debug, Clone)]
+enum PtOp {
+    Map(u64, PageEntry),
+    MapRange(u64, u64, PageEntry),
+    Unmap(u64),
+    UnmapRange(u64, u64),
+    SetKey(u64, ProtKey),
+    SetKeyRange(u64, u64, ProtKey),
+    Seal,
+}
+
+/// An entry for `vpn` whose frame is `vpn + shift`: one shift runs
+/// through a whole range, so neighbouring mappings often continue each
+/// other and merge.
+fn arb_entry(vpn: u64) -> impl Strategy<Value = PageEntry> {
+    (0u64..3, any::<bool>(), 0u8..3).prop_map(move |(shift, writable, key)| PageEntry {
+        pfn: Pfn(vpn + shift),
+        flags: PageFlags { writable },
+        key: ProtKey(key),
+    })
+}
+
+fn arb_pt_op() -> impl Strategy<Value = PtOp> {
+    let vpn = 0..SPACE;
+    let pages = 0u64..12;
+    let key = || (0u8..3).prop_map(ProtKey);
+    prop_oneof![
+        3 => vpn.clone().prop_flat_map(|v| arb_entry(v).prop_map(move |e| PtOp::Map(v, e))),
+        6 => (vpn.clone(), pages.clone()).prop_flat_map(|(v, n)| {
+            arb_entry(v).prop_map(move |e| PtOp::MapRange(v, n, e))
+        }),
+        2 => vpn.clone().prop_map(PtOp::Unmap),
+        3 => (vpn.clone(), pages.clone()).prop_map(|(v, n)| PtOp::UnmapRange(v, n)),
+        2 => (vpn.clone(), key()).prop_map(|(v, k)| PtOp::SetKey(v, k)),
+        4 => (vpn, pages, key()).prop_map(|(v, n, k)| PtOp::SetKeyRange(v, n, k)),
+        1 => Just(PtOp::Seal),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The extent table answers every operation, walk, `len` and `iter`
+    /// exactly as the per-page reference does, moves its generation
+    /// exactly when the reference changed a page, and stays canonical:
+    /// one extent per maximal run.
+    #[test]
+    fn extent_table_matches_the_per_page_reference(ops in prop::collection::vec(arb_pt_op(), 1..60)) {
+        let (mut pt, mut reference) = (PageTable::new(), RefTable::default());
+        for op in ops {
+            let generation = pt.generation();
+            let (same, changed) = match op {
+                PtOp::Map(v, e) => {
+                    let (r, changed) = reference.map_range(v, 1, e);
+                    (pt.map(Vpn(v), e) == r, changed)
+                }
+                PtOp::MapRange(v, n, e) => {
+                    let (r, changed) = reference.map_range(v, n, e);
+                    (pt.map_range(Vpn(v), n, e) == r, changed)
+                }
+                PtOp::Unmap(v) => {
+                    let before = reference.pages.get(&v).copied();
+                    let (r, changed) = reference.each_page(v, 1, |p, v| { p.remove(&v); });
+                    (pt.unmap(Vpn(v)) == r.ok().and(before), changed)
+                }
+                PtOp::UnmapRange(v, n) => {
+                    let (r, changed) = reference.each_page(v, n, |p, v| { p.remove(&v); });
+                    (pt.unmap_range(Vpn(v), n) == r, changed)
+                }
+                PtOp::SetKey(v, k) => {
+                    let (r, changed) = reference.each_page(v, 1, |p, v| p.get_mut(&v).unwrap().key = k);
+                    (pt.set_key(Vpn(v), k) == r.is_ok(), changed)
+                }
+                PtOp::SetKeyRange(v, n, k) => {
+                    let (r, changed) = reference.each_page(v, n, |p, v| p.get_mut(&v).unwrap().key = k);
+                    (pt.set_key_range(Vpn(v), n, k) == r, changed)
+                }
+                PtOp::Seal => {
+                    reference.sealed = true;
+                    pt.seal();
+                    (true, true)
+                }
+            };
+            prop_assert!(same, "result differs");
+            prop_assert_eq!(pt.generation() != generation, changed);
+            prop_assert_eq!(pt.is_sealed(), reference.sealed);
+            for v in 0..SPACE + 14 {
+                prop_assert_eq!(pt.walk(Vpn(v)), reference.pages.get(&v).copied(), "walk({})", v);
+            }
+            prop_assert_eq!(pt.len(), reference.pages.len());
+            prop_assert_eq!(pt.is_empty(), reference.pages.is_empty());
+            let pages: Vec<(Vpn, PageEntry)> = reference.pages.iter().map(|(&v, &e)| (Vpn(v), e)).collect();
+            prop_assert_eq!(pt.iter().collect::<Vec<_>>(), pages);
+            prop_assert_eq!(pt.extents(), reference.runs());
+        }
+    }
+}
