@@ -36,7 +36,7 @@ use flexos_net::stack::{NetError, NetResult, NetStack, SocketId};
 use flexos_net::wire::Mac;
 use flexos_sh::runtime::ShRuntime;
 use flexos_sh::shadow::REDZONE;
-use flexos_trace::{ExecutorTrace, SpanId, StatsSnapshot, TraceRegistry};
+use flexos_trace::{ServingSnapshot, SpanId, StatsSnapshot, TraceRegistry};
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 
@@ -125,9 +125,9 @@ pub struct Os {
     /// Readiness events drained by the last [`Os::poll_net`] (reused
     /// scratch; serve drivers read them via [`Os::ready_events`]).
     ready_scratch: Vec<ReadyEvent>,
-    /// Aggregated cooperative-executor counters from serve runs,
-    /// surfaced in the `--stats` serving block.
-    serve_exec: ExecutorTrace,
+    /// Aggregated cooperative-executor counters from serve runs, added
+    /// to the stack's readiness counters in the `--stats` serving block.
+    serve_exec: ServingSnapshot,
 }
 
 /// One socket data operation (`recv` or `send` on `sid` through `buf`)
@@ -354,7 +354,7 @@ impl Os {
             stats: OsStats::default(),
             cqe_scratch: Vec::new(),
             ready_scratch: Vec::new(),
-            serve_exec: ExecutorTrace::new(),
+            serve_exec: ServingSnapshot::default(),
         })
     }
 
@@ -399,15 +399,15 @@ impl Os {
         reg.set_elapsed(self.img.machine.clock().cycles());
         reg.add_gates(self.img.gates.trace(), &names);
         if let Some(ex) = exec {
-            reg.add_sched(ex.trace(), self.roles.sched.0);
+            reg.add_sched(ex.sched(), self.roles.sched.0);
         }
         reg.add_allocs(self.img.heaps.trace(), &names);
         reg.add_faults(self.img.machine.fault_trace(), |k| owners.get(&k).cloned());
         reg.add_tlb(self.img.machine.tlb_trace());
         reg.add_async_gates(self.img.gates.async_stats());
         reg.add_migrations(self.img.gates.migration_stats());
-        reg.add_net(self.net.trace(), self.net.retransmits(), self.roles.net.0);
-        reg.add_serving(self.net.events().trace(), &self.serve_exec);
+        reg.add_net(self.net.stats(), self.roles.net.0);
+        reg.add_serving(self.net.events().stats() + self.serve_exec);
         reg.add_spans(self.img.machine.span_trace());
         reg.finish()
     }
@@ -766,21 +766,9 @@ impl Os {
     /// `first_len` bytes, through one vectored gate crossing. The `after`
     /// hook stages each subsequent chunk (writing it through `m` in the
     /// caller's compartment, as a sequential send loop would) and returns
-    /// its length. See [`Os::sock_data_op_batch`].
-    pub fn send_batch_with(
-        &mut self,
-        sid: SocketId,
-        src: Addr,
-        first_len: u64,
-        max: usize,
-        after: impl FnMut(&mut Machine, &mut GateRuntime, &NetResult<u64>) -> Result<Option<u64>>,
-    ) -> Result<BatchOutcome> {
-        self.sock_data_op_batch(sid, src, first_len, Access::Read, max, &[], after)
-    }
-
-    /// [`Os::send_batch_with`] with request-span tagging: descriptor `i`
-    /// of the burst carries `spans[i]` (descriptors past the slice stay
-    /// untagged), so the causal trace links each ring entry to the
+    /// its length; see [`Os::sock_data_op_batch`]. Descriptor `i` of the
+    /// burst carries request span `spans[i]` (descriptors past the slice
+    /// stay untagged), so the causal trace links each ring entry to the
     /// request whose reply it ships.
     pub fn send_batch_spanned(
         &mut self,
@@ -797,11 +785,6 @@ impl Os {
     /// `recv()`: see [`Os::sock_data_op`] for the crossing structure.
     pub fn recv(&mut self, sid: SocketId, dst: Addr, len: u64) -> NetResult<u64> {
         self.sock_data_op(sid, dst, len, Access::Write)
-    }
-
-    /// `send()`: see [`Os::sock_data_op`] for the crossing structure.
-    pub fn send(&mut self, sid: SocketId, src: Addr, len: u64) -> NetResult<u64> {
-        self.sock_data_op(sid, src, len, Access::Read)
     }
 
     /// `close()`.
@@ -1000,8 +983,8 @@ impl Os {
 
     /// Folds a serve run's cooperative-executor counters into the
     /// instance totals surfaced by [`Os::stats_snapshot`].
-    pub fn record_serve_exec(&mut self, t: &ExecutorTrace) {
-        self.serve_exec.merge_counters(t);
+    pub fn record_serve_exec(&mut self, t: ServingSnapshot) {
+        self.serve_exec = self.serve_exec + t;
     }
 }
 

@@ -1458,7 +1458,7 @@ fn run_serve_inner(
     let ops_done = clients.completed_reqs;
     let mut lat = std::mem::take(&mut clients.latencies);
     lat.sort_unstable();
-    world.os.record_serve_exec(exec.trace());
+    world.os.record_serve_exec(exec.stats());
     let result = ServeResult {
         conns,
         ops: ops_done,
@@ -1528,12 +1528,11 @@ mod tests {
         // The readiness layer and the executor registered their work.
         let sv = snap.serving;
         assert!(
-            cfg!(feature = "trace-off")
-                || (sv.tasks_spawned > 0
-                    && sv.tasks_run > 0
-                    && sv.events_posted > 0
-                    && sv.polls > 0
-                    && sv.wakeups > 0),
+            sv.tasks_spawned > 0
+                && sv.tasks_run > 0
+                && sv.events_posted > 0
+                && sv.polls > 0
+                && sv.wakeups > 0,
             "{sv:?}"
         );
         assert!(r.p50_cycles > 0 && r.p99_cycles >= r.p50_cycles);

@@ -179,13 +179,13 @@ fn a_dropped_udp_datagram_is_not_copied_first() {
         stack.nic.push_rx(datagram(53));
     }
     stack.poll(&mut m, VcpuId(0)).expect("poll");
-    assert_eq!(stack.stats().demux_drops, 4);
+    assert_eq!(stack.stats().drops, 4);
     // One datagram for a port nobody bound, one for the full queue: each
     // used to be copied out of the frame before either was looked up.
     stack.nic.push_rx(datagram(54));
     stack.nic.push_rx(datagram(53));
     let allocs = allocations_during(|| stack.poll(&mut m, VcpuId(0)).expect("poll"));
-    assert_eq!(stack.stats().demux_drops, 6);
+    assert_eq!(stack.stats().drops, 6);
     assert_eq!(stack.stats().rx_datagrams, UDP_QUEUE_DEPTH as u64);
     assert_eq!(allocs, 0, "a dropped datagram allocated");
 }

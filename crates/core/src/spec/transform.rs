@@ -67,17 +67,6 @@ impl ShMechanism {
         }
     }
 
-    /// Which compiler family provides the mechanism in the prototype
-    /// (paper §3): GCC for KASAN/stack-protector/UBSAN, clang for
-    /// CFI/SafeStack; DFI is from the literature (WIT).
-    pub fn toolchain(self) -> &'static str {
-        match self {
-            ShMechanism::Asan | ShMechanism::StackProtector | ShMechanism::Ubsan => "gcc",
-            ShMechanism::Cfi | ShMechanism::SafeStack => "clang",
-            ShMechanism::Dfi => "research",
-        }
-    }
-
     /// Whether this mechanism requires a *separate memory allocator* for
     /// the hardened compartment (paper §3: "A key requirement for SH is
     /// the ability to have a separate memory allocator per compartment:

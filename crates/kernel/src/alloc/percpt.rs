@@ -184,20 +184,16 @@ mod tests {
         let (mut m, mut svc) = two_heaps();
         let c = CompartmentId(1);
         let held = svc.alloc(&mut m, c, 64, 8).unwrap();
-        let before = svc.trace().counters(1).bytes_in_use;
+        let in_use = |svc: &HeapService| svc.trace().row(1).unwrap().bytes_in_use;
+        let before = in_use(&svc);
         for _ in 0..3 {
             let z = svc.alloc(&mut m, c, 0, 8).unwrap();
             // The trace and the allocator account the same byte.
-            if cfg!(not(feature = "trace-off")) {
-                assert_eq!(
-                    svc.trace().counters(1).bytes_in_use,
-                    svc.allocator_for(c).stats().live_bytes
-                );
-            }
+            assert_eq!(in_use(&svc), svc.allocator_for(c).stats().live_bytes);
             svc.free(&mut m, c, z).unwrap();
         }
-        assert_eq!(svc.trace().counters(1).bytes_in_use, before);
+        assert_eq!(in_use(&svc), before);
         svc.free(&mut m, c, held).unwrap();
-        assert_eq!(svc.trace().counters(1).bytes_in_use, 0);
+        assert_eq!(in_use(&svc), 0);
     }
 }

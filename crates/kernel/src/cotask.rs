@@ -22,7 +22,7 @@
 //! step. That keeps the executor free of any borrow entanglement with
 //! the OS layer.
 
-use flexos_trace::ExecutorTrace;
+use flexos_trace::ServingSnapshot;
 use std::collections::VecDeque;
 
 /// A handle to a spawned task.
@@ -66,7 +66,8 @@ pub struct CoExecutor<C> {
     slots: Vec<Option<Slot<C>>>,
     free: Vec<u32>,
     run_queue: VecDeque<u32>,
-    trace: ExecutorTrace,
+    /// Its half of the serving block: spawns, steps run, wakeups.
+    stats: ServingSnapshot,
 }
 
 impl<C> Default for CoExecutor<C> {
@@ -91,7 +92,7 @@ impl<C> CoExecutor<C> {
             slots: Vec::new(),
             free: Vec::new(),
             run_queue: VecDeque::new(),
-            trace: ExecutorTrace::new(),
+            stats: ServingSnapshot::default(),
         }
     }
 
@@ -116,7 +117,7 @@ impl<C> CoExecutor<C> {
             }
         };
         self.run_queue.push_back(id);
-        self.trace.on_spawn();
+        self.stats.on_spawn();
         CoTaskId(id)
     }
 
@@ -131,7 +132,7 @@ impl<C> CoExecutor<C> {
         }
         slot.queued = true;
         self.run_queue.push_back(id.0);
-        self.trace.on_wake();
+        self.stats.on_wake();
     }
 
     /// Steps woken tasks in FIFO order until the run queue drains or
@@ -156,7 +157,7 @@ impl<C> CoExecutor<C> {
             // tables through `ctx` without aliasing its own slot.
             let mut task = std::mem::replace(&mut slot.task, Box::new(NopTask));
             steps += 1;
-            self.trace.on_run();
+            self.stats.on_run();
             match task.step(ctx, CoTaskId(i)) {
                 CoPoll::Ready => {
                     self.slots[i as usize] = None;
@@ -187,9 +188,9 @@ impl<C> CoExecutor<C> {
         self.run_queue.is_empty()
     }
 
-    /// The executor's probe counters.
-    pub fn trace(&self) -> &ExecutorTrace {
-        &self.trace
+    /// The executor's counters: the task half of the serving block.
+    pub fn stats(&self) -> ServingSnapshot {
+        self.stats
     }
 }
 
@@ -264,9 +265,7 @@ mod tests {
         ex.wake(id);
         ex.wake(id);
         assert_eq!(ex.runnable(), 1, "wakes did not coalesce");
-        if cfg!(not(feature = "trace-off")) {
-            assert_eq!(ex.trace().wakeups(), 1);
-        }
+        assert_eq!(ex.stats().wakeups, 1);
     }
 
     #[test]
@@ -289,10 +288,8 @@ mod tests {
             assert_eq!(id.0, 0, "slot not recycled");
             ex.run_until_idle(&mut ctx, u64::MAX);
         }
-        if cfg!(not(feature = "trace-off")) {
-            assert_eq!(ex.trace().spawned(), 3);
-            assert_eq!(ex.trace().tasks_run(), 3);
-        }
+        assert_eq!(ex.stats().tasks_spawned, 3);
+        assert_eq!(ex.stats().tasks_run, 3);
     }
 
     #[test]

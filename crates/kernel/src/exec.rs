@@ -13,7 +13,7 @@ use crate::sched::{RunQueue, ThreadId};
 use crate::sync::WaitChannel;
 use flexos::gate::CompartmentId;
 use flexos_machine::{Machine, Result};
-use flexos_trace::SchedTrace;
+use flexos_trace::SchedSnapshot;
 use std::collections::BTreeMap;
 
 /// What a task reports after one scheduling quantum.
@@ -90,8 +90,11 @@ pub struct Executor<C> {
     threads: BTreeMap<ThreadId, ThreadSlot<C>>,
     next_id: u32,
     last_running: Option<ThreadId>,
-    summary: ExecSummary,
-    trace: SchedTrace,
+    /// Switches, steps, run-queue depth and per-task cycles: the
+    /// `--stats` block, and the source of [`ExecSummary`]'s two counts.
+    sched: SchedSnapshot,
+    blocked: usize,
+    completed: u64,
     /// Scratch for [`KernelHal::drain_wakes_into`] (empty between steps).
     wakes: Vec<ThreadId>,
 }
@@ -101,7 +104,7 @@ impl<C> std::fmt::Debug for Executor<C> {
         f.debug_struct("Executor")
             .field("scheduler", &self.rq.name())
             .field("threads", &self.threads.len())
-            .field("summary", &self.summary)
+            .field("sched", &self.sched)
             .finish()
     }
 }
@@ -114,8 +117,9 @@ impl<C: KernelHal> Executor<C> {
             threads: BTreeMap::new(),
             next_id: 1,
             last_running: None,
-            summary: ExecSummary::default(),
-            trace: SchedTrace::new(),
+            sched: SchedSnapshot::default(),
+            blocked: 0,
+            completed: 0,
             wakes: Vec::new(),
         }
     }
@@ -147,12 +151,18 @@ impl<C: KernelHal> Executor<C> {
 
     /// Cumulative execution statistics.
     pub fn summary(&self) -> ExecSummary {
-        self.summary
+        ExecSummary {
+            steps: self.sched.steps,
+            switches: self.sched.switches,
+            blocked: self.blocked,
+            completed: self.completed,
+        }
     }
 
-    /// Scheduler telemetry: switches, run-queue depth, per-task cycles.
-    pub fn trace(&self) -> &SchedTrace {
-        &self.trace
+    /// Scheduler telemetry: switches, run-queue depth, per-task cycles
+    /// (in first-run order).
+    pub fn sched(&self) -> &SchedSnapshot {
+        &self.sched
     }
 
     fn apply_wakes(&mut self, ctx: &mut C) -> Result<()> {
@@ -171,7 +181,7 @@ impl<C: KernelHal> Executor<C> {
     /// Returns the summary for this run; blocked threads remain parked
     /// (a subsequent wake can resume them in a later `run` call).
     pub fn run(&mut self, ctx: &mut C, max_steps: u64) -> Result<ExecSummary> {
-        let run_start = self.summary;
+        let run_start = self.summary();
         for _ in 0..max_steps {
             self.apply_wakes(ctx)?;
             let Some(tid) = self.rq.pick_next() else {
@@ -186,12 +196,11 @@ impl<C: KernelHal> Executor<C> {
                 let cost = self.rq.switch_cost(ctx.machine_mut().costs());
                 ctx.machine_mut().charge(cost);
                 ctx.resume_compartment(slot.compartment)?;
-                self.summary.switches += 1;
                 let t1 = ctx.machine_mut().clock().cycles();
                 // The switch window (cost charge + PKRU restore),
                 // attributed to the incoming thread and its compartment.
                 let spans = ctx.machine_mut().span_trace_mut();
-                self.trace
+                self.sched
                     .record_switch(spans, tid.0, slot.compartment.0, t0, t1);
                 self.last_running = Some(tid);
             }
@@ -202,10 +211,9 @@ impl<C: KernelHal> Executor<C> {
             let quantum_start = ctx.machine_mut().clock().cycles();
             let step = task.step(ctx, tid);
             let run_cycles = ctx.machine_mut().clock().cycles() - quantum_start;
-            self.trace.record_step(tid.0, run_cycles, depth);
+            self.sched.record_step(tid.0, run_cycles, depth);
             let slot = self.threads.get_mut(&tid).expect("still present");
             slot.task = Some(task);
-            self.summary.steps += 1;
 
             match step? {
                 Step::Yield => self.rq.yield_back(tid)?,
@@ -217,23 +225,24 @@ impl<C: KernelHal> Executor<C> {
                     self.rq.block(tid)?; // take it off the queue…
                     self.rq.thread_rm(tid)?; // …and forget it
                     self.threads.remove(&tid);
-                    self.summary.completed += 1;
+                    self.completed += 1;
                     self.last_running = None;
                 }
             }
         }
         // Wakes produced by the final quantum still count.
         self.apply_wakes(ctx)?;
-        self.summary.blocked = self
+        self.blocked = self
             .threads
             .values()
             .filter(|s| s.blocked_on.is_some())
             .count();
+        let now = self.summary();
         Ok(ExecSummary {
-            steps: self.summary.steps - run_start.steps,
-            switches: self.summary.switches - run_start.switches,
-            blocked: self.summary.blocked,
-            completed: self.summary.completed - run_start.completed,
+            steps: now.steps - run_start.steps,
+            switches: now.switches - run_start.switches,
+            blocked: now.blocked,
+            completed: now.completed - run_start.completed,
         })
     }
 }

@@ -25,7 +25,7 @@
 //! skipped, so the churn path needs no queue scrubbing.
 
 use crate::stack::SocketId;
-use flexos_trace::EventQueueTrace;
+use flexos_trace::ServingSnapshot;
 use std::collections::VecDeque;
 use std::ops::{BitAnd, BitOr, BitOrAssign, Not};
 
@@ -118,7 +118,8 @@ pub struct EventQueue {
     /// skipped by the generation check on the next poll, but a server
     /// that never polls must not accumulate them — see `deregister`).
     stale: usize,
-    trace: EventQueueTrace,
+    /// Its half of the serving block: posts, coalesces, polls, deliveries.
+    stats: ServingSnapshot,
 }
 
 impl EventQueue {
@@ -212,12 +213,12 @@ impl EventQueue {
         }
         e.ready |= bits;
         if e.queued {
-            self.trace.on_coalesce();
+            self.stats.on_coalesce();
         } else {
             e.queued = true;
             let key = (sid.0, e.generation);
             self.queue.push_back(key);
-            self.trace.on_post();
+            self.stats.on_post();
         }
     }
 
@@ -266,7 +267,7 @@ impl EventQueue {
                 }
             }
         }
-        self.trace.on_poll(out.len() as u64);
+        self.stats.on_poll(out.len() as u64);
     }
 
     /// Currently-queued ready sockets (the O(ready) bound a poll pays).
@@ -274,9 +275,9 @@ impl EventQueue {
         self.queue.len()
     }
 
-    /// The queue's probe counters.
-    pub fn trace(&self) -> &EventQueueTrace {
-        &self.trace
+    /// The queue's counters: the readiness half of the serving block.
+    pub fn stats(&self) -> ServingSnapshot {
+        self.stats
     }
 }
 
@@ -327,7 +328,7 @@ mod tests {
         q.register(SocketId(1), Interest::READ, Trigger::Level);
         q.post(SocketId(1), Interest::WRITE); // not interested
         assert!(drain(&mut q).is_empty());
-        assert_eq!(q.trace().posted(), 0);
+        assert_eq!(q.stats().events_posted, 0);
     }
 
     #[test]
@@ -344,10 +345,8 @@ mod tests {
         let ev = drain(&mut q);
         assert_eq!(ev.len(), 1, "coalesced into one event");
         assert_eq!(ev[0].ready, Interest::READ | Interest::WRITE);
-        if cfg!(not(feature = "trace-off")) {
-            assert_eq!(q.trace().posted(), 1);
-            assert_eq!(q.trace().coalesced(), 2);
-        }
+        assert_eq!(q.stats().events_posted, 1);
+        assert_eq!(q.stats().events_coalesced, 2);
     }
 
     #[test]

@@ -41,6 +41,6 @@ pub use event::{EventQueue, Interest, ReadyEvent, Trigger};
 pub use flexos_machine::hash::{self, FixedHasher, FixedMap};
 pub use nic::{Link, LinkChaos, LinkFaults, Nic, NicStats};
 pub use ring::SimRing;
-pub use stack::{NetError, NetResult, NetStack, SocketId, StackStats};
+pub use stack::{NetError, NetResult, NetStack, SocketId};
 pub use tcp::{TcpConfig, TcpConn, TcpState};
 pub use wire::{Mac, WireError, MSS, MTU};

@@ -23,7 +23,7 @@ use crate::wire::{
     UDP_LEN,
 };
 use flexos_machine::{Addr, Fault, Machine, VcpuId};
-use flexos_trace::{NetTrace, SpanKind};
+use flexos_trace::{NetSnapshot, SpanKind};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 use std::rc::Rc;
@@ -107,21 +107,6 @@ enum Sock {
     },
 }
 
-/// Stack counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StackStats {
-    /// TCP segments received and accepted.
-    pub rx_segments: u64,
-    /// TCP segments emitted.
-    pub tx_segments: u64,
-    /// Frames dropped at demux (bad checksum, no listener, …).
-    pub demux_drops: u64,
-    /// UDP datagrams received.
-    pub rx_datagrams: u64,
-    /// SYNs shed because a listener's accept backlog was full.
-    pub backlog_overflows: u64,
-}
-
 /// A bump pool for socket receive rings, carved out of the stack
 /// compartment's memory, with a size-bucketed free list so reaped
 /// connections return their ring for reuse (connection churn does not
@@ -202,8 +187,9 @@ pub struct NetStack {
     /// Extra cycles per 16 payload bytes under hardening (ASAN-style
     /// per-granule checks on the stack's buffer handling).
     pub sh_per_16_bytes: u64,
-    stats: StackStats,
-    trace: NetTrace,
+    /// The `--stats` net block, bumped in place (`retransmits` is
+    /// filled in by [`NetStack::stats`]).
+    stats: NetSnapshot,
     /// Reusable bounce buffer for send paths that must stage payload
     /// bytes from simulated memory before framing (no per-call alloc).
     tx_scratch: Vec<u8>,
@@ -263,8 +249,7 @@ impl NetStack {
             extra_per_packet: 0,
             sh_per_packet: 0,
             sh_per_16_bytes: 0,
-            stats: StackStats::default(),
-            trace: NetTrace::new(),
+            stats: NetSnapshot::default(),
             tx_scratch: Vec::new(),
             seg_scratch: Vec::new(),
             active_scratch: Vec::new(),
@@ -274,7 +259,7 @@ impl NetStack {
 
     /// Bounds the accept backlog of every listener; SYNs arriving while
     /// a backlog is full are shed (counted in
-    /// [`StackStats::backlog_overflows`]) and left to the client's RTO.
+    /// [`NetSnapshot::backlog_overflows`]) and left to the client's RTO.
     pub fn set_backlog_cap(&mut self, cap: usize) {
         self.backlog_cap = cap.max(1);
     }
@@ -324,14 +309,12 @@ impl NetStack {
         self.events.reserve(socks);
     }
 
-    /// Counters.
-    pub fn stats(&self) -> StackStats {
-        self.stats
-    }
-
-    /// Packet telemetry (counters plus the drop-event ring).
-    pub fn trace(&self) -> &NetTrace {
-        &self.trace
+    /// Packet counters, with [`NetStack::retransmits`].
+    pub fn stats(&self) -> NetSnapshot {
+        NetSnapshot {
+            retransmits: self.retransmits(),
+            ..self.stats
+        }
     }
 
     /// Total TCP retransmissions across live and reaped connections.
@@ -767,7 +750,6 @@ impl NetStack {
             Ok(()) => {
                 self.nic.push_tx(frame);
                 self.stats.tx_segments += 1;
-                self.trace.on_tx_segment();
             }
             Err(_) => {
                 self.nic.recycle(frame);
@@ -932,8 +914,7 @@ impl NetStack {
 
     /// Counts one frame or segment dropped at demux at `now`.
     fn demux_drop(&mut self, m: &mut Machine, now: u64) {
-        self.stats.demux_drops += 1;
-        self.trace.on_drop(m.span_trace_mut(), now);
+        self.stats.on_drop(m.span_trace_mut(), now);
     }
 
     fn handle_frame(&mut self, m: &mut Machine, frame: &[u8]) {
@@ -982,7 +963,6 @@ impl NetStack {
                     return;
                 };
                 self.stats.rx_segments += 1;
-                self.trace.on_rx_segment();
                 conn.on_segment_lent(&hdr, payload, now, &mut segs, &mut self.spare);
             }
             let dst_ip = ip.src;
@@ -1009,8 +989,7 @@ impl NetStack {
                     Some(Sock::TcpListen { backlog, .. }) if backlog.len() >= self.backlog_cap
                 );
                 if full {
-                    self.stats.backlog_overflows += 1;
-                    self.trace.on_backlog_overflow(m.span_trace_mut(), now);
+                    self.stats.on_backlog_overflow(m.span_trace_mut(), now);
                     return;
                 }
                 // Passive open.
@@ -1036,7 +1015,6 @@ impl NetStack {
                 self.events.post(lid, Interest::ACCEPT);
                 self.mark_active(sid.0);
                 self.stats.rx_segments += 1;
-                self.trace.on_rx_segment();
                 m.charge(
                     m.costs().stack_per_packet + m.costs().nic_per_packet + self.packet_tax(0),
                 );
@@ -1072,7 +1050,6 @@ impl NetStack {
                     let payload = l4[UDP_LEN..hdr.len as usize].to_vec();
                     rx.push_back((ip.src, hdr.src_port, payload));
                     self.stats.rx_datagrams += 1;
-                    self.trace.on_rx_datagram();
                     return;
                 }
             }
@@ -1268,6 +1245,8 @@ mod tests {
             }
         }
         assert!(received >= total, "only {received}/{total} bytes made it");
+        assert!(w.client.retransmits() > 0, "no segment was resent");
+        assert_eq!(w.client.stats().retransmits, w.client.retransmits());
     }
 
     #[test]
@@ -1359,7 +1338,7 @@ mod tests {
         frame[ETH_LEN + 10] ^= 0xff; // break the IP checksum
         w.server.nic.push_rx(frame);
         w.server.poll(&mut w.m, VcpuId(0)).unwrap();
-        assert_eq!(w.server.stats().demux_drops, 2);
+        assert_eq!(w.server.stats().drops, 2);
     }
 
     #[test]
@@ -1383,11 +1362,10 @@ mod tests {
         ip.write(&mut frame[ETH_LEN..ETH_LEN + IPV4_LEN]);
         w.server.nic.push_rx(frame);
         w.server.poll(&mut w.m, VcpuId(0)).unwrap();
-        assert_eq!(w.server.stats().demux_drops, 1);
+        assert_eq!(w.server.stats().drops, 1);
         if cfg!(not(feature = "trace-off")) {
-            assert_eq!(w.server.trace().drops(), 1);
             let mut reg = flexos_trace::TraceRegistry::new();
-            reg.add_net(w.server.trace(), 0, 3);
+            reg.add_net(w.server.stats(), 3);
             reg.add_spans(w.m.span_trace());
             let snap = reg.finish();
             let tail: Vec<_> = snap
@@ -1429,10 +1407,7 @@ mod tests {
             w.server.nic.push_rx(frame_claiming(claimed));
         }
         w.server.poll(&mut w.m, VcpuId(0)).unwrap();
-        assert_eq!(w.server.stats().demux_drops, 3);
-        if cfg!(not(feature = "trace-off")) {
-            assert_eq!(w.server.trace().drops(), 3);
-        }
+        assert_eq!(w.server.stats().drops, 3);
         assert!(!w.server.nic.has_tx(), "a lying frame was answered");
     }
 
@@ -1443,10 +1418,7 @@ mod tests {
             w.server.nic.push_rx(frame_claiming(claimed));
         }
         w.server.poll(&mut w.m, VcpuId(0)).unwrap();
-        assert_eq!(w.server.stats().demux_drops, 3);
-        if cfg!(not(feature = "trace-off")) {
-            assert_eq!(w.server.trace().drops(), 3);
-        }
+        assert_eq!(w.server.stats().drops, 3);
         assert!(!w.server.nic.has_tx(), "a lying frame was answered");
     }
 
@@ -1697,9 +1669,6 @@ mod tests {
         }
         w.step();
         assert_eq!(w.server.stats().backlog_overflows, 2);
-        if cfg!(not(feature = "trace-off")) {
-            assert_eq!(w.server.trace().backlog_overflows(), 2);
-        }
         // Exactly the capped number of connections got through.
         assert!(w.server.tcp_accept(l).unwrap().is_some());
         assert!(w.server.tcp_accept(l).unwrap().is_some());

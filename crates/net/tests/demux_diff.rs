@@ -498,9 +498,9 @@ fn tuples_that_collide_in_the_hash_table_still_resolve() {
         .flat_map(|ip| (1..=u16::MAX).map(move |port| (ip, port)))
         .find(|&who| fingerprint(hash(who)) == want)
         .expect("one more colliding tuple");
-    let before = rig.server.stats().demux_drops;
+    let before = rig.server.stats().drops;
     rig.send_frame(stranger, TcpFlags::ACK, 1, 1, b"x");
     rig.settle();
-    assert_eq!(rig.server.stats().demux_drops, before + 1);
+    assert_eq!(rig.server.stats().drops, before + 1);
     assert_eq!(rig.server.conn_count(), 0);
 }

@@ -1,19 +1,33 @@
 //! `flexos-trace`: per-compartment telemetry for the FlexOS reproduction.
 //!
 //! FlexOS's claim is that isolation cost is a dial; this crate is the
-//! gauge. It provides two always-compiled primitives — counters and
-//! fixed-bucket log2 [`CycleHist`]ograms — and one event stream, the
-//! machine's per-vCPU [`SpanRing`]s, in which every probe that records an
-//! event (a crossing, a context switch, a fault, a failed allocation, a
-//! dropped packet, an mq hop, …) writes exactly one [`SpanEvent`]. The
-//! per-subsystem trace structs that the hot paths own directly (no
-//! globals, no locks: the simulation is single-threaded per image) keep
-//! only counters, and a [`TraceRegistry`] folds counters and records into
-//! a serializable [`StatsSnapshot`].
+//! gauge. It keeps two kinds of telemetry:
 //!
-//! Building with `--features trace-off` compiles every probe body to a
-//! no-op while keeping struct layouts and APIs identical, so the
-//! instrumented call sites need no `cfg` of their own.
+//! - **Counts.** Each event bumps exactly one counter, and that counter
+//!   lives in the `--stats` block it is printed from: the executor owns
+//!   the scheduler block of [`StatsSnapshot`], the machine the TLB block,
+//!   the net stack the net block, the readiness layer and the
+//!   cooperative executor one serving block each, and they bump them in
+//!   place (the probes are methods on the block); the gate runtime bumps
+//!   one [`GateTrace`] row per crossing, and the heap service one
+//!   [`AllocRow`] per compartment. Nothing else counts the same event.
+//!   Counts are always on.
+//! - **Records.** One event stream, the machine's per-vCPU
+//!   [`SpanRing`]s, in which every probe that records an event (a
+//!   crossing, a context switch, a fault, a failed allocation, a dropped
+//!   packet, an mq hop, …) writes exactly one [`SpanEvent`], plus the
+//!   log2 [`CycleHist`]ogram samples of crossing cost and batch size.
+//!
+//! The owners hold their telemetry directly (no globals, no locks: the
+//! simulation is single-threaded per image), and a [`TraceRegistry`]
+//! folds counts and records into one serializable [`StatsSnapshot`].
+//!
+//! Building with `--features trace-off` compiles every record away —
+//! span records, histogram samples — while keeping struct layouts and
+//! APIs identical, so the instrumented call sites need no `cfg` of their
+//! own. It never removes a count: the counter blocks read the same in
+//! both builds, and only what is folded from records (the event tail,
+//! the ring report, latency and histogram rows) is empty.
 
 // A compiled-out probe ignores its arguments, and what only probe
 // bodies touch goes unused with them.
@@ -239,25 +253,7 @@ impl GateTrace {
     }
 }
 
-/// Telemetry owned by the kernel executor: context switches, run-queue
-/// depth samples and per-task run cycles.
-#[derive(Debug, Clone, Default)]
-pub struct SchedTrace {
-    switches: u64,
-    steps: u64,
-    depth_sum: u64,
-    depth_samples: u64,
-    depth_max: u64,
-    task_cycles: Vec<(u32, u64)>,
-    last_task: usize,
-}
-
-impl SchedTrace {
-    /// Fresh, empty trace.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
+impl SchedSnapshot {
     /// Records a thread-to-thread context switch to thread `tid` of
     /// `compartment` over `[t0, t1]` (cost charge + protection restore):
     /// one count here, one `ctx-switch` record in `spans` whose detail
@@ -271,10 +267,7 @@ impl SchedTrace {
         t0: u64,
         t1: u64,
     ) {
-        #[cfg(not(feature = "trace-off"))]
-        {
-            self.switches += 1;
-        }
+        self.switches += 1;
         let (src, detail) = (tid as u16, tid.into());
         spans.record_event(
             SpanKind::Sched,
@@ -288,74 +281,26 @@ impl SchedTrace {
     }
 
     /// Records one executor step of thread `tid` costing `cycles`,
-    /// sampling the run queue at `depth` ready threads.
+    /// sampling the run queue at `depth` ready threads. `task_cycles`
+    /// stays in first-run order; the registry sorts its copy.
     #[inline]
     pub fn record_step(&mut self, tid: u32, cycles: u64, depth: usize) {
-        #[cfg(not(feature = "trace-off"))]
-        {
-            self.steps += 1;
-            self.depth_sum += depth as u64;
-            self.depth_samples += 1;
-            self.depth_max = self.depth_max.max(depth as u64);
-            // Tiny task set; the last-hit cache covers the common case of
-            // one runnable thread.
-            let i = match self.task_cycles.get(self.last_task) {
-                Some((t, _)) if *t == tid => self.last_task,
-                _ => match self.task_cycles.iter().position(|(t, _)| *t == tid) {
-                    Some(i) => i,
-                    None => {
-                        self.task_cycles.push((tid, 0));
-                        self.task_cycles.len() - 1
-                    }
-                },
-            };
-            self.last_task = i;
-            self.task_cycles[i].1 += cycles;
-        }
-    }
-
-    /// Context switches recorded.
-    pub fn switches(&self) -> u64 {
-        self.switches
-    }
-
-    /// Aggregates into a [`SchedSnapshot`].
-    pub fn snapshot(&self) -> SchedSnapshot {
-        SchedSnapshot {
-            switches: self.switches,
-            steps: self.steps,
-            depth_sum: self.depth_sum,
-            depth_samples: self.depth_samples,
-            depth_max: self.depth_max,
-            task_cycles: {
-                let mut v = self.task_cycles.clone();
-                v.sort_unstable_by_key(|&(t, _)| t);
-                v
-            },
+        self.steps += 1;
+        self.depth_sum += depth as u64;
+        self.depth_samples += 1;
+        self.depth_max = self.depth_max.max(depth as u64);
+        match self.task_cycles.iter_mut().find(|(t, _)| *t == tid) {
+            Some((_, c)) => *c += cycles,
+            None => self.task_cycles.push((tid, cycles)),
         }
     }
 }
 
-/// Per-compartment allocator counters.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AllocCounters {
-    /// Successful allocations.
-    pub allocs: u64,
-    /// Frees.
-    pub frees: u64,
-    /// Bytes currently live.
-    pub bytes_in_use: u64,
-    /// High-water mark of live bytes.
-    pub peak_bytes: u64,
-    /// Failed allocation requests.
-    pub failures: u64,
-}
-
-/// Telemetry owned by the heap service: one [`AllocCounters`] per
-/// compartment.
+/// Telemetry owned by the heap service: one [`AllocRow`] per
+/// compartment, named when the registry takes it.
 #[derive(Debug, Clone, Default)]
 pub struct AllocTrace {
-    per: Vec<AllocCounters>,
+    per: Vec<AllocRow>,
 }
 
 impl AllocTrace {
@@ -364,11 +309,14 @@ impl AllocTrace {
         Self::default()
     }
 
-    #[cfg(not(feature = "trace-off"))]
-    fn slot(&mut self, cpt: u16) -> &mut AllocCounters {
+    fn slot(&mut self, cpt: u16) -> &mut AllocRow {
         let idx = cpt as usize;
         while self.per.len() <= idx {
-            self.per.push(AllocCounters::default());
+            let compartment = self.per.len() as u16;
+            self.per.push(AllocRow {
+                compartment,
+                ..AllocRow::default()
+            });
         }
         &mut self.per[idx]
     }
@@ -376,24 +324,18 @@ impl AllocTrace {
     /// Records a successful allocation of `bytes` for compartment `cpt`.
     #[inline]
     pub fn on_alloc(&mut self, cpt: u16, bytes: u64) {
-        #[cfg(not(feature = "trace-off"))]
-        {
-            let s = self.slot(cpt);
-            s.allocs += 1;
-            s.bytes_in_use += bytes;
-            s.peak_bytes = s.peak_bytes.max(s.bytes_in_use);
-        }
+        let s = self.slot(cpt);
+        s.allocs += 1;
+        s.bytes_in_use += bytes;
+        s.peak_bytes = s.peak_bytes.max(s.bytes_in_use);
     }
 
     /// Records a free of `bytes` for compartment `cpt`.
     #[inline]
     pub fn on_free(&mut self, cpt: u16, bytes: u64) {
-        #[cfg(not(feature = "trace-off"))]
-        {
-            let s = self.slot(cpt);
-            s.frees += 1;
-            s.bytes_in_use = s.bytes_in_use.saturating_sub(bytes);
-        }
+        let s = self.slot(cpt);
+        s.frees += 1;
+        s.bytes_in_use = s.bytes_in_use.saturating_sub(bytes);
     }
 
     /// Records a failed allocation of `bytes` for compartment `cpt` at
@@ -401,21 +343,14 @@ impl AllocTrace {
     /// `spans` whose detail is `bytes`.
     #[inline]
     pub fn on_fail(&mut self, spans: &mut SpanTrace, cpt: u16, bytes: u64, now: u64) {
-        #[cfg(not(feature = "trace-off"))]
-        {
-            self.slot(cpt).failures += 1;
-        }
+        self.slot(cpt).failures += 1;
         spans.record_event(SpanKind::AllocFail, "alloc-fail", cpt, cpt, now, now, bytes);
     }
 
-    /// Counters for compartment `cpt` (zeroes if never touched).
-    pub fn counters(&self, cpt: u16) -> AllocCounters {
-        self.per.get(cpt as usize).copied().unwrap_or_default()
-    }
-
-    /// All per-compartment counters (index = compartment id).
-    pub fn all(&self) -> &[AllocCounters] {
-        &self.per
+    /// The row of compartment `cpt`; rows exist up to the highest
+    /// compartment that allocated, freed or failed to allocate.
+    pub fn row(&self, cpt: u16) -> Option<&AllocRow> {
+        self.per.get(cpt as usize)
     }
 }
 
@@ -448,12 +383,9 @@ impl FaultTrace {
         now: u64,
     ) {
         let detail = key.map_or(u64::MAX, u64::from);
-        #[cfg(not(feature = "trace-off"))]
-        {
-            *self.by_kind.entry(kind).or_default() += 1;
-            if let Some(k) = key {
-                *self.by_key.entry(k).or_default() += 1;
-            }
+        *self.by_kind.entry(kind).or_default() += 1;
+        if let Some(k) = key {
+            *self.by_key.entry(k).or_default() += 1;
         }
         spans.record_event(SpanKind::Fault, "fault", 0, 0, now, now, detail);
     }
@@ -464,10 +396,7 @@ impl FaultTrace {
     /// the event tail separates injected faults from enforcement faults.
     #[cold]
     pub fn record_injected(&mut self, spans: &mut SpanTrace, kind: &'static str, now: u64) {
-        #[cfg(not(feature = "trace-off"))]
-        {
-            *self.by_kind.entry(kind).or_default() += 1;
-        }
+        *self.by_kind.entry(kind).or_default() += 1;
         spans.record_event(SpanKind::Fault, "injected", 0, 0, now, now, u64::MAX);
     }
 
@@ -492,132 +421,45 @@ impl FaultTrace {
     }
 }
 
-/// Telemetry owned by the machine's software TLB (the per-vCPU
-/// translation cache in front of the page-table walk): hit, miss and
-/// flush counters.
-///
-/// A *flush* is one machine-level page-table mutation (region map,
-/// unmap, retag or seal) that invalidated the cached translations of
-/// the affected VM via its generation counter — lazy invalidation, so
-/// one flush may expire many cached entries. Like every probe in this
-/// crate, all three counters compile to no-ops under `trace-off`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TlbTrace {
-    hits: u64,
-    misses: u64,
-    flushes: u64,
-}
-
-impl TlbTrace {
-    /// Fresh, zeroed counters.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
+/// The software TLB's probes (the per-vCPU translation cache in front of
+/// the page-table walk). A *flush* is one machine-level page-table
+/// mutation (region map, unmap, retag or seal) that invalidated the
+/// cached translations of the affected VM via its generation counter —
+/// lazy invalidation, so one flush may expire many cached entries.
+impl TlbSnapshot {
     /// Counts a translation served from the cache.
     #[inline]
     pub fn hit(&mut self) {
-        #[cfg(not(feature = "trace-off"))]
-        {
-            self.hits += 1;
-        }
+        self.hits += 1;
     }
 
     /// Counts a lookup that had to fall back to the page-table walk
     /// (including walks that end in a page fault).
     #[inline]
     pub fn miss(&mut self) {
-        #[cfg(not(feature = "trace-off"))]
-        {
-            self.misses += 1;
-        }
+        self.misses += 1;
     }
 
     /// Counts one generation-bumping page-table mutation.
     #[inline]
     pub fn flush(&mut self) {
-        #[cfg(not(feature = "trace-off"))]
-        {
-            self.flushes += 1;
-        }
-    }
-
-    /// Cache hits recorded.
-    pub fn hits(&self) -> u64 {
-        self.hits
+        self.flushes += 1;
     }
 
     /// Walk fallbacks recorded.
     pub fn misses(&self) -> u64 {
         self.misses
     }
-
-    /// Invalidating mutations recorded.
-    pub fn flushes(&self) -> u64 {
-        self.flushes
-    }
-
-    /// The serializable view.
-    pub fn snapshot(&self) -> TlbSnapshot {
-        TlbSnapshot {
-            hits: self.hits,
-            misses: self.misses,
-            flushes: self.flushes,
-        }
-    }
 }
 
-/// Telemetry owned by the net stack: packet counters.
-#[derive(Debug, Clone, Default)]
-pub struct NetTrace {
-    rx_segments: u64,
-    tx_segments: u64,
-    rx_datagrams: u64,
-    drops: u64,
-    backlog_overflows: u64,
-}
-
-impl NetTrace {
-    /// Fresh, empty trace.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records a received TCP segment.
-    #[inline]
-    pub fn on_rx_segment(&mut self) {
-        #[cfg(not(feature = "trace-off"))]
-        {
-            self.rx_segments += 1;
-        }
-    }
-
-    /// Records a transmitted TCP segment.
-    #[inline]
-    pub fn on_tx_segment(&mut self) {
-        #[cfg(not(feature = "trace-off"))]
-        {
-            self.tx_segments += 1;
-        }
-    }
-
-    /// Records a delivered UDP datagram.
-    #[inline]
-    pub fn on_rx_datagram(&mut self) {
-        #[cfg(not(feature = "trace-off"))]
-        {
-            self.rx_datagrams += 1;
-        }
-    }
-
+/// The net stack's probes for the two drop classes; its segment and
+/// datagram counts are plain field bumps.
+impl NetSnapshot {
     /// Records a demux drop at machine time `now`: one count here, one
     /// `packet-drop` record in `spans` with detail 0.
     #[inline]
     pub fn on_drop(&mut self, spans: &mut SpanTrace, now: u64) {
-        #[cfg(not(feature = "trace-off"))]
-        {
-            self.drops += 1;
-        }
+        self.drops += 1;
         spans.record_event(SpanKind::Drop, "packet-drop", 0, 0, now, now, 0);
     }
 
@@ -626,176 +468,73 @@ impl NetTrace {
     /// one count here, one `packet-drop` record in `spans` with detail 1.
     #[inline]
     pub fn on_backlog_overflow(&mut self, spans: &mut SpanTrace, now: u64) {
-        #[cfg(not(feature = "trace-off"))]
-        {
-            self.backlog_overflows += 1;
-        }
+        self.backlog_overflows += 1;
         spans.record_event(SpanKind::Drop, "packet-drop", 0, 0, now, now, 1);
     }
-
-    /// Drops recorded.
-    pub fn drops(&self) -> u64 {
-        self.drops
-    }
-
-    /// Backlog-overflow SYN drops recorded.
-    pub fn backlog_overflows(&self) -> u64 {
-        self.backlog_overflows
-    }
-
-    /// Aggregates into a [`NetSnapshot`]; `retransmits` is supplied by
-    /// the stack (summed over live TCP connections).
-    pub fn snapshot(&self, retransmits: u64) -> NetSnapshot {
-        NetSnapshot {
-            rx_segments: self.rx_segments,
-            tx_segments: self.tx_segments,
-            rx_datagrams: self.rx_datagrams,
-            drops: self.drops,
-            backlog_overflows: self.backlog_overflows,
-            retransmits,
-        }
-    }
 }
 
-/// Telemetry owned by the readiness layer (`EventQueue` in
-/// `flexos-net`): event posting, coalescing and delivery counters.
-///
-/// Host-side bookkeeping only — posting an event charges no simulated
-/// cycles, so the counters are purely additive to the baseline figures.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct EventQueueTrace {
-    posted: u64,
-    coalesced: u64,
-    polls: u64,
-    delivered: u64,
-}
-
-impl EventQueueTrace {
-    /// Fresh, zeroed counters.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
+/// The serving tier's probes. The readiness layer (`EventQueue` in
+/// `flexos-net`) and the cooperative executor (`CoExecutor` in
+/// `flexos-kernel`) each own one block and bump only their half of it;
+/// the image's block is their sum.
+impl ServingSnapshot {
     /// Counts one readiness event posted (socket newly enqueued).
     #[inline]
     pub fn on_post(&mut self) {
-        #[cfg(not(feature = "trace-off"))]
-        {
-            self.posted += 1;
-        }
+        self.events_posted += 1;
     }
 
     /// Counts an event merged into an already-queued socket entry.
     #[inline]
     pub fn on_coalesce(&mut self) {
-        #[cfg(not(feature = "trace-off"))]
-        {
-            self.coalesced += 1;
-        }
+        self.events_coalesced += 1;
     }
 
     /// Counts one `poll()` that delivered `n` ready sockets.
     #[inline]
     pub fn on_poll(&mut self, n: u64) {
-        #[cfg(not(feature = "trace-off"))]
-        {
-            self.polls += 1;
-            self.delivered += n;
-        }
-    }
-
-    /// Events posted (new queue entries).
-    pub fn posted(&self) -> u64 {
-        self.posted
-    }
-
-    /// Events coalesced into pending entries.
-    pub fn coalesced(&self) -> u64 {
-        self.coalesced
-    }
-
-    /// Polls issued.
-    pub fn polls(&self) -> u64 {
-        self.polls
-    }
-
-    /// Ready sockets delivered across all polls.
-    pub fn delivered(&self) -> u64 {
-        self.delivered
-    }
-}
-
-/// Telemetry owned by the cooperative per-connection executor
-/// (`CoExecutor` in `flexos-kernel`): task spawn/run/wake
-/// counters. Same additive, host-side-only contract as
-/// [`EventQueueTrace`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ExecutorTrace {
-    spawned: u64,
-    tasks_run: u64,
-    wakeups: u64,
-}
-
-impl ExecutorTrace {
-    /// Fresh, zeroed counters.
-    pub fn new() -> Self {
-        Self::default()
+        self.polls += 1;
+        self.events_delivered += n;
     }
 
     /// Counts a task spawned.
     #[inline]
     pub fn on_spawn(&mut self) {
-        #[cfg(not(feature = "trace-off"))]
-        {
-            self.spawned += 1;
-        }
+        self.tasks_spawned += 1;
     }
 
     /// Counts one task step run.
     #[inline]
     pub fn on_run(&mut self) {
-        #[cfg(not(feature = "trace-off"))]
-        {
-            self.tasks_run += 1;
-        }
+        self.tasks_run += 1;
     }
 
     /// Counts a wakeup (task moved from waiting to the run queue).
     #[inline]
     pub fn on_wake(&mut self) {
-        #[cfg(not(feature = "trace-off"))]
-        {
-            self.wakeups += 1;
-        }
-    }
-
-    /// Tasks spawned.
-    pub fn spawned(&self) -> u64 {
-        self.spawned
-    }
-
-    /// Task steps run.
-    pub fn tasks_run(&self) -> u64 {
-        self.tasks_run
-    }
-
-    /// Wakeups delivered.
-    pub fn wakeups(&self) -> u64 {
-        self.wakeups
-    }
-
-    /// Adds `other`'s counters into `self`: the image's serving block
-    /// takes in the counters of the executor the serve harness owned.
-    pub fn merge_counters(&mut self, other: &Self) {
-        self.spawned += other.spawned;
-        self.tasks_run += other.tasks_run;
-        self.wakeups += other.wakeups;
+        self.wakeups += 1;
     }
 }
 
-/// Aggregates live trace structs into one [`StatsSnapshot`].
+impl std::ops::Add for ServingSnapshot {
+    type Output = Self;
+
+    fn add(self, o: Self) -> Self {
+        Self {
+            events_posted: self.events_posted + o.events_posted,
+            events_coalesced: self.events_coalesced + o.events_coalesced,
+            polls: self.polls + o.polls,
+            events_delivered: self.events_delivered + o.events_delivered,
+            tasks_spawned: self.tasks_spawned + o.tasks_spawned,
+            tasks_run: self.tasks_run + o.tasks_run,
+            wakeups: self.wakeups + o.wakeups,
+        }
+    }
+}
+
+/// Aggregates the subsystems' telemetry into one [`StatsSnapshot`].
 ///
-/// The caller registers each subsystem's trace (with whatever naming
+/// The caller registers each subsystem's trace or block (with whatever naming
 /// context it has — compartment names, key ownership) and then calls
 /// [`TraceRegistry::finish`], which sorts rows, folds the event tail,
 /// and returns the snapshot.
@@ -852,12 +591,15 @@ impl TraceRegistry {
     /// `--stats` dropped-events report: what an [`EVENT_WINDOW`]-deep
     /// ring would have lost. Rings that never recorded are skipped so
     /// the table stays workload-shaped.
+    ///
+    /// Under `trace-off` the counts are kept but no record backs them,
+    /// so no ring is modelled from them.
     fn note_ring(&mut self, subsystem: &'static str, owner: u16, pushed: u64) {
-        let dropped = pushed - pushed.min(EVENT_WINDOW as u64);
-        self.snap.events_overwritten += dropped;
-        if pushed == 0 {
+        if pushed == 0 || cfg!(feature = "trace-off") {
             return;
         }
+        let dropped = pushed - pushed.min(EVENT_WINDOW as u64);
+        self.snap.events_overwritten += dropped;
         self.snap.ring_drops.push(RingDropRow {
             subsystem,
             owner,
@@ -910,32 +652,30 @@ impl TraceRegistry {
         self.gate_events_per_compartment = per_compartment;
     }
 
-    /// Registers the executor's trace; switch events are attributed to
-    /// compartment `sched_cpt` (the compartment the scheduler lives in).
-    pub fn add_sched(&mut self, st: &SchedTrace, sched_cpt: u16) {
-        self.snap.sched = st.snapshot();
-        self.add_tail("sched", SpanKind::Sched, sched_cpt, st.switches());
+    /// Registers the executor's block, its `task_cycles` sorted by
+    /// thread id; switch events are attributed to compartment
+    /// `sched_cpt` (the compartment the scheduler lives in).
+    pub fn add_sched(&mut self, st: &SchedSnapshot, sched_cpt: u16) {
+        let mut sched = st.clone();
+        sched.task_cycles.sort_unstable_by_key(|&(t, _)| t);
+        self.snap.sched = sched;
+        self.add_tail("sched", SpanKind::Sched, sched_cpt, st.switches);
     }
 
     /// Registers the heap service's trace. `names[i]` names compartment `i`.
     pub fn add_allocs(&mut self, at: &AllocTrace, names: &[String]) {
-        for (i, c) in at.all().iter().enumerate() {
-            if c.allocs == 0 && c.frees == 0 && c.failures == 0 {
+        for r in &at.per {
+            if r.allocs == 0 && r.frees == 0 && r.failures == 0 {
                 continue;
             }
             self.snap.allocs.push(AllocRow {
-                compartment: i as u16,
-                name: Self::name_of(names, i as u16),
-                allocs: c.allocs,
-                frees: c.frees,
-                bytes_in_use: c.bytes_in_use,
-                peak_bytes: c.peak_bytes,
-                failures: c.failures,
+                name: Self::name_of(names, r.compartment),
+                ..r.clone()
             });
         }
         // The tail attributes failures to compartment 0, this row's
         // owner; each record's `src` names the requester.
-        let failures = at.all().iter().map(|c| c.failures).sum();
+        let failures = at.per.iter().map(|r| r.failures).sum();
         self.add_tail("allocs", SpanKind::AllocFail, 0, failures);
     }
 
@@ -970,8 +710,8 @@ impl TraceRegistry {
     }
 
     /// Registers the machine's software-TLB counters.
-    pub fn add_tlb(&mut self, tt: &TlbTrace) {
-        self.snap.tlb = tt.snapshot();
+    pub fn add_tlb(&mut self, tlb: &TlbSnapshot) {
+        self.snap.tlb = *tlb;
     }
 
     /// Registers the gate runtime's async-ring counters.
@@ -984,27 +724,18 @@ impl TraceRegistry {
         self.snap.migrations = mg;
     }
 
-    /// Registers the net stack's trace, attributed to compartment
-    /// `net_cpt`. `retransmits` is summed over the stack's connections.
-    pub fn add_net(&mut self, nt: &NetTrace, retransmits: u64, net_cpt: u16) {
-        self.snap.net = nt.snapshot(retransmits);
-        let pushed = nt.drops() + nt.backlog_overflows();
+    /// Registers the net stack's counters, attributed to compartment
+    /// `net_cpt`.
+    pub fn add_net(&mut self, net: NetSnapshot, net_cpt: u16) {
+        self.snap.net = net;
+        let pushed = net.drops + net.backlog_overflows;
         self.add_tail("net", SpanKind::Drop, net_cpt, pushed);
     }
 
-    /// Registers the serving tier's counters: the readiness layer's
-    /// [`EventQueueTrace`] plus the cooperative executor's
-    /// [`ExecutorTrace`].
-    pub fn add_serving(&mut self, eq: &EventQueueTrace, ex: &ExecutorTrace) {
-        self.snap.serving = ServingSnapshot {
-            events_posted: eq.posted(),
-            events_coalesced: eq.coalesced(),
-            polls: eq.polls(),
-            events_delivered: eq.delivered(),
-            tasks_spawned: ex.spawned(),
-            tasks_run: ex.tasks_run(),
-            wakeups: ex.wakeups(),
-        };
+    /// Registers the serving tier's counters (the readiness layer's
+    /// block plus the cooperative executor's).
+    pub fn add_serving(&mut self, serving: ServingSnapshot) {
+        self.snap.serving = serving;
     }
 
     /// Registers the machine's request-span tracer: exact per-
@@ -1216,15 +947,17 @@ mod tests {
         cross(&mut gt, &mut sp, ("a", 0, 1), (10, 0), 10);
         cross(&mut gt, &mut sp, ("b", 1, 0), (20, 0), 20);
         cross(&mut gt, &mut sp, ("b", 1, 0), (30, 0), 30);
-        let mut st = SchedTrace::new();
+        let mut st = SchedSnapshot::default();
         st.record_switch(&mut sp, 7, 0, 35, 40);
         st.record_step(7, 100, 2);
+        st.record_step(3, 50, 1);
+        st.record_step(7, 10, 2);
         let mut at = AllocTrace::new();
         at.on_alloc(1, 256);
         at.on_fail(&mut sp, 1, 1 << 40, 50);
         let mut ft = FaultTrace::new();
         ft.record(&mut sp, "pkey-violation", Some(2), 60);
-        let mut nt = NetTrace::new();
+        let mut nt = NetSnapshot::default();
         nt.on_drop(&mut sp, 70);
 
         let names = vec!["rest".to_string(), "net".to_string()];
@@ -1234,13 +967,16 @@ mod tests {
         reg.add_sched(&st, 0);
         reg.add_allocs(&at, &names);
         reg.add_faults(&ft, |k| (k == 2).then(|| (1, "net".to_string())));
-        reg.add_net(&nt, 3, 1);
+        nt.retransmits = 3;
+        reg.add_net(nt, 1);
         reg.add_spans(&sp);
         let snap = reg.finish();
 
         assert_eq!(snap.gate_pairs[0].crossings, 2); // busiest first
         assert_eq!(snap.gate_pairs[0].src_name, "net");
         assert_eq!(snap.sched.switches, 1);
+        // Summed per thread, sorted by thread id.
+        assert_eq!(snap.sched.task_cycles, vec![(3, 50), (7, 110)]);
         assert_eq!(snap.allocs[0].failures, 1);
         assert_eq!(snap.fault_kinds[0].kind, "pkey-violation");
         assert_eq!(snap.fault_compartments[0].compartment, 1);
@@ -1279,10 +1015,10 @@ mod tests {
     fn every_tail_class_folds_from_its_count_and_newest_records() {
         let mut sp = SpanTrace::new();
         let (mut st, mut at, mut ft, mut nt) = (
-            SchedTrace::new(),
+            SchedSnapshot::default(),
             AllocTrace::new(),
             FaultTrace::new(),
-            NetTrace::new(),
+            NetSnapshot::default(),
         );
         for t in 0..300 {
             st.record_switch(&mut sp, 70_000 + t as u32, 3, 10 * t, 10 * t + 5);
@@ -1299,7 +1035,7 @@ mod tests {
         reg.add_sched(&st, 3);
         reg.add_allocs(&at, &[]);
         reg.add_faults(&ft, |k| (k == 1).then(|| (4, "four".to_string())));
-        reg.add_net(&nt, 0, 5);
+        reg.add_net(nt, 5);
         reg.add_spans(&sp);
         let snap = reg.finish();
         let drops: Vec<_> = snap

@@ -2,8 +2,10 @@
 //!
 //! A [`StatsSnapshot`] is plain data: every row type is public, and
 //! [`StatsSnapshot::sheet`] is the one place that knows how it renders,
-//! as `--stats` text and as JSON. Aggregation from the live trace
-//! structs is done by [`crate::TraceRegistry`].
+//! as `--stats` text and as JSON. The counter blocks (`sched`, `tlb`,
+//! `net`, `serving`, the alloc rows) are also what their subsystems bump
+//! while they run; [`crate::TraceRegistry`] folds them, the gate rows and
+//! the span records into one snapshot.
 
 use crate::sheet::{Cell, Rule, Sheet, Table};
 use crate::CPU_FREQ_HZ;
@@ -168,7 +170,7 @@ pub struct FaultCompartmentRow {
     pub count: u64,
 }
 
-/// Software-TLB summary (see `TlbTrace` in the crate root).
+/// Software-TLB counters, bumped in place by the machine's TLB probes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TlbSnapshot {
     /// Translations served from the cache.

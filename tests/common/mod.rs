@@ -388,7 +388,7 @@ impl Observed {
             spans: img.machine.span_trace().merged_events(),
             batches,
             flushes: img.gates.async_stats().flushes,
-            tlb: (tlb.hits(), tlb.misses(), tlb.flushes()),
+            tlb: (tlb.hits, tlb.misses, tlb.flushes),
             faults: faults.iter().map(|(&kind, &n)| (kind, n)).collect(),
         }
     }

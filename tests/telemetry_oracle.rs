@@ -30,7 +30,7 @@ use flexos::gate::{CompartmentId, MigrationReason};
 use flexos_backends::{prepare_pair_migration, BootImage};
 use flexos_machine::{ChaosConfig, ChaosPlan, PageFlags, ProtKey, Schedule, VmId};
 use flexos_trace::{
-    NetTrace, SchedTrace, SpanKind, StatsSnapshot, TraceRegistry, DEFAULT_SPAN_RING_CAP,
+    NetSnapshot, SchedSnapshot, SpanKind, StatsSnapshot, TraceRegistry, DEFAULT_SPAN_RING_CAP,
     SNAPSHOT_EVENT_CAP,
 };
 use proptest::prelude::*;
@@ -39,13 +39,13 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 /// An image whose every gate is spied on, a scheduler and a net-stack
-/// trace driven through their probes, and the reference ledgers kept
+/// block driven through their probes, and the reference ledgers kept
 /// beside them.
 struct Harness {
     img: BootImage,
     chaos: Option<(u64, u64)>,
-    sched: SchedTrace,
-    net: NetTrace,
+    sched: SchedSnapshot,
+    net: NetSnapshot,
     log: Rc<RefCell<SpyLog>>,
     ledgers: ReferenceLedgers,
     /// Spy crossings already replayed into `ledgers`.
@@ -104,8 +104,8 @@ impl Harness {
         Self {
             img,
             chaos,
-            sched: SchedTrace::new(),
-            net: NetTrace::new(),
+            sched: SchedSnapshot::default(),
+            net: NetSnapshot::default(),
             log,
             ledgers: ReferenceLedgers::default(),
             fed: 0,
@@ -273,7 +273,7 @@ impl Harness {
             Some((c, names[c as usize].clone()))
         });
         reg.add_tlb(self.img.machine.tlb_trace());
-        reg.add_net(&self.net, 0, self.net_c().0);
+        reg.add_net(self.net, self.net_c().0);
         reg.add_spans(self.img.machine.span_trace());
         reg.finish()
     }
