@@ -83,10 +83,6 @@ pub struct BatchOutcome {
 /// OS-level counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OsStats {
-    /// Semaphore operations routed through libc.
-    pub sem_ops: u64,
-    /// Threads woken by network readiness.
-    pub wakeups: u64,
     /// Instrumented allocations performed.
     pub instrumented_allocs: u64,
 }
@@ -160,7 +156,6 @@ impl SockOp {
         rt: &mut GateRuntime,
         net: &mut NetStack,
         sh: &mut ShRuntime,
-        stats: &mut OsStats,
         len: u64,
     ) -> Result<NetResult<u64>> {
         let (sid, buf, access) = (self.sid, self.buf, self.access);
@@ -183,7 +178,6 @@ impl SockOp {
             };
             // lwIP's sys_mbox semaphore (in `sem_home`, libc by default)
             // + its wait queue (scheduler).
-            stats.sem_ops += 1;
             rt.cross(m, self.c_sem, 8, 8, |m, rt| {
                 m.charge(m.costs().func_call);
                 rt.cross(m, self.c_sched, 8, 8, |m, _rt| {
@@ -606,19 +600,13 @@ impl Os {
     ) -> NetResult<u64> {
         let c_libc = self.roles.libc;
         let op = self.sock_op(sid, buf, access);
-        let Os {
-            img,
-            net,
-            sh,
-            stats,
-            ..
-        } = self;
+        let Os { img, net, sh, .. } = self;
         let BootImage { machine, gates, .. } = img;
         // A plain sync crossing, not a ring of one: the ring would add
         // submission/flush/batch-histogram entries to `--stats`.
         let r = gates
             .cross(machine, c_libc, 32, 8, |m, rt| {
-                op.in_libc(m, rt, net, sh, stats, len)
+                op.in_libc(m, rt, net, sh, len)
             })
             .map_err(NetError::from)??;
         op.charge_libc_copy(machine, r);
@@ -690,7 +678,6 @@ impl Os {
             img,
             net,
             sh,
-            stats,
             cqe_scratch,
             ..
         } = self;
@@ -704,7 +691,7 @@ impl Os {
             machine,
             c_libc,
             |m, rt, _sqe| {
-                let res = op.in_libc(m, rt, net, sh, stats, cur_len.get())?;
+                let res = op.in_libc(m, rt, net, sh, cur_len.get())?;
                 let code = Self::net_res_code(&res);
                 let mut done = done.borrow_mut();
                 done.issued += 1;
@@ -887,7 +874,6 @@ impl Os {
         let sem = self.ensure_sem(sid);
         let (c_libc, c_sched) = (self.sem_home, self.roles.sched);
         let sched_tax_cycles = self.sched_call_cycles();
-        self.stats.sem_ops += 1;
         let Os { img, sems, .. } = self;
         let BootImage { machine, gates, .. } = img;
         let got_token = gates.cross(machine, c_libc, 16, 8, |m, rt| {
@@ -947,13 +933,8 @@ impl Os {
             if !self.net.tcp_readable(sid).unwrap_or(false) {
                 continue;
             }
-            self.stats.sem_ops += 1;
             let Os {
-                img,
-                sems,
-                wakes,
-                stats,
-                ..
+                img, sems, wakes, ..
             } = self;
             let BootImage { machine, gates, .. } = img;
             gates.cross(machine, c_libc, 16, 8, |m, rt| {
@@ -964,7 +945,6 @@ impl Os {
                         Ok(())
                     })?;
                     wakes.push(tid);
-                    stats.wakeups += 1;
                 }
                 Ok(())
             })?;

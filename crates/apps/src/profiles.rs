@@ -171,21 +171,15 @@ impl CompartmentModel {
     }
 }
 
-/// Short machine-readable tag for the backend an image was built with —
-/// the `backend` key of the request-latency rows. The baseline model
-/// always compiles to direct calls regardless of the requested backend
+/// [`BackendChoice::tag`] of the backend an image was built with — the
+/// `backend` key of the request-latency rows. The baseline model always
+/// compiles to direct calls regardless of the requested backend
 /// (mirroring [`evaluation_image`]'s override).
 pub fn backend_tag(model: CompartmentModel, backend: BackendChoice) -> &'static str {
     if model == CompartmentModel::Baseline {
-        return "direct";
+        return BackendChoice::None.tag();
     }
-    match backend {
-        BackendChoice::None => "direct",
-        BackendChoice::MpkShared => "mpk-shared",
-        BackendChoice::MpkSwitched => "mpk-switched",
-        BackendChoice::VmRpc => "vmrpc",
-        BackendChoice::Cheri => "cheri",
-    }
+    backend.tag()
 }
 
 /// Builds the six-library evaluation image for `app` under a

@@ -78,13 +78,7 @@ fn the_record_fits_one_cache_line() {
 #[test]
 fn a_crossing_writes_one_record_and_allocates_nothing() {
     const N: u64 = 256;
-    for backend in [
-        BackendChoice::None,
-        BackendChoice::MpkShared,
-        BackendChoice::MpkSwitched,
-        BackendChoice::VmRpc,
-        BackendChoice::Cheri,
-    ] {
+    for backend in BackendChoice::ALL {
         let calls = CallVec::uniform(32, 16, 8);
         let sqes: Vec<Sqe> = (0..128).map(|i| Sqe::new(16, 8, i)).collect();
         let mut cqes = Vec::with_capacity(sqes.len());

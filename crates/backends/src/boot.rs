@@ -145,9 +145,8 @@ impl BootImage {
     /// stack policy: shared-stack gates place stacks in the domain shared
     /// by all compartments; switched-stack and VM gates keep them private.
     pub fn alloc_stack(&mut self, compartment: CompartmentId) -> Result<(Addr, u64)> {
-        let mech = self.plan.config.backend.mechanism();
         let size = self.stack_size;
-        if mech.stacks_shared() {
+        if self.plan.config.backend.stacks_shared() {
             let base = self.machine.alloc_shared_region(size, ProtKey(0))?;
             Ok((base, size))
         } else {
@@ -169,12 +168,7 @@ impl BootImage {
         ret_bytes: u64,
         f: impl FnOnce(&mut Machine, &mut GateRuntime) -> Result<R>,
     ) -> Result<R> {
-        let target = self
-            .compartment_of_lib(lib)
-            .ok_or_else(|| Fault::HardeningAbort {
-                mechanism: "gate",
-                reason: format!("unknown library `{lib}`"),
-            })?;
+        let target = self.lib_target(lib)?;
         self.gates
             .cross(&mut self.machine, target, arg_bytes, ret_bytes, f)
     }
@@ -189,12 +183,7 @@ impl BootImage {
         calls: &CallVec,
         f: impl FnMut(&mut Machine, &mut GateRuntime, usize) -> Result<R>,
     ) -> Result<Vec<R>> {
-        let target = self
-            .compartment_of_lib(lib)
-            .ok_or_else(|| Fault::HardeningAbort {
-                mechanism: "gate",
-                reason: format!("unknown library `{lib}`"),
-            })?;
+        let target = self.lib_target(lib)?;
         self.gates.cross_batch(&mut self.machine, target, calls, f)
     }
 
@@ -424,10 +413,7 @@ pub fn instantiate_migratable_with(
         ..MachineConfig::default()
     });
     let n = plan.num_compartments;
-    let from_mpk = matches!(
-        from,
-        BackendChoice::MpkShared | BackendChoice::MpkSwitched | BackendChoice::Cheri
-    );
+    let from_mpk = from.uses_pkeys();
 
     // Protection domains: single VM, per-compartment keys, PKRU views
     // only as strict as the boot backend requires.

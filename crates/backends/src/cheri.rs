@@ -25,7 +25,8 @@
 //! only *invokes* the one it was given: it never touches root authority
 //! (DESIGN.md §6.14).
 
-use flexos::gate::{CompartmentCtx, CompartmentId, Gate, GateMechanism};
+use flexos::build::BackendChoice;
+use flexos::gate::{CompartmentCtx, CompartmentId, Gate};
 use flexos_machine::cap::{CapPerms, Capability, OType};
 use flexos_machine::{Fault, GateToken, Machine, Result};
 
@@ -89,8 +90,8 @@ impl CheriGate {
 }
 
 impl Gate for CheriGate {
-    fn mechanism(&self) -> GateMechanism {
-        GateMechanism::Cheri
+    fn mechanism(&self) -> BackendChoice {
+        BackendChoice::Cheri
     }
 
     fn enter(

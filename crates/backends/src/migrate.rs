@@ -33,19 +33,10 @@
 use crate::boot::{wire_gate, BootImage};
 use crate::vmrpc::VmRpcGate;
 use flexos::build::BackendChoice;
-use flexos::gate::{CompartmentId, Gate, GateMechanism, MigrationReason, ReestablishFn};
+use flexos::gate::{CompartmentId, Gate, MigrationReason, ReestablishFn};
 use flexos_machine::{Addr, Fault, Pkru, ProtKey, Result};
 use std::collections::BTreeMap;
 use std::rc::Rc;
-
-/// Whether a mechanism enforces through MPK-style page tags (the CHERI
-/// model rides the same tag machinery — see `crate::cheri`).
-pub fn mpk_family(mech: GateMechanism) -> bool {
-    matches!(
-        mech,
-        GateMechanism::MpkSharedStack | GateMechanism::MpkSwitchedStack | GateMechanism::Cheri
-    )
-}
 
 fn norm(a: CompartmentId, b: CompartmentId) -> (CompartmentId, CompartmentId) {
     if a <= b {
@@ -71,9 +62,10 @@ pub fn ensure_rpc_base(img: &mut BootImage) -> Result<Addr> {
 }
 
 fn make_gate(img: &mut BootImage, to: BackendChoice) -> Result<Rc<dyn Gate>> {
-    let rpc_base = match to {
-        BackendChoice::VmRpc => ensure_rpc_base(img)?,
-        _ => Addr(0),
+    let rpc_base = if to == BackendChoice::VmRpc {
+        ensure_rpc_base(img)?
+    } else {
+        Addr(0)
     };
     let token = img.machine.gate_token();
     wire_gate(to, token, rpc_base, img.gates.compartments())
@@ -83,16 +75,16 @@ fn make_gate(img: &mut BootImage, to: BackendChoice) -> Result<Rc<dyn Gate>> {
 fn endpoint_target(
     img: &BootImage,
     e: CompartmentId,
-    planned: &BTreeMap<(CompartmentId, CompartmentId), GateMechanism>,
+    planned: &BTreeMap<(CompartmentId, CompartmentId), BackendChoice>,
 ) -> Result<(Pkru, ProtKey)> {
     let n = img.gates.len() as u16;
     let wants_mpk = (0..n).filter(|&o| o != e.0).any(|o| {
         let other = CompartmentId(o);
-        let mech = planned
+        planned
             .get(&norm(e, other))
             .copied()
-            .unwrap_or_else(|| img.gates.pair_mechanism(e, other));
-        mpk_family(mech)
+            .unwrap_or_else(|| img.gates.pair_mechanism(e, other))
+            .uses_pkeys()
     });
     if !wants_mpk {
         return Ok((Pkru::ALLOW_ALL, ProtKey(0)));
@@ -122,9 +114,9 @@ pub fn prepare_pair_migration(
     a: CompartmentId,
     b: CompartmentId,
     to: BackendChoice,
-    planned: &BTreeMap<(CompartmentId, CompartmentId), GateMechanism>,
+    planned: &BTreeMap<(CompartmentId, CompartmentId), BackendChoice>,
 ) -> Result<(Rc<dyn Gate>, ReestablishFn)> {
-    let old_mech = img.gates.pair_mechanism(a, b);
+    let from = img.gates.pair_mechanism(a, b);
     let gate = make_gate(img, to)?;
     let token = img.machine.gate_token();
     // Decide each endpoint's post-swap protection view now, while the
@@ -134,7 +126,7 @@ pub fn prepare_pair_migration(
         .into_iter()
         .map(|e| endpoint_target(img, e, planned).map(|(pkru, key)| (e, pkru, key)))
         .collect::<Result<_>>()?;
-    let rpc_involved = old_mech == GateMechanism::VmRpc || to == BackendChoice::VmRpc;
+    let rpc_involved = from == BackendChoice::VmRpc || to == BackendChoice::VmRpc;
     let re: ReestablishFn = Rc::new(move |m, cpts, cur| {
         for &(e, pkru, key) in &targets {
             let ctx = &cpts[e.0 as usize];
@@ -173,7 +165,7 @@ pub fn migrate_pair(
     reason: MigrationReason,
 ) -> Result<bool> {
     let mut planned = BTreeMap::new();
-    planned.insert(norm(a, b), to.mechanism());
+    planned.insert(norm(a, b), to);
     let (gate, re) = prepare_pair_migration(img, a, b, to, &planned)?;
     img.gates
         .request_migration(&mut img.machine, a, b, gate, reason, Some(re))
@@ -193,7 +185,7 @@ pub fn migrate_all(
     let mut planned = BTreeMap::new();
     for a in 0..n {
         for b in (a + 1)..n {
-            planned.insert((CompartmentId(a), CompartmentId(b)), to.mechanism());
+            planned.insert((CompartmentId(a), CompartmentId(b)), to);
         }
     }
     let pairs: Vec<_> = planned.keys().copied().collect();
@@ -219,14 +211,6 @@ mod tests {
     use crate::boot::{instantiate, instantiate_migratable};
     use flexos::build::{plan, ImageConfig, LibRole, LibraryConfig};
     use flexos::spec::LibSpec;
-
-    const ALL: [BackendChoice; 5] = [
-        BackendChoice::None,
-        BackendChoice::MpkShared,
-        BackendChoice::MpkSwitched,
-        BackendChoice::VmRpc,
-        BackendChoice::Cheri,
-    ];
 
     fn migratable(from: BackendChoice) -> BootImage {
         // Color with an isolating backend so the plan keeps all three
@@ -255,7 +239,7 @@ mod tests {
                 })
                 .collect()
         };
-        for from in ALL {
+        for from in BackendChoice::ALL {
             let img = migratable(from);
             assert_eq!(img.plan.config.backend, from);
             let layout: Vec<_> = (0..img.gates.len())
@@ -271,8 +255,8 @@ mod tests {
 
     #[test]
     fn every_ordered_pair_migrates_and_crosses() {
-        for from in ALL {
-            for to in ALL {
+        for from in BackendChoice::ALL {
+            for to in BackendChoice::ALL {
                 let mut img = migratable(from);
                 let n = img.gates.len();
                 let (applied, deferred) =
@@ -301,7 +285,7 @@ mod tests {
         let round_trip = 2 * img.machine.costs().cheri_gate;
         let BootImage { machine, gates, .. } = img;
         for b in (0..n).map(CompartmentId).filter(|&b| b != cur) {
-            assert_eq!(gates.pair_mechanism(cur, b), GateMechanism::Cheri);
+            assert_eq!(gates.pair_mechanism(cur, b), BackendChoice::Cheri);
             let t0 = machine.clock().cycles();
             gates
                 .cross(machine, b, 0, 0, |m, rt| {
@@ -325,7 +309,7 @@ mod tests {
         cross_into_every_compartment(&mut migratable(BackendChoice::Cheri));
         // Arriving by live migration: `make_gate` mints it from the
         // runtime's contexts, whatever the image was booted on.
-        for from in ALL {
+        for from in BackendChoice::ALL {
             let mut img = migratable(from);
             migrate_all(&mut img, BackendChoice::Cheri, MigrationReason::Manual).unwrap();
             cross_into_every_compartment(&mut img);
@@ -334,29 +318,31 @@ mod tests {
 
     #[test]
     fn migrating_to_mpk_establishes_enforcement() {
-        let mut img = migratable(BackendChoice::None);
-        // Pre-swap: no isolation, foreign heaps are open.
-        let sched_c = img.compartment_of_role(LibRole::Scheduler).unwrap();
-        let sched_heap = img.gates.ctx(sched_c).heap_base;
-        img.write(sched_heap, b"open").unwrap();
-        let n = img.gates.len() as u64;
-        migrate_all(
-            &mut img,
+        // The CHERI model enforces through the same tags, so it counts.
+        for to in [
             BackendChoice::MpkShared,
-            MigrationReason::Escalate,
-        )
-        .unwrap();
-        // Post-swap: the same access faults — the retag + PKRU
-        // re-establishment made the boundary material.
-        let err = img.write(sched_heap, b"attack").unwrap_err();
-        assert!(err.is_protection_fault(), "got {err:?}");
-        // …and the legitimate path still works.
-        img.call_lib("uksched_verified", 8, 8, |m, rt| {
-            let vcpu = rt.current_ctx().vcpu;
-            m.write(vcpu, sched_heap, b"legit")
-        })
-        .unwrap();
-        assert_eq!(img.gates.migration_stats().escalations, n * (n - 1) / 2);
+            BackendChoice::MpkSwitched,
+            BackendChoice::Cheri,
+        ] {
+            let mut img = migratable(BackendChoice::None);
+            // Pre-swap: no isolation, foreign heaps are open.
+            let sched_c = img.compartment_of_role(LibRole::Scheduler).unwrap();
+            let sched_heap = img.gates.ctx(sched_c).heap_base;
+            img.write(sched_heap, b"open").unwrap();
+            let n = img.gates.len() as u64;
+            migrate_all(&mut img, to, MigrationReason::Escalate).unwrap();
+            // Post-swap: the same access faults — the retag + PKRU
+            // re-establishment made the boundary material.
+            let err = img.write(sched_heap, b"attack").unwrap_err();
+            assert!(err.is_protection_fault(), "{to:?}: got {err:?}");
+            // …and the legitimate path still works.
+            img.call_lib("uksched_verified", 8, 8, |m, rt| {
+                let vcpu = rt.current_ctx().vcpu;
+                m.write(vcpu, sched_heap, b"legit")
+            })
+            .unwrap();
+            assert_eq!(img.gates.migration_stats().escalations, n * (n - 1) / 2);
+        }
     }
 
     #[test]
@@ -412,7 +398,7 @@ mod tests {
         // The pair keeps its old backend.
         assert_eq!(
             img.gates.pair_mechanism(CompartmentId(0), CompartmentId(1)),
-            GateMechanism::VmRpc
+            BackendChoice::VmRpc
         );
     }
 }

@@ -15,7 +15,8 @@
 //! `wrpkru` call sites: only gate code may change PKRU (the paper's
 //! defense against unauthorized PKRU writes).
 
-use flexos::gate::{CompartmentCtx, Gate, GateMechanism};
+use flexos::build::BackendChoice;
+use flexos::gate::{CompartmentCtx, Gate};
 use flexos_machine::{GateToken, Machine, Result};
 
 /// ERIM-style MPK gate: PKRU switch, shared stacks, no argument copying
@@ -40,8 +41,8 @@ impl MpkSharedGate {
 }
 
 impl Gate for MpkSharedGate {
-    fn mechanism(&self) -> GateMechanism {
-        GateMechanism::MpkSharedStack
+    fn mechanism(&self) -> BackendChoice {
+        BackendChoice::MpkShared
     }
 
     fn enter(
@@ -91,8 +92,8 @@ impl MpkSwitchedGate {
 }
 
 impl Gate for MpkSwitchedGate {
-    fn mechanism(&self) -> GateMechanism {
-        GateMechanism::MpkSwitchedStack
+    fn mechanism(&self) -> BackendChoice {
+        BackendChoice::MpkSwitched
     }
 
     fn enter(

@@ -14,7 +14,8 @@
 //! The gate itself is stateless (`Copy`, no interior mutability): all
 //! crossing state lives in the [`Machine`] it is handed.
 
-use flexos::gate::{CompartmentCtx, Gate, GateMechanism};
+use flexos::build::BackendChoice;
+use flexos::gate::{CompartmentCtx, Gate};
 use flexos_machine::{Addr, Fault, Machine, NotifyFate, Result};
 
 /// Size reserved in the shared window for each compartment's RPC inbox.
@@ -193,8 +194,8 @@ impl VmRpcGate {
 }
 
 impl Gate for VmRpcGate {
-    fn mechanism(&self) -> GateMechanism {
-        GateMechanism::VmRpc
+    fn mechanism(&self) -> BackendChoice {
+        BackendChoice::VmRpc
     }
 
     fn enter(

@@ -523,36 +523,11 @@ fn run_chaos(quick: bool, seed: u64) -> Sheet {
 /// [`MigrationPolicy`] ladder: escalate one rung per hostile window,
 /// relax after sustained benign load.
 fn run_migrate(quick: bool) -> Sheet {
-    use flexos::gate::{GateMechanism, MigrationReason, Sqe};
+    use flexos::gate::{MigrationReason, Sqe};
     use flexos::spec::LibSpec;
     use flexos_backends::{instantiate_migratable, migrate_all, BootImage};
     use flexos_kernel::{MigrationPolicy, PolicyDecision, PolicySignals};
 
-    const ALL: [BackendChoice; 5] = [
-        BackendChoice::None,
-        BackendChoice::MpkShared,
-        BackendChoice::MpkSwitched,
-        BackendChoice::VmRpc,
-        BackendChoice::Cheri,
-    ];
-    fn tag(b: BackendChoice) -> &'static str {
-        match b {
-            BackendChoice::None => "direct",
-            BackendChoice::MpkShared => "mpk-shared",
-            BackendChoice::MpkSwitched => "mpk-switched",
-            BackendChoice::VmRpc => "vm-rpc",
-            BackendChoice::Cheri => "cheri",
-        }
-    }
-    fn backend_of(mech: GateMechanism) -> BackendChoice {
-        match mech {
-            GateMechanism::DirectCall => BackendChoice::None,
-            GateMechanism::MpkSharedStack => BackendChoice::MpkShared,
-            GateMechanism::MpkSwitchedStack => BackendChoice::MpkSwitched,
-            GateMechanism::VmRpc => BackendChoice::VmRpc,
-            GateMechanism::Cheri => BackendChoice::Cheri,
-        }
-    }
     fn migratable(from: BackendChoice) -> BootImage {
         let cfg = ImageConfig::new("migrate-sweep", BackendChoice::MpkShared)
             .with_library(LibraryConfig::new(
@@ -592,8 +567,8 @@ fn run_migrate(quick: bool) -> Sheet {
         requeued: u64,
     }
     let mut pairs = Vec::new();
-    for from in ALL {
-        for to in ALL {
+    for from in BackendChoice::ALL {
+        for to in BackendChoice::ALL {
             let mut img = migratable(from);
             let before = steady(&mut img, calls);
             // Park async work on the ring so the swap has something to
@@ -616,8 +591,8 @@ fn run_migrate(quick: bool) -> Sheet {
                 .expect("requeued SQEs flush");
             assert_eq!(flushed, 3, "{from:?}->{to:?} lost a requeued SQE");
             pairs.push(Pair {
-                from: tag(from),
-                to: tag(to),
+                from: from.tag(),
+                to: to.tag(),
                 applied,
                 before,
                 first,
@@ -629,7 +604,7 @@ fn run_migrate(quick: bool) -> Sheet {
 
     // Policy ladder demo: hostile windows escalate one rung at a time,
     // sustained benign load relaxes after a streak.
-    let mut pol = MigrationPolicy::new(GateMechanism::MpkSharedStack);
+    let mut pol = MigrationPolicy::new(BackendChoice::MpkShared);
     let benign = PolicySignals {
         hardening_aborts: 0,
         chaos_events: 0,
@@ -653,14 +628,14 @@ fn run_migrate(quick: bool) -> Sheet {
             PolicyDecision::Hold => "hold".to_string(),
             PolicyDecision::Escalate { to } => {
                 pol.applied(to);
-                format!("escalate -> {}", tag(backend_of(to)))
+                format!("escalate -> {}", to.tag())
             }
             PolicyDecision::Relax { to } => {
                 pol.applied(to);
-                format!("relax -> {}", tag(backend_of(to)))
+                format!("relax -> {}", to.tag())
             }
         };
-        ladder.push((what, s, decision, tag(backend_of(pol.current()))));
+        ladder.push((what, s, decision, pol.current().tag()));
     }
 
     Sheet::new()
@@ -801,23 +776,14 @@ fn number<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String> {
 }
 
 fn parse_migrate_at(s: &str) -> Result<(u64, BackendChoice), String> {
-    let (n, b) = s.split_once(':').unwrap_or((s, "vmrpc"));
+    let (n, b) = s.split_once(':').unwrap_or((s, BackendChoice::VmRpc.tag()));
     let after = n
         .parse()
         .map_err(|_| format!("--migrate-at must be BURSTS[:backend], got `{s}`"))?;
-    let to = match b {
-        "direct" | "none" => BackendChoice::None,
-        "mpk-shared" => BackendChoice::MpkShared,
-        "mpk-switched" => BackendChoice::MpkSwitched,
-        "vmrpc" => BackendChoice::VmRpc,
-        "cheri" => BackendChoice::Cheri,
-        _ => {
-            return Err(format!(
-                "--migrate-at backend must be \
-                 direct|mpk-shared|mpk-switched|vmrpc|cheri, got `{b}`"
-            ))
-        }
-    };
+    let to = BackendChoice::from_tag(b).ok_or_else(|| {
+        let tags = BackendChoice::ALL.map(BackendChoice::tag).join("|");
+        format!("--migrate-at backend must be {tags}, got `{b}`")
+    })?;
     Ok((after, to))
 }
 

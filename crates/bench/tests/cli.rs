@@ -21,6 +21,7 @@ fn unknown_input_is_refused_with_usage() {
         &["--json="],                         // an empty path is not a bare `--json`
         &["--serve", "--quick", "--conns=0"], // zero connections would serve one
         &["--seed=x"],
+        &["--serve", "--quick", "--migrate-at=1:bogus"], // not a backend tag
         &["bench"],
         &["fig3", "fig4"],
     ] {

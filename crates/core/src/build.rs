@@ -16,12 +16,17 @@
 //! (see the `flexos-backends` crate).
 
 use crate::compat::{color, violations, Graph, IncompatGraph};
-use crate::gate::GateMechanism;
 use crate::spec::model::LibSpec;
 use crate::spec::transform::{apply_sh, Analysis, ShSet};
 use std::fmt;
 
-/// The isolation backend an image is built against.
+/// The isolation backend an image is built against, and the mechanism
+/// its gates implement (Figure 2's gate library).
+///
+/// This is the one backend type: every per-backend fact is a method of
+/// the `impl` below. A new variant is listed in [`BackendChoice::ALL`]
+/// and handled there, where the backends crate wires and boots it, and
+/// in the explorer's cost model, [`crate::explore::gate_cost`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BackendChoice {
     /// No isolation: every compartment boundary is a function call
@@ -34,31 +39,92 @@ pub enum BackendChoice {
     /// One VM per compartment, RPC over inter-VM notifications.
     VmRpc,
     /// CHERI capabilities: per-compartment capability reach, sealed
-    /// capabilities as gates (heterogeneous-hardware extension).
+    /// capabilities as gates (CompartOS-style; the paper's other
+    /// heterogeneous-hardware example).
     Cheri,
 }
 
 impl BackendChoice {
-    /// The gate mechanism this backend instantiates between compartments.
-    pub fn mechanism(self) -> GateMechanism {
+    /// Every backend, in declaration order.
+    pub const ALL: [BackendChoice; 5] = [
+        BackendChoice::None,
+        BackendChoice::MpkShared,
+        BackendChoice::MpkSwitched,
+        BackendChoice::VmRpc,
+        BackendChoice::Cheri,
+    ];
+
+    /// Human-readable name as used in the paper's figures.
+    pub fn label(self) -> &'static str {
         match self {
-            BackendChoice::None => GateMechanism::DirectCall,
-            BackendChoice::MpkShared => GateMechanism::MpkSharedStack,
-            BackendChoice::MpkSwitched => GateMechanism::MpkSwitchedStack,
-            BackendChoice::VmRpc => GateMechanism::VmRpc,
-            BackendChoice::Cheri => GateMechanism::Cheri,
+            BackendChoice::None => "function call",
+            BackendChoice::MpkShared => "MPK (shared stack)",
+            BackendChoice::MpkSwitched => "MPK (switched stack)",
+            BackendChoice::VmRpc => "VM RPC (EPT)",
+            BackendChoice::Cheri => "CHERI (sealed caps)",
         }
+    }
+
+    /// Short machine-readable name: the `backend` key of the latency
+    /// rows, the `--migrate` tables and `--migrate-at`'s argument.
+    pub fn tag(self) -> &'static str {
+        match self {
+            BackendChoice::None => "direct",
+            BackendChoice::MpkShared => "mpk-shared",
+            BackendChoice::MpkSwitched => "mpk-switched",
+            BackendChoice::VmRpc => "vmrpc",
+            BackendChoice::Cheri => "cheri",
+        }
+    }
+
+    /// The backend whose [`BackendChoice::tag`] is `tag`.
+    pub fn from_tag(tag: &str) -> Option<Self> {
+        Self::ALL.into_iter().find(|b| b.tag() == tag)
     }
 
     /// Whether this backend provides an actual protection-domain switch.
     pub fn isolates(self) -> bool {
-        !matches!(self, BackendChoice::None)
+        self != BackendChoice::None
+    }
+
+    /// Where thread stacks live under this backend: `true` if stacks sit
+    /// in a domain shared by all compartments (the shared-stack gate), in
+    /// which case stack memory cannot be assumed private.
+    pub fn stacks_shared(self) -> bool {
+        match self {
+            BackendChoice::None | BackendChoice::MpkShared => true,
+            BackendChoice::MpkSwitched | BackendChoice::VmRpc | BackendChoice::Cheri => false,
+        }
+    }
+
+    /// Position on the isolation-strength ladder the migration policy
+    /// climbs: function call (0) → MPK shared stack → MPK switched
+    /// stack → CHERI → VM RPC (4). A live migration to a higher rank
+    /// escalates isolation; to a lower rank relaxes it.
+    pub fn isolation_rank(self) -> u8 {
+        match self {
+            BackendChoice::None => 0,
+            BackendChoice::MpkShared => 1,
+            BackendChoice::MpkSwitched => 2,
+            BackendChoice::Cheri => 3,
+            BackendChoice::VmRpc => 4,
+        }
+    }
+
+    /// Whether the backend enforces through per-page protection keys and
+    /// PKRU views. The CHERI model rides the same tag machinery: a
+    /// compartment's PKRU-visible set is the memory its capabilities span.
+    pub fn uses_pkeys(self) -> bool {
+        match self {
+            BackendChoice::MpkShared | BackendChoice::MpkSwitched | BackendChoice::Cheri => true,
+            BackendChoice::None | BackendChoice::VmRpc => false,
+        }
     }
 }
 
 impl fmt::Display for BackendChoice {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.mechanism().label())
+        f.write_str(self.label())
     }
 }
 
@@ -444,49 +510,41 @@ pub(crate) fn place(
 
     let num_compartments = compartment_of.iter().copied().max().unwrap_or(0) + 1;
 
-    // Backend constraints.
-    match config.backend {
-        BackendChoice::Cheri => {
-            // The simulation reuses per-page tags to model capability
-            // reachability, so it shares the 15-compartment budget; real
-            // CHERI has no such limit.
-            if num_compartments > MPK_MAX_COMPARTMENTS {
-                return Err(BuildError(format!(
-                    "the CHERI simulation supports at most {MPK_MAX_COMPARTMENTS}                      compartments, plan needs {num_compartments}"
-                )));
-            }
-        }
-        BackendChoice::MpkShared | BackendChoice::MpkSwitched => {
-            if num_compartments > MPK_MAX_COMPARTMENTS {
-                return Err(BuildError(format!(
-                    "MPK supports at most {MPK_MAX_COMPARTMENTS} compartments, plan needs \
-                     {num_compartments}"
-                )));
-            }
-            // §3: "the scheduler and MM have to be trusted when using MPK".
-            for role in [LibRole::Scheduler, LibRole::MemoryManager] {
-                if let Some(i) = config.find_role(role) {
-                    let lib = &config.libraries[i];
-                    let trusted = !effective[i].mem.write.is_star();
-                    if !trusted {
-                        warnings.push(format!(
-                            "MPK backend: {} ({role:?}) is adversarial but must be trusted \
-                             (holds PKRU state / page tables); verify it or enable SH",
-                            lib.spec.name
-                        ));
-                    }
+    // Backend constraints. The CHERI simulation reuses per-page tags to
+    // model capability reach, so it shares MPK's key budget (real CHERI
+    // has no such limit) but not MPK's trust requirement.
+    let backend = config.backend;
+    if backend.uses_pkeys() && num_compartments > MPK_MAX_COMPARTMENTS {
+        let who = if backend == BackendChoice::Cheri {
+            "the CHERI simulation"
+        } else {
+            "MPK"
+        };
+        return Err(BuildError(format!(
+            "{who} supports at most {MPK_MAX_COMPARTMENTS} compartments, plan needs \
+             {num_compartments}"
+        )));
+    }
+    if backend.uses_pkeys() && backend != BackendChoice::Cheri {
+        // §3: "the scheduler and MM have to be trusted when using MPK".
+        for role in [LibRole::Scheduler, LibRole::MemoryManager] {
+            if let Some(i) = config.find_role(role) {
+                let lib = &config.libraries[i];
+                let trusted = !effective[i].mem.write.is_star();
+                if !trusted {
+                    warnings.push(format!(
+                        "MPK backend: {} ({role:?}) is adversarial but must be trusted \
+                         (holds PKRU state / page tables); verify it or enable SH",
+                        lib.spec.name
+                    ));
                 }
             }
         }
-        BackendChoice::VmRpc => {
-            // §3: "each compartment needs its own memory allocator and
-            // scheduler, so these have to be trusted".
-        }
-        BackendChoice::None => {}
     }
 
-    let dedicated_allocators =
-        config.dedicated_allocators || config.backend == BackendChoice::VmRpc;
+    // §3, VM RPC: "each compartment needs its own memory allocator and
+    // scheduler, so these have to be trusted".
+    let dedicated_allocators = config.dedicated_allocators || backend == BackendChoice::VmRpc;
     let mut config = config;
     config.dedicated_allocators = dedicated_allocators;
 
@@ -546,6 +604,28 @@ mod tests {
 
     fn raw_lib(name: &str) -> LibraryConfig {
         LibraryConfig::new(LibSpec::unsafe_c(name), LibRole::Other)
+    }
+
+    #[test]
+    fn every_backend_has_one_tag_that_parses_back() {
+        assert_eq!(
+            BackendChoice::ALL.map(BackendChoice::tag),
+            ["direct", "mpk-shared", "mpk-switched", "vmrpc", "cheri"]
+        );
+        // The figure names, as the reports print them.
+        assert_eq!(
+            BackendChoice::ALL.map(BackendChoice::label),
+            [
+                "function call",
+                "MPK (shared stack)",
+                "MPK (switched stack)",
+                "VM RPC (EPT)",
+                "CHERI (sealed caps)"
+            ]
+        );
+        for b in BackendChoice::ALL {
+            assert_eq!(BackendChoice::from_tag(b.tag()), Some(b));
+        }
     }
 
     #[test]
@@ -611,24 +691,48 @@ mod tests {
 
     #[test]
     fn mpk_key_budget_is_enforced() {
-        let mut cfg = ImageConfig::new("big", BackendChoice::MpkShared);
-        for i in 0..16 {
-            cfg = cfg.with_library(raw_lib(&format!("lib{i}")).in_compartment(i));
+        // The CHERI model rides the page tags, so it shares the budget.
+        for backend in BackendChoice::ALL {
+            let mut cfg = ImageConfig::new("big", backend);
+            for i in 0..16 {
+                cfg = cfg.with_library(raw_lib(&format!("lib{i}")).in_compartment(i));
+            }
+            let res = plan(cfg);
+            let keyed = [
+                BackendChoice::MpkShared,
+                BackendChoice::MpkSwitched,
+                BackendChoice::Cheri,
+            ];
+            if keyed.contains(&backend) {
+                let err = res.unwrap_err().0;
+                assert!(
+                    err.contains("at most 15 compartments, plan needs 16"),
+                    "{err}"
+                );
+            } else {
+                assert!(res.is_ok(), "{backend:?}");
+            }
         }
-        assert!(plan(cfg).is_err());
     }
 
     #[test]
     fn mpk_warns_on_untrusted_scheduler() {
-        let cfg = ImageConfig::new("bad-sched", BackendChoice::MpkShared).with_library(
-            LibraryConfig::new(LibSpec::unsafe_c("csched"), LibRole::Scheduler),
-        );
-        let p = plan(cfg).unwrap();
-        assert!(p
-            .report
-            .warnings
-            .iter()
-            .any(|w| w.contains("must be trusted")));
+        // Only MPK keeps PKRU state in the scheduler; the CHERI model
+        // shares MPK's tags but not that trust requirement.
+        for backend in BackendChoice::ALL {
+            let cfg = ImageConfig::new("bad-sched", backend).with_library(LibraryConfig::new(
+                LibSpec::unsafe_c("csched"),
+                LibRole::Scheduler,
+            ));
+            let p = plan(cfg).unwrap();
+            let warned = p
+                .report
+                .warnings
+                .iter()
+                .any(|w| w.contains("must be trusted"));
+            let mpk = [BackendChoice::MpkShared, BackendChoice::MpkSwitched];
+            assert_eq!(warned, mpk.contains(&backend), "{backend:?}");
+        }
     }
 
     #[test]

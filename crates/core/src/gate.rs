@@ -20,6 +20,7 @@
 //! changes how a crossing is issued; the reference a batch or a flush
 //! is held to — a loop of `cross` — lives in the tests.
 
+use crate::build::BackendChoice;
 use crate::spec::transform::ShSet;
 use flexos_machine::{Addr, Fault, Machine, Pkru, ProtKey, Result, VcpuId, VmId};
 use flexos_trace::{GateTrace, SpanId, SpanKind};
@@ -35,60 +36,6 @@ pub struct CompartmentId(pub u16);
 impl fmt::Display for CompartmentId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "compartment{}", self.0)
-    }
-}
-
-/// The isolation mechanism a gate implements (Figure 2's gate library).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum GateMechanism {
-    /// Plain function call — no protection-domain switch.
-    DirectCall,
-    /// Intel MPK with a shared stack domain (ERIM-style).
-    MpkSharedStack,
-    /// Intel MPK with per-compartment stacks switched at the boundary
-    /// (Hodor-style).
-    MpkSwitchedStack,
-    /// RPC across VM (EPT) boundaries via inter-VM notifications.
-    VmRpc,
-    /// CHERI sealed-capability domain transition (CompartOS-style) —
-    /// the paper's other "heterogeneous hardware" example.
-    Cheri,
-}
-
-impl GateMechanism {
-    /// Human-readable name as used in the paper's figures.
-    pub fn label(self) -> &'static str {
-        match self {
-            GateMechanism::DirectCall => "function call",
-            GateMechanism::MpkSharedStack => "MPK (shared stack)",
-            GateMechanism::MpkSwitchedStack => "MPK (switched stack)",
-            GateMechanism::VmRpc => "VM RPC (EPT)",
-            GateMechanism::Cheri => "CHERI (sealed caps)",
-        }
-    }
-
-    /// Where thread stacks live under this mechanism: `true` if stacks sit
-    /// in a domain shared by all compartments (the shared-stack gate), in
-    /// which case stack memory cannot be assumed private.
-    pub fn stacks_shared(self) -> bool {
-        matches!(
-            self,
-            GateMechanism::DirectCall | GateMechanism::MpkSharedStack
-        )
-    }
-
-    /// Position on the isolation-strength ladder the migration policy
-    /// climbs: function call (0) → MPK shared stack → MPK switched
-    /// stack → CHERI → VM RPC (4). A live migration to a higher rank
-    /// escalates isolation; to a lower rank relaxes it.
-    pub fn isolation_rank(self) -> u8 {
-        match self {
-            GateMechanism::DirectCall => 0,
-            GateMechanism::MpkSharedStack => 1,
-            GateMechanism::MpkSwitchedStack => 2,
-            GateMechanism::Cheri => 3,
-            GateMechanism::VmRpc => 4,
-        }
     }
 }
 
@@ -171,13 +118,6 @@ impl CallVec {
         self
     }
 
-    /// Appends `n` identical calls.
-    pub fn push_uniform(&mut self, n: usize, arg_bytes: u64, ret_bytes: u64) -> &mut Self {
-        let new_len = self.calls.len() + n;
-        self.calls.resize(new_len, (arg_bytes, ret_bytes));
-        self
-    }
-
     /// Number of calls in the batch.
     pub fn len(&self) -> usize {
         self.calls.len()
@@ -186,11 +126,6 @@ impl CallVec {
     /// Whether the batch is empty.
     pub fn is_empty(&self) -> bool {
         self.calls.is_empty()
-    }
-
-    /// Drops all calls, keeping the allocation.
-    pub fn clear(&mut self) {
-        self.calls.clear();
     }
 
     /// The `(arg_bytes, ret_bytes)` of call `idx`.
@@ -357,8 +292,8 @@ pub struct CompartmentCtx {
 /// calls, batches and ring flushes all run them, so what a backend skips
 /// it decides from machine state, never from the entry point.
 pub trait Gate: fmt::Debug {
-    /// The mechanism this gate implements.
-    fn mechanism(&self) -> GateMechanism;
+    /// The backend whose mechanism this gate implements.
+    fn mechanism(&self) -> BackendChoice;
 
     /// Crosses from `from` into `to`.
     fn enter(
@@ -385,8 +320,8 @@ pub trait Gate: fmt::Debug {
 pub struct DirectGate;
 
 impl Gate for DirectGate {
-    fn mechanism(&self) -> GateMechanism {
-        GateMechanism::DirectCall
+    fn mechanism(&self) -> BackendChoice {
+        BackendChoice::None
     }
 
     fn enter(
@@ -566,8 +501,8 @@ impl GateRuntime {
         Rc::clone(&self.gates[self.pairs[self.slot(a, b)].gate])
     }
 
-    /// The mechanism currently serving the `(a, b)` pair.
-    pub fn pair_mechanism(&self, a: CompartmentId, b: CompartmentId) -> GateMechanism {
+    /// The backend currently serving the `(a, b)` pair.
+    pub fn pair_mechanism(&self, a: CompartmentId, b: CompartmentId) -> BackendChoice {
         self.gates[self.pairs[self.slot(a, b)].gate].mechanism()
     }
 
@@ -965,28 +900,7 @@ impl GateRuntime {
         m: &mut Machine,
         target: CompartmentId,
         calls: &CallVec,
-        mut f: impl FnMut(&mut Machine, &mut GateRuntime, usize) -> Result<R>,
-    ) -> Result<Vec<R>> {
-        self.cross_batch_until(m, target, calls, &mut f, |_, _, _, _| Ok(true))
-    }
-
-    /// [`GateRuntime::cross_batch`] with an inter-call hook.
-    ///
-    /// `between(m, rt, idx, &r)` runs after call `idx` returned `r` and
-    /// its exit path completed — i.e. in the *caller's* compartment,
-    /// outside the gate. Consumers use it to apply the work a sequential
-    /// driver would do between two crossings (marshalling charges,
-    /// per-reply bookkeeping) so the simulated instruction stream is
-    /// unchanged, and to stop the batch early (`Ok(false)`) the way a
-    /// sequential loop breaks on `WouldBlock` or EOF. The results of all
-    /// completed calls, including the stopping one, are returned.
-    pub fn cross_batch_until<R>(
-        &mut self,
-        m: &mut Machine,
-        target: CompartmentId,
-        calls: &CallVec,
-        mut f: impl FnMut(&mut Machine, &mut GateRuntime, usize) -> Result<R>,
-        mut between: impl FnMut(&mut Machine, &mut GateRuntime, usize, &R) -> Result<bool>,
+        f: impl FnMut(&mut Machine, &mut GateRuntime, usize) -> Result<R>,
     ) -> Result<Vec<R>> {
         let mut out = Vec::with_capacity(calls.len());
         self.cross_each(
@@ -994,17 +908,16 @@ impl GateRuntime {
             target,
             calls.len(),
             |idx| calls.get(idx),
-            &mut f,
-            |m, rt, idx, r| {
-                let more = between(m, rt, idx, &r)?;
+            f,
+            |_, _, _, r| {
                 out.push(r);
-                Ok(more)
+                Ok(true)
             },
         )?;
         Ok(out)
     }
 
-    /// The batch loop behind [`GateRuntime::cross_batch_until`] and
+    /// The batch loop behind [`GateRuntime::cross_batch`] and
     /// [`GateRuntime::flush_async_until`]: [`GateRuntime::cross_one`]
     /// `len` times over one hoisted gate lookup, generic over where the
     /// marshalling sizes live (`desc(idx)` returns call `idx`'s
@@ -1029,7 +942,7 @@ impl GateRuntime {
         let from = self.current();
         let gate = self.route(from, target)?;
         let label = gate
-            .map_or(GateMechanism::DirectCall, |g| self.gates[g].mechanism())
+            .map_or(BackendChoice::None, |g| self.gates[g].mechanism())
             .label();
         // The whole batch holds the pair non-quiescent — a migration
         // requested from inside any call defers to the batch's end, so
@@ -1214,7 +1127,7 @@ impl GateRuntime {
     /// inside the target once per queued descriptor (oldest first) and
     /// posting each successful result to the completion ring.
     ///
-    /// The flush runs the batch loop of [`GateRuntime::cross_batch_until`]
+    /// The flush runs the batch loop of [`GateRuntime::cross_batch`]
     /// over the queued descriptors, so its simulated behaviour is
     /// *identical* to a sequential driver issuing the same calls: cycles
     /// charged, chaos decisions drawn, faults raised and span probes
@@ -1452,20 +1365,19 @@ mod tests {
 
     #[test]
     fn mechanism_stack_policy() {
-        assert!(GateMechanism::MpkSharedStack.stacks_shared());
-        assert!(!GateMechanism::MpkSwitchedStack.stacks_shared());
-        assert!(!GateMechanism::VmRpc.stacks_shared());
+        assert!(BackendChoice::MpkShared.stacks_shared());
+        assert!(!BackendChoice::MpkSwitched.stacks_shared());
+        assert!(!BackendChoice::VmRpc.stacks_shared());
     }
 
     #[test]
     fn callvec_builders_agree() {
         let mut v = CallVec::new();
-        v.push(16, 8).push_uniform(2, 16, 8);
+        assert!(v.is_empty());
+        v.push(16, 8).push(16, 8).push(16, 8);
         assert_eq!(v, CallVec::uniform(3, 16, 8));
         assert_eq!(v.len(), 3);
         assert_eq!(v.get(2), (16, 8));
-        v.clear();
-        assert!(v.is_empty());
     }
 
     /// The batch contract, against the reference it is defined by: a
@@ -1479,7 +1391,8 @@ mod tests {
             .push(16, 8)
             .push(100, 28)
             .push(0, 0)
-            .push_uniform(2, 32, 8);
+            .push(32, 8)
+            .push(32, 8);
         for target in [CompartmentId(0), CompartmentId(1)] {
             let (mut m1, mut rt1) = fresh_rt();
             let batched = rt1
@@ -1540,23 +1453,6 @@ mod tests {
         assert_eq!(rt.stats().crossings, 3);
     }
 
-    #[test]
-    fn batch_until_early_stop_keeps_stopping_result() {
-        let (mut m, mut rt) = fresh_rt();
-        let out = rt
-            .cross_batch_until(
-                &mut m,
-                CompartmentId(1),
-                &CallVec::uniform(8, 4, 4),
-                |_, _, idx| Ok(idx),
-                |_, _, idx, _| Ok(idx < 2),
-            )
-            .unwrap();
-        assert_eq!(out, vec![0, 1, 2]);
-        assert_eq!(rt.stats().crossings, 3);
-        assert_eq!(rt.current(), CompartmentId(0));
-    }
-
     #[cfg(not(feature = "trace-off"))]
     #[test]
     fn batch_records_size_histogram_per_mechanism() {
@@ -1580,10 +1476,7 @@ mod tests {
         // Empty batches leave no histogram entry.
         rt.cross_batch(&mut m, CompartmentId(1), &CallVec::new(), |_, _, _| Ok(()))
             .unwrap();
-        let cross = rt
-            .trace()
-            .batch_hist(GateMechanism::DirectCall.label())
-            .unwrap();
+        let cross = rt.trace().batch_hist(BackendChoice::None.label()).unwrap();
         // Both batches used the direct-call label (DirectGate is the
         // default pair gate here too), so sizes 4 and 2 land together.
         assert_eq!(cross.count(), 2);
@@ -1801,7 +1694,7 @@ mod tests {
                 |_, _, sqe, _| Ok(sqe.user_data < 2),
             )
             .unwrap();
-        // The stopping call's completion is posted, like `cross_batch`.
+        // The stopping call's completion is posted.
         assert_eq!(posted, 3);
         assert_eq!(rt.sq_pending(t), 5);
         // A second flush drains the survivors in order.
@@ -1850,12 +1743,12 @@ mod tests {
     /// advertised as the MPK shared-stack mechanism.
     #[derive(Debug)]
     struct CostedGate {
-        mech: GateMechanism,
+        mech: BackendChoice,
         cost: u64,
     }
 
     impl Gate for CostedGate {
-        fn mechanism(&self) -> GateMechanism {
+        fn mechanism(&self) -> BackendChoice {
             self.mech
         }
         fn enter(
@@ -1882,7 +1775,7 @@ mod tests {
 
     fn mpk_gate() -> Rc<dyn Gate> {
         Rc::new(CostedGate {
-            mech: GateMechanism::MpkSharedStack,
+            mech: BackendChoice::MpkShared,
             cost: 30,
         })
     }
@@ -1901,8 +1794,8 @@ mod tests {
     }
 
     impl Gate for SpyGate {
-        fn mechanism(&self) -> GateMechanism {
-            GateMechanism::VmRpc
+        fn mechanism(&self) -> BackendChoice {
+            BackendChoice::VmRpc
         }
         fn enter(
             &self,
@@ -1989,8 +1882,13 @@ mod tests {
 
     #[test]
     fn isolation_rank_orders_the_ladder() {
-        use GateMechanism::*;
-        let ladder = [DirectCall, MpkSharedStack, MpkSwitchedStack, Cheri, VmRpc];
+        let ladder = [
+            BackendChoice::None,
+            BackendChoice::MpkShared,
+            BackendChoice::MpkSwitched,
+            BackendChoice::Cheri,
+            BackendChoice::VmRpc,
+        ];
         for w in ladder.windows(2) {
             assert!(w[0].isolation_rank() < w[1].isolation_rank());
         }
@@ -2000,13 +1898,13 @@ mod tests {
     fn quiescent_migration_applies_immediately() {
         let (mut m, mut rt) = fresh_rt();
         let (a, b) = (CompartmentId(0), CompartmentId(1));
-        assert_eq!(rt.pair_mechanism(a, b), GateMechanism::DirectCall);
+        assert_eq!(rt.pair_mechanism(a, b), BackendChoice::None);
         let applied = rt
             .request_migration(&mut m, a, b, mpk_gate(), MigrationReason::Manual, None)
             .unwrap();
         assert!(applied);
         assert!(!rt.migration_pending(a, b));
-        assert_eq!(rt.pair_mechanism(a, b), GateMechanism::MpkSharedStack);
+        assert_eq!(rt.pair_mechanism(a, b), BackendChoice::MpkShared);
         let st = rt.migration_stats();
         assert_eq!((st.requested, st.completed, st.deferred), (1, 1, 0));
 
@@ -2038,7 +1936,7 @@ mod tests {
             assert!(!applied, "pair is on the call stack; must defer");
             assert!(rt.migration_pending(a, b));
             // The swap stays invisible while the call is in flight.
-            assert_eq!(rt.pair_mechanism(a, b), GateMechanism::DirectCall);
+            assert_eq!(rt.pair_mechanism(a, b), BackendChoice::None);
             // Simulated work between the request and the safe point makes
             // the drain window observable in the counters.
             m.charge(100);
@@ -2047,7 +1945,7 @@ mod tests {
         .unwrap();
         // The crossing's epilogue was the safe point.
         assert!(!rt.migration_pending(a, b));
-        assert_eq!(rt.pair_mechanism(a, b), GateMechanism::MpkSharedStack);
+        assert_eq!(rt.pair_mechanism(a, b), BackendChoice::MpkShared);
         let st = rt.migration_stats();
         assert_eq!((st.deferred, st.completed, st.escalations), (1, 1, 1));
         assert!(st.drain_cycles_max > 0);
@@ -2064,12 +1962,12 @@ mod tests {
                 assert!(!applied, "mid-batch request must defer");
             }
             // The hoisted gate serves the whole batch.
-            assert_eq!(rt.pair_mechanism(a, b), GateMechanism::DirectCall);
+            assert_eq!(rt.pair_mechanism(a, b), BackendChoice::None);
             Ok(())
         })
         .unwrap();
         assert!(!rt.migration_pending(a, b));
-        assert_eq!(rt.pair_mechanism(a, b), GateMechanism::MpkSharedStack);
+        assert_eq!(rt.pair_mechanism(a, b), BackendChoice::MpkShared);
         assert_eq!(rt.migration_stats().relaxations, 1);
     }
 
@@ -2148,7 +2046,7 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, Fault::OutOfMemory { .. }));
         // The old gate stays installed and the pair is not stuck draining.
-        assert_eq!(rt.pair_mechanism(a, b), GateMechanism::DirectCall);
+        assert_eq!(rt.pair_mechanism(a, b), BackendChoice::None);
         assert!(!rt.migration_pending(a, b));
         assert_eq!(rt.migration_stats().completed, 0);
     }
@@ -2165,7 +2063,7 @@ mod tests {
         .unwrap();
         // Already applied at the crossing end; poll is then a no-op.
         assert_eq!(rt.poll_migrations(&mut m).unwrap(), 0);
-        assert_eq!(rt.pair_mechanism(a, b), GateMechanism::MpkSharedStack);
+        assert_eq!(rt.pair_mechanism(a, b), BackendChoice::MpkShared);
         rt.resume_in(&mut m, a).unwrap();
         assert_eq!(rt.current(), a);
     }

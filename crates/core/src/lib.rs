@@ -62,5 +62,5 @@ pub mod wrappers;
 
 pub use build::{plan, BackendChoice, ImageConfig, ImagePlan, LibRole, LibraryConfig};
 pub use explore::{explore, Exploration, ExploreOptions};
-pub use gate::{CompartmentCtx, CompartmentId, DirectGate, Gate, GateMechanism, GateRuntime};
+pub use gate::{CompartmentCtx, CompartmentId, DirectGate, Gate, GateRuntime};
 pub use spec::{LibSpec, ShMechanism, ShSet};

@@ -23,14 +23,6 @@ use flexos::synth::synthetic_image;
 use flexos_machine::CostTable;
 use proptest::prelude::*;
 
-const BACKENDS: &[BackendChoice] = &[
-    BackendChoice::None,
-    BackendChoice::MpkShared,
-    BackendChoice::MpkSwitched,
-    BackendChoice::VmRpc,
-    BackendChoice::Cheri,
-];
-
 /// A canonical byte rendering of a candidate list, covering every field
 /// that downstream consumers can observe. Two explorations are
 /// considered identical exactly when these renderings are equal.
@@ -123,9 +115,9 @@ fn explored(base: &ImageConfig, backends: &[BackendChoice], profile: &CallProfil
 fn explore_equals_the_reference_walk_on_synthetic_images() {
     for (n_libs, toggleable, seed) in [(12, 6, 1), (16, 5, 42), (9, 3, 7), (20, 4, 3), (6, 0, 9)] {
         let img = synthetic_image(n_libs, toggleable, seed);
-        let got = explored(&img.config, BACKENDS, &img.profile);
+        let got = explored(&img.config, &BackendChoice::ALL, &img.profile);
         // Every backend x mask of these images plans.
-        assert_eq!(got.lines().count(), BACKENDS.len() << toggleable);
+        assert_eq!(got.lines().count(), BackendChoice::ALL.len() << toggleable);
     }
 }
 
@@ -144,7 +136,7 @@ fn explore_drops_what_mpk_cannot_key_like_the_reference() {
     for (c, lib) in pinned.enumerate() {
         lib.compartment = Some(c);
     }
-    let got = explored(&img.config, BACKENDS, &img.profile);
+    let got = explored(&img.config, &BackendChoice::ALL, &img.profile);
     // None and VM-RPC keep all 4 masks; MPK (x2) and CHERI keep 1 each.
     assert_eq!(got.lines().count(), 2 * 4 + 3);
 }
@@ -164,7 +156,7 @@ fn explore_judges_threats_on_declared_specs_when_the_base_hardens() {
     libs[unsafe_libs[0]].sh = suggest_sh(&libs[unsafe_libs[0]].spec);
     libs[unsafe_libs[1]].sh = ShSet::of([ShMechanism::Asan]);
     libs[unsafe_libs[2]].sh = ShSet::of([ShMechanism::StackProtector]);
-    explored(&img.config, BACKENDS, &img.profile);
+    explored(&img.config, &BackendChoice::ALL, &img.profile);
 }
 
 #[test]
@@ -191,7 +183,7 @@ fn explore_of_a_hand_built_image_with_roles_and_manual_placement() {
         .with_calls("app", "lwip", 2)
         .with_calls("lwip", "csched", 4)
         .with_work("lwip", 2500);
-    explored(&base, BACKENDS, &profile);
+    explored(&base, &BackendChoice::ALL, &profile);
 }
 
 #[test]
@@ -199,7 +191,7 @@ fn an_image_the_graph_cannot_hold_explores_to_nothing() {
     // 65 libraries: `plan` refuses every combination, so the explorer
     // keeps none, and neither panics.
     let img = synthetic_image(65, 2, 1);
-    assert!(explored(&img.config, BACKENDS, &img.profile).is_empty());
+    assert!(explored(&img.config, &BackendChoice::ALL, &img.profile).is_empty());
 }
 
 #[test]
@@ -214,7 +206,7 @@ fn explore_refuses_more_than_twelve_toggles() {
     }
     candidates(
         &base,
-        BACKENDS,
+        &BackendChoice::ALL,
         &CallProfile::default(),
         &CostTable::default(),
     );

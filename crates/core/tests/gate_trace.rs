@@ -1,7 +1,8 @@
 //! Gate-crossing telemetry: exact per-mechanism counts through
 //! [`GateRuntime::cross`], and histogram-bucket properties.
 
-use flexos::gate::{CompartmentCtx, CompartmentId, DirectGate, Gate, GateMechanism, GateRuntime};
+use flexos::build::BackendChoice;
+use flexos::gate::{CompartmentCtx, CompartmentId, DirectGate, Gate, GateRuntime};
 use flexos::spec::transform::ShSet;
 use flexos_machine::{Machine, PageFlags, Pkru, ProtKey, Result, VcpuId, VmId};
 use flexos_trace::{CycleHist, HIST_BUCKETS};
@@ -9,17 +10,17 @@ use proptest::prelude::*;
 use std::rc::Rc;
 
 /// A minimal backend gate that only charges cycles — enough to exercise
-/// the trace paths for every [`GateMechanism`] without pulling the real
+/// the trace paths for every [`BackendChoice`] without pulling the real
 /// backends (which live above this crate in the dependency graph).
 #[derive(Debug)]
 struct StubGate {
-    mechanism: GateMechanism,
+    mechanism: BackendChoice,
     enter_cost: u64,
     exit_cost: u64,
 }
 
 impl Gate for StubGate {
-    fn mechanism(&self) -> GateMechanism {
+    fn mechanism(&self) -> BackendChoice {
         self.mechanism
     }
 
@@ -70,11 +71,11 @@ fn two_compartments(m: &mut Machine) -> Vec<CompartmentCtx> {
 #[test]
 fn each_mechanism_records_exact_crossing_counts() {
     for (mechanism, crossings) in [
-        (GateMechanism::DirectCall, 3u64),
-        (GateMechanism::MpkSharedStack, 5),
-        (GateMechanism::MpkSwitchedStack, 7),
-        (GateMechanism::VmRpc, 2),
-        (GateMechanism::Cheri, 4),
+        (BackendChoice::None, 3u64),
+        (BackendChoice::MpkShared, 5),
+        (BackendChoice::MpkSwitched, 7),
+        (BackendChoice::VmRpc, 2),
+        (BackendChoice::Cheri, 4),
     ] {
         let mut m = Machine::with_defaults();
         let cpts = two_compartments(&mut m);
@@ -118,14 +119,10 @@ fn same_compartment_calls_count_as_direct_not_crossings() {
     }
     assert_eq!(rt.trace().direct_calls(), 6);
     assert_eq!(rt.trace().total_crossings(), 0);
-    assert_eq!(
-        rt.trace()
-            .crossings(GateMechanism::DirectCall.label(), 0, 0),
-        0
-    );
+    assert_eq!(rt.trace().crossings(BackendChoice::None.label(), 0, 0), 0);
     assert!(rt
         .trace()
-        .mechanism_hist(GateMechanism::DirectCall.label())
+        .mechanism_hist(BackendChoice::None.label())
         .is_none());
 }
 
@@ -134,7 +131,7 @@ fn nested_crossings_attribute_both_directions() {
     let mut m = Machine::with_defaults();
     let cpts = two_compartments(&mut m);
     let gate = Rc::new(StubGate {
-        mechanism: GateMechanism::MpkSwitchedStack,
+        mechanism: BackendChoice::MpkSwitched,
         enter_cost: 10,
         exit_cost: 10,
     });
@@ -143,7 +140,7 @@ fn nested_crossings_attribute_both_directions() {
         rt.cross(m, CompartmentId(0), 0, 0, |_, _| Ok(()))
     })
     .unwrap();
-    let label = GateMechanism::MpkSwitchedStack.label();
+    let label = BackendChoice::MpkSwitched.label();
     assert_eq!(rt.trace().crossings(label, 0, 1), 1);
     assert_eq!(rt.trace().crossings(label, 1, 0), 1);
 }

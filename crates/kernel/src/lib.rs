@@ -18,7 +18,7 @@
 //! * [`cotask`] — per-connection cooperative tasks for the serving
 //!   tier: a slab + FIFO run queue stepped only for *woken* tasks, the
 //!   executor half of the O(ready) serving contract.
-//! * [`sync`] — semaphores, wait queues, mutexes. These live in the LibC
+//! * [`sync`] — counting semaphores. These live in the LibC
 //!   compartment in the evaluation images, reproducing the paper's
 //!   finding that merging the network stack and scheduler compartments
 //!   does not help while semaphores sit elsewhere.
@@ -26,8 +26,6 @@
 //!   threat evidence, relax under sustained load) driving the core
 //!   quiescence protocol from the reproduce and serve harnesses.
 //! * [`mq`] — a message-queue micro-library in simulated shared memory.
-//! * [`timer`] — the `uktime` deadline queue (one-shot and periodic
-//!   timers over the simulated cycle clock).
 //! * [`contract`] — the runtime pre/post-condition layer standing in for
 //!   Dafny's static proofs.
 
@@ -42,7 +40,6 @@ pub mod migrate;
 pub mod mq;
 pub mod sched;
 pub mod sync;
-pub mod timer;
 
 pub use alloc::{AllocMode, Allocator, FreeListAllocator, HeapService};
 pub use cotask::{CoExecutor, CoPoll, CoTask, CoTaskId};
@@ -50,5 +47,4 @@ pub use exec::{ExecSummary, Executor, KernelHal, Step, Task};
 pub use migrate::{MigrationPolicy, PolicyDecision, PolicySignals};
 pub use mq::MsgQueue;
 pub use sched::{CoopScheduler, RunQueue, ThreadId, VerifiedScheduler};
-pub use sync::{Mutex, SemId, SemTable, Semaphore, WaitChannel, WaitQueue};
-pub use timer::{TimerAction, TimerId, TimerWheel};
+pub use sync::{SemId, SemTable, Semaphore, WaitChannel};

@@ -14,9 +14,9 @@
 //! and the `--migrate` figures stay byte-reproducible. Hysteresis
 //! (consecutive-window confirmation for relaxing, a cooldown after every
 //! swap) keeps it from flapping between neighbouring rungs of the
-//! isolation ladder ([`GateMechanism::isolation_rank`]).
+//! isolation ladder ([`BackendChoice::isolation_rank`]).
 
-use flexos::gate::GateMechanism;
+use flexos::build::BackendChoice;
 
 /// One observation window's worth of evidence, gathered by the driver
 /// (the reproduce harness or the serve loop) between policy ticks.
@@ -40,31 +40,20 @@ pub enum PolicyDecision {
     /// Raise isolation to `to` (threat evidence in the window).
     Escalate {
         /// The backend to escalate to.
-        to: GateMechanism,
+        to: BackendChoice,
     },
     /// Lower isolation to `to` (sustained benign load).
     Relax {
         /// The backend to relax to.
-        to: GateMechanism,
+        to: BackendChoice,
     },
 }
-
-/// The default escalation ladder, by rising [`GateMechanism::isolation_rank`].
-/// Escalation climbs one rung per hostile window; relaxation descends one
-/// rung per confirmed-benign streak.
-const LADDER: [GateMechanism; 5] = [
-    GateMechanism::DirectCall,
-    GateMechanism::MpkSharedStack,
-    GateMechanism::MpkSwitchedStack,
-    GateMechanism::Cheri,
-    GateMechanism::VmRpc,
-];
 
 /// A deterministic escalate-on-threat / relax-under-load policy for one
 /// compartment pair.
 #[derive(Debug, Clone)]
 pub struct MigrationPolicy {
-    current: GateMechanism,
+    current: BackendChoice,
     /// Windows with ≥ this many ops count as "loaded".
     load_threshold: u64,
     /// Consecutive loaded, threat-free windows required before relaxing.
@@ -79,13 +68,13 @@ impl MigrationPolicy {
     /// A policy starting from `current`, with the default thresholds the
     /// `--migrate` sweeps use: relax after 3 consecutive loaded windows
     /// (≥ 256 ops each), 2-window cooldown after every swap.
-    pub fn new(current: GateMechanism) -> Self {
+    pub fn new(current: BackendChoice) -> Self {
         Self::with_thresholds(current, 256, 3, 2)
     }
 
     /// A policy with explicit thresholds (tests and sweeps).
     pub fn with_thresholds(
-        current: GateMechanism,
+        current: BackendChoice,
         load_threshold: u64,
         relax_after: u32,
         cooldown: u32,
@@ -101,15 +90,26 @@ impl MigrationPolicy {
     }
 
     /// The backend the policy believes the pair is on.
-    pub fn current(&self) -> GateMechanism {
+    pub fn current(&self) -> BackendChoice {
         self.current
     }
 
-    fn rung(mech: GateMechanism) -> usize {
-        LADDER
-            .iter()
-            .position(|&m| m == mech)
-            .expect("every mechanism is on the ladder")
+    /// The neighbouring rung of the isolation ladder: the backend of the
+    /// next higher [`BackendChoice::isolation_rank`] (`up`) or the next
+    /// lower one. Escalation climbs one rung per hostile window;
+    /// relaxation descends one rung per confirmed-benign streak.
+    fn next_rung(&self, up: bool) -> Option<BackendChoice> {
+        let rank = self.current.isolation_rank();
+        let rungs = BackendChoice::ALL.into_iter();
+        if up {
+            rungs
+                .filter(|b| b.isolation_rank() > rank)
+                .min_by_key(|b| b.isolation_rank())
+        } else {
+            rungs
+                .filter(|b| b.isolation_rank() < rank)
+                .max_by_key(|b| b.isolation_rank())
+        }
     }
 
     /// Feeds one window of evidence and returns the decision. The caller
@@ -124,22 +124,16 @@ impl MigrationPolicy {
         let hostile = s.hardening_aborts > 0 || s.chaos_events > 0;
         if hostile {
             self.benign_streak = 0;
-            let rung = Self::rung(self.current);
-            if rung + 1 < LADDER.len() {
-                return PolicyDecision::Escalate {
-                    to: LADDER[rung + 1],
-                };
-            }
-            return PolicyDecision::Hold; // already at the top
+            // At the top of the ladder there is nothing to climb to: hold.
+            return self
+                .next_rung(true)
+                .map_or(PolicyDecision::Hold, |to| PolicyDecision::Escalate { to });
         }
         if s.window_ops >= self.load_threshold {
             self.benign_streak += 1;
             if self.benign_streak >= self.relax_after {
-                let rung = Self::rung(self.current);
-                if rung > 0 {
-                    return PolicyDecision::Relax {
-                        to: LADDER[rung - 1],
-                    };
+                if let Some(to) = self.next_rung(false) {
+                    return PolicyDecision::Relax { to };
                 }
             }
         } else {
@@ -150,7 +144,7 @@ impl MigrationPolicy {
 
     /// Records that the driver applied a swap to `to`: resets the benign
     /// streak and starts the cooldown.
-    pub fn applied(&mut self, to: GateMechanism) {
+    pub fn applied(&mut self, to: BackendChoice) {
         self.current = to;
         self.benign_streak = 0;
         self.cooldown_left = self.cooldown;
@@ -171,7 +165,7 @@ mod tests {
 
     #[test]
     fn escalates_one_rung_on_threat_evidence() {
-        let mut p = MigrationPolicy::with_thresholds(GateMechanism::DirectCall, 256, 3, 0);
+        let mut p = MigrationPolicy::with_thresholds(BackendChoice::None, 256, 3, 0);
         let d = p.observe(PolicySignals {
             hardening_aborts: 1,
             ..Default::default()
@@ -179,10 +173,10 @@ mod tests {
         assert_eq!(
             d,
             PolicyDecision::Escalate {
-                to: GateMechanism::MpkSharedStack
+                to: BackendChoice::MpkShared
             }
         );
-        p.applied(GateMechanism::MpkSharedStack);
+        p.applied(BackendChoice::MpkShared);
         let d = p.observe(PolicySignals {
             chaos_events: 3,
             ..Default::default()
@@ -190,14 +184,14 @@ mod tests {
         assert_eq!(
             d,
             PolicyDecision::Escalate {
-                to: GateMechanism::MpkSwitchedStack
+                to: BackendChoice::MpkSwitched
             }
         );
     }
 
     #[test]
     fn holds_at_the_top_of_the_ladder() {
-        let mut p = MigrationPolicy::with_thresholds(GateMechanism::VmRpc, 256, 3, 0);
+        let mut p = MigrationPolicy::with_thresholds(BackendChoice::VmRpc, 256, 3, 0);
         let d = p.observe(PolicySignals {
             hardening_aborts: 5,
             chaos_events: 5,
@@ -208,17 +202,17 @@ mod tests {
 
     #[test]
     fn relaxes_only_after_a_confirmed_benign_streak() {
-        let mut p = MigrationPolicy::with_thresholds(GateMechanism::VmRpc, 256, 3, 0);
+        let mut p = MigrationPolicy::with_thresholds(BackendChoice::VmRpc, 256, 3, 0);
         assert_eq!(p.observe(benign_loaded()), PolicyDecision::Hold);
         assert_eq!(p.observe(benign_loaded()), PolicyDecision::Hold);
         assert_eq!(
             p.observe(benign_loaded()),
             PolicyDecision::Relax {
-                to: GateMechanism::Cheri
+                to: BackendChoice::Cheri
             }
         );
         // An idle window resets the streak.
-        p.applied(GateMechanism::Cheri);
+        p.applied(BackendChoice::Cheri);
         assert_eq!(p.observe(benign_loaded()), PolicyDecision::Hold);
         assert_eq!(p.observe(PolicySignals::default()), PolicyDecision::Hold);
         assert_eq!(p.observe(benign_loaded()), PolicyDecision::Hold);
@@ -226,14 +220,14 @@ mod tests {
 
     #[test]
     fn floor_of_the_ladder_never_relaxes_further() {
-        let mut p = MigrationPolicy::with_thresholds(GateMechanism::DirectCall, 1, 1, 0);
+        let mut p = MigrationPolicy::with_thresholds(BackendChoice::None, 1, 1, 0);
         assert_eq!(p.observe(benign_loaded()), PolicyDecision::Hold);
     }
 
     #[test]
     fn cooldown_suppresses_decisions_after_a_swap() {
-        let mut p = MigrationPolicy::with_thresholds(GateMechanism::MpkSharedStack, 256, 1, 2);
-        p.applied(GateMechanism::MpkSwitchedStack);
+        let mut p = MigrationPolicy::with_thresholds(BackendChoice::MpkShared, 256, 1, 2);
+        p.applied(BackendChoice::MpkSwitched);
         // Two windows of cooldown ignore even hostile evidence.
         let hostile = PolicySignals {
             hardening_aborts: 1,
@@ -244,14 +238,14 @@ mod tests {
         assert_eq!(
             p.observe(hostile),
             PolicyDecision::Escalate {
-                to: GateMechanism::Cheri
+                to: BackendChoice::Cheri
             }
         );
     }
 
     #[test]
     fn chaos_interrupts_a_benign_streak() {
-        let mut p = MigrationPolicy::with_thresholds(GateMechanism::VmRpc, 256, 2, 0);
+        let mut p = MigrationPolicy::with_thresholds(BackendChoice::VmRpc, 256, 2, 0);
         assert_eq!(p.observe(benign_loaded()), PolicyDecision::Hold);
         let d = p.observe(PolicySignals {
             chaos_events: 1,
@@ -264,7 +258,7 @@ mod tests {
         assert_eq!(
             p.observe(benign_loaded()),
             PolicyDecision::Relax {
-                to: GateMechanism::Cheri
+                to: BackendChoice::Cheri
             }
         );
     }

@@ -1,4 +1,4 @@
-//! Synchronization micro-library: semaphores, wait queues, mutexes.
+//! Synchronization micro-library: counting semaphores.
 //!
 //! **Placement matters.** In the paper's Redis experiment, co-locating the
 //! network stack and the scheduler did *not* recover performance because
@@ -69,13 +69,6 @@ impl Semaphore {
         }
     }
 
-    /// Removes a thread from the waiter queue (timeout/kill paths).
-    pub fn cancel(&mut self, tid: ThreadId) -> bool {
-        let before = self.waiters.len();
-        self.waiters.retain(|&t| t != tid);
-        before != self.waiters.len()
-    }
-
     /// Current count.
     pub fn count(&self) -> i64 {
         self.count
@@ -102,9 +95,6 @@ impl SemId {
 #[derive(Debug, Default)]
 pub struct SemTable {
     sems: Vec<Semaphore>,
-    /// Total down/up operations (the bench harness reports crossings into
-    /// LibC per request from this).
-    pub ops: u64,
 }
 
 impl SemTable {
@@ -121,13 +111,11 @@ impl SemTable {
 
     /// `try_down` on semaphore `id`.
     pub fn try_down(&mut self, id: SemId, tid: ThreadId) -> bool {
-        self.ops += 1;
         self.sems[id.0].try_down(tid)
     }
 
     /// `up` on semaphore `id`; returns the thread to wake, if any.
     pub fn up(&mut self, id: SemId) -> Option<ThreadId> {
-        self.ops += 1;
         self.sems[id.0].up()
     }
 
@@ -144,98 +132,6 @@ impl SemTable {
     /// Whether no semaphores exist.
     pub fn is_empty(&self) -> bool {
         self.sems.is_empty()
-    }
-}
-
-/// A wait queue (condition-variable flavour): threads park until an event
-/// wakes one or all.
-#[derive(Debug, Default)]
-pub struct WaitQueue {
-    waiters: VecDeque<ThreadId>,
-}
-
-impl WaitQueue {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Enqueues a thread (idempotent).
-    pub fn wait(&mut self, tid: ThreadId) {
-        if !self.waiters.contains(&tid) {
-            self.waiters.push_back(tid);
-        }
-    }
-
-    /// Wakes the oldest waiter.
-    pub fn wake_one(&mut self) -> Option<ThreadId> {
-        self.waiters.pop_front()
-    }
-
-    /// Wakes everyone.
-    pub fn wake_all(&mut self) -> Vec<ThreadId> {
-        self.waiters.drain(..).collect()
-    }
-
-    /// Number of parked threads.
-    pub fn len(&self) -> usize {
-        self.waiters.len()
-    }
-
-    /// Whether nobody waits.
-    pub fn is_empty(&self) -> bool {
-        self.waiters.is_empty()
-    }
-}
-
-/// A mutex built over [`Semaphore`] (binary semaphore + owner tracking).
-#[derive(Debug)]
-pub struct Mutex {
-    sem: Semaphore,
-    owner: Option<ThreadId>,
-}
-
-impl Default for Mutex {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Mutex {
-    /// Creates an unlocked mutex.
-    pub fn new() -> Self {
-        Self {
-            sem: Semaphore::new(1),
-            owner: None,
-        }
-    }
-
-    /// Attempts to take the lock; enqueues as waiter on failure.
-    pub fn try_lock(&mut self, tid: ThreadId) -> bool {
-        if self.sem.try_down(tid) {
-            self.owner = Some(tid);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Releases the lock; returns the next owner to wake, if any.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tid` is not the current owner (lock-discipline bug in
-    /// the caller).
-    pub fn unlock(&mut self, tid: ThreadId) -> Option<ThreadId> {
-        assert_eq!(self.owner, Some(tid), "unlock by non-owner");
-        let next = self.sem.up();
-        self.owner = next;
-        next
-    }
-
-    /// The current owner.
-    pub fn owner(&self) -> Option<ThreadId> {
-        self.owner
     }
 }
 
@@ -280,55 +176,13 @@ mod tests {
     }
 
     #[test]
-    fn cancel_removes_a_waiter() {
-        let mut s = Semaphore::new(0);
-        s.try_down(T1);
-        s.try_down(T2);
-        assert!(s.cancel(T1));
-        assert!(!s.cancel(T1));
-        assert_eq!(s.up(), Some(T2));
-    }
-
-    #[test]
-    fn sem_table_tracks_ops_for_crossing_accounting() {
+    fn sem_table_ids_index_semaphores_and_channels() {
         let mut t = SemTable::new();
-        let id = t.create(1);
-        assert!(t.try_down(id, T1));
-        t.up(id);
-        assert_eq!(t.ops, 2);
-        assert_eq!(id.channel(), WaitChannel(0));
-    }
-
-    #[test]
-    fn wait_queue_wake_one_and_all() {
-        let mut q = WaitQueue::new();
-        q.wait(T1);
-        q.wait(T2);
-        q.wait(T1); // idempotent
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.wake_one(), Some(T1));
-        q.wait(T3);
-        assert_eq!(q.wake_all(), vec![T2, T3]);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn mutex_enforces_ownership_handoff() {
-        let mut m = Mutex::new();
-        assert!(m.try_lock(T1));
-        assert!(!m.try_lock(T2));
-        let next = m.unlock(T1);
-        assert_eq!(next, Some(T2));
-        assert_eq!(m.owner(), Some(T2));
-        assert_eq!(m.unlock(T2), None);
-        assert_eq!(m.owner(), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-owner")]
-    fn mutex_unlock_by_non_owner_panics() {
-        let mut m = Mutex::new();
-        m.try_lock(T1);
-        let _ = m.unlock(T2);
+        let (a, b) = (t.create(1), t.create(0));
+        assert!(t.try_down(a, T1));
+        assert!(!t.try_down(b, T2));
+        assert_eq!(t.up(b), Some(T2));
+        assert_eq!((t.get(a).count(), t.len()), (0, 2));
+        assert_eq!((a.channel(), b.channel()), (WaitChannel(0), WaitChannel(1)));
     }
 }

@@ -23,7 +23,7 @@
 
 mod common;
 
-use common::{arb_chaos, arb_ops, image, run, Driver, BACKENDS};
+use common::{arb_chaos, arb_ops, image, run, Driver};
 use flexos::build::BackendChoice;
 use flexos::gate::Sqe;
 use flexos_machine::{ChaosConfig, ChaosPlan, Fault, Schedule};
@@ -41,7 +41,7 @@ proptest! {
     /// histogram is the batched loop's, and only the rings flush.
     #[test]
     fn async_rings_cost_exactly_the_sync_batch(ops in arb_ops(), chaos in arb_chaos()) {
-        for &backend in BACKENDS {
+        for backend in BackendChoice::ALL {
             let ring = run(backend, &ops, chaos, Driver::Ring, 0);
             let batch = run(backend, &ops, chaos, Driver::Batch, 0);
             let reference = run(backend, &ops, chaos, Driver::Loop, 0);
@@ -66,7 +66,7 @@ proptest! {
     /// reaped values, fault fates, counters, spans AND simulated cycles.
     #[test]
     fn extra_vcpus_are_invisible_to_async_rings(ops in arb_ops(), chaos in arb_chaos()) {
-        for &backend in BACKENDS {
+        for backend in BackendChoice::ALL {
             let base = run(backend, &ops, chaos, Driver::Ring, 0);
             let smp = run(backend, &ops, chaos, Driver::Ring, 1);
             prop_assert_eq!(&base, &smp, "{:?} diverged with an extra vCPU", backend);
@@ -100,7 +100,7 @@ fn submit_past_ring_depth_is_a_typed_error() {
 /// every backend — the async analogue of `-EAGAIN`.
 #[test]
 fn reap_from_empty_cq_is_a_typed_error_on_every_backend() {
-    for &backend in BACKENDS {
+    for backend in BackendChoice::ALL {
         let mut img = image(backend);
         let err = img.reap_lib("lwip").unwrap_err();
         assert!(
@@ -116,7 +116,7 @@ fn reap_from_empty_cq_is_a_typed_error_on_every_backend() {
 /// untouched tail stays queued, and nothing panics.
 #[test]
 fn completions_survive_a_hardening_abort_on_every_backend() {
-    for &backend in BACKENDS {
+    for backend in BackendChoice::ALL {
         let mut img = image(backend);
         for i in 0..4u64 {
             img.submit_lib("uksched_verified", Sqe::new(16, 8, i))

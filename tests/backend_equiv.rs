@@ -14,7 +14,7 @@
 
 mod common;
 
-use common::{arb_chaos, arb_ops, image, run, Driver, BACKENDS};
+use common::{arb_chaos, arb_ops, image, run, Driver};
 use flexos::build::BackendChoice;
 use flexos::gate::CallVec;
 use flexos_machine::{ChaosConfig, ChaosPlan, Fault, Schedule};
@@ -32,7 +32,7 @@ proptest! {
     #[test]
     fn backends_agree_on_everything_but_cycles(ops in arb_ops(), chaos in arb_chaos()) {
         let reference = run(BackendChoice::MpkShared, &ops, chaos, Driver::Batch, 0);
-        for &backend in BACKENDS {
+        for backend in BackendChoice::ALL {
             if backend == BackendChoice::MpkShared {
                 continue;
             }
@@ -70,7 +70,7 @@ proptest! {
     /// target a vCPU's VM).
     #[test]
     fn extra_vcpus_are_invisible_to_every_backend(ops in arb_ops(), chaos in arb_chaos()) {
-        for &backend in BACKENDS {
+        for backend in BackendChoice::ALL {
             let base = run(backend, &ops, chaos, Driver::Batch, 0);
             let smp = run(backend, &ops, chaos, Driver::Batch, 1);
             prop_assert_eq!(&base, &smp, "{:?} diverged with an extra vCPU", backend);
@@ -83,7 +83,7 @@ proptest! {
     /// fault counts — with and without an extra vCPU.
     #[test]
     fn batching_is_cycle_identical_per_backend(ops in arb_ops(), chaos in arb_chaos()) {
-        for &backend in BACKENDS {
+        for backend in BackendChoice::ALL {
             for extra_vcpus in [0, 1] {
                 let batch = run(backend, &ops, chaos, Driver::Batch, extra_vcpus);
                 let reference = run(backend, &ops, chaos, Driver::Loop, extra_vcpus);

@@ -17,9 +17,7 @@
 #![allow(dead_code)] // each suite uses its own subset
 
 use flexos::build::{plan, BackendChoice, ImageConfig, LibRole, LibraryConfig};
-use flexos::gate::{
-    CallVec, CompartmentCtx, CompartmentId, Gate, GateMechanism, GateRuntime, GateStats, Sqe,
-};
+use flexos::gate::{CallVec, CompartmentCtx, CompartmentId, Gate, GateRuntime, GateStats, Sqe};
 use flexos::spec::LibSpec;
 use flexos_backends::{instantiate, instantiate_migratable, BootImage};
 use flexos_machine::{ChaosConfig, ChaosPlan, Fault, Machine, Schedule, VmId};
@@ -31,23 +29,6 @@ use proptest::prelude::*;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
-
-/// Every gate mechanism the build system can target.
-pub const BACKENDS: &[BackendChoice] = &[
-    BackendChoice::None,
-    BackendChoice::MpkShared,
-    BackendChoice::MpkSwitched,
-    BackendChoice::VmRpc,
-    BackendChoice::Cheri,
-];
-
-const MECHANISMS: [GateMechanism; 5] = [
-    GateMechanism::DirectCall,
-    GateMechanism::MpkSharedStack,
-    GateMechanism::MpkSwitchedStack,
-    GateMechanism::VmRpc,
-    GateMechanism::Cheri,
-];
 
 pub const SCHED: &str = "uksched_verified";
 pub const LWIP: &str = "lwip";
@@ -365,7 +346,7 @@ impl Observed {
         let mut pairs = Vec::new();
         let mut mechanisms = Vec::new();
         let mut batches = (0, 0);
-        for label in MECHANISMS.map(GateMechanism::label) {
+        for label in BackendChoice::ALL.map(BackendChoice::label) {
             for (src, dst) in (0..n).flat_map(|s| (0..n).map(move |d| (s, d))) {
                 match trace.crossings(label, src, dst) {
                     0 => {}
@@ -513,7 +494,7 @@ impl SpyGate {
 }
 
 impl Gate for SpyGate {
-    fn mechanism(&self) -> GateMechanism {
+    fn mechanism(&self) -> BackendChoice {
         self.inner.mechanism()
     }
 

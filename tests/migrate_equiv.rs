@@ -31,7 +31,7 @@ mod common;
 
 use common::{
     arb_chaos, arb_ops, image_migratable as image, predict, predict_stats, run_ops, CallOp, Chunk,
-    Driver, BACKENDS,
+    Driver,
 };
 use flexos::build::BackendChoice;
 use flexos::gate::{MigrationReason, Sqe};
@@ -111,8 +111,8 @@ proptest! {
         split in 0usize..10,
         chaos in arb_chaos(),
     ) {
-        for &from in BACKENDS {
-            for &to in BACKENDS {
+        for from in BackendChoice::ALL {
+            for to in BackendChoice::ALL {
                 let k = split.min(ops.len());
                 let (head, tail, _) = run_migrated(from, to, &ops, k, chaos, Driver::Batch);
                 // Reference runs: never actually change backend, but go
@@ -142,8 +142,8 @@ proptest! {
         split in 0usize..10,
         chaos in arb_chaos(),
     ) {
-        for &from in BACKENDS {
-            for &to in BACKENDS {
+        for from in BackendChoice::ALL {
+            for to in BackendChoice::ALL {
                 let k = split.min(ops.len());
                 let (h_on, t_on, c_on) = run_migrated(from, to, &ops, k, chaos, Driver::Batch);
                 let (h_off, t_off, c_off) = run_migrated(from, to, &ops, k, chaos, Driver::Loop);
@@ -166,8 +166,8 @@ proptest! {
         uds in prop::collection::vec(0u64..1000, 1..6),
         chaos in arb_chaos(),
     ) {
-        for &from in BACKENDS {
-            for &to in BACKENDS {
+        for from in BackendChoice::ALL {
+            for to in BackendChoice::ALL {
                 let run_async = |boot: BackendChoice, migrate: bool| {
                     let mut img = image(boot, chaos);
                     for (i, &ud) in uds.iter().enumerate() {
@@ -227,7 +227,7 @@ fn continuous_submission_cannot_stall_quiescence() {
         (target, caller)
     };
     let mut planned = BTreeMap::new();
-    planned.insert(pair, BackendChoice::VmRpc.mechanism());
+    planned.insert(pair, BackendChoice::VmRpc);
     let (gate, re) =
         prepare_pair_migration(&mut img, pair.0, pair.1, BackendChoice::VmRpc, &planned)
             .expect("prepares");
@@ -283,8 +283,8 @@ fn continuous_submission_cannot_stall_quiescence() {
 /// across every ordered pair.
 #[test]
 fn every_pair_preserves_ready_cqes_and_requeues_pending_sqes() {
-    for &from in BACKENDS {
-        for &to in BACKENDS {
+    for from in BackendChoice::ALL {
+        for to in BackendChoice::ALL {
             let mut img = image(from, None);
             for ud in 0..4u64 {
                 img.submit_lib("uksched_verified", Sqe::new(8, 8, ud))

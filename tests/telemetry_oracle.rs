@@ -23,7 +23,7 @@ mod common;
 
 use common::{
     arb_chaos, arb_ops, image_migratable, image_with_idle_vcpus, install_spies, run_ops, set_chaos,
-    CallOp, Driver, ReferenceLedgers, SpyGate, SpyLog, TailRing, BACKENDS, LWIP, SCHED,
+    CallOp, Driver, ReferenceLedgers, SpyGate, SpyLog, TailRing, LWIP, SCHED,
 };
 use flexos::build::BackendChoice;
 use flexos::gate::{CompartmentId, MigrationReason};
@@ -335,7 +335,7 @@ impl Harness {
     fn migrate(&mut self, to: BackendChoice, deferred: bool) {
         let a = self.img.gates.current();
         let b = CompartmentId(1 - a.0);
-        let planned = BTreeMap::from([((a.min(b), a.max(b)), to.mechanism())]);
+        let planned = BTreeMap::from([((a.min(b), a.max(b)), to)]);
         let (gate, re) = prepare_pair_migration(&mut self.img, a, b, to, &planned).expect("plans");
         let gate = SpyGate::wrap(gate, &self.log);
         let BootImage { machine, gates, .. } = &mut self.img;
@@ -352,7 +352,7 @@ impl Harness {
             let applied = gates.request_migration(machine, a, b, gate, reason, Some(re));
             assert!(applied.expect("migrates"), "the pair is quiescent");
         }
-        assert_eq!(gates.pair_mechanism(a, b), to.mechanism());
+        assert_eq!(gates.pair_mechanism(a, b), to);
         self.sync();
     }
 }
@@ -369,7 +369,7 @@ proptest! {
         migrate in prop::option::of((0usize..10, 0usize..5, any::<bool>())),
         rounds in 1usize..4,
     ) {
-        for &backend in BACKENDS {
+        for backend in BackendChoice::ALL {
             for driver in DRIVERS {
                 let mut h = Harness::boot(backend, chaos, migrate.is_some());
                 for round in 0..rounds {
@@ -378,7 +378,7 @@ proptest! {
                             let k = split.min(ops.len());
                             h.run(&ops[..k], driver);
                             h.check();
-                            h.migrate(BACKENDS[to], deferred);
+                            h.migrate(BackendChoice::ALL[to], deferred);
                             h.run(&ops[k..], driver);
                         }
                         _ => h.run(&ops, driver),
@@ -423,7 +423,7 @@ fn other_spans(h: &mut Harness, n: u64) {
 /// with the crossings and evict them, yet the event tail stays exact.
 #[test]
 fn the_event_tail_survives_eviction_of_crossings() {
-    for &backend in BACKENDS {
+    for backend in BackendChoice::ALL {
         for driver in DRIVERS {
             let mut h = Harness::boot(backend, None, false);
             // Sparse crossings: the ring holds fewer than the tail needs,
@@ -535,7 +535,7 @@ proptest! {
         ops in arb_ops(),
         chaos in arb_chaos(),
     ) {
-        for &backend in BACKENDS {
+        for backend in BackendChoice::ALL {
             let mut h = Harness::boot(backend, chaos, false);
             for (i, &op) in tail.iter().enumerate() {
                 h.tail(op);
@@ -557,7 +557,7 @@ fn crossings_evicted_by_crossings_stay_reachable() {
         let stats = h.img.machine.span_trace().ring_stats();
         stats.iter().map(|s| (s.owner, s.pushed)).collect()
     };
-    for &backend in BACKENDS {
+    for backend in BackendChoice::ALL {
         for driver in DRIVERS {
             let mut h = Harness::boot(backend, None, false);
             other_spans(&mut h, 10);
@@ -580,7 +580,7 @@ fn crossings_evicted_by_crossings_stay_reachable() {
 /// More than 256 events into one compartment: its ring wrapped.
 #[test]
 fn a_wrapped_compartment_ring_reports_its_drops() {
-    for &backend in BACKENDS {
+    for backend in BackendChoice::ALL {
         for driver in DRIVERS {
             let mut h = Harness::boot(backend, None, false);
             for _ in 0..30 {
