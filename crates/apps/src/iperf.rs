@@ -10,11 +10,9 @@
 //! an external client at it, and reports server-side throughput derived
 //! purely from the server machine's cycle clock.
 
-use crate::client::{exchange, Client, SERVER_IP};
-use crate::os::Os;
-use crate::profiles::{
-    backend_tag, evaluation_image, harden, make_executor, CompartmentModel, SchedKind,
-};
+use crate::client::{Rig, RunError, SERVER_IP};
+use crate::os::{abort, Os};
+use crate::profiles::{backend_tag, evaluation_image, harden, CompartmentModel, SchedKind};
 use flexos::build::{plan, BackendChoice, Hypervisor};
 use flexos_kernel::exec::Step;
 use flexos_machine::throughput_mbps;
@@ -92,9 +90,7 @@ pub fn iperf_image(params: &IperfParams) -> flexos::build::ImageConfig {
     for name in &params.sh_on {
         cfg = harden(cfg, name);
     }
-    if params.dedicated_allocators {
-        cfg.dedicated_allocators = true;
-    }
+    cfg.dedicated_allocators |= params.dedicated_allocators;
     cfg
 }
 
@@ -102,27 +98,39 @@ pub fn iperf_image(params: &IperfParams) -> flexos::build::ImageConfig {
 ///
 /// # Panics
 ///
-/// Panics if the transfer makes no progress (a harness bug, not a
-/// recoverable condition).
+/// Panics with the [`RunError`]'s text if the run fails: the image does
+/// not plan or boot, or the transfer makes no progress.
 pub fn run_iperf(params: &IperfParams) -> IperfResult {
-    let image = plan(iperf_image(params)).expect("iperf image plans");
-    let mut os = Os::boot(image, SERVER_IP, 1).expect("iperf image boots");
-    let mut exec = make_executor(params.sched);
-    let mut client = Client::new(2).expect("client boots");
-    let mut link = match params.link_chaos {
-        Some((chaos, seed)) => Link::with_chaos(chaos, seed),
-        None => Link::new(),
-    };
+    boot(params)
+        .and_then(|(mut rig, csid, received)| {
+            transfer(&mut rig, csid, &received, params.total_bytes)
+        })
+        .unwrap_or_else(|e| panic!("iperf run failed: {e}"))
+}
+
+/// Boots the iperf image on a [`Rig`] (listener, receive buffer, server
+/// task) and connects the client. Returns the rig, the client's socket
+/// and the server task's count of received bytes.
+fn boot(params: &IperfParams) -> Result<(Rig, SocketId, Rc<Cell<u64>>), RunError> {
+    let image = plan(iperf_image(params)).map_err(RunError::server)?;
+    let os = Os::boot(image, SERVER_IP, 1).map_err(RunError::server)?;
+    let link = params
+        .link_chaos
+        .map_or_else(Link::new, |(c, seed)| Link::with_chaos(c, seed));
+    let mut rig = Rig::new(os, link)?;
+    let os = &mut rig.os;
 
     // Server application task: accept, then recv in a loop counting
     // bytes, blocking on the socket semaphore when the buffer runs dry.
     let received = Rc::new(Cell::new(0u64));
     let received_task = Rc::clone(&received);
-    let listener = os.listen(IPERF_PORT).expect("listen");
+    let listener = os
+        .listen(IPERF_PORT)
+        .map_err(|e| RunError::server(format!("listen failed: {e}")))?;
     let recv_buf_len = params.recv_buf;
     let app_buf = os
         .alloc_shared_buf(recv_buf_len.max(64))
-        .expect("app buffer");
+        .map_err(RunError::server)?;
     let c_app = os.roles.app;
     let burst_backend = backend_tag(params.model, params.backend);
     let burst_vcpu = os.img.gates.ctx(c_app).vcpu.0 as u16;
@@ -133,12 +141,7 @@ pub fn run_iperf(params: &IperfParams) -> IperfResult {
             match os.accept(listener) {
                 Ok(Some(s)) => sid = Some(s),
                 Ok(None) => return Ok(Step::Yield),
-                Err(e) => {
-                    return Err(flexos_machine::Fault::HardeningAbort {
-                        mechanism: "iperf",
-                        reason: format!("accept failed: {e}"),
-                    })
-                }
+                Err(e) => return Err(abort("iperf", format!("accept failed: {e}"))),
             }
         }
         let s = sid.expect("accepted");
@@ -187,70 +190,49 @@ pub fn run_iperf(params: &IperfParams) -> IperfResult {
                     Some(ch) => return Ok(Step::Block(ch)),
                     None => continue, // data raced in; retry within budget
                 },
-                Some(Err(e)) => {
-                    return Err(flexos_machine::Fault::HardeningAbort {
-                        mechanism: "iperf",
-                        reason: format!("recv failed: {e}"),
-                    })
-                }
+                Some(Err(e)) => return Err(abort("iperf", format!("recv failed: {e}"))),
                 _ => break, // budget exhausted on successful receives
             }
         }
         Ok(Step::Yield)
     };
-    exec.spawn(c_app, Box::new(task))
-        .expect("spawn iperf server");
+    rig.exec
+        .spawn(c_app, Box::new(task))
+        .map_err(RunError::server)?;
+    let csid = rig.connect(IPERF_PORT)?;
+    Ok((rig, csid, received))
+}
 
-    // Client connects and then keeps the pipe full.
-    let csid = client.connect(IPERF_PORT).expect("client connect");
-    for _ in 0..8 {
-        client.poll().expect("client poll");
-        exchange(&mut link, &mut client, &mut os);
-        os.poll_net().expect("server poll");
-        exec.run(&mut os, 16).expect("exec");
-        exchange(&mut link, &mut client, &mut os);
-    }
-    assert!(client.established(csid), "handshake did not complete");
-
-    // Measured transfer.
-    let start_cycles = os.img.machine.clock().cycles();
-    let start_crossings = os.img.gates.stats().crossings;
+/// The measured transfer: the client keeps the pipe full until the
+/// server has received `total` bytes.
+fn transfer(
+    rig: &mut Rig,
+    csid: SocketId,
+    received: &Cell<u64>,
+    total: u64,
+) -> Result<IperfResult, RunError> {
+    let start_cycles = rig.os.img.machine.clock().cycles();
+    let start_crossings = rig.os.img.gates.stats().crossings;
     let mut sent = 0u64;
-    let mut idle_rounds = 0u32;
-    while received.get() < params.total_bytes {
-        if sent < params.total_bytes {
-            sent += client.pump_zeroes(csid, 32 * 1024).expect("client send");
+    rig.drive("transfer", received.get(), total, |rig| {
+        if sent < total {
+            sent += rig.client.pump_zeroes(csid, 32 * 1024)?;
         }
-        client.poll().expect("client poll");
-        exchange(&mut link, &mut client, &mut os);
-        os.poll_net().expect("server poll");
-        let before = received.get();
-        exec.run(&mut os, 64).expect("exec");
-        os.poll_net().expect("server poll 2");
-        exchange(&mut link, &mut client, &mut os);
-        if received.get() == before {
-            idle_rounds += 1;
-            // Nudge retransmission timers if we are somehow stuck.
-            if idle_rounds > 200 {
-                client.advance(30_000_000);
-                os.img.machine.charge(30_000_000);
-            }
-            assert!(idle_rounds < 5_000, "iperf made no progress");
-        } else {
-            idle_rounds = 0;
-        }
-    }
+        rig.round()?;
+        Ok(received.get())
+    })?;
+    let os = &rig.os;
     let cycles = os.img.machine.clock().cycles() - start_cycles;
     let bytes = received.get();
-    IperfResult {
+    Ok(IperfResult {
         bytes,
         cycles,
         mbps: throughput_mbps(bytes, cycles),
         crossings: os.img.gates.stats().crossings - start_crossings,
-        switches: exec.summary().switches,
-        frames_dropped: link.dropped,
-        frames_corrupted: link.corrupted,
-    }
+        switches: rig.exec.summary().switches,
+        frames_dropped: rig.link.dropped,
+        frames_corrupted: rig.link.corrupted,
+    })
 }
 
 #[cfg(test)]
@@ -262,6 +244,60 @@ mod tests {
             total_bytes: 256 * 1024,
             ..params
         })
+    }
+
+    /// A link that loses every frame.
+    fn dead_link() -> IperfParams {
+        IperfParams {
+            link_chaos: Some((
+                LinkChaos {
+                    loss_per_mille: 1000,
+                    ..Default::default()
+                },
+                7,
+            )),
+            ..IperfParams::default()
+        }
+    }
+
+    #[test]
+    fn a_link_that_drops_every_frame_is_a_handshake_without_progress() {
+        let Err(err) = boot(&dead_link()) else {
+            panic!("connected over a dead link");
+        };
+        assert_eq!(
+            err,
+            RunError::NoProgress {
+                phase: "handshake",
+                done: 0,
+                wanted: 1,
+            }
+        );
+    }
+
+    #[test]
+    fn a_link_that_dies_after_the_handshake_is_a_stalled_transfer() {
+        let params = IperfParams {
+            total_bytes: 64 * 1024,
+            ..IperfParams::default()
+        };
+        let (mut rig, csid, received) = boot(&params).expect("iperf boots and connects");
+        rig.link.faults.drop_every = Some(1);
+        let err = transfer(&mut rig, csid, &received, params.total_bytes).unwrap_err();
+        assert_eq!(
+            err,
+            RunError::NoProgress {
+                phase: "transfer",
+                done: 0,
+                wanted: 64 * 1024,
+            }
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "iperf run failed: no progress: handshake stuck at 0/1")]
+    fn run_iperf_panics_with_the_run_errors_text() {
+        run_iperf(&dead_link());
     }
 
     #[test]

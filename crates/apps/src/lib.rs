@@ -33,6 +33,7 @@ pub mod redis;
 pub mod resp;
 pub mod serve;
 
+pub use client::RunError;
 pub use os::{Os, OsStats, Roles};
 pub use profiles::{
     backend_tag, evaluation_image, gcc_sh, harden, harden_all, CompartmentModel, SchedKind,

@@ -29,7 +29,7 @@ use flexos_kernel::alloc::AllocMode;
 use flexos_kernel::exec::{Executor, KernelHal};
 use flexos_kernel::sched::ThreadId;
 use flexos_kernel::sync::{SemId, SemTable, WaitChannel};
-use flexos_machine::{Access, Addr, Machine, Result};
+use flexos_machine::{Access, Addr, Fault, Machine, Result, VcpuId};
 use flexos_net::event::{Interest, ReadyEvent};
 use flexos_net::nic::Nic;
 use flexos_net::stack::{NetError, NetResult, NetStack, SocketId};
@@ -188,15 +188,16 @@ impl SockOp {
             Ok(res)
         })
     }
+}
 
-    /// libc's user-space memcpy of an `n`-byte payload, with the
-    /// ASAN-interceptor tax when libc is hardened.
-    fn charge_libc_copy(&self, m: &mut Machine, n: u64) {
-        let costs = m.costs();
-        let base = n.div_ceil(4) * costs.libc_copy_per_4bytes;
-        let pct = costs.sh_asan_memcpy_pct * self.libc_tax / GCC_PCT;
-        m.charge(base + base * pct / 100);
-    }
+/// libc's user-space memcpy of an `n`-byte payload, with the
+/// ASAN-interceptor tax when libc is hardened (`libc_tax` is its SH
+/// percentage).
+fn charge_libc_copy(m: &mut Machine, libc_tax: u64, n: u64) {
+    let costs = m.costs();
+    let base = n.div_ceil(4) * costs.libc_copy_per_4bytes;
+    let pct = costs.sh_asan_memcpy_pct * libc_tax / GCC_PCT;
+    m.charge(base + base * pct / 100);
 }
 
 /// `sh_overhead_percent` of the GCC hardening set
@@ -204,6 +205,15 @@ impl SockOp {
 /// table's component-level SH percentages are calibrated against.
 /// Other hardening sets scale proportionally.
 const GCC_PCT: u64 = 118;
+
+/// A failure of the server library `lib` outside any memory fault,
+/// attributed to it.
+pub(crate) fn abort(lib: &'static str, reason: String) -> Fault {
+    Fault::HardeningAbort {
+        mechanism: lib,
+        reason,
+    }
+}
 
 fn lib_pct(plan: &ImagePlan, role: LibRole) -> u64 {
     plan.config
@@ -511,30 +521,34 @@ impl Os {
 
     // --- socket API (application-facing, fully gated) ------------------------------
 
-    /// `listen()`: app → libc → network stack.
-    pub fn listen(&mut self, port: u16) -> NetResult<SocketId> {
+    /// A socket call that goes app → libc → network stack and back:
+    /// two nested crossings of `arg_bytes` in and 8 bytes out, with
+    /// `call` run in the stack on the crossing's vCPU.
+    fn via_libc_to_net<R>(
+        &mut self,
+        arg_bytes: u64,
+        call: impl FnOnce(&mut NetStack, &mut Machine, VcpuId) -> NetResult<R>,
+    ) -> NetResult<R> {
         let (c_libc, c_net) = (self.roles.libc, self.roles.net);
         let Os { img, net, .. } = self;
         let BootImage { machine, gates, .. } = img;
         gates
-            .cross(machine, c_libc, 16, 8, |m, rt| {
-                rt.cross(m, c_net, 16, 8, |_m, _rt| Ok(net.tcp_listen(port)))
+            .cross(machine, c_libc, arg_bytes, 8, |m, rt| {
+                rt.cross(m, c_net, arg_bytes, 8, |m, rt| {
+                    Ok(call(net, m, rt.current_ctx().vcpu))
+                })
             })
             .map_err(NetError::from)?
     }
 
+    /// `listen()`: app → libc → network stack.
+    pub fn listen(&mut self, port: u16) -> NetResult<SocketId> {
+        self.via_libc_to_net(16, |net, _, _| net.tcp_listen(port))
+    }
+
     /// `accept()`: returns a connected socket once the handshake is done.
     pub fn accept(&mut self, listener: SocketId) -> NetResult<Option<SocketId>> {
-        let (c_libc, c_net) = (self.roles.libc, self.roles.net);
-        let accepted = {
-            let Os { img, net, .. } = self;
-            let BootImage { machine, gates, .. } = img;
-            gates
-                .cross(machine, c_libc, 16, 8, |m, rt| {
-                    rt.cross(m, c_net, 16, 8, |_m, _rt| Ok(net.tcp_accept(listener)))
-                })
-                .map_err(NetError::from)??
-        };
+        let accepted = self.via_libc_to_net(16, |net, _, _| net.tcp_accept(listener))?;
         if let Some(sid) = accepted {
             self.ensure_sem(sid);
         }
@@ -543,18 +557,7 @@ impl Os {
 
     /// `connect()`: initiates an active open (poll until established).
     pub fn connect(&mut self, dst_ip: u32, dst_port: u16) -> NetResult<SocketId> {
-        let (c_libc, c_net) = (self.roles.libc, self.roles.net);
-        let sid = {
-            let Os { img, net, .. } = self;
-            let BootImage { machine, gates, .. } = img;
-            gates
-                .cross(machine, c_libc, 16, 8, |m, rt| {
-                    rt.cross(m, c_net, 16, 8, |_m, _rt| {
-                        Ok(net.tcp_connect(dst_ip, dst_port))
-                    })
-                })
-                .map_err(NetError::from)??
-        };
+        let sid = self.via_libc_to_net(16, |net, _, _| net.tcp_connect(dst_ip, dst_port))?;
         self.ensure_sem(sid);
         Ok(sid)
     }
@@ -609,7 +612,7 @@ impl Os {
                 op.in_libc(m, rt, net, sh, len)
             })
             .map_err(NetError::from)??;
-        op.charge_libc_copy(machine, r);
+        charge_libc_copy(machine, op.libc_tax, r);
         Ok(r)
     }
 
@@ -704,7 +707,7 @@ impl Os {
                 if let Ok(n) = r {
                     // Charged after the crossing returns, exactly where
                     // the sequential path charges it.
-                    op.charge_libc_copy(m, *n);
+                    charge_libc_copy(m, op.libc_tax, *n);
                 }
                 let next = after(m, rt, r)?;
                 drop(held);
@@ -776,26 +779,12 @@ impl Os {
 
     /// `close()`.
     pub fn sock_close(&mut self, sid: SocketId) -> NetResult<()> {
-        let (c_libc, c_net) = (self.roles.libc, self.roles.net);
-        let Os { img, net, .. } = self;
-        let BootImage { machine, gates, .. } = img;
-        gates
-            .cross(machine, c_libc, 16, 8, |m, rt| {
-                rt.cross(m, c_net, 16, 8, |_m, _rt| Ok(net.close(sid)))
-            })
-            .map_err(NetError::from)?
+        self.via_libc_to_net(16, |net, _, _| net.close(sid))
     }
 
     /// `bind()` for UDP: app → libc → network stack.
     pub fn udp_bind(&mut self, port: u16) -> NetResult<SocketId> {
-        let (c_libc, c_net) = (self.roles.libc, self.roles.net);
-        let Os { img, net, .. } = self;
-        let BootImage { machine, gates, .. } = img;
-        gates
-            .cross(machine, c_libc, 16, 8, |m, rt| {
-                rt.cross(m, c_net, 16, 8, |_m, _rt| Ok(net.udp_bind(port)))
-            })
-            .map_err(NetError::from)?
+        self.via_libc_to_net(16, |net, _, _| net.udp_bind(port))
     }
 
     /// `sendto()`: datagram from a shared buffer, fully gated.
@@ -807,24 +796,10 @@ impl Os {
         dst_ip: u32,
         dst_port: u16,
     ) -> NetResult<()> {
-        let (c_libc, c_net) = (self.roles.libc, self.roles.net);
-        let libc_tax = self.tax.libc;
-        {
-            let Os { img, net, .. } = self;
-            let BootImage { machine, gates, .. } = img;
-            gates
-                .cross(machine, c_libc, 32, 8, |m, rt| {
-                    rt.cross(m, c_net, 32, 8, |m, rt| {
-                        let vcpu = rt.current_ctx().vcpu;
-                        Ok(net.udp_send_to(m, vcpu, sid, src, len, dst_ip, dst_port))
-                    })
-                })
-                .map_err(NetError::from)?
-        }?;
-        let costs = self.img.machine.costs();
-        let base = len.div_ceil(4) * costs.libc_copy_per_4bytes;
-        let pct = costs.sh_asan_memcpy_pct * libc_tax / GCC_PCT;
-        self.img.machine.charge(base + base * pct / 100);
+        self.via_libc_to_net(32, |net, m, vcpu| {
+            net.udp_send_to(m, vcpu, sid, src, len, dst_ip, dst_port)
+        })?;
+        charge_libc_copy(&mut self.img.machine, self.tax.libc, len);
         Ok(())
     }
 
@@ -835,24 +810,9 @@ impl Os {
         dst: Addr,
         max: u64,
     ) -> NetResult<(u64, u32, u16)> {
-        let (c_libc, c_net) = (self.roles.libc, self.roles.net);
-        let libc_tax = self.tax.libc;
-        let r = {
-            let Os { img, net, .. } = self;
-            let BootImage { machine, gates, .. } = img;
-            gates
-                .cross(machine, c_libc, 32, 8, |m, rt| {
-                    rt.cross(m, c_net, 32, 8, |m, rt| {
-                        let vcpu = rt.current_ctx().vcpu;
-                        Ok(net.udp_recv_from(m, vcpu, sid, dst, max))
-                    })
-                })
-                .map_err(NetError::from)?
-        }?;
-        let costs = self.img.machine.costs();
-        let base = r.0.div_ceil(4) * costs.libc_copy_per_4bytes;
-        let pct = costs.sh_asan_memcpy_pct * libc_tax / GCC_PCT;
-        self.img.machine.charge(base + base * pct / 100);
+        let r =
+            self.via_libc_to_net(32, |net, m, vcpu| net.udp_recv_from(m, vcpu, sid, dst, max))?;
+        charge_libc_copy(&mut self.img.machine, self.tax.libc, r.0);
         Ok(r)
     }
 
@@ -903,10 +863,7 @@ impl Os {
                 let vcpu = rt.current_ctx().vcpu;
                 net.poll(m, vcpu).map_err(|e| match e {
                     NetError::Fault(f) => f,
-                    other => flexos_machine::Fault::HardeningAbort {
-                        mechanism: "net",
-                        reason: other.to_string(),
-                    },
+                    other => abort("net", other.to_string()),
                 })
             })?;
         }
@@ -1033,6 +990,46 @@ mod tests {
         os.listen(5201).unwrap();
         assert_eq!(os.img.gates.stats().crossings, 0);
         assert_eq!(os.img.gates.stats().direct_calls, 2);
+    }
+
+    /// Each socket call crosses app → libc → stack with its declared
+    /// sizes: 16 bytes in and 8 out for the control calls, 32 and 8 for
+    /// the datagram calls. Under NW-only the app → libc hop is direct,
+    /// so the one libc → stack crossing marshals them.
+    #[test]
+    fn socket_calls_marshal_their_declared_sizes() {
+        let mut os = boot(CompartmentModel::NwOnly, BackendChoice::MpkShared);
+        let buf = os.alloc_shared_buf(64).unwrap();
+        let marshalled = |os: &mut Os, call: &dyn Fn(&mut Os)| {
+            os.img.gates.reset_stats();
+            call(os);
+            assert_eq!(os.img.gates.stats().crossings, 1);
+            os.img.gates.stats().bytes_marshalled
+        };
+        assert_eq!(marshalled(&mut os, &|os| drop(os.listen(5201))), 16 + 8);
+        assert_eq!(marshalled(&mut os, &|os| drop(os.udp_bind(7))), 16 + 8);
+        let sid = os.udp_bind(9).unwrap();
+        let send = |os: &mut Os| drop(os.udp_send_to(sid, buf, 5, 0x0a00_0002, 9));
+        assert_eq!(marshalled(&mut os, &send), 32 + 8);
+        let recv = |os: &mut Os| drop(os.udp_recv_from(sid, buf, 64));
+        assert_eq!(marshalled(&mut os, &recv), 32 + 8);
+    }
+
+    /// libc's memcpy is charged per started 4-byte word, plus the
+    /// ASAN-interceptor share when libc carries the GCC hardening set.
+    #[test]
+    fn the_libc_copy_charge_counts_every_started_word() {
+        let mut m = Machine::with_defaults();
+        let (per_word, asan_pct) = (m.costs().libc_copy_per_4bytes, m.costs().sh_asan_memcpy_pct);
+        let mut charged = |libc_tax, n| {
+            let t0 = m.clock().cycles();
+            charge_libc_copy(&mut m, libc_tax, n);
+            m.clock().cycles() - t0
+        };
+        assert_eq!(charged(0, 5), 2 * per_word);
+        assert_eq!(charged(0, 8), 2 * per_word);
+        let hardened = 2 * per_word + 2 * per_word * asan_pct / 100;
+        assert_eq!(charged(GCC_PCT, 5), hardened);
     }
 
     #[test]

@@ -11,14 +11,11 @@
 //! `{NW + sched, rest}` (NW and sched/rest), plus the no-isolation
 //! baseline; and §4 "Safe iperf"'s two-compartment MPK/VM images.
 
-use crate::os::Os;
 use flexos::build::{BackendChoice, ImageConfig, LibRole, LibraryConfig};
 use flexos::spec::{
     parse_with_name, Analysis, ApiFunc, CallBehavior, Grant, GrantKind, LibSpec, MemBehavior,
     Region, Requires, ShMechanism, ShSet,
 };
-use flexos_kernel::exec::Executor;
-use flexos_kernel::sched::{CoopScheduler, RunQueue, VerifiedScheduler};
 
 /// Which scheduler implementation an image runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,15 +24,6 @@ pub enum SchedKind {
     Coop,
     /// The contract-checked verified scheduler (218.6 ns switches).
     Verified,
-}
-
-/// Builds the executor for one run over `kind`'s run queue.
-pub(crate) fn make_executor(kind: SchedKind) -> Executor<Os> {
-    let rq: Box<dyn RunQueue> = match kind {
-        SchedKind::Coop => Box::new(CoopScheduler::new()),
-        SchedKind::Verified => Box::new(VerifiedScheduler::new()),
-    };
-    Executor::new(rq)
 }
 
 /// The GCC hardening set the paper's SH experiments enable

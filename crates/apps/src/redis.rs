@@ -7,17 +7,15 @@
 //! pipelined over TCP from an external client, and every socket
 //! operation crosses the image's gates.
 
-use crate::client::{exchange, Client, ClientError, SERVER_IP};
-use crate::os::Os;
-use crate::profiles::{
-    backend_tag, evaluation_image, harden, make_executor, CompartmentModel, SchedKind,
-};
+use crate::client::{Rig, RunError, SERVER_IP};
+use crate::os::{abort, Os};
+use crate::profiles::{backend_tag, evaluation_image, harden, CompartmentModel, SchedKind};
 use crate::resp::{
     self, put_bulk, put_command, put_error, put_integer, Command, RespError, RespParser,
 };
 use flexos::build::{plan, BackendChoice, Hypervisor};
 use flexos::gate::CompartmentId;
-use flexos_kernel::exec::{Executor, Step};
+use flexos_kernel::exec::Step;
 use flexos_kernel::sched::ThreadId;
 use flexos_machine::{Addr, ChaosConfig, ChaosPlan};
 use flexos_net::nic::Link;
@@ -26,7 +24,6 @@ use flexos_net::tcp::Lend;
 use flexos_net::FixedMap;
 use flexos_trace::{SpanId, StatsSnapshot};
 use std::collections::VecDeque;
-use std::fmt;
 use std::ops::Range;
 
 /// The Redis port.
@@ -77,7 +74,7 @@ pub struct RedisParams {
     /// A seeded fault schedule installed on the *server* machine after
     /// boot (doorbell loss, injected OOM, ...). Chaos sweeps use this
     /// to measure how the run degrades; failures come back as
-    /// [`RedisRunError`], never as panics.
+    /// [`RunError`], never as panics.
     pub machine_chaos: Option<ChaosConfig>,
     /// Live-migrate every gate pair to the given backend once the
     /// measured phase has completed this many requests. The swap runs
@@ -116,70 +113,6 @@ pub struct RedisResult {
     pub mreq_per_s: f64,
     /// Gate crossings on the server during measurement.
     pub crossings: u64,
-}
-
-/// A failure during a Redis run, propagated (not panicked) so a
-/// misbehaving compartment or a chaos schedule degrades a benchmark run
-/// into a recorded data point instead of aborting the process.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RedisRunError {
-    /// The server answered a request with a RESP error.
-    Reply(String),
-    /// The external load generator failed (client machine fault or
-    /// client stack error).
-    Client(ClientError),
-    /// The server image failed outside a reply: a gate timeout under
-    /// injected doorbell loss, an allocation fault, a stack error.
-    Server(String),
-    /// Nothing moved although work was still owed: the handshake did not
-    /// complete in its rounds, or [`MAX_IDLE_ROUNDS`] rounds in a row
-    /// completed no request (a link or client that stopped answering).
-    NoProgress {
-        /// What the run was waiting for.
-        phase: &'static str,
-        /// How much of it had happened.
-        done: u64,
-        /// How much was wanted.
-        wanted: u64,
-    },
-}
-
-/// Consecutive rounds without a completed request after which a run
-/// gives up.
-const MAX_IDLE_ROUNDS: u32 = 5_000;
-
-impl RedisRunError {
-    fn server(e: impl fmt::Display) -> Self {
-        RedisRunError::Server(e.to_string())
-    }
-}
-
-impl fmt::Display for RedisRunError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RedisRunError::Reply(reply) => {
-                write!(f, "redis server replied with error: {reply}")
-            }
-            RedisRunError::Client(e) => write!(f, "redis client failed: {e}"),
-            RedisRunError::Server(e) => write!(f, "redis server failed: {e}"),
-            RedisRunError::NoProgress {
-                phase,
-                done,
-                wanted,
-            } => write!(
-                f,
-                "redis made no progress: {phase} stuck at {done}/{wanted}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for RedisRunError {}
-
-impl From<ClientError> for RedisRunError {
-    fn from(e: ClientError) -> Self {
-        RedisRunError::Client(e)
-    }
 }
 
 /// What [`ReplyStream::flush`] left behind.
@@ -420,13 +353,6 @@ struct RedisServer {
     sqe_spans: Vec<SpanId>,
 }
 
-fn abort(reason: String) -> flexos_machine::Fault {
-    flexos_machine::Fault::HardeningAbort {
-        mechanism: "redis",
-        reason,
-    }
-}
-
 impl RedisServer {
     /// One service quantum on socket `sid`: flush replies, drain input,
     /// execute.
@@ -447,7 +373,7 @@ impl RedisServer {
             Flushed::Clean => {}
             Flushed::Parked => return Ok(Step::Yield),
             Flushed::Closed => return Ok(Step::Done),
-            Flushed::Failed(e) => return Err(abort(format!("send failed: {e}"))),
+            Flushed::Failed(e) => return Err(abort("redis", format!("send failed: {e}"))),
         }
         if self.closing {
             let _ = os.sock_close(sid);
@@ -469,7 +395,7 @@ impl RedisServer {
                     };
                 }
             }
-            Err(e) => return Err(abort(format!("recv failed: {e}"))),
+            Err(e) => return Err(abort("redis", format!("recv failed: {e}"))),
         }
         // Execute everything parseable. Each command opens a request
         // span (ended later, when its reply's last byte is sent).
@@ -504,9 +430,7 @@ pub fn redis_image(params: &RedisParams) -> flexos::build::ImageConfig {
     for name in &params.sh_on {
         cfg = harden(cfg, name);
     }
-    if params.dedicated_allocators {
-        cfg.dedicated_allocators = true;
-    }
+    cfg.dedicated_allocators |= params.dedicated_allocators;
     cfg
 }
 
@@ -552,7 +476,7 @@ impl LoadGen {
         }
     }
 
-    fn consume(&mut self, bytes: &[u8]) -> Result<(), RedisRunError> {
+    fn consume(&mut self, bytes: &[u8]) -> Result<(), RunError> {
         self.replies.feed(bytes);
         loop {
             match self.replies.skip_reply() {
@@ -561,12 +485,10 @@ impl LoadGen {
                     self.inflight = self.inflight.saturating_sub(1);
                 }
                 Ok(Some(e)) => {
-                    return Err(RedisRunError::Reply(
-                        String::from_utf8_lossy(e).into_owned(),
-                    ))
+                    return Err(RunError::Reply(String::from_utf8_lossy(e).into_owned()))
                 }
                 Err(RespError::Incomplete) => return Ok(()),
-                Err(e) => return Err(RedisRunError::server(e)),
+                Err(e) => return Err(RunError::server(e)),
             }
         }
     }
@@ -576,10 +498,10 @@ impl LoadGen {
 ///
 /// # Errors
 ///
-/// Returns [`RedisRunError`] when the server answers a request with a
+/// Returns [`RunError`] when the server answers a request with a
 /// RESP error (e.g. a faulting compartment) or the run stops making
 /// progress, so callers can degrade a benchmark run instead of aborting.
-pub fn run_redis(params: &RedisParams) -> Result<RedisResult, RedisRunError> {
+pub fn run_redis(params: &RedisParams) -> Result<RedisResult, RunError> {
     run_redis_with_stats(params).map(|(r, _)| r)
 }
 
@@ -588,7 +510,7 @@ pub fn run_redis(params: &RedisParams) -> Result<RedisResult, RedisRunError> {
 /// `reproduce --stats` report.
 pub fn run_redis_with_stats(
     params: &RedisParams,
-) -> Result<(RedisResult, StatsSnapshot), RedisRunError> {
+) -> Result<(RedisResult, StatsSnapshot), RunError> {
     run_redis_inner(params, false).map(|(r, s, _)| (r, s))
 }
 
@@ -597,17 +519,14 @@ pub fn run_redis_with_stats(
 /// byte-identical run to run.
 pub fn run_redis_traced(
     params: &RedisParams,
-) -> Result<(RedisResult, StatsSnapshot, String), RedisRunError> {
+) -> Result<(RedisResult, StatsSnapshot, String), RunError> {
     run_redis_inner(params, true).map(|(r, s, t)| (r, s, t.expect("trace requested")))
 }
 
-/// A booted server image with its task spawned, and one external client
-/// connected to it over a link.
-struct Rig {
-    os: Os,
-    exec: Executor<Os>,
-    client: Client,
-    link: Link,
+/// The Redis image booted on a [`Rig`], its task spawned and the client
+/// connected.
+struct Session {
+    rig: Rig,
     csid: SocketId,
     /// Wire scratch reused across rounds: the outgoing batch, the
     /// incoming replies.
@@ -615,28 +534,23 @@ struct Rig {
     rx: Vec<u8>,
 }
 
-impl Rig {
-    fn boot(params: &RedisParams) -> Result<Self, RedisRunError> {
-        let image = plan(redis_image(params)).expect("redis image plans");
-        let mut os = Os::boot(image, SERVER_IP, 1).expect("redis image boots");
+impl Session {
+    fn boot(params: &RedisParams) -> Result<Self, RunError> {
+        let image = plan(redis_image(params)).map_err(RunError::server)?;
+        let mut os = Os::boot(image, SERVER_IP, 1).map_err(RunError::server)?;
         if let Some(chaos) = params.machine_chaos {
             os.img.machine.set_chaos(ChaosPlan::new(chaos));
         }
-        let mut exec = make_executor(params.sched);
-        let mut client = Client::new(2)?;
-        let mut link = Link::new();
+        let mut rig = Rig::new(os, Link::new())?;
+        let os = &mut rig.os;
 
         let io_buf_len = 16 * 1024u64;
-        let rx_buf = os
-            .alloc_shared_buf(io_buf_len)
-            .map_err(RedisRunError::server)?;
-        let tx_buf = os
-            .alloc_shared_buf(io_buf_len)
-            .map_err(RedisRunError::server)?;
+        let rx_buf = os.alloc_shared_buf(io_buf_len).map_err(RunError::server)?;
+        let tx_buf = os.alloc_shared_buf(io_buf_len).map_err(RunError::server)?;
         let c_app = os.roles.app;
         let listener = os
             .listen(REDIS_PORT)
-            .map_err(|e| RedisRunError::server(format!("listen failed: {e}")))?;
+            .map_err(|e| RunError::server(format!("listen failed: {e}")))?;
 
         let mut server = RedisServer {
             db: Db {
@@ -662,129 +576,80 @@ impl Rig {
                 match os.accept(listener) {
                     Ok(Some(s)) => sid = Some(s),
                     Ok(None) => return Ok(Step::Yield),
-                    Err(e) => return Err(abort(format!("accept failed: {e}"))),
+                    Err(e) => return Err(abort("redis", format!("accept failed: {e}"))),
                 }
             }
             server.service(os, tid, sid.expect("accepted"))
         };
-        exec.spawn(c_app, Box::new(task))
-            .expect("spawn redis server");
-
-        let csid = client
-            .connect(REDIS_PORT)
-            .map_err(|e| RedisRunError::Client(ClientError::Net(e)))?;
-        for _ in 0..8 {
-            client.poll()?;
-            exchange(&mut link, &mut client, &mut os);
-            os.poll_net().map_err(RedisRunError::server)?;
-            exec.run(&mut os, 16).map_err(RedisRunError::server)?;
-            exchange(&mut link, &mut client, &mut os);
-        }
-        if !client.established(csid) {
-            return Err(RedisRunError::NoProgress {
-                phase: "handshake",
-                done: 0,
-                wanted: 1,
-            });
-        }
+        rig.exec
+            .spawn(c_app, Box::new(task))
+            .map_err(RunError::server)?;
+        let csid = rig.connect(REDIS_PORT)?;
         Ok(Self {
-            os,
-            exec,
-            client,
-            link,
+            rig,
             csid,
             tx: Vec::new(),
             rx: Vec::new(),
         })
     }
 
-    /// One round trip: sends `self.tx` (if any), lets both sides run,
-    /// and leaves whatever the server answered in `self.rx`.
-    fn round(&mut self) -> Result<(), RedisRunError> {
-        let Self {
-            os,
-            exec,
-            client,
-            link,
-            ..
-        } = self;
-        if !self.tx.is_empty() {
-            client.send_bytes(self.csid, &self.tx)?;
-        }
-        client.poll()?;
-        exchange(link, client, os);
-        os.poll_net().map_err(RedisRunError::server)?;
-        exec.run(os, 64).map_err(RedisRunError::server)?;
-        os.poll_net().map_err(RedisRunError::server)?;
-        exchange(link, client, os);
-        client.poll()?;
-        client.recv_bytes(self.csid, 64 * 1024, &mut self.rx)?;
-        Ok(())
+    /// Runs `load` until it has completed `target` requests.
+    fn drive(&mut self, load: &mut LoadGen, target: u64) -> Result<(), RunError> {
+        let Self { rig, csid, tx, rx } = self;
+        rig.drive("requests", load.completed, target, |rig| {
+            load.batch(tx);
+            round_trip(rig, *csid, tx, rx)?;
+            load.consume(rx)?;
+            Ok(load.completed)
+        })
     }
+}
 
-    /// Runs `load` against the server until it has completed `target`
-    /// requests.
-    fn drive(&mut self, load: &mut LoadGen, target: u64) -> Result<(), RedisRunError> {
-        let mut idle = 0u32;
-        while load.completed < target {
-            load.batch(&mut self.tx);
-            self.round()?;
-            let before = load.completed;
-            load.consume(&self.rx)?;
-            if load.completed == before {
-                idle += 1;
-                if idle > 200 {
-                    self.client.advance(30_000_000);
-                    self.os.img.machine.charge(30_000_000);
-                }
-                if idle >= MAX_IDLE_ROUNDS {
-                    return Err(RedisRunError::NoProgress {
-                        phase: "requests",
-                        done: load.completed,
-                        wanted: target,
-                    });
-                }
-            } else {
-                idle = 0;
-            }
-        }
-        Ok(())
+/// One round trip: sends `tx` (if any), lets both sides run, and leaves
+/// whatever the server answered in `rx`.
+fn round_trip(rig: &mut Rig, csid: SocketId, tx: &[u8], rx: &mut Vec<u8>) -> Result<(), RunError> {
+    if !tx.is_empty() {
+        rig.client.send_bytes(csid, tx)?;
     }
+    rig.round()?;
+    rig.client.poll()?;
+    rig.client.recv_bytes(csid, 64 * 1024, rx)?;
+    Ok(())
 }
 
 #[allow(clippy::type_complexity)]
 fn run_redis_inner(
     params: &RedisParams,
     want_trace: bool,
-) -> Result<(RedisResult, StatsSnapshot, Option<String>), RedisRunError> {
-    let mut rig = Rig::boot(params)?;
+) -> Result<(RedisResult, StatsSnapshot, Option<String>), RunError> {
+    let mut session = Session::boot(params)?;
     let mut load = LoadGen::new(params.payload, params.mix, params.pipeline);
 
     // Preload phase (GET mixes need populated keys); not measured.
     if params.mix == Mix::Get {
         let mut preload = LoadGen::new(params.payload, Mix::Set, 16);
-        rig.drive(&mut preload, 16)?;
+        session.drive(&mut preload, 16)?;
     }
 
     // Measured phase. A live migration, if requested, splits it in
     // two: drive to the trigger point, run the quiescence protocol and
     // swap every pair, then finish on the new backend.
-    let start_cycles = rig.os.img.machine.clock().cycles();
-    let start_crossings = rig.os.img.gates.stats().crossings;
+    let start_cycles = session.rig.os.img.machine.clock().cycles();
+    let start_crossings = session.rig.os.img.gates.stats().crossings;
     if let Some((after, to)) = params.migrate_to {
-        rig.drive(&mut load, after.min(params.ops))?;
-        let img = &mut rig.os.img;
+        session.drive(&mut load, after.min(params.ops))?;
+        let img = &mut session.rig.os.img;
         let (_, deferred) =
             flexos_backends::migrate_all(img, to, flexos::gate::MigrationReason::Manual)
-                .map_err(RedisRunError::server)?;
+                .map_err(RunError::server)?;
         if deferred > 0 {
             img.gates
                 .poll_migrations(&mut img.machine)
-                .map_err(RedisRunError::server)?;
+                .map_err(RunError::server)?;
         }
     }
-    rig.drive(&mut load, params.ops)?;
-    let os = &rig.os;
+    session.drive(&mut load, params.ops)?;
+    let Rig { os, exec, .. } = &session.rig;
     let cycles = os.img.machine.clock().cycles() - start_cycles;
     let ops = load.completed;
     let result = RedisResult {
@@ -794,7 +659,7 @@ fn run_redis_inner(
         crossings: os.img.gates.stats().crossings - start_crossings,
     };
     let trace = want_trace.then(|| os.trace_json());
-    Ok((result, os.stats_snapshot(Some(&rig.exec)), trace))
+    Ok((result, os.stats_snapshot(Some(exec)), trace))
 }
 
 #[cfg(test)]
@@ -811,13 +676,13 @@ mod tests {
     /// flags (regions allocated back to back under one key form one).
     #[test]
     fn the_booted_mpk_image_maps_one_extent_per_region() {
-        let rig = Rig::boot(&RedisParams {
+        let session = Session::boot(&RedisParams {
             model: CompartmentModel::NwSchedRest,
             backend: BackendChoice::MpkShared,
             ..RedisParams::default()
         })
         .expect("image boots");
-        let m = &rig.os.img.machine;
+        let m = &session.rig.os.img.machine;
         let shape: Vec<(usize, usize, usize)> = (0..m.vm_count())
             .map(|vm| {
                 let pt = m.page_table(flexos_machine::VmId(vm as u8));
@@ -891,7 +756,7 @@ mod tests {
         })
         .unwrap_err();
         assert!(
-            matches!(err, RedisRunError::Server(_)),
+            matches!(err, RunError::Server(_)),
             "expected a server-side gate failure, got: {err}"
         );
         assert!(err.to_string().contains("timed out"), "{err}");
@@ -901,37 +766,39 @@ mod tests {
     /// comes back as a typed error naming how far it got.
     #[test]
     fn a_link_that_never_answers_is_no_progress_not_a_panic() {
-        let mut rig = Rig::boot(&RedisParams::default()).expect("rig boots");
-        rig.link.faults.drop_every = Some(1);
+        let mut session = Session::boot(&RedisParams::default()).expect("session boots");
+        session.rig.link.faults.drop_every = Some(1);
         let mut load = LoadGen::new(50, Mix::Set, 4);
-        let err = rig.drive(&mut load, 8).unwrap_err();
+        let err = session.drive(&mut load, 8).unwrap_err();
         assert_eq!(
             err,
-            RedisRunError::NoProgress {
+            RunError::NoProgress {
                 phase: "requests",
                 done: 0,
                 wanted: 8,
             }
         );
-        assert_eq!(
-            err.to_string(),
-            "redis made no progress: requests stuck at 0/8"
-        );
+        assert_eq!(err.to_string(), "no progress: requests stuck at 0/8");
     }
 
     /// Sends `wire` as it is and collects what the server answers;
     /// also reports whether the server then closed the connection.
     fn raw_exchange(wire: &[u8]) -> (Vec<u8>, bool) {
-        let mut rig = Rig::boot(&RedisParams::default()).expect("rig boots");
-        rig.tx.extend_from_slice(wire);
+        let Session {
+            mut rig,
+            csid,
+            mut rx,
+            ..
+        } = Session::boot(&RedisParams::default()).expect("session boots");
         let mut answer = Vec::new();
+        let mut tx = wire;
         for _ in 0..8 {
-            rig.round().expect("server survives");
-            rig.tx.clear();
-            answer.extend_from_slice(&rig.rx);
+            round_trip(&mut rig, csid, tx, &mut rx).expect("server survives");
+            tx = &[];
+            answer.extend_from_slice(&rx);
         }
         let c = &mut rig.client;
-        let eof = c.net.tcp_recv(&mut c.m, c.vcpu, rig.csid, c.buf, 16);
+        let eof = c.net.tcp_recv(&mut c.m, c.vcpu, csid, c.buf, 16);
         (answer, eof == Ok(0))
     }
 
@@ -955,8 +822,8 @@ mod tests {
 
     #[test]
     fn set_whose_store_faults_gives_its_block_back() {
-        let mut rig = Rig::boot(&RedisParams::default()).expect("rig boots");
-        let os = &mut rig.os;
+        let mut session = Session::boot(&RedisParams::default()).expect("session boots");
+        let os = &mut session.rig.os;
         let c_app = os.roles.app;
         let mut db = Db {
             store: FixedMap::default(),

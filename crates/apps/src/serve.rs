@@ -36,7 +36,7 @@
 //! executor, seeded arrivals. A serve run's figures are byte-identical
 //! run to run (the `artefacts` CI job compares two runs of the JSON).
 
-use crate::client::SERVER_IP;
+use crate::client::{RunError, MAX_IDLE_ROUNDS, SERVER_IP};
 use crate::os::Os;
 use crate::profiles::{backend_tag, evaluation_image, lib_app, CompartmentModel, SchedKind};
 use crate::redis::{Flushed, Mix, ReplyStream};
@@ -58,7 +58,6 @@ use flexos_net::wire::{
 use flexos_net::{FixedMap, Interest};
 use flexos_trace::{percentile, SpanId, SpanKind, StatsSnapshot};
 use std::collections::VecDeque;
-use std::fmt;
 use std::ops::Range;
 
 /// The proxy's listening port.
@@ -174,55 +173,6 @@ pub struct ServeResult {
     /// SYNs shed by the bounded accept backlog.
     pub backlog_overflows: u64,
 }
-
-/// A failure during a serve run, propagated rather than panicked so a
-/// bench sweep records a degraded point instead of aborting.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ServeRunError {
-    /// A shard or the proxy answered with a RESP error.
-    Reply(String),
-    /// The server image failed outside a reply.
-    Server(String),
-    /// Nothing moved for 10 000 rounds in a row although work was still
-    /// owed: clients that stopped answering, or a lost wakeup.
-    NoProgress {
-        /// What the run was waiting for.
-        phase: &'static str,
-        /// How much of it had happened.
-        done: u64,
-        /// How much was wanted.
-        wanted: u64,
-    },
-}
-
-/// Consecutive rounds without progress (rounds in all, for one handshake
-/// wave) after which a run gives up.
-const MAX_IDLE_ROUNDS: u32 = 10_000;
-
-impl ServeRunError {
-    fn server(e: impl fmt::Display) -> Self {
-        ServeRunError::Server(e.to_string())
-    }
-}
-
-impl fmt::Display for ServeRunError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ServeRunError::Reply(e) => write!(f, "serve reply error: {e}"),
-            ServeRunError::Server(e) => write!(f, "serve server failed: {e}"),
-            ServeRunError::NoProgress {
-                phase,
-                done,
-                wanted,
-            } => write!(
-                f,
-                "serve made no progress: {phase} stuck at {done}/{wanted}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for ServeRunError {}
 
 /// FNV-1a over a key — the proxy's shard hash.
 fn fnv1a(key: &[u8]) -> u64 {
@@ -1084,10 +1034,10 @@ fn gen_arrivals(bursts: u64, conns: usize, mean_gap: u64, seed: u64) -> Vec<(u64
 ///
 /// # Errors
 ///
-/// Returns [`ServeRunError`] when a shard answers with a RESP error, the
+/// Returns [`RunError`] when a shard answers with a RESP error, the
 /// server image fails or the run stops making progress, so sweeps degrade
 /// instead of aborting.
-pub fn run_serve(params: &ServeParams) -> Result<ServeResult, ServeRunError> {
+pub fn run_serve(params: &ServeParams) -> Result<ServeResult, RunError> {
     run_serve_inner(params, false).map(|(r, _, _)| r)
 }
 
@@ -1095,7 +1045,7 @@ pub fn run_serve(params: &ServeParams) -> Result<ServeResult, ServeRunError> {
 /// serving block: event-queue and executor counters).
 pub fn run_serve_with_stats(
     params: &ServeParams,
-) -> Result<(ServeResult, StatsSnapshot), ServeRunError> {
+) -> Result<(ServeResult, StatsSnapshot), RunError> {
     run_serve_inner(params, false).map(|(r, s, _)| (r, s))
 }
 
@@ -1103,7 +1053,7 @@ pub fn run_serve_with_stats(
 /// span stream (proxy → shard → proxy hops per request).
 pub fn run_serve_traced(
     params: &ServeParams,
-) -> Result<(ServeResult, StatsSnapshot, String), ServeRunError> {
+) -> Result<(ServeResult, StatsSnapshot, String), RunError> {
     run_serve_inner(params, true).map(|(r, s, t)| (r, s, t.expect("trace requested")))
 }
 
@@ -1125,11 +1075,11 @@ impl Tier {
     /// # Errors
     ///
     /// As [`run_serve`].
-    pub fn boot(params: &ServeParams) -> Result<Self, ServeRunError> {
+    pub fn boot(params: &ServeParams) -> Result<Self, RunError> {
         let shards = params.shards.clamp(1, MAX_SHARDS);
         let conns = params.conns.max(1);
         let nic_id = 1u8;
-        let image = plan(serve_image(params)).expect("serve image plans");
+        let image = plan(serve_image(params)).map_err(RunError::server)?;
         let ncomp = image.num_compartments as u64;
 
         // Boot sizing: the socket-ring pool must hold every connection's
@@ -1144,32 +1094,25 @@ impl Tier {
             stack_size: 64 * 1024,
             net_pool_bytes,
         };
-        let mut os =
-            Os::boot_with(image, SERVER_IP, nic_id, opts).map_err(ServeRunError::server)?;
+        let mut os = Os::boot_with(image, SERVER_IP, nic_id, opts).map_err(RunError::server)?;
         os.net.set_sock_ring_bytes(CONN_RING_BYTES);
         // The tables a connection has an entry in are sized once (the
         // listener's socket is the `+ 1`), not grown by doubling.
         os.net.reserve(conns + 1);
 
         let io_buf_len = 16 * 1024u64;
-        let rx_buf = os
-            .alloc_shared_buf(io_buf_len)
-            .map_err(ServeRunError::server)?;
-        let tx_buf = os
-            .alloc_shared_buf(io_buf_len)
-            .map_err(ServeRunError::server)?;
+        let rx_buf = os.alloc_shared_buf(io_buf_len).map_err(RunError::server)?;
+        let tx_buf = os.alloc_shared_buf(io_buf_len).map_err(RunError::server)?;
         let listener = os
             .listen(SERVE_PORT)
-            .map_err(|e| ServeRunError::server(format!("listen failed: {e}")))?;
+            .map_err(|e| RunError::server(format!("listen failed: {e}")))?;
         let backend = backend_tag(params.model, params.backend);
         let app_vcpu = os.img.gates.ctx(os.roles.app).vcpu.0 as u16;
-        let shard_comps: Vec<CompartmentId> = (0..shards)
-            .map(|k| {
-                os.img
-                    .compartment_of_lib(SHARD_NAMES[k])
-                    .expect("shard library placed")
-            })
-            .collect();
+        let shard_comps = SHARD_NAMES[..shards]
+            .iter()
+            .map(|&name| os.img.compartment_of_lib(name).ok_or(name))
+            .collect::<Result<Vec<CompartmentId>, _>>()
+            .map_err(|name| RunError::Server(format!("shard library {name} not placed")))?;
         let shard_vcpus: Vec<u16> = shard_comps
             .iter()
             .map(|&c| os.img.gates.ctx(c).vcpu.0 as u16)
@@ -1224,14 +1167,14 @@ impl Tier {
             }
             let mut spins = 0u32;
             while clients.established_count < end || accepted < end {
-                world.os.poll_net().map_err(ServeRunError::server)?;
+                world.os.poll_net().map_err(RunError::server)?;
                 let now = world.os.img.machine.clock().cycles();
                 while let Some(f) = world.os.net.nic.pop_tx() {
                     clients.on_frame(now, &f);
                     world.os.net.nic.recycle(f);
                 }
                 clients.emit(&mut world.os.net.nic);
-                world.os.poll_net().map_err(ServeRunError::server)?;
+                world.os.poll_net().map_err(RunError::server)?;
                 loop {
                     match world.os.accept(listener) {
                         Ok(Some(sid)) => {
@@ -1243,13 +1186,13 @@ impl Tier {
                             accepted += 1;
                         }
                         Ok(None) => break,
-                        Err(e) => return Err(ServeRunError::server(format!("accept failed: {e}"))),
+                        Err(e) => return Err(RunError::server(format!("accept failed: {e}"))),
                     }
                 }
                 exec.run_until_idle(&mut world, 1_000_000);
                 spins += 1;
                 if spins >= MAX_IDLE_ROUNDS {
-                    return Err(ServeRunError::NoProgress {
+                    return Err(RunError::NoProgress {
                         phase: "handshake wave",
                         done: accepted.min(clients.established_count) as u64,
                         wanted: end as u64,
@@ -1258,7 +1201,7 @@ impl Tier {
             }
         }
         if !clients.reply_errors.is_empty() {
-            return Err(ServeRunError::Server(clients.reply_errors.remove(0)));
+            return Err(RunError::Server(clients.reply_errors.remove(0)));
         }
         Ok(Self {
             world,
@@ -1272,7 +1215,7 @@ impl Tier {
     /// NIC, every task whose socket became ready runs, and the clients
     /// consume what the server sent, answering with ACKs and queued
     /// bursts. Returns whether any frame moved in either direction.
-    fn pump(&mut self) -> Result<bool, ServeRunError> {
+    fn pump(&mut self) -> Result<bool, RunError> {
         let Self {
             world,
             exec,
@@ -1280,7 +1223,7 @@ impl Tier {
             task_of,
         } = self;
         let mut moved = false;
-        world.os.poll_net().map_err(ServeRunError::server)?;
+        world.os.poll_net().map_err(RunError::server)?;
         for ev in world.os.ready_events() {
             if ev.ready.contains(Interest::READ) || ev.ready.contains(Interest::WRITE) {
                 if let Some(Some(tid)) = task_of.get(ev.sid.0) {
@@ -1289,7 +1232,7 @@ impl Tier {
             }
         }
         exec.run_until_idle(world, 10_000_000);
-        world.os.poll_net().map_err(ServeRunError::server)?;
+        world.os.poll_net().map_err(RunError::server)?;
         let now = world.os.img.machine.clock().cycles();
         let nic = &mut world.os.net.nic;
         while let Some(f) = nic.pop_tx() {
@@ -1308,13 +1251,13 @@ impl Tier {
     /// # Errors
     ///
     /// As [`run_serve`].
-    pub fn settle(&mut self) -> Result<(), ServeRunError> {
+    pub fn settle(&mut self) -> Result<(), RunError> {
         for _ in 0..MAX_IDLE_ROUNDS {
             if !self.pump()? {
                 return Ok(());
             }
         }
-        Err(ServeRunError::NoProgress {
+        Err(RunError::NoProgress {
             phase: "settling",
             done: 0,
             wanted: 0,
@@ -1354,7 +1297,7 @@ impl Tier {
     /// # Errors
     ///
     /// As [`run_serve`].
-    pub fn measure(&mut self, params: &ServeParams) -> Result<(u64, u64), ServeRunError> {
+    pub fn measure(&mut self, params: &ServeParams) -> Result<(u64, u64), RunError> {
         let bursts = (params.ops / params.pipeline.max(1) as u64).max(1);
         let done_before = self.clients.completed_bursts;
         let t_base = self.world.os.img.machine.clock().cycles();
@@ -1382,9 +1325,7 @@ impl Tier {
                 if self.clients.completed_bursts >= after {
                     let img = &mut self.world.os.img;
                     flexos_backends::migrate_all(img, to, flexos::gate::MigrationReason::Manual)
-                        .map_err(|e| {
-                            ServeRunError::server(format!("live migration failed: {e}"))
-                        })?;
+                        .map_err(|e| RunError::server(format!("live migration failed: {e}")))?;
                     pending_migration = None;
                 }
             }
@@ -1392,7 +1333,7 @@ impl Tier {
                 let img = &mut self.world.os.img;
                 img.gates
                     .poll_migrations(&mut img.machine)
-                    .map_err(|e| ServeRunError::server(format!("migration drain failed: {e}")))?;
+                    .map_err(|e| RunError::server(format!("migration drain failed: {e}")))?;
             }
             let now = self.world.os.img.machine.clock().cycles();
             let nic = &mut self.world.os.net.nic;
@@ -1406,10 +1347,10 @@ impl Tier {
             let before = self.clients.completed_bursts;
             let moved = self.pump()? || arrived;
             if let Some(e) = self.world.errors.first() {
-                return Err(ServeRunError::Server(e.clone()));
+                return Err(RunError::Server(e.clone()));
             }
             if let Some(e) = self.clients.reply_errors.first() {
-                return Err(ServeRunError::Reply(e.clone()));
+                return Err(RunError::Reply(e.clone()));
             }
             if moved || self.clients.completed_bursts > before {
                 idle = 0;
@@ -1427,7 +1368,7 @@ impl Tier {
                 self.world.os.img.machine.charge(10_000);
             }
             if idle >= MAX_IDLE_ROUNDS {
-                return Err(ServeRunError::NoProgress {
+                return Err(RunError::NoProgress {
                     phase: "measured bursts",
                     done: self.clients.completed_bursts - done_before,
                     wanted: bursts,
@@ -1444,7 +1385,7 @@ impl Tier {
 fn run_serve_inner(
     params: &ServeParams,
     want_trace: bool,
-) -> Result<(ServeResult, StatsSnapshot, Option<String>), ServeRunError> {
+) -> Result<(ServeResult, StatsSnapshot, Option<String>), RunError> {
     let conns = params.conns.max(1);
     let mut tier = Tier::boot(params)?;
     let (cycles, crossings) = tier.measure(params)?;
@@ -1759,7 +1700,7 @@ mod tests {
         }
         assert_eq!(
             tier.measure(&params),
-            Err(ServeRunError::NoProgress {
+            Err(RunError::NoProgress {
                 phase: "measured bursts",
                 done: 0,
                 wanted: 2,

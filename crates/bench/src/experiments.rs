@@ -401,29 +401,17 @@ pub struct CheriPoint {
 /// future-hardware backend included.
 pub fn ext_cheri(quick: bool) -> Vec<CheriPoint> {
     let mut out = Vec::new();
-    let backends: [(&'static str, CompartmentModel, BackendChoice); 4] = [
-        (
-            "No isolation",
-            CompartmentModel::Baseline,
-            BackendChoice::None,
-        ),
-        (
-            "CHERI (sealed caps)",
-            CompartmentModel::NwOnly,
-            BackendChoice::Cheri,
-        ),
-        (
-            "MPK (shared stack)",
-            CompartmentModel::NwOnly,
-            BackendChoice::MpkShared,
-        ),
-        (
-            "VM RPC (EPT)",
-            CompartmentModel::NwOnly,
-            BackendChoice::VmRpc,
-        ),
+    let backends = [
+        BackendChoice::None,
+        BackendChoice::Cheri,
+        BackendChoice::MpkShared,
+        BackendChoice::VmRpc,
     ];
-    for (label, model, backend) in backends {
+    for backend in backends {
+        let (label, model) = match backend {
+            BackendChoice::None => ("No isolation", CompartmentModel::Baseline),
+            _ => (backend.label(), CompartmentModel::NwOnly),
+        };
         for &recv_buf in &fig3_buffer_sizes(quick) {
             let r = run_iperf(&IperfParams {
                 model,

@@ -11,10 +11,10 @@
 
 use flexos::build::{plan, BackendChoice};
 use flexos::gate::CompartmentId;
+use flexos_apps::client::Rig;
 use flexos_apps::iperf::IperfParams;
 use flexos_apps::{evaluation_image, CompartmentModel, Os, SchedKind};
-use flexos_kernel::exec::{Executor, Step};
-use flexos_kernel::sched::CoopScheduler;
+use flexos_kernel::exec::Step;
 use flexos_net::nic::Link;
 use flexos_net::stack::NetError;
 use std::cell::Cell;
@@ -23,13 +23,10 @@ use std::rc::Rc;
 const SERVER_IP: u32 = 0x0a00_0001;
 
 /// Runs iperf on a pre-built `Os` (so we can tweak it before driving
-/// load). Mirrors `flexos_apps::iperf::run_iperf`'s measurement loop.
-fn run_on(mut os: Os, params: &IperfParams) -> f64 {
-    use flexos_apps::client::{exchange, Client};
-    let mut exec: Executor<Os> = Executor::new(Box::new(CoopScheduler::new()));
-    let mut client = Client::new(2).unwrap();
-    let mut link = Link::new();
-
+/// load): a plain synchronous-`recv` server task on the shared `Rig`.
+fn run_on(os: Os, params: &IperfParams) -> f64 {
+    let mut rig = Rig::new(os, Link::new()).unwrap();
+    let os = &mut rig.os;
     let received = Rc::new(Cell::new(0u64));
     let received_task = Rc::clone(&received);
     let listener = os.listen(5201).expect("listen");
@@ -37,57 +34,43 @@ fn run_on(mut os: Os, params: &IperfParams) -> f64 {
     let app_buf = os.alloc_shared_buf(recv_buf_len.max(64)).expect("buffer");
     let c_app = os.roles.app;
     let mut sid = None;
-    exec.spawn(
-        c_app,
-        Box::new(move |os: &mut Os, tid| {
-            if sid.is_none() {
-                match os.accept(listener) {
-                    Ok(Some(s)) => sid = Some(s),
-                    Ok(None) => return Ok(Step::Yield),
-                    Err(e) => panic!("accept: {e}"),
+    rig.exec
+        .spawn(
+            c_app,
+            Box::new(move |os: &mut Os, tid| {
+                if sid.is_none() {
+                    match os.accept(listener) {
+                        Ok(Some(s)) => sid = Some(s),
+                        Ok(None) => return Ok(Step::Yield),
+                        Err(e) => panic!("accept: {e}"),
+                    }
                 }
-            }
-            let s = sid.unwrap();
-            for _ in 0..8 {
-                match os.recv(s, app_buf, recv_buf_len) {
-                    Ok(0) => return Ok(Step::Done),
-                    Ok(n) => received_task.set(received_task.get() + n),
-                    Err(NetError::WouldBlock) => match os.wait_readable(tid, s)? {
-                        Some(ch) => return Ok(Step::Block(ch)),
-                        None => continue,
-                    },
-                    Err(e) => panic!("recv: {e}"),
+                let s = sid.unwrap();
+                for _ in 0..8 {
+                    match os.recv(s, app_buf, recv_buf_len) {
+                        Ok(0) => return Ok(Step::Done),
+                        Ok(n) => received_task.set(received_task.get() + n),
+                        Err(NetError::WouldBlock) => match os.wait_readable(tid, s)? {
+                            Some(ch) => return Ok(Step::Block(ch)),
+                            None => continue,
+                        },
+                        Err(e) => panic!("recv: {e}"),
+                    }
                 }
-            }
-            Ok(Step::Yield)
-        }),
-    )
+                Ok(Step::Yield)
+            }),
+        )
+        .unwrap();
+
+    let csid = rig.connect(5201).unwrap();
+    let start = rig.os.img.machine.clock().cycles();
+    rig.drive("transfer", 0, params.total_bytes, |rig| {
+        rig.client.pump_zeroes(csid, 32 * 1024)?;
+        rig.round()?;
+        Ok(received.get())
+    })
     .unwrap();
-
-    let csid = client.connect(5201).unwrap();
-    for _ in 0..8 {
-        client.poll().unwrap();
-        exchange(&mut link, &mut client, &mut os);
-        os.poll_net().unwrap();
-        exec.run(&mut os, 16).unwrap();
-        exchange(&mut link, &mut client, &mut os);
-    }
-    assert!(client.established(csid));
-
-    let start = os.img.machine.clock().cycles();
-    let mut guard = 0u32;
-    while received.get() < params.total_bytes {
-        client.pump_zeroes(csid, 32 * 1024).unwrap();
-        client.poll().unwrap();
-        exchange(&mut link, &mut client, &mut os);
-        os.poll_net().unwrap();
-        exec.run(&mut os, 64).unwrap();
-        os.poll_net().unwrap();
-        exchange(&mut link, &mut client, &mut os);
-        guard += 1;
-        assert!(guard < 200_000, "stalled");
-    }
-    flexos_machine::throughput_mbps(received.get(), os.img.machine.clock().cycles() - start)
+    flexos_machine::throughput_mbps(received.get(), rig.os.img.machine.clock().cycles() - start)
 }
 
 fn boot(model: CompartmentModel) -> Os {
