@@ -233,16 +233,7 @@ impl Os {
 
     /// [`Os::boot`] with explicit sizing.
     pub fn boot_with(plan: ImagePlan, ip: u32, nic_id: u8, opts: BootOptions) -> Result<Os> {
-        let sched_kind = if plan
-            .config
-            .libraries
-            .iter()
-            .any(|l| l.role == LibRole::Scheduler && l.spec.name.contains("verified"))
-        {
-            SchedKind::Verified
-        } else {
-            SchedKind::Coop
-        };
+        let sched_kind = SchedKind::of(&plan);
         let mut tax = ComponentTax {
             app: lib_pct(&plan, LibRole::App),
             libc: lib_pct(&plan, LibRole::LibC),
@@ -1138,6 +1129,28 @@ mod tests {
         );
         let os = Os::boot(plan(cfg).unwrap(), 0x0a00_0001, 1).unwrap();
         assert_eq!(os.sched_kind, SchedKind::Verified);
+    }
+
+    #[test]
+    fn a_scheduler_named_unverified_is_not_the_verified_one() {
+        let mut cfg = evaluation_image(
+            "iperf",
+            CompartmentModel::Baseline,
+            BackendChoice::None,
+            SchedKind::Coop,
+        );
+        let sched = cfg
+            .libraries
+            .iter_mut()
+            .find(|l| l.role == LibRole::Scheduler)
+            .unwrap();
+        sched.spec.name = "uksched_unverified".into();
+        let os = Os::boot(plan(cfg).unwrap(), 0x0a00_0001, 1).unwrap();
+        assert_eq!(os.sched_kind, SchedKind::Coop);
+        // No precondition checks in the glue: a call costs the taxed call.
+        let func_call = os.img.machine.costs().func_call;
+        assert_eq!(os.sched_call_cycles(), Os::taxed(func_call, os.tax.sched));
+        assert_eq!(os.sched_peek_cycles(), Os::taxed(func_call, os.tax.sched));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! `{NW + sched, rest}` (NW and sched/rest), plus the no-isolation
 //! baseline; and §4 "Safe iperf"'s two-compartment MPK/VM images.
 
-use flexos::build::{BackendChoice, ImageConfig, LibRole, LibraryConfig};
+use flexos::build::{BackendChoice, ImageConfig, ImagePlan, LibRole, LibraryConfig};
 use flexos::spec::{
     parse_with_name, Analysis, ApiFunc, CallBehavior, Grant, GrantKind, LibSpec, MemBehavior,
     Region, Requires, ShMechanism, ShSet,
@@ -93,6 +93,21 @@ pub fn lib_sched(kind: SchedKind) -> LibraryConfig {
         },
     };
     LibraryConfig::new(spec, LibRole::Scheduler).with_analysis(Analysis::well_behaved())
+}
+
+impl SchedKind {
+    /// The scheduler `plan` runs: [`SchedKind::Verified`] exactly when its
+    /// scheduler library is the one [`lib_sched`] picks for it.
+    pub fn of(plan: &ImagePlan) -> SchedKind {
+        let verified = LibSpec::verified_scheduler().name;
+        let is_verified =
+            |l: &LibraryConfig| l.role == LibRole::Scheduler && l.spec.name == verified;
+        if plan.config.libraries.iter().any(is_verified) {
+            SchedKind::Verified
+        } else {
+            SchedKind::Coop
+        }
+    }
 }
 
 /// The memory manager (`ukalloc`): trusted under MPK (owns the page

@@ -1090,8 +1090,6 @@ impl Tier {
         let opts = BootOptions {
             phys_frames,
             heap_per_compartment,
-            shared_heap: 1 << 20,
-            stack_size: 64 * 1024,
             net_pool_bytes,
         };
         let mut os = Os::boot_with(image, SERVER_IP, nic_id, opts).map_err(RunError::server)?;

@@ -11,7 +11,7 @@
 //! into a [`GateRuntime`].
 
 use crate::cheri::CheriGate;
-use crate::mpk::{MpkSharedGate, MpkSwitchedGate};
+use crate::mpk::MpkGate;
 use crate::vmrpc::VmRpcGate;
 use flexos::build::{BackendChoice, ImagePlan, LibRole};
 use flexos::gate::{
@@ -23,6 +23,11 @@ use flexos_machine::{
 };
 use std::rc::Rc;
 
+/// Shared-window heap bytes.
+const SHARED_HEAP: u64 = 1024 * 1024;
+/// Per-thread stack bytes.
+const STACK_SIZE: u64 = 64 * 1024;
+
 /// Sizing knobs for instantiation.
 #[derive(Debug, Clone)]
 pub struct BootOptions {
@@ -30,10 +35,6 @@ pub struct BootOptions {
     pub phys_frames: u64,
     /// Private heap bytes per compartment (default 2 MiB).
     pub heap_per_compartment: u64,
-    /// Shared-window heap bytes (default 1 MiB).
-    pub shared_heap: u64,
-    /// Per-thread stack bytes (default 64 KiB).
-    pub stack_size: u64,
     /// Socket-ring pool bytes the OS assembly layer carves out of the
     /// network compartment's heap (default 1 MiB). Serving-tier boots
     /// with 10⁵ connections raise this so `conns × ring_bytes` fits.
@@ -45,8 +46,6 @@ impl Default for BootOptions {
         Self {
             phys_frames: 16384,
             heap_per_compartment: 2 * 1024 * 1024,
-            shared_heap: 1024 * 1024,
-            stack_size: 64 * 1024,
             net_pool_bytes: 1024 * 1024,
         }
     }
@@ -72,7 +71,6 @@ pub struct BootImage {
     /// programmers "annotate data shared with other micro-libs so that
     /// they are allocated in shared areas").
     shared_alloc: FreeListAllocator,
-    stack_size: u64,
     /// Base of the VM-RPC inbox area, when one was reserved at boot.
     /// Migratable images always reserve it (so a later swap to the
     /// VM-RPC backend needs no layout change); others get it lazily via
@@ -145,7 +143,7 @@ impl BootImage {
     /// stack policy: shared-stack gates place stacks in the domain shared
     /// by all compartments; switched-stack and VM gates keep them private.
     pub fn alloc_stack(&mut self, compartment: CompartmentId) -> Result<(Addr, u64)> {
-        let size = self.stack_size;
+        let size = STACK_SIZE;
         if self.plan.config.backend.stacks_shared() {
             let base = self.machine.alloc_shared_region(size, ProtKey(0))?;
             Ok((base, size))
@@ -225,7 +223,7 @@ impl BootImage {
 }
 
 /// Wires the one gate of `backend` over `compartments` — the loader's
-/// step shared by both boots and by live migration. This is where the
+/// step shared by both layouts and by live migration. This is where the
 /// CHERI gate's sealed entry capabilities are minted; `rpc_base` is read
 /// by the VM-RPC gate only.
 pub(crate) fn wire_gate(
@@ -236,8 +234,9 @@ pub(crate) fn wire_gate(
 ) -> Result<Rc<dyn Gate>> {
     Ok(match backend {
         BackendChoice::None => Rc::new(DirectGate),
-        BackendChoice::MpkShared => Rc::new(MpkSharedGate::new(token)),
-        BackendChoice::MpkSwitched => Rc::new(MpkSwitchedGate::new(token)),
+        BackendChoice::MpkShared | BackendChoice::MpkSwitched => {
+            Rc::new(MpkGate::new(token, backend))
+        }
         BackendChoice::VmRpc => Rc::new(VmRpcGate::new(rpc_base, compartments.len() as u16)),
         BackendChoice::Cheri => Rc::new(CheriGate::new(token, compartments)?),
     })
@@ -245,109 +244,131 @@ pub(crate) fn wire_gate(
 
 /// Boots `plan` with default sizing.
 pub fn instantiate(plan: ImagePlan) -> Result<BootImage> {
-    instantiate_with(plan, BootOptions::default())
+    boot(plan, BootOptions::default(), false)
 }
 
 /// Boots `plan` with explicit sizing.
 pub fn instantiate_with(plan: ImagePlan, opts: BootOptions) -> Result<BootImage> {
+    boot(plan, opts, false)
+}
+
+/// Boots `plan` on the *migratable superset layout*, so that any
+/// compartment pair can later swap its gate backend live (ptr ↔ MPK ↔
+/// CHERI ↔ VM-RPC) via the quiescence protocol, starting from `from`.
+///
+/// Where [`instantiate`] carves protection domains for exactly one
+/// backend, this boot reserves what every backend needs, laid out
+/// **identically regardless of `from`**: every compartment lives in VM 0
+/// on vCPU 0 (the VM-RPC inbox protocol works intra-VM), owns a
+/// protection key and a dedicated heap, and the VM-RPC inbox area sits
+/// next to the shared window. Only the page *tags* and PKRU views differ
+/// by `from`, and those are exactly what [`crate::migrate`]'s
+/// re-establishment step rewrites at swap time, so a migrated image and
+/// one booted with the target backend allocate byte-for-byte the same.
+///
+/// `plan` should be colored with an *isolating* backend (a
+/// `BackendChoice::None` plan merges everything into one compartment,
+/// leaving nothing to migrate); the stored plan's backend becomes `from`.
+pub fn instantiate_migratable(mut plan: ImagePlan, from: BackendChoice) -> Result<BootImage> {
+    plan.config.backend = from;
+    plan.config.dedicated_allocators = true;
+    boot(plan, BootOptions::default(), true)
+}
+
+/// The one loader body (DESIGN.md §6.23). `superset` selects the
+/// migratable layout; each way it differs from the exact layout is one
+/// condition below. Allocation order — VMs, the shared window with the
+/// RPC area, the heaps in compartment order, the gate — is what keeps
+/// both layouts frame for frame what they are.
+fn boot(plan: ImagePlan, opts: BootOptions, superset: bool) -> Result<BootImage> {
     let mut machine = Machine::new(MachineConfig {
         phys_frames: opts.phys_frames,
         ..MachineConfig::default()
     });
     let n = plan.num_compartments;
     let backend = plan.config.backend;
+    let pkeys = backend.uses_pkeys();
+    // Does the backend give every compartment its own VM, crossing over
+    // the RPC area? Exhaustive, so a new backend must answer here.
+    let vm_per_compartment = match backend {
+        BackendChoice::VmRpc => true,
+        BackendChoice::None
+        | BackendChoice::MpkShared
+        | BackendChoice::MpkSwitched
+        | BackendChoice::Cheri => false,
+    };
+    let rpc = vm_per_compartment || superset;
 
     // --- protection domains -------------------------------------------------
     let mut vms = vec![VmId(0); n];
     let mut vcpus = vec![VcpuId(0); n];
-    let mut keys: Vec<Vec<ProtKey>> = vec![Vec::new(); n];
-    let mut pkrus = vec![Pkru::ALLOW_ALL; n];
-    match backend {
-        BackendChoice::None => {}
-        BackendChoice::MpkShared | BackendChoice::MpkSwitched | BackendChoice::Cheri => {
-            // The CHERI backend reuses the per-page tags to model each
-            // compartment's capability reach: the PKRU-visible set of a
-            // compartment equals the memory its capabilities span.
-            for c in 0..n {
+    if vm_per_compartment && !superset {
+        for c in 1..n {
+            vms[c] = machine.add_vm(false);
+            vcpus[c] = machine.add_vcpu(vms[c]);
+        }
+    }
+    // The superset carves a key per compartment whatever the backend, so
+    // an MPK-family backend can be migrated in later.
+    let keys = if pkeys || superset {
+        (0..n)
+            .map(|c| {
                 let key = ProtKey::new((c + 1) as u8).ok_or(Fault::HardeningAbort {
                     mechanism: "mpk",
                     reason: "compartment count exceeds the MPK key budget".into(),
                 })?;
-                keys[c] = vec![key];
-                pkrus[c] = Pkru::deny_all_except(&[ProtKey(0), key], &[]);
-            }
-        }
-        BackendChoice::VmRpc => {
-            for c in 1..n {
-                let vm = machine.add_vm(false);
-                vms[c] = vm;
-                vcpus[c] = machine.add_vcpu(vm);
-            }
-        }
-    }
+                Ok(Some(key))
+            })
+            .collect::<Result<Vec<_>>>()?
+    } else {
+        vec![None; n]
+    };
+    // Only a backend that checks keys tags a heap with, or confines a
+    // PKRU view to, its compartment's key.
+    let key_of = |c: usize| keys[c].filter(|_| pkeys);
 
-    // --- memory: shared window + per-compartment heaps ----------------------
-    let rpc_area = if backend == BackendChoice::VmRpc {
+    // --- memory: shared window (+ RPC area), then the heaps -----------------
+    let rpc_area = if rpc {
         VmRpcGate::area_bytes(n as u16)
     } else {
         0
     };
-    let shared_base = machine.alloc_shared_region(opts.shared_heap + rpc_area, ProtKey(0))?;
-    let rpc_base = Addr(shared_base.0 + opts.shared_heap);
-    let shared_alloc = FreeListAllocator::new(shared_base, opts.shared_heap);
+    let shared_base = machine.alloc_shared_region(SHARED_HEAP + rpc_area, ProtKey(0))?;
+    let rpc_base = Addr(shared_base.0 + SHARED_HEAP);
+    let shared_alloc = FreeListAllocator::new(shared_base, SHARED_HEAP);
 
-    // Isolating backends with >1 compartment require split heaps (the MPK
-    // backend isolates each compartment's heap; the VM backend cannot even
-    // express a cross-VM heap).
-    let dedicated = plan.config.dedicated_allocators || (backend.isolates() && n > 1);
-    let mut compartments = Vec::with_capacity(n);
-    let mut allocators: Vec<Box<dyn Allocator>> = Vec::new();
-    if dedicated {
-        for c in 0..n {
-            let key = keys[c].first().copied().unwrap_or(ProtKey(0));
-            let base =
-                machine.alloc_region(vms[c], opts.heap_per_compartment, key, PageFlags::RW)?;
-            allocators.push(Box::new(FreeListAllocator::new(
-                base,
-                opts.heap_per_compartment,
-            )));
-        }
-    } else {
-        let base = machine.alloc_region(
-            VmId(0),
-            opts.heap_per_compartment,
-            ProtKey(0),
-            PageFlags::RW,
-        )?;
-        allocators.push(Box::new(FreeListAllocator::new(
-            base,
-            opts.heap_per_compartment,
-        )));
-    }
-
-    for c in 0..n {
-        let (heap_base, heap_size) = if dedicated {
-            allocators[c].region()
-        } else {
-            allocators[0].region()
-        };
-        compartments.push(CompartmentCtx {
-            id: CompartmentId(c as u16),
-            name: plan.compartment_names[c].clone(),
-            vm: vms[c],
-            vcpu: vcpus[c],
-            pkru: pkrus[c],
-            keys: keys[c].clone(),
-            sh: plan.compartment_sh[c].clone(),
-            heap_base,
-            heap_size,
-        });
-    }
-    let heaps = if dedicated {
-        HeapService::per_compartment(allocators)
-    } else {
-        HeapService::global(allocators.remove(0))
+    let mut heap = |vm, key| -> Result<Box<dyn Allocator>> {
+        let size = opts.heap_per_compartment;
+        let base = machine.alloc_region(vm, size, key, PageFlags::RW)?;
+        Ok(Box::new(FreeListAllocator::new(base, size)))
     };
+    // The plan decides the topology (`build::place`).
+    let heaps = if plan.config.dedicated_allocators {
+        let own = (0..n).map(|c| heap(vms[c], key_of(c).unwrap_or(ProtKey(0))));
+        HeapService::per_compartment(own.collect::<Result<_>>()?)
+    } else {
+        HeapService::global(heap(VmId(0), ProtKey(0))?)
+    };
+
+    let compartments: Vec<CompartmentCtx> = (0..n)
+        .map(|c| {
+            let id = CompartmentId(c as u16);
+            let (heap_base, heap_size) = heaps.allocator_for(id).region();
+            CompartmentCtx {
+                id,
+                name: plan.compartment_names[c].clone(),
+                vm: vms[c],
+                vcpu: vcpus[c],
+                pkru: key_of(c).map_or(Pkru::ALLOW_ALL, |k| {
+                    Pkru::deny_all_except(&[ProtKey(0), k], &[])
+                }),
+                keys: keys[c].into_iter().collect(),
+                sh: plan.compartment_sh[c].clone(),
+                heap_base,
+                heap_size,
+            }
+        })
+        .collect();
 
     // --- gates ---------------------------------------------------------------
     let gate = wire_gate(backend, machine.gate_token(), rpc_base, &compartments)?;
@@ -356,7 +377,6 @@ pub fn instantiate_with(plan: ImagePlan, opts: BootOptions) -> Result<BootImage>
         .map(|c| CompartmentId(c as u16))
         .unwrap_or(CompartmentId(0));
     let mut gates = GateRuntime::new(compartments, gate, initial);
-
     // Load the initial compartment's protection view.
     gates.resume_in(&mut machine, initial)?;
 
@@ -366,120 +386,7 @@ pub fn instantiate_with(plan: ImagePlan, opts: BootOptions) -> Result<BootImage>
         heaps,
         plan,
         shared_alloc,
-        stack_size: opts.stack_size,
-        rpc_base: (backend == BackendChoice::VmRpc).then_some(rpc_base),
-    })
-}
-
-/// Boots `plan` on the *migratable superset topology* with default
-/// sizing — see [`instantiate_migratable_with`].
-pub fn instantiate_migratable(plan: ImagePlan, from: BackendChoice) -> Result<BootImage> {
-    instantiate_migratable_with(plan, from, BootOptions::default())
-}
-
-/// Boots `plan` so that any compartment pair can later swap its gate
-/// backend live (ptr ↔ MPK ↔ CHERI ↔ VM-RPC) via the quiescence
-/// protocol, starting from `from`.
-///
-/// Unlike [`instantiate_with`] — which carves protection domains for
-/// exactly one backend — this boot reserves the superset every backend
-/// needs, laid out **identically regardless of `from`**:
-///
-/// * every compartment lives in VM 0 on vCPU 0 (the VM-RPC gate's inbox
-///   protocol works intra-VM: self-notifications are permitted);
-/// * every compartment always owns a protection key, and every heap is
-///   a dedicated allocator region so an MPK-family backend can be
-///   retagged in without moving memory;
-/// * the VM-RPC inbox area is always reserved next to the shared window.
-///
-/// Only the page *tags* and PKRU views differ by `from`, and those are
-/// exactly what [`crate::migrate`]'s re-establishment step rewrites at
-/// swap time (through the generation-counter TLB invalidation). This is
-/// what makes the migrate-differential suite's 5×5 claim meaningful:
-/// two migratable images differing only in `from` allocate byte-for-byte
-/// identical layouts.
-///
-/// `plan` should be colored with an *isolating* backend (a
-/// `BackendChoice::None` plan merges everything into one compartment,
-/// leaving nothing to migrate); the stored plan's backend is overridden
-/// to `from`.
-pub fn instantiate_migratable_with(
-    mut plan: ImagePlan,
-    from: BackendChoice,
-    opts: BootOptions,
-) -> Result<BootImage> {
-    let mut machine = Machine::new(MachineConfig {
-        phys_frames: opts.phys_frames,
-        ..MachineConfig::default()
-    });
-    let n = plan.num_compartments;
-    let from_mpk = from.uses_pkeys();
-
-    // Protection domains: single VM, per-compartment keys, PKRU views
-    // only as strict as the boot backend requires.
-    let mut keys: Vec<Vec<ProtKey>> = vec![Vec::new(); n];
-    let mut pkrus = vec![Pkru::ALLOW_ALL; n];
-    for (c, slot) in keys.iter_mut().enumerate() {
-        let key = ProtKey::new((c + 1) as u8).ok_or(Fault::HardeningAbort {
-            mechanism: "mpk",
-            reason: "compartment count exceeds the MPK key budget".into(),
-        })?;
-        *slot = vec![key];
-        if from_mpk {
-            pkrus[c] = Pkru::deny_all_except(&[ProtKey(0), key], &[]);
-        }
-    }
-
-    // Memory: shared window + VM-RPC inbox area (always), dedicated
-    // per-compartment heaps (always), tags per the boot backend.
-    let rpc_area = VmRpcGate::area_bytes(n as u16);
-    let shared_base = machine.alloc_shared_region(opts.shared_heap + rpc_area, ProtKey(0))?;
-    let rpc_base = Addr(shared_base.0 + opts.shared_heap);
-    let shared_alloc = FreeListAllocator::new(shared_base, opts.shared_heap);
-
-    let mut compartments = Vec::with_capacity(n);
-    let mut allocators: Vec<Box<dyn Allocator>> = Vec::new();
-    for ckeys in keys.iter().take(n) {
-        let tag = if from_mpk { ckeys[0] } else { ProtKey(0) };
-        let base = machine.alloc_region(VmId(0), opts.heap_per_compartment, tag, PageFlags::RW)?;
-        allocators.push(Box::new(FreeListAllocator::new(
-            base,
-            opts.heap_per_compartment,
-        )));
-    }
-    for c in 0..n {
-        let (heap_base, heap_size) = allocators[c].region();
-        compartments.push(CompartmentCtx {
-            id: CompartmentId(c as u16),
-            name: plan.compartment_names[c].clone(),
-            vm: VmId(0),
-            vcpu: VcpuId(0),
-            pkru: pkrus[c],
-            keys: keys[c].clone(),
-            sh: plan.compartment_sh[c].clone(),
-            heap_base,
-            heap_size,
-        });
-    }
-    let heaps = HeapService::per_compartment(allocators);
-
-    let gate = wire_gate(from, machine.gate_token(), rpc_base, &compartments)?;
-    plan.config.backend = from;
-    let initial = plan
-        .compartment_of_role(LibRole::App)
-        .map(|c| CompartmentId(c as u16))
-        .unwrap_or(CompartmentId(0));
-    let mut gates = GateRuntime::new(compartments, gate, initial);
-    gates.resume_in(&mut machine, initial)?;
-
-    Ok(BootImage {
-        machine,
-        gates,
-        heaps,
-        plan,
-        shared_alloc,
-        stack_size: opts.stack_size,
-        rpc_base: Some(rpc_base),
+        rpc_base: rpc.then_some(rpc_base),
     })
 }
 
@@ -666,5 +573,73 @@ mod tests {
         assert_eq!(img.heaps.mode(), flexos_kernel::AllocMode::Global);
         let img = instantiate(three_lib_plan(BackendChoice::MpkShared)).unwrap();
         assert_eq!(img.heaps.mode(), flexos_kernel::AllocMode::PerCompartment);
+        // The booted topology is the one the plan states, for every
+        // backend, asked-for or not, exact or superset.
+        for b in BackendChoice::ALL {
+            for asked in [false, true] {
+                let mut p = three_lib_plan(b);
+                p.config.dedicated_allocators |= asked;
+                let sup = instantiate_migratable(p.clone(), b).unwrap();
+                for img in [instantiate(p).unwrap(), sup] {
+                    let per = img.heaps.mode() == flexos_kernel::AllocMode::PerCompartment;
+                    assert_eq!(per, img.plan.config.dedicated_allocators, "{b:?} {asked}");
+                }
+            }
+        }
     }
+
+    /// One line per boot: the shared window, the RPC area, the heap
+    /// mode, every VM's page table as `(extents, pages)`, then each
+    /// compartment's VM, vCPU, keys, PKRU view and heap.
+    fn layout(img: &BootImage) -> String {
+        let (shared, shared_len) = img.shared_region();
+        let mut out = format!(
+            "shared {:#x}+{shared_len:#x} rpc {} {:?} vms {}",
+            shared.0,
+            img.rpc_base.map_or("-".into(), |a| format!("{:#x}", a.0)),
+            img.heaps.mode(),
+            img.machine.vm_count()
+        );
+        for vm in 0..img.machine.vm_count() {
+            let pt = img.machine.page_table(VmId(vm as u8));
+            out += &format!(" pt{vm}={}/{}", pt.extents(), pt.len());
+        }
+        for c in 0..img.gates.len() {
+            let ctx = img.gates.ctx(CompartmentId(c as u16));
+            let keys: Vec<u8> = ctx.keys.iter().map(|k| k.0).collect();
+            out += &format!(
+                " | c{c} vm{} vcpu{} keys{keys:?} pkru{:#x} heap{:#x}+{:#x}",
+                ctx.vm.0, ctx.vcpu.0, ctx.pkru.0, ctx.heap_base.0, ctx.heap_size
+            );
+        }
+        out
+    }
+
+    /// Pins both layouts — the exact one of `instantiate` and the
+    /// superset one of `instantiate_migratable` — frame for frame, for
+    /// every backend.
+    #[test]
+    fn both_boot_layouts_are_pinned_for_every_backend() {
+        let mut got = String::new();
+        for b in BackendChoice::ALL {
+            let exact = instantiate(three_lib_plan(b)).unwrap();
+            got += &format!("{:<12} exact    {}\n", b.tag(), layout(&exact));
+            let sup = instantiate_migratable(three_lib_plan(BackendChoice::MpkShared), b).unwrap();
+            got += &format!("{:<12} superset {}\n", b.tag(), layout(&sup));
+        }
+        assert_eq!(got, LAYOUT_GOLDEN, "\n{got}");
+    }
+
+    const LAYOUT_GOLDEN: &str = "\
+direct       exact    shared 0x800000000000+0x100000 rpc - Global vms 1 pt0=2/768 | c0 vm0 vcpu0 keys[] pkru0x0 heap0x1000+0x200000
+direct       superset shared 0x800000000000+0x100000 rpc 0x800000100000 PerCompartment vms 1 pt0=2/1282 | c0 vm0 vcpu0 keys[1] pkru0x0 heap0x1000+0x200000 | c1 vm0 vcpu0 keys[2] pkru0x0 heap0x201000+0x200000
+mpk-shared   exact    shared 0x800000000000+0x100000 rpc - PerCompartment vms 1 pt0=3/1280 | c0 vm0 vcpu0 keys[1] pkru0xfffffff0 heap0x1000+0x200000 | c1 vm0 vcpu0 keys[2] pkru0xffffffcc heap0x201000+0x200000
+mpk-shared   superset shared 0x800000000000+0x100000 rpc 0x800000100000 PerCompartment vms 1 pt0=3/1282 | c0 vm0 vcpu0 keys[1] pkru0xfffffff0 heap0x1000+0x200000 | c1 vm0 vcpu0 keys[2] pkru0xffffffcc heap0x201000+0x200000
+mpk-switched exact    shared 0x800000000000+0x100000 rpc - PerCompartment vms 1 pt0=3/1280 | c0 vm0 vcpu0 keys[1] pkru0xfffffff0 heap0x1000+0x200000 | c1 vm0 vcpu0 keys[2] pkru0xffffffcc heap0x201000+0x200000
+mpk-switched superset shared 0x800000000000+0x100000 rpc 0x800000100000 PerCompartment vms 1 pt0=3/1282 | c0 vm0 vcpu0 keys[1] pkru0xfffffff0 heap0x1000+0x200000 | c1 vm0 vcpu0 keys[2] pkru0xffffffcc heap0x201000+0x200000
+vmrpc        exact    shared 0x800000000000+0x100000 rpc 0x800000100000 PerCompartment vms 2 pt0=2/770 pt1=2/770 | c0 vm0 vcpu0 keys[] pkru0x0 heap0x1000+0x200000 | c1 vm1 vcpu1 keys[] pkru0x0 heap0x40001000+0x200000
+vmrpc        superset shared 0x800000000000+0x100000 rpc 0x800000100000 PerCompartment vms 1 pt0=2/1282 | c0 vm0 vcpu0 keys[1] pkru0x0 heap0x1000+0x200000 | c1 vm0 vcpu0 keys[2] pkru0x0 heap0x201000+0x200000
+cheri        exact    shared 0x800000000000+0x100000 rpc - PerCompartment vms 1 pt0=3/1280 | c0 vm0 vcpu0 keys[1] pkru0xfffffff0 heap0x1000+0x200000 | c1 vm0 vcpu0 keys[2] pkru0xffffffcc heap0x201000+0x200000
+cheri        superset shared 0x800000000000+0x100000 rpc 0x800000100000 PerCompartment vms 1 pt0=3/1282 | c0 vm0 vcpu0 keys[1] pkru0xfffffff0 heap0x1000+0x200000 | c1 vm0 vcpu0 keys[2] pkru0xffffffcc heap0x201000+0x200000
+";
 }

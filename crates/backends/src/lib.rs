@@ -2,9 +2,9 @@
 //!
 //! The concrete gate implementations of the paper's §3 prototype:
 //!
-//! * [`mpk::MpkSharedGate`] — ERIM-style: PKRU switch, shared stacks;
-//! * [`mpk::MpkSwitchedGate`] — Hodor-style: PKRU switch + per-compartment
-//!   stack switch with parameter copying;
+//! * [`mpk::MpkGate`] — PKRU switch; ERIM-style on shared stacks, or
+//!   Hodor-style with a per-compartment stack switch and parameter
+//!   copying, per the backend's stack policy;
 //! * [`vmrpc::VmRpcGate`] — one VM per compartment, RPC over inter-VM
 //!   notifications with a shared window mapped at identical addresses;
 //!
@@ -22,11 +22,8 @@ pub mod migrate;
 pub mod mpk;
 pub mod vmrpc;
 
-pub use boot::{
-    instantiate, instantiate_migratable, instantiate_migratable_with, instantiate_with, BootImage,
-    BootOptions,
-};
+pub use boot::{instantiate, instantiate_migratable, instantiate_with, BootImage, BootOptions};
 pub use cheri::CheriGate;
-pub use migrate::{ensure_rpc_base, migrate_all, migrate_pair, prepare_pair_migration};
-pub use mpk::{MpkSharedGate, MpkSwitchedGate};
+pub use migrate::{migrate_all, prepare_pair_migration};
+pub use mpk::MpkGate;
 pub use vmrpc::VmRpcGate;

@@ -24,7 +24,7 @@
 //! any direction; on a regular [`boot::instantiate`] image, migrating
 //! *to* an MPK-family backend requires per-compartment keys (boot-time
 //! state this layer will not invent), and migrating *to* VM-RPC lazily
-//! reserves the inbox area via [`ensure_rpc_base`].
+//! reserves the inbox area (`ensure_rpc_base`).
 //!
 //! [`boot::instantiate`]: crate::boot::instantiate
 //! [`boot::instantiate_migratable`]: crate::boot::instantiate_migratable
@@ -49,7 +49,7 @@ fn norm(a: CompartmentId, b: CompartmentId) -> (CompartmentId, CompartmentId) {
 /// Returns the VM-RPC inbox base, reserving the area on first use.
 /// Migratable boots pre-reserve it; a plain boot that later escalates to
 /// VM-RPC pays one shared-region allocation here, once.
-pub fn ensure_rpc_base(img: &mut BootImage) -> Result<Addr> {
+fn ensure_rpc_base(img: &mut BootImage) -> Result<Addr> {
     if let Some(base) = img.rpc_base {
         return Ok(base);
     }
@@ -152,23 +152,6 @@ pub fn prepare_pair_migration(
         Ok(())
     });
     Ok((gate, re))
-}
-
-/// Requests a live swap of the `(a, b)` pair's backend to `to`. Returns
-/// `Ok(true)` if the swap applied immediately (the pair was quiescent),
-/// `Ok(false)` if it is draining and will land at the next safe point.
-pub fn migrate_pair(
-    img: &mut BootImage,
-    a: CompartmentId,
-    b: CompartmentId,
-    to: BackendChoice,
-    reason: MigrationReason,
-) -> Result<bool> {
-    let mut planned = BTreeMap::new();
-    planned.insert(norm(a, b), to);
-    let (gate, re) = prepare_pair_migration(img, a, b, to, &planned)?;
-    img.gates
-        .request_migration(&mut img.machine, a, b, gate, reason, Some(re))
 }
 
 /// Migrates **every** compartment pair to `to` — the whole-image
@@ -371,8 +354,8 @@ mod tests {
 
     #[test]
     fn plain_boot_cannot_enter_mpk_without_keys() {
-        // A VM-RPC boot has keyless compartments; migrating a pair into
-        // the MPK family must refuse rather than silently not isolate.
+        // A VM-RPC boot has keyless compartments; migrating its one pair
+        // into the MPK family must refuse rather than silently not isolate.
         let cfg = ImageConfig::new("plain", BackendChoice::VmRpc)
             .with_library(LibraryConfig::new(
                 LibSpec::verified_scheduler(),
@@ -380,14 +363,9 @@ mod tests {
             ))
             .with_library(LibraryConfig::new(LibSpec::unsafe_c("app"), LibRole::App));
         let mut img = instantiate(plan(cfg).unwrap()).unwrap();
-        let err = migrate_pair(
-            &mut img,
-            CompartmentId(0),
-            CompartmentId(1),
-            BackendChoice::MpkShared,
-            MigrationReason::Manual,
-        )
-        .unwrap_err();
+        assert_eq!(img.gates.len(), 2);
+        let err =
+            migrate_all(&mut img, BackendChoice::MpkShared, MigrationReason::Manual).unwrap_err();
         assert!(matches!(
             err,
             Fault::HardeningAbort {
@@ -395,10 +373,11 @@ mod tests {
                 ..
             }
         ));
-        // The pair keeps its old backend.
+        // The pair keeps its old backend, and so does the plan.
         assert_eq!(
             img.gates.pair_mechanism(CompartmentId(0), CompartmentId(1)),
             BackendChoice::VmRpc
         );
+        assert_eq!(img.plan.config.backend, BackendChoice::VmRpc);
     }
 }

@@ -1,4 +1,4 @@
-//! The Intel MPK isolation backend: shared-stack and switched-stack gates.
+//! The Intel MPK isolation backend: one gate, shared or switched stacks.
 //!
 //! "Our MPK backend places each compartment in its own MPK memory region,
 //! including static memory, heap, stack, and TLS. … Our MPK backend
@@ -11,7 +11,7 @@
 //! domain boundaries. Parameters are copied to the target domain stack
 //! … This gate is similar to HODOR's." (paper §3)
 //!
-//! Both gates carry the machine's [`GateToken`], modelling the vetted
+//! The gate carries the machine's [`GateToken`], modelling the vetted
 //! `wrpkru` call sites: only gate code may change PKRU (the paper's
 //! defense against unauthorized PKRU writes).
 
@@ -19,81 +19,41 @@ use flexos::build::BackendChoice;
 use flexos::gate::{CompartmentCtx, Gate};
 use flexos_machine::{GateToken, Machine, Result};
 
-/// ERIM-style MPK gate: PKRU switch, shared stacks, no argument copying
-/// (arguments stay on the shared stack domain).
+/// The MPK gate, in the stack policy of its backend
+/// ([`BackendChoice::stacks_shared`]). `MpkShared` is ERIM-style: a PKRU
+/// switch, arguments stay on the shared stack domain. `MpkSwitched` is
+/// Hodor-style: the PKRU switch **plus** a stack switch, with parameters
+/// copied to the target domain's stack and the return value copied back.
 #[derive(Debug, Clone, Copy)]
-pub struct MpkSharedGate {
+pub struct MpkGate {
     token: GateToken,
+    backend: BackendChoice,
 }
 
-impl MpkSharedGate {
-    /// Creates the gate; `token` authorizes its `wrpkru` call sites.
-    pub fn new(token: GateToken) -> Self {
-        Self { token }
+impl MpkGate {
+    /// Creates the gate of `backend` (`MpkShared` or `MpkSwitched`);
+    /// `token` authorizes its `wrpkru` call sites.
+    pub fn new(token: GateToken, backend: BackendChoice) -> Self {
+        Self { token, backend }
     }
 
-    fn switch_to(&self, m: &mut Machine, to: &CompartmentCtx) -> Result<()> {
-        // Call-site validation + register clearing, then the PKRU write
-        // itself (the machine charges `wrpkru`).
-        m.charge(m.costs().pkru_guard_check + m.costs().mpk_gate_overhead);
+    /// Call-site validation and register clearing (plus, on switched
+    /// stacks, the stack switch and the copy of `bytes`), then the PKRU
+    /// write itself (the machine charges `wrpkru`).
+    fn switch_to(&self, m: &mut Machine, to: &CompartmentCtx, bytes: u64) -> Result<()> {
+        let costs = m.costs();
+        let mut cycles = costs.pkru_guard_check + costs.mpk_gate_overhead;
+        if !self.backend.stacks_shared() {
+            cycles += costs.stack_switch + costs.copy_cost(bytes);
+        }
+        m.charge(cycles);
         m.wrpkru(to.vcpu, to.pkru, Some(self.token))
     }
 }
 
-impl Gate for MpkSharedGate {
+impl Gate for MpkGate {
     fn mechanism(&self) -> BackendChoice {
-        BackendChoice::MpkShared
-    }
-
-    fn enter(
-        &self,
-        m: &mut Machine,
-        _from: &CompartmentCtx,
-        to: &CompartmentCtx,
-        _arg_bytes: u64,
-    ) -> Result<()> {
-        self.switch_to(m, to)
-    }
-
-    fn exit(
-        &self,
-        m: &mut Machine,
-        _callee: &CompartmentCtx,
-        caller: &CompartmentCtx,
-        _ret_bytes: u64,
-    ) -> Result<()> {
-        self.switch_to(m, caller)
-    }
-}
-
-/// Hodor-style MPK gate: PKRU switch **plus** a stack switch; parameters
-/// are copied to the target domain's stack and shared stack data is
-/// placed on a shared heap.
-#[derive(Debug, Clone, Copy)]
-pub struct MpkSwitchedGate {
-    token: GateToken,
-}
-
-impl MpkSwitchedGate {
-    /// Creates the gate; `token` authorizes its `wrpkru` call sites.
-    pub fn new(token: GateToken) -> Self {
-        Self { token }
-    }
-
-    fn switch_to(&self, m: &mut Machine, to: &CompartmentCtx, copied_bytes: u64) -> Result<()> {
-        m.charge(
-            m.costs().pkru_guard_check
-                + m.costs().mpk_gate_overhead
-                + m.costs().stack_switch
-                + m.costs().copy_cost(copied_bytes),
-        );
-        m.wrpkru(to.vcpu, to.pkru, Some(self.token))
-    }
-}
-
-impl Gate for MpkSwitchedGate {
-    fn mechanism(&self) -> BackendChoice {
-        BackendChoice::MpkSwitched
+        self.backend
     }
 
     fn enter(
@@ -103,7 +63,6 @@ impl Gate for MpkSwitchedGate {
         to: &CompartmentCtx,
         arg_bytes: u64,
     ) -> Result<()> {
-        // Parameters are copied to the target domain stack.
         self.switch_to(m, to, arg_bytes)
     }
 
@@ -114,7 +73,6 @@ impl Gate for MpkSwitchedGate {
         caller: &CompartmentCtx,
         ret_bytes: u64,
     ) -> Result<()> {
-        // The return value is copied back to the caller's stack.
         self.switch_to(m, caller, ret_bytes)
     }
 }
@@ -148,13 +106,16 @@ mod tests {
         let mut m = Machine::with_defaults();
         let a = ctx(0, 1, &mut m);
         let b = ctx(1, 2, &mut m);
-        let gate = MpkSharedGate::new(m.gate_token());
+        let gate = MpkGate::new(m.gate_token(), BackendChoice::MpkShared);
         let c0 = m.clock().cycles();
         gate.enter(&mut m, &a, &b, 64).unwrap();
         assert_eq!(m.clock().cycles() - c0, m.costs().mpk_shared_gate());
         assert_eq!(m.rdpkru(VcpuId(0)), b.pkru);
+        let c0 = m.clock().cycles();
         gate.exit(&mut m, &b, &a, 8).unwrap();
+        assert_eq!(m.clock().cycles() - c0, m.costs().mpk_shared_gate());
         assert_eq!(m.rdpkru(VcpuId(0)), a.pkru);
+        assert_eq!(gate.mechanism(), BackendChoice::MpkShared);
     }
 
     #[test]
@@ -162,7 +123,8 @@ mod tests {
         let mut m = Machine::with_defaults();
         let a = ctx(0, 1, &mut m);
         let b = ctx(1, 2, &mut m);
-        let gate = MpkSwitchedGate::new(m.gate_token());
+        let gate = MpkGate::new(m.gate_token(), BackendChoice::MpkSwitched);
+        assert_eq!(gate.mechanism(), BackendChoice::MpkSwitched);
         let c0 = m.clock().cycles();
         gate.enter(&mut m, &a, &b, 128).unwrap();
         let charged = m.clock().cycles() - c0;
@@ -171,6 +133,15 @@ mod tests {
             m.costs().mpk_switched_gate() + m.costs().copy_cost(128)
         );
         assert!(charged > m.costs().mpk_shared_gate());
+        assert_eq!(m.rdpkru(VcpuId(0)), b.pkru);
+        // The return value is copied back on the way out.
+        let c0 = m.clock().cycles();
+        gate.exit(&mut m, &b, &a, 24).unwrap();
+        assert_eq!(
+            m.clock().cycles() - c0,
+            m.costs().mpk_switched_gate() + m.costs().copy_cost(24)
+        );
+        assert_eq!(m.rdpkru(VcpuId(0)), a.pkru);
     }
 
     /// MPK gates have no doorbell to defer behind: an async ring flush
@@ -190,7 +161,7 @@ mod tests {
         let caller_pkru = a.pkru;
         let mut rt = GateRuntime::new(
             vec![a, b],
-            Rc::new(MpkSharedGate::new(m.gate_token())),
+            Rc::new(MpkGate::new(m.gate_token(), BackendChoice::MpkShared)),
             CompartmentId(0),
         );
         for i in 0..3u64 {
@@ -227,7 +198,7 @@ mod tests {
         let mut m = Machine::with_defaults();
         let a = ctx(0, 1, &mut m);
         let b = ctx(1, 2, &mut m);
-        let gate = MpkSharedGate::new(m.gate_token());
+        let gate = MpkGate::new(m.gate_token(), BackendChoice::MpkShared);
         gate.enter(&mut m, &a, &b, 0).unwrap();
         // Inside compartment b, heap of a (key 1) is unreachable.
         assert!(m.write(VcpuId(0), a.heap_base, b"attack").is_err());
@@ -243,7 +214,7 @@ mod tests {
         // A gate built with another machine's token is useless here:
         // tokens are per-image (per vetted binary).
         let stolen = Machine::with_defaults().gate_token();
-        let forged = MpkSharedGate::new(stolen);
+        let forged = MpkGate::new(stolen, BackendChoice::MpkShared);
         let err = forged.enter(&mut m, &a, &b, 0).unwrap_err();
         assert!(matches!(
             err,

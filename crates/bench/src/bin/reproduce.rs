@@ -112,6 +112,7 @@ fn run_fig3(quick: bool) -> Sheet {
     for s in fig3_buffer_sizes(quick) {
         t = t.text(format!("{s}B"), |&c| {
             let p = points.iter().find(|p| p.config == c && p.recv_buf == s);
+            // `fig3` runs every config at every size this loop names.
             format!("{:.0}", p.expect("point exists").mbps)
         });
     }
@@ -175,6 +176,7 @@ fn run_fig4(quick: bool) -> Sheet {
                 let p = points
                     .iter()
                     .find(|p| p.config == c && p.payload == pl && p.mix == mix);
+                // `fig4` runs every config, payload and mix; `pl` is one of its payloads.
                 format!("{:.3}", p.expect("point exists").mreq_per_s)
             });
         }
@@ -205,6 +207,7 @@ fn run_fig5(quick: bool) -> Sheet {
             let p = points
                 .iter()
                 .find(|p| p.model == model && p.backend == backend && p.payload == pl);
+            // `fig5` runs each of these rows at every payload it reports.
             format!("{:.3}", p.expect("point exists").mreq_per_s)
         });
     }
@@ -228,6 +231,7 @@ fn run_cheri(quick: bool) -> Sheet {
     for s in fig3_buffer_sizes(quick) {
         t = t.text(format!("{s}B"), |&l| {
             let p = points.iter().find(|p| p.label == l && p.recv_buf == s);
+            // `l` is a label of `points`, and each backend runs every size.
             format!("{:.0}", p.expect("point exists").mbps)
         });
     }
@@ -302,7 +306,7 @@ fn run_coloring() -> Sheet {
         )
 }
 
-fn run_explore() -> Sheet {
+fn run_explore() -> Result<Sheet, String> {
     println!("Running the §2 design-space-exploration objectives...");
     let base = ImageConfig::new("explore", BackendChoice::None)
         .with_library(LibraryConfig::new(
@@ -362,14 +366,14 @@ fn run_explore() -> Sheet {
             None => "Objective B: no fully-mitigated configuration".to_string(),
         });
     // Show the audit trail for a sample plan.
-    let p = plan(base).expect("plans");
+    let p = plan(base).map_err(|e| format!("baseline plan: {e}"))?;
     if !p.report.warnings.is_empty() {
         sheet = sheet.line("\nBuild warnings for the unprotected baseline:");
         for w in &p.report.warnings {
             sheet = sheet.line(format!("  - {w}"));
         }
     }
-    sheet.line("")
+    Ok(sheet.line(""))
 }
 
 fn run_stats(quick: bool, trace_out: Option<&str>) -> Sheet {
@@ -522,13 +526,13 @@ fn run_chaos(quick: bool, seed: u64) -> Sheet {
 /// (requeued SQEs). A second table demonstrates the kernel's
 /// [`MigrationPolicy`] ladder: escalate one rung per hostile window,
 /// relax after sustained benign load.
-fn run_migrate(quick: bool) -> Sheet {
+fn run_migrate(quick: bool) -> Result<Sheet, String> {
     use flexos::gate::{MigrationReason, Sqe};
     use flexos::spec::LibSpec;
     use flexos_backends::{instantiate_migratable, migrate_all, BootImage};
     use flexos_kernel::{MigrationPolicy, PolicyDecision, PolicySignals};
 
-    fn migratable(from: BackendChoice) -> BootImage {
+    fn migratable(from: BackendChoice) -> Result<BootImage, String> {
         let cfg = ImageConfig::new("migrate-sweep", BackendChoice::MpkShared)
             .with_library(LibraryConfig::new(
                 LibSpec::verified_scheduler(),
@@ -539,19 +543,19 @@ fn run_migrate(quick: bool) -> Sheet {
                 LibRole::NetStack,
             ))
             .with_library(LibraryConfig::new(LibSpec::unsafe_c("app"), LibRole::App));
-        instantiate_migratable(plan(cfg).expect("sweep plan colors"), from)
-            .expect("migratable boot succeeds")
+        let plan = plan(cfg).map_err(|e| format!("sweep plan: {e}"))?;
+        instantiate_migratable(plan, from).map_err(|e| format!("migratable boot: {e}"))
     }
-    fn steady(img: &mut BootImage, calls: u64) -> u64 {
+    fn steady(img: &mut BootImage, calls: u64) -> Result<u64, String> {
         let t0 = img.machine.clock().cycles();
         for _ in 0..calls {
             img.call_lib("uksched_verified", 64, 16, |m, _| {
                 m.charge(100);
                 Ok(0)
             })
-            .expect("sweep crossing succeeds");
+            .map_err(|e| format!("sweep crossing: {e}"))?;
         }
-        (img.machine.clock().cycles() - t0) / calls
+        Ok((img.machine.clock().cycles() - t0) / calls)
     }
 
     println!("Running the live gate-backend migration sweep (5x5 ordered pairs)...");
@@ -569,27 +573,36 @@ fn run_migrate(quick: bool) -> Sheet {
     let mut pairs = Vec::new();
     for from in BackendChoice::ALL {
         for to in BackendChoice::ALL {
-            let mut img = migratable(from);
-            let before = steady(&mut img, calls);
+            let at = format!("{from:?}->{to:?}");
+            let mut img = migratable(from)?;
+            let before = steady(&mut img, calls)?;
             // Park async work on the ring so the swap has something to
             // carry: pending SQEs must re-issue through the new gate.
             for ud in 0..3u64 {
                 img.submit_lib("uksched_verified", Sqe::new(32, 8, ud))
-                    .expect("submission before the drain is admitted");
+                    .map_err(|e| format!("{at}: submission before the drain: {e}"))?;
             }
             let (applied, deferred) = migrate_all(&mut img, to, MigrationReason::Manual)
-                .expect("quiescent sweep image migrates");
-            assert_eq!(deferred, 0, "sweep image is quiescent between calls");
-            let first = steady(&mut img, 1);
-            let after = steady(&mut img, calls);
+                .map_err(|e| format!("{at}: migration: {e}"))?;
+            if deferred != 0 {
+                return Err(format!(
+                    "{at}: {deferred} swaps deferred; the sweep image is quiescent between calls"
+                ));
+            }
+            let first = steady(&mut img, 1)?;
+            let after = steady(&mut img, calls)?;
             // The requeued descriptors complete through the new backend.
             let flushed = img
                 .call_lib_async("uksched_verified", |m, _, _| {
                     m.charge(50);
                     Ok(1)
                 })
-                .expect("requeued SQEs flush");
-            assert_eq!(flushed, 3, "{from:?}->{to:?} lost a requeued SQE");
+                .map_err(|e| format!("{at}: flushing the requeued SQEs: {e}"))?;
+            if flushed != 3 {
+                return Err(format!(
+                    "{at}: lost a requeued SQE ({flushed} of 3 flushed)"
+                ));
+            }
             pairs.push(Pair {
                 from: from.tag(),
                 to: to.tag(),
@@ -638,7 +651,7 @@ fn run_migrate(quick: bool) -> Sheet {
         ladder.push((what, s, decision, pol.current().tag()));
     }
 
-    Sheet::new()
+    Ok(Sheet::new()
         .field("experiment", "live-migration-sweep")
         .field("steady_calls", calls)
         .table(
@@ -672,7 +685,7 @@ fn run_migrate(quick: bool) -> Sheet {
                 })
                 .col("decision", |l| l.2.clone())
                 .text("mechanism after", |l| l.3),
-        )
+        ))
 }
 
 /// What one invocation asked for: the reports to run and their knobs.
@@ -720,7 +733,7 @@ const fn mode(
 /// Every report, in the order they run.
 const MODES: &[Mode] = &[
     mode("coloring", true, None, |_| run_coloring()),
-    mode("explore", true, None, |_| run_explore()),
+    mode("explore", true, None, |_| or_exit("explore", run_explore())),
     mode("ctxswitch", true, None, |_| run_ctxswitch()),
     mode("fig3", true, None, |o| run_fig3(o.quick)),
     mode("table1", true, None, |o| run_table1(o.quick)),
@@ -749,7 +762,7 @@ const MODES: &[Mode] = &[
         "migrate",
         false,
         Some(("flexos-migrate.json", "Wrote JSON migration report")),
-        |o| run_migrate(o.quick),
+        |o| or_exit("migrate", run_migrate(o.quick)),
     ),
 ];
 

@@ -229,7 +229,9 @@ pub struct ImageConfig {
     /// Use a dedicated memory allocator per compartment ("FlexOS can be
     /// configured to use separate memory allocators per compartment to
     /// avoid such overheads when only a subset of compartments are
-    /// hardened", §3). Forced on by the VM backend.
+    /// hardened", §3). [`plan`] forces it on for the VM backend and for
+    /// any isolating backend with more than one compartment; the boot
+    /// reads only this flag.
     pub dedicated_allocators: bool,
 }
 
@@ -542,11 +544,13 @@ pub(crate) fn place(
         }
     }
 
-    // §3, VM RPC: "each compartment needs its own memory allocator and
-    // scheduler, so these have to be trusted".
-    let dedicated_allocators = config.dedicated_allocators || backend == BackendChoice::VmRpc;
+    // The heap topology the boot builds, decided here only. §3, VM RPC:
+    // "each compartment needs its own memory allocator and scheduler, so
+    // these have to be trusted"; any other isolating backend splits the
+    // heaps once there is more than one compartment to isolate.
     let mut config = config;
-    config.dedicated_allocators = dedicated_allocators;
+    config.dedicated_allocators |=
+        backend == BackendChoice::VmRpc || (backend.isolates() && num_compartments > 1);
 
     let mut compartment_names = vec![String::new(); num_compartments];
     let mut compartment_sh = vec![ShSet::none(); num_compartments];
@@ -757,6 +761,26 @@ mod tests {
     }
 
     #[test]
+    fn the_plan_decides_the_heap_topology() {
+        for b in BackendChoice::ALL {
+            let two = plan(
+                ImageConfig::new("two", b)
+                    .with_library(sched_lib())
+                    .with_library(raw_lib("rawlib")),
+            )
+            .unwrap();
+            assert_eq!(two.num_compartments > 1, b.isolates(), "{b:?}");
+            assert_eq!(two.config.dedicated_allocators, b.isolates(), "{b:?}");
+            let one = plan(ImageConfig::new("one", b).with_library(raw_lib("rawlib"))).unwrap();
+            let vm = b == BackendChoice::VmRpc;
+            assert_eq!(one.config.dedicated_allocators, vm, "{b:?}");
+            let mut asked = ImageConfig::new("asked", b).with_library(raw_lib("rawlib"));
+            asked.dedicated_allocators = true;
+            assert!(plan(asked).unwrap().config.dedicated_allocators, "{b:?}");
+        }
+    }
+
+    #[test]
     fn compartment_metadata_is_consistent() {
         let cfg = ImageConfig::new("meta", BackendChoice::MpkShared)
             .with_library(sched_lib())
@@ -802,5 +826,6 @@ mod tests {
         assert!(r.contains("compartment 0"));
         assert!(r.contains("compartment 1"));
         assert!(r.contains("asan"));
+        assert!(r.contains("allocators: per-compartment"), "{r}");
     }
 }
