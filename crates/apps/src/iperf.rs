@@ -12,7 +12,7 @@
 
 use crate::client::{Rig, RunError, SERVER_IP};
 use crate::os::{abort, Os};
-use crate::profiles::{backend_tag, evaluation_image, harden, CompartmentModel, SchedKind};
+use crate::profiles::{evaluation_image, harden, CompartmentModel, SchedKind};
 use flexos::build::{plan, BackendChoice, Hypervisor};
 use flexos_kernel::exec::Step;
 use flexos_machine::throughput_mbps;
@@ -132,7 +132,7 @@ fn boot(params: &IperfParams) -> Result<(Rig, SocketId, Rc<Cell<u64>>), RunError
         .alloc_shared_buf(recv_buf_len.max(64))
         .map_err(RunError::server)?;
     let c_app = os.roles.app;
-    let burst_backend = backend_tag(params.model, params.backend);
+    let burst_backend = os.img.plan.config.backend.tag();
     let burst_vcpu = os.img.gates.ctx(c_app).vcpu.0 as u16;
     let mut sid: Option<SocketId> = None;
     let task = move |os: &mut Os, tid| {

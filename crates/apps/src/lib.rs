@@ -35,6 +35,4 @@ pub mod serve;
 
 pub use client::RunError;
 pub use os::{Os, OsStats, Roles};
-pub use profiles::{
-    backend_tag, evaluation_image, gcc_sh, harden, harden_all, CompartmentModel, SchedKind,
-};
+pub use profiles::{evaluation_image, gcc_sh, harden, harden_all, CompartmentModel, SchedKind};

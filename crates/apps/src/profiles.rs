@@ -174,17 +174,6 @@ impl CompartmentModel {
     }
 }
 
-/// [`BackendChoice::tag`] of the backend an image was built with — the
-/// `backend` key of the request-latency rows. The baseline model always
-/// compiles to direct calls regardless of the requested backend
-/// (mirroring [`evaluation_image`]'s override).
-pub fn backend_tag(model: CompartmentModel, backend: BackendChoice) -> &'static str {
-    if model == CompartmentModel::Baseline {
-        return BackendChoice::None.tag();
-    }
-    backend.tag()
-}
-
 /// Builds the six-library evaluation image for `app` under a
 /// compartment model and backend.
 ///

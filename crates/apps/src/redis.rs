@@ -9,7 +9,7 @@
 
 use crate::client::{Rig, RunError, SERVER_IP};
 use crate::os::{abort, Os};
-use crate::profiles::{backend_tag, evaluation_image, harden, CompartmentModel, SchedKind};
+use crate::profiles::{evaluation_image, harden, CompartmentModel, SchedKind};
 use crate::resp::{
     self, put_bulk, put_command, put_error, put_integer, Command, RespError, RespParser,
 };
@@ -564,7 +564,7 @@ impl Session {
             rx_buf,
             tx_buf,
             io_buf_len,
-            backend: backend_tag(params.model, params.backend),
+            backend: os.img.plan.config.backend.tag(),
             app_vcpu: os.img.gates.ctx(c_app).vcpu.0 as u16,
             rx_host: Vec::new(),
             cmd_spans: Vec::new(),

@@ -38,7 +38,7 @@
 
 use crate::client::{RunError, MAX_IDLE_ROUNDS, SERVER_IP};
 use crate::os::Os;
-use crate::profiles::{backend_tag, evaluation_image, lib_app, CompartmentModel, SchedKind};
+use crate::profiles::{evaluation_image, lib_app, CompartmentModel, SchedKind};
 use crate::redis::{Flushed, Mix, ReplyStream};
 use crate::resp::{
     self, put_bulk, put_command, put_error, put_integer, Command, RespError, RespParser,
@@ -52,8 +52,8 @@ use flexos_net::nic::Nic;
 use flexos_net::stack::{NetError, SocketId};
 use flexos_net::tcp::{Lend, SpareList};
 use flexos_net::wire::{
-    build_tcp_frame_into, EthHeader, Ipv4Header, Mac, TcpFlags, TcpHeader, ETHERTYPE_IPV4, ETH_LEN,
-    IPV4_LEN, MSS, PROTO_TCP, TCP_LEN,
+    build_tcp_frame_into, parse_ipv4_frame, EthHeader, Ipv4Header, Mac, TcpFlags, TcpHeader,
+    ETHERTYPE_IPV4, IPV4_LEN, MSS, PROTO_TCP, TCP_LEN,
 };
 use flexos_net::{FixedMap, Interest};
 use flexos_trace::{percentile, SpanId, SpanKind, StatsSnapshot};
@@ -795,19 +795,10 @@ impl SimClients {
 
     /// Consumes one server frame at simulated time `now`.
     fn on_frame(&mut self, now: u64, frame: &[u8]) {
-        let Some(eth) = EthHeader::parse(frame) else {
+        let Some((_, ip, l4)) = parse_ipv4_frame(frame).filter(|(_, ip, _)| ip.proto == PROTO_TCP)
+        else {
             return;
         };
-        if eth.ethertype != ETHERTYPE_IPV4 {
-            return;
-        }
-        let Some(ip) = Ipv4Header::parse(&frame[ETH_LEN..]) else {
-            return;
-        };
-        if ip.proto != PROTO_TCP || frame.len() < ETH_LEN + ip.total_len as usize {
-            return;
-        }
-        let l4 = &frame[ETH_LEN + IPV4_LEN..ETH_LEN + ip.total_len as usize];
         let Some((hdr, off)) = TcpHeader::parse(&ip, l4) else {
             return;
         };
@@ -1104,7 +1095,9 @@ impl Tier {
         let listener = os
             .listen(SERVE_PORT)
             .map_err(|e| RunError::server(format!("listen failed: {e}")))?;
-        let backend = backend_tag(params.model, params.backend);
+        // The boot-time backend: `migrate_all` rewrites the plan's
+        // backend mid-serve, and the latency rows keep the boot key.
+        let backend = os.img.plan.config.backend.tag();
         let app_vcpu = os.img.gates.ctx(os.roles.app).vcpu.0 as u16;
         let shard_comps = SHARD_NAMES[..shards]
             .iter()
@@ -1592,6 +1585,37 @@ mod tests {
             migrated.cycles,
             stayed.cycles
         );
+    }
+
+    /// A checksum-valid IPv4 header whose `total_len` falls short of the
+    /// header itself is one ignored frame for the client fleet, as it is
+    /// one drop for the stack — not a slice past the frame.
+    #[test]
+    fn a_frame_claiming_less_than_its_ip_header_is_ignored_by_the_fleet() {
+        use flexos_net::wire::ETH_LEN;
+        let mut clients = SimClients::new(1, 16, Mix::Get, 1, 2);
+        for total_len in [0, 1, (IPV4_LEN - 1) as u16] {
+            let mut frame = vec![0u8; ETH_LEN + IPV4_LEN + TCP_LEN];
+            let eth = EthHeader {
+                dst: Mac::of_nic(2),
+                src: Mac::of_nic(1),
+                ethertype: ETHERTYPE_IPV4,
+            };
+            eth.write(&mut frame);
+            let ip = Ipv4Header {
+                src: SERVER_IP,
+                dst: SERVER_IP + 1,
+                proto: PROTO_TCP,
+                total_len,
+                ttl: 64,
+                ident: 1,
+            };
+            ip.write(&mut frame[ETH_LEN..]);
+            assert_eq!(Ipv4Header::parse(&frame[ETH_LEN..]), Some(ip));
+            clients.on_frame(0, &frame);
+        }
+        assert_eq!(clients.established_count, 0);
+        assert!(clients.reply_errors.is_empty() && clients.ack_pending.is_empty());
     }
 
     /// Sends `wire` as it is on connection 0 of a small tier and serves

@@ -21,54 +21,22 @@ use flexos_machine::{Addr, Fault, Machine, NotifyFate, Result};
 /// Size reserved in the shared window for each compartment's RPC inbox.
 pub const RPC_INBOX_BYTES: u64 = 4096;
 
-/// Retry discipline for lost doorbell notifications.
+/// Doorbell delivery attempts before a crossing gives up.
 ///
 /// Inter-VM interrupts can be lost (in the simulation, injected by the
 /// chaos layer; on real hardware, by a missed event-channel upcall). The
-/// gate re-rings the doorbell with bounded exponential backoff — attempt
-/// `k` sleeps `backoff_base_cycles << (k-1)` simulated cycles, with the
-/// exponent capped at [`MAX_BACKOFF_SHIFT`] — and aborts with
-/// [`Fault::GateTimeout`] once `max_attempts` deliveries have all gone
-/// unanswered.
-#[derive(Debug, Clone, Copy)]
-pub struct RetryPolicy {
-    /// Total delivery attempts before giving up (must be ≥ 1).
-    pub max_attempts: u32,
-    /// Backoff charged after the first failed attempt; doubles per retry.
-    pub backoff_base_cycles: u64,
-}
+/// gate re-rings the doorbell with exponential backoff — failed attempt
+/// `k` sleeps `BACKOFF_BASE_CYCLES << (k-1)` simulated cycles — and
+/// aborts with [`Fault::GateTimeout`] once `MAX_ATTEMPTS` deliveries
+/// have all gone unanswered.
+pub const MAX_ATTEMPTS: u32 = 5;
 
-/// Ceiling on the backoff exponent. A `max_attempts` policy beyond 64
-/// used to shift `backoff_base_cycles` by ≥ 64 bits — a panic in debug
-/// builds and a wrap to a tiny (or zero) backoff in release. Capping at
-/// 2³² × base keeps late retries enormous but finite, so the simulated
-/// clock stays far from overflow no matter how large the retry budget
-/// is; policies within the cap charge bit-identical backoffs to before.
-pub const MAX_BACKOFF_SHIFT: u32 = 32;
+/// Backoff charged after the first failed attempt; doubles per retry.
+pub const BACKOFF_BASE_CYCLES: u64 = 2_000;
 
-impl RetryPolicy {
-    /// The backoff charged after failed delivery attempt `attempt`
-    /// (1-based): `base << (attempt-1)`, exponent capped and the shift
-    /// checked so pathological policies saturate instead of overflowing.
-    fn backoff_cycles(&self, attempt: u32) -> u64 {
-        let shift = attempt.saturating_sub(1).min(MAX_BACKOFF_SHIFT);
-        match self.backoff_base_cycles.checked_shl(shift) {
-            // `checked_shl` only guards the shift amount; detect bits
-            // shifted out of a huge base by shifting back.
-            Some(b) if b >> shift == self.backoff_base_cycles => b,
-            _ => u64::MAX >> 16,
-        }
-    }
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self {
-            max_attempts: 5,
-            backoff_base_cycles: 2_000,
-        }
-    }
-}
+// The largest backoff, `BACKOFF_BASE_CYCLES << (MAX_ATTEMPTS - 2)`
+// (16 000 cycles), keeps every bit of its base.
+const _: () = assert!(BACKOFF_BASE_CYCLES.leading_zeros() >= MAX_ATTEMPTS - 2);
 
 /// The VM RPC gate. Holds the base of the RPC area in the shared window;
 /// compartment `i`'s inbox sits at `rpc_base + i * RPC_INBOX_BYTES`.
@@ -76,26 +44,14 @@ impl Default for RetryPolicy {
 pub struct VmRpcGate {
     rpc_base: Addr,
     compartments: u16,
-    retry: RetryPolicy,
 }
 
 impl VmRpcGate {
-    /// Creates the gate over an RPC area of `compartments` inboxes, with
-    /// the default [`RetryPolicy`].
+    /// Creates the gate over an RPC area of `compartments` inboxes.
     pub fn new(rpc_base: Addr, compartments: u16) -> Self {
         Self {
             rpc_base,
             compartments,
-            retry: RetryPolicy::default(),
-        }
-    }
-
-    /// Same, with an explicit retry policy.
-    pub fn with_retry(rpc_base: Addr, compartments: u16, retry: RetryPolicy) -> Self {
-        Self {
-            rpc_base,
-            compartments,
-            retry,
         }
     }
 
@@ -182,13 +138,13 @@ impl VmRpcGate {
             if delivered {
                 return Ok(());
             }
-            if attempt >= self.retry.max_attempts.max(1) {
+            if attempt >= MAX_ATTEMPTS {
                 return Err(Fault::GateTimeout {
                     mechanism: "vmrpc",
                     attempts: attempt,
                 });
             }
-            m.charge(self.retry.backoff_cycles(attempt));
+            m.charge(BACKOFF_BASE_CYCLES << (attempt - 1));
         }
     }
 }
@@ -378,11 +334,11 @@ mod tests {
         // Second crossing: ring dropped, retry succeeds.
         let t0 = m.clock().cycles();
         gate.enter(&mut m, &c0, &c1, 16).unwrap();
-        let with_retry = m.clock().cycles() - t0;
+        let retried = m.clock().cycles() - t0;
         assert_eq!(m.chaos_stats().unwrap().dropped_notifications, 1);
         // The retried crossing paid at least one backoff plus a second
         // notification on top of the clean-path cost.
-        assert!(with_retry >= t_nochaos + RetryPolicy::default().backoff_base_cycles);
+        assert!(retried >= t_nochaos + BACKOFF_BASE_CYCLES);
     }
 
     #[test]
@@ -398,61 +354,9 @@ mod tests {
             err,
             Fault::GateTimeout {
                 mechanism: "vmrpc",
-                attempts: RetryPolicy::default().max_attempts,
+                attempts: MAX_ATTEMPTS,
             }
         );
-    }
-
-    /// Regression: a retry budget past 64 attempts used to shift the
-    /// backoff base by ≥ 64 bits — a debug-build panic (and a wrapped,
-    /// near-zero backoff in release) — once 100% doorbell loss pushed
-    /// the exponent that far. The gate must now exhaust the whole budget
-    /// and return the typed timeout.
-    #[test]
-    fn huge_retry_budget_under_total_loss_times_out_without_overflow() {
-        let policy = RetryPolicy {
-            max_attempts: 80,
-            backoff_base_cycles: 2,
-        };
-        let (mut m, default_gate, c0, c1) = setup();
-        let gate = VmRpcGate::with_retry(default_gate.rpc_base, 2, policy);
-        m.set_chaos(ChaosPlan::new(ChaosConfig {
-            seed: 1,
-            notify_drop: Schedule::EveryNth(1), // 100% loss
-            ..Default::default()
-        }));
-        let err = gate.enter(&mut m, &c0, &c1, 16).unwrap_err();
-        assert_eq!(
-            err,
-            Fault::GateTimeout {
-                mechanism: "vmrpc",
-                attempts: 80,
-            }
-        );
-    }
-
-    #[test]
-    fn backoff_exponent_is_capped_and_value_saturates() {
-        let policy = RetryPolicy {
-            max_attempts: 200,
-            backoff_base_cycles: 2_000,
-        };
-        // Within the cap: bit-identical to the plain shift.
-        assert_eq!(policy.backoff_cycles(1), 2_000);
-        assert_eq!(policy.backoff_cycles(5), 2_000 << 4);
-        // Past the cap: frozen at base << MAX_BACKOFF_SHIFT.
-        assert_eq!(
-            policy.backoff_cycles(70),
-            2_000u64 << MAX_BACKOFF_SHIFT,
-            "exponent must stop growing at the cap"
-        );
-        // A base so large the capped shift itself would overflow: the
-        // backoff saturates instead of silently dropping high bits.
-        let huge = RetryPolicy {
-            max_attempts: 200,
-            backoff_base_cycles: u64::MAX / 2,
-        };
-        assert_eq!(huge.backoff_cycles(40), u64::MAX >> 16);
     }
 
     #[test]
@@ -505,13 +409,13 @@ mod tests {
                 }
                 return Ok(());
             }
-            if attempt >= gate.retry.max_attempts {
+            if attempt >= MAX_ATTEMPTS {
                 return Err(Fault::GateTimeout {
                     mechanism: "vmrpc",
                     attempts: attempt,
                 });
             }
-            m.charge(gate.retry.backoff_cycles(attempt));
+            m.charge(BACKOFF_BASE_CYCLES << (attempt - 1));
         }
     }
 

@@ -25,7 +25,6 @@ use crate::spec::transform::ShSet;
 use flexos_machine::{Addr, Fault, Machine, Pkru, ProtKey, Result, VcpuId, VmId};
 use flexos_trace::{GateTrace, SpanId, SpanKind};
 use std::cell::Cell;
-use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
 
@@ -361,7 +360,10 @@ pub struct GateStats {
     pub gate_cycles: u64,
 }
 
-/// One ordered pair's entry in the runtime's dense gate table.
+/// One ordered pair's entry in the runtime's dense pair table: the
+/// crossing's route, then the pair's async ring. What both directions
+/// share lives in the *normalized* slot, `(a, b)` with `a < b`.
+#[derive(Default)]
 struct PairSlot {
     /// Index of the pair's gate in [`GateRuntime::gates`].
     gate: usize,
@@ -371,6 +373,14 @@ struct PairSlot {
     /// A live migration swapped `gate` in and the pair has not crossed
     /// since: its next crossing records the `first-crossing` probe.
     swapped: bool,
+    /// The `(from → to)` submission/completion ring.
+    ring: AsyncRing,
+    /// Normalized slot only: the backend swap waiting for quiescence.
+    /// Admission onto both directions' rings is stopped while present.
+    pending: Option<PendingMigration>,
+    /// Normalized slot only: batches and flushes over the pair in
+    /// progress, which hold it non-quiescent between their calls.
+    batches: u32,
 }
 
 /// The per-image gate dispatcher.
@@ -380,8 +390,8 @@ struct PairSlot {
 /// coexist in one image), and the current call stack of compartments.
 pub struct GateRuntime {
     compartments: Vec<CompartmentCtx>,
-    /// The gate of every ordered pair, row-major `n × n`: a crossing
-    /// resolves its gate with one index, not a tree walk.
+    /// Every ordered pair's state, row-major `n × n`: a crossing
+    /// resolves its gate, a submit its ring, with one index.
     pairs: Vec<PairSlot>,
     /// Every gate ever installed, append-only: a crossing holds its
     /// gate's index and re-borrows the slab for enter, exit and label, so
@@ -391,16 +401,10 @@ pub struct GateRuntime {
     stack: Vec<CompartmentId>,
     /// The one per-crossing ledger; [`GateStats`] is a fold over it.
     trace: GateTrace,
-    rings: BTreeMap<(CompartmentId, CompartmentId), AsyncRing>,
     async_stats: AsyncGateStats,
-    /// Pairs (normalized `a <= b`) whose backend swap is waiting for
-    /// quiescence. Admission onto the pair's submission rings is
-    /// stopped while an entry is present.
-    draining: BTreeMap<(CompartmentId, CompartmentId), PendingMigration>,
-    /// Stack of pairs with a `cross_batch`/flush in progress — those
-    /// pairs are not quiescent even when no call is on the compartment
-    /// stack (between two calls of a batch).
-    active_batches: Vec<(CompartmentId, CompartmentId)>,
+    /// How many slots hold a pending migration, so a crossing asks
+    /// "anything draining?" without walking the table.
+    draining: usize,
     migration_stats: MigrationStats,
 }
 
@@ -434,33 +438,16 @@ impl GateRuntime {
             (initial.0 as usize) < compartments.len(),
             "unknown initial compartment"
         );
-        let pairs = (0..compartments.len() * compartments.len())
-            .map(|_| PairSlot {
-                gate: 0,
-                row: None,
-                swapped: false,
-            })
-            .collect();
+        let n = compartments.len();
         Self {
             compartments,
-            pairs,
+            pairs: (0..n * n).map(|_| PairSlot::default()).collect(),
             gates: vec![default_gate],
             stack: vec![initial],
             trace: GateTrace::new(),
-            rings: BTreeMap::new(),
             async_stats: AsyncGateStats::default(),
-            draining: BTreeMap::new(),
-            active_batches: Vec::new(),
+            draining: 0,
             migration_stats: MigrationStats::default(),
-        }
-    }
-
-    /// Normalized (both-directions) key for a compartment pair.
-    fn pair_key(a: CompartmentId, b: CompartmentId) -> (CompartmentId, CompartmentId) {
-        if a <= b {
-            (a, b)
-        } else {
-            (b, a)
         }
     }
 
@@ -474,7 +461,15 @@ impl GateRuntime {
         from * n + to
     }
 
+    /// The pair's normalized slot, `slot(a, b)` with `a <= b`: where the
+    /// state both directions share lives.
+    fn norm(&self, a: CompartmentId, b: CompartmentId) -> usize {
+        self.slot(a.min(b), a.max(b))
+    }
+
     /// Overrides the gate used between `a` and `b` (both directions).
+    /// Re-points the pair's route only: its rings, pending migration and
+    /// batch guards stay.
     ///
     /// # Panics
     ///
@@ -483,11 +478,8 @@ impl GateRuntime {
         let slots = [self.slot(a, b), self.slot(b, a)];
         self.gates.push(gate);
         for slot in slots {
-            self.pairs[slot] = PairSlot {
-                gate: self.gates.len() - 1,
-                row: None,
-                swapped: false,
-            };
+            let pair = &mut self.pairs[slot];
+            (pair.gate, pair.row, pair.swapped) = (self.gates.len() - 1, None, false);
         }
     }
 
@@ -570,7 +562,7 @@ impl GateRuntime {
 
     /// Whether the `(a, b)` pair is draining towards a backend swap.
     pub fn migration_pending(&self, a: CompartmentId, b: CompartmentId) -> bool {
-        self.draining.contains_key(&Self::pair_key(a, b))
+        self.known(a) && self.known(b) && self.pairs[self.norm(a, b)].pending.is_some()
     }
 
     /// Requests a live backend swap for the `(a, b)` pair — the
@@ -616,14 +608,14 @@ impl GateRuntime {
         self.check_target(a)?;
         self.check_target(b)?;
         assert_ne!(a, b, "a gate pair has two distinct compartments");
-        let key = Self::pair_key(a, b);
+        let (a, b) = (a.min(b), a.max(b));
         let now = m.clock().cycles();
         m.span_trace_mut().record(
-            self.compartments[key.0 .0 as usize].vcpu.0 as u16,
+            self.compartments[a.0 as usize].vcpu.0 as u16,
             SpanKind::Migrate,
             "drain-start",
-            key.0 .0,
-            key.1 .0,
+            a.0,
+            b.0,
             now,
             now,
         );
@@ -634,14 +626,17 @@ impl GateRuntime {
             reestablish,
             requested_at: now,
         };
-        if self.migration_safe(key) {
-            self.complete_migration(m, key, pending)?;
+        let slot = self.slot(a, b);
+        if self.migration_safe(slot) {
+            self.complete_migration(m, slot, pending)?;
             Ok(true)
         } else {
             self.migration_stats.deferred += 1;
             // Latest request wins if the pair was already draining; the
             // admission stop carries over either way.
-            self.draining.insert(key, pending);
+            if self.pairs[slot].pending.replace(pending).is_none() {
+                self.draining += 1;
+            }
             Ok(false)
         }
     }
@@ -656,60 +651,53 @@ impl GateRuntime {
         Ok((self.migration_stats.completed - before) as usize)
     }
 
-    /// A pair is quiescent when no in-flight sync call crosses it (no
-    /// adjacent window of the compartment stack is the pair) and no
-    /// batch or flush over it is mid-loop.
-    fn migration_safe(&self, key: (CompartmentId, CompartmentId)) -> bool {
-        !self.active_batches.contains(&key)
-            && !self
-                .stack
-                .windows(2)
-                .any(|w| Self::pair_key(w[0], w[1]) == key)
+    /// A pair (by its normalized slot) is quiescent when no batch or
+    /// flush over it is mid-loop and no in-flight sync call crosses it
+    /// (no adjacent window of the compartment stack is the pair).
+    fn migration_safe(&self, slot: usize) -> bool {
+        self.pairs[slot].batches == 0
+            && !self.stack.windows(2).any(|w| self.norm(w[0], w[1]) == slot)
     }
 
-    /// Completes every ready pending migration, in normalized pair
-    /// order (deterministic). Invoked from the quiescence safe points:
-    /// end of a crossing, each batched call, batch/flush epilogues, and
-    /// context switches.
+    /// Completes every ready pending migration, in ascending `(a, b)`
+    /// order — the order of the normalized slots in the row-major table.
+    /// Invoked from the quiescence safe points: end of a crossing, each
+    /// batched call, batch/flush epilogues, and context switches.
     fn apply_ready_migrations(&mut self, m: &mut Machine) -> Result<()> {
-        if self.draining.is_empty() {
+        if self.draining == 0 {
             return Ok(());
         }
-        let ready: Vec<_> = self
-            .draining
-            .keys()
-            .copied()
-            .filter(|k| self.migration_safe(*k))
-            .collect();
-        for key in ready {
-            let pending = self.draining.remove(&key).expect("collected above");
-            self.complete_migration(m, key, pending)?;
+        // Completing a swap moves no stack entry and no guard, so which
+        // pairs are ready is the same before and after each completion.
+        for slot in 0..self.pairs.len() {
+            let ready = self.pairs[slot].pending.is_some() && self.migration_safe(slot);
+            if let Some(pending) = self.pairs[slot].pending.take_if(|_| ready) {
+                self.draining -= 1;
+                self.complete_migration(m, slot, pending)?;
+            }
         }
         Ok(())
     }
 
-    /// The swap itself, run at quiescence: count the descriptors
-    /// carried across, re-establish backend state, install the new
-    /// gate, and record the migration span probes and counters.
+    /// The swap itself, run at quiescence on the normalized `slot`: count
+    /// the descriptors carried across, re-establish backend state, install
+    /// the new gate, and record the migration span probes and counters.
     fn complete_migration(
         &mut self,
         m: &mut Machine,
-        key: (CompartmentId, CompartmentId),
+        slot: usize,
         pending: PendingMigration,
     ) -> Result<()> {
-        let (a, b) = key;
+        let n = self.compartments.len();
+        let [a, b] = [slot / n, slot % n].map(|i| CompartmentId(i as u16));
+        let back = self.slot(b, a);
         // Quiesced rings: pending SQEs stay queued and re-issue through
         // the incoming backend on the next flush; ready CQEs stay
         // reapable (the completed prefix is preserved, like a mid-flush
         // HardeningAbort).
-        let mut requeued = 0u64;
-        let mut preserved = 0u64;
-        for dir in [(a, b), (b, a)] {
-            if let Some(r) = self.rings.get(&dir) {
-                requeued += r.sq.len() as u64;
-                preserved += r.cq_ready() as u64;
-            }
-        }
+        let rings = [&self.pairs[slot].ring, &self.pairs[back].ring];
+        let requeued: usize = rings.iter().map(|r| r.sq.len()).sum();
+        let preserved: usize = rings.iter().map(|r| r.cq_ready()).sum();
         // Re-establish backend state before the swap becomes visible;
         // the pair is quiescent, so nothing simulated interleaves. A
         // failure here aborts the migration (the old gate stays).
@@ -731,13 +719,13 @@ impl GateRuntime {
         m.span_trace_mut()
             .record(shard, SpanKind::Migrate, "swap", a.0, b.0, now, now);
         self.set_pair_gate(a, b, pending.gate);
-        for slot in [self.slot(a, b), self.slot(b, a)] {
+        for slot in [slot, back] {
             self.pairs[slot].swapped = true;
         }
         let st = &mut self.migration_stats;
         st.completed += 1;
-        st.requeued_sqes += requeued;
-        st.preserved_cqes += preserved;
+        st.requeued_sqes += requeued as u64;
+        st.preserved_cqes += preserved as u64;
         let drain = now - pending.requested_at;
         st.drain_cycles_total += drain;
         st.drain_cycles_max = st.drain_cycles_max.max(drain);
@@ -759,13 +747,19 @@ impl GateRuntime {
     /// from callers' tables, and a bad one must not take the image down.
     #[inline]
     fn check_target(&self, target: CompartmentId) -> Result<()> {
-        if (target.0 as usize) < self.compartments.len() {
+        if self.known(target) {
             return Ok(());
         }
         Err(Fault::HardeningAbort {
             mechanism: "gate",
             reason: format!("unknown {target}"),
         })
+    }
+
+    /// Whether `id` names a compartment of this image.
+    #[inline]
+    fn known(&self, id: CompartmentId) -> bool {
+        (id.0 as usize) < self.compartments.len()
     }
 
     /// How a call `from → target` is routed: `None` within one
@@ -860,12 +854,9 @@ impl GateRuntime {
         m.span_trace_mut()
             .record_gate(shard, label, from.0, target.0, t0, now, gate_cycles, bytes);
         let slot = self.slot(from, target);
-        let row = match self.pairs[slot].row {
-            Some(row) => row,
-            None => *self.pairs[slot]
-                .row
-                .insert(self.trace.row(label, from.0, target.0)),
-        };
+        let row = *self.pairs[slot]
+            .row
+            .get_or_insert_with(|| self.trace.row(label, from.0, target.0));
         self.trace.record_crossing(row, gate_cycles, bytes);
         if self.pairs[slot].swapped {
             for slot in [slot, self.slot(target, from)] {
@@ -876,8 +867,8 @@ impl GateRuntime {
                 .record(shard, kind, label, from.0, target.0, t0, now);
         }
         // The end of a crossing is a migration safe point (a batch's own
-        // pair stays guarded by `active_batches` until the batch ends).
-        if !self.draining.is_empty() {
+        // pair stays guarded by its `batches` count until the batch ends).
+        if self.draining != 0 {
             self.apply_ready_migrations(m)?;
         }
         result
@@ -947,8 +938,9 @@ impl GateRuntime {
         // The whole batch holds the pair non-quiescent — a migration
         // requested from inside any call defers to the batch's end, so
         // the hoisted gate serves every call of the batch.
-        if gate.is_some() {
-            self.active_batches.push(Self::pair_key(from, target));
+        let guard = gate.map(|_| self.norm(from, target));
+        if let Some(pair) = guard {
+            self.pairs[pair].batches += 1;
         }
         let mut issued: u64 = 0;
         let mut result = Ok(());
@@ -968,8 +960,8 @@ impl GateRuntime {
             }
         }
         self.trace.record_batch(label, issued);
-        if gate.is_some() {
-            self.active_batches.pop();
+        if let Some(pair) = guard {
+            self.pairs[pair].batches -= 1;
             // The batch boundary is a safe point, even when the batch
             // itself errored out.
             result = result.and(self.apply_ready_migrations(m));
@@ -986,19 +978,12 @@ impl GateRuntime {
     /// latency is pending. A full ring returns [`Fault::RingFull`] (the
     /// caller must flush or cancel first) — never a panic.
     pub fn submit(&mut self, target: CompartmentId, sqe: Sqe) -> Result<()> {
-        self.check_target(target)?;
-        let from = self.current();
-        self.check_admission(from, target)?;
-        let ring = self.rings.entry((from, target)).or_default();
-        if ring.sq.len() >= ring.depth {
-            self.async_stats.sq_full += 1;
+        if self.submit_many(target, std::slice::from_ref(&sqe))? == 0 {
             return Err(Fault::RingFull {
                 ring: "gate-sq",
-                depth: ring.depth,
+                depth: self.pairs[self.slot(self.current(), target)].ring.depth,
             });
         }
-        ring.sq.push(sqe);
-        self.async_stats.submitted += 1;
         Ok(())
     }
 
@@ -1012,7 +997,8 @@ impl GateRuntime {
         self.check_target(target)?;
         let from = self.current();
         self.check_admission(from, target)?;
-        let ring = self.rings.entry((from, target)).or_default();
+        let slot = self.slot(from, target);
+        let ring = &mut self.pairs[slot].ring;
         let room = ring.depth.saturating_sub(ring.sq.len());
         let take = room.min(sqes.len());
         ring.sq.extend_from_slice(&sqes[..take]);
@@ -1028,7 +1014,7 @@ impl GateRuntime {
     /// cannot stall the drain — queued work only ever shrinks while a
     /// migration is pending.
     fn check_admission(&mut self, from: CompartmentId, target: CompartmentId) -> Result<()> {
-        if self.draining.is_empty() || !self.draining.contains_key(&Self::pair_key(from, target)) {
+        if self.draining == 0 || self.pairs[self.norm(from, target)].pending.is_none() {
             return Ok(());
         }
         self.migration_stats.rejected_submits += 1;
@@ -1040,25 +1026,32 @@ impl GateRuntime {
     /// Raises (never lowers) the `(current → target)` ring's slot
     /// capacity so a burst of `depth` submissions fits without flushing.
     pub fn ensure_ring_depth(&mut self, target: CompartmentId, depth: usize) {
-        let from = self.current();
-        let ring = self.rings.entry((from, target)).or_default();
-        ring.depth = ring.depth.max(depth);
+        if let Some(slot) = self.ring_slot(target) {
+            let ring = &mut self.pairs[slot].ring;
+            ring.depth = ring.depth.max(depth);
+        }
+    }
+
+    /// The slot of the `(current → target)` ring; `None` for a target
+    /// that names no compartment, which the ring entry points read as an
+    /// empty ring.
+    fn ring_slot(&self, target: CompartmentId) -> Option<usize> {
+        self.known(target)
+            .then(|| self.slot(self.current(), target))
     }
 
     /// Number of descriptors queued but not yet flushed on the
     /// `(current → target)` submission ring.
     pub fn sq_pending(&self, target: CompartmentId) -> usize {
-        self.rings
-            .get(&(self.current(), target))
-            .map_or(0, |r| r.sq.len())
+        self.ring_slot(target)
+            .map_or(0, |slot| self.pairs[slot].ring.sq.len())
     }
 
     /// Number of completions ready to reap on the `(current → target)`
     /// completion ring.
     pub fn cq_ready(&self, target: CompartmentId) -> usize {
-        self.rings
-            .get(&(self.current(), target))
-            .map_or(0, AsyncRing::cq_ready)
+        self.ring_slot(target)
+            .map_or(0, |slot| self.pairs[slot].ring.cq_ready())
     }
 
     /// Pops the oldest completion from the `(current → target)` ring.
@@ -1066,8 +1059,8 @@ impl GateRuntime {
     /// An empty ring returns [`Fault::RingEmpty`] (flush first) — never
     /// a panic, matching io_uring's `-EAGAIN`.
     pub fn reap(&mut self, target: CompartmentId) -> Result<Cqe> {
-        let from = self.current();
-        let cqe = self.rings.get_mut(&(from, target)).and_then(|r| {
+        let cqe = self.ring_slot(target).and_then(|slot| {
+            let r = &mut self.pairs[slot].ring;
             let cqe = r.cq.get(r.cq_head).copied();
             if cqe.is_some() {
                 r.cq_head += 1;
@@ -1087,10 +1080,10 @@ impl GateRuntime {
     /// Drains every ready completion into `out`, returning how many were
     /// moved. Never fails: an empty ring is just a zero-length drain.
     pub fn poll_completions(&mut self, target: CompartmentId, out: &mut Vec<Cqe>) -> usize {
-        let from = self.current();
-        let Some(ring) = self.rings.get_mut(&(from, target)) else {
+        let Some(slot) = self.ring_slot(target) else {
             return 0;
         };
+        let ring = &mut self.pairs[slot].ring;
         let n = ring.cq_ready();
         out.extend_from_slice(&ring.cq[ring.cq_head..]);
         ring.cq.clear();
@@ -1102,10 +1095,10 @@ impl GateRuntime {
     /// ring (descriptors a failed flush left pending), returning how many
     /// were discarded. Ready completions are untouched.
     pub fn cancel_pending(&mut self, target: CompartmentId) -> usize {
-        let from = self.current();
-        let Some(ring) = self.rings.get_mut(&(from, target)) else {
+        let Some(slot) = self.ring_slot(target) else {
             return 0;
         };
+        let ring = &mut self.pairs[slot].ring;
         let n = ring.sq.len();
         ring.sq.clear();
         self.async_stats.cancelled += n as u64;
@@ -1158,27 +1151,24 @@ impl GateRuntime {
         mut between: impl FnMut(&mut Machine, &mut GateRuntime, &Sqe, i64) -> Result<bool>,
     ) -> Result<usize> {
         let from = self.current();
-        // The ring leaves the map for the duration of the flush so `f`
+        // The ring leaves its slot for the duration of the flush so `f`
         // and `between` can borrow the runtime freely; the default ring
-        // left in its slot catches nested submits to the same pair,
-        // merged back below (`mem::take` instead of remove + insert —
-        // two tree probes per flush, no rebalancing).
-        let Some(slot) = self.rings.get_mut(&(from, target)) else {
+        // left in its place catches nested submits to the same pair,
+        // merged back below.
+        let ready = |s: &usize| !self.pairs[*s].ring.sq.is_empty();
+        let Some(slot) = self.ring_slot(target).filter(ready) else {
             return Ok(0);
         };
-        if slot.sq.is_empty() {
-            return Ok(0);
-        }
         // The pair stays non-quiescent until the ring is merged back:
         // a migration completed mid-flush would otherwise count (and
         // requeue) the placeholder ring instead of the real one. The
-        // inner `cross_each` pushes and pops its own guard; this outer
+        // inner `cross_each` takes and drops its own guard; this outer
         // one outlives it.
-        let guarded = from != target;
-        if guarded {
-            self.active_batches.push(Self::pair_key(from, target));
+        let guard = (from != target).then(|| self.norm(from, target));
+        if let Some(pair) = guard {
+            self.pairs[pair].batches += 1;
         }
-        let mut ring = std::mem::take(slot);
+        let mut ring = std::mem::take(&mut self.pairs[slot].ring);
         // `idx + 1` descriptors have been issued once `f` runs for `idx`;
         // a fault before `f` (enter path) leaves the descriptor queued.
         let issued = Cell::new(0usize);
@@ -1219,16 +1209,13 @@ impl GateRuntime {
         // (the async payoff), so count CQ growth, not the success result.
         let posted = ring.cq.len() - cq_before;
         self.async_stats.completed += posted as u64;
-        let slot = self
-            .rings
-            .get_mut(&(from, target))
-            .expect("the flush leaves the ring's slot in place");
-        ring.depth = ring.depth.max(slot.depth);
-        ring.sq.append(&mut slot.sq);
-        ring.cq.extend_from_slice(&slot.cq[slot.cq_head..]);
-        *slot = ring;
-        if guarded {
-            self.active_batches.pop();
+        let nested = &mut self.pairs[slot].ring;
+        ring.depth = ring.depth.max(nested.depth);
+        ring.sq.append(&mut nested.sq);
+        ring.cq.extend_from_slice(&nested.cq[nested.cq_head..]);
+        *nested = ring;
+        if let Some(pair) = guard {
+            self.pairs[pair].batches -= 1;
             // With the ring back in place the flush boundary is a safe
             // point: a swap here carries the leftover descriptors.
             result = result.and(self.apply_ready_migrations(m));
@@ -1451,6 +1438,10 @@ mod tests {
         assert_eq!(rt.current(), CompartmentId(0));
         // The failing call still completed its exit path, like `cross`.
         assert_eq!(rt.stats().crossings, 3);
+        // And the batch let go of its pair: a swap applies at once.
+        let (a, b) = (CompartmentId(0), CompartmentId(1));
+        let applied = rt.request_migration(&mut m, a, b, mpk_gate(), MigrationReason::Manual, None);
+        assert_eq!(applied, Ok(true), "the failed batch still guards its pair");
     }
 
     #[cfg(not(feature = "trace-off"))]
@@ -2108,11 +2099,249 @@ mod tests {
 
         assert_eq!(rt.current(), a);
         assert_eq!(m.clock().cycles(), 0, "nothing was charged");
-        assert!(rt.rings.is_empty(), "no ring was created");
+        assert!(
+            rt.pairs.iter().all(|p| p.ring.is_untouched()),
+            "no ring was touched"
+        );
         assert_eq!(rt.stats(), GateStats::default());
         assert_eq!(rt.async_stats(), AsyncGateStats::default());
         assert_eq!(rt.migration_stats(), MigrationStats::default());
         assert!(rt.trace().batch_hist("function call").is_none());
         assert!(m.span_trace().merged_events().is_empty());
+    }
+
+    impl AsyncRing {
+        /// Empty at the default depth: the state `GateRuntime::new`
+        /// leaves every slot's ring in.
+        fn is_untouched(&self) -> bool {
+            self.depth == DEFAULT_RING_DEPTH && self.sq.is_empty() && self.cq.is_empty()
+        }
+    }
+
+    /// The ring entry points that cannot fail read an unknown target as
+    /// an empty ring — never `slot()`'s assertion — and `reap` refuses
+    /// it like any empty ring.
+    #[test]
+    fn unknown_target_reads_as_an_empty_ring() {
+        let (_m, mut rt) = fresh_rt();
+        let bad = CompartmentId(7);
+        rt.ensure_ring_depth(bad, DEFAULT_RING_DEPTH * 4);
+        assert_eq!((rt.sq_pending(bad), rt.cq_ready(bad)), (0, 0));
+        assert_eq!(rt.poll_completions(bad, &mut Vec::new()), 0);
+        assert!(matches!(
+            rt.reap(bad),
+            Err(Fault::RingEmpty { ring: "gate-cq" })
+        ));
+        assert_eq!(
+            rt.async_stats(),
+            AsyncGateStats {
+                cq_empty: 1,
+                ..AsyncGateStats::default()
+            }
+        );
+        assert!(!rt.migration_pending(CompartmentId(0), bad));
+        assert!(rt.pairs.iter().all(|p| p.ring.is_untouched()));
+    }
+
+    /// `fresh_rt` plus a third compartment, `app`.
+    fn three_rt() -> (Machine, GateRuntime) {
+        let mut m = Machine::with_defaults();
+        let mut cpts = two_compartments(&mut m);
+        let heap2 = m
+            .alloc_region(VmId(0), 4096, ProtKey(3), PageFlags::RW)
+            .unwrap();
+        cpts.push(CompartmentCtx {
+            id: CompartmentId(2),
+            name: "app".into(),
+            keys: vec![ProtKey(3)],
+            heap_base: heap2,
+            ..cpts[1].clone()
+        });
+        let rt = GateRuntime::new(cpts, Rc::new(DirectGate), CompartmentId(0));
+        (m, rt)
+    }
+
+    /// `(sq_pending, cq_ready)` towards every compartment, seen from
+    /// each compartment in turn (crossing into it from `0`).
+    fn ring_view(m: &mut Machine, rt: &mut GateRuntime) -> String {
+        let mut rows = Vec::new();
+        for c in 0..3 {
+            let row = rt
+                .cross(m, CompartmentId(c), 0, 0, |_, rt| {
+                    Ok((0..3)
+                        .map(|t| {
+                            (
+                                rt.sq_pending(CompartmentId(t)),
+                                rt.cq_ready(CompartmentId(t)),
+                            )
+                        })
+                        .collect::<Vec<_>>())
+                })
+                .unwrap();
+            rows.push(format!("{c}:{row:?}"));
+        }
+        rows.join(" ")
+    }
+
+    /// Every piece of per-pair state — two ordered pairs' rings and a
+    /// self-pair's, a migration deferred by a flush and requested twice,
+    /// a nested submit, partial reaps, a cancel, two swaps applied at one
+    /// context switch — read through the public API, against one golden.
+    #[test]
+    fn per_pair_state_is_pinned() {
+        let (mut m, mut rt) = three_rt();
+        let [c0, c1, c2] = [0, 1, 2].map(CompartmentId);
+        let cheri = || -> Rc<dyn Gate> {
+            Rc::new(CostedGate {
+                mech: BackendChoice::Cheri,
+                cost: 50,
+            })
+        };
+        let mut log = Vec::new();
+        for i in 0..5 {
+            rt.submit(c1, Sqe::new(8, 8, 10 + i)).unwrap();
+        }
+        rt.ensure_ring_depth(c2, DEFAULT_RING_DEPTH + 2);
+        let burst: Vec<Sqe> = (0..DEFAULT_RING_DEPTH as u64 + 2)
+            .map(|i| Sqe::new(4, 4, 100 + i))
+            .collect();
+        log.push(format!("burst {:?}", rt.submit_many(c2, &burst)));
+        log.push(format!("full {:?}", rt.submit(c2, Sqe::new(4, 4, 99))));
+        rt.submit(c0, Sqe::new(0, 0, 30)).unwrap();
+        rt.cross(&mut m, c1, 0, 0, |_, rt| rt.submit(c0, Sqe::new(2, 2, 40)))
+            .unwrap();
+        log.push(ring_view(&mut m, &mut rt));
+        let posted = rt.flush_async_until(
+            &mut m,
+            c1,
+            |m, rt, sqe| {
+                if sqe.user_data == 11 {
+                    rt.submit(c2, Sqe::new(1, 1, 50))?;
+                }
+                m.charge(7);
+                Ok(sqe.user_data as i64 * 2)
+            },
+            |m, rt, sqe, _| {
+                match sqe.user_data {
+                    10 => rt.submit(c1, Sqe::new(8, 8, 60))?,
+                    11 => {
+                        for gate in [mpk_gate(), cheri()] {
+                            let applied = rt.request_migration(
+                                m,
+                                c0,
+                                c1,
+                                gate,
+                                MigrationReason::Escalate,
+                                None,
+                            )?;
+                            assert!(!applied, "the flush guards its pair");
+                        }
+                        let refused = rt.submit(c1, Sqe::new(8, 8, 61));
+                        assert!(matches!(refused, Err(Fault::GateDraining { .. })));
+                    }
+                    _ => {}
+                }
+                Ok(sqe.user_data < 12)
+            },
+        );
+        log.push(format!("posted {posted:?} {:?}", rt.pair_mechanism(c0, c1)));
+        log.push(ring_view(&mut m, &mut rt));
+        let reaped: Vec<_> = (0..2)
+            .map(|_| rt.reap(c1).map(|c| (c.user_data, c.res)))
+            .collect();
+        log.push(format!("reaped {reaped:?}"));
+        log.push(format!("cancelled {}", rt.cancel_pending(c2)));
+        log.push(format!(
+            "flushed self {:?}",
+            rt.flush_async(&mut m, c0, |_, _, s| Ok(s.user_data as i64))
+        ));
+        let mut cqes = Vec::new();
+        let n = rt.poll_completions(c1, &mut cqes) + rt.poll_completions(c0, &mut cqes);
+        let order: Vec<u64> = cqes.iter().map(|c| c.user_data).collect();
+        log.push(format!("polled {n} {order:?}"));
+        // Two swaps deferred by one call stack are applied by one context
+        // switch, in ascending pair order whatever the request order.
+        rt.cross(&mut m, c1, 0, 0, |m, rt| {
+            rt.cross(m, c2, 0, 0, |m, rt| {
+                for (a, b) in [(c2, c1), (c1, c0)] {
+                    rt.request_migration(m, a, b, mpk_gate(), MigrationReason::Relax, None)?;
+                }
+                rt.resume_in(m, c2)
+            })
+        })
+        .unwrap();
+        rt.resume_in(&mut m, c0).unwrap();
+        log.push(format!("polled swaps {:?}", rt.poll_migrations(&mut m)));
+        log.push(ring_view(&mut m, &mut rt));
+        log.push(format!("{:?}", rt.async_stats()));
+        log.push(format!("{:?}", rt.migration_stats()));
+        let golden = "\
+burst Ok(66)\n\
+full Err(RingFull { ring: \"gate-sq\", depth: 66 })\n\
+0:[(1, 0), (5, 0), (66, 0)] 1:[(1, 0), (0, 0), (0, 0)] 2:[(0, 0), (0, 0), (0, 0)]\n\
+posted Ok(3) Cheri\n\
+0:[(1, 0), (3, 3), (66, 0)] 1:[(1, 0), (0, 0), (1, 0)] 2:[(0, 0), (0, 0), (0, 0)]\n\
+reaped [Ok((10, 20)), Ok((11, 22))]\n\
+cancelled 66\n\
+flushed self Ok(1)\n\
+polled 2 [12, 30]\n\
+polled swaps Ok(0)\n\
+0:[(0, 0), (3, 0), (0, 0)] 1:[(1, 0), (0, 0), (1, 0)] 2:[(0, 0), (0, 0), (0, 0)]\n\
+AsyncGatesSnapshot { submitted: 75, completed: 4, flushes: 2, cancelled: 66, sq_full: 1, cq_empty: 0 }\n\
+MigrationsSnapshot { requested: 4, completed: 3, deferred: 4, rejected_submits: 1, requeued_sqes: 9, preserved_cqes: 3, drain_cycles_total: 12, drain_cycles_max: 12, escalations: 1, relaxations: 2 }";
+        assert_eq!(log.join("\n"), golden);
+        if cfg!(not(feature = "trace-off")) {
+            let swaps: Vec<_> = m
+                .span_trace()
+                .merged_events()
+                .iter()
+                .filter(|(_, _, ev)| ev.kind == SpanKind::Migrate)
+                .map(|(_, _, ev)| format!("{}:{}-{}", ev.label, ev.src, ev.dst))
+                .collect();
+            let golden = "drain-start:0-1 drain-start:0-1 drain-end:0-1 swap:0-1 \
+                first-crossing:0-1 first-crossing:0-1 first-crossing:1-2 \
+                drain-start:1-2 drain-start:0-1 drain-end:0-1 swap:0-1 drain-end:1-2 swap:1-2";
+            assert_eq!(swaps.join(" "), golden);
+        }
+    }
+
+    /// `set_pair_gate` re-points the pair's route and nothing else: the
+    /// queued SQEs and ready CQEs of both directions stay where they are.
+    #[test]
+    fn set_pair_gate_keeps_the_pairs_rings() {
+        let (mut m, mut rt) = fresh_rt();
+        let (a, b) = (CompartmentId(0), CompartmentId(1));
+        for (from, to) in [(a, b), (b, a)] {
+            rt.resume_in(&mut m, from).unwrap();
+            rt.ensure_ring_depth(to, DEFAULT_RING_DEPTH + 1);
+            for i in 0..3 {
+                rt.submit(to, Sqe::new(4, 4, i)).unwrap();
+            }
+            rt.flush_async_until(
+                &mut m,
+                to,
+                |_, _, s| Ok(s.user_data as i64),
+                |_, _, s, _| Ok(s.user_data < 1),
+            )
+            .unwrap();
+        }
+        rt.set_pair_gate(a, b, mpk_gate());
+        for (from, to) in [(a, b), (b, a)] {
+            rt.resume_in(&mut m, from).unwrap();
+            assert_eq!(
+                (rt.sq_pending(to), rt.cq_ready(to)),
+                (1, 2),
+                "{from} -> {to}"
+            );
+            assert_eq!(rt.reap(to).unwrap().user_data, 0);
+            let full: Vec<Sqe> = (0..DEFAULT_RING_DEPTH as u64)
+                .map(|i| Sqe::new(4, 4, i))
+                .collect();
+            assert_eq!(
+                rt.submit_many(to, &full).unwrap(),
+                DEFAULT_RING_DEPTH,
+                "depth kept"
+            );
+        }
     }
 }

@@ -18,8 +18,8 @@ use crate::nic::Nic;
 use crate::ring::SimRing;
 use crate::tcp::{Flight, Lend, SegDesc, Segment, SpareList, TcpConfig, TcpConn};
 use crate::wire::{
-    build_tcp_frame_into, build_udp_frame, EthHeader, Ipv4Header, Mac, TcpFlags, TcpHeader,
-    UdpHeader, WireError, ETHERTYPE_IPV4, ETH_LEN, IPV4_LEN, PROTO_TCP, PROTO_UDP, TCP_LEN,
+    build_tcp_frame_into, build_udp_frame, parse_ipv4_frame, EthHeader, Ipv4Header, Mac, TcpFlags,
+    TcpHeader, UdpHeader, WireError, ETHERTYPE_IPV4, IPV4_LEN, PROTO_TCP, PROTO_UDP, TCP_LEN,
     UDP_LEN,
 };
 use flexos_machine::{Addr, Fault, Machine, VcpuId};
@@ -919,19 +919,11 @@ impl NetStack {
 
     fn handle_frame(&mut self, m: &mut Machine, frame: &[u8]) {
         let now = m.clock().cycles();
-        // One drop for a frame that is not ours or does not parse — a
-        // checksum-valid IPv4 header included whose `total_len` runs past
-        // the frame or falls short of the header itself.
-        let ours = EthHeader::parse(frame)
-            .filter(|eth| eth.ethertype == ETHERTYPE_IPV4)
-            .filter(|eth| eth.dst == self.mac || eth.dst == Mac::BROADCAST)
-            .and_then(|_| Ipv4Header::parse(&frame[ETH_LEN..]))
-            .filter(|ip| ip.dst == self.ip)
-            .and_then(|ip| {
-                let l4 = frame.get(ETH_LEN + IPV4_LEN..ETH_LEN + ip.total_len as usize)?;
-                Some((ip, l4))
-            });
-        let Some((ip, l4)) = ours else {
+        // One drop for a frame that does not parse or is not ours.
+        let ours = parse_ipv4_frame(frame).filter(|(eth, ip, _)| {
+            (eth.dst == self.mac || eth.dst == Mac::BROADCAST) && ip.dst == self.ip
+        });
+        let Some((_, ip, l4)) = ours else {
             self.demux_drop(m, now);
             return;
         };
@@ -1063,7 +1055,7 @@ mod tests {
     use super::*;
     use crate::nic::Link;
     use crate::tcp::SegmentOut;
-    use crate::wire::build_tcp_frame;
+    use crate::wire::{build_tcp_frame, ETH_LEN};
     use flexos_machine::{PageFlags, ProtKey, VmId};
     use proptest::{prop_assert, prop_assert_eq};
 

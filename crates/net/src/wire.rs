@@ -408,6 +408,19 @@ impl UdpHeader {
     }
 }
 
+/// Splits an IPv4-over-Ethernet frame into its two headers and the L4
+/// bytes its IP header's `total_len` covers (trailing link padding
+/// excluded). `None` for a frame that is not IPv4 or does not parse — a
+/// checksum-valid IP header whose `total_len` runs past the frame or
+/// falls short of the header itself included. Which addresses and
+/// protocols are wanted is the caller's filter.
+pub fn parse_ipv4_frame(frame: &[u8]) -> Option<(EthHeader, Ipv4Header, &[u8])> {
+    let eth = EthHeader::parse(frame).filter(|eth| eth.ethertype == ETHERTYPE_IPV4)?;
+    let ip = Ipv4Header::parse(frame.get(ETH_LEN..)?)?;
+    let l4 = frame.get(ETH_LEN + IPV4_LEN..ETH_LEN + ip.total_len as usize)?;
+    Some((eth, ip, l4))
+}
+
 /// Builds a full Ethernet+IPv4+TCP frame in a fresh vector. The owning
 /// form of [`build_tcp_frame_into`], for tests and tools.
 pub fn build_tcp_frame(
@@ -582,6 +595,37 @@ mod tests {
         let (tcp2, off) = TcpHeader::parse(&ip2, &frame[ETH_LEN + IPV4_LEN..]).unwrap();
         assert_eq!(tcp2, tcp);
         assert_eq!(&frame[ETH_LEN + IPV4_LEN + off..], &payload[..]);
+    }
+
+    /// `parse_ipv4_frame` hands out exactly the bytes `total_len` covers:
+    /// link padding stays out, and a header claiming less than itself or
+    /// more than the frame holds is no frame.
+    #[test]
+    fn an_ipv4_frame_splits_at_its_total_len() {
+        let eth = EthHeader {
+            dst: Mac::of_nic(1),
+            src: Mac::of_nic(0),
+            ethertype: ETHERTYPE_IPV4,
+        };
+        let frame_of = |total_len: u16| {
+            let mut frame = vec![0x42u8; 60];
+            eth.write(&mut frame);
+            let ip = Ipv4Header {
+                total_len,
+                ..ip_hdr(0, PROTO_UDP)
+            };
+            ip.write(&mut frame[ETH_LEN..]);
+            frame
+        };
+        let padded = frame_of((IPV4_LEN + 6) as u16);
+        let (eth2, ip, l4) = parse_ipv4_frame(&padded).unwrap();
+        assert_eq!((eth2, ip.total_len, l4), (eth, 26, &[0x42u8; 6][..]));
+        for total_len in [0, (IPV4_LEN - 1) as u16, 47] {
+            assert_eq!(parse_ipv4_frame(&frame_of(total_len)), None, "{total_len}");
+        }
+        let mut arp = padded;
+        arp[12..14].copy_from_slice(&0x0806u16.to_be_bytes());
+        assert_eq!(parse_ipv4_frame(&arp), None);
     }
 
     #[test]

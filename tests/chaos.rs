@@ -4,7 +4,7 @@
 
 use flexos::gate::{CompartmentCtx, CompartmentId, Gate};
 use flexos::spec::ShSet;
-use flexos_backends::vmrpc::{RetryPolicy, VmRpcGate};
+use flexos_backends::vmrpc::{VmRpcGate, BACKOFF_BASE_CYCLES, MAX_ATTEMPTS};
 use flexos_machine::{
     ChaosConfig, ChaosPlan, Fault, Machine, PageFlags, Pkru, ProtKey, Schedule, VcpuId, VmId,
 };
@@ -98,35 +98,30 @@ fn injected_doorbell_loss_is_recovered_and_traced() {
 
 #[test]
 fn total_doorbell_loss_times_out_instead_of_hanging() {
-    let (mut m, _gate, c0, c1) = rpc_world();
-    // A gate with a tight custom retry budget over its own RPC area.
-    let rpc_base = m
-        .alloc_shared_region(VmRpcGate::area_bytes(2), ProtKey(0))
-        .unwrap();
-    let gate = VmRpcGate::with_retry(
-        rpc_base,
-        2,
-        RetryPolicy {
-            max_attempts: 3,
-            backoff_base_cycles: 1_000,
-        },
-    );
+    let clean = {
+        let (mut m, gate, c0, c1) = rpc_world();
+        gate.enter(&mut m, &c0, &c1, 8).unwrap();
+        m.clock().cycles()
+    };
+    let (mut m, gate, c0, c1) = rpc_world();
     m.set_chaos(ChaosPlan::new(ChaosConfig {
         seed: 7,
         notify_drop: Schedule::EveryNth(1),
         ..Default::default()
     }));
-    let t0 = m.clock().cycles();
     let err = gate.enter(&mut m, &c0, &c1, 8).unwrap_err();
     assert_eq!(
         err,
         Fault::GateTimeout {
             mechanism: "vmrpc",
-            attempts: 3,
+            attempts: 5,
         }
     );
-    // Backoff charged 1000 + 2000 cycles on top of the notify costs.
-    assert!(m.clock().cycles() - t0 >= 3_000);
+    assert_eq!((MAX_ATTEMPTS, BACKOFF_BASE_CYCLES), (5, 2_000));
+    // The clean crossing's costs, four more doorbells, and backoffs of
+    // 2 000 + 4 000 + 8 000 + 16 000 cycles between the five attempts.
+    let retries = 4 * m.costs().vm_notify + 30_000;
+    assert_eq!(m.clock().cycles(), clean + retries);
 }
 
 #[test]
