@@ -111,8 +111,10 @@ pub struct Os {
     /// "redesign of the components" §4 calls for after observing that
     /// merging NW+sched does not help.
     sem_home: CompartmentId,
-    /// The semaphore of each socket slot that ever blocked or was
-    /// accepted, by socket id. Never removed: a reused slot inherits it.
+    /// The semaphore of each socket slot a thread ever waited on, by
+    /// socket id: created by the first [`Os::wait_readable`], never
+    /// removed, so a reused slot inherits it. A socket nobody waits on
+    /// (every socket of the serving tier) holds none.
     sock_sems: Vec<Option<SemId>>,
     wakes: Vec<ThreadId>,
     stats: OsStats,
@@ -539,18 +541,12 @@ impl Os {
 
     /// `accept()`: returns a connected socket once the handshake is done.
     pub fn accept(&mut self, listener: SocketId) -> NetResult<Option<SocketId>> {
-        let accepted = self.via_libc_to_net(16, |net, _, _| net.tcp_accept(listener))?;
-        if let Some(sid) = accepted {
-            self.ensure_sem(sid);
-        }
-        Ok(accepted)
+        self.via_libc_to_net(16, |net, _, _| net.tcp_accept(listener))
     }
 
     /// `connect()`: initiates an active open (poll until established).
     pub fn connect(&mut self, dst_ip: u32, dst_port: u16) -> NetResult<SocketId> {
-        let sid = self.via_libc_to_net(16, |net, _, _| net.tcp_connect(dst_ip, dst_port))?;
-        self.ensure_sem(sid);
-        Ok(sid)
+        self.via_libc_to_net(16, |net, _, _| net.tcp_connect(dst_ip, dst_port))
     }
 
     /// A data operation on `sid` with where it goes and what it costs on
@@ -942,12 +938,100 @@ impl KernelHal for Os {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::{exchange, Rig, CLIENT_IP};
     use crate::profiles::{evaluation_image, harden, CompartmentModel, SchedKind};
     use flexos::build::{plan, BackendChoice};
+    use flexos_net::nic::Link;
 
     fn boot(model: CompartmentModel, backend: BackendChoice) -> Os {
         let cfg = evaluation_image("iperf", model, backend, SchedKind::Coop);
         Os::boot(plan(cfg).unwrap(), 0x0a00_0001, 1).unwrap()
+    }
+
+    /// An NW/sched/rest image listening on port 80 opposite a client:
+    /// the rig, the listener, and the client and server sockets of one
+    /// connection it accepted.
+    fn accepted() -> (Rig, SocketId, SocketId, SocketId) {
+        let os = boot(CompartmentModel::NwSchedRest, BackendChoice::MpkShared);
+        let mut rig = Rig::new(os, Link::new()).unwrap();
+        let listener = rig.os.listen(80).unwrap();
+        let cs = rig.connect(80).unwrap();
+        let sid = rig.os.accept(listener).unwrap().expect("accepted");
+        (rig, listener, cs, sid)
+    }
+
+    #[test]
+    fn an_open_socket_holds_no_semaphore_until_a_thread_waits_on_it() {
+        let (mut rig, _, _, sid) = accepted();
+        rig.os.connect(CLIENT_IP, 9).unwrap();
+        assert!(rig.os.sems.is_empty(), "accept or connect made a semaphore");
+        assert!(rig.os.sock_sems.is_empty());
+        // Nothing buffered: the wait blocks, on the one semaphore it made.
+        let chan = rig.os.wait_readable(ThreadId(1), sid).unwrap();
+        assert_eq!(chan, Some(SemId(0).channel()));
+        assert_eq!(rig.os.sems.len(), 1);
+        assert_eq!(rig.os.sems.get(SemId(0)).waiter_count(), 1);
+        assert_eq!(rig.os.sock_sems[sid.0], Some(SemId(0)));
+    }
+
+    #[test]
+    fn a_reused_socket_slot_keeps_its_semaphore() {
+        let (mut rig, listener, cs, sid) = accepted();
+        rig.os.wait_readable(ThreadId(1), sid).unwrap();
+        rig.client.net.close(cs).unwrap();
+        rig.os.sock_close(sid).unwrap();
+        let mut rounds = 0;
+        while rig.os.net.tcp_is_established(sid).is_ok() {
+            rig.round().unwrap();
+            rounds += 1;
+            assert!(rounds < 64, "the closed socket was never reaped");
+        }
+        rig.connect(80).unwrap();
+        assert_eq!(rig.os.accept(listener).unwrap(), Some(sid), "slot reused");
+        let chan = rig.os.wait_readable(ThreadId(2), sid).unwrap();
+        assert_eq!(chan, Some(SemId(0).channel()));
+        assert_eq!(rig.os.sems.len(), 1, "the reused slot made a second one");
+    }
+
+    /// What one `poll_net` that finds `sid` readable costs, when before it
+    /// `sid` has no semaphore (`None`), one with no waiter, or one with a
+    /// thread waiting: server cycles, crossings, direct calls, wakes.
+    fn wake_pass(sem: Option<bool>) -> (u64, u64, u64, Vec<ThreadId>) {
+        let (mut rig, _, cs, sid) = accepted();
+        match sem {
+            None => {}
+            Some(false) => drop(rig.os.ensure_sem(sid)),
+            Some(true) => drop(rig.os.wait_readable(ThreadId(1), sid).unwrap()),
+        }
+        rig.client.send_bytes(cs, b"ping").unwrap();
+        rig.client.poll().unwrap();
+        exchange(&mut rig.link, &mut rig.client, &mut rig.os);
+        rig.os.img.gates.reset_stats();
+        let t0 = rig.os.img.machine.clock().cycles();
+        rig.os.poll_net().unwrap();
+        let readable = |e: &ReadyEvent| e.sid == sid && e.ready.contains(Interest::READ);
+        assert!(rig.os.ready_events().iter().any(readable), "no READ event");
+        let st = rig.os.img.gates.stats();
+        let cycles = rig.os.img.machine.clock().cycles() - t0;
+        (cycles, st.crossings, st.direct_calls, rig.os.drain_wakes())
+    }
+
+    #[test]
+    fn a_socket_without_a_semaphore_costs_the_wake_pass_what_one_without_waiters_does() {
+        let (none, idle, waiting) = (
+            wake_pass(None),
+            wake_pass(Some(false)),
+            wake_pass(Some(true)),
+        );
+        assert_eq!(none, idle);
+        assert!(none.3.is_empty());
+        // The pass does reach the socket: a waiting thread is woken, with
+        // the semaphore up and the scheduler's crossing on the bill.
+        assert_eq!(waiting.3, vec![ThreadId(1)]);
+        assert!(
+            waiting.0 > none.0 && waiting.1 > none.1,
+            "{waiting:?} vs {none:?}"
+        );
     }
 
     #[test]

@@ -76,7 +76,7 @@ const CLIENT_PORT_BASE: u16 = 1024;
 /// advertised window is `rcv_wnd`-based (see
 /// `NetStack::set_sock_ring_bytes`), so the ring only needs to stage one
 /// request burst, and 10⁵ rings must fit the stack's buffer pool.
-const CONN_RING_BYTES: u64 = 256;
+const CONN_RING_BYTES: u32 = 256;
 
 /// Distinct keys the load generator touches.
 const KEYSPACE: usize = 1024;
@@ -597,9 +597,9 @@ impl CoTask<ServeWorld> for ConnTask {
 
 // --- the frame-level client fleet ------------------------------------------------
 
+/// One client connection; its address is its index
+/// ([`SimClients::addr`]).
 struct SimConn {
-    ip: u32,
-    port: u16,
     snd_nxt: u32,
     rcv_nxt: u32,
     established: bool,
@@ -717,12 +717,8 @@ fn client_frame(
 impl SimClients {
     fn new(conns: usize, payload: usize, mix: Mix, pipeline: usize, nic_id: u8) -> Self {
         let mut list = Vec::with_capacity(conns);
-        for i in 0..conns {
-            let ip = CLIENT_IP_BASE + (i / PORTS_PER_IP) as u32;
-            let port = CLIENT_PORT_BASE + (i % PORTS_PER_IP) as u16;
+        for _ in 0..conns {
             list.push(SimConn {
-                ip,
-                port,
                 snd_nxt: 0,
                 rcv_nxt: 0,
                 established: false,
@@ -758,8 +754,16 @@ impl SimClients {
         0x1000_0000u32.wrapping_add((i as u32).wrapping_mul(0x1001))
     }
 
+    /// The client address `ip:port` of connection `i`.
+    fn addr(i: usize) -> (u32, u16) {
+        (
+            CLIENT_IP_BASE + (i / PORTS_PER_IP) as u32,
+            CLIENT_PORT_BASE + (i % PORTS_PER_IP) as u16,
+        )
+    }
+
     /// The connection owning client address `ip:port` — the inverse of
-    /// the assignment in [`SimClients::new`].
+    /// [`SimClients::addr`].
     fn conn_at(&self, ip: u32, port: u16) -> Option<usize> {
         let block = ip.checked_sub(CLIENT_IP_BASE)? as usize;
         let offset = usize::from(port.checked_sub(CLIENT_PORT_BASE)?);
@@ -769,15 +773,15 @@ impl SimClients {
 
     fn send_syn(&mut self, i: usize, nic: &mut Nic) {
         let iss = Self::iss(i);
-        let c = &mut self.conns[i];
-        c.snd_nxt = iss.wrapping_add(1);
+        let (ip, port) = Self::addr(i);
+        self.conns[i].snd_nxt = iss.wrapping_add(1);
         client_frame(
             nic,
             self.server_mac,
             self.client_mac,
             &mut self.ident,
-            c.ip,
-            c.port,
+            ip,
+            port,
             0,
             TcpFlags::SYN,
             iss,
@@ -898,6 +902,7 @@ impl SimClients {
 
     /// Frames `req_buf` as the next in-order data of connection `i`.
     fn send_request(&mut self, i: usize, nic: &mut Nic) {
+        let (ip, port) = Self::addr(i);
         let c = &mut self.conns[i];
         c.need_ack = false; // data frames carry the cumulative ack
         for chunk in self.req_buf.chunks(MSS) {
@@ -906,8 +911,8 @@ impl SimClients {
                 self.server_mac,
                 self.client_mac,
                 &mut self.ident,
-                c.ip,
-                c.port,
+                ip,
+                port,
                 c.rcv_nxt,
                 TcpFlags::ACK,
                 c.snd_nxt,
@@ -953,13 +958,14 @@ impl SimClients {
                 continue;
             }
             c.need_ack = false;
+            let (ip, port) = Self::addr(i);
             client_frame(
                 nic,
                 self.server_mac,
                 self.client_mac,
                 &mut self.ident,
-                c.ip,
-                c.port,
+                ip,
+                port,
                 c.rcv_nxt,
                 TcpFlags::ACK,
                 c.snd_nxt,
@@ -1054,7 +1060,7 @@ pub fn run_serve_traced(
 /// between them (`tests/idle_budget.rs`).
 pub struct Tier {
     world: ServeWorld,
-    exec: CoExecutor<ServeWorld>,
+    exec: CoExecutor<ServeWorld, ConnTask>,
     clients: SimClients,
     /// The task serving each socket, by socket id.
     task_of: Vec<Option<CoTaskId>>,
@@ -1075,7 +1081,7 @@ impl Tier {
 
         // Boot sizing: the socket-ring pool must hold every connection's
         // ring; heaps and physical frames scale with it.
-        let net_pool_bytes = (conns as u64 + 64) * CONN_RING_BYTES + (1 << 20);
+        let net_pool_bytes = (conns as u64 + 64) * u64::from(CONN_RING_BYTES) + (1 << 20);
         let heap_per_compartment = net_pool_bytes + (2 << 20);
         let phys_frames = ((ncomp + 1) * heap_per_compartment + (16 << 20)).div_ceil(PAGE_SIZE);
         let opts = BootOptions {
@@ -1143,7 +1149,7 @@ impl Tier {
             }
         }
 
-        let mut exec: CoExecutor<ServeWorld> = CoExecutor::new();
+        let mut exec: CoExecutor<ServeWorld, ConnTask> = CoExecutor::new();
         exec.reserve(conns);
         let mut clients =
             SimClients::new(conns, params.payload, params.mix, params.pipeline, nic_id);
@@ -1169,7 +1175,7 @@ impl Tier {
                 loop {
                     match world.os.accept(listener) {
                         Ok(Some(sid)) => {
-                            let tid = exec.spawn(Box::new(ConnTask::new(sid)));
+                            let tid = exec.spawn(ConnTask::new(sid));
                             if task_of.len() <= sid.0 {
                                 task_of.resize(sid.0 + 1, None);
                             }
@@ -1425,7 +1431,21 @@ mod tests {
             std::mem::size_of::<SimConn>(),
         );
         assert!(task <= 32, "ConnTask grew to {task} B (budget 32)");
-        assert!(client <= 64, "SimConn grew to {client} B (budget 64)");
+        assert!(client <= 32, "SimConn grew to {client} B (budget 32)");
+    }
+
+    #[test]
+    fn a_client_address_is_its_index() {
+        let clients = SimClients::new(2 * PORTS_PER_IP + 1, 1, Mix::Get, 1, 0);
+        assert_eq!(SimClients::addr(1), (CLIENT_IP_BASE, CLIENT_PORT_BASE + 1));
+        let next_ip = (CLIENT_IP_BASE + 1, CLIENT_PORT_BASE);
+        assert_eq!(SimClients::addr(PORTS_PER_IP), next_ip);
+        for i in [0, 1, PORTS_PER_IP - 1, PORTS_PER_IP, 2 * PORTS_PER_IP] {
+            let (ip, port) = SimClients::addr(i);
+            assert_eq!(clients.conn_at(ip, port), Some(i), "client {i}");
+        }
+        let (ip, port) = SimClients::addr(2 * PORTS_PER_IP + 1);
+        assert_eq!(clients.conn_at(ip, port), None, "past the fleet");
     }
 
     #[test]

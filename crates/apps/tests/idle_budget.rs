@@ -44,32 +44,42 @@ fn settled(conns: usize) -> ([i64; 2], Blocks) {
 }
 
 /// What an idle connection holds on the heap: [`SIMULATED_BYTES`] of
-/// simulated physical memory and 310 B of host structures, none of them
-/// a buffer or the container of one — the 96 B socket slot (a 56 B
-/// `TcpConn`, the indices of its ring, the peer's address), the 40 B
-/// `SimConn`, the 24 B `Box<ConnTask>` and the executor's 24 B slot for
-/// it, one entry each in the demux table (34 B at its load factor), the
-/// readiness index (8 B), the socket → task map (8 B) and the active-set
-/// bitmap (1 B), and about 75 B of the machine's own tables for the
-/// simulated memory above (96 B while the page table held one entry per
-/// page; it holds one per extent). A change to any of those structures moves
-/// this number: say so where it changes (the `layout_budget_*` unit
-/// tests beside the types name the struct that grew; `--nocapture`
-/// prints the live blocks by size).
-const IDLE_CONNECTION_BYTES: i64 = 2_358;
+/// simulated physical memory and 198 B of host structures, none of them
+/// a buffer or the container of one:
+///
+/// | bytes | what |
+/// |---:|---|
+/// | 80 | the socket slot: a 48 B `TcpConn`, its ring's 24 B of base and offsets, the peer's IP |
+/// | 32 | the client fleet's `SimConn` (its address is its index) |
+/// | 32 | the executor's slot, holding the 24 B `ConnTask` by value |
+/// | 34 | the demux table entry, at the table's load factor |
+/// | 8 | the readiness index entry |
+/// | 8 | the socket → task map entry |
+/// | 1 | the active-set bitmap |
+/// | 3 | the NIC transmit queue's high-water mark: establishing twice the connections queues twice the frames (24 B handles) |
+///
+/// No socket holds a semaphore: the tier never blocks a thread on one
+/// (310 B while every accepted socket got a 40 B `Semaphore` and a 16 B
+/// map entry, 32 B at the map's doubling capacity, and its task was a
+/// 24 B box). A change to any of those structures moves this number:
+/// say so where it changes (the `layout_budget_*` unit tests beside the
+/// types name the struct that grew; `--nocapture` prints, block size by
+/// block size, what the larger tier holds beyond the smaller one).
+const IDLE_CONNECTION_BYTES: i64 = 2_246;
 
 /// The part of it that is simulated memory: `Tier::boot` sizes eight
 /// regions from the connection count, 256 B of socket ring each.
 const SIMULATED_BYTES: i64 = 2_048;
 
 /// The bound on the host part (3 012 − 2 048 = 964 B while every
-/// connection kept its containers).
-const HOST_BYTES_BUDGET: i64 = 640;
+/// connection kept its containers, 310 B while each held a semaphore).
+const HOST_BYTES_BUDGET: i64 = 256;
 
 #[test]
 fn an_idle_connection_costs_the_same_bytes_however_many_ever_spoke() {
     const N: i64 = 1 << 12;
-    let ((small, _), (large, blocks)) = (settled(N as usize), settled(2 * N as usize));
+    let ((small, small_blocks), (large, large_blocks)) =
+        (settled(N as usize), settled(2 * N as usize));
     let extra = [large[0] - small[0], large[1] - small[1]];
     let grown = small[1] - small[0];
     println!(
@@ -84,14 +94,16 @@ fn an_idle_connection_costs_the_same_bytes_however_many_ever_spoke() {
         large[0],
         large[1],
     );
-    // Where the larger tier's bytes are: a table shows as one block that
-    // scales with the tier, a per-connection object as a block a connection.
+    // Where the N more connections' bytes are, block by block: a table
+    // shows as its block at 2N and, negative, its block at N; an object
+    // of its own as N blocks. The bytes column adds up to the pin.
     println!(
         "{:>10} {:>8} {:>10}  bytes/conn",
         "block size", "blocks", "per conn"
     );
-    for (size, blocks, bytes) in blocks.rows().into_iter().take(16) {
-        let per_conn = |n: i64| n as f64 / (2 * N) as f64;
+    let blocks = large_blocks.minus(&small_blocks);
+    for (size, blocks, bytes) in blocks.rows().into_iter().take(24) {
+        let per_conn = |n: i64| n as f64 / N as f64;
         println!(
             "{size:>10} {blocks:>8} {:>10.3}  {:.1}",
             per_conn(blocks),

@@ -24,6 +24,7 @@
 
 use flexos_trace::ServingSnapshot;
 use std::collections::VecDeque;
+use std::marker::PhantomData;
 
 /// A handle to a spawned task.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -55,28 +56,45 @@ where
     }
 }
 
-struct Slot<C> {
-    task: Box<dyn CoTask<C>>,
+/// A boxed task is a task, so an executor of mixed tasks is
+/// `CoExecutor<C>`. (Not a blanket `impl for Box<T>`: that one would
+/// overlap the closure impl above.)
+impl<C> CoTask<C> for Box<dyn CoTask<C>> {
+    fn step(&mut self, ctx: &mut C, id: CoTaskId) -> CoPoll {
+        (**self).step(ctx, id)
+    }
+}
+
+/// A live task. Its `Option` in the slab is `None` when the task is
+/// dead, and while it is being stepped.
+struct Slot<T> {
+    task: T,
     /// Queued in the run queue (coalesces duplicate wakes).
     queued: bool,
 }
 
 /// The cooperative executor: a slab of tasks and a FIFO of woken ids.
-pub struct CoExecutor<C> {
-    slots: Vec<Option<Slot<C>>>,
+///
+/// Tasks of one type `T` live in the slab by value, so a task costs its
+/// slot and no allocation of its own; the default `T` boxes each task,
+/// for executors of mixed tasks.
+pub struct CoExecutor<C, T = Box<dyn CoTask<C>>> {
+    slots: Vec<Option<Slot<T>>>,
     free: Vec<u32>,
     run_queue: VecDeque<u32>,
     /// Its half of the serving block: spawns, steps run, wakeups.
     stats: ServingSnapshot,
+    /// The context the tasks step with (none is stored).
+    ctx: PhantomData<fn(&mut C)>,
 }
 
-impl<C> Default for CoExecutor<C> {
+impl<C, T: CoTask<C>> Default for CoExecutor<C, T> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<C> std::fmt::Debug for CoExecutor<C> {
+impl<C, T: CoTask<C>> std::fmt::Debug for CoExecutor<C, T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CoExecutor")
             .field("tasks", &self.task_count())
@@ -85,7 +103,7 @@ impl<C> std::fmt::Debug for CoExecutor<C> {
     }
 }
 
-impl<C> CoExecutor<C> {
+impl<C, T: CoTask<C>> CoExecutor<C, T> {
     /// Creates an empty executor.
     pub fn new() -> Self {
         Self {
@@ -93,6 +111,7 @@ impl<C> CoExecutor<C> {
             free: Vec::new(),
             run_queue: VecDeque::new(),
             stats: ServingSnapshot::default(),
+            ctx: PhantomData,
         }
     }
 
@@ -104,7 +123,7 @@ impl<C> CoExecutor<C> {
 
     /// Spawns a task; it is immediately runnable (first step happens on
     /// the next [`CoExecutor::run_until_idle`]).
-    pub fn spawn(&mut self, task: Box<dyn CoTask<C>>) -> CoTaskId {
+    pub fn spawn(&mut self, task: T) -> CoTaskId {
         let slot = Slot { task, queued: true };
         let id = match self.free.pop() {
             Some(i) => {
@@ -149,25 +168,17 @@ impl<C> CoExecutor<C> {
             let Some(i) = self.run_queue.pop_front() else {
                 break;
             };
-            let Some(slot) = self.slots.get_mut(i as usize).and_then(Option::as_mut) else {
+            // Move the task out so the step can re-enter the executor's
+            // tables through `ctx` without aliasing its own slot.
+            let Some(mut slot) = self.slots.get_mut(i as usize).and_then(Option::take) else {
                 continue;
             };
             slot.queued = false;
-            // Move the task out so the step can re-enter the executor's
-            // tables through `ctx` without aliasing its own slot.
-            let mut task = std::mem::replace(&mut slot.task, Box::new(NopTask));
             steps += 1;
             self.stats.on_run();
-            match task.step(ctx, CoTaskId(i)) {
-                CoPoll::Ready => {
-                    self.slots[i as usize] = None;
-                    self.free.push(i);
-                }
-                CoPoll::Pending => {
-                    if let Some(slot) = self.slots.get_mut(i as usize).and_then(Option::as_mut) {
-                        slot.task = task;
-                    }
-                }
+            match slot.task.step(ctx, CoTaskId(i)) {
+                CoPoll::Ready => self.free.push(i),
+                CoPoll::Pending => self.slots[i as usize] = Some(slot),
             }
         }
         steps
@@ -191,15 +202,6 @@ impl<C> CoExecutor<C> {
     /// The executor's counters: the task half of the serving block.
     pub fn stats(&self) -> ServingSnapshot {
         self.stats
-    }
-}
-
-/// Placeholder parked in a slot while its real task is being stepped.
-struct NopTask;
-
-impl<C> CoTask<C> for NopTask {
-    fn step(&mut self, _ctx: &mut C, _id: CoTaskId) -> CoPoll {
-        CoPoll::Ready
     }
 }
 
@@ -227,7 +229,7 @@ mod tests {
         })
     }
 
-    fn drive(ex: &mut CoExecutor<Ctx>, ctx: &mut Ctx) -> u64 {
+    fn drive<T: CoTask<Ctx>>(ex: &mut CoExecutor<Ctx, T>, ctx: &mut Ctx) -> u64 {
         let mut total = 0;
         loop {
             total += ex.run_until_idle(ctx, u64::MAX);
@@ -300,6 +302,59 @@ mod tests {
         let steps = ex.run_until_idle(&mut ctx, 1);
         assert_eq!(steps, 1);
         assert_eq!(ex.task_count(), 1);
+    }
+
+    /// A task held by value: it counts its own steps and wakes itself
+    /// from inside each one, through the context.
+    struct Countdown {
+        left: u32,
+        steps: u32,
+    }
+
+    impl CoTask<Ctx> for Countdown {
+        fn step(&mut self, ctx: &mut Ctx, id: CoTaskId) -> CoPoll {
+            self.steps += 1;
+            ctx.log.push((id.0, self.steps));
+            if self.left == 0 {
+                return CoPoll::Ready;
+            }
+            self.left -= 1;
+            ctx.wakes.push(id);
+            CoPoll::Pending
+        }
+    }
+
+    #[test]
+    fn a_task_by_value_keeps_its_state_across_pending_steps_and_self_wakes() {
+        let mut ex: CoExecutor<Ctx, Countdown> = CoExecutor::new();
+        let mut ctx = Ctx::default();
+        let a = ex.spawn(Countdown { left: 3, steps: 0 });
+        let b = ex.spawn(Countdown { left: 1, steps: 10 });
+        // One round steps each once; the self-wakes queue both again.
+        assert_eq!(ex.run_until_idle(&mut ctx, u64::MAX), 2);
+        assert_eq!(ex.task_count(), 2, "a pending task was not put back");
+        assert_eq!(ctx.wakes, vec![a, b]);
+        assert_eq!(drive(&mut ex, &mut ctx), 4);
+        assert_eq!(
+            ctx.log,
+            vec![(0, 1), (1, 11), (0, 2), (1, 12), (0, 3), (0, 4)],
+            "step counts are the tasks' own state, carried over"
+        );
+        assert_eq!(ex.task_count(), 0);
+        assert_eq!(ex.stats().wakeups, 4);
+        // Both slots are free again; the last one freed is reused first.
+        assert_eq!(ex.spawn(Countdown { left: 0, steps: 0 }), a);
+    }
+
+    #[test]
+    fn layout_budget_of_a_task_slot() {
+        // 10⁵ of these are the serving tier's task slab: a task of three
+        // words costs four, its liveness and queued flag in the fourth.
+        let slot = std::mem::size_of::<Option<Slot<[u64; 3]>>>();
+        assert!(
+            slot <= 32,
+            "a 24 B task's slot grew to {slot} B (budget 32)"
+        );
     }
 
     #[test]

@@ -8,50 +8,65 @@ use flexos_machine::{Addr, Machine, Result, VcpuId};
 
 /// A byte ring over `[base, base+cap)` in simulated memory. Indices are
 /// kept host-side (they are the stack's private metadata); the payload is
-/// simulated.
+/// simulated. One of these sits in every socket slot, so its indices are
+/// as narrow as a ring's capacity allows.
 #[derive(Debug, Clone)]
 pub struct SimRing {
     base: Addr,
-    cap: u64,
-    head: u64, // total bytes read
-    tail: u64, // total bytes written
+    cap: u32,
+    /// Offset of the oldest buffered byte, `< cap`.
+    head: u32,
+    /// Bytes buffered.
+    len: u32,
 }
 
 impl SimRing {
     /// Creates a ring over pre-allocated simulated memory.
-    pub fn new(base: Addr, cap: u64) -> Self {
+    pub fn new(base: Addr, cap: u32) -> Self {
         assert!(cap > 0, "ring capacity must be positive");
         Self {
             base,
             cap,
             head: 0,
-            tail: 0,
+            len: 0,
         }
     }
 
     /// Bytes currently buffered.
     pub fn len(&self) -> u64 {
-        self.tail - self.head
+        u64::from(self.len)
     }
 
     /// Whether the ring is empty.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
     }
 
     /// Free space.
     pub fn free(&self) -> u64 {
-        self.cap - self.len()
+        u64::from(self.cap - self.len)
     }
 
     /// Total capacity.
     pub fn capacity(&self) -> u64 {
-        self.cap
+        u64::from(self.cap)
     }
 
     /// The backing region `(base, cap)`.
     pub fn region(&self) -> (Addr, u64) {
-        (self.base, self.cap)
+        (self.base, self.capacity())
+    }
+
+    /// The offset `n` bytes past the head, wrapped into `[0, cap)`. Every
+    /// caller passes `n <= cap` and `head < cap`, so one subtraction
+    /// wraps it.
+    fn wrap(&self, n: u64) -> u64 {
+        let off = u64::from(self.head) + n;
+        if off >= self.capacity() {
+            off - self.capacity()
+        } else {
+            off
+        }
     }
 
     /// Writes as much of `data` as fits; returns bytes written.
@@ -59,8 +74,8 @@ impl SimRing {
         let n = (data.len() as u64).min(self.free());
         let mut written = 0u64;
         while written < n {
-            let off = (self.tail + written) % self.cap;
-            let run = (n - written).min(self.cap - off);
+            let off = self.wrap(self.len() + written);
+            let run = (n - written).min(self.capacity() - off);
             m.write(
                 vcpu,
                 Addr(self.base.0 + off),
@@ -68,7 +83,8 @@ impl SimRing {
             )?;
             written += run;
         }
-        self.tail += n;
+        // `n <= free()`, so the sum stays within `cap`.
+        self.len += n as u32;
         Ok(n)
     }
 
@@ -78,12 +94,13 @@ impl SimRing {
         let n = max.min(self.len());
         let mut moved = 0u64;
         while moved < n {
-            let off = (self.head + moved) % self.cap;
-            let run = (n - moved).min(self.cap - off);
+            let off = self.wrap(moved);
+            let run = (n - moved).min(self.capacity() - off);
             m.copy(vcpu, Addr(dst.0 + moved), Addr(self.base.0 + off), run)?;
             moved += run;
         }
-        self.head += n;
+        self.head = self.wrap(n) as u32;
+        self.len -= n as u32;
         Ok(n)
     }
 }
@@ -92,11 +109,12 @@ impl SimRing {
 mod tests {
     use super::*;
     use flexos_machine::{PageFlags, ProtKey, VmId};
+    use std::collections::VecDeque;
 
-    fn ring(cap: u64) -> (Machine, SimRing) {
+    fn ring(cap: u32) -> (Machine, SimRing) {
         let mut m = Machine::with_defaults();
         let base = m
-            .alloc_region(VmId(0), cap.max(1), ProtKey(0), PageFlags::RW)
+            .alloc_region(VmId(0), u64::from(cap), ProtKey(0), PageFlags::RW)
             .unwrap();
         (m, SimRing::new(base, cap))
     }
@@ -169,5 +187,47 @@ mod tests {
         pop_host(&mut m, &mut r, &mut out, 2);
         assert_eq!(out, b"ab");
         assert_eq!(r.len(), 4);
+    }
+
+    /// The ring against a `VecDeque<u8>` model, at a capacity that is not
+    /// a power of two so every wrap point is exercised: pushes and pops
+    /// of seeded lengths, the bytes popped and the fill after each.
+    #[test]
+    fn ring_matches_a_deque_model_across_thousands_of_wraps() {
+        const CAP: u32 = 7;
+        let (mut m, mut r) = ring(CAP);
+        let dst = m
+            .alloc_region(VmId(0), 16, ProtKey(0), PageFlags::RW)
+            .unwrap();
+        let mut model = VecDeque::new();
+        let (mut rng, mut next) = (0x9e37_79b9_7f4a_7c15u64, 0u8);
+        let mut draw = |bound: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % bound
+        };
+        for step in 0..5_000 {
+            let data: Vec<u8> = (0..draw(10))
+                .map(|_| {
+                    next = next.wrapping_add(1);
+                    next
+                })
+                .collect();
+            let pushed = r.push(&mut m, VcpuId(0), &data).unwrap();
+            let fits = data.len().min(CAP as usize - model.len());
+            assert_eq!(pushed, fits as u64, "step {step}: push");
+            model.extend(&data[..fits]);
+            let max = draw(10);
+            let popped = r.pop_to(&mut m, VcpuId(0), dst, max).unwrap();
+            let want: Vec<u8> = model.drain(..(max as usize).min(model.len())).collect();
+            let mut got = vec![0; popped as usize];
+            m.read(VcpuId(0), dst, &mut got).unwrap();
+            assert_eq!(got, want, "step {step}: pop");
+            assert_eq!(
+                (r.len(), r.free()),
+                (model.len() as u64, u64::from(CAP) - model.len() as u64)
+            );
+        }
     }
 }

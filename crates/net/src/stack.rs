@@ -79,7 +79,7 @@ pub struct SocketId(pub usize);
 
 /// Receive-ring capacity per TCP socket (default; tunable via
 /// [`NetStack::set_sock_ring_bytes`] for high-connection-count serving).
-pub const SOCK_RX_RING: u64 = 64 * 1024;
+pub const SOCK_RX_RING: u32 = 64 * 1024;
 
 /// Default accept-backlog bound per listener (cf. `somaxconn`).
 pub const DEFAULT_BACKLOG_CAP: usize = 1024;
@@ -99,7 +99,8 @@ enum Sock {
     TcpStream {
         conn: TcpConn,
         rx: SimRing,
-        remote: (u32, u16),
+        /// The peer's IP (its port is `conn.remote_port`).
+        remote_ip: u32,
     },
     Udp {
         port: u16,
@@ -164,7 +165,7 @@ pub struct NetStack {
     /// Accept-backlog bound; SYNs beyond it are shed.
     backlog_cap: usize,
     /// Receive-ring bytes carved per new TCP socket.
-    sock_ring_bytes: u64,
+    sock_ring_bytes: u32,
     /// Retransmit count carried over from reaped connections, so
     /// [`NetStack::retransmits`] is stable across churn.
     closed_retransmits: u64,
@@ -270,7 +271,7 @@ impl NetStack {
     /// `TcpConfig::rcv_wnd` minus undrained app bytes, not from the ring
     /// — the ring only stages payload between `poll` and `recv`, so a
     /// small ring bounds per-poll staging, never the window.
-    pub fn set_sock_ring_bytes(&mut self, bytes: u64) {
+    pub fn set_sock_ring_bytes(&mut self, bytes: u32) {
         self.sock_ring_bytes = bytes.max(64);
     }
 
@@ -324,7 +325,7 @@ impl NetStack {
                 .socks
                 .iter()
                 .filter_map(|s| match s {
-                    Some(Sock::TcpStream { conn, .. }) => Some(conn.retransmits),
+                    Some(Sock::TcpStream { conn, .. }) => Some(u64::from(conn.retransmits)),
                     _ => None,
                 })
                 .sum::<u64>()
@@ -448,13 +449,13 @@ impl NetStack {
         let local_port = self.alloc_ephemeral(dst_ip, dst_port)?;
         let iss = self.next_iss();
         let ring = self.sock_ring_bytes;
-        let rx_base = self.pool.carve(ring).ok_or(NetError::NoBuffers)?;
+        let rx_base = self.pool.carve(ring.into()).ok_or(NetError::NoBuffers)?;
         let cfg = self.tcp_cfg.clone();
         let (conn, syn) = TcpConn::open(local_port, dst_port, iss, None, cfg, &mut self.spare);
         let id = self.insert(Sock::TcpStream {
             conn,
             rx: SimRing::new(rx_base, ring),
-            remote: (dst_ip, dst_port),
+            remote_ip: dst_ip,
         });
         self.conns
             .insert(conn_key(local_port, dst_ip, dst_port), id);
@@ -808,7 +809,12 @@ impl NetStack {
             let i = act[k];
             let mut segs = std::mem::take(&mut self.seg_scratch);
             let dst_ip = {
-                let Some(Sock::TcpStream { conn, rx, remote }) = self.socks[i].as_mut() else {
+                let Some(Sock::TcpStream {
+                    conn,
+                    rx,
+                    remote_ip,
+                }) = self.socks[i].as_mut()
+                else {
                     self.in_active[i] = false;
                     self.seg_scratch = segs;
                     continue;
@@ -833,7 +839,7 @@ impl NetStack {
                         }
                     }
                 }
-                remote.0
+                *remote_ip
             };
             for seg in &segs {
                 let t0 = m.clock().cycles();
@@ -859,8 +865,8 @@ impl NetStack {
             self.seg_scratch = segs;
             // Readiness sync at the exact transition, then retain or
             // retire the socket from the active set.
-            let mut reap = None;
-            if let Some(Sock::TcpStream { conn, rx, remote }) = self.socks[i].as_mut() {
+            let mut reap = false;
+            if let Some(Sock::TcpStream { conn, rx, .. }) = self.socks[i].as_mut() {
                 let readable = !rx.is_empty() || conn.at_eof() || conn.is_closed();
                 let writable = conn.is_established() && !conn.app_closed() && conn.tx_room() > 0;
                 if readable {
@@ -876,7 +882,7 @@ impl NetStack {
                 if conn.app_closed() && conn.is_closed() && rx.is_empty() && conn.ready_len() == 0 {
                     // App closed, handshake torn down, ring drained:
                     // nothing can ever touch this socket again.
-                    reap = Some((conn.local_port, *remote));
+                    reap = true;
                 } else if !conn.needs_pump() && conn.ready_len() == 0 {
                     self.in_active[i] = false;
                     conn.retire_storage(&mut self.spare);
@@ -884,8 +890,8 @@ impl NetStack {
                     self.active.push(i);
                 }
             }
-            if let Some((local_port, (rip, rport))) = reap {
-                self.reap_stream(i, local_port, rip, rport);
+            if reap {
+                self.reap_stream(i);
             }
         }
         act.clear();
@@ -898,15 +904,21 @@ impl NetStack {
     /// ring back to the pool, slot onto the free list, readiness
     /// registration dropped (queued stale events die by generation),
     /// retransmit count folded into the stable total.
-    fn reap_stream(&mut self, i: usize, local_port: u16, rip: u32, rport: u16) {
-        let Some(Sock::TcpStream { mut conn, rx, .. }) = self.socks[i].take() else {
+    fn reap_stream(&mut self, i: usize) {
+        let Some(Sock::TcpStream {
+            mut conn,
+            rx,
+            remote_ip,
+        }) = self.socks[i].take()
+        else {
             return;
         };
         conn.retire_storage(&mut self.spare);
-        self.conns.remove(&conn_key(local_port, rip, rport));
+        let key = conn_key(conn.local_port, remote_ip, conn.remote_port);
+        self.conns.remove(&key);
         let (base, cap) = rx.region();
         self.pool.release(base, cap);
-        self.closed_retransmits += conn.retransmits;
+        self.closed_retransmits += u64::from(conn.retransmits);
         self.events.deregister(SocketId(i));
         self.in_active[i] = false;
         self.free_slots.insert(i);
@@ -988,7 +1000,7 @@ impl NetStack {
                 let iss = self.next_iss();
                 let cfg = self.tcp_cfg.clone();
                 let ring = self.sock_ring_bytes;
-                let Some(rx_base) = self.pool.carve(ring) else {
+                let Some(rx_base) = self.pool.carve(ring.into()) else {
                     self.demux_drop(m, now);
                     return;
                 };
@@ -997,7 +1009,7 @@ impl NetStack {
                 let sid = self.insert(Sock::TcpStream {
                     conn,
                     rx: SimRing::new(rx_base, ring),
-                    remote: (ip.src, hdr.src_port),
+                    remote_ip: ip.src,
                 });
                 self.conns.insert(key, sid);
                 if let Some(Sock::TcpListen { backlog, .. }) = self.socks[lid.0].as_mut() {
@@ -1144,7 +1156,7 @@ mod tests {
     fn layout_budget_of_a_socket_slot() {
         // 10⁵ of these are the serving tier's socket table.
         let slot = std::mem::size_of::<Option<Sock>>();
-        assert!(slot <= 104, "Option<Sock> grew to {slot} B (budget 104)");
+        assert!(slot <= 80, "Option<Sock> grew to {slot} B (budget 80)");
     }
 
     #[test]

@@ -358,8 +358,9 @@ pub struct TcpConn {
     fin_queued: bool,
     /// Window last advertised to the peer (for window-update ACKs).
     last_adv_wnd: u16,
-    /// Statistics: segments retransmitted.
-    pub retransmits: u64,
+    /// Statistics: segments retransmitted (saturating; the stack keeps
+    /// the `u64` total).
+    pub retransmits: u32,
 
     /// `None` while nothing is queued either way.
     flight: Option<Box<Flight>>,
@@ -886,7 +887,7 @@ impl TcpConn {
             if now.saturating_sub(front.sent_at) >= self.cfg.rto_cycles {
                 front.sent_at = now;
                 front.retries += 1;
-                self.retransmits += 1;
+                self.retransmits = self.retransmits.saturating_add(1);
                 if front.retries > self.cfg.max_retries {
                     self.state = TcpState::Closed;
                     return;
@@ -1057,6 +1058,22 @@ mod tests {
         assert!(dropped);
         assert_eq!(s.take_ready(8192), data);
         assert!(c.retransmits >= 1);
+    }
+
+    #[test]
+    fn a_retransmit_count_saturates_at_its_width() {
+        let (mut c, mut s, mut now) = handshake();
+        c.retransmits = u32::MAX;
+        c.send(&[3u8; 4000]);
+        let mut dropped = false;
+        pump(&mut c, &mut s, &mut now, |_, seg| {
+            let drop = !seg.payload.is_empty() && !dropped;
+            dropped |= drop;
+            !drop
+        });
+        assert!(dropped);
+        assert_eq!(s.take_ready(8192), vec![3u8; 4000]);
+        assert_eq!(c.retransmits, u32::MAX, "the count wrapped");
     }
 
     #[test]
@@ -1234,7 +1251,7 @@ mod tests {
         // What every open connection costs (DESIGN.md §6.15): identity
         // only, the rest behind one pointer.
         let conn = std::mem::size_of::<TcpConn>();
-        assert!(conn <= 64, "TcpConn grew to {conn} B (budget 64)");
+        assert!(conn <= 48, "TcpConn grew to {conn} B (budget 48)");
     }
 
     /// An idle record with `bytes` of heap behind it.

@@ -28,7 +28,7 @@ use std::hash::{BuildHasher, BuildHasherDefault};
 const SERVER_IP: u32 = 0x0a00_0001;
 const PORT: u16 = 7379;
 const V: VcpuId = VcpuId(0);
-const RING: u64 = 1024;
+const RING: u32 = 1024;
 
 /// One frame-level client endpoint and what the model knows of the
 /// server socket it talks to.
@@ -276,7 +276,7 @@ impl Rig {
         let dst = Addr(self.app_buf.0 + 8192);
         let got = self
             .server
-            .tcp_recv(&mut self.m, V, p.sid, dst, RING)
+            .tcp_recv(&mut self.m, V, p.sid, dst, RING.into())
             .unwrap();
         assert_eq!(got, n as u64, "segment did not reach socket {:?}", p.sid);
         let mut buf = vec![0u8; n];
