@@ -343,7 +343,9 @@ impl Lend for Burst {
 
 /// The per-connection cooperative task: drain requests, fan out to
 /// shards, stream replies — parking on readiness whenever the socket
-/// has nothing for it.
+/// has nothing for it. It is spawned at its socket's id, so the id it
+/// steps with is the socket it serves.
+#[derive(Default)]
 struct ConnTask {
     conn: Conn,
     /// Lent for the length of a step; kept between steps only with
@@ -352,25 +354,14 @@ struct ConnTask {
 }
 
 /// What a served connection is, burst or no burst.
+#[derive(Default)]
 struct Conn {
-    sid: SocketId,
     /// WRITE interest is armed (restored to READ-only once drained, so
     /// an idle writable socket does not wake the task forever).
     write_armed: bool,
     /// The client sent something that is not RESP: the error reply is
     /// staged, the connection closes once it has left.
     closing: bool,
-}
-
-impl ConnTask {
-    fn new(sid: SocketId) -> Self {
-        let conn = Conn {
-            sid,
-            write_armed: false,
-            closing: false,
-        };
-        Self { conn, burst: None }
-    }
 }
 
 impl Conn {
@@ -505,13 +496,18 @@ impl Conn {
         Ok(())
     }
 
-    fn drive(&mut self, b: &mut Burst, w: &mut ServeWorld) -> Result<CoPoll, String> {
+    fn drive(
+        &mut self,
+        sid: SocketId,
+        b: &mut Burst,
+        w: &mut ServeWorld,
+    ) -> Result<CoPoll, String> {
         loop {
             let flushed = b
                 .replies
                 .flush(
                     &mut w.os,
-                    self.sid,
+                    sid,
                     w.tx_buf,
                     w.io_buf_len,
                     w.app_vcpu,
@@ -522,28 +518,28 @@ impl Conn {
                 Flushed::Parked => {
                     w.os.net
                         .events_mut()
-                        .set_interest(self.sid, Interest::READ | Interest::WRITE);
+                        .set_interest(sid, Interest::READ | Interest::WRITE);
                     self.write_armed = true;
                     return Ok(CoPoll::Pending);
                 }
                 Flushed::Closed => {
-                    let _ = w.os.sock_close(self.sid);
+                    let _ = w.os.sock_close(sid);
                     return Ok(CoPoll::Ready);
                 }
                 Flushed::Failed(e) => return Err(format!("send failed: {e}")),
                 Flushed::Clean => {}
             }
             if self.closing {
-                let _ = w.os.sock_close(self.sid);
+                let _ = w.os.sock_close(sid);
                 return Ok(CoPoll::Ready);
             }
             if self.write_armed {
-                w.os.net.events_mut().set_interest(self.sid, Interest::READ);
+                w.os.net.events_mut().set_interest(sid, Interest::READ);
                 self.write_armed = false;
             }
-            match w.os.recv(self.sid, w.rx_buf, w.io_buf_len) {
+            match w.os.recv(sid, w.rx_buf, w.io_buf_len) {
                 Ok(0) => {
-                    let _ = w.os.sock_close(self.sid);
+                    let _ = w.os.sock_close(sid);
                     return Ok(CoPoll::Ready);
                 }
                 Ok(n) => {
@@ -559,7 +555,7 @@ impl Conn {
                     }
                 }
                 Err(NetError::Closed) => {
-                    let _ = w.os.sock_close(self.sid);
+                    let _ = w.os.sock_close(sid);
                     return Ok(CoPoll::Ready);
                 }
                 Err(e) => return Err(format!("recv failed: {e}")),
@@ -573,14 +569,15 @@ impl Conn {
 }
 
 impl CoTask<ServeWorld> for ConnTask {
-    fn step(&mut self, w: &mut ServeWorld, _id: CoTaskId) -> CoPoll {
+    fn step(&mut self, w: &mut ServeWorld, id: CoTaskId) -> CoPoll {
+        let sid = SocketId(id.0 as usize);
         w.bursts_kept -= usize::from(self.burst.is_some());
         let burst = w.spare.lend(&mut self.burst);
-        let polled = match self.conn.drive(burst, w) {
+        let polled = match self.conn.drive(sid, burst, w) {
             Ok(p) => p,
             Err(e) => {
                 w.errors.push(e);
-                let _ = w.os.sock_close(self.conn.sid);
+                let _ = w.os.sock_close(sid);
                 CoPoll::Ready
             }
         };
@@ -599,20 +596,23 @@ impl CoTask<ServeWorld> for ConnTask {
 
 /// One client connection; its address is its index
 /// ([`SimClients::addr`]).
+#[derive(Default)]
 struct SimConn {
     snd_nxt: u32,
     rcv_nxt: u32,
     established: bool,
-    /// Replies awaited for the in-flight burst (0 = idle).
-    expected: u32,
-    /// Scheduled arrival cycle of the in-flight burst.
-    t_arrival: u64,
     need_ack: bool,
-    /// Lent while a reply is half-read or an arrival waits.
+    /// Lent for the life of a burst in flight, and while an arrival
+    /// waits behind one.
     burst: Option<Box<ClientBurst>>,
 }
 
 impl SimConn {
+    /// Replies awaited for the burst in flight (0 = idle).
+    fn expected(&self) -> u32 {
+        self.burst.as_ref().map_or(0, |b| b.expected)
+    }
+
     /// Arrivals waiting behind the burst in flight.
     fn backlog(&self) -> usize {
         self.burst.as_ref().map_or(0, |b| b.queued.len())
@@ -623,6 +623,10 @@ impl SimConn {
 /// (DESIGN.md §6.15).
 #[derive(Default)]
 struct ClientBurst {
+    /// Replies awaited for the burst in flight (0 = none in flight).
+    expected: u32,
+    /// Scheduled arrival cycle of the burst in flight.
+    t_arrival: u64,
     parser: RespParser,
     /// Arrivals that landed while a burst was in flight (open-loop
     /// queueing; their latency clocks started at their scheduled time).
@@ -631,10 +635,12 @@ struct ClientBurst {
 
 impl Lend for ClientBurst {
     fn is_idle(&self) -> bool {
-        self.parser.is_idle() && self.queued.is_empty()
+        self.expected == 0 && self.parser.is_idle() && self.queued.is_empty()
     }
 
     fn clear(&mut self) {
+        self.expected = 0;
+        self.t_arrival = 0;
         self.parser.clear();
         self.queued.clear();
     }
@@ -663,6 +669,8 @@ struct SimClients {
     ack_pending: Vec<usize>,
     /// Connections whose burst completed with arrivals still queued.
     pending_starts: Vec<usize>,
+    /// Connections the server closed, to be closed in kind.
+    fins: Vec<usize>,
     reply_errors: Vec<String>,
     /// Wire scratch: the burst being framed.
     req_buf: Vec<u8>,
@@ -717,17 +725,7 @@ fn client_frame(
 impl SimClients {
     fn new(conns: usize, payload: usize, mix: Mix, pipeline: usize, nic_id: u8) -> Self {
         let mut list = Vec::with_capacity(conns);
-        for _ in 0..conns {
-            list.push(SimConn {
-                snd_nxt: 0,
-                rcv_nxt: 0,
-                established: false,
-                expected: 0,
-                t_arrival: 0,
-                need_ack: false,
-                burst: None,
-            });
-        }
+        list.resize_with(conns, SimConn::default);
         Self {
             conns: list,
             server_mac: Mac::of_nic(nic_id),
@@ -743,6 +741,7 @@ impl SimClients {
             established_count: 0,
             ack_pending: Vec::new(),
             pending_starts: Vec::new(),
+            fins: Vec::new(),
             reply_errors: Vec::new(),
             req_buf: Vec::new(),
             spare: SpareList::default(),
@@ -831,14 +830,25 @@ impl SimClients {
             self.reply_errors
                 .push(format!("connection {i} closed by server"));
         }
-        if payload.is_empty() {
-            return; // pure ACK / window update
+        if !payload.is_empty() && !self.on_data(now, i, &hdr, payload) {
+            return;
         }
+        let c = &mut self.conns[i];
+        if hdr.flags.fin && hdr.seq.wrapping_add(payload.len() as u32) == c.rcv_nxt {
+            // Closed in kind, so the server can reap the socket.
+            c.rcv_nxt = c.rcv_nxt.wrapping_add(1);
+            self.fins.push(i);
+        }
+    }
+
+    /// Consumes the in-order payload of one server segment on connection
+    /// `i`; returns whether it was in order.
+    fn on_data(&mut self, now: u64, i: usize, hdr: &TcpHeader, payload: &[u8]) -> bool {
         let c = &mut self.conns[i];
         if hdr.seq != c.rcv_nxt {
             // Duplicate (retransmit) or out-of-order: re-ack, drop.
             self.mark_ack(i);
-            return;
+            return false;
         }
         c.rcv_nxt = c.rcv_nxt.wrapping_add(payload.len() as u32);
         let b = self.spare.lend(&mut c.burst);
@@ -858,15 +868,15 @@ impl SimClients {
                 }
             }
             self.completed_reqs += 1;
-            if c.expected > 0 {
-                c.expected -= 1;
-                if c.expected == 0 {
+            if b.expected > 0 {
+                b.expected -= 1;
+                if b.expected == 0 {
                     finished_burst = true;
                 }
             }
         }
         if finished_burst {
-            self.latencies.push(now.saturating_sub(c.t_arrival));
+            self.latencies.push(now.saturating_sub(b.t_arrival));
             self.completed_bursts += 1;
             if !b.queued.is_empty() {
                 self.pending_starts.push(i);
@@ -874,6 +884,7 @@ impl SimClients {
         }
         self.spare.retire(&mut c.burst);
         self.mark_ack(i);
+        true
     }
 
     /// Starts a burst on idle connection `i`; its latency clock starts
@@ -894,9 +905,9 @@ impl SimClients {
                 Mix::Get => put_command(&mut self.req_buf, &[b"GET", &key]),
             }
         }
-        let c = &mut self.conns[i];
-        c.expected = self.pipeline as u32;
-        c.t_arrival = t_arrival;
+        let b = self.spare.lend(&mut self.conns[i].burst);
+        b.expected = self.pipeline as u32;
+        b.t_arrival = t_arrival;
         self.send_request(i, nic);
     }
 
@@ -926,7 +937,7 @@ impl SimClients {
     /// queues it (open-loop) otherwise.
     fn arrival(&mut self, i: usize, t: u64, nic: &mut Nic) {
         let c = &mut self.conns[i];
-        if c.expected == 0 && c.backlog() == 0 {
+        if c.expected() == 0 && c.backlog() == 0 {
             self.start_burst(i, t, nic);
         } else {
             self.spare.lend(&mut c.burst).queued.push_back(t);
@@ -940,7 +951,7 @@ impl SimClients {
         let due = self.pending_starts.len();
         for k in 0..due {
             let i = self.pending_starts[k];
-            if self.conns[i].expected == 0 {
+            if self.conns[i].expected() == 0 {
                 let waiting = self.conns[i].burst.as_mut();
                 if let Some(t) = waiting.and_then(|b| b.queued.pop_front()) {
                     self.start_burst(i, t, nic);
@@ -973,6 +984,24 @@ impl SimClients {
             );
         }
         self.ack_pending = acks;
+        for i in std::mem::take(&mut self.fins) {
+            let c = &mut self.conns[i];
+            c.need_ack = false;
+            let (ip, port) = Self::addr(i);
+            client_frame(
+                nic,
+                self.server_mac,
+                self.client_mac,
+                &mut self.ident,
+                ip,
+                port,
+                c.rcv_nxt,
+                TcpFlags::FIN_ACK,
+                c.snd_nxt,
+                &[],
+            );
+            c.snd_nxt = c.snd_nxt.wrapping_add(1);
+        }
     }
 }
 
@@ -1011,21 +1040,50 @@ fn exp_gap(s: &mut u64, mean: u64) -> u64 {
     ((neg_ln_u * mean as u128) >> 32) as u64
 }
 
-/// Pre-generates the whole arrival schedule: `(cycle, connection)`
-/// pairs, non-decreasing in time.
-fn gen_arrivals(bursts: u64, conns: usize, mean_gap: u64, seed: u64) -> Vec<(u64, usize)> {
-    let mut s = seed | 1;
-    let mut t = 0u64;
-    let mut out = Vec::with_capacity(bursts as usize);
-    for _ in 0..bursts {
-        t = t.saturating_add(exp_gap(&mut s, mean_gap.max(1)));
-        let conn = (xorshift64(&mut s) % conns as u64) as usize;
-        out.push((t, conn));
+/// The arrival schedule, drawn as it is consumed: `bursts` pairs of
+/// `(cycle, connection)`, non-decreasing in time from `t_base`. Each
+/// draw is the gap, then the connection, from one seeded generator.
+#[derive(Debug, Clone)]
+struct Arrivals {
+    state: u64,
+    t: u64,
+    t_base: u64,
+    left: u64,
+    conns: u64,
+    mean_gap: u64,
+}
+
+impl Arrivals {
+    fn new(bursts: u64, conns: usize, mean_gap: u64, seed: u64, t_base: u64) -> Self {
+        Self {
+            state: seed | 1,
+            t: 0,
+            t_base,
+            left: bursts,
+            conns: conns as u64,
+            mean_gap: mean_gap.max(1),
+        }
     }
-    out
+}
+
+impl Iterator for Arrivals {
+    type Item = (u64, usize);
+
+    fn next(&mut self) -> Option<(u64, usize)> {
+        self.left = self.left.checked_sub(1)?;
+        let gap = exp_gap(&mut self.state, self.mean_gap);
+        let conn = (xorshift64(&mut self.state) % self.conns) as usize;
+        self.t = self.t.saturating_add(gap);
+        Some((self.t_base + self.t, conn))
+    }
 }
 
 // --- the driver ------------------------------------------------------------------
+
+/// The task serving socket `sid`: tasks are keyed by their socket's id.
+fn task_id(sid: SocketId) -> CoTaskId {
+    CoTaskId(sid.0 as u32)
+}
 
 /// Runs the serving tier and reports scaling figures.
 ///
@@ -1060,10 +1118,9 @@ pub fn run_serve_traced(
 /// between them (`tests/idle_budget.rs`).
 pub struct Tier {
     world: ServeWorld,
+    /// The task serving each socket, at the socket's id.
     exec: CoExecutor<ServeWorld, ConnTask>,
     clients: SimClients,
-    /// The task serving each socket, by socket id.
-    task_of: Vec<Option<CoTaskId>>,
 }
 
 impl Tier {
@@ -1150,10 +1207,9 @@ impl Tier {
         }
 
         let mut exec: CoExecutor<ServeWorld, ConnTask> = CoExecutor::new();
-        exec.reserve(conns);
+        exec.reserve(conns + 1);
         let mut clients =
             SimClients::new(conns, params.payload, params.mix, params.pipeline, nic_id);
-        let mut task_of: Vec<Option<CoTaskId>> = Vec::with_capacity(conns + 1);
         let mut accepted = 0usize;
 
         // Establishment, in waves that stay under the accept-backlog cap.
@@ -1175,11 +1231,8 @@ impl Tier {
                 loop {
                     match world.os.accept(listener) {
                         Ok(Some(sid)) => {
-                            let tid = exec.spawn(ConnTask::new(sid));
-                            if task_of.len() <= sid.0 {
-                                task_of.resize(sid.0 + 1, None);
-                            }
-                            task_of[sid.0] = Some(tid);
+                            exec.spawn_at(task_id(sid), ConnTask::default())
+                                .map_err(RunError::server)?;
                             accepted += 1;
                         }
                         Ok(None) => break,
@@ -1204,7 +1257,6 @@ impl Tier {
             world,
             exec,
             clients,
-            task_of,
         })
     }
 
@@ -1217,15 +1269,12 @@ impl Tier {
             world,
             exec,
             clients,
-            task_of,
         } = self;
         let mut moved = false;
         world.os.poll_net().map_err(RunError::server)?;
         for ev in world.os.ready_events() {
             if ev.ready.contains(Interest::READ) || ev.ready.contains(Interest::WRITE) {
-                if let Some(Some(tid)) = task_of.get(ev.sid.0) {
-                    exec.wake(*tid);
-                }
+                exec.wake(task_id(ev.sid));
             }
         }
         exec.run_until_idle(world, 10_000_000);
@@ -1264,13 +1313,21 @@ impl Tier {
     /// Checks that storage follows work on a settled tier: no idle
     /// socket or client connection and no parked task holds a record it
     /// should have handed back, and no spare list one it should have
-    /// freed.
+    /// freed; and that every per-connection table has a row exactly where
+    /// a stream is open: the stack's demux agrees with its sockets, and
+    /// every task sits at the id of a live stream socket.
     ///
     /// # Errors
     ///
     /// The first holder found, in words.
     pub fn idle_storage_audit(&self) -> Result<(), String> {
-        self.world.os.net.idle_storage_audit()?;
+        let net = &self.world.os.net;
+        net.idle_storage_audit()?;
+        net.table_audit()?;
+        let mut sockets = self.exec.live_ids().map(|id| SocketId(id.0 as usize));
+        if let Some(sid) = sockets.find(|&sid| !net.is_stream(sid)) {
+            return Err(format!("a task sits at {sid:?}, which is no open stream"));
+        }
         for (i, c) in self.clients.conns.iter().enumerate() {
             if c.burst.as_ref().is_some_and(|b| b.is_idle()) {
                 return Err(format!("idle client {i} holds an empty record"));
@@ -1297,18 +1354,19 @@ impl Tier {
     pub fn measure(&mut self, params: &ServeParams) -> Result<(u64, u64), RunError> {
         let bursts = (params.ops / params.pipeline.max(1) as u64).max(1);
         let done_before = self.clients.completed_bursts;
+        // One latency sample a burst: sized once, not grown by doubling.
+        self.clients.latencies.reserve_exact(bursts as usize);
         let t_base = self.world.os.img.machine.clock().cycles();
-        let arrivals: Vec<(u64, usize)> = gen_arrivals(
+        let conns = self.clients.conns.len();
+        let mut arrivals = Arrivals::new(
             bursts,
-            self.clients.conns.len(),
+            conns,
             params.arrival_gap_cycles,
             params.seed,
+            t_base,
         )
-        .into_iter()
-        .map(|(t, c)| (t_base + t, c))
-        .collect();
+        .peekable();
         let start_crossings = self.world.os.img.gates.stats().crossings;
-        let mut arr_idx = 0usize;
         let mut idle = 0u32;
         let mut pending_migration = params.migrate_to;
         while self.clients.completed_bursts - done_before < bursts {
@@ -1335,10 +1393,8 @@ impl Tier {
             let now = self.world.os.img.machine.clock().cycles();
             let nic = &mut self.world.os.net.nic;
             let rx_before = nic.stats().rx_frames;
-            while arr_idx < arrivals.len() && arrivals[arr_idx].0 <= now {
-                let (t, ci) = arrivals[arr_idx];
+            while let Some((t, ci)) = arrivals.next_if(|&(t, _)| t <= now) {
                 self.clients.arrival(ci, t, nic);
-                arr_idx += 1;
             }
             let arrived = nic.stats().rx_frames != rx_before;
             let before = self.clients.completed_bursts;
@@ -1358,11 +1414,12 @@ impl Tier {
             // delivered and acked before a jump, so nothing retransmits.
             idle += 1;
             let now = self.world.os.img.machine.clock().cycles();
-            if arr_idx < arrivals.len() && arrivals[arr_idx].0 > now {
-                let jump = (arrivals[arr_idx].0 - now).min(5_000_000);
-                self.world.os.img.machine.charge(jump);
-            } else {
-                self.world.os.img.machine.charge(10_000);
+            match arrivals.peek() {
+                Some(&(t, _)) if t > now => {
+                    let jump = (t - now).min(5_000_000);
+                    self.world.os.img.machine.charge(jump);
+                }
+                _ => self.world.os.img.machine.charge(10_000),
             }
             if idle >= MAX_IDLE_ROUNDS {
                 return Err(RunError::NoProgress {
@@ -1426,12 +1483,13 @@ mod tests {
     fn layout_budget_of_an_idle_connection() {
         // One of each per open connection, burst or no burst (DESIGN.md
         // §6.15).
+        // The task's slot is `Option<ConnTask>`, its id the socket's.
         let (task, client) = (
-            std::mem::size_of::<ConnTask>(),
+            std::mem::size_of::<Option<ConnTask>>(),
             std::mem::size_of::<SimConn>(),
         );
-        assert!(task <= 32, "ConnTask grew to {task} B (budget 32)");
-        assert!(client <= 32, "SimConn grew to {client} B (budget 32)");
+        assert!(task <= 16, "Option<ConnTask> grew to {task} B (budget 16)");
+        assert!(client <= 24, "SimConn grew to {client} B (budget 24)");
     }
 
     #[test]
@@ -1656,8 +1714,17 @@ mod tests {
             assert!(rounds < 64, "the wire never fell silent");
         }
         assert_eq!(tier.world.errors, Vec::<String>::new());
-        // A task that ended took nothing with it.
+        // A task that ended took nothing with it, and the socket it
+        // closed was reaped: no demux bucket and no task is left for it.
         assert_eq!(tier.idle_storage_audit(), Ok(()));
+        let errors = &tier.clients.reply_errors;
+        let open = 2 - usize::from(errors.iter().any(|e| e.ends_with("closed by server")));
+        assert_eq!(
+            tier.world.os.net.conn_count(),
+            open,
+            "a closed socket was kept"
+        );
+        assert_eq!(tier.exec.task_count(), open);
         tier.clients.reply_errors
     }
 
@@ -1738,7 +1805,7 @@ mod tests {
         // Every connection believes a burst is already in flight, so each
         // arrival queues behind replies that will never come.
         for c in &mut tier.clients.conns {
-            c.expected = 1;
+            tier.clients.spare.lend(&mut c.burst).expected = 1;
         }
         assert_eq!(
             tier.measure(&params),
@@ -1750,12 +1817,16 @@ mod tests {
         );
     }
 
+    fn arrivals(bursts: u64, conns: usize, gap: u64, seed: u64) -> Vec<(u64, usize)> {
+        Arrivals::new(bursts, conns, gap, seed, 0).collect()
+    }
+
     #[test]
     fn arrival_process_is_seeded_and_exponential_ish() {
-        let a = gen_arrivals(1000, 10, 30_000, 7);
-        let b = gen_arrivals(1000, 10, 30_000, 7);
+        let a = arrivals(1000, 10, 30_000, 7);
+        let b = arrivals(1000, 10, 30_000, 7);
         assert_eq!(a, b, "same seed must give the same schedule");
-        let c = gen_arrivals(1000, 10, 30_000, 8);
+        let c = arrivals(1000, 10, 30_000, 8);
         assert_ne!(a, c, "different seeds must differ");
         // Mean inter-arrival ≈ the configured gap (within 15%).
         let mean = a.last().unwrap().0 / 1000;
@@ -1763,5 +1834,47 @@ mod tests {
             (25_000..=35_000).contains(&mean),
             "mean gap {mean} not ≈ 30000"
         );
+    }
+
+    /// The stream draws what the pre-generated schedule it replaced drew
+    /// (golden taken from that schedule): the first 1 000 pairs of three
+    /// seeds, FNV-1a over their little-endian bytes, and the start and
+    /// time base honoured.
+    #[test]
+    fn the_arrival_stream_draws_the_schedule_it_replaced() {
+        let golden = [
+            (
+                1,
+                (706_772, 53_505),
+                (31_684_136, 32_779),
+                0x1459_9dd8_faff_4685,
+            ),
+            (
+                42,
+                (593_937, 85_150),
+                (31_244_343, 40_674),
+                0xcde9_181b_d6b6_3593,
+            ),
+            (
+                0x5eed_f00d,
+                (71_542, 53_404),
+                (31_304_709, 87_348),
+                0x61be_6580_09ba_0aec,
+            ),
+        ];
+        for (seed, first, last, digest) in golden {
+            let a = arrivals(1000, 100_000, 30_000, seed);
+            assert_eq!((a.len(), a[0], a[999]), (1000, first, last), "seed {seed}");
+            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+            for &(t, c) in &a {
+                for b in t.to_le_bytes().into_iter().chain((c as u64).to_le_bytes()) {
+                    h ^= u64::from(b);
+                    h = h.wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+            assert_eq!(h, digest, "seed {seed}");
+            let based = Arrivals::new(1000, 100_000, 30_000, seed, 5).next();
+            assert_eq!(based, Some((first.0 + 5, first.1)));
+        }
     }
 }

@@ -44,36 +44,40 @@ fn settled(conns: usize) -> ([i64; 2], Blocks) {
 }
 
 /// What an idle connection holds on the heap: [`SIMULATED_BYTES`] of
-/// simulated physical memory and 198 B of host structures, none of them
-/// a buffer or the container of one:
+/// simulated physical memory and 139 B of host structures, none of them
+/// a buffer or the container of one. Every per-connection table is one
+/// row per socket, indexed by the socket's id or filed by its key:
 ///
 /// | bytes | what |
 /// |---:|---|
-/// | 80 | the socket slot: a 48 B `TcpConn`, its ring's 24 B of base and offsets, the peer's IP |
-/// | 32 | the client fleet's `SimConn` (its address is its index) |
-/// | 32 | the executor's slot, holding the 24 B `ConnTask` by value |
-/// | 34 | the demux table entry, at the table's load factor |
+/// | 72 | the socket slot: a 48 B `TcpConn`, its ring's 16 B of pool offset and indices, the peer's IP |
+/// | 24 | the client fleet's `SimConn` (its address is its index; a burst's clock and reply count are in the record it holds while the burst is in flight) |
+/// | 16 | the executor's slot at the socket's id: the 16 B `ConnTask`, its liveness in the task's own niche |
+/// | 16 | the demux: 8 B buckets of slot and hash, at a load just over 1/2 in both tiers (16 384 buckets for 8 193 streams, 8 192 for 4 097) |
 /// | 8 | the readiness index entry |
-/// | 8 | the socket → task map entry |
-/// | 1 | the active-set bitmap |
-/// | 3 | the NIC transmit queue's high-water mark: establishing twice the connections queues twice the frames (24 B handles) |
+/// | 3 | the NIC transmit queue's high-water mark: 1 024 frame handles (24 B each) at 2N, 512 at N — per tier, not per connection: establishment queues one wave's 512 SYN-ACKs, twice that once the clock has passed the RTO (the same 1 024 at 16 384 connections) |
+/// | 0.25 | the active-set and queued-task bit vectors |
+/// | 0.06 | a per-round list's high-water mark (1 800 B at 2N, 1 544 B at N) |
 ///
 /// No socket holds a semaphore: the tier never blocks a thread on one
 /// (310 B while every accepted socket got a 40 B `Semaphore` and a 16 B
-/// map entry, 32 B at the map's doubling capacity, and its task was a
-/// 24 B box). A change to any of those structures moves this number:
-/// say so where it changes (the `layout_budget_*` unit tests beside the
-/// types name the struct that grew; `--nocapture` prints, block size by
-/// block size, what the larger tier holds beyond the smaller one).
-const IDLE_CONNECTION_BYTES: i64 = 2_246;
+/// map entry, and its task was a 24 B box; 198 B while the executor kept
+/// a 32 B slot and an 8 B socket → task map entry, the demux 17 B
+/// buckets, the socket's ring a base address and the client its burst's
+/// clock). A change to any of those structures moves this number: say so
+/// where it changes (the `layout_budget_*` unit tests beside the types
+/// name the struct that grew; `--nocapture` prints, block size by block
+/// size, what the larger tier holds beyond the smaller one).
+const IDLE_CONNECTION_BYTES: i64 = 2_187;
 
 /// The part of it that is simulated memory: `Tier::boot` sizes eight
 /// regions from the connection count, 256 B of socket ring each.
 const SIMULATED_BYTES: i64 = 2_048;
 
 /// The bound on the host part (3 012 − 2 048 = 964 B while every
-/// connection kept its containers, 310 B while each held a semaphore).
-const HOST_BYTES_BUDGET: i64 = 256;
+/// connection kept its containers, 310 B while each held a semaphore,
+/// 198 B while its tables were not all keyed by its socket).
+const HOST_BYTES_BUDGET: i64 = 160;
 
 #[test]
 fn an_idle_connection_costs_the_same_bytes_however_many_ever_spoke() {

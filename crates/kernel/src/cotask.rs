@@ -22,6 +22,7 @@
 //! step. That keeps the executor free of any borrow entanglement with
 //! the OS layer.
 
+use flexos_machine::BitVec;
 use flexos_trace::ServingSnapshot;
 use std::collections::VecDeque;
 use std::marker::PhantomData;
@@ -65,22 +66,39 @@ impl<C> CoTask<C> for Box<dyn CoTask<C>> {
     }
 }
 
-/// A live task. Its `Option` in the slab is `None` when the task is
-/// dead, and while it is being stepped.
-struct Slot<T> {
-    task: T,
-    /// Queued in the run queue (coalesces duplicate wakes).
-    queued: bool,
+/// The slab's element: the task with that id, or `None` where no task
+/// lives and while it steps. Nothing else is kept per task, so a task
+/// with a niche (a box, a flag) costs its own size.
+type Slot<T> = Option<T>;
+
+/// [`CoExecutor::spawn_at`] named an id a live task holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SlotTaken(pub CoTaskId);
+
+impl std::fmt::Display for SlotTaken {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "task id {} is held by a live task", self.0 .0)
+    }
 }
+
+impl std::error::Error for SlotTaken {}
 
 /// The cooperative executor: a slab of tasks and a FIFO of woken ids.
 ///
 /// Tasks of one type `T` live in the slab by value, so a task costs its
 /// slot and no allocation of its own; the default `T` boxes each task,
-/// for executors of mixed tasks.
+/// for executors of mixed tasks. A caller that already numbers what its
+/// tasks serve keys them by that number ([`CoExecutor::spawn_at`]), so
+/// the slab is one more table indexed like its own.
 pub struct CoExecutor<C, T = Box<dyn CoTask<C>>> {
-    slots: Vec<Option<Slot<T>>>,
+    tasks: Vec<Slot<T>>,
+    /// Which ids sit in the run queue (coalesces duplicate wakes).
+    queued: BitVec,
+    /// Ids [`CoExecutor::spawn`] may hand out again.
     free: Vec<u32>,
+    /// Some task was keyed by its caller: ids are the caller's from then
+    /// on, so a finished task's id is not queued for `spawn`.
+    keyed: bool,
     run_queue: VecDeque<u32>,
     /// Its half of the serving block: spawns, steps run, wakeups.
     stats: ServingSnapshot,
@@ -107,49 +125,81 @@ impl<C, T: CoTask<C>> CoExecutor<C, T> {
     /// Creates an empty executor.
     pub fn new() -> Self {
         Self {
-            slots: Vec::new(),
+            tasks: Vec::new(),
+            queued: BitVec::default(),
             free: Vec::new(),
+            keyed: false,
             run_queue: VecDeque::new(),
             stats: ServingSnapshot::default(),
             ctx: PhantomData,
         }
     }
 
-    /// Sizes the task slab for `tasks` tasks at once, where the number to
-    /// come is known: a capacity hint only.
+    /// Sizes the task slab for ids `0..tasks` at once, where the number
+    /// to come is known: a capacity hint only.
     pub fn reserve(&mut self, tasks: usize) {
-        self.slots.reserve(tasks);
+        self.tasks.reserve(tasks);
+        self.queued.reserve(tasks);
     }
 
-    /// Spawns a task; it is immediately runnable (first step happens on
-    /// the next [`CoExecutor::run_until_idle`]).
+    /// Spawns a task at the id the task that finished last left, else at
+    /// a new one; it is immediately runnable (first step happens on the next
+    /// [`CoExecutor::run_until_idle`]).
     pub fn spawn(&mut self, task: T) -> CoTaskId {
-        let slot = Slot { task, queued: true };
-        let id = match self.free.pop() {
-            Some(i) => {
-                self.slots[i as usize] = Some(slot);
-                i
+        // An id `spawn_at` took meanwhile is skipped.
+        while let Some(i) = self.free.pop() {
+            if self.tasks[i as usize].is_none() {
+                return self.place(i, task);
             }
-            None => {
-                self.slots.push(Some(slot));
-                (self.slots.len() - 1) as u32
-            }
-        };
-        self.run_queue.push_back(id);
+        }
+        let i = self.tasks.len() as u32;
+        self.place(i, task)
+    }
+
+    /// Spawns a task at id `id`, the caller's own number for what it
+    /// serves; it is immediately runnable.
+    ///
+    /// # Errors
+    ///
+    /// [`SlotTaken`] when a live task holds `id`: the new task is
+    /// dropped and the live one left as it was.
+    pub fn spawn_at(&mut self, id: CoTaskId, task: T) -> Result<CoTaskId, SlotTaken> {
+        if self.is_live(id) {
+            return Err(SlotTaken(id));
+        }
+        self.keyed = true;
+        Ok(self.place(id.0, task))
+    }
+
+    fn place(&mut self, i: u32, task: T) -> CoTaskId {
+        let at = i as usize;
+        if at >= self.tasks.len() {
+            self.tasks.resize_with(at + 1, || None);
+        }
+        self.tasks[at] = Some(task);
+        self.queued.set(at);
+        self.run_queue.push_back(i);
         self.stats.on_spawn();
-        CoTaskId(id)
+        CoTaskId(i)
+    }
+
+    /// Whether a task lives at `id` (it does while it steps, too).
+    fn is_live(&self, id: CoTaskId) -> bool {
+        self.tasks.get(id.0 as usize).is_some_and(Option::is_some)
+    }
+
+    /// The ids live tasks hold, ascending. O(slab) — for audits.
+    pub fn live_ids(&self) -> impl Iterator<Item = CoTaskId> + '_ {
+        let ids = self.tasks.iter().enumerate();
+        ids.filter_map(|(i, t)| t.as_ref().map(|_| CoTaskId(i as u32)))
     }
 
     /// Wakes a parked task. Duplicate wakes coalesce; wakes for dead
     /// ids are ignored (a readiness event can race a task's exit).
     pub fn wake(&mut self, id: CoTaskId) {
-        let Some(Some(slot)) = self.slots.get_mut(id.0 as usize) else {
-            return;
-        };
-        if slot.queued {
+        if !self.is_live(id) || self.queued.replace(id.0 as usize, true) {
             return;
         }
-        slot.queued = true;
         self.run_queue.push_back(id.0);
         self.stats.on_wake();
     }
@@ -168,17 +218,18 @@ impl<C, T: CoTask<C>> CoExecutor<C, T> {
             let Some(i) = self.run_queue.pop_front() else {
                 break;
             };
+            self.queued.clear(i as usize);
             // Move the task out so the step can re-enter the executor's
             // tables through `ctx` without aliasing its own slot.
-            let Some(mut slot) = self.slots.get_mut(i as usize).and_then(Option::take) else {
+            let Some(mut task) = self.tasks.get_mut(i as usize).and_then(Option::take) else {
                 continue;
             };
-            slot.queued = false;
             steps += 1;
             self.stats.on_run();
-            match slot.task.step(ctx, CoTaskId(i)) {
-                CoPoll::Ready => self.free.push(i),
-                CoPoll::Pending => self.slots[i as usize] = Some(slot),
+            match task.step(ctx, CoTaskId(i)) {
+                CoPoll::Ready if !self.keyed => self.free.push(i),
+                CoPoll::Ready => {}
+                CoPoll::Pending => self.tasks[i as usize] = Some(task),
             }
         }
         steps
@@ -186,7 +237,7 @@ impl<C, T: CoTask<C>> CoExecutor<C, T> {
 
     /// Live task count.
     pub fn task_count(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
+        self.live_ids().count()
     }
 
     /// Tasks currently queued to run.
@@ -348,13 +399,93 @@ mod tests {
 
     #[test]
     fn layout_budget_of_a_task_slot() {
-        // 10⁵ of these are the serving tier's task slab: a task of three
-        // words costs four, its liveness and queued flag in the fourth.
-        let slot = std::mem::size_of::<Option<Slot<[u64; 3]>>>();
+        // 10⁵ of these are the serving tier's task slab: the slot is the
+        // task, its liveness in the task's own niche and its queued flag
+        // a bit beside the slab — a 16 B task with a niche costs 16 B.
+        let slot = std::mem::size_of::<Slot<(Option<Box<u64>>, bool, bool)>>();
         assert!(
-            slot <= 32,
-            "a 24 B task's slot grew to {slot} B (budget 32)"
+            slot <= 16,
+            "a 16 B task's slot grew to {slot} B (budget 16)"
         );
+    }
+
+    #[test]
+    fn spawn_at_refuses_an_id_a_live_task_holds() {
+        let mut ex: CoExecutor<Ctx, Countdown> = CoExecutor::new();
+        let mut ctx = Ctx::default();
+        let id = CoTaskId(5);
+        assert_eq!(ex.spawn_at(id, Countdown { left: 1, steps: 0 }), Ok(id));
+        let again = ex.spawn_at(
+            id,
+            Countdown {
+                left: 0,
+                steps: 100,
+            },
+        );
+        assert_eq!(again, Err(SlotTaken(id)));
+        assert_eq!((ex.task_count(), ex.runnable()), (1, 1));
+        ex.run_until_idle(&mut ctx, u64::MAX);
+        assert_eq!(ctx.log, vec![(5, 1)], "the live task was replaced");
+        // Parked is still live.
+        assert_eq!(
+            ex.spawn_at(id, Countdown { left: 0, steps: 0 }),
+            Err(SlotTaken(id))
+        );
+        assert_eq!(ex.live_ids().collect::<Vec<_>>(), vec![id]);
+        assert_eq!(ex.stats().tasks_spawned, 1);
+    }
+
+    #[test]
+    fn wakes_of_a_keyed_task_coalesce_through_the_queued_bits() {
+        let mut ex: CoExecutor<Ctx, Countdown> = CoExecutor::new();
+        let mut ctx = Ctx::default();
+        let (a, b) = (CoTaskId(70), CoTaskId(3));
+        ex.spawn_at(a, Countdown { left: 5, steps: 0 }).unwrap();
+        ex.spawn_at(b, Countdown { left: 5, steps: 0 }).unwrap();
+        // Queued by their spawns: a wake adds nothing.
+        ex.wake(a);
+        assert_eq!(ex.runnable(), 2);
+        assert_eq!(ex.run_until_idle(&mut ctx, u64::MAX), 2);
+        for _ in 0..3 {
+            ex.wake(a);
+            ex.wake(b);
+        }
+        ex.wake(CoTaskId(4));
+        ex.wake(CoTaskId(1_000));
+        assert_eq!(ex.runnable(), 2, "wakes did not coalesce");
+        assert_eq!(ex.stats().wakeups, 2);
+        ex.run_until_idle(&mut ctx, u64::MAX);
+        let order: Vec<u32> = ctx.log.iter().map(|&(id, _)| id).collect();
+        assert_eq!(order, vec![70, 3, 70, 3], "FIFO by wake, not by id");
+    }
+
+    #[test]
+    fn a_keyed_id_is_reused_once_its_task_is_ready() {
+        let mut ex: CoExecutor<Ctx, Countdown> = CoExecutor::new();
+        let mut ctx = Ctx::default();
+        let id = CoTaskId(2);
+        ex.spawn_at(id, Countdown { left: 0, steps: 0 }).unwrap();
+        ex.run_until_idle(&mut ctx, u64::MAX);
+        assert!(!ex.is_live(id));
+        assert_eq!(ex.spawn_at(id, Countdown { left: 0, steps: 40 }), Ok(id));
+        ex.run_until_idle(&mut ctx, u64::MAX);
+        assert_eq!(ctx.log, vec![(2, 1), (2, 41)]);
+        assert_eq!(ex.task_count(), 0);
+        // A finished keyed task's id is the caller's, not `spawn`'s.
+        assert_eq!(ex.spawn(Countdown { left: 0, steps: 0 }), CoTaskId(3));
+    }
+
+    #[test]
+    fn a_keyed_task_that_wakes_itself_mid_step_runs_again() {
+        let mut ex: CoExecutor<Ctx, Countdown> = CoExecutor::new();
+        let mut ctx = Ctx::default();
+        let id = CoTaskId(9);
+        ex.spawn_at(id, Countdown { left: 2, steps: 0 }).unwrap();
+        // Each step asks for its own wake; its queued bit is clear by then.
+        assert_eq!(drive(&mut ex, &mut ctx), 3);
+        assert_eq!(ctx.log, vec![(9, 1), (9, 2), (9, 3)]);
+        assert_eq!(ex.stats().wakeups, 2);
+        assert!(!ex.is_live(id) && ex.is_idle());
     }
 
     #[test]

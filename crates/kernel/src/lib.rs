@@ -42,7 +42,7 @@ pub mod sched;
 pub mod sync;
 
 pub use alloc::{AllocMode, Allocator, FreeListAllocator, HeapService};
-pub use cotask::{CoExecutor, CoPoll, CoTask, CoTaskId};
+pub use cotask::{CoExecutor, CoPoll, CoTask, CoTaskId, SlotTaken};
 pub use exec::{ExecSummary, Executor, KernelHal, Step, Task};
 pub use migrate::{MigrationPolicy, PolicyDecision, PolicySignals};
 pub use mq::MsgQueue;

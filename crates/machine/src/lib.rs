@@ -21,10 +21,11 @@
 //!   charges a calibrated cost; throughput numbers in the benchmark
 //!   harness are derived purely from this clock, making every experiment
 //!   bit-for-bit reproducible.
-//! * **Host-side utility** ([`hash`]) — the workspace's one fixed,
-//!   unkeyed hasher, here because every crate that keeps a probed-only
-//!   table on a hot path (the kernel heap, the TCP demux, the stores)
-//!   sees this one.
+//! * **Host-side utility** ([`hash`], [`bits`]) — the workspace's one
+//!   fixed, unkeyed hasher and its one bit vector, here because every
+//!   crate that keeps a probed-only table on a hot path (the kernel heap,
+//!   the TCP demux, the stores) or a flag per slot of a dense table (the
+//!   executor, the stack's active set) sees this one.
 //!
 //! The enforcement is real within the model: data lives in simulated
 //! physical memory and every access is translated and permission-checked,
@@ -56,6 +57,7 @@
 #![warn(missing_docs)]
 
 pub mod addr;
+pub mod bits;
 pub mod cap;
 pub mod chaos;
 pub mod clock;
@@ -71,6 +73,7 @@ pub mod tlb;
 pub mod vm;
 
 pub use addr::{Addr, PhysAddr, PAGE_SIZE};
+pub use bits::BitVec;
 pub use cap::{CapPerms, Capability, OType};
 pub use chaos::{ChaosConfig, ChaosPlan, ChaosStats, NotifyFate, Schedule, SplitMix64};
 pub use clock::{cycles_to_nanos, nanos_to_cycles, throughput_mbps, Clock, CostTable, CPU_FREQ_HZ};

@@ -15,13 +15,15 @@
 //!   buffers are recycled through;
 //! * [`ring`] — socket receive rings living in *simulated* memory, so
 //!   every payload byte is protection-checked and cycle-charged;
+//! * [`demux`] — the stream demux: 8-byte buckets of socket slot and
+//!   key hash, the key itself read from the socket on a full-hash match;
 //! * [`stack`] — the socket API (`listen`/`accept`/`connect`/`send`/
 //!   `recv`, plus UDP) and the poll loop, with per-packet cost
 //!   accounting (including the Xen hypervisor tax used by Figure 3's
 //!   Xen curves);
 //! * [`hash`] — the workspace's one fixed, unkeyed hasher (it lives in
 //!   `flexos-machine` so the kernel heap can share it; re-exported here
-//!   for the demux table and the serving tier's stores).
+//!   for the demux's hash and the serving tier's stores).
 //!
 //! The iperf and Redis workloads of the paper's §4 run over this stack
 //! in the `flexos-apps` crate, with the stack placed in its own
@@ -30,6 +32,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod demux;
 pub mod event;
 pub mod nic;
 pub mod ring;

@@ -12,8 +12,8 @@
 //! movement in/out of socket rings runs through the simulated machine and
 //! is charged (and protection-checked) there.
 
+use crate::demux::Demux;
 use crate::event::{EventQueue, Interest, ReadyEvent, Trigger};
-use crate::hash::FixedMap;
 use crate::nic::Nic;
 use crate::ring::SimRing;
 use crate::tcp::{Flight, Lend, SegDesc, Segment, SpareList, TcpConfig, TcpConn};
@@ -22,7 +22,7 @@ use crate::wire::{
     TcpHeader, UdpHeader, WireError, ETHERTYPE_IPV4, IPV4_LEN, PROTO_TCP, PROTO_UDP, TCP_LEN,
     UDP_LEN,
 };
-use flexos_machine::{Addr, Fault, Machine, VcpuId};
+use flexos_machine::{Addr, BitVec, Fault, Machine, VcpuId};
 use flexos_trace::{NetSnapshot, SpanKind};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
@@ -108,35 +108,48 @@ enum Sock {
     },
 }
 
+impl Sock {
+    /// The demux key of a stream socket.
+    fn stream_key(&self) -> Option<u64> {
+        match self {
+            Sock::TcpStream {
+                conn, remote_ip, ..
+            } => Some(conn_key(conn.local_port, *remote_ip, conn.remote_port)),
+            _ => None,
+        }
+    }
+}
+
 /// A bump pool for socket receive rings, carved out of the stack
 /// compartment's memory, with a size-bucketed free list so reaped
 /// connections return their ring for reuse (connection churn does not
-/// exhaust the pool).
+/// exhaust the pool). Rings are offsets from `base`, so the pool spans
+/// at most 4 GiB.
 #[derive(Debug, Clone)]
 struct BufPool {
     base: Addr,
-    len: u64,
-    next: u64,
-    free: BTreeMap<u64, Vec<Addr>>,
+    len: u32,
+    next: u32,
+    free: BTreeMap<u32, Vec<u32>>,
 }
 
 impl BufPool {
-    fn carve(&mut self, bytes: u64) -> Option<Addr> {
+    fn carve(&mut self, bytes: u32) -> Option<u32> {
         if let Some(list) = self.free.get_mut(&bytes) {
-            if let Some(a) = list.pop() {
-                return Some(a);
+            if let Some(off) = list.pop() {
+                return Some(off);
             }
         }
-        if self.next + bytes > self.len {
+        if self.next.checked_add(bytes)? > self.len {
             return None;
         }
-        let a = Addr(self.base.0 + self.next);
+        let off = self.next;
         self.next += bytes;
-        Some(a)
+        Some(off)
     }
 
-    fn release(&mut self, a: Addr, bytes: u64) {
-        self.free.entry(bytes).or_default().push(a);
+    fn release(&mut self, off: u32, bytes: u32) {
+        self.free.entry(bytes).or_default().push(off);
     }
 }
 
@@ -159,7 +172,7 @@ pub struct NetStack {
     /// for its ring), so the pump is O(active), never O(open).
     active: Vec<usize>,
     /// Membership of `active` (or of the snapshot being pumped), by slot.
-    in_active: Vec<bool>,
+    in_active: BitVec,
     /// Readiness index fed by O(1) hooks at state transitions.
     events: EventQueue,
     /// Accept-backlog bound; SYNs beyond it are shed.
@@ -170,9 +183,9 @@ pub struct NetStack {
     /// [`NetStack::retransmits`] is stable across churn.
     closed_retransmits: u64,
     listeners: BTreeMap<u16, SocketId>,
-    /// Stream demux, keyed by [`conn_key`]. Probed per segment, never
-    /// iterated.
-    conns: FixedMap<u64, SocketId>,
+    /// Stream demux: slots by the hash of their [`conn_key`]. Probed per
+    /// segment, never iterated.
+    conns: Demux,
     udp_ports: BTreeMap<u16, SocketId>,
     pool: BufPool,
     /// One copy, shared by every connection.
@@ -220,7 +233,8 @@ fn bare(hdr: TcpHeader) -> SegDesc {
 
 impl NetStack {
     /// Creates a stack owning `nic`, with `pool_base..pool_base+pool_len`
-    /// of the stack compartment's memory available for socket rings.
+    /// of the stack compartment's memory available for socket rings (of
+    /// which the first 4 GiB are used).
     pub fn new(ip: u32, nic: Nic, pool_base: Addr, pool_len: u64) -> Self {
         Self {
             ip,
@@ -229,17 +243,17 @@ impl NetStack {
             socks: Vec::new(),
             free_slots: BTreeSet::new(),
             active: Vec::new(),
-            in_active: Vec::new(),
+            in_active: BitVec::default(),
             events: EventQueue::new(),
             backlog_cap: DEFAULT_BACKLOG_CAP,
             sock_ring_bytes: SOCK_RX_RING,
             closed_retransmits: 0,
             listeners: BTreeMap::new(),
-            conns: FixedMap::default(),
+            conns: Demux::default(),
             udp_ports: BTreeMap::new(),
             pool: BufPool {
                 base: pool_base,
-                len: pool_len,
+                len: u32::try_from(pool_len).unwrap_or(u32::MAX),
                 next: 0,
                 free: BTreeMap::new(),
             },
@@ -339,14 +353,13 @@ impl NetStack {
             return SocketId(i);
         }
         self.socks.push(Some(s));
-        self.in_active.push(false);
         SocketId(self.socks.len() - 1)
     }
 
     /// Marks a stream as needing pump attention on the next poll.
     #[inline]
     fn mark_active(&mut self, idx: usize) {
-        if !std::mem::replace(&mut self.in_active[idx], true) {
+        if !self.in_active.replace(idx, true) {
             self.active.push(idx);
         }
     }
@@ -360,7 +373,7 @@ impl NetStack {
         }
         for (i, s) in self.socks.iter().enumerate() {
             if let Some(Sock::TcpStream { conn, .. }) = s {
-                if !self.in_active[i] && conn.record().is_some_and(Lend::is_idle) {
+                if !self.in_active.get(i) && conn.record().is_some_and(Lend::is_idle) {
                     return Err(format!("idle socket {i} holds an empty flight record"));
                 }
             }
@@ -368,9 +381,64 @@ impl NetStack {
         Ok(())
     }
 
+    /// Checks that the demux and the socket table agree: every live
+    /// stream is found by its own key at its own slot, no bucket names a
+    /// slot that holds no stream (or holds one under another key's hash),
+    /// and there are as many buckets as streams. O(open) — for tests and
+    /// debugging.
+    pub fn table_audit(&self) -> Result<(), String> {
+        let mut streams = 0;
+        for (i, s) in self.socks.iter().enumerate() {
+            let Some(key) = s.as_ref().and_then(Sock::stream_key) else {
+                continue;
+            };
+            streams += 1;
+            if self.find_stream(key) != Some(i) {
+                return Err(format!("stream {i} is not found by its own key"));
+            }
+        }
+        for (slot, hash) in self.conns.entries() {
+            let sock = self.socks.get(slot as usize).and_then(Option::as_ref);
+            match sock.and_then(Sock::stream_key) {
+                None => return Err(format!("a demux bucket names slot {slot}, no stream")),
+                Some(key) if Demux::hash(key) != hash => {
+                    return Err(format!("slot {slot} is filed under another key's hash"));
+                }
+                Some(_) => {}
+            }
+        }
+        let buckets = self.conns.len();
+        if buckets != streams {
+            return Err(format!("{buckets} demux entries for {streams} streams"));
+        }
+        Ok(())
+    }
+
     /// Open stream connections (the demux table's size).
     pub fn conn_count(&self) -> usize {
         self.conns.len()
+    }
+
+    /// Whether `id` names a live stream socket.
+    pub fn is_stream(&self, id: SocketId) -> bool {
+        matches!(self.socks.get(id.0), Some(Some(Sock::TcpStream { .. })))
+    }
+
+    /// The slot of the stream socket filed under `key`: the socket's own
+    /// 4-tuple is read only on a full-hash match.
+    fn find_stream(&self, key: u64) -> Option<usize> {
+        let socks = &self.socks;
+        let is_key =
+            |slot: u32| socks[slot as usize].as_ref().and_then(Sock::stream_key) == Some(key);
+        self.conns
+            .find(Demux::hash(key), is_key)
+            .map(|slot| slot as usize)
+    }
+
+    /// Files the stream in slot `id` under `key`. Slots fit a `u32`: each
+    /// stream holds a ring of at least 64 B from a pool of at most 4 GiB.
+    fn file_stream(&mut self, key: u64, id: SocketId) {
+        self.conns.insert(Demux::hash(key), id.0 as u32);
     }
 
     fn sock(&mut self, id: SocketId) -> NetResult<&mut Sock> {
@@ -403,7 +471,7 @@ impl NetStack {
             } else {
                 port + 1
             };
-            if !self.conns.contains_key(&conn_key(port, dst_ip, dst_port)) {
+            if self.find_stream(conn_key(port, dst_ip, dst_port)).is_none() {
                 return Ok(port);
             }
         }
@@ -449,16 +517,15 @@ impl NetStack {
         let local_port = self.alloc_ephemeral(dst_ip, dst_port)?;
         let iss = self.next_iss();
         let ring = self.sock_ring_bytes;
-        let rx_base = self.pool.carve(ring.into()).ok_or(NetError::NoBuffers)?;
+        let rx_off = self.pool.carve(ring).ok_or(NetError::NoBuffers)?;
         let cfg = self.tcp_cfg.clone();
         let (conn, syn) = TcpConn::open(local_port, dst_port, iss, None, cfg, &mut self.spare);
         let id = self.insert(Sock::TcpStream {
             conn,
-            rx: SimRing::new(rx_base, ring),
+            rx: SimRing::new(rx_off, ring),
             remote_ip: dst_ip,
         });
-        self.conns
-            .insert(conn_key(local_port, dst_ip, dst_port), id);
+        self.file_stream(conn_key(local_port, dst_ip, dst_port), id);
         self.events.register(id, Interest::READ, Trigger::Level);
         self.mark_active(id.0);
         self.emit_tcp(dst_ip, &bare(syn.hdr), None);
@@ -549,6 +616,7 @@ impl NetStack {
         len: u64,
     ) -> NetResult<u64> {
         m.charge(m.costs().socket_call);
+        let pool = self.pool.base;
         let (n, still_readable) = match self.sock(id)? {
             Sock::TcpStream { conn, rx, .. } => {
                 if rx.is_empty() {
@@ -557,7 +625,7 @@ impl NetStack {
                     }
                     return Err(NetError::WouldBlock);
                 }
-                let n = rx.pop_to(m, vcpu, dst, len)?;
+                let n = rx.pop_to(m, vcpu, pool, dst, len)?;
                 (n, !rx.is_empty() || conn.at_eof() || conn.is_closed())
             }
             _ => return Err(NetError::InvalidSocket),
@@ -815,7 +883,7 @@ impl NetStack {
                     remote_ip,
                 }) = self.socks[i].as_mut()
                 else {
-                    self.in_active[i] = false;
+                    self.in_active.clear(i);
                     self.seg_scratch = segs;
                     continue;
                 };
@@ -826,7 +894,7 @@ impl NetStack {
                 // straight out of the connection's FIFO.
                 let room = rx.free();
                 if room > 0 && conn.ready_len() > 0 {
-                    match rx.push(m, vcpu, conn.ready_slice(room as usize)) {
+                    match rx.push(m, vcpu, self.pool.base, conn.ready_slice(room as usize)) {
                         Ok(n) => conn.consume_ready(n as usize),
                         Err(f) => {
                             // Descriptors must not outlive this pump:
@@ -884,7 +952,7 @@ impl NetStack {
                     // nothing can ever touch this socket again.
                     reap = true;
                 } else if !conn.needs_pump() && conn.ready_len() == 0 {
-                    self.in_active[i] = false;
+                    self.in_active.clear(i);
                     conn.retire_storage(&mut self.spare);
                 } else {
                     self.active.push(i);
@@ -915,12 +983,12 @@ impl NetStack {
         };
         conn.retire_storage(&mut self.spare);
         let key = conn_key(conn.local_port, remote_ip, conn.remote_port);
-        self.conns.remove(&key);
-        let (base, cap) = rx.region();
-        self.pool.release(base, cap);
+        self.conns.remove(Demux::hash(key), i as u32);
+        let (off, cap) = rx.region();
+        self.pool.release(off, cap);
         self.closed_retransmits += u64::from(conn.retransmits);
         self.events.deregister(SocketId(i));
-        self.in_active[i] = false;
+        self.in_active.clear(i);
         self.free_slots.insert(i);
     }
 
@@ -958,11 +1026,11 @@ impl NetStack {
         };
         let payload = &l4[off..];
         let key = conn_key(hdr.dst_port, ip.src, hdr.src_port);
-        if let Some(&sid) = self.conns.get(&key) {
+        if let Some(sid) = self.find_stream(key) {
             let mut segs = std::mem::take(&mut self.seg_scratch);
             segs.clear();
             {
-                let Some(Sock::TcpStream { conn, .. }) = self.socks[sid.0].as_mut() else {
+                let Some(Sock::TcpStream { conn, .. }) = self.socks[sid].as_mut() else {
                     self.seg_scratch = segs;
                     return;
                 };
@@ -980,7 +1048,7 @@ impl NetStack {
             self.seg_scratch = segs;
             // Whatever the segment did (ack, data, FIN), the pump must
             // look at this socket once before it can go idle again.
-            self.mark_active(sid.0);
+            self.mark_active(sid);
             return;
         }
         if hdr.flags.syn && !hdr.flags.ack {
@@ -1000,7 +1068,7 @@ impl NetStack {
                 let iss = self.next_iss();
                 let cfg = self.tcp_cfg.clone();
                 let ring = self.sock_ring_bytes;
-                let Some(rx_base) = self.pool.carve(ring.into()) else {
+                let Some(rx_off) = self.pool.carve(ring) else {
                     self.demux_drop(m, now);
                     return;
                 };
@@ -1008,10 +1076,10 @@ impl NetStack {
                 let (conn, syn_ack) = TcpConn::open(lport, rport, iss, Some(&hdr), cfg, spare);
                 let sid = self.insert(Sock::TcpStream {
                     conn,
-                    rx: SimRing::new(rx_base, ring),
+                    rx: SimRing::new(rx_off, ring),
                     remote_ip: ip.src,
                 });
-                self.conns.insert(key, sid);
+                self.file_stream(key, sid);
                 if let Some(Sock::TcpListen { backlog, .. }) = self.socks[lid.0].as_mut() {
                     backlog.push_back(sid);
                 }
@@ -1077,9 +1145,9 @@ mod tests {
             let freed: u64 = self
                 .free
                 .iter()
-                .map(|(sz, list)| sz * list.len() as u64)
+                .map(|(&sz, list)| u64::from(sz) * list.len() as u64)
                 .sum();
-            self.next - freed
+            u64::from(self.next) - freed
         }
     }
 
@@ -1156,7 +1224,7 @@ mod tests {
     fn layout_budget_of_a_socket_slot() {
         // 10⁵ of these are the serving tier's socket table.
         let slot = std::mem::size_of::<Option<Sock>>();
-        assert!(slot <= 80, "Option<Sock> grew to {slot} B (budget 80)");
+        assert!(slot <= 72, "Option<Sock> grew to {slot} B (budget 72)");
     }
 
     #[test]
@@ -1517,19 +1585,29 @@ mod tests {
         assert!(matches!(err, WireError::PayloadTooLarge { .. }));
     }
 
+    /// The local port of stream `sid`.
+    fn local_port(stack: &NetStack, sid: SocketId) -> u16 {
+        match &stack.socks[sid.0] {
+            Some(Sock::TcpStream { conn, .. }) => conn.local_port,
+            _ => panic!("{sid:?} is no stream"),
+        }
+    }
+
     #[test]
     fn ephemeral_ports_never_collide_across_16k_connects() {
         let mut w = world();
+        // 16 384 rings of 64 B fill the client's 1 MiB pool exactly.
+        w.client.set_sock_ring_bytes(64);
         let mut seen = std::collections::BTreeSet::new();
         for i in 0..16384u32 {
-            let p = w.client.alloc_ephemeral(SERVER_IP, 80).unwrap();
+            // Each connect pins its 4-tuple as live.
+            let sid = w.client.tcp_connect(SERVER_IP, 80).unwrap();
+            let p = local_port(&w.client, sid);
             assert!(p >= EPHEMERAL_BASE);
             assert!(seen.insert(p), "port {p} reused at connect {i}");
-            // Pin the 4-tuple as live, as tcp_connect would.
-            w.client
-                .conns
-                .insert(conn_key(p, SERVER_IP, 80), SocketId(0));
+            while w.client.nic.pop_tx().is_some() {}
         }
+        assert_eq!(w.client.table_audit(), Ok(()));
         // Every port in the dynamic range is now live: the next connect
         // to the same destination fails cleanly instead of reusing one.
         assert_eq!(
@@ -1544,23 +1622,16 @@ mod tests {
     #[test]
     fn tcp_connect_skips_live_ports_after_wrap() {
         let mut w = world();
+        // The first port of the range is bound to a live connection.
+        let first = w.client.tcp_connect(SERVER_IP, 80).unwrap();
+        assert_eq!(local_port(&w.client, first), EPHEMERAL_BASE);
         w.client.next_ephemeral = u16::MAX;
         let a = w.client.tcp_connect(SERVER_IP, 80).unwrap();
-        let port_of = |w: &World, sid: SocketId| {
-            w.client
-                .conns
-                .iter()
-                .find_map(|(&k, &v)| (v == sid).then_some((k >> 48) as u16))
-                .unwrap()
-        };
-        assert_eq!(port_of(&w, a), u16::MAX);
-        // The wrapped rotor lands on a port still bound to a live
-        // connection; the allocator must skip it.
-        w.client
-            .conns
-            .insert(conn_key(EPHEMERAL_BASE, SERVER_IP, 80), a);
+        assert_eq!(local_port(&w.client, a), u16::MAX);
+        // The wrapped rotor lands on that port; the allocator must skip it.
         let b = w.client.tcp_connect(SERVER_IP, 80).unwrap();
-        assert_eq!(port_of(&w, b), EPHEMERAL_BASE + 1);
+        assert_eq!(local_port(&w.client, b), EPHEMERAL_BASE + 1);
+        assert_eq!(w.client.table_audit(), Ok(()));
     }
 
     #[test]
@@ -1595,7 +1666,7 @@ mod tests {
                 .tcp_send(&mut w.m, VcpuId(0), cs, w.app_buf, 3000)
                 .unwrap();
             // Bytes are queued: the socket is active and holds a record.
-            assert!(w.client.in_active[cs.0] && conn_of(&w.client, cs).record().is_some());
+            assert!(w.client.in_active.get(cs.0) && conn_of(&w.client, cs).record().is_some());
             for _ in 0..4 {
                 w.step();
             }
@@ -1632,7 +1703,7 @@ mod tests {
         for _ in 0..4 {
             w.step();
         }
-        assert!(w.server.conns.is_empty(), "the stream was reaped");
+        assert_eq!(w.server.conn_count(), 0, "the stream was reaped");
         assert_eq!(w.server.spare.held(), 1, "with its record");
     }
 
@@ -1701,14 +1772,14 @@ mod tests {
             w.client.close(cs).unwrap();
             w.server.close(ss).unwrap();
             let mut spins = 0;
-            while !(w.client.conns.is_empty() && w.server.conns.is_empty()) {
+            while w.client.conn_count() + w.server.conn_count() > 0 {
                 w.step();
                 spins += 1;
                 assert!(spins < 64, "round {round}: teardown never quiesced");
             }
         }
-        assert!(w.client.conns.is_empty());
-        assert!(w.server.conns.is_empty());
+        assert_eq!(w.client.conn_count(), 0);
+        assert_eq!(w.server.conn_count(), 0);
         assert!(w.client.active.is_empty());
         assert!(w.server.active.is_empty());
         assert_eq!(w.client.pool.outstanding(), 0);

@@ -10,11 +10,13 @@
 //! close-and-reopen, and after every step the stack must agree with the
 //! model on which socket each segment reached, which slot each new
 //! socket took, the order sockets were pumped in and how many
-//! connections are open. A second test forces the hash table's worst
-//! case: tuples chosen to share a bucket and a control tag.
+//! connections are open, and the stack's own table audit must pass (every
+//! stream found by its key at its slot, no bucket left by a reaped one).
+//! Two more tests force the hash table's worst cases: tuples chosen to
+//! share a bucket, and two tuples whose keys hash alike in all 32 bits.
 
 use flexos_machine::{Addr, Machine, PageFlags, ProtKey, VcpuId, VmId};
-use flexos_net::hash::FixedHasher;
+use flexos_net::demux::Demux;
 use flexos_net::nic::Nic;
 use flexos_net::stack::{conn_key, NetStack, SocketId};
 use flexos_net::wire::{
@@ -23,7 +25,6 @@ use flexos_net::wire::{
 };
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
-use std::hash::{BuildHasher, BuildHasherDefault};
 
 const SERVER_IP: u32 = 0x0a00_0001;
 const PORT: u16 = 7379;
@@ -215,6 +216,7 @@ impl Rig {
             self.live.len(),
             "open connections disagree with the model"
         );
+        assert_eq!(self.server.table_audit(), Ok(()));
     }
 
     fn syn(&mut self, who: (u32, u16), tag: usize) {
@@ -365,6 +367,7 @@ impl Rig {
         }
         assert!(self.live.is_empty());
         assert_eq!(self.server.conn_count(), 0, "churn leaked demux entries");
+        assert_eq!(self.server.table_audit(), Ok(()));
     }
 }
 
@@ -446,12 +449,10 @@ proptest! {
 #[test]
 fn tuples_that_collide_in_the_hash_table_still_resolve() {
     // Tuples whose keys agree in the 10 low hash bits (the bucket, for
-    // any table this test can grow) and the 7 high ones (the control
-    // tag): every probe for one of them walks over the others.
-    let hash = |who: (u32, u16)| {
-        BuildHasherDefault::<FixedHasher>::default().hash_one(conn_key(PORT, who.0, who.1))
-    };
-    let fingerprint = |h: u64| (h & 0x3ff, h >> 57);
+    // any table this test can grow): every probe for one of them walks
+    // over the others.
+    let hash = |who: (u32, u16)| Demux::hash(conn_key(PORT, who.0, who.1));
+    let fingerprint = |h: u32| h & 0x3ff;
     let want = fingerprint(hash((0x0a00_0200, 1)));
     let colliding: Vec<(u32, u16)> = (0x0a00_0200u32..0x0a00_0300)
         .flat_map(|ip| (1..=u16::MAX).map(move |port| (ip, port)))
@@ -472,8 +473,8 @@ fn tuples_that_collide_in_the_hash_table_still_resolve() {
     for &who in colliding.iter().rev() {
         rig.data(who, 64);
     }
-    // Reap every other one (leaving tombstones on the shared probe
-    // sequence); the survivors must still be found behind them.
+    // Reap every other one (shifting the shared probe chain back over
+    // each hole); the survivors must still be found.
     for &who in colliding.iter().step_by(2) {
         rig.fin(who);
         rig.app_close(who);
@@ -503,4 +504,39 @@ fn tuples_that_collide_in_the_hash_table_still_resolve() {
     rig.settle();
     assert_eq!(rig.server.stats().drops, before + 1);
     assert_eq!(rig.server.conn_count(), 0);
+}
+
+#[test]
+fn tuples_whose_keys_hash_alike_in_all_32_bits_reach_their_own_sockets() {
+    // Found by search: two keys one full-width hash files alike, so only
+    // the 4-tuple each socket holds tells their buckets apart.
+    let (a, b) = ((0x0a00_0400, 53_688), (0x0a00_0401, 64_875));
+    let hash = |who: (u32, u16)| Demux::hash(conn_key(PORT, who.0, who.1));
+    assert_eq!(hash(a), hash(b), "the twins no longer collide");
+    let mut rig = Rig::new();
+    for k in 0..20 {
+        rig.syn(tuple(k), k);
+    }
+    rig.syn(a, 500);
+    // A segment for b while only a is open reaches no socket.
+    let before = rig.server.stats().drops;
+    rig.send_frame(b, TcpFlags::ACK, 1, 1, b"x");
+    rig.settle();
+    assert_eq!(
+        rig.server.stats().drops,
+        before + 1,
+        "b's segment reached a"
+    );
+    rig.syn(b, 501);
+    rig.check();
+    for _ in 0..3 {
+        rig.data(b, 40);
+        rig.data(a, 24);
+    }
+    // With the first one reaped, the second is still found.
+    rig.fin(a);
+    rig.app_close(a);
+    rig.check();
+    rig.data(b, 16);
+    rig.teardown();
 }
