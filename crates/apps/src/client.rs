@@ -96,9 +96,10 @@ impl Client {
         })
     }
 
-    /// Starts a connection to the server.
+    /// Starts a connection to the server at the client's current cycle.
     pub fn connect(&mut self, port: u16) -> NetResult<SocketId> {
-        self.net.tcp_connect(SERVER_IP, port)
+        self.net
+            .tcp_connect(SERVER_IP, port, self.m.clock().cycles())
     }
 
     /// Whether the connection completed its handshake.

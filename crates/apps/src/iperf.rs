@@ -282,7 +282,8 @@ mod tests {
             ..IperfParams::default()
         };
         let (mut rig, csid, received) = boot(&params).expect("iperf boots and connects");
-        rig.link.faults.drop_every = Some(1);
+        let (dead, seed) = dead_link().link_chaos.expect("a dead link");
+        rig.link.set_chaos(dead, seed);
         let err = transfer(&mut rig, csid, &received, params.total_bytes).unwrap_err();
         assert_eq!(
             err,

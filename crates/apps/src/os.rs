@@ -29,7 +29,7 @@ use flexos_kernel::alloc::AllocMode;
 use flexos_kernel::exec::{Executor, KernelHal};
 use flexos_kernel::sched::ThreadId;
 use flexos_kernel::sync::{SemId, SemTable, WaitChannel};
-use flexos_machine::{Access, Addr, Fault, Machine, Result, VcpuId};
+use flexos_machine::{Access, Addr, Fault, Machine, Result};
 use flexos_net::event::{Interest, ReadyEvent};
 use flexos_net::nic::Nic;
 use flexos_net::stack::{NetError, NetResult, NetStack, SocketId};
@@ -207,6 +207,10 @@ fn charge_libc_copy(m: &mut Machine, libc_tax: u64, n: u64) {
 /// table's component-level SH percentages are calibrated against.
 /// Other hardening sets scale proportionally.
 const GCC_PCT: u64 = 118;
+
+/// Argument bytes a socket control call (`listen`, `accept`, `connect`,
+/// `close`) marshals into libc and on into the stack.
+const CONTROL_ARG_BYTES: u64 = 16;
 
 /// A failure of the server library `lib` outside any memory fault,
 /// attributed to it.
@@ -514,39 +518,36 @@ impl Os {
 
     // --- socket API (application-facing, fully gated) ------------------------------
 
-    /// A socket call that goes app → libc → network stack and back:
-    /// two nested crossings of `arg_bytes` in and 8 bytes out, with
-    /// `call` run in the stack on the crossing's vCPU.
+    /// A socket control call that goes app → libc → network stack and
+    /// back: two nested crossings of [`CONTROL_ARG_BYTES`] in and 8 bytes
+    /// out, with `call` run in the stack.
     fn via_libc_to_net<R>(
         &mut self,
-        arg_bytes: u64,
-        call: impl FnOnce(&mut NetStack, &mut Machine, VcpuId) -> NetResult<R>,
+        call: impl FnOnce(&mut NetStack, &mut Machine) -> NetResult<R>,
     ) -> NetResult<R> {
         let (c_libc, c_net) = (self.roles.libc, self.roles.net);
         let Os { img, net, .. } = self;
         let BootImage { machine, gates, .. } = img;
         gates
-            .cross(machine, c_libc, arg_bytes, 8, |m, rt| {
-                rt.cross(m, c_net, arg_bytes, 8, |m, rt| {
-                    Ok(call(net, m, rt.current_ctx().vcpu))
-                })
+            .cross(machine, c_libc, CONTROL_ARG_BYTES, 8, |m, rt| {
+                rt.cross(m, c_net, CONTROL_ARG_BYTES, 8, |m, _| Ok(call(net, m)))
             })
             .map_err(NetError::from)?
     }
 
     /// `listen()`: app → libc → network stack.
     pub fn listen(&mut self, port: u16) -> NetResult<SocketId> {
-        self.via_libc_to_net(16, |net, _, _| net.tcp_listen(port))
+        self.via_libc_to_net(|net, _| net.tcp_listen(port))
     }
 
     /// `accept()`: returns a connected socket once the handshake is done.
     pub fn accept(&mut self, listener: SocketId) -> NetResult<Option<SocketId>> {
-        self.via_libc_to_net(16, |net, _, _| net.tcp_accept(listener))
+        self.via_libc_to_net(|net, _| net.tcp_accept(listener))
     }
 
     /// `connect()`: initiates an active open (poll until established).
     pub fn connect(&mut self, dst_ip: u32, dst_port: u16) -> NetResult<SocketId> {
-        self.via_libc_to_net(16, |net, _, _| net.tcp_connect(dst_ip, dst_port))
+        self.via_libc_to_net(|net, m| net.tcp_connect(dst_ip, dst_port, m.clock().cycles()))
     }
 
     /// A data operation on `sid` with where it goes and what it costs on
@@ -616,7 +617,6 @@ impl Os {
             Err(NetError::AddrInUse) => -3,
             Err(NetError::InvalidSocket) => -4,
             Err(NetError::NoBuffers) => -5,
-            Err(NetError::MessageTooLong) => -6,
             Err(NetError::Fault(_)) => -7,
         }
     }
@@ -766,41 +766,7 @@ impl Os {
 
     /// `close()`.
     pub fn sock_close(&mut self, sid: SocketId) -> NetResult<()> {
-        self.via_libc_to_net(16, |net, _, _| net.close(sid))
-    }
-
-    /// `bind()` for UDP: app → libc → network stack.
-    pub fn udp_bind(&mut self, port: u16) -> NetResult<SocketId> {
-        self.via_libc_to_net(16, |net, _, _| net.udp_bind(port))
-    }
-
-    /// `sendto()`: datagram from a shared buffer, fully gated.
-    pub fn udp_send_to(
-        &mut self,
-        sid: SocketId,
-        src: Addr,
-        len: u64,
-        dst_ip: u32,
-        dst_port: u16,
-    ) -> NetResult<()> {
-        self.via_libc_to_net(32, |net, m, vcpu| {
-            net.udp_send_to(m, vcpu, sid, src, len, dst_ip, dst_port)
-        })?;
-        charge_libc_copy(&mut self.img.machine, self.tax.libc, len);
-        Ok(())
-    }
-
-    /// `recvfrom()`: returns `(bytes, src_ip, src_port)`.
-    pub fn udp_recv_from(
-        &mut self,
-        sid: SocketId,
-        dst: Addr,
-        max: u64,
-    ) -> NetResult<(u64, u32, u16)> {
-        let r =
-            self.via_libc_to_net(32, |net, m, vcpu| net.udp_recv_from(m, vcpu, sid, dst, max))?;
-        charge_libc_copy(&mut self.img.machine, self.tax.libc, r.0);
-        Ok(r)
+        self.via_libc_to_net(|net, _| net.close(sid))
     }
 
     // --- blocking / wakeup (the Figure 5 path) ---------------------------------------
@@ -1067,14 +1033,12 @@ mod tests {
         assert_eq!(os.img.gates.stats().direct_calls, 2);
     }
 
-    /// Each socket call crosses app → libc → stack with its declared
-    /// sizes: 16 bytes in and 8 out for the control calls, 32 and 8 for
-    /// the datagram calls. Under NW-only the app → libc hop is direct,
-    /// so the one libc → stack crossing marshals them.
+    /// Each socket control call crosses app → libc → stack with its
+    /// declared sizes: 16 bytes in and 8 out. Under NW-only the app →
+    /// libc hop is direct, so the one libc → stack crossing marshals them.
     #[test]
     fn socket_calls_marshal_their_declared_sizes() {
         let mut os = boot(CompartmentModel::NwOnly, BackendChoice::MpkShared);
-        let buf = os.alloc_shared_buf(64).unwrap();
         let marshalled = |os: &mut Os, call: &dyn Fn(&mut Os)| {
             os.img.gates.reset_stats();
             call(os);
@@ -1082,12 +1046,11 @@ mod tests {
             os.img.gates.stats().bytes_marshalled
         };
         assert_eq!(marshalled(&mut os, &|os| drop(os.listen(5201))), 16 + 8);
-        assert_eq!(marshalled(&mut os, &|os| drop(os.udp_bind(7))), 16 + 8);
-        let sid = os.udp_bind(9).unwrap();
-        let send = |os: &mut Os| drop(os.udp_send_to(sid, buf, 5, 0x0a00_0002, 9));
-        assert_eq!(marshalled(&mut os, &send), 32 + 8);
-        let recv = |os: &mut Os| drop(os.udp_recv_from(sid, buf, 64));
-        assert_eq!(marshalled(&mut os, &recv), 32 + 8);
+        let l = os.listen(7).unwrap();
+        assert_eq!(marshalled(&mut os, &|os| drop(os.accept(l))), 16 + 8);
+        let connect = |os: &mut Os| drop(os.connect(0x0a00_0002, 9));
+        assert_eq!(marshalled(&mut os, &connect), 16 + 8);
+        assert_eq!(marshalled(&mut os, &|os| drop(os.sock_close(l))), 16 + 8);
     }
 
     /// libc's memcpy is charged per started 4-byte word, plus the

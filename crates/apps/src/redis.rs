@@ -666,6 +666,7 @@ fn run_redis_inner(
 mod tests {
     use super::*;
     use flexos_machine::Schedule;
+    use flexos_net::nic::LinkChaos;
     use flexos_net::tcp::SpareList;
 
     /// The booted `redis_get_mpk` image (NW/Sched/Rest over MPK with
@@ -767,7 +768,11 @@ mod tests {
     #[test]
     fn a_link_that_never_answers_is_no_progress_not_a_panic() {
         let mut session = Session::boot(&RedisParams::default()).expect("session boots");
-        session.rig.link.faults.drop_every = Some(1);
+        let dead = LinkChaos {
+            loss_per_mille: 1000,
+            ..LinkChaos::default()
+        };
+        session.rig.link.set_chaos(dead, 7);
         let mut load = LoadGen::new(50, Mix::Set, 4);
         let err = session.drive(&mut load, 8).unwrap_err();
         assert_eq!(

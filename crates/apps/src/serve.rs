@@ -1729,6 +1729,26 @@ mod tests {
     }
 
     #[test]
+    fn a_tier_established_past_the_rto_retransmits_nothing() {
+        // Twelve handshake waves: the server's clock passes the RTO while
+        // the later waves are opened, and a SYN-ACK that counted as sent
+        // at cycle 0 went out a second time on the next pump.
+        let params = ServeParams {
+            conns: 12 * ESTABLISH_WAVE,
+            ..ServeParams::default()
+        };
+        let tier = Tier::boot(&params).expect("tier boots");
+        let os = &tier.world.os;
+        let rto = flexos_net::TcpConfig::default().rto_cycles;
+        assert!(
+            os.img.machine.clock().cycles() > rto,
+            "the RTO never passed"
+        );
+        assert_eq!(os.net.stats().retransmits, 0);
+        assert_eq!(tier.idle_storage_audit(), Ok(()));
+    }
+
+    #[test]
     fn input_that_is_not_resp_is_answered_and_the_connection_closed() {
         let closed = ["ERR protocol error", "connection 0 closed by server"];
         // Used to read as "incomplete" forever, wedging the connection.

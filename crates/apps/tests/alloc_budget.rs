@@ -20,12 +20,6 @@ use flexos_apps::iperf::{run_iperf, IperfParams};
 use flexos_apps::redis::{run_redis, Mix, RedisParams};
 use flexos_apps::serve::{run_serve, ServeParams};
 use flexos_apps::CompartmentModel;
-use flexos_machine::{Machine, PageFlags, ProtKey, VcpuId, VmId};
-use flexos_net::stack::UDP_QUEUE_DEPTH;
-use flexos_net::wire::{
-    build_udp_frame, EthHeader, Ipv4Header, UdpHeader, ETHERTYPE_IPV4, IPV4_LEN, PROTO_UDP, UDP_LEN,
-};
-use flexos_net::{Mac, NetStack, Nic};
 
 mod counting;
 use counting::allocations_during;
@@ -140,52 +134,4 @@ fn iperf_16k_allocates_per_pump_round_never_per_segment() {
         per_unit <= 4.5,
         "{per_unit} allocations per 64 KiB > 4.5 (2 per pump round, 0 per segment; was 6.0)"
     );
-}
-
-#[test]
-fn a_dropped_udp_datagram_is_not_copied_first() {
-    const IP: u32 = 0x0a00_0001;
-    let mut m = Machine::with_defaults();
-    let pool = m
-        .alloc_region(VmId(0), 1 << 16, ProtKey(0), PageFlags::RW)
-        .expect("pool region");
-    let mut stack = NetStack::new(IP, Nic::new(Mac::of_nic(1)), pool, 1 << 16);
-    stack.udp_bind(53).expect("port 53 is free");
-    let datagram = |dst_port| {
-        let payload = [7u8; 100];
-        let eth = EthHeader {
-            dst: Mac::of_nic(1),
-            src: Mac::of_nic(9),
-            ethertype: ETHERTYPE_IPV4,
-        };
-        let ip = Ipv4Header {
-            src: 0x0a00_0002,
-            dst: IP,
-            proto: PROTO_UDP,
-            total_len: (IPV4_LEN + UDP_LEN + payload.len()) as u16,
-            ttl: 64,
-            ident: 1,
-        };
-        let udp = UdpHeader {
-            src_port: 9,
-            dst_port,
-            len: (UDP_LEN + payload.len()) as u16,
-        };
-        build_udp_frame(&eth, &ip, &udp, &payload).expect("datagram within wire limits")
-    };
-    // Fill port 53's queue, and four more: the drop path has run, so the
-    // frame pool and the drop ring have their storage.
-    for _ in 0..UDP_QUEUE_DEPTH + 4 {
-        stack.nic.push_rx(datagram(53));
-    }
-    stack.poll(&mut m, VcpuId(0)).expect("poll");
-    assert_eq!(stack.stats().drops, 4);
-    // One datagram for a port nobody bound, one for the full queue: each
-    // used to be copied out of the frame before either was looked up.
-    stack.nic.push_rx(datagram(54));
-    stack.nic.push_rx(datagram(53));
-    let allocs = allocations_during(|| stack.poll(&mut m, VcpuId(0)).expect("poll"));
-    assert_eq!(stack.stats().drops, 6);
-    assert_eq!(stack.stats().rx_datagrams, UDP_QUEUE_DEPTH as u64);
-    assert_eq!(allocs, 0, "a dropped datagram allocated");
 }

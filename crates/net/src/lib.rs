@@ -3,22 +3,21 @@
 //! A from-scratch TCP/IP stack playing the role lwIP plays in the
 //! FlexOS prototype's evaluation images:
 //!
-//! * [`wire`] — real Ethernet/IPv4/TCP/UDP header formats with Internet
+//! * [`wire`] — real Ethernet/IPv4/TCP header formats with Internet
 //!   checksums;
 //! * [`tcp`] — a full TCP endpoint state machine (handshake, reliable
 //!   bidirectional transfer, out-of-order reassembly, retransmission,
 //!   flow control, FIN/RST teardown);
-//! * [`nic`] — simulated NICs and a point-to-point link with
-//!   deterministic fault injection: nth-frame drops/reordering plus
-//!   seeded probabilistic chaos (loss, corruption, duplication,
-//!   reordering) via [`LinkChaos`]; each NIC owns the pool its frame
-//!   buffers are recycled through;
+//! * [`nic`] — simulated NICs and a point-to-point link with seeded
+//!   fault injection (loss, corruption, duplication, reordering) via
+//!   [`LinkChaos`]; each NIC owns the pool its frame buffers are
+//!   recycled through;
 //! * [`ring`] — socket receive rings living in *simulated* memory, so
 //!   every payload byte is protection-checked and cycle-charged;
 //! * [`demux`] — the stream demux: 8-byte buckets of socket slot and
 //!   key hash, the key itself read from the socket on a full-hash match;
 //! * [`stack`] — the socket API (`listen`/`accept`/`connect`/`send`/
-//!   `recv`, plus UDP) and the poll loop, with per-packet cost
+//!   `recv`) and the poll loop, with per-packet cost
 //!   accounting (including the Xen hypervisor tax used by Figure 3's
 //!   Xen curves);
 //! * [`hash`] — the workspace's one fixed, unkeyed hasher (it lives in
@@ -42,7 +41,7 @@ pub mod wire;
 
 pub use event::{EventQueue, Interest, ReadyEvent, Trigger};
 pub use flexos_machine::hash::{self, FixedHasher, FixedMap};
-pub use nic::{Link, LinkChaos, LinkFaults, Nic, NicStats};
+pub use nic::{Link, LinkChaos, Nic, NicStats};
 pub use ring::SimRing;
 pub use stack::{NetError, NetResult, NetStack, SocketId};
 pub use tcp::{TcpConfig, TcpConn, TcpState};

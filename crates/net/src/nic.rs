@@ -2,8 +2,8 @@
 //!
 //! A [`Nic`] is a pair of frame queues (the virtio-net role in the
 //! paper's images); a [`Link`] moves frames between two NICs and can
-//! inject deterministic faults (drops, reordering) to exercise TCP's
-//! recovery paths.
+//! inject seeded faults (loss, corruption, duplication, reordering) to
+//! exercise TCP's recovery paths.
 
 use crate::wire::Mac;
 use flexos_machine::SplitMix64;
@@ -16,10 +16,6 @@ pub struct NicStats {
     pub rx_frames: u64,
     /// Frames sent (out of the tx queue).
     pub tx_frames: u64,
-    /// Bytes received.
-    pub rx_bytes: u64,
-    /// Bytes sent.
-    pub tx_bytes: u64,
 }
 
 /// A simulated network interface.
@@ -69,7 +65,6 @@ impl Nic {
     /// Enqueues an outgoing frame.
     pub fn push_tx(&mut self, frame: Vec<u8>) {
         self.stats.tx_frames += 1;
-        self.stats.tx_bytes += frame.len() as u64;
         self.tx.push_back(frame);
     }
 
@@ -81,7 +76,6 @@ impl Nic {
     /// Enqueues an incoming frame (link side).
     pub fn push_rx(&mut self, frame: Vec<u8>) {
         self.stats.rx_frames += 1;
-        self.stats.rx_bytes += frame.len() as u64;
         self.rx.push_back(frame);
     }
 
@@ -106,19 +100,11 @@ impl Nic {
     }
 }
 
-/// Deterministic link-fault injection.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LinkFaults {
-    /// Drop every `n`-th frame (1-based count across the link lifetime).
-    pub drop_every: Option<u64>,
-    /// Swap every `n`-th frame with its successor.
-    pub reorder_every: Option<u64>,
-}
-
 /// Seeded probabilistic link chaos (the `flexos-inject` layer's NIC
 /// choke point). Rates are per-mille per frame, drawn from a private
 /// [`SplitMix64`] stream so the fault schedule is a pure function of the
-/// seed and the frame sequence.
+/// seed and the frame sequence. At 1000‰ a fault hits every frame: a
+/// loss of 1000‰ is a dead link.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LinkChaos {
     /// Probability (‰) that a frame is silently dropped.
@@ -137,10 +123,7 @@ pub struct LinkChaos {
 /// A point-to-point link between two NICs.
 #[derive(Debug, Default)]
 pub struct Link {
-    /// Fault-injection configuration.
-    pub faults: LinkFaults,
     chaos: Option<(LinkChaos, SplitMix64)>,
-    counter: u64,
     /// Frames dropped so far.
     pub dropped: u64,
     /// Frame pairs reordered so far.
@@ -158,14 +141,6 @@ impl Link {
     /// A fault-free link.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// A link with deterministic nth-frame fault injection.
-    pub fn with_faults(faults: LinkFaults) -> Self {
-        Self {
-            faults,
-            ..Self::default()
-        }
     }
 
     /// A link with seeded probabilistic chaos.
@@ -186,13 +161,6 @@ impl Link {
         let mut batch = std::mem::take(&mut self.batch);
         batch.clear();
         while let Some(mut f) = from.pop_tx() {
-            self.counter += 1;
-            if let Some(n) = self.faults.drop_every {
-                if self.counter.is_multiple_of(n) {
-                    self.dropped += 1;
-                    continue;
-                }
-            }
             if let Some((chaos, rng)) = self.chaos.as_mut() {
                 if rng.hit(chaos.loss_per_mille) {
                     self.dropped += 1;
@@ -209,18 +177,6 @@ impl Link {
                 }
             }
             batch.push(f);
-        }
-        if let Some(n) = self.faults.reorder_every {
-            let mut i = 0;
-            while i + 1 < batch.len() {
-                if (i as u64 + 1).is_multiple_of(n) {
-                    batch.swap(i, i + 1);
-                    self.reordered += 1;
-                    i += 2;
-                } else {
-                    i += 1;
-                }
-            }
         }
         if let Some((chaos, rng)) = self.chaos.as_mut() {
             if chaos.reorder_per_mille > 0 {
@@ -268,20 +224,23 @@ mod tests {
     }
 
     #[test]
-    fn drop_every_discards_deterministically() {
-        let mut a = Nic::new(Mac::of_nic(0));
-        let mut b = Nic::new(Mac::of_nic(1));
-        for i in 0..6 {
-            a.push_tx(frame(i));
+    fn a_dead_link_discards_every_frame() {
+        // A loss of 1000‰ drops every frame, whatever the seed.
+        for seed in 0..8 {
+            let mut a = Nic::new(Mac::of_nic(0));
+            let mut b = Nic::new(Mac::of_nic(1));
+            for i in 0..6 {
+                a.push_tx(frame(i));
+            }
+            let dead = LinkChaos {
+                loss_per_mille: 1000,
+                ..Default::default()
+            };
+            let mut link = Link::with_chaos(dead, seed);
+            assert_eq!(link.transfer(&mut a, &mut b), 0);
+            assert_eq!(link.dropped, 6);
+            assert!(!b.has_rx());
         }
-        let mut link = Link::with_faults(LinkFaults {
-            drop_every: Some(3),
-            reorder_every: None,
-        });
-        assert_eq!(link.transfer(&mut a, &mut b), 4);
-        assert_eq!(link.dropped, 2);
-        let tags: Vec<u8> = std::iter::from_fn(|| b.pop_rx()).map(|f| f[0]).collect();
-        assert_eq!(tags, vec![0, 1, 3, 4]); // frames 2 and 5 dropped
     }
 
     #[test]
@@ -366,14 +325,15 @@ mod tests {
         for i in 0..4 {
             a.push_tx(frame(i));
         }
-        let mut link = Link::with_faults(LinkFaults {
-            drop_every: None,
-            reorder_every: Some(2),
-        });
+        let swap_every = LinkChaos {
+            reorder_per_mille: 1000,
+            ..Default::default()
+        };
+        let mut link = Link::with_chaos(swap_every, 3);
         link.transfer(&mut a, &mut b);
         let tags: Vec<u8> = std::iter::from_fn(|| b.pop_rx()).map(|f| f[0]).collect();
-        // The 2nd frame (1-based) swaps with its successor.
-        assert_eq!(tags, vec![0, 2, 1, 3]);
-        assert_eq!(link.reordered, 1);
+        // At 1000‰ every frame swaps with its successor, pair by pair.
+        assert_eq!(tags, vec![1, 0, 3, 2]);
+        assert_eq!(link.reordered, 2);
     }
 }

@@ -1,7 +1,7 @@
 //! The network-stack micro-library: sockets, demux, and the poll loop.
 //!
 //! [`NetStack`] is the lwIP-role component of the FlexOS images: it owns
-//! the NIC, the TCP/UDP port tables and every socket's receive ring (in
+//! the NIC, the TCP port table and every socket's receive ring (in
 //! the stack compartment's simulated memory), and exposes the socket API
 //! the paper's listing shows being gated (`rc = listen(sockfd, 5)` →
 //! `uk_gate_r(rc, listen, sockfd, 5)`).
@@ -18,9 +18,8 @@ use crate::nic::Nic;
 use crate::ring::SimRing;
 use crate::tcp::{Flight, Lend, SegDesc, Segment, SpareList, TcpConfig, TcpConn};
 use crate::wire::{
-    build_tcp_frame_into, build_udp_frame, parse_ipv4_frame, EthHeader, Ipv4Header, Mac, TcpFlags,
-    TcpHeader, UdpHeader, WireError, ETHERTYPE_IPV4, IPV4_LEN, PROTO_TCP, PROTO_UDP, TCP_LEN,
-    UDP_LEN,
+    build_tcp_frame_into, parse_ipv4_frame, EthHeader, Ipv4Header, Mac, TcpFlags, TcpHeader,
+    WireError, ETHERTYPE_IPV4, IPV4_LEN, PROTO_TCP, TCP_LEN,
 };
 use flexos_machine::{Addr, BitVec, Fault, Machine, VcpuId};
 use flexos_trace::{NetSnapshot, SpanKind};
@@ -41,9 +40,6 @@ pub enum NetError {
     InvalidSocket,
     /// The stack's buffer pool is exhausted.
     NoBuffers,
-    /// The datagram exceeds what the wire format can describe
-    /// (cf. `EMSGSIZE`).
-    MessageTooLong,
     /// A machine fault surfaced during the operation.
     Fault(Fault),
 }
@@ -56,7 +52,6 @@ impl fmt::Display for NetError {
             NetError::AddrInUse => write!(f, "address in use"),
             NetError::InvalidSocket => write!(f, "invalid socket"),
             NetError::NoBuffers => write!(f, "no buffers"),
-            NetError::MessageTooLong => write!(f, "message too long for the wire format"),
             NetError::Fault(fault) => write!(f, "fault: {fault}"),
         }
     }
@@ -84,9 +79,6 @@ pub const SOCK_RX_RING: u32 = 64 * 1024;
 /// Default accept-backlog bound per listener (cf. `somaxconn`).
 pub const DEFAULT_BACKLOG_CAP: usize = 1024;
 
-/// Maximum queued datagrams per UDP socket.
-pub const UDP_QUEUE_DEPTH: usize = 64;
-
 /// First port of the ephemeral (dynamic) range, per IANA.
 pub const EPHEMERAL_BASE: u16 = 49152;
 
@@ -101,10 +93,6 @@ enum Sock {
         rx: SimRing,
         /// The peer's IP (its port is `conn.remote_port`).
         remote_ip: u32,
-    },
-    Udp {
-        port: u16,
-        rx: VecDeque<(u32, u16, Vec<u8>)>,
     },
 }
 
@@ -151,6 +139,11 @@ impl BufPool {
     fn release(&mut self, off: u32, bytes: u32) {
         self.free.entry(bytes).or_default().push(off);
     }
+
+    /// Bytes waiting on the free list.
+    fn free_bytes(&self) -> usize {
+        self.free.iter().map(|(&b, l)| b as usize * l.len()).sum()
+    }
 }
 
 /// The network stack.
@@ -186,7 +179,6 @@ pub struct NetStack {
     /// Stream demux: slots by the hash of their [`conn_key`]. Probed per
     /// segment, never iterated.
     conns: Demux,
-    udp_ports: BTreeMap<u16, SocketId>,
     pool: BufPool,
     /// One copy, shared by every connection.
     tcp_cfg: Rc<TcpConfig>,
@@ -250,7 +242,6 @@ impl NetStack {
             closed_retransmits: 0,
             listeners: BTreeMap::new(),
             conns: Demux::default(),
-            udp_ports: BTreeMap::new(),
             pool: BufPool {
                 base: pool_base,
                 len: u32::try_from(pool_len).unwrap_or(u32::MAX),
@@ -381,35 +372,50 @@ impl NetStack {
         Ok(())
     }
 
-    /// Checks that the demux and the socket table agree: every live
-    /// stream is found by its own key at its own slot, no bucket names a
-    /// slot that holds no stream (or holds one under another key's hash),
-    /// and there are as many buckets as streams. O(open) — for tests and
-    /// debugging.
+    /// Checks every table against the socket slots: streams and demux
+    /// buckets find each other by key and hash, listeners and ports
+    /// likewise, a backlog holds live streams, the free list is the empty
+    /// slots, and the carved ring bytes are the live rings plus the free
+    /// list. O(open) — for tests and debugging.
     pub fn table_audit(&self) -> Result<(), String> {
-        let mut streams = 0;
+        let (mut streams, mut listeners, mut empty, mut rings) = (0, 0, 0, 0);
         for (i, s) in self.socks.iter().enumerate() {
-            let Some(key) = s.as_ref().and_then(Sock::stream_key) else {
-                continue;
+            let filed = match s {
+                None => {
+                    empty += 1;
+                    self.free_slots.contains(&i)
+                }
+                Some(Sock::TcpListen { port, backlog }) => {
+                    listeners += 1;
+                    let live = backlog.iter().all(|&q| self.is_stream(q));
+                    live && self.listeners.get(port) == Some(&SocketId(i))
+                }
+                Some(stream @ Sock::TcpStream { rx, .. }) => {
+                    streams += 1;
+                    rings += rx.region().1 as usize;
+                    stream.stream_key().and_then(|k| self.find_stream(k)) == Some(i)
+                }
             };
-            streams += 1;
-            if self.find_stream(key) != Some(i) {
-                return Err(format!("stream {i} is not found by its own key"));
+            if !filed {
+                return Err(format!("slot {i} disagrees with its tables: {s:?}"));
             }
         }
         for (slot, hash) in self.conns.entries() {
             let sock = self.socks.get(slot as usize).and_then(Option::as_ref);
-            match sock.and_then(Sock::stream_key) {
-                None => return Err(format!("a demux bucket names slot {slot}, no stream")),
-                Some(key) if Demux::hash(key) != hash => {
-                    return Err(format!("slot {slot} is filed under another key's hash"));
-                }
-                Some(_) => {}
+            if sock.and_then(Sock::stream_key).map(Demux::hash) != Some(hash) {
+                return Err(format!("bucket of slot {slot} names no stream of its hash"));
             }
         }
-        let buckets = self.conns.len();
-        if buckets != streams {
-            return Err(format!("{buckets} demux entries for {streams} streams"));
+        let pooled = rings + self.pool.free_bytes();
+        for (got, want, what) in [
+            (self.listeners.len(), listeners, "ports filed"),
+            (self.free_slots.len(), empty, "free slots"),
+            (self.conns.len(), streams, "demux buckets"),
+            (self.pool.next as usize, pooled, "ring bytes carved"),
+        ] {
+            if got != want {
+                return Err(format!("{got} {what}, not {want}"));
+            }
         }
         Ok(())
     }
@@ -510,16 +516,16 @@ impl NetStack {
         Ok(got.0)
     }
 
-    /// Initiates an active connection to `dst_ip:dst_port`; the SYN goes
-    /// out on the next flush. Completion is reported by
+    /// Initiates an active connection to `dst_ip:dst_port` at cycle `now`;
+    /// the SYN goes out on the next flush. Completion is reported by
     /// [`NetStack::tcp_is_established`].
-    pub fn tcp_connect(&mut self, dst_ip: u32, dst_port: u16) -> NetResult<SocketId> {
+    pub fn tcp_connect(&mut self, dst_ip: u32, dst_port: u16, now: u64) -> NetResult<SocketId> {
         let local_port = self.alloc_ephemeral(dst_ip, dst_port)?;
         let iss = self.next_iss();
         let ring = self.sock_ring_bytes;
         let rx_off = self.pool.carve(ring).ok_or(NetError::NoBuffers)?;
-        let cfg = self.tcp_cfg.clone();
-        let (conn, syn) = TcpConn::open(local_port, dst_port, iss, None, cfg, &mut self.spare);
+        let (cfg, spare) = (self.tcp_cfg.clone(), &mut self.spare);
+        let (conn, syn) = TcpConn::open(local_port, dst_port, iss, None, cfg, spare, now);
         let id = self.insert(Sock::TcpStream {
             conn,
             rx: SimRing::new(rx_off, ring),
@@ -548,15 +554,6 @@ impl NetStack {
                 Ok(!rx.is_empty() || conn.at_eof() || conn.is_closed())
             }
             Sock::TcpListen { backlog, .. } => Ok(!backlog.is_empty()),
-            _ => Err(NetError::InvalidSocket),
-        }
-    }
-
-    /// Whether a stream socket is fully closed.
-    pub fn tcp_is_closed(&mut self, id: SocketId) -> NetResult<bool> {
-        match self.sock(id)? {
-            Sock::TcpStream { conn, .. } => Ok(conn.is_closed()),
-            _ => Err(NetError::InvalidSocket),
         }
     }
 
@@ -643,7 +640,7 @@ impl NetStack {
     }
 
     /// Closes the sending direction of a stream (FIN) or tears down a
-    /// listener/UDP socket.
+    /// listener.
     pub fn close(&mut self, id: SocketId) -> NetResult<()> {
         match self.sock(id)? {
             Sock::TcpStream { conn, .. } => {
@@ -660,110 +657,6 @@ impl NetStack {
                 self.events.deregister(id);
                 Ok(())
             }
-            Sock::Udp { port, .. } => {
-                let port = *port;
-                self.udp_ports.remove(&port);
-                self.socks[id.0] = None;
-                self.free_slots.insert(id.0);
-                self.events.deregister(id);
-                Ok(())
-            }
-        }
-    }
-
-    /// Binds a UDP socket on `port`.
-    pub fn udp_bind(&mut self, port: u16) -> NetResult<SocketId> {
-        if self.udp_ports.contains_key(&port) {
-            return Err(NetError::AddrInUse);
-        }
-        let id = self.insert(Sock::Udp {
-            port,
-            rx: VecDeque::new(),
-        });
-        self.udp_ports.insert(port, id);
-        Ok(id)
-    }
-
-    /// Sends a UDP datagram from simulated memory.
-    #[allow(clippy::too_many_arguments)] // mirrors sendto(2)'s shape
-    pub fn udp_send_to(
-        &mut self,
-        m: &mut Machine,
-        vcpu: VcpuId,
-        id: SocketId,
-        src: Addr,
-        len: u64,
-        dst_ip: u32,
-        dst_port: u16,
-    ) -> NetResult<()> {
-        m.charge(m.costs().socket_call);
-        let src_port = match self.sock(id)? {
-            Sock::Udp { port, .. } => *port,
-            _ => return Err(NetError::InvalidSocket),
-        };
-        // Reject before any 16-bit length cast can truncate.
-        if len as usize > crate::wire::UDP_MAX_PAYLOAD {
-            return Err(NetError::MessageTooLong);
-        }
-        let mut buf = std::mem::take(&mut self.tx_scratch);
-        buf.clear();
-        buf.resize(len as usize, 0);
-        if let Err(f) = m.read(vcpu, src, &mut buf) {
-            self.tx_scratch = buf;
-            return Err(f.into());
-        }
-        // Checked header construction: the pre-guard above already bounds
-        // the payload, but no `as u16` is allowed to silently truncate a
-        // wire length even if that guard drifts.
-        let Ok(udp_len) = u16::try_from(UDP_LEN + buf.len()) else {
-            self.tx_scratch = buf;
-            return Err(NetError::MessageTooLong);
-        };
-        let udp = UdpHeader {
-            src_port,
-            dst_port,
-            len: udp_len,
-        };
-        let ip = match self.ip_header(dst_ip, PROTO_UDP, UDP_LEN + buf.len()) {
-            Ok(ip) => ip,
-            Err(_) => {
-                self.tx_scratch = buf;
-                return Err(NetError::MessageTooLong);
-            }
-        };
-        let eth = self.eth_header();
-        m.charge(
-            m.costs().stack_per_packet
-                + m.costs().nic_per_packet
-                + self.packet_tax(buf.len() as u64),
-        );
-        m.charge(m.costs().copy_cost(buf.len() as u64)); // checksum/DMA touch
-        let frame = build_udp_frame(&eth, &ip, &udp, &buf);
-        self.tx_scratch = buf;
-        let frame = frame.map_err(|_| NetError::MessageTooLong)?;
-        self.nic.push_tx(frame);
-        Ok(())
-    }
-
-    /// Receives a UDP datagram into simulated memory; returns
-    /// `(bytes, src_ip, src_port)`.
-    pub fn udp_recv_from(
-        &mut self,
-        m: &mut Machine,
-        vcpu: VcpuId,
-        id: SocketId,
-        dst: Addr,
-        max: u64,
-    ) -> NetResult<(u64, u32, u16)> {
-        m.charge(m.costs().socket_call);
-        match self.sock(id)? {
-            Sock::Udp { rx, .. } => {
-                let (sip, sport, data) = rx.pop_front().ok_or(NetError::WouldBlock)?;
-                let n = (data.len() as u64).min(max);
-                m.write(vcpu, dst, &data[..n as usize])?;
-                Ok((n, sip, sport))
-            }
-            _ => Err(NetError::InvalidSocket),
         }
     }
 
@@ -1011,7 +904,6 @@ impl NetStack {
         m.charge(m.costs().copy_cost(l4.len() as u64));
         match ip.proto {
             PROTO_TCP => self.handle_tcp(m, &ip, l4),
-            PROTO_UDP => self.handle_udp(m, now, &ip, l4),
             _ => {
                 self.demux_drop(m, now);
             }
@@ -1073,7 +965,7 @@ impl NetStack {
                     return;
                 };
                 let (lport, rport, spare) = (hdr.dst_port, hdr.src_port, &mut self.spare);
-                let (conn, syn_ack) = TcpConn::open(lport, rport, iss, Some(&hdr), cfg, spare);
+                let (conn, syn_ack) = TcpConn::open(lport, rport, iss, Some(&hdr), cfg, spare, now);
                 let sid = self.insert(Sock::TcpStream {
                     conn,
                     rx: SimRing::new(rx_off, ring),
@@ -1109,25 +1001,6 @@ impl NetStack {
         }
         self.demux_drop(m, now);
     }
-
-    fn handle_udp(&mut self, m: &mut Machine, now: u64, ip: &Ipv4Header, l4: &[u8]) {
-        let Some(hdr) = UdpHeader::parse(l4) else {
-            self.demux_drop(m, now);
-            return;
-        };
-        if let Some(&sid) = self.udp_ports.get(&hdr.dst_port) {
-            if let Some(Sock::Udp { rx, .. }) = self.socks[sid.0].as_mut() {
-                if rx.len() < UDP_QUEUE_DEPTH {
-                    // Copied only now that it will be queued.
-                    let payload = l4[UDP_LEN..hdr.len as usize].to_vec();
-                    rx.push_back((ip.src, hdr.src_port, payload));
-                    self.stats.rx_datagrams += 1;
-                    return;
-                }
-            }
-        }
-        self.demux_drop(m, now);
-    }
 }
 
 #[cfg(test)]
@@ -1140,14 +1013,9 @@ mod tests {
     use proptest::{prop_assert, prop_assert_eq};
 
     impl BufPool {
-        /// Bytes neither carved-and-live nor on the free list.
-        fn outstanding(&self) -> u64 {
-            let freed: u64 = self
-                .free
-                .iter()
-                .map(|(&sz, list)| u64::from(sz) * list.len() as u64)
-                .sum();
-            u64::from(self.next) - freed
+        /// Bytes carved and not on the free list: the live rings'.
+        fn outstanding(&self) -> usize {
+            self.next as usize - self.free_bytes()
         }
     }
 
@@ -1204,9 +1072,15 @@ mod tests {
             self.server.idle_storage_audit().unwrap();
         }
 
+        /// The client's active open to `port`, sent at the current cycle.
+        fn connect(&mut self, port: u16) -> NetResult<SocketId> {
+            self.client
+                .tcp_connect(SERVER_IP, port, self.m.clock().cycles())
+        }
+
         fn establish(&mut self, port: u16) -> (SocketId, SocketId) {
             let l = self.server.tcp_listen(port).unwrap();
-            let cs = self.client.tcp_connect(SERVER_IP, port).unwrap();
+            let cs = self.connect(port).unwrap();
             for _ in 0..4 {
                 self.step();
             }
@@ -1284,8 +1158,13 @@ mod tests {
     #[test]
     fn bulk_transfer_survives_packet_loss() {
         let mut w = world();
-        w.link.faults.drop_every = Some(13);
         let (cs, ss) = w.establish(5201);
+        // One frame in 13 lost, from the first data segment on.
+        let loss = crate::nic::LinkChaos {
+            loss_per_mille: 77,
+            ..Default::default()
+        };
+        w.link.set_chaos(loss, 13);
         let total: usize = 200 * 1024;
         let chunk = vec![0xabu8; 8192];
         w.m.write(VcpuId(0), w.app_buf, &chunk).unwrap();
@@ -1424,7 +1303,7 @@ mod tests {
         let ip = Ipv4Header {
             src: CLIENT_IP,
             dst: SERVER_IP,
-            proto: 1, // ICMP: neither TCP nor UDP
+            proto: 1, // ICMP: not TCP
             total_len: (IPV4_LEN + 8) as u16,
             ttl: 64,
             ident: 1,
@@ -1497,32 +1376,23 @@ mod tests {
     #[test]
     fn syn_to_closed_port_gets_rst() {
         let mut w = world();
-        let cs = w.client.tcp_connect(SERVER_IP, 81).unwrap(); // nobody listens
+        let cs = w.connect(81).unwrap(); // nobody listens
         for _ in 0..4 {
             w.step();
         }
-        assert!(w.client.tcp_is_closed(cs).unwrap());
+        assert!(conn_of(&w.client, cs).is_closed());
     }
 
     #[test]
-    fn udp_round_trip() {
+    fn an_open_past_the_rto_is_sent_once() {
+        // Both opening segments are stamped with the cycle they leave at:
+        // one counted as sent at cycle 0 was resent by the next pump once
+        // the clock had passed the RTO.
         let mut w = world();
-        let s_sock = w.server.udp_bind(53).unwrap();
-        let c_sock = w.client.udp_bind(1234).unwrap();
-        w.m.write(VcpuId(0), w.app_buf, b"ping").unwrap();
-        w.client
-            .udp_send_to(&mut w.m, VcpuId(0), c_sock, w.app_buf, 4, SERVER_IP, 53)
-            .unwrap();
-        w.step();
-        let dst = Addr(w.app_buf.0 + 512);
-        let (n, sip, sport) = w
-            .server
-            .udp_recv_from(&mut w.m, VcpuId(0), s_sock, dst, 64)
-            .unwrap();
-        assert_eq!((n, sip, sport), (4, CLIENT_IP, 1234));
-        let mut got = [0u8; 4];
-        w.m.read(VcpuId(0), dst, &mut got).unwrap();
-        assert_eq!(&got, b"ping");
+        w.m.charge(TcpConfig::default().rto_cycles + 1);
+        let _ = w.establish(5201);
+        assert_eq!(w.client.retransmits(), 0, "the SYN went twice");
+        assert_eq!(w.server.retransmits(), 0, "the SYN-ACK went twice");
     }
 
     #[test]
@@ -1530,43 +1400,6 @@ mod tests {
         let mut w = world();
         w.server.tcp_listen(80).unwrap();
         assert_eq!(w.server.tcp_listen(80).unwrap_err(), NetError::AddrInUse);
-        w.server.udp_bind(53).unwrap();
-        assert_eq!(w.server.udp_bind(53).unwrap_err(), NetError::AddrInUse);
-    }
-
-    #[test]
-    fn udp_payload_boundary_at_64k() {
-        // 65507 bytes is the largest UDP payload an IPv4 header can
-        // describe (total_len == 65535 exactly); one more byte must be
-        // rejected, never truncated into a lying header.
-        let mut w = world();
-        let c_sock = w.client.udp_bind(1234).unwrap();
-        let max = crate::wire::UDP_MAX_PAYLOAD as u64; // 65507
-        w.client
-            .udp_send_to(&mut w.m, VcpuId(0), c_sock, w.app_buf, max, SERVER_IP, 53)
-            .unwrap();
-        let frame = w.client.nic.pop_tx().expect("max-size datagram emitted");
-        let ip = Ipv4Header::parse(&frame[ETH_LEN..]).unwrap();
-        assert_eq!(ip.total_len, u16::MAX);
-
-        let idents_before = w.client.ip_ident;
-        assert_eq!(
-            w.client
-                .udp_send_to(
-                    &mut w.m,
-                    VcpuId(0),
-                    c_sock,
-                    w.app_buf,
-                    max + 1,
-                    SERVER_IP,
-                    53,
-                )
-                .unwrap_err(),
-            NetError::MessageTooLong
-        );
-        assert!(w.client.nic.pop_tx().is_none(), "rejected datagram leaked");
-        // A rejected datagram consumes no IP ident.
-        assert_eq!(w.client.ip_ident, idents_before);
     }
 
     #[test]
@@ -1575,12 +1408,12 @@ mod tests {
         // 65515 bytes of L4 is the largest that fits (20-byte IP header).
         let ip = w
             .server
-            .ip_header(CLIENT_IP, PROTO_UDP, u16::MAX as usize - IPV4_LEN)
+            .ip_header(CLIENT_IP, PROTO_TCP, u16::MAX as usize - IPV4_LEN)
             .unwrap();
         assert_eq!(ip.total_len, u16::MAX);
         let err = w
             .server
-            .ip_header(CLIENT_IP, PROTO_UDP, u16::MAX as usize - IPV4_LEN + 1)
+            .ip_header(CLIENT_IP, PROTO_TCP, u16::MAX as usize - IPV4_LEN + 1)
             .unwrap_err();
         assert!(matches!(err, WireError::PayloadTooLarge { .. }));
     }
@@ -1601,7 +1434,7 @@ mod tests {
         let mut seen = std::collections::BTreeSet::new();
         for i in 0..16384u32 {
             // Each connect pins its 4-tuple as live.
-            let sid = w.client.tcp_connect(SERVER_IP, 80).unwrap();
+            let sid = w.connect(80).unwrap();
             let p = local_port(&w.client, sid);
             assert!(p >= EPHEMERAL_BASE);
             assert!(seen.insert(p), "port {p} reused at connect {i}");
@@ -1623,13 +1456,13 @@ mod tests {
     fn tcp_connect_skips_live_ports_after_wrap() {
         let mut w = world();
         // The first port of the range is bound to a live connection.
-        let first = w.client.tcp_connect(SERVER_IP, 80).unwrap();
+        let first = w.connect(80).unwrap();
         assert_eq!(local_port(&w.client, first), EPHEMERAL_BASE);
         w.client.next_ephemeral = u16::MAX;
-        let a = w.client.tcp_connect(SERVER_IP, 80).unwrap();
+        let a = w.connect(80).unwrap();
         assert_eq!(local_port(&w.client, a), u16::MAX);
         // The wrapped rotor lands on that port; the allocator must skip it.
-        let b = w.client.tcp_connect(SERVER_IP, 80).unwrap();
+        let b = w.connect(80).unwrap();
         assert_eq!(local_port(&w.client, b), EPHEMERAL_BASE + 1);
         assert_eq!(w.client.table_audit(), Ok(()));
     }
@@ -1740,7 +1573,7 @@ mod tests {
         w.server.set_backlog_cap(2);
         let l = w.server.tcp_listen(80).unwrap();
         for _ in 0..4 {
-            w.client.tcp_connect(SERVER_IP, 80).unwrap();
+            w.connect(80).unwrap();
         }
         w.step();
         assert_eq!(w.server.stats().backlog_overflows, 2);
@@ -1760,7 +1593,7 @@ mod tests {
         let l = w.server.tcp_listen(5201).unwrap();
         let pool_before = w.server.pool.outstanding();
         for round in 0..10_000u32 {
-            let cs = w.client.tcp_connect(SERVER_IP, 5201).unwrap();
+            let cs = w.connect(5201).unwrap();
             for _ in 0..4 {
                 w.step();
             }
@@ -1797,7 +1630,6 @@ mod tests {
         assert_eq!(live(&w.server), 1);
         // The port allocator still has its full range: nothing pinned.
         assert!(w.client.alloc_ephemeral(SERVER_IP, 5201).is_ok());
-        assert!(w.client.udp_ports.is_empty() && w.server.udp_ports.is_empty());
     }
 
     /// A world whose machine charges nothing for what the stack does, so
@@ -1981,7 +1813,7 @@ mod tests {
         // the first stream, they would be cut from the wrong FIFO.
         let mut w = world();
         let (ca, sa) = w.establish(5201);
-        let cb = w.client.tcp_connect(SERVER_IP, 5201).unwrap();
+        let cb = w.connect(5201).unwrap();
         for _ in 0..4 {
             w.step();
         }

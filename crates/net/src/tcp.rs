@@ -411,7 +411,7 @@ impl TcpConn {
         cfg: TcpConfig,
     ) -> (Self, SegmentOut) {
         let own = &mut SpareList::default();
-        Self::open(local_port, remote_port, iss, None, Rc::new(cfg), own)
+        Self::open(local_port, remote_port, iss, None, Rc::new(cfg), own, 0)
     }
 
     /// Passive open from a received SYN: returns the endpoint and its
@@ -431,6 +431,7 @@ impl TcpConn {
             Some(peer_syn),
             Rc::new(cfg),
             own,
+            0,
         )
     }
 
@@ -438,6 +439,7 @@ impl TcpConn {
     /// without one, for a connection of a stack. As with every `*_lent`
     /// method, the record a connection needs comes from `spare`; the plain
     /// forms pass an empty list, so a connection on its own allocates one.
+    /// The opening segment's retransmission timer starts at `now`.
     pub(crate) fn open(
         local_port: u16,
         remote_port: u16,
@@ -445,6 +447,7 @@ impl TcpConn {
         peer_syn: Option<&TcpHeader>,
         cfg: Rc<TcpConfig>,
         spare: &mut SpareList<Flight>,
+        now: u64,
     ) -> (Self, SegmentOut) {
         let (state, flags) = match peer_syn {
             None => (TcpState::SynSent, TcpFlags::SYN),
@@ -476,7 +479,7 @@ impl TcpConn {
             seq: iss,
             len: 0,
             fin: false,
-            sent_at: 0,
+            sent_at: now,
             retries: 0,
         });
         (c, opening)
@@ -550,11 +553,6 @@ impl TcpConn {
     /// `NetStack::idle_storage_audit`).
     pub(crate) fn record(&self) -> Option<&Flight> {
         self.flight.as_deref()
-    }
-
-    /// Bytes queued but not yet acknowledged.
-    pub fn tx_pending(&self) -> usize {
-        self.flight().tx.len()
     }
 
     /// Up to `max` in-order received bytes, lent in place; follow with
@@ -998,7 +996,7 @@ mod tests {
         pump(&mut c, &mut s, &mut now, |_, _| true);
         assert_eq!(s.take_ready(1024), msg);
         // Everything acked: nothing left in flight.
-        assert_eq!(c.tx_pending(), 0);
+        assert_eq!(c.flight().tx.len(), 0);
     }
 
     #[test]
@@ -1391,11 +1389,12 @@ mod tests {
     impl Pair {
         fn open(k: u16, spare: &mut SpareList<Flight>) -> Self {
             let cfg = Rc::new(TcpConfig::default());
-            let (lent, syn) = TcpConn::open(40_000 + k, 5201, 1000, None, cfg.clone(), spare);
+            let (lent, syn) = TcpConn::open(40_000 + k, 5201, 1000, None, cfg.clone(), spare, 0);
             let (own, syn2) = TcpConn::connect(40_000 + k, 5201, 1000, TcpConfig::default());
             assert_eq!(syn, syn2);
             let client = Twin { lent, own };
-            let (lent, syn_ack) = TcpConn::open(5201, 40_000 + k, 9000, Some(&syn.hdr), cfg, spare);
+            let (lent, syn_ack) =
+                TcpConn::open(5201, 40_000 + k, 9000, Some(&syn.hdr), cfg, spare, 0);
             let (own, syn_ack2) =
                 TcpConn::accept(5201, 40_000 + k, 9000, &syn.hdr, TcpConfig::default());
             assert_eq!(syn_ack, syn_ack2);

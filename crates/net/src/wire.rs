@@ -1,6 +1,6 @@
-//! Wire formats: Ethernet, IPv4, TCP, UDP headers and checksums.
+//! Wire formats: Ethernet, IPv4 and TCP headers and checksums.
 //!
-//! Real header layouts (RFC 791/793/768), parsed from and serialized to
+//! Real header layouts (RFC 791/793), parsed from and serialized to
 //! byte frames, with the standard Internet checksum. The stack is small
 //! (no IP options, no TCP options beyond what the fixed MSS implies) but
 //! honest: corrupted headers and checksums are rejected, and every field
@@ -15,8 +15,6 @@ pub const ETH_LEN: usize = 14;
 pub const IPV4_LEN: usize = 20;
 /// TCP header length (no options).
 pub const TCP_LEN: usize = 20;
-/// UDP header length.
-pub const UDP_LEN: usize = 8;
 
 /// TCP maximum segment size implied by the MTU.
 pub const MSS: usize = MTU - IPV4_LEN - TCP_LEN; // 1460
@@ -24,16 +22,11 @@ pub const MSS: usize = MTU - IPV4_LEN - TCP_LEN; // 1460
 /// Largest TCP payload whose IPv4 total length still fits in 16 bits.
 pub const TCP_MAX_PAYLOAD: usize = u16::MAX as usize - IPV4_LEN - TCP_LEN; // 65495
 
-/// Largest UDP payload whose IPv4 total length still fits in 16 bits.
-pub const UDP_MAX_PAYLOAD: usize = u16::MAX as usize - IPV4_LEN - UDP_LEN; // 65507
-
 /// EtherType for IPv4.
 pub const ETHERTYPE_IPV4: u16 = 0x0800;
 
-/// IP protocol numbers.
+/// IP protocol number of TCP.
 pub const PROTO_TCP: u8 = 6;
-/// UDP protocol number.
-pub const PROTO_UDP: u8 = 17;
 
 /// Error raised when a frame cannot be serialized.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -150,7 +143,7 @@ pub struct Ipv4Header {
     pub src: u32,
     /// Destination address.
     pub dst: u32,
-    /// Payload protocol ([`PROTO_TCP`] / [`PROTO_UDP`]).
+    /// Payload protocol ([`PROTO_TCP`]; anything else is dropped).
     pub proto: u8,
     /// Total length (header + payload).
     pub total_len: u16,
@@ -373,41 +366,6 @@ impl TcpHeader {
     }
 }
 
-/// UDP header.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UdpHeader {
-    /// Source port.
-    pub src_port: u16,
-    /// Destination port.
-    pub dst_port: u16,
-    /// Length (header + payload).
-    pub len: u16,
-}
-
-impl UdpHeader {
-    /// Serializes into the first [`UDP_LEN`] bytes (checksum omitted,
-    /// which is legal for IPv4 UDP).
-    pub fn write(&self, out: &mut [u8]) {
-        out[0..2].copy_from_slice(&self.src_port.to_be_bytes());
-        out[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
-        out[4..6].copy_from_slice(&self.len.to_be_bytes());
-        out[6..8].copy_from_slice(&[0, 0]);
-    }
-
-    /// Parses; `None` if too short or inconsistent.
-    pub fn parse(b: &[u8]) -> Option<UdpHeader> {
-        if b.len() < UDP_LEN {
-            return None;
-        }
-        let h = UdpHeader {
-            src_port: u16::from_be_bytes([b[0], b[1]]),
-            dst_port: u16::from_be_bytes([b[2], b[3]]),
-            len: u16::from_be_bytes([b[4], b[5]]),
-        };
-        (h.len as usize >= UDP_LEN && h.len as usize <= b.len()).then_some(h)
-    }
-}
-
 /// Splits an IPv4-over-Ethernet frame into its two headers and the L4
 /// bytes its IP header's `total_len` covers (trailing link padding
 /// excluded). `None` for a frame that is not IPv4 or does not parse — a
@@ -454,28 +412,6 @@ pub fn build_tcp_frame_into(
     tcp.write(ip, payload, &mut out[ETH_LEN + IPV4_LEN..])?;
     out.extend_from_slice(payload);
     Ok(())
-}
-
-/// Builds a full Ethernet+IPv4+UDP frame. Fails rather than emitting a
-/// frame whose headers misdescribe an oversized payload.
-pub fn build_udp_frame(
-    eth: &EthHeader,
-    ip: &Ipv4Header,
-    udp: &UdpHeader,
-    payload: &[u8],
-) -> Result<Vec<u8>, WireError> {
-    if payload.len() > UDP_MAX_PAYLOAD {
-        return Err(WireError::PayloadTooLarge {
-            len: payload.len(),
-            max: UDP_MAX_PAYLOAD,
-        });
-    }
-    let mut out = vec![0u8; ETH_LEN + IPV4_LEN + UDP_LEN + payload.len()];
-    eth.write(&mut out[..ETH_LEN]);
-    ip.write(&mut out[ETH_LEN..ETH_LEN + IPV4_LEN]);
-    udp.write(&mut out[ETH_LEN + IPV4_LEN..ETH_LEN + IPV4_LEN + UDP_LEN]);
-    out[ETH_LEN + IPV4_LEN + UDP_LEN..].copy_from_slice(payload);
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -554,22 +490,6 @@ mod tests {
     }
 
     #[test]
-    fn udp_round_trip() {
-        let h = UdpHeader {
-            src_port: 53,
-            dst_port: 9999,
-            len: (UDP_LEN + 11) as u16,
-        };
-        let mut buf = [0u8; UDP_LEN + 11];
-        h.write(&mut buf);
-        assert_eq!(UdpHeader::parse(&buf).unwrap(), h);
-        // Length exceeding the buffer is rejected.
-        let bad = UdpHeader { len: 64, ..h };
-        bad.write(&mut buf);
-        assert!(UdpHeader::parse(&buf).is_none());
-    }
-
-    #[test]
     fn full_tcp_frame_parses_end_to_end() {
         let payload = vec![0x42u8; 333];
         let eth = EthHeader {
@@ -612,7 +532,7 @@ mod tests {
             eth.write(&mut frame);
             let ip = Ipv4Header {
                 total_len,
-                ..ip_hdr(0, PROTO_UDP)
+                ..ip_hdr(0, PROTO_TCP)
             };
             ip.write(&mut frame[ETH_LEN..]);
             frame
@@ -656,18 +576,6 @@ mod tests {
             })
         );
         assert!(build_tcp_frame(&eth, &ip, &tcp, &payload).is_err());
-        let udp = UdpHeader {
-            src_port: 1,
-            dst_port: 2,
-            len: 0,
-        };
-        assert_eq!(
-            build_udp_frame(&eth, &ip_hdr(100, PROTO_UDP), &udp, &payload).unwrap_err(),
-            WireError::PayloadTooLarge {
-                len: 65536,
-                max: UDP_MAX_PAYLOAD
-            }
-        );
         // The boundary itself is accepted.
         let ok = vec![0u8; TCP_MAX_PAYLOAD];
         assert!(tcp.write(&ip, &ok, &mut seg).is_ok());

@@ -452,8 +452,8 @@ impl TlbSnapshot {
     }
 }
 
-/// The net stack's probes for the two drop classes; its segment and
-/// datagram counts are plain field bumps.
+/// The net stack's probes for the two drop classes; its segment counts
+/// are plain field bumps.
 impl NetSnapshot {
     /// Records a demux drop at machine time `now`: one count here, one
     /// `packet-drop` record in `spans` with detail 0.

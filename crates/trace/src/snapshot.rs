@@ -188,8 +188,6 @@ pub struct NetSnapshot {
     pub rx_segments: u64,
     /// TCP segments transmitted.
     pub tx_segments: u64,
-    /// UDP datagrams delivered.
-    pub rx_datagrams: u64,
     /// Frames/segments dropped at demux.
     pub drops: u64,
     /// SYNs dropped because the accept backlog was full.
@@ -455,7 +453,6 @@ impl StatsSnapshot {
                     .title("Network stack")
                     .both("rx_segments", "rx segments", |n| n.rx_segments)
                     .both("tx_segments", "tx segments", |n| n.tx_segments)
-                    .both("rx_datagrams", "rx datagrams", |n| n.rx_datagrams)
                     .both("drops", "demux drops", |n| n.drops)
                     .both("backlog_overflows", "backlog drops", |n| {
                         n.backlog_overflows
@@ -632,7 +629,6 @@ mod tests {
             net: NetSnapshot {
                 rx_segments: 61,
                 tx_segments: 62,
-                rx_datagrams: 63,
                 drops: 64,
                 backlog_overflows: 65,
                 retransmits: 66,
@@ -706,7 +702,7 @@ mod tests {
         r#""fault_kinds":[{"kind":"pkey-violation","count":2},{"kind":"gate-timeout","count":1}],"#,
         r#""fault_compartments":[{"compartment":1,"name":"net","count":2}],"#,
         r#""tlb":{"hits":51,"misses":17,"flushes":53,"hit_rate_milli":750},"#,
-        r#""net":{"rx_segments":61,"tx_segments":62,"rx_datagrams":63,"drops":64,"backlog_overflows":65,"retransmits":66},"#,
+        r#""net":{"rx_segments":61,"tx_segments":62,"drops":64,"backlog_overflows":65,"retransmits":66},"#,
         r#""serving":{"events_posted":71,"events_coalesced":72,"polls":73,"events_delivered":74,"tasks_spawned":75,"tasks_run":76,"wakeups":77},"#,
         r#""latency":[{"app":"redis","backend":"mpk-shared","count":81,"p50":82,"p99":83,"p999":84}],"#,
         r#""ring_drops":[{"subsystem":"gates","owner":0,"pushed":91,"dropped":92},{"subsystem":"spans","owner":1,"pushed":93,"dropped":0}],"#,
@@ -791,9 +787,9 @@ mod tests {
         "\n",
         "\n",
         "== Network stack ==\n",
-        "rx segments  tx segments  rx datagrams  demux drops  backlog drops  retransmits\n",
-        "-------------------------------------------------------------------------------\n",
-        "61           62           63            64           65             66         \n",
+        "rx segments  tx segments  demux drops  backlog drops  retransmits\n",
+        "-----------------------------------------------------------------\n",
+        "61           62           64           65             66         \n",
         "\n",
         "\n",
         "== Serving tier: readiness layer + cooperative executor ==\n",
@@ -859,9 +855,9 @@ mod tests {
         "\n",
         "\n",
         "== Network stack ==\n",
-        "rx segments  tx segments  rx datagrams  demux drops  backlog drops  retransmits\n",
-        "-------------------------------------------------------------------------------\n",
-        "0            0            0             0            0              0          \n",
+        "rx segments  tx segments  demux drops  backlog drops  retransmits\n",
+        "-----------------------------------------------------------------\n",
+        "0            0            0            0              0          \n",
         "\n",
     );
 
@@ -875,7 +871,7 @@ mod tests {
     fn first_difference_names_every_perturbed_cell() {
         let cells = crate::sheet::tests::every_perturbed_cell_is_named(&full().sheet());
         // Every JSON value of `FULL_JSON` that is not an array or object.
-        assert_eq!(cells, 110);
+        assert_eq!(cells, 109);
         // A perturbed row field is named under its table, row and key.
         let named = |f: fn(&mut StatsSnapshot)| {
             let mut other = full();
