@@ -18,6 +18,7 @@ use flexos_kernel::exec::Step;
 use flexos_machine::throughput_mbps;
 use flexos_net::nic::{Link, LinkChaos};
 use flexos_net::stack::{NetError, SocketId};
+use flexos_trace::Label;
 use std::cell::Cell;
 use std::rc::Rc;
 
@@ -173,7 +174,7 @@ fn boot(params: &IperfParams) -> Result<(Rig, SocketId, Rc<Cell<u64>>), RunError
             if counter.get() > burst_before {
                 let t1 = os.img.machine.clock().cycles();
                 let span = os.img.machine.span_trace_mut().begin_request(
-                    "iperf",
+                    Label::Iperf,
                     burst_backend,
                     burst_vcpu,
                     burst_t0,

@@ -22,7 +22,7 @@ use flexos_net::nic::Link;
 use flexos_net::stack::{NetError, SocketId};
 use flexos_net::tcp::Lend;
 use flexos_net::FixedMap;
-use flexos_trace::{SpanId, StatsSnapshot};
+use flexos_trace::{Label, SpanId, StatsSnapshot};
 use std::collections::VecDeque;
 use std::ops::Range;
 
@@ -407,7 +407,7 @@ impl RedisServer {
             };
             let t0 = os.img.machine.clock().cycles();
             let span = os.img.machine.span_trace_mut().begin_request(
-                "redis",
+                Label::Redis,
                 self.backend,
                 self.app_vcpu,
                 t0,

@@ -56,7 +56,7 @@ use flexos_net::wire::{
     ETHERTYPE_IPV4, IPV4_LEN, MSS, PROTO_TCP, TCP_LEN,
 };
 use flexos_net::{FixedMap, Interest};
-use flexos_trace::{percentile, SpanId, SpanKind, StatsSnapshot};
+use flexos_trace::{percentile, Label, SpanId, SpanKind, StatsSnapshot};
 use std::collections::VecDeque;
 use std::ops::Range;
 
@@ -81,13 +81,10 @@ const CONN_RING_BYTES: u32 = 256;
 /// Distinct keys the load generator touches.
 const KEYSPACE: usize = 1024;
 
-/// Shard micro-library names (also the span hop labels).
-const SHARD_NAMES: [&str; 8] = [
-    "shard0", "shard1", "shard2", "shard3", "shard4", "shard5", "shard6", "shard7",
-];
-
-/// Maximum shard compartments (bounded by the MPK key budget).
-pub const MAX_SHARDS: usize = SHARD_NAMES.len();
+/// Maximum shard compartments (bounded by the MPK key budget). Shard
+/// `k` is the micro-library named, and its hops labelled,
+/// `Label::SHARDS[k]`.
+pub const MAX_SHARDS: usize = Label::SHARDS.len();
 
 /// Connections established per handshake wave (stays under the
 /// default accept-backlog cap so no SYN is shed during setup).
@@ -208,8 +205,8 @@ pub fn serve_image(params: &ServeParams) -> ImageConfig {
         CompartmentModel::NwSchedRest => 3,
         CompartmentModel::NwAndSchedRest => 2,
     };
-    let names = SHARD_NAMES.iter().take(params.shards.min(MAX_SHARDS));
-    for (k, &name) in names.enumerate() {
+    let shards = &Label::SHARDS[..params.shards.min(MAX_SHARDS)];
+    for (k, name) in shards.iter().map(|l| l.as_str()).enumerate() {
         let c = if params.model == CompartmentModel::Baseline {
             0
         } else {
@@ -385,11 +382,12 @@ impl Conn {
             // Proxy-side routing work (dispatch + key hash).
             let work = w.os.img.machine.costs().app_request;
             let t0 = w.os.img.machine.clock().cycles();
-            let span =
-                w.os.img
-                    .machine
-                    .span_trace_mut()
-                    .begin_request("serve", w.backend, w.app_vcpu, t0);
+            let span = w.os.img.machine.span_trace_mut().begin_request(
+                Label::Serve,
+                w.backend,
+                w.app_vcpu,
+                t0,
+            );
             w.os.app_compute(work);
             let shard = match cmd.len() {
                 0 | 1 => 0,
@@ -459,7 +457,7 @@ impl Conn {
                     m.span_trace_mut().record(
                         shard_vcpu,
                         SpanKind::MqHop,
-                        SHARD_NAMES[k],
+                        Label::SHARDS[k],
                         proxy_vcpu,
                         shard_vcpu,
                         t0,
@@ -485,11 +483,12 @@ impl Conn {
         }
         if self.closing {
             let t0 = w.os.img.machine.clock().cycles();
-            let span =
-                w.os.img
-                    .machine
-                    .span_trace_mut()
-                    .begin_request("serve", w.backend, w.app_vcpu, t0);
+            let span = w.os.img.machine.span_trace_mut().begin_request(
+                Label::Serve,
+                w.backend,
+                w.app_vcpu,
+                t0,
+            );
             b.replies.buf().extend_from_slice(resp::PROTOCOL_ERROR);
             b.replies.end_reply(span);
         }
@@ -1162,9 +1161,9 @@ impl Tier {
         // backend mid-serve, and the latency rows keep the boot key.
         let backend = os.img.plan.config.backend.tag();
         let app_vcpu = os.img.gates.ctx(os.roles.app).vcpu.0 as u16;
-        let shard_comps = SHARD_NAMES[..shards]
+        let shard_comps = Label::SHARDS[..shards]
             .iter()
-            .map(|&name| os.img.compartment_of_lib(name).ok_or(name))
+            .map(|l| os.img.compartment_of_lib(l.as_str()).ok_or(l.as_str()))
             .collect::<Result<Vec<CompartmentId>, _>>()
             .map_err(|name| RunError::Server(format!("shard library {name} not placed")))?;
         let shard_vcpus: Vec<u16> = shard_comps

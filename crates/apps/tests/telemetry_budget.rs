@@ -13,7 +13,7 @@ use flexos::spec::LibSpec;
 use flexos_backends::{instantiate, BootImage};
 use flexos_kernel::{CoopScheduler, Executor, KernelHal, MsgQueue, Step, ThreadId};
 use flexos_machine::{Machine, PageFlags, ProtKey, VcpuId, VmId};
-use flexos_trace::{SpanEvent, SpanKind, SpanTrace};
+use flexos_trace::{Label, SpanEvent, SpanId, SpanKind, SpanTrace};
 
 mod counting;
 use counting::{allocations_during, live_bytes};
@@ -67,9 +67,46 @@ fn kinds_since(spans: &SpanTrace, marks: &[u64]) -> Vec<SpanKind> {
     kinds
 }
 
+/// The record is exactly 48 bytes, four to three cache lines: five
+/// words (`span`, `t0`, `t1`, `gate_cycles`, `bytes`), two 2-byte ids
+/// (`src`, `dst`) and two 1-byte tags (`kind`, `label`), padded by two.
 #[test]
 fn the_record_fits_one_cache_line() {
-    assert!(std::mem::size_of::<SpanEvent>() <= 64);
+    let SpanEvent {
+        span,
+        t0,
+        t1,
+        gate_cycles,
+        bytes,
+        src,
+        dst,
+        kind,
+        label,
+    } = SpanEvent {
+        span: SpanId::NONE,
+        t0: 0,
+        t1: 0,
+        gate_cycles: 0,
+        bytes: 0,
+        src: 0,
+        dst: 0,
+        kind: SpanKind::Gate,
+        label: Label::MpkShared,
+    };
+    use std::mem::size_of_val as size;
+    let words = [
+        size(&span),
+        size(&t0),
+        size(&t1),
+        size(&gate_cycles),
+        size(&bytes),
+    ];
+    assert_eq!(words, [8; 5]);
+    assert_eq!(
+        [size(&src), size(&dst), size(&kind), size(&label)],
+        [2, 2, 1, 1]
+    );
+    assert_eq!(std::mem::size_of::<SpanEvent>(), 48);
 }
 
 /// Per backend × {sync, batch 32, ring 128}: a crossing pushes exactly
@@ -191,7 +228,7 @@ fn a_request_latency_is_a_count_not_a_sample() {
     let mut t = 0;
     let mut requests = |spans: &mut SpanTrace, n: u64| {
         for i in 0..n {
-            let span = spans.begin_request("redis", "mpk-shared", 0, t);
+            let span = spans.begin_request(Label::Redis, "mpk-shared", 0, t);
             // 32 distinct latencies, as many as `redis_get_mpk` has.
             t += 5_000 + i % 32;
             spans.end_request(span, 0, t);

@@ -18,6 +18,7 @@
 use crate::compat::{color, violations, Graph, IncompatGraph};
 use crate::spec::model::LibSpec;
 use crate::spec::transform::{apply_sh, Analysis, ShSet};
+use flexos_trace::Label;
 use std::fmt;
 
 /// The isolation backend an image is built against, and the mechanism
@@ -56,12 +57,17 @@ impl BackendChoice {
 
     /// Human-readable name as used in the paper's figures.
     pub fn label(self) -> &'static str {
+        self.span_label().as_str()
+    }
+
+    /// The label a crossing through this backend is recorded with.
+    pub fn span_label(self) -> Label {
         match self {
-            BackendChoice::None => "function call",
-            BackendChoice::MpkShared => "MPK (shared stack)",
-            BackendChoice::MpkSwitched => "MPK (switched stack)",
-            BackendChoice::VmRpc => "VM RPC (EPT)",
-            BackendChoice::Cheri => "CHERI (sealed caps)",
+            BackendChoice::None => Label::FunctionCall,
+            BackendChoice::MpkShared => Label::MpkShared,
+            BackendChoice::MpkSwitched => Label::MpkSwitched,
+            BackendChoice::VmRpc => Label::VmRpc,
+            BackendChoice::Cheri => Label::Cheri,
         }
     }
 

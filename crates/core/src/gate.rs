@@ -23,7 +23,7 @@
 use crate::build::BackendChoice;
 use crate::spec::transform::ShSet;
 use flexos_machine::{Addr, Fault, Machine, Pkru, ProtKey, Result, VcpuId, VmId};
-use flexos_trace::{GateTrace, SpanId, SpanKind};
+use flexos_trace::{GateTrace, Label, SpanId, SpanKind};
 use std::cell::Cell;
 use std::fmt;
 use std::rc::Rc;
@@ -383,6 +383,13 @@ struct PairSlot {
     batches: u32,
 }
 
+/// A gate and the label its crossings are recorded with, as the slab
+/// keeps them.
+fn labelled(gate: Rc<dyn Gate>) -> (Rc<dyn Gate>, Label) {
+    let label = gate.mechanism().span_label();
+    (gate, label)
+}
+
 /// The per-image gate dispatcher.
 ///
 /// Holds every compartment's context, the configured backend gate (plus
@@ -393,11 +400,13 @@ pub struct GateRuntime {
     /// Every ordered pair's state, row-major `n × n`: a crossing
     /// resolves its gate, a submit its ring, with one index.
     pairs: Vec<PairSlot>,
-    /// Every gate ever installed, append-only: a crossing holds its
-    /// gate's index and re-borrows the slab for enter, exit and label, so
-    /// it touches no refcount and still exits through the gate it
-    /// entered when the pair is re-pointed while it runs.
-    gates: Vec<Rc<dyn Gate>>,
+    /// Every gate ever installed, append-only, each with the label its
+    /// crossings are recorded with: a crossing holds its gate's index and
+    /// re-borrows the slab for enter, exit and label, so it touches no
+    /// refcount, asks the gate nothing for its record and still exits
+    /// through the gate it entered when the pair is re-pointed while it
+    /// runs.
+    gates: Vec<(Rc<dyn Gate>, Label)>,
     stack: Vec<CompartmentId>,
     /// The one per-crossing ledger; [`GateStats`] is a fold over it.
     trace: GateTrace,
@@ -442,7 +451,7 @@ impl GateRuntime {
         Self {
             compartments,
             pairs: (0..n * n).map(|_| PairSlot::default()).collect(),
-            gates: vec![default_gate],
+            gates: vec![labelled(default_gate)],
             stack: vec![initial],
             trace: GateTrace::new(),
             async_stats: AsyncGateStats::default(),
@@ -476,7 +485,7 @@ impl GateRuntime {
     /// Panics if `a` or `b` names no compartment of this image.
     pub fn set_pair_gate(&mut self, a: CompartmentId, b: CompartmentId, gate: Rc<dyn Gate>) {
         let slots = [self.slot(a, b), self.slot(b, a)];
-        self.gates.push(gate);
+        self.gates.push(labelled(gate));
         for slot in slots {
             let pair = &mut self.pairs[slot];
             (pair.gate, pair.row, pair.swapped) = (self.gates.len() - 1, None, false);
@@ -490,12 +499,12 @@ impl GateRuntime {
     /// Panics if `a` or `b` names no compartment of this image.
     #[inline]
     pub fn pair_gate(&self, a: CompartmentId, b: CompartmentId) -> Rc<dyn Gate> {
-        Rc::clone(&self.gates[self.pairs[self.slot(a, b)].gate])
+        Rc::clone(&self.gates[self.pairs[self.slot(a, b)].gate].0)
     }
 
     /// The backend currently serving the `(a, b)` pair.
     pub fn pair_mechanism(&self, a: CompartmentId, b: CompartmentId) -> BackendChoice {
-        self.gates[self.pairs[self.slot(a, b)].gate].mechanism()
+        self.gates[self.pairs[self.slot(a, b)].gate].0.mechanism()
     }
 
     /// The compartment currently executing.
@@ -613,7 +622,7 @@ impl GateRuntime {
         m.span_trace_mut().record(
             self.compartments[a.0 as usize].vcpu.0 as u16,
             SpanKind::Migrate,
-            "drain-start",
+            Label::DrainStart,
             a.0,
             b.0,
             now,
@@ -710,14 +719,14 @@ impl GateRuntime {
         m.span_trace_mut().record(
             shard,
             SpanKind::Migrate,
-            "drain-end",
+            Label::DrainEnd,
             a.0,
             b.0,
             pending.requested_at,
             now,
         );
         m.span_trace_mut()
-            .record(shard, SpanKind::Migrate, "swap", a.0, b.0, now, now);
+            .record(shard, SpanKind::Migrate, Label::Swap, a.0, b.0, now, now);
         self.set_pair_gate(a, b, pending.gate);
         for slot in [slot, back] {
             self.pairs[slot].swapped = true;
@@ -831,7 +840,7 @@ impl GateRuntime {
                 &self.compartments[from.0 as usize],
                 &self.compartments[target.0 as usize],
             );
-            self.gates[gate].enter(m, from_ctx, to_ctx, arg_bytes)?;
+            self.gates[gate].0.enter(m, from_ctx, to_ctx, arg_bytes)?;
         }
         let enter_cycles = m.clock().cycles() - t0;
         self.stack.push(target);
@@ -840,12 +849,12 @@ impl GateRuntime {
 
         self.stack.pop();
         let t1 = m.clock().cycles();
-        let (gate, caller_ctx) = (&*self.gates[gate], &self.compartments[from.0 as usize]);
+        let (gate, label) = (&*self.gates[gate].0, self.gates[gate].1);
+        let caller_ctx = &self.compartments[from.0 as usize];
         let callee_ctx = &self.compartments[target.0 as usize];
         gate.exit(m, callee_ctx, caller_ctx, ret_bytes)?;
         let now = m.clock().cycles();
         let (gate_cycles, bytes) = (enter_cycles + now - t1, arg_bytes + ret_bytes);
-        let label = gate.mechanism().label();
         // The crossing's one record — the window [enter, exit], sharded
         // by the caller's plan-determined vCPU (run-queue-invisible) —
         // and its one accumulator update; every other view of it folds
@@ -856,13 +865,13 @@ impl GateRuntime {
         let slot = self.slot(from, target);
         let row = *self.pairs[slot]
             .row
-            .get_or_insert_with(|| self.trace.row(label, from.0, target.0));
+            .get_or_insert_with(|| self.trace.row(label.as_str(), from.0, target.0));
         self.trace.record_crossing(row, gate_cycles, bytes);
         if self.pairs[slot].swapped {
             for slot in [slot, self.slot(target, from)] {
                 self.pairs[slot].swapped = false;
             }
-            let (kind, label) = (SpanKind::Migrate, "first-crossing");
+            let (kind, label) = (SpanKind::Migrate, Label::FirstCrossing);
             m.span_trace_mut()
                 .record(shard, kind, label, from.0, target.0, t0, now);
         }
@@ -932,9 +941,7 @@ impl GateRuntime {
         }
         let from = self.current();
         let gate = self.route(from, target)?;
-        let label = gate
-            .map_or(BackendChoice::None, |g| self.gates[g].mechanism())
-            .label();
+        let label = gate.map_or(Label::FunctionCall, |g| self.gates[g].1);
         // The whole batch holds the pair non-quiescent — a migration
         // requested from inside any call defers to the batch's end, so
         // the hoisted gate serves every call of the batch.
@@ -959,7 +966,7 @@ impl GateRuntime {
                 }
             }
         }
-        self.trace.record_batch(label, issued);
+        self.trace.record_batch(label.as_str(), issued);
         if let Some(pair) = guard {
             self.pairs[pair].batches -= 1;
             // The batch boundary is a safe point, even when the batch
@@ -1899,19 +1906,18 @@ mod tests {
         let st = rt.migration_stats();
         assert_eq!((st.requested, st.completed, st.deferred), (1, 1, 0));
 
-        // The next crossing runs through the new backend and records the
-        // first-crossing probe.
+        // The next crossing runs through the new backend, is recorded
+        // under its label and records the first-crossing probe.
         rt.cross(&mut m, b, 8, 8, |_, _| Ok(())).unwrap();
-        let labels: Vec<&str> = m
-            .span_trace()
-            .merged_events()
-            .iter()
-            .filter(|(_, _, ev)| ev.kind == SpanKind::Migrate)
-            .map(|(_, _, ev)| ev.label)
-            .collect();
+        let labels = |kind| -> Vec<&str> {
+            let events = m.span_trace().merged_events();
+            let of_kind = events.iter().filter(|(_, _, ev)| ev.kind == kind);
+            of_kind.map(|(_, _, ev)| ev.label.as_str()).collect()
+        };
         if cfg!(not(feature = "trace-off")) {
+            assert_eq!(labels(SpanKind::Gate), vec!["MPK (shared stack)"]);
             assert_eq!(
-                labels,
+                labels(SpanKind::Migrate),
                 vec!["drain-start", "drain-end", "swap", "first-crossing"]
             );
         }
@@ -2296,7 +2302,7 @@ MigrationsSnapshot { requested: 4, completed: 3, deferred: 4, rejected_submits: 
                 .merged_events()
                 .iter()
                 .filter(|(_, _, ev)| ev.kind == SpanKind::Migrate)
-                .map(|(_, _, ev)| format!("{}:{}-{}", ev.label, ev.src, ev.dst))
+                .map(|(_, _, ev)| format!("{}:{}-{}", ev.label.as_str(), ev.src, ev.dst))
                 .collect();
             let golden = "drain-start:0-1 drain-start:0-1 drain-end:0-1 swap:0-1 \
                 first-crossing:0-1 first-crossing:0-1 first-crossing:1-2 \

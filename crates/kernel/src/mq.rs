@@ -16,7 +16,7 @@
 //! ```
 
 use flexos_machine::{Addr, Fault, Machine, Result, VcpuId};
-use flexos_trace::SpanKind;
+use flexos_trace::{Label, SpanKind};
 
 const HDR: u64 = 16;
 
@@ -121,13 +121,13 @@ impl MsgQueue {
         m.write_u64(vcpu, slot, payload.len() as u64)?;
         m.write(vcpu, Addr(slot.0 + 8), payload)?;
         m.write_u64(vcpu, Addr(self.base.0 + 8), tail + 1)?;
-        self.record_hop(m, vcpu, "mq-send", t0);
+        self.record_hop(m, vcpu, Label::MqSend, t0);
         Ok(true)
     }
 
     /// Span probe for one queue hop: the window from op entry to now,
     /// sharded by the (plan-determined) vCPU doing the copy.
-    fn record_hop(&self, m: &mut Machine, vcpu: VcpuId, label: &'static str, t0: u64) {
+    fn record_hop(&self, m: &mut Machine, vcpu: VcpuId, label: Label, t0: u64) {
         let t1 = m.clock().cycles();
         m.span_trace_mut().record(
             vcpu.0 as u16,
@@ -174,7 +174,7 @@ impl MsgQueue {
         }
         m.read(vcpu, Addr(slot.0 + 8), &mut buf[..len])?;
         m.write_u64(vcpu, self.base, head + 1)?;
-        self.record_hop(m, vcpu, "mq-recv", t0);
+        self.record_hop(m, vcpu, Label::MqRecv, t0);
         Ok(Some(len))
     }
 
@@ -228,7 +228,7 @@ impl MsgQueue {
         }
         if written > 0 {
             m.write_u64(vcpu, Addr(self.base.0 + 8), tail + written)?;
-            self.record_hop(m, vcpu, "mq-send-batch", t0);
+            self.record_hop(m, vcpu, Label::MqSendBatch, t0);
         }
         match err {
             Some(e) => Err(e),
@@ -290,7 +290,7 @@ impl MsgQueue {
         }
         if taken > 0 {
             m.write_u64(vcpu, self.base, head + taken)?;
-            self.record_hop(m, vcpu, "mq-recv-batch", t0);
+            self.record_hop(m, vcpu, Label::MqRecvBatch, t0);
         }
         match err {
             Some(e) => Err(e),

@@ -28,7 +28,7 @@ use crate::page::{PageEntry, PageFlags, PageTable};
 use crate::pkey::{Access, Pkru, ProtKey};
 use crate::tlb::Tlb;
 use crate::vm::{Notification, Vm, VmId};
-use flexos_trace::{FaultTrace, SpanKind, SpanTrace, TlbSnapshot};
+use flexos_trace::{FaultTrace, Label, SpanKind, SpanTrace, TlbSnapshot};
 
 /// First virtual page number of the shared window. Shared regions are
 /// mapped at identical addresses in every VM (paper §3: "mapped in all
@@ -818,14 +818,14 @@ impl Machine {
             .as_mut()
             .map_or(NotifyFate::Deliver, ChaosPlan::notify_fate);
         let label = match fate {
-            NotifyFate::Deliver => "doorbell",
+            NotifyFate::Deliver => Label::Doorbell,
             NotifyFate::Drop => {
                 self.record_injected("injected-notify-drop");
-                "doorbell-drop"
+                Label::DoorbellDrop
             }
             NotifyFate::Duplicate => {
                 self.record_injected("injected-notify-dup");
-                "doorbell-dup"
+                Label::DoorbellDup
             }
         };
         let t1 = self.clock.cycles();
@@ -1302,7 +1302,7 @@ mod tests {
             let doorbells: Vec<_> = events
                 .iter()
                 .filter(|(_, _, ev)| ev.kind == SpanKind::Doorbell)
-                .map(|(_, _, ev)| ev.label)
+                .map(|(_, _, ev)| ev.label.as_str())
                 .collect();
             assert_eq!(doorbells, ["doorbell", "doorbell-drop", "doorbell-dup"]);
         }

@@ -22,7 +22,7 @@ use crate::wire::{
     WireError, ETHERTYPE_IPV4, IPV4_LEN, PROTO_TCP, TCP_LEN,
 };
 use flexos_machine::{Addr, BitVec, Fault, Machine, VcpuId};
-use flexos_trace::{NetSnapshot, SpanKind};
+use flexos_trace::{Label, NetSnapshot, SpanKind};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 use std::rc::Rc;
@@ -747,7 +747,7 @@ impl NetStack {
             m.span_trace_mut().record(
                 vcpu.0 as u16,
                 SpanKind::Net,
-                "net-rx",
+                Label::NetRx,
                 vcpu.0 as u16,
                 vcpu.0 as u16,
                 rx_t0,
@@ -815,7 +815,7 @@ impl NetStack {
                 m.span_trace_mut().record(
                     vcpu.0 as u16,
                     SpanKind::Net,
-                    "net-tx",
+                    Label::NetTx,
                     vcpu.0 as u16,
                     vcpu.0 as u16,
                     t0,

@@ -35,6 +35,7 @@
 
 pub mod hist;
 pub mod json;
+mod label;
 mod ring;
 pub mod sheet;
 pub mod snapshot;
@@ -42,6 +43,7 @@ pub mod span;
 
 pub use hist::{CycleHist, HIST_BUCKETS};
 pub use json::JsonWriter;
+pub use label::Label;
 pub use sheet::{Cell, Columns, Difference, Rule, Sheet, Table};
 pub use snapshot::{
     AllocRow, AsyncGatesSnapshot, EventRow, FaultCompartmentRow, FaultKindRow, GateBatchRow,
@@ -271,7 +273,7 @@ impl SchedSnapshot {
         let (src, detail) = (tid as u16, tid.into());
         spans.record_event(
             SpanKind::Sched,
-            "ctx-switch",
+            Label::CtxSwitch,
             src,
             compartment,
             t0,
@@ -344,7 +346,15 @@ impl AllocTrace {
     #[inline]
     pub fn on_fail(&mut self, spans: &mut SpanTrace, cpt: u16, bytes: u64, now: u64) {
         self.slot(cpt).failures += 1;
-        spans.record_event(SpanKind::AllocFail, "alloc-fail", cpt, cpt, now, now, bytes);
+        spans.record_event(
+            SpanKind::AllocFail,
+            Label::AllocFail,
+            cpt,
+            cpt,
+            now,
+            now,
+            bytes,
+        );
     }
 
     /// The row of compartment `cpt`; rows exist up to the highest
@@ -387,7 +397,7 @@ impl FaultTrace {
         if let Some(k) = key {
             *self.by_key.entry(k).or_default() += 1;
         }
-        spans.record_event(SpanKind::Fault, "fault", 0, 0, now, now, detail);
+        spans.record_event(SpanKind::Fault, Label::Fault, 0, 0, now, now, detail);
     }
 
     /// Records a fault deliberately injected by the chaos layer at
@@ -397,7 +407,7 @@ impl FaultTrace {
     #[cold]
     pub fn record_injected(&mut self, spans: &mut SpanTrace, kind: &'static str, now: u64) {
         *self.by_kind.entry(kind).or_default() += 1;
-        spans.record_event(SpanKind::Fault, "injected", 0, 0, now, now, u64::MAX);
+        spans.record_event(SpanKind::Fault, Label::Injected, 0, 0, now, now, u64::MAX);
     }
 
     /// Count for one fault class.
@@ -460,7 +470,7 @@ impl NetSnapshot {
     #[inline]
     pub fn on_drop(&mut self, spans: &mut SpanTrace, now: u64) {
         self.drops += 1;
-        spans.record_event(SpanKind::Drop, "packet-drop", 0, 0, now, now, 0);
+        spans.record_event(SpanKind::Drop, Label::PacketDrop, 0, 0, now, now, 0);
     }
 
     /// Records a SYN dropped because the listener's accept backlog was
@@ -469,7 +479,7 @@ impl NetSnapshot {
     #[inline]
     pub fn on_backlog_overflow(&mut self, spans: &mut SpanTrace, now: u64) {
         self.backlog_overflows += 1;
-        spans.record_event(SpanKind::Drop, "packet-drop", 0, 0, now, now, 1);
+        spans.record_event(SpanKind::Drop, Label::PacketDrop, 0, 0, now, now, 1);
     }
 }
 
@@ -774,7 +784,7 @@ impl TraceRegistry {
                         .unwrap_or(0),
                     _ => owner,
                 },
-                kind: e.label,
+                kind: e.label.as_str(),
                 detail: e.bytes,
             })
             .collect();
@@ -849,11 +859,11 @@ mod tests {
     fn cross(
         gt: &mut GateTrace,
         sp: &mut SpanTrace,
-        (mech, src, dst): (&'static str, u16, u16),
+        (mech, src, dst): (Label, u16, u16),
         (cycles, bytes): (u64, u64),
         now: u64,
     ) {
-        let row = gt.row(mech, src, dst);
+        let row = gt.row(mech.as_str(), src, dst);
         gt.record_crossing(row, cycles, bytes);
         sp.record_gate(0, mech, src, dst, now - cycles, now, cycles, bytes);
     }
@@ -862,21 +872,9 @@ mod tests {
     fn gate_trace_accumulates_pairs_and_hists() {
         let (mut gt, mut sp) = (GateTrace::new(), SpanTrace::new());
         gt.record_direct();
-        cross(
-            &mut gt,
-            &mut sp,
-            ("MPK (shared stack)", 0, 1),
-            (180, 64),
-            1000,
-        );
-        cross(
-            &mut gt,
-            &mut sp,
-            ("MPK (shared stack)", 0, 1),
-            (200, 64),
-            2000,
-        );
-        cross(&mut gt, &mut sp, ("VM RPC (EPT)", 1, 2), (7000, 0), 9000);
+        cross(&mut gt, &mut sp, (Label::MpkShared, 0, 1), (180, 64), 1000);
+        cross(&mut gt, &mut sp, (Label::MpkShared, 0, 1), (200, 64), 2000);
+        cross(&mut gt, &mut sp, (Label::VmRpc, 1, 2), (7000, 0), 9000);
         assert_eq!(gt.direct_calls(), 1);
         assert_eq!(gt.crossings("MPK (shared stack)", 0, 1), 2);
         assert_eq!(gt.crossings("VM RPC (EPT)", 1, 2), 1);
@@ -893,13 +891,13 @@ mod tests {
         // 200 crossings 0 -> 1, then one 1 -> 2: compartment 1's ring
         // would hold 201 events, compartment 0's 200, compartment 2's 1.
         for i in 0..200 {
-            cross(&mut gt, &mut sp, ("a", 0, 1), (10, 0), 100 + i);
+            cross(&mut gt, &mut sp, (Label::MpkShared, 0, 1), (10, 0), 100 + i);
         }
-        cross(&mut gt, &mut sp, ("b", 1, 2), (10, 0), 1000);
+        cross(&mut gt, &mut sp, (Label::VmRpc, 1, 2), (10, 0), 1000);
         // Far more mq spans than the ring holds: every crossing record
         // is evicted, the newest stay reachable.
         for i in 0..3 * DEFAULT_SPAN_RING_CAP as u64 {
-            sp.record(0, SpanKind::MqHop, "mq-send", 0, 0, 2000 + i, 2001 + i);
+            sp.record(0, SpanKind::MqHop, Label::MqSend, 0, 0, 2000 + i, 2001 + i);
         }
         let mut reg = TraceRegistry::new();
         reg.add_gates(&gt, &[]);
@@ -931,7 +929,7 @@ mod tests {
     fn gate_rings_report_what_a_256_deep_ring_would_drop() {
         let (mut gt, mut sp) = (GateTrace::new(), SpanTrace::new());
         for i in 0..300 {
-            cross(&mut gt, &mut sp, ("a", 0, 1), (10, 0), 100 + i);
+            cross(&mut gt, &mut sp, (Label::MpkShared, 0, 1), (10, 0), 100 + i);
         }
         let mut reg = TraceRegistry::new();
         reg.add_gates(&gt, &[]);
@@ -944,9 +942,9 @@ mod tests {
     #[test]
     fn registry_builds_sorted_snapshot() {
         let (mut gt, mut sp) = (GateTrace::new(), SpanTrace::new());
-        cross(&mut gt, &mut sp, ("a", 0, 1), (10, 0), 10);
-        cross(&mut gt, &mut sp, ("b", 1, 0), (20, 0), 20);
-        cross(&mut gt, &mut sp, ("b", 1, 0), (30, 0), 30);
+        cross(&mut gt, &mut sp, (Label::MpkShared, 0, 1), (10, 0), 10);
+        cross(&mut gt, &mut sp, (Label::VmRpc, 1, 0), (20, 0), 20);
+        cross(&mut gt, &mut sp, (Label::VmRpc, 1, 0), (30, 0), 30);
         let mut st = SchedSnapshot::default();
         st.record_switch(&mut sp, 7, 0, 35, 40);
         st.record_step(7, 100, 2);
@@ -1029,7 +1027,7 @@ mod tests {
         }
         nt.on_drop(&mut sp, 4000);
         for i in 0..3 * DEFAULT_SPAN_RING_CAP as u64 {
-            sp.record(0, SpanKind::MqHop, "mq-send", 0, 0, 5000 + i, 5001 + i);
+            sp.record(0, SpanKind::MqHop, Label::MqSend, 0, 0, 5000 + i, 5001 + i);
         }
         let mut reg = TraceRegistry::new();
         reg.add_sched(&st, 3);

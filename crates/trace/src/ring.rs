@@ -1,11 +1,14 @@
 //! The bounded overwrite-oldest store under [`crate::SpanRing`].
 
 /// A flat `Vec` plus a head index rather than a deque, so a push on a
-/// full ring is a single indexed store and never allocates.
+/// full ring is a single indexed store and never allocates. It counts
+/// its pushes by the head's laps, so a push moves no counter but `head`.
 #[derive(Debug, Clone)]
 pub(crate) struct Ring<T> {
     cap: usize,
     head: usize,
+    /// Times `head` wrapped back to slot 0.
+    laps: u64,
     buf: Vec<T>,
 }
 
@@ -15,6 +18,7 @@ impl<T: Copy> Ring<T> {
         Self {
             cap: cap.max(1),
             head: 0,
+            laps: 0,
             buf: Vec::new(),
         }
     }
@@ -42,6 +46,7 @@ impl<T: Copy> Ring<T> {
             self.head += 1;
             if self.head == self.cap {
                 self.head = 0;
+                self.laps += 1;
             }
         }
     }
@@ -54,6 +59,12 @@ impl<T: Copy> Ring<T> {
 
     pub(crate) fn len(&self) -> usize {
         self.buf.len()
+    }
+
+    /// Entries ever pushed: those held plus one per overwrite.
+    pub(crate) fn pushed(&self) -> u64 {
+        let overwrites = self.laps * self.cap as u64 + self.head as u64;
+        self.buf.len() as u64 + overwrites
     }
 }
 
@@ -68,7 +79,7 @@ mod tests {
         for i in 0..5u64 {
             r.push(i, |&old| evicted.push(old));
         }
-        assert_eq!(r.len(), 3);
+        assert_eq!((r.len(), r.pushed()), (3, 5));
         assert_eq!(evicted, vec![0, 1]);
         assert_eq!(r.iter().copied().collect::<Vec<_>>(), vec![2, 3, 4]);
     }
@@ -81,6 +92,7 @@ mod tests {
             r.push(i, |_| {});
         }
         assert_eq!(r.buf.capacity(), cap0);
+        assert_eq!((r.laps, r.pushed()), (11, 100));
         // A lazy ring allocates on first use, then never past its cap.
         let mut lazy = Ring::new(8);
         assert_eq!(lazy.buf.capacity(), 0);

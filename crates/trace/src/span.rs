@@ -29,6 +29,7 @@
 //! construction.
 
 use crate::json::JsonWriter;
+use crate::label::Label;
 use crate::ring::Ring;
 use crate::snapshot::{LatencyRow, RingDropRow};
 use std::collections::BTreeMap;
@@ -110,16 +111,15 @@ impl SpanKind {
 const KINDS: usize = SpanKind::Migrate as usize + 1;
 
 /// One recorded interval, attributed to a span — the one fixed-size
-/// record every probe writes (64 bytes; a gate crossing writes exactly
-/// one). Its sequence number is its position in the shard's push order
-/// and is not stored: [`SpanRing::events`] derives it.
+/// record every probe writes (48 bytes: five words, two ids, two tags;
+/// a gate crossing writes exactly one). Its sequence number is its
+/// position in the shard's push order and is not stored:
+/// [`SpanRing::events`] derives it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanEvent {
     /// Owning request span (may be [`SpanId::NONE`] for unattributed
     /// background work, e.g. scheduler switches between requests).
     pub span: SpanId,
-    /// Mechanism or subsystem label (`"MPK (shared stack)"`, …).
-    pub label: &'static str,
     /// Interval start, simulated cycles.
     pub t0: u64,
     /// Interval end, simulated cycles (`>= t0`).
@@ -137,10 +137,12 @@ pub struct SpanEvent {
     pub dst: u16,
     /// Work class.
     pub kind: SpanKind,
+    /// Mechanism or subsystem label ([`Label::MpkShared`], …).
+    pub label: Label,
 }
 
 /// Default per-vCPU span ring capacity. Sized so a shard's buffer
-/// (64 B/event) stays at 64 KiB — inside a typical L2 — because the
+/// (48 B/event) stays at 48 KiB — inside a typical L2 — because the
 /// overwrite path cycles through the whole buffer and every event write
 /// lands on a cold line once the ring outgrows the cache.
 pub const DEFAULT_SPAN_RING_CAP: usize = 1024;
@@ -163,7 +165,6 @@ pub const TAIL_PER_KIND: usize = crate::SNAPSHOT_EVENT_CAP;
 /// sparse kind's record, not the dense kind's push.
 #[derive(Debug, Clone)]
 pub struct SpanRing {
-    next_seq: u64,
     ring: Ring<SpanEvent>,
     /// Records of each kind currently in `ring`, by `SpanKind as usize`.
     held: [usize; KINDS],
@@ -181,7 +182,6 @@ impl SpanRing {
     /// A ring holding at most `cap` events, allocated up front.
     pub fn with_capacity(cap: usize) -> Self {
         Self {
-            next_seq: 0,
             ring: Ring::with_capacity(cap),
             held: [0; KINDS],
             rescued: std::array::from_fn(|_| Ring::new(TAIL_PER_KIND)),
@@ -189,13 +189,11 @@ impl SpanRing {
     }
 
     /// Records an event, overwriting the oldest when full. No-op under
-    /// `trace-off` (the sequence counter does not advance either, so
-    /// `pushed()` stays 0).
+    /// `trace-off` (so `pushed()` stays 0).
     #[inline(always)]
     pub fn push(&mut self, ev: SpanEvent) {
         #[cfg(not(feature = "trace-off"))]
         {
-            self.next_seq += 1;
             let (held, rescued) = (&mut self.held, &mut self.rescued);
             held[ev.kind as usize] += 1;
             self.ring.push(ev, |old| {
@@ -203,7 +201,7 @@ impl SpanRing {
                 // Every record of this kind still held is newer than `old`.
                 held[k] -= 1;
                 if held[k] < TAIL_PER_KIND && old.kind.in_tail() {
-                    rescued[k].push(*old, |_| {});
+                    rescue(&mut rescued[k], old);
                 }
             });
         }
@@ -211,12 +209,12 @@ impl SpanRing {
 
     /// Total events ever pushed.
     pub fn pushed(&self) -> u64 {
-        self.next_seq
+        self.ring.pushed()
     }
 
     /// Events lost to overwrite.
     pub fn dropped(&self) -> u64 {
-        self.next_seq - self.ring.len() as u64
+        self.pushed() - self.ring.len() as u64
     }
 
     /// Events currently held with their sequence numbers, oldest first.
@@ -232,6 +230,16 @@ impl SpanRing {
         let held = self.ring.iter().filter(|e| e.kind.in_tail());
         self.rescued.iter().flat_map(Ring::iter).chain(held)
     }
+}
+
+/// Keeps an evicted tail record in its kind's side ring. Out of line, so
+/// that every probe site inlines a push without the copy it almost never
+/// makes.
+#[cfg(not(feature = "trace-off"))]
+#[cold]
+#[inline(never)]
+fn rescue(side: &mut Ring<SpanEvent>, old: &SpanEvent) {
+    side.push(*old, |_| {});
 }
 
 /// The completed-request latencies of one `(app, backend)` key, as an
@@ -297,7 +305,7 @@ pub fn percentile(sorted: &[u64], num: u64, den: u64) -> u64 {
 #[derive(Debug, Clone, Copy)]
 struct OpenRequest {
     span: SpanId,
-    app: &'static str,
+    app: Label,
     backend: &'static str,
     t0: u64,
 }
@@ -313,7 +321,7 @@ pub struct SpanTrace {
     // A flat association list, not a map: one workload uses one or two
     // `(app, backend)` keys, and the linear scan on the request-complete
     // path is far cheaper than tree/hash lookups at that cardinality.
-    latency: Vec<((&'static str, &'static str), LatencyCounts)>,
+    latency: Vec<((Label, &'static str), LatencyCounts)>,
 }
 
 impl SpanTrace {
@@ -351,7 +359,7 @@ impl SpanTrace {
     #[inline]
     pub fn begin_request(
         &mut self,
-        app: &'static str,
+        app: Label,
         backend: &'static str,
         vcpu: u16,
         t0: u64,
@@ -397,7 +405,6 @@ impl SpanTrace {
             counts.add(t1.saturating_sub(o.t0));
             self.shard_mut(vcpu).push(SpanEvent {
                 span,
-                label: o.app,
                 t0: o.t0,
                 t1,
                 gate_cycles: 0,
@@ -405,6 +412,7 @@ impl SpanTrace {
                 src: vcpu,
                 dst: vcpu,
                 kind: SpanKind::Request,
+                label: o.app,
             });
             if self.current == span {
                 self.current = SpanId::NONE;
@@ -420,7 +428,7 @@ impl SpanTrace {
         &mut self,
         vcpu: u16,
         kind: SpanKind,
-        label: &'static str,
+        label: Label,
         src: u16,
         dst: u16,
         t0: u64,
@@ -433,7 +441,6 @@ impl SpanTrace {
             let span = self.current;
             self.shard_mut(vcpu).push(SpanEvent {
                 span,
-                label,
                 t0,
                 t1,
                 gate_cycles,
@@ -441,6 +448,7 @@ impl SpanTrace {
                 src,
                 dst,
                 kind,
+                label,
             });
         }
     }
@@ -454,7 +462,7 @@ impl SpanTrace {
         &mut self,
         vcpu: u16,
         kind: SpanKind,
-        label: &'static str,
+        label: Label,
         src: u16,
         dst: u16,
         t0: u64,
@@ -473,7 +481,7 @@ impl SpanTrace {
     pub(crate) fn record_event(
         &mut self,
         kind: SpanKind,
-        label: &'static str,
+        label: Label,
         src: u16,
         dst: u16,
         t0: u64,
@@ -494,7 +502,7 @@ impl SpanTrace {
     pub fn record_gate(
         &mut self,
         vcpu: u16,
-        mechanism: &'static str,
+        mechanism: Label,
         src: u16,
         dst: u16,
         t0: u64,
@@ -533,7 +541,7 @@ impl SpanTrace {
             .latency
             .iter()
             .map(|&((app, backend), ref c)| LatencyRow {
-                app,
+                app: app.as_str(),
                 backend,
                 count: c.total,
                 p50: c.percentile(50, 100),
@@ -620,7 +628,7 @@ impl SpanTrace {
             // `"cat":…,"name":…`, shared by every event of the interval.
             head.clear();
             let _ = write!(head, "\"cat\":\"{}\",\"name\":", ev.kind.label());
-            JsonWriter::quote_into(ev.label, &mut head);
+            JsonWriter::quote_into(ev.label.as_str(), &mut head);
             if ev.kind == SpanKind::Request {
                 // Async begin/end pair on the owning compartment track,
                 // id'd by the span so nested requests nest.
@@ -664,7 +672,7 @@ mod tests {
     fn request_latency_is_exact() {
         let mut t = SpanTrace::new();
         for (i, lat) in [(0u64, 10u64), (1, 20), (2, 30), (3, 40)] {
-            let s = t.begin_request("redis", "direct", 0, i * 100);
+            let s = t.begin_request(Label::Redis, "direct", 0, i * 100);
             t.end_request(s, 0, i * 100 + lat);
         }
         let rows = t.latency_rows();
@@ -723,7 +731,7 @@ mod tests {
         ) {
             let mut t = SpanTrace::new();
             for &lat in &samples {
-                let s = t.begin_request("redis", "mpk", 0, 0);
+                let s = t.begin_request(Label::Redis, "mpk", 0, 0);
                 t.end_request(s, 0, lat);
             }
             let mut sorted = samples.clone();
@@ -758,13 +766,13 @@ mod tests {
         // `("redis", "direct")` begins but never ends.
         let mut clock = 0;
         for i in 0..6u64 {
-            let a = t.begin_request("redis", "vmrpc", 0, clock);
-            let b = t.begin_request("iperf", "mpk", 1, clock + 1);
+            let a = t.begin_request(Label::Redis, "vmrpc", 0, clock);
+            let b = t.begin_request(Label::Iperf, "mpk", 1, clock + 1);
             t.end_request(a, 0, clock + 10 + i);
             t.end_request(b, 1, clock + 101 + 2 * i);
             clock += 1_000;
         }
-        t.begin_request("redis", "direct", 0, clock);
+        t.begin_request(Label::Redis, "direct", 0, clock);
         let rows: Vec<_> = t
             .latency_rows()
             .into_iter()
@@ -801,9 +809,20 @@ mod tests {
     }
 
     fn ev(kind: SpanKind, t: u64) -> SpanEvent {
+        let label = match kind {
+            SpanKind::Request => Label::Redis,
+            SpanKind::Gate => Label::MpkShared,
+            SpanKind::Doorbell => Label::Doorbell,
+            SpanKind::Sched => Label::CtxSwitch,
+            SpanKind::MqHop => Label::MqSend,
+            SpanKind::Net => Label::NetRx,
+            SpanKind::Fault => Label::Fault,
+            SpanKind::AllocFail => Label::AllocFail,
+            SpanKind::Drop => Label::PacketDrop,
+            SpanKind::Migrate => Label::Swap,
+        };
         SpanEvent {
             span: SpanId::NONE,
-            label: kind.label(),
             t0: t,
             t1: t + 1,
             gate_cycles: 0,
@@ -811,6 +830,27 @@ mod tests {
             src: 0,
             dst: 1,
             kind,
+            label,
+        }
+    }
+
+    impl SpanRing {
+        /// One pass over the ring and its side rings: the per-kind counts
+        /// the push keeps equal a recount of the ring, every side ring
+        /// holds only its own tail kind and at most [`TAIL_PER_KIND`]
+        /// records, and every record pushed is held or counted dropped.
+        fn audit(&self) {
+            let mut held = [0; KINDS];
+            for e in self.ring.iter() {
+                held[e.kind as usize] += 1;
+            }
+            assert_eq!(held, self.held, "per-kind counts against a recount");
+            for (k, side) in self.rescued.iter().enumerate() {
+                assert!(side.len() <= TAIL_PER_KIND);
+                let own = |e: &SpanEvent| e.kind as usize == k && e.kind.in_tail();
+                assert!(side.iter().all(own), "side ring {k} holds a stranger");
+            }
+            assert_eq!(self.pushed(), self.dropped() + self.ring.len() as u64);
         }
     }
 
@@ -826,9 +866,12 @@ mod tests {
         assert_eq!(evs, vec![(3, 3), (4, 4)]);
     }
 
-    /// Whatever mix of kinds shares the ring, a shard can always produce
-    /// the newest `TAIL_PER_KIND` records of every tail kind, gap-free —
-    /// however densely the other tail kinds are pushed meanwhile.
+    /// Whatever mix of kinds shares the ring, at any capacity, after
+    /// every push: the ring holds exactly the newest `cap` records with
+    /// their sequence numbers and counts the rest dropped, its audit
+    /// holds, and it can produce the newest `TAIL_PER_KIND` records of
+    /// every tail kind, gap-free and in order, however densely the other
+    /// kinds are pushed meanwhile. The reference keeps every record.
     #[test]
     fn the_newest_records_of_every_tail_kind_survive_any_interleaving() {
         const TAIL: [SpanKind; 5] = [
@@ -838,40 +881,54 @@ mod tests {
             SpanKind::AllocFail,
             SpanKind::Drop,
         ];
-        // A deterministic xorshift mix of tail and non-tail pushes, in
-        // bursts long enough to evict every tail record from the ring.
-        let mut x = 0x9e37_79b9_7f4a_7c15u64;
-        let mut r = SpanRing::with_capacity(2 * TAIL_PER_KIND);
-        let mut pushed: Vec<Vec<u64>> = vec![Vec::new(); TAIL.len()];
-        for t in 0..20_000u64 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            // Per burst one tail kind is dense, another sparse, or none
-            // is pushed at all.
-            let burst = t / 500;
-            let (dense, sparse) = ((burst % 5) as usize, ((burst / 5) % 5) as usize);
-            let kind = match burst % 3 {
-                0 if !x.is_multiple_of(8) => Some(dense),
-                1 if x.is_multiple_of(8) => Some(sparse),
-                0 | 1 if x.is_multiple_of(64) => Some((x >> 8) as usize % TAIL.len()),
-                _ => None,
-            };
-            match kind {
-                Some(k) => {
-                    pushed[k].push(t);
-                    r.push(ev(TAIL[k], t));
+        for cap in [1, 2, TAIL_PER_KIND, DEFAULT_SPAN_RING_CAP] {
+            // A deterministic xorshift mix of tail and non-tail pushes,
+            // in bursts long enough to evict every tail record (40 of
+            // them below the default capacity, 10 at it).
+            let burst_len = (2 * cap).max(500) as u64;
+            let mut x = 0x9e37_79b9_7f4a_7c15u64;
+            let mut r = SpanRing::with_capacity(cap);
+            let mut all: Vec<SpanEvent> = Vec::new();
+            let mut of_kind: [Vec<u64>; KINDS] = Default::default();
+            let mut got: [Vec<u64>; KINDS] = Default::default();
+            for t in 0..20_000 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                // Per burst one tail kind is dense, another sparse, or
+                // none is pushed at all.
+                let burst = t / burst_len;
+                let (dense, sparse) = ((burst % 5) as usize, ((burst / 5) % 5) as usize);
+                let kind = match burst % 3 {
+                    0 if !x.is_multiple_of(8) => TAIL[dense],
+                    1 if x.is_multiple_of(8) => TAIL[sparse],
+                    0 | 1 if x.is_multiple_of(64) => TAIL[(x >> 8) as usize % TAIL.len()],
+                    _ => SpanKind::MqHop,
+                };
+                of_kind[kind as usize].push(t);
+                all.push(ev(kind, t));
+                r.push(ev(kind, t));
+                r.audit();
+                let lost = all.len().saturating_sub(cap);
+                assert_eq!(r.pushed(), all.len() as u64, "cap {cap}, push {t}");
+                assert_eq!(r.dropped(), lost as u64, "cap {cap}, push {t}");
+                let held = (lost as u64..).zip(&all[lost..]);
+                assert!(r.events().eq(held), "cap {cap}, push {t}: held records");
+                got.iter_mut().for_each(Vec::clear);
+                for e in r.tail_records() {
+                    got[e.kind as usize].push(e.t0);
                 }
-                None => r.push(ev(SpanKind::MqHop, t)),
-            }
-            for (k, &kind) in TAIL.iter().enumerate() {
-                let got: Vec<u64> = r
-                    .tail_records()
-                    .filter(|e| e.kind == kind)
-                    .map(|e| e.t0)
-                    .collect();
-                let want = &pushed[k][pushed[k].len().saturating_sub(TAIL_PER_KIND)..];
-                assert!(got.ends_with(want), "{kind:?} after push {t}");
+                for kind in TAIL {
+                    let (got, every) = (&got[kind as usize], &of_kind[kind as usize]);
+                    let newest = &every[every.len().saturating_sub(TAIL_PER_KIND)..];
+                    let recorded = |t: &u64| every.binary_search(t).is_ok();
+                    assert!(
+                        got.ends_with(newest)
+                            && got.windows(2).all(|w| w[0] < w[1])
+                            && got.iter().all(recorded),
+                        "cap {cap}, push {t}: {kind:?} held {got:?} of {every:?}"
+                    );
+                }
             }
         }
     }
@@ -881,11 +938,11 @@ mod tests {
         let mut t = SpanTrace::new();
         // An outer crossing on shard 0 wraps an inner one on shard 1;
         // both return in cycle 40 (zero-cost exits).
-        t.record_gate(1, "g", 1, 2, 20, 40, 5, 0);
-        t.record_gate(0, "g", 0, 1, 10, 40, 5, 0);
-        t.record(0, SpanKind::MqHop, "mq-send", 0, 0, 45, 46);
-        t.record_event(SpanKind::Fault, "fault", 0, 0, 50, 50, 3);
-        t.record_gate(0, "g", 0, 1, 50, 60, 5, 0);
+        t.record_gate(1, Label::MpkShared, 1, 2, 20, 40, 5, 0);
+        t.record_gate(0, Label::MpkShared, 0, 1, 10, 40, 5, 0);
+        t.record(0, SpanKind::MqHop, Label::MqSend, 0, 0, 45, 46);
+        t.record_event(SpanKind::Fault, Label::Fault, 0, 0, 50, 50, 3);
+        t.record_gate(0, Label::MpkShared, 0, 1, 50, 60, 5, 0);
         let tail: Vec<(SpanKind, u16, u64)> =
             t.tail().iter().map(|e| (e.kind, e.src, e.t0)).collect();
         assert_eq!(
@@ -902,9 +959,9 @@ mod tests {
     #[test]
     fn merged_events_are_time_ordered_across_shards() {
         let mut t = SpanTrace::new();
-        t.record(1, SpanKind::Net, "net", 1, 1, 50, 60);
-        t.record(0, SpanKind::Gate, "g", 0, 1, 10, 20);
-        t.record(0, SpanKind::Gate, "g", 1, 0, 70, 80);
+        t.record(1, SpanKind::Net, Label::NetRx, 1, 1, 50, 60);
+        t.record(0, SpanKind::Gate, Label::MpkShared, 0, 1, 10, 20);
+        t.record(0, SpanKind::Gate, Label::MpkShared, 1, 0, 70, 80);
         let m = t.merged_events();
         let t0s: Vec<u64> = m.iter().map(|(_, _, e)| e.t0).collect();
         assert_eq!(t0s, vec![10, 50, 70]);
@@ -932,9 +989,9 @@ mod tests {
     #[test]
     fn chrome_json_pairs_every_flow_start_with_a_finish() {
         let mut t = SpanTrace::new();
-        let s = t.begin_request("redis", "mpk", 0, 0);
-        t.record(0, SpanKind::Gate, "MPK (shared stack)", 0, 2, 5, 9);
-        t.record(0, SpanKind::Doorbell, "doorbell", 0, 3, 12, 14);
+        let s = t.begin_request(Label::Redis, "mpk", 0, 0);
+        t.record(0, SpanKind::Gate, Label::MpkShared, 0, 2, 5, 9);
+        t.record(0, SpanKind::Doorbell, Label::Doorbell, 0, 3, 12, 14);
         t.end_request(s, 0, 20);
         let j = t.to_chrome_json(&[(0, "app".into()), (2, "net \"rx\"\n".into())]);
         assert_eq!(j, SMALL_TRACE_JSON);
@@ -949,11 +1006,11 @@ mod tests {
     #[test]
     fn events_attribute_to_the_current_span() {
         let mut t = SpanTrace::new();
-        t.record(0, SpanKind::Sched, "switch", 0, 0, 0, 1);
-        let s = t.begin_request("iperf", "vmrpc", 0, 2);
-        t.record(0, SpanKind::Gate, "VM RPC (EPT)", 0, 1, 3, 4);
+        t.record(0, SpanKind::Sched, Label::CtxSwitch, 0, 0, 0, 1);
+        let s = t.begin_request(Label::Iperf, "vmrpc", 0, 2);
+        t.record(0, SpanKind::Gate, Label::VmRpc, 0, 1, 3, 4);
         t.end_request(s, 0, 5);
-        t.record(0, SpanKind::Sched, "switch", 0, 0, 6, 7);
+        t.record(0, SpanKind::Sched, Label::CtxSwitch, 0, 0, 6, 7);
         let m = t.merged_events();
         let spans: Vec<u64> = m.iter().map(|(_, _, e)| e.span.0).collect();
         assert_eq!(spans, vec![0, 1, 1, 0]);
@@ -970,9 +1027,9 @@ mod off_tests {
     #[test]
     fn probes_compile_to_no_ops() {
         let mut t = SpanTrace::new();
-        let s = t.begin_request("redis", "direct", 0, 0);
+        let s = t.begin_request(Label::Redis, "direct", 0, 0);
         assert_eq!(s, SpanId::NONE);
-        t.record(0, SpanKind::Gate, "g", 0, 1, 1, 2);
+        t.record(0, SpanKind::Gate, Label::MpkShared, 0, 1, 1, 2);
         t.end_request(s, 0, 10);
         assert_eq!(t.pushed(), 0);
         assert!(t.ring_stats().is_empty());

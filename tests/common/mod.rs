@@ -638,7 +638,8 @@ impl ReferenceLedgers {
         }
         self.spans[shard].push(ev);
         if let Some(subsystem) = tail_subsystem(ev.kind) {
-            self.tail_ring(subsystem).push(ev.t1, ev.label, ev.bytes);
+            self.tail_ring(subsystem)
+                .push(ev.t1, ev.label.as_str(), ev.bytes);
         }
     }
 
@@ -781,7 +782,7 @@ impl ReferenceLedgers {
         }
         let mut flow = 0u64;
         for (shard, _, ev) in self.merged_spans() {
-            let (cat, name, span) = (ev.kind.label(), ev.label, ev.span.0);
+            let (cat, name, span) = (ev.kind.label(), ev.label.as_str(), ev.span.0);
             let (src, dst, t0, t1) = (ev.src, ev.dst, ev.t0, ev.t1);
             if ev.kind == SpanKind::Request {
                 for (ph, ts) in [("b", t0), ("e", t1)] {

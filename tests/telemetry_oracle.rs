@@ -30,8 +30,8 @@ use flexos::gate::{CompartmentId, MigrationReason};
 use flexos_backends::{prepare_pair_migration, BootImage};
 use flexos_machine::{ChaosConfig, ChaosPlan, PageFlags, ProtKey, Schedule, VmId};
 use flexos_trace::{
-    NetSnapshot, SchedSnapshot, SpanKind, StatsSnapshot, TraceRegistry, DEFAULT_SPAN_RING_CAP,
-    SNAPSHOT_EVENT_CAP,
+    Label, NetSnapshot, SchedSnapshot, SpanKind, StatsSnapshot, TraceRegistry,
+    DEFAULT_SPAN_RING_CAP, SNAPSHOT_EVENT_CAP,
 };
 use proptest::prelude::*;
 use std::cell::RefCell;
@@ -222,7 +222,7 @@ impl Harness {
                 self.ledgers.record_span(shard, ev);
                 if ev.kind == SpanKind::Gate {
                     recorded.push((
-                        ev.label,
+                        ev.label.as_str(),
                         ev.src,
                         ev.dst,
                         ev.t0,
@@ -406,9 +406,9 @@ fn dense_ops() -> Vec<CallOp> {
 /// Pushes `n` mq/net/doorbell spans on each of the two vCPUs' rings.
 fn other_spans(h: &mut Harness, n: u64) {
     let kinds = [
-        (SpanKind::MqHop, "mq-send"),
-        (SpanKind::Net, "net-rx"),
-        (SpanKind::Doorbell, "doorbell"),
+        (SpanKind::MqHop, Label::MqSend),
+        (SpanKind::Net, Label::NetRx),
+        (SpanKind::Doorbell, Label::Doorbell),
     ];
     for i in 0..n {
         let (kind, label) = kinds[(i % 3) as usize];
@@ -567,7 +567,7 @@ fn crossings_evicted_by_crossings_stay_reachable() {
             for ((shard, start), (_, now)) in before.into_iter().zip(pushed(&h)) {
                 for i in 0..start + DEFAULT_SPAN_RING_CAP as u64 - now {
                     let spans = h.img.machine.span_trace_mut();
-                    spans.record(shard, SpanKind::Net, "net-tx", 0, 0, i, i + 1);
+                    spans.record(shard, SpanKind::Net, Label::NetTx, 0, 0, i, i + 1);
                 }
             }
             h.sync();
