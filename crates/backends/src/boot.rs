@@ -14,9 +14,7 @@ use crate::cheri::CheriGate;
 use crate::mpk::MpkGate;
 use crate::vmrpc::VmRpcGate;
 use flexos::build::{BackendChoice, ImagePlan, LibRole};
-use flexos::gate::{
-    CallVec, CompartmentCtx, CompartmentId, Cqe, DirectGate, Gate, GateRuntime, Sqe,
-};
+use flexos::gate::{CallVec, CompartmentCtx, CompartmentId, DirectGate, Gate, GateRuntime};
 use flexos_kernel::alloc::{Allocator, FreeListAllocator, HeapService};
 use flexos_machine::{
     Addr, Fault, GateToken, Machine, MachineConfig, PageFlags, Pkru, ProtKey, Result, VcpuId, VmId,
@@ -192,34 +190,6 @@ impl BootImage {
                 reason: format!("unknown library `{lib}`"),
             })
     }
-
-    /// Queues one async gate-call descriptor against the compartment
-    /// hosting `lib` — the submission half of [`BootImage::call_lib_async`].
-    /// Host-side bookkeeping only; nothing simulated happens until a flush.
-    pub fn submit_lib(&mut self, lib: &str, sqe: Sqe) -> Result<()> {
-        let target = self.lib_target(lib)?;
-        self.gates.submit(target, sqe)
-    }
-
-    /// Flushes the submission ring against the compartment hosting `lib`,
-    /// running `f` inside it once per queued descriptor. Async analogue of
-    /// [`BootImage::call_lib_batch`]; completions land on the ring for
-    /// [`BootImage::reap_lib`] / [`GateRuntime::poll_completions`].
-    pub fn call_lib_async(
-        &mut self,
-        lib: &str,
-        f: impl FnMut(&mut Machine, &mut GateRuntime, &Sqe) -> Result<i64>,
-    ) -> Result<usize> {
-        let target = self.lib_target(lib)?;
-        self.gates.flush_async(&mut self.machine, target, f)
-    }
-
-    /// Pops the oldest completion from `lib`'s ring ([`Fault::RingEmpty`]
-    /// when none is ready).
-    pub fn reap_lib(&mut self, lib: &str) -> Result<Cqe> {
-        let target = self.lib_target(lib)?;
-        self.gates.reap(target)
-    }
 }
 
 /// Wires the one gate of `backend` over `compartments` — the loader's
@@ -394,6 +364,7 @@ fn boot(plan: ImagePlan, opts: BootOptions, superset: bool) -> Result<BootImage>
 mod tests {
     use super::*;
     use flexos::build::{plan, ImageConfig, LibraryConfig};
+    use flexos::gate::Sqe;
     use flexos::spec::LibSpec;
 
     fn three_lib_plan(backend: BackendChoice) -> ImagePlan {
@@ -536,29 +507,31 @@ mod tests {
             BackendChoice::VmRpc,
         ] {
             let mut img = instantiate(three_lib_plan(backend)).unwrap();
+            let net = img.compartment_of_lib("netstack").unwrap();
             for i in 0..4u64 {
-                img.submit_lib("netstack", Sqe::new(16, 8, i)).unwrap();
+                img.gates.submit(net, Sqe::new(16, 8, i)).unwrap();
             }
             let posted = img
-                .call_lib_async("netstack", |m, _, sqe| {
+                .gates
+                .flush_async(&mut img.machine, net, |m, _, sqe| {
                     m.charge(7);
                     Ok(sqe.user_data as i64 + 1)
                 })
                 .unwrap();
             assert_eq!(posted, 4, "{backend:?}");
             for i in 0..4u64 {
-                let cqe = img.reap_lib("netstack").unwrap();
+                let cqe = img.gates.reap(net).unwrap();
                 assert_eq!(cqe.user_data, i);
                 assert_eq!(cqe.res, i as i64 + 1);
             }
             assert!(matches!(
-                img.reap_lib("netstack").unwrap_err(),
+                img.gates.reap(net).unwrap_err(),
                 Fault::RingEmpty { .. }
             ));
         }
         let mut img = instantiate(three_lib_plan(BackendChoice::None)).unwrap();
         assert!(matches!(
-            img.submit_lib("no-such-lib", Sqe::new(0, 0, 0))
+            img.call_lib("no-such-lib", 0, 0, |_, _| Ok(()))
                 .unwrap_err(),
             Fault::HardeningAbort {
                 mechanism: "gate",

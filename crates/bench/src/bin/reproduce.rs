@@ -576,10 +576,14 @@ fn run_migrate(quick: bool) -> Result<Sheet, String> {
             let at = format!("{from:?}->{to:?}");
             let mut img = migratable(from)?;
             let before = steady(&mut img, calls)?;
+            let sched = img
+                .compartment_of_lib("uksched_verified")
+                .ok_or_else(|| format!("{at}: no compartment hosts uksched_verified"))?;
             // Park async work on the ring so the swap has something to
             // carry: pending SQEs must re-issue through the new gate.
             for ud in 0..3u64 {
-                img.submit_lib("uksched_verified", Sqe::new(32, 8, ud))
+                img.gates
+                    .submit(sched, Sqe::new(32, 8, ud))
                     .map_err(|e| format!("{at}: submission before the drain: {e}"))?;
             }
             let (applied, deferred) = migrate_all(&mut img, to, MigrationReason::Manual)
@@ -593,7 +597,8 @@ fn run_migrate(quick: bool) -> Result<Sheet, String> {
             let after = steady(&mut img, calls)?;
             // The requeued descriptors complete through the new backend.
             let flushed = img
-                .call_lib_async("uksched_verified", |m, _, _| {
+                .gates
+                .flush_async(&mut img.machine, sched, |m, _, _| {
                     m.charge(50);
                     Ok(1)
                 })

@@ -317,49 +317,6 @@ impl ImagePlan {
     pub fn compartment_of_role(&self, role: LibRole) -> Option<usize> {
         self.config.find_role(role).map(|i| self.compartment_of[i])
     }
-
-    /// Library indices in compartment `c`.
-    pub fn members(&self, c: usize) -> Vec<usize> {
-        (0..self.compartment_of.len())
-            .filter(|&i| self.compartment_of[i] == c)
-            .collect()
-    }
-
-    /// Renders a human-readable build report (what `make menuconfig`-era
-    /// tooling would print at the end of a FlexOS build).
-    pub fn render_report(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "image `{}` — backend: {}, hypervisor: {:?}, allocators: {}",
-            self.config.name,
-            self.config.backend,
-            self.config.hypervisor,
-            if self.config.dedicated_allocators {
-                "per-compartment"
-            } else {
-                "global"
-            },
-        );
-        for c in 0..self.num_compartments {
-            let members: Vec<&str> = self
-                .members(c)
-                .into_iter()
-                .map(|i| self.config.libraries[i].spec.name.as_str())
-                .collect();
-            let _ = writeln!(
-                out,
-                "  compartment {c}: [{}] sh={}",
-                members.join(", "),
-                self.compartment_sh[c],
-            );
-        }
-        for w in &self.report.warnings {
-            let _ = writeln!(out, "  warning: {w}");
-        }
-        out
-    }
 }
 
 /// Maximum compartments the MPK backends support: 16 hardware keys minus
@@ -796,7 +753,6 @@ mod tests {
         assert_eq!(p.compartment_sh.len(), p.num_compartments);
         let raw_c = p.compartment_of[1];
         assert!(p.compartment_sh[raw_c].has(ShMechanism::Ubsan));
-        assert!(p.members(raw_c).contains(&1));
         assert_eq!(
             p.compartment_of_role(LibRole::Scheduler),
             Some(p.compartment_of[0])
@@ -818,20 +774,5 @@ mod tests {
             let err = plan(cfg).unwrap_err();
             assert!(err.0.contains("65 libraries"), "{err}");
         }
-    }
-
-    #[test]
-    fn render_report_summarizes_the_plan() {
-        let cfg = ImageConfig::new("rpt", BackendChoice::MpkShared)
-            .with_library(sched_lib())
-            .with_library(raw_lib("rawlib").with_sh(ShSet::of([ShMechanism::Asan])));
-        let p = plan(cfg).unwrap();
-        let r = p.render_report();
-        assert!(r.contains("image `rpt`"));
-        assert!(r.contains("MPK (shared stack)"));
-        assert!(r.contains("compartment 0"));
-        assert!(r.contains("compartment 1"));
-        assert!(r.contains("asan"));
-        assert!(r.contains("allocators: per-compartment"), "{r}");
     }
 }

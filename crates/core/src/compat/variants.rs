@@ -8,7 +8,7 @@
 use super::coloring::{color, Coloring};
 use super::graph::{IncompatGraph, VerdictTable};
 use crate::spec::model::LibSpec;
-use crate::spec::transform::{variants_for, Analysis, ShSet, ShVariant};
+use crate::spec::transform::{variants_for, Analysis, ShVariant};
 
 /// One enumerated deployment: a concrete variant choice per library plus
 /// the resulting minimal compartmentalization.
@@ -31,11 +31,6 @@ impl Deployment {
     /// Number of libraries running with hardening enabled.
     pub fn hardened_count(&self) -> usize {
         self.variants.iter().filter(|v| !v.sh.is_empty()).count()
-    }
-
-    /// The hardening applied to library `i`.
-    pub fn sh_of(&self, i: usize) -> &ShSet {
-        &self.variants[i].sh
     }
 }
 
@@ -166,7 +161,7 @@ mod tests {
     fn sh_of_reports_per_library_choice() {
         let deployments = enumerate_deployments(&paper_inputs());
         let best = &deployments[0];
-        assert!(best.sh_of(0).is_empty()); // scheduler never hardened
-        assert!(!best.sh_of(1).is_empty()); // rawlib hardened
+        assert!(best.variants[0].sh.is_empty()); // scheduler never hardened
+        assert!(!best.variants[1].sh.is_empty()); // rawlib hardened
     }
 }

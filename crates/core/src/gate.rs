@@ -865,7 +865,7 @@ impl GateRuntime {
         let slot = self.slot(from, target);
         let row = *self.pairs[slot]
             .row
-            .get_or_insert_with(|| self.trace.row(label.as_str(), from.0, target.0));
+            .get_or_insert_with(|| self.trace.row(label, from.0, target.0));
         self.trace.record_crossing(row, gate_cycles, bytes);
         if self.pairs[slot].swapped {
             for slot in [slot, self.slot(target, from)] {
@@ -966,7 +966,7 @@ impl GateRuntime {
                 }
             }
         }
-        self.trace.record_batch(label.as_str(), issued);
+        self.trace.record_batch(label, issued);
         if let Some(pair) = guard {
             self.pairs[pair].batches -= 1;
             // The batch boundary is a safe point, even when the batch
@@ -1474,7 +1474,7 @@ mod tests {
         // Empty batches leave no histogram entry.
         rt.cross_batch(&mut m, CompartmentId(1), &CallVec::new(), |_, _, _| Ok(()))
             .unwrap();
-        let cross = rt.trace().batch_hist(BackendChoice::None.label()).unwrap();
+        let cross = rt.trace().batch_hist(Label::FunctionCall).unwrap();
         // Both batches used the direct-call label (DirectGate is the
         // default pair gate here too), so sizes 4 and 2 land together.
         assert_eq!(cross.count(), 2);
@@ -2112,7 +2112,7 @@ mod tests {
         assert_eq!(rt.stats(), GateStats::default());
         assert_eq!(rt.async_stats(), AsyncGateStats::default());
         assert_eq!(rt.migration_stats(), MigrationStats::default());
-        assert!(rt.trace().batch_hist("function call").is_none());
+        assert!(rt.trace().batch_hist(Label::FunctionCall).is_none());
         assert!(m.span_trace().merged_events().is_empty());
     }
 

@@ -371,15 +371,6 @@ impl LibSpec {
     pub fn exposes(&self, func: &str) -> bool {
         self.api.iter().any(|a| a.name == func)
     }
-
-    /// The set of functions this library calls in libraries other than
-    /// itself, or `None` for the wildcard.
-    pub fn external_calls(&self) -> Option<impl Iterator<Item = &FuncRef>> {
-        match &self.call {
-            CallBehavior::Star => None,
-            CallBehavior::Funcs(fs) => Some(fs.iter().filter(move |f| f.lib != self.name)),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -439,12 +430,10 @@ mod tests {
         assert!(sched.requires.is_constrained());
         assert!(sched.exposes("thread_add"));
         assert!(!sched.exposes("malloc"));
-        assert_eq!(sched.external_calls().unwrap().count(), 2);
 
         let c = LibSpec::unsafe_c("rawlib");
         assert!(c.mem.read.is_star());
         assert!(c.call.is_star());
         assert!(!c.requires.is_constrained());
-        assert!(c.external_calls().is_none());
     }
 }

@@ -5,7 +5,7 @@ use flexos::build::BackendChoice;
 use flexos::gate::{CompartmentCtx, CompartmentId, DirectGate, Gate, GateRuntime};
 use flexos::spec::transform::ShSet;
 use flexos_machine::{Machine, PageFlags, Pkru, ProtKey, Result, VcpuId, VmId};
-use flexos_trace::{CycleHist, HIST_BUCKETS};
+use flexos_trace::{CycleHist, Label, HIST_BUCKETS};
 use proptest::prelude::*;
 use std::rc::Rc;
 
@@ -89,14 +89,18 @@ fn each_mechanism_records_exact_crossing_counts() {
             rt.cross(&mut m, CompartmentId(1), 16, 8, |_, _| Ok(()))
                 .unwrap();
         }
-        let label = mechanism.label();
+        let label = mechanism.span_label();
         assert_eq!(
             rt.trace().crossings(label, 0, 1),
             crossings,
-            "{label}: 0 -> 1 count"
+            "{mechanism}: 0 -> 1 count"
         );
-        assert_eq!(rt.trace().crossings(label, 1, 0), 0, "{label}: reverse");
-        assert_eq!(rt.trace().total_crossings(), crossings, "{label}: total");
+        assert_eq!(rt.trace().crossings(label, 1, 0), 0, "{mechanism}: reverse");
+        assert_eq!(
+            rt.trace().total_crossings(),
+            crossings,
+            "{mechanism}: total"
+        );
         // Every crossing cost exactly enter + exit cycles, so the
         // mechanism histogram saw `crossings` identical samples.
         if cfg!(not(feature = "trace-off")) {
@@ -119,11 +123,8 @@ fn same_compartment_calls_count_as_direct_not_crossings() {
     }
     assert_eq!(rt.trace().direct_calls(), 6);
     assert_eq!(rt.trace().total_crossings(), 0);
-    assert_eq!(rt.trace().crossings(BackendChoice::None.label(), 0, 0), 0);
-    assert!(rt
-        .trace()
-        .mechanism_hist(BackendChoice::None.label())
-        .is_none());
+    assert_eq!(rt.trace().crossings(Label::FunctionCall, 0, 0), 0);
+    assert!(rt.trace().mechanism_hist(Label::FunctionCall).is_none());
 }
 
 #[test]
@@ -140,7 +141,7 @@ fn nested_crossings_attribute_both_directions() {
         rt.cross(m, CompartmentId(0), 0, 0, |_, _| Ok(()))
     })
     .unwrap();
-    let label = BackendChoice::MpkSwitched.label();
+    let label = BackendChoice::MpkSwitched.span_label();
     assert_eq!(rt.trace().crossings(label, 0, 1), 1);
     assert_eq!(rt.trace().crossings(label, 1, 0), 1);
 }

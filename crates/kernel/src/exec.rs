@@ -144,11 +144,6 @@ impl<C: KernelHal> Executor<C> {
         Ok(tid)
     }
 
-    /// Number of live (not completed) threads.
-    pub fn live_threads(&self) -> usize {
-        self.threads.len()
-    }
-
     /// Cumulative execution statistics.
     pub fn summary(&self) -> ExecSummary {
         ExecSummary {
@@ -303,7 +298,6 @@ mod tests {
         let s = ex.run(&mut ctx, 100).unwrap();
         assert_eq!(s.completed, 2);
         assert_eq!(ctx.counter, 5);
-        assert_eq!(ex.live_threads(), 0);
     }
 
     #[test]
@@ -389,6 +383,5 @@ mod tests {
         ex.spawn(CompartmentId(0), counting_task(1000)).unwrap();
         let s = ex.run(&mut ctx, 10).unwrap();
         assert_eq!(s.steps, 10);
-        assert_eq!(ex.live_threads(), 1);
     }
 }

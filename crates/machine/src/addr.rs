@@ -46,24 +46,6 @@ impl Addr {
     pub fn checked_add(self, bytes: u64) -> Option<Addr> {
         self.0.checked_add(bytes).map(Addr)
     }
-
-    /// Returns `true` if this address is page-aligned.
-    #[inline]
-    pub fn is_page_aligned(self) -> bool {
-        self.page_offset() == 0
-    }
-
-    /// Rounds this address up to the next page boundary (identity if aligned).
-    #[inline]
-    pub fn page_align_up(self) -> Addr {
-        Addr((self.0 + PAGE_SIZE - 1) & !(PAGE_SIZE - 1))
-    }
-
-    /// Rounds this address down to its page boundary.
-    #[inline]
-    pub fn page_align_down(self) -> Addr {
-        Addr(self.0 & !(PAGE_SIZE - 1))
-    }
 }
 
 impl PhysAddr {
@@ -71,12 +53,6 @@ impl PhysAddr {
     #[inline]
     pub fn pfn(self) -> Pfn {
         Pfn(self.0 >> PAGE_SHIFT)
-    }
-
-    /// Returns the byte offset of this address within its frame.
-    #[inline]
-    pub fn frame_offset(self) -> u64 {
-        self.0 & (PAGE_SIZE - 1)
     }
 }
 
@@ -126,15 +102,6 @@ mod tests {
     }
 
     #[test]
-    fn alignment_helpers() {
-        assert!(Addr(0x2000).is_page_aligned());
-        assert!(!Addr(0x2001).is_page_aligned());
-        assert_eq!(Addr(0x2001).page_align_up(), Addr(0x3000));
-        assert_eq!(Addr(0x2fff).page_align_down(), Addr(0x2000));
-        assert_eq!(Addr(0x2000).page_align_up(), Addr(0x2000));
-    }
-
-    #[test]
     fn pages_for_rounds_up() {
         assert_eq!(pages_for(0), 0);
         assert_eq!(pages_for(1), 1);
@@ -147,7 +114,7 @@ mod tests {
         let a = Addr(0x5678);
         assert_eq!(a.vpn().base().0 + a.page_offset(), a.0);
         let p = PhysAddr(0x9abc);
-        assert_eq!(p.pfn().base().0 + p.frame_offset(), p.0);
+        assert_eq!(p.pfn().base().0 + 0xabc, p.0);
     }
 
     #[test]

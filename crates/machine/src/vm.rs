@@ -78,15 +78,6 @@ impl Vm {
         first
     }
 
-    /// Reserves virtual pages at a *fixed* VPN (used to map the shared
-    /// window at identical addresses in all VMs). Advances the bump cursor
-    /// past the region if it overlaps.
-    pub fn reserve_vpns_at(&mut self, first_vpn: u64, pages: u64) {
-        if first_vpn + pages > self.next_vpn {
-            self.next_vpn = first_vpn + pages;
-        }
-    }
-
     /// Enqueues a notification on this VM's doorbell.
     pub fn post(&mut self, n: Notification) {
         self.doorbell.push_back(n);
@@ -129,14 +120,6 @@ mod tests {
         let a = vm.reserve_vpns(4);
         let b = vm.reserve_vpns(2);
         assert!(a + 4 <= b);
-    }
-
-    #[test]
-    fn fixed_reservation_advances_cursor() {
-        let mut vm = Vm::new(VmId(0), true);
-        vm.reserve_vpns_at(100, 10);
-        let next = vm.reserve_vpns(1);
-        assert!(next >= 110);
     }
 
     #[test]

@@ -341,52 +341,6 @@ impl ShRuntime {
             }
         })
     }
-
-    /// Checked left shift under UBSAN (shift amount must be < 64).
-    pub fn checked_shl(
-        &mut self,
-        m: &mut Machine,
-        c: CompartmentId,
-        a: u64,
-        by: u32,
-    ) -> Result<u64> {
-        if !self.policies[c.0 as usize].has(ShMechanism::Ubsan) {
-            return Ok(a.wrapping_shl(by));
-        }
-        m.charge(m.costs().ubsan_check);
-        self.stats.ubsan_checks += 1;
-        if by >= 64 {
-            self.stats.violations += 1;
-            return Err(Fault::HardeningAbort {
-                mechanism: "ubsan",
-                reason: format!("shift amount {by} out of range"),
-            });
-        }
-        Ok(a << by)
-    }
-
-    /// Bounds-checked index under UBSAN.
-    pub fn checked_index(
-        &mut self,
-        m: &mut Machine,
-        c: CompartmentId,
-        index: u64,
-        len: u64,
-    ) -> Result<u64> {
-        if !self.policies[c.0 as usize].has(ShMechanism::Ubsan) {
-            return Ok(index);
-        }
-        m.charge(m.costs().ubsan_check);
-        self.stats.ubsan_checks += 1;
-        if index >= len {
-            self.stats.violations += 1;
-            return Err(Fault::HardeningAbort {
-                mechanism: "ubsan",
-                reason: format!("index {index} out of bounds (len {len})"),
-            });
-        }
-        Ok(index)
-    }
 }
 
 #[cfg(test)]
@@ -512,9 +466,6 @@ mod tests {
         assert_eq!(sh.checked_add(&mut m, C0, 1, 2).unwrap(), 3);
         assert!(sh.checked_add(&mut m, C0, u64::MAX, 1).is_err());
         assert!(sh.checked_mul(&mut m, C0, u64::MAX, 2).is_err());
-        assert!(sh.checked_shl(&mut m, C0, 1, 64).is_err());
-        assert!(sh.checked_index(&mut m, C0, 10, 10).is_err());
-        assert_eq!(sh.checked_index(&mut m, C0, 9, 10).unwrap(), 9);
         // Unhardened compartment wraps silently, C-style.
         assert_eq!(sh.checked_add(&mut m, C1, u64::MAX, 1).unwrap(), 0);
     }

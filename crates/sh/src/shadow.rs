@@ -149,15 +149,6 @@ impl Shadow {
         }
         Verdict::WildAccess
     }
-
-    /// Payload size of the live block at `payload`, if any.
-    pub fn live_size(&self, payload: Addr) -> Option<u64> {
-        let outer = payload.0.checked_sub(REDZONE)?;
-        self.blocks
-            .get(&outer)
-            .filter(|b| b.state == BlockState::Live)
-            .map(|b| b.size)
-    }
 }
 
 #[cfg(test)]
@@ -234,13 +225,5 @@ mod tests {
     fn wild_access_inside_heap_is_flagged() {
         let s = shadow_with_block(0x2000, 100);
         assert_eq!(s.classify(Addr(0x8000), 8), Verdict::WildAccess);
-    }
-
-    #[test]
-    fn live_size_reports_only_live_blocks() {
-        let mut s = shadow_with_block(0x2000, 100);
-        assert_eq!(s.live_size(Addr(0x2000)), Some(100));
-        s.on_free(Addr(0x2000)).unwrap();
-        assert_eq!(s.live_size(Addr(0x2000)), None);
     }
 }

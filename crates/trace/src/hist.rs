@@ -2,10 +2,14 @@
 //!
 //! A [`CycleHist`] is a constant-size array of power-of-two buckets:
 //! recording a sample is a `leading_zeros` plus an array increment, with
-//! no allocation and no branching beyond a clamp. Percentiles are read
-//! back as the upper bound of the bucket containing the requested rank,
-//! which is exact to within a factor of two — plenty for "did this gate
-//! cost 100 or 4000 cycles" questions.
+//! no allocation and no branching beyond a clamp. The sample count is
+//! not kept beside the buckets: [`CycleHist::count`] sums them, and only
+//! a report reads it. Percentiles are read back as the upper bound of
+//! the bucket containing the requested rank, which is exact to within a
+//! factor of two — plenty for "did this gate cost 100 or 4000 cycles"
+//! questions.
+
+use crate::span::nearest_rank;
 
 /// Number of log2 buckets. Bucket 0 holds the value 0; bucket `i` (for
 /// `i >= 1`) holds values in `[2^(i-1), 2^i - 1]`. 48 buckets cover every
@@ -16,7 +20,6 @@ pub const HIST_BUCKETS: usize = 48;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CycleHist {
     counts: [u64; HIST_BUCKETS],
-    total: u64,
     sum: u64,
     min: u64,
     max: u64,
@@ -26,7 +29,6 @@ impl Default for CycleHist {
     fn default() -> Self {
         Self {
             counts: [0; HIST_BUCKETS],
-            total: 0,
             sum: 0,
             min: u64::MAX,
             max: 0,
@@ -71,16 +73,15 @@ impl CycleHist {
         #[cfg(not(feature = "trace-off"))]
         {
             self.counts[Self::bucket_index(value)] += 1;
-            self.total += 1;
             self.sum = self.sum.saturating_add(value);
             self.min = self.min.min(value);
             self.max = self.max.max(value);
         }
     }
 
-    /// Number of recorded samples.
+    /// Number of recorded samples: the buckets' sum.
     pub fn count(&self) -> u64 {
-        self.total
+        self.counts.iter().sum()
     }
 
     /// Sum of all recorded samples (saturating).
@@ -88,13 +89,10 @@ impl CycleHist {
         self.sum
     }
 
-    /// Smallest recorded sample (0 when empty).
+    /// Smallest recorded sample (0 when empty: `min` is then still
+    /// `u64::MAX` and `max` 0).
     pub fn min(&self) -> u64 {
-        if self.total == 0 {
-            0
-        } else {
-            self.min
-        }
+        self.min.min(self.max)
     }
 
     /// Largest recorded sample.
@@ -104,18 +102,20 @@ impl CycleHist {
 
     /// Mean of recorded samples (0 when empty).
     pub fn mean(&self) -> u64 {
-        self.sum.checked_div(self.total).unwrap_or(0)
+        self.sum.checked_div(self.count()).unwrap_or(0)
     }
 
-    /// The value at percentile `p` (0.0..=1.0): the upper bound of the
-    /// first bucket whose cumulative count reaches `ceil(p * total)`.
-    /// The top bucket reports the exact observed maximum instead of its
-    /// (huge) nominal bound. Returns 0 for an empty histogram.
-    pub fn percentile(&self, p: f64) -> u64 {
-        if self.total == 0 {
+    /// The value at percentile `num/den`: the upper bound of the first
+    /// bucket whose cumulative count reaches the sample's nearest rank
+    /// (the rank [`crate::percentile`] reads), capped at the observed
+    /// maximum, so the top bucket reports it instead of its (huge)
+    /// nominal bound. Returns 0 for an empty histogram.
+    pub fn percentile(&self, num: u64, den: u64) -> u64 {
+        let n = self.count();
+        if n == 0 {
             return 0;
         }
-        let rank = ((p * self.total as f64).ceil() as u64).clamp(1, self.total);
+        let rank = nearest_rank(n, num, den);
         let mut seen = 0u64;
         for (i, &c) in self.counts.iter().enumerate() {
             seen += c;
@@ -129,9 +129,9 @@ impl CycleHist {
     /// Convenience: (p50, p90, p99).
     pub fn quantiles(&self) -> (u64, u64, u64) {
         (
-            self.percentile(0.50),
-            self.percentile(0.90),
-            self.percentile(0.99),
+            self.percentile(50, 100),
+            self.percentile(90, 100),
+            self.percentile(99, 100),
         )
     }
 
@@ -139,22 +139,13 @@ impl CycleHist {
     pub fn buckets(&self) -> &[u64; HIST_BUCKETS] {
         &self.counts
     }
-
-    /// Folds another histogram into this one.
-    pub fn merge(&mut self, other: &CycleHist) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
-        }
-        self.total += other.total;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    #[cfg(not(feature = "trace-off"))]
+    use {crate::percentile, proptest::prelude::*};
 
     #[test]
     fn bucket_bounds_are_monotone() {
@@ -191,16 +182,34 @@ mod tests {
     }
 
     #[cfg(not(feature = "trace-off"))]
-    #[test]
-    fn merge_adds_counts() {
-        let mut a = CycleHist::new();
-        let mut b = CycleHist::new();
-        a.record(10);
-        b.record(1000);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.max(), 1000);
-        assert_eq!(a.min(), 10);
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A bucketed percentile is the bucket of the exact one: over
+        /// random samples (each of a random bit width, so ranks straddle
+        /// bucket edges), `percentile(num, den)` reports the upper bound
+        /// of the bucket the sorted sample's nearest-rank value lands
+        /// in, capped at the maximum.
+        #[test]
+        fn percentile_is_the_bucket_of_the_exact_nearest_rank(
+            sample in prop::collection::vec((any::<u64>(), 0u32..64), 1..300),
+            num in 0u64..=1000,
+        ) {
+            let mut sorted: Vec<u64> = sample.iter().map(|&(v, shift)| v >> shift).collect();
+            let mut h = CycleHist::new();
+            for &v in &sorted {
+                h.record(v);
+            }
+            sorted.sort_unstable();
+            prop_assert_eq!(h.count(), sorted.len() as u64);
+            prop_assert_eq!((h.min(), h.max()), (sorted[0], sorted[sorted.len() - 1]));
+            let fixed = [(50, 100), (90, 100), (99, 100), (999, 1000), (0, 1), (1, 1)];
+            for (num, den) in fixed.into_iter().chain([(num, 1000)]) {
+                let exact = percentile(&sorted, num, den);
+                let bucket = CycleHist::bucket_upper_bound(CycleHist::bucket_index(exact));
+                prop_assert_eq!(h.percentile(num, den), bucket.min(h.max()), "{}/{}", num, den);
+            }
+        }
     }
 
     #[cfg(feature = "trace-off")]

@@ -9,14 +9,16 @@
 //!   the net stack the net block, the readiness layer and the
 //!   cooperative executor one serving block each, and they bump them in
 //!   place (the probes are methods on the block); the gate runtime bumps
-//!   one [`GateTrace`] row per crossing, and the heap service one
+//!   one [`GateTrace`] row per crossing, keyed by the mechanism's
+//!   [`Label`] and the compartment pair, and the heap service one
 //!   [`AllocRow`] per compartment. Nothing else counts the same event.
 //!   Counts are always on.
 //! - **Records.** One event stream, the machine's per-vCPU
 //!   [`SpanRing`]s, in which every probe that records an event (a
 //!   crossing, a context switch, a fault, a failed allocation, a dropped
 //!   packet, an mq hop, …) writes exactly one [`SpanEvent`], plus the
-//!   log2 [`CycleHist`]ogram samples of crossing cost and batch size.
+//!   log2 [`CycleHist`]ogram samples: a crossing's cost in its
+//!   mechanism's one histogram, a batch's size in its mechanism's.
 //!
 //! The owners hold their telemetry directly (no globals, no locks: the
 //! simulation is single-threaded per image), and a [`TraceRegistry`]
@@ -67,41 +69,63 @@ pub const SNAPSHOT_EVENT_CAP: usize = 64;
 /// 256 as dropped.
 pub const EVENT_WINDOW: usize = 256;
 
-/// One `(mechanism, src, dst)` accumulator row of [`GateTrace`].
+/// One `(mechanism, src, dst)` row of [`GateTrace`]. Always on:
+/// `GateStats` is the rows' sum, `trace-off` or not.
 #[derive(Debug, Clone)]
 struct GateRow {
-    mechanism: &'static str,
+    mechanism: Label,
     src: u16,
     dst: u16,
-    // Always on: `GateStats` is their sum, `trace-off` or not.
     crossings: u64,
     bytes: u64,
     gate_cycles: u64,
-    /// The probe: crossing cost, log2-bucketed.
-    hist: CycleHist,
+    /// Index of the mechanism's crossing-cost histogram in
+    /// [`GateTrace::hists`].
+    hist: usize,
 }
 
-/// Telemetry owned by the gate runtime: one accumulator row per
-/// `(mechanism, src, dst)` — crossings, bytes, gate cycles and a
-/// crossing-cycle histogram — plus the direct-call count and a
-/// per-mechanism batch-size histogram.
+/// Telemetry owned by the gate runtime, one ledger per crossing: one
+/// row per `(mechanism, src, dst)` — crossings, bytes, gate cycles —
+/// and one crossing-cost [`CycleHist`] per mechanism, plus the
+/// direct-call count and one batch-size histogram per mechanism.
 ///
 /// A crossing updates exactly one row, addressed by the index
 /// [`GateTrace::row`] handed out (the runtime keeps it beside the pair's
-/// gate, so the hot path does no lookup). Everything per-pair,
-/// per-mechanism or per-compartment in a snapshot is a fold over the
-/// rows; per-event views come from the crossing's one span record
-/// ([`SpanTrace::record_gate`]).
+/// gate, so the hot path does no lookup), and the one histogram of the
+/// row's mechanism. Everything per-pair, per-mechanism or
+/// per-compartment in a snapshot is read off these; per-event views
+/// come from the crossing's one span record ([`SpanTrace::record_gate`]).
 #[derive(Debug, Clone, Default)]
 pub struct GateTrace {
+    /// First-crossing order, which breaks ties in the snapshot's
+    /// busiest-first tables.
     rows: Vec<GateRow>,
     direct_calls: u64,
-    batch_hists: Vec<(&'static str, CycleHist)>,
+    /// Crossing cost, log2-bucketed, in the order the mechanisms first
+    /// got a row.
+    hists: Vec<(Label, CycleHist)>,
+    batch_hists: Vec<(Label, CycleHist)>,
 }
 
 /// Packs a (src, dst) compartment pair into an event `detail` word.
 pub fn pack_pair(src: u16, dst: u16) -> u64 {
     ((src as u64) << 16) | dst as u64
+}
+
+/// The histogram of `label` in `hists`, if it has one.
+fn hist_of(hists: &[(Label, CycleHist)], label: Label) -> Option<&CycleHist> {
+    hists.iter().find(|(l, _)| *l == label).map(|(_, h)| h)
+}
+
+/// The index of `label`'s histogram in `hists`, pushed empty on first use.
+fn hist_slot(hists: &mut Vec<(Label, CycleHist)>, label: Label) -> usize {
+    hists
+        .iter()
+        .position(|(l, _)| *l == label)
+        .unwrap_or_else(|| {
+            hists.push((label, CycleHist::new()));
+            hists.len() - 1
+        })
 }
 
 impl GateTrace {
@@ -117,10 +141,10 @@ impl GateTrace {
     }
 
     /// The index of the `(mechanism, src, dst)` row, created on first
-    /// use — rows therefore sit in first-crossing order, which breaks
-    /// ties in the snapshot's busiest-first tables.
-    pub fn row(&mut self, mechanism: &'static str, src: u16, dst: u16) -> usize {
+    /// use together with the mechanism's histogram if it has none yet.
+    pub fn row(&mut self, mechanism: Label, src: u16, dst: u16) -> usize {
         self.find(mechanism, src, dst).unwrap_or_else(|| {
+            let hist = hist_slot(&mut self.hists, mechanism);
             self.rows.push(GateRow {
                 mechanism,
                 src,
@@ -128,13 +152,13 @@ impl GateTrace {
                 crossings: 0,
                 bytes: 0,
                 gate_cycles: 0,
-                hist: CycleHist::new(),
+                hist,
             });
             self.rows.len() - 1
         })
     }
 
-    fn find(&self, mechanism: &'static str, src: u16, dst: u16) -> Option<usize> {
+    fn find(&self, mechanism: Label, src: u16, dst: u16) -> Option<usize> {
         let at = |r: &GateRow| (r.mechanism, r.src, r.dst) == (mechanism, src, dst);
         self.rows.iter().position(at)
     }
@@ -152,7 +176,7 @@ impl GateTrace {
         r.crossings += 1;
         r.bytes += bytes;
         r.gate_cycles += gate_cycles;
-        r.hist.record(gate_cycles);
+        self.hists[r.hist].1.record(gate_cycles);
     }
 
     /// Records one batched crossing of `size` calls through `mechanism`
@@ -161,19 +185,13 @@ impl GateTrace {
     /// The gate runtime's one batch loop records this once per
     /// `cross_batch` or ring flush, on every way out, with the number of
     /// calls it issued.
-    pub fn record_batch(&mut self, mechanism: &'static str, size: u64) {
+    pub fn record_batch(&mut self, mechanism: Label, size: u64) {
         #[cfg(not(feature = "trace-off"))]
         {
             if size == 0 {
                 return;
             }
-            let i = match self.batch_hists.iter().position(|(m, _)| *m == mechanism) {
-                Some(i) => i,
-                None => {
-                    self.batch_hists.push((mechanism, CycleHist::new()));
-                    self.batch_hists.len() - 1
-                }
-            };
+            let i = hist_slot(&mut self.batch_hists, mechanism);
             self.batch_hists[i].1.record(size);
         }
     }
@@ -184,7 +202,7 @@ impl GateTrace {
     }
 
     /// Total crossings for one (mechanism, src, dst) pair.
-    pub fn crossings(&self, mechanism: &'static str, src: u16, dst: u16) -> u64 {
+    pub fn crossings(&self, mechanism: Label, src: u16, dst: u16) -> u64 {
         self.find(mechanism, src, dst)
             .map_or(0, |row| self.rows[row].crossings)
     }
@@ -201,40 +219,21 @@ impl GateTrace {
         self.totals().0
     }
 
-    /// Per-mechanism crossing-cycle histograms — the rows' histograms
-    /// merged by mechanism, in first-use order. Mechanisms that recorded
-    /// no sample (every one, under `trace-off`) are absent.
-    fn mechanism_hists(&self) -> Vec<(&'static str, CycleHist)> {
-        let mut out: Vec<(&'static str, CycleHist)> = Vec::new();
-        for r in self.rows.iter().filter(|r| r.hist.count() > 0) {
-            match out.iter_mut().find(|(m, _)| *m == r.mechanism) {
-                Some((_, h)) => h.merge(&r.hist),
-                None => out.push((r.mechanism, r.hist.clone())),
-            }
-        }
-        out
-    }
-
-    /// The crossing-cycle histogram for one mechanism, if any crossing
-    /// used it.
-    pub fn mechanism_hist(&self, mechanism: &'static str) -> Option<CycleHist> {
-        let mut hists = self.mechanism_hists().into_iter();
-        hists.find(|(m, _)| *m == mechanism).map(|(_, h)| h)
+    /// The crossing-cycle histogram for one mechanism, if any pair
+    /// crossed through it.
+    pub fn mechanism_hist(&self, mechanism: Label) -> Option<&CycleHist> {
+        hist_of(&self.hists, mechanism)
     }
 
     /// The batch-size histogram for one mechanism, if it ever issued a
     /// batched crossing.
-    pub fn batch_hist(&self, mechanism: &'static str) -> Option<&CycleHist> {
-        self.batch_hists
-            .iter()
-            .find(|(m, _)| *m == mechanism)
-            .map(|(_, h)| h)
+    pub fn batch_hist(&self, mechanism: Label) -> Option<&CycleHist> {
+        hist_of(&self.batch_hists, mechanism)
     }
 
     /// Gate events each compartment saw — one `gate-enter` per crossing
     /// into it, one `gate-exit` per crossing out of it (index =
-    /// compartment id). Counted off the probe half of the rows, so all
-    /// zero under `trace-off`, like the records the events fold from.
+    /// compartment id).
     fn events_per_compartment(&self) -> Vec<u64> {
         let mut per = Vec::new();
         for r in &self.rows {
@@ -242,8 +241,8 @@ impl GateTrace {
             if per.len() <= hi {
                 per.resize(hi + 1, 0);
             }
-            per[r.src as usize] += r.hist.count();
-            per[r.dst as usize] += r.hist.count();
+            per[r.src as usize] += r.crossings;
+            per[r.dst as usize] += r.crossings;
         }
         per
     }
@@ -289,7 +288,6 @@ impl SchedSnapshot {
     pub fn record_step(&mut self, tid: u32, cycles: u64, depth: usize) {
         self.steps += 1;
         self.depth_sum += depth as u64;
-        self.depth_samples += 1;
         self.depth_max = self.depth_max.max(depth as u64);
         match self.task_cycles.iter_mut().find(|(t, _)| *t == tid) {
             Some((_, c)) => *c += cycles,
@@ -623,7 +621,7 @@ impl TraceRegistry {
         self.snap.direct_calls += gt.direct_calls();
         for r in &gt.rows {
             self.snap.gate_pairs.push(GatePairRow {
-                mechanism: r.mechanism,
+                mechanism: r.mechanism.as_str(),
                 src: r.src,
                 dst: r.dst,
                 src_name: Self::name_of(names, r.src),
@@ -633,10 +631,11 @@ impl TraceRegistry {
                 gate_cycles: r.gate_cycles,
             });
         }
-        for (mech, h) in gt.mechanism_hists() {
+        // Under `trace-off` no histogram holds a sample, so no row.
+        for (mech, h) in gt.hists.iter().filter(|(_, h)| h.count() > 0) {
             let (p50, p90, p99) = h.quantiles();
             self.snap.mechanisms.push(MechanismRow {
-                mechanism: mech,
+                mechanism: mech.as_str(),
                 count: h.count(),
                 p50,
                 p90,
@@ -645,12 +644,12 @@ impl TraceRegistry {
                 max: h.max(),
             });
         }
-        for &(mech, ref h) in gt.batch_hists.iter() {
+        for (mech, h) in &gt.batch_hists {
             self.snap.gate_batch.push(GateBatchRow {
-                mechanism: mech,
+                mechanism: mech.as_str(),
                 batches: h.count(),
                 calls: h.sum(),
-                p50: h.percentile(0.50),
+                p50: h.percentile(50, 100),
                 max: h.max(),
             });
         }
@@ -863,7 +862,7 @@ mod tests {
         (cycles, bytes): (u64, u64),
         now: u64,
     ) {
-        let row = gt.row(mech.as_str(), src, dst);
+        let row = gt.row(mech, src, dst);
         gt.record_crossing(row, cycles, bytes);
         sp.record_gate(0, mech, src, dst, now - cycles, now, cycles, bytes);
     }
@@ -876,11 +875,13 @@ mod tests {
         cross(&mut gt, &mut sp, (Label::MpkShared, 0, 1), (200, 64), 2000);
         cross(&mut gt, &mut sp, (Label::VmRpc, 1, 2), (7000, 0), 9000);
         assert_eq!(gt.direct_calls(), 1);
-        assert_eq!(gt.crossings("MPK (shared stack)", 0, 1), 2);
-        assert_eq!(gt.crossings("VM RPC (EPT)", 1, 2), 1);
+        assert_eq!(gt.crossings(Label::MpkShared, 0, 1), 2);
+        assert_eq!(gt.crossings(Label::VmRpc, 1, 2), 1);
         assert_eq!(gt.totals(), (3, 128, 7380));
-        let h = gt.mechanism_hist("MPK (shared stack)").unwrap();
+        let h = gt.mechanism_hist(Label::MpkShared).unwrap();
         assert_eq!((h.count(), h.min(), h.max()), (2, 180, 200));
+        let h = gt.mechanism_hist(Label::VmRpc).unwrap();
+        assert_eq!((h.count(), h.min(), h.max()), (1, 7000, 7000));
         // Compartment 1 saw two enters (from 0) and one exit (to 2).
         assert_eq!(gt.events_per_compartment(), vec![2, 3, 1]);
     }

@@ -121,10 +121,8 @@ pub struct SchedSnapshot {
     pub switches: u64,
     /// Executor steps run.
     pub steps: u64,
-    /// Sum of run-queue depth samples (one per pick).
+    /// Sum of run-queue depth samples (one per step).
     pub depth_sum: u64,
-    /// Number of depth samples.
-    pub depth_samples: u64,
     /// Deepest observed run queue.
     pub depth_max: u64,
     /// Per-task total run cycles, as (thread id, cycles).
@@ -324,7 +322,7 @@ impl StatsSnapshot {
         let per_sec = |n: u64| format!("{:.0}", n as f64 / secs.max(f64::MIN_POSITIVE));
         // Ratios ×1000 as integers in JSON, as decimals in text.
         let milli = |n: u64, d: u64| (n * 1000).checked_div(d).unwrap_or(0);
-        let depth_milli = milli(self.sched.depth_sum, self.sched.depth_samples);
+        let depth_milli = milli(self.sched.depth_sum, self.sched.steps);
         let hit_milli = milli(self.tlb.hits, self.tlb.hits + self.tlb.misses);
         Sheet::new()
             .field("elapsed_cycles", self.elapsed_cycles)
@@ -592,8 +590,7 @@ mod tests {
             sched: SchedSnapshot {
                 switches: 31,
                 steps: 32,
-                depth_sum: 7,
-                depth_samples: 2,
+                depth_sum: 112,
                 depth_max: 4,
                 task_cycles: vec![(1, 100), (2, 200)],
             },

@@ -287,7 +287,7 @@ impl LatencyCounts {
 /// the smallest rank whose share of the samples is at least `num/den`,
 /// and at least 1. Computed in integers, so it never depends on
 /// floating-point rounding.
-fn nearest_rank(n: u64, num: u64, den: u64) -> u64 {
+pub(crate) fn nearest_rank(n: u64, num: u64, den: u64) -> u64 {
     (n * num).div_ceil(den).max(1)
 }
 

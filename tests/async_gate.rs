@@ -2,7 +2,7 @@
 //!
 //! The same random call sequences `tests/backend_equiv.rs` pushes
 //! through `call_lib_batch` are replayed here as submission-ring
-//! descriptors (`submit_lib` → `call_lib_async` → `reap_lib`) on every
+//! descriptors (`gates.submit` → `gates.flush_async` → `gates.reap`) on every
 //! gate mechanism; the drivers live in `tests/common/mod.rs`. The
 //! contract the rings ship under:
 //!
@@ -79,10 +79,11 @@ proptest! {
 #[test]
 fn submit_past_ring_depth_is_a_typed_error() {
     let mut img = image(BackendChoice::MpkShared);
+    let lwip = img.compartment_of_lib("lwip").unwrap();
     for i in 0..flexos::gate::DEFAULT_RING_DEPTH {
-        img.submit_lib("lwip", Sqe::new(8, 8, i as u64)).unwrap();
+        img.gates.submit(lwip, Sqe::new(8, 8, i as u64)).unwrap();
     }
-    let err = img.submit_lib("lwip", Sqe::new(8, 8, 999)).unwrap_err();
+    let err = img.gates.submit(lwip, Sqe::new(8, 8, 999)).unwrap_err();
     assert!(
         matches!(
             err,
@@ -102,7 +103,8 @@ fn submit_past_ring_depth_is_a_typed_error() {
 fn reap_from_empty_cq_is_a_typed_error_on_every_backend() {
     for backend in BackendChoice::ALL {
         let mut img = image(backend);
-        let err = img.reap_lib("lwip").unwrap_err();
+        let lwip = img.compartment_of_lib("lwip").unwrap();
+        let err = img.gates.reap(lwip).unwrap_err();
         assert!(
             matches!(err, Fault::RingEmpty { ring: "gate-cq" }),
             "{backend:?}: {err:?}"
@@ -118,12 +120,13 @@ fn reap_from_empty_cq_is_a_typed_error_on_every_backend() {
 fn completions_survive_a_hardening_abort_on_every_backend() {
     for backend in BackendChoice::ALL {
         let mut img = image(backend);
+        let sched_c = img.compartment_of_lib("uksched_verified").unwrap();
         for i in 0..4u64 {
-            img.submit_lib("uksched_verified", Sqe::new(16, 8, i))
-                .unwrap();
+            img.gates.submit(sched_c, Sqe::new(16, 8, i)).unwrap();
         }
         let err = img
-            .call_lib_async("uksched_verified", |m, _rt, sqe| {
+            .gates
+            .flush_async(&mut img.machine, sched_c, |m, _rt, sqe| {
                 if sqe.user_data == 2 {
                     return Err(Fault::HardeningAbort {
                         mechanism: "async-test",
@@ -136,7 +139,7 @@ fn completions_survive_a_hardening_abort_on_every_backend() {
             .unwrap_err();
         assert_eq!(err.kind(), "hardening-abort", "{backend:?}");
         for want in 0..2i64 {
-            let cqe = img.reap_lib("uksched_verified").unwrap();
+            let cqe = img.gates.reap(sched_c).unwrap();
             assert_eq!(
                 (cqe.user_data, cqe.res),
                 (want as u64, want * 10),
@@ -144,12 +147,11 @@ fn completions_survive_a_hardening_abort_on_every_backend() {
             );
         }
         assert!(matches!(
-            img.reap_lib("uksched_verified").unwrap_err(),
+            img.gates.reap(sched_c).unwrap_err(),
             Fault::RingEmpty { .. }
         ));
         // Descriptor 2 was consumed by its fault; descriptor 3 was
         // never issued and stays queued.
-        let sched_c = img.compartment_of_lib("uksched_verified").unwrap();
         assert_eq!(img.gates.sq_pending(sched_c), 1, "{backend:?}");
         assert_eq!(img.gates.cancel_pending(sched_c), 1, "{backend:?}");
     }
@@ -167,12 +169,13 @@ fn doorbell_loss_leaves_the_ring_intact_for_retry() {
         notify_drop: Schedule::EveryNth(1),
         ..Default::default()
     }));
+    let sched_c = img.compartment_of_lib("uksched_verified").unwrap();
     for i in 0..4u64 {
-        img.submit_lib("uksched_verified", Sqe::new(16, 8, i))
-            .unwrap();
+        img.gates.submit(sched_c, Sqe::new(16, 8, i)).unwrap();
     }
     let err = img
-        .call_lib_async("uksched_verified", |m, _rt, sqe| {
+        .gates
+        .flush_async(&mut img.machine, sched_c, |m, _rt, sqe| {
             m.charge(1);
             Ok(sqe.user_data as i64)
         })
@@ -181,7 +184,6 @@ fn doorbell_loss_leaves_the_ring_intact_for_retry() {
         matches!(err, Fault::GateTimeout { attempts: 5, .. }),
         "{err:?}"
     );
-    let sched_c = img.compartment_of_lib("uksched_verified").unwrap();
     assert_eq!(img.gates.sq_pending(sched_c), 4, "nothing issued");
     assert_eq!(img.gates.cq_ready(sched_c), 0, "nothing completed");
 
@@ -189,14 +191,15 @@ fn doorbell_loss_leaves_the_ring_intact_for_retry() {
     img.machine
         .set_chaos(ChaosPlan::new(ChaosConfig::default()));
     let posted = img
-        .call_lib_async("uksched_verified", |m, _rt, sqe| {
+        .gates
+        .flush_async(&mut img.machine, sched_c, |m, _rt, sqe| {
             m.charge(1);
             Ok(sqe.user_data as i64)
         })
         .unwrap();
     assert_eq!(posted, 4);
     for i in 0..4i64 {
-        let cqe = img.reap_lib("uksched_verified").unwrap();
+        let cqe = img.gates.reap(sched_c).unwrap();
         assert_eq!((cqe.user_data, cqe.res), (i as u64, i));
     }
 }

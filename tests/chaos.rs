@@ -206,15 +206,15 @@ fn migration_under_chaos_is_byte_identical_for_the_same_seed() {
         for _ in 0..20 {
             cross(&mut img);
         }
+        let sched_c = img.compartment_of_lib("uksched_verified").unwrap();
         for ud in 0..3u64 {
-            img.submit_lib("uksched_verified", Sqe::new(8, 8, ud))
-                .unwrap();
+            img.gates.submit(sched_c, Sqe::new(8, 8, ud)).unwrap();
         }
         migrate_all(&mut img, BackendChoice::VmRpc, MigrationReason::Escalate).unwrap();
         for _ in 0..20 {
             cross(&mut img);
         }
-        let _ = img.call_lib_async("uksched_verified", |m, _, _| {
+        let _ = img.gates.flush_async(&mut img.machine, sched_c, |m, _, _| {
             m.charge(5);
             Ok(1)
         });
@@ -275,12 +275,11 @@ fn doorbell_loss_during_drain_loses_no_descriptor() {
         notify_dup: Schedule::EveryNth(3),
         ..Default::default()
     }));
+    let target = img.compartment_of_lib("uksched_verified").unwrap();
     for ud in 0..6u64 {
-        img.submit_lib("uksched_verified", Sqe::new(8, 8, ud))
-            .unwrap();
+        img.gates.submit(target, Sqe::new(8, 8, ud)).unwrap();
     }
     // Flush half under chaos, leaving three descriptors pending.
-    let target = img.compartment_of_lib("uksched_verified").unwrap();
     let mut seen = 0;
     img.gates
         .flush_async_until(
@@ -307,14 +306,15 @@ fn doorbell_loss_during_drain_loses_no_descriptor() {
     let st = img.gates.migration_stats();
     assert_eq!((st.requeued_sqes, st.preserved_cqes), (3, 3));
     let flushed = img
-        .call_lib_async("uksched_verified", |m, _, sqe| {
+        .gates
+        .flush_async(&mut img.machine, target, |m, _, sqe| {
             m.charge(1);
             Ok(sqe.user_data as i64)
         })
         .unwrap();
     assert_eq!(flushed, 3, "a pending descriptor was lost in the drain");
     let mut got = Vec::new();
-    while let Ok(cqe) = img.reap_lib("uksched_verified") {
+    while let Ok(cqe) = img.gates.reap(target) {
         got.push(cqe.user_data);
     }
     assert_eq!(

@@ -7,7 +7,7 @@
 //!   first error. This is the **reference**: a batch and a ring flush
 //!   are *defined* as costing exactly what this loop costs;
 //! * [`Driver::Batch`] — one `call_lib_batch` per chunk;
-//! * [`Driver::Ring`] — submit the chunk, `call_lib_async`, `reap_lib`.
+//! * [`Driver::Ring`] — submit the chunk, `flush_async`, `reap`.
 //!
 //! Every driver runs the conservation checks after every chunk, on every
 //! backend, chaos or not: control is back in the app compartment, the
@@ -22,8 +22,8 @@ use flexos::spec::LibSpec;
 use flexos_backends::{instantiate, instantiate_migratable, BootImage};
 use flexos_machine::{ChaosConfig, ChaosPlan, Fault, Machine, Schedule, VmId};
 use flexos_trace::{
-    pack_pair, CycleHist, EventRow, GatePairRow, MechanismRow, RingDropRow, SpanEvent, SpanKind,
-    StatsSnapshot, DEFAULT_SPAN_RING_CAP, EVENT_WINDOW, SNAPSHOT_EVENT_CAP,
+    pack_pair, CycleHist, EventRow, GatePairRow, Label, MechanismRow, RingDropRow, SpanEvent,
+    SpanKind, StatsSnapshot, DEFAULT_SPAN_RING_CAP, EVENT_WINDOW, SNAPSHOT_EVENT_CAP,
 };
 use proptest::prelude::*;
 use std::cell::RefCell;
@@ -196,7 +196,7 @@ pub enum Driver {
     Loop,
     /// One `call_lib_batch` per chunk.
     Batch,
-    /// `submit_lib` × n → `call_lib_async` → `reap_lib`.
+    /// `submit` × n → `flush_async` → `reap`.
     Ring,
 }
 
@@ -267,16 +267,19 @@ pub fn run_ops(img: &mut BootImage, ops: &[CallOp], driver: Driver) -> Vec<Chunk
             }
             Driver::Ring => {
                 for (i, op) in chunk.iter().enumerate() {
-                    img.submit_lib(lib, Sqe::new(op.arg, op.ret, i as u64))
+                    img.gates
+                        .submit(target, Sqe::new(op.arg, op.ret, i as u64))
                         .expect("ring has room");
                 }
                 let mut ran = 0u64;
-                let r = img.call_lib_async(lib, |m, rt, sqe| {
-                    ran += 1;
-                    let idx = sqe.user_data as usize;
-                    body(m, rt, &chunk[idx], idx, nested_target)
-                });
-                while let Ok(cqe) = img.reap_lib(lib) {
+                let r = img
+                    .gates
+                    .flush_async(&mut img.machine, target, |m, rt, sqe| {
+                        ran += 1;
+                        let idx = sqe.user_data as usize;
+                        body(m, rt, &chunk[idx], idx, nested_target)
+                    });
+                while let Ok(cqe) = img.gates.reap(target) {
                     // Completions arrive in submission order with the
                     // original descriptor cookie attached.
                     assert_eq!(cqe.user_data, vals.len() as u64, "CQE order");
@@ -322,9 +325,9 @@ pub struct Observed {
     pub cycles: u64,
     pub stats: GateStats,
     /// Per-(mechanism, caller, callee) crossing counts from the trace.
-    pub pairs: Vec<(&'static str, u16, u16, u64)>,
+    pub pairs: Vec<(Label, u16, u16, u64)>,
     /// Per-mechanism `(crossings, gate cycles)` from the trace.
-    pub mechanisms: Vec<(&'static str, u64, u64)>,
+    pub mechanisms: Vec<(Label, u64, u64)>,
     pub spans: Vec<(usize, u64, SpanEvent)>,
     /// Batch-size histogram `(batches, batched calls)` over all
     /// mechanisms, and ring flushes: the two things a sequential caller
@@ -346,7 +349,7 @@ impl Observed {
         let mut pairs = Vec::new();
         let mut mechanisms = Vec::new();
         let mut batches = (0, 0);
-        for label in BackendChoice::ALL.map(BackendChoice::label) {
+        for label in BackendChoice::ALL.map(BackendChoice::span_label) {
             for (src, dst) in (0..n).flat_map(|s| (0..n).map(move |d| (s, d))) {
                 match trace.crossings(label, src, dst) {
                     0 => {}

@@ -170,22 +170,24 @@ proptest! {
             for to in BackendChoice::ALL {
                 let run_async = |boot: BackendChoice, migrate: bool| {
                     let mut img = image(boot, chaos);
-                    for (i, &ud) in uds.iter().enumerate() {
-                        img.submit_lib("uksched_verified", Sqe::new(16, 8, ud))
+                    let sched = img.compartment_of_lib("uksched_verified").expect("sched");
+                    for &ud in &uds {
+                        img.gates
+                            .submit(sched, Sqe::new(16, 8, ud))
                             .expect("pre-swap submission admitted");
-                        let _ = i;
                     }
                     if migrate {
                         migrate_all(&mut img, to, MigrationReason::Manual).expect("migrates");
                     }
                     let flushed = img
-                        .call_lib_async("uksched_verified", |m, _, sqe| {
+                        .gates
+                        .flush_async(&mut img.machine, sched, |m, _, sqe| {
                             m.charge(sqe.arg_bytes + 1);
                             Ok(sqe.user_data as i64 * 3)
                         })
                         .expect("flush completes");
                     let mut got = Vec::new();
-                    while let Ok(cqe) = img.reap_lib("uksched_verified") {
+                    while let Ok(cqe) = img.gates.reap(sched) {
                         got.push((cqe.user_data, cqe.res));
                     }
                     (flushed, got)
@@ -215,12 +217,13 @@ proptest! {
 #[test]
 fn continuous_submission_cannot_stall_quiescence() {
     let mut img = image(BackendChoice::MpkShared, None);
+    let target = img.compartment_of_lib("uksched_verified").expect("sched");
     for ud in 0..4u64 {
-        img.submit_lib("uksched_verified", Sqe::new(8, 8, ud))
+        img.gates
+            .submit(target, Sqe::new(8, 8, ud))
             .expect("parked before the drain");
     }
     let caller = img.gates.current();
-    let target = img.compartment_of_lib("uksched_verified").expect("sched");
     let pair = if caller.0 <= target.0 {
         (caller, target)
     } else {
@@ -263,16 +266,18 @@ fn continuous_submission_cannot_stall_quiescence() {
         st.drain_cycles_max
     );
     // The refused submitter can proceed after the swap.
-    img.submit_lib("uksched_verified", Sqe::new(8, 8, 7))
+    img.gates
+        .submit(target, Sqe::new(8, 8, 7))
         .expect("post-swap submission admitted");
     let flushed = img
-        .call_lib_async("uksched_verified", |m, _, _| {
+        .gates
+        .flush_async(&mut img.machine, target, |m, _, _| {
             m.charge(5);
             Ok(1)
         })
         .expect("post-swap flush completes");
     assert_eq!(flushed, 5);
-    let order: Vec<u64> = std::iter::from_fn(|| img.reap_lib("uksched_verified").ok())
+    let order: Vec<u64> = std::iter::from_fn(|| img.gates.reap(target).ok())
         .map(|cqe| cqe.user_data)
         .collect();
     assert_eq!(order, [0, 1, 2, 3, 7]);
@@ -286,12 +291,13 @@ fn every_pair_preserves_ready_cqes_and_requeues_pending_sqes() {
     for from in BackendChoice::ALL {
         for to in BackendChoice::ALL {
             let mut img = image(from, None);
+            let target = img.compartment_of_lib("uksched_verified").expect("sched");
             for ud in 0..4u64 {
-                img.submit_lib("uksched_verified", Sqe::new(8, 8, ud))
+                img.gates
+                    .submit(target, Sqe::new(8, 8, ud))
                     .expect("submits");
             }
             // Flush the first two, keep two pending.
-            let target = img.compartment_of_lib("uksched_verified").expect("sched");
             let mut seen = 0;
             img.gates
                 .flush_async_until(
@@ -316,29 +322,18 @@ fn every_pair_preserves_ready_cqes_and_requeues_pending_sqes() {
             );
             // Ready completions reap in order; pending ones complete
             // through the new gate.
-            assert_eq!(
-                img.reap_lib("uksched_verified").expect("cqe 0").user_data,
-                0
-            );
-            assert_eq!(
-                img.reap_lib("uksched_verified").expect("cqe 1").user_data,
-                1
-            );
+            assert_eq!(img.gates.reap(target).expect("cqe 0").user_data, 0);
+            assert_eq!(img.gates.reap(target).expect("cqe 1").user_data, 1);
             let flushed = img
-                .call_lib_async("uksched_verified", |m, _, sqe| {
+                .gates
+                .flush_async(&mut img.machine, target, |m, _, sqe| {
                     m.charge(1);
                     Ok(sqe.user_data as i64)
                 })
                 .expect("post-swap flush");
             assert_eq!(flushed, 2, "{from:?}->{to:?}");
-            assert_eq!(
-                img.reap_lib("uksched_verified").expect("cqe 2").user_data,
-                2
-            );
-            assert_eq!(
-                img.reap_lib("uksched_verified").expect("cqe 3").user_data,
-                3
-            );
+            assert_eq!(img.gates.reap(target).expect("cqe 2").user_data, 2);
+            assert_eq!(img.gates.reap(target).expect("cqe 3").user_data, 3);
         }
     }
 }
