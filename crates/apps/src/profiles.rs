@@ -13,8 +13,8 @@
 
 use flexos::build::{BackendChoice, ImageConfig, ImagePlan, LibRole, LibraryConfig};
 use flexos::spec::{
-    parse_with_name, Analysis, ApiFunc, CallBehavior, Grant, GrantKind, LibSpec, MemBehavior,
-    Region, Requires, ShMechanism, ShSet,
+    Analysis, ApiFunc, CallBehavior, Grant, GrantKind, LibSpec, MemBehavior, Region, Requires,
+    ShMechanism, ShSet,
 };
 
 /// Which scheduler implementation an image runs.
@@ -39,38 +39,63 @@ pub fn gcc_sh() -> ShSet {
 /// The application library (`iperf` or `redis`): unsafe C, calls the
 /// socket API through libc.
 pub fn lib_app(name: &str) -> LibraryConfig {
-    let spec = parse_with_name(
-        "[Memory access] Read(*); Write(*)\n\
-         [Call] libc::recv, libc::send, libc::malloc, libc::free, libc::memcpy\n\
-         [API] main()",
-        name,
-    )
-    .expect("static spec parses");
+    let spec = LibSpec {
+        name: name.into(),
+        mem: MemBehavior::adversarial(),
+        call: CallBehavior::funcs(
+            ["recv", "send", "malloc", "free", "memcpy"].map(|f| ("libc", f)),
+        ),
+        api: vec![ApiFunc::named("main")],
+        requires: Requires::unconstrained(),
+    };
     LibraryConfig::new(spec, LibRole::App).with_analysis(Analysis::well_behaved())
 }
 
 /// The standard C library: unsafe C; exposes memcpy/malloc/semaphores.
 pub fn lib_libc() -> LibraryConfig {
-    let spec = parse_with_name(
-        "[Memory access] Read(*); Write(*)\n\
-         [Call] lwip::lwip_recv, lwip::lwip_send, ukalloc::palloc, uksched::yield\n\
-         [API] recv(); send(); memcpy(); malloc(); free(); sem_down(); sem_up()",
-        "libc",
-    )
-    .expect("static spec parses");
+    let spec = LibSpec {
+        name: "libc".into(),
+        mem: MemBehavior::adversarial(),
+        call: CallBehavior::funcs([
+            ("lwip", "lwip_recv"),
+            ("lwip", "lwip_send"),
+            ("ukalloc", "palloc"),
+            ("uksched", "yield"),
+        ]),
+        api: [
+            "recv", "send", "memcpy", "malloc", "free", "sem_down", "sem_up",
+        ]
+        .map(ApiFunc::named)
+        .into(),
+        requires: Requires::unconstrained(),
+    };
     LibraryConfig::new(spec, LibRole::LibC).with_analysis(Analysis::well_behaved())
 }
 
 /// The network stack (lwIP role): the canonical *untrusted* component of
 /// the paper's iperf experiment.
 pub fn lib_netstack() -> LibraryConfig {
-    let spec = parse_with_name(
-        "[Memory access] Read(*); Write(*)\n\
-         [Call] uknetdev::xmit, uknetdev::recv, libc::sem_up, libc::sem_down, ukalloc::palloc\n\
-         [API] lwip_listen(); lwip_accept(); lwip_recv(); lwip_send(); lwip_close()",
-        "lwip",
-    )
-    .expect("static spec parses");
+    let spec = LibSpec {
+        name: "lwip".into(),
+        mem: MemBehavior::adversarial(),
+        call: CallBehavior::funcs([
+            ("uknetdev", "xmit"),
+            ("uknetdev", "recv"),
+            ("libc", "sem_up"),
+            ("libc", "sem_down"),
+            ("ukalloc", "palloc"),
+        ]),
+        api: [
+            "lwip_listen",
+            "lwip_accept",
+            "lwip_recv",
+            "lwip_send",
+            "lwip_close",
+        ]
+        .map(ApiFunc::named)
+        .into(),
+        requires: Requires::unconstrained(),
+    };
     LibraryConfig::new(spec, LibRole::NetStack).with_analysis(Analysis::well_behaved())
 }
 
@@ -131,13 +156,13 @@ pub fn lib_alloc() -> LibraryConfig {
 
 /// The network driver (`uknetdev`, virtio-net role).
 pub fn lib_driver() -> LibraryConfig {
-    let spec = parse_with_name(
-        "[Memory access] Read(*); Write(*)\n\
-         [Call] ukalloc::palloc\n\
-         [API] xmit(); recv(); configure()",
-        "uknetdev",
-    )
-    .expect("static spec parses");
+    let spec = LibSpec {
+        name: "uknetdev".into(),
+        mem: MemBehavior::adversarial(),
+        call: CallBehavior::funcs([("ukalloc", "palloc")]),
+        api: ["xmit", "recv", "configure"].map(ApiFunc::named).into(),
+        requires: Requires::unconstrained(),
+    };
     LibraryConfig::new(spec, LibRole::Driver).with_analysis(Analysis::well_behaved())
 }
 
@@ -229,6 +254,40 @@ pub fn harden_all(mut cfg: ImageConfig) -> ImageConfig {
 mod tests {
     use super::*;
     use flexos::build::plan;
+    use flexos::spec::parse_with_name;
+    use flexos_trace::Label;
+
+    /// The texts the four constant specs were parsed from until they were
+    /// built as values; each value must stay equal to its parse.
+    const APP: &str = "[Memory access] Read(*); Write(*)\n\
+         [Call] libc::recv, libc::send, libc::malloc, libc::free, libc::memcpy\n\
+         [API] main()";
+    const LIBC: &str = "[Memory access] Read(*); Write(*)\n\
+         [Call] lwip::lwip_recv, lwip::lwip_send, ukalloc::palloc, uksched::yield\n\
+         [API] recv(); send(); memcpy(); malloc(); free(); sem_down(); sem_up()";
+    const NETSTACK: &str = "[Memory access] Read(*); Write(*)\n\
+         [Call] uknetdev::xmit, uknetdev::recv, libc::sem_up, libc::sem_down, ukalloc::palloc\n\
+         [API] lwip_listen(); lwip_accept(); lwip_recv(); lwip_send(); lwip_close()";
+    const NETDEV: &str = "[Memory access] Read(*); Write(*)\n\
+         [Call] ukalloc::palloc\n\
+         [API] xmit(); recv(); configure()";
+
+    fn parsed(text: &str, name: &str) -> LibSpec {
+        parse_with_name(text, name).expect("the spec text parses")
+    }
+
+    #[test]
+    fn each_constant_spec_equals_the_parse_of_its_text() {
+        assert_eq!(lib_libc().spec, parsed(LIBC, "libc"));
+        assert_eq!(lib_netstack().spec, parsed(NETSTACK, "lwip"));
+        assert_eq!(lib_driver().spec, parsed(NETDEV, "uknetdev"));
+        // Every name an image gives its application library: the two
+        // benchmarks, the serving tier's proxy and each of its shards.
+        let shards = Label::SHARDS.map(Label::as_str);
+        for name in ["redis", "iperf", "proxy"].into_iter().chain(shards) {
+            assert_eq!(lib_app(name).spec, parsed(APP, name), "{name}");
+        }
+    }
 
     #[test]
     fn baseline_collapses_to_one_compartment() {

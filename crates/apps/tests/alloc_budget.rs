@@ -12,8 +12,11 @@
 //! with its own `#[global_allocator]` (`counting/mod.rs`) and pins the
 //! per-request figure: a run of N and a run of 2N requests differ only
 //! in N steady-state requests, so the difference of their counts cancels
-//! set-up exactly. The counts are deterministic — the bounds are
-//! asserted, the measured values printed (`--nocapture`).
+//! set-up exactly. Both follow an unmeasured run, so that both boot
+//! alike: a dropped machine leaves its simulated memory to the thread's
+//! next boot (DESIGN.md §6.25), which the first run of a thread cannot
+//! find. The counts are deterministic — the bounds are asserted, the
+//! measured values printed (`--nocapture`).
 
 use flexos::build::BackendChoice;
 use flexos_apps::iperf::{run_iperf, IperfParams};
@@ -22,11 +25,12 @@ use flexos_apps::serve::{run_serve, ServeParams};
 use flexos_apps::CompartmentModel;
 
 mod counting;
-use counting::allocations_during;
+use counting::{allocations_during, large_allocations_during, LARGE};
 
 /// Steady-state allocations per request: `run(ops)` serves `ops`
 /// requests, set-up included.
 fn per_request(name: &str, n: u64, run: impl Fn(u64)) -> f64 {
+    run(n);
     let small = allocations_during(|| run(n));
     let large = allocations_during(|| run(2 * n));
     let per_request = (large - small) as f64 / n as f64;
@@ -58,6 +62,29 @@ fn redis_get_pipelined_allocates_less_than_once_per_two_requests() {
         "was 21.3 before the streaming codec, 0.81 before frames were recycled, 0.00025 (one \
          doubling of the latency sample vector) before latencies were counted"
     );
+}
+
+#[test]
+fn a_second_boot_of_the_same_shape_allocates_no_simulated_memory() {
+    let run = || {
+        let r = run_redis(&RedisParams {
+            model: CompartmentModel::NwSchedRest,
+            backend: BackendChoice::MpkShared,
+            mix: Mix::Get,
+            ops: 100,
+            ..RedisParams::default()
+        })
+        .expect("redis run succeeds");
+        assert!(r.ops >= 100);
+    };
+    let first = large_allocations_during(run);
+    let second = large_allocations_during(run);
+    println!("allocations of {LARGE} B or more: {first} on a first run, {second} on a second");
+    // The first run allocates the server's 64 MiB and the client's 32 MiB
+    // of simulated memory; the second takes both arrays back from the
+    // thread's spare list, with no page of them faulted in again.
+    assert_eq!(first, 2);
+    assert_eq!(second, 0, "a second run allocates simulated memory again");
 }
 
 #[test]

@@ -16,6 +16,21 @@ thread_local! {
     /// Bytes this thread allocated minus bytes it freed (requested sizes,
     /// not the allocator's size classes).
     static LIVE: Cell<i64> = const { Cell::new(0) };
+    /// Allocations of [`LARGE`] bytes or more made by this thread.
+    static LARGE_ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The size from which an allocation counts as large: no buffer of the
+/// request path comes near it, a machine's simulated memory is far
+/// above it.
+pub const LARGE: usize = 1 << 20;
+
+/// Counts one allocation of `size` bytes.
+fn count(size: usize) {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    if size >= LARGE {
+        let _ = LARGE_ALLOCS.try_with(|n| n.set(n.get() + 1));
+    }
 }
 
 /// Distinct block sizes the histogram tells apart; blocks of any further
@@ -49,7 +64,7 @@ struct Counting;
 // touching them never allocates or re-enters the allocator.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        count(layout.size());
         live_add(layout.size(), 1);
         // SAFETY: the caller's obligations are passed through as they are.
         unsafe { System.alloc(layout) }
@@ -58,7 +73,7 @@ unsafe impl GlobalAlloc for Counting {
     // Forwarded as such, so that untouched simulated memory stays
     // untouched pages (the default would `alloc` and write zeroes).
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        count(layout.size());
         live_add(layout.size(), 1);
         // SAFETY: the caller's obligations are passed through as they are.
         unsafe { System.alloc_zeroed(layout) }
@@ -71,7 +86,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        count(new_size);
         live_add(layout.size(), -1);
         live_add(new_size, 1);
         // SAFETY: the caller's obligations are passed through as they are.
@@ -86,6 +101,13 @@ pub fn allocations_during(run: impl FnOnce()) -> u64 {
     let before = ALLOCS.with(Cell::get);
     run();
     ALLOCS.with(Cell::get) - before
+}
+
+/// Allocations of [`LARGE`] bytes or more that `run` makes.
+pub fn large_allocations_during(run: impl FnOnce()) -> u64 {
+    let before = LARGE_ALLOCS.with(Cell::get);
+    run();
+    LARGE_ALLOCS.with(Cell::get) - before
 }
 
 /// Heap bytes live on this thread now; differences between two readings

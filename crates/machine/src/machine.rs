@@ -378,6 +378,10 @@ impl Machine {
     /// A miss returns a plain `PageNotPresent`; the cross-VM diagnostic
     /// scan that may upgrade it to `VmViolation` lives in
     /// [`Machine::raise`], off the translation fast path.
+    ///
+    /// Each walk marks its frame in [`PhysMem`], which zeroes exactly the
+    /// marked frames when it is dropped for reuse (DESIGN.md §6.25). A hit
+    /// needs no mark: the entry came from a walk of this machine.
     #[inline(always)]
     fn translate_page(&mut self, vcpu_id: VcpuId, addr: Addr, access: Access) -> Result<PhysAddr> {
         let v = &self.vcpus[vcpu_id.0 as usize];
@@ -400,12 +404,15 @@ impl Machine {
                 None => {
                     self.tlb_trace.miss();
                     let e = vm.page_table.walk(vpn).ok_or_else(not_present)?;
+                    self.phys.mark(e.pfn);
                     tlb.insert(vm_id, vpn, generation, e);
                     e
                 }
             }
         } else {
-            vm.page_table.walk(vpn).ok_or_else(not_present)?
+            let e = vm.page_table.walk(vpn).ok_or_else(not_present)?;
+            self.phys.mark(e.pfn);
+            e
         };
         if access == Access::Write && !entry.flags.writable {
             return Err(Fault::WriteToReadOnly { addr, vm: vm_id });
