@@ -225,11 +225,11 @@ impl ReplyStream {
                 // charged), so every span completing here ends at the
                 // same instant — read it once.
                 let now = m.clock().cycles();
-                while pending_spans
+                while let Some(&(span, _)) = pending_spans
                     .front()
-                    .is_some_and(|&(_, end)| end <= *sent_total)
+                    .filter(|&&(_, end)| end <= *sent_total)
                 {
-                    let (span, _) = pending_spans.pop_front().expect("front checked");
+                    pending_spans.pop_front();
                     m.span_trace_mut().end_request(span, app_vcpu, now);
                 }
                 let unsent = &out[*head..];

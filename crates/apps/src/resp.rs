@@ -74,11 +74,30 @@ impl fmt::Display for RespValue {
 
 // --- encoding --------------------------------------------------------------------
 
-/// Appends `tag`, the decimal digits of `n` and `\r\n`, formatting on
-/// the stack.
+/// Longest header line: a tag, `-`, the 19 digits of `i64::MIN` and
+/// `\r\n` (23 bytes), rounded up.
+const MAX_HEADER_LEN: usize = 24;
+
+/// Appends `tag`, the decimal digits of `n` and `\r\n`. Every header the
+/// request path writes is a count or a length below 1 000, appended as
+/// one fixed-size store; anything else is formatted on the stack.
 fn put_header(out: &mut Vec<u8>, tag: u8, n: i64) {
-    // tag + '-' + the 19 digits of i64::MIN + "\r\n"
-    let mut line = [0u8; 24];
+    let digit = |k: i64| b'0' + (k % 10) as u8;
+    match n {
+        0..=9 => out.extend_from_slice(&[tag, digit(n), b'\r', b'\n']),
+        10..=99 => out.extend_from_slice(&[tag, digit(n / 10), digit(n), b'\r', b'\n']),
+        100..=999 => {
+            out.extend_from_slice(&[tag, digit(n / 100), digit(n / 10), digit(n), b'\r', b'\n'])
+        }
+        _ => put_header_wide(out, tag, n),
+    }
+}
+
+/// [`put_header`] for any `n`. Out of line: the request path never
+/// takes it, and its variable-length copy is a libc call.
+#[inline(never)]
+fn put_header_wide(out: &mut Vec<u8>, tag: u8, n: i64) {
+    let mut line = [0u8; MAX_HEADER_LEN];
     let mut at = line.len() - 2;
     line[at..].copy_from_slice(b"\r\n");
     let mut rest = n.unsigned_abs();
@@ -107,7 +126,12 @@ pub fn put_integer(out: &mut Vec<u8>, n: i64) {
 /// Appends the bulk string `$len\r\nbytes\r\n`.
 pub fn put_bulk(out: &mut Vec<u8>, bytes: &[u8]) {
     // One growth step at most, for header, payload and trailer together.
-    out.reserve(bytes.len() + 24);
+    out.reserve(MAX_HEADER_LEN + bytes.len() + 2);
+    append_bulk(out, bytes);
+}
+
+/// [`put_bulk`] into room the caller has reserved.
+fn append_bulk(out: &mut Vec<u8>, bytes: &[u8]) {
     put_header(out, b'$', bytes.len() as i64);
     out.extend_from_slice(bytes);
     out.extend_from_slice(b"\r\n");
@@ -118,15 +142,19 @@ pub fn put_bulk(out: &mut Vec<u8>, bytes: &[u8]) {
 pub fn put_error(out: &mut Vec<u8>, msg: fmt::Arguments<'_>) {
     use std::io::Write;
     out.extend_from_slice(b"-ERR ");
-    out.write_fmt(msg).expect("writing to a Vec cannot fail");
+    // Writing to a `Vec` cannot fail.
+    let _ = out.write_fmt(msg);
     out.extend_from_slice(b"\r\n");
 }
 
 /// Appends a client command (array of bulk strings).
 pub fn put_command(out: &mut Vec<u8>, args: &[&[u8]]) {
+    // One growth step at most, for the whole command.
+    let bulks: usize = args.iter().map(|a| MAX_HEADER_LEN + a.len() + 2).sum();
+    out.reserve(MAX_HEADER_LEN + bulks);
     put_header(out, b'*', args.len() as i64);
     for arg in args {
-        put_bulk(out, arg);
+        append_bulk(out, arg);
     }
 }
 
@@ -227,49 +255,109 @@ enum Token {
     Array(usize),
 }
 
-/// Index of the first `\r` at or after `from` that a `\n` follows.
-fn find_crlf(buf: &[u8], from: usize) -> Option<usize> {
-    let mut at = from;
+/// Reads a `+` or `-` line in the one pass that looks for its end:
+/// returns the offset of its first `\r\n`, and whether a byte ≥ 0x80
+/// came before it (only then can the line fail UTF-8). `None` if `line`
+/// holds no `\r\n`.
+fn text_line(line: &[u8]) -> Option<(usize, bool)> {
+    let mut high = 0;
+    let mut at = 0;
     loop {
-        let cr = at + buf.get(at..)?.iter().position(|&b| b == b'\r')?;
-        match buf.get(cr + 1) {
-            Some(b'\n') => return Some(cr),
-            Some(_) => at = cr + 1,
-            None => return None,
+        let b = *line.get(at)?;
+        if b == b'\r' && line.get(at + 1) == Some(&b'\n') {
+            return Some((at, high >= 0x80));
         }
+        high |= b;
+        at += 1;
+    }
+}
+
+/// Reads a `:`, `$` or `*` line in the one pass that looks for its end:
+/// returns the offset of its first `\r\n`, and the line's value if it
+/// is a decimal `i64` as `str::parse` reads one (an optional sign, then
+/// at least one digit, in range). `None` if `line` holds no `\r\n`.
+fn number_line(line: &[u8]) -> Option<(usize, Option<i64>)> {
+    let neg = line.first() == Some(&b'-');
+    let digits_from = usize::from(neg || line.first() == Some(&b'+'));
+    let mut n = 0i64;
+    let mut valid = true;
+    let mut at = digits_from;
+    loop {
+        match *line.get(at)? {
+            b @ b'0'..=b'9' => {
+                let d = i64::from(b - b'0');
+                // Negative numbers accumulate downwards, so that
+                // `i64::MIN` is in range.
+                let next = n.checked_mul(10).and_then(|n| {
+                    if neg {
+                        n.checked_sub(d)
+                    } else {
+                        n.checked_add(d)
+                    }
+                });
+                match next {
+                    Some(next) => n = next,
+                    None => valid = false,
+                }
+            }
+            b'\r' if line.get(at + 1) == Some(&b'\n') => {
+                return Some((at, (valid && at > digits_from).then_some(n)));
+            }
+            _ => valid = false,
+        }
+        at += 1;
     }
 }
 
 /// Reads the token at `from`; returns it with the offset just past it
 /// (for an array: past its header line). The one place input is
-/// validated — every parser entry point below is built on it.
+/// validated — every parser entry point below is built on it. Each
+/// header byte is visited once: the scan that finds the line's end also
+/// reads its number or notes a non-ASCII byte.
+///
+/// Errors, first match wins: no byte at `from` is `Incomplete`; a byte
+/// that is no tag is `Tag`; a line with no `\r\n` within
+/// [`MAX_LINE_LEN`] of `from` is `Incomplete` while the buffer is no
+/// longer than that, else `TooLong`; then `Utf8` or `Number` for the
+/// line's text; then the length checks and a bulk's payload.
 fn token(buf: &[u8], from: usize) -> Result<(Token, usize), RespError> {
     let malformed = |kind| Err(RespError::Malformed { at: from, kind });
     let Some(&tag) = buf.get(from) else {
         return Err(RespError::Incomplete);
     };
-    if !matches!(tag, b'+' | b'-' | b':' | b'$' | b'*') {
-        return malformed(Malformed::Tag(tag));
-    }
-    let cr = match find_crlf(buf, from + 1) {
-        Some(cr) if cr - from <= MAX_LINE_LEN => cr,
-        None if buf.len() - from <= MAX_LINE_LEN => return Err(RespError::Incomplete),
-        _ => return malformed(Malformed::TooLong),
+    // A line that fits ends in a `\r` at most MAX_LINE_LEN past `from`:
+    // no scan needs to look further.
+    let window = &buf[from + 1..buf.len().min(from + MAX_LINE_LEN + 2)];
+    let unended = || {
+        if buf.len() - from <= MAX_LINE_LEN {
+            Err(RespError::Incomplete)
+        } else {
+            malformed(Malformed::TooLong)
+        }
     };
-    let (line, after) = (from + 1..cr, cr + 2);
-    let Ok(text) = std::str::from_utf8(&buf[line.clone()]) else {
-        return malformed(match tag {
-            b'+' | b'-' => Malformed::Utf8,
-            _ => Malformed::Number,
-        });
-    };
-    match tag {
-        b'+' => return Ok((Token::Simple(line), after)),
-        b'-' => return Ok((Token::Error(line), after)),
-        _ => {}
-    }
-    let Ok(n) = text.parse::<i64>() else {
-        return malformed(Malformed::Number);
+    let (n, after) = match tag {
+        b'+' | b'-' => {
+            let Some((len, high)) = text_line(window) else {
+                return unended();
+            };
+            let line = from + 1..from + 1 + len;
+            if high && std::str::from_utf8(&buf[line.clone()]).is_err() {
+                return malformed(Malformed::Utf8);
+            }
+            let after = line.end + 2;
+            let token = if tag == b'+' {
+                Token::Simple(line)
+            } else {
+                Token::Error(line)
+            };
+            return Ok((token, after));
+        }
+        b':' | b'$' | b'*' => match number_line(window) {
+            None => return unended(),
+            Some((_, None)) => return malformed(Malformed::Number),
+            Some((len, Some(n))) => (n, from + 1 + len + 2),
+        },
+        _ => return malformed(Malformed::Tag(tag)),
     };
     let token = match (tag, usize::try_from(n)) {
         (b':', _) => Token::Integer(n),
@@ -582,6 +670,32 @@ mod tests {
             p.feed(&encode(&v));
             assert_eq!(p.parse_value().unwrap(), v);
             assert_eq!(p.pending(), 0);
+        }
+    }
+
+    #[test]
+    fn headers_are_the_decimal_text_of_their_number() {
+        let powers: Vec<i64> = (0..=18)
+            .map(|e| 10i64.pow(e))
+            .flat_map(|p| [p - 1, p, p + 1, -p - 1, -p, 1 - p])
+            .collect();
+        let ends = [i64::MIN, i64::MIN + 1, i64::MAX - 1, i64::MAX];
+        let mut out = Vec::new();
+        for n in (-1_000..=100_000).chain(powers.iter().copied()).chain(ends) {
+            out.clear();
+            put_integer(&mut out, n);
+            assert_eq!(out, format!(":{n}\r\n").as_bytes());
+        }
+        let payload = vec![b'x'; 1_000_001];
+        let lens = powers.iter().filter_map(|&n| usize::try_from(n).ok());
+        for len in (0..=2_000).chain(lens.filter(|&n| n < payload.len())) {
+            out.clear();
+            put_bulk(&mut out, &payload[..len]);
+            let header = format!("${len}\r\n");
+            let (head, rest) = out.split_at(header.len());
+            assert_eq!(head, header.as_bytes());
+            assert_eq!(rest.len(), len + 2);
+            assert!(rest.ends_with(b"\r\n"));
         }
     }
 
