@@ -400,14 +400,14 @@ impl Os {
         reg.set_elapsed(self.img.machine.clock().cycles());
         reg.add_gates(self.img.gates.trace(), &names);
         if let Some(ex) = exec {
-            reg.add_sched(ex.sched(), self.roles.sched.0);
+            reg.add_sched(ex.sched());
         }
         reg.add_allocs(self.img.heaps.trace(), &names);
         reg.add_faults(self.img.machine.fault_trace(), |k| owners.get(&k).cloned());
         reg.add_tlb(self.img.machine.tlb_trace());
         reg.add_async_gates(self.img.gates.async_stats());
         reg.add_migrations(self.img.gates.migration_stats());
-        reg.add_net(self.net.stats(), self.roles.net.0);
+        reg.add_net(self.net.stats());
         reg.add_serving(self.net.events().stats() + self.serve_exec);
         reg.add_spans(self.img.machine.span_trace());
         reg.finish()

@@ -9,37 +9,20 @@
 //! plus a matching [`CallProfile`] with pseudo-random per-request call
 //! counts and base work.
 //!
-//! Generation is seeded (xorshift64*) and uses no global state: the same
-//! `(n_libs, toggleable, seed)` always produces the same image, so
-//! benchmark runs and determinism tests are reproducible.
+//! Generation is seeded (the machine's [`SplitMix64`]) and uses no
+//! global state: the same `(n_libs, toggleable, seed)` always produces
+//! the same image, so benchmark runs and determinism tests are
+//! reproducible.
 
 use crate::build::{BackendChoice, ImageConfig, LibRole, LibraryConfig};
 use crate::explore::CallProfile;
 use crate::spec::model::LibSpec;
 use crate::spec::transform::Analysis;
+use flexos_machine::SplitMix64;
 
-/// A deterministic xorshift64* stream.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Self {
-        // A zero state would be a fixed point; fold in a constant.
-        Self(seed ^ 0x9e37_79b9_7f4a_7c15)
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-    }
-
-    /// Uniform-ish draw in `[lo, hi)`.
-    fn range(&mut self, lo: u64, hi: u64) -> u64 {
-        lo + self.next() % (hi - lo)
-    }
+/// A draw in `[lo, hi)`.
+fn range(rng: &mut SplitMix64, lo: u64, hi: u64) -> u64 {
+    lo + rng.below(hi - lo)
 }
 
 /// A generated image plus the workload profile to cost it under.
@@ -67,7 +50,7 @@ pub struct SyntheticImage {
 pub fn synthetic_image(n_libs: usize, toggleable: usize, seed: u64) -> SyntheticImage {
     assert!(toggleable <= 12, "SH toggle space too large to explore");
     assert!(toggleable < n_libs, "need room for the verified scheduler");
-    let mut rng = Rng::new(seed);
+    let mut rng = SplitMix64::new(seed);
 
     let mut config = ImageConfig::new(
         format!("synthetic-{n_libs}libs-{toggleable}sh"),
@@ -111,14 +94,14 @@ pub fn synthetic_image(n_libs: usize, toggleable: usize, seed: u64) -> Synthetic
     );
 
     let mut profile = CallProfile {
-        arg_bytes: rng.range(16, 256),
+        arg_bytes: range(&mut rng, 16, 256),
         ..CallProfile::default()
     };
     for (i, name) in names.iter().enumerate() {
-        profile = profile.with_work(name, rng.range(500, 2500));
+        profile = profile.with_work(name, range(&mut rng, 500, 2500));
         if i > 0 {
-            profile = profile.with_calls(name, &names[0], rng.range(1, 8));
-            profile = profile.with_calls(name, &names[i - 1], rng.range(0, 3));
+            profile = profile.with_calls(name, &names[0], range(&mut rng, 1, 8));
+            profile = profile.with_calls(name, &names[i - 1], range(&mut rng, 0, 3));
         }
     }
     SyntheticImage { config, profile }

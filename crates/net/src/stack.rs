@@ -1316,7 +1316,7 @@ mod tests {
         assert_eq!(w.server.stats().drops, 1);
         if cfg!(not(feature = "trace-off")) {
             let mut reg = flexos_trace::TraceRegistry::new();
-            reg.add_net(w.server.stats(), 3);
+            reg.add_net(w.server.stats());
             reg.add_spans(w.m.span_trace());
             let snap = reg.finish();
             let tail: Vec<_> = snap
@@ -1324,7 +1324,7 @@ mod tests {
                 .iter()
                 .map(|e| (e.seq, e.compartment, e.kind, e.detail))
                 .collect();
-            assert_eq!(tail, vec![(0, 3, "packet-drop", 0)]);
+            assert_eq!(tail, vec![(0, 0, "packet-drop", 0)]);
         }
     }
 

@@ -217,16 +217,16 @@ pub struct ServingSnapshot {
     pub wakeups: u64,
 }
 
-/// One event row, merged across all rings.
+/// One row of the event tail: one span record, merged across shards.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EventRow {
-    /// Sequence number within the source ring.
+    /// The record's sequence number in its shard's ring.
     pub seq: u64,
-    /// Machine-clock timestamp in cycles.
+    /// Machine-clock timestamp in cycles (the record's end).
     pub cycles: u64,
-    /// Compartment the ring belongs to.
+    /// Compartment the record is attributed to.
     pub compartment: u16,
-    /// Event class tag.
+    /// The record's label.
     pub kind: &'static str,
     /// Kind-specific payload.
     pub detail: u64,
@@ -252,15 +252,13 @@ pub struct LatencyRow {
     pub p999: u64,
 }
 
-/// Push/overwrite accounting for one bounded event or span ring, so
-/// evidence lost to overwrite-oldest truncation is visible in `--stats`.
+/// Push/overwrite accounting for one per-vCPU span ring, so evidence
+/// lost to overwrite-oldest truncation is visible in `--stats`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RingDropRow {
-    /// Which subsystem owns the ring (`"gates"`, `"sched"`, `"faults"`,
-    /// `"allocs"`, `"net"`, `"spans"`).
+    /// Which subsystem owns the ring: `"spans"`, the one stream.
     pub subsystem: &'static str,
-    /// Ring owner within the subsystem (compartment id, or shard index
-    /// for `"spans"`).
+    /// The ring's shard index.
     pub owner: u16,
     /// Events ever pushed to the ring.
     pub pushed: u64,
@@ -303,9 +301,10 @@ pub struct StatsSnapshot {
     pub latency: Vec<LatencyRow>,
     /// Per-ring push/drop accounting (sorted by subsystem, owner).
     pub ring_drops: Vec<RingDropRow>,
-    /// Most recent events across all rings (time-ordered).
+    /// The newest tail records the span rings hold, one row each
+    /// (time-ordered).
     pub events: Vec<EventRow>,
-    /// Events lost to ring overwriting, summed over all rings.
+    /// Records lost to ring overwriting, summed over all rings.
     pub events_overwritten: u64,
 }
 

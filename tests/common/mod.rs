@@ -23,11 +23,10 @@ use flexos_backends::{instantiate, instantiate_migratable, BootImage};
 use flexos_machine::{ChaosConfig, ChaosPlan, Fault, Machine, Schedule, VmId};
 use flexos_trace::{
     pack_pair, CycleHist, EventRow, GatePairRow, Label, MechanismRow, RingDropRow, SpanEvent,
-    SpanKind, StatsSnapshot, DEFAULT_SPAN_RING_CAP, EVENT_WINDOW, SNAPSHOT_EVENT_CAP,
+    SpanKind, StatsSnapshot, DEFAULT_SPAN_RING_CAP, SNAPSHOT_EVENT_CAP,
 };
 use proptest::prelude::*;
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::rc::Rc;
 
 pub const SCHED: &str = "uksched_verified";
@@ -541,64 +540,14 @@ pub fn install_spies(img: &mut BootImage, log: &Rc<RefCell<SpyLog>>) {
 /// The old per-pair accumulator: `(crossings, bytes, gate cycles)`.
 type PairStat = (u64, u64, u64);
 
-/// A 256-deep event ring with sequence numbers, as every subsystem kept
-/// until the event tail became a fold: `(seq, cycles, kind, detail)`.
-#[derive(Debug, Default)]
-struct RefRing {
-    pushed: u64,
-    held: VecDeque<(u64, u64, &'static str, u64)>,
-}
-
-impl RefRing {
-    fn push(&mut self, cycles: u64, kind: &'static str, detail: u64) {
-        if self.held.len() == EVENT_WINDOW {
-            self.held.pop_front();
-        }
-        self.held.push_back((self.pushed, cycles, kind, detail));
-        self.pushed += 1;
-    }
-
-    fn held(&self) -> impl Iterator<Item = &(u64, u64, &'static str, u64)> {
-        self.held.iter()
-    }
-
-    fn overwritten(&self) -> u64 {
-        self.pushed - self.held.len() as u64
-    }
-}
-
-/// The subsystem whose ring kept the tail events of `kind`.
-fn tail_subsystem(kind: SpanKind) -> Option<&'static str> {
-    match kind {
-        SpanKind::Sched => Some("sched"),
-        SpanKind::AllocFail => Some("allocs"),
-        SpanKind::Fault => Some("faults"),
-        SpanKind::Drop => Some("net"),
-        _ => None,
-    }
-}
-
-/// One event ring the old `TraceRegistry` merged after the gates', in
-/// registration order: its subsystem, its owner in the drop report, and
-/// the compartment each event is attributed to, by its detail word.
-pub struct TailRing<'a> {
-    pub subsystem: &'static str,
-    pub owner: u16,
-    pub compartment: &'a dyn Fn(u64) -> u16,
-}
-
-/// The pre-PR-16 ledgers: the gate trace (pair rows, per-mechanism
-/// histograms, one 256-deep event ring per compartment), the span rings
-/// (every event ever pushed, per shard; the newest
-/// [`DEFAULT_SPAN_RING_CAP`] count as held), and the sched, allocs,
-/// faults and net event rings, fed from every record of their kind.
+/// The ledgers the telemetry folds replaced: the gate trace (pair rows,
+/// per-mechanism histograms) and the span rings (every event ever pushed, per shard;
+/// the newest [`DEFAULT_SPAN_RING_CAP`] count as held).
 #[derive(Debug, Default)]
 pub struct ReferenceLedgers {
     pairs: Vec<((&'static str, u16, u16), PairStat)>,
     hists: Vec<(&'static str, CycleHist)>,
-    rings: Vec<RefRing>,
     spans: Vec<Vec<SpanEvent>>,
-    tails: Vec<(&'static str, RefRing)>,
 }
 
 impl ReferenceLedgers {
@@ -624,44 +573,25 @@ impl ReferenceLedgers {
                 self.hists.len() - 1
             });
         self.hists[h].1.record(c.gate_cycles);
-        let hi = c.src.max(c.dst) as usize;
-        if self.rings.len() <= hi {
-            self.rings.resize_with(hi + 1, RefRing::default);
-        }
-        let detail = pack_pair(c.src, c.dst);
-        self.rings[c.dst as usize].push(c.now, "gate-enter", detail);
-        self.rings[c.src as usize].push(c.now, "gate-exit", detail);
     }
 
-    /// The old `SpanRing::push` on `shard`; a tail event other than a
-    /// crossing also goes to its subsystem's ring, as the old probe did.
+    /// The old `SpanRing::push` on `shard`.
     pub fn record_span(&mut self, shard: usize, ev: SpanEvent) {
         if self.spans.len() <= shard {
             self.spans.resize_with(shard + 1, Vec::new);
         }
         self.spans[shard].push(ev);
-        if let Some(subsystem) = tail_subsystem(ev.kind) {
-            self.tail_ring(subsystem)
-                .push(ev.t1, ev.label.as_str(), ev.bytes);
-        }
     }
 
-    fn tail_ring(&mut self, subsystem: &'static str) -> &mut RefRing {
-        let i = match self.tails.iter().position(|(s, _)| *s == subsystem) {
-            Some(i) => i,
-            None => {
-                self.tails.push((subsystem, RefRing::default()));
-                self.tails.len() - 1
-            }
-        };
-        &mut self.tails[i].1
-    }
-
-    /// The event ring of `subsystem` (`"sched"`, `"allocs"`, `"faults"`,
-    /// `"net"`), if it ever recorded.
-    fn ring(&self, subsystem: &str) -> Option<&RefRing> {
-        let mut rings = self.tails.iter();
-        rings.find(|(s, _)| *s == subsystem).map(|(_, r)| r)
+    /// Each shard's held window: its newest [`DEFAULT_SPAN_RING_CAP`]
+    /// events with their sequence numbers.
+    fn held(&self) -> impl Iterator<Item = (usize, u64, &SpanEvent)> {
+        self.spans.iter().enumerate().flat_map(|(shard, evs)| {
+            let skip = evs.len().saturating_sub(DEFAULT_SPAN_RING_CAP);
+            (skip as u64..)
+                .zip(&evs[skip..])
+                .map(move |(seq, ev)| (shard, seq, ev))
+        })
     }
 
     /// Events ever pushed to `shard`.
@@ -671,28 +601,24 @@ impl ReferenceLedgers {
 
     /// What the old `SpanTrace::merged_events` returned.
     pub fn merged_spans(&self) -> Vec<(usize, u64, SpanEvent)> {
-        let mut all = Vec::new();
-        for (shard, evs) in self.spans.iter().enumerate() {
-            let skip = evs.len().saturating_sub(DEFAULT_SPAN_RING_CAP);
-            all.extend(
-                (skip..)
-                    .zip(&evs[skip..])
-                    .map(|(seq, ev)| (shard, seq as u64, *ev)),
-            );
-        }
+        let mut all: Vec<_> = self
+            .held()
+            .map(|(shard, seq, ev)| (shard, seq, *ev))
+            .collect();
         all.sort_by_key(|&(shard, seq, ev)| (ev.t0, ev.t1, shard, seq));
         all
     }
 
-    /// `real` with every gate-derived part and the whole event tail
-    /// replaced by what the old `TraceRegistry` + `finish` made of these
-    /// ledgers. `others` are the event rings it merged after the gates',
-    /// in registration order.
+    /// `real` with every gate-derived part, the ring report and the
+    /// event tail replaced by what these ledgers give: the tail is the
+    /// newest [`SNAPSHOT_EVENT_CAP`] tail records of the held windows by
+    /// end time, shard and sequence number, one row each, a fault's
+    /// attributed by `fault_owner` to the compartment holding its key.
     pub fn snapshot(
         &self,
         real: &StatsSnapshot,
         names: &[String],
-        others: &[TailRing],
+        fault_owner: &dyn Fn(u64) -> Option<u16>,
     ) -> StatsSnapshot {
         let mut snap = real.clone();
         let name = |c: u16| names[c as usize].clone();
@@ -731,38 +657,37 @@ impl ReferenceLedgers {
             })
             .collect();
         snap.mechanisms.sort_by_key(|r| std::cmp::Reverse(r.count));
-        snap.ring_drops.retain(|r| r.subsystem == "spans");
-        snap.events_overwritten = 0;
-        let mut events = Vec::new();
-        let empty = RefRing::default();
-        let gates = (0u16..)
-            .zip(&self.rings)
-            .map(|(owner, ring)| ("gates", owner, None, ring));
-        let others = others.iter().map(|r| {
-            let ring = self.ring(r.subsystem).unwrap_or(&empty);
-            (r.subsystem, r.owner, Some(r.compartment), ring)
-        });
-        for (subsystem, owner, compartment, ring) in gates.chain(others) {
-            snap.events_overwritten += ring.overwritten();
-            if ring.pushed > 0 {
-                snap.ring_drops.push(RingDropRow {
-                    subsystem,
-                    owner,
-                    pushed: ring.pushed,
-                    dropped: ring.overwritten(),
-                });
-            }
-            events.extend(ring.held().map(|&(seq, cycles, kind, detail)| EventRow {
+        snap.ring_drops = (0u16..)
+            .zip(&self.spans)
+            .filter(|(_, evs)| !evs.is_empty())
+            .map(|(owner, evs)| RingDropRow {
+                subsystem: "spans",
+                owner,
+                pushed: evs.len() as u64,
+                dropped: evs.len().saturating_sub(DEFAULT_SPAN_RING_CAP) as u64,
+            })
+            .collect();
+        snap.events_overwritten = snap.ring_drops.iter().map(|r| r.dropped).sum();
+        let mut tail: Vec<_> = self.held().filter(|(_, _, ev)| ev.kind.in_tail()).collect();
+        tail.sort_by_key(|&(shard, seq, ev)| (ev.t1, shard, seq));
+        let newest = &tail[tail.len().saturating_sub(SNAPSHOT_EVENT_CAP)..];
+        snap.events = newest
+            .iter()
+            .map(|&(_, seq, ev)| EventRow {
                 seq,
-                cycles,
-                compartment: compartment.map_or(owner, |at| at(detail)),
-                kind,
-                detail,
-            }));
-        }
-        snap.ring_drops.sort_by_key(|r| (r.subsystem, r.owner));
-        events.sort_by_key(|e| e.cycles);
-        snap.events = events.split_off(events.len().saturating_sub(SNAPSHOT_EVENT_CAP));
+                cycles: ev.t1,
+                compartment: match ev.kind {
+                    SpanKind::Fault => fault_owner(ev.bytes).unwrap_or(ev.src),
+                    SpanKind::Sched => ev.dst,
+                    _ => ev.src,
+                },
+                kind: ev.label.as_str(),
+                detail: match ev.kind {
+                    SpanKind::Gate => pack_pair(ev.src, ev.dst),
+                    _ => ev.bytes,
+                },
+            })
+            .collect();
         snap
     }
 
