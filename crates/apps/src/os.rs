@@ -1191,7 +1191,7 @@ mod tests {
             .iter_mut()
             .find(|l| l.role == LibRole::Scheduler)
             .unwrap();
-        sched.spec.name = "uksched_unverified".into();
+        std::rc::Rc::make_mut(&mut sched.spec).name = "uksched_unverified".into();
         let os = Os::boot(plan(cfg).unwrap(), 0x0a00_0001, 1).unwrap();
         assert_eq!(os.sched_kind, SchedKind::Coop);
         // No precondition checks in the glue: a call costs the taxed call.

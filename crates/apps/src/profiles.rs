@@ -16,6 +16,8 @@ use flexos::spec::{
     Analysis, ApiFunc, CallBehavior, Grant, GrantKind, LibSpec, MemBehavior, Region, Requires,
     ShMechanism, ShSet,
 };
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// Which scheduler implementation an image runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,10 +38,29 @@ pub fn gcc_sh() -> ShSet {
     ])
 }
 
+/// The library of `role` called `name`, well-behaved under analysis,
+/// with the spec `build` makes: built on this thread's first ask for
+/// `(role, name)` and shared by every image the thread configures after
+/// (DESIGN.md §6.27).
+fn held(role: LibRole, name: &str, build: impl FnOnce() -> LibSpec) -> LibraryConfig {
+    thread_local! {
+        static HELD: RefCell<Vec<(LibRole, Rc<LibSpec>)>> = const { RefCell::new(Vec::new()) };
+    }
+    let spec = HELD.with_borrow_mut(|held| {
+        let at = held.iter().position(|(r, s)| *r == role && s.name == name);
+        let at = at.unwrap_or_else(|| {
+            held.push((role, Rc::new(build())));
+            held.len() - 1
+        });
+        Rc::clone(&held[at].1)
+    });
+    LibraryConfig::new(spec, role).with_analysis(Analysis::well_behaved())
+}
+
 /// The application library (`iperf` or `redis`): unsafe C, calls the
 /// socket API through libc.
 pub fn lib_app(name: &str) -> LibraryConfig {
-    let spec = LibSpec {
+    held(LibRole::App, name, || LibSpec {
         name: name.into(),
         mem: MemBehavior::adversarial(),
         call: CallBehavior::funcs(
@@ -47,13 +68,12 @@ pub fn lib_app(name: &str) -> LibraryConfig {
         ),
         api: vec![ApiFunc::named("main")],
         requires: Requires::unconstrained(),
-    };
-    LibraryConfig::new(spec, LibRole::App).with_analysis(Analysis::well_behaved())
+    })
 }
 
 /// The standard C library: unsafe C; exposes memcpy/malloc/semaphores.
 pub fn lib_libc() -> LibraryConfig {
-    let spec = LibSpec {
+    held(LibRole::LibC, "libc", || LibSpec {
         name: "libc".into(),
         mem: MemBehavior::adversarial(),
         call: CallBehavior::funcs([
@@ -68,14 +88,13 @@ pub fn lib_libc() -> LibraryConfig {
         .map(ApiFunc::named)
         .into(),
         requires: Requires::unconstrained(),
-    };
-    LibraryConfig::new(spec, LibRole::LibC).with_analysis(Analysis::well_behaved())
+    })
 }
 
 /// The network stack (lwIP role): the canonical *untrusted* component of
 /// the paper's iperf experiment.
 pub fn lib_netstack() -> LibraryConfig {
-    let spec = LibSpec {
+    held(LibRole::NetStack, "lwip", || LibSpec {
         name: "lwip".into(),
         mem: MemBehavior::adversarial(),
         call: CallBehavior::funcs([
@@ -95,17 +114,20 @@ pub fn lib_netstack() -> LibraryConfig {
         .map(ApiFunc::named)
         .into(),
         requires: Requires::unconstrained(),
-    };
-    LibraryConfig::new(spec, LibRole::NetStack).with_analysis(Analysis::well_behaved())
+    })
 }
 
 /// The scheduler micro-library. The verified flavour carries the paper's
 /// grant-listed spec; the plain C flavour is adversarial like any
 /// unverified C component.
 pub fn lib_sched(kind: SchedKind) -> LibraryConfig {
-    let spec = match kind {
-        SchedKind::Verified => LibSpec::verified_scheduler(),
-        SchedKind::Coop => LibSpec {
+    match kind {
+        SchedKind::Verified => held(
+            LibRole::Scheduler,
+            LibSpec::VERIFIED_SCHEDULER,
+            LibSpec::verified_scheduler,
+        ),
+        SchedKind::Coop => held(LibRole::Scheduler, "uksched", || LibSpec {
             name: "uksched".into(),
             mem: MemBehavior::adversarial(),
             call: CallBehavior::funcs([("ukalloc", "palloc"), ("ukalloc", "pfree")]),
@@ -115,18 +137,17 @@ pub fn lib_sched(kind: SchedKind) -> LibraryConfig {
                 ApiFunc::named("yield"),
             ],
             requires: Requires::unconstrained(),
-        },
-    };
-    LibraryConfig::new(spec, LibRole::Scheduler).with_analysis(Analysis::well_behaved())
+        }),
+    }
 }
 
 impl SchedKind {
     /// The scheduler `plan` runs: [`SchedKind::Verified`] exactly when its
     /// scheduler library is the one [`lib_sched`] picks for it.
     pub fn of(plan: &ImagePlan) -> SchedKind {
-        let verified = LibSpec::verified_scheduler().name;
-        let is_verified =
-            |l: &LibraryConfig| l.role == LibRole::Scheduler && l.spec.name == verified;
+        let is_verified = |l: &LibraryConfig| {
+            l.role == LibRole::Scheduler && l.spec.name == LibSpec::VERIFIED_SCHEDULER
+        };
         if plan.config.libraries.iter().any(is_verified) {
             SchedKind::Verified
         } else {
@@ -138,7 +159,7 @@ impl SchedKind {
 /// The memory manager (`ukalloc`): trusted under MPK (owns the page
 /// tables), so modelled as well-behaved with a grant-listed spec.
 pub fn lib_alloc() -> LibraryConfig {
-    let spec = LibSpec {
+    held(LibRole::MemoryManager, "ukalloc", || LibSpec {
         name: "ukalloc".into(),
         mem: MemBehavior::well_behaved(),
         call: CallBehavior::none(),
@@ -150,20 +171,18 @@ pub fn lib_alloc() -> LibraryConfig {
             Grant::any(GrantKind::Call("palloc".into())),
             Grant::any(GrantKind::Call("pfree".into())),
         ]),
-    };
-    LibraryConfig::new(spec, LibRole::MemoryManager).with_analysis(Analysis::well_behaved())
+    })
 }
 
 /// The network driver (`uknetdev`, virtio-net role).
 pub fn lib_driver() -> LibraryConfig {
-    let spec = LibSpec {
+    held(LibRole::Driver, "uknetdev", || LibSpec {
         name: "uknetdev".into(),
         mem: MemBehavior::adversarial(),
         call: CallBehavior::funcs([("ukalloc", "palloc")]),
         api: ["xmit", "recv", "configure"].map(ApiFunc::named).into(),
         requires: Requires::unconstrained(),
-    };
-    LibraryConfig::new(spec, LibRole::Driver).with_analysis(Analysis::well_behaved())
+    })
 }
 
 /// A compartmentalization model from the paper's §4.
@@ -276,16 +295,47 @@ mod tests {
         parse_with_name(text, name).expect("the spec text parses")
     }
 
+    /// Each value equals its parse, and a second call hands back the
+    /// value the first built for this thread, not a copy.
     #[test]
     fn each_constant_spec_equals_the_parse_of_its_text() {
-        assert_eq!(lib_libc().spec, parsed(LIBC, "libc"));
-        assert_eq!(lib_netstack().spec, parsed(NETSTACK, "lwip"));
-        assert_eq!(lib_driver().spec, parsed(NETDEV, "uknetdev"));
+        let held = |make: &dyn Fn() -> LibraryConfig| {
+            let (first, second) = (make(), make());
+            assert!(Rc::ptr_eq(&first.spec, &second.spec), "{}", first.spec.name);
+            first.spec
+        };
+        assert_eq!(*held(&lib_libc), parsed(LIBC, "libc"));
+        assert_eq!(*held(&lib_netstack), parsed(NETSTACK, "lwip"));
+        assert_eq!(*held(&lib_driver), parsed(NETDEV, "uknetdev"));
         // Every name an image gives its application library: the two
         // benchmarks, the serving tier's proxy and each of its shards.
         let shards = Label::SHARDS.map(Label::as_str);
         for name in ["redis", "iperf", "proxy"].into_iter().chain(shards) {
-            assert_eq!(lib_app(name).spec, parsed(APP, name), "{name}");
+            assert_eq!(*held(&|| lib_app(name)), parsed(APP, name), "{name}");
+        }
+        // The held specs with no text of their own.
+        let verified = held(&|| lib_sched(SchedKind::Verified));
+        assert_eq!(*verified, LibSpec::verified_scheduler());
+        assert_eq!(held(&|| lib_sched(SchedKind::Coop)).name, "uksched");
+        assert_eq!(held(&lib_alloc).name, "ukalloc");
+    }
+
+    /// Two plans of one evaluation image hold the same six specs: neither
+    /// the configuration nor the plan copied one.
+    #[test]
+    fn two_plans_of_one_image_share_every_spec() {
+        let image = || {
+            evaluation_image(
+                "redis",
+                CompartmentModel::NwSchedRest,
+                BackendChoice::VmRpc,
+                SchedKind::Coop,
+            )
+        };
+        let (a, b) = (plan(image()).unwrap(), plan(image()).unwrap());
+        assert_eq!(a.config.libraries.len(), 6);
+        for (x, y) in a.config.libraries.iter().zip(&b.config.libraries) {
+            assert!(Rc::ptr_eq(&x.spec, &y.spec), "{}", x.spec.name);
         }
     }
 

@@ -502,7 +502,7 @@ impl LoadGen {
 /// RESP error (e.g. a faulting compartment) or the run stops making
 /// progress, so callers can degrade a benchmark run instead of aborting.
 pub fn run_redis(params: &RedisParams) -> Result<RedisResult, RunError> {
-    run_redis_with_stats(params).map(|(r, _)| r)
+    run_redis_inner(params).map(|(r, _)| r)
 }
 
 /// [`run_redis`] plus the full telemetry snapshot of the server image
@@ -511,7 +511,7 @@ pub fn run_redis(params: &RedisParams) -> Result<RedisResult, RunError> {
 pub fn run_redis_with_stats(
     params: &RedisParams,
 ) -> Result<(RedisResult, StatsSnapshot), RunError> {
-    run_redis_inner(params, false).map(|(r, s, _)| (r, s))
+    run_redis_inner(params).map(|(r, session)| (r, session.snapshot()))
 }
 
 /// [`run_redis_with_stats`] plus the Chrome trace-event JSON of the
@@ -520,7 +520,8 @@ pub fn run_redis_with_stats(
 pub fn run_redis_traced(
     params: &RedisParams,
 ) -> Result<(RedisResult, StatsSnapshot, String), RunError> {
-    run_redis_inner(params, true).map(|(r, s, t)| (r, s, t.expect("trace requested")))
+    let (r, session) = run_redis_inner(params)?;
+    Ok((r, session.snapshot(), session.rig.os.trace_json()))
 }
 
 /// The Redis image booted on a [`Rig`], its task spawned and the client
@@ -535,6 +536,11 @@ struct Session {
 }
 
 impl Session {
+    /// The server image's telemetry snapshot.
+    fn snapshot(&self) -> StatsSnapshot {
+        self.rig.os.stats_snapshot(Some(&self.rig.exec))
+    }
+
     fn boot(params: &RedisParams) -> Result<Self, RunError> {
         let image = plan(redis_image(params)).map_err(RunError::server)?;
         let mut os = Os::boot(image, SERVER_IP, 1).map_err(RunError::server)?;
@@ -617,11 +623,9 @@ fn round_trip(rig: &mut Rig, csid: SocketId, tx: &[u8], rx: &mut Vec<u8>) -> Res
     Ok(())
 }
 
-#[allow(clippy::type_complexity)]
-fn run_redis_inner(
-    params: &RedisParams,
-    want_trace: bool,
-) -> Result<(RedisResult, StatsSnapshot, Option<String>), RunError> {
+/// The run behind [`run_redis`], handing back the finished session with
+/// its result, for a caller that reads its telemetry.
+fn run_redis_inner(params: &RedisParams) -> Result<(RedisResult, Session), RunError> {
     let mut session = Session::boot(params)?;
     let mut load = LoadGen::new(params.payload, params.mix, params.pipeline);
 
@@ -649,7 +653,7 @@ fn run_redis_inner(
         }
     }
     session.drive(&mut load, params.ops)?;
-    let Rig { os, exec, .. } = &session.rig;
+    let os = &session.rig.os;
     let cycles = os.img.machine.clock().cycles() - start_cycles;
     let ops = load.completed;
     let result = RedisResult {
@@ -658,8 +662,7 @@ fn run_redis_inner(
         mreq_per_s: ops as f64 / (cycles as f64 / flexos_machine::CPU_FREQ_HZ as f64) / 1e6,
         crossings: os.img.gates.stats().crossings - start_crossings,
     };
-    let trace = want_trace.then(|| os.trace_json());
-    Ok((result, os.stats_snapshot(Some(exec)), trace))
+    Ok((result, session))
 }
 
 #[cfg(test)]

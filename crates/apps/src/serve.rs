@@ -1092,7 +1092,7 @@ fn task_id(sid: SocketId) -> CoTaskId {
 /// server image fails or the run stops making progress, so sweeps degrade
 /// instead of aborting.
 pub fn run_serve(params: &ServeParams) -> Result<ServeResult, RunError> {
-    run_serve_inner(params, false).map(|(r, _, _)| r)
+    run_serve_inner(params).map(|(r, _)| r)
 }
 
 /// [`run_serve`] plus the full telemetry snapshot (including the
@@ -1100,7 +1100,7 @@ pub fn run_serve(params: &ServeParams) -> Result<ServeResult, RunError> {
 pub fn run_serve_with_stats(
     params: &ServeParams,
 ) -> Result<(ServeResult, StatsSnapshot), RunError> {
-    run_serve_inner(params, false).map(|(r, s, _)| (r, s))
+    run_serve_inner(params).map(|(r, tier)| (r, tier.snapshot()))
 }
 
 /// [`run_serve_with_stats`] plus the Chrome trace-event JSON of the
@@ -1108,7 +1108,9 @@ pub fn run_serve_with_stats(
 pub fn run_serve_traced(
     params: &ServeParams,
 ) -> Result<(ServeResult, StatsSnapshot, String), RunError> {
-    run_serve_inner(params, true).map(|(r, s, t)| (r, s, t.expect("trace requested")))
+    let (r, tier) = run_serve_inner(params)?;
+    let trace = tier.world.os.trace_json();
+    Ok((r, tier.snapshot(), trace))
 }
 
 /// The booted serving tier: the proxy image with every client connected
@@ -1123,6 +1125,13 @@ pub struct Tier {
 }
 
 impl Tier {
+    /// The proxy image's telemetry snapshot, the executor's counters
+    /// included.
+    fn snapshot(mut self) -> StatsSnapshot {
+        self.world.os.record_serve_exec(self.exec.stats());
+        self.world.os.stats_snapshot(None)
+    }
+
     /// Boots the image and establishes `params.conns` connections.
     ///
     /// # Errors
@@ -1434,25 +1443,17 @@ impl Tier {
     }
 }
 
-#[allow(clippy::type_complexity)]
-fn run_serve_inner(
-    params: &ServeParams,
-    want_trace: bool,
-) -> Result<(ServeResult, StatsSnapshot, Option<String>), RunError> {
+/// The run behind [`run_serve`], handing back the measured tier with its
+/// result, for a caller that reads its telemetry.
+fn run_serve_inner(params: &ServeParams) -> Result<(ServeResult, Tier), RunError> {
     let conns = params.conns.max(1);
     let mut tier = Tier::boot(params)?;
     let (cycles, crossings) = tier.measure(params)?;
 
-    let Tier {
-        mut world,
-        exec,
-        mut clients,
-        ..
-    } = tier;
+    let (world, clients) = (&tier.world, &mut tier.clients);
     let ops_done = clients.completed_reqs;
     let mut lat = std::mem::take(&mut clients.latencies);
     lat.sort_unstable();
-    world.os.record_serve_exec(exec.stats());
     let result = ServeResult {
         conns,
         ops: ops_done,
@@ -1466,8 +1467,7 @@ fn run_serve_inner(
         shard_ops: world.shard_ops.clone(),
         backlog_overflows: world.os.net.stats().backlog_overflows,
     };
-    let trace = want_trace.then(|| world.os.trace_json());
-    Ok((result, world.os.stats_snapshot(None), trace))
+    Ok((result, tier))
 }
 
 #[cfg(test)]

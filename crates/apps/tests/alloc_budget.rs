@@ -87,6 +87,44 @@ fn a_second_boot_of_the_same_shape_allocates_no_simulated_memory() {
     assert_eq!(second, 0, "a second run allocates simulated memory again");
 }
 
+/// A set-up round of the benchmark's `redis_set_vmrpc_p1` shape: plan,
+/// boot, one SET, teardown.
+fn set_p1_setup_round() {
+    let r = run_redis(&RedisParams {
+        model: CompartmentModel::NwSchedRest,
+        backend: BackendChoice::VmRpc,
+        mix: Mix::Set,
+        pipeline: 1,
+        ops: 1,
+        ..RedisParams::default()
+    })
+    .expect("redis run succeeds");
+    assert!(r.ops >= 1);
+}
+
+/// The whole host-heap bill of a set-up round, pinned exactly: a plan
+/// shares the library specs it is given and a plain run builds no
+/// telemetry snapshot (DESIGN.md §6.27), so a copy of a spec, or any
+/// other allocation that returns to the round, is red here rather than
+/// lost in the noise of `setup_s`. The round follows an unmeasured one,
+/// which builds the thread's specs and leaves it its simulated memory.
+#[test]
+fn a_second_set_up_round_allocates_what_it_always_has() {
+    set_p1_setup_round();
+    let second = allocations_during(set_p1_setup_round);
+    println!("redis SET p1 x vmrpc: {second} allocations in a second set-up round");
+    // With the probes compiled out, their own buffers are not made.
+    let pinned = if cfg!(feature = "trace-off") {
+        253
+    } else {
+        263
+    };
+    assert_eq!(
+        second, pinned,
+        "was 469 while every plan copied its specs and a plain run built a snapshot"
+    );
+}
+
 #[test]
 fn redis_set_unpipelined_allocates_nothing() {
     let per_request = per_request("redis SET p1 x vmrpc", 1_000, |ops| {

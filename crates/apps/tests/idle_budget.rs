@@ -11,7 +11,7 @@
 //! tier of 2N and one of N connections, served the same bursts, cancels
 //! everything that is per tier and leaves N idle connections.
 
-use flexos_apps::serve::{ServeParams, Tier};
+use flexos_apps::serve::{serve_image, ServeParams, Tier};
 
 mod counting;
 use counting::{live_blocks_by_size, live_bytes, Blocks};
@@ -29,6 +29,10 @@ fn settled(conns: usize) -> ([i64; 2], Blocks) {
         seed,
         ..ServeParams::default()
     };
+    // A thread builds its library specs on its first image and keeps
+    // them (DESIGN.md §6.27): build them before the first reading, so
+    // that both tiers start from the same thread.
+    drop(serve_image(&params(1)));
     let (base, base_blocks) = (live_bytes(), live_blocks_by_size());
     let mut tier = Tier::boot(&params(1)).expect("tier boots");
     let mut held = [0; 2];

@@ -20,6 +20,7 @@ use crate::spec::model::LibSpec;
 use crate::spec::transform::{apply_sh, Analysis, ShSet};
 use flexos_trace::Label;
 use std::fmt;
+use std::rc::Rc;
 
 /// The isolation backend an image is built against, and the mechanism
 /// its gates implement (Figure 2's gate library).
@@ -169,8 +170,9 @@ pub enum LibRole {
 /// One library's build configuration.
 #[derive(Debug, Clone)]
 pub struct LibraryConfig {
-    /// The library's safety metadata.
-    pub spec: LibSpec,
+    /// The library's safety metadata, shared: cloning a configuration or
+    /// planning it copies no spec.
+    pub spec: Rc<LibSpec>,
     /// Static-analysis results available for SH transformations.
     pub analysis: Analysis,
     /// Hardening requested for this library.
@@ -183,9 +185,9 @@ pub struct LibraryConfig {
 
 impl LibraryConfig {
     /// A library with no hardening and automatic placement.
-    pub fn new(spec: LibSpec, role: LibRole) -> Self {
+    pub fn new(spec: impl Into<Rc<LibSpec>>, role: LibRole) -> Self {
         Self {
-            spec,
+            spec: spec.into(),
             analysis: Analysis::default(),
             sh: ShSet::none(),
             compartment: None,
@@ -215,9 +217,14 @@ impl LibraryConfig {
     }
 
     /// The spec as seen by the compatibility analysis: the declared spec
-    /// rewritten by the requested hardening.
-    pub fn effective_spec(&self) -> LibSpec {
-        apply_sh(&self.spec, &self.sh, &self.analysis)
+    /// rewritten by the requested hardening. Without hardening that is
+    /// the declared spec itself, shared, not a copy.
+    pub fn effective_spec(&self) -> Rc<LibSpec> {
+        if self.sh.is_empty() {
+            Rc::clone(&self.spec)
+        } else {
+            Rc::new(apply_sh(&self.spec, &self.sh, &self.analysis))
+        }
     }
 }
 
@@ -334,13 +341,13 @@ pub const MPK_MAX_COMPARTMENTS: usize = 15;
 /// more than [`Graph::MAX_VERTICES`] (the graph's bound), is an error.
 pub fn plan(config: ImageConfig) -> Result<ImagePlan, BuildError> {
     admit(config.libraries.len())?;
-    let effective: Vec<LibSpec> = config
+    let effective: Vec<Rc<LibSpec>> = config
         .libraries
         .iter()
         .map(LibraryConfig::effective_spec)
         .collect();
-    let graph = IncompatGraph::build(&effective);
-    place(config, &graph, &effective.iter().collect::<Vec<_>>())
+    let graph = IncompatGraph::build(effective.iter().map(Rc::as_ref));
+    place(config, &graph, &effective)
 }
 
 /// Whether an image of `n` libraries can be planned at all.
@@ -363,7 +370,7 @@ pub(crate) fn admit(n: usize) -> Result<(), BuildError> {
 pub(crate) fn place(
     config: ImageConfig,
     graph: &IncompatGraph,
-    effective: &[&LibSpec],
+    effective: &[Rc<LibSpec>],
 ) -> Result<ImagePlan, BuildError> {
     let n = config.libraries.len();
     let mut warnings = Vec::new();
@@ -541,11 +548,11 @@ pub(crate) fn place(
 /// checking the safety of a proposed configuration", §7 — this is that
 /// checker).
 pub fn audit(plan: &ImagePlan) -> Vec<String> {
-    let effective: Vec<LibSpec> = plan
+    let effective: Vec<Rc<LibSpec>> = plan
         .config
         .libraries
         .iter()
-        .map(|l| l.effective_spec())
+        .map(LibraryConfig::effective_spec)
         .collect();
     let mut findings = Vec::new();
     for i in 0..effective.len() {
@@ -620,6 +627,24 @@ mod tests {
         let p = plan(cfg).unwrap();
         assert_eq!(p.num_compartments, 1);
         assert!(audit(&p).is_empty());
+    }
+
+    /// Planning shares what it is given: an unhardened library's
+    /// effective spec is its declared spec itself; a hardened one's is
+    /// the rewrite.
+    #[test]
+    fn only_a_hardened_library_gets_a_spec_of_its_own() {
+        let plain = raw_lib("rawlib").with_analysis(Analysis::well_behaved());
+        assert!(Rc::ptr_eq(&plain.effective_spec(), &plain.spec));
+        let sh = suggest_sh(&plain.spec);
+        let hardened = plain.clone().with_sh(sh.clone());
+        let rewritten = hardened.effective_spec();
+        assert!(!Rc::ptr_eq(&rewritten, &hardened.spec));
+        assert_eq!(
+            *rewritten,
+            apply_sh(&hardened.spec, &sh, &hardened.analysis)
+        );
+        assert_ne!(*rewritten, *hardened.spec);
     }
 
     #[test]

@@ -98,8 +98,9 @@ impl IncompatGraph {
     /// # Panics
     ///
     /// Panics if there are more than [`Graph::MAX_VERTICES`] specs.
-    pub fn build(specs: &[LibSpec]) -> Self {
-        VerdictTable::new(specs.iter().map(std::slice::from_ref)).graph(&vec![0; specs.len()])
+    pub fn build<'a>(specs: impl IntoIterator<Item = &'a LibSpec>) -> Self {
+        let table = VerdictTable::new(specs.into_iter().map(std::iter::once));
+        table.graph(&vec![0; table.first.len()])
     }
 
     /// The violations that put the edge `(a, b)` in the graph, if any.
@@ -156,11 +157,6 @@ impl<'a> VerdictTable<'a> {
         }
     }
 
-    /// Library `i`'s spec in the variant `selection[i]`.
-    pub(crate) fn spec(&self, selection: &[usize], i: usize) -> &'a LibSpec {
-        self.specs[self.first[i] + selection[i]]
-    }
-
     /// What `offender` may do to `victim`, each library in its variant
     /// under `selection`.
     pub(crate) fn verdict(
@@ -196,7 +192,7 @@ impl<'a> VerdictTable<'a> {
         }
         IncompatGraph {
             names: (0..n)
-                .map(|i| self.spec(selection, i).name.clone())
+                .map(|i| self.specs[self.first[i] + selection[i]].name.clone())
                 .collect(),
             graph,
             reasons,

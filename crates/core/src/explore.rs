@@ -26,6 +26,7 @@ use crate::spec::model::LibSpec;
 use crate::spec::transform::{apply_sh, suggest_sh, ShMechanism, ShSet};
 use flexos_machine::CostTable;
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 /// Per-request workload profile over the image's libraries.
 #[derive(Debug, Clone, Default)]
@@ -130,7 +131,7 @@ pub fn estimate_request_cycles(plan: &ImagePlan, profile: &CallProfile, costs: &
 /// there are no threats).
 pub fn security_score(plan: &ImagePlan) -> f64 {
     let libs = &plan.config.libraries;
-    let effective: Vec<LibSpec> = libs.iter().map(LibraryConfig::effective_spec).collect();
+    let effective: Vec<Rc<LibSpec>> = libs.iter().map(LibraryConfig::effective_spec).collect();
     let mut threats = 0u32;
     let mut mitigated = 0u32;
     for v in 0..libs.len() {
@@ -218,16 +219,19 @@ pub fn candidates(
     }
 
     let libs = &base.libraries;
-    let variants: Vec<Vec<LibSpec>> = libs
+    let variants: Vec<Vec<Rc<LibSpec>>> = libs
         .iter()
         .zip(&suggestions)
         .map(|(l, sugg)| {
             let mut v = vec![l.effective_spec()];
-            v.extend(sugg.iter().map(|sh| apply_sh(&l.spec, sh, &l.analysis)));
+            v.extend(
+                sugg.iter()
+                    .map(|sh| Rc::new(apply_sh(&l.spec, sh, &l.analysis))),
+            );
             v
         })
         .collect();
-    let table = VerdictTable::new(&variants);
+    let table = VerdictTable::new(variants.iter().map(|v| v.iter().map(Rc::as_ref)));
     let threats: Vec<(usize, usize)> = (0..libs.len())
         .flat_map(|v| (0..libs.len()).map(move |o| (v, o)))
         .filter(|&(v, o)| v != o && !violations(&libs[v].spec, &libs[o].spec).is_empty())
@@ -238,7 +242,7 @@ pub fn candidates(
         config: ImageConfig,
         hardened: Vec<&'a str>,
         graph: IncompatGraph,
-        effective: Vec<&'a LibSpec>,
+        effective: Vec<Rc<LibSpec>>,
         hardened_away: Vec<bool>,
     }
     let masks: Vec<Mask> = (0..1u32 << toggleable.len())
@@ -257,7 +261,9 @@ pub fn candidates(
                 config,
                 hardened,
                 graph: table.graph(&selection),
-                effective: (0..libs.len()).map(|i| table.spec(&selection, i)).collect(),
+                effective: (0..libs.len())
+                    .map(|i| Rc::clone(&variants[i][selection[i]]))
+                    .collect(),
                 hardened_away: threats
                     .iter()
                     .map(|&(v, o)| table.verdict(&selection, v, o).is_empty())

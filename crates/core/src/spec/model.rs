@@ -341,10 +341,13 @@ impl LibSpec {
         }
     }
 
+    /// The name [`LibSpec::verified_scheduler`] gives its library.
+    pub const VERIFIED_SCHEDULER: &'static str = "uksched_verified";
+
     /// The paper's verified-scheduler spec.
     pub fn verified_scheduler() -> Self {
         Self {
-            name: "uksched_verified".into(),
+            name: Self::VERIFIED_SCHEDULER.into(),
             mem: MemBehavior::well_behaved(),
             call: CallBehavior::funcs([("alloc", "malloc"), ("alloc", "free")]),
             api: vec![
